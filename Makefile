@@ -1,14 +1,15 @@
 GO ?= go
 
-.PHONY: check build test race bench bench-smoke bench-serve-smoke bench-json bench-parallel bench-stream serve-smoke chaos-smoke fmt fmt-check vet lint
+.PHONY: check build test race bench bench-smoke bench-serve-smoke bench-selftest bench-json bench-parallel bench-stream serve-smoke chaos-smoke fmt fmt-check vet lint
 
 # check is the full verification gate: formatting, vet, lint (staticcheck +
 # the vetvideoapp invariant suite), build, race-enabled tests, a
 # one-iteration compile-and-run pass over every benchmark so the perf
 # harness cannot rot, and end-to-end smokes of the chunk server (clean and
-# under injected faults). Tests run shuffled so inter-test ordering
-# dependencies cannot hide.
-check: fmt-check vet lint build race bench-smoke bench-serve-smoke serve-smoke chaos-smoke
+# under injected faults), and the self-tests of the performance ledger in
+# bench/ (its own module, so `go test ./...` here does not reach it). Tests
+# run shuffled so inter-test ordering dependencies cannot hide.
+check: fmt-check vet lint build race bench-smoke bench-serve-smoke bench-selftest serve-smoke chaos-smoke
 
 build:
 	$(GO) build ./...
@@ -49,10 +50,13 @@ bench-parallel:
 	$(GO) test -run='^$$' -bench=BenchmarkParallel -count=10 -benchmem .
 
 # bench-stream compares peak heap of batch Process vs streaming
-# ProcessStream/StreamToArchive at 1x and 4x sequence lengths; streaming
-# peak memory must stay flat as the input grows (results/stream_bench.md).
+# StreamToArchive (workers 1 and 2) at 1x and 4x sequence lengths — at a
+# fixed worker count streaming peak memory must stay flat as the input
+# grows — and times the ingest path at 1, 2 and 4 workers
+# (results/stream_bench.md).
 bench-stream:
 	$(GO) test -run='^$$' -bench=BenchmarkStreamMemory -benchtime=1x .
+	$(GO) test -run='^$$' -bench=BenchmarkStreamIngest -benchmem .
 
 # bench runs the measured hot-kernel benchmarks (SAD/motion search, error
 # injection, clone/pooling, arithmetic coder) plus the pipeline-level
@@ -99,4 +103,11 @@ bench-json:
 # a regression gate for the perf harness itself, cheap enough for check/CI.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/predict ./internal/store ./internal/codec ./internal/entropy ./internal/sim ./internal/serve
-	$(GO) test -run='^$$' -bench='BenchmarkParallel|BenchmarkPipeline' -benchtime=1x .
+	$(GO) test -run='^$$' -bench='BenchmarkParallel|BenchmarkPipeline|BenchmarkStreamIngest' -benchtime=1x .
+
+# bench-selftest vets and tests the performance ledger (bench/, the module
+# BENCHMARK.json runs): its self-tests re-archive through the pipeline and
+# compare bytes, so a pipeline change that breaks the harness's
+# byte-identity checks fails here, before the benchmark gate does.
+bench-selftest:
+	(cd bench && $(GO) vet ./... && $(GO) test ./...)

@@ -2,6 +2,7 @@ package videoapp
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -19,8 +20,10 @@ import (
 // file. Batch materializes every raw frame plus the whole encoded video, so
 // its peak grows linearly with the frame count; streaming holds only the
 // chunks in flight, so its peak must stay roughly flat (the acceptance
-// criterion is sublinear growth batch→stream at 4x). Peaks are reported as
-// the peak-MB metric; results are committed in results/stream_bench.md.
+// criterion is sublinear growth batch→stream at 4x). The chunks in flight
+// scale with the worker count, so streaming runs at workers 1 and 2 and
+// the flatness is read at a fixed worker count. Peaks are reported as the
+// peak-MB metric; results are committed in results/stream_bench.md.
 //
 //	make bench-stream
 func BenchmarkStreamMemory(b *testing.B) {
@@ -68,7 +71,7 @@ func BenchmarkStreamMemory(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		stream := func(b *testing.B) {
+		stream := func(b *testing.B, workers int) {
 			f, err := os.Open(path)
 			if err != nil {
 				b.Fatal(err)
@@ -78,7 +81,7 @@ func BenchmarkStreamMemory(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			p := NewPipeline(WithParams(params), WithChunkGOPs(1))
+			p := NewPipeline(WithParams(params), WithChunkGOPs(1), WithWorkers(workers))
 			if _, _, err := p.StreamToArchive(context.Background(), src, io.Discard); err != nil {
 				b.Fatal(err)
 			}
@@ -87,9 +90,39 @@ func BenchmarkStreamMemory(b *testing.B) {
 		b.Run("mode=batch/frames="+strconv.Itoa(frames), func(b *testing.B) {
 			benchPeakHeap(b, batch)
 		})
-		b.Run("mode=stream/frames="+strconv.Itoa(frames), func(b *testing.B) {
-			benchPeakHeap(b, stream)
-		})
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("mode=stream/workers=%d/frames=%d", workers, frames), func(b *testing.B) {
+				benchPeakHeap(b, func(b *testing.B) { stream(b, workers) })
+			})
+		}
+	}
+}
+
+// BenchmarkStreamIngest is the write path's working-set benchmark: the
+// ledger's ingest shape (320x176, GOP 6, one GOP per chunk, StreamToArchive
+// with nothing behind the writer) at 12 and 48 frames and 1, 2 and 4
+// workers. ns/op falls with the worker count up to the core count — chunks
+// are processed concurrently and committed in order — while B/op per frame
+// stays flat; results/stream_bench.md holds the committed numbers.
+func BenchmarkStreamIngest(b *testing.B) {
+	params := DefaultParams()
+	params.GOPSize = 6
+	for _, frames := range []int{12, 48} {
+		seq, err := GenerateTestVideo("crew_like", 320, 176, frames)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("frames=%d/workers=%d", frames, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				p := NewPipeline(WithParams(params), WithChunkGOPs(1), WithWorkers(workers))
+				for i := 0; i < b.N; i++ {
+					if _, _, err := p.StreamToArchive(context.Background(), SequenceSource(seq), io.Discard); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package chunk is the streaming, bounded-memory form of the pipeline: it
-// segments an incrementally fed frame source into closed-GOP chunks and
-// runs encode → analyze → partition → store per chunk as a staged,
-// channel-connected dataflow with backpressure.
+// segments an incrementally fed frame source into closed-GOP chunks, runs
+// encode → analyze → partition → store for several chunks at once, and
+// commits the results in stream order, with backpressure to the source.
 //
 // Because every chunk boundary is a closed-GOP boundary (a multiple of the
 // encoder's I-frame interval), chunks are fully independent coding units:
@@ -11,25 +11,29 @@
 // equals the batch analysis restricted to the chunk (the analysis DAG
 // factors at the same boundaries, see core's depSpans), and per-frame
 // footprint costs accumulate across chunks to the batch totals. That is the
-// invariant the public ProcessStream API pins with bit-identity tests.
+// invariant the public ProcessStream API pins with bit-identity tests, and
+// it is also why chunks can be processed concurrently: which chunk finishes
+// first changes nothing a chunk computes, and the sink sees them in order.
 //
-// Memory stays bounded by the chunk size, not the video length: each stage
-// holds at most one chunk, the connecting channels hold one more each, and
-// raw frames are dropped as soon as the encode stage has consumed them. A
-// server ingesting an hour of video peaks at a few chunks of frames plus
-// the (much smaller) encoded outputs.
+// Memory stays bounded by the chunk size and the worker count, not the
+// video length: with K = ⌈Workers/GOPsPerChunk⌉ chunks in flight, at most
+// K + 2 chunks exist between the source and the end of the sink (K being
+// processed or waiting their turn to commit, one the chunker has read
+// ahead, one in the sink), and a chunk's raw frames are dropped as soon as
+// it is encoded. A server ingesting an hour of video peaks at those few
+// chunks of frames plus the (much smaller) encoded outputs.
 package chunk
 
 import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 
 	"videoapp/internal/codec"
 	"videoapp/internal/core"
 	"videoapp/internal/frame"
 	"videoapp/internal/obs"
+	"videoapp/internal/par"
 	"videoapp/internal/store"
 )
 
@@ -45,12 +49,13 @@ type Config struct {
 	// chunk (Processed.Costs).
 	System *store.System
 	// GOPsPerChunk sets the chunk granularity in GOPs; <= 0 selects 1.
-	// Larger chunks amortize stage hand-off at the cost of higher peak
+	// Larger chunks amortize per-chunk overhead at the cost of higher peak
 	// memory and coarser random-access units.
 	GOPsPerChunk int
-	// Workers bounds the fan-out inside each stage (GOP-parallel encode,
-	// span-parallel analysis, frame-parallel costs); <= 0 selects
-	// GOMAXPROCS. Results are identical at every worker count.
+	// Workers bounds the run's total concurrency; <= 0 selects GOMAXPROCS.
+	// The budget is split between chunks in flight and the fan-out inside
+	// each (GOP-parallel encode, span-parallel analysis, frame-parallel
+	// costs), see fanOut. Results are identical at every worker count.
 	Workers int
 }
 
@@ -60,6 +65,18 @@ func (c Config) gopsPerChunk() int {
 		return 1
 	}
 	return c.GOPsPerChunk
+}
+
+// fanOut splits the Workers budget W over chunks of G GOPs: K = ⌈W/G⌉
+// chunks in flight, so that one GOP worker per GOP of every in-flight chunk
+// would use the whole budget, and ⌊W/K⌋ workers inside each chunk, so that
+// K × inner never exceeds W. One-GOP chunks get W chunks with serial
+// insides; chunks of W or more GOPs run one at a time with W GOP workers;
+// Workers == 1 is one chunk at a time, inline.
+func (c Config) fanOut() (inFlight, inner int) {
+	w := par.Workers(c.Workers)
+	inFlight = (w + c.gopsPerChunk() - 1) / c.gopsPerChunk()
+	return inFlight, w / inFlight
 }
 
 // Processed is one fully processed chunk, handed to the sink in chunk
@@ -93,32 +110,111 @@ type Processed struct {
 	HeaderBits int64
 }
 
-// rawChunk is a chunk of raw frames between the reader and encode stages.
+// rawChunk is a chunk of raw frames on its way to a worker.
 type rawChunk struct {
 	index      int
 	firstFrame int
 	frames     []*frame.Frame
 }
 
-// encChunk carries the encoded chunk between encode and analyze; the raw
-// frames are gone by this point.
-type encChunk struct {
-	index      int
-	firstFrame int
-	pixels     int64
-	video      *codec.Video
+// chunker groups the frames of a source into GOP-aligned chunks.
+type chunker struct {
+	src         Source
+	chunkFrames int
+	w, h        int
+	index       int
+	first       int
+	eof         bool
 }
 
-// Run drives the staged dataflow: frames are pulled from src, grouped into
-// closed-GOP chunks, and flow encoder → analyzer → storer over channels of
-// capacity one, so a slow downstream stage exerts backpressure all the way
-// back to the source. sink receives every Processed chunk in order on the
-// final stage's goroutine; a sink error cancels the run.
+// next pulls frames until a chunk is full or the source ends; the last
+// chunk may be short. It reports false once the source is exhausted.
+func (c *chunker) next(ctx context.Context) (*rawChunk, bool, error) {
+	var cur []*frame.Frame
+	for !c.eof && len(cur) < c.chunkFrames {
+		if err := ctx.Err(); err != nil {
+			return nil, false, err
+		}
+		f, err := c.src.Next()
+		if err == io.EOF {
+			c.eof = true
+			break
+		}
+		if err != nil {
+			return nil, false, fmt.Errorf("chunk: source: %w", err)
+		}
+		if c.w == 0 {
+			c.w, c.h = f.W, f.H
+		}
+		if f.W != c.w || f.H != c.h {
+			return nil, false, fmt.Errorf("chunk: frame %d geometry %dx%d differs from stream %dx%d", c.first+len(cur), f.W, f.H, c.w, c.h)
+		}
+		cur = append(cur, f)
+	}
+	if len(cur) == 0 {
+		if c.index == 0 {
+			return nil, false, fmt.Errorf("chunk: source has no frames")
+		}
+		return nil, false, nil
+	}
+	rc := &rawChunk{index: c.index, firstFrame: c.first, frames: cur}
+	c.index++
+	c.first += len(cur)
+	return rc, true, nil
+}
+
+// process runs one whole chunk through encode → analyze → partition →
+// footprint costs with the given inner fan-out. Closed-GOP chunks encode
+// independently, and a chunk is a closed dependency span, so the
+// chunk-local analysis equals the batch analysis rows. The raw frames are
+// released as soon as the encode returns.
+func (cfg Config) process(ctx context.Context, src Source, rc *rawChunk, workers int) (*Processed, error) {
+	sub := &frame.Sequence{Name: src.Name(), FPS: src.FPS(), Frames: rc.frames}
+	pixels := sub.PixelCount()
+	v, err := codec.EncodeParallelContext(ctx, sub, cfg.Params, workers)
+	sub.Frames, rc.frames = nil, nil
+	if err != nil {
+		return nil, err
+	}
+	an, err := core.AnalyzeContext(ctx, v, core.DefaultOptions(), workers)
+	if err != nil {
+		return nil, err
+	}
+	if err := an.CheckMonotone(); err != nil {
+		return nil, err
+	}
+	sp := obs.StartSpan(obs.From(ctx), obs.StagePartition)
+	parts := an.Partition(cfg.Assignment)
+	sp.End()
+	p := &Processed{
+		Index: rc.index, FirstFrame: rc.firstFrame, Pixels: pixels,
+		Video: v, Importance: an.Importance, CompImportance: an.CompImportance,
+		Parts:      parts,
+		HeaderBits: v.HeaderBits() + core.PivotOverheadBits(parts),
+	}
+	if cfg.System != nil {
+		if p.Costs, err = cfg.System.FrameCosts(ctx, v, parts, workers); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
+}
+
+// Run drives the chunk-parallel dataflow: frames are pulled from src and
+// grouped into closed-GOP chunks, up to ⌈Workers/GOPsPerChunk⌉ chunks are
+// processed at once (each one whole: encode → analyze → partition →
+// footprint costs), and sink receives every Processed chunk strictly in
+// stream order on Run's own goroutine. The reorder window is bounded
+// (par.MapOrdered), so a slow sink or a slow head chunk exerts backpressure
+// all the way back to the source. On failure Run returns the error the
+// serial loop would have surfaced — that of the lowest failing chunk — and
+// no later chunk reaches the sink; a sink error cancels the run.
 //
-// Cancellation is cooperative at frame boundaries within stages and at
-// chunk boundaries between them. An observer attached to ctx (obs.With)
-// receives each stage's spans and per-frame progress exactly as in the
-// batch path, plus one stream_chunks count per completed chunk.
+// Cancellation is cooperative at frame boundaries within a chunk and at
+// chunk boundaries between them; every goroutine Run starts has finished
+// when it returns. An observer attached to ctx (obs.With) receives each
+// stage's spans and per-frame progress exactly as in the batch path, plus
+// one stream_chunks count per committed chunk.
 func Run(ctx context.Context, cfg Config, src Source, sink func(*Processed) error) error {
 	if err := cfg.Params.Validate(); err != nil {
 		return err
@@ -126,162 +222,22 @@ func Run(ctx context.Context, cfg Config, src Source, sink func(*Processed) erro
 	if cfg.Params.BFrames != 0 {
 		return fmt.Errorf("chunk: streaming requires closed GOPs (BFrames == 0)")
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	o := obs.From(ctx)
-
-	var (
-		once     sync.Once
-		firstErr error
-	)
-	fail := func(err error) {
-		once.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
-
-	rawc := make(chan rawChunk, 1)
-	encc := make(chan encChunk, 1)
-	anc := make(chan *Processed, 1)
-
-	var wg sync.WaitGroup
-	stage := func(fn func() error) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := fn(); err != nil {
-				fail(err)
-			}
-		}()
-	}
-
-	// Stage 1: chunker. Pull frames until EOF, emit GOP-aligned chunks.
-	stage(func() error {
-		defer close(rawc)
-		chunkFrames := cfg.gopsPerChunk() * cfg.Params.GOPSize
-		var cur []*frame.Frame
-		var w, h int
-		index, first := 0, 0
-		emit := func() error {
-			rc := rawChunk{index: index, firstFrame: first, frames: cur}
-			select {
-			case rawc <- rc:
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-			index++
-			first += len(cur)
-			cur = nil
-			return nil
-		}
-		for {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			f, err := src.Next()
-			if err == io.EOF {
-				break
-			}
+	inFlight, inner := cfg.fanOut()
+	ck := &chunker{src: src, chunkFrames: cfg.gopsPerChunk() * cfg.Params.GOPSize}
+	return par.MapOrdered(ctx, inFlight, "chunk", "chunk", ck.next,
+		func(ctx context.Context, _ int, rc *rawChunk) (*Processed, error) {
+			p, err := cfg.process(ctx, src, rc, inner)
 			if err != nil {
-				return fmt.Errorf("chunk: source: %w", err)
+				return nil, fmt.Errorf("chunk %d: %w", rc.index, err)
 			}
-			if len(cur) == 0 && index == 0 && w == 0 {
-				w, h = f.W, f.H
-			}
-			if f.W != w || f.H != h {
-				return fmt.Errorf("chunk: frame %d geometry %dx%d differs from stream %dx%d", first+len(cur), f.W, f.H, w, h)
-			}
-			cur = append(cur, f)
-			if len(cur) == chunkFrames {
-				if err := emit(); err != nil {
-					return err
-				}
-			}
-		}
-		if len(cur) > 0 {
-			if err := emit(); err != nil {
-				return err
-			}
-		}
-		if index == 0 && len(cur) == 0 {
-			return fmt.Errorf("chunk: source has no frames")
-		}
-		return nil
-	})
-
-	// Stage 2: encoder. Closed-GOP chunks encode independently; the raw
-	// frames are released as soon as the encode returns.
-	stage(func() error {
-		defer close(encc)
-		for rc := range rawc {
-			sub := &frame.Sequence{Name: src.Name(), FPS: src.FPS(), Frames: rc.frames}
-			v, err := codec.EncodeParallelContext(ctx, sub, cfg.Params, cfg.Workers)
-			if err != nil {
-				return err
-			}
-			ec := encChunk{index: rc.index, firstFrame: rc.firstFrame, pixels: sub.PixelCount(), video: v}
-			select {
-			case encc <- ec:
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
-		return nil
-	})
-
-	// Stage 3: analyzer + partitioner. The chunk is a closed dependency
-	// span, so the chunk-local analysis equals the batch analysis rows.
-	stage(func() error {
-		defer close(anc)
-		for ec := range encc {
-			an, err := core.AnalyzeContext(ctx, ec.video, core.DefaultOptions(), cfg.Workers)
-			if err != nil {
-				return err
-			}
-			if err := an.CheckMonotone(); err != nil {
-				return err
-			}
-			sp := obs.StartSpan(o, obs.StagePartition)
-			parts := an.Partition(cfg.Assignment)
-			sp.End()
-			p := &Processed{
-				Index: ec.index, FirstFrame: ec.firstFrame, Pixels: ec.pixels,
-				Video: ec.video, Importance: an.Importance, CompImportance: an.CompImportance,
-				Parts:      parts,
-				HeaderBits: ec.video.HeaderBits() + core.PivotOverheadBits(parts),
-			}
-			select {
-			case anc <- p:
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
-		return nil
-	})
-
-	// Stage 4: storer. Footprint costs per chunk, then the caller's sink —
-	// single goroutine, so chunks arrive in order.
-	stage(func() error {
-		for p := range anc {
-			if cfg.System != nil {
-				costs, err := cfg.System.FrameCosts(ctx, p.Video, p.Parts, cfg.Workers)
-				if err != nil {
-					return err
-				}
-				p.Costs = costs
-			}
+			return p, nil
+		},
+		func(p *Processed) error {
 			if err := sink(p); err != nil {
 				return err
 			}
 			o.Counter(obs.CtrChunks, "", 1)
-		}
-		return nil
-	})
-
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	return ctx.Err()
+			return nil
+		})
 }

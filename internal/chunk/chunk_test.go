@@ -7,12 +7,17 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"videoapp/internal/codec"
 	"videoapp/internal/core"
 	"videoapp/internal/frame"
 	"videoapp/internal/mlc"
+	"videoapp/internal/obs"
 	"videoapp/internal/store"
 	"videoapp/internal/synth"
 	"videoapp/internal/y4m"
@@ -70,7 +75,8 @@ func collect(t testing.TB, cfg Config, src Source) []*Processed {
 // TestRunMatchesBatch pins the streaming pipeline's core invariant: chunked
 // processing of a closed-GOP stream reproduces the batch pipeline bit for
 // bit — encoded payloads, analysis rows, partitions and footprint costs —
-// at several chunk sizes and worker counts, including a ragged tail.
+// at several chunk sizes and worker counts (one chunk at a time, several
+// chunks in flight, more workers than chunks), including a ragged tail.
 func TestRunMatchesBatch(t *testing.T) {
 	const frames = 3*gopSize + 2 // ragged final GOP
 	seq := testSeq(t, frames)
@@ -92,8 +98,8 @@ func TestRunMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, gpc := range []int{1, 2, 4} {
-		for _, workers := range []int{1, 8} {
+	for _, gpc := range []int{1, 2, 3, 4} {
+		for _, workers := range []int{1, 2, 3, 8} {
 			t.Run(fmt.Sprintf("gops=%d/workers=%d", gpc, workers), func(t *testing.T) {
 				cfg := testConfig(t, gpc, workers)
 				chunks := collect(t, cfg, FromSequence(seq))
@@ -269,5 +275,224 @@ func TestRunRejectsGeometryChange(t *testing.T) {
 	err := Run(context.Background(), cfg, &mixedSource{}, func(*Processed) error { return nil })
 	if err == nil {
 		t.Fatal("geometry change mid-stream must be rejected")
+	}
+}
+
+// TestFanOutSplitsBudget pins the worker-budget rule: ⌈W/G⌉ chunks in
+// flight, and chunks × inner workers never above W.
+func TestFanOutSplitsBudget(t *testing.T) {
+	for _, tc := range []struct{ workers, gops, inFlight, inner int }{
+		{1, 1, 1, 1}, {1, 3, 1, 1},
+		{2, 1, 2, 1}, {8, 1, 8, 1},
+		{8, 2, 4, 2}, {8, 3, 3, 2}, {3, 2, 2, 1},
+		{4, 4, 1, 4}, {4, 9, 1, 4},
+	} {
+		inFlight, inner := Config{Workers: tc.workers, GOPsPerChunk: tc.gops}.fanOut()
+		if inFlight != tc.inFlight || inner != tc.inner {
+			t.Errorf("W=%d G=%d: %d chunks x %d workers, want %d x %d", tc.workers, tc.gops, inFlight, inner, tc.inFlight, tc.inner)
+		}
+		if inFlight*inner > tc.workers {
+			t.Errorf("W=%d G=%d: %d x %d exceeds the budget", tc.workers, tc.gops, inFlight, inner)
+		}
+	}
+}
+
+// skewedSeq is a stream whose first chunk is far more expensive than the
+// rest: one GOP of noise, then static frames.
+func skewedSeq(t testing.TB, frames int) *frame.Sequence {
+	t.Helper()
+	seq := testSeq(t, frames)
+	noise := uint32(1)
+	for _, f := range seq.Frames[:gopSize] {
+		for i := range f.Y {
+			noise = noise*1664525 + 1013904223
+			f.Y[i] = uint8(noise >> 24)
+		}
+	}
+	for i := gopSize + 1; i < frames; i++ {
+		seq.Frames[i] = seq.Frames[gopSize]
+	}
+	return seq
+}
+
+// TestRunCommitsInOrderUnderSkew makes later chunks finish long before the
+// first one and requires the sink to see them in stream order regardless,
+// with stream_chunks counting exactly the chunks committed so far.
+func TestRunCommitsInOrderUnderSkew(t *testing.T) {
+	const frames = 6*gopSize + 1
+	seq := skewedSeq(t, frames)
+	for _, workers := range []int{2, 3, 8} {
+		m := obs.NewMetrics()
+		calls, next := 0, 0
+		err := Run(obs.With(context.Background(), m), testConfig(t, 1, workers), FromSequence(seq), func(c *Processed) error {
+			if c.Index != calls || c.FirstFrame != next {
+				t.Fatalf("workers=%d: sink call %d got chunk %d at frame %d, want %d at %d", workers, calls, c.Index, c.FirstFrame, calls, next)
+			}
+			if n := m.Snapshot().Counter(obs.CtrChunks, ""); n != int64(calls) {
+				t.Fatalf("workers=%d: stream_chunks = %d while sinking chunk %d", workers, n, calls)
+			}
+			calls++
+			next += len(c.Video.Frames)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := m.Snapshot().Counter(obs.CtrChunks, ""); calls != 7 || n != 7 {
+			t.Fatalf("workers=%d: %d sink calls, stream_chunks = %d, want 7", workers, calls, n)
+		}
+	}
+}
+
+// unalignedSource yields frames the encoder rejects, so every chunk fails.
+type unalignedSource struct{ n int }
+
+func (u *unalignedSource) Next() (*frame.Frame, error) {
+	if u.n == 0 {
+		return nil, io.EOF
+	}
+	u.n--
+	return &frame.Frame{W: 100, H: 60, Y: make([]uint8, 100*60), Cb: make([]uint8, 50*30), Cr: make([]uint8, 50*30)}, nil
+}
+
+func (u *unalignedSource) FPS() int     { return 30 }
+func (u *unalignedSource) Name() string { return "unaligned" }
+
+// TestRunReturnsLowestChunkError: when several chunks fail, Run reports the
+// one the serial loop would have hit first, and a failed run sinks nothing
+// past the failure.
+func TestRunReturnsLowestChunkError(t *testing.T) {
+	for _, workers := range []int{1, 2, 8} {
+		err := Run(context.Background(), testConfig(t, 1, workers), &unalignedSource{n: 5 * gopSize}, func(p *Processed) error {
+			t.Errorf("workers=%d: chunk %d reached the sink", workers, p.Index)
+			return nil
+		})
+		if err == nil || !strings.HasPrefix(err.Error(), "chunk 0: ") {
+			t.Errorf("workers=%d: err = %v, want chunk 0's", workers, err)
+		}
+
+		boom := errors.New("archive full")
+		var sunk []int
+		err = Run(context.Background(), testConfig(t, 1, workers), FromSequence(testSeq(t, 5*gopSize)), func(p *Processed) error {
+			sunk = append(sunk, p.Index)
+			if p.Index == 1 {
+				return boom
+			}
+			return nil
+		})
+		if !errors.Is(err, boom) {
+			t.Errorf("workers=%d: err = %v, want %v", workers, err, boom)
+		}
+		if !reflect.DeepEqual(sunk, []int{0, 1}) {
+			t.Errorf("workers=%d: sink saw %v after failing on chunk 1", workers, sunk)
+		}
+	}
+}
+
+// TestRunLeavesNoGoroutines: however a run ends — source error, sink error,
+// cancellation — every goroutine it started is gone when it returns.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	seq := testSeq(t, 6*gopSize)
+	boom := errors.New("boom")
+	ends := map[string]func(workers int) error{
+		"source error": func(workers int) error {
+			src := &errSource{src: FromSequence(seq), n: 3*gopSize + 1, fail: boom}
+			return Run(context.Background(), testConfig(t, 1, workers), src, func(*Processed) error { return nil })
+		},
+		"sink error": func(workers int) error {
+			return Run(context.Background(), testConfig(t, 1, workers), FromSequence(seq), func(p *Processed) error {
+				if p.Index == 1 {
+					return boom
+				}
+				return nil
+			})
+		},
+		"cancel": func(workers int) error {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			return Run(ctx, testConfig(t, 1, workers), FromSequence(seq), func(*Processed) error {
+				cancel()
+				return nil
+			})
+		},
+	}
+	for name, end := range ends {
+		for _, workers := range []int{1, 2, 8} {
+			before := runtime.NumGoroutine()
+			if err := end(workers); err == nil {
+				t.Errorf("%s, workers=%d: run succeeded", name, workers)
+			}
+			after := runtime.NumGoroutine()
+			for deadline := time.Now().Add(2 * time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+				time.Sleep(time.Millisecond)
+			}
+			if after > before {
+				t.Errorf("%s, workers=%d: %d goroutines before, %d after", name, workers, before, after)
+			}
+		}
+	}
+}
+
+// countingSource hands out fresh copies of a sequence's frames and tracks
+// how many it has yielded and how many of those the collector has freed.
+type countingSource struct {
+	seq           *frame.Sequence
+	pulled, freed atomic.Int64
+	// onPull is called after each frame is yielded.
+	onPull func(pulled int64)
+}
+
+func (c *countingSource) Next() (*frame.Frame, error) {
+	i := int(c.pulled.Load())
+	if i >= len(c.seq.Frames) {
+		return nil, io.EOF
+	}
+	f := c.seq.Frames[i].Clone()
+	runtime.SetFinalizer(f, func(*frame.Frame) { c.freed.Add(1) })
+	c.onPull(c.pulled.Add(1))
+	return f, nil
+}
+
+func (c *countingSource) FPS() int     { return c.seq.FPS }
+func (c *countingSource) Name() string { return c.seq.Name }
+
+// TestRunBoundedMemory proves the documented bound at every worker count:
+// frames pulled from the source but not yet through the sink never exceed
+// (⌈Workers/GOPsPerChunk⌉ + 2) chunks, and by the time a chunk reaches the
+// sink its raw frames (and those of every earlier chunk) are garbage.
+func TestRunBoundedMemory(t *testing.T) {
+	const frames = 12 * gopSize
+	seq := testSeq(t, frames)
+	for _, gpc := range []int{1, 2} {
+		for _, workers := range []int{1, 2, 3, 8} {
+			cfg := testConfig(t, gpc, workers)
+			inFlight, _ := cfg.fanOut()
+			bound := int64((inFlight + 2) * gpc * gopSize)
+			var sunk atomic.Int64
+			src := &countingSource{seq: seq}
+			src.onPull = func(pulled int64) {
+				if d := pulled - sunk.Load(); d > bound {
+					t.Errorf("gops=%d workers=%d: %d frames between source and sink, bound %d", gpc, workers, d, bound)
+				}
+			}
+			err := Run(context.Background(), cfg, src, func(p *Processed) error {
+				encoded := int64(p.FirstFrame + len(p.Video.Frames))
+				for deadline := time.Now().Add(5 * time.Second); src.freed.Load() < encoded && time.Now().Before(deadline); {
+					runtime.GC()
+					time.Sleep(time.Millisecond)
+				}
+				if freed := src.freed.Load(); freed < encoded {
+					t.Errorf("gops=%d workers=%d: chunk %d in the sink, %d of the %d raw frames encoded so far still reachable", gpc, workers, p.Index, encoded-freed, encoded)
+				}
+				sunk.Add(int64(len(p.Video.Frames)))
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sunk.Load() != frames {
+				t.Fatalf("gops=%d workers=%d: sunk %d frames of %d", gpc, workers, sunk.Load(), frames)
+			}
+		}
 	}
 }

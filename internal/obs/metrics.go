@@ -107,9 +107,14 @@ type StageStat struct {
 	Calls int64 `json:"calls"`
 	// Frames is the number of per-frame work units the stage finished.
 	Frames int64 `json:"frames,omitempty"`
-	// Wall is the total wall time across calls.
+	// Wall sums the wall time of every span of the stage — busy time, not
+	// elapsed time: spans that run concurrently (the streaming pipeline
+	// encodes several chunks at once) each add their full duration, so
+	// Wall can exceed the run's elapsed time by up to the worker count.
 	Wall time.Duration `json:"wall_ns"`
-	// FramesPerSec is Frames divided by Wall (0 when either is 0).
+	// FramesPerSec is Frames divided by Wall (0 when either is 0). With
+	// concurrent spans it is therefore a per-core rate, not the aggregate
+	// throughput; divide Frames by the run's elapsed time for that.
 	FramesPerSec float64 `json:"frames_per_sec,omitempty"`
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"sync"
 	"testing"
 	"time"
@@ -40,18 +41,48 @@ func runInstrumented(t testing.TB, seq *Sequence, p Params, workers int) (Metric
 	return m.Snapshot(), flips
 }
 
+// runStreamInstrumented archives seq through the streaming path in
+// one-GOP chunks with a fresh Metrics aggregator.
+func runStreamInstrumented(t testing.TB, seq *Sequence, p Params, workers int) MetricsSnapshot {
+	t.Helper()
+	m := NewMetrics()
+	pl := NewPipeline(WithParams(p), WithWorkers(workers), WithChunkGOPs(1), WithMetrics(m))
+	if _, _, err := pl.StreamToArchive(context.Background(), SequenceSource(seq), io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	return m.Snapshot()
+}
+
 // TestMetricsIdenticalAcrossWorkers pins the determinism contract for the
-// aggregator: counters, gauges and per-stage frame totals are pure functions
-// of the input and seed, independent of the worker count. Only wall-clock
-// figures may differ between the serial and parallel runs.
+// aggregator: counters, gauges and per-stage call and frame totals are pure
+// functions of the input and seed, independent of the worker count — on the
+// batch path and on the streaming path, where the worker count also decides
+// how many chunks are in flight. Only wall-clock figures may differ between
+// the serial and parallel runs.
 func TestMetricsIdenticalAcrossWorkers(t *testing.T) {
 	seq, p := obsTestVideo(t)
 	s1, f1 := runInstrumented(t, seq, p, 1)
 	s8, f8 := runInstrumented(t, seq, p, 8)
-
 	if f1 != f8 {
 		t.Fatalf("flips differ across worker counts: %d vs %d", f1, f8)
 	}
+	requireSameMetrics(t, s1, s8)
+
+	long, err := GenerateTestVideo("news_like", 96, 64, 4*p.GOPSize+2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, s8 = runStreamInstrumented(t, long, p, 1), runStreamInstrumented(t, long, p, 8)
+	requireSameMetrics(t, s1, s8)
+	if got := s8.Counter("stream_chunks", ""); got != 5 {
+		t.Fatalf("stream_chunks = %d, want one per chunk (5)", got)
+	}
+}
+
+// requireSameMetrics fails unless the two snapshots agree on everything but
+// wall time.
+func requireSameMetrics(t testing.TB, s1, s8 MetricsSnapshot) {
+	t.Helper()
 	if len(s1.Counters) != len(s8.Counters) {
 		t.Fatalf("counter sets differ: %d vs %d", len(s1.Counters), len(s8.Counters))
 	}

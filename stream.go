@@ -253,9 +253,11 @@ func (p *Pipeline) chunkConfig(sys *store.System) chunk.Config {
 }
 
 // ProcessStream is Process over an incrementally fed source: the stream is
-// segmented into closed-GOP chunks (WithChunkGOPs) and encode → analyze →
-// partition → footprint run per chunk as a staged dataflow with
-// backpressure, so raw frames never accumulate beyond a few chunks. The
+// segmented into closed-GOP chunks (WithChunkGOPs), up to
+// ⌈Workers/ChunkGOPs⌉ chunks run encode → analyze → partition → footprint
+// concurrently, and the results are stitched in stream order with
+// backpressure to the source, so raw frames never accumulate beyond
+// ⌈Workers/ChunkGOPs⌉ + 2 chunks (cap it with WithWorkers). The
 // accumulated Result — encoded bits, analysis, partitions, footprint stats
 // — is bit-identical to ProcessContext on the same frames at every chunk
 // size and worker count, and supports the same round trips.
@@ -310,11 +312,14 @@ func (p *Pipeline) ProcessStream(ctx context.Context, src ChunkSource) (*Result,
 	}, nil
 }
 
-// StreamToArchive processes src chunk by chunk and appends each chunk to w
-// as a chunked archive, keeping memory bounded by the chunk size for
-// arbitrarily long streams: no stage retains a chunk after handing it
-// downstream, and the archive accumulates on w, not in memory. It returns
-// the archive layout and the aggregate storage footprint (header bits
+// StreamToArchive processes src in closed-GOP chunks — several at once, up
+// to the WithWorkers budget — and appends each chunk to w in stream order
+// as a chunked archive, keeping memory bounded for arbitrarily long
+// streams: at most ⌈Workers/ChunkGOPs⌉ + 2 chunks exist at any time (a
+// chunk's raw frames only until it is encoded), nothing retains a chunk
+// once it is written, and the archive accumulates on w, not in memory. The
+// bytes written are identical at every worker count. It returns the
+// archive layout and the aggregate storage footprint (header bits
 // accounted in the archive's chunk-local form).
 func (p *Pipeline) StreamToArchive(ctx context.Context, src ChunkSource, w io.Writer) (ArchiveMeta, StorageStats, error) {
 	o := p.observer()

@@ -314,7 +314,9 @@ func WithAssignment(a ClassAssignment) Option { return func(pl *Pipeline) { pl.A
 func WithSubstrate(s Substrate) Option { return func(pl *Pipeline) { pl.Substrate = s } }
 
 // WithWorkers bounds the concurrency of every pipeline stage; n <= 0
-// selects GOMAXPROCS.
+// selects GOMAXPROCS. The streaming paths split the same budget between
+// chunks in flight and the workers inside each chunk, so it also bounds
+// their peak memory (see StreamToArchive).
 func WithWorkers(n int) Option { return func(pl *Pipeline) { pl.Workers = n } }
 
 // WithBlockAccurate selects explicit per-block error simulation for storage
@@ -332,7 +334,7 @@ func WithEntropyCoder(k EntropyCoder) Option { return func(pl *Pipeline) { pl.Pa
 
 // WithChunkGOPs sets the streaming chunk granularity in closed GOPs
 // (ProcessStream, StreamToArchive); n <= 0 selects 1. Larger chunks
-// amortize stage hand-off at the cost of higher peak memory and coarser
+// amortize per-chunk overhead at the cost of higher peak memory and coarser
 // archive random-access units; results are identical at every granularity.
 func WithChunkGOPs(n int) Option { return func(pl *Pipeline) { pl.ChunkGOPs = n } }
 
