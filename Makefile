@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test race bench bench-smoke bench-serve-smoke bench-selftest bench-json bench-parallel bench-stream serve-smoke chaos-smoke fmt fmt-check vet lint
+.PHONY: check build test race golden golden-check bench bench-smoke bench-serve-smoke bench-selftest bench-json bench-parallel bench-stream serve-smoke chaos-smoke fmt fmt-check vet lint
 
 # check is the full verification gate: formatting, vet, lint (staticcheck +
 # the vetvideoapp invariant suite), build, race-enabled tests, a
@@ -8,8 +8,10 @@ GO ?= go
 # harness cannot rot, and end-to-end smokes of the chunk server (clean and
 # under injected faults), and the self-tests of the performance ledger in
 # bench/ (its own module, so `go test ./...` here does not reach it). Tests
-# run shuffled so inter-test ordering dependencies cannot hide.
-check: fmt-check vet lint build race bench-smoke bench-serve-smoke bench-selftest serve-smoke chaos-smoke
+# run shuffled so inter-test ordering dependencies cannot hide. golden-check
+# names the bit-exactness gate explicitly (the race pass runs it too): the
+# absolute decode manifest and the codec fuzz targets' seed corpora.
+check: fmt-check vet lint build golden-check race bench-smoke bench-serve-smoke bench-selftest serve-smoke chaos-smoke
 
 build:
 	$(GO) build ./...
@@ -32,6 +34,22 @@ test:
 
 race:
 	$(GO) test -race -shuffle=on ./...
+
+# golden-check verifies the golden decode manifest
+# (internal/codec/testdata/golden_decode.json: SHA-256 of bitstreams, decoded
+# planes — clean, bit-flipped, concealed, layered — and Reanalyze records)
+# and replays the seed corpora of the codec fuzz targets, among them the
+# differential FuzzDecodeVsReference (production decoder vs the
+# sample-at-a-time reference decoder kept in reference_test.go).
+golden-check:
+	$(GO) test -count=1 -run 'TestGoldenDecode|^Fuzz' ./internal/codec
+
+# golden regenerates the manifest from the current code. This is the one
+# procedure for a DELIBERATE bitstream or reconstruction change: run it,
+# review the diff of golden_decode.json, commit it with the change. A
+# refactor or an optimisation must leave the file untouched.
+golden:
+	$(GO) test -count=1 -run TestGoldenDecode ./internal/codec -update
 
 fmt:
 	gofmt -l -w .
@@ -59,14 +77,15 @@ bench-stream:
 	$(GO) test -run='^$$' -bench=BenchmarkStreamIngest -benchmem .
 
 # bench runs the measured hot-kernel benchmarks (SAD/motion search, error
-# injection, clone/pooling, arithmetic coder) plus the pipeline-level
+# injection, clone/pooling, chunk decode, arithmetic coder) plus the pipeline-level
 # parallel benches, with allocation reporting. Compare two runs with
 # scripts/benchcmp.sh old.txt new.txt (results/kernel_bench.md holds the
 # committed before/after of the optimization pass).
 bench:
 	$(GO) test -run='^$$' -bench='BenchmarkSAD|BenchmarkSADEdge|BenchmarkMotionSearch' -benchmem ./internal/predict
 	$(GO) test -run='^$$' -bench='BenchmarkInject' -benchmem ./internal/store
-	$(GO) test -run='^$$' -bench='BenchmarkClone' -benchmem ./internal/codec
+	$(GO) test -run='^$$' -bench='BenchmarkClone|BenchmarkDecodeChunk' -benchmem ./internal/codec
+	$(GO) test -run='^$$' -bench='BenchmarkReconstructAdd' -benchmem ./internal/transform
 	$(GO) test -run='^$$' -bench='BenchmarkArith' -benchmem ./internal/entropy
 	$(GO) test -run='^$$' -bench='BenchmarkFlipIID' -benchmem ./internal/sim
 	$(GO) test -run='^$$' -bench='BenchmarkServeChunk' -benchmem ./internal/serve
@@ -102,7 +121,7 @@ bench-json:
 # bench-smoke compiles and runs every benchmark in the repo exactly once —
 # a regression gate for the perf harness itself, cheap enough for check/CI.
 bench-smoke:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/predict ./internal/store ./internal/codec ./internal/entropy ./internal/sim ./internal/serve
+	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/predict ./internal/transform ./internal/store ./internal/codec ./internal/entropy ./internal/sim ./internal/serve
 	$(GO) test -run='^$$' -bench='BenchmarkParallel|BenchmarkPipeline|BenchmarkStreamIngest' -benchtime=1x .
 
 # bench-selftest vets and tests the performance ledger (bench/, the module

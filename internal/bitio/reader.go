@@ -17,6 +17,10 @@ type Reader struct {
 // NewReader returns a Reader over buf. The reader does not copy buf.
 func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
 
+// Reset re-targets the reader at the start of buf, so one Reader value can
+// serve a sequence of streams without a fresh allocation per stream.
+func (r *Reader) Reset(buf []byte) { r.buf, r.pos = buf, 0 }
+
 // ReadBit returns the next bit, or ErrOutOfBits past the end.
 func (r *Reader) ReadBit() (int, error) {
 	if r.pos >= int64(len(r.buf))*8 {

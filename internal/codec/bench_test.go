@@ -1,8 +1,10 @@
 package codec
 
 import (
+	"strings"
 	"testing"
 
+	"videoapp/internal/frame"
 	"videoapp/internal/synth"
 )
 
@@ -49,5 +51,51 @@ func BenchmarkClonePooled(b *testing.B) {
 			b.Fatal("clone lost frames")
 		}
 		c.Release()
+	}
+}
+
+// decodeChunkVideo encodes the cold-serve unit of the performance ledger:
+// one 6-frame closed GOP of 320×176 video with default parameters.
+func decodeChunkVideo(tb testing.TB, coder EntropyKind) *Video {
+	tb.Helper()
+	cfg, _ := synth.PresetByName("crew_like")
+	seq := synth.Generate(cfg.ScaleTo(320, 176, 6))
+	p := DefaultParams()
+	p.GOPSize = 6
+	p.Entropy = coder
+	v, err := Encode(seq, p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return v
+}
+
+// BenchmarkDecodeChunk measures codec.Decode of one cold chunk, the layer
+// that dominates serve_cold and the Monte-Carlo loop, on clean and on
+// bit-flipped payloads (the damaged path must not be the slow one).
+func BenchmarkDecodeChunk(b *testing.B) {
+	for _, coder := range []EntropyKind{CABAC, CAVLC} {
+		clean := decodeChunkVideo(b, coder)
+		for _, c := range []struct {
+			name string
+			v    *Video
+		}{
+			{"clean", clean},
+			{"damaged", flipPayloadBits(clean, 7, goldenFlipsLo)},
+		} {
+			b.Run(strings.ToLower(coder.String())+"/"+c.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					seq, err := Decode(c.v)
+					if err != nil {
+						b.Fatal(err)
+					}
+					// As serve.materialize does once the frames are rendered.
+					for _, f := range seq.Frames {
+						frame.Recycle(f)
+					}
+				}
+			})
+		}
 	}
 }

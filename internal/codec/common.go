@@ -105,10 +105,13 @@ func writeResidualBlock(sw entropy.SymbolWriter, blk *transform.Block) {
 	}
 }
 
-// readResidualBlock decodes one 4×4 block, clamping every field so corrupt
-// streams yield garbage-but-bounded coefficients.
-func readResidualBlock(sr entropy.SymbolReader) transform.Block {
-	var blk transform.Block
+// readResidualBlock decodes one 4×4 block into blk, clamping every field so
+// corrupt streams yield garbage-but-bounded coefficients. It reports whether
+// any level was stored: false guarantees blk is all-zero, so reconstruction
+// may skip the block without scanning it (true is conservative — a corrupt
+// stream can store a level of zero).
+func readResidualBlock(sr entropy.SymbolReader, blk *transform.Block) (coded bool) {
+	*blk = transform.Block{}
 	nnz := int(sr.GetUVal(entropy.ClassCoeffFlag))
 	if nnz > 16 {
 		nnz = 16
@@ -128,12 +131,13 @@ func readResidualBlock(sr entropy.SymbolReader) transform.Block {
 			level = -maxLevel
 		}
 		blk[zigzag4[scan]] = level
+		coded = true
 		scan++
 		if scan >= 16 {
 			break
 		}
 	}
-	return blk
+	return coded
 }
 
 // newSymbolWriter builds the configured entropy backend over w.
@@ -235,23 +239,6 @@ func unmarshalHeader(buf []byte, f *EncodedFrame) (payloadLen int, err error) {
 	return int(pl), nil
 }
 
-// chromaInterPredict fills the 8×8 chroma predictions for a macroblock from
-// ref using the partition vectors scaled down by mvDiv: 2 for full-pel
-// vectors, 4 for half-pel vectors (4:2:0 chroma is half luma resolution).
-func chromaInterPredict(dstCb, dstCr []uint8, ref *frame.Frame, mbx, mby int, rects []predict.Rect, mvs []predict.MV, mvDiv int) {
-	cx0, cy0 := mbx*8, mby*8
-	for i, r := range rects {
-		mv := mvs[i]
-		for y := r.Y / 2; y < (r.Y+r.H)/2; y++ {
-			for x := r.X / 2; x < (r.X+r.W)/2; x++ {
-				cb, cr := ref.ChromaAt(cx0+x+int(mv.X)/mvDiv, cy0+y+int(mv.Y)/mvDiv)
-				dstCb[y*8+x] = cb
-				dstCr[y*8+x] = cr
-			}
-		}
-	}
-}
-
 // chromaIntraPredict fills flat DC chroma predictions from the neighboring
 // reconstructed chroma samples, matching on encoder and decoder.
 func chromaIntraPredict(dstCb, dstCr []uint8, rec *frame.Frame, mbx, mby int, hasAbove, hasLeft bool) {
@@ -288,26 +275,15 @@ func chromaIntraPredict(dstCb, dstCr []uint8, rec *frame.Frame, mbx, mby int, ha
 // §3 of the paper: the median of the QPs of MBs A (left), B (above) and
 // C (above-right), falling back to the frame base QP.
 func qpPrediction(qps []int, mbx, mby, mbCols, baseQP, sliceTop int) int {
-	get := func(x, y int) (int, bool) {
-		if x < 0 || y < sliceTop || x >= mbCols {
-			return 0, false
+	var vals [3]int
+	n := 0
+	for _, nb := range [3][2]int{{mbx - 1, mby}, {mbx, mby - 1}, {mbx + 1, mby - 1}} {
+		if x, y := nb[0], nb[1]; x >= 0 && y >= sliceTop && x < mbCols {
+			vals[n] = qps[y*mbCols+x]
+			n++
 		}
-		return qps[y*mbCols+x], true
 	}
-	a, okA := get(mbx-1, mby)
-	b, okB := get(mbx, mby-1)
-	c, okC := get(mbx+1, mby-1)
-	vals := []int{}
-	if okA {
-		vals = append(vals, a)
-	}
-	if okB {
-		vals = append(vals, b)
-	}
-	if okC {
-		vals = append(vals, c)
-	}
-	switch len(vals) {
+	switch n {
 	case 0:
 		return baseQP
 	case 1:

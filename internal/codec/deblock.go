@@ -28,27 +28,36 @@ func deblockThresholds(qp int) (alpha, beta int) {
 }
 
 // deblockFrame filters all 4×4 luma edges of rec in place. qps holds the
-// per-macroblock quantizers used for reconstruction.
+// per-macroblock quantizers used for reconstruction; the thresholds are
+// looked up once per run of samples sharing a macroblock, not per sample.
 func deblockFrame(rec *frame.Frame, qps []int, mbCols int) {
 	// Vertical edges (filtering across columns), then horizontal edges.
+	// Samples are visited in raster order within each pass: the filter
+	// works in place, so the order is part of the bitstream's meaning.
 	for y := 0; y < rec.H; y++ {
-		for x := 4; x < rec.W; x += 4 {
-			qp := qps[(y/16)*mbCols+x/16]
-			filterEdge(rec, x, y, 1, 0, qp)
+		for mbx := 0; mbx < mbCols; mbx++ {
+			alpha, beta := deblockThresholds(qps[(y/frame.MBSize)*mbCols+mbx])
+			for x := mbx * frame.MBSize; x < (mbx+1)*frame.MBSize; x += 4 {
+				if x > 0 {
+					filterEdge(rec, x, y, 1, 0, alpha, beta)
+				}
+			}
 		}
 	}
 	for y := 4; y < rec.H; y += 4 {
-		for x := 0; x < rec.W; x++ {
-			qp := qps[(y/16)*mbCols+x/16]
-			filterEdge(rec, x, y, 0, 1, qp)
+		for mbx := 0; mbx < mbCols; mbx++ {
+			alpha, beta := deblockThresholds(qps[(y/frame.MBSize)*mbCols+mbx])
+			for x := mbx * frame.MBSize; x < (mbx+1)*frame.MBSize; x++ {
+				filterEdge(rec, x, y, 0, 1, alpha, beta)
+			}
 		}
 	}
 }
 
 // filterEdge smooths one sample pair across an edge at (x, y); (dx, dy) is
-// the direction across the edge.
-func filterEdge(rec *frame.Frame, x, y, dx, dy, qp int) {
-	alpha, beta := deblockThresholds(qp)
+// the direction across the edge, alpha and beta the thresholds of the
+// macroblock holding (x, y).
+func filterEdge(rec *frame.Frame, x, y, dx, dy, alpha, beta int) {
 	p0 := int(rec.LumaAt(x-dx, y-dy))
 	q0 := int(rec.LumaAt(x, y))
 	d0 := p0 - q0

@@ -3,7 +3,6 @@ package codec
 import (
 	"fmt"
 
-	"videoapp/internal/bitio"
 	"videoapp/internal/entropy"
 	"videoapp/internal/frame"
 	"videoapp/internal/obs"
@@ -61,8 +60,9 @@ func decodeRecsOpts(v *Video, opts DecodeOptions) ([]*frame.Frame, error) {
 		return nil, errFrameGeometry(v.W, v.H)
 	}
 	rec := make([]*frame.Frame, len(v.Frames))
+	fd := newFrameDecoder(v, rec, opts)
 	for i := range v.Frames {
-		rec[i] = decodeSingleOpts(v, i, rec, opts)
+		rec[i] = fd.decode(i)
 	}
 	return rec, nil
 }
@@ -72,76 +72,95 @@ func decodeRecsOpts(v *Video, opts DecodeOptions) ([]*frame.Frame, error) {
 // substitute clean references to isolate one frame's coding errors from
 // compensation errors, as the Figure 3 experiment requires.
 func DecodeSingle(v *Video, idx int, recs []*frame.Frame) *frame.Frame {
-	return decodeSingleOpts(v, idx, recs, DecodeOptions{})
-}
-
-func decodeSingleOpts(v *Video, idx int, recs []*frame.Frame, opts DecodeOptions) *frame.Frame {
-	fd := &frameDecoder{video: v, ef: v.Frames[idx], recRefs: recs, rec: frame.MustNew(v.W, v.H), opts: opts}
-	fd.run()
-	return fd.rec
+	return newFrameDecoder(v, recs, DecodeOptions{}).decode(idx)
 }
 
 // RecsToDisplay reorders coded-order reconstructions into a display-order
 // sequence.
 func RecsToDisplay(v *Video, rec []*frame.Frame) (*frame.Sequence, error) {
-	display := make([]*frame.Frame, len(v.Frames))
+	seq := &frame.Sequence{Name: "decoded", FPS: v.FPS, Frames: make([]*frame.Frame, len(v.Frames))}
 	for i, ef := range v.Frames {
 		if ef.DisplayIdx < 0 || ef.DisplayIdx >= len(v.Frames) {
 			return nil, fmt.Errorf("codec: display index %d out of range", ef.DisplayIdx)
 		}
-		display[ef.DisplayIdx] = rec[i]
+		seq.Frames[ef.DisplayIdx] = rec[i]
 	}
-	seq := &frame.Sequence{Name: "decoded", FPS: v.FPS}
-	for _, f := range display {
+	for i, f := range seq.Frames {
 		if f == nil {
-			f = frame.MustNew(v.W, v.H)
+			seq.Frames[i] = frame.MustNew(v.W, v.H)
 		}
-		seq.Frames = append(seq.Frames, f)
 	}
 	return seq, nil
 }
 
+// frameDecoder decodes the frames of one video, one at a time. It owns the
+// per-macroblock scratch (quantizer and motion-vector maps, prediction and
+// residual buffers) and the symbol readers, so decoding a run of frames —
+// a whole video, or one independent span of it — allocates per frame only
+// the output planes, and those come from frame.NewPooled. A frameDecoder is
+// not safe for concurrent use; parallel decode gives every span its own.
 type frameDecoder struct {
 	video   *Video
-	ef      *EncodedFrame
 	recRefs []*frame.Frame
-	rec     *frame.Frame
+	opts    DecodeOptions
+	// record selects recording mode (Reanalyze): rebuild per-MB records
+	// while decoding.
+	record bool
 
+	// State of the frame being decoded.
+	ef       *EncodedFrame
+	rec      *frame.Frame
 	sr       entropy.SymbolReader
-	qps      []int
-	mvRep    []predict.MV
-	mvAvail  []bool
 	sliceTop int
-	opts     DecodeOptions
+	recs     []MBRecord
+	curRec   *MBRecord
+	bitBase  int64
 
-	// Recording mode (Reanalyze): rebuild per-MB records while decoding.
-	record  bool
-	recs    []MBRecord
-	curRec  *MBRecord
-	bitBase int64
+	// Scratch reused across macroblocks and frames.
+	cabac   entropy.CABACReader
+	cavlc   entropy.CAVLCReader
+	qps     []int
+	mvRep   []predict.MV
+	mvAvail []bool
+	pred    mbPred
+	res     mbResidual
 }
 
-// mvDiv is the divisor converting motion vector units to chroma pixels.
-func (fd *frameDecoder) mvDiv() int {
-	if fd.video.Params.HalfPel {
-		return 4
+// newFrameDecoder returns a decoder of v's frames that resolves header
+// references in recRefs (coded order; entries at or beyond the frame being
+// decoded are never read as references of a well-formed stream).
+func newFrameDecoder(v *Video, recRefs []*frame.Frame, opts DecodeOptions) *frameDecoder {
+	n := v.MBCols() * v.MBRows()
+	return &frameDecoder{
+		video: v, recRefs: recRefs, opts: opts,
+		qps: make([]int, n), mvRep: make([]predict.MV, n), mvAvail: make([]bool, n),
 	}
-	return 2
 }
 
-func (fd *frameDecoder) compensate(buf []uint8, ref *frame.Frame, cx, cy, w, h int, mv predict.MV) {
-	if fd.video.Params.HalfPel {
-		predict.CompensateHP(buf, ref, cx, cy, w, h, mv)
-	} else {
-		predict.Compensate(buf, ref, cx, cy, w, h, mv)
-	}
+// decode reconstructs coded frame idx into a fresh pooled frame, which the
+// caller owns (see frame.Recycle for who may give it back).
+func (fd *frameDecoder) decode(idx int) *frame.Frame {
+	fd.ef = fd.video.Frames[idx]
+	fd.rec = frame.MustNewPooled(fd.video.W, fd.video.H)
+	fd.recs, fd.curRec = nil, nil
+	// Macroblocks a corrupt slice table never reaches must read as zero,
+	// exactly as in a freshly allocated map.
+	clear(fd.qps)
+	clear(fd.mvRep)
+	clear(fd.mvAvail)
+	fd.run()
+	return fd.rec
 }
 
-func (fd *frameDecoder) compensateBi(buf []uint8, ref0, ref1 *frame.Frame, cx, cy, w, h int, mv0, mv1 predict.MV) {
-	if fd.video.Params.HalfPel {
-		predict.CompensateBiHP(buf, ref0, ref1, cx, cy, w, h, mv0, mv1)
+// resetReader points the configured entropy backend at one slice's payload
+// span with a fresh context.
+func (fd *frameDecoder) resetReader(span []byte) {
+	if fd.video.Params.Entropy == CAVLC {
+		fd.cavlc.Reset(span)
+		fd.sr = &fd.cavlc
 	} else {
-		predict.CompensateBi(buf, ref0, ref1, cx, cy, w, h, mv0, mv1)
+		fd.cabac.Reset(span)
+		fd.sr = &fd.cabac
 	}
 }
 
@@ -159,9 +178,6 @@ func (fd *frameDecoder) run() {
 			deblockFrame(fd.rec, fd.qps, mbCols)
 		}
 	}()
-	fd.qps = make([]int, mbCols*mbRows)
-	fd.mvRep = make([]predict.MV, mbCols*mbRows)
-	fd.mvAvail = make([]bool, mbCols*mbRows)
 	starts := fd.ef.SliceMBStart
 	byteStarts := fd.ef.SliceByteStart
 	if len(starts) == 0 {
@@ -179,7 +195,7 @@ func (fd *frameDecoder) run() {
 			byteEnd = clampRange(byteStarts[s+1], byteStart, len(fd.ef.Payload))
 		}
 		// Fresh entropy context per slice over its own payload span.
-		fd.sr = newSymbolReader(fd.video.Params.Entropy, bitio.NewReader(fd.ef.Payload[byteStart:byteEnd]))
+		fd.resetReader(fd.ef.Payload[byteStart:byteEnd])
 		fd.sliceTop = topMB / mbCols
 		fd.bitBase = int64(byteStart) * 8
 		sliceRecStart := len(fd.recs)
@@ -238,27 +254,17 @@ func Reanalyze(v *Video) error {
 		return errFrameGeometry(v.W, v.H)
 	}
 	rec := make([]*frame.Frame, len(v.Frames))
+	fd := newFrameDecoder(v, rec, DecodeOptions{})
+	fd.record = true
 	for i, ef := range v.Frames {
-		fd := &frameDecoder{video: v, ef: ef, recRefs: rec, rec: frame.MustNew(v.W, v.H), record: true}
-		fd.run()
-		rec[i] = fd.rec
+		rec[i] = fd.decode(i)
 		ef.MBs = fd.recs
 	}
+	// The reconstructions never leave Reanalyze; recycle their planes.
+	for _, r := range rec {
+		frame.Recycle(r)
+	}
 	return nil
-}
-
-// addDep records one dependency while in recording mode.
-func (fd *frameDecoder) addDep(refCoded, cx, cy, w, h int, mv predict.MV, share int) {
-	if !fd.record || fd.curRec == nil || refCoded < 0 {
-		return
-	}
-	fp := predict.Footprint(fd.rec.W, fd.rec.H, cx, cy, w, h, mv)
-	if fd.video.Params.HalfPel {
-		fp = predict.FootprintHP(fd.rec.W, fd.rec.H, cx, cy, w, h, mv)
-	}
-	for _, wr := range fp {
-		fd.curRec.Deps = append(fd.curRec.Deps, CompDep{SrcFrame: refCoded, SrcMB: wr.MB, Pixels: wr.Pixels / share})
-	}
 }
 
 func clampRange(v, lo, hi int) int {
@@ -277,6 +283,7 @@ func (fd *frameDecoder) decodeMB(mx, my int) {
 	refF := fd.refFrame(fd.ef.RefFwd)
 	refB := fd.refFrame(fd.ef.RefBwd)
 	predMV := mvPrediction(fd.mvRep, fd.mvAvail, mx, my, mbCols, fd.sliceTop)
+	halfPel := fd.video.Params.HalfPel
 
 	mbType := mbIntra
 	if fd.ef.Type != FrameI {
@@ -288,40 +295,39 @@ func (fd *frameDecoder) decodeMB(mx, my int) {
 		mbType = mbIntra
 	}
 
+	var qp int
 	switch mbType {
 	case mbSkip:
-		skipQP := qpPrediction(fd.qps, mx, my, mbCols, fd.ef.BaseQP, fd.sliceTop)
-		fd.qps[mbIdx] = skipQP
-		fd.reconstructSkip(mx, my, refF, predMV)
-		fd.addDep(fd.ef.RefFwd, mx*frame.MBSize, my*frame.MBSize, 16, 16, predMV, 1)
-		if fd.record && fd.curRec != nil {
-			fd.curRec.QP = skipQP
-		}
+		// A skipped MB is its prediction from the median vector: no coded
+		// vector, no delta-QP, no residual.
+		qp = qpPrediction(fd.qps, mx, my, mbCols, fd.ef.BaseQP, fd.sliceTop)
+		fd.qps[mbIdx] = qp
+		m := mbMotion{rects: predict.PartitionRects(predict.Part16x16)}
+		m.mvF[0] = predMV
+		interPredict(&fd.pred, refF, refB, mx, my, &m, halfPel)
+		fd.res.nz = 0
+		reconstructMB(fd.rec, mx, my, &fd.pred, &fd.res, qp)
+		fd.recordMotionDeps(mx, my, &m)
 		fd.mvRep[mbIdx] = predMV
 		fd.mvAvail[mbIdx] = true
 	case mbIntra:
 		mode := predict.IntraMode(int(fd.sr.GetUVal(entropy.ClassIntraMode)) % predict.NumIntraModes)
-		qp := fd.decodeQP(mx, my, mbIdx)
-		pred := predict.IntraPredict16Avail(fd.rec, mx, my, mode, my > fd.sliceTop, mx > 0)
-		var predCb, predCr [64]uint8
-		chromaIntraPredict(predCb[:], predCr[:], fd.rec, mx, my, my > fd.sliceTop, mx > 0)
-		fd.decodeResidualAndReconstruct(mx, my, pred[:], predCb[:], predCr[:], qp)
+		qp = fd.decodeQP(mx, my, mbIdx)
+		hasAbove, hasLeft := my > fd.sliceTop, mx > 0
+		fd.pred.y = predict.IntraPredict16Avail(fd.rec, mx, my, mode, hasAbove, hasLeft)
+		chromaIntraPredict(fd.pred.cb[:], fd.pred.cr[:], fd.rec, mx, my, hasAbove, hasLeft)
+		fd.decodeResidualAndReconstruct(mx, my, qp)
 		if fd.record && fd.curRec != nil {
 			fd.curRec.Intra = true
-			fd.curRec.QP = qp
-			for _, wr := range predict.IntraFootprintAvail(mx, my, mbCols, mode, my > fd.sliceTop, mx > 0) {
+			for _, wr := range predict.IntraFootprintAvail(mx, my, mbCols, mode, hasAbove, hasLeft) {
 				fd.curRec.Deps = append(fd.curRec.Deps, CompDep{SrcFrame: fd.ef.CodedIdx, SrcMB: wr.MB, Pixels: wr.Pixels})
 			}
 		}
 		fd.mvAvail[mbIdx] = false
 	default:
-		shape := mbTypeToShape(mbType)
-		rects := predict.PartitionRects(shape)
-		dirs := make([]int, len(rects))
-		mvF := make([]predict.MV, len(rects))
-		mvB := make([]predict.MV, len(rects))
+		m := mbMotion{rects: predict.PartitionRects(mbTypeToShape(mbType))}
 		prevMV := predMV
-		for i := range rects {
+		for i := range m.rects {
 			dir := dirFwd
 			if fd.ef.Type == FrameB {
 				dir = int(fd.sr.GetUVal(entropy.ClassRefIdx)) % 3
@@ -329,63 +335,43 @@ func (fd *frameDecoder) decodeMB(mx, my int) {
 					dir = dirFwd
 				}
 			}
-			dirs[i] = dir
+			m.dirs[i] = dir
 			switch dir {
 			case dirBwd:
 				d := fd.readMVD()
-				mvB[i] = predict.ClampMV(prevMV.Add(d))
-				prevMV = mvB[i]
+				m.mvB[i] = predict.ClampMV(prevMV.Add(d))
+				prevMV = m.mvB[i]
 			case dirBi:
 				dF := fd.readMVD()
-				mvF[i] = predict.ClampMV(prevMV.Add(dF))
+				m.mvF[i] = predict.ClampMV(prevMV.Add(dF))
 				dB := fd.readMVD()
-				mvB[i] = predict.ClampMV(mvF[i].Add(dB))
-				prevMV = mvF[i]
+				m.mvB[i] = predict.ClampMV(m.mvF[i].Add(dB))
+				prevMV = m.mvF[i]
 			default:
 				d := fd.readMVD()
-				mvF[i] = predict.ClampMV(prevMV.Add(d))
-				prevMV = mvF[i]
+				m.mvF[i] = predict.ClampMV(prevMV.Add(d))
+				prevMV = m.mvF[i]
 			}
 		}
-		qp := fd.decodeQP(mx, my, mbIdx)
-
-		px, py := mx*frame.MBSize, my*frame.MBSize
-		var predY [256]uint8
-		for i, r := range rects {
-			buf := make([]uint8, r.W*r.H)
-			switch dirs[i] {
-			case dirBwd:
-				fd.compensate(buf, refB, px+r.X, py+r.Y, r.W, r.H, mvB[i])
-				fd.addDep(fd.ef.RefBwd, px+r.X, py+r.Y, r.W, r.H, mvB[i], 1)
-			case dirBi:
-				fd.compensateBi(buf, refF, refB, px+r.X, py+r.Y, r.W, r.H, mvF[i], mvB[i])
-				fd.addDep(fd.ef.RefFwd, px+r.X, py+r.Y, r.W, r.H, mvF[i], 2)
-				fd.addDep(fd.ef.RefBwd, px+r.X, py+r.Y, r.W, r.H, mvB[i], 2)
-			default:
-				fd.compensate(buf, refF, px+r.X, py+r.Y, r.W, r.H, mvF[i])
-				fd.addDep(fd.ef.RefFwd, px+r.X, py+r.Y, r.W, r.H, mvF[i], 1)
-			}
-			for y := 0; y < r.H; y++ {
-				copy(predY[(r.Y+y)*16+r.X:(r.Y+y)*16+r.X+r.W], buf[y*r.W:(y+1)*r.W])
-			}
-		}
-		var predCb, predCr [64]uint8
-		if dirs[0] == dirBwd {
-			chromaInterPredict(predCb[:], predCr[:], refB, mx, my, rects, mvB, fd.mvDiv())
-		} else {
-			chromaInterPredict(predCb[:], predCr[:], refF, mx, my, rects, mvF, fd.mvDiv())
-		}
-		fd.decodeResidualAndReconstruct(mx, my, predY[:], predCb[:], predCr[:], qp)
-		if fd.record && fd.curRec != nil {
-			fd.curRec.QP = qp
-		}
-		if dirs[0] == dirBwd {
-			fd.mvRep[mbIdx] = mvB[0]
-		} else {
-			fd.mvRep[mbIdx] = mvF[0]
-		}
+		qp = fd.decodeQP(mx, my, mbIdx)
+		interPredict(&fd.pred, refF, refB, mx, my, &m, halfPel)
+		fd.recordMotionDeps(mx, my, &m)
+		fd.decodeResidualAndReconstruct(mx, my, qp)
+		fd.mvRep[mbIdx] = m.first()
 		fd.mvAvail[mbIdx] = true
 	}
+	if fd.record && fd.curRec != nil {
+		fd.curRec.QP = qp
+	}
+}
+
+// recordMotionDeps records an inter macroblock's compensation dependencies
+// while in recording mode.
+func (fd *frameDecoder) recordMotionDeps(mx, my int, m *mbMotion) {
+	if !fd.record || fd.curRec == nil {
+		return
+	}
+	fd.curRec.Deps = appendMotionDeps(fd.curRec.Deps, fd.ef, fd.rec.W, fd.rec.H, mx, my, m, fd.video.Params.HalfPel)
 }
 
 func (fd *frameDecoder) readMVD() predict.MV {
@@ -418,116 +404,45 @@ func (fd *frameDecoder) decodeQP(mx, my, mbIdx int) int {
 	return qp
 }
 
-func (fd *frameDecoder) reconstructSkip(mx, my int, refF *frame.Frame, mv predict.MV) {
-	px, py := mx*frame.MBSize, my*frame.MBSize
-	var buf [256]uint8
-	fd.compensate(buf[:], refF, px, py, 16, 16, mv)
-	for y := 0; y < 16; y++ {
-		for x := 0; x < 16; x++ {
-			fd.rec.SetLuma(px+x, py+y, buf[y*16+x])
-		}
-	}
-	rects := []predict.Rect{{X: 0, Y: 0, W: 16, H: 16}}
-	var predCb, predCr [64]uint8
-	chromaInterPredict(predCb[:], predCr[:], refF, mx, my, rects, []predict.MV{mv}, fd.mvDiv())
-	cx0, cy0 := mx*8, my*8
-	cw, ch := fd.rec.W/2, fd.rec.H/2
-	for y := 0; y < 8; y++ {
-		for x := 0; x < 8; x++ {
-			if cx0+x < cw && cy0+y < ch {
-				fd.rec.Cb[(cy0+y)*cw+cx0+x] = predCb[y*8+x]
-				fd.rec.Cr[(cy0+y)*cw+cx0+x] = predCr[y*8+x]
+// decodeResidualAndReconstruct reads the macroblock's coded-block flag and,
+// when set, its 24 residual blocks, then reconstructs fd.pred plus that
+// residual into the frame.
+func (fd *frameDecoder) decodeResidualAndReconstruct(mx, my, qp int) {
+	fd.res.nz = 0
+	if fd.sr.GetFlag(entropy.ClassCBP) {
+		for b := range fd.res.blocks {
+			if readResidualBlock(fd.sr, &fd.res.blocks[b]) {
+				fd.res.nz |= 1 << uint(b)
 			}
 		}
 	}
-}
-
-func (fd *frameDecoder) decodeResidualAndReconstruct(mx, my int, predY, predCb, predCr []uint8, qp int) {
-	px, py := mx*frame.MBSize, my*frame.MBSize
-	hasResidual := fd.sr.GetFlag(entropy.ClassCBP)
-	var levels [16]transform.Block
-	var chromaLevels [8]transform.Block
-	if hasResidual {
-		for b := 0; b < 16; b++ {
-			levels[b] = readResidualBlock(fd.sr)
-		}
-		for b := 0; b < 8; b++ {
-			chromaLevels[b] = readResidualBlock(fd.sr)
-		}
-	}
-	for by := 0; by < 4; by++ {
-		for bx := 0; bx < 4; bx++ {
-			recon := transform.Reconstruct(&levels[by*4+bx], qp)
-			for y := 0; y < 4; y++ {
-				for x := 0; x < 4; x++ {
-					ox, oy := bx*4+x, by*4+y
-					fd.rec.SetLuma(px+ox, py+oy, frame.ClampU8(int(predY[oy*16+ox])+int(recon[y*4+x])))
-				}
-			}
-		}
-	}
-	cx0, cy0 := mx*8, my*8
-	cw, ch := fd.rec.W/2, fd.rec.H/2
-	for plane := 0; plane < 2; plane++ {
-		dst, prd := fd.rec.Cb, predCb
-		if plane == 1 {
-			dst, prd = fd.rec.Cr, predCr
-		}
-		for by := 0; by < 2; by++ {
-			for bx := 0; bx < 2; bx++ {
-				recon := transform.Reconstruct(&chromaLevels[plane*4+by*2+bx], qp)
-				for y := 0; y < 4; y++ {
-					for x := 0; x < 4; x++ {
-						sx, sy := cx0+bx*4+x, cy0+by*4+y
-						if sx < cw && sy < ch {
-							i := (by*4+y)*8 + bx*4 + x
-							dst[sy*cw+sx] = frame.ClampU8(int(prd[i]) + int(recon[y*4+x]))
-						}
-					}
-				}
-			}
-		}
-	}
+	reconstructMB(fd.rec, mx, my, &fd.pred, &fd.res, qp)
 }
 
 // concealMB fills a macroblock by copying the co-located content from the
 // forward reference frame, or mid-gray when none exists — standard temporal
 // error concealment.
 func (fd *frameDecoder) concealMB(mx, my int) {
-	px, py := mx*frame.MBSize, my*frame.MBSize
+	w, cw := fd.rec.W, fd.rec.W/2
+	luma := fd.rec.Y[my*frame.MBSize*w+mx*frame.MBSize:]
+	co := my*8*cw + mx*8
 	refF := fd.refFrame(fd.ef.RefFwd)
 	if refF == nil {
-		for y := 0; y < 16; y++ {
-			for x := 0; x < 16; x++ {
-				fd.rec.SetLuma(px+x, py+y, 128)
-			}
-		}
-		cw, ch := fd.rec.W/2, fd.rec.H/2
-		for y := 0; y < 8; y++ {
-			for x := 0; x < 8; x++ {
-				cx, cy := mx*8+x, my*8+y
-				if cx < cw && cy < ch {
-					fd.rec.Cb[cy*cw+cx] = 128
-					fd.rec.Cr[cy*cw+cx] = 128
-				}
-			}
-		}
+		fillRows(luma, w, 16, 16, 128)
+		fillRows(fd.rec.Cb[co:], cw, 8, 8, 128)
+		fillRows(fd.rec.Cr[co:], cw, 8, 8, 128)
 		return
 	}
-	for y := 0; y < 16; y++ {
-		for x := 0; x < 16; x++ {
-			fd.rec.SetLuma(px+x, py+y, refF.LumaAt(px+x, py+y))
-		}
-	}
-	cw, ch := fd.rec.W/2, fd.rec.H/2
-	for y := 0; y < 8; y++ {
-		for x := 0; x < 8; x++ {
-			cx, cy := mx*8+x, my*8+y
-			if cx < cw && cy < ch {
-				cb, cr := refF.ChromaAt(cx, cy)
-				fd.rec.Cb[cy*cw+cx] = cb
-				fd.rec.Cr[cy*cw+cx] = cr
-			}
+	predict.Compensate(luma, w, refF, mx*frame.MBSize, my*frame.MBSize, 16, 16, predict.MV{})
+	compensateChroma(fd.rec.Cb[co:], fd.rec.Cr[co:], cw, refF, mx*8, my*8, 8, 8)
+}
+
+// fillRows sets an h-row, w-byte-wide rectangle of a strided plane to v.
+func fillRows(dst []uint8, stride, w, h int, v uint8) {
+	for y := 0; y < h; y++ {
+		row := dst[y*stride : y*stride+w]
+		for x := range row {
+			row[x] = v
 		}
 	}
 }

@@ -174,11 +174,14 @@ type frameEncoder struct {
 	// sliceTop is the first macroblock row of the slice being coded;
 	// prediction never crosses it.
 	sliceTop int
-	// biBuf and partBuf are per-encoder scratch for candidate and partition
-	// predictions (a partition is at most one 16×16 macroblock), hoisted out
-	// of the search loops so candidate evaluation never allocates.
-	biBuf   [frame.MBSize * frame.MBSize]uint8
-	partBuf [frame.MBSize * frame.MBSize]uint8
+	// biBuf is per-encoder scratch for bi-predicted candidates (a partition
+	// is at most one 16×16 macroblock), hoisted out of the search loops so
+	// candidate evaluation never allocates.
+	biBuf [frame.MBSize * frame.MBSize]uint8
+	// pred and res are the prediction and quantized residual of the
+	// macroblock being coded, reconstructed by the shared reconstructMB.
+	pred mbPred
+	res  mbResidual
 }
 
 func (fe *frameEncoder) run() {
@@ -223,42 +226,11 @@ func (fe *frameEncoder) run() {
 	}
 }
 
-// mvDiv is the divisor converting motion vector units to chroma pixels.
-func (fe *frameEncoder) mvDiv() int {
-	if fe.params.HalfPel {
-		return 4
-	}
-	return 2
-}
-
-func (fe *frameEncoder) compensate(buf []uint8, ref *frame.Frame, cx, cy, w, h int, mv predict.MV) {
-	if fe.params.HalfPel {
-		predict.CompensateHP(buf, ref, cx, cy, w, h, mv)
-	} else {
-		predict.Compensate(buf, ref, cx, cy, w, h, mv)
-	}
-}
-
-func (fe *frameEncoder) compensateBi(buf []uint8, ref0, ref1 *frame.Frame, cx, cy, w, h int, mv0, mv1 predict.MV) {
-	if fe.params.HalfPel {
-		predict.CompensateBiHP(buf, ref0, ref1, cx, cy, w, h, mv0, mv1)
-	} else {
-		predict.CompensateBi(buf, ref0, ref1, cx, cy, w, h, mv0, mv1)
-	}
-}
-
 func (fe *frameEncoder) motionSearch(cur, ref *frame.Frame, cx, cy, w, h int, seed predict.MV, sr int) (predict.MV, int) {
 	if fe.params.HalfPel {
 		return predict.MotionSearchHP(cur, ref, cx, cy, w, h, seed, sr)
 	}
 	return predict.MotionSearch(cur, ref, cx, cy, w, h, seed, sr)
-}
-
-func (fe *frameEncoder) footprint(cx, cy, w, h int, mv predict.MV) []predict.WeightedRef {
-	if fe.params.HalfPel {
-		return predict.FootprintHP(fe.orig.W, fe.orig.H, cx, cy, w, h, mv)
-	}
-	return predict.Footprint(fe.orig.W, fe.orig.H, cx, cy, w, h, mv)
 }
 
 func (fe *frameEncoder) refFrame(codedIdx int) *frame.Frame {
@@ -271,11 +243,8 @@ func (fe *frameEncoder) refFrame(codedIdx int) *frame.Frame {
 // interCandidate is one evaluated motion configuration.
 type interCandidate struct {
 	mbType int
-	rects  []predict.Rect
-	dirs   []int        // per partition (B frames)
-	mvF    []predict.MV // forward MV per partition (valid per dir)
-	mvB    []predict.MV // backward MV per partition
-	cost   int
+	mbMotion
+	cost int
 }
 
 func (fe *frameEncoder) encodeMB(mx, my int) MBRecord {
@@ -292,21 +261,21 @@ func (fe *frameEncoder) encodeMB(mx, my int) MBRecord {
 
 	intraMode, intraPred, intraSAD := predict.BestIntraModeAvail(fe.orig, fe.rec, mx, my, my > fe.sliceTop, mx > 0)
 
-	var inter *interCandidate
-	if fe.ef.Type != FrameI && refF != nil {
+	var inter interCandidate
+	haveInter := fe.ef.Type != FrameI && refF != nil
+	if haveInter {
 		inter = fe.searchInter(mx, my, predMV, refF, refB)
 	}
 
 	// Mode decision: intra carries a fixed penalty approximating its larger
 	// coded size; scene changes still select it.
 	const intraPenalty = 512
-	useIntra := fe.ef.Type == FrameI || inter == nil || intraSAD+intraPenalty < inter.cost
-
-	if useIntra {
-		fe.codeIntraMB(&rec, mx, my, intraMode, &intraPred, qp, mbIdx)
+	if !haveInter || intraSAD+intraPenalty < inter.cost {
+		fe.pred.y = intraPred
+		fe.codeIntraMB(&rec, mx, my, intraMode, qp, mbIdx)
 		return rec
 	}
-	fe.codeInterMB(&rec, mx, my, inter, predMV, refF, refB, qp, mbIdx)
+	fe.codeInterMB(&rec, mx, my, &inter, predMV, refF, refB, qp, mbIdx)
 	return rec
 }
 
@@ -337,18 +306,12 @@ func (fe *frameEncoder) mbQP(mx, my int) int {
 	return transform.ClampQP(qp)
 }
 
-func (fe *frameEncoder) searchInter(mx, my int, predMV predict.MV, refF, refB *frame.Frame) *interCandidate {
+func (fe *frameEncoder) searchInter(mx, my int, predMV predict.MV, refF, refB *frame.Frame) interCandidate {
 	px, py := mx*frame.MBSize, my*frame.MBSize
 	sr := fe.params.SearchRange
-	searchShape := func(shape predict.PartitionShape) *interCandidate {
+	searchShape := func(shape predict.PartitionShape) interCandidate {
 		rects := predict.PartitionRects(shape)
-		cand := &interCandidate{
-			mbType: shapeToMBType(shape),
-			rects:  rects,
-			dirs:   make([]int, len(rects)),
-			mvF:    make([]predict.MV, len(rects)),
-			mvB:    make([]predict.MV, len(rects)),
-		}
+		cand := interCandidate{mbType: shapeToMBType(shape), mbMotion: mbMotion{rects: rects}}
 		// Each extra partition costs bits; penalize finer shapes.
 		cand.cost = 24 * (len(rects) - 1)
 		seed := predMV
@@ -365,7 +328,7 @@ func (fe *frameEncoder) searchInter(mx, my int, predMV predict.MV, refF, refB *f
 				// comparison rejects partial sums exactly as it would the
 				// full SAD.
 				bi := fe.biBuf[:r.W*r.H]
-				fe.compensateBi(bi, refF, refB, px+r.X, py+r.Y, r.W, r.H, mvf, mvb)
+				compensateBi(bi, r.W, refF, refB, px+r.X, py+r.Y, r.W, r.H, mvf, mvb, fe.params.HalfPel)
 				biSAD := predict.SADAgainstLimit(fe.orig, px+r.X, py+r.Y, r.W, r.H, bi, cost-8)
 				if biCost := biSAD + 8; biCost < cost {
 					dir, mv0, mv1, cost = dirBi, mvf, mvb, biCost
@@ -404,7 +367,7 @@ func (fe *frameEncoder) searchInter(mx, my int, predMV predict.MV, refF, refB *f
 	return best
 }
 
-func (fe *frameEncoder) codeIntraMB(rec *MBRecord, mx, my int, mode predict.IntraMode, pred *[256]uint8, qp, mbIdx int) {
+func (fe *frameEncoder) codeIntraMB(rec *MBRecord, mx, my int, mode predict.IntraMode, qp, mbIdx int) {
 	rec.Intra = true
 	rec.QP = qp
 	if fe.ef.Type != FrameI {
@@ -418,51 +381,28 @@ func (fe *frameEncoder) codeIntraMB(rec *MBRecord, mx, my int, mode predict.Intr
 		rec.Deps = append(rec.Deps, CompDep{SrcFrame: fe.ef.CodedIdx, SrcMB: wr.MB, Pixels: wr.Pixels})
 	}
 
-	// Chroma intra prediction.
-	var predCb, predCr [64]uint8
-	chromaIntraPredict(predCb[:], predCr[:], fe.rec, mx, my, my > fe.sliceTop, mx > 0)
+	// The luma prediction is already in fe.pred; add chroma.
+	chromaIntraPredict(fe.pred.cb[:], fe.pred.cr[:], fe.rec, mx, my, my > fe.sliceTop, mx > 0)
 
-	fe.codeResidualAndReconstruct(mx, my, pred[:], predCb[:], predCr[:], qp, true)
+	fe.quantizeResidual(mx, my, qp, true)
+	fe.codeResidual()
+	reconstructMB(fe.rec, mx, my, &fe.pred, &fe.res, qp)
 	fe.mvAvail[mbIdx] = false
 }
 
 func (fe *frameEncoder) codeInterMB(rec *MBRecord, mx, my int, cand *interCandidate, predMV predict.MV, refF, refB *frame.Frame, qp, mbIdx int) {
-	px, py := mx*frame.MBSize, my*frame.MBSize
 	mbCols := fe.orig.MBCols()
 
-	// Build the luma prediction and dependency footprints.
-	var predY [256]uint8
-	for i, r := range cand.rects {
-		buf := fe.partBuf[:r.W*r.H]
-		switch cand.dirs[i] {
-		case dirBwd:
-			fe.compensate(buf, refB, px+r.X, py+r.Y, r.W, r.H, cand.mvB[i])
-			fe.addDeps(rec, fe.ef.RefBwd, px+r.X, py+r.Y, r.W, r.H, cand.mvB[i], 1)
-		case dirBi:
-			fe.compensateBi(buf, refF, refB, px+r.X, py+r.Y, r.W, r.H, cand.mvF[i], cand.mvB[i])
-			fe.addDeps(rec, fe.ef.RefFwd, px+r.X, py+r.Y, r.W, r.H, cand.mvF[i], 2)
-			fe.addDeps(rec, fe.ef.RefBwd, px+r.X, py+r.Y, r.W, r.H, cand.mvB[i], 2)
-		default:
-			fe.compensate(buf, refF, px+r.X, py+r.Y, r.W, r.H, cand.mvF[i])
-			fe.addDeps(rec, fe.ef.RefFwd, px+r.X, py+r.Y, r.W, r.H, cand.mvF[i], 1)
-		}
-		for y := 0; y < r.H; y++ {
-			copy(predY[(r.Y+y)*16+r.X:(r.Y+y)*16+r.X+r.W], buf[y*r.W:(y+1)*r.W])
-		}
-	}
+	// Build the prediction and the dependency footprints.
+	interPredict(&fe.pred, refF, refB, mx, my, &cand.mbMotion, fe.params.HalfPel)
+	rec.Deps = appendMotionDeps(rec.Deps, fe.ef, fe.orig.W, fe.orig.H, mx, my, &cand.mbMotion, fe.params.HalfPel)
 
 	// Quantize the residual to test for skip (P frames, 16x16, no MV delta).
-	levels, allZero := fe.quantizeLuma(px, py, predY[:], qp, false)
-	var predCb, predCr [64]uint8
-	if cand.dirs[0] == dirBwd {
-		chromaInterPredict(predCb[:], predCr[:], refB, mx, my, cand.rects, cand.mvB, fe.mvDiv())
-	} else {
-		chromaInterPredict(predCb[:], predCr[:], refF, mx, my, cand.rects, cand.mvF, fe.mvDiv())
-	}
-	chromaLevels, chromaZero := fe.quantizeChroma(mx, my, predCb[:], predCr[:], qp, false)
+	fe.quantizeResidual(mx, my, qp, false)
+	hasResidual := fe.res.nz != 0
 
 	canSkip := fe.ef.Type == FrameP && cand.mbType == mbInter16 &&
-		cand.mvF[0] == predMV && allZero && chromaZero
+		cand.mvF[0] == predMV && !hasResidual
 	if canSkip {
 		fe.sw.PutUVal(entropy.ClassMBType, mbSkip)
 		// No delta-QP is coded for skip; encoder and decoder both fall back
@@ -471,7 +411,7 @@ func (fe *frameEncoder) codeInterMB(rec *MBRecord, mx, my int, cand *interCandid
 		skipQP := qpPrediction(fe.qps, mx, my, mbCols, fe.ef.BaseQP, fe.sliceTop)
 		fe.qps[mbIdx] = skipQP
 		rec.QP = skipQP
-		fe.reconstructInter(mx, my, predY[:], predCb[:], predCr[:], levels, chromaLevels, skipQP)
+		reconstructMB(fe.rec, mx, my, &fe.pred, &fe.res, skipQP)
 		fe.mvRep[mbIdx] = predMV
 		fe.mvAvail[mbIdx] = true
 		return
@@ -507,38 +447,10 @@ func (fe *frameEncoder) codeInterMB(rec *MBRecord, mx, my int, cand *interCandid
 	fe.codeDQP(mx, my, qp)
 	rec.QP = qp
 
-	hasResidual := !(allZero && chromaZero)
-	fe.sw.PutFlag(entropy.ClassCBP, hasResidual)
-	if hasResidual {
-		for b := 0; b < 16; b++ {
-			writeResidualBlock(fe.sw, &levels[b])
-		}
-		for b := 0; b < 8; b++ {
-			writeResidualBlock(fe.sw, &chromaLevels[b])
-		}
-	}
-	fe.reconstructInter(mx, my, predY[:], predCb[:], predCr[:], levels, chromaLevels, qp)
-	fe.mvRep[mbIdx] = firstMV(cand)
+	fe.codeResidual()
+	reconstructMB(fe.rec, mx, my, &fe.pred, &fe.res, qp)
+	fe.mvRep[mbIdx] = cand.first()
 	fe.mvAvail[mbIdx] = true
-}
-
-func firstMV(cand *interCandidate) predict.MV {
-	if cand.dirs[0] == dirBwd {
-		return cand.mvB[0]
-	}
-	return cand.mvF[0]
-}
-
-// addDeps records compensation dependencies of a partition; share divides the
-// pixel weights (2 for bi-prediction, which draws half its content from each
-// reference).
-func (fe *frameEncoder) addDeps(rec *MBRecord, refCoded int, cx, cy, w, h int, mv predict.MV, share int) {
-	if refCoded < 0 {
-		return
-	}
-	for _, wr := range fe.footprint(cx, cy, w, h, mv) {
-		rec.Deps = append(rec.Deps, CompDep{SrcFrame: refCoded, SrcMB: wr.MB, Pixels: wr.Pixels / share})
-	}
 }
 
 func (fe *frameEncoder) codeDQP(mx, my, qp int) {
@@ -546,127 +458,46 @@ func (fe *frameEncoder) codeDQP(mx, my, qp int) {
 	fe.sw.PutSVal(entropy.ClassDQP, int32(qp-pred))
 }
 
-// quantizeLuma transforms and quantizes the 16 luma 4×4 blocks of the MB.
-func (fe *frameEncoder) quantizeLuma(px, py int, pred []uint8, qp int, intra bool) (levels [16]transform.Block, allZero bool) {
-	allZero = true
-	for by := 0; by < 4; by++ {
-		for bx := 0; bx < 4; bx++ {
-			var res transform.Block
-			for y := 0; y < 4; y++ {
-				for x := 0; x < 4; x++ {
-					ox, oy := bx*4+x, by*4+y
-					res[y*4+x] = int32(fe.orig.LumaAt(px+ox, py+oy)) - int32(pred[oy*16+ox])
-				}
-			}
-			lv := transform.QuantizeOnly(&res, qp, intra)
-			levels[by*4+bx] = lv
-			if lv != (transform.Block{}) {
-				allZero = false
+// quantizeResidual transforms and quantizes the macroblock's residual —
+// source minus fe.pred, 16 luma then 4 Cb and 4 Cr blocks — into fe.res.
+// Every block is written, so none of fe.res is stale afterwards.
+func (fe *frameEncoder) quantizeResidual(mx, my, qp int, intra bool) {
+	fe.res.nz = 0
+	quantize := func(b int, src []uint8, srcStride int, pred []uint8, predStride int) {
+		var res transform.Block
+		for y := 0; y < 4; y++ {
+			s, p := src[y*srcStride:][:4], pred[y*predStride:][:4]
+			for x := range s {
+				res[y*4+x] = int32(s[x]) - int32(p[x])
 			}
 		}
-	}
-	return levels, allZero
-}
-
-// quantizeChroma quantizes the 4+4 chroma 4×4 blocks (Cb then Cr).
-func (fe *frameEncoder) quantizeChroma(mx, my int, predCb, predCr []uint8, qp int, intra bool) (levels [8]transform.Block, allZero bool) {
-	allZero = true
-	cx0, cy0 := mx*8, my*8
-	cw := fe.orig.W / 2
-	for plane := 0; plane < 2; plane++ {
-		src, prd := fe.orig.Cb, predCb
-		if plane == 1 {
-			src, prd = fe.orig.Cr, predCr
-		}
-		for by := 0; by < 2; by++ {
-			for bx := 0; bx < 2; bx++ {
-				var res transform.Block
-				for y := 0; y < 4; y++ {
-					for x := 0; x < 4; x++ {
-						sx, sy := cx0+bx*4+x, cy0+by*4+y
-						i := (by*4+y)*8 + bx*4 + x
-						res[y*4+x] = int32(src[clampi(sy, fe.orig.H/2)*cw+clampi(sx, cw)]) - int32(prd[i])
-					}
-				}
-				lv := transform.QuantizeOnly(&res, qp, intra)
-				levels[plane*4+by*2+bx] = lv
-				if lv != (transform.Block{}) {
-					allZero = false
-				}
-			}
+		fe.res.blocks[b] = transform.QuantizeOnly(&res, qp, intra)
+		if fe.res.blocks[b] != (transform.Block{}) {
+			fe.res.nz |= 1 << uint(b)
 		}
 	}
-	return levels, allZero
-}
-
-func clampi(v, n int) int {
-	if v < 0 {
-		return 0
+	w, cw := fe.orig.W, fe.orig.W/2
+	luma := fe.orig.Y[my*frame.MBSize*w+mx*frame.MBSize:]
+	for b := 0; b < lumaBlocks; b++ {
+		bx, by := b&3, b>>2
+		quantize(b, luma[by*4*w+bx*4:], w, fe.pred.y[by*64+bx*4:], 16)
 	}
-	if v >= n {
-		return n - 1
-	}
-	return v
-}
-
-// reconstructInter reconstructs the macroblock into fe.rec from predictions
-// plus dequantized residuals, exactly as the decoder will.
-func (fe *frameEncoder) reconstructInter(mx, my int, predY, predCb, predCr []uint8, levels [16]transform.Block, chromaLevels [8]transform.Block, qp int) {
-	px, py := mx*frame.MBSize, my*frame.MBSize
-	for by := 0; by < 4; by++ {
-		for bx := 0; bx < 4; bx++ {
-			recon := transform.Reconstruct(&levels[by*4+bx], qp)
-			for y := 0; y < 4; y++ {
-				for x := 0; x < 4; x++ {
-					ox, oy := bx*4+x, by*4+y
-					fe.rec.SetLuma(px+ox, py+oy, frame.ClampU8(int(predY[oy*16+ox])+int(recon[y*4+x])))
-				}
-			}
-		}
-	}
-	fe.reconstructChroma(mx, my, predCb, predCr, chromaLevels, qp)
-}
-
-func (fe *frameEncoder) reconstructChroma(mx, my int, predCb, predCr []uint8, levels [8]transform.Block, qp int) {
-	cx0, cy0 := mx*8, my*8
-	cw, ch := fe.rec.W/2, fe.rec.H/2
-	for plane := 0; plane < 2; plane++ {
-		dst, prd := fe.rec.Cb, predCb
-		if plane == 1 {
-			dst, prd = fe.rec.Cr, predCr
-		}
-		for by := 0; by < 2; by++ {
-			for bx := 0; bx < 2; bx++ {
-				recon := transform.Reconstruct(&levels[plane*4+by*2+bx], qp)
-				for y := 0; y < 4; y++ {
-					for x := 0; x < 4; x++ {
-						sx, sy := cx0+bx*4+x, cy0+by*4+y
-						if sx < cw && sy < ch {
-							i := (by*4+y)*8 + bx*4 + x
-							dst[sy*cw+sx] = frame.ClampU8(int(prd[i]) + int(recon[y*4+x]))
-						}
-					}
-				}
-			}
-		}
+	co := my*8*cw + mx*8
+	for b := 0; b < 4; b++ {
+		bx, by := b&1, b>>1
+		quantize(lumaBlocks+b, fe.orig.Cb[co+by*4*cw+bx*4:], cw, fe.pred.cb[by*32+bx*4:], 8)
+		quantize(lumaBlocks+4+b, fe.orig.Cr[co+by*4*cw+bx*4:], cw, fe.pred.cr[by*32+bx*4:], 8)
 	}
 }
 
-// codeResidualAndReconstruct codes the full residual of an (intra) MB and
-// reconstructs it, sharing the CBP-flag convention with inter MBs.
-func (fe *frameEncoder) codeResidualAndReconstruct(mx, my int, predY, predCb, predCr []uint8, qp int, intra bool) {
-	px, py := mx*frame.MBSize, my*frame.MBSize
-	levels, allZero := fe.quantizeLuma(px, py, predY, qp, intra)
-	chromaLevels, chromaZero := fe.quantizeChroma(mx, my, predCb, predCr, qp, intra)
-	hasResidual := !(allZero && chromaZero)
-	fe.sw.PutFlag(entropy.ClassCBP, hasResidual)
-	if hasResidual {
-		for b := 0; b < 16; b++ {
-			writeResidualBlock(fe.sw, &levels[b])
-		}
-		for b := 0; b < 8; b++ {
-			writeResidualBlock(fe.sw, &chromaLevels[b])
-		}
+// codeResidual writes the coded-block flag and, when any level is nonzero,
+// the macroblock's 24 residual blocks.
+func (fe *frameEncoder) codeResidual() {
+	fe.sw.PutFlag(entropy.ClassCBP, fe.res.nz != 0)
+	if fe.res.nz == 0 {
+		return
 	}
-	fe.reconstructInter(mx, my, predY, predCb, predCr, levels, chromaLevels, qp)
+	for b := range fe.res.blocks {
+		writeResidualBlock(fe.sw, &fe.res.blocks[b])
+	}
 }

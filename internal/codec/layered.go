@@ -123,6 +123,7 @@ func applyEnhFrame(baseRec *frame.Frame, payload []byte, ef *EncodedFrame, p Par
 	rec := baseRec.Clone()
 	sr := newSymbolReader(p.Entropy, bitio.NewReader(payload))
 	mbCols, mbRows := rec.MBCols(), rec.MBRows()
+	var lv transform.Block
 	for my := 0; my < mbRows; my++ {
 		for mx := 0; mx < mbCols; mx++ {
 			// Containers do not persist MB records; fall back to the frame
@@ -132,18 +133,15 @@ func applyEnhFrame(baseRec *frame.Frame, payload []byte, ef *EncodedFrame, p Par
 				mbQP = ef.MBs[idx].QP
 			}
 			qp := transform.ClampQP(mbQP - delta)
-			px, py := mx*frame.MBSize, my*frame.MBSize
-			for by := 0; by < 4; by++ {
-				for bx := 0; bx < 4; bx++ {
-					lv := readResidualBlock(sr)
-					recon := transform.Reconstruct(&lv, qp)
-					for y := 0; y < 4; y++ {
-						for x := 0; x < 4; x++ {
-							ox, oy := px+bx*4+x, py+by*4+y
-							rec.SetLuma(ox, oy, frame.ClampU8(int(rec.LumaAt(ox, oy))+int(recon[y*4+x])))
-						}
-					}
+			for b := 0; b < lumaBlocks; b++ {
+				z := &lv
+				if !readResidualBlock(sr, z) {
+					z = nil
 				}
+				// The refinement adds onto the base reconstruction in place.
+				bx, by := b&3, b>>2
+				blk := rec.Y[(my*frame.MBSize+by*4)*rec.W+mx*frame.MBSize+bx*4:]
+				transform.ReconstructAdd(blk, rec.W, blk, rec.W, z, qp)
 			}
 		}
 	}

@@ -158,11 +158,12 @@ func DecodeContext(ctx context.Context, v *Video, opts DecodeOptions, workers in
 	spans := headerRefSpans(v)
 	err := par.ForEachLabeled(ctx, len(spans), workers, obs.StageDecode, "span", func(si int) error {
 		sp := spans[si]
+		fd := newFrameDecoder(v, rec, opts)
 		for i := sp[0]; i < sp[1]; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			rec[i] = decodeSingleOpts(v, i, rec, opts)
+			rec[i] = fd.decode(i)
 			o.Counter(obs.CtrDecodeFrames, v.Frames[i].Type.String(), 1)
 			o.FrameDone(obs.StageDecode, 1)
 		}

@@ -1,0 +1,216 @@
+package codec
+
+import (
+	"videoapp/internal/frame"
+	"videoapp/internal/predict"
+	"videoapp/internal/transform"
+)
+
+// Macroblock reconstruction, shared by the encoder and the decoder so the
+// two cannot drift: prediction buffers, the quantized residual with its
+// nonzero map, inter prediction from partition vectors, and the one routine
+// that turns prediction plus residual into plane samples. Everything here
+// works on blocks and rows — a sample is touched individually only inside
+// the transform kernel and where compensation clamps at a frame border.
+
+// mbPred holds the prediction of one macroblock: 16×16 luma (stride 16) and
+// the two 8×8 chroma blocks (stride 8).
+type mbPred struct {
+	y      [256]uint8
+	cb, cr [64]uint8
+}
+
+// Residual block indices: 16 luma blocks in raster order, then the 2×2 Cb
+// and the 2×2 Cr blocks — the order the bitstream codes them in.
+const (
+	lumaBlocks = 16
+	mbBlocks   = 24
+)
+
+// mbResidual is the quantized residual of one macroblock. Bit b of nz is set
+// when block b may hold a nonzero level; a block whose bit is clear is
+// all-zero by definition and its storage is never read, so it may hold stale
+// levels from an earlier macroblock.
+type mbResidual struct {
+	blocks [mbBlocks]transform.Block
+	nz     uint32
+}
+
+// block returns block b, or nil when it is all-zero.
+func (r *mbResidual) block(b int) *transform.Block {
+	if r.nz&(1<<uint(b)) == 0 {
+		return nil
+	}
+	return &r.blocks[b]
+}
+
+// reconstructMB writes macroblock (mx, my) of rec: prediction plus the
+// dequantized, inverse-transformed residual, saturated to 8 bits. A
+// macroblock without residual — nz == 0: a skip, a clear coded-block flag, or
+// levels that all quantized to zero — is its prediction, copied row by row;
+// otherwise each 4×4 block goes through transform.ReconstructAdd, which
+// again reduces to a row copy for the blocks whose nz bit is clear. An
+// all-zero block reconstructs to a zero residual at every QP, so skipping
+// the arithmetic cannot change a sample.
+func reconstructMB(rec *frame.Frame, mx, my int, pred *mbPred, res *mbResidual, qp int) {
+	w, cw := rec.W, rec.W/2
+	luma := rec.Y[my*frame.MBSize*w+mx*frame.MBSize:]
+	co := my*8*cw + mx*8
+	if res.nz == 0 {
+		frame.CopyRows(luma, w, pred.y[:], 16, 16, 16)
+		frame.CopyRows(rec.Cb[co:], cw, pred.cb[:], 8, 8, 8)
+		frame.CopyRows(rec.Cr[co:], cw, pred.cr[:], 8, 8, 8)
+		return
+	}
+	for b := 0; b < lumaBlocks; b++ {
+		bx, by := b&3, b>>2
+		transform.ReconstructAdd(luma[by*4*w+bx*4:], w, pred.y[by*64+bx*4:], 16, res.block(b), qp)
+	}
+	for plane := 0; plane < 2; plane++ {
+		dst, prd := rec.Cb[co:], pred.cb[:]
+		if plane == 1 {
+			dst, prd = rec.Cr[co:], pred.cr[:]
+		}
+		for b := 0; b < 4; b++ {
+			bx, by := b&1, b>>1
+			transform.ReconstructAdd(dst[by*4*cw+bx*4:], cw, prd[by*32+bx*4:], 8, res.block(lumaBlocks+plane*4+b), qp)
+		}
+	}
+}
+
+// maxPartitions is the partition count of the finest shape (4×4).
+const maxPartitions = 16
+
+// mbMotion is the motion description of one inter macroblock: the partition
+// rectangles (a predict.PartitionRects table, read-only) and per partition
+// the prediction direction and vectors; entries past len(rects) are zero.
+type mbMotion struct {
+	rects []predict.Rect
+	dirs  [maxPartitions]int
+	mvF   [maxPartitions]predict.MV // forward vector (dirFwd, dirBi)
+	mvB   [maxPartitions]predict.MV // backward vector (dirBwd, dirBi)
+}
+
+// first returns the vector of the first partition, the macroblock's
+// representative for median prediction of its neighbours.
+func (m *mbMotion) first() predict.MV {
+	if m.dirs[0] == dirBwd {
+		return m.mvB[0]
+	}
+	return m.mvF[0]
+}
+
+// interPredict builds the luma and chroma predictions of the inter
+// macroblock (mx, my) by compensating every partition straight into pred.
+// Chroma follows the first partition's direction for the whole macroblock —
+// a backward first partition reads refB with the backward vectors (zero for
+// partitions that have none), anything else refF with the forward ones.
+func interPredict(pred *mbPred, refF, refB *frame.Frame, mx, my int, m *mbMotion, halfPel bool) {
+	px, py := mx*frame.MBSize, my*frame.MBSize
+	for i, r := range m.rects {
+		dst := pred.y[r.Y*16+r.X:]
+		switch m.dirs[i] {
+		case dirBi:
+			compensateBi(dst, 16, refF, refB, px+r.X, py+r.Y, r.W, r.H, m.mvF[i], m.mvB[i], halfPel)
+		case dirBwd:
+			compensate(dst, 16, refB, px+r.X, py+r.Y, r.W, r.H, m.mvB[i], halfPel)
+		default:
+			compensate(dst, 16, refF, px+r.X, py+r.Y, r.W, r.H, m.mvF[i], halfPel)
+		}
+	}
+	mvDiv := 2
+	if halfPel {
+		mvDiv = 4
+	}
+	if m.dirs[0] == dirBwd {
+		chromaInterPredict(pred, refB, mx, my, m.rects, &m.mvB, mvDiv)
+	} else {
+		chromaInterPredict(pred, refF, mx, my, m.rects, &m.mvF, mvDiv)
+	}
+}
+
+// compensate is predict.Compensate in the vector units the stream uses:
+// full-pel, or half-pel when the video was coded with HalfPel.
+func compensate(dst []uint8, stride int, ref *frame.Frame, cx, cy, w, h int, mv predict.MV, halfPel bool) {
+	if halfPel {
+		predict.CompensateHP(dst, stride, ref, cx, cy, w, h, mv)
+	} else {
+		predict.Compensate(dst, stride, ref, cx, cy, w, h, mv)
+	}
+}
+
+// compensateBi is the bi-predictive counterpart of compensate.
+func compensateBi(dst []uint8, stride int, ref0, ref1 *frame.Frame, cx, cy, w, h int, mv0, mv1 predict.MV, halfPel bool) {
+	if halfPel {
+		predict.CompensateBiHP(dst, stride, ref0, ref1, cx, cy, w, h, mv0, mv1)
+	} else {
+		predict.CompensateBi(dst, stride, ref0, ref1, cx, cy, w, h, mv0, mv1)
+	}
+}
+
+// chromaInterPredict fills the 8×8 chroma predictions for a macroblock from
+// ref using the partition vectors scaled down by mvDiv: 2 for full-pel
+// vectors, 4 for half-pel vectors (4:2:0 chroma is half luma resolution).
+// The division truncates toward zero, as the bitstream always has.
+func chromaInterPredict(pred *mbPred, ref *frame.Frame, mbx, mby int, rects []predict.Rect, mvs *[maxPartitions]predict.MV, mvDiv int) {
+	for i, r := range rects {
+		x, y := r.X/2, r.Y/2
+		w, h := (r.X+r.W)/2-x, (r.Y+r.H)/2-y
+		x0 := mbx*8 + x + int(mvs[i].X)/mvDiv
+		y0 := mby*8 + y + int(mvs[i].Y)/mvDiv
+		compensateChroma(pred.cb[y*8+x:], pred.cr[y*8+x:], 8, ref, x0, y0, w, h)
+	}
+}
+
+// compensateChroma copies the w×h chroma rectangle at (x0, y0) of ref into
+// the strided dstCb/dstCr: whole rows when the rectangle lies inside the
+// planes, the clamped accessor per sample when it touches a border.
+func compensateChroma(dstCb, dstCr []uint8, stride int, ref *frame.Frame, x0, y0, w, h int) {
+	cw, ch := ref.W/2, ref.H/2
+	if x0 >= 0 && y0 >= 0 && x0+w <= cw && y0+h <= ch {
+		frame.CopyRows(dstCb, stride, ref.Cb[y0*cw+x0:], cw, w, h)
+		frame.CopyRows(dstCr, stride, ref.Cr[y0*cw+x0:], cw, w, h)
+		return
+	}
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			dstCb[y*stride+x], dstCr[y*stride+x] = ref.ChromaAt(x0+x, y0+y)
+		}
+	}
+}
+
+// appendMotionDeps appends the compensation dependencies of an inter
+// macroblock in partition order; bi-predicted partitions draw half their
+// content from each reference, so their pixel weights are halved.
+func appendMotionDeps(deps []CompDep, ef *EncodedFrame, w, h, mx, my int, m *mbMotion, halfPel bool) []CompDep {
+	px, py := mx*frame.MBSize, my*frame.MBSize
+	for i, r := range m.rects {
+		switch m.dirs[i] {
+		case dirBwd:
+			deps = appendDeps(deps, ef.RefBwd, w, h, px+r.X, py+r.Y, r.W, r.H, m.mvB[i], 1, halfPel)
+		case dirBi:
+			deps = appendDeps(deps, ef.RefFwd, w, h, px+r.X, py+r.Y, r.W, r.H, m.mvF[i], 2, halfPel)
+			deps = appendDeps(deps, ef.RefBwd, w, h, px+r.X, py+r.Y, r.W, r.H, m.mvB[i], 2, halfPel)
+		default:
+			deps = appendDeps(deps, ef.RefFwd, w, h, px+r.X, py+r.Y, r.W, r.H, m.mvF[i], 1, halfPel)
+		}
+	}
+	return deps
+}
+
+// appendDeps appends the dependencies of one compensated rectangle on the
+// frame at coded index refCoded (none when negative); share divides the
+// pixel weights.
+func appendDeps(deps []CompDep, refCoded, w, h, cx, cy, rw, rh int, mv predict.MV, share int, halfPel bool) []CompDep {
+	if refCoded < 0 {
+		return deps
+	}
+	fp := predict.Footprint
+	if halfPel {
+		fp = predict.FootprintHP
+	}
+	for _, wr := range fp(w, h, cx, cy, rw, rh, mv) {
+		deps = append(deps, CompDep{SrcFrame: refCoded, SrcMB: wr.MB, Pixels: wr.Pixels / share})
+	}
+	return deps
+}

@@ -209,9 +209,15 @@ type Decoder struct {
 
 // NewDecoder initializes a decoder from r, consuming the 9-bit prefetch.
 func NewDecoder(r *bitio.Reader) *Decoder {
-	d := &Decoder{r: r, rng: 510}
-	d.offset = uint32(d.nextBits(9))
+	d := new(Decoder)
+	d.reset(r)
 	return d
+}
+
+// reset restarts the decoder over r, consuming the 9-bit prefetch.
+func (d *Decoder) reset(r *bitio.Reader) {
+	*d = Decoder{r: r, rng: 510}
+	d.offset = uint32(d.nextBits(9))
 }
 
 func (d *Decoder) nextBit() int {

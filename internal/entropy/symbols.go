@@ -150,14 +150,28 @@ func (cw *CABACWriter) putBypassEG(v uint32) {
 
 // CABACReader decodes symbols coded by CABACWriter.
 type CABACReader struct {
-	dec      *Decoder
+	dec      Decoder
 	ctxs     [numClasses][prefixContexts]Context
 	desynced bool
+	br       bitio.Reader // the stream when positioned by Reset
 }
 
 // NewCABACReader returns a reader over r with freshly initialized contexts.
 func NewCABACReader(r *bitio.Reader) *CABACReader {
-	return &CABACReader{dec: NewDecoder(r)}
+	cr := new(CABACReader)
+	cr.dec.reset(r)
+	return cr
+}
+
+// Reset restarts the reader over buf with freshly initialized contexts,
+// exactly the state NewCABACReader(bitio.NewReader(buf)) starts in, without
+// allocating: the decoder resets one reader per slice instead of building
+// three objects. The reader must not be copied after its first Reset.
+func (cr *CABACReader) Reset(buf []byte) {
+	cr.br.Reset(buf)
+	cr.dec.reset(&cr.br)
+	cr.ctxs = [numClasses][prefixContexts]Context{}
+	cr.desynced = false
 }
 
 // GetUVal implements SymbolReader.
@@ -260,10 +274,20 @@ func (vw *CAVLCWriter) Flush() { vw.w.AlignByte() }
 type CAVLCReader struct {
 	r        *bitio.Reader
 	desynced bool
+	br       bitio.Reader // the stream when positioned by Reset
 }
 
 // NewCAVLCReader returns a CAVLC-style reader over r.
 func NewCAVLCReader(r *bitio.Reader) *CAVLCReader { return &CAVLCReader{r: r} }
+
+// Reset restarts the reader over buf without allocating, the CAVLC
+// counterpart of CABACReader.Reset. The reader must not be copied after its
+// first Reset.
+func (vr *CAVLCReader) Reset(buf []byte) {
+	vr.br.Reset(buf)
+	vr.r = &vr.br
+	vr.desynced = false
+}
 
 // GetUVal implements SymbolReader.
 func (vr *CAVLCReader) GetUVal(_ SyntaxClass) uint32 {

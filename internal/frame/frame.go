@@ -153,3 +153,13 @@ func (s *Sequence) PixelCount() int64 {
 	}
 	return n
 }
+
+// CopyRows copies an h-row, w-byte-wide rectangle between two strided byte
+// planes; dst and src start at the rectangle's top-left sample. It is the
+// whole-row primitive of motion compensation and macroblock reconstruction
+// wherever no sample needs clamping.
+func CopyRows(dst []uint8, dstStride int, src []uint8, srcStride, w, h int) {
+	for y := 0; y < h; y++ {
+		copy(dst[y*dstStride:y*dstStride+w], src[y*srcStride:y*srcStride+w])
+	}
+}

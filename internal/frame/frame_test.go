@@ -1,6 +1,7 @@
 package frame
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -125,4 +126,52 @@ func TestSequenceGeometry(t *testing.T) {
 	if s.PixelCount() != 1024 {
 		t.Fatalf("pixels = %d", s.PixelCount())
 	}
+}
+
+func TestCopyRows(t *testing.T) {
+	src := make([]uint8, 8*6)
+	for i := range src {
+		src[i] = uint8(i)
+	}
+	dst := make([]uint8, 10*5)
+	CopyRows(dst[11:], 10, src[9:], 8, 3, 2) // 3×2 rectangle from (1,1) to (1,1)
+	for i, v := range dst {
+		x, y := i%10, i/10
+		want := uint8(0)
+		if x >= 1 && x < 4 && y >= 1 && y < 3 {
+			want = src[y*8+x]
+		}
+		if v != want {
+			t.Fatalf("dst(%d,%d) = %d, want %d", x, y, v, want)
+		}
+	}
+}
+
+// TestFramePoolConcurrent hammers the per-geometry pools from several
+// goroutines, first use of each geometry included (run under -race).
+func TestFramePoolConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				w, h := 16*(1+(g+i)%5), 16*(1+i%3)
+				f := MustNewPooled(w, h)
+				if f.W != w || f.H != h || len(f.Y) != w*h || len(f.Cb) != w*h/4 {
+					t.Errorf("pool handed a %dx%d frame (planes %d/%d) for %dx%d", f.W, f.H, len(f.Y), len(f.Cb), w, h)
+					return
+				}
+				for _, v := range f.Y[:16] {
+					if v != 0 {
+						t.Errorf("pooled frame not zeroed")
+						return
+					}
+				}
+				f.Fill(200, 100, 50)
+				Recycle(f)
+			}
+		}(g)
+	}
+	wg.Wait()
 }

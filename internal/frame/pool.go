@@ -3,20 +3,34 @@ package frame
 import "sync"
 
 // Encoding allocates one full reconstructed frame per coded frame — three
-// plane buffers that live exactly as long as the Encode call. Pooling them
-// takes the per-frame plane churn out of the GC's hands; pools are keyed by
-// frame geometry so mixed-size workloads never hand a frame the wrong
-// buffers.
+// plane buffers that live exactly as long as the Encode call — and the serve
+// path one per decoded frame, garbage as soon as it is rendered. Pooling
+// them takes the per-frame plane churn out of the GC's hands; pools are
+// keyed by frame geometry so mixed-size workloads never hand a frame the
+// wrong buffers.
 
-var framePools sync.Map // [2]int{w, h} -> *sync.Pool of *Frame
+var (
+	framePoolsMu sync.RWMutex
+	framePools   = map[[2]int]*sync.Pool{} // {w, h} -> pool of *Frame
+)
 
+// poolFor returns the pool of w×h frames, creating it on first use. The
+// lookup allocates nothing: it runs once per decoded frame on the serve path.
 func poolFor(w, h int) *sync.Pool {
 	key := [2]int{w, h}
-	if p, ok := framePools.Load(key); ok {
-		return p.(*sync.Pool)
+	framePoolsMu.RLock()
+	p := framePools[key]
+	framePoolsMu.RUnlock()
+	if p != nil {
+		return p
 	}
-	p, _ := framePools.LoadOrStore(key, &sync.Pool{})
-	return p.(*sync.Pool)
+	framePoolsMu.Lock()
+	defer framePoolsMu.Unlock()
+	if p = framePools[key]; p == nil {
+		p = new(sync.Pool)
+		framePools[key] = p
+	}
+	return p
 }
 
 // NewPooled is New drawing from a per-geometry pool when a recycled frame is

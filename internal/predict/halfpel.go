@@ -47,22 +47,38 @@ func sixTapV(ref *frame.Frame, x, y int) uint8 {
 }
 
 // CompensateHP writes the motion-compensated prediction for the rectangle at
-// (cx, cy) with the half-pel vector mv.
-func CompensateHP(dst []uint8, ref *frame.Frame, cx, cy, w, h int, mv MV) {
+// (cx, cy) with the half-pel vector mv into the strided dst. A vector with
+// both components at full-pel positions samples no fractional position and
+// delegates to the integer kernel (and its interior path), as sadHPLimit
+// does.
+func CompensateHP(dst []uint8, stride int, ref *frame.Frame, cx, cy, w, h int, mv MV) {
+	if fullPel(mv) {
+		Compensate(dst, stride, ref, cx, cy, w, h, MV{X: mv.X / 2, Y: mv.Y / 2})
+		return
+	}
 	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			dst[y*w+x] = SampleHP(ref, 2*(cx+x)+int(mv.X), 2*(cy+y)+int(mv.Y))
+		row := dst[y*stride : y*stride+w]
+		for x := range row {
+			row[x] = SampleHP(ref, 2*(cx+x)+int(mv.X), 2*(cy+y)+int(mv.Y))
 		}
 	}
 }
 
+// fullPel reports whether both components of a half-pel vector are even.
+func fullPel(mv MV) bool { return mv.X&1 == 0 && mv.Y&1 == 0 }
+
 // CompensateBiHP averages two half-pel compensations (bi-prediction).
-func CompensateBiHP(dst []uint8, ref0, ref1 *frame.Frame, cx, cy, w, h int, mv0, mv1 MV) {
+func CompensateBiHP(dst []uint8, stride int, ref0, ref1 *frame.Frame, cx, cy, w, h int, mv0, mv1 MV) {
+	if fullPel(mv0) && fullPel(mv1) {
+		CompensateBi(dst, stride, ref0, ref1, cx, cy, w, h, MV{X: mv0.X / 2, Y: mv0.Y / 2}, MV{X: mv1.X / 2, Y: mv1.Y / 2})
+		return
+	}
 	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
+		row := dst[y*stride : y*stride+w]
+		for x := range row {
 			a := int(SampleHP(ref0, 2*(cx+x)+int(mv0.X), 2*(cy+y)+int(mv0.Y)))
 			b := int(SampleHP(ref1, 2*(cx+x)+int(mv1.X), 2*(cy+y)+int(mv1.Y)))
-			dst[y*w+x] = uint8((a + b + 1) / 2)
+			row[x] = uint8((a + b + 1) / 2)
 		}
 	}
 }
@@ -76,7 +92,7 @@ func SADHP(cur, ref *frame.Frame, cx, cy, w, h int, mv MV) int {
 // under the same exactness contract as SADLimit. Vectors with both
 // components at full-pel positions delegate to the word-wide integer kernel.
 func sadHPLimit(cur, ref *frame.Frame, cx, cy, w, h int, mv MV, limit int) int {
-	if mv.X&1 == 0 && mv.Y&1 == 0 {
+	if fullPel(mv) {
 		return SADLimit(cur, ref, cx, cy, w, h, MV{X: mv.X / 2, Y: mv.Y / 2}, limit)
 	}
 	sad := 0

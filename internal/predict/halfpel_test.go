@@ -57,8 +57,8 @@ func TestCompensateHPEvenVectorMatchesInteger(t *testing.T) {
 	f := rampFrame(64, 64)
 	a := make([]uint8, 16*16)
 	b := make([]uint8, 16*16)
-	Compensate(a, f, 16, 16, 16, 16, MV{3, -2})
-	CompensateHP(b, f, 16, 16, 16, 16, MV{6, -4})
+	Compensate(a, 16, f, 16, 16, 16, 16, MV{3, -2})
+	CompensateHP(b, 16, f, 16, 16, 16, 16, MV{6, -4})
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("even half-pel vector must equal integer compensation at %d", i)
@@ -122,7 +122,7 @@ func TestCompensateBiHPAverages(t *testing.T) {
 	a.Fill(100, 128, 128)
 	b.Fill(60, 128, 128)
 	dst := make([]uint8, 16)
-	CompensateBiHP(dst, a, b, 0, 0, 4, 4, MV{1, 0}, MV{0, 1})
+	CompensateBiHP(dst, 4, a, b, 0, 0, 4, 4, MV{1, 0}, MV{0, 1})
 	for _, v := range dst {
 		if v != 80 {
 			t.Fatalf("bi half-pel average %d", v)

@@ -91,43 +91,36 @@ const NumPartShapes = int(numPartShapes)
 // macroblock origin.
 type Rect struct{ X, Y, W, H int }
 
-// PartitionRects returns the compensation units of a shape. All shapes tile
-// the full 16×16 block.
+// PartitionRects returns the compensation units of a shape, in coding order.
+// All shapes tile the full 16×16 block. The returned slice is a package-level
+// table shared by every caller (encoder and decoder ask once per
+// macroblock): it is read-only and must not be modified or appended to.
 func PartitionRects(s PartitionShape) []Rect {
-	switch s {
-	case Part16x8:
-		return []Rect{{0, 0, 16, 8}, {0, 8, 16, 8}}
-	case Part8x16:
-		return []Rect{{0, 0, 8, 16}, {8, 0, 8, 16}}
-	case Part8x8:
-		return []Rect{{0, 0, 8, 8}, {8, 0, 8, 8}, {0, 8, 8, 8}, {8, 8, 8, 8}}
-	case Part8x4:
-		rects := make([]Rect, 0, 8)
-		for y := 0; y < 16; y += 4 {
-			for x := 0; x < 16; x += 8 {
-				rects = append(rects, Rect{x, y, 8, 4})
-			}
-		}
-		return rects
-	case Part4x8:
-		rects := make([]Rect, 0, 8)
-		for y := 0; y < 16; y += 8 {
-			for x := 0; x < 16; x += 4 {
-				rects = append(rects, Rect{x, y, 4, 8})
-			}
-		}
-		return rects
-	case Part4x4:
-		rects := make([]Rect, 0, 16)
-		for y := 0; y < 16; y += 4 {
-			for x := 0; x < 16; x += 4 {
-				rects = append(rects, Rect{x, y, 4, 4})
-			}
-		}
-		return rects
-	default:
-		return []Rect{{0, 0, 16, 16}}
+	if s < 0 || s >= numPartShapes {
+		s = Part16x16
 	}
+	return partitionRects[s]
+}
+
+var partitionRects = [numPartShapes][]Rect{
+	Part16x16: tileRects(16, 16),
+	Part16x8:  tileRects(16, 8),
+	Part8x16:  tileRects(8, 16),
+	Part8x8:   tileRects(8, 8),
+	Part8x4:   tileRects(8, 4),
+	Part4x8:   tileRects(4, 8),
+	Part4x4:   tileRects(4, 4),
+}
+
+// tileRects tiles the macroblock with w×h rectangles in raster order.
+func tileRects(w, h int) []Rect {
+	rects := make([]Rect, 0, (16/w)*(16/h))
+	for y := 0; y < 16; y += h {
+		for x := 0; x < 16; x += w {
+			rects = append(rects, Rect{x, y, w, h})
+		}
+	}
+	return rects
 }
 
 // SAD computes the sum of absolute differences between the cur rectangle at
@@ -196,24 +189,56 @@ func abs16(v int16) int16 {
 }
 
 // Compensate writes the motion-compensated luma prediction for the rectangle
-// at absolute position (cx, cy) of size w×h into dst (row-major w×h),
-// reading ref displaced by mv with edge clamping.
-func Compensate(dst []uint8, ref *frame.Frame, cx, cy, w, h int, mv MV) {
+// at absolute position (cx, cy) of size w×h into dst, whose rows are stride
+// bytes apart (dst starts at the rectangle's top-left sample), reading ref
+// displaced by mv with edge clamping.
+//
+// When the displaced rectangle lies wholly inside the reference plane no
+// sample can clamp, and the rows are copied whole (the interior path); only
+// rectangles touching a border pay for the clamped per-sample accessor.
+func Compensate(dst []uint8, stride int, ref *frame.Frame, cx, cy, w, h int, mv MV) {
+	x0, y0 := cx+int(mv.X), cy+int(mv.Y)
+	if inside(ref, x0, y0, w, h) {
+		frame.CopyRows(dst, stride, ref.Y[y0*ref.W+x0:], ref.W, w, h)
+		return
+	}
 	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			dst[y*w+x] = ref.LumaAt(cx+x+int(mv.X), cy+y+int(mv.Y))
+		row := dst[y*stride : y*stride+w]
+		for x := range row {
+			row[x] = ref.LumaAt(x0+x, y0+y)
 		}
 	}
 }
 
+// inside reports whether the w×h rectangle at (x0, y0) lies wholly within
+// ref's luma plane.
+func inside(ref *frame.Frame, x0, y0, w, h int) bool {
+	return x0 >= 0 && y0 >= 0 && x0+w <= ref.W && y0+h <= ref.H
+}
+
 // CompensateBi writes the average of two motion-compensated predictions,
-// used by bi-predicted B-frame partitions.
-func CompensateBi(dst []uint8, ref0, ref1 *frame.Frame, cx, cy, w, h int, mv0, mv1 MV) {
+// used by bi-predicted B-frame partitions, into the strided dst. It takes
+// the clamp-free interior path when both displaced rectangles do.
+func CompensateBi(dst []uint8, stride int, ref0, ref1 *frame.Frame, cx, cy, w, h int, mv0, mv1 MV) {
+	ax, ay := cx+int(mv0.X), cy+int(mv0.Y)
+	bx, by := cx+int(mv1.X), cy+int(mv1.Y)
+	if inside(ref0, ax, ay, w, h) && inside(ref1, bx, by, w, h) {
+		for y := 0; y < h; y++ {
+			row := dst[y*stride : y*stride+w]
+			a := ref0.Y[(ay+y)*ref0.W+ax:][:w]
+			b := ref1.Y[(by+y)*ref1.W+bx:][:w]
+			for x := range row {
+				row[x] = uint8((int(a[x]) + int(b[x]) + 1) / 2)
+			}
+		}
+		return
+	}
 	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			a := int(ref0.LumaAt(cx+x+int(mv0.X), cy+y+int(mv0.Y)))
-			b := int(ref1.LumaAt(cx+x+int(mv1.X), cy+y+int(mv1.Y)))
-			dst[y*w+x] = uint8((a + b + 1) / 2)
+		row := dst[y*stride : y*stride+w]
+		for x := range row {
+			a := int(ref0.LumaAt(ax+x, ay+y))
+			b := int(ref1.LumaAt(bx+x, by+y))
+			row[x] = uint8((a + b + 1) / 2)
 		}
 	}
 }

@@ -216,7 +216,7 @@ func TestMotionSearchRespectsRange(t *testing.T) {
 func TestCompensateMatchesLumaAt(t *testing.T) {
 	ref := gradientFrame(64, 64)
 	dst := make([]uint8, 8*8)
-	Compensate(dst, ref, 56, 56, 8, 8, MV{10, 10}) // runs off the edge
+	Compensate(dst, 8, ref, 56, 56, 8, 8, MV{10, 10}) // runs off the edge
 	for y := 0; y < 8; y++ {
 		for x := 0; x < 8; x++ {
 			if dst[y*8+x] != ref.LumaAt(56+x+10, 56+y+10) {
@@ -231,7 +231,7 @@ func TestCompensateBiAverages(t *testing.T) {
 	a.Fill(100, 128, 128)
 	b.Fill(50, 128, 128)
 	dst := make([]uint8, 16)
-	CompensateBi(dst, a, b, 0, 0, 4, 4, MV{}, MV{})
+	CompensateBi(dst, 4, a, b, 0, 0, 4, 4, MV{}, MV{})
 	for _, v := range dst {
 		if v != 75 {
 			t.Fatalf("bi average %d, want 75", v)

@@ -16,6 +16,7 @@ import (
 
 	"videoapp/internal/cache"
 	"videoapp/internal/codec"
+	"videoapp/internal/frame"
 	"videoapp/internal/obs"
 	"videoapp/internal/store"
 	"videoapp/internal/y4m"
@@ -699,7 +700,13 @@ func (c *Catalog) materialize(ctx context.Context, t *tenant, a *store.ChunkArch
 	}
 	var buf bytes.Buffer
 	buf.Grow(seqSize(len(seq.Frames), cr.Video.W, cr.Video.H))
-	if err := y4m.Write(&buf, seq); err != nil {
+	err = y4m.Write(&buf, seq)
+	// The decoded frames were rendered into buf and are referenced by
+	// nothing else: hand their planes to the next cold decode.
+	for _, f := range seq.Frames {
+		frame.Recycle(f)
+	}
+	if err != nil {
 		return chunkPayload{}, err
 	}
 	return chunkPayload{data: buf.Bytes(), degraded: cr.Degraded}, nil

@@ -326,6 +326,12 @@ func TestCatalogIdleClose(t *testing.T) {
 	if n := cat.CloseIdle(time.Now()); n != 0 {
 		t.Fatalf("CloseIdle before timeout closed %d archives", n)
 	}
+	// The client has the whole body a moment before the handler returns
+	// and drops its pin on the tenant; a pinned tenant is never idle.
+	cat.mu.Lock()
+	tn := cat.tenants["m"]
+	cat.mu.Unlock()
+	waitUntil(t, "the handler to release its pin", func() bool { return tn.refs.Load() == 0 })
 	// Past the timeout (simulated clock) the sweep closes it.
 	if n := cat.CloseIdle(time.Now().Add(time.Second)); n != 1 {
 		t.Fatalf("CloseIdle past timeout closed %d archives, want 1", n)

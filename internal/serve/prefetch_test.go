@@ -47,14 +47,13 @@ func TestPrefetchWarmsSequentialReads(t *testing.T) {
 	}
 
 	// Readahead for chunks 1 and 2 runs in the background; both land in
-	// the cache (alongside chunk 0) without any further request.
+	// the cache (alongside chunk 0) without any further request. A worker
+	// counts its load as issued only after the cache has stored it, so the
+	// counter is part of the condition, not a check after it.
 	waitUntil(t, "readahead of chunks 1 and 2", func() bool {
-		return s.CacheStats().Len >= 3
+		return s.CacheStats().Len >= 3 &&
+			s.Metrics().Snapshot().Counter(obs.CtrServePrefetchIssued, DefaultArchiveName) >= 2
 	})
-	snap := s.Metrics().Snapshot()
-	if got := snap.Counter(obs.CtrServePrefetchIssued, DefaultArchiveName); got < 2 {
-		t.Fatalf("serve_prefetch_issued = %d, want >= 2", got)
-	}
 
 	for _, i := range []int{1, 2} {
 		resp, err := ts.Client().Get(fmt.Sprintf("%s/v1/chunks/%d", ts.URL, i))
@@ -69,7 +68,7 @@ func TestPrefetchWarmsSequentialReads(t *testing.T) {
 			t.Fatalf("prefetched chunk %d: X-Cache = %q, want hit", i, got)
 		}
 	}
-	snap = s.Metrics().Snapshot()
+	snap := s.Metrics().Snapshot()
 	if got := snap.Counter(obs.CtrServePrefetchUseful, DefaultArchiveName); got != 2 {
 		t.Fatalf("serve_prefetch_useful = %d, want 2", got)
 	}

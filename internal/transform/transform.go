@@ -30,6 +30,20 @@ var (
 	}
 )
 
+// mfByPos and rescaleByPos are mfTable and vTable expanded by coefficient
+// position, so the per-coefficient loops index them directly instead of
+// classifying the position each time.
+var mfByPos, rescaleByPos = expandByPos(mfTable), expandByPos(vTable)
+
+func expandByPos(t [6][3]int32) (out [6][16]int32) {
+	for q := range t {
+		for i := 0; i < 16; i++ {
+			out[q][i] = t[q][posClass(i)]
+		}
+	}
+	return out
+}
+
 func posClass(i int) int {
 	r, c := i/4, i%4
 	switch {
@@ -72,7 +86,7 @@ func Forward(x *Block) Block {
 // (0..51). intra selects the larger dead-zone rounding offset.
 func Quantize(y *Block, qp int, intra bool) Block {
 	qp = clampQP(qp)
-	mf := mfTable[qp%6]
+	mf := &mfByPos[qp%6]
 	qbits := uint(15 + qp/6)
 	f := int64(1) << qbits / 6
 	if intra {
@@ -80,7 +94,7 @@ func Quantize(y *Block, qp int, intra bool) Block {
 	}
 	var z Block
 	for i := range y {
-		m := int64(mf[posClass(i)])
+		m := int64(mf[i])
 		v := int64(y[i])
 		neg := v < 0
 		if neg {
@@ -98,11 +112,11 @@ func Quantize(y *Block, qp int, intra bool) Block {
 // Dequantize rescales quantized levels back to transform-domain values.
 func Dequantize(z *Block, qp int) Block {
 	qp = clampQP(qp)
-	v := vTable[qp%6]
+	v := &rescaleByPos[qp%6]
 	shift := uint(qp / 6)
 	var w Block
 	for i := range z {
-		w[i] = z[i] * v[posClass(i)] << shift
+		w[i] = z[i] * v[i] << shift
 	}
 	return w
 }
@@ -152,10 +166,65 @@ func QuantizeOnly(x *Block, qp int, intra bool) Block {
 	return Quantize(&y, qp, intra)
 }
 
-// Reconstruct dequantizes levels and applies the inverse transform.
+// Reconstruct dequantizes levels and applies the inverse transform: the
+// unfused form of ReconstructAdd, and the reference its tests compare with.
 func Reconstruct(z *Block, qp int) Block {
 	w := Dequantize(z, qp)
 	return Inverse(&w)
+}
+
+// ReconstructAdd is the reconstruction kernel of one 4×4 block, fused:
+// dequantize z, inverse-transform, add the prediction, saturate to 8 bits
+// and store — dst = clamp(pred + Reconstruct(z, qp)). dst and pred start at
+// the block's top-left sample of planes with the given row strides.
+//
+// A nil z stands for an all-zero block. Every QP reconstructs that to an
+// all-zero residual ((0+32)>>6 == 0), so the kernel degenerates to copying
+// four 4-byte prediction rows; callers that know a block carries no levels
+// pass nil instead of having the block scanned again.
+func ReconstructAdd(dst []uint8, dstStride int, pred []uint8, predStride int, z *Block, qp int) {
+	if z == nil {
+		for y := 0; y < 4; y++ {
+			copy(dst[y*dstStride:y*dstStride+4], pred[y*predStride:y*predStride+4])
+		}
+		return
+	}
+	qp = clampQP(qp)
+	v := &rescaleByPos[qp%6]
+	shift := uint(qp / 6)
+	// Rows of the inverse transform over the rescaled levels, then columns
+	// with the final rounding: the same int32 arithmetic, in the same
+	// order, as Inverse(Dequantize(z)).
+	var tmp Block
+	for i := 0; i < 16; i += 4 {
+		a, b, c, d := z[i]*v[i]<<shift, z[i+1]*v[i+1]<<shift, z[i+2]*v[i+2]<<shift, z[i+3]*v[i+3]<<shift
+		e0, e1 := a+c, a-c
+		e2, e3 := b>>1-d, b+d>>1
+		tmp[i], tmp[i+1], tmp[i+2], tmp[i+3] = e0+e3, e1+e2, e1-e2, e0-e3
+	}
+	d0, d1, d2, d3 := dst[:4], dst[dstStride:dstStride+4], dst[2*dstStride:2*dstStride+4], dst[3*dstStride:3*dstStride+4]
+	p0, p1, p2, p3 := pred[:4], pred[predStride:predStride+4], pred[2*predStride:2*predStride+4], pred[3*predStride:3*predStride+4]
+	for j := 0; j < 4; j++ {
+		a, b, c, d := tmp[j], tmp[4+j], tmp[8+j], tmp[12+j]
+		e0, e1 := a+c, a-c
+		e2, e3 := b>>1-d, b+d>>1
+		d0[j] = addClamp(p0[j], (e0+e3+32)>>6)
+		d1[j] = addClamp(p1[j], (e1+e2+32)>>6)
+		d2[j] = addClamp(p2[j], (e1-e2+32)>>6)
+		d3[j] = addClamp(p3[j], (e0-e3+32)>>6)
+	}
+}
+
+// addClamp adds a residual to a prediction sample and saturates to 8 bits.
+func addClamp(p uint8, r int32) uint8 {
+	v := int32(p) + r
+	if v < 0 {
+		return 0
+	}
+	if v > 255 {
+		return 255
+	}
+	return uint8(v)
 }
 
 // MaxQP is the largest legal quantization parameter.
