@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test race golden golden-check bench bench-smoke bench-serve-smoke bench-selftest bench-json bench-parallel bench-stream serve-smoke chaos-smoke fmt fmt-check vet lint
+.PHONY: check build test race golden golden-check bench bench-smoke bench-serve-smoke bench-selftest bench-parallel bench-stream serve-smoke chaos-smoke fmt fmt-check vet lint
 
 # check is the full verification gate: formatting, vet, lint (staticcheck +
 # the vetvideoapp invariant suite), build, race-enabled tests, a
@@ -10,7 +10,8 @@ GO ?= go
 # bench/ (its own module, so `go test ./...` here does not reach it). Tests
 # run shuffled so inter-test ordering dependencies cannot hide. golden-check
 # names the bit-exactness gate explicitly (the race pass runs it too): the
-# absolute decode manifest and the codec fuzz targets' seed corpora.
+# absolute decode and archive-bytes manifests and the codec fuzz targets'
+# seed corpora.
 check: fmt-check vet lint build golden-check race bench-smoke bench-serve-smoke bench-selftest serve-smoke chaos-smoke
 
 build:
@@ -40,16 +41,22 @@ race:
 # planes — clean, bit-flipped, concealed, layered — and Reanalyze records)
 # and replays the seed corpora of the codec fuzz targets, among them the
 # differential FuzzDecodeVsReference (production decoder vs the
-# sample-at-a-time reference decoder kept in reference_test.go).
+# sample-at-a-time reference decoder kept in reference_test.go), then the
+# golden archive manifest (testdata/golden_archive.json: SHA-256 of the VACS
+# container bytes Pipeline.StreamToArchive writes, per entropy coder, chunk
+# granularity and worker count).
 golden-check:
 	$(GO) test -count=1 -run 'TestGoldenDecode|^Fuzz' ./internal/codec
+	$(GO) test -count=1 -run TestGoldenArchive .
 
-# golden regenerates the manifest from the current code. This is the one
-# procedure for a DELIBERATE bitstream or reconstruction change: run it,
-# review the diff of golden_decode.json, commit it with the change. A
-# refactor or an optimisation must leave the file untouched.
+# golden regenerates both manifests from the current code. This is the one
+# procedure for a DELIBERATE bitstream, reconstruction or container-format
+# change: run it, review the diff of golden_decode.json and
+# golden_archive.json, commit it with the change. A refactor or an
+# optimisation must leave both files untouched.
 golden:
 	$(GO) test -count=1 -run TestGoldenDecode ./internal/codec -update
+	$(GO) test -count=1 -run TestGoldenArchive . -update
 
 fmt:
 	gofmt -l -w .
@@ -108,15 +115,10 @@ chaos-smoke:
 # bench-serve-smoke runs the serve-path benchmarks — hot/cold chunk, the
 # contended parallel path, and the prefetch-on/off sequential cold scan —
 # at 100 iterations each, so the serving benches (and the readahead path
-# they exercise) cannot silently rot. results/serve_bench.md and
-# BENCH_serve.json (scripts/bench_json.sh) hold the committed numbers.
+# they exercise) cannot silently rot. results/serve_bench.md holds a
+# representative run; claims are judged by the bench/ ledger.
 bench-serve-smoke:
 	$(GO) test -run='^$$' -bench='BenchmarkServe|BenchmarkArchiveReadChunk' -benchtime=100x -benchmem ./internal/serve
-
-# bench-json runs the serve benchmarks at full budget and snapshots the
-# machine-readable results into BENCH_serve.json.
-bench-json:
-	./scripts/bench_json.sh
 
 # bench-smoke compiles and runs every benchmark in the repo exactly once —
 # a regression gate for the perf harness itself, cheap enough for check/CI.

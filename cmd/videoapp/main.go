@@ -14,7 +14,7 @@
 //	videoapp [flags] heatmap             per-MB importance map -> .pgm image
 //	videoapp [flags] archive             stream raw video -> chunked .vacs archive
 //	videoapp [flags] chunk               random-access round trip of one archived chunk
-//	videoapp [flags] serve               HTTP chunk server over a .vacs archive
+//	videoapp [flags] serve               HTTP chunk server over one .vacs archive or a directory of them
 //	videoapp [flags] scrub               verify (and repair from -mirror) a .vacs archive
 //	videoapp presets                     list synthetic presets
 //
@@ -27,29 +27,25 @@
 // length. The store command accepts -stream to run the same chunked
 // dataflow (the result is bit-identical to the batch path).
 //
-// The serve command exposes an archive to concurrent clients:
+// The serve command exposes archives to concurrent clients as a catalog:
 //
 //	videoapp serve -archive x.vacs -addr :8080
-//
-// serves the archive index on /v1/archive, decoded chunk frames (y4m) on
-// /v1/chunks/{i}, chunk metadata on /v1/chunks/{i}/meta and an
-// observability snapshot on /metrics, with a sharded decoded-chunk LRU
-// cache (-cache-mb, -cache-shards), sequential readahead (-prefetch) and
-// per-request timeouts (-req-timeout). Ctrl-C drains in-flight
-// connections before exiting.
-//
-// With -archive-dir the serve command becomes a multi-archive catalog:
-//
 //	videoapp serve -archive-dir /data/archives -addr :8080
 //
-// Every *.vacs file in the directory is served as an archive named by its
-// basename under /v1/archives/{name}/..., with /v1/archives listing the
-// catalog and the single-archive /v1 routes aliasing the first archive
-// (sorted order). Archives open lazily on first request, close again after
-// -idle-timeout of disuse, and share one decoded-chunk cache. SIGHUP
-// rescans the directory without a restart: new files are added to the
-// catalog and vanished ones removed, while untouched archives keep
-// serving.
+// Every archive — the one -archive file, or every *.vacs file of
+// -archive-dir — is served under its basename: the index on
+// /v1/archives/{name}, decoded chunk frames (y4m) on
+// /v1/archives/{name}/chunks/{i}, chunk metadata on
+// /v1/archives/{name}/chunks/{i}/meta, with /v1/archives listing the
+// catalog and an observability snapshot on /metrics. Archives open lazily
+// on first request, close again after -idle-timeout of disuse, and share
+// one sharded decoded-chunk LRU cache (-cache-mb, -cache-shards) with
+// sequential readahead (-prefetch) and per-request timeouts
+// (-req-timeout). A single -archive is indexed once before the port opens,
+// so a missing or corrupt file exits 1 instead of serving errors. Ctrl-C
+// drains in-flight connections before exiting; SIGHUP rescans -archive-dir
+// without a restart: new files are added to the catalog and vanished ones
+// removed, while untouched archives keep serving.
 //
 // The archive read path (serve, chunk, scrub) is fault-tolerant:
 // -read-retries and -breaker-threshold tune the retry/shed policy,
@@ -162,7 +158,7 @@ func cliMain(args []string, stderr io.Writer) int {
 	fs.IntVar(&o.cacheShard, "cache-shards", 0, "serve: cache lock shards, rounded up to a power of two (0 = auto: max(8, GOMAXPROCS))")
 	fs.IntVar(&o.prefetch, "prefetch", 2, "serve: sequential readahead depth in chunks (0 disables)")
 	fs.DurationVar(&o.reqTimeout, "req-timeout", 30*time.Second, "serve: per-request timeout, decode included")
-	fs.DurationVar(&o.idleTime, "idle-timeout", 0, "serve -archive-dir: close archives unused this long (0 = never)")
+	fs.DurationVar(&o.idleTime, "idle-timeout", 0, "serve: close archives unused this long (0 = never)")
 	fs.StringVar(&o.faultProfile, "fault-profile", "", "inject deterministic faults into archive reads: \"seed=N,transient=P,corrupt=P,short=P,latency=D\"")
 	fs.StringVar(&o.mirror, "mirror", "", "second copy of the archive for read recovery and scrub repair")
 	fs.IntVar(&o.readRetries, "read-retries", 0, "archive read retries after the first failure (0 = default of 2, negative disables)")
@@ -271,9 +267,6 @@ func (o options) validate(cmd string) error {
 	if o.idleTime < 0 {
 		return fmt.Errorf("-idle-timeout %v must be >= 0", o.idleTime)
 	}
-	if o.idleTime > 0 && o.archiveDir == "" {
-		return fmt.Errorf("-idle-timeout only applies to serve -archive-dir (a single -archive is never idle-closed)")
-	}
 	if o.stream && cmd != "store" {
 		return fmt.Errorf("-stream only applies to the store command (the %s command is always chunked)", cmd)
 	}
@@ -333,59 +326,73 @@ func (o options) faultPolicy() videoapp.FaultPolicy {
 	}
 }
 
-// openArchive opens path for the fault-tolerant read path: the primary
-// reader wrapped in the -fault-profile injector when one is configured,
-// the -mirror copy attached for recovery, and the flag policy attached for
-// retries. writable opens the primary read-write so scrub can repair it in
-// place. The returned closer releases every opened file.
-func (o options) openArchive(path string, writable bool) (*videoapp.ChunkArchive, func() error, error) {
-	mode := os.O_RDONLY
-	if writable {
-		mode = os.O_RDWR
+// archivePath resolves the archive the read-path commands operate on:
+// -archive, falling back to -in.
+func (o options) archivePath() string {
+	if o.archive != "" {
+		return o.archive
 	}
-	f, err := os.OpenFile(path, mode, 0)
+	return o.in
+}
+
+// openBackend opens path as the storage backend of the read path: a file
+// backend, wrapped in the -fault-profile injector when one is configured.
+// writable opens the file read-write so scrub can repair it in place. A
+// serving catalog calls it anew on every lazy (re)open, so the injector's
+// fault sequence restarts from its seed each time.
+func (o options) openBackend(path string, writable bool) (videoapp.Backend, error) {
+	b, err := videoapp.OpenFileBackend(path, writable)
+	if err != nil || o.faultProfile == "" {
+		return b, err
+	}
+	prof, err := faultio.ParseProfile(o.faultProfile)
 	if err != nil {
-		return nil, nil, err
+		b.Close()
+		return nil, err
 	}
-	closers := []io.Closer{f}
-	closeAll := func() error {
-		var first error
-		for _, c := range closers {
-			if err := c.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
-	// *os.File is an io.ReaderAt, so concurrent chunk reads share no
-	// cursor and take no lock; the faultio wrapper preserves both that and
-	// the io.WriterAt scrub repairs need.
-	var r io.ReaderAt = f
-	if o.faultProfile != "" {
-		prof, err := faultio.ParseProfile(o.faultProfile)
-		if err != nil {
-			closeAll()
-			return nil, nil, err
-		}
-		r = faultio.New(f, prof)
-	}
+	return faultio.Wrap(b, prof), nil
+}
+
+// archiveOptions returns the options every archive opens under: the flag
+// policy for retries, plus the -mirror copy for recovery when one is given.
+// The returned closer releases the mirror.
+func (o options) archiveOptions() ([]videoapp.ArchiveOption, func() error, error) {
 	opts := []videoapp.ArchiveOption{videoapp.WithArchivePolicy(o.faultPolicy())}
-	if o.mirror != "" {
-		m, err := os.Open(o.mirror)
-		if err != nil {
-			closeAll()
-			return nil, nil, err
-		}
-		closers = append(closers, m)
-		opts = append(opts, videoapp.WithMirror(m))
+	if o.mirror == "" {
+		return opts, func() error { return nil }, nil
 	}
-	a, err := videoapp.OpenArchive(r, opts...)
+	m, err := os.Open(o.mirror)
 	if err != nil {
-		closeAll()
 		return nil, nil, err
 	}
-	closers = append(closers, a)
-	return a, closeAll, nil
+	return append(opts, videoapp.WithMirror(m)), m.Close, nil
+}
+
+// openArchive indexes the archive at path over openBackend under
+// archiveOptions. The returned closer releases the archive, its backend
+// and the mirror.
+func (o options) openArchive(path string, writable bool) (*videoapp.ChunkArchive, func() error, error) {
+	opts, closeMirror, err := o.archiveOptions()
+	if err != nil {
+		return nil, nil, err
+	}
+	b, err := o.openBackend(path, writable)
+	if err != nil {
+		closeMirror()
+		return nil, nil, err
+	}
+	a, err := videoapp.OpenArchiveBackend(b, opts...)
+	if err != nil {
+		b.Close()
+		closeMirror()
+		return nil, nil, err
+	}
+	return a, func() error {
+		a.Close()
+		err := b.Close()
+		closeMirror()
+		return err
+	}, nil
 }
 
 // pipelineOptions maps the CLI flags 1:1 onto the NewPipeline functional
@@ -695,42 +702,11 @@ func run(ctx context.Context, cmd string, o options) error {
 		}
 		return nil
 	case "serve":
-		if o.archiveDir != "" {
-			return o.serveCatalog(ctx)
-		}
-		path := o.archive
-		if path == "" {
-			path = o.in
-		}
-		a, closeArchive, err := o.openArchive(path, false)
-		if err != nil {
-			return err
-		}
-		defer closeArchive()
-		srv := videoapp.NewChunkServer(a, o.serveOptions()...)
-		l, err := net.Listen("tcp", o.addr)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("serving %s (%d chunks, %d frames) on http://%s\n",
-			path, a.NumChunks(), a.TotalFrames(), l.Addr())
-		err = srv.Serve(ctx, l)
-		if o.mtr != nil {
-			// Fold the server's aggregates into the -metrics report.
-			snap := srv.Metrics().Snapshot()
-			fmt.Println("-- serve metrics --")
-			snap.WriteText(os.Stdout)
-		}
-		fmt.Println("server drained, exiting")
-		return err
+		return o.serveCatalog(ctx)
 	case "scrub":
-		path := o.archive
-		if path == "" {
-			path = o.in
-		}
 		// Open read-write so damaged regions can be repaired in place when
 		// a -mirror is attached.
-		a, closeArchive, err := o.openArchive(path, o.mirror != "")
+		a, closeArchive, err := o.openArchive(o.archivePath(), o.mirror != "")
 		if err != nil {
 			return err
 		}
@@ -757,18 +733,16 @@ func run(ctx context.Context, cmd string, o options) error {
 	}
 }
 
-// serveOptions maps the serve flags onto the server/catalog options shared
-// by both serve modes.
+// serveOptions maps the serve flags 1:1 onto the catalog options.
 func (o options) serveOptions() []videoapp.ServeOption {
 	opts := []videoapp.ServeOption{
 		videoapp.WithCacheBytes(int64(o.cacheMB) << 20),
+		videoapp.WithCacheShards(o.cacheShard),
 		videoapp.WithServeWorkers(o.workers),
 		videoapp.WithRequestTimeout(o.reqTimeout),
+		videoapp.WithIdleTimeout(o.idleTime),
 		videoapp.WithFaultPolicy(o.faultPolicy()),
 		videoapp.WithPrefetch(o.prefetch),
-	}
-	if o.cacheShard != 0 {
-		opts = append(opts, videoapp.WithCacheShards(o.cacheShard))
 	}
 	if o.trace != nil {
 		opts = append(opts, videoapp.WithServeObserver(o.trace))
@@ -776,56 +750,41 @@ func (o options) serveOptions() []videoapp.ServeOption {
 	return opts
 }
 
-// openBackend returns an ArchiveSpec.Open for path: a read-only file
-// backend, wrapped in the -fault-profile injector when one is configured.
-// The catalog calls it anew on every lazy (re)open, so the injector's fault
-// sequence restarts from its seed each time.
-func (o options) openBackend(path string) func() (videoapp.Backend, error) {
-	return func() (videoapp.Backend, error) {
-		b, err := videoapp.OpenFileBackend(path, false)
+// archiveSpecs returns one spec per served archive, named by basename: the
+// single -archive file, or every *.vacs file of -archive-dir in sorted
+// order. Each opens over openBackend under archOpts.
+func (o options) archiveSpecs(archOpts []videoapp.ArchiveOption) ([]videoapp.ArchiveSpec, error) {
+	var paths []string
+	if o.archiveDir == "" {
+		paths = []string{o.archivePath()}
+	} else {
+		entries, err := os.ReadDir(o.archiveDir)
 		if err != nil {
 			return nil, err
 		}
-		if o.faultProfile != "" {
-			prof, err := faultio.ParseProfile(o.faultProfile)
-			if err != nil {
-				b.Close()
-				return nil, err
+		for _, e := range entries {
+			if !e.IsDir() && strings.HasSuffix(e.Name(), ".vacs") {
+				paths = append(paths, filepath.Join(o.archiveDir, e.Name()))
 			}
-			return faultio.Wrap(b, prof), nil
 		}
-		return b, nil
 	}
-}
-
-// archiveSpecs scans -archive-dir for *.vacs files and returns one spec per
-// file, named by basename, in sorted order (the first becomes the catalog's
-// default archive).
-func (o options) archiveSpecs() ([]videoapp.ArchiveSpec, error) {
-	entries, err := os.ReadDir(o.archiveDir)
-	if err != nil {
-		return nil, err
-	}
-	var specs []videoapp.ArchiveSpec
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".vacs") {
-			continue
+	specs := make([]videoapp.ArchiveSpec, len(paths))
+	for i, path := range paths {
+		specs[i] = videoapp.ArchiveSpec{
+			Name:    strings.TrimSuffix(filepath.Base(path), ".vacs"),
+			Open:    func() (videoapp.Backend, error) { return o.openBackend(path, false) },
+			Options: archOpts,
 		}
-		specs = append(specs, videoapp.ArchiveSpec{
-			Name:    strings.TrimSuffix(e.Name(), ".vacs"),
-			Open:    o.openBackend(filepath.Join(o.archiveDir, e.Name())),
-			Options: []videoapp.ArchiveOption{videoapp.WithArchivePolicy(o.faultPolicy())},
-		})
 	}
 	return specs, nil
 }
 
-// rescanCatalog diffs -archive-dir against the catalog's current members:
-// vanished archives are removed (their cached chunks purged), new files
-// added. Archives present on both sides are left untouched — they keep
-// serving and keep their cache entries.
-func (o options) rescanCatalog(cat *videoapp.Catalog) error {
-	specs, err := o.archiveSpecs()
+// rescanCatalog diffs the served archives (archiveSpecs) against the
+// catalog's current members: vanished archives are removed (their cached
+// chunks purged), new files added. Archives present on both sides are left
+// untouched — they keep serving and keep their cache entries.
+func (o options) rescanCatalog(cat *videoapp.Catalog, archOpts []videoapp.ArchiveOption) error {
+	specs, err := o.archiveSpecs(archOpts)
 	if err != nil {
 		return err
 	}
@@ -857,21 +816,37 @@ func (o options) rescanCatalog(cat *videoapp.Catalog) error {
 	return nil
 }
 
-// serveCatalog is serve -archive-dir: a lazily-opened catalog over every
-// .vacs file in the directory, rescanned on SIGHUP.
+// serveCatalog is the serve command: a lazily-opened catalog over the
+// -archive file or every .vacs file of -archive-dir, rescanned on SIGHUP.
 func (o options) serveCatalog(ctx context.Context) error {
-	specs, err := o.archiveSpecs()
+	archOpts, closeMirror, err := o.archiveOptions()
 	if err != nil {
 		return err
 	}
-	if len(specs) == 0 {
+	defer closeMirror()
+	specs, err := o.archiveSpecs(archOpts)
+	if err != nil {
+		return err
+	}
+	var what string // what the "serving ... on" line announces
+	switch {
+	case o.archiveDir == "":
+		// One named file must be servable before the port opens: index it
+		// once now, so a missing or corrupt archive exits 1 instead of
+		// answering every request with an error. (A directory member that
+		// fails to open costs only its own requests.)
+		a, closeArchive, err := o.openArchive(o.archivePath(), false)
+		if err != nil {
+			return err
+		}
+		what = fmt.Sprintf("%s (%d chunks, %d frames)", o.archivePath(), a.NumChunks(), a.TotalFrames())
+		closeArchive()
+	case len(specs) == 0:
 		return fmt.Errorf("no *.vacs archives in %s", o.archiveDir)
+	default:
+		what = fmt.Sprintf("%d archives from %s", len(specs), o.archiveDir)
 	}
-	srvOpts := o.serveOptions()
-	if o.idleTime > 0 {
-		srvOpts = append(srvOpts, videoapp.WithIdleTimeout(o.idleTime))
-	}
-	cat, err := videoapp.NewCatalog(specs, srvOpts...)
+	cat, err := videoapp.NewCatalog(specs, o.serveOptions()...)
 	if err != nil {
 		return err
 	}
@@ -884,7 +859,7 @@ func (o options) serveCatalog(ctx context.Context) error {
 		for {
 			select {
 			case <-hup:
-				if err := o.rescanCatalog(cat); err != nil {
+				if err := o.rescanCatalog(cat, archOpts); err != nil {
 					fmt.Printf("rescan: %v\n", err)
 				}
 			case <-ctx.Done():
@@ -897,10 +872,10 @@ func (o options) serveCatalog(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("serving %d archives from %s on http://%s (default %q; SIGHUP rescans)\n",
-		len(specs), o.archiveDir, l.Addr(), cat.DefaultName())
+	fmt.Printf("serving %s on http://%s\n", what, l.Addr())
 	err = cat.Serve(ctx, l)
 	if o.mtr != nil {
+		// Fold the server's aggregates into the -metrics report.
 		snap := cat.Metrics().Snapshot()
 		fmt.Println("-- serve metrics --")
 		snap.WriteText(os.Stdout)

@@ -16,6 +16,10 @@ import (
 // precede the command word, as in a real invocation (the flag package
 // stops parsing at the first positional argument).
 func TestCLIValidation(t *testing.T) {
+	garbage := filepath.Join(t.TempDir(), "garbage.vacs")
+	if err := os.WriteFile(garbage, []byte("not an archive"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name   string
 		args   []string
@@ -136,10 +140,19 @@ func TestCLIValidation(t *testing.T) {
 			stderr: "only applies to the serve command",
 		},
 		{
+			// -idle-timeout applies to every serve form, a single archive
+			// included: the command line passes validation and fails only
+			// at the open (exit 1, not 2).
 			name:   "idle-timeout without archive-dir",
-			args:   []string{"-idle-timeout", "1m", "-archive", "x.vacs", "serve"},
-			exit:   2,
-			stderr: "-idle-timeout",
+			args:   []string{"-idle-timeout", "1ns", "-archive", filepath.Join(t.TempDir(), "absent.vacs"), "serve"},
+			exit:   1,
+			stderr: "no such file",
+		},
+		{
+			name:   "serve with corrupt archive file",
+			args:   []string{"-archive", garbage, "serve"},
+			exit:   1,
+			stderr: "corrupt",
 		},
 		{
 			name:   "serve over an empty archive dir",
@@ -200,9 +213,9 @@ func TestCLIValidation(t *testing.T) {
 
 // TestCLICatalogRescan exercises the -archive-dir machinery beneath the
 // serve command without binding a socket: the directory scan names archives
-// by basename in sorted order (first = default), and a rescan — the SIGHUP
-// handler's body — adds new files and removes vanished ones while the
-// survivors keep serving.
+// by basename in sorted order — exactly as a single -archive is named — and
+// a rescan — the SIGHUP handler's body — adds new files and removes
+// vanished ones while the survivors keep serving.
 func TestCLICatalogRescan(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a real archive")
@@ -227,8 +240,17 @@ func TestCLICatalogRescan(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The single-archive form is the same spec list, of length one.
+	single, err := options{archive: seedPath}.archiveSpecs(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(single) != 1 || single[0].Name != "alpha" {
+		t.Fatalf("archiveSpecs(-archive) = %+v, want the one spec alpha", single)
+	}
+
 	o := options{archiveDir: dir}
-	specs, err := o.archiveSpecs()
+	specs, err := o.archiveSpecs(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,9 +262,6 @@ func TestCLICatalogRescan(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cat.Close()
-	if def := cat.DefaultName(); def != "alpha" {
-		t.Fatalf("default archive %q, want first sorted %q", def, "alpha")
-	}
 	// The specs open real archives lazily.
 	a, err := videoapp.OpenArchiveBackend(mustOpenBackend(t, specs[0]))
 	if err != nil {
@@ -260,14 +279,11 @@ func TestCLICatalogRescan(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "gamma.vacs"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := o.rescanCatalog(cat); err != nil {
+	if err := o.rescanCatalog(cat, nil); err != nil {
 		t.Fatal(err)
 	}
 	if names := cat.Names(); len(names) != 2 || names[0] != "alpha" || names[1] != "gamma" {
 		t.Fatalf("post-rescan catalog = %v, want [alpha gamma]", names)
-	}
-	if def := cat.DefaultName(); def != "alpha" {
-		t.Fatalf("rescan moved the default to %q", def)
 	}
 }
 

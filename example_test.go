@@ -47,10 +47,10 @@ func ExampleAnalyzeContext() {
 	// first frame head >= tail: true
 }
 
-// The concurrent read path: stream a video into a chunked archive, open it
-// for lock-free random access, and serve decoded chunks over HTTP to many
-// clients at once. The decoded-chunk cache coalesces the stampede, so the
-// hot chunk is decoded exactly once.
+// The concurrent read path: stream a video into a chunked archive, declare
+// it as the one entry of a serving catalog, and serve decoded chunks over
+// HTTP to many clients at once. The decoded-chunk cache coalesces the
+// stampede, so the hot chunk is decoded exactly once.
 func Example_serve() {
 	seq, _ := videoapp.GenerateTestVideo("news_like", 64, 48, 8)
 	p := videoapp.NewPipeline(videoapp.WithParams(func() videoapp.Params {
@@ -66,10 +66,13 @@ func Example_serve() {
 		return
 	}
 
-	a, _ := videoapp.OpenArchive(bytes.NewReader(archive.Bytes()))
 	// Readahead off so the only decode on the books is the stampede's own.
-	srv := videoapp.NewChunkServer(a, videoapp.WithPrefetch(0))
-	ts := httptest.NewServer(srv.Handler())
+	cat, _ := videoapp.NewCatalog([]videoapp.ArchiveSpec{{
+		Name: "news",
+		Open: func() (videoapp.Backend, error) { return videoapp.NewSnapshotBackend(archive.Bytes()), nil },
+	}}, videoapp.WithPrefetch(0))
+	defer cat.Close()
+	ts := httptest.NewServer(cat.Handler())
 	defer ts.Close()
 
 	// Sixteen clients stampede the same chunk concurrently.
@@ -78,7 +81,7 @@ func Example_serve() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := http.Get(ts.URL + "/v1/chunks/0")
+			resp, err := http.Get(ts.URL + "/v1/archives/news/chunks/0")
 			if err != nil {
 				return
 			}
@@ -88,11 +91,11 @@ func Example_serve() {
 	}
 	wg.Wait()
 
-	stats := srv.CacheStats()
-	fmt.Println("chunks served:", a.NumChunks() > 0)
+	stats := cat.CacheStats()
+	fmt.Println("archives open:", cat.OpenArchives())
 	fmt.Println("decodes under stampede:", stats.Loads)
 	// Output:
-	// chunks served: true
+	// archives open: 1
 	// decodes under stampede: 1
 }
 

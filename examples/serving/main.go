@@ -1,7 +1,7 @@
 // Serving demonstrates the concurrent archive read path: a synthetic video
-// is streamed into a chunked VACS archive, a chunk server is started over
-// it, and a fleet of concurrent HTTP clients reads every chunk — hammering
-// one hot chunk on purpose. The run prints the server's own observability:
+// is streamed into a chunked VACS archive, a one-entry serving catalog is
+// started over it, and a fleet of concurrent HTTP clients reads every chunk
+// — hammering one hot chunk on purpose. The run prints the server's own observability:
 // requests served, cache hit rate, and the number of actual decodes, which
 // stays at one per chunk however many clients stampede it (singleflight).
 package main
@@ -51,32 +51,30 @@ func main() {
 	}
 	fmt.Printf("archived %dx%d, %.4f cells/pixel\n", meta.W, meta.H, stats.CellsPerPixel)
 
-	// 2. Open the archive for lock-free concurrent reads and serve it.
-	rf, err := os.Open(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer rf.Close()
-	archive, err := videoapp.OpenArchive(rf)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer archive.Close()
-
-	srv := videoapp.NewChunkServer(archive,
+	// 2. Serve it: a catalog of one archive, opened lazily over the file
+	// backend on the first request.
+	const name = "demo"
+	cat, err := videoapp.NewCatalog([]videoapp.ArchiveSpec{{
+		Name: name,
+		Open: func() (videoapp.Backend, error) { return videoapp.OpenFileBackend(path, false) },
+	}},
 		videoapp.WithCacheBytes(32<<20),
 		videoapp.WithRequestTimeout(10*time.Second),
 	)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer cat.Close()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ctx, l) }()
-	base := "http://" + l.Addr().String()
-	fmt.Printf("serving %d chunks (%d frames) on %s\n",
-		archive.NumChunks(), archive.TotalFrames(), base)
+	go func() { done <- cat.Serve(ctx, l) }()
+	base := "http://" + l.Addr().String() + "/v1/archives/" + name
+	chunks := (len(seq.Frames) + params.GOPSize - 1) / params.GOPSize
+	fmt.Printf("serving %d chunks (%d frames) on %s\n", chunks, len(seq.Frames), base)
 
 	// 3. Concurrent clients: half read random chunks, half stampede chunk 0.
 	const clients = 24
@@ -91,9 +89,9 @@ func main() {
 			for j := 0; j < 8; j++ {
 				i := 0 // the hot chunk
 				if c%2 == 0 {
-					i = rng.Intn(archive.NumChunks())
+					i = rng.Intn(chunks)
 				}
-				resp, err := http.Get(fmt.Sprintf("%s/v1/chunks/%d", base, i))
+				resp, err := http.Get(fmt.Sprintf("%s/chunks/%d", base, i))
 				if err != nil {
 					log.Fatal(err)
 				}
@@ -114,12 +112,12 @@ func main() {
 	// 4. Report what the read path did: with the whole archive cache-
 	// resident, every chunk was decoded exactly once no matter how many
 	// clients pulled it.
-	cs := srv.CacheStats()
+	cs := cat.CacheStats()
 	fmt.Printf("served %d responses, %.1f MiB\n", served, float64(bytesOut)/(1<<20))
 	fmt.Printf("cache: %.0f%% hit rate, %d decodes for %d chunks, %d bytes resident\n",
-		100*cs.HitRate(), cs.Loads, archive.NumChunks(), cs.Cost)
-	if int(cs.Loads) != archive.NumChunks() {
-		log.Fatalf("expected %d decodes, got %d", archive.NumChunks(), cs.Loads)
+		100*cs.HitRate(), cs.Loads, chunks, cs.Cost)
+	if int(cs.Loads) != chunks {
+		log.Fatalf("expected %d decodes, got %d", chunks, cs.Loads)
 	}
 
 	// 5. Graceful shutdown: cancel drains in-flight connections.

@@ -20,9 +20,9 @@
 // respected: the per-shard budgets sum to exactly the configured maximum),
 // and eviction is per-shard LRU — an entry can only displace entries of
 // its own shard, which approximates global LRU closely at serving cache
-// sizes while never taking more than one lock. New builds the single-shard
-// (strict global LRU) cache; NewSharded selects the shard count, with
-// DefaultShards as the serving default.
+// sizes while never taking more than one lock. NewShardedHash selects the
+// shard count (one shard is the strict global LRU), with DefaultShards as
+// the serving default.
 package cache
 
 import (
@@ -36,8 +36,8 @@ import (
 )
 
 // Cache is a cost-bounded sharded LRU map with request-coalescing loads.
-// The zero value is not usable; construct with New or NewSharded. All
-// methods are safe for concurrent use.
+// The zero value is not usable; construct with NewShardedHash. All methods
+// are safe for concurrent use.
 type Cache[K comparable, V any] struct {
 	cost   func(V) int64
 	hash   func(maphash.Seed, K) uint64
@@ -58,9 +58,9 @@ type shard[K comparable, V any] struct {
 	flights map[K]*flight[V]
 
 	// total and count mirror the resident cost and entry count. They are
-	// only mutated under mu but read atomically, so Stats/Len/Cost never
-	// take a shard lock — the serve path publishes cache gauges per
-	// request, and that must not serialize against lookups.
+	// only mutated under mu but read atomically, so Stats never takes a
+	// shard lock — the serve path publishes cache gauges per request, and
+	// that must not serialize against lookups.
 	total atomic.Int64
 	count atomic.Int64
 
@@ -87,8 +87,8 @@ type flight[V any] struct {
 	err  error
 }
 
-// DefaultShards is the shard count NewSharded selects when asked for 0 or
-// fewer shards: max(8, GOMAXPROCS) rounded up to a power of two. Eight is
+// DefaultShards is the shard count NewShardedHash selects when asked for 0
+// or fewer shards: max(8, GOMAXPROCS) rounded up to a power of two. Eight is
 // enough to keep accidental hash collisions from serializing a small
 // machine; larger machines get one shard per scheduler thread.
 func DefaultShards() int {
@@ -107,32 +107,21 @@ func ceilPow2(n int) int {
 	return 1 << bits.Len(uint(n-1))
 }
 
-// New returns a single-shard cache bounded by maxCost, with each value
-// charged by cost: the strict-global-LRU building block (one mutex, exact
-// recency order). Serving paths that want multicore scaling should use
-// NewSharded. A nil cost charges every entry 1, making maxCost an entry
-// count. A maxCost <= 0 disables residency entirely — GetOrLoad still
-// coalesces concurrent loads, but nothing is retained.
-func New[K comparable, V any](maxCost int64, cost func(V) int64) *Cache[K, V] {
-	return NewSharded[K, V](maxCost, 1, cost)
-}
-
-// NewSharded returns a cache of nshards power-of-two shards (values round
-// up; nshards <= 0 selects DefaultShards) bounded by maxCost in total. The
-// budget is split evenly across shards — the per-shard budgets sum to
-// exactly maxCost, so the global bound holds under any key distribution —
-// which also means a single value costing more than maxCost/nshards is not
-// retained. Cost and maxCost semantics otherwise match New.
-func NewSharded[K comparable, V any](maxCost int64, nshards int, cost func(V) int64) *Cache[K, V] {
-	return NewShardedHash[K, V](maxCost, nshards, cost, nil)
-}
-
-// NewShardedHash is NewSharded with a caller-provided shard hash. A nil
-// hash selects maphash.Comparable, which is correct for every comparable
-// key but heap-escapes keys whose type contains pointers (strings, say) on
-// each call; hot paths with such keys should pass a hash built from the
-// per-field maphash primitives instead (see KeyedHash). The hash only
-// picks the shard — it need not be collision-free, just well distributed.
+// NewShardedHash returns a cache of nshards power-of-two shards (values
+// round up; nshards <= 0 selects DefaultShards, 1 is the strict global LRU
+// under one mutex) bounded by maxCost in total, with each value charged by
+// cost. The budget is split evenly across shards — the per-shard budgets
+// sum to exactly maxCost, so the global bound holds under any key
+// distribution — which also means a single value costing more than
+// maxCost/nshards is not retained. A nil cost charges every entry 1, making
+// maxCost an entry count. A maxCost <= 0 disables residency entirely —
+// GetOrLoad still coalesces concurrent loads, but nothing is retained.
+//
+// hash picks the shard. A nil hash selects maphash.Comparable, which is
+// correct for every comparable key but heap-escapes keys whose type
+// contains pointers (strings, say) on each call; hot paths with such keys
+// should pass a hash built from the per-field maphash primitives instead
+// (see KeyedHash). It need not be collision-free, just well distributed.
 func NewShardedHash[K comparable, V any](maxCost int64, nshards int, cost func(V) int64, hash func(maphash.Seed, K) uint64) *Cache[K, V] {
 	if cost == nil {
 		cost = func(V) int64 { return 1 }
@@ -169,30 +158,12 @@ func NewShardedHash[K comparable, V any](maxCost int64, nshards int, cost func(V
 	return c
 }
 
-// Shards returns the cache's shard count.
-func (c *Cache[K, V]) Shards() int { return len(c.shards) }
-
 // shard returns the shard owning key.
 func (c *Cache[K, V]) shard(key K) *shard[K, V] {
 	if c.mask == 0 {
 		return &c.shards[0]
 	}
 	return &c.shards[c.hash(c.seed, key)&c.mask]
-}
-
-// Get returns the cached value for key, marking it most recently used.
-func (c *Cache[K, V]) Get(key K) (V, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.entries[key]; ok {
-		s.order.MoveToFront(el)
-		s.hits.Add(1)
-		return el.Value.(*entry[K, V]).val, true
-	}
-	s.misses.Add(1)
-	var zero V
-	return zero, false
 }
 
 // Contains reports whether key is resident, without touching the recency
@@ -205,32 +176,18 @@ func (c *Cache[K, V]) Contains(key K) bool {
 	return ok
 }
 
-// Add inserts or replaces the value for key and evicts LRU entries of its
-// shard until the shard's cost fits its budget. A value whose own cost
-// exceeds the shard budget is not retained (it would only evict everything
-// else and then miss anyway).
-func (c *Cache[K, V]) Add(key K, val V) {
-	cost := c.cost(val)
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.addLocked(key, val, cost)
-}
-
+// addLocked inserts a freshly loaded value and evicts LRU entries of the
+// shard until its cost fits its budget. A value whose own cost exceeds the
+// shard budget is not retained (it would only evict everything else and
+// then miss anyway). key is never resident here: a flight only starts on a
+// miss and is the sole writer of its key until it lands.
 func (s *shard[K, V]) addLocked(key K, val V, cost int64) {
 	if cost > s.maxCost {
 		return
 	}
-	if el, ok := s.entries[key]; ok {
-		e := el.Value.(*entry[K, V])
-		s.total.Add(cost - e.cost)
-		e.val, e.cost = val, cost
-		s.order.MoveToFront(el)
-	} else {
-		s.entries[key] = s.order.PushFront(&entry[K, V]{key: key, val: val, cost: cost})
-		s.total.Add(cost)
-		s.count.Add(1)
-	}
+	s.entries[key] = s.order.PushFront(&entry[K, V]{key: key, val: val, cost: cost})
+	s.total.Add(cost)
+	s.count.Add(1)
 	for s.total.Load() > s.maxCost {
 		back := s.order.Back()
 		if back == nil {
@@ -249,25 +206,12 @@ func (s *shard[K, V]) removeLocked(el *list.Element) {
 	s.count.Add(-1)
 }
 
-// Remove drops key from the cache, reporting whether it was resident.
-func (c *Cache[K, V]) Remove(key K) bool {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.entries[key]
-	if ok {
-		s.removeLocked(el)
-	}
-	return ok
-}
-
 // GetOrLoad returns the cached value for key, or runs load to produce it,
 // reporting whether the value was resident at lookup (the hit/miss verdict
-// of this one request — callers must not re-probe with Get, which would
-// both double-count and take the shard lock twice). Concurrent calls for
-// the same key share a single load (singleflight): exactly one caller's
-// load function runs, the rest block until it finishes and receive the
-// same value or error. Successful loads are added to the cache; failed
+// of this one request, so callers never need a second probe). Concurrent
+// calls for the same key share a single load (singleflight): exactly one
+// caller's load function runs, the rest block until it finishes and receive
+// the same value or error. Successful loads are added to the cache; failed
 // loads are not, so a later call retries.
 //
 // The load function receives a context detached from ctx's cancellation:
@@ -323,30 +267,10 @@ func wait[V any](ctx context.Context, f *flight[V]) (V, error) {
 	}
 }
 
-// Len returns the number of resident entries across all shards. It takes
-// no locks; see Stats.
-func (c *Cache[K, V]) Len() int {
-	n := int64(0)
-	for i := range c.shards {
-		n += c.shards[i].count.Load()
-	}
-	return int(n)
-}
-
-// Cost returns the total cost of resident entries across all shards. It
-// takes no locks; see Stats.
-func (c *Cache[K, V]) Cost() int64 {
-	var total int64
-	for i := range c.shards {
-		total += c.shards[i].total.Load()
-	}
-	return total
-}
-
 // Stats is a point-in-time copy of the cache's counters, aggregated across
-// shards (see ShardStats for the per-shard breakdown).
+// shards.
 type Stats struct {
-	// Hits and Misses count Get/GetOrLoad lookups by residency at lookup
+	// Hits and Misses count GetOrLoad lookups by residency at lookup
 	// time (a coalesced waiter counts as a miss — the value was not
 	// resident — but triggers no extra load).
 	Hits, Misses int64
@@ -368,42 +292,19 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
-// add folds o into s.
-func (s *Stats) add(o Stats) {
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Loads += o.Loads
-	s.Evictions += o.Evictions
-	s.Len += o.Len
-	s.Cost += o.Cost
-}
-
 // Stats returns the current counter values aggregated across all shards.
+// Reads are lock-free: each field is an atomic snapshot, so a copy taken
+// during concurrent mutation is consistent per field, not across fields.
 func (c *Cache[K, V]) Stats() Stats {
 	var agg Stats
-	for _, s := range c.ShardStats() {
-		agg.add(s)
-	}
-	return agg
-}
-
-// ShardStats returns each shard's counters, indexed by shard. Reads are
-// lock-free: each field is an atomic snapshot, so a slice taken during
-// concurrent mutation is consistent per field, not across fields. The sum
-// of the returned slice is exactly Stats() at the same instant of each
-// shard's snapshot.
-func (c *Cache[K, V]) ShardStats() []Stats {
-	out := make([]Stats, len(c.shards))
 	for i := range c.shards {
 		s := &c.shards[i]
-		out[i] = Stats{
-			Hits:      s.hits.Load(),
-			Misses:    s.misses.Load(),
-			Loads:     s.loads.Load(),
-			Evictions: s.evictions.Load(),
-			Len:       int(s.count.Load()),
-			Cost:      s.total.Load(),
-		}
+		agg.Hits += s.hits.Load()
+		agg.Misses += s.misses.Load()
+		agg.Loads += s.loads.Load()
+		agg.Evictions += s.evictions.Load()
+		agg.Len += int(s.count.Load())
+		agg.Cost += s.total.Load()
 	}
-	return out
+	return agg
 }

@@ -10,20 +10,51 @@ import (
 	"time"
 )
 
+// getOrLoader is the lookup surface Cache and Space share, so the helpers
+// below serve both.
+type getOrLoader[K comparable, V any] interface {
+	GetOrLoad(ctx context.Context, key K, load func(context.Context) (V, error)) (V, bool, error)
+}
+
+// newLRU is the single-shard cache — one mutex, strict global LRU order —
+// the order-sensitive tests run on.
+func newLRU[K comparable, V any](maxCost int64, cost func(V) int64) *Cache[K, V] {
+	return NewShardedHash[K, V](maxCost, 1, cost, nil)
+}
+
+// put makes val resident under key the one way the cache admits values: as
+// the result of a load (a miss and a load in the counters).
+func put[K comparable, V any](c getOrLoader[K, V], key K, val V) {
+	c.GetOrLoad(context.Background(), key, func(context.Context) (V, error) { return val, nil })
+}
+
+var errAbsent = errors.New("absent")
+
+// lookup is one request for key whose loader fails, so a miss leaves
+// nothing behind; a hit returns the resident value and marks it most
+// recently used, exactly like a served request.
+func lookup[K comparable, V any](c getOrLoader[K, V], key K) (V, bool) {
+	v, hit, _ := c.GetOrLoad(context.Background(), key, func(context.Context) (V, error) {
+		var zero V
+		return zero, errAbsent
+	})
+	return v, hit
+}
+
 func TestGetAddEvictLRU(t *testing.T) {
-	c := New[int, string](3, nil) // nil cost: capacity of 3 entries
-	c.Add(1, "a")
-	c.Add(2, "b")
-	c.Add(3, "c")
-	if _, ok := c.Get(1); !ok { // touch 1: now 2 is LRU
-		t.Fatal("1 must be resident")
+	c := newLRU[int, string](3, nil) // nil cost: capacity of 3 entries
+	put(c, 1, "a")
+	put(c, 2, "b")
+	put(c, 3, "c")
+	if v, ok := lookup(c, 1); !ok || v != "a" { // touch 1: now 2 is LRU
+		t.Fatalf("1 must be resident, got %q, %v", v, ok)
 	}
-	c.Add(4, "d") // evicts 2
-	if _, ok := c.Get(2); ok {
+	put(c, 4, "d") // evicts 2
+	if c.Contains(2) {
 		t.Fatal("2 must have been evicted as LRU")
 	}
 	for _, k := range []int{1, 3, 4} {
-		if _, ok := c.Get(k); !ok {
+		if !c.Contains(k) {
 			t.Fatalf("%d must be resident", k)
 		}
 	}
@@ -33,34 +64,33 @@ func TestGetAddEvictLRU(t *testing.T) {
 }
 
 func TestCostBasedEviction(t *testing.T) {
-	c := New[int, string](10, func(v string) int64 { return int64(len(v)) })
-	c.Add(1, "aaaa") // cost 4
-	c.Add(2, "bbbb") // cost 4
-	c.Add(3, "cc")   // cost 2, total 10: all fit
-	if c.Cost() != 10 || c.Len() != 3 {
-		t.Fatalf("cost %d len %d, want 10/3", c.Cost(), c.Len())
+	c := newLRU[int, string](10, func(v string) int64 { return int64(len(v)) })
+	put(c, 1, "aaaa") // cost 4
+	put(c, 2, "bbbb") // cost 4
+	put(c, 3, "cc")   // cost 2, total 10: all fit
+	if s := c.Stats(); s.Cost != 10 || s.Len != 3 {
+		t.Fatalf("cost %d len %d, want 10/3", s.Cost, s.Len)
 	}
-	c.Add(4, "ddd") // cost 3: evicts 1 (LRU), total 9
-	if _, ok := c.Get(1); ok {
+	put(c, 4, "ddd") // cost 3: evicts 1 (LRU), total 9
+	if c.Contains(1) {
 		t.Fatal("1 must have been evicted")
 	}
-	if c.Cost() != 9 {
-		t.Fatalf("cost %d, want 9", c.Cost())
+	if cost := c.Stats().Cost; cost != 9 {
+		t.Fatalf("cost %d, want 9", cost)
 	}
-	// An entry larger than the whole budget is not retained.
-	c.Add(5, "0123456789ABCDEF")
-	if _, ok := c.Get(5); ok {
+	// An entry larger than the whole budget is not retained, and evicts
+	// nothing on its way out.
+	put(c, 5, "0123456789ABCDEF")
+	if c.Contains(5) {
 		t.Fatal("oversized entry must not be retained")
 	}
-	// Replacing a key adjusts the total rather than double counting.
-	c.Add(4, "dddddd")
-	if c.Cost() > 10 {
-		t.Fatalf("cost %d exceeds budget after replace", c.Cost())
+	if s := c.Stats(); s.Cost != 9 || s.Len != 3 {
+		t.Fatalf("oversized entry disturbed residency: cost %d len %d", s.Cost, s.Len)
 	}
 }
 
 func TestGetOrLoadCachesSuccess(t *testing.T) {
-	c := New[string, int](8, nil)
+	c := newLRU[string, int](8, nil)
 	calls := 0
 	load := func(context.Context) (int, error) { calls++; return 42, nil }
 	for i := 0; i < 3; i++ {
@@ -75,7 +105,7 @@ func TestGetOrLoadCachesSuccess(t *testing.T) {
 }
 
 func TestGetOrLoadDoesNotCacheErrors(t *testing.T) {
-	c := New[string, int](8, nil)
+	c := newLRU[string, int](8, nil)
 	boom := errors.New("boom")
 	calls := 0
 	load := func(context.Context) (int, error) { calls++; return 0, boom }
@@ -93,7 +123,7 @@ func TestGetOrLoadDoesNotCacheErrors(t *testing.T) {
 // readers of one cold key trigger exactly one loader execution and all
 // observe its value.
 func TestSingleflightStampede(t *testing.T) {
-	c := New[string, int](8, nil)
+	c := newLRU[string, int](8, nil)
 	const n = 64
 	var calls atomic.Int64
 	release := make(chan struct{})
@@ -137,7 +167,7 @@ func TestSingleflightStampede(t *testing.T) {
 // TestWaiterCancellation: a waiter whose context ends returns promptly with
 // ctx.Err while the load completes and is cached for later readers.
 func TestWaiterCancellation(t *testing.T) {
-	c := New[string, int](8, nil)
+	c := newLRU[string, int](8, nil)
 	release := make(chan struct{})
 	load := func(context.Context) (int, error) {
 		<-release
@@ -170,7 +200,7 @@ func TestWaiterCancellation(t *testing.T) {
 }
 
 func TestConcurrentMixedAccess(t *testing.T) {
-	c := New[int, int](16, nil)
+	c := newLRU[int, int](16, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -180,9 +210,9 @@ func TestConcurrentMixedAccess(t *testing.T) {
 				k := (g + i) % 32
 				switch i % 3 {
 				case 0:
-					c.Add(k, k)
+					put(c, k, k)
 				case 1:
-					c.Get(k)
+					lookup(c, k)
 				default:
 					c.GetOrLoad(context.Background(), k, func(context.Context) (int, error) { return k, nil })
 				}
@@ -190,16 +220,15 @@ func TestConcurrentMixedAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if c.Len() > 16 {
-		t.Fatalf("%d entries exceed capacity", c.Len())
+	if n := c.Stats().Len; n > 16 {
+		t.Fatalf("%d entries exceed capacity", n)
 	}
 }
 
 func TestHitRate(t *testing.T) {
-	c := New[int, int](4, nil)
-	c.Add(1, 1)
-	c.Get(1)
-	c.Get(2)
+	c := newLRU[int, int](4, nil)
+	put(c, 1, 1) // miss
+	lookup(c, 1) // hit
 	s := c.Stats()
 	if s.Hits != 1 || s.Misses != 1 || s.HitRate() != 0.5 {
 		t.Fatalf("stats %+v, want 1 hit / 1 miss / rate 0.5", s)

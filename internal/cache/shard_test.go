@@ -23,13 +23,16 @@ func TestShardCountRoundsUp(t *testing.T) {
 	for _, tc := range []struct{ ask, want int }{
 		{1, 1}, {2, 2}, {3, 4}, {5, 8}, {8, 8}, {9, 16}, {33, 64},
 	} {
-		c := NewSharded[int, int](100, tc.ask, nil)
-		if got := c.Shards(); got != tc.want {
-			t.Fatalf("NewSharded(shards=%d): %d shards, want %d", tc.ask, got, tc.want)
+		c := NewShardedHash[int, int](100, tc.ask, nil, nil)
+		if got := len(c.shards); got != tc.want {
+			t.Fatalf("NewShardedHash(shards=%d): %d shards, want %d", tc.ask, got, tc.want)
 		}
 	}
-	if got := New[int, int](100, nil).Shards(); got != 1 {
-		t.Fatalf("New: %d shards, want 1", got)
+	// Zero and negative both mean auto.
+	for _, ask := range []int{0, -1} {
+		if got := len(NewShardedHash[int, int](100, ask, nil, nil).shards); got != DefaultShards() {
+			t.Fatalf("NewShardedHash(shards=%d): %d shards, want DefaultShards() = %d", ask, got, DefaultShards())
+		}
 	}
 }
 
@@ -39,11 +42,11 @@ func TestShardCountRoundsUp(t *testing.T) {
 // to exactly maxCost, so the aggregate can never exceed it.
 func TestShardedGlobalBudget(t *testing.T) {
 	const budget = 1000
-	c := NewSharded[int, int](budget, 8, func(int) int64 { return 7 })
+	c := NewShardedHash[int, int](budget, 8, func(int) int64 { return 7 }, nil)
 	for i := 0; i < 4096; i++ {
-		c.Add(i, i)
+		put(c, i, i)
 	}
-	if got := c.Cost(); got > budget {
+	if got := c.Stats().Cost; got > budget {
 		t.Fatalf("total cost %d exceeds global budget %d", got, budget)
 	}
 	// Per-shard budgets partition the global one exactly.
@@ -67,7 +70,7 @@ func TestShardedGlobalBudget(t *testing.T) {
 // shard, and each key's loader runs exactly once while every caller
 // observes its value.
 func TestShardedSingleflightStampede(t *testing.T) {
-	c := NewSharded[int, int](1<<20, 8, nil)
+	c := NewShardedHash[int, int](1<<20, 8, nil, nil)
 	const keys = 32 // ~4 keys per shard
 	const stampede = 32
 	var loads [keys]atomic.Int64
@@ -110,33 +113,39 @@ func TestShardedSingleflightStampede(t *testing.T) {
 	}
 }
 
-// TestShardStatsAggregation: Stats() must equal the field-wise sum of
-// ShardStats(), and traffic must actually spread over multiple shards.
-func TestShardStatsAggregation(t *testing.T) {
-	c := NewSharded[int, int](256, 8, nil)
+// TestStatsSumsOverShards: Stats() must be the field-wise sum over the
+// shards — checked against the known request mix — and traffic must
+// actually spread over multiple shards.
+func TestStatsSumsOverShards(t *testing.T) {
+	c := NewShardedHash[int, int](256, 8, nil, nil)
 	for i := 0; i < 128; i++ {
-		c.Add(i, i)
+		put(c, i, i) // 128 misses, 128 loads
 	}
 	for i := 0; i < 256; i++ {
-		c.Get(i % 160) // mix of hits and misses
-	}
-	for i := 0; i < 16; i++ {
-		c.GetOrLoad(context.Background(), 1000+i, func(context.Context) (int, error) { return i, nil })
-	}
-	per := c.ShardStats()
-	var sum Stats
-	for _, s := range per {
-		sum.add(s)
+		lookup(c, i%160) // resident keys hit; 160 > 128 keys also miss and load (unretained)
 	}
 	got := c.Stats()
-	if got != sum {
-		t.Fatalf("Stats() = %+v, sum of ShardStats() = %+v", got, sum)
-	}
+	var want Stats
 	touched := 0
-	for _, s := range per {
-		if s.Hits+s.Misses > 0 {
+	for i := range c.shards {
+		s := &c.shards[i]
+		want.Hits += s.hits.Load()
+		want.Misses += s.misses.Load()
+		want.Loads += s.loads.Load()
+		want.Evictions += s.evictions.Load()
+		want.Len += len(s.entries)
+		for _, el := range s.entries {
+			want.Cost += el.Value.(*entry[int, int]).cost
+		}
+		if s.hits.Load()+s.misses.Load() > 0 {
 			touched++
 		}
+	}
+	if got != want {
+		t.Fatalf("Stats() = %+v, sum over shards = %+v", got, want)
+	}
+	if got.Hits+got.Misses != 128+256 || got.Loads != got.Misses {
+		t.Fatalf("Stats() = %+v does not account for 384 lookups with one load per miss", got)
 	}
 	if touched < 2 {
 		t.Fatalf("traffic landed on %d shard(s); the hash is not spreading keys", touched)
@@ -146,7 +155,7 @@ func TestShardStatsAggregation(t *testing.T) {
 // TestGetOrLoadReportsResidency pins the hit flag: miss on the load, hit
 // once resident, miss again for a coalesced waiter.
 func TestGetOrLoadReportsResidency(t *testing.T) {
-	c := New[string, int](8, nil)
+	c := newLRU[string, int](8, nil)
 	if _, hit, _ := c.GetOrLoad(context.Background(), "k", func(context.Context) (int, error) { return 1, nil }); hit {
 		t.Fatal("first GetOrLoad reported hit")
 	}
@@ -182,11 +191,11 @@ func TestGetOrLoadReportsResidency(t *testing.T) {
 }
 
 // TestShardedConcurrentChurn hammers a sharded cache from many goroutines
-// under -race: mixed Add/Get/GetOrLoad/Remove over a key space larger than
+// under -race: mixed insert/lookup/GetOrLoad/RemoveIf over a key space larger than
 // the budget, asserting the global budget at the end.
 func TestShardedConcurrentChurn(t *testing.T) {
 	const budget = 64
-	c := NewSharded[int, int](budget, 0, nil) // default shard count
+	c := NewShardedHash[int, int](budget, 0, nil, nil) // default shard count
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -196,19 +205,19 @@ func TestShardedConcurrentChurn(t *testing.T) {
 				k := (g*31 + i) % 256
 				switch i % 4 {
 				case 0:
-					c.Add(k, k)
+					put(c, k, k)
 				case 1:
-					c.Get(k)
+					lookup(c, k)
 				case 2:
 					c.GetOrLoad(context.Background(), k, func(context.Context) (int, error) { return k, nil })
 				default:
-					c.Remove(k)
+					c.RemoveIf(func(key int) bool { return key == k })
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if got := c.Cost(); got > budget {
+	if got := c.Stats().Cost; got > budget {
 		t.Fatalf("cost %d exceeds budget %d after churn", got, budget)
 	}
 }

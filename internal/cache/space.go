@@ -51,29 +51,10 @@ func In[K comparable, V any](c *Cache[Keyed[K], V], name string) Space[K, V] {
 	return Space[K, V]{c: c, name: name}
 }
 
-// Name returns the namespace this view is scoped to.
-func (s Space[K, V]) Name() string { return s.name }
-
-// Get returns the cached value for key within the space.
-func (s Space[K, V]) Get(key K) (V, bool) {
-	return s.c.Get(Keyed[K]{Space: s.name, Key: key})
-}
-
 // Contains reports whether key is resident within the space without
 // touching the recency order or the hit/miss counters.
 func (s Space[K, V]) Contains(key K) bool {
 	return s.c.Contains(Keyed[K]{Space: s.name, Key: key})
-}
-
-// Add inserts or replaces the value for key within the space, evicting the
-// globally least-recently-used entries (any space) to fit the shared budget.
-func (s Space[K, V]) Add(key K, val V) {
-	s.c.Add(Keyed[K]{Space: s.name, Key: key}, val)
-}
-
-// Remove drops key from the space, reporting whether it was resident.
-func (s Space[K, V]) Remove(key K) bool {
-	return s.c.Remove(Keyed[K]{Space: s.name, Key: key})
 }
 
 // GetOrLoad is Cache.GetOrLoad scoped to the space: singleflight is per
@@ -84,19 +65,13 @@ func (s Space[K, V]) GetOrLoad(ctx context.Context, key K, load func(context.Con
 	return s.c.GetOrLoad(ctx, Keyed[K]{Space: s.name, Key: key}, load)
 }
 
-// Purge drops every resident entry in the space and returns the count. In-
-// flight loads keyed to the space are not interrupted; their results land
-// after the purge and age out through the shared LRU. Callers that must
-// keep stale results unreachable should retire the space name itself (open
-// the tenant under a fresh generation suffix) rather than rely on Purge
-// racing the loads.
-func (s Space[K, V]) Purge() int {
-	return s.c.RemoveIf(func(k Keyed[K]) bool { return k.Space == s.name })
-}
-
 // RemoveIf drops every resident entry whose key matches pred, returning the
-// number removed. It scans shard by shard, holding each shard's lock for
-// its slice of the scan: pred must be fast and must not touch the cache.
+// number removed — how a whole namespace is purged. It scans shard by shard,
+// holding each shard's lock for its slice of the scan: pred must be fast and
+// must not touch the cache. In-flight loads are not interrupted; their
+// results land after the scan and age out through the LRU, so callers that
+// must keep stale results unreachable retire the space name itself (a fresh
+// generation suffix) rather than rely on RemoveIf racing the loads.
 func (c *Cache[K, V]) RemoveIf(pred func(K) bool) int {
 	removed := 0
 	for i := range c.shards {

@@ -12,31 +12,31 @@ import (
 // cost budget and a single recency order — filling one space evicts the
 // globally least-recent entries regardless of which space owns them.
 func TestSpacesShareOneBudget(t *testing.T) {
-	c := New[Keyed[int], string](4, nil) // cost 1 each: 4 entries total
+	c := newLRU[Keyed[int], string](4, nil) // cost 1 each: 4 entries total
 	a, b := In[int, string](c, "a"), In[int, string](c, "b")
 
-	a.Add(1, "a1")
-	a.Add(2, "a2")
-	b.Add(1, "b1")
-	b.Add(2, "b2")
-	if c.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", c.Len())
+	put(a, 1, "a1")
+	put(a, 2, "a2")
+	put(b, 1, "b1")
+	put(b, 2, "b2")
+	if n := c.Stats().Len; n != 4 {
+		t.Fatalf("Len = %d, want 4", n)
 	}
 	// Touch a1 so it is most recent; the next insert must evict a2 — the
 	// globally least-recent — not anything of b's.
-	if v, ok := a.Get(1); !ok || v != "a1" {
-		t.Fatalf("a.Get(1) = %q, %v", v, ok)
+	if v, ok := lookup(a, 1); !ok || v != "a1" {
+		t.Fatalf("a[1] = %q, %v", v, ok)
 	}
-	b.Add(3, "b3")
-	if _, ok := a.Get(2); ok {
+	put(b, 3, "b3")
+	if a.Contains(2) {
 		t.Fatal("a2 should have been evicted as globally least-recent")
 	}
 	for key, want := range map[int]string{1: "b1", 2: "b2", 3: "b3"} {
-		if v, ok := b.Get(key); !ok || v != want {
-			t.Fatalf("b.Get(%d) = %q, %v; want %q resident", key, v, ok, want)
+		if v, ok := lookup(b, key); !ok || v != want {
+			t.Fatalf("b[%d] = %q, %v; want %q resident", key, v, ok, want)
 		}
 	}
-	if v, ok := a.Get(1); !ok || v != "a1" {
+	if v, ok := lookup(a, 1); !ok || v != "a1" {
 		t.Fatalf("a1 lost: %q, %v", v, ok)
 	}
 }
@@ -44,23 +44,23 @@ func TestSpacesShareOneBudget(t *testing.T) {
 // TestSpaceKeysAreDistinct: the same inner key in two spaces is two
 // entries; removing one leaves the other.
 func TestSpaceKeysAreDistinct(t *testing.T) {
-	c := New[Keyed[int], string](10, nil)
+	c := newLRU[Keyed[int], string](10, nil)
 	a, b := In[int, string](c, "a"), In[int, string](c, "b")
-	a.Add(7, "from-a")
-	b.Add(7, "from-b")
-	if v, _ := a.Get(7); v != "from-a" {
+	put(a, 7, "from-a")
+	put(b, 7, "from-b")
+	if v, _ := lookup(a, 7); v != "from-a" {
 		t.Fatalf("a[7] = %q", v)
 	}
-	if v, _ := b.Get(7); v != "from-b" {
+	if v, _ := lookup(b, 7); v != "from-b" {
 		t.Fatalf("b[7] = %q", v)
 	}
-	if !a.Remove(7) {
-		t.Fatal("a.Remove(7) reported not resident")
+	if n := c.RemoveIf(func(k Keyed[int]) bool { return k == Keyed[int]{Space: "a", Key: 7} }); n != 1 {
+		t.Fatalf("removing a[7] dropped %d entries, want 1", n)
 	}
-	if _, ok := a.Get(7); ok {
-		t.Fatal("a[7] survived Remove")
+	if a.Contains(7) {
+		t.Fatal("a[7] survived removal")
 	}
-	if v, ok := b.Get(7); !ok || v != "from-b" {
+	if v, ok := lookup(b, 7); !ok || v != "from-b" {
 		t.Fatal("removing a[7] disturbed b[7]")
 	}
 }
@@ -74,7 +74,7 @@ func TestConcurrentGetOrLoadAcrossSpaces(t *testing.T) {
 	const keys = 8
 	// Budget holds all entries of both spaces, so every key loads exactly
 	// once; eviction pressure is exercised separately below.
-	c := New[Keyed[int], string](2*keys, nil)
+	c := newLRU[Keyed[int], string](2*keys, nil)
 	spaces := []Space[int, string]{In[int, string](c, "a"), In[int, string](c, "b")}
 
 	var loadsPer [2 * keys]atomic.Int64
@@ -89,7 +89,7 @@ func TestConcurrentGetOrLoadAcrossSpaces(t *testing.T) {
 				si := (g + i) % 2
 				key := (g * 7 % keys) ^ (i%keys)%keys
 				s := spaces[si]
-				want := fmt.Sprintf("%s-%d", s.Name(), key)
+				want := fmt.Sprintf("%s-%d", s.name, key)
 				got, _, err := s.GetOrLoad(context.Background(), key, func(context.Context) (string, error) {
 					loadsPer[si*keys+key].Add(1)
 					return want, nil
@@ -99,7 +99,7 @@ func TestConcurrentGetOrLoadAcrossSpaces(t *testing.T) {
 					return
 				}
 				if got != want {
-					t.Errorf("space %s key %d: got %q, want %q — value crossed namespaces", s.Name(), key, got, want)
+					t.Errorf("space %s key %d: got %q, want %q — value crossed namespaces", s.name, key, got, want)
 					return
 				}
 			}
@@ -113,7 +113,7 @@ func TestConcurrentGetOrLoadAcrossSpaces(t *testing.T) {
 			t.Errorf("(space %d, key %d) loaded %d times, want at most 1 (singleflight per (space,key))", i/keys, i%keys, n)
 		}
 	}
-	if got := c.Cost(); got > 2*keys {
+	if got := c.Stats().Cost; got > 2*keys {
 		t.Fatalf("cost %d exceeds shared budget %d", got, 2*keys)
 	}
 }
@@ -123,7 +123,7 @@ func TestConcurrentGetOrLoadAcrossSpaces(t *testing.T) {
 // cache and every read must still return its own space's value.
 func TestConcurrentSpacesUnderEviction(t *testing.T) {
 	const budget = 4
-	c := New[Keyed[int], string](budget, nil)
+	c := newLRU[Keyed[int], string](budget, nil)
 	spaces := []Space[int, string]{In[int, string](c, "a"), In[int, string](c, "b")}
 
 	var wg sync.WaitGroup
@@ -134,47 +134,49 @@ func TestConcurrentSpacesUnderEviction(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				s := spaces[(g+i)%2]
 				key := i % 16
-				want := fmt.Sprintf("%s-%d", s.Name(), key)
+				want := fmt.Sprintf("%s-%d", s.name, key)
 				got, _, err := s.GetOrLoad(context.Background(), key, func(context.Context) (string, error) {
 					return want, nil
 				})
 				if err != nil || got != want {
-					t.Errorf("space %s key %d: got %q, %v; want %q", s.Name(), key, got, err, want)
+					t.Errorf("space %s key %d: got %q, %v; want %q", s.name, key, got, err, want)
 					return
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if got := c.Cost(); got > budget {
+	if got := c.Stats().Cost; got > budget {
 		t.Fatalf("cost %d exceeds budget %d", got, budget)
 	}
 }
 
-// TestSpacePurge: Purge empties exactly one namespace and reports the
-// count; the shared budget is released for the survivors.
+// TestSpacePurge: a RemoveIf over one namespace — how the catalog purges a
+// removed archive — empties exactly that namespace and reports the count;
+// the shared budget is released for the survivors.
 func TestSpacePurge(t *testing.T) {
-	c := New[Keyed[int], string](8, nil)
+	c := newLRU[Keyed[int], string](8, nil)
 	a, b := In[int, string](c, "a"), In[int, string](c, "b")
 	for i := 0; i < 4; i++ {
-		a.Add(i, "a")
-		b.Add(i, "b")
+		put(a, i, "a")
+		put(b, i, "b")
 	}
-	if n := a.Purge(); n != 4 {
-		t.Fatalf("Purge removed %d, want 4", n)
+	purgeA := func() int { return c.RemoveIf(func(k Keyed[int]) bool { return k.Space == "a" }) }
+	if n := purgeA(); n != 4 {
+		t.Fatalf("purge removed %d, want 4", n)
 	}
-	if c.Len() != 4 {
-		t.Fatalf("Len after purge = %d, want 4", c.Len())
+	if s := c.Stats(); s.Len != 4 || s.Cost != 4 {
+		t.Fatalf("after purge: len %d cost %d, want 4/4", s.Len, s.Cost)
 	}
 	for i := 0; i < 4; i++ {
-		if _, ok := a.Get(i); ok {
-			t.Fatalf("a[%d] survived Purge", i)
+		if a.Contains(i) {
+			t.Fatalf("a[%d] survived the purge", i)
 		}
-		if _, ok := b.Get(i); !ok {
-			t.Fatalf("b[%d] lost to a's Purge", i)
+		if !b.Contains(i) {
+			t.Fatalf("b[%d] lost to a's purge", i)
 		}
 	}
-	if n := a.Purge(); n != 0 {
-		t.Fatalf("second Purge removed %d, want 0", n)
+	if n := purgeA(); n != 0 {
+		t.Fatalf("second purge removed %d, want 0", n)
 	}
 }

@@ -6,11 +6,10 @@
 // same reads against the same seed sees the identical fault sequence.
 //
 // The decorator composes with any backend: Wrap takes the full Backend
-// surface (ReadAt/WriteAt/Size/Close — structurally identical to
-// store.Backend, declared locally so this package stays dependency-free)
-// and returns a Reader that is itself a Backend, faulting reads while
-// passing writes, size queries and lifecycle through untouched. New is the
-// narrower form for wrapping a bare io.ReaderAt.
+// surface (ReadAt/WriteAt/Close — structurally identical to store.Backend,
+// declared locally so this package stays dependency-free) and returns a
+// Reader that is itself a Backend, faulting reads while passing writes and
+// lifecycle through untouched.
 //
 // Fault decisions are drawn from a splitmix64 hash of (seed, offset,
 // length[, attempt]):
@@ -56,7 +55,6 @@ var ErrInjected = errors.New("injected I/O fault")
 type Backend interface {
 	io.ReaderAt
 	io.WriterAt
-	Size() (int64, error)
 	Close() error
 }
 
@@ -161,15 +159,13 @@ type Stats struct {
 	Transient, Short, Corrupt int64
 }
 
-// Reader wraps a storage backend (or bare io.ReaderAt) with deterministic
-// fault injection. It is safe for concurrent use and is itself a Backend:
-// reads are faulted, while writes, Size and Close pass through unfaulted
-// (so scrub repairs reach the backing store and lifecycle stays with the
-// decorated backend).
+// Reader wraps a storage backend with deterministic fault injection. It is
+// safe for concurrent use and is itself a Backend: reads are faulted, while
+// writes and Close pass through unfaulted (so scrub repairs reach the
+// backing store and lifecycle stays with the decorated backend).
 type Reader struct {
-	r       io.ReaderAt
-	backend Backend // nil when wrapping a bare io.ReaderAt via New
-	prof    Profile
+	b    Backend
+	prof Profile
 
 	mu       sync.Mutex
 	attempts map[[2]int64]uint64
@@ -181,21 +177,12 @@ type Reader struct {
 	corrupt   atomic.Int64
 }
 
-// New wraps a bare io.ReaderAt with fault injection under prof. The result
-// still exposes the full Backend surface, degraded where the underlying
-// reader cannot support it: Size errors unless r implements
-// Size() (int64, error), and Close closes r only if it is an io.Closer.
-// Prefer Wrap when a full Backend is available.
-func New(r io.ReaderAt, prof Profile) *Reader {
-	return &Reader{r: r, prof: prof, attempts: map[[2]int64]uint64{}}
-}
-
 // Wrap decorates a full storage backend with fault injection under prof.
 // The returned Reader satisfies Backend (and, structurally, store.Backend),
 // so a faulted file, memory region or snapshot drops into any place a clean
 // backend goes — an archive open, a serving catalog entry, a scrub pass.
 func Wrap(b Backend, prof Profile) *Reader {
-	return &Reader{r: b, backend: b, prof: prof, attempts: map[[2]int64]uint64{}}
+	return &Reader{b: b, prof: prof, attempts: map[[2]int64]uint64{}}
 }
 
 // splitmix64 is the standard splitmix64 finalizer: a bijective avalanche
@@ -245,13 +232,13 @@ func (f *Reader) ReadAt(p []byte, off int64) (int, error) {
 	}
 	if u, _ := f.draw(off, len(p), 2, attempt); u < f.prof.ShortRate && len(p) > 1 {
 		f.record(&f.short, Fault{Class: "short", Off: off, Len: len(p), Attempt: attempt})
-		n, err := f.r.ReadAt(p[:len(p)/2], off)
+		n, err := f.b.ReadAt(p[:len(p)/2], off)
 		if err != nil {
 			return n, err
 		}
 		return n, fmt.Errorf("faultio: short read %d of %d at %d: %w", n, len(p), off, ErrInjected)
 	}
-	n, err := f.r.ReadAt(p, off)
+	n, err := f.b.ReadAt(p, off)
 	if err != nil || n == 0 {
 		return n, err
 	}
@@ -263,40 +250,13 @@ func (f *Reader) ReadAt(p []byte, off int64) (int, error) {
 	return n, err
 }
 
-// WriteAt passes writes through to the underlying backend or writer
-// (repairs are never faulted), and reports an error when the underlying
-// reader cannot accept writes.
-func (f *Reader) WriteAt(p []byte, off int64) (int, error) {
-	if w, ok := f.r.(io.WriterAt); ok {
-		return w.WriteAt(p, off)
-	}
-	return 0, fmt.Errorf("faultio: underlying %T is not an io.WriterAt", f.r)
-}
+// WriteAt passes writes through to the decorated backend: repairs are
+// never faulted.
+func (f *Reader) WriteAt(p []byte, off int64) (int, error) { return f.b.WriteAt(p, off) }
 
-// Size passes through to the decorated backend — container length is a
-// control-plane query, never faulted. A Reader over a bare io.ReaderAt
-// reports Size only if the reader happens to implement it.
-func (f *Reader) Size() (int64, error) {
-	if f.backend != nil {
-		return f.backend.Size()
-	}
-	if s, ok := f.r.(interface{ Size() (int64, error) }); ok {
-		return s.Size()
-	}
-	return 0, fmt.Errorf("faultio: underlying %T does not report its size", f.r)
-}
-
-// Close closes the decorated backend (or the underlying io.Closer, if any).
-// Lifecycle is pass-through: closing the decorator closes the medium.
-func (f *Reader) Close() error {
-	if f.backend != nil {
-		return f.backend.Close()
-	}
-	if c, ok := f.r.(io.Closer); ok {
-		return c.Close()
-	}
-	return nil
-}
+// Close closes the decorated backend. Lifecycle is pass-through: closing
+// the decorator closes the medium.
+func (f *Reader) Close() error { return f.b.Close() }
 
 // Stats returns the current fault counters.
 func (f *Reader) Stats() Stats {

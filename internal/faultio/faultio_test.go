@@ -20,7 +20,7 @@ func backing(n int) []byte {
 // fault log alongside the observed per-read outcomes.
 func replay(t *testing.T, prof Profile, data []byte) ([]Fault, []string) {
 	t.Helper()
-	f := New(bytes.NewReader(data), prof)
+	f := Wrap(&memFile{data: data}, prof)
 	var outcomes []string
 	for round := 0; round < 50; round++ {
 		for off := int64(0); off+64 <= int64(len(data)); off += 64 {
@@ -87,7 +87,7 @@ func TestDeterministicFaultSequence(t *testing.T) {
 // bit on every read, and a clean range stays clean.
 func TestCorruptionIsPersistent(t *testing.T) {
 	data := backing(8192)
-	f := New(bytes.NewReader(data), Profile{Seed: 3, CorruptRate: 0.3})
+	f := Wrap(&memFile{data: data}, Profile{Seed: 3, CorruptRate: 0.3})
 
 	var corruptOff, cleanOff = int64(-1), int64(-1)
 	first := map[int64][]byte{}
@@ -139,7 +139,7 @@ func TestCorruptionIsPersistent(t *testing.T) {
 // per attempt.
 func TestTransientFaultsClearOnRetry(t *testing.T) {
 	data := backing(1024)
-	f := New(bytes.NewReader(data), Profile{Seed: 11, TransientRate: 0.5})
+	f := Wrap(&memFile{data: data}, Profile{Seed: 11, TransientRate: 0.5})
 	buf := make([]byte, 256)
 	sawFault := false
 	for off := int64(0); off+256 <= int64(len(data)); off += 256 {
@@ -167,7 +167,7 @@ func TestTransientFaultsClearOnRetry(t *testing.T) {
 // honoring the io.ReaderAt error contract.
 func TestShortReadContract(t *testing.T) {
 	data := backing(4096)
-	f := New(bytes.NewReader(data), Profile{Seed: 5, ShortRate: 1})
+	f := Wrap(&memFile{data: data}, Profile{Seed: 5, ShortRate: 1})
 	buf := make([]byte, 64)
 	n, err := f.ReadAt(buf, 0)
 	if !errors.Is(err, ErrInjected) {
@@ -187,7 +187,7 @@ func TestShortReadContract(t *testing.T) {
 // TestZeroProfilePassesThrough: the zero profile is a transparent wrapper.
 func TestZeroProfilePassesThrough(t *testing.T) {
 	data := backing(2048)
-	f := New(bytes.NewReader(data), Profile{})
+	f := Wrap(&memFile{data: data}, Profile{})
 	buf := make([]byte, len(data))
 	if _, err := f.ReadAt(buf, 0); err != nil {
 		t.Fatal(err)
@@ -222,34 +222,30 @@ func TestParseProfile(t *testing.T) {
 	}
 }
 
-// TestWriteAtPassthrough: writes reach the backing store unfaulted when it
-// supports io.WriterAt, and error otherwise.
+// TestWriteAtPassthrough: writes reach the backing store unfaulted, and its
+// write errors come back as they are.
 func TestWriteAtPassthrough(t *testing.T) {
 	mem := &memFile{data: backing(128)}
-	f := New(mem, Profile{Seed: 1, CorruptRate: 1})
+	f := Wrap(mem, Profile{Seed: 1, CorruptRate: 1})
 	if _, err := f.WriteAt([]byte{1, 2, 3}, 5); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(mem.data[5:8], []byte{1, 2, 3}) {
 		t.Fatal("write did not reach the backing store")
 	}
-	ro := New(bytes.NewReader(nil), Profile{})
-	if _, err := ro.WriteAt([]byte{1}, 0); err == nil {
-		t.Fatal("WriteAt on a read-only backing must fail")
+	if _, err := f.WriteAt([]byte{1}, 128); !errors.Is(err, io.ErrShortWrite) {
+		t.Fatalf("a write the backing store refuses reported %v, want its own error", err)
 	}
 }
 
 // TestWrapIsABackendDecorator: Wrap composes over a full backend — reads
-// are faulted while Size and Close pass straight through, and the decorated
-// Reader satisfies Backend itself so decorators stack.
+// are faulted while writes and Close pass straight through, and the
+// decorated Reader satisfies Backend itself so decorators stack.
 func TestWrapIsABackendDecorator(t *testing.T) {
 	mem := &memFile{data: backing(4096)}
 	f := Wrap(mem, Profile{Seed: 3, CorruptRate: 0.3})
 	var _ Backend = f
 
-	if sz, err := f.Size(); err != nil || sz != 4096 {
-		t.Fatalf("Size = %d, %v; want 4096", sz, err)
-	}
 	sawCorrupt := false
 	for off := int64(0); off+128 <= 4096; off += 128 {
 		buf := make([]byte, 128)
@@ -277,31 +273,22 @@ func TestWrapIsABackendDecorator(t *testing.T) {
 	}
 
 	// Decorators stack: a Reader over a Reader is still a Backend.
-	stacked := Wrap(Wrap(&memFile{data: backing(64)}, Profile{}), Profile{})
-	if sz, err := stacked.Size(); err != nil || sz != 64 {
-		t.Fatalf("stacked Size = %d, %v; want 64", sz, err)
+	inner := &memFile{data: backing(64)}
+	stacked := Wrap(Wrap(inner, Profile{}), Profile{})
+	buf := make([]byte, 64)
+	if _, err := stacked.ReadAt(buf, 0); err != nil || !bytes.Equal(buf, inner.data) {
+		t.Fatalf("stacked zero-profile read differs from the backing bytes (err %v)", err)
+	}
+	if err := stacked.Close(); err != nil || !inner.closed {
+		t.Fatalf("stacked Close did not reach the medium (err %v)", err)
 	}
 }
 
-// TestNewBareReaderBackendSurface: a Reader over a bare io.ReaderAt still
-// exposes the Backend surface, degraded — Size errors, Close is a no-op.
-func TestNewBareReaderBackendSurface(t *testing.T) {
-	f := New(bytes.NewReader(backing(16)), Profile{})
-	if _, err := f.Size(); err == nil {
-		t.Fatal("Size over a bare reader must error")
-	}
-	if err := f.Close(); err != nil {
-		t.Fatalf("Close over a bare reader must be a no-op, got %v", err)
-	}
-}
-
-// memFile is a tiny in-memory backend (ReaderAt+WriterAt+Size+Close).
+// memFile is a tiny in-memory backend (ReaderAt+WriterAt+Close).
 type memFile struct {
 	data   []byte
 	closed bool
 }
-
-func (m *memFile) Size() (int64, error) { return int64(len(m.data)), nil }
 
 func (m *memFile) Close() error {
 	m.closed = true

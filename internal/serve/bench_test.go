@@ -1,21 +1,27 @@
 package serve
 
 import (
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"videoapp/internal/cache"
 )
 
-// BenchmarkServeChunk measures one GET /v1/chunks/{i} through the full
+// evictChunk drops chunk i of the (only) archive from the decoded-chunk
+// cache, forcing the next request for it down the cold path.
+func evictChunk(c *Catalog, i int) {
+	c.cache.RemoveIf(func(k cache.Keyed[int]) bool { return k.Key == i })
+}
+
+// BenchmarkServeChunk measures one GET of a chunk through the full
 // handler stack (routing, instrumentation, cache): "hot" serves from the
 // decoded-chunk cache, "cold" pays the archive read + decode + y4m render
 // on every iteration.
 func BenchmarkServeChunk(b *testing.B) {
-	a := buildArchive(b, 2)
-	s := New(a)
-	req := httptest.NewRequest(http.MethodGet, "/v1/chunks/0", nil)
+	s := serveBytes(b, buildArchiveBytes(b, 2))
+	req := httptest.NewRequest(http.MethodGet, chunkPath(0), nil)
 
 	run := func(b *testing.B, evict bool) {
 		b.ReportAllocs()
@@ -30,7 +36,7 @@ func BenchmarkServeChunk(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if evict {
 				b.StopTimer()
-				s.cat.evictCached(DefaultArchiveName, 0)
+				evictChunk(s, 0)
 				b.StartTimer()
 			}
 			rec := httptest.NewRecorder()
@@ -70,22 +76,20 @@ func BenchmarkServeSequentialCold(b *testing.B) {
 	const chunks = 8
 	const think = 2 * time.Millisecond
 	run := func(b *testing.B, options ...Option) {
-		a := buildArchive(b, chunks)
-		s := New(a, options...)
-		defer s.Catalog().Close()
+		s := serveBytes(b, buildArchiveBytes(b, chunks), options...)
 		h := s.Handler()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for n := 0; n < b.N; n++ {
 			b.StopTimer()
-			drainPrefetch(s.cat)
+			drainPrefetch(s)
 			for i := 0; i < chunks; i++ {
-				s.cat.evictCached(DefaultArchiveName, i)
+				evictChunk(s, i)
 			}
 			b.StartTimer()
 			for i := 0; i < chunks; i++ {
 				rec := httptest.NewRecorder()
-				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/chunks/%d", i), nil))
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, chunkPath(i), nil))
 				if rec.Code != http.StatusOK {
 					b.Fatalf("chunk %d: status %d", i, rec.Code)
 				}
@@ -102,7 +106,7 @@ func BenchmarkServeSequentialCold(b *testing.B) {
 // BenchmarkArchiveReadChunk measures the raw lock-free archive read that
 // the server sits on, without decode or HTTP.
 func BenchmarkArchiveReadChunk(b *testing.B) {
-	a := buildArchive(b, 2)
+	a := openBytes(b, buildArchiveBytes(b, 2))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := a.ReadChunk(i % a.NumChunks()); err != nil {
@@ -114,10 +118,9 @@ func BenchmarkArchiveReadChunk(b *testing.B) {
 // BenchmarkServeChunkParallel drives the hot path from parallel clients,
 // the shape of the serving workload the read path is built for.
 func BenchmarkServeChunkParallel(b *testing.B) {
-	a := buildArchive(b, 2)
-	s := New(a)
+	s := serveBytes(b, buildArchiveBytes(b, 2))
 	warm := httptest.NewRecorder()
-	s.Handler().ServeHTTP(warm, httptest.NewRequest(http.MethodGet, "/v1/chunks/0", nil))
+	s.Handler().ServeHTTP(warm, httptest.NewRequest(http.MethodGet, chunkPath(0), nil))
 	if warm.Code != http.StatusOK {
 		b.Fatalf("warm-up status %d", warm.Code)
 	}
@@ -125,7 +128,7 @@ func BenchmarkServeChunkParallel(b *testing.B) {
 	b.SetBytes(int64(warm.Body.Len()))
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		req := httptest.NewRequest(http.MethodGet, "/v1/chunks/0", nil)
+		req := httptest.NewRequest(http.MethodGet, chunkPath(0), nil)
 		for pb.Next() {
 			rec := httptest.NewRecorder()
 			s.Handler().ServeHTTP(rec, req)
@@ -134,7 +137,7 @@ func BenchmarkServeChunkParallel(b *testing.B) {
 			}
 		}
 	})
-	if fmt.Sprint(s.CacheStats().Loads) == "0" {
+	if s.CacheStats().Loads == 0 {
 		b.Fatal("no loads recorded")
 	}
 }

@@ -22,11 +22,6 @@ import (
 	"videoapp/internal/y4m"
 )
 
-// DefaultArchiveName is the tenant name a single-archive Server attaches
-// its archive under, and the name the legacy /v1/... routes alias when a
-// catalog was not told otherwise.
-const DefaultArchiveName = "default"
-
 // ArchiveSpec declares one catalog tenant: a name routable under
 // /v1/archives/{name}/... and a way to open its storage. The backend is
 // opened lazily on the first request and may be closed again after
@@ -49,10 +44,11 @@ type ArchiveSpec struct {
 }
 
 // Catalog serves N named archives to many concurrent clients: the
-// multi-tenant storage node. Construct with NewCatalog; all methods are
-// safe for concurrent use. Tenants share one decoded-chunk cache (global
-// budget, global LRU) and one metrics aggregator; each tenant has its own
-// circuit breaker, fault policy, and labeled counters.
+// multi-tenant storage node, and with a single spec the single-archive
+// server. Construct with NewCatalog; all methods are safe for concurrent
+// use. Tenants share one decoded-chunk cache (global budget, global LRU) and
+// one metrics aggregator; each tenant has its own circuit breaker, fault
+// policy, and labeled counters.
 type Catalog struct {
 	opts      Options
 	policySet bool
@@ -63,9 +59,8 @@ type Catalog struct {
 	inFlight  atomic.Int64
 	mux       *http.ServeMux
 
-	mu          sync.Mutex // lock-order: 0 — catalog membership (outer); never acquired while any tenant lock is held (the PR-7 ABBA deadlock)
-	tenants     map[string]*tenant
-	defaultName string
+	mu      sync.Mutex // lock-order: 0 — catalog membership (outer); never acquired while any tenant lock is held (the PR-7 ABBA deadlock)
+	tenants map[string]*tenant
 
 	open    atomic.Int64  // archives currently open, mirrored to the gauge
 	gaugeMu sync.Mutex    // lock-order: 2 — leaf: keeps open-gauge publishes in delta order; safe to take under t.mu (openDelta from tenant close paths)
@@ -100,10 +95,9 @@ type tenant struct {
 
 	mu      sync.Mutex // lock-order: 1 — tenant state (inner); Catalog.mu (rank 0) must never be acquired while this is held
 	archive *store.ChunkArchive
-	backend store.Backend // nil for static tenants: the caller owns their archive
-	gen     uint64        // catalog-global generation of the current open; names the cache space
-	static  bool          // attached pre-opened, never idle-closed
-	retired bool          // Removed from the catalog; the last release closes
+	backend store.Backend
+	gen     uint64 // catalog-global generation of the current open; names the cache space
+	retired bool   // Removed from the catalog; the last release closes
 
 	refs    atomic.Int64 // requests currently inside this tenant
 	lastUse atomic.Int64 // unix nanos of the last acquire/release
@@ -122,23 +116,11 @@ func (t *tenant) space() string {
 	return t.name + "#" + strconv.FormatUint(t.gen, 10)
 }
 
-// NewCatalog returns a catalog over the given archive specs. The first
-// spec is the default archive — the one the legacy /v1/archive and
-// /v1/chunks/... routes alias. Names must be unique, non-empty, and
-// contain no '/'. An empty spec list is allowed; archives can be added
-// (and removed) later, which is how the CLI's SIGHUP rescan works.
+// NewCatalog returns a catalog over the given archive specs, its routes
+// mounted. Names must be unique, non-empty, and contain no '/' or '#'. An
+// empty spec list is allowed; archives can be added (and removed) later,
+// which is how the CLI's SIGHUP rescan works.
 func NewCatalog(specs []ArchiveSpec, options ...Option) (*Catalog, error) {
-	c := newCatalog(options)
-	for _, spec := range specs {
-		if err := c.Add(spec); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
-}
-
-// newCatalog builds an empty catalog with its routes mounted.
-func newCatalog(options []Option) *Catalog {
 	var cfg config
 	for _, o := range options {
 		o(&cfg)
@@ -159,17 +141,19 @@ func newCatalog(options []Option) *Catalog {
 	c.mux.HandleFunc("GET /healthz", c.route("healthz", c.handleHealthz))
 	c.mux.HandleFunc("GET /metrics", c.route("metrics", c.handleMetrics))
 	c.mux.HandleFunc("GET /v1/archives", c.route("archives", c.handleArchives))
-	c.mux.HandleFunc("GET /v1/archives/{name}", c.route("archive", c.named(c.handleArchive)))
-	c.mux.HandleFunc("GET /v1/archives/{name}/chunks/{index}", c.route("chunk", c.named(c.handleChunk)))
-	c.mux.HandleFunc("GET /v1/archives/{name}/chunks/{index}/meta", c.route("chunk_meta", c.named(c.handleChunkMeta)))
-	// Legacy single-archive routes alias the default archive.
-	c.mux.HandleFunc("GET /v1/archive", c.route("archive", c.asDefault(c.handleArchive)))
-	c.mux.HandleFunc("GET /v1/chunks/{index}", c.route("chunk", c.asDefault(c.handleChunk)))
-	c.mux.HandleFunc("GET /v1/chunks/{index}/meta", c.route("chunk_meta", c.asDefault(c.handleChunkMeta)))
+	c.mux.HandleFunc("GET /v1/archives/{name}", c.route("archive", c.handleArchive))
+	c.mux.HandleFunc("GET /v1/archives/{name}/chunks/{index}", c.route("chunk", c.handleChunk))
+	c.mux.HandleFunc("GET /v1/archives/{name}/chunks/{index}/meta", c.route("chunk_meta", c.handleChunkMeta))
 	if opts.PrefetchDepth > 0 {
 		c.prefetch = newPrefetcher(c, opts.PrefetchDepth)
 	}
-	return c
+	for _, spec := range specs {
+		if err := c.Add(spec); err != nil {
+			c.Close()
+			return nil, err
+		}
+	}
+	return c, nil
 }
 
 // newTenant resolves a spec into a tenant with its effective policy and
@@ -192,9 +176,7 @@ func validName(name string) error {
 	return nil
 }
 
-// Add registers one more archive. When the catalog has no default (nothing
-// added yet, or every archive was Removed), the new archive becomes the
-// default for the legacy routes. Adding a name that already exists is an
+// Add registers one more archive. Adding a name that already exists is an
 // error; Remove it first to replace its spec.
 func (c *Catalog) Add(spec ArchiveSpec) error {
 	if err := validName(spec.Name); err != nil {
@@ -210,50 +192,17 @@ func (c *Catalog) Add(spec ArchiveSpec) error {
 		return fmt.Errorf("serve: archive %q already in catalog", spec.Name)
 	}
 	c.tenants[spec.Name] = t
-	if c.defaultName == "" {
-		c.defaultName = spec.Name
-	}
 	return nil
 }
 
-// attach registers a pre-opened archive as a static tenant: the caller
-// owns the archive (the catalog never closes it) and it is never
-// idle-closed. This is how New builds a single-archive Server.
-func (c *Catalog) attach(name string, a *store.ChunkArchive) {
-	t := c.newTenant(ArchiveSpec{Name: name})
-	t.archive = a
-	t.gen = c.gens.Add(1)
-	t.static = true
-	c.mu.Lock()
-	c.tenants[name] = t
-	if c.defaultName == "" {
-		c.defaultName = name
-	}
-	c.mu.Unlock()
-	c.openDelta(1)
-}
-
 // Remove drops an archive from the catalog: new requests answer 404
-// immediately, its cached chunks are purged, and the archive — if the
-// catalog opened it — closes once the last in-flight request against it
-// releases, so requests that already acquired it finish on the archive
-// they hold. When the removed archive was the legacy-route default, the
-// lexicographically smallest remaining archive takes over the default
-// slot (or, if the catalog emptied, the next Add does).
+// immediately, its cached chunks are purged, and the archive — if open —
+// closes once the last in-flight request against it releases, so requests
+// that already acquired it finish on the archive they hold.
 func (c *Catalog) Remove(name string) error {
 	c.mu.Lock()
 	t, ok := c.tenants[name]
-	if ok {
-		delete(c.tenants, name)
-		if c.defaultName == name {
-			c.defaultName = ""
-			for other := range c.tenants {
-				if c.defaultName == "" || other < c.defaultName {
-					c.defaultName = other
-				}
-			}
-		}
-	}
+	delete(c.tenants, name)
 	c.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("serve: %w: %q", ErrArchiveNotFound, name)
@@ -287,14 +236,6 @@ func (c *Catalog) Names() []string {
 	return names
 }
 
-// DefaultName returns the archive name the legacy /v1 routes alias, ""
-// when the catalog is empty.
-func (c *Catalog) DefaultName() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.defaultName
-}
-
 // openDelta adjusts the open-archive count and republishes the gauge. It
 // takes only the gauge's own lock, never c.mu, so tenant-lock holders can
 // call it without ordering against the catalog lock — the tenant paths
@@ -310,18 +251,15 @@ func (c *Catalog) openDelta(d int64) {
 // OpenArchives returns the number of archives currently held open.
 func (c *Catalog) OpenArchives() int { return int(c.open.Load()) }
 
-// closeTenantLocked closes the tenant's lazily-opened archive and backend,
-// reporting whether it closed anything (static tenants and already-closed
-// tenants are no-ops). t.mu must be held; c.mu must not be needed — see
-// openDelta.
+// closeTenantLocked closes the tenant's archive and backend, reporting
+// whether it closed anything (an already-closed tenant is a no-op). t.mu
+// must be held; c.mu must not be needed — see openDelta.
 func (c *Catalog) closeTenantLocked(t *tenant) bool {
-	if t.archive == nil || t.static {
+	if t.archive == nil {
 		return false
 	}
 	t.archive.Close()
-	if t.backend != nil {
-		t.backend.Close()
-	}
+	t.backend.Close()
 	t.archive, t.backend = nil, nil
 	c.openDelta(-1)
 	return true
@@ -392,9 +330,9 @@ func (c *Catalog) acquire(name string) (*tenant, *store.ChunkArchive, string, fu
 	return t, a, space, release, nil
 }
 
-// CloseIdle closes every lazily-opened archive that has no in-flight
-// request and has been unused for at least Options.IdleTimeout as of now,
-// returning how many it closed. Serve runs it periodically; tests may call
+// CloseIdle closes every open archive that has no in-flight request and
+// has been unused for at least Options.IdleTimeout as of now, returning how
+// many it closed. Serve runs it periodically; tests may call
 // it directly. With IdleTimeout <= 0 it is a no-op.
 func (c *Catalog) CloseIdle(now time.Time) int {
 	if c.opts.IdleTimeout <= 0 {
@@ -410,7 +348,7 @@ func (c *Catalog) CloseIdle(now time.Time) int {
 
 	closed := 0
 	for _, t := range tenants {
-		if t.static || t.refs.Load() > 0 || t.lastUse.Load() > cutoff {
+		if t.refs.Load() > 0 || t.lastUse.Load() > cutoff {
 			continue
 		}
 		t.mu.Lock()
@@ -425,8 +363,7 @@ func (c *Catalog) CloseIdle(now time.Time) int {
 	return closed
 }
 
-// Close closes every archive the catalog opened (static tenants stay
-// untouched — their owners close them) and shuts the readahead prefetcher
+// Close closes every open archive and shuts the readahead prefetcher
 // down, cancelling its in-flight loads. The catalog remains usable for
 // foreground requests — subsequent requests reopen archives lazily — but
 // prefetching does not resume.
@@ -446,21 +383,6 @@ func (c *Catalog) Close() error {
 		t.mu.Unlock()
 	}
 	return nil
-}
-
-// evictCached drops one chunk of the named archive from the shared cache —
-// a test/bench hook for forcing the cold path.
-func (c *Catalog) evictCached(name string, i int) bool {
-	c.mu.Lock()
-	t, ok := c.tenants[name]
-	c.mu.Unlock()
-	if !ok {
-		return false
-	}
-	t.mu.Lock()
-	space := t.space()
-	t.mu.Unlock()
-	return cache.In(c.cache, space).Remove(i)
 }
 
 // Handler returns the catalog's routing handler, for mounting under a
@@ -498,25 +420,6 @@ func (c *Catalog) route(name string, h func(http.ResponseWriter, *http.Request) 
 	}
 }
 
-// named adapts a tenant-scoped handler to the /v1/archives/{name}/ routes.
-func (c *Catalog) named(h func(http.ResponseWriter, *http.Request, string) error) func(http.ResponseWriter, *http.Request) error {
-	return func(w http.ResponseWriter, r *http.Request) error {
-		return h(w, r, r.PathValue("name"))
-	}
-}
-
-// asDefault adapts a tenant-scoped handler to the legacy single-archive
-// routes, aliasing the catalog's default archive.
-func (c *Catalog) asDefault(h func(http.ResponseWriter, *http.Request, string) error) func(http.ResponseWriter, *http.Request) error {
-	return func(w http.ResponseWriter, r *http.Request) error {
-		name := c.DefaultName()
-		if name == "" {
-			return fmt.Errorf("serve: %w: catalog has no default archive", ErrArchiveNotFound)
-		}
-		return h(w, r, name)
-	}
-}
-
 func (c *Catalog) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	_, err := fmt.Fprintln(w, "ok")
@@ -525,9 +428,8 @@ func (c *Catalog) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 
 // archiveEntry is one row of the GET /v1/archives listing.
 type archiveEntry struct {
-	Name    string `json:"name"`
-	Default bool   `json:"default,omitempty"`
-	Open    bool   `json:"open"`
+	Name string `json:"name"`
+	Open bool   `json:"open"`
 }
 
 func (c *Catalog) handleArchives(w http.ResponseWriter, r *http.Request) error {
@@ -536,7 +438,6 @@ func (c *Catalog) handleArchives(w http.ResponseWriter, r *http.Request) error {
 	// held across slow work (spec.Open on the lazy-open path), and nesting
 	// t.mu inside c.mu here would stall every catalog lookup behind it.
 	c.mu.Lock()
-	def := c.defaultName
 	tenants := make([]*tenant, 0, len(c.tenants))
 	for _, t := range c.tenants {
 		tenants = append(tenants, t)
@@ -547,7 +448,7 @@ func (c *Catalog) handleArchives(w http.ResponseWriter, r *http.Request) error {
 		t.mu.Lock()
 		open := t.archive != nil
 		t.mu.Unlock()
-		entries = append(entries, archiveEntry{Name: t.name, Default: t.name == def, Open: open})
+		entries = append(entries, archiveEntry{Name: t.name, Open: open})
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Name < entries[j].Name })
 	return writeJSON(w, struct {
@@ -555,8 +456,7 @@ func (c *Catalog) handleArchives(w http.ResponseWriter, r *http.Request) error {
 	}{entries})
 }
 
-// archiveIndex is the JSON shape of GET /v1/archives/{name} (and the
-// legacy /v1/archive).
+// archiveIndex is the JSON shape of GET /v1/archives/{name}.
 type archiveIndex struct {
 	Name        string            `json:"name"`
 	Meta        store.ArchiveMeta `json:"meta"`
@@ -565,7 +465,8 @@ type archiveIndex struct {
 	Index       []store.ChunkInfo `json:"index"`
 }
 
-func (c *Catalog) handleArchive(w http.ResponseWriter, r *http.Request, name string) error {
+func (c *Catalog) handleArchive(w http.ResponseWriter, r *http.Request) error {
+	name := r.PathValue("name")
 	_, a, _, release, err := c.acquire(name)
 	if err != nil {
 		return err
@@ -588,12 +489,12 @@ func (c *Catalog) handleArchive(w http.ResponseWriter, r *http.Request, name str
 	return writeJSON(w, idx)
 }
 
-func (c *Catalog) handleChunkMeta(w http.ResponseWriter, r *http.Request, name string) error {
+func (c *Catalog) handleChunkMeta(w http.ResponseWriter, r *http.Request) error {
 	i, err := chunkIndex(r)
 	if err != nil {
 		return err
 	}
-	_, a, _, release, err := c.acquire(name)
+	_, a, _, release, err := c.acquire(r.PathValue("name"))
 	if err != nil {
 		return err
 	}
@@ -612,12 +513,12 @@ func (c *Catalog) handleChunkMeta(w http.ResponseWriter, r *http.Request, name s
 // cache work; a response built from a degraded read (some approximate
 // streams zero-filled) carries the X-Videoapp-Degraded header, on cache
 // hits too.
-func (c *Catalog) handleChunk(w http.ResponseWriter, r *http.Request, name string) error {
+func (c *Catalog) handleChunk(w http.ResponseWriter, r *http.Request) error {
 	i, err := chunkIndex(r)
 	if err != nil {
 		return err
 	}
-	t, a, space, release, err := c.acquire(name)
+	t, a, space, release, err := c.acquire(r.PathValue("name"))
 	if err != nil {
 		return err
 	}
@@ -745,7 +646,8 @@ func (c *Catalog) maybePublishCacheGauges() {
 // gracefully: the listener closes, idle connections drop, and in-flight
 // requests get DrainTimeout to finish before the server gives up. While
 // serving, idle archives are closed every IdleTimeout/2 (when an idle
-// timeout is configured). It returns nil on a clean drained shutdown.
+// timeout is configured; never more often than once a millisecond). It
+// returns nil on a clean drained shutdown.
 func (c *Catalog) Serve(ctx context.Context, l net.Listener) error {
 	srv := &http.Server{
 		Handler:           c.Handler(),
@@ -756,7 +658,9 @@ func (c *Catalog) Serve(ctx context.Context, l net.Listener) error {
 		stop := make(chan struct{})
 		defer close(stop)
 		go func() {
-			tick := time.NewTicker(c.opts.IdleTimeout / 2)
+			// The floor keeps a degenerate timeout (1 ns halves to 0, which
+			// NewTicker panics on) from killing the server.
+			tick := time.NewTicker(max(c.opts.IdleTimeout/2, time.Millisecond))
 			defer tick.Stop()
 			for {
 				select {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -17,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"videoapp/internal/cache"
 	"videoapp/internal/faultio"
 	"videoapp/internal/obs"
 	"videoapp/internal/store"
@@ -288,9 +290,6 @@ func TestCatalogChaos(t *testing.T) {
 	if names := cat.Names(); !reflect.DeepEqual(names, []string{"disk", "flaky", "mem"}) {
 		t.Fatalf("Names() = %v", names)
 	}
-	if def := cat.DefaultName(); def != "disk" {
-		t.Fatalf("DefaultName() = %q, want first-added %q", def, "disk")
-	}
 }
 
 // TestCatalogIdleClose pins the idle-close lifecycle: a lazily-opened
@@ -359,8 +358,8 @@ func TestCatalogIdleClose(t *testing.T) {
 }
 
 // TestCatalogAddRemove exercises runtime membership: name validation,
-// duplicate rejection, default election, removal with cache purge, and the
-// 404 JSON contract for a removed archive.
+// duplicate rejection, the listing, removal with cache purge, and the 404
+// JSON contract for a removed archive.
 func TestCatalogAddRemove(t *testing.T) {
 	data := buildArchiveBytes(t, 2)
 	open := func() (store.Backend, error) { return store.NewMemBackend(data), nil }
@@ -389,35 +388,30 @@ func TestCatalogAddRemove(t *testing.T) {
 	if err := cat.Add(ArchiveSpec{Name: "first", Open: open}); err == nil {
 		t.Fatal("duplicate Add accepted")
 	}
-	if def := cat.DefaultName(); def != "first" {
-		t.Fatalf("DefaultName = %q, want %q", def, "first")
-	}
 
 	ts := httptest.NewServer(cat.Handler())
 	defer ts.Close()
 
-	// The legacy routes alias the default archive.
-	status, _, hdr := fetch(t, ts.Client(), ts.URL+"/v1/chunks/0")
+	status, _, hdr := fetch(t, ts.Client(), ts.URL+"/v1/archives/first/chunks/0")
 	if status != http.StatusOK || hdr.Get("X-Archive-Name") != "first" {
-		t.Fatalf("legacy route: status %d archive %q, want 200 from %q", status, hdr.Get("X-Archive-Name"), "first")
+		t.Fatalf("first archive: status %d archive %q, want 200 from %q", status, hdr.Get("X-Archive-Name"), "first")
 	}
 
-	// The listing shows both, flags the default, and tracks openness.
+	// The listing shows both, sorted, and tracks openness.
 	status, body, _ := fetch(t, ts.Client(), ts.URL+"/v1/archives")
 	if status != http.StatusOK {
 		t.Fatalf("listing: status %d", status)
 	}
 	var listing struct {
 		Archives []struct {
-			Name    string `json:"name"`
-			Default bool   `json:"default"`
-			Open    bool   `json:"open"`
+			Name string `json:"name"`
+			Open bool   `json:"open"`
 		} `json:"archives"`
 	}
 	if err := json.Unmarshal(body, &listing); err != nil {
 		t.Fatalf("listing not JSON: %v: %s", err, body)
 	}
-	if len(listing.Archives) != 2 || listing.Archives[0].Name != "first" || !listing.Archives[0].Default ||
+	if len(listing.Archives) != 2 || listing.Archives[0].Name != "first" ||
 		!listing.Archives[0].Open || listing.Archives[1].Open {
 		t.Fatalf("listing = %+v", listing)
 	}
@@ -437,7 +431,7 @@ func TestCatalogAddRemove(t *testing.T) {
 		hdr.Get("Content-Type") != "application/json" {
 		t.Fatalf("removed archive error body %q (Content-Type %q, parse %v)", body, hdr.Get("Content-Type"), err)
 	}
-	// The survivor still serves; removing the default does not reroute it.
+	// The survivor still serves.
 	status, _, _ = fetch(t, ts.Client(), ts.URL+"/v1/archives/first/chunks/0")
 	if status != http.StatusOK {
 		t.Fatalf("surviving archive: status %d", status)
@@ -495,55 +489,6 @@ func TestCatalogRemoveDefersCloseToLastRelease(t *testing.T) {
 	}
 	if got := cat.OpenArchives(); got != 0 {
 		t.Fatalf("OpenArchives = %d after deferred close, want 0", got)
-	}
-}
-
-// TestCatalogRemoveReassignsDefault pins the default-slot lifecycle:
-// removing the default archive hands the legacy routes to the smallest
-// remaining name, and once the catalog empties, the next Add re-elects.
-func TestCatalogRemoveReassignsDefault(t *testing.T) {
-	data := buildArchiveBytes(t, 1)
-	open := func() (store.Backend, error) { return store.NewMemBackend(data), nil }
-	cat, err := NewCatalog([]ArchiveSpec{
-		{Name: "b", Open: open}, // first added: the default
-		{Name: "c", Open: open},
-		{Name: "a", Open: open},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cat.Close()
-	ts := httptest.NewServer(cat.Handler())
-	defer ts.Close()
-
-	if err := cat.Remove("b"); err != nil {
-		t.Fatal(err)
-	}
-	if def := cat.DefaultName(); def != "a" {
-		t.Fatalf("DefaultName after removing default = %q, want smallest remaining %q", def, "a")
-	}
-	status, _, hdr := fetch(t, ts.Client(), ts.URL+"/v1/chunks/0")
-	if status != http.StatusOK || hdr.Get("X-Archive-Name") != "a" {
-		t.Fatalf("legacy route after default removal: status %d archive %q, want 200 from %q",
-			status, hdr.Get("X-Archive-Name"), "a")
-	}
-	for _, name := range []string{"a", "c"} {
-		if err := cat.Remove(name); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if def := cat.DefaultName(); def != "" {
-		t.Fatalf("DefaultName of empty catalog = %q, want \"\"", def)
-	}
-	if err := cat.Add(ArchiveSpec{Name: "late", Open: open}); err != nil {
-		t.Fatal(err)
-	}
-	if def := cat.DefaultName(); def != "late" {
-		t.Fatalf("Add after emptying did not re-elect a default: %q", def)
-	}
-	if status, _, hdr := fetch(t, ts.Client(), ts.URL+"/v1/chunks/0"); status != http.StatusOK ||
-		hdr.Get("X-Archive-Name") != "late" {
-		t.Fatalf("legacy route after re-election: status %d archive %q", status, hdr.Get("X-Archive-Name"))
 	}
 }
 
@@ -680,5 +625,65 @@ func TestCatalogOpenFailure(t *testing.T) {
 	}
 	if got := cat.OpenArchives(); got != 2 {
 		t.Fatalf("OpenArchives = %d, want 2", got)
+	}
+}
+
+// TestIdleSweeperSurvivesTinyTimeout is the regression for the sweeper
+// panic: a 1 ns idle timeout halves to a zero ticker interval, which used
+// to panic in the sweeper goroutine and take the server down. It must
+// serve and drain cleanly.
+func TestIdleSweeperSurvivesTinyTimeout(t *testing.T) {
+	cat := serveBytes(t, buildArchiveBytes(t, 1), WithIdleTimeout(1))
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- cat.Serve(ctx, l) }()
+
+	url := "http://" + l.Addr().String()
+	for i := 0; i < 2; i++ {
+		if status, body, _ := fetch(t, http.DefaultClient, url+chunkPath(0)); status != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, status, body)
+		}
+		// The sweeper is alive at its clamped interval: it closes the
+		// archive the request just opened, and the next request reopens it.
+		waitUntil(t, "the sweeper to close the idle archive", func() bool { return cat.OpenArchives() == 0 })
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("drain returned %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("server did not drain within 5s")
+	}
+}
+
+// TestCacheShardsZeroMeansAuto pins the documented meaning of the shard
+// option: zero (and anything below) is "auto", exactly what passing no
+// option selects, and 1 is the single shard.
+func TestCacheShardsZeroMeansAuto(t *testing.T) {
+	shards := func(options ...Option) int {
+		cat, err := NewCatalog(nil, options...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cat.Close()
+		return cat.opts.CacheShards
+	}
+	auto := shards()
+	if auto != cache.DefaultShards() {
+		t.Fatalf("no option resolves to %d shards, want cache.DefaultShards() = %d", auto, cache.DefaultShards())
+	}
+	for _, n := range []int{0, -1} {
+		if got := shards(WithCacheShards(n)); got != auto {
+			t.Fatalf("WithCacheShards(%d) resolves to %d shards, no option to %d", n, got, auto)
+		}
+	}
+	if got := shards(WithCacheShards(1)); got != 1 {
+		t.Fatalf("WithCacheShards(1) resolves to %d shards, want 1", got)
 	}
 }

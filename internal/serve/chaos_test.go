@@ -42,7 +42,7 @@ func chaosProfile(seed int64) faultio.Profile {
 // chunk was readable (possibly degraded), and the canonical fault log.
 func chaosReplay(t *testing.T, data []byte, seed int64) ([][]string, bool, []string) {
 	t.Helper()
-	fr := faultio.New(bytes.NewReader(data), chaosProfile(seed))
+	fr := faultio.Wrap(store.NewSnapshotBackend(data), chaosProfile(seed))
 	a, err := store.OpenChunkArchiveAt(fr, store.WithFaultPolicy(chaosPolicy()))
 	if err != nil {
 		return nil, false, nil
@@ -120,14 +120,14 @@ func TestChaosServe(t *testing.T) {
 	}
 
 	// The concurrent run: one shared faulty device under the server.
-	fr := faultio.New(bytes.NewReader(data), chaosProfile(seed))
-	a, err := store.OpenChunkArchiveAt(fr, store.WithFaultPolicy(chaosPolicy()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(a, WithFaultPolicy(chaosPolicy()))
+	fr := faultio.Wrap(store.NewSnapshotBackend(data), chaosProfile(seed))
+	s := serveOne(t, ArchiveSpec{
+		Open:    func() (store.Backend, error) { return fr, nil },
+		Options: []store.ArchiveOption{store.WithFaultPolicy(chaosPolicy())},
+	}, WithFaultPolicy(chaosPolicy()))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	chunks := len(deg1)
 
 	const clients = 32
 	const perClient = 32 // 1024 requests total
@@ -140,8 +140,8 @@ func TestChaosServe(t *testing.T) {
 			defer wg.Done()
 			client := ts.Client()
 			for r := 0; r < perClient; r++ {
-				i := (c*perClient + r) % a.NumChunks()
-				resp, err := client.Get(fmt.Sprintf("%s/v1/chunks/%d", ts.URL, i))
+				i := (c*perClient + r) % chunks
+				resp, err := client.Get(ts.URL + chunkPath(i))
 				if err != nil {
 					errs <- fmt.Errorf("client %d req %d: %w", c, r, err)
 					return
@@ -198,11 +198,7 @@ func TestChaosServe(t *testing.T) {
 // with the counter tracking responses, not decodes.
 func TestServeDegradedHeader(t *testing.T) {
 	data := buildArchiveBytes(t, 2)
-	clean, err := store.OpenChunkArchiveAt(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := clean.Info(0)
+	info, err := openBytes(t, data).Info(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,18 +206,14 @@ func TestServeDegradedHeader(t *testing.T) {
 	// final approximate stream, so this lands in a degradable region.
 	bad := bytes.Clone(data)
 	bad[info.Offset+info.Length-1] ^= 0x55
-	a, err := store.OpenChunkArchiveAt(bytes.NewReader(bad), store.WithFaultPolicy(chaosPolicy()))
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Readahead off: the test pins the exact decode count of the two
 	// foreground requests.
-	s := New(a, WithFaultPolicy(chaosPolicy()), WithPrefetch(0))
+	s := serveBytes(t, bad, WithFaultPolicy(chaosPolicy()), WithPrefetch(0))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	for pass := 1; pass <= 2; pass++ {
-		resp, err := ts.Client().Get(ts.URL + "/v1/chunks/0")
+		resp, err := ts.Client().Get(ts.URL + chunkPath(0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +235,7 @@ func TestServeDegradedHeader(t *testing.T) {
 	}
 
 	// A clean chunk on the same server carries no degraded header.
-	resp, err := ts.Client().Get(ts.URL + "/v1/chunks/1")
+	resp, err := ts.Client().Get(ts.URL + chunkPath(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +248,7 @@ func TestServeDegradedHeader(t *testing.T) {
 
 // togglingAt fails every read with a device error while broken is set.
 type togglingAt struct {
-	r      io.ReaderAt
+	store.Backend
 	broken atomic.Bool
 }
 
@@ -266,7 +258,7 @@ func (d *togglingAt) ReadAt(p []byte, off int64) (int, error) {
 	if d.broken.Load() {
 		return 0, errDeviceDown
 	}
-	return d.r.ReadAt(p, off)
+	return d.Backend.ReadAt(p, off)
 }
 
 // TestCircuitBreakerShedsAndRecovers drives the breaker through its full
@@ -275,11 +267,7 @@ func (d *togglingAt) ReadAt(p []byte, off int64) (int, error) {
 // healthy device closes it again.
 func TestCircuitBreakerShedsAndRecovers(t *testing.T) {
 	data := buildArchiveBytes(t, 2)
-	dev := &togglingAt{r: bytes.NewReader(data)}
-	a, err := store.OpenChunkArchiveAt(dev) // healthy during indexing
-	if err != nil {
-		t.Fatal(err)
-	}
+	dev := &togglingAt{Backend: store.NewSnapshotBackend(data)}
 	pol := store.FaultPolicy{
 		MaxRetries:       -1, // first failure is final: each request = one hard failure
 		RetryBackoff:     time.Microsecond,
@@ -287,12 +275,13 @@ func TestCircuitBreakerShedsAndRecovers(t *testing.T) {
 		BreakerThreshold: 3,
 		BreakerCooldown:  150 * time.Millisecond,
 	}
-	s := New(a, WithFaultPolicy(pol), WithCacheBytes(1)) // degenerate cache: every request hits the device
+	// Degenerate cache: every request hits the device.
+	s := serveOne(t, ArchiveSpec{Open: func() (store.Backend, error) { return dev, nil }}, WithFaultPolicy(pol), WithCacheBytes(1))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	get := func(i int) (int, string) {
-		resp, err := ts.Client().Get(fmt.Sprintf("%s/v1/chunks/%d", ts.URL, i))
+		resp, err := ts.Client().Get(ts.URL + chunkPath(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,6 +290,10 @@ func TestCircuitBreakerShedsAndRecovers(t *testing.T) {
 		return resp.StatusCode, resp.Header.Get("Retry-After")
 	}
 
+	// Healthy during indexing: the index request opens the archive.
+	if status, _, _ := fetch(t, ts.Client(), ts.URL+"/v1/archives/"+testArchive); status != http.StatusOK {
+		t.Fatalf("healthy index read: status %d, want 200", status)
+	}
 	dev.broken.Store(true)
 	// Three hard failures reach the threshold; each answers 503+Retry-After.
 	for i := 0; i < pol.BreakerThreshold; i++ {
@@ -318,8 +311,8 @@ func TestCircuitBreakerShedsAndRecovers(t *testing.T) {
 	if snap.CounterTotal(obs.CtrServeShed) == 0 {
 		t.Fatal("open breaker shed nothing")
 	}
-	if snap.Gauge(obs.GaugeServeBreakerOpen, DefaultArchiveName) != 1 {
-		t.Fatalf("serve_breaker_open = %v, want 1", snap.Gauge(obs.GaugeServeBreakerOpen, DefaultArchiveName))
+	if snap.Gauge(obs.GaugeServeBreakerOpen, testArchive) != 1 {
+		t.Fatalf("serve_breaker_open = %v, want 1", snap.Gauge(obs.GaugeServeBreakerOpen, testArchive))
 	}
 
 	// Device recovers; after the cooldown the probe succeeds and closes
@@ -330,8 +323,8 @@ func TestCircuitBreakerShedsAndRecovers(t *testing.T) {
 		t.Fatalf("post-cooldown probe: status %d, want 200", status)
 	}
 	snap = s.Metrics().Snapshot()
-	if snap.Gauge(obs.GaugeServeBreakerOpen, DefaultArchiveName) != 0 {
-		t.Fatalf("serve_breaker_open = %v after recovery, want 0", snap.Gauge(obs.GaugeServeBreakerOpen, DefaultArchiveName))
+	if snap.Gauge(obs.GaugeServeBreakerOpen, testArchive) != 0 {
+		t.Fatalf("serve_breaker_open = %v after recovery, want 0", snap.Gauge(obs.GaugeServeBreakerOpen, testArchive))
 	}
 	if status, _ := get(1); status != http.StatusOK {
 		t.Fatalf("post-recovery read: status %d, want 200", status)

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -9,7 +8,6 @@ import (
 
 	"videoapp/internal/cache"
 	"videoapp/internal/obs"
-	"videoapp/internal/store"
 )
 
 // waitUntil polls cond for up to two seconds — long past any decode on
@@ -31,13 +29,11 @@ func waitUntil(t testing.TB, what string, cond func() bool) {
 // sequential reader's next requests are cache hits (X-Cache: hit) that
 // decoded off the request path, and the useful counter records them.
 func TestPrefetchWarmsSequentialReads(t *testing.T) {
-	a := buildArchive(t, 5)
-	s := New(a) // defaults: readahead depth 2
-	defer s.Catalog().Close()
+	s := serveBytes(t, buildArchiveBytes(t, 5)) // defaults: readahead depth 2
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	resp, err := ts.Client().Get(ts.URL + "/v1/chunks/0")
+	resp, err := ts.Client().Get(ts.URL + chunkPath(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +48,11 @@ func TestPrefetchWarmsSequentialReads(t *testing.T) {
 	// counter is part of the condition, not a check after it.
 	waitUntil(t, "readahead of chunks 1 and 2", func() bool {
 		return s.CacheStats().Len >= 3 &&
-			s.Metrics().Snapshot().Counter(obs.CtrServePrefetchIssued, DefaultArchiveName) >= 2
+			s.Metrics().Snapshot().Counter(obs.CtrServePrefetchIssued, testArchive) >= 2
 	})
 
 	for _, i := range []int{1, 2} {
-		resp, err := ts.Client().Get(fmt.Sprintf("%s/v1/chunks/%d", ts.URL, i))
+		resp, err := ts.Client().Get(ts.URL + chunkPath(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,16 +65,16 @@ func TestPrefetchWarmsSequentialReads(t *testing.T) {
 		}
 	}
 	snap := s.Metrics().Snapshot()
-	if got := snap.Counter(obs.CtrServePrefetchUseful, DefaultArchiveName); got != 2 {
+	if got := snap.Counter(obs.CtrServePrefetchUseful, testArchive); got != 2 {
 		t.Fatalf("serve_prefetch_useful = %d, want 2", got)
 	}
 
 	// The foreground hit/miss counters came from the single GetOrLoad:
 	// exactly one miss (chunk 0) and two hits, no double counting.
-	if got := snap.Counter(obs.CtrServeCacheMisses, DefaultArchiveName); got != 1 {
+	if got := snap.Counter(obs.CtrServeCacheMisses, testArchive); got != 1 {
 		t.Fatalf("serve_cache_misses = %d, want 1", got)
 	}
-	if got := snap.Counter(obs.CtrServeCacheHits, DefaultArchiveName); got != 2 {
+	if got := snap.Counter(obs.CtrServeCacheHits, testArchive); got != 2 {
 		t.Fatalf("serve_cache_hits = %d, want 2", got)
 	}
 }
@@ -86,21 +82,20 @@ func TestPrefetchWarmsSequentialReads(t *testing.T) {
 // TestPrefetchDisabled: WithPrefetch(0) builds no prefetcher, sequential
 // reads all decode on demand, and no prefetch counters move.
 func TestPrefetchDisabled(t *testing.T) {
-	a := buildArchive(t, 3)
-	s := New(a, WithPrefetch(0))
-	if s.Catalog().prefetch != nil {
+	s := serveBytes(t, buildArchiveBytes(t, 3), WithPrefetch(0))
+	if s.prefetch != nil {
 		t.Fatal("WithPrefetch(0) still built a prefetcher")
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	for i := 0; i < 3; i++ {
-		status, _ := get(t, ts.Client(), fmt.Sprintf("%s/v1/chunks/%d", ts.URL, i))
+		status, _ := get(t, ts.Client(), ts.URL+chunkPath(i))
 		if status != http.StatusOK {
 			t.Fatalf("chunk %d: status %d", i, status)
 		}
 	}
 	snap := s.Metrics().Snapshot()
-	if got := snap.Counter(obs.CtrServeDecodes, DefaultArchiveName); got != 3 {
+	if got := snap.Counter(obs.CtrServeDecodes, testArchive); got != 3 {
 		t.Fatalf("decodes = %d, want 3 (no readahead)", got)
 	}
 	if got := snap.CounterTotal(obs.CtrServePrefetchIssued); got != 0 {
@@ -113,18 +108,11 @@ func TestPrefetchDisabled(t *testing.T) {
 // space after the lazy open.
 func prefetchFixture(t *testing.T, chunks int, options ...Option) (*Catalog, *prefetcher, string) {
 	t.Helper()
-	data := buildArchiveBytes(t, chunks)
-	cat, err := NewCatalog([]ArchiveSpec{
-		{Name: "m", Open: func() (store.Backend, error) { return store.NewMemBackend(data), nil }},
-	}, options...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cat.Close() })
+	cat := serveBytes(t, buildArchiveBytes(t, chunks), options...)
 	if cat.prefetch == nil {
 		t.Fatal("fixture catalog has no prefetcher")
 	}
-	_, _, space, release, err := cat.acquire("m")
+	_, _, space, release, err := cat.acquire(testArchive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,15 +126,15 @@ func prefetchFixture(t *testing.T, chunks int, options ...Option) (*Catalog, *pr
 func TestPrefetchNeverFiresThroughOpenBreaker(t *testing.T) {
 	cat, p, space := prefetchFixture(t, 3)
 	cat.mu.Lock()
-	tn := cat.tenants["m"]
+	tn := cat.tenants[testArchive]
 	cat.mu.Unlock()
 	now := time.Now()
 	for tn.breaker.allow(now) {
 		tn.breaker.failure(now)
 	}
 
-	p.track("m", space, 1)
-	p.execute(prefetchJob{tenant: "m", space: space, index: 1})
+	p.track(testArchive, space, 1)
+	p.execute(prefetchJob{tenant: testArchive, space: space, index: 1})
 
 	if cache.In(cat.cache, space).Contains(1) {
 		t.Fatal("prefetch cached a chunk through an open breaker")
@@ -155,7 +143,7 @@ func TestPrefetchNeverFiresThroughOpenBreaker(t *testing.T) {
 	if got := snap.CounterTotal(obs.CtrServePrefetchIssued); got != 0 {
 		t.Fatalf("serve_prefetch_issued = %d through an open breaker", got)
 	}
-	if got := snap.Counter(obs.CtrServeDecodes, "m"); got != 0 {
+	if got := snap.Counter(obs.CtrServeDecodes, testArchive); got != 0 {
 		t.Fatalf("decodes = %d, want 0 (the breaker must shed readahead)", got)
 	}
 }
@@ -165,11 +153,11 @@ func TestPrefetchNeverFiresThroughOpenBreaker(t *testing.T) {
 // Remove itself sweeps the tracking table.
 func TestPrefetchNeverFiresOnRetiredTenant(t *testing.T) {
 	cat, p, space := prefetchFixture(t, 3)
-	p.track("m", space, 1)
-	if err := cat.Remove("m"); err != nil {
+	p.track(testArchive, space, 1)
+	if err := cat.Remove(testArchive); err != nil {
 		t.Fatal(err)
 	}
-	p.execute(prefetchJob{tenant: "m", space: space, index: 1})
+	p.execute(prefetchJob{tenant: testArchive, space: space, index: 1})
 
 	if cache.In(cat.cache, space).Contains(1) {
 		t.Fatal("prefetch cached a chunk for a removed tenant")
@@ -196,7 +184,7 @@ func TestPrefetchStaleGenerationDropped(t *testing.T) {
 		t.Fatalf("CloseIdle closed %d, want 1", n)
 	}
 	// Reopen: the tenant gets a fresh generation, so `space` is stale.
-	_, _, space2, release, err := cat.acquire("m")
+	_, _, space2, release, err := cat.acquire(testArchive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +192,7 @@ func TestPrefetchStaleGenerationDropped(t *testing.T) {
 	if space2 == space {
 		t.Fatalf("reopen kept cache space %q", space)
 	}
-	p.execute(prefetchJob{tenant: "m", space: space, index: 1})
+	p.execute(prefetchJob{tenant: testArchive, space: space, index: 1})
 	if cache.In(cat.cache, space).Contains(1) || cache.In(cat.cache, space2).Contains(1) {
 		t.Fatal("stale-generation job still cached a chunk")
 	}
@@ -214,8 +202,8 @@ func TestPrefetchStaleGenerationDropped(t *testing.T) {
 // dropped by the Info probe, uncounted.
 func TestPrefetchPastEndOfArchive(t *testing.T) {
 	cat, p, space := prefetchFixture(t, 2)
-	p.track("m", space, 99)
-	p.execute(prefetchJob{tenant: "m", space: space, index: 99})
+	p.track(testArchive, space, 99)
+	p.execute(prefetchJob{tenant: testArchive, space: space, index: 99})
 	snap := cat.Metrics().Snapshot()
 	if got := snap.CounterTotal(obs.CtrServePrefetchIssued); got != 0 {
 		t.Fatalf("serve_prefetch_issued = %d past the end of the archive", got)
@@ -228,35 +216,35 @@ func TestPrefetchPastEndOfArchive(t *testing.T) {
 // counts neither.
 func TestPrefetchOutcomeAccounting(t *testing.T) {
 	cat, p, space := prefetchFixture(t, 2)
-	useful := func() int64 { return cat.Metrics().Snapshot().Counter(obs.CtrServePrefetchUseful, "m") }
-	wasted := func() int64 { return cat.Metrics().Snapshot().Counter(obs.CtrServePrefetchWasted, "m") }
+	useful := func() int64 { return cat.Metrics().Snapshot().Counter(obs.CtrServePrefetchUseful, testArchive) }
+	wasted := func() int64 { return cat.Metrics().Snapshot().Counter(obs.CtrServePrefetchWasted, testArchive) }
 
 	// Loaded then served from cache: useful.
-	p.track("m", space, 1)
+	p.track(testArchive, space, 1)
 	p.markLoaded(prefetchKey{space, 1})
-	p.claim("m", space, 1, true)
+	p.claim(testArchive, space, 1, true)
 	if useful() != 1 || wasted() != 0 {
 		t.Fatalf("after useful claim: useful=%d wasted=%d", useful(), wasted())
 	}
 	// Claiming again is a no-op: the target was forgotten.
-	p.claim("m", space, 1, true)
+	p.claim(testArchive, space, 1, true)
 	if useful() != 1 {
 		t.Fatalf("double claim counted twice: useful=%d", useful())
 	}
 
 	// Loaded but evicted before the client arrived: wasted.
-	p.track("m", space, 2)
+	p.track(testArchive, space, 2)
 	p.markLoaded(prefetchKey{space, 2})
-	p.claim("m", space, 2, false)
+	p.claim(testArchive, space, 2, false)
 	if wasted() != 1 {
 		t.Fatalf("evicted-before-use claim: wasted=%d, want 1", wasted())
 	}
 
 	// Loaded, never claimed, re-tracked while absent from the cache: the
 	// earlier readahead aged out unused.
-	p.track("m", space, 3)
+	p.track(testArchive, space, 3)
 	p.markLoaded(prefetchKey{space, 3})
-	if !p.track("m", space, 3) {
+	if !p.track(testArchive, space, 3) {
 		t.Fatal("re-track of an aged-out target refused")
 	}
 	if wasted() != 2 {
@@ -265,7 +253,7 @@ func TestPrefetchOutcomeAccounting(t *testing.T) {
 
 	// Still pending at claim time (the foreground coalesced onto the
 	// readahead flight): neither useful nor wasted.
-	p.claim("m", space, 3, false)
+	p.claim(testArchive, space, 3, false)
 	if useful() != 1 || wasted() != 2 {
 		t.Fatalf("pending claim moved counters: useful=%d wasted=%d", useful(), wasted())
 	}
@@ -275,10 +263,10 @@ func TestPrefetchOutcomeAccounting(t *testing.T) {
 // by the next foreground request over the same window.
 func TestPrefetchSchedulesOncePerTarget(t *testing.T) {
 	_, p, space := prefetchFixture(t, 4)
-	if !p.track("m", space, 2) {
+	if !p.track(testArchive, space, 2) {
 		t.Fatal("first track refused")
 	}
-	if p.track("m", space, 2) {
+	if p.track(testArchive, space, 2) {
 		t.Fatal("pending target re-armed")
 	}
 }

@@ -2,8 +2,16 @@
 // chunk server that ships decoded chunk frames, per-chunk metadata and
 // archive indexes from VACS containers to many simultaneous clients.
 //
+// There is one server type, the Catalog: N named archives behind one
+// handler — the multi-tenant storage node of the datacenter deployment the
+// paper argues for (§1, §7). A single archive is a catalog of one spec.
+// Tenants are declared as ArchiveSpecs and opened lazily on first request;
+// an idle timeout closes archives nobody is reading. Each tenant gets its
+// own circuit breaker and fault policy, and its own labeled counters, while
+// the decoded-chunk cache is shared.
+//
 // The paper's premise is that approximately stored video is read far more
-// often than it is written, so the serving layer is built around three
+// often than it is written, so the serving layer is built around four
 // read-side mechanisms:
 //
 //   - archives are accessed through the store.Backend seam
@@ -27,18 +35,6 @@
 //     decoded. Prefetch never fires through an open circuit breaker or on
 //     a removed archive, and its issued/useful/wasted counters are
 //     published through obs.
-//
-// # Multi-archive catalogs
-//
-// A Catalog serves N named archives from one process — the multi-tenant
-// storage node of the datacenter deployment the paper argues for (§1, §7).
-// Tenants are declared as ArchiveSpecs and opened lazily on first request;
-// an idle timeout closes archives nobody is reading (the static archive of
-// a single-tenant Server is never closed). Each tenant gets its own
-// circuit breaker and fault policy, and its own labeled counters, while
-// the decoded-chunk cache is shared. A Server is the single-archive
-// special case: a catalog with one statically attached tenant named
-// "default".
 //
 // Every request runs under a context with the configured timeout and is
 // cancelled when the client hangs up; the decode path checks the context
@@ -77,12 +73,6 @@
 //	GET /v1/archives/{name}/chunks/{index}        decoded chunk frames as YUV4MPEG2
 //	GET /v1/archives/{name}/chunks/{index}/meta   one chunk's record (JSON)
 //	GET /metrics                                  obs snapshot (text; ?format=json for JSON)
-//
-// The v1 single-archive routes remain as aliases of the default archive:
-//
-//	GET /v1/archive              = /v1/archives/{default}
-//	GET /v1/chunks/{index}       = /v1/archives/{default}/chunks/{index}
-//	GET /v1/chunks/{index}/meta  = /v1/archives/{default}/chunks/{index}/meta
 package serve
 
 import (
@@ -90,7 +80,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"strconv"
 	"time"
@@ -105,10 +94,9 @@ import (
 // a 404 with code "archive_not_found".
 var ErrArchiveNotFound = errors.New("archive not found")
 
-// Options is the server's resolved configuration. Construct servers with
-// New (or catalogs with NewCatalog) and the With* functional options;
-// Options survives as a plain struct so tests can state a whole
-// configuration at once.
+// Options is the catalog's resolved configuration. Construct catalogs with
+// NewCatalog and the With* functional options; Options survives as a plain
+// struct so tests can state a whole configuration at once.
 type Options struct {
 	// CacheBytes bounds the decoded-chunk cache by rendered output size;
 	// <= 0 selects 64 MiB. The cache holds y4m-rendered chunks, so one
@@ -116,9 +104,9 @@ type Options struct {
 	// shared across all of its archives.
 	CacheBytes int64
 	// CacheShards is the decoded-chunk cache's lock-shard count, rounded up
-	// to a power of two. 0 selects cache.DefaultShards() (max(8, GOMAXPROCS)
-	// rounded up); negative forces a single shard — one global mutex and a
-	// strict global LRU order, the pre-sharding behavior.
+	// to a power of two. <= 0 selects cache.DefaultShards() (max(8,
+	// GOMAXPROCS) rounded up); 1 is a single shard — one global mutex and a
+	// strict global LRU order.
 	CacheShards int
 	// PrefetchDepth is how many chunks past a requested index the readahead
 	// prefetcher warms (i+1..i+depth) through the shared cache. 0 selects
@@ -133,11 +121,9 @@ type Options struct {
 	// DrainTimeout bounds connection draining during Shutdown; <= 0
 	// selects 10 seconds.
 	DrainTimeout time.Duration
-	// IdleTimeout closes a lazily-opened catalog archive after it has gone
-	// unused this long; <= 0 keeps archives open forever. Statically
-	// attached archives (Server's, Catalog entries added with a pre-opened
-	// archive) are never idle-closed. The next request reopens the archive
-	// transparently.
+	// IdleTimeout closes a catalog archive after it has gone unused this
+	// long; <= 0 keeps archives open forever. The next request reopens the
+	// archive transparently.
 	IdleTimeout time.Duration
 	// Observer, when non-nil, receives the serve-layer events alongside
 	// the server's own metrics aggregator.
@@ -155,10 +141,8 @@ func (o Options) withDefaults() Options {
 	if o.CacheBytes <= 0 {
 		o.CacheBytes = 64 << 20
 	}
-	if o.CacheShards == 0 {
+	if o.CacheShards <= 0 {
 		o.CacheShards = cache.DefaultShards()
-	} else if o.CacheShards < 0 {
-		o.CacheShards = 1
 	}
 	if o.PrefetchDepth == 0 {
 		o.PrefetchDepth = 2
@@ -180,8 +164,7 @@ type config struct {
 	policySet bool
 }
 
-// Option configures a Server or Catalog at construction, applied in
-// argument order.
+// Option configures a Catalog at construction, applied in argument order.
 type Option func(*config)
 
 // WithCacheBytes bounds the decoded-chunk cache by rendered output size;
@@ -191,17 +174,11 @@ func WithCacheBytes(n int64) Option {
 }
 
 // WithCacheShards sets the decoded-chunk cache's lock-shard count (rounded
-// up to a power of two). 0 (the default) selects max(8, GOMAXPROCS)
-// rounded up to a power of two; pass a negative value — or 1 — for a
-// single shard, which restores one global mutex and a strict global LRU
-// order at the cost of hot-path contention.
+// up to a power of two). n <= 0 (the default) selects max(8, GOMAXPROCS)
+// rounded up to a power of two; 1 is a single shard — one global mutex and
+// a strict global LRU order at the cost of hot-path contention.
 func WithCacheShards(n int) Option {
-	return func(c *config) {
-		if n == 0 {
-			n = -1 // explicit 0 from callers means "one shard", not "auto"
-		}
-		c.opts.CacheShards = n
-	}
+	return func(c *config) { c.opts.CacheShards = n }
 }
 
 // WithPrefetch sets the sequential readahead depth: a request for chunk i
@@ -234,8 +211,8 @@ func WithDrainTimeout(d time.Duration) Option {
 	return func(c *config) { c.opts.DrainTimeout = d }
 }
 
-// WithIdleTimeout closes lazily-opened catalog archives that have gone
-// unused this long; <= 0 (the default) keeps them open forever.
+// WithIdleTimeout closes catalog archives that have gone unused this long;
+// <= 0 (the default) keeps them open forever.
 func WithIdleTimeout(d time.Duration) Option {
 	return func(c *config) { c.opts.IdleTimeout = d }
 }
@@ -257,46 +234,6 @@ func WithFaultPolicy(p store.FaultPolicy) Option {
 		c.opts.FaultPolicy = p
 		c.policySet = true
 	}
-}
-
-// Server serves one archive to many concurrent clients: the single-tenant
-// special case of a Catalog, its archive statically attached under the
-// name "default" and every catalog route available. Construct with New;
-// all methods are safe for concurrent use.
-type Server struct {
-	cat *Catalog
-}
-
-// New returns a server over an opened archive. The archive must outlive the
-// server; the server never closes it.
-func New(a *store.ChunkArchive, options ...Option) *Server {
-	cat := newCatalog(options)
-	cat.attach(DefaultArchiveName, a)
-	return &Server{cat: cat}
-}
-
-// Catalog returns the underlying single-entry catalog, for attaching more
-// archives to a server that started single-tenant.
-func (s *Server) Catalog() *Catalog { return s.cat }
-
-// Handler returns the server's routing handler, for mounting under a custom
-// http.Server or httptest.
-func (s *Server) Handler() http.Handler { return s.cat.Handler() }
-
-// Metrics returns the server's metrics aggregator.
-func (s *Server) Metrics() *obs.Metrics { return s.cat.Metrics() }
-
-// CacheStats returns the decoded-chunk cache counters; Stats.Loads is the
-// number of actual decode executions (the singleflight counter).
-func (s *Server) CacheStats() cache.Stats { return s.cat.CacheStats() }
-
-// Serve accepts connections on l until ctx is cancelled, then shuts down
-// gracefully; see Catalog.Serve.
-func (s *Server) Serve(ctx context.Context, l net.Listener) error { return s.cat.Serve(ctx, l) }
-
-// ListenAndServe binds addr and calls Serve; see Catalog.ListenAndServe.
-func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
-	return s.cat.ListenAndServe(ctx, addr)
 }
 
 // statusWriter records the status code written to a response.

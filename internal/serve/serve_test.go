@@ -56,14 +56,45 @@ func buildArchiveBytes(t testing.TB, gops int) []byte {
 	return buf.Bytes()
 }
 
-// buildArchive opens an in-memory archive built by buildArchiveBytes.
-func buildArchive(t testing.TB, gops int) *store.ChunkArchive {
+// openBytes opens container bytes directly — the serial reference the
+// served responses are compared against.
+func openBytes(t testing.TB, data []byte) *store.ChunkArchive {
 	t.Helper()
-	a, err := store.OpenChunkArchiveAt(bytes.NewReader(buildArchiveBytes(t, gops)))
+	a, err := store.OpenChunkArchiveAt(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return a
+}
+
+// testArchive is the name the one-archive test catalogs serve under.
+const testArchive = "t"
+
+// serveOne is the single-archive server every test here runs against: a
+// catalog of the one spec, served under testArchive and closed with the
+// test.
+func serveOne(t testing.TB, spec ArchiveSpec, options ...Option) *Catalog {
+	t.Helper()
+	spec.Name = testArchive
+	cat, err := NewCatalog([]ArchiveSpec{spec}, options...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cat.Close() })
+	return cat
+}
+
+// serveBytes is serveOne over container bytes held in memory.
+func serveBytes(t testing.TB, data []byte, options ...Option) *Catalog {
+	t.Helper()
+	return serveOne(t, ArchiveSpec{
+		Open: func() (store.Backend, error) { return store.NewSnapshotBackend(data), nil },
+	}, options...)
+}
+
+// chunkPath is the route of chunk i of the test archive.
+func chunkPath(i int) string {
+	return fmt.Sprintf("/v1/archives/%s/chunks/%d", testArchive, i)
 }
 
 // wantChunkBody renders the reference response body for chunk i: the
@@ -100,8 +131,9 @@ func get(t testing.TB, client *http.Client, url string) (int, []byte) {
 }
 
 func TestServeEndpoints(t *testing.T) {
-	a := buildArchive(t, 3)
-	s := New(a)
+	data := buildArchiveBytes(t, 3)
+	a := openBytes(t, data)
+	s := serveBytes(t, data)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -110,7 +142,7 @@ func TestServeEndpoints(t *testing.T) {
 		t.Fatalf("healthz: %d %q", status, body)
 	}
 
-	status, body = get(t, ts.Client(), ts.URL+"/v1/archive")
+	status, body = get(t, ts.Client(), ts.URL+"/v1/archives/"+testArchive)
 	if status != http.StatusOK {
 		t.Fatalf("archive: status %d", status)
 	}
@@ -127,7 +159,7 @@ func TestServeEndpoints(t *testing.T) {
 
 	// Every chunk's body is bit-identical to the serial read path.
 	for i := 0; i < a.NumChunks(); i++ {
-		status, body := get(t, ts.Client(), fmt.Sprintf("%s/v1/chunks/%d", ts.URL, i))
+		status, body := get(t, ts.Client(), ts.URL+chunkPath(i))
 		if status != http.StatusOK {
 			t.Fatalf("chunk %d: status %d", i, status)
 		}
@@ -136,7 +168,7 @@ func TestServeEndpoints(t *testing.T) {
 		}
 	}
 
-	status, body = get(t, ts.Client(), ts.URL+"/v1/chunks/1/meta")
+	status, body = get(t, ts.Client(), ts.URL+chunkPath(1)+"/meta")
 	if status != http.StatusOK {
 		t.Fatalf("chunk meta: status %d", status)
 	}
@@ -150,9 +182,9 @@ func TestServeEndpoints(t *testing.T) {
 
 	// Unknown chunks and archives answer 404 with a JSON error object.
 	for _, tc := range []struct{ path, code string }{
-		{"/v1/chunks/99", "chunk_not_found"},
-		{"/v1/chunks/-1", "chunk_not_found"},
-		{"/v1/chunks/nope", "chunk_not_found"},
+		{chunkPath(99), "chunk_not_found"},
+		{chunkPath(-1), "chunk_not_found"},
+		{"/v1/archives/" + testArchive + "/chunks/nope", "chunk_not_found"},
 		{"/v1/archives/absent", "archive_not_found"},
 		{"/v1/archives/absent/chunks/0", "archive_not_found"},
 	} {
@@ -192,11 +224,11 @@ func TestServeEndpoints(t *testing.T) {
 // (singleflight), and every client receives bytes identical to the serial
 // read path.
 func TestServeStampedeDecodesOnce(t *testing.T) {
-	a := buildArchive(t, 2)
-	s := New(a)
+	data := buildArchiveBytes(t, 2)
+	s := serveBytes(t, data)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	want := wantChunkBody(t, a, 1)
+	want := wantChunkBody(t, openBytes(t, data), 1)
 
 	const clients = 32
 	var wg sync.WaitGroup
@@ -205,7 +237,7 @@ func TestServeStampedeDecodesOnce(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			status, body := get(t, ts.Client(), ts.URL+"/v1/chunks/1")
+			status, body := get(t, ts.Client(), ts.URL+chunkPath(1))
 			if status != http.StatusOK {
 				errs <- fmt.Errorf("client %d: status %d", c, status)
 				return
@@ -223,8 +255,8 @@ func TestServeStampedeDecodesOnce(t *testing.T) {
 	if cs := s.CacheStats(); cs.Loads != 1 {
 		t.Fatalf("stampede of %d clients ran %d decodes, want exactly 1 (singleflight)", clients, cs.Loads)
 	}
-	if snap := s.Metrics().Snapshot(); snap.Counter("serve_chunk_decodes", "default") != 1 {
-		t.Fatalf("serve_chunk_decodes = %d, want 1", snap.Counter("serve_chunk_decodes", "default"))
+	if got := s.Metrics().Snapshot().Counter("serve_chunk_decodes", testArchive); got != 1 {
+		t.Fatalf("serve_chunk_decodes = %d, want 1", got)
 	}
 }
 
@@ -232,14 +264,15 @@ func TestServeStampedeDecodesOnce(t *testing.T) {
 // checks every response against the serial baseline, while the cache stays
 // within its budget.
 func TestServeConcurrentRandomChunks(t *testing.T) {
-	a := buildArchive(t, 3)
+	data := buildArchiveBytes(t, 3)
+	a := openBytes(t, data)
 	want := make([][]byte, a.NumChunks())
 	for i := range want {
 		want[i] = wantChunkBody(t, a, i)
 	}
 	// Budget of ~1.5 chunks forces eviction churn under concurrency; a
 	// single shard keeps the whole budget in one LRU so a chunk still fits.
-	s := New(a, WithCacheBytes(int64(len(want[0]))*3/2), WithCacheShards(1))
+	s := serveBytes(t, data, WithCacheBytes(int64(len(want[0]))*3/2), WithCacheShards(1))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -252,7 +285,7 @@ func TestServeConcurrentRandomChunks(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 6; j++ {
 				i := (c + j) % a.NumChunks()
-				status, body := get(t, ts.Client(), fmt.Sprintf("%s/v1/chunks/%d", ts.URL, i))
+				status, body := get(t, ts.Client(), ts.URL+chunkPath(i))
 				if status != http.StatusOK {
 					errs <- fmt.Errorf("client %d chunk %d: status %d", c, i, status)
 					return
@@ -278,16 +311,16 @@ func TestServeConcurrentRandomChunks(t *testing.T) {
 // A, B, A decodes A twice — eviction is observable through the decode
 // counter — yet responses stay correct.
 func TestCacheEvictionRefetches(t *testing.T) {
-	a := buildArchive(t, 2)
-	want0 := wantChunkBody(t, a, 0)
+	data := buildArchiveBytes(t, 2)
+	want0 := wantChunkBody(t, openBytes(t, data), 0)
 	// One shard so the budget fits exactly one chunk in one LRU; readahead
 	// off so the load count is exactly the three foreground requests.
-	s := New(a, WithCacheBytes(int64(len(want0))+16), WithCacheShards(1), WithPrefetch(0))
+	s := serveBytes(t, data, WithCacheBytes(int64(len(want0))+16), WithCacheShards(1), WithPrefetch(0))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	for _, i := range []int{0, 1, 0} {
-		status, body := get(t, ts.Client(), fmt.Sprintf("%s/v1/chunks/%d", ts.URL, i))
+		status, body := get(t, ts.Client(), ts.URL+chunkPath(i))
 		if status != http.StatusOK {
 			t.Fatalf("chunk %d: status %d", i, status)
 		}
@@ -305,8 +338,7 @@ func TestCacheEvictionRefetches(t *testing.T) {
 }
 
 func TestServeGracefulShutdown(t *testing.T) {
-	a := buildArchive(t, 2)
-	s := New(a)
+	s := serveBytes(t, buildArchiveBytes(t, 2))
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -316,7 +348,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 	go func() { done <- s.Serve(ctx, l) }()
 
 	url := "http://" + l.Addr().String()
-	status, _ := get(t, http.DefaultClient, url+"/v1/chunks/0")
+	status, _ := get(t, http.DefaultClient, url+chunkPath(0))
 	if status != http.StatusOK {
 		t.Fatalf("chunk 0: status %d", status)
 	}
@@ -382,20 +414,36 @@ func TestErrorMapping(t *testing.T) {
 	if rec.Body.Len() != 0 {
 		t.Fatalf("canceled request must not write a body, got %q", rec.Body.String())
 	}
+
+	// The removed single-archive routes are not mounted: they answer the
+	// mux's 404 even with an archive that would have served them.
+	h := serveBytes(t, buildArchiveBytes(t, 1)).Handler()
+	for _, path := range []string{"/v1/archive", "/v1/chunks/0", "/v1/chunks/0/meta"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusNotFound {
+			t.Fatalf("GET %s -> %d, want 404", path, rec.Code)
+		}
+	}
 }
 
-// TestClosedArchive503: closing the archive under a live server turns
-// chunk requests into 503s rather than panics or hangs.
+// TestClosedArchive503: an archive closed under a request that already
+// holds it (Remove's deferred close racing a slow reader, say) turns the
+// chunk read into a 503 rather than a panic or a hang.
 func TestClosedArchive503(t *testing.T) {
-	a := buildArchive(t, 2)
-	s := New(a)
+	s := serveBytes(t, buildArchiveBytes(t, 2))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	_, a, _, release, err := s.acquire(testArchive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
-	status, _ := get(t, ts.Client(), ts.URL+"/v1/chunks/0")
-	if status != http.StatusServiceUnavailable {
-		t.Fatalf("closed archive served status %d, want 503", status)
+	status, body := get(t, ts.Client(), ts.URL+chunkPath(0))
+	if status != http.StatusServiceUnavailable || !bytes.Contains(body, []byte("archive_closed")) {
+		t.Fatalf("closed archive served status %d %s, want 503 archive_closed", status, body)
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // Backend is the storage seam of the archive layer: one stored container
-// addressed by positionless reads and writes, plus its size and lifecycle.
+// addressed by positionless reads and writes, plus its lifecycle.
 // It is the paper's substrate/controller boundary (§5) in interface form —
 // everything above it (archive indexing, the fault-tolerance ladder, the
 // scrubber, the serving catalog) is the memory controller, and a Backend is
@@ -18,16 +18,13 @@ import (
 // fault-injecting decorator (internal/faultio).
 //
 // ReadAt and WriteAt follow the io.ReaderAt/io.WriterAt contracts and must
-// be safe for unbounded concurrent use; Size reports the current container
-// length; Close releases the backing resource and is idempotent. Read-only
-// media report writes with an error wrapping ErrReadOnly — the scrubber
-// treats such a region as damaged-but-unrepairable rather than failing the
-// pass.
+// be safe for unbounded concurrent use; Close releases the backing resource
+// and is idempotent. Read-only media report writes with an error wrapping
+// ErrReadOnly — the scrubber treats such a region as damaged-but-unrepairable
+// rather than failing the pass.
 type Backend interface {
 	io.ReaderAt
 	io.WriterAt
-	// Size returns the current byte length of the stored container.
-	Size() (int64, error)
 	// Close releases the backing resource. Close is idempotent.
 	Close() error
 }
@@ -59,12 +56,6 @@ func OpenFileBackend(path string, writable bool) (*FileBackend, error) {
 	return &FileBackend{f: f, writable: writable}, nil
 }
 
-// NewFileBackend wraps an already opened file as a writable backend. The
-// backend takes ownership: Close closes the file.
-func NewFileBackend(f *os.File) *FileBackend {
-	return &FileBackend{f: f, writable: true}
-}
-
 // ReadAt implements io.ReaderAt.
 func (b *FileBackend) ReadAt(p []byte, off int64) (int, error) { return b.f.ReadAt(p, off) }
 
@@ -74,15 +65,6 @@ func (b *FileBackend) WriteAt(p []byte, off int64) (int, error) {
 		return 0, fmt.Errorf("store: writing %s: %w", b.f.Name(), ErrReadOnly)
 	}
 	return b.f.WriteAt(p, off)
-}
-
-// Size returns the file's current length.
-func (b *FileBackend) Size() (int64, error) {
-	fi, err := b.f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	return fi.Size(), nil
 }
 
 // Close closes the underlying file. Closing twice reports the second
@@ -139,13 +121,6 @@ func (b *MemBackend) WriteAt(p []byte, off int64) (int, error) {
 	return copy(b.data[off:], p), nil
 }
 
-// Size returns the current region length.
-func (b *MemBackend) Size() (int64, error) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return int64(len(b.data)), nil
-}
-
 // Close is an idempotent no-op: memory needs no release.
 func (b *MemBackend) Close() error { return nil }
 
@@ -189,9 +164,6 @@ func (b *SnapshotBackend) ReadAt(p []byte, off int64) (int, error) {
 func (b *SnapshotBackend) WriteAt(p []byte, off int64) (int, error) {
 	return 0, fmt.Errorf("store: writing snapshot: %w", ErrReadOnly)
 }
-
-// Size returns the snapshot length.
-func (b *SnapshotBackend) Size() (int64, error) { return int64(len(b.data)), nil }
 
 // Close is an idempotent no-op.
 func (b *SnapshotBackend) Close() error { return nil }

@@ -18,13 +18,13 @@ import (
 // so that any single closed-GOP chunk can be read, decoded and round-tripped
 // without loading the rest — the unit a video server ships to clients.
 //
-//	magic "VACS" | version | W | H | FPS | GOPSize | GOPsPerChunk
+//	magic "VACS" | version (2) | W | H | FPS | GOPSize | GOPsPerChunk
 //	per chunk:   marker "CHNK" | first frame | frame count
 //	             | precise len | pivot len
-//	             | precise CRC | pivot CRC          (version >= 2)
+//	             | precise CRC | pivot CRC
 //	             | stream count
 //	             | per stream: name len | name | bit count | byte len
-//	             |             stream CRC            (version >= 2)
+//	             |             stream CRC
 //	             | precise bytes | pivot bytes | stream bytes
 //
 // Each chunk record is self-describing and the payload lengths are all in
@@ -34,13 +34,14 @@ import (
 // which is what makes the container append-on-write: new chunks go at the
 // end, concurrent readers keep working from their existing index.
 //
-// Version 2 adds a CRC-32C per region (precise, pivots, one per stream),
-// stored in the record header — i.e. in the precisely-kept part of the
-// container — so the read path can tell exactly which region a substrate
-// error landed in: damage to an approximate stream is detected, isolated
-// and degradable, while damage to the precise region is a hard data error.
-// Version 1 containers remain readable; they just carry no checksums to
-// verify.
+// Every region (precise, pivots, each stream) carries a CRC-32C, stored in
+// the record header — i.e. in the precisely-kept part of the container — so
+// the read path can tell exactly which region a substrate error landed in:
+// damage to an approximate stream is detected, isolated and degradable,
+// while damage to the precise region is a hard data error. The version byte
+// is checked at open and any other value (the checksum-less version 1
+// included) is rejected with ErrCorruptRecord: a reader that cannot verify
+// a container must not serve it.
 //
 // Within a chunk the split mirrors the paper's reliability boundary exactly
 // as Archive does for a whole video: a precise region (headers with payload
@@ -84,28 +85,22 @@ type ChunkInfo struct {
 // one self-describing record — so it runs against any io.Writer, including
 // a network connection or an append-only log.
 type ChunkWriter struct {
-	w       io.Writer
-	meta    ArchiveMeta
-	version byte
-	off     int64
-	chunks  []ChunkInfo
-	frames  int
+	w      io.Writer
+	meta   ArchiveMeta
+	off    int64
+	chunks []ChunkInfo
+	frames int
 }
 
 // NewChunkWriter writes the container header and returns a writer ready to
-// append chunks. New containers are written at the current format version
-// (with per-region checksums).
+// append chunks.
 func NewChunkWriter(w io.Writer, meta ArchiveMeta) (*ChunkWriter, error) {
-	return newChunkWriter(w, meta, chunkedVersion)
-}
-
-func newChunkWriter(w io.Writer, meta ArchiveMeta, version byte) (*ChunkWriter, error) {
 	if meta.W <= 0 || meta.H <= 0 || meta.GOPSize < 1 || meta.GOPsPerChunk < 1 {
 		return nil, fmt.Errorf("store: invalid archive meta %+v", meta)
 	}
 	hdr := make([]byte, 0, archiveHeaderLen)
 	hdr = append(hdr, chunkedMagic[:]...)
-	hdr = append(hdr, version)
+	hdr = append(hdr, chunkedVersion)
 	hdr = appendU32(hdr, uint32(meta.W))
 	hdr = appendU32(hdr, uint32(meta.H))
 	hdr = appendU32(hdr, uint32(meta.FPS))
@@ -114,7 +109,7 @@ func newChunkWriter(w io.Writer, meta ArchiveMeta, version byte) (*ChunkWriter, 
 	if _, err := w.Write(hdr); err != nil {
 		return nil, fmt.Errorf("store: writing archive header: %w", err)
 	}
-	return &ChunkWriter{w: w, meta: meta, version: version, off: int64(len(hdr))}, nil
+	return &ChunkWriter{w: w, meta: meta, off: int64(len(hdr))}, nil
 }
 
 // Meta returns the sequence-level header.
@@ -154,10 +149,8 @@ func (cw *ChunkWriter) Append(v *codec.Video, parts []core.FramePartition, first
 	rec = appendU32(rec, uint32(len(v.Frames)))
 	rec = appendU32(rec, uint32(len(precise)))
 	rec = appendU32(rec, uint32(len(pivots)))
-	if cw.version >= 2 {
-		rec = appendU32(rec, crc32.Checksum(precise, castagnoli))
-		rec = appendU32(rec, crc32.Checksum(pivots, castagnoli))
-	}
+	rec = appendU32(rec, crc32.Checksum(precise, castagnoli))
+	rec = appendU32(rec, crc32.Checksum(pivots, castagnoli))
 	rec = append(rec, byte(len(names)))
 	for _, name := range names {
 		if len(name) > 255 {
@@ -167,9 +160,7 @@ func (cw *ChunkWriter) Append(v *codec.Video, parts []core.FramePartition, first
 		rec = append(rec, name...)
 		rec = binary.BigEndian.AppendUint64(rec, uint64(ss.Bits[name]))
 		rec = appendU32(rec, uint32(len(ss.Streams[name])))
-		if cw.version >= 2 {
-			rec = appendU32(rec, crc32.Checksum(ss.Streams[name], castagnoli))
-		}
+		rec = appendU32(rec, crc32.Checksum(ss.Streams[name], castagnoli))
 	}
 	if _, err := cw.w.Write(rec); err != nil {
 		return fmt.Errorf("store: writing chunk header: %w", err)
@@ -223,19 +214,18 @@ type streamRec struct {
 // simultaneously.
 //
 // The archive is the unit of fault tolerance: reads retry transient
-// failures under the configured FaultPolicy, verify per-region checksums
-// on version-2 containers, fall back to the mirror reader when one is
-// configured (WithMirror), and — through ReadChunkContext — degrade
-// gracefully when only approximate streams are damaged. Scrub walks every
-// record proactively and repairs damage in place from the mirror.
+// failures under the configured FaultPolicy, verify per-region checksums,
+// fall back to the mirror reader when one is configured (WithMirror), and —
+// through ReadChunkContext — degrade gracefully when only approximate
+// streams are damaged. Scrub walks every record proactively and repairs
+// damage in place from the mirror.
 type ChunkArchive struct {
-	r       io.ReaderAt
-	mirror  io.ReaderAt
-	policy  FaultPolicy
-	meta    ArchiveMeta
-	version byte
-	recs    []chunkRec
-	closed  atomic.Bool
+	r      io.ReaderAt
+	mirror io.ReaderAt
+	policy FaultPolicy
+	meta   ArchiveMeta
+	recs   []chunkRec
+	closed atomic.Bool
 }
 
 // ArchiveOption configures a ChunkArchive at open time.
@@ -260,6 +250,15 @@ func WithMirror(r io.ReaderAt) ArchiveOption {
 // archiveHeaderLen is the fixed container header size (magic, version and
 // the five ArchiveMeta fields).
 const archiveHeaderLen = 25
+
+// A chunk record header is chunkFixedLen bytes (marker, first frame, frame
+// count, precise and pivot lengths, their two CRCs, stream count) followed
+// by one entry per stream: a length-prefixed name plus streamEntryLen bytes
+// (bit count, byte length, CRC).
+const (
+	chunkFixedLen  = 29
+	streamEntryLen = 16
+)
 
 // OpenChunkArchiveAt indexes a container produced by ChunkWriter. The
 // returned archive performs all reads through r's positionless ReadAt, so
@@ -288,10 +287,9 @@ func OpenChunkArchiveAt(r io.ReaderAt, opts ...ArchiveOption) (*ChunkArchive, er
 	if [4]byte(hdr[:4]) != chunkedMagic {
 		return nil, fmt.Errorf("store: %w: bad archive magic", ErrCorruptRecord)
 	}
-	if hdr[4] < 1 || hdr[4] > chunkedVersion {
+	if hdr[4] != chunkedVersion {
 		return nil, fmt.Errorf("store: %w: unsupported archive version %d", ErrCorruptRecord, hdr[4])
 	}
-	a.version = hdr[4]
 	a.meta = ArchiveMeta{
 		W:            int(binary.BigEndian.Uint32(hdr[5:9])),
 		H:            int(binary.BigEndian.Uint32(hdr[9:13])),
@@ -305,7 +303,7 @@ func OpenChunkArchiveAt(r io.ReaderAt, opts ...ArchiveOption) (*ChunkArchive, er
 	off := int64(archiveHeaderLen)
 	frames := 0
 	for {
-		rec, next, err := readChunkHeader(scan, off, a.version)
+		rec, next, err := readChunkHeader(scan, off)
 		//vetvideoapp:allow wrapeof — readChunkHeader's io.EOF is the internal clean-end-of-container signal, consumed (never propagated) here
 		if err == io.EOF {
 			break
@@ -369,20 +367,14 @@ func noEOF(err error) error {
 // and the offset of the next record. It reads only the header bytes; the
 // payload is hopped over by offset arithmetic. io.EOF reports a clean end of
 // the container; any partial header is ErrCorruptRecord.
-func readChunkHeader(r io.ReaderAt, off int64, version byte) (chunkRec, int64, error) {
-	fixedLen := 21
-	entryExtra := 12
-	if version >= 2 {
-		fixedLen = 29   // + precise CRC + pivot CRC
-		entryExtra = 16 // + stream CRC
-	}
+func readChunkHeader(r io.ReaderAt, off int64) (chunkRec, int64, error) {
 	// A chunk header is the fixed part plus at most 255 stream entries of
 	// bounded size; the section reader bounds what one record may consume
 	// without ever touching payload ranges (entries are read front-to-back
 	// and sized before each read).
-	sr := io.NewSectionReader(r, off, int64(fixedLen+255*(1+255+entryExtra)))
-	fixed := make([]byte, fixedLen)
-	if _, err := io.ReadFull(sr, fixed); err != nil {
+	sr := io.NewSectionReader(r, off, chunkFixedLen+255*(1+255+streamEntryLen))
+	var fixed [chunkFixedLen]byte
+	if _, err := io.ReadFull(sr, fixed[:]); err != nil {
 		//vetvideoapp:allow wrapeof — a clean EOF before any header byte is the end-of-container protocol with OpenChunkArchiveAt, which consumes it; partial headers fall through to ErrCorruptRecord
 		if err == io.EOF {
 			//vetvideoapp:allow wrapeof — see above: protocol signal to the only caller, never escapes the parser
@@ -400,16 +392,14 @@ func readChunkHeader(r io.ReaderAt, off int64, version byte) (chunkRec, int64, e
 		},
 		preciseLen: int64(binary.BigEndian.Uint32(fixed[12:16])),
 		pivotLen:   int64(binary.BigEndian.Uint32(fixed[16:20])),
-	}
-	if version >= 2 {
-		rec.preciseCRC = binary.BigEndian.Uint32(fixed[20:24])
-		rec.pivotCRC = binary.BigEndian.Uint32(fixed[24:28])
+		preciseCRC: binary.BigEndian.Uint32(fixed[20:24]),
+		pivotCRC:   binary.BigEndian.Uint32(fixed[24:28]),
 	}
 	if rec.info.Frames < 1 || rec.info.Frames > 1<<20 {
 		return chunkRec{}, 0, fmt.Errorf("store: %w: implausible chunk frame count %d", ErrCorruptRecord, rec.info.Frames)
 	}
-	nStreams := int(fixed[fixedLen-1])
-	hdrLen := int64(fixedLen)
+	nStreams := int(fixed[chunkFixedLen-1])
+	hdrLen := int64(chunkFixedLen)
 	payload := rec.preciseLen + rec.pivotLen
 	for s := 0; s < nStreams; s++ {
 		var nameLen [1]byte
@@ -420,7 +410,7 @@ func readChunkHeader(r io.ReaderAt, off int64, version byte) (chunkRec, int64, e
 		// which for names longer than 247 bytes would invert the slice
 		// bounds below and panic instead of parsing.
 		nl := int(nameLen[0])
-		entry := make([]byte, nl+entryExtra)
+		entry := make([]byte, nl+streamEntryLen)
 		if _, err := io.ReadFull(sr, entry); err != nil {
 			return chunkRec{}, 0, fmt.Errorf("store: %w: truncated stream entry: %w", ErrCorruptRecord, noEOF(err))
 		}
@@ -429,9 +419,7 @@ func readChunkHeader(r io.ReaderAt, off int64, version byte) (chunkRec, int64, e
 			name:  name,
 			bits:  int64(binary.BigEndian.Uint64(entry[nl : nl+8])),
 			bytes: int64(binary.BigEndian.Uint32(entry[nl+8 : nl+12])),
-		}
-		if version >= 2 {
-			rs.crc = binary.BigEndian.Uint32(entry[nl+12:])
+			crc:   binary.BigEndian.Uint32(entry[nl+12:]),
 		}
 		if rs.bits < 0 || rs.bytes < 0 || rs.bits > rs.bytes*8 {
 			return chunkRec{}, 0, fmt.Errorf("store: %w: stream %q: %d bits in %d bytes", ErrCorruptRecord, name, rs.bits, rs.bytes)
@@ -447,10 +435,6 @@ func readChunkHeader(r io.ReaderAt, off int64, version byte) (chunkRec, int64, e
 
 // Meta returns the sequence-level header.
 func (a *ChunkArchive) Meta() ArchiveMeta { return a.meta }
-
-// Version returns the container format version (1: no checksums,
-// 2: per-region CRC-32C).
-func (a *ChunkArchive) Version() int { return int(a.version) }
 
 // NumChunks returns the number of chunks in the container.
 func (a *ChunkArchive) NumChunks() int { return len(a.recs) }
@@ -491,13 +475,10 @@ func (a *ChunkArchive) resolvePolicy(ctx context.Context) FaultPolicy {
 	return a.policy.withDefaults()
 }
 
-// verified reports whether region bytes match their recorded checksum;
-// containers without checksums (version 1) always verify.
-func (a *ChunkArchive) verified(pol FaultPolicy, data []byte, crc uint32) bool {
-	if a.version < 2 || pol.SkipVerify {
-		return true
-	}
-	return crc32.Checksum(data, castagnoli) == crc
+// verified reports whether region bytes match their recorded checksum
+// (always, when the policy skips verification).
+func verified(pol FaultPolicy, data []byte, crc uint32) bool {
+	return pol.SkipVerify || crc32.Checksum(data, castagnoli) == crc
 }
 
 // readRegion reads one region of one record — the precise bytes, the pivot
@@ -523,7 +504,7 @@ func (a *ChunkArchive) readRegion(ctx context.Context, pol FaultPolicy, o obs.Ob
 			}
 			return false, err
 		}
-		if !a.verified(pol, buf, crc) {
+		if !verified(pol, buf, crc) {
 			o.Counter(obs.CtrCRCFailures, label, 1)
 			return false, fmt.Errorf("%w: %s checksum mismatch", ErrCorruptRecord, label)
 		}
@@ -581,9 +562,9 @@ type ChunkRead struct {
 
 // ReadChunkContext reads and reassembles chunk i under the effective fault
 // policy (context override, then the archive's, then defaults): every
-// region read retries transient failures with backoff, verifies its
-// CRC on version-2 containers, and falls back to the mirror. Damage that
-// survives all of that is classified by the reliability boundary: the
+// region read retries transient failures with backoff, verifies its CRC,
+// and falls back to the mirror. Damage that survives all of that is
+// classified by the reliability boundary: the
 // precise region and pivot tables are required — their loss is
 // ErrCorruptRecord (or ErrReadFailed when the device, not the data, kept
 // failing) — while a damaged approximate stream is zero-filled and
@@ -670,11 +651,10 @@ func (a *ChunkArchive) ReadChunk(i int) (*codec.Video, []core.FramePartition, er
 
 // AppendChunkWriter reopens an existing container for appending: it indexes
 // the records already present, positions the stream at the end, and returns
-// a writer that continues where the last chunk stopped, at the container's
-// own format version (a version-1 container keeps accumulating version-1
-// records; records of mixed layouts never share a container). rw must also
+// a writer that continues where the last chunk stopped. rw must also
 // implement io.ReaderAt (os.File does) so the index scan can share the
-// lock-free read path; a seek-only stream cannot be appended to.
+// lock-free read path; a seek-only stream cannot be appended to. A container
+// of any other format version is rejected like it is at open.
 func AppendChunkWriter(rw io.ReadWriteSeeker) (*ChunkWriter, error) {
 	ra, ok := rw.(io.ReaderAt)
 	if !ok {
@@ -692,7 +672,7 @@ func AppendChunkWriter(rw io.ReadWriteSeeker) (*ChunkWriter, error) {
 	if _, err := rw.Seek(end, io.SeekStart); err != nil {
 		return nil, fmt.Errorf("store: seeking archive end: %w", err)
 	}
-	cw := &ChunkWriter{w: rw, meta: a.meta, version: a.version, off: end, frames: a.TotalFrames()}
+	cw := &ChunkWriter{w: rw, meta: a.meta, off: end, frames: a.TotalFrames()}
 	for _, rec := range a.recs {
 		cw.chunks = append(cw.chunks, rec.info)
 	}

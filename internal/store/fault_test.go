@@ -265,52 +265,6 @@ func TestMirrorRecoversCorruption(t *testing.T) {
 	}
 }
 
-// TestV1ContainerCompat: version-1 containers (no checksums) stay readable
-// and report their version; corruption passes unverified, as documented.
-func TestV1ContainerCompat(t *testing.T) {
-	v, chunks, chunkParts := buildChunkedVideo(t, 2)
-	var buf bytes.Buffer
-	cw, err := newChunkWriter(&buf, ArchiveMeta{W: v.W, H: v.H, FPS: v.FPS, GOPSize: v.Params.GOPSize, GOPsPerChunk: 1}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeChunks(t, cw, chunks, chunkParts, 0)
-	data := buf.Bytes()
-
-	a, err := OpenChunkArchiveAt(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Version() != 1 {
-		t.Fatalf("Version() = %d, want 1", a.Version())
-	}
-	for i := 0; i < a.NumChunks(); i++ {
-		if _, _, err := a.ReadChunk(i); err != nil {
-			t.Fatalf("v1 chunk %d: %v", i, err)
-		}
-	}
-	off, _, _ := streamRegion(t, a, 0)
-	bad := bytes.Clone(data)
-	bad[off] ^= 0x01
-	a, err = OpenChunkArchiveAt(bytes.NewReader(bad))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cr, err := a.ReadChunkContext(context.Background(), 0)
-	if err != nil || len(cr.Degraded) != 0 {
-		t.Fatalf("v1 has no checksums to trip: degraded=%v err=%v", cr.Degraded, err)
-	}
-
-	// AppendChunkWriter preserves the container's version.
-	cw2, err := AppendChunkWriter(&rwsBuffer{data: bytes.Clone(data)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cw2.version != 1 {
-		t.Fatalf("appending writer version = %d, want 1", cw2.version)
-	}
-}
-
 // rwsBuffer is a minimal in-memory io.ReadWriteSeeker + io.ReaderAt for
 // append tests.
 type rwsBuffer struct {
@@ -438,7 +392,7 @@ func TestFaultioIntegration(t *testing.T) {
 	data, _ := buildArchiveBytes(t, 3)
 
 	run := func() ([]int, int64) {
-		fr := faultio.New(bytes.NewReader(data), faultio.Profile{
+		fr := faultio.Wrap(NewSnapshotBackend(data), faultio.Profile{
 			Seed: 42, TransientRate: 0.05, ShortRate: 0.02, CorruptRate: 0.002,
 		})
 		pol := fastPolicy()

@@ -24,8 +24,9 @@ func fuzzSeedArchive(t testing.TB, gops int) []byte {
 	return buf.Bytes()
 }
 
-// v1Header hand-crafts a chunkless VACS v1 container (the legacy layout has
-// no CRCs, so only the writer moved on — the reader must still parse it).
+// v1Header hand-crafts a chunkless VACS v1 container: the checksum-less
+// layout no reader supports anymore, which open must reject by its version
+// byte.
 func v1Header() []byte {
 	hdr := make([]byte, archiveHeaderLen)
 	copy(hdr, "VACS")
@@ -75,8 +76,8 @@ func FuzzOpenArchive(f *testing.F) {
 		if meta.W <= 0 || meta.H <= 0 {
 			t.Fatalf("parsed archive with invalid meta %+v", meta)
 		}
-		if v := a.Version(); v < 1 || v > 2 {
-			t.Fatalf("parsed archive with version %d", v)
+		if data[4] != chunkedVersion {
+			t.Fatalf("parsed archive with version byte %d", data[4])
 		}
 		frames := 0
 		for i := 0; i < a.NumChunks(); i++ {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -127,6 +128,23 @@ func TestOpenArchiveTypedErrors(t *testing.T) {
 			t.Fatalf("want ErrCorruptRecord, got %v", err)
 		}
 	})
+	// The checksum-less version 1 layout is no longer readable: a v1 version
+	// byte — over a bare header or over real records — is rejected at open,
+	// for reading and for appending alike, never parsed.
+	wrongVersion := bytes.Clone(data)
+	wrongVersion[4] = 1
+	for name, v1 := range map[string][]byte{"version 1 header": v1Header(), "version 1 byte over records": wrongVersion} {
+		t.Run(name, func(t *testing.T) {
+			_, err := OpenChunkArchiveAt(bytes.NewReader(v1))
+			if !errors.Is(err, ErrCorruptRecord) || !strings.Contains(err.Error(), "unsupported archive version 1") {
+				t.Fatalf("open: want ErrCorruptRecord naming version 1, got %v", err)
+			}
+			_, err = AppendChunkWriter(&rwsBuffer{data: v1})
+			if !errors.Is(err, ErrCorruptRecord) || !strings.Contains(err.Error(), "unsupported archive version 1") {
+				t.Fatalf("append: want ErrCorruptRecord naming version 1, got %v", err)
+			}
+		})
+	}
 	t.Run("chunk not found", func(t *testing.T) {
 		a, err := OpenChunkArchiveAt(bytes.NewReader(data))
 		if err != nil {

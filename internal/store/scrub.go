@@ -44,8 +44,7 @@ func (r ScrubReport) Healthy() bool { return r.Damaged == r.Repaired }
 // Scrub proactively walks every record in the archive, reading and
 // verifying each region under the archive's fault policy — the background
 // counterpart of the verify-on-read path, so damage is found before a
-// client asks for the chunk. On version-1 containers (no checksums) scrub
-// still exercises every byte, catching hard read failures and truncation.
+// client asks for the chunk.
 //
 // When a mirror is configured (WithMirror) and the primary also implements
 // io.WriterAt, scrub repairs damaged regions in place: it fetches the
@@ -124,7 +123,7 @@ func (a *ChunkArchive) repairRegion(ctx context.Context, pol FaultPolicy, o obs.
 	if n, err := a.mirror.ReadAt(buf, reg.off); err != nil && !(n == len(buf) && errors.Is(err, io.EOF)) {
 		return false
 	}
-	if !a.verified(pol, buf, reg.crc) {
+	if !verified(pol, buf, reg.crc) {
 		return false
 	}
 	o.Counter(obs.CtrMirrorReads, "", 1)
@@ -143,7 +142,7 @@ func (a *ChunkArchive) repairRegion(ctx context.Context, pol FaultPolicy, o obs.
 		if _, err := a.r.ReadAt(back, reg.off); err != nil {
 			continue
 		}
-		if a.verified(pol, back, reg.crc) {
+		if verified(pol, back, reg.crc) {
 			return true
 		}
 	}

@@ -60,7 +60,7 @@ errors=0
 degraded=0
 for pass in 1 2; do
     for i in 0 1 2 3; do
-        code=$(fetch_code "$url/v1/chunks/$i" "$tmp/h.txt" "$tmp/b.y4m")
+        code=$(fetch_code "$url/v1/archives/t/chunks/$i" "$tmp/h.txt" "$tmp/b.y4m")
         case "$code" in
         2??) ;;
         5??)

@@ -46,8 +46,8 @@ run_staticcheck() {
 }
 
 run_vetvideoapp() {
-    # Reuse a prebuilt driver when present (CI builds it once into bin/ and
-    # shares it between steps); otherwise `go run` builds it from the module.
+    # Reuse a prebuilt driver when present (go build -o bin/vetvideoapp
+    # ./cmd/vetvideoapp); otherwise `go run` builds it from the module.
     if [ -x bin/vetvideoapp ]; then
         echo "== vetvideoapp (bin/vetvideoapp)"
         ./bin/vetvideoapp ./...

@@ -3,9 +3,10 @@
 # archive a synthetic video, start `videoapp serve` on an ephemeral port,
 # fetch the index and one decoded chunk (asserting HTTP 200 and sane
 # bodies), then SIGINT the server and require a clean drained exit.
-# A second pass exercises the multi-archive catalog: `serve -archive-dir`
-# over a directory of archives, the /v1/archives routes, the legacy-alias
-# equivalence, and a SIGHUP rescan picking up a new archive live.
+# `serve -archive FILE` serves the file under its basename, exactly as
+# `serve -archive-dir DIR` does: a second pass serves a directory holding
+# the same file, requires byte-identical chunk bodies from both forms, and
+# has a SIGHUP rescan pick up a new archive live.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 GO=${GO:-go}
@@ -47,13 +48,20 @@ done
 echo "   up at $url"
 
 echo "== index"
-fetch "$url/v1/archive" "$tmp/index.json"
+fetch "$url/v1/archives/t" "$tmp/index.json"
 grep -q '"chunks":4' "$tmp/index.json" || { echo "unexpected index:"; cat "$tmp/index.json"; exit 1; }
 
 echo "== chunk 0"
-fetch "$url/v1/chunks/0" "$tmp/chunk0.y4m"
+fetch "$url/v1/archives/t/chunks/0" "$tmp/chunk0.y4m"
 head -c 9 "$tmp/chunk0.y4m" | grep -q 'YUV4MPEG' || { echo "chunk 0 is not y4m"; exit 1; }
 [ "$(wc -c <"$tmp/chunk0.y4m")" -gt 1000 ] || { echo "chunk 0 implausibly small"; exit 1; }
+
+echo "== the removed single-archive routes are gone"
+for path in /v1/archive /v1/chunks/0 /v1/chunks/0/meta; do
+    if fetch "$url$path" "$tmp/legacy.out" 2>/dev/null; then
+        echo "$path still answers 2xx"; exit 1
+    fi
+done
 
 echo "== metrics"
 fetch "$url/metrics" "$tmp/metrics.txt"
@@ -69,7 +77,7 @@ pid=""
 
 echo "== catalog: serve -archive-dir"
 mkdir "$tmp/archives"
-cp "$tmp/t.vacs" "$tmp/archives/alpha.vacs"
+cp "$tmp/t.vacs" "$tmp/archives/t.vacs"
 cp "$tmp/t.vacs" "$tmp/archives/beta.vacs"
 "$tmp/videoapp" -archive-dir "$tmp/archives" -addr 127.0.0.1:0 serve >"$tmp/catalog.log" 2>&1 &
 pid=$!
@@ -86,18 +94,17 @@ echo "   up at $url"
 
 echo "== catalog listing"
 fetch "$url/v1/archives" "$tmp/archives.json"
-grep -q '"name":"alpha"' "$tmp/archives.json" || { echo "listing missing alpha:"; cat "$tmp/archives.json"; exit 1; }
+grep -q '"name":"t"' "$tmp/archives.json" || { echo "listing missing t:"; cat "$tmp/archives.json"; exit 1; }
 grep -q '"name":"beta"' "$tmp/archives.json" || { echo "listing missing beta:"; cat "$tmp/archives.json"; exit 1; }
 
 echo "== named chunk route"
 fetch "$url/v1/archives/beta/chunks/0" "$tmp/beta0.y4m"
 head -c 9 "$tmp/beta0.y4m" | grep -q 'YUV4MPEG' || { echo "beta chunk 0 is not y4m"; exit 1; }
 
-echo "== legacy alias = default archive"
-fetch "$url/v1/chunks/0" "$tmp/legacy0.y4m"
-fetch "$url/v1/archives/alpha/chunks/0" "$tmp/alpha0.y4m"
-cmp -s "$tmp/legacy0.y4m" "$tmp/alpha0.y4m" \
-    || { echo "legacy /v1/chunks/0 differs from default archive alpha"; exit 1; }
+echo "== -archive and -archive-dir serve the same file the same"
+fetch "$url/v1/archives/t/chunks/0" "$tmp/dir0.y4m"
+cmp -s "$tmp/chunk0.y4m" "$tmp/dir0.y4m" \
+    || { echo "/v1/archives/t/chunks/0 differs between serve -archive and serve -archive-dir"; exit 1; }
 
 echo "== SIGHUP rescan picks up a new archive"
 cp "$tmp/t.vacs" "$tmp/archives/gamma.vacs"

@@ -36,29 +36,26 @@ type (
 	// ChunkArchive is a lock-free random-access reader over a chunked
 	// archive; ReadChunk is safe for any number of concurrent readers.
 	ChunkArchive = store.ChunkArchive
-	// ChunkServer is the HTTP read path over one archive: decoded chunk
-	// frames, per-chunk metadata, the archive index and a metrics snapshot,
-	// fronted by a sized LRU decoded-chunk cache with request coalescing.
-	// It is the single-archive special case of a Catalog. See the
-	// internal/serve package documentation for the endpoints.
-	ChunkServer = serve.Server
 	// Catalog is the HTTP read path over N named archives — the
-	// multi-tenant storage node. Archives are declared as ArchiveSpecs,
-	// opened lazily, idle-closed (WithIdleTimeout), and share one
-	// decoded-chunk cache; each has its own fault policy, circuit breaker
-	// and labeled metrics. Routes live under /v1/archives/{name}/..., with
-	// the legacy /v1/chunks/... routes aliasing the default archive.
+	// multi-tenant storage node; a single archive is a catalog of one spec.
+	// It ships decoded chunk frames, per-chunk metadata, archive indexes and
+	// a metrics snapshot, fronted by a sized LRU decoded-chunk cache with
+	// request coalescing. Archives are declared as ArchiveSpecs, opened
+	// lazily, idle-closed (WithIdleTimeout), and share the cache; each has
+	// its own fault policy, circuit breaker and labeled metrics. Routes live
+	// under /v1/archives/{name}/...; see the internal/serve package
+	// documentation for the endpoints.
 	Catalog = serve.Catalog
 	// ArchiveSpec declares one Catalog tenant: a routable name and a
 	// function producing its storage Backend, plus optional per-archive
 	// ArchiveOptions and FaultPolicy.
 	ArchiveSpec = serve.ArchiveSpec
 	// Backend is the pluggable storage seam archives live on: positionless
-	// reads and writes plus size and lifecycle. See OpenFileBackend,
+	// reads and writes plus lifecycle. See OpenFileBackend,
 	// NewMemBackend, NewSnapshotBackend; internal/faultio decorates any
 	// Backend with deterministic fault injection.
 	Backend = store.Backend
-	// ServeOption configures a ChunkServer or Catalog at construction; see
+	// ServeOption configures a Catalog at construction; see
 	// WithCacheBytes, WithCacheShards, WithPrefetch, WithRequestTimeout,
 	// WithServeWorkers, WithDrainTimeout, WithIdleTimeout,
 	// WithServeObserver and WithFaultPolicy.
@@ -163,14 +160,21 @@ func WithArchivePolicy(p FaultPolicy) ArchiveOption { return store.WithFaultPoli
 // mirror, and ChunkArchive.Scrub repairs the primary from it in place.
 func WithMirror(r io.ReaderAt) ArchiveOption { return store.WithMirror(r) }
 
-// NewChunkServer returns the HTTP serving layer over an opened archive:
-// GET /v1/archive (index), /v1/chunks/{i} (decoded frames as YUV4MPEG2),
-// /v1/chunks/{i}/meta, /metrics and /healthz. Decoded chunks are cached in
-// a sized LRU and cold-chunk decodes are coalesced, so a hot chunk is
-// decoded exactly once however many clients stampede it. Run it with
-// ChunkServer.Serve (graceful drain on context cancellation) or mount
-// ChunkServer.Handler under your own http.Server. The archive must outlive
-// the server.
+// NewCatalog returns the HTTP serving layer over N named archives (one
+// spec serves a single archive): GET /v1/archives (listing),
+// /v1/archives/{name} (index), /v1/archives/{name}/chunks/{i} (decoded
+// frames as YUV4MPEG2), /v1/archives/{name}/chunks/{i}/meta, /metrics and
+// /healthz. Decoded chunks are cached in a sized LRU and cold-chunk decodes
+// are coalesced, so a hot chunk is decoded exactly once however many
+// clients stampede it. Run it with Catalog.Serve (graceful drain on context
+// cancellation) or mount Catalog.Handler under your own http.Server.
+//
+// Archives open lazily on first request and close again after
+// WithIdleTimeout of disuse; all archives share one decoded-chunk cache
+// bounded by WithCacheBytes, while fault policies, circuit breakers and
+// chunk counters are per archive. Archives can be added and removed at
+// runtime (Catalog.Add, Catalog.Remove) — the CLI's serve -archive-dir
+// SIGHUP rescan is built on exactly that.
 //
 // The read path degrades gracefully: a chunk whose approximate streams
 // fail verification is still served, zero-filled where damaged, with the
@@ -178,25 +182,12 @@ func WithMirror(r io.ReaderAt) ArchiveOption { return store.WithMirror(r) }
 // failures trip a circuit breaker that sheds requests with
 // 503 + Retry-After instead of queueing more work on a failing device.
 // Configure both through WithFaultPolicy.
-func NewChunkServer(a *ChunkArchive, opts ...ServeOption) *ChunkServer {
-	return serve.New(a, opts...)
-}
-
-// NewCatalog returns the HTTP serving layer over N named archives: every
-// route of NewChunkServer, per archive, under /v1/archives/{name}/...,
-// with /v1/archives listing the catalog and the legacy /v1 routes aliasing
-// the default (first) archive. Archives open lazily on first request and
-// close again after WithIdleTimeout of disuse; all archives share one
-// decoded-chunk cache bounded by WithCacheBytes, while fault policies,
-// circuit breakers and chunk counters are per archive. Archives can be
-// added and removed at runtime (Catalog.Add, Catalog.Remove) — the CLI's
-// serve -archive-dir SIGHUP rescan is built on exactly that.
 func NewCatalog(specs []ArchiveSpec, opts ...ServeOption) (*Catalog, error) {
 	return serve.NewCatalog(specs, opts...)
 }
 
-// WithIdleTimeout closes lazily-opened catalog archives unused for d;
-// d <= 0 (the default) keeps them open forever.
+// WithIdleTimeout closes catalog archives unused for d; d <= 0 (the
+// default) keeps them open forever.
 func WithIdleTimeout(d time.Duration) ServeOption { return serve.WithIdleTimeout(d) }
 
 // WithCacheBytes bounds the server's decoded-chunk cache by rendered
@@ -204,8 +195,8 @@ func WithIdleTimeout(d time.Duration) ServeOption { return serve.WithIdleTimeout
 func WithCacheBytes(n int64) ServeOption { return serve.WithCacheBytes(n) }
 
 // WithCacheShards sets the decoded-chunk cache's lock-shard count,
-// rounded up to a power of two; 0 (the default) picks max(8, GOMAXPROCS)
-// rounded up, and 1 (or a negative value) restores a single global LRU.
+// rounded up to a power of two; n <= 0 (the default) picks max(8,
+// GOMAXPROCS) rounded up, and 1 is a single global LRU.
 func WithCacheShards(n int) ServeOption { return serve.WithCacheShards(n) }
 
 // WithPrefetch sets the server's sequential readahead depth: a request

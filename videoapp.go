@@ -34,9 +34,10 @@
 // # Serving
 //
 // The read path of an archived video is OpenArchive (lock-free concurrent
-// ReadChunk over an io.ReaderAt) fronted by NewChunkServer, an HTTP server
-// with a sized LRU decoded-chunk cache and request coalescing; see
-// stream.go and the internal/serve package documentation.
+// ReadChunk over an io.ReaderAt) fronted by NewCatalog, an HTTP server over
+// one or many named archives with a sized LRU decoded-chunk cache and
+// request coalescing; see stream.go and the internal/serve package
+// documentation.
 //
 // The underlying subsystems are exposed as type aliases so that advanced
 // users can drive them directly: the codec (EncodeContext/DecodeContext),
