@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test race golden golden-check bench bench-smoke bench-serve-smoke bench-selftest bench-parallel bench-stream serve-smoke chaos-smoke fmt fmt-check vet lint
+.PHONY: check build test race purego golden golden-check bench bench-smoke bench-serve-smoke bench-selftest bench-parallel bench-stream serve-smoke chaos-smoke fmt fmt-check vet lint
 
 # check is the full verification gate: formatting, vet, lint (staticcheck +
 # the vetvideoapp invariant suite), build, race-enabled tests, a
@@ -11,8 +11,10 @@ GO ?= go
 # run shuffled so inter-test ordering dependencies cannot hide. golden-check
 # names the bit-exactness gate explicitly (the race pass runs it too): the
 # absolute decode and archive-bytes manifests and the codec fuzz targets'
-# seed corpora.
-check: fmt-check vet lint build golden-check race bench-smoke bench-serve-smoke bench-selftest serve-smoke chaos-smoke
+# seed corpora. purego re-runs the block-matching and codec tests, golden
+# manifest included, on the portable SAD kernel, which an amd64 machine
+# otherwise never builds.
+check: fmt-check vet lint build golden-check purego race bench-smoke bench-serve-smoke bench-selftest serve-smoke chaos-smoke
 
 build:
 	$(GO) build ./...
@@ -35,6 +37,14 @@ test:
 
 race:
 	$(GO) test -race -shuffle=on ./...
+
+# purego builds internal/predict without its assembly (the one build-time
+# selection in the codec: sad_amd64.s or the SWAR rows of sad.go) and runs
+# the kernel-equivalence tests and the codec suite — golden decode manifest
+# included — on that path, so the form every other GOARCH uses cannot rot on
+# an amd64-only CI.
+purego:
+	$(GO) test -tags purego -count=1 ./internal/predict ./internal/codec
 
 # golden-check verifies the golden decode manifest
 # (internal/codec/testdata/golden_decode.json: SHA-256 of bitstreams, decoded
@@ -83,16 +93,17 @@ bench-stream:
 	$(GO) test -run='^$$' -bench=BenchmarkStreamMemory -benchtime=1x .
 	$(GO) test -run='^$$' -bench=BenchmarkStreamIngest -benchmem .
 
-# bench runs the measured hot-kernel benchmarks (SAD/motion search, error
-# injection, clone/pooling, chunk decode, arithmetic coder) plus the pipeline-level
+# bench runs the measured hot-kernel benchmarks (SAD/motion search/intra
+# decision, error injection, clone/pooling, chunk encode and decode, the fused
+# transform kernels, arithmetic coder) plus the pipeline-level
 # parallel benches, with allocation reporting. Compare two runs with
 # scripts/benchcmp.sh old.txt new.txt (results/kernel_bench.md holds the
 # committed before/after of the optimization pass).
 bench:
-	$(GO) test -run='^$$' -bench='BenchmarkSAD|BenchmarkSADEdge|BenchmarkMotionSearch' -benchmem ./internal/predict
+	$(GO) test -run='^$$' -bench='BenchmarkSAD|BenchmarkSADEdge|BenchmarkMotionSearch|BenchmarkIntraDecision' -benchmem ./internal/predict
 	$(GO) test -run='^$$' -bench='BenchmarkInject' -benchmem ./internal/store
-	$(GO) test -run='^$$' -bench='BenchmarkClone|BenchmarkDecodeChunk' -benchmem ./internal/codec
-	$(GO) test -run='^$$' -bench='BenchmarkReconstructAdd' -benchmem ./internal/transform
+	$(GO) test -run='^$$' -bench='BenchmarkClone|BenchmarkEncodeChunk|BenchmarkDecodeChunk' -benchmem ./internal/codec
+	$(GO) test -run='^$$' -bench='BenchmarkForwardQuantize|BenchmarkReconstructAdd' -benchmem ./internal/transform
 	$(GO) test -run='^$$' -bench='BenchmarkArith' -benchmem ./internal/entropy
 	$(GO) test -run='^$$' -bench='BenchmarkFlipIID' -benchmem ./internal/sim
 	$(GO) test -run='^$$' -bench='BenchmarkServeChunk' -benchmem ./internal/serve

@@ -54,20 +54,41 @@ func BenchmarkClonePooled(b *testing.B) {
 	}
 }
 
-// decodeChunkVideo encodes the cold-serve unit of the performance ledger:
-// one 6-frame closed GOP of 320×176 video with default parameters.
-func decodeChunkVideo(tb testing.TB, coder EntropyKind) *Video {
-	tb.Helper()
+// chunkInput is the unit of work of the performance ledger's ingest and
+// cold-serve workloads: one 6-frame closed GOP of 320×176 video with default
+// parameters.
+func chunkInput(coder EntropyKind) (*frame.Sequence, Params) {
 	cfg, _ := synth.PresetByName("crew_like")
-	seq := synth.Generate(cfg.ScaleTo(320, 176, 6))
 	p := DefaultParams()
 	p.GOPSize = 6
 	p.Entropy = coder
-	v, err := Encode(seq, p)
+	return synth.Generate(cfg.ScaleTo(320, 176, 6)), p
+}
+
+// decodeChunkVideo encodes chunkInput.
+func decodeChunkVideo(tb testing.TB, coder EntropyKind) *Video {
+	tb.Helper()
+	v, err := Encode(chunkInput(coder))
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return v
+}
+
+// BenchmarkEncodeChunk measures codec.Encode of one chunk, the layer that
+// dominates ingest and every set-up that archives its inputs.
+func BenchmarkEncodeChunk(b *testing.B) {
+	for _, coder := range []EntropyKind{CABAC, CAVLC} {
+		seq, p := chunkInput(coder)
+		b.Run(strings.ToLower(coder.String()), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Encode(seq, p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkDecodeChunk measures codec.Decode of one cold chunk, the layer

@@ -314,12 +314,13 @@ func (fd *frameDecoder) decodeMB(mx, my int) {
 		mode := predict.IntraMode(int(fd.sr.GetUVal(entropy.ClassIntraMode)) % predict.NumIntraModes)
 		qp = fd.decodeQP(mx, my, mbIdx)
 		hasAbove, hasLeft := my > fd.sliceTop, mx > 0
-		fd.pred.y = predict.IntraPredict16Avail(fd.rec, mx, my, mode, hasAbove, hasLeft)
+		predict.IntraPredict16Avail(&fd.pred.y, fd.rec, mx, my, mode, hasAbove, hasLeft)
 		chromaIntraPredict(fd.pred.cb[:], fd.pred.cr[:], fd.rec, mx, my, hasAbove, hasLeft)
 		fd.decodeResidualAndReconstruct(mx, my, qp)
 		if fd.record && fd.curRec != nil {
 			fd.curRec.Intra = true
-			for _, wr := range predict.IntraFootprintAvail(mx, my, mbCols, mode, hasAbove, hasLeft) {
+			var buf [2]predict.WeightedRef
+			for _, wr := range predict.IntraFootprintAvail(buf[:0], mx, my, mode, hasAbove, hasLeft) {
 				fd.curRec.Deps = append(fd.curRec.Deps, CompDep{SrcFrame: fd.ef.CodedIdx, SrcMB: wr.MB, Pixels: wr.Pixels})
 			}
 		}

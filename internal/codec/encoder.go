@@ -1,7 +1,9 @@
 package codec
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 
 	"videoapp/internal/bitio"
 	"videoapp/internal/entropy"
@@ -30,6 +32,7 @@ func Encode(seq *frame.Sequence, p Params) (*Video, error) {
 	// display positions of already-coded frames.
 	rec := make([]*frame.Frame, len(order))
 	displayToCoded := make(map[int]int, len(order))
+	fe := newFrameEncoder(p, w, h, rec)
 	for codedIdx, disp := range order {
 		ft := frameTypeOf(disp.display, len(seq.Frames), p)
 		ef := &EncodedFrame{
@@ -47,16 +50,7 @@ func Encode(seq *frame.Sequence, p Params) (*Video, error) {
 			ef.RefFwd = nearestCodedBefore(displayToCoded, disp.display, p)
 			ef.RefBwd = nearestCodedAfter(displayToCoded, disp.display)
 		}
-		fe := &frameEncoder{
-			params:  p,
-			video:   v,
-			ef:      ef,
-			orig:    seq.Frames[disp.display],
-			rec:     frame.MustNewPooled(w, h),
-			recRefs: rec,
-		}
-		fe.run()
-		rec[codedIdx] = fe.rec
+		rec[codedIdx] = fe.encode(ef, seq.Frames[disp.display])
 		displayToCoded[disp.display] = codedIdx
 		v.Frames = append(v.Frames, ef)
 	}
@@ -85,15 +79,10 @@ func codedOrder(n int, p Params) []codedEntry {
 			continue
 		}
 		order = append(order, codedEntry{d})
-		if p.BReference {
-			// Referenced Bs are coded in display order between anchors.
-			for b := prevAnchor + 1; b < d; b++ {
-				order = append(order, codedEntry{b})
-			}
-		} else {
-			for b := prevAnchor + 1; b < d; b++ {
-				order = append(order, codedEntry{b})
-			}
+		// The Bs between two anchors follow in display order, referenced
+		// or not.
+		for b := prevAnchor + 1; b < d; b++ {
+			order = append(order, codedEntry{b})
 		}
 		prevAnchor = d
 	}
@@ -158,25 +147,39 @@ func nearestCodedAfter(d2c map[int]int, d int) int {
 	return best
 }
 
-// frameEncoder carries per-frame encoding state.
+// frameEncoder encodes the frames of one Encode call, one at a time. It owns
+// the per-macroblock scratch (quantizer and motion-vector maps, prediction
+// and residual buffers), the payload writer and the slab dependency records
+// are carved from, so encoding a frame allocates only what the EncodedFrame
+// keeps — its records, its payload — and the reconstruction, which comes
+// from frame.NewPooled.
 type frameEncoder struct {
 	params  Params
-	video   *Video
-	ef      *EncodedFrame
-	orig    *frame.Frame
-	rec     *frame.Frame
 	recRefs []*frame.Frame
 
-	sw      entropy.SymbolWriter
-	qps     []int
-	mvRep   []predict.MV
-	mvAvail []bool
+	// State of the frame being encoded.
+	ef   *EncodedFrame
+	orig *frame.Frame
+	rec  *frame.Frame
+	sw   entropy.SymbolWriter
 	// sliceTop is the first macroblock row of the slice being coded;
 	// prediction never crosses it.
 	sliceTop int
-	// biBuf is per-encoder scratch for bi-predicted candidates (a partition
-	// is at most one 16×16 macroblock), hoisted out of the search loops so
-	// candidate evaluation never allocates.
+
+	// Scratch reused across macroblocks and frames.
+	w       bitio.Writer
+	qps     []int
+	mvRep   []predict.MV
+	mvAvail []bool
+	// depSlab is the backing store of MBRecord.Deps: each macroblock's
+	// dependencies are appended to it and the record keeps a cap-limited
+	// window, so a frame's records cost one allocation instead of one per
+	// macroblock. A slab without room for one more macroblock is left to
+	// the records that point into it and a fresh one started.
+	depSlab []CompDep
+	// biBuf is scratch for bi-predicted candidates (a partition is at most
+	// one 16×16 macroblock), hoisted out of the search loops so candidate
+	// evaluation never allocates.
 	biBuf [frame.MBSize * frame.MBSize]uint8
 	// pred and res are the prediction and quantized residual of the
 	// macroblock being coded, reconstructed by the shared reconstructMB.
@@ -184,12 +187,34 @@ type frameEncoder struct {
 	res  mbResidual
 }
 
-func (fe *frameEncoder) run() {
-	w := bitio.NewWriter()
+// maxDepsPerMB bounds the dependencies of one macroblock: sixteen 4×4
+// partitions, each bi-predicted from two references, each reference
+// rectangle straddling four macroblocks.
+const maxDepsPerMB = maxPartitions * 2 * 4
+
+// newFrameEncoder returns an encoder of w×h frames that resolves reference
+// indices in recRefs (coded order).
+func newFrameEncoder(p Params, w, h int, recRefs []*frame.Frame) *frameEncoder {
+	n := (w / frame.MBSize) * (h / frame.MBSize)
+	return &frameEncoder{
+		params: p, recRefs: recRefs,
+		qps: make([]int, n), mvRep: make([]predict.MV, n), mvAvail: make([]bool, n),
+	}
+}
+
+// encode codes orig as the frame described by ef — filling its payload, slice
+// table and macroblock records — and returns the reconstruction, a pooled
+// frame the caller owns.
+func (fe *frameEncoder) encode(ef *EncodedFrame, orig *frame.Frame) *frame.Frame {
+	fe.ef, fe.orig = ef, orig
+	fe.rec = frame.MustNewPooled(orig.W, orig.H)
+	clear(fe.qps)
+	clear(fe.mvRep)
+	clear(fe.mvAvail)
+	w := &fe.w
+	w.Reset()
 	mbCols, mbRows := fe.orig.MBCols(), fe.orig.MBRows()
-	fe.qps = make([]int, mbCols*mbRows)
-	fe.mvRep = make([]predict.MV, mbCols*mbRows)
-	fe.mvAvail = make([]bool, mbCols*mbRows)
+	fe.ef.MBs = make([]MBRecord, 0, mbCols*mbRows)
 	nSlices := fe.params.slices()
 	if nSlices > mbRows {
 		nSlices = mbRows
@@ -206,10 +231,10 @@ func (fe *frameEncoder) run() {
 		for my := topRow; my < botRow; my++ {
 			for mx := 0; mx < mbCols; mx++ {
 				start := fe.sw.BitPos()
-				rec := fe.encodeMB(mx, my)
-				rec.BitStart = start
+				fe.ef.MBs = append(fe.ef.MBs, MBRecord{MB: frame.MB{X: mx, Y: my}, BitStart: start})
+				rec := &fe.ef.MBs[len(fe.ef.MBs)-1]
+				fe.encodeMB(rec, mx, my)
 				rec.BitLen = fe.sw.BitPos() - start
-				fe.ef.MBs = append(fe.ef.MBs, rec)
 			}
 		}
 		fe.sw.Flush()
@@ -220,10 +245,13 @@ func (fe *frameEncoder) run() {
 			last.BitLen = w.BitPos() - last.BitStart
 		}
 	}
-	fe.ef.Payload = w.Bytes()
+	// The writer's buffer is reused by the next frame; the frame keeps an
+	// exact-size copy.
+	fe.ef.Payload = bytes.Clone(w.Bytes())
 	if fe.params.Deblock {
 		deblockFrame(fe.rec, fe.qps, mbCols)
 	}
+	return fe.rec
 }
 
 func (fe *frameEncoder) motionSearch(cur, ref *frame.Frame, cx, cy, w, h int, seed predict.MV, sr int) (predict.MV, int) {
@@ -247,10 +275,10 @@ type interCandidate struct {
 	cost int
 }
 
-func (fe *frameEncoder) encodeMB(mx, my int) MBRecord {
+// encodeMB codes macroblock (mx, my) and completes its record.
+func (fe *frameEncoder) encodeMB(rec *MBRecord, mx, my int) {
 	mbCols := fe.orig.MBCols()
 	mbIdx := my*mbCols + mx
-	rec := MBRecord{MB: frame.MB{X: mx, Y: my}}
 
 	qp := fe.mbQP(mx, my)
 	fe.qps[mbIdx] = qp
@@ -259,24 +287,32 @@ func (fe *frameEncoder) encodeMB(mx, my int) MBRecord {
 	refB := fe.refFrame(fe.ef.RefBwd)
 	predMV := mvPrediction(fe.mvRep, fe.mvAvail, mx, my, mbCols, fe.sliceTop)
 
-	intraMode, intraPred, intraSAD := predict.BestIntraModeAvail(fe.orig, fe.rec, mx, my, my > fe.sliceTop, mx > 0)
-
-	var inter interCandidate
-	haveInter := fe.ef.Type != FrameI && refF != nil
-	if haveInter {
-		inter = fe.searchInter(mx, my, predMV, refF, refB)
-	}
-
-	// Mode decision: intra carries a fixed penalty approximating its larger
-	// coded size; scene changes still select it.
+	// Mode decision, inter first: intra carries a fixed penalty
+	// approximating its larger coded size, so it wins only with
+	// intraSAD + intraPenalty < inter.cost (scene changes still select it).
+	// That is a bound the intra search can stop at — or, when the inter
+	// cost is within the penalty, a reason not to run it at all.
 	const intraPenalty = 512
-	if !haveInter || intraSAD+intraPenalty < inter.cost {
-		fe.pred.y = intraPred
-		fe.codeIntraMB(&rec, mx, my, intraMode, qp, mbIdx)
-		return rec
+	var inter interCandidate
+	intraLimit := math.MaxInt
+	if fe.ef.Type != FrameI && refF != nil {
+		inter = fe.searchInter(mx, my, predMV, refF, refB)
+		intraLimit = inter.cost - intraPenalty
 	}
-	fe.codeInterMB(&rec, mx, my, &inter, predMV, refF, refB, qp, mbIdx)
-	return rec
+	// Either coder appends the macroblock's dependencies to the slab; the
+	// record keeps them as a window that cannot grow into the next one's.
+	if cap(fe.depSlab)-len(fe.depSlab) < maxDepsPerMB {
+		fe.depSlab = make([]CompDep, 0, max(4*len(fe.qps), maxDepsPerMB))
+	}
+	mark := len(fe.depSlab)
+	if mode, _, ok := predict.BestIntraModeAvail(&fe.pred.y, fe.orig, fe.rec, mx, my, my > fe.sliceTop, mx > 0, intraLimit); ok {
+		fe.codeIntraMB(rec, mx, my, mode, qp, mbIdx)
+	} else {
+		fe.codeInterMB(rec, mx, my, &inter, predMV, refF, refB, qp, mbIdx)
+	}
+	if n := len(fe.depSlab); n > mark {
+		rec.Deps = fe.depSlab[mark:n:n]
+	}
 }
 
 // mbQP selects this macroblock's quantizer: the frame base QP plus an
@@ -286,11 +322,12 @@ func (fe *frameEncoder) mbQP(mx, my int) int {
 	if !fe.params.ActivityAQ {
 		return qp
 	}
-	px, py := mx*frame.MBSize, my*frame.MBSize
-	var sum, sum2 int64
+	w := fe.orig.W
+	luma := fe.orig.Y[my*frame.MBSize*w+mx*frame.MBSize:]
+	var sum, sum2 int
 	for y := 0; y < 16; y++ {
-		for x := 0; x < 16; x++ {
-			v := int64(fe.orig.LumaAt(px+x, py+y))
+		for _, s := range luma[y*w:][:16] {
+			v := int(s)
 			sum += v
 			sum2 += v * v
 		}
@@ -377,8 +414,9 @@ func (fe *frameEncoder) codeIntraMB(rec *MBRecord, mx, my int, mode predict.Intr
 	fe.codeDQP(mx, my, qp)
 
 	// Intra reference footprint: spatial dependency on neighbor MBs.
-	for _, wr := range predict.IntraFootprintAvail(mx, my, fe.orig.MBCols(), mode, my > fe.sliceTop, mx > 0) {
-		rec.Deps = append(rec.Deps, CompDep{SrcFrame: fe.ef.CodedIdx, SrcMB: wr.MB, Pixels: wr.Pixels})
+	var buf [2]predict.WeightedRef
+	for _, wr := range predict.IntraFootprintAvail(buf[:0], mx, my, mode, my > fe.sliceTop, mx > 0) {
+		fe.depSlab = append(fe.depSlab, CompDep{SrcFrame: fe.ef.CodedIdx, SrcMB: wr.MB, Pixels: wr.Pixels})
 	}
 
 	// The luma prediction is already in fe.pred; add chroma.
@@ -395,7 +433,7 @@ func (fe *frameEncoder) codeInterMB(rec *MBRecord, mx, my int, cand *interCandid
 
 	// Build the prediction and the dependency footprints.
 	interPredict(&fe.pred, refF, refB, mx, my, &cand.mbMotion, fe.params.HalfPel)
-	rec.Deps = appendMotionDeps(rec.Deps, fe.ef, fe.orig.W, fe.orig.H, mx, my, &cand.mbMotion, fe.params.HalfPel)
+	fe.depSlab = appendMotionDeps(fe.depSlab, fe.ef, fe.orig.W, fe.orig.H, mx, my, &cand.mbMotion, fe.params.HalfPel)
 
 	// Quantize the residual to test for skip (P frames, 16x16, no MV delta).
 	fe.quantizeResidual(mx, my, qp, false)
@@ -462,32 +500,26 @@ func (fe *frameEncoder) codeDQP(mx, my, qp int) {
 // source minus fe.pred, 16 luma then 4 Cb and 4 Cr blocks — into fe.res.
 // Every block is written, so none of fe.res is stale afterwards.
 func (fe *frameEncoder) quantizeResidual(mx, my, qp int, intra bool) {
-	fe.res.nz = 0
-	quantize := func(b int, src []uint8, srcStride int, pred []uint8, predStride int) {
-		var res transform.Block
-		for y := 0; y < 4; y++ {
-			s, p := src[y*srcStride:][:4], pred[y*predStride:][:4]
-			for x := range s {
-				res[y*4+x] = int32(s[x]) - int32(p[x])
-			}
-		}
-		fe.res.blocks[b] = transform.QuantizeOnly(&res, qp, intra)
-		if fe.res.blocks[b] != (transform.Block{}) {
-			fe.res.nz |= 1 << uint(b)
-		}
-	}
+	var nz uint32
 	w, cw := fe.orig.W, fe.orig.W/2
 	luma := fe.orig.Y[my*frame.MBSize*w+mx*frame.MBSize:]
 	for b := 0; b < lumaBlocks; b++ {
 		bx, by := b&3, b>>2
-		quantize(b, luma[by*4*w+bx*4:], w, fe.pred.y[by*64+bx*4:], 16)
+		if transform.ForwardQuantize(&fe.res.blocks[b], luma[by*4*w+bx*4:], w, fe.pred.y[by*64+bx*4:], 16, qp, intra) {
+			nz |= 1 << uint(b)
+		}
 	}
 	co := my*8*cw + mx*8
 	for b := 0; b < 4; b++ {
 		bx, by := b&1, b>>1
-		quantize(lumaBlocks+b, fe.orig.Cb[co+by*4*cw+bx*4:], cw, fe.pred.cb[by*32+bx*4:], 8)
-		quantize(lumaBlocks+4+b, fe.orig.Cr[co+by*4*cw+bx*4:], cw, fe.pred.cr[by*32+bx*4:], 8)
+		if transform.ForwardQuantize(&fe.res.blocks[lumaBlocks+b], fe.orig.Cb[co+by*4*cw+bx*4:], cw, fe.pred.cb[by*32+bx*4:], 8, qp, intra) {
+			nz |= 1 << uint(lumaBlocks+b)
+		}
+		if transform.ForwardQuantize(&fe.res.blocks[lumaBlocks+4+b], fe.orig.Cr[co+by*4*cw+bx*4:], cw, fe.pred.cr[by*32+bx*4:], 8, qp, intra) {
+			nz |= 1 << uint(lumaBlocks+4+b)
+		}
 	}
+	fe.res.nz = nz
 }
 
 // codeResidual writes the coded-block flag and, when any level is nonzero,

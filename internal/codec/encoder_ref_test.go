@@ -1,0 +1,113 @@
+package codec
+
+import (
+	"math/rand"
+	"testing"
+
+	"videoapp/internal/frame"
+	"videoapp/internal/transform"
+)
+
+// refQuantizeResidual is the encoder's residual path as it stood before
+// transform.ForwardQuantize: per block a closure gathers source minus
+// prediction into a Block, transform.QuantizeOnly returns the levels by
+// value, and a whole-block comparison sets the nonzero bit. Moved here
+// verbatim (the receiver's fields became parameters) as the oracle of
+// frameEncoder.quantizeResidual.
+func refQuantizeResidual(res *mbResidual, orig *frame.Frame, pred *mbPred, mx, my, qp int, intra bool) {
+	res.nz = 0
+	quantize := func(b int, src []uint8, srcStride int, prd []uint8, predStride int) {
+		var r transform.Block
+		for y := 0; y < 4; y++ {
+			s, p := src[y*srcStride:][:4], prd[y*predStride:][:4]
+			for x := range s {
+				r[y*4+x] = int32(s[x]) - int32(p[x])
+			}
+		}
+		res.blocks[b] = transform.QuantizeOnly(&r, qp, intra)
+		if res.blocks[b] != (transform.Block{}) {
+			res.nz |= 1 << uint(b)
+		}
+	}
+	w, cw := orig.W, orig.W/2
+	luma := orig.Y[my*frame.MBSize*w+mx*frame.MBSize:]
+	for b := 0; b < lumaBlocks; b++ {
+		bx, by := b&3, b>>2
+		quantize(b, luma[by*4*w+bx*4:], w, pred.y[by*64+bx*4:], 16)
+	}
+	co := my*8*cw + mx*8
+	for b := 0; b < 4; b++ {
+		bx, by := b&1, b>>1
+		quantize(lumaBlocks+b, orig.Cb[co+by*4*cw+bx*4:], cw, pred.cb[by*32+bx*4:], 8)
+		quantize(lumaBlocks+4+b, orig.Cr[co+by*4*cw+bx*4:], cw, pred.cr[by*32+bx*4:], 8)
+	}
+}
+
+// TestQuantizeResidualMatchesReference: levels and nonzero map of every
+// block equal the unfused path's, at every QP and both dead zones, for
+// predictions from exact (all-zero residual) through close to unrelated, at
+// corner, edge and interior macroblocks.
+func TestQuantizeResidualMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(101))
+	orig := frame.MustNew(48, 48)
+	rng.Read(orig.Y)
+	rng.Read(orig.Cb)
+	rng.Read(orig.Cr)
+	fe := newFrameEncoder(DefaultParams(), 48, 48, nil)
+	fe.orig = orig
+	for _, amp := range []int{0, 2, 12, 255} {
+		for _, mb := range [][2]int{{0, 0}, {1, 1}, {2, 0}, {2, 2}} {
+			mx, my := mb[0], mb[1]
+			// The prediction is the source plus noise of the given amplitude.
+			noisy := func(dst []uint8, stride int, src []uint8, srcStride, n int) {
+				for y := 0; y < n; y++ {
+					for x := 0; x < n; x++ {
+						dst[y*stride+x] = frame.ClampU8(int(src[y*srcStride+x]) + rng.Intn(2*amp+1) - amp)
+					}
+				}
+			}
+			noisy(fe.pred.y[:], 16, orig.Y[my*16*48+mx*16:], 48, 16)
+			noisy(fe.pred.cb[:], 8, orig.Cb[my*8*24+mx*8:], 24, 8)
+			noisy(fe.pred.cr[:], 8, orig.Cr[my*8*24+mx*8:], 24, 8)
+			for qp := 0; qp <= transform.MaxQP; qp++ {
+				for _, intra := range []bool{false, true} {
+					var want mbResidual
+					refQuantizeResidual(&want, orig, &fe.pred, mx, my, qp, intra)
+					for b := range fe.res.blocks { // stale levels of an earlier macroblock
+						fe.res.blocks[b] = transform.Block{9, -9, 9, -9}
+					}
+					fe.quantizeResidual(mx, my, qp, intra)
+					if fe.res != want {
+						t.Fatalf("amplitude %d mb (%d,%d) qp %d intra %v: residual differs from the reference (nz %024b, want %024b)",
+							amp, mx, my, qp, intra, fe.res.nz, want.nz)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEncodeAllocationBudget pins the allocation-free macroblock loop of the
+// encoder: encoding a 6-frame 320×176 chunk may allocate, beyond the
+// reconstruction (a Frame and its three planes, none when the pool has
+// them), at most fourteen objects per frame — the EncodedFrame, its records
+// and payload, slice tables and entropy coder, now and then a slab of
+// dependency records — plus a fixed handful per call. Before the rebuild it
+// was about 1 140 per frame, one footprint slice, histogram and Deps slice
+// per partition.
+func TestEncodeAllocationBudget(t *testing.T) {
+	for _, coder := range []EntropyKind{CABAC, CAVLC} {
+		seq, p := chunkInput(coder)
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := Encode(seq, p); err != nil {
+				t.Fatal(err)
+			}
+		})
+		n := float64(len(seq.Frames))
+		t.Logf("%s: %.0f allocations per %d-frame encode", coder, allocs, len(seq.Frames))
+		if budget := 16 + n*(4+14); allocs > budget {
+			t.Fatalf("%s: %.0f allocations per encode, budget %.0f (16 per call + %d frames × (4 for the reconstruction + 14))",
+				coder, allocs, budget, len(seq.Frames))
+		}
+	}
+}

@@ -1,9 +1,13 @@
 package codec
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"videoapp/internal/bitio"
+	"videoapp/internal/frame"
+	"videoapp/internal/predict"
 	"videoapp/internal/quality"
 )
 
@@ -146,5 +150,67 @@ func TestHalfPelAnalysisMonotone(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// texturedPan is a textured picture panning by (dx, dy) pixels per frame:
+// every frame is a window onto one large noise-plus-structure canvas, so
+// whole-pixel motion compensation is exact wherever the window overlaps.
+func texturedPan(w, h, frames, dx, dy int) *frame.Sequence {
+	cw, ch := w+frames*abs(dx), h+frames*abs(dy)
+	canvas := make([]uint8, cw*ch)
+	rng := rand.New(rand.NewSource(91))
+	for y := 0; y < ch; y++ {
+		for x := 0; x < cw; x++ {
+			v := 128 + 60*math.Sin(float64(x)*0.21)*math.Cos(float64(y)*0.17) + float64(rng.Intn(41)-20)
+			canvas[y*cw+x] = frame.ClampU8(int(v))
+		}
+	}
+	seq := &frame.Sequence{Name: "textured_pan", FPS: 30}
+	for i := 0; i < frames; i++ {
+		f := frame.MustNew(w, h)
+		f.Fill(0, 128, 128)
+		ox, oy := i*abs(dx), i*abs(dy)
+		if dx < 0 {
+			ox = (frames - 1 - i) * abs(dx)
+		}
+		if dy < 0 {
+			oy = (frames - 1 - i) * abs(dy)
+		}
+		for y := 0; y < h; y++ {
+			copy(f.Y[y*w:(y+1)*w], canvas[(oy+y)*cw+ox:])
+		}
+		seq.Frames = append(seq.Frames, f)
+	}
+	return seq
+}
+
+// TestHalfPelLargeMotionDoesNotDrift: half-pel vectors travel in the same
+// ±MaxMV units as full-pel ones, so they reach half as far. A pan faster than
+// that reach, searched with a range that would cover it, used to make the
+// encoder code vectors the decoder saturates: the two reconstructions parted
+// and the clean decode collapsed (19 dB against 39 dB without HalfPel).
+// Inside the decoder's range the encoder predicts worse but decodes to what
+// it reconstructed, which the quantizer alone determines.
+func TestHalfPelLargeMotionDoesNotDrift(t *testing.T) {
+	seq := texturedPan(320, 176, 4, 44, 0)
+	psnr := func(halfPel bool) float64 {
+		p := testParams()
+		p.GOPSize = 4
+		p.SearchRange = predict.MaxMV
+		p.HalfPel = halfPel
+		_, dec := encodeDecode(t, seq, p)
+		v, err := quality.PSNR(seq, dec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	full, half := psnr(false), psnr(true)
+	t.Logf("44 px/frame pan, range %d: full-pel %.2f dB, half-pel %.2f dB", predict.MaxMV, full, half)
+	// Drift costs several dB within a few frames; the two predictions alone
+	// move the result by hundredths.
+	if half < full-0.5 {
+		t.Fatalf("half-pel clean decode %.2f dB against full-pel %.2f dB: encoder and decoder disagree on large vectors", half, full)
 	}
 }

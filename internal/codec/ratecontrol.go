@@ -52,6 +52,9 @@ func EncodeABR(seq *frame.Sequence, p Params, targetBitsPerSecond int64) (*Video
 	}
 	v := &Video{Params: p, W: w, H: h, FPS: seq.FPS}
 	rec := make([]*frame.Frame, len(seq.Frames))
+	// The controller acts through each frame's BaseQP alone; nothing else
+	// the frame encoder reads depends on CRF.
+	fe := newFrameEncoder(p, w, h, rec)
 	var debt int64 // bits produced minus budget so far
 	qpAdj := 0
 	for d := 0; d < len(seq.Frames); d++ {
@@ -66,16 +69,7 @@ func EncodeABR(seq *frame.Sequence, p Params, targetBitsPerSecond int64) (*Video
 		if ft == FrameP {
 			ef.RefFwd = d - 1
 		}
-		fe := &frameEncoder{
-			params:  params,
-			video:   v,
-			ef:      ef,
-			orig:    seq.Frames[d],
-			rec:     frame.MustNewPooled(w, h),
-			recRefs: rec,
-		}
-		fe.run()
-		rec[d] = fe.rec
+		rec[d] = fe.encode(ef, seq.Frames[d])
 		v.Frames = append(v.Frames, ef)
 
 		// Proportional controller on the accumulated debt: one QP step per

@@ -205,11 +205,16 @@ func appendDeps(deps []CompDep, refCoded, w, h, cx, cy, rw, rh int, mv predict.M
 	if refCoded < 0 {
 		return deps
 	}
-	fp := predict.Footprint
+	// A partition straddles at most four macroblocks. The calls are direct
+	// so that buf stays on the stack.
+	var buf [4]predict.WeightedRef
+	var fp []predict.WeightedRef
 	if halfPel {
-		fp = predict.FootprintHP
+		fp = predict.FootprintHP(buf[:0], w, h, cx, cy, rw, rh, mv)
+	} else {
+		fp = predict.Footprint(buf[:0], w, h, cx, cy, rw, rh, mv)
 	}
-	for _, wr := range fp(w, h, cx, cy, rw, rh, mv) {
+	for _, wr := range fp {
 		deps = append(deps, CompDep{SrcFrame: refCoded, SrcMB: wr.MB, Pixels: wr.Pixels / share})
 	}
 	return deps

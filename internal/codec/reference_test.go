@@ -179,9 +179,9 @@ func (fd *refFrameDecoder) addDep(refCoded, cx, cy, w, h int, mv predict.MV, sha
 	if !fd.record || fd.curRec == nil || refCoded < 0 {
 		return
 	}
-	fp := predict.Footprint(fd.rec.W, fd.rec.H, cx, cy, w, h, mv)
+	fp := predict.Footprint(nil, fd.rec.W, fd.rec.H, cx, cy, w, h, mv)
 	if fd.video.Params.HalfPel {
-		fp = predict.FootprintHP(fd.rec.W, fd.rec.H, cx, cy, w, h, mv)
+		fp = predict.FootprintHP(nil, fd.rec.W, fd.rec.H, cx, cy, w, h, mv)
 	}
 	for _, wr := range fp {
 		fd.curRec.Deps = append(fd.curRec.Deps, CompDep{SrcFrame: refCoded, SrcMB: wr.MB, Pixels: wr.Pixels / share})
@@ -219,14 +219,15 @@ func (fd *refFrameDecoder) decodeMB(mx, my int) {
 	case mbIntra:
 		mode := predict.IntraMode(int(fd.sr.GetUVal(entropy.ClassIntraMode)) % predict.NumIntraModes)
 		qp := fd.decodeQP(mx, my, mbIdx)
-		pred := predict.IntraPredict16Avail(fd.rec, mx, my, mode, my > fd.sliceTop, mx > 0)
+		var pred [256]uint8
+		predict.IntraPredict16Avail(&pred, fd.rec, mx, my, mode, my > fd.sliceTop, mx > 0)
 		var predCb, predCr [64]uint8
 		chromaIntraPredict(predCb[:], predCr[:], fd.rec, mx, my, my > fd.sliceTop, mx > 0)
 		fd.decodeResidualAndReconstruct(mx, my, pred[:], predCb[:], predCr[:], qp)
 		if fd.record && fd.curRec != nil {
 			fd.curRec.Intra = true
 			fd.curRec.QP = qp
-			for _, wr := range predict.IntraFootprintAvail(mx, my, mbCols, mode, my > fd.sliceTop, mx > 0) {
+			for _, wr := range predict.IntraFootprintAvail(nil, mx, my, mode, my > fd.sliceTop, mx > 0) {
 				fd.curRec.Deps = append(fd.curRec.Deps, CompDep{SrcFrame: fd.ef.CodedIdx, SrcMB: wr.MB, Pixels: wr.Pixels})
 			}
 		}

@@ -114,9 +114,16 @@ func sadHPLimit(cur, ref *frame.Frame, cx, cy, w, h int, mv MV, limit int) int {
 // MotionSearchHP finds the best half-pel vector: an integer-pel search
 // seeded at the prediction, followed by a one-step half-pel refinement of
 // the eight fractional neighbors. pred and the result are in half-pel units.
+//
+// The stream codes half-pel vectors and their differences from pred in the
+// same ±MaxMV units as full-pel ones, and the decoder saturates both. The
+// search therefore stays where the decoder follows: the integer stage within
+// ±MaxMV/2 pixels and within MaxMV/2-1 pixels of the prediction (doubling
+// then leaves room for the half step), the refinement within ±MaxMV units of
+// both zero and pred. A larger searchRange reaches no further.
 func MotionSearchHP(cur, ref *frame.Frame, cx, cy, w, h int, pred MV, searchRange int) (MV, int) {
 	intPred := MV{X: pred.X / 2, Y: pred.Y / 2}
-	intBest, _ := MotionSearch(cur, ref, cx, cy, w, h, intPred, searchRange)
+	intBest, _ := motionSearch(cur, ref, cx, cy, w, h, intPred, min(searchRange, MaxMV/2-1), MaxMV/2)
 	best := MV{X: intBest.X * 2, Y: intBest.Y * 2}
 	// As in MotionSearch, candidates terminate early against the running
 	// minimum; rejected candidates return >= limit, accepted ones are exact.
@@ -129,11 +136,11 @@ func MotionSearchHP(cur, ref *frame.Frame, cx, cy, w, h int, pred MV, searchRang
 		return sadHPLimit(cur, ref, cx, cy, w, h, mv, limit-rate) + rate
 	}
 	bestCost := cost(best, maxSADLimit)
-	for _, d := range [8]MV{
-		{1, 0}, {-1, 0}, {0, 1}, {0, -1},
-		{1, 1}, {1, -1}, {-1, 1}, {-1, -1},
-	} {
+	for _, d := range searchDirs {
 		cand := ClampMV(best.Add(d))
+		if abs16(cand.X-pred.X) > MaxMV || abs16(cand.Y-pred.Y) > MaxMV {
+			continue
+		}
 		if c := cost(cand, bestCost); c < bestCost {
 			// Note: refinement is a single pass; the integer optimum plus
 			// one half step is within half a pel of the true optimum.
@@ -143,12 +150,12 @@ func MotionSearchHP(cur, ref *frame.Frame, cx, cy, w, h int, pred MV, searchRang
 	return best, bestCost
 }
 
-// FootprintHP reports the reference macroblocks of a half-pel compensation.
-// Each destination pixel is attributed to its floor integer source pixel;
-// the one-pixel tap fringe of the 6-tap filter is below the model's
-// macroblock-granularity resolution (§4.1) and ignored.
-func FootprintHP(refW, refH, cx, cy, rw, rh int, mv MV) []WeightedRef {
-	return Footprint(refW, refH, cx, cy, rw, rh, MV{X: floor2(mv.X), Y: floor2(mv.Y)})
+// FootprintHP is Footprint for a half-pel compensation. Each destination
+// pixel is attributed to its floor integer source pixel; the one-pixel tap
+// fringe of the 6-tap filter is below the model's macroblock-granularity
+// resolution (§4.1) and ignored.
+func FootprintHP(dst []WeightedRef, refW, refH, cx, cy, rw, rh int, mv MV) []WeightedRef {
+	return Footprint(dst, refW, refH, cx, cy, rw, rh, MV{X: floor2(mv.X), Y: floor2(mv.Y)})
 }
 
 func floor2(v int16) int16 {

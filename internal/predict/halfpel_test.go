@@ -97,7 +97,7 @@ func TestMotionSearchHPFindsHalfPelShift(t *testing.T) {
 
 func TestFootprintHPConservation(t *testing.T) {
 	for _, mv := range []MV{{0, 0}, {1, 1}, {-1, -1}, {7, -3}, {-15, 9}} {
-		fp := FootprintHP(64, 64, 16, 16, 16, 16, mv)
+		fp := FootprintHP(nil, 64, 64, 16, 16, 16, 16, mv)
 		total := 0
 		for _, w := range fp {
 			total += w.Pixels

@@ -16,17 +16,11 @@ func (m MV) Sub(o MV) MV { return MV{m.X - o.X, m.Y - o.Y} }
 const MaxMV = 64
 
 // ClampMV saturates both components to the legal range.
-func ClampMV(m MV) MV {
-	c := func(v int16) int16 {
-		if v < -MaxMV {
-			return -MaxMV
-		}
-		if v > MaxMV {
-			return MaxMV
-		}
-		return v
-	}
-	return MV{c(m.X), c(m.Y)}
+func ClampMV(m MV) MV { return clampMV(m, MaxMV) }
+
+// clampMV saturates both components to ±limit.
+func clampMV(m MV, limit int16) MV {
+	return MV{max(-limit, min(m.X, limit)), max(-limit, min(m.Y, limit))}
 }
 
 // MedianMV computes the H.264 motion vector prediction: the component-wise
@@ -135,6 +129,19 @@ func SAD(cur, ref *frame.Frame, cx, cy, w, h int, mv MV) int {
 // the vector difference so that near-prediction vectors win ties, as in a
 // rate-distortion-aware encoder.
 func MotionSearch(cur, ref *frame.Frame, cx, cy, w, h int, pred MV, searchRange int) (MV, int) {
+	return motionSearch(cur, ref, cx, cy, w, h, pred, searchRange, MaxMV)
+}
+
+// searchDirs are the eight unit steps of the square search pattern, in
+// evaluation order (the order breaks cost ties, so it is part of the output).
+var searchDirs = [8]MV{{1, 0}, {-1, 0}, {0, 1}, {0, -1}, {1, 1}, {1, -1}, {-1, 1}, {-1, -1}}
+
+// visitedSpan is the side of the visited bitmap of motionSearch, which covers
+// vectors within ±visitedSpan/2 of the prediction in one uint64 per row.
+const visitedSpan = 64
+
+// motionSearch is MotionSearch with vector components confined to ±maxMV.
+func motionSearch(cur, ref *frame.Frame, cx, cy, w, h int, pred MV, searchRange int, maxMV int16) (MV, int) {
 	// cost evaluates a candidate with early termination against limit: once
 	// the rate penalty alone, or the partial SAD plus the penalty, reaches
 	// limit the candidate cannot beat the running minimum, and any returned
@@ -148,27 +155,48 @@ func MotionSearch(cur, ref *frame.Frame, cx, cy, w, h int, pred MV, searchRange 
 		}
 		return SADLimit(cur, ref, cx, cy, w, h, mv, limit-rate) + rate
 	}
-	best := ClampMV(pred)
+	// visited marks the vectors already evaluated, indexed by their offset
+	// from pred. A vector evaluated earlier either lost to the running
+	// minimum of that moment or was the minimum and has been beaten since;
+	// the minimum only falls, so evaluating it again could only reject it
+	// again and skipping it changes nothing. Offsets outside the bitmap
+	// (search ranges beyond ±visitedSpan/2, or the zero vector far from
+	// pred) are simply never marked.
+	var visited [visitedSpan]uint64
+	seen := func(mv MV) bool {
+		dx, dy := int(mv.X)-int(pred.X)+visitedSpan/2, int(mv.Y)-int(pred.Y)+visitedSpan/2
+		if uint(dx) >= visitedSpan || uint(dy) >= visitedSpan {
+			return false
+		}
+		bit := uint64(1) << uint(dx)
+		was := visited[dy]&bit != 0
+		visited[dy] |= bit
+		return was
+	}
+	best := clampMV(pred, maxMV)
 	bestCost := cost(best, maxSADLimit)
-	if zc := cost(MV{}, bestCost); zc < bestCost {
-		best, bestCost = MV{}, zc
+	seen(best)
+	if !seen(MV{}) {
+		if zc := cost(MV{}, bestCost); zc < bestCost {
+			best, bestCost = MV{}, zc
+		}
 	}
 	// Coarse-to-fine square-pattern refinement until no improvement at each
 	// step size. Eight directions per step avoid the axis-only traps of a
 	// pure diamond on diagonal motion.
-	for _, step := range []int16{8, 4, 2, 1} {
+	for _, step := range [4]int16{8, 4, 2, 1} {
 		improved := true
 		for improved {
 			improved = false
-			for _, d := range [8]MV{
-				{step, 0}, {-step, 0}, {0, step}, {0, -step},
-				{step, step}, {step, -step}, {-step, step}, {-step, -step},
-			} {
-				cand := ClampMV(best.Add(d))
+			for _, d := range searchDirs {
+				cand := clampMV(MV{best.X + d.X*step, best.Y + d.Y*step}, maxMV)
 				if cand == best {
 					continue
 				}
 				if abs16(cand.X-pred.X) > int16(searchRange) || abs16(cand.Y-pred.Y) > int16(searchRange) {
+					continue
+				}
+				if seen(cand) {
 					continue
 				}
 				if c := cost(cand, bestCost); c < bestCost {
@@ -250,40 +278,40 @@ type WeightedRef struct {
 	Pixels int
 }
 
-// Footprint computes which macroblocks of a w×h reference frame a
-// compensation of the rectangle at (cx, cy) displaced by mv actually reads,
-// and how many pixels land in each, accounting for edge clamping. The pixel
-// counts sum to the rectangle area.
-func Footprint(refW, refH, cx, cy, rw, rh int, mv MV) []WeightedRef {
-	// Clamped coordinates form contiguous runs of MB columns and rows, so
-	// the histograms are small dense slices, emitted in raster order to
-	// keep dependency records deterministic.
-	colPix := pixelsPerMB(cx+int(mv.X), rw, refW)
-	rowPix := pixelsPerMB(cy+int(mv.Y), rh, refH)
-	out := make([]WeightedRef, 0, len(colPix)*len(rowPix))
-	for _, r := range rowPix {
-		for _, c := range colPix {
-			out = append(out, WeightedRef{MB: frame.MB{X: c.mb, Y: r.mb}, Pixels: c.n * r.n})
+// Footprint appends to dst which macroblocks of a refW×refH reference frame
+// a compensation of the rectangle at (cx, cy) displaced by mv actually reads,
+// and how many pixels land in each, accounting for edge clamping, and returns
+// the extended slice. The pixel counts sum to the rectangle area. The
+// rectangle is a partition — at most a macroblock wide and high — so each
+// axis touches at most two macroblocks and at most four entries are
+// appended, in raster order to keep dependency records deterministic.
+func Footprint(dst []WeightedRef, refW, refH, cx, cy, rw, rh int, mv MV) []WeightedRef {
+	cols, nc := pixelsPerMB(cx+int(mv.X), rw, refW)
+	rows, nr := pixelsPerMB(cy+int(mv.Y), rh, refH)
+	for _, r := range rows[:nr] {
+		for _, c := range cols[:nc] {
+			dst = append(dst, WeightedRef{MB: frame.MB{X: c.mb, Y: r.mb}, Pixels: c.n * r.n})
 		}
 	}
-	return out
+	return dst
 }
 
 type mbCount struct{ mb, n int }
 
-// pixelsPerMB histograms the clamped coordinates start..start+len-1 by
-// macroblock index along one axis, in ascending order.
-func pixelsPerMB(start, length, limit int) []mbCount {
-	var out []mbCount
-	for i := 0; i < length; i++ {
-		mb := clampInt(start+i, limit) / frame.MBSize
-		if n := len(out); n > 0 && out[n-1].mb == mb {
-			out[n-1].n++
-		} else {
-			out = append(out, mbCount{mb: mb, n: 1})
-		}
+// pixelsPerMB histograms the clamped coordinates start..start+length-1 by
+// macroblock index along one axis, in ascending order. Clamped coordinates
+// are monotone, so a run of at most frame.MBSize of them spans one
+// macroblock or two adjacent ones; the second return value says which.
+func pixelsPerMB(start, length, limit int) ([2]mbCount, int) {
+	first := clampInt(start, limit) / frame.MBSize
+	last := clampInt(start+length-1, limit) / frame.MBSize
+	if first == last {
+		return [2]mbCount{{mb: first, n: length}}, 1
 	}
-	return out
+	// Coordinates at or past the second macroblock's first sample fall in
+	// it (clamping at the far edge keeps them there); start lies before it.
+	n := start + length - last*frame.MBSize
+	return [2]mbCount{{mb: first, n: length - n}, {mb: last, n: n}}, 2
 }
 
 func clampInt(v, n int) int {

@@ -6,7 +6,11 @@
 // the weighted edges of the dependency graph.
 package predict
 
-import "videoapp/internal/frame"
+import (
+	"encoding/binary"
+
+	"videoapp/internal/frame"
+)
 
 // IntraMode is a 16×16 luma intra prediction mode.
 type IntraMode int
@@ -23,62 +27,58 @@ const (
 // NumIntraModes is the count of intra modes (for validation of decoded values).
 const NumIntraModes = int(numIntraModes)
 
-// IntraPredict16 builds the 16×16 luma prediction for macroblock (mbx, mby)
-// from the reconstructed frame rec. Neighbor availability follows the scan
-// order: above requires mby > 0, left requires mbx > 0. Unavailable modes
+// IntraPredict16Avail writes into out the 16×16 luma prediction (row-major,
+// stride 16) of macroblock (mbx, mby) from the reconstructed frame rec.
+// hasAbove and hasLeft say which neighbors the mode may read — the scan
+// order makes them mby > 0 and mbx > 0, and a slice boundary cuts the one
+// above — and must not claim a neighbor outside the frame. Unavailable modes
 // fall back to DC with the available neighbors (or 128 with none), exactly as
-// the decoder will reproduce.
-func IntraPredict16(rec *frame.Frame, mbx, mby int, mode IntraMode) [256]uint8 {
-	return IntraPredict16Avail(rec, mbx, mby, mode, mby > 0, mbx > 0)
-}
-
-// IntraPredict16Avail is IntraPredict16 with explicit neighbor availability,
-// used when slices cut the prediction dependency at their boundary.
-func IntraPredict16Avail(rec *frame.Frame, mbx, mby int, mode IntraMode, hasAbove, hasLeft bool) [256]uint8 {
-	var out [256]uint8
-	px, py := mbx*frame.MBSize, mby*frame.MBSize
+// the decoder will reproduce. The neighbor row and column lie inside the
+// frame, so every mode reads them without clamping.
+func IntraPredict16Avail(out *[256]uint8, rec *frame.Frame, mbx, mby int, mode IntraMode, hasAbove, hasLeft bool) {
+	w := rec.W
+	// o indexes the macroblock's top-left sample: the row above starts at
+	// o-w, the column to the left at o-1, the corner between them at o-w-1.
+	o := mby*frame.MBSize*w + mbx*frame.MBSize
 	switch {
 	case mode == IntraVertical && hasAbove:
-		for x := 0; x < 16; x++ {
-			v := rec.LumaAt(px+x, py-1)
-			for y := 0; y < 16; y++ {
-				out[y*16+x] = v
-			}
-		}
+		frame.CopyRows(out[:], 16, rec.Y[o-w:], 0, 16, 16)
 	case mode == IntraHorizontal && hasLeft:
 		for y := 0; y < 16; y++ {
-			v := rec.LumaAt(px-1, py+y)
-			for x := 0; x < 16; x++ {
-				out[y*16+x] = v
-			}
+			fill16(out[y*16:], rec.Y[o+y*w-1])
 		}
 	case mode == IntraPlane && hasAbove && hasLeft:
 		// Simplified plane fit through the neighbor row and column.
+		above := rec.Y[o-w-1:][:17] // above[1+x] is the sample over column x
+		left := func(y int) int { return int(rec.Y[o+y*w-1]) }
 		var h, v int
 		for i := 1; i <= 8; i++ {
-			h += i * (int(rec.LumaAt(px+7+i, py-1)) - int(rec.LumaAt(px+7-i, py-1)))
-			v += i * (int(rec.LumaAt(px-1, py+7+i)) - int(rec.LumaAt(px-1, py+7-i)))
+			h += i * (int(above[8+i]) - int(above[8-i]))
+			v += i * (left(7+i) - left(7-i))
 		}
-		a := 16 * (int(rec.LumaAt(px+15, py-1)) + int(rec.LumaAt(px-1, py+15)))
+		a := 16 * (int(above[16]) + left(15))
 		b := (5*h + 32) >> 6
 		c := (5*v + 32) >> 6
 		for y := 0; y < 16; y++ {
-			for x := 0; x < 16; x++ {
-				out[y*16+x] = frame.ClampU8((a + b*(x-7) + c*(y-7) + 16) >> 5)
+			row := out[y*16:][:16]
+			acc := a + c*(y-7) - 7*b + 16
+			for x := range row {
+				row[x] = frame.ClampU8(acc >> 5)
+				acc += b
 			}
 		}
 	default:
 		// DC (and the fallback for unavailable directional modes).
 		sum, n := 0, 0
 		if hasAbove {
-			for x := 0; x < 16; x++ {
-				sum += int(rec.LumaAt(px+x, py-1))
+			for _, s := range rec.Y[o-w:][:16] {
+				sum += int(s)
 			}
 			n += 16
 		}
 		if hasLeft {
 			for y := 0; y < 16; y++ {
-				sum += int(rec.LumaAt(px-1, py+y))
+				sum += int(rec.Y[o+y*w-1])
 			}
 			n += 16
 		}
@@ -86,71 +86,70 @@ func IntraPredict16Avail(rec *frame.Frame, mbx, mby int, mode IntraMode, hasAbov
 		if n > 0 {
 			dc = uint8((sum + n/2) / n)
 		}
-		for i := range out {
-			out[i] = dc
-		}
-	}
-	return out
-}
-
-// BestIntraMode evaluates all intra modes against the original pixels and
-// returns the mode with the lowest SAD, its prediction, and the SAD value.
-func BestIntraMode(orig, rec *frame.Frame, mbx, mby int) (IntraMode, [256]uint8, int) {
-	return BestIntraModeAvail(orig, rec, mbx, mby, mby > 0, mbx > 0)
-}
-
-// BestIntraModeAvail is BestIntraMode with explicit neighbor availability.
-func BestIntraModeAvail(orig, rec *frame.Frame, mbx, mby int, hasAbove, hasLeft bool) (IntraMode, [256]uint8, int) {
-	px, py := mbx*frame.MBSize, mby*frame.MBSize
-	bestMode, bestSAD := IntraDC, 1<<30
-	var bestPred [256]uint8
-	for m := IntraMode(0); m < numIntraModes; m++ {
-		pred := IntraPredict16Avail(rec, mbx, mby, m, hasAbove, hasLeft)
-		sad := 0
 		for y := 0; y < 16; y++ {
-			for x := 0; x < 16; x++ {
-				d := int(orig.LumaAt(px+x, py+y)) - int(pred[y*16+x])
-				if d < 0 {
-					d = -d
-				}
-				sad += d
-			}
-		}
-		if sad < bestSAD {
-			bestMode, bestSAD, bestPred = m, sad, pred
+			fill16(out[y*16:], dc)
 		}
 	}
-	return bestMode, bestPred, bestSAD
 }
 
-// IntraFootprint returns the dependency weights of an intra-predicted
-// macroblock on its source macroblocks: the neighbor MBs contributing
-// reference pixels, weighted by pixel share as in §4.1 of the paper.
-// The returned weights sum to 1 when any neighbor is available.
-func IntraFootprint(mbx, mby, mbCols int, mode IntraMode) []WeightedRef {
-	return IntraFootprintAvail(mbx, mby, mbCols, mode, mby > 0, mbx > 0)
+// fill16 sets the first 16 bytes of dst to v.
+func fill16(dst []uint8, v uint8) {
+	splat := uint64(v) * 0x0101010101010101
+	binary.LittleEndian.PutUint64(dst[0:8], splat)
+	binary.LittleEndian.PutUint64(dst[8:16], splat)
 }
 
-// IntraFootprintAvail is IntraFootprint with explicit neighbor availability.
-func IntraFootprintAvail(mbx, mby, mbCols int, mode IntraMode, hasAbove, hasLeft bool) []WeightedRef {
+// BestIntraModeAvail decides whether intra prediction of macroblock
+// (mbx, mby) can beat a competing cost: it looks for the mode with the lowest
+// SAD against the original pixels among those whose SAD is strictly below
+// limit (the first such mode on ties), writes its prediction into pred and
+// returns it with its SAD. ok is false, and pred untouched, when no mode gets
+// below limit.
+//
+// The bound makes the decision cheap without changing it. A limit <= 0 can
+// admit no SAD, so nothing is predicted at all; otherwise each mode's
+// row-wise SAD stops once it reaches min(best so far, limit), and a stopped
+// sum is >= that bound, as the exact SAD would be — the strict comparison
+// rejects both alike. Whenever some mode's SAD is below limit, the mode and
+// SAD returned are those of an unbounded scan over all four modes.
+func BestIntraModeAvail(pred *[256]uint8, orig, rec *frame.Frame, mbx, mby int, hasAbove, hasLeft bool, limit int) (mode IntraMode, sad int, ok bool) {
+	if limit <= 0 {
+		return IntraDC, 0, false
+	}
+	src := orig.Y[mby*frame.MBSize*orig.W+mbx*frame.MBSize:]
+	mode, sad = IntraDC, limit
+	var cand [256]uint8
+	for m := IntraMode(0); m < numIntraModes; m++ {
+		IntraPredict16Avail(&cand, rec, mbx, mby, m, hasAbove, hasLeft)
+		if s := sadRows(src, orig.W, cand[:], 16, 16, 16, sad); s < sad {
+			mode, sad, ok = m, s, true
+			*pred = cand
+		}
+	}
+	return mode, sad, ok
+}
+
+// IntraFootprintAvail appends to dst the dependency weights of an
+// intra-predicted macroblock on its source macroblocks — the neighbor MBs
+// contributing reference pixels, weighted by pixel share as in §4.1 of the
+// paper — and returns the extended slice. The weights sum to a macroblock's
+// 256 pixels when any neighbor is available; with none, nothing is appended.
+func IntraFootprintAvail(dst []WeightedRef, mbx, mby int, mode IntraMode, hasAbove, hasLeft bool) []WeightedRef {
 	above := frame.MB{X: mbx, Y: mby - 1}
 	left := frame.MB{X: mbx - 1, Y: mby}
 	switch {
 	case mode == IntraVertical && hasAbove:
-		return []WeightedRef{{MB: above, Pixels: 256}}
+		return append(dst, WeightedRef{MB: above, Pixels: 256})
 	case mode == IntraHorizontal && hasLeft:
-		return []WeightedRef{{MB: left, Pixels: 256}}
-	case mode == IntraPlane && hasAbove && hasLeft:
-		return []WeightedRef{{MB: above, Pixels: 128}, {MB: left, Pixels: 128}}
-	default:
-		switch {
-		case hasAbove && hasLeft:
-			return []WeightedRef{{MB: above, Pixels: 128}, {MB: left, Pixels: 128}}
-		case hasAbove:
-			return []WeightedRef{{MB: above, Pixels: 256}}
-		case hasLeft:
-			return []WeightedRef{{MB: left, Pixels: 256}}
-		}
-		return nil
+		return append(dst, WeightedRef{MB: left, Pixels: 256})
+	// Plane, DC, and the DC fallback of a mode whose neighbor is missing
+	// all read whichever neighbors exist, in equal shares.
+	case hasAbove && hasLeft:
+		return append(dst, WeightedRef{MB: above, Pixels: 128}, WeightedRef{MB: left, Pixels: 128})
+	case hasAbove:
+		return append(dst, WeightedRef{MB: above, Pixels: 256})
+	case hasLeft:
+		return append(dst, WeightedRef{MB: left, Pixels: 256})
 	}
+	return dst
 }

@@ -19,9 +19,16 @@ func gradientFrame(w, h int) *frame.Frame {
 	return f
 }
 
+// intraPred is the prediction of a macroblock whose neighbors are all the
+// scan order provides.
+func intraPred(rec *frame.Frame, mbx, mby int, mode IntraMode) (out [256]uint8) {
+	IntraPredict16Avail(&out, rec, mbx, mby, mode, mby > 0, mbx > 0)
+	return out
+}
+
 func TestIntraVerticalCopiesTopRow(t *testing.T) {
 	rec := gradientFrame(48, 48)
-	pred := IntraPredict16(rec, 1, 1, IntraVertical)
+	pred := intraPred(rec, 1, 1, IntraVertical)
 	for x := 0; x < 16; x++ {
 		want := rec.LumaAt(16+x, 15)
 		for y := 0; y < 16; y++ {
@@ -34,7 +41,7 @@ func TestIntraVerticalCopiesTopRow(t *testing.T) {
 
 func TestIntraHorizontalCopiesLeftCol(t *testing.T) {
 	rec := gradientFrame(48, 48)
-	pred := IntraPredict16(rec, 1, 1, IntraHorizontal)
+	pred := intraPred(rec, 1, 1, IntraHorizontal)
 	for y := 0; y < 16; y++ {
 		want := rec.LumaAt(15, 16+y)
 		for x := 0; x < 16; x++ {
@@ -47,7 +54,7 @@ func TestIntraHorizontalCopiesLeftCol(t *testing.T) {
 
 func TestIntraDCNoNeighbors(t *testing.T) {
 	rec := gradientFrame(48, 48)
-	pred := IntraPredict16(rec, 0, 0, IntraDC)
+	pred := intraPred(rec, 0, 0, IntraDC)
 	for _, v := range pred {
 		if v != 128 {
 			t.Fatalf("corner MB without neighbors must predict 128, got %d", v)
@@ -59,8 +66,8 @@ func TestIntraUnavailableModeFallsBackDeterministically(t *testing.T) {
 	rec := gradientFrame(48, 48)
 	// Vertical at the top row has no above neighbor: must equal the DC
 	// fallback so encoder and decoder agree.
-	v := IntraPredict16(rec, 1, 0, IntraVertical)
-	dc := IntraPredict16(rec, 1, 0, IntraDC)
+	v := intraPred(rec, 1, 0, IntraVertical)
+	dc := intraPred(rec, 1, 0, IntraDC)
 	if v != dc {
 		t.Fatal("unavailable vertical must fall back to DC")
 	}
@@ -75,8 +82,9 @@ func TestBestIntraModePicksExactMatch(t *testing.T) {
 		}
 	}
 	orig := rec.Clone()
-	mode, _, sad := BestIntraMode(orig, rec, 1, 1)
-	if sad != 0 {
+	var pred [256]uint8
+	mode, sad, ok := BestIntraModeAvail(&pred, orig, rec, 1, 1, true, true, math.MaxInt)
+	if !ok || sad != 0 {
 		t.Fatalf("perfect vertical pattern should give SAD 0, got %d (mode %d)", sad, mode)
 	}
 	if mode != IntraVertical {
@@ -85,11 +93,11 @@ func TestBestIntraModePicksExactMatch(t *testing.T) {
 }
 
 func TestIntraFootprintWeights(t *testing.T) {
-	fp := IntraFootprint(1, 1, 4, IntraVertical)
+	fp := IntraFootprintAvail(nil, 1, 1, IntraVertical, true, true)
 	if len(fp) != 1 || fp[0].MB != (frame.MB{X: 1, Y: 0}) || fp[0].Pixels != 256 {
 		t.Fatalf("vertical footprint %v", fp)
 	}
-	fp = IntraFootprint(1, 1, 4, IntraPlane)
+	fp = IntraFootprintAvail(nil, 1, 1, IntraPlane, true, true)
 	total := 0
 	for _, w := range fp {
 		total += w.Pixels
@@ -97,7 +105,7 @@ func TestIntraFootprintWeights(t *testing.T) {
 	if total != 256 {
 		t.Fatalf("plane footprint pixels %d, want 256", total)
 	}
-	if fp := IntraFootprint(0, 0, 4, IntraDC); fp != nil {
+	if fp := IntraFootprintAvail(nil, 0, 0, IntraDC, false, false); fp != nil {
 		t.Fatal("no neighbors -> no footprint")
 	}
 }
@@ -251,7 +259,7 @@ func TestFootprintConservation(t *testing.T) {
 		if y < 0 {
 			y = -y
 		}
-		fp := Footprint(64, 48, x, y, 16, 16, mv)
+		fp := Footprint(nil, 64, 48, x, y, 16, 16, mv)
 		total := 0
 		for _, w := range fp {
 			total += w.Pixels
@@ -267,14 +275,14 @@ func TestFootprintConservation(t *testing.T) {
 }
 
 func TestFootprintAlignedSingleMB(t *testing.T) {
-	fp := Footprint(64, 64, 16, 16, 16, 16, MV{})
+	fp := Footprint(nil, 64, 64, 16, 16, 16, 16, MV{})
 	if len(fp) != 1 || fp[0].MB != (frame.MB{X: 1, Y: 1}) || fp[0].Pixels != 256 {
 		t.Fatalf("aligned footprint %v", fp)
 	}
 }
 
 func TestFootprintStraddlesFourMBs(t *testing.T) {
-	fp := Footprint(64, 64, 16, 16, 16, 16, MV{8, 8})
+	fp := Footprint(nil, 64, 64, 16, 16, 16, 16, MV{8, 8})
 	if len(fp) != 4 {
 		t.Fatalf("straddling footprint has %d MBs, want 4", len(fp))
 	}
@@ -287,7 +295,7 @@ func TestFootprintStraddlesFourMBs(t *testing.T) {
 
 func TestFootprintEdgeClampConcentrates(t *testing.T) {
 	// A vector far off the top-left corner references only MB (0,0).
-	fp := Footprint(64, 64, 0, 0, 16, 16, MV{-60, -60})
+	fp := Footprint(nil, 64, 64, 0, 0, 16, 16, MV{-60, -60})
 	if len(fp) != 1 || fp[0].MB != (frame.MB{}) || fp[0].Pixels != 256 {
 		t.Fatalf("clamped footprint %v", fp)
 	}

@@ -13,9 +13,14 @@ import (
 // the single hottest loop in the encoder. Two mechanical optimizations keep
 // results bit-identical while removing most of the work:
 //
-//  1. Word-wide SAD: when neither block touches a frame edge (no clamping),
-//     rows are contiguous byte runs, and eight pixel pairs are differenced at
-//     once with a SWAR emulation of the psadbw instruction on uint64 loads.
+//  1. Row-wide SAD: rows are contiguous byte runs (a rectangle touching a
+//     frame edge has its clamped rows gathered into a stack buffer first), so
+//     one kernel, sadRows, differences whole rows. On amd64 it is an SSE2
+//     psadbw loop for the partition widths 16, 8 and 4 (sad_amd64.s); any
+//     other width, every other GOARCH and the purego build tag use the
+//     portable SWAR emulation of psadbw on uint64 loads below. The choice is made at
+//     build time only; both forms return identical values for identical
+//     arguments, early-terminated ones included.
 //
 //  2. Early termination: callers pass the running minimum as a limit. Once
 //     the partial sum reaches the limit the candidate cannot win, and the
@@ -72,41 +77,15 @@ func sadRow(a, c []uint8) int {
 	return sad
 }
 
-// interior reports whether the w×h rectangle at (x, y) lies fully inside the
-// f frame, so row reads need no edge clamping.
-func interior(f *frame.Frame, x, y, w, h int) bool {
-	return x >= 0 && y >= 0 && x+w <= f.W && y+h <= f.H
-}
-
-// SADLimit computes the sum of absolute differences between the cur
-// rectangle at (cx, cy) and the ref rectangle displaced by mv, with edge
-// clamping, stopping early once the running sum reaches limit (checked at
-// row boundaries). The result is exact whenever it is below limit; an
-// early-terminated result is a lower bound on the exact SAD that is already
-// >= limit, which strict-minimum searches reject identically.
-func SADLimit(cur, ref *frame.Frame, cx, cy, w, h int, mv MV, limit int) int {
-	rx, ry := cx+int(mv.X), cy+int(mv.Y)
-	if interior(cur, cx, cy, w, h) && interior(ref, rx, ry, w, h) {
-		sad := 0
-		for y := 0; y < h; y++ {
-			co := (cy+y)*cur.W + cx
-			ro := (ry+y)*ref.W + rx
-			sad += sadRow(cur.Y[co:co+w], ref.Y[ro:ro+w])
-			if sad >= limit {
-				return sad
-			}
-		}
-		return sad
-	}
+// sadRowsSWAR is the portable row kernel: the sum of absolute differences of
+// h rows of w bytes, a and b starting at the first row and advancing by their
+// strides (a stride of 0 compares every row against the same w bytes),
+// checked against limit after every row. It is the only path on targets
+// without an assembly kernel and the oracle the assembly is tested against.
+func sadRowsSWAR(a []uint8, aStride int, b []uint8, bStride int, w, h, limit int) int {
 	sad := 0
 	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			d := int(cur.LumaAt(cx+x, cy+y)) - int(ref.LumaAt(rx+x, ry+y))
-			if d < 0 {
-				d = -d
-			}
-			sad += d
-		}
+		sad += sadRow(a[y*aStride:][:w], b[y*bStride:][:w])
 		if sad >= limit {
 			return sad
 		}
@@ -114,28 +93,54 @@ func SADLimit(cur, ref *frame.Frame, cx, cy, w, h int, mv MV, limit int) int {
 	return sad
 }
 
-// sadAgainstLimit is SADLimit against a flat row-major prediction buffer
-// instead of a second frame.
-func sadAgainstLimit(orig *frame.Frame, cx, cy, w, h int, pred []uint8, limit int) int {
-	sad := 0
-	if interior(orig, cx, cy, w, h) {
-		for y := 0; y < h; y++ {
-			co := (cy+y)*orig.W + cx
-			sad += sadRow(orig.Y[co:co+w], pred[y*w:y*w+w])
-			if sad >= limit {
-				return sad
-			}
-		}
-		return sad
+// interior reports whether the w×h rectangle at (x, y) lies fully inside the
+// f frame, so row reads need no edge clamping.
+func interior(f *frame.Frame, x, y, w, h int) bool {
+	return x >= 0 && y >= 0 && x+w <= f.W && y+h <= f.H
+}
+
+// clampedRow returns the w luma samples of f at (x..x+w-1, y) with edge
+// clamping: a sub-slice of the plane when the run lies inside the row, and
+// otherwise the samples gathered into buf. w is at most a macroblock wide.
+func clampedRow(f *frame.Frame, x, y, w int, buf *[frame.MBSize]uint8) []uint8 {
+	row := f.Y[clampInt(y, f.H)*f.W:][:f.W]
+	if x >= 0 && x+w <= f.W {
+		return row[x : x+w]
 	}
+	// lo samples lie left of the plane and repeat its first column, hi lie
+	// right of it and repeat its last; the run between them is copied.
+	lo, hi := min(max(-x, 0), w), min(max(x+w-f.W, 0), w)
+	out := buf[:w]
+	for i := range out[:lo] {
+		out[i] = row[0]
+	}
+	if lo+hi < w {
+		copy(out[lo:w-hi], row[x+lo:])
+	}
+	for i := w - hi; i < w; i++ {
+		out[i] = row[f.W-1]
+	}
+	return out
+}
+
+// SADLimit computes the sum of absolute differences between the cur
+// rectangle at (cx, cy) and the ref rectangle displaced by mv, with edge
+// clamping, stopping early once the running sum reaches limit (checked at
+// row boundaries). The result is exact whenever it is below limit; an
+// early-terminated result is a lower bound on the exact SAD that is already
+// >= limit, which strict-minimum searches reject identically. Rectangles are
+// partition-sized: w is at most a macroblock wide.
+func SADLimit(cur, ref *frame.Frame, cx, cy, w, h int, mv MV, limit int) int {
+	rx, ry := cx+int(mv.X), cy+int(mv.Y)
+	if interior(cur, cx, cy, w, h) && interior(ref, rx, ry, w, h) {
+		return sadRows(cur.Y[cy*cur.W+cx:], cur.W, ref.Y[ry*ref.W+rx:], ref.W, w, h, limit)
+	}
+	// A rectangle touching a border: each clamped row is gathered into a
+	// stack buffer and fed to the same kernel.
+	var cbuf, rbuf [frame.MBSize]uint8
+	sad := 0
 	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			d := int(orig.LumaAt(cx+x, cy+y)) - int(pred[y*w+x])
-			if d < 0 {
-				d = -d
-			}
-			sad += d
-		}
+		sad += sadRows(clampedRow(cur, cx, cy+y, w, &cbuf), 0, clampedRow(ref, rx, ry+y, w, &rbuf), 0, w, 1, maxSADLimit)
 		if sad >= limit {
 			return sad
 		}
@@ -146,11 +151,22 @@ func sadAgainstLimit(orig *frame.Frame, cx, cy, w, h int, pred []uint8, limit in
 // SADAgainst computes the exact SAD between the orig rectangle at (cx, cy)
 // and a flat row-major prediction buffer.
 func SADAgainst(orig *frame.Frame, cx, cy, w, h int, pred []uint8) int {
-	return sadAgainstLimit(orig, cx, cy, w, h, pred, maxSADLimit)
+	return SADAgainstLimit(orig, cx, cy, w, h, pred, maxSADLimit)
 }
 
 // SADAgainstLimit is SADAgainst with early termination at limit, under the
 // same exactness contract as SADLimit.
 func SADAgainstLimit(orig *frame.Frame, cx, cy, w, h int, pred []uint8, limit int) int {
-	return sadAgainstLimit(orig, cx, cy, w, h, pred, limit)
+	if interior(orig, cx, cy, w, h) {
+		return sadRows(orig.Y[cy*orig.W+cx:], orig.W, pred, w, w, h, limit)
+	}
+	var buf [frame.MBSize]uint8
+	sad := 0
+	for y := 0; y < h; y++ {
+		sad += sadRows(clampedRow(orig, cx, cy+y, w, &buf), 0, pred[y*w:], 0, w, 1, maxSADLimit)
+		if sad >= limit {
+			return sad
+		}
+	}
+	return sad
 }

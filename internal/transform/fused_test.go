@@ -189,6 +189,89 @@ func TestReconstructAddInPlace(t *testing.T) {
 	}
 }
 
+// TestForwardQuantizeMatchesUnfused: the encoder's fused residual kernel is
+// Quantize(Forward(src - pred)) — levels and nonzero report — at every QP
+// (out-of-range ones clamp alike) and both dead zones, on random samples at
+// several residual amplitudes and on the ±255 extremes in every sign
+// pattern a 4×4 block's rows and columns can carry.
+func TestForwardQuantizeMatchesUnfused(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	const srcStride, predStride = 24, 16
+	type planes struct{ src, pred []uint8 }
+	var cases []planes
+	for _, amp := range []int{0, 1, 6, 40, 255} {
+		for n := 0; n < 12; n++ {
+			c := planes{make([]uint8, 4*srcStride), make([]uint8, 4*predStride)}
+			for i := range c.pred {
+				c.pred[i] = uint8(rng.Intn(256))
+			}
+			for y := 0; y < 4; y++ {
+				for x := 0; x < 4; x++ {
+					v := int(c.pred[1+y*predStride+x]) + rng.Intn(2*amp+1) - amp
+					c.src[2+y*srcStride+x] = uint8(min(max(v, 0), 255))
+				}
+			}
+			cases = append(cases, c)
+		}
+	}
+	// Extremes: every sample's residual +255 or -255, by the sign patterns
+	// of the transform's basis rows applied across and down the block.
+	basis := [4][4]int{{1, 1, 1, 1}, {1, 1, -1, -1}, {1, -1, -1, 1}, {1, -1, 1, -1}}
+	for _, rows := range basis {
+		for _, cols := range basis {
+			for _, flip := range []int{1, -1} {
+				c := planes{make([]uint8, 4*srcStride), make([]uint8, 4*predStride)}
+				for y := 0; y < 4; y++ {
+					for x := 0; x < 4; x++ {
+						if rows[y]*cols[x]*flip > 0 {
+							c.src[2+y*srcStride+x] = 255
+						} else {
+							c.pred[1+y*predStride+x] = 255
+						}
+					}
+				}
+				cases = append(cases, c)
+			}
+		}
+	}
+	for qp := -3; qp <= MaxQP+3; qp++ {
+		for _, intra := range []bool{false, true} {
+			for ci, c := range cases {
+				var res Block
+				for y := 0; y < 4; y++ {
+					for x := 0; x < 4; x++ {
+						res[y*4+x] = int32(c.src[2+y*srcStride+x]) - int32(c.pred[1+y*predStride+x])
+					}
+				}
+				fwd := Forward(&res)
+				want := Quantize(&fwd, qp, intra)
+				got := Block{7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7} // stale levels must all be overwritten
+				nonzero := ForwardQuantize(&got, c.src[2:], srcStride, c.pred[1:], predStride, qp, intra)
+				if got != want || nonzero != (want != Block{}) {
+					t.Fatalf("qp %d intra %v case %d (residual %v):\n got %v nonzero %v\nwant %v", qp, intra, ci, res, got, nonzero, want)
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkForwardQuantize(b *testing.B) {
+	rng := rand.New(rand.NewSource(17))
+	src, pred := make([]uint8, 4*320), make([]uint8, 4*16)
+	for i := range pred {
+		pred[i] = uint8(rng.Intn(256))
+	}
+	for y := 0; y < 4; y++ {
+		for x := 0; x < 4; x++ {
+			src[y*320+x] = uint8(min(max(int(pred[y*16+x])+rng.Intn(13)-6, 0), 255))
+		}
+	}
+	var z Block
+	for i := 0; i < b.N; i++ {
+		ForwardQuantize(&z, src, 320, pred, 16, 26, false)
+	}
+}
+
 func BenchmarkReconstructAdd(b *testing.B) {
 	rng := rand.New(rand.NewSource(15))
 	z := randResidual(rng, 40)

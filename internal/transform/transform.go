@@ -166,6 +166,52 @@ func QuantizeOnly(x *Block, qp int, intra bool) Block {
 	return Quantize(&y, qp, intra)
 }
 
+// ForwardQuantize is the residual kernel of one 4×4 block, fused: subtract
+// the prediction from the source, forward-transform and quantize —
+// *z = Quantize(Forward(src - pred), qp, intra), the same int32 and int64
+// arithmetic in the same order — and report whether any level is nonzero.
+// src and pred start at the block's top-left sample of planes with the given
+// row strides. All sixteen levels of z are written.
+func ForwardQuantize(z *Block, src []uint8, srcStride int, pred []uint8, predStride int, qp int, intra bool) (nonzero bool) {
+	qp = clampQP(qp)
+	mf := &mfByPos[qp%6]
+	qbits := uint(15 + qp/6)
+	f := int64(1) << qbits / 6
+	if intra {
+		f = int64(1) << qbits / 3
+	}
+	var tmp Block
+	for i := 0; i < 4; i++ {
+		s, p := src[i*srcStride:][:4], pred[i*predStride:][:4]
+		a, b, c, d := int32(s[0])-int32(p[0]), int32(s[1])-int32(p[1]), int32(s[2])-int32(p[2]), int32(s[3])-int32(p[3])
+		s0, s3 := a+d, a-d
+		s1, s2 := b+c, b-c
+		tmp[i*4], tmp[i*4+1], tmp[i*4+2], tmp[i*4+3] = s0+s1, 2*s3+s2, s0-s1, s3-2*s2
+	}
+	var nz int32
+	for j := 0; j < 4; j++ {
+		a, b, c, d := tmp[j], tmp[4+j], tmp[8+j], tmp[12+j]
+		s0, s3 := a+d, a-d
+		s1, s2 := b+c, b-c
+		q0 := quantLevel(s0+s1, mf[j], f, qbits)
+		q1 := quantLevel(2*s3+s2, mf[4+j], f, qbits)
+		q2 := quantLevel(s0-s1, mf[8+j], f, qbits)
+		q3 := quantLevel(s3-2*s2, mf[12+j], f, qbits)
+		z[j], z[4+j], z[8+j], z[12+j] = q0, q1, q2, q3
+		nz |= q0 | q1 | q2 | q3
+	}
+	return nz != 0
+}
+
+// quantLevel quantizes one coefficient, sign(v) * ((|v|*mf + f) >> qbits),
+// without a branch on the sign: with s = v>>31 (all ones for a negative v,
+// zero otherwise), (x^s)-s negates x exactly when v is negative.
+func quantLevel(v, mf int32, f int64, qbits uint) int32 {
+	s := int64(v >> 31)
+	q := (((int64(v)^s)-s)*int64(mf) + f) >> (qbits & 63)
+	return int32((q ^ s) - s)
+}
+
 // Reconstruct dequantizes levels and applies the inverse transform: the
 // unfused form of ReconstructAdd, and the reference its tests compare with.
 func Reconstruct(z *Block, qp int) Block {
