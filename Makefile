@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: check build test race purego golden golden-check bench bench-smoke bench-serve-smoke bench-selftest bench-parallel bench-stream serve-smoke chaos-smoke fmt fmt-check vet lint
+.PHONY: check build test race purego golden golden-check bench bench-smoke bench-selftest serve-smoke chaos-smoke fmt fmt-check vet lint
 
 # check is the full verification gate: formatting, vet, lint (staticcheck +
 # the vetvideoapp invariant suite), build, race-enabled tests, a
-# one-iteration compile-and-run pass over every benchmark so the perf
-# harness cannot rot, and end-to-end smokes of the chunk server (clean and
+# one-iteration compile-and-run pass over the benchmarks so the perf
+# harness cannot rot, end-to-end smokes of the chunk server (clean and
 # under injected faults), and the self-tests of the performance ledger in
 # bench/ (its own module, so `go test ./...` here does not reach it). Tests
 # run shuffled so inter-test ordering dependencies cannot hide. golden-check
@@ -14,7 +14,7 @@ GO ?= go
 # seed corpora. purego re-runs the block-matching and codec tests, golden
 # manifest included, on the portable SAD kernel, which an amd64 machine
 # otherwise never builds.
-check: fmt-check vet lint build golden-check purego race bench-smoke bench-serve-smoke bench-selftest serve-smoke chaos-smoke
+check: fmt-check vet lint build golden-check purego race bench-smoke bench-selftest serve-smoke chaos-smoke
 
 build:
 	$(GO) build ./...
@@ -76,29 +76,15 @@ fmt:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi
 
-# bench-parallel emits benchstat-friendly serial-vs-parallel numbers for
-# every concurrent pipeline stage:
-#
-#	make bench-parallel > par.txt
-#	benchstat -col /workers par.txt
-bench-parallel:
-	$(GO) test -run='^$$' -bench=BenchmarkParallel -count=10 -benchmem .
-
-# bench-stream compares peak heap of batch Process vs streaming
-# StreamToArchive (workers 1 and 2) at 1x and 4x sequence lengths — at a
-# fixed worker count streaming peak memory must stay flat as the input
-# grows — and times the ingest path at 1, 2 and 4 workers
-# (results/stream_bench.md).
-bench-stream:
-	$(GO) test -run='^$$' -bench=BenchmarkStreamMemory -benchtime=1x .
-	$(GO) test -run='^$$' -bench=BenchmarkStreamIngest -benchmem .
-
 # bench runs the measured hot-kernel benchmarks (SAD/motion search/intra
 # decision, error injection, clone/pooling, chunk encode and decode, the fused
 # transform kernels, arithmetic coder) plus the pipeline-level
 # parallel benches, with allocation reporting. Compare two runs with
 # scripts/benchcmp.sh old.txt new.txt (results/kernel_bench.md holds the
-# committed before/after of the optimization pass).
+# committed before/after of the optimization pass). These are the numbers a
+# kernel change iterates on; whole-system claims — ingest, Monte-Carlo and
+# the serve path, hot and cold — are measured by the ledger,
+# `bash bench/run.sh` (bench/README.md).
 bench:
 	$(GO) test -run='^$$' -bench='BenchmarkSAD|BenchmarkSADEdge|BenchmarkMotionSearch|BenchmarkIntraDecision' -benchmem ./internal/predict
 	$(GO) test -run='^$$' -bench='BenchmarkInject' -benchmem ./internal/store
@@ -106,13 +92,12 @@ bench:
 	$(GO) test -run='^$$' -bench='BenchmarkForwardQuantize|BenchmarkReconstructAdd' -benchmem ./internal/transform
 	$(GO) test -run='^$$' -bench='BenchmarkArith' -benchmem ./internal/entropy
 	$(GO) test -run='^$$' -bench='BenchmarkFlipIID' -benchmem ./internal/sim
-	$(GO) test -run='^$$' -bench='BenchmarkServeChunk' -benchmem ./internal/serve
 	$(GO) test -run='^$$' -bench='BenchmarkParallelStore|BenchmarkParallelPipeline' -benchmem .
 
 # serve-smoke is the end-to-end gate of the serving path: build the CLI,
 # archive a synthetic video, start `videoapp serve`, fetch the index, one
 # decoded chunk and /metrics over HTTP, then SIGINT and require a clean
-# drained exit (results/serve_bench.md holds the chunk-path benchmarks).
+# drained exit (results/serve_bench.md holds the chunk-path numbers).
 serve-smoke:
 	./scripts/serve_smoke.sh
 
@@ -123,19 +108,12 @@ serve-smoke:
 chaos-smoke:
 	./scripts/chaos_smoke.sh
 
-# bench-serve-smoke runs the serve-path benchmarks — hot/cold chunk, the
-# contended parallel path, and the prefetch-on/off sequential cold scan —
-# at 100 iterations each, so the serving benches (and the readahead path
-# they exercise) cannot silently rot. results/serve_bench.md holds a
-# representative run; claims are judged by the bench/ ledger.
-bench-serve-smoke:
-	$(GO) test -run='^$$' -bench='BenchmarkServe|BenchmarkArchiveReadChunk' -benchtime=100x -benchmem ./internal/serve
-
-# bench-smoke compiles and runs every benchmark in the repo exactly once —
-# a regression gate for the perf harness itself, cheap enough for check/CI.
+# bench-smoke compiles and runs the kernel, pipeline and streaming benchmarks
+# exactly once — a regression gate for the perf harness itself, cheap enough
+# for check/CI.
 bench-smoke:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/predict ./internal/transform ./internal/store ./internal/codec ./internal/entropy ./internal/sim ./internal/serve
-	$(GO) test -run='^$$' -bench='BenchmarkParallel|BenchmarkPipeline|BenchmarkStreamIngest' -benchtime=1x .
+	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/predict ./internal/transform ./internal/store ./internal/codec ./internal/entropy ./internal/sim
+	$(GO) test -run='^$$' -bench='BenchmarkParallel|BenchmarkPipeline|BenchmarkStream' -benchtime=1x .
 
 # bench-selftest vets and tests the performance ledger (bench/, the module
 # BENCHMARK.json runs): its self-tests re-archive through the pipeline and

@@ -25,7 +25,7 @@ import (
 // the flatness is read at a fixed worker count. Peaks are reported as the
 // peak-MB metric; results are committed in results/stream_bench.md.
 //
-//	make bench-stream
+//	go test -run '^$' -bench BenchmarkStreamMemory -benchtime 1x .
 func BenchmarkStreamMemory(b *testing.B) {
 	b.ReportAllocs()
 	const baseFrames = 48 // 12 closed GOPs at GOPSize 4
@@ -103,7 +103,7 @@ func BenchmarkStreamMemory(b *testing.B) {
 // with nothing behind the writer) at 12 and 48 frames and 1, 2 and 4
 // workers. ns/op falls with the worker count up to the core count — chunks
 // are processed concurrently and committed in order — while B/op per frame
-// stays flat; results/stream_bench.md holds the committed numbers.
+// stays flat; the ledger's ingest workload holds the committed numbers.
 func BenchmarkStreamIngest(b *testing.B) {
 	params := DefaultParams()
 	params.GOPSize = 6

@@ -1,7 +1,7 @@
 // Command vetvideoapp runs the project-specific static-analysis suite
 // (internal/analysis) over the module: invariant checkers mined from real
 // past incidents — lock-ordering inversions, bare EOF escapes, context
-// conventions, observability-name drift, deprecated-name reintroduction.
+// conventions, observability-name drift.
 // `make lint` and CI run it next to staticcheck; it needs nothing beyond
 // the go tool and works fully offline.
 //

@@ -61,7 +61,7 @@ func TestListPrintsEveryAnalyzer(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0", code)
 	}
-	for _, name := range []string{"ctxfirst", "lockorder", "nodeprecated", "obsnames", "wrapeof"} {
+	for _, name := range []string{"ctxfirst", "lockorder", "obsnames", "wrapeof"} {
 		if !strings.Contains(stdout, name) {
 			t.Errorf("-list output missing analyzer %s:\n%s", name, stdout)
 		}

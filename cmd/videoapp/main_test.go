@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -68,18 +71,6 @@ func TestCLIValidation(t *testing.T) {
 			stderr: "-prefetch",
 		},
 		{
-			name:   "stream conflicts with archive command",
-			args:   []string{"-stream", "archive"},
-			exit:   2,
-			stderr: "-stream only applies to the store command",
-		},
-		{
-			name:   "stream conflicts with serve command",
-			args:   []string{"-stream", "-archive", "x.vacs", "serve"},
-			exit:   2,
-			stderr: "-stream only applies to the store command",
-		},
-		{
 			name:   "unparseable fault profile",
 			args:   []string{"-fault-profile", "transient=lots", "-archive", "x.vacs", "serve"},
 			exit:   2,
@@ -104,16 +95,25 @@ func TestCLIValidation(t *testing.T) {
 			stderr: "-entropy",
 		},
 		{
-			name:   "entropy contradicts cavlc shorthand",
-			args:   []string{"-entropy", "cabac", "-cavlc", "presets"},
+			// One flag per decision: the -cavlc shorthand and the store
+			// command's -stream selector are gone, not deprecated.
+			name:   "cavlc shorthand is not a flag",
+			args:   []string{"-cavlc", "presets"},
 			exit:   2,
-			stderr: "contradicts",
+			stderr: "flag provided but not defined: -cavlc",
 		},
 		{
+			name:   "stream selector is not a flag",
+			args:   []string{"-stream", "store"},
+			exit:   2,
+			stderr: "flag provided but not defined: -stream",
+		},
+		{
+			// The diagnostic lists the command table, heatmap included.
 			name:   "unknown command",
 			args:   []string{"frobnicate"},
 			exit:   1,
-			stderr: "unknown command",
+			stderr: `unknown command "frobnicate" (want analyze|archive|chunk|decode|encode|gen|heatmap|info|presets|scrub|serve|store)`,
 		},
 		{
 			name:   "serve with missing archive file",
@@ -208,6 +208,44 @@ func TestCLIValidation(t *testing.T) {
 				t.Fatalf("stderr %q does not contain %q", stderr.String(), tc.stderr)
 			}
 		})
+	}
+}
+
+// TestCLIEntropyFlagMatchesGoldenArchive: -entropy is the one way to pick
+// the coder, and `-entropy cavlc archive` (and the cabac default) writes
+// exactly the container bytes the root package's TestGoldenArchive pins for
+// the same input through the library options.
+func TestCLIEntropyFlagMatchesGoldenArchive(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden_archive.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		key  string
+		args []string
+	}{
+		{"CAVLC/gops=1/workers=1", []string{"-entropy", "cavlc"}},
+		{"CABAC/gops=2/workers=4", []string{"-chunk-gops", "2", "-workers", "4"}},
+	} {
+		out := filepath.Join(t.TempDir(), "a.vacs")
+		// -slices 0 is DefaultParams' value (the flag defaults to its
+		// synonym 1, which the container records as written).
+		args := append(tc.args, "-preset", "crew_like", "-w", "96", "-h", "64", "-frames", "16", "-gop", "4", "-slices", "0", "-o", out, "archive")
+		var stderr bytes.Buffer
+		if got := cliMain(args, &stderr); got != 0 {
+			t.Fatalf("%v: exit %d (stderr: %s)", args, got, stderr.String())
+		}
+		archive, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(archive); hex.EncodeToString(sum[:]) != want[tc.key] {
+			t.Fatalf("%v: archive hashes to %x, manifest %s says %s", tc.args, sum, tc.key, want[tc.key])
+		}
 	}
 }
 

@@ -25,7 +25,7 @@ func TestSelect(t *testing.T) {
 		{enable: "", disable: "", want: names(All())},
 		{enable: "lockorder", want: []string{"lockorder"}},
 		{enable: "wrapeof,lockorder", want: []string{"lockorder", "wrapeof"}},
-		{disable: "ctxfirst", want: []string{"lockorder", "nodeprecated", "obsnames", "wrapeof"}},
+		{disable: "ctxfirst", want: []string{"lockorder", "obsnames", "wrapeof"}},
 		{enable: "lockorder", disable: "lockorder", want: nil},
 		{enable: " lockorder , ", want: []string{"lockorder"}},
 		{enable: "lockodrer", wantErr: "unknown analyzer"},
@@ -107,7 +107,7 @@ func TestBaselineStale(t *testing.T) {
 	root := t.TempDir()
 	diags := []Diagnostic{
 		diag("wrapeof", filepath.Join(root, "x.go"), 1, "returns bare io.EOF"),
-		diag("nodeprecated", filepath.Join(root, "y.go"), 2, "introduces a Deprecated: marker"),
+		diag("ctxfirst", filepath.Join(root, "y.go"), 2, "context.Context should be the first parameter"),
 	}
 	path := filepath.Join(root, "lint.baseline")
 	if err := os.WriteFile(path, WriteBaseline(diags, root), 0o644); err != nil {
@@ -119,8 +119,8 @@ func TestBaselineStale(t *testing.T) {
 	}
 	b.Match(diags[0], root)
 	stale := b.Stale()
-	if len(stale) != 1 || !strings.Contains(stale[0], "nodeprecated") {
-		t.Errorf("Stale() = %v, want the unmatched nodeprecated entry", stale)
+	if len(stale) != 1 || !strings.Contains(stale[0], "ctxfirst") {
+		t.Errorf("Stale() = %v, want the unmatched ctxfirst entry", stale)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 
 // All returns every analyzer in the suite, in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Ctxfirst, Lockorder, Nodeprecated, Obsnames, Wrapeof}
+	return []*Analyzer{Ctxfirst, Lockorder, Obsnames, Wrapeof}
 }
 
 // Select resolves -enable/-disable analyzer lists against the full suite.

@@ -23,6 +23,18 @@
 // sizes while never taking more than one lock. NewShardedHash selects the
 // shard count (one shard is the strict global LRU), with DefaultShards as
 // the serving default.
+//
+// # Removal hook
+//
+// OnRemove registers a function the cache calls with the key and value of
+// every value that leaves it: LRU evictions, RemoveIf purges, and a freshly
+// loaded value too costly to be retained at all. A resident value has never
+// been passed to the hook and one that left was passed exactly once, so an
+// owner can keep per-value state on the value itself (the serve layer's
+// "prefetched, not yet served" bit) and settle it when the value goes,
+// instead of mirroring the cache's tables in one of its own. For the same
+// reason Contains is true for a key whose load is still in flight: "is
+// anyone already producing this?" is the flight table's to answer.
 package cache
 
 import (
@@ -44,6 +56,8 @@ type Cache[K comparable, V any] struct {
 	seed   maphash.Seed
 	mask   uint64
 	shards []shard[K, V]
+	// onRemove, when set, receives every value that leaves the cache.
+	onRemove func(K, V)
 }
 
 // shard is one independently locked slice of the cache: its own mutex,
@@ -166,26 +180,47 @@ func (c *Cache[K, V]) shard(key K) *shard[K, V] {
 	return &c.shards[c.hash(c.seed, key)&c.mask]
 }
 
-// Contains reports whether key is resident, without touching the recency
-// order or the hit/miss counters — the prefetcher's "already warm?" probe.
+// OnRemove registers the removal hook (see the package documentation): fn
+// is called outside every cache lock. Set it once, before the cache is used.
+func (c *Cache[K, V]) OnRemove(fn func(K, V)) { c.onRemove = fn }
+
+// removed reports entries that just left a shard to the removal hook, after
+// the caller has released the shard lock.
+func (c *Cache[K, V]) removed(gone []*entry[K, V]) {
+	if c.onRemove == nil {
+		return
+	}
+	for _, e := range gone {
+		c.onRemove(e.key, e.val)
+	}
+}
+
+// Contains reports whether key is resident or has a load in flight, without
+// touching the recency order or the hit/miss counters — the prefetcher's
+// "already warm or warming?" probe.
 func (c *Cache[K, V]) Contains(key K) bool {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	_, ok := s.entries[key]
+	if !ok {
+		_, ok = s.flights[key]
+	}
 	return ok
 }
 
 // addLocked inserts a freshly loaded value and evicts LRU entries of the
-// shard until its cost fits its budget. A value whose own cost exceeds the
-// shard budget is not retained (it would only evict everything else and
-// then miss anyway). key is never resident here: a flight only starts on a
-// miss and is the sole writer of its key until it lands.
-func (s *shard[K, V]) addLocked(key K, val V, cost int64) {
+// shard until its cost fits its budget, returning the entries that left. A
+// value whose own cost exceeds the shard budget is not retained (it would
+// only evict everything else and then miss anyway) and is itself returned.
+// key is never resident here: a flight only starts on a miss and is the
+// sole writer of its key until it lands.
+func (s *shard[K, V]) addLocked(key K, val V, cost int64) (gone []*entry[K, V]) {
+	e := &entry[K, V]{key: key, val: val, cost: cost}
 	if cost > s.maxCost {
-		return
+		return append(gone, e)
 	}
-	s.entries[key] = s.order.PushFront(&entry[K, V]{key: key, val: val, cost: cost})
+	s.entries[key] = s.order.PushFront(e)
 	s.total.Add(cost)
 	s.count.Add(1)
 	for s.total.Load() > s.maxCost {
@@ -193,17 +228,19 @@ func (s *shard[K, V]) addLocked(key K, val V, cost int64) {
 		if back == nil {
 			break
 		}
-		s.removeLocked(back)
+		gone = append(gone, s.removeLocked(back))
 		s.evictions.Add(1)
 	}
+	return gone
 }
 
-func (s *shard[K, V]) removeLocked(el *list.Element) {
+func (s *shard[K, V]) removeLocked(el *list.Element) *entry[K, V] {
 	e := el.Value.(*entry[K, V])
 	s.order.Remove(el)
 	delete(s.entries, e.key)
 	s.total.Add(-e.cost)
 	s.count.Add(-1)
+	return e
 }
 
 // GetOrLoad returns the cached value for key, or runs load to produce it,
@@ -243,12 +280,16 @@ func (c *Cache[K, V]) GetOrLoad(ctx context.Context, key K, load func(context.Co
 	s.loads.Add(1)
 	go func() {
 		f.val, f.err = load(context.WithoutCancel(ctx))
+		var gone []*entry[K, V]
 		s.mu.Lock()
 		delete(s.flights, key)
 		if f.err == nil {
-			s.addLocked(key, f.val, c.cost(f.val))
+			gone = s.addLocked(key, f.val, c.cost(f.val))
 		}
 		s.mu.Unlock()
+		// Before the waiters wake: once GetOrLoad returns, the evictions its
+		// load caused have been reported.
+		c.removed(gone)
 		close(f.done)
 	}()
 	v, err := wait(ctx, f)

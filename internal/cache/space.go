@@ -51,8 +51,8 @@ func In[K comparable, V any](c *Cache[Keyed[K], V], name string) Space[K, V] {
 	return Space[K, V]{c: c, name: name}
 }
 
-// Contains reports whether key is resident within the space without
-// touching the recency order or the hit/miss counters.
+// Contains reports whether key is resident or loading within the space,
+// without touching the recency order or the hit/miss counters.
 func (s Space[K, V]) Contains(key K) bool {
 	return s.c.Contains(Keyed[K]{Space: s.name, Key: key})
 }
@@ -66,24 +66,28 @@ func (s Space[K, V]) GetOrLoad(ctx context.Context, key K, load func(context.Con
 }
 
 // RemoveIf drops every resident entry whose key matches pred, returning the
-// number removed — how a whole namespace is purged. It scans shard by shard,
-// holding each shard's lock for its slice of the scan: pred must be fast and
-// must not touch the cache. In-flight loads are not interrupted; their
-// results land after the scan and age out through the LRU, so callers that
-// must keep stale results unreachable retire the space name itself (a fresh
-// generation suffix) rather than rely on RemoveIf racing the loads.
+// number removed — how a whole namespace is purged; each one is reported to
+// the removal hook. It scans shard by shard, holding each shard's lock for
+// its slice of the scan: pred must be fast and must not touch the cache
+// (the hook runs after the shard is unlocked). In-flight loads are not
+// interrupted; their results land after the scan and age out through the
+// LRU, so callers that must keep stale results unreachable retire the space
+// name itself (a fresh generation suffix) rather than rely on RemoveIf
+// racing the loads.
 func (c *Cache[K, V]) RemoveIf(pred func(K) bool) int {
 	removed := 0
 	for i := range c.shards {
 		s := &c.shards[i]
+		var gone []*entry[K, V]
 		s.mu.Lock()
 		for key, el := range s.entries {
 			if pred(key) {
-				s.removeLocked(el)
-				removed++
+				gone = append(gone, s.removeLocked(el))
 			}
 		}
 		s.mu.Unlock()
+		c.removed(gone)
+		removed += len(gone)
 	}
 	return removed
 }

@@ -9,19 +9,13 @@ import (
 	"videoapp/internal/par"
 )
 
-// EncodeParallel encodes GOPs concurrently and produces a video bit-exactly
-// identical to Encode. It requires a closed-GOP structure (BFrames == 0):
-// every GOP then starts with an I frame and references only frames within
-// itself, so GOPs are independent units of work. workers <= 0 selects
-// GOMAXPROCS.
-func EncodeParallel(seq *frame.Sequence, p Params, workers int) (*Video, error) {
-	//vetvideoapp:allow ctxfirst — EncodeParallel is the documented context-less convenience form of EncodeParallelContext
-	return EncodeParallelContext(context.Background(), seq, p, workers)
-}
-
-// EncodeParallelContext is EncodeParallel with cooperative cancellation:
-// ctx is checked at GOP boundaries, and a cancelled context aborts the
-// remaining GOPs and returns ctx.Err(). An observer attached to ctx
+// EncodeParallelContext encodes GOPs concurrently and produces a video
+// bit-exactly identical to Encode. It requires a closed-GOP structure
+// (BFrames == 0): every GOP then starts with an I frame and references only
+// frames within itself, so GOPs are independent units of work. workers <= 0
+// selects GOMAXPROCS. Cancellation is cooperative: ctx is checked at GOP
+// boundaries, and a cancelled context aborts the remaining GOPs and returns
+// ctx.Err(). An observer attached to ctx
 // (obs.With) receives the encode stage span, per-GOP frame progress and
 // per-frame-type counters; GOP workers run under pprof labels
 // (stage=encode, gop=N) so CPU profiles attribute samples per GOP.
@@ -128,20 +122,14 @@ func headerRefSpans(v *Video) [][2]int {
 	return append(spans, [2]int{start, n})
 }
 
-// DecodeParallel decodes independent closed-GOP spans concurrently and is
-// bit- and pixel-identical to Decode for any input, including corrupted
-// payloads. workers <= 0 selects GOMAXPROCS.
-func DecodeParallel(v *Video, workers int) (*frame.Sequence, error) {
-	//vetvideoapp:allow ctxfirst — DecodeParallel is the documented context-less convenience form of DecodeContext
-	return DecodeContext(context.Background(), v, DecodeOptions{}, workers)
-}
-
-// DecodeContext is the parallel decoder with explicit options and
-// cooperative cancellation checked at frame boundaries. Unless opts already
-// carries an Observer, the one attached to ctx (obs.With) receives the
-// decode stage span, per-frame progress and counters, including the
-// entropy-resync events of damaged slices; span workers run under pprof
-// labels (stage=decode, span=N).
+// DecodeContext is the parallel decoder: it decodes independent closed-GOP
+// spans concurrently (workers <= 0 selects GOMAXPROCS) and is bit- and
+// pixel-identical to Decode for any input, including corrupted payloads,
+// with explicit options and cooperative cancellation checked at frame
+// boundaries. Unless opts already carries an Observer, the one attached to
+// ctx (obs.With) receives the decode stage span, per-frame progress and
+// counters, including the entropy-resync events of damaged slices; span
+// workers run under pprof labels (stage=decode, span=N).
 func DecodeContext(ctx context.Context, v *Video, opts DecodeOptions, workers int) (*frame.Sequence, error) {
 	if v.W%frame.MBSize != 0 || v.H%frame.MBSize != 0 || v.W <= 0 || v.H <= 0 {
 		return nil, errFrameGeometry(v.W, v.H)

@@ -17,7 +17,7 @@ func TestEncodeParallelBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := EncodeParallel(seq, p, 4)
+	parallel, err := EncodeParallelContext(context.Background(), seq, p, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestEncodeParallelRejectsBFrames(t *testing.T) {
 	seq := testSeq(t, "news_like", 64, 48, 6)
 	p := testParams()
 	p.BFrames = 2
-	if _, err := EncodeParallel(seq, p, 2); err == nil {
+	if _, err := EncodeParallelContext(context.Background(), seq, p, 2); err == nil {
 		t.Fatal("open GOPs must be rejected")
 	}
 }
@@ -70,7 +70,7 @@ func TestEncodeParallelPartialFinalGOP(t *testing.T) {
 	seq := testSeq(t, "news_like", 64, 48, 10) // 10 frames, GOP 8 -> 8+2
 	p := testParams()
 	p.GOPSize = 8
-	v, err := EncodeParallel(seq, p, 2)
+	v, err := EncodeParallelContext(context.Background(), seq, p, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestDecodeParallelBitExact(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		for _, workers := range []int{1, 2, 8} {
-			parallel, err := DecodeParallel(v, workers)
+			parallel, err := DecodeContext(context.Background(), v, DecodeOptions{}, workers)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
 			}
@@ -153,7 +153,7 @@ func TestDecodeParallelCorruptedPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 8} {
-		parallel, err := DecodeParallel(v, workers)
+		parallel, err := DecodeContext(context.Background(), v, DecodeOptions{}, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +210,7 @@ func TestHeaderRefSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := DecodeParallel(v, 8)
+	parallel, err := DecodeContext(context.Background(), v, DecodeOptions{}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func BenchmarkEncodeParallel(b *testing.B) {
 	p.GOPSize = 8
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := EncodeParallel(seq, p, 0); err != nil {
+		if _, err := EncodeParallelContext(context.Background(), seq, p, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

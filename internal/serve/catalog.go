@@ -84,6 +84,19 @@ const cacheGaugeEvery = 64
 type chunkPayload struct {
 	data     []byte
 	degraded []string
+	// prefetched is all of readahead's bookkeeping: nil for a chunk a
+	// foreground request loaded, true from the readahead load until the
+	// chunk's first use, false after. A pointer, because the cache hands out
+	// copies of the payload that must share the one bit.
+	prefetched *atomic.Bool
+}
+
+// claim clears the prefetched mark and reports whether this call did so:
+// one claimant wins per readahead load, the first foreground response built
+// from it or else the cache's removal hook. The Load keeps hits on a chunk
+// claimed long ago off the cache line's exclusive state.
+func (p chunkPayload) claim() bool {
+	return p.prefetched != nil && p.prefetched.Load() && p.prefetched.CompareAndSwap(true, false)
 }
 
 // tenant is one archive slot of the catalog.
@@ -137,6 +150,14 @@ func NewCatalog(specs []ArchiveSpec, options ...Option) (*Catalog, error) {
 	}
 	c.observer = obs.Multi(c.metrics, opts.Observer)
 	c.observer.Gauge(obs.GaugeCatalogOpenArchives, "", 0)
+	// A readahead load that leaves the cache — evicted, or purged by Remove
+	// — before any client used it was wasted; the space is "name#gen".
+	c.cache.OnRemove(func(k cache.Keyed[int], p chunkPayload) {
+		if p.claim() {
+			name, _, _ := strings.Cut(k.Space, "#")
+			c.observer.Counter(obs.CtrServePrefetchWasted, name, 1)
+		}
+	})
 	c.mux = http.NewServeMux()
 	c.mux.HandleFunc("GET /healthz", c.route("healthz", c.handleHealthz))
 	c.mux.HandleFunc("GET /metrics", c.route("metrics", c.handleMetrics))
@@ -196,9 +217,11 @@ func (c *Catalog) Add(spec ArchiveSpec) error {
 }
 
 // Remove drops an archive from the catalog: new requests answer 404
-// immediately, its cached chunks are purged, and the archive — if open —
-// closes once the last in-flight request against it releases, so requests
-// that already acquired it finish on the archive they hold.
+// immediately, its cached chunks are purged (unserved readahead among them
+// counts as wasted), and the archive — if open — closes once the last
+// in-flight request against it releases, so requests that already acquired
+// it finish on the archive they hold. Queued readahead jobs for it die at
+// execution time, when the re-acquire finds it retired.
 func (c *Catalog) Remove(name string) error {
 	c.mu.Lock()
 	t, ok := c.tenants[name]
@@ -216,12 +239,21 @@ func (c *Catalog) Remove(name string) error {
 	// Every generation of the tenant's cache space starts "name#".
 	prefix := name + "#"
 	c.cache.RemoveIf(func(k cache.Keyed[int]) bool { return strings.HasPrefix(k.Space, prefix) })
-	if c.prefetch != nil {
-		// Queued readahead jobs for the tenant die at execution time (the
-		// re-acquire finds it retired); the tracking table is swept now.
-		c.prefetch.purgeTenant(name)
-	}
 	return nil
+}
+
+// members snapshots the catalog's tenants under c.mu and releases it, so
+// callers take each tenant's lock only afterwards: tenant locks are held
+// across slow work (spec.Open on the lazy-open path), and nesting t.mu
+// inside c.mu would stall every catalog lookup behind it.
+func (c *Catalog) members() []*tenant {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	tenants := make([]*tenant, 0, len(c.tenants))
+	for _, t := range c.tenants {
+		tenants = append(tenants, t)
+	}
+	return tenants
 }
 
 // Names returns the catalog's archive names, sorted.
@@ -339,15 +371,8 @@ func (c *Catalog) CloseIdle(now time.Time) int {
 		return 0
 	}
 	cutoff := now.Add(-c.opts.IdleTimeout).UnixNano()
-	c.mu.Lock()
-	tenants := make([]*tenant, 0, len(c.tenants))
-	for _, t := range c.tenants {
-		tenants = append(tenants, t)
-	}
-	c.mu.Unlock()
-
 	closed := 0
-	for _, t := range tenants {
+	for _, t := range c.members() {
 		if t.refs.Load() > 0 || t.lastUse.Load() > cutoff {
 			continue
 		}
@@ -366,18 +391,12 @@ func (c *Catalog) CloseIdle(now time.Time) int {
 // Close closes every open archive and shuts the readahead prefetcher
 // down, cancelling its in-flight loads. The catalog remains usable for
 // foreground requests — subsequent requests reopen archives lazily — but
-// prefetching does not resume.
+// prefetching does not resume: later requests schedule nothing.
 func (c *Catalog) Close() error {
 	if c.prefetch != nil {
 		c.prefetch.close()
 	}
-	c.mu.Lock()
-	tenants := make([]*tenant, 0, len(c.tenants))
-	for _, t := range c.tenants {
-		tenants = append(tenants, t)
-	}
-	c.mu.Unlock()
-	for _, t := range tenants {
+	for _, t := range c.members() {
 		t.mu.Lock()
 		c.closeTenantLocked(t)
 		t.mu.Unlock()
@@ -433,16 +452,7 @@ type archiveEntry struct {
 }
 
 func (c *Catalog) handleArchives(w http.ResponseWriter, r *http.Request) error {
-	// Snapshot membership under c.mu, then read each tenant's open state
-	// under its own lock only after c.mu is released: tenant locks are
-	// held across slow work (spec.Open on the lazy-open path), and nesting
-	// t.mu inside c.mu here would stall every catalog lookup behind it.
-	c.mu.Lock()
-	tenants := make([]*tenant, 0, len(c.tenants))
-	for _, t := range c.tenants {
-		tenants = append(tenants, t)
-	}
-	c.mu.Unlock()
+	tenants := c.members()
 	entries := make([]archiveEntry, 0, len(tenants))
 	for _, t := range tenants {
 		t.mu.Lock()
@@ -553,10 +563,14 @@ func (c *Catalog) handleChunk(w http.ResponseWriter, r *http.Request) error {
 		// breaker; refresh the gauge only on the transition.
 		c.observer.Gauge(obs.GaugeServeBreakerOpen, t.name, 0)
 	}
+	// The first response built from a readahead load settles it: useful if
+	// the chunk was waiting in the cache, neither useful nor wasted if this
+	// request merely coalesced onto the readahead's flight.
+	if p.claim() && hit {
+		c.observer.Counter(obs.CtrServePrefetchUseful, t.name, 1)
+	}
 	if c.prefetch != nil {
-		// Settle this chunk's readahead outcome, then warm the chunks a
-		// sequential reader asks for next. Both are non-blocking.
-		c.prefetch.claim(t.name, space, i, hit)
+		// Warm the chunks a sequential reader asks for next; non-blocking.
 		c.prefetch.schedule(t.name, space, i, a.NumChunks())
 	}
 	c.maybePublishCacheGauges()
@@ -689,14 +703,4 @@ func (c *Catalog) Serve(ctx context.Context, l net.Listener) error {
 		err = serr
 	}
 	return err
-}
-
-// ListenAndServe binds addr and calls Serve. To learn the bound address of
-// an ephemeral ":0" listen, bind a net.Listener yourself and call Serve.
-func (c *Catalog) ListenAndServe(ctx context.Context, addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return c.Serve(ctx, l)
 }

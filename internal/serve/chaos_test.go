@@ -190,6 +190,15 @@ func TestChaosServe(t *testing.T) {
 	if snap.CounterTotal(obs.CtrReadRetries) == 0 {
 		t.Fatal("no read retries recorded under a 1% transient profile")
 	}
+	// Readahead ran under the same faults; every load it issued is settled
+	// at most once.
+	s.Close()
+	snap = s.Metrics().Snapshot()
+	issued := snap.CounterTotal(obs.CtrServePrefetchIssued)
+	settled := snap.CounterTotal(obs.CtrServePrefetchUseful) + snap.CounterTotal(obs.CtrServePrefetchWasted)
+	if issued == 0 || settled > issued {
+		t.Fatalf("readahead settled %d of %d issued loads", settled, issued)
+	}
 }
 
 // TestServeDegradedHeader pins the single-fault degradation contract

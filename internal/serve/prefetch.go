@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,21 +16,6 @@ import (
 // only add memory pressure).
 const prefetchQueueCap = 64
 
-// prefetchTrackCap bounds the issued-chunk tracking table; beyond it the
-// oldest records are forgotten and their eventual outcome goes uncounted.
-const prefetchTrackCap = 4096
-
-// prefetchState is the lifecycle of one tracked readahead target.
-type prefetchState uint8
-
-const (
-	// prefetchPending: scheduled, load not yet finished.
-	prefetchPending prefetchState = iota
-	// prefetchLoaded: the readahead load completed into the cache; the
-	// next foreground request decides useful (hit) vs. wasted (evicted).
-	prefetchLoaded
-)
-
 // prefetchJob is one readahead target: warm chunk index of the named
 // tenant, in the cache space the tenant had when the job was scheduled. A
 // space mismatch at execution time means the archive was reopened (new
@@ -42,27 +26,25 @@ type prefetchJob struct {
 	index  int
 }
 
-// prefetchKey identifies one tracked readahead target. A comparable struct
-// rather than a formatted string: building one allocates nothing, which
-// matters because claim runs on every foreground request.
-type prefetchKey struct {
-	space string
-	index int
-}
-
 // prefetcher warms the chunks a sequential reader is about to ask for: a
 // request for chunk i schedules background loads of i+1..i+depth through
 // the same singleflight cache namespace the foreground path uses, so a
 // steady reader's next request is a hit and the decode never sits on the
 // request's critical path.
 //
-// Readahead is strictly best-effort and bounded: a fixed worker pool, a
-// drop-on-full queue, and a cap on tracked outcomes. It never fires
-// through an open circuit breaker, never records breaker outcomes itself
-// (a background failure must not open the breaker on foreground traffic),
-// and re-acquires its tenant by name at execution time, so a Removed
-// (retired) archive drops its queued jobs instead of being reopened.
-// close() cancels in-flight readahead decodes via the loader contexts.
+// It keeps no record of its targets. Whether one is already warm or warming
+// is a question to the cache (Contains covers resident and in-flight keys),
+// and the outcome of a load rides the cached value as chunkPayload.prefetched:
+// handleChunk counts the first hit useful, the cache's removal hook (set in
+// NewCatalog) counts an entry that leaves unserved wasted.
+//
+// Readahead is strictly best-effort and bounded: a fixed worker pool and a
+// drop-on-full queue. It never fires through an open circuit breaker, never
+// records breaker outcomes itself (a background failure must not open the
+// breaker on foreground traffic), and re-acquires its tenant by name at
+// execution time, so a Removed (retired) archive drops its queued jobs
+// instead of being reopened. close() cancels in-flight readahead decodes via
+// the loader contexts; after it schedule is a no-op.
 type prefetcher struct {
 	c      *Catalog
 	depth  int
@@ -72,20 +54,6 @@ type prefetcher struct {
 	wg     sync.WaitGroup
 
 	inFlight atomic.Int64
-	// tracked mirrors len(state) and is only mutated under mu; claim reads
-	// it lock-free so the steady hot path (nothing outstanding) skips the
-	// key build and the mutex entirely.
-	tracked atomic.Int64
-	// schedHint is the last request target scheduled, deduping back-to-back
-	// schedule calls for the same (space, chunk): clients re-reading or
-	// stampeding one chunk pay the window probes once, not per request. The
-	// window re-arms as soon as the reader moves to a different chunk.
-	schedHint atomic.Pointer[prefetchKey]
-
-	mu    sync.Mutex
-	state map[prefetchKey]prefetchState
-	tag   map[prefetchKey]string // key -> tenant name, labels outcome counters
-	order []prefetchKey          // FIFO of tracked keys, bounds the table
 }
 
 // newPrefetcher starts the worker pool. depth must be >= 1.
@@ -98,16 +66,8 @@ func newPrefetcher(c *Catalog, depth int) *prefetcher {
 		ctx:    ctx,
 		cancel: cancel,
 		jobs:   make(chan prefetchJob, prefetchQueueCap),
-		state:  map[prefetchKey]prefetchState{},
-		tag:    map[prefetchKey]string{},
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 4 {
-		workers = 4
-	}
-	if workers < 2 {
-		workers = 2
-	}
+	workers := min(max(runtime.GOMAXPROCS(0), 2), 4)
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go p.run()
@@ -124,145 +84,25 @@ func (p *prefetcher) close() {
 }
 
 // schedule queues readahead for the chunks after index i, clamped to the
-// archive's n chunks — readahead past the end would only enqueue jobs that
-// die at the Info probe. Targets already resident, already tracked, or not
-// fitting the queue are skipped; the whole call is non-blocking and runs
-// on the foreground request path.
+// archive's n chunks. Targets already resident or loading, or not fitting
+// the queue, are skipped; a target queued but not yet started may be queued
+// again, which costs one slot and one probe when the worker drops it. The
+// call is non-blocking and runs on the foreground request path.
 func (p *prefetcher) schedule(tenant, space string, i, n int) {
-	if last := p.schedHint.Load(); last != nil && last.index == i && last.space == space {
-		return // same target as the previous request: window already probed
+	select {
+	case <-p.ctx.Done():
+		return // closed: no worker would ever take the job
+	default:
 	}
 	sp := cache.In(p.c.cache, space)
-	for off := 1; off <= p.depth; off++ {
-		j := i + off
-		if j >= n {
-			break
-		}
+	for j := i + 1; j <= i+p.depth && j < n; j++ {
 		if sp.Contains(j) {
 			continue
 		}
-		if !p.track(tenant, space, j) {
-			continue // already pending or resident-loaded
-		}
 		select {
 		case p.jobs <- prefetchJob{tenant: tenant, space: space, index: j}:
-		default:
-			p.untrack(prefetchKey{space, j}) // queue full: drop, uncounted
+		default: // queue full: drop
 		}
-	}
-	p.schedHint.Store(&prefetchKey{space: space, index: i})
-}
-
-// track registers (space, index) as a readahead target, returning false
-// when it is already pending. A target recorded as loaded but no longer
-// resident aged out of the cache unused — that earlier readahead is
-// counted wasted and the target re-armed.
-func (p *prefetcher) track(tenant, space string, index int) bool {
-	key := prefetchKey{space, index}
-	wasted := false
-	p.mu.Lock()
-	if st, ok := p.state[key]; ok {
-		if st == prefetchPending {
-			p.mu.Unlock()
-			return false
-		}
-		// Loaded, but the caller just saw it absent: evicted unused.
-		wasted = true
-		p.state[key] = prefetchPending
-		p.tag[key] = tenant
-	} else {
-		if len(p.order) >= prefetchTrackCap {
-			old := p.order[0]
-			p.order = p.order[1:]
-			if _, had := p.state[old]; had {
-				delete(p.state, old)
-				delete(p.tag, old)
-				p.tracked.Add(-1)
-			}
-		}
-		p.state[key] = prefetchPending
-		p.tag[key] = tenant
-		p.order = append(p.order, key)
-		p.tracked.Add(1)
-	}
-	p.mu.Unlock()
-	if wasted {
-		p.c.observer.Counter(obs.CtrServePrefetchWasted, tenant, 1)
-	}
-	return true
-}
-
-// untrack forgets a target without counting an outcome.
-func (p *prefetcher) untrack(key prefetchKey) {
-	p.mu.Lock()
-	if _, ok := p.state[key]; ok {
-		delete(p.state, key)
-		delete(p.tag, key)
-		p.tracked.Add(-1)
-	}
-	p.mu.Unlock()
-}
-
-// markLoaded records that a readahead load completed into the cache. If
-// the target was already claimed by a foreground request (it coalesced
-// onto our flight), there is nothing left to track.
-func (p *prefetcher) markLoaded(key prefetchKey) {
-	p.mu.Lock()
-	if _, ok := p.state[key]; ok {
-		p.state[key] = prefetchLoaded
-	}
-	p.mu.Unlock()
-}
-
-// claim settles a tracked target against the foreground request that just
-// fetched (space, index): a prefetched chunk served from the cache was
-// useful; one that had loaded but was evicted before the client arrived
-// was wasted; a target still pending coalesced with the foreground load
-// and counts as neither. The target is forgotten either way.
-func (p *prefetcher) claim(tenant, space string, index int, hit bool) {
-	if p.tracked.Load() == 0 {
-		return // nothing outstanding anywhere: the common hot steady state
-	}
-	key := prefetchKey{space, index}
-	p.mu.Lock()
-	st, ok := p.state[key]
-	if ok {
-		delete(p.state, key)
-		delete(p.tag, key)
-		p.tracked.Add(-1)
-	}
-	p.mu.Unlock()
-	if !ok || st != prefetchLoaded {
-		return
-	}
-	if hit {
-		p.c.observer.Counter(obs.CtrServePrefetchUseful, tenant, 1)
-	} else {
-		p.c.observer.Counter(obs.CtrServePrefetchWasted, tenant, 1)
-	}
-}
-
-// purgeTenant drops every tracked target of the named tenant (any
-// generation), counting completed-but-unclaimed loads as wasted. Remove
-// calls it; queued jobs for the tenant die at execution time when the
-// re-acquire finds the tenant retired.
-func (p *prefetcher) purgeTenant(name string) {
-	prefix := name + "#"
-	wasted := 0
-	p.mu.Lock()
-	for key, st := range p.state {
-		if strings.HasPrefix(key.space, prefix) {
-			if st == prefetchLoaded {
-				wasted++
-			}
-			delete(p.state, key)
-			delete(p.tag, key)
-			p.tracked.Add(-1)
-		}
-	}
-	p.mu.Unlock()
-	if wasted > 0 {
-		p.c.observer.Counter(obs.CtrServePrefetchWasted, name, int64(wasted))
 	}
 }
 
@@ -280,61 +120,41 @@ func (p *prefetcher) run() {
 }
 
 // execute performs one readahead load. The tenant is re-acquired by name,
-// so a Removed tenant (acquire fails), a reopened one (space mismatch),
-// and an open breaker all drop the job before any archive work. The load
-// itself goes through the same Space.GetOrLoad as foreground requests —
-// one flight per (space, chunk) no matter who asks first.
+// so a Removed tenant (acquire fails), a reopened one (space mismatch) and
+// an open breaker all drop the job before any archive work, as does a target
+// someone else has warmed or is warming. The load itself goes through the
+// same Space.GetOrLoad as foreground requests — one flight per (space,
+// chunk) no matter who asks first — and is counted where it runs, in the
+// loader: issued before anyone can see the value, so useful + wasted never
+// exceeds issued.
 func (p *prefetcher) execute(job prefetchJob) {
-	key := prefetchKey{job.space, job.index}
 	c := p.c
 	t, a, space, release, err := c.acquire(job.tenant)
 	if err != nil {
-		p.untrack(key) // retired or unopenable: not our place to count
 		return
 	}
 	defer release()
-	if space != job.space || !t.breaker.allow(time.Now()) {
-		p.untrack(key)
-		return
-	}
-	if _, err := a.Info(job.index); err != nil {
-		p.untrack(key) // past the last chunk — the common end-of-archive case
-		return
-	}
 	sp := cache.In(c.cache, job.space)
-	if sp.Contains(job.index) {
-		p.untrack(key) // someone else warmed it; nothing to do or count
+	if space != job.space || !t.breaker.allow(time.Now()) || sp.Contains(job.index) {
 		return
 	}
 
-	n := p.inFlight.Add(1)
-	c.observer.Gauge(obs.GaugeServePrefetchInFlight, "", float64(n))
-	_, hit, err := sp.GetOrLoad(p.ctx, job.index, func(ctx context.Context) (chunkPayload, error) {
-		// ctx arrives detached (cache semantics); re-tie it to the
-		// prefetcher's lifetime so close() aborts in-flight readahead.
-		lctx, lcancel := context.WithCancel(ctx)
-		defer lcancel()
-		stop := context.AfterFunc(p.ctx, lcancel)
-		defer stop()
-		return c.materialize(lctx, t, a, job.index)
+	c.observer.Gauge(obs.GaugeServePrefetchInFlight, "", float64(p.inFlight.Add(1)))
+	// The result is for the cache, not for us; an error was counted below.
+	_, _, _ = sp.GetOrLoad(p.ctx, job.index, func(context.Context) (chunkPayload, error) {
+		// Not the detached context the cache offers: readahead loads under
+		// the prefetcher's own, so close() aborts them.
+		pl, err := c.materialize(p.ctx, t, a, job.index)
+		c.observer.Counter(obs.CtrServePrefetchIssued, t.name, 1)
+		if err != nil {
+			// Issued work that helped nobody. The breaker is deliberately
+			// not touched — only foreground traffic may open it.
+			c.observer.Counter(obs.CtrServePrefetchWasted, t.name, 1)
+			return pl, err
+		}
+		pl.prefetched = new(atomic.Bool)
+		pl.prefetched.Store(true)
+		return pl, nil
 	})
-	n = p.inFlight.Add(-1)
-	c.observer.Gauge(obs.GaugeServePrefetchInFlight, "", float64(n))
-
-	switch {
-	case hit:
-		// Became resident between the Contains probe and the lookup; no
-		// load of ours ran.
-		p.untrack(key)
-	case err != nil:
-		// The load ran and failed: issued work that helped nobody. The
-		// breaker is deliberately not touched — only foreground traffic
-		// may open it.
-		c.observer.Counter(obs.CtrServePrefetchIssued, t.name, 1)
-		c.observer.Counter(obs.CtrServePrefetchWasted, t.name, 1)
-		p.untrack(key)
-	default:
-		c.observer.Counter(obs.CtrServePrefetchIssued, t.name, 1)
-		p.markLoaded(key)
-	}
+	c.observer.Gauge(obs.GaugeServePrefetchInFlight, "", float64(p.inFlight.Add(-1)))
 }

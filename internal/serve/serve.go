@@ -33,8 +33,12 @@
 //     i+1..i+k in the background through the same singleflight cache
 //     namespace, so steady sequential readers find the next chunk already
 //     decoded. Prefetch never fires through an open circuit breaker or on
-//     a removed archive, and its issued/useful/wasted counters are
-//     published through obs.
+//     a removed archive, and keeps no table of its own: each load it runs
+//     counts serve_prefetch_issued, and the cached chunk carries the one
+//     bit that settles it — serve_prefetch_useful when a request hits it
+//     first, serve_prefetch_wasted when it fails, is evicted or is purged
+//     unserved, neither when a request coalesced onto the load. The
+//     accounting is exact; Catalog.Close ends readahead for good.
 //
 // Every request runs under a context with the configured timeout and is
 // cancelled when the client hangs up; the decode path checks the context

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # lint.sh — the repo's lint gate: staticcheck (pinned) plus vetvideoapp, the
-# project-specific invariant suite in internal/analysis.
+# project-specific invariant suite in internal/analysis, and with it the
+# grep that keeps `// Deprecated:` markers out of the tree.
 #
 # Usage: lint.sh [staticcheck|vetvideoapp|all]   (default: all)
 #
@@ -46,15 +47,23 @@ run_staticcheck() {
 }
 
 run_vetvideoapp() {
+    local status=0
     # Reuse a prebuilt driver when present (go build -o bin/vetvideoapp
     # ./cmd/vetvideoapp); otherwise `go run` builds it from the module.
     if [ -x bin/vetvideoapp ]; then
         echo "== vetvideoapp (bin/vetvideoapp)"
-        ./bin/vetvideoapp ./...
+        ./bin/vetvideoapp ./... || status=1
     else
         echo "== vetvideoapp (go run ./cmd/vetvideoapp)"
-        $GO run ./cmd/vetvideoapp ./...
+        $GO run ./cmd/vetvideoapp ./... || status=1
     fi
+    # Zero deprecated names: superseded API is deleted, never parked behind
+    # a marker. A literal comment line, so a grep is the whole check.
+    if grep -rnE --include='*.go' '^[[:space:]]*(//|/\*)[[:space:]]*Deprecated:' .; then
+        echo "error: Deprecated: marker(s) above; this module guarantees zero deprecated names — remove the shim or redesign the migration" >&2
+        status=1
+    fi
+    return $status
 }
 
 fail=0

@@ -355,7 +355,7 @@ func WithMetrics(m *Metrics) Option { return func(pl *Pipeline) { pl.metrics = m
 // Every videoapp CLI flag maps 1:1 onto the options surface:
 //
 //	-crf -gop -bframes -slices -halfpel -deblock   WithParams
-//	-cavlc                                         WithEntropyCoder(CAVLC)
+//	-entropy cabac|cavlc                           WithParams (WithEntropyCoder sets that one field)
 //	-seed                                          WithSeed
 //	-workers                                       WithWorkers
 //	-metrics                                       WithMetrics
