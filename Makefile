@@ -10,8 +10,11 @@ GO ?= go
 # bench/ (its own module, so `go test ./...` here does not reach it). Tests
 # run shuffled so inter-test ordering dependencies cannot hide. golden-check
 # names the bit-exactness gate explicitly (the race pass runs it too): the
-# absolute decode and archive-bytes manifests and the codec fuzz targets'
-# seed corpora. purego re-runs the block-matching and codec tests, golden
+# absolute decode and archive-bytes manifests and the seed corpora of the
+# fuzz targets of every layer that handles payload bits (bitio, entropy,
+# core, store, codec) — the differential targets that hold the word-wide bit
+# layer and the windowed arithmetic coder to their per-bit oracles among
+# them. purego re-runs the block-matching and codec tests, golden
 # manifest included, on the portable SAD kernel, which an amd64 machine
 # otherwise never builds.
 check: fmt-check vet lint build golden-check purego race bench-smoke bench-selftest serve-smoke chaos-smoke
@@ -51,12 +54,18 @@ purego:
 # planes — clean, bit-flipped, concealed, layered — and Reanalyze records)
 # and replays the seed corpora of the codec fuzz targets, among them the
 # differential FuzzDecodeVsReference (production decoder vs the
-# sample-at-a-time reference decoder kept in reference_test.go), then the
-# golden archive manifest (testdata/golden_archive.json: SHA-256 of the VACS
-# container bytes Pipeline.StreamToArchive writes, per entropy coder, chunk
-# granularity and worker count).
+# sample-at-a-time reference decoder kept in reference_test.go); then the
+# seed corpora of the fuzz targets below the codec — FuzzCopyBitsMatchesReference
+# and FuzzReadUEMatchesReference (bitio), FuzzArithDecoderMatchesReference,
+# FuzzArithEncoderMatchesReference and FuzzResidualBlockMatchesPerSymbol
+# (entropy), the pivot-table and archive parsers (core, store) — which hold
+# the word-wide forms to the per-bit oracles in the oracle_test.go files;
+# then the golden archive manifest (testdata/golden_archive.json: SHA-256 of
+# the VACS container bytes Pipeline.StreamToArchive writes, per entropy
+# coder, chunk granularity and worker count).
 golden-check:
 	$(GO) test -count=1 -run 'TestGoldenDecode|^Fuzz' ./internal/codec
+	$(GO) test -count=1 -run '^Fuzz' ./internal/bitio ./internal/entropy ./internal/core ./internal/store
 	$(GO) test -count=1 -run TestGoldenArchive .
 
 # golden regenerates both manifests from the current code. This is the one
@@ -77,8 +86,9 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi
 
 # bench runs the measured hot-kernel benchmarks (SAD/motion search/intra
-# decision, error injection, clone/pooling, chunk encode and decode, the fused
-# transform kernels, arithmetic coder) plus the pipeline-level
+# decision, error injection, archive chunk read and append, clone/pooling,
+# chunk encode and decode, the fused transform kernels, bit-range copy,
+# arithmetic coder and residual-block routines) plus the pipeline-level
 # parallel benches, with allocation reporting. Compare two runs with
 # scripts/benchcmp.sh old.txt new.txt (results/kernel_bench.md holds the
 # committed before/after of the optimization pass). These are the numbers a
@@ -87,10 +97,11 @@ fmt-check:
 # `bash bench/run.sh` (bench/README.md).
 bench:
 	$(GO) test -run='^$$' -bench='BenchmarkSAD|BenchmarkSADEdge|BenchmarkMotionSearch|BenchmarkIntraDecision' -benchmem ./internal/predict
-	$(GO) test -run='^$$' -bench='BenchmarkInject' -benchmem ./internal/store
+	$(GO) test -run='^$$' -bench='BenchmarkInject|BenchmarkReadChunk|BenchmarkAppendChunk' -benchmem ./internal/store
 	$(GO) test -run='^$$' -bench='BenchmarkClone|BenchmarkEncodeChunk|BenchmarkDecodeChunk' -benchmem ./internal/codec
 	$(GO) test -run='^$$' -bench='BenchmarkForwardQuantize|BenchmarkReconstructAdd' -benchmem ./internal/transform
-	$(GO) test -run='^$$' -bench='BenchmarkArith' -benchmem ./internal/entropy
+	$(GO) test -run='^$$' -bench='BenchmarkCopyBits' -benchmem ./internal/bitio
+	$(GO) test -run='^$$' -bench='BenchmarkArith|BenchmarkResidualBlock' -benchmem ./internal/entropy
 	$(GO) test -run='^$$' -bench='BenchmarkFlipIID' -benchmem ./internal/sim
 	$(GO) test -run='^$$' -bench='BenchmarkParallelStore|BenchmarkParallelPipeline' -benchmem .
 
@@ -112,7 +123,7 @@ chaos-smoke:
 # exactly once — a regression gate for the perf harness itself, cheap enough
 # for check/CI.
 bench-smoke:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/predict ./internal/transform ./internal/store ./internal/codec ./internal/entropy ./internal/sim
+	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/predict ./internal/transform ./internal/store ./internal/codec ./internal/entropy ./internal/sim ./internal/bitio ./internal/core
 	$(GO) test -run='^$$' -bench='BenchmarkParallel|BenchmarkPipeline|BenchmarkStream' -benchtime=1x .
 
 # bench-selftest vets and tests the performance ledger (bench/, the module

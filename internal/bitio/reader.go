@@ -1,6 +1,9 @@
 package bitio
 
-import "errors"
+import (
+	"errors"
+	"math/bits"
+)
 
 // ErrOutOfBits is returned when a read crosses the end of the stream.
 //
@@ -70,22 +73,23 @@ func (r *Reader) ReadBool() (bool, error) {
 //
 // Corrupt streams can contain arbitrarily long runs of zeros; runs longer
 // than 32 bits are reported as ErrOutOfBits so that callers treat them as a
-// desync rather than an infinite value.
+// desync rather than an infinite value. The zero prefix is counted on a
+// 64-bit window of the stream in one step; what the reader has consumed when
+// it fails is what counting the zeros bit by bit consumed (33 zeros of an
+// over-long run, or everything when the stream ends first).
 func (r *Reader) ReadUE() (uint32, error) {
-	var zeros uint
-	for {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		if b == 1 {
-			break
-		}
-		zeros++
-		if zeros > 32 {
-			return 0, ErrOutOfBits
-		}
+	rem := r.Remaining()
+	if rem <= 0 {
+		return 0, ErrOutOfBits
 	}
+	zeros := uint(bits.LeadingZeros64(Window(r.buf, r.pos)))
+	if zeros > 32 {
+		r.pos += min(rem, 33)
+		return 0, ErrOutOfBits
+	}
+	// zeros <= 32 means the window holds a one, which is a stream bit: the
+	// window is zero past the end.
+	r.pos += int64(zeros) + 1
 	rest, err := r.ReadBits(zeros)
 	if err != nil {
 		return 0, err
@@ -105,6 +109,10 @@ func (r *Reader) ReadSE() (int32, error) {
 
 // BitPos reports the number of bits consumed so far.
 func (r *Reader) BitPos() int64 { return r.pos }
+
+// Buffer returns the whole stream the reader is over, consumed part
+// included, for a decoder that continues from BitPos with its own window.
+func (r *Reader) Buffer() []byte { return r.buf }
 
 // SeekBit positions the reader at absolute bit offset pos.
 func (r *Reader) SeekBit(pos int64) {

@@ -7,6 +7,8 @@
 // single output bit to the macroblock that produced it.
 package bitio
 
+import "math/bits"
+
 // Writer accumulates bits MSB-first into a byte slice.
 //
 // The zero value is ready to use.
@@ -65,6 +67,33 @@ func (w *Writer) WriteBits(v uint64, n uint) {
 	}
 }
 
+// AppendBits appends the n bits of src that start at bit offset srcPos,
+// which must not be negative. Bits past the end of src read as zero, as
+// GetBit reports them, so the writer always grows by exactly n bits. Whole
+// bytes of the run are placed by CopyBits; only the bits that fill the
+// writer's partial byte and the run's last partial byte go through
+// WriteBits.
+func (w *Writer) AppendBits(src []byte, srcPos, n int64) {
+	if n <= 0 {
+		return
+	}
+	if w.nCur != 0 {
+		k := min(int64(8-w.nCur), n)
+		w.WriteBits(Window(src, srcPos)>>(64-uint(k)), uint(k))
+		srcPos, n = srcPos+k, n-k
+	}
+	if nb := int(n >> 3); nb > 0 {
+		at := len(w.buf)
+		w.buf = append(w.buf, make([]byte, nb)...)
+		CopyBits(w.buf[at:], 0, src, srcPos, int64(nb)*8)
+		w.pos += int64(nb) * 8
+		srcPos, n = srcPos+int64(nb)*8, n&7
+	}
+	if n > 0 {
+		w.WriteBits(Window(src, srcPos)>>(64-uint(n)), uint(n))
+	}
+}
+
 // WriteBool appends a single bit: 1 for true, 0 for false.
 func (w *Writer) WriteBool(b bool) {
 	if b {
@@ -77,7 +106,7 @@ func (w *Writer) WriteBool(b bool) {
 // WriteUE appends v using unsigned exponential-Golomb coding.
 func (w *Writer) WriteUE(v uint32) {
 	x := uint64(v) + 1
-	n := bitLen64(x)
+	n := uint(bits.Len64(x))
 	w.WriteBits(0, n-1) // leading zeros
 	w.WriteBits(x, n)
 }
@@ -93,8 +122,8 @@ func (w *Writer) BitPos() int64 { return w.pos }
 
 // AlignByte pads with zero bits to the next byte boundary.
 func (w *Writer) AlignByte() {
-	for w.nCur != 0 {
-		w.WriteBit(0)
+	if w.nCur != 0 {
+		w.WriteBits(0, 8-w.nCur)
 	}
 }
 
@@ -123,15 +152,6 @@ func (w *Writer) Len() int {
 func (w *Writer) Reset() {
 	w.buf = w.buf[:0]
 	w.cur, w.nCur, w.pos = 0, 0, 0
-}
-
-func bitLen64(x uint64) uint {
-	var n uint
-	for x != 0 {
-		n++
-		x >>= 1
-	}
-	return n
 }
 
 func seToUE(v int32) uint32 {

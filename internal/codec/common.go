@@ -71,38 +71,11 @@ const (
 	dirBi  = 2
 )
 
-// zigzag4 is the 4×4 zig-zag scan order.
-var zigzag4 = [16]int{0, 1, 4, 8, 5, 2, 3, 6, 9, 12, 13, 10, 7, 11, 14, 15}
-
-// maxLevel bounds decoded coefficient magnitudes; corrupt streams otherwise
-// produce values whose inverse transform overflows int32.
-const maxLevel = 1 << 15
-
 // writeResidualBlock codes one quantized 4×4 block as a nonzero count
-// followed by (zero-run, level) pairs in zig-zag order.
+// followed by (zero-run, level) pairs in zig-zag order. The syntax lives in
+// the entropy backends, which code a block per call (entropy/residual.go).
 func writeResidualBlock(sw entropy.SymbolWriter, blk *transform.Block) {
-	nnz := 0
-	for _, v := range blk {
-		if v != 0 {
-			nnz++
-		}
-	}
-	sw.PutUVal(entropy.ClassCoeffFlag, uint32(nnz))
-	run := 0
-	for _, pos := range zigzag4 {
-		v := blk[pos]
-		if v == 0 {
-			run++
-			continue
-		}
-		sw.PutUVal(entropy.ClassCoeffRun, uint32(run))
-		sw.PutSVal(entropy.ClassCoeffLevel, v)
-		run = 0
-		nnz--
-		if nnz == 0 {
-			break
-		}
-	}
+	sw.WriteResidualBlock((*[16]int32)(blk))
 }
 
 // readResidualBlock decodes one 4×4 block into blk, clamping every field so
@@ -111,33 +84,7 @@ func writeResidualBlock(sw entropy.SymbolWriter, blk *transform.Block) {
 // may skip the block without scanning it (true is conservative — a corrupt
 // stream can store a level of zero).
 func readResidualBlock(sr entropy.SymbolReader, blk *transform.Block) (coded bool) {
-	*blk = transform.Block{}
-	nnz := int(sr.GetUVal(entropy.ClassCoeffFlag))
-	if nnz > 16 {
-		nnz = 16
-	}
-	scan := 0
-	for i := 0; i < nnz; i++ {
-		run := int(sr.GetUVal(entropy.ClassCoeffRun))
-		scan += run
-		if scan >= 16 {
-			break
-		}
-		level := sr.GetSVal(entropy.ClassCoeffLevel)
-		if level > maxLevel {
-			level = maxLevel
-		}
-		if level < -maxLevel {
-			level = -maxLevel
-		}
-		blk[zigzag4[scan]] = level
-		coded = true
-		scan++
-		if scan >= 16 {
-			break
-		}
-	}
-	return coded
+	return sr.ReadResidualBlock((*[16]int32)(blk))
 }
 
 // newSymbolWriter builds the configured entropy backend over w.
@@ -217,8 +164,12 @@ func unmarshalHeader(buf []byte, f *EncodedFrame) (payloadLen int, err error) {
 	if err != nil || nSlices > 16 {
 		return 0, errBadHeader
 	}
-	f.SliceMBStart = f.SliceMBStart[:0]
-	f.SliceByteStart = f.SliceByteStart[:0]
+	f.SliceMBStart, f.SliceByteStart = nil, nil
+	if nSlices > 0 {
+		// Both slice tables share one allocation, each capped to its half.
+		tab := make([]int, 2*nSlices)
+		f.SliceMBStart, f.SliceByteStart = tab[:0:nSlices], tab[nSlices:nSlices]
+	}
 	for i := uint32(0); i < nSlices; i++ {
 		ms, err := r.ReadUE()
 		if err != nil {

@@ -1,7 +1,9 @@
 package codec
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"videoapp/internal/synth"
 )
@@ -24,6 +26,35 @@ func fuzzSeedVideo(f *testing.F) *Video {
 	return v
 }
 
+// fuzzDecodeAllocCeiling bounds what one decode of a fuzz input may
+// allocate. The 64×48 four-frame seed video decodes into about 20 KB of
+// planes; the ceiling only has to separate that from an allocation sized by
+// a corrupt field.
+const fuzzDecodeAllocCeiling = 16 << 20
+
+// decodeWithinCeilings decodes v, which must succeed, inside the time
+// ceiling FuzzDecodeVsReference applies (fuzzDecodeCeiling) and the
+// allocation ceiling above: the end-of-stream and desync paths these
+// targets exist for must stay bounded by the picture, not by the input.
+func decodeWithinCeilings(t *testing.T, v *Video, what string) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	_, err := Decode(v)
+	took := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("decode must tolerate %s: %v", what, err)
+	}
+	if took > fuzzDecodeCeiling {
+		t.Fatalf("decode took %v, ceiling %v", took, fuzzDecodeCeiling)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > fuzzDecodeAllocCeiling {
+		t.Fatalf("decode allocated %d bytes, ceiling %d", n, fuzzDecodeAllocCeiling)
+	}
+}
+
 func FuzzDecodePayload(f *testing.F) {
 	v := fuzzSeedVideo(f)
 	f.Add(v.Frames[1].Payload)
@@ -32,9 +63,7 @@ func FuzzDecodePayload(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		c := v.Clone()
 		c.Frames[1].Payload = payload
-		if _, err := Decode(c); err != nil {
-			t.Fatalf("decode must tolerate arbitrary payloads: %v", err)
-		}
+		decodeWithinCeilings(t, c, "arbitrary payloads")
 	})
 }
 
@@ -64,8 +93,6 @@ func FuzzCorruptSliceTables(f *testing.F) {
 		c := v.Clone()
 		c.Frames[1].SliceMBStart = []int{0, mbStart}
 		c.Frames[1].SliceByteStart = []int{0, byteStart}
-		if _, err := Decode(c); err != nil {
-			t.Fatalf("decode must tolerate corrupt slice tables: %v", err)
-		}
+		decodeWithinCeilings(t, c, "corrupt slice tables")
 	})
 }

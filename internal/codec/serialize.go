@@ -71,14 +71,20 @@ func marshal(v *Video, withPayload bool) []byte {
 // Unmarshal parses a container produced by Marshal. The returned video
 // decodes identically to the original; per-macroblock analysis records are
 // not restored (run the encoder or an analysis pass to regenerate them).
-func Unmarshal(data []byte) (*Video, error) { return unmarshal(data, true) }
+func Unmarshal(data []byte) (*Video, error) { return unmarshal(data, true, 0) }
 
 // UnmarshalPrecise parses a headers-only stream produced by MarshalPrecise:
 // every frame comes back with a zeroed payload of its recorded length, ready
-// for the approximate streams to be merged in.
-func UnmarshalPrecise(data []byte) (*Video, error) { return unmarshal(data, false) }
+// for the approximate streams to be merged in. The lengths are declared by
+// the input, so the caller states how many payload bytes it can account for
+// (a chunk record knows the byte counts of its streams): a stream declaring
+// more in total is rejected before any payload is allocated, and the
+// payloads of all frames are then carved from one allocation.
+func UnmarshalPrecise(data []byte, maxPayload int64) (*Video, error) {
+	return unmarshal(data, false, maxPayload)
+}
 
-func unmarshal(data []byte, withPayload bool) (*Video, error) {
+func unmarshal(data []byte, withPayload bool, maxPayload int64) (*Video, error) {
 	r := bitio.NewReader(data)
 	for _, want := range containerMagic {
 		b, err := r.ReadBits(8)
@@ -91,13 +97,13 @@ func unmarshal(data []byte, withPayload bool) (*Video, error) {
 		return nil, fmt.Errorf("codec: unsupported container version %d", ver)
 	}
 	v := &Video{}
-	var fields []uint32
-	for i := 0; i < 3; i++ {
+	var fields [3]uint32
+	for i := range fields {
 		u, err := r.ReadUE()
 		if err != nil {
 			return nil, fmt.Errorf("codec: truncated sequence header")
 		}
-		fields = append(fields, u)
+		fields[i] = u
 	}
 	v.W, v.H, v.FPS = int(fields[0]), int(fields[1]), int(fields[2])
 	crf, err := r.ReadUE()
@@ -160,7 +166,19 @@ func unmarshal(data []byte, withPayload bool) (*Video, error) {
 	}
 	r.AlignByte()
 	pos := int(r.BitPos() / 8)
-	for i := uint32(0); i < nFrames; i++ {
+	// Every frame costs at least the four bytes of its header length, which
+	// bounds the frame count by the input before the frame table exists.
+	if int(nFrames) > (len(data)-pos)/4 {
+		return nil, fmt.Errorf("codec: %d frames declared in %d bytes", nFrames, len(data)-pos)
+	}
+	frames := make([]EncodedFrame, nFrames)
+	v.Frames = make([]*EncodedFrame, nFrames)
+	var placeholders []int // headers-only form: the declared payload lengths
+	var declared int64
+	if !withPayload {
+		placeholders = make([]int, nFrames)
+	}
+	for i := range frames {
 		if pos+4 > len(data) {
 			return nil, fmt.Errorf("codec: truncated at frame %d", i)
 		}
@@ -169,7 +187,7 @@ func unmarshal(data []byte, withPayload bool) (*Video, error) {
 		if hdrLen <= 0 || pos+hdrLen > len(data) {
 			return nil, fmt.Errorf("codec: bad header length at frame %d", i)
 		}
-		f := &EncodedFrame{}
+		f := &frames[i]
 		payloadLen, err := unmarshalHeader(data[pos:pos+hdrLen], f)
 		if err != nil {
 			return nil, fmt.Errorf("codec: frame %d: %w", i, err)
@@ -182,18 +200,27 @@ func unmarshal(data []byte, withPayload bool) (*Video, error) {
 			f.Payload = append([]byte(nil), data[pos:pos+payloadLen]...)
 			pos += payloadLen
 		} else {
-			if payloadLen < 0 || payloadLen > 1<<30 {
-				return nil, fmt.Errorf("codec: implausible payload length at frame %d", i)
+			declared += int64(payloadLen)
+			if payloadLen < 0 || declared > maxPayload {
+				return nil, fmt.Errorf("codec: frames up to %d declare %d payload bytes, %d accounted for", i, declared, maxPayload)
 			}
-			f.Payload = make([]byte, payloadLen)
+			placeholders[i] = payloadLen
 		}
-		if f.DisplayIdx >= int(nFrames) || f.CodedIdx != int(i) {
+		if f.DisplayIdx >= int(nFrames) || f.CodedIdx != i {
 			return nil, fmt.Errorf("codec: inconsistent frame indices at frame %d", i)
 		}
-		v.Frames = append(v.Frames, f)
+		v.Frames[i] = f
 	}
 	if pos != len(data) {
 		return nil, fmt.Errorf("codec: %d trailing bytes", len(data)-pos)
+	}
+	if !withPayload {
+		// One zeroed slab for every placeholder, each frame's window capped
+		// so that growing one payload cannot run into the next.
+		slab := make([]byte, declared)
+		for i, n := range placeholders {
+			frames[i].Payload, slab = slab[:n:n], slab[n:]
+		}
 	}
 	return v, nil
 }

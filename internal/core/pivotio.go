@@ -73,6 +73,9 @@ func UnmarshalPartitions(data []byte) ([]FramePartition, error) {
 		if err != nil || np > 64 {
 			return nil, fmt.Errorf("core: frame %d: bad pivot count", f)
 		}
+		if np > 0 {
+			parts[f].Pivots = make([]Pivot, 0, np)
+		}
 		var pos int64
 		for i := uint32(0); i < np; i++ {
 			delta, err := r.ReadUE()

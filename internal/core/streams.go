@@ -35,23 +35,23 @@ func (s *StreamSet) SchemeNames() []string {
 }
 
 // SplitStreams separates the payloads of v into per-scheme substreams
-// according to the partition layout.
+// according to the partition layout. Each segment is appended to its stream
+// as one bit range; a segment a (mismatched) layout extends past the payload
+// contributes zero bits there.
 func SplitStreams(v *codec.Video, parts []FramePartition) (*StreamSet, error) {
 	if len(parts) != len(v.Frames) {
 		return nil, fmt.Errorf("core: %w: %d partitions for %d frames", ErrPartitionMismatch, len(parts), len(v.Frames))
 	}
 	writers := map[string]*bitio.Writer{}
 	for f, ef := range v.Frames {
-		for _, seg := range parts[f].Segments(ef.PayloadBits()) {
+		parts[f].VisitSegments(ef.PayloadBits(), func(seg Segment) {
 			w, ok := writers[seg.Scheme.Name]
 			if !ok {
 				w = bitio.NewWriter()
 				writers[seg.Scheme.Name] = w
 			}
-			for i := int64(0); i < seg.Bits; i++ {
-				w.WriteBit(bitio.GetBit(ef.Payload, seg.Start+i))
-			}
-		}
+			w.AppendBits(ef.Payload, seg.Start, seg.Bits)
+		})
 	}
 	out := &StreamSet{Parts: parts, Streams: map[string][]byte{}, Bits: map[string]int64{}}
 	for name, w := range writers {
@@ -70,23 +70,63 @@ func (s *StreamSet) Merge(v *codec.Video) (*codec.Video, error) {
 	if len(s.Parts) != len(v.Frames) {
 		return nil, fmt.Errorf("core: %w: %d partitions for %d frames", ErrPartitionMismatch, len(s.Parts), len(v.Frames))
 	}
-	cursors := map[string]int64{}
 	out := v.Clone()
-	for f, ef := range out.Frames {
-		for _, seg := range s.Parts[f].Segments(ef.PayloadBits()) {
-			src, ok := s.Streams[seg.Scheme.Name]
-			if !ok {
-				return nil, fmt.Errorf("core: missing stream %q", seg.Scheme.Name)
-			}
-			cur := cursors[seg.Scheme.Name]
-			bitio.CopyBits(ef.Payload, seg.Start, src, cur, seg.Bits)
-			cursors[seg.Scheme.Name] = cur + seg.Bits
-		}
-	}
-	for name, cur := range cursors {
-		if cur != s.Bits[name] {
-			return nil, fmt.Errorf("core: stream %q consumed %d of %d bits", name, cur, s.Bits[name])
-		}
+	if err := s.MergeInto(out); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// MergeInto is Merge without the copy: it writes the substreams over the
+// payloads of v itself. It is for a caller that owns v outright — the
+// archive reader merges into the placeholder video it has just parsed. On
+// error v's payloads are partly merged and must be discarded.
+func (s *StreamSet) MergeInto(v *codec.Video) error {
+	if len(s.Parts) != len(v.Frames) {
+		return fmt.Errorf("core: %w: %d partitions for %d frames", ErrPartitionMismatch, len(s.Parts), len(v.Frames))
+	}
+	// One cursor per stream, in a slice: a chunk has a handful of schemes
+	// and a lookup per segment, so a linear scan beats a map and allocates
+	// once.
+	type cursor struct {
+		name string
+		src  []byte
+		pos  int64
+	}
+	cursors := make([]cursor, 0, len(s.Streams))
+	var missing string
+	for f, ef := range v.Frames {
+		s.Parts[f].VisitSegments(ef.PayloadBits(), func(seg Segment) {
+			if missing != "" {
+				return
+			}
+			c := -1
+			for i := range cursors {
+				if cursors[i].name == seg.Scheme.Name {
+					c = i
+					break
+				}
+			}
+			if c < 0 {
+				src, ok := s.Streams[seg.Scheme.Name]
+				if !ok {
+					missing = seg.Scheme.Name
+					return
+				}
+				c = len(cursors)
+				cursors = append(cursors, cursor{name: seg.Scheme.Name, src: src})
+			}
+			bitio.CopyBits(ef.Payload, seg.Start, cursors[c].src, cursors[c].pos, seg.Bits)
+			cursors[c].pos += seg.Bits
+		})
+		if missing != "" {
+			return fmt.Errorf("core: missing stream %q", missing)
+		}
+	}
+	for _, c := range cursors {
+		if c.pos != s.Bits[c.name] {
+			return fmt.Errorf("core: stream %q consumed %d of %d bits", c.name, c.pos, s.Bits[c.name])
+		}
+	}
+	return nil
 }

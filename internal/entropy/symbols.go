@@ -44,6 +44,10 @@ type SymbolWriter interface {
 	PutSVal(c SyntaxClass, v int32)
 	// PutFlag codes a single boolean.
 	PutFlag(c SyntaxClass, b bool)
+	// WriteResidualBlock codes one quantized 4×4 block: its nonzero count,
+	// then a (zero run, level) pair per nonzero coefficient in zig-zag
+	// order.
+	WriteResidualBlock(blk *[16]int32)
 	// BitPos reports the number of bits emitted to the underlying writer.
 	BitPos() int64
 	// Flush terminates the payload and byte-aligns the writer.
@@ -58,6 +62,12 @@ type SymbolReader interface {
 	GetUVal(c SyntaxClass) uint32
 	GetSVal(c SyntaxClass) int32
 	GetFlag(c SyntaxClass) bool
+	// ReadResidualBlock decodes one 4×4 block into blk, clamping every
+	// field so corrupt streams yield garbage-but-bounded coefficients. It
+	// reports whether any level was stored: false guarantees blk is
+	// all-zero, so reconstruction may skip the block without scanning it
+	// (true is conservative — a corrupt stream can store a level of zero).
+	ReadResidualBlock(blk *[16]int32) (coded bool)
 	// Desynced reports whether the reader has detected it is no longer
 	// aligned with a valid stream (overrun or capped suffix).
 	Desynced() bool
@@ -72,15 +82,16 @@ type SymbolReader interface {
 
 // CABACWriter codes symbols with the adaptive binary arithmetic coder.
 type CABACWriter struct {
-	w    *bitio.Writer
-	enc  *Encoder
+	enc  Encoder
 	ctxs [numClasses][prefixContexts]Context
 }
 
 // NewCABACWriter returns a writer with freshly initialized contexts.
 // Contexts start at the equiprobable state, as at the top of each frame.
 func NewCABACWriter(w *bitio.Writer) *CABACWriter {
-	return &CABACWriter{w: w, enc: NewEncoder(w)}
+	cw := new(CABACWriter)
+	cw.enc.start(w)
+	return cw
 }
 
 // PutUVal implements SymbolWriter using UEG binarization: a context-coded
@@ -127,8 +138,9 @@ func (cw *CABACWriter) PutFlag(c SyntaxClass, b bool) {
 	cw.enc.EncodeBit(&cw.ctxs[c][0], bit)
 }
 
-// BitPos implements SymbolWriter.
-func (cw *CABACWriter) BitPos() int64 { return cw.w.BitPos() }
+// BitPos implements SymbolWriter: the position of every bit that can no
+// longer change (Encoder.BitPos).
+func (cw *CABACWriter) BitPos() int64 { return cw.enc.BitPos() }
 
 // Flush implements SymbolWriter.
 func (cw *CABACWriter) Flush() { cw.enc.Flush() }
@@ -153,23 +165,22 @@ type CABACReader struct {
 	dec      Decoder
 	ctxs     [numClasses][prefixContexts]Context
 	desynced bool
-	br       bitio.Reader // the stream when positioned by Reset
 }
 
-// NewCABACReader returns a reader over r with freshly initialized contexts.
+// NewCABACReader returns a reader over the rest of r's stream with freshly
+// initialized contexts.
 func NewCABACReader(r *bitio.Reader) *CABACReader {
 	cr := new(CABACReader)
-	cr.dec.reset(r)
+	cr.dec.reset(r.Buffer(), r.BitPos())
 	return cr
 }
 
 // Reset restarts the reader over buf with freshly initialized contexts,
 // exactly the state NewCABACReader(bitio.NewReader(buf)) starts in, without
 // allocating: the decoder resets one reader per slice instead of building
-// three objects. The reader must not be copied after its first Reset.
+// three objects.
 func (cr *CABACReader) Reset(buf []byte) {
-	cr.br.Reset(buf)
-	cr.dec.reset(&cr.br)
+	cr.dec.reset(buf, 0)
 	cr.ctxs = [numClasses][prefixContexts]Context{}
 	cr.desynced = false
 }

@@ -1,14 +1,18 @@
 package store
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"math/rand"
 	"testing"
 
 	"videoapp/internal/bch"
+	"videoapp/internal/codec"
 	"videoapp/internal/core"
 	"videoapp/internal/mlc"
 	"videoapp/internal/obs"
+	"videoapp/internal/synth"
 )
 
 // scrubSystem builds a system with a non-default scrub interval, the
@@ -102,5 +106,66 @@ func TestResidualRateMemoMatchesCompute(t *testing.T) {
 		check(s.cfg.Assignment.Header)
 		// A scheme outside the assignment falls back to direct computation.
 		check(bch.SchemeBCH11)
+	}
+}
+
+// ledgerChunk builds the unit of work of the performance ledger's serving
+// and ingest workloads — one 6-frame closed GOP of 320×176 video under the
+// paper's assignment — and the one-chunk container holding it.
+func ledgerChunk(tb testing.TB) (*codec.Video, []core.FramePartition, []byte) {
+	tb.Helper()
+	cfg, _ := synth.PresetByName("crew_like")
+	p := codec.DefaultParams()
+	p.GOPSize = 6
+	v, err := codec.Encode(synth.Generate(cfg.ScaleTo(320, 176, 6)), p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	parts := core.Analyze(v, core.DefaultOptions()).Partition(core.PaperAssignment())
+	var buf bytes.Buffer
+	cw, err := NewChunkWriter(&buf, ArchiveMeta{W: v.W, H: v.H, FPS: v.FPS, GOPSize: 6, GOPsPerChunk: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := cw.Append(v, parts, 0); err != nil {
+		tb.Fatal(err)
+	}
+	return v, parts, buf.Bytes()
+}
+
+// BenchmarkReadChunk measures ChunkArchive.ReadChunkContext of the ledger's
+// chunk from memory: region reads, CRC-32C, header and pivot parsing, and
+// the merge of the approximate streams into the payloads.
+func BenchmarkReadChunk(b *testing.B) {
+	_, _, data := ledgerChunk(b)
+	a, err := OpenChunkArchiveAt(bytes.NewReader(data))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := a.ReadChunkContext(ctx, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAppendChunk measures ChunkWriter.Append of the same chunk: the
+// stream split, the two marshals, the checksums and the writes.
+func BenchmarkAppendChunk(b *testing.B) {
+	v, parts, _ := ledgerChunk(b)
+	cw, err := NewChunkWriter(io.Discard, ArchiveMeta{W: v.W, H: v.H, FPS: v.FPS, GOPSize: 6, GOPsPerChunk: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cw.Append(v, parts, i*len(v.Frames)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -143,6 +143,16 @@ func (cw *ChunkWriter) Append(v *codec.Video, parts []core.FramePartition, first
 	precise := codec.MarshalPrecise(v)
 
 	names := ss.SchemeNames()
+	// The reader bounds the payload it allocates by the stream bytes of the
+	// record (ReadChunkContext); a layout whose pivots leave payload bits
+	// outside every stream would write a record no reader accepts.
+	var streamBytes int64
+	for _, name := range names {
+		streamBytes += int64(len(ss.Streams[name]))
+	}
+	if payload := v.TotalPayloadBits() / 8; payload > streamBytes {
+		return fmt.Errorf("store: partition layout covers %d of %d payload bytes", streamBytes, payload)
+	}
 	rec := make([]byte, 0, 64)
 	rec = append(rec, chunkMarker[:]...)
 	rec = appendU32(rec, uint32(firstFrame))
@@ -490,8 +500,7 @@ func verified(pol FaultPolicy, data []byte, crc uint32) bool {
 // which no retry can fix: it reports ErrCorruptRecord immediately. An
 // exhausted ladder reports ErrCorruptRecord when the last failure was a
 // checksum mismatch and ErrReadFailed when the device kept erroring.
-func (a *ChunkArchive) readRegion(ctx context.Context, pol FaultPolicy, o obs.Observer, mirror io.ReaderAt, off, n int64, crc uint32, label string) ([]byte, error) {
-	buf := make([]byte, n)
+func (a *ChunkArchive) readRegion(ctx context.Context, pol FaultPolicy, o obs.Observer, mirror io.ReaderAt, buf []byte, off int64, crc uint32, label string) error {
 	// read attempts one fetch+verify from r; truncated reports the
 	// non-retryable case (the container ends inside the region — no retry
 	// can grow the file).
@@ -500,7 +509,7 @@ func (a *ChunkArchive) readRegion(ctx context.Context, pol FaultPolicy, o obs.Ob
 		if err != nil {
 			//vetvideoapp:allow wrapeof — this is the region-read mapping site: EOF inside a region becomes ErrCorruptRecord truncation right here
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return true, fmt.Errorf("%w: %s truncated at %d of %d bytes", ErrCorruptRecord, label, m, n)
+				return true, fmt.Errorf("%w: %s truncated at %d of %d bytes", ErrCorruptRecord, label, m, len(buf))
 			}
 			return false, err
 		}
@@ -516,34 +525,34 @@ func (a *ChunkArchive) readRegion(ctx context.Context, pol FaultPolicy, o obs.Ob
 		if attempt > 0 {
 			o.Counter(obs.CtrReadRetries, "", 1)
 			if err := sleepBackoff(ctx, pol, off, attempt); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		truncated, err := read(a.r)
 		if err == nil {
-			return buf, nil
+			return nil
 		}
 		lastErr = err
 		if truncated && mirror == nil {
-			return nil, fmt.Errorf("store: %w", err)
+			return fmt.Errorf("store: %w", err)
 		}
 		if truncated {
 			break
 		}
 		if ctx.Err() != nil {
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
 	}
 	if mirror != nil {
 		if _, err := read(mirror); err == nil {
 			o.Counter(obs.CtrMirrorReads, "", 1)
-			return buf, nil
+			return nil
 		}
 	}
 	if errors.Is(lastErr, ErrCorruptRecord) {
-		return nil, fmt.Errorf("store: %w", lastErr)
+		return fmt.Errorf("store: %w", lastErr)
 	}
-	return nil, fmt.Errorf("store: %w: %s: %v", ErrReadFailed, label, lastErr)
+	return fmt.Errorf("store: %w: %s: %v", ErrReadFailed, label, lastErr)
 }
 
 // ChunkRead is the result of one fault-tolerant chunk read.
@@ -579,18 +588,26 @@ func (a *ChunkArchive) ReadChunkContext(ctx context.Context, i int) (ChunkRead, 
 	}
 	pol := a.resolvePolicy(ctx)
 	o := obs.From(ctx)
-	rec := a.recs[i]
+	rec := &a.recs[i]
 
-	off := rec.info.Offset
-	precise, err := a.readRegion(ctx, pol, o, a.mirror, off, rec.preciseLen, rec.preciseCRC, "precise")
+	// One buffer holds the record; each region is read and verified in its
+	// own window of it, so the ladder still isolates damage per region.
+	buf, err := a.recordBuffer(rec)
 	if err != nil {
+		return ChunkRead{}, fmt.Errorf("store: chunk %d: %w", i, err)
+	}
+	off := rec.info.Offset
+	precise, pivots, streams := buf[:rec.preciseLen], buf[rec.preciseLen:][:rec.pivotLen], buf[rec.preciseLen+rec.pivotLen:]
+	if err := a.readRegion(ctx, pol, o, a.mirror, precise, off, rec.preciseCRC, "precise"); err != nil {
 		return ChunkRead{}, fmt.Errorf("store: chunk %d precise region: %w", i, err)
 	}
-	pivots, err := a.readRegion(ctx, pol, o, a.mirror, off+rec.preciseLen, rec.pivotLen, rec.pivotCRC, "pivots")
-	if err != nil {
+	if err := a.readRegion(ctx, pol, o, a.mirror, pivots, off+rec.preciseLen, rec.pivotCRC, "pivots"); err != nil {
 		return ChunkRead{}, fmt.Errorf("store: chunk %d pivot tables: %w", i, err)
 	}
-	v, err := codec.UnmarshalPrecise(precise)
+	// The frame headers declare their payload lengths; the bits can only
+	// come from this record's streams, so their byte counts bound what the
+	// placeholders may add up to before any of it is allocated.
+	v, err := codec.UnmarshalPrecise(precise, int64(len(streams)))
 	if err != nil {
 		return ChunkRead{}, fmt.Errorf("store: %w: chunk %d precise region: %w", ErrCorruptRecord, i, err)
 	}
@@ -601,19 +618,20 @@ func (a *ChunkArchive) ReadChunkContext(ctx context.Context, i int) (ChunkRead, 
 	if len(parts) != len(v.Frames) {
 		return ChunkRead{}, fmt.Errorf("store: %w: chunk %d: %d pivot tables for %d frames", ErrCorruptRecord, i, len(parts), len(v.Frames))
 	}
-	ss := &core.StreamSet{Parts: parts, Streams: map[string][]byte{}, Bits: map[string]int64{}}
+	ss := &core.StreamSet{Parts: parts, Streams: make(map[string][]byte, len(rec.streams)), Bits: make(map[string]int64, len(rec.streams))}
 	var degraded []string
 	soff := off + rec.preciseLen + rec.pivotLen
 	for _, rs := range rec.streams {
-		data, err := a.readRegion(ctx, pol, o, a.mirror, soff, rs.bytes, rs.crc, rs.name)
-		if err != nil {
+		var data []byte
+		data, streams = streams[:rs.bytes], streams[rs.bytes:]
+		if err := a.readRegion(ctx, pol, o, a.mirror, data, soff, rs.crc, rs.name); err != nil {
 			if ctx.Err() != nil {
 				return ChunkRead{}, ctx.Err()
 			}
 			// The reliability boundary: an approximate stream that cannot
 			// be read or verified costs quality, never availability. Zero
 			// its bits and let the error-resilient decoder conceal.
-			data = make([]byte, rs.bytes)
+			clear(data)
 			degraded = append(degraded, rs.name)
 			o.Counter(obs.CtrDegradedStreams, rs.name, 1)
 		}
@@ -621,11 +639,46 @@ func (a *ChunkArchive) ReadChunkContext(ctx context.Context, i int) (ChunkRead, 
 		ss.Bits[rs.name] = rs.bits
 		soff += rs.bytes
 	}
-	merged, err := ss.Merge(v)
-	if err != nil {
+	// v is this call's own placeholder video: merge into it, no second copy.
+	if err := ss.MergeInto(v); err != nil {
 		return ChunkRead{}, fmt.Errorf("store: %w: chunk %d: %w", ErrCorruptRecord, i, err)
 	}
-	return ChunkRead{Video: merged, Parts: parts, Degraded: degraded}, nil
+	return ChunkRead{Video: v, Parts: parts, Degraded: degraded}, nil
+}
+
+// probeRecordLen is the record size from which ReadChunkContext checks that
+// the container actually extends to the record's end before allocating its
+// buffer. Lengths come from the record header; below this size a wrong one
+// costs a small allocation and a failed read, above it one extra one-byte
+// read is nothing beside the record's own.
+const probeRecordLen = 64 << 10
+
+// recordBuffer allocates the buffer one record's regions are read into. A
+// header may declare gigabytes in a container of a few bytes, so a large
+// record is first probed at its last byte: when neither the primary nor the
+// mirror holds it the record is truncated — ErrCorruptRecord — and nothing
+// is allocated. Any other probe outcome, transient errors included, leaves
+// the verdict to the per-region ladder.
+func (a *ChunkArchive) recordBuffer(rec *chunkRec) ([]byte, error) {
+	if rec.info.Length >= probeRecordLen {
+		held := false
+		for _, r := range []io.ReaderAt{a.r, a.mirror} {
+			if r == nil {
+				continue
+			}
+			var last [1]byte
+			n, err := r.ReadAt(last[:], rec.info.Offset+rec.info.Length-1)
+			//vetvideoapp:allow wrapeof — mapping site: EOF at the record's last byte becomes ErrCorruptRecord truncation below
+			if n == 1 || !(errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)) {
+				held = true
+				break
+			}
+		}
+		if !held {
+			return nil, fmt.Errorf("%w: record of %d bytes extends past the end of the container", ErrCorruptRecord, rec.info.Length)
+		}
+	}
+	return make([]byte, rec.info.Length), nil
 }
 
 // ReadChunk is the strict form of ReadChunkContext: it runs the same

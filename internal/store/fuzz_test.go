@@ -43,8 +43,7 @@ func v1Header() []byte {
 // slice, opening either succeeds or fails with the package's typed errors —
 // it never panics, never loops, and never surfaces a raw io.EOF from a
 // truncated read. When the index parses, the whole metadata surface must be
-// usable, and reading a (small) chunk must likewise end in frames or a
-// typed error. This is the guarantee the serving layer's error mapping is
+// usable, and reading a chunk must likewise end in frames or a typed error. This is the guarantee the serving layer's error mapping is
 // built on: every storage-level failure has an errors.Is identity.
 func FuzzOpenArchive(f *testing.F) {
 	valid := fuzzSeedArchive(f, 2)
@@ -89,20 +88,20 @@ func FuzzOpenArchive(f *testing.F) {
 				t.Fatalf("Info(%d) = %+v: implausible indexed record", i, info)
 			}
 			frames += info.Frames
-			// Reading is bounded to small records so a fabricated
-			// multi-gigabyte length cannot balloon the fuzz process; open
-			// and Info above already cover the parser for such records.
-			if info.Length < 1<<20 {
-				cr, err := a.ReadChunkContext(t.Context(), i)
-				switch {
-				case err == nil:
-					if len(cr.Video.Frames) != info.Frames {
-						t.Fatalf("chunk %d decoded %d frames, index says %d", i, len(cr.Video.Frames), info.Frames)
-					}
-				case errors.Is(err, ErrCorruptRecord), errors.Is(err, ErrReadFailed):
-				default:
-					t.Fatalf("ReadChunk(%d): untyped error %v", i, err)
+			// A fabricated multi-gigabyte length cannot balloon the read:
+			// the record is probed before its buffer is allocated, and the
+			// payload placeholders are bounded by the stream bytes
+			// (TestReadChunkProbesHugeRecord,
+			// TestReadChunkBoundsDeclaredPayload).
+			cr, err := a.ReadChunkContext(t.Context(), i)
+			switch {
+			case err == nil:
+				if len(cr.Video.Frames) != info.Frames {
+					t.Fatalf("chunk %d decoded %d frames, index says %d", i, len(cr.Video.Frames), info.Frames)
 				}
+			case errors.Is(err, ErrCorruptRecord), errors.Is(err, ErrReadFailed):
+			default:
+				t.Fatalf("ReadChunk(%d): untyped error %v", i, err)
 			}
 		}
 		if a.TotalFrames() != frames {

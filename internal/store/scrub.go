@@ -71,7 +71,7 @@ func (a *ChunkArchive) Scrub(ctx context.Context) (ScrubReport, error) {
 		}
 		h := ChunkHealth{Index: rec.info.Index, Regions: 2 + len(rec.streams)}
 		for _, reg := range a.regions(rec) {
-			_, err := a.readRegion(ctx, pol, o, nil, reg.off, reg.n, reg.crc, reg.label)
+			err := a.readRegion(ctx, pol, o, nil, make([]byte, reg.n), reg.off, reg.crc, reg.label)
 			if err == nil {
 				continue
 			}
