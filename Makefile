@@ -107,8 +107,10 @@ bench:
 
 # serve-smoke is the end-to-end gate of the serving path: build the CLI,
 # archive a synthetic video, start `videoapp serve`, fetch the index, one
-# decoded chunk and /metrics over HTTP, then SIGINT and require a clean
-# drained exit (results/serve_bench.md holds the chunk-path numbers).
+# decoded chunk and /metrics over HTTP, require that a sequential reader is
+# warmed by readahead and a non-sequential one triggers none, then SIGINT
+# and require a clean drained exit (results/serve_bench.md holds the
+# chunk-path numbers).
 serve-smoke:
 	./scripts/serve_smoke.sh
 

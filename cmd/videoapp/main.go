@@ -135,7 +135,7 @@ func cliMain(args []string, stderr io.Writer) int {
 	fs.StringVar(&o.addr, "addr", ":8080", "serve: listen address")
 	fs.IntVar(&o.cacheMB, "cache-mb", 64, "serve: decoded-chunk cache budget in MiB")
 	fs.IntVar(&o.cacheShard, "cache-shards", 0, "serve: cache lock shards, rounded up to a power of two (0 = auto: max(8, GOMAXPROCS))")
-	fs.IntVar(&o.prefetch, "prefetch", 2, "serve: sequential readahead depth in chunks (0 disables)")
+	fs.IntVar(&o.prefetch, "prefetch", 2, "serve: readahead up to this many chunks ahead of a sequential reader (0 disables)")
 	fs.DurationVar(&o.reqTimeout, "req-timeout", 30*time.Second, "serve: per-request timeout, decode included")
 	fs.DurationVar(&o.idleTime, "idle-timeout", 0, "serve: close archives unused this long (0 = never)")
 	fs.StringVar(&faultProfile, "fault-profile", "", "inject deterministic faults into archive reads: \"seed=N,transient=P,corrupt=P,short=P,latency=D\"")

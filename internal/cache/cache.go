@@ -40,6 +40,8 @@ package cache
 import (
 	"container/list"
 	"context"
+	"errors"
+	"fmt"
 	"hash/maphash"
 	"math/bits"
 	"runtime"
@@ -249,7 +251,9 @@ func (s *shard[K, V]) removeLocked(el *list.Element) *entry[K, V] {
 // calls for the same key share a single load (singleflight): exactly one
 // caller's load function runs, the rest block until it finishes and receive
 // the same value or error. Successful loads are added to the cache; failed
-// loads are not, so a later call retries.
+// loads are not, so a later call retries. A load that panics is a failed load
+// whose error wraps ErrLoadPanicked: it runs on a goroutine of the cache's
+// own, where nothing of the caller's could recover it.
 //
 // The load function receives a context detached from ctx's cancellation:
 // the result is shared by every waiter (and the cache), so one caller
@@ -279,7 +283,7 @@ func (c *Cache[K, V]) GetOrLoad(ctx context.Context, key K, load func(context.Co
 
 	s.loads.Add(1)
 	go func() {
-		f.val, f.err = load(context.WithoutCancel(ctx))
+		f.val, f.err = runLoad(context.WithoutCancel(ctx), load)
 		var gone []*entry[K, V]
 		s.mu.Lock()
 		delete(s.flights, key)
@@ -294,6 +298,21 @@ func (c *Cache[K, V]) GetOrLoad(ctx context.Context, key K, load func(context.Co
 	}()
 	v, err := wait(ctx, f)
 	return v, false, err
+}
+
+// ErrLoadPanicked is wrapped, with the panic value, by the error GetOrLoad
+// returns to every caller sharing a load that panicked.
+var ErrLoadPanicked = errors.New("cache: load panicked")
+
+// runLoad runs load, turning a panic into an error (beside the zero value:
+// a load that panicked never set its results).
+func runLoad[V any](ctx context.Context, load func(context.Context) (V, error)) (v V, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%w: %v", ErrLoadPanicked, r)
+		}
+	}()
+	return load(ctx)
 }
 
 // wait blocks on a flight until it completes or the caller's own context

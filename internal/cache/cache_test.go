@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -116,6 +117,46 @@ func TestGetOrLoadDoesNotCacheErrors(t *testing.T) {
 	}
 	if calls != 2 {
 		t.Fatalf("failed load must not be cached: %d calls, want 2", calls)
+	}
+}
+
+// TestLoadPanicIsTheFlightsError: the loader runs on a goroutine of the
+// cache's own, so a panic there would take the process down; it must reach
+// the caller and every coalesced waiter as an error wrapping ErrLoadPanicked,
+// leave nothing behind, and let the next call load afresh.
+func TestLoadPanicIsTheFlightsError(t *testing.T) {
+	c := newLRU[string, int](8, nil)
+	release := make(chan struct{})
+	load := func(context.Context) (int, error) {
+		<-release
+		panic("decoder bug")
+	}
+	errs := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			_, _, err := c.GetOrLoad(context.Background(), "k", load)
+			errs <- err
+		}()
+	}
+	// One of the two started the flight; wait for the other to join it.
+	for c.Stats().Misses < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; !errors.Is(err, ErrLoadPanicked) || !strings.Contains(err.Error(), "decoder bug") {
+			t.Fatalf("want ErrLoadPanicked carrying the panic value, got %v", err)
+		}
+	}
+	if s := c.Stats(); s.Loads != 1 {
+		t.Fatalf("Stats.Loads = %d, want 1 (the waiter coalesced)", s.Loads)
+	}
+	if c.Contains("k") {
+		t.Fatal("a panicked load left its key resident or in flight")
+	}
+	v, hit, err := c.GetOrLoad(context.Background(), "k", func(context.Context) (int, error) { return 5, nil })
+	if v != 5 || hit || err != nil {
+		t.Fatalf("load after a panic: %d, %v, %v (want 5 from a fresh load)", v, hit, err)
 	}
 }
 

@@ -566,12 +566,13 @@ func (c *Catalog) handleChunk(w http.ResponseWriter, r *http.Request) error {
 	// The first response built from a readahead load settles it: useful if
 	// the chunk was waiting in the cache, neither useful nor wasted if this
 	// request merely coalesced onto the readahead's flight.
-	if p.claim() && hit {
+	claimed := p.claim()
+	if claimed && hit {
 		c.observer.Counter(obs.CtrServePrefetchUseful, t.name, 1)
 	}
 	if c.prefetch != nil {
-		// Warm the chunks a sequential reader asks for next; non-blocking.
-		c.prefetch.schedule(t.name, space, i, a.NumChunks())
+		// Warm what a sequential reader asks for next; non-blocking.
+		c.prefetch.schedule(t.name, space, i, a.NumChunks(), claimed)
 	}
 	c.maybePublishCacheGauges()
 	w.Header().Set("Content-Type", "video/x-yuv4mpeg")

@@ -27,10 +27,10 @@ type prefetchJob struct {
 }
 
 // prefetcher warms the chunks a sequential reader is about to ask for: a
-// request for chunk i schedules background loads of i+1..i+depth through
-// the same singleflight cache namespace the foreground path uses, so a
-// steady reader's next request is a hit and the decode never sits on the
-// request's critical path.
+// request for chunk i that looks sequential (see schedule) queues background
+// loads of up to depth chunks past i through the same singleflight cache
+// namespace the foreground path uses, so a steady reader's next request is a
+// hit and the decode never sits on the request's critical path.
 //
 // It keeps no record of its targets. Whether one is already warm or warming
 // is a question to the cache (Contains covers resident and in-flight keys),
@@ -83,19 +83,36 @@ func (p *prefetcher) close() {
 	p.wg.Wait()
 }
 
-// schedule queues readahead for the chunks after index i, clamped to the
-// archive's n chunks. Targets already resident or loading, or not fitting
-// the queue, are skipped; a target queued but not yet started may be queued
-// again, which costs one slot and one probe when the worker drops it. The
-// call is non-blocking and runs on the foreground request path.
-func (p *prefetcher) schedule(tenant, space string, i, n int) {
+// schedule queues readahead past chunk i of an archive of n chunks, as far
+// ahead as the evidence that i's requester reads sequentially warrants. The
+// evidence is what the server already holds, so no reader is tracked:
+//
+//   - claimed: the response to i consumed a readahead load (hit or coalesced
+//     flight). A reader is following the warmed window: the full depth.
+//   - i is the start of a stream, or chunk i-1 is resident or loading —
+//     someone was just here: one chunk, so a reader that seeks pays one
+//     foreground miss and is at full depth from its next request.
+//   - neither (a random read, a backward scan, a probe): nothing.
+//
+// Targets already resident or loading, or not fitting the queue, are
+// skipped; a target queued but not yet started may be queued again, which
+// costs one slot and one probe when the worker drops it. The call is
+// non-blocking and runs on the foreground request path.
+func (p *prefetcher) schedule(tenant, space string, i, n int, claimed bool) {
 	select {
 	case <-p.ctx.Done():
 		return // closed: no worker would ever take the job
 	default:
 	}
 	sp := cache.In(p.c.cache, space)
-	for j := i + 1; j <= i+p.depth && j < n; j++ {
+	depth := p.depth
+	if !claimed {
+		if i > 0 && !sp.Contains(i-1) {
+			return
+		}
+		depth = 1
+	}
+	for j := i + 1; j <= i+depth && j < n; j++ {
 		if sp.Contains(j) {
 			continue
 		}
@@ -141,20 +158,24 @@ func (p *prefetcher) execute(job prefetchJob) {
 
 	c.observer.Gauge(obs.GaugeServePrefetchInFlight, "", float64(p.inFlight.Add(1)))
 	// The result is for the cache, not for us; an error was counted below.
-	_, _, _ = sp.GetOrLoad(p.ctx, job.index, func(context.Context) (chunkPayload, error) {
+	_, _, _ = sp.GetOrLoad(p.ctx, job.index, func(context.Context) (pl chunkPayload, err error) {
+		// Deferred, so a load that panics (the cache turns that into the
+		// flight's error) is counted like one that fails: issued work that
+		// helped nobody. The breaker is deliberately not touched — only
+		// foreground traffic may open it.
+		defer func() {
+			c.observer.Counter(obs.CtrServePrefetchIssued, t.name, 1)
+			if pl.prefetched == nil {
+				c.observer.Counter(obs.CtrServePrefetchWasted, t.name, 1)
+			}
+		}()
 		// Not the detached context the cache offers: readahead loads under
 		// the prefetcher's own, so close() aborts them.
-		pl, err := c.materialize(p.ctx, t, a, job.index)
-		c.observer.Counter(obs.CtrServePrefetchIssued, t.name, 1)
-		if err != nil {
-			// Issued work that helped nobody. The breaker is deliberately
-			// not touched — only foreground traffic may open it.
-			c.observer.Counter(obs.CtrServePrefetchWasted, t.name, 1)
-			return pl, err
+		if pl, err = c.materialize(p.ctx, t, a, job.index); err == nil {
+			pl.prefetched = new(atomic.Bool)
+			pl.prefetched.Store(true)
 		}
-		pl.prefetched = new(atomic.Bool)
-		pl.prefetched.Store(true)
-		return pl, nil
+		return pl, err
 	})
 	c.observer.Gauge(obs.GaugeServePrefetchInFlight, "", float64(p.inFlight.Add(-1)))
 }

@@ -71,12 +71,25 @@ func (b *hookBackend) spec() ArchiveSpec {
 	return ArchiveSpec{Open: func() (store.Backend, error) { return b, nil }}
 }
 
+// statusOf is one GET of path through the handler, for routes whose status
+// is all the test wants.
+func statusOf(c *Catalog, path string) int {
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	return rec.Code
+}
+
 // chunkGet fetches chunk i of the named archive through the handler and
-// returns the status and the X-Cache verdict.
+// returns the status and the X-Cache verdict. Every call also samples the
+// accounting invariant: no readahead load is settled twice, or before it is
+// counted issued.
 func chunkGet(t testing.TB, c *Catalog, name string, i int) (int, string) {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/archives/%s/chunks/%d", name, i), nil))
+	if issued, useful, wasted := prefetchCounts(c, name); useful+wasted > issued {
+		t.Errorf("after %s chunk %d: useful %d + wasted %d > issued %d", name, i, useful, wasted, issued)
+	}
 	return rec.Code, rec.Header().Get("X-Cache")
 }
 
@@ -97,6 +110,25 @@ func prefetchCounts(c *Catalog, name string) (issued, useful, wasted int64) {
 		snap.Counter(obs.CtrServePrefetchWasted, name)
 }
 
+// warmed waits until exactly n readahead loads of the named archive have run
+// and landed (a load is counted before it is stored, and in flight until
+// after).
+func warmed(t testing.TB, c *Catalog, name string, n int64) {
+	t.Helper()
+	waitUntil(t, fmt.Sprintf("readahead load %d of %s to land", n, name), func() bool {
+		issued, _, _ := prefetchCounts(c, name)
+		return issued == n && c.prefetch.inFlight.Load() == 0
+	})
+}
+
+// wantCounts asserts the readahead counters of the named archive.
+func wantCounts(t testing.TB, c *Catalog, name string, issued, useful, wasted int64) {
+	t.Helper()
+	if i, u, w := prefetchCounts(c, name); i != issued || u != useful || w != wasted {
+		t.Fatalf("%s: issued/useful/wasted = %d/%d/%d, want %d/%d/%d", name, i, u, w, issued, useful, wasted)
+	}
+}
+
 // settle is the barrier behind every "and nothing else happened" assertion:
 // it waits for the readahead queue to drain and the loads to land, then
 // closes the catalog, which returns only once no worker is executing a job.
@@ -111,56 +143,41 @@ func settle(t testing.TB, c *Catalog) {
 	c.Close()
 }
 
-// TestPrefetchWarmsSequentialReads is the tentpole contract end to end: a
-// request for chunk 0 warms chunks 1 and 2 in the background, so the
-// sequential reader's next requests are cache hits (X-Cache: hit) that
-// decoded off the request path, and the useful counter records them.
+// TestPrefetchWarmsSequentialReads is the readahead contract end to end over
+// a real socket: a reader that starts at chunk 0 and keeps going finds every
+// later chunk decoded off the request path (X-Cache: hit), the window opening
+// from one chunk to the configured two once the reader consumes what was
+// warmed, and the useful counter records each.
 func TestPrefetchWarmsSequentialReads(t *testing.T) {
-	s := serveBytes(t, buildArchiveBytes(t, 5)) // defaults: readahead depth 2
+	s := serveBytes(t, buildArchiveBytes(t, 6)) // defaults: readahead depth 2
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-
-	resp, err := ts.Client().Get(ts.URL + chunkPath(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if got := resp.Header.Get("X-Cache"); got != "miss" {
-		t.Fatalf("cold chunk 0: X-Cache = %q, want miss", got)
-	}
-
-	// Readahead for chunks 1 and 2 runs in the background; both land in
-	// the cache (alongside chunk 0) without any further request.
-	waitUntil(t, "readahead of chunks 1 and 2", func() bool {
-		return s.CacheStats().Len >= 3 &&
-			s.Metrics().Snapshot().Counter(obs.CtrServePrefetchIssued, testArchive) >= 2
-	})
-
-	for _, i := range []int{1, 2} {
-		resp, err := ts.Client().Get(ts.URL + chunkPath(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("chunk %d: status %d", i, resp.StatusCode)
-		}
-		if got := resp.Header.Get("X-Cache"); got != "hit" {
-			t.Fatalf("prefetched chunk %d: X-Cache = %q, want hit", i, got)
+	read := func(i int, want string) {
+		t.Helper()
+		status, _, hdr := fetch(t, ts.Client(), ts.URL+chunkPath(i))
+		if got := hdr.Get("X-Cache"); status != http.StatusOK || got != want {
+			t.Fatalf("chunk %d: status %d X-Cache %q, want 200 %s", i, status, got, want)
 		}
 	}
+
+	read(0, "miss")
+	warmed(t, s, testArchive, 1) // chunk 1, without any further request
+	read(1, "hit")
+	warmed(t, s, testArchive, 3) // chunks 2 and 3
+	read(2, "hit")
+	read(3, "hit")
 	snap := s.Metrics().Snapshot()
-	if got := snap.Counter(obs.CtrServePrefetchUseful, testArchive); got != 2 {
-		t.Fatalf("serve_prefetch_useful = %d, want 2", got)
+	if got := snap.Counter(obs.CtrServePrefetchUseful, testArchive); got != 3 {
+		t.Fatalf("serve_prefetch_useful = %d, want 3", got)
 	}
 
 	// The foreground hit/miss counters came from the single GetOrLoad:
-	// exactly one miss (chunk 0) and two hits, no double counting.
+	// exactly one miss (chunk 0) and three hits, no double counting.
 	if got := snap.Counter(obs.CtrServeCacheMisses, testArchive); got != 1 {
 		t.Fatalf("serve_cache_misses = %d, want 1", got)
 	}
-	if got := snap.Counter(obs.CtrServeCacheHits, testArchive); got != 2 {
-		t.Fatalf("serve_cache_hits = %d, want 2", got)
+	if got := snap.Counter(obs.CtrServeCacheHits, testArchive); got != 3 {
+		t.Fatalf("serve_cache_hits = %d, want 3", got)
 	}
 }
 
@@ -182,10 +199,11 @@ func TestPrefetchDisabled(t *testing.T) {
 
 // queuedFixture is how the drop-before-any-archive-work rules are reached
 // through requests. It serves two archives at readahead depth 4: testArchive
-// over the given spec, and "parked", whose reads past chunk 0 block until
-// release. One request for parked's chunk 0 queues four jobs that occupy
-// every readahead worker (there are at most four), so the jobs the test's
-// own request for testArchive's chunk 0 queues behind them — chunks 1..4 —
+// over the given spec, and "parked", whose reads past chunk 1 block until
+// release. A reader of parked's chunks 0 and 1 — the second response claims
+// the readahead of the first, which opens the full window — queues four jobs
+// that occupy every readahead worker (there are at most four), so the job the
+// test's own request for testArchive's chunk 0 queues behind them — chunk 1 —
 // cannot start until the test has changed the tenant's state and released
 // the workers.
 func queuedFixture(t *testing.T, spec ArchiveSpec, options ...Option) (cat *Catalog, release func()) {
@@ -198,12 +216,17 @@ func queuedFixture(t *testing.T, spec ArchiveSpec, options ...Option) (cat *Cata
 	if err := cat.Add(pspec); err != nil {
 		t.Fatal(err)
 	}
-	if status, _ := chunkGet(t, cat, "parked", 5); status != http.StatusOK { // opens the archive
-		t.Fatalf("parked chunk 5: status %d", status)
+	// Opens the archive without caching a chunk of it.
+	if status := statusOf(cat, "/v1/archives/parked/chunks/0/meta"); status != http.StatusOK {
+		t.Fatalf("parked chunk 0 meta: status %d", status)
 	}
-	release = parked.holdFrom(t, data, 1)
+	release = parked.holdFrom(t, data, 2)
 	if status, _ := chunkGet(t, cat, "parked", 0); status != http.StatusOK {
 		t.Fatalf("parked chunk 0: status %d", status)
+	}
+	warmed(t, cat, "parked", 1)
+	if status, xc := chunkGet(t, cat, "parked", 1); status != http.StatusOK || xc != "hit" {
+		t.Fatalf("parked chunk 1: status %d X-Cache %q, want 200 hit", status, xc)
 	}
 	mustGet(t, cat, 0, "miss")
 	return cat, release
@@ -260,11 +283,11 @@ func TestPrefetchNeverFiresOnRetiredTenant(t *testing.T) {
 	release()
 	waitUntil(t, "parked readahead to land", func() bool {
 		issued, _, _ := prefetchCounts(cat, "parked")
-		return issued == 4
+		return issued == 5
 	})
 	settle(t, cat)
 	wantNoReadahead(t, cat, 1)
-	// What is resident is parked's: chunks 5 and 0 and the four warmed.
+	// What is resident is parked's: chunk 0 and the five warmed.
 	if got := cat.CacheStats().Len; got != 6 {
 		t.Fatalf("%d chunks resident, want parked's 6 only", got)
 	}
@@ -285,10 +308,8 @@ func TestPrefetchStaleGenerationDropped(t *testing.T) {
 		t.Fatalf("CloseIdle closed %d, want 1", n)
 	}
 	// Reopen under a fresh generation without touching the chunk path.
-	rec := httptest.NewRecorder()
-	cat.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, chunkPath(5)+"/meta", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("reopening meta request: status %d", rec.Code)
+	if status := statusOf(cat, chunkPath(5)+"/meta"); status != http.StatusOK {
+		t.Fatalf("reopening meta request: status %d", status)
 	}
 	release()
 	settle(t, cat)
@@ -296,14 +317,20 @@ func TestPrefetchStaleGenerationDropped(t *testing.T) {
 }
 
 // TestPrefetchPastEndOfArchive: readahead is clamped to the archive, so a
-// request for the last chunk — or one whose window is already resident —
-// queues nothing and no load dies on a missing chunk.
+// request for the last chunk — even one entitled to the full window — or one
+// whose window is already resident queues nothing, and no load dies on a
+// missing chunk.
 func TestPrefetchPastEndOfArchive(t *testing.T) {
 	cat := serveBytes(t, buildArchiveBytes(t, 2))
-	mustGet(t, cat, 1, "miss")
 	mustGet(t, cat, 0, "miss")
+	warmed(t, cat, testArchive, 1)
+	mustGet(t, cat, 1, "hit") // claimed: the window would be chunks 2 and 3
+	mustGet(t, cat, 0, "hit") // its window, chunk 1, is resident
 	settle(t, cat)
-	wantNoReadahead(t, cat, 2)
+	wantCounts(t, cat, testArchive, 1, 1, 0)
+	if got := cat.Metrics().Snapshot().Counter(obs.CtrServeDecodes, testArchive); got != 2 {
+		t.Fatalf("decodes = %d, want 2 (one per chunk of the archive)", got)
+	}
 }
 
 // TestPrefetchOutcomeAccounting pins what each readahead load is counted
@@ -311,49 +338,33 @@ func TestPrefetchPastEndOfArchive(t *testing.T) {
 func TestPrefetchOutcomeAccounting(t *testing.T) {
 	data := buildArchiveBytes(t, 6)
 	chunkBytes := int64(len(wantChunkBody(t, openBytes(t, data), 0)))
-	want := func(t *testing.T, cat *Catalog, issued, useful, wasted int64) {
-		t.Helper()
-		i, u, w := prefetchCounts(cat, testArchive)
-		if i != issued || u != useful || w != wasted {
-			t.Fatalf("issued/useful/wasted = %d/%d/%d, want %d/%d/%d", i, u, w, issued, useful, wasted)
-		}
-	}
-	// warmed waits until n readahead loads have run and landed (a load is
-	// counted before it is stored, and in flight until after).
-	warmed := func(t *testing.T, cat *Catalog, n int64) {
-		t.Helper()
-		waitUntil(t, "readahead to land", func() bool {
-			issued, _, _ := prefetchCounts(cat, testArchive)
-			return issued == n && cat.prefetch.inFlight.Load() == 0
-		})
-	}
 
 	t.Run("hit is useful once", func(t *testing.T) {
 		cat := serveBytes(t, data, WithPrefetch(1))
 		mustGet(t, cat, 0, "miss")
-		warmed(t, cat, 1)
+		warmed(t, cat, testArchive, 1)
 		mustGet(t, cat, 1, "hit")
 		mustGet(t, cat, 1, "hit")
-		warmed(t, cat, 2) // chunk 2, warmed by the requests for 1 and unserved
+		warmed(t, cat, testArchive, 2) // chunk 2, warmed by the requests for 1 and unserved
 		settle(t, cat)
-		want(t, cat, 2, 1, 0)
+		wantCounts(t, cat, testArchive, 2, 1, 0)
 	})
 
 	t.Run("evicted unserved is wasted once", func(t *testing.T) {
 		// Room for two chunks in one strict-LRU shard.
 		cat := serveBytes(t, data, WithPrefetch(1), WithCacheShards(1), WithCacheBytes(2*chunkBytes+chunkBytes/2))
 		mustGet(t, cat, 0, "miss") // resident: 1* 0
-		warmed(t, cat, 1)
-		mustGet(t, cat, 3, "miss") // 3 evicts 0; then 4* evicts the unserved 1*
-		warmed(t, cat, 2)
+		warmed(t, cat, testArchive, 1)
+		mustGet(t, cat, 3, "miss") // evicts 0; a random read, no readahead
+		mustGet(t, cat, 5, "miss") // evicts the unserved 1*
 		settle(t, cat)
-		want(t, cat, 2, 0, 1)
+		wantCounts(t, cat, testArchive, 1, 0, 1)
 	})
 
 	t.Run("coalesced is neither", func(t *testing.T) {
 		dev := &hookBackend{Backend: store.NewSnapshotBackend(data)}
 		cat := serveOne(t, dev.spec(), WithPrefetch(1))
-		mustGet(t, cat, 5, "miss") // opens the archive; last chunk, no readahead
+		mustGet(t, cat, 5, "miss") // opens the archive; a random read, no readahead
 		release := dev.holdFrom(t, data, 1)
 		mustGet(t, cat, 0, "miss")
 		waitUntil(t, "readahead of chunk 1 to take off", func() bool { return cat.CacheStats().Loads == 3 })
@@ -368,12 +379,12 @@ func TestPrefetchOutcomeAccounting(t *testing.T) {
 			t.Fatalf("coalesced request: X-Cache %q, want miss", xc)
 		}
 		mustGet(t, cat, 1, "hit")
-		warmed(t, cat, 2)
+		warmed(t, cat, testArchive, 2)
 		settle(t, cat)
 		if got := cat.CacheStats().Loads; got != 4 { // 5, 0, 1*, and 2* warmed by the requests for 1
 			t.Fatalf("loads = %d, want 4 (one per chunk)", got)
 		}
-		want(t, cat, 2, 0, 0)
+		wantCounts(t, cat, testArchive, 2, 0, 0)
 	})
 
 	t.Run("failed load is issued and wasted", func(t *testing.T) {
@@ -395,9 +406,9 @@ func TestPrefetchOutcomeAccounting(t *testing.T) {
 		}
 		dev.hook.Store(&fail)
 		mustGet(t, cat, 0, "miss")
-		warmed(t, cat, 1)
+		warmed(t, cat, testArchive, 1)
 		settle(t, cat)
-		want(t, cat, 1, 0, 1)
+		wantCounts(t, cat, testArchive, 1, 0, 1)
 		if cat.Metrics().Snapshot().Gauge(obs.GaugeServeBreakerOpen, testArchive) != 0 {
 			t.Fatal("a failed readahead load touched the breaker")
 		}
@@ -406,11 +417,13 @@ func TestPrefetchOutcomeAccounting(t *testing.T) {
 	t.Run("Remove wastes the unserved and leaves nothing", func(t *testing.T) {
 		cat := serveBytes(t, data)
 		mustGet(t, cat, 0, "miss")
-		warmed(t, cat, 2)
+		warmed(t, cat, testArchive, 1)
+		mustGet(t, cat, 1, "hit")
+		warmed(t, cat, testArchive, 3) // chunks 2 and 3, unserved
 		if err := cat.Remove(testArchive); err != nil {
 			t.Fatal(err)
 		}
-		want(t, cat, 2, 0, 2)
+		wantCounts(t, cat, testArchive, 3, 1, 2)
 		if got := cat.CacheStats().Len; got != 0 {
 			t.Fatalf("%d chunks resident after Remove", got)
 		}
@@ -423,23 +436,214 @@ func TestPrefetchSchedulesOncePerTarget(t *testing.T) {
 	data := buildArchiveBytes(t, 6)
 	dev := &hookBackend{Backend: store.NewSnapshotBackend(data)}
 	cat := serveOne(t, dev.spec(), WithPrefetch(4))
-	mustGet(t, cat, 5, "miss")
+	mustGet(t, cat, 5, "miss") // opens the archive; a random read, no readahead
 	release := dev.holdFrom(t, data, 1)
 	mustGet(t, cat, 0, "miss")
 	for r := 0; r < 4; r++ {
-		mustGet(t, cat, 0, "hit") // re-schedules 1..4: loading, or queued again
+		mustGet(t, cat, 0, "hit") // re-schedules 1: loading, or queued again
 	}
 	release()
-	waitUntil(t, "readahead of chunks 1..4", func() bool {
-		issued, _, _ := prefetchCounts(cat, testArchive)
-		return issued == 4
-	})
+	warmed(t, cat, testArchive, 1)
+	release = dev.holdFrom(t, data, 2)
+	mustGet(t, cat, 1, "hit") // claims 1: the full window, 2..4 (5 is resident)
+	for r := 0; r < 4; r++ {
+		mustGet(t, cat, 1, "hit") // re-schedules 2: loading, or queued again
+	}
+	release()
+	warmed(t, cat, testArchive, 4)
 	settle(t, cat)
 	if got := cat.CacheStats().Loads; got != 6 {
 		t.Fatalf("loads = %d, want 6 (chunks 5, 0 and one per target)", got)
 	}
-	if issued, _, _ := prefetchCounts(cat, testArchive); issued != 4 {
-		t.Fatalf("serve_prefetch_issued = %d, want 4", issued)
+	wantCounts(t, cat, testArchive, 4, 1, 0)
+}
+
+// TestPrefetchPolicy drives each access pattern the window is graded on and
+// reads the verdict off the published counters: how much readahead ran, and
+// whether the reader's next request found it.
+func TestPrefetchPolicy(t *testing.T) {
+	const chunks = 14
+	data := buildArchiveBytes(t, chunks)
+	decodes := func(cat *Catalog, name string) int64 {
+		return cat.Metrics().Snapshot().Counter(obs.CtrServeDecodes, name)
+	}
+
+	t.Run("random reads issue nothing", func(t *testing.T) {
+		cat := serveBytes(t, data)
+		for _, i := range []int{9, 5, 12, 2, 7} {
+			mustGet(t, cat, i, "miss")
+		}
+		settle(t, cat)
+		wantNoReadahead(t, cat, 5)
+	})
+
+	t.Run("backward scan issues nothing", func(t *testing.T) {
+		cat := serveBytes(t, data)
+		for i := 5; i >= 0; i-- {
+			mustGet(t, cat, i, "miss")
+		}
+		settle(t, cat)
+		wantNoReadahead(t, cat, 6)
+	})
+
+	t.Run("sequential read opens the window", func(t *testing.T) {
+		cat := serveBytes(t, data, WithPrefetch(3))
+		mustGet(t, cat, 0, "miss")
+		warmed(t, cat, testArchive, 1) // start of a stream: one chunk
+		mustGet(t, cat, 1, "hit")
+		warmed(t, cat, testArchive, 4) // claimed: the full depth, 2..4
+		mustGet(t, cat, 2, "hit")
+		warmed(t, cat, testArchive, 5)
+		mustGet(t, cat, 3, "hit")
+		warmed(t, cat, testArchive, 6)
+		settle(t, cat)
+		wantCounts(t, cat, testArchive, 6, 3, 0)
+		if got := decodes(cat, testArchive); got != 7 {
+			t.Fatalf("decodes = %d, want 7 (4 chunks read + 3 past the stop)", got)
+		}
+	})
+
+	t.Run("unpaced sequential read stays within depth of the reader", func(t *testing.T) {
+		// The reader does not wait for readahead: each request after the first
+		// hits, coalesces onto the readahead's flight, or overtakes a job still
+		// queued. Whichever it is, singleflight decodes a chunk once, and
+		// readahead never runs further than depth past the last chunk read.
+		cat := serveBytes(t, data, WithPrefetch(3))
+		for i := 0; i < 6; i++ {
+			if status, _ := chunkGet(t, cat, testArchive, i); status != http.StatusOK {
+				t.Fatalf("chunk %d: status %d", i, status)
+			}
+		}
+		settle(t, cat)
+		if got := decodes(cat, testArchive); got < 6 || got > 9 {
+			t.Fatalf("decodes = %d, want 6..9 (6 chunks read + at most 3 past the stop)", got)
+		}
+	})
+
+	t.Run("a seek ramps over two requests", func(t *testing.T) {
+		cat := serveBytes(t, data)
+		mustGet(t, cat, 6, "miss") // no evidence: nothing
+		mustGet(t, cat, 7, "miss") // 6 is resident: one chunk
+		warmed(t, cat, testArchive, 1)
+		mustGet(t, cat, 8, "hit") // claimed: the full depth, 9 and 10
+		warmed(t, cat, testArchive, 3)
+		settle(t, cat)
+		wantCounts(t, cat, testArchive, 3, 1, 0)
+		if got := decodes(cat, testArchive); got != 5 {
+			t.Fatalf("decodes = %d, want 5 (chunks 6..10)", got)
+		}
+	})
+
+	t.Run("interleaved readers on two tenants keep their readahead", func(t *testing.T) {
+		cat := serveBytes(t, data)
+		other := ArchiveSpec{Name: "u", Open: func() (store.Backend, error) { return store.NewSnapshotBackend(data), nil }}
+		if err := cat.Add(other); err != nil {
+			t.Fatal(err)
+		}
+		names := []string{testArchive, "u"}
+		for i, issued := range []int64{1, 3, 4, 5} {
+			want := "hit"
+			if i == 0 {
+				want = "miss"
+			}
+			for _, name := range names {
+				if status, xc := chunkGet(t, cat, name, i); status != http.StatusOK || xc != want {
+					t.Fatalf("%s chunk %d: status %d X-Cache %q, want 200 %s", name, i, status, xc, want)
+				}
+			}
+			for _, name := range names {
+				warmed(t, cat, name, issued)
+			}
+		}
+		settle(t, cat)
+		for _, name := range names {
+			wantCounts(t, cat, name, 5, 3, 0)
+		}
+	})
+
+	t.Run("claimed alone carries a reader whose trail was evicted", func(t *testing.T) {
+		// Room for three chunks in one strict-LRU shard, so three random reads
+		// flush everything the reader left behind while its window is still
+		// loading.
+		chunkBytes := int64(len(wantChunkBody(t, openBytes(t, data), 0)))
+		dev := &hookBackend{Backend: store.NewSnapshotBackend(data)}
+		cat := serveOne(t, dev.spec(), WithCacheShards(1), WithCacheBytes(3*chunkBytes+chunkBytes/2))
+		mustGet(t, cat, 7, "miss") // a seek; opens the archive
+		mustGet(t, cat, 8, "miss")
+		warmed(t, cat, testArchive, 1) // chunk 9; resident: 9* 8 7
+		release := dev.holdFrom(t, data, 10)
+		mustGet(t, cat, 9, "hit") // claimed: 10 and 11 take off and park
+		waitUntil(t, "the window to take off", func() bool { return cat.CacheStats().Loads == 5 })
+		for _, i := range []int{1, 3, 5} {
+			mustGet(t, cat, i, "miss") // evicts 7, 8, 9 in turn
+		}
+		release()
+		warmed(t, cat, testArchive, 3) // resident: 11* 10* 5
+		if got := cat.CacheStats().Evictions; got != 5 {
+			t.Fatalf("%d evictions, want 5 (7, 8, 9, then 1 and 3)", got)
+		}
+		mustGet(t, cat, 10, "hit")     // 9 is gone: only the claim says "sequential"
+		warmed(t, cat, testArchive, 4) // chunk 12, two ahead: the full depth
+		mustGet(t, cat, 11, "hit")
+		warmed(t, cat, testArchive, 5)
+		mustGet(t, cat, 12, "hit")
+		settle(t, cat)
+		wantCounts(t, cat, testArchive, 5, 4, 0)
+	})
+}
+
+// TestPanickingLoadFailsOneRequest: a panic under materialize — here the
+// backend's, it could as well be the decoder's on a hostile archive — runs on
+// the cache's loader goroutine, out of reach of net/http's per-connection
+// recovery. It must cost the one request a 500, and a readahead load one
+// issued-and-wasted, not the process.
+func TestPanickingLoadFailsOneRequest(t *testing.T) {
+	data := buildArchiveBytes(t, 4)
+	a := openBytes(t, data)
+	lo, err := a.Info(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hi, err := a.Info(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := &hookBackend{Backend: store.NewSnapshotBackend(data)}
+	cat := serveOne(t, dev.spec())
+	mustGet(t, cat, 3, "miss") // opens the archive; a random read, no readahead
+	boom := func(off int64) error {
+		if off >= lo.Offset && off < hi.Offset {
+			panic("backend bug")
+		}
+		return nil
+	}
+	dev.hook.Store(&boom)
+
+	if status, _ := chunkGet(t, cat, testArchive, 1); status != http.StatusInternalServerError {
+		t.Fatalf("foreground load that panics: status %d, want 500", status)
+	}
+	if got := cat.Metrics().Snapshot().Counter(obs.CtrServeErrors, "chunk"); got != 1 {
+		t.Fatalf("serve_errors = %d, want 1", got)
+	}
+	if status := statusOf(cat, "/healthz"); status != http.StatusOK {
+		t.Fatalf("/healthz after a panic: status %d", status)
+	}
+
+	mustGet(t, cat, 0, "miss") // its readahead of chunk 1 panics
+	warmed(t, cat, testArchive, 1)
+	wantCounts(t, cat, testArchive, 1, 0, 1)
+	if cat.CacheStats().Len != 2 {
+		t.Fatalf("%d chunks resident, want 2 (a panicked load caches nothing)", cat.CacheStats().Len)
+	}
+
+	// The worker pool is alive: the device recovers and a sequential reader
+	// is warmed again.
+	dev.hook.Store(nil)
+	mustGet(t, cat, 1, "miss")
+	warmed(t, cat, testArchive, 2)
+	mustGet(t, cat, 2, "hit")
+	if cat.Metrics().Snapshot().Gauge(obs.GaugeServeBreakerOpen, testArchive) != 0 {
+		t.Fatal("a panicked load fed the breaker")
 	}
 }
 

@@ -29,11 +29,15 @@
 //     clients on one uncached chunk performs a single archive read + decode
 //     and every client shares the bytes;
 //   - a sequential readahead prefetcher (WithPrefetch) rides the access
-//     pattern video playback produces: a request for chunk i warms chunks
-//     i+1..i+k in the background through the same singleflight cache
-//     namespace, so steady sequential readers find the next chunk already
-//     decoded. Prefetch never fires through an open circuit breaker or on
-//     a removed archive, and keeps no table of its own: each load it runs
+//     pattern video playback produces: it warms up to k chunks ahead of a
+//     sequential reader in the background through the same singleflight
+//     cache namespace, so steady sequential readers find the next chunk
+//     already decoded. How far it reads ahead of a request follows the
+//     evidence that the requester is sequential — the full k when the
+//     response consumed a readahead load, one chunk at the start of a
+//     stream or when the previous chunk was just touched, nothing for a
+//     random read. Prefetch never fires through an open circuit breaker or
+//     on a removed archive, and keeps no table of its own: each load it runs
 //     counts serve_prefetch_issued, and the cached chunk carries the one
 //     bit that settles it — serve_prefetch_useful when a request hits it
 //     first, serve_prefetch_wasted when it fails, is evicted or is purged
@@ -112,9 +116,9 @@ type Options struct {
 	// GOMAXPROCS) rounded up); 1 is a single shard — one global mutex and a
 	// strict global LRU order.
 	CacheShards int
-	// PrefetchDepth is how many chunks past a requested index the readahead
-	// prefetcher warms (i+1..i+depth) through the shared cache. 0 selects
-	// the default of 2; negative disables prefetching.
+	// PrefetchDepth is how far the readahead prefetcher warms the shared
+	// cache: up to depth chunks ahead of a sequential reader. 0 selects the
+	// default of 2; negative disables prefetching.
 	PrefetchDepth int
 	// Workers bounds the decoder's frame parallelism per cold chunk;
 	// <= 0 selects GOMAXPROCS.
@@ -185,9 +189,9 @@ func WithCacheShards(n int) Option {
 	return func(c *config) { c.opts.CacheShards = n }
 }
 
-// WithPrefetch sets the sequential readahead depth: a request for chunk i
-// asynchronously warms chunks i+1..i+depth through the shared cache.
-// <= 0 disables prefetching; the default depth is 2.
+// WithPrefetch sets the sequential readahead depth: the server warms up to
+// depth chunks ahead of a sequential reader through the shared cache, and
+// nothing behind a random read. <= 0 disables prefetching; the default is 2.
 func WithPrefetch(depth int) Option {
 	return func(c *config) {
 		if depth <= 0 {

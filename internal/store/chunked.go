@@ -707,7 +707,9 @@ func (a *ChunkArchive) ReadChunk(i int) (*codec.Video, []core.FramePartition, er
 // a writer that continues where the last chunk stopped. rw must also
 // implement io.ReaderAt (os.File does) so the index scan can share the
 // lock-free read path; a seek-only stream cannot be appended to. A container
-// of any other format version is rejected like it is at open.
+// of any other format version is rejected like it is at open, and so is one
+// whose last record does not verify (ErrCorruptRecord): the tail a crashed
+// append leaves behind.
 func AppendChunkWriter(rw io.ReadWriteSeeker) (*ChunkWriter, error) {
 	ra, ok := rw.(io.ReaderAt)
 	if !ok {
@@ -719,6 +721,12 @@ func AppendChunkWriter(rw io.ReadWriteSeeker) (*ChunkWriter, error) {
 	}
 	end := int64(archiveHeaderLen)
 	if n := len(a.recs); n > 0 {
+		// The index scan hops payloads unread, so a writer that died inside
+		// its last record can leave a header whose payload is short or wrong.
+		// Appending behind it would seal the damage mid-container.
+		if _, _, err := a.ReadChunk(n - 1); err != nil {
+			return nil, fmt.Errorf("store: append target ends in a damaged record: %w", err)
+		}
 		last := a.recs[n-1].info
 		end = last.Offset + last.Length
 	}

@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -233,6 +235,107 @@ func TestAppendChunkWriter(t *testing.T) {
 				t.Fatalf("chunk %d frame %d differs after append", i, f)
 			}
 		}
+	}
+}
+
+// TestAppendTornTail is the crash-consistency contract of append-on-write: a
+// writer that dies anywhere inside its third record — or a medium that keeps
+// the length and scrambles the bytes — leaves a container whose first two
+// chunks still read bit-identically, whose third chunk is either absent,
+// refused with a typed error or exactly right, and which AppendChunkWriter
+// either refuses or extends into an archive that verifies end to end. Never
+// a panic, never wrong bytes served as a chunk.
+func TestAppendTornTail(t *testing.T) {
+	v, chunks, chunkParts := buildChunkedVideo(t, 3)
+	rw := &rwsBuffer{}
+	cw, err := NewChunkWriter(rw, ArchiveMeta{W: v.W, H: v.H, FPS: v.FPS, GOPSize: v.Params.GOPSize, GOPsPerChunk: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := writeChunks(t, cw, chunks[:2], chunkParts[:2], 0)
+	oldEnd := len(rw.data)
+	writeChunks(t, cw, chunks[2:], chunkParts[2:], next)
+	whole := rw.data
+
+	typed := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrCorruptRecord) {
+			t.Fatalf("%s: want an error wrapping ErrCorruptRecord, got %v", what, err)
+		}
+	}
+	// sameChunk requires chunk i of a to read back as the video it was
+	// written from.
+	sameChunk := func(what string, a *ChunkArchive, i int) {
+		t.Helper()
+		got, _, err := a.ReadChunk(i)
+		if err != nil {
+			t.Fatalf("%s: chunk %d: %v", what, i, err)
+		}
+		if len(got.Frames) != len(chunks[i].Frames) {
+			t.Fatalf("%s: chunk %d: %d frames, want %d", what, i, len(got.Frames), len(chunks[i].Frames))
+		}
+		for f, want := range chunks[i].Frames {
+			if !bytes.Equal(got.Frames[f].Payload, want.Payload) {
+				t.Fatalf("%s: chunk %d frame %d differs", what, i, f)
+			}
+		}
+	}
+	// One checksum attempt per region: a scrambled tail is not transient.
+	once := WithFaultPolicy(FaultPolicy{MaxRetries: -1})
+	check := func(what string, torn []byte) {
+		t.Helper()
+		a, err := OpenChunkArchiveAt(bytes.NewReader(torn), once)
+		if err != nil {
+			typed(what+": open", err) // a torn header: the whole container is refused
+		} else {
+			if n := a.NumChunks(); n != 2 && n != 3 {
+				t.Fatalf("%s: %d chunks indexed, want 2 or 3", what, n)
+			}
+			sameChunk(what, a, 0)
+			sameChunk(what, a, 1)
+			if a.NumChunks() == 3 {
+				if _, _, err := a.ReadChunk(2); err != nil {
+					typed(what+": chunk 2", err)
+				} else {
+					sameChunk(what, a, 2)
+				}
+			}
+		}
+
+		trw := &rwsBuffer{data: bytes.Clone(torn)}
+		aw, err := AppendChunkWriter(trw)
+		if err != nil {
+			typed(what+": append", err)
+			return
+		}
+		if aw.Frames() != next {
+			t.Fatalf("%s: append accepted the torn record (resumes at frame %d, want %d)", what, aw.Frames(), next)
+		}
+		writeChunks(t, aw, chunks[2:], chunkParts[2:], next)
+		b, err := OpenChunkArchiveAt(bytes.NewReader(trw.data), once)
+		if err != nil {
+			t.Fatalf("%s: after append: %v", what, err)
+		}
+		if b.NumChunks() != 3 {
+			t.Fatalf("%s: after append: %d chunks, want 3", what, b.NumChunks())
+		}
+		for i := range chunks {
+			sameChunk(what+": after append", b, i)
+		}
+	}
+
+	for cut := oldEnd; cut < len(whole); cut++ {
+		check(fmt.Sprintf("truncated at %d of %d", cut, len(whole)), whole[:cut])
+	}
+	// Same length, wrong bytes: the whole record, its header past the marker,
+	// its payload, the second half of its payload, the last stream byte.
+	payload := int(cw.Chunks()[2].Offset)
+	for _, from := range []int{oldEnd, oldEnd + 4, payload, (payload + len(whole)) / 2, len(whole) - 1} {
+		torn := bytes.Clone(whole)
+		for i := from; i < len(torn); i++ {
+			torn[i] ^= 0xA5
+		}
+		check(fmt.Sprintf("scrambled from %d of %d", from, len(whole)), torn)
 	}
 }
 

@@ -2,11 +2,13 @@
 # serve_smoke.sh — end-to-end smoke test of the chunk server: build the CLI,
 # archive a synthetic video, start `videoapp serve` on an ephemeral port,
 # fetch the index and one decoded chunk (asserting HTTP 200 and sane
-# bodies), then SIGINT the server and require a clean drained exit.
-# `serve -archive FILE` serves the file under its basename, exactly as
-# `serve -archive-dir DIR` does: a second pass serves a directory holding
-# the same file, requires byte-identical chunk bodies from both forms, and
-# has a SIGHUP rescan pick up a new archive live.
+# bodies), read on sequentially and require that readahead warmed the
+# reader (serve_prefetch_useful), then SIGINT the server and require a clean
+# drained exit. `serve -archive FILE` serves the file under its basename,
+# exactly as `serve -archive-dir DIR` does: a second pass serves a directory
+# holding the same file, requires that two non-sequential reads of the fresh
+# server trigger no readahead at all, requires byte-identical chunk bodies
+# from both forms, and has a SIGHUP rescan pick up a new archive live.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 GO=${GO:-go}
@@ -25,6 +27,10 @@ fetch() { # fetch URL OUT — fails on non-2xx
     else
         wget -q -O "$2" "$1"
     fi
+}
+
+counter() { # counter NAME — sum of the named counter over its labels in $tmp/metrics.txt
+    awk -v n="$1" '$1 == "counter" && $2 == n { s += $NF } END { print s + 0 }' "$tmp/metrics.txt"
 }
 
 echo "== build"
@@ -55,6 +61,21 @@ echo "== chunk 0"
 fetch "$url/v1/archives/t/chunks/0" "$tmp/chunk0.y4m"
 head -c 9 "$tmp/chunk0.y4m" | grep -q 'YUV4MPEG' || { echo "chunk 0 is not y4m"; exit 1; }
 [ "$(wc -c <"$tmp/chunk0.y4m")" -gt 1000 ] || { echo "chunk 0 implausibly small"; exit 1; }
+
+echo "== readahead warms a sequential reader"
+for i in 1 2; do
+    # Chunk $i is being warmed behind the response to chunk $((i - 1)); a
+    # reader that overtook the load would decode it itself.
+    for _ in $(seq 1 100); do
+        fetch "$url/metrics" "$tmp/metrics.txt"
+        [ "$(counter serve_prefetch_issued)" -ge "$i" ] && break
+        sleep 0.1
+    done
+    fetch "$url/v1/archives/t/chunks/$i" "$tmp/chunk$i.y4m"
+done
+fetch "$url/metrics" "$tmp/metrics.txt"
+[ "$(counter serve_prefetch_useful)" -ge 1 ] \
+    || { echo "chunks 0, 1, 2 read in order and no readahead was useful:"; cat "$tmp/metrics.txt"; exit 1; }
 
 echo "== the removed single-archive routes are gone"
 for path in /v1/archive /v1/chunks/0 /v1/chunks/0/meta; do
@@ -96,6 +117,14 @@ echo "== catalog listing"
 fetch "$url/v1/archives" "$tmp/archives.json"
 grep -q '"name":"t"' "$tmp/archives.json" || { echo "listing missing t:"; cat "$tmp/archives.json"; exit 1; }
 grep -q '"name":"beta"' "$tmp/archives.json" || { echo "listing missing beta:"; cat "$tmp/archives.json"; exit 1; }
+
+echo "== non-sequential reads trigger no readahead"
+fetch "$url/v1/archives/t/chunks/3" "$tmp/dir3.y4m"
+fetch "$url/v1/archives/t/chunks/1" "$tmp/dir1.y4m"
+sleep 0.5 # a wrongly queued load of this size lands in milliseconds
+fetch "$url/metrics" "$tmp/metrics.txt"
+[ "$(counter serve_prefetch_issued)" -eq 0 ] \
+    || { echo "chunk 3 then chunk 1 of a fresh server issued readahead:"; cat "$tmp/metrics.txt"; exit 1; }
 
 echo "== named chunk route"
 fetch "$url/v1/archives/beta/chunks/0" "$tmp/beta0.y4m"

@@ -199,8 +199,8 @@ func WithCacheBytes(n int64) ServeOption { return serve.WithCacheBytes(n) }
 // GOMAXPROCS) rounded up, and 1 is a single global LRU.
 func WithCacheShards(n int) ServeOption { return serve.WithCacheShards(n) }
 
-// WithPrefetch sets the server's sequential readahead depth: a request
-// for chunk i warms chunks i+1..i+depth in the background through the
+// WithPrefetch sets the server's sequential readahead depth: it warms up to
+// depth chunks ahead of a sequential reader in the background through the
 // decoded-chunk cache. <= 0 disables readahead; the default depth is 2.
 func WithPrefetch(depth int) ServeOption { return serve.WithPrefetch(depth) }
 
