@@ -31,10 +31,10 @@ var commands = map[string]command{
 	"store":   {run: runStore},
 	"archive": {run: runArchive},
 	"presets": {run: runPresets},
-	"chunk":   {run: runChunk, requires: "-in ARCHIVE", input: func(o options) string { return o.in }},
-	"scrub":   {run: runScrub, requires: "-archive FILE (or -in FILE)", input: options.archivePath},
-	"serve": {run: serveCatalog, requires: "-archive FILE (or -in FILE, or -archive-dir DIR)",
-		input: func(o options) string { return o.archiveDir + o.archivePath() }},
+	"chunk":   {run: runChunk, requires: "-archive FILE", input: func(o options) string { return o.archive }},
+	"scrub":   {run: runScrub, requires: "-archive FILE", input: func(o options) string { return o.archive }},
+	"serve": {run: serveCatalog, requires: "-archive FILE (or -archive-dir DIR)",
+		input: func(o options) string { return o.archiveDir + o.archive }},
 }
 
 func runPresets(context.Context, options) error {
@@ -175,7 +175,7 @@ func runStore(ctx context.Context, o options) error {
 	if err != nil {
 		return err
 	}
-	dec, flips, err := res.RoundTrip(ctx)
+	dec, flips, err := res.StoreRoundTripContext(ctx, o.seed)
 	if err != nil {
 		return err
 	}

@@ -18,8 +18,10 @@
 //	videoapp [flags] scrub               verify (and repair from -mirror) a .vacs archive
 //	videoapp presets                     list synthetic presets
 //
-// Input is -in FILE (.y4m or .vapp as appropriate) or, when -in is omitted,
-// the synthetic -preset at -w/-h/-frames.
+// Flags precede the command; anything after it is rejected. Input is
+// -in FILE (.y4m or .vapp as appropriate) or, when -in is omitted, the
+// synthetic -preset at -w/-h/-frames. The commands that read a .vacs archive
+// (chunk, scrub, serve) name it with -archive FILE.
 //
 // The archive command always streams: frames are pulled from the input one
 // closed-GOP chunk (-chunk-gops) at a time and appended to the archive as
@@ -28,8 +30,8 @@
 //
 // The serve command exposes archives to concurrent clients as a catalog:
 //
-//	videoapp serve -archive x.vacs -addr :8080
-//	videoapp serve -archive-dir /data/archives -addr :8080
+//	videoapp -archive x.vacs -addr :8080 serve
+//	videoapp -archive-dir /data/archives -addr :8080 serve
 //
 // Every archive — the one -archive file, or every *.vacs file of
 // -archive-dir — is served under its basename on /v1/archives/{name} (the
@@ -92,10 +94,11 @@ type options struct {
 	readRetries      int
 	breakerThreshold int
 
-	// mtr aggregates stage metrics when -metrics is set and trace streams
-	// JSON events when -trace-out is; both also ride the run's context so
-	// direct (non-pipeline) stage calls report too.
-	mtr   *videoapp.Metrics
+	// trace streams JSON events when -trace-out is set. instrumentedRun
+	// attaches it (and the -metrics aggregator) to the run's context, the one
+	// route by which every stage call reports; it is kept here only for the
+	// serve command, whose catalog publishes its events to an observer of
+	// its own (WithServeObserver).
 	trace *videoapp.Trace
 }
 
@@ -130,7 +133,7 @@ func cliMain(args []string, stderr io.Writer) int {
 	fs.BoolVar(&o.metrics, "metrics", false, "print per-stage wall time and pipeline counters (human + JSON)")
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to FILE; samples carry stage= pprof labels")
 	fs.StringVar(&o.traceOut, "trace-out", "", "stream pipeline events to FILE as JSON lines")
-	fs.StringVar(&o.archive, "archive", "", "serve: .vacs archive to serve (falls back to -in)")
+	fs.StringVar(&o.archive, "archive", "", "chunk, scrub, serve: the .vacs archive to read")
 	fs.StringVar(&o.archiveDir, "archive-dir", "", "serve: directory of *.vacs archives to serve as a catalog (SIGHUP rescans)")
 	fs.StringVar(&o.addr, "addr", ":8080", "serve: listen address")
 	fs.IntVar(&o.cacheMB, "cache-mb", 64, "serve: decoded-chunk cache budget in MiB")
@@ -157,6 +160,11 @@ func cliMain(args []string, stderr io.Writer) int {
 	cmd := fs.Arg(0)
 	if cmd == "" {
 		cmd = "store"
+	}
+	if fs.NArg() > 1 {
+		// flag stops at the command, so a flag behind it would be ignored.
+		fmt.Fprintf(stderr, "videoapp: unexpected arguments after the %s command: %s (flags precede the command)\n", cmd, strings.Join(fs.Args()[1:], " "))
+		return 2
 	}
 	if err := o.validate(cmd); err != nil {
 		fmt.Fprintf(stderr, "videoapp: %v\n", err)
@@ -194,9 +202,10 @@ func instrumentedRun(ctx context.Context, run func(context.Context, options) err
 		defer pprof.StopCPUProfile()
 	}
 	var observers []videoapp.Observer
+	var mtr *videoapp.Metrics
 	if o.metrics {
-		o.mtr = videoapp.NewMetrics()
-		observers = append(observers, o.mtr)
+		mtr = videoapp.NewMetrics()
+		observers = append(observers, mtr)
 	}
 	if o.traceOut != "" {
 		f, err := os.Create(o.traceOut)
@@ -214,8 +223,8 @@ func instrumentedRun(ctx context.Context, run func(context.Context, options) err
 	if o.trace != nil && err == nil {
 		err = o.trace.Err()
 	}
-	if o.mtr != nil {
-		snap := o.mtr.Snapshot()
+	if mtr != nil {
+		snap := mtr.Snapshot()
 		fmt.Println("-- metrics --")
 		if werr := snap.WriteText(os.Stdout); werr != nil && err == nil {
 			err = werr
@@ -240,8 +249,8 @@ func (o options) validate(cmd string) error {
 		switch {
 		case cmd != "serve":
 			return fmt.Errorf("-archive-dir only applies to the serve command")
-		case o.archive != "" || o.in != "":
-			return fmt.Errorf("-archive-dir conflicts with -archive/-in (serve one archive or a directory, not both)")
+		case o.archive != "":
+			return fmt.Errorf("-archive-dir conflicts with -archive (serve one archive or a directory, not both)")
 		case o.mirror != "":
 			return fmt.Errorf("-mirror attaches to a single archive and conflicts with -archive-dir")
 		}
@@ -283,23 +292,15 @@ func (o options) validate(cmd string) error {
 }
 
 // pipelineOptions maps the CLI flags 1:1 onto the NewPipeline functional
-// options (see the NewPipeline godoc for the table): the encoder flags,
-// -entropy included, via WithParams, -seed via WithSeed, -workers via
-// WithWorkers, and the observability flags via WithMetrics/WithObserver.
+// options (see the NewPipeline godoc for the table): the encoder flags via
+// WithParams, -workers via WithWorkers, -chunk-gops via WithChunkGOPs. The
+// seed is an argument of the round trips and the observer rides the context.
 func (o options) pipelineOptions() []videoapp.Option {
-	opts := []videoapp.Option{
+	return []videoapp.Option{
 		videoapp.WithParams(o.params()),
 		videoapp.WithWorkers(o.workers),
-		videoapp.WithSeed(o.seed),
 		videoapp.WithChunkGOPs(o.chunkGops),
 	}
-	if o.mtr != nil {
-		opts = append(opts, videoapp.WithMetrics(o.mtr))
-	}
-	if o.trace != nil {
-		opts = append(opts, videoapp.WithObserver(o.trace))
-	}
-	return opts
 }
 
 func (o options) params() videoapp.Params {

@@ -47,10 +47,26 @@ func TestCLIValidation(t *testing.T) {
 			stderr: "requires -archive",
 		},
 		{
+			// -in names a .y4m/.vapp input, never the archive a read command
+			// operates on: one flag per decision.
 			name:   "chunk without input",
-			args:   []string{"chunk"},
+			args:   []string{"-in", "x.vacs", "chunk"},
 			exit:   2,
-			stderr: "requires -in",
+			stderr: "requires -archive",
+		},
+		{
+			name:   "scrub does not fall back to -in",
+			args:   []string{"-in", "x.vacs", "scrub"},
+			exit:   2,
+			stderr: "requires -archive",
+		},
+		{
+			// flag stops parsing at the command, so a trailing flag would be
+			// silently ignored; it is rejected instead.
+			name:   "arguments after the command",
+			args:   []string{"serve", "-archive-dir", t.TempDir()},
+			exit:   2,
+			stderr: "flags precede the command",
 		},
 		{
 			name:   "bad cache-mb",
@@ -186,7 +202,7 @@ func TestCLIValidation(t *testing.T) {
 		},
 		{
 			name:   "negative chunk index",
-			args:   []string{"-chunk", "-1", "-in", "x.vapp", "chunk"},
+			args:   []string{"-chunk", "-1", "-archive", "x.vacs", "chunk"},
 			exit:   2,
 			stderr: "-chunk",
 		},
@@ -301,7 +317,7 @@ func TestCLICatalogRescan(t *testing.T) {
 	}
 	defer cat.Close()
 	// The specs open real archives lazily.
-	a, err := videoapp.OpenArchiveBackend(mustOpenBackend(t, specs[0]))
+	a, err := videoapp.OpenArchive(mustOpenBackend(t, specs[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +367,7 @@ func TestCLIScrubRoundTrip(t *testing.T) {
 		t.Fatalf("archive: exit %d (stderr: %s)", got, stderr.String())
 	}
 
-	if got := cliMain([]string{"-in", clean, "scrub"}, &stderr); got != 0 {
+	if got := cliMain([]string{"-archive", clean, "scrub"}, &stderr); got != 0 {
 		t.Fatalf("clean scrub: exit %d (stderr: %s)", got, stderr.String())
 	}
 
@@ -368,7 +384,7 @@ func TestCLIScrubRoundTrip(t *testing.T) {
 	}
 
 	stderr.Reset()
-	if got := cliMain([]string{"-in", damaged, "scrub"}, &stderr); got != 1 {
+	if got := cliMain([]string{"-archive", damaged, "scrub"}, &stderr); got != 1 {
 		t.Fatalf("damaged scrub without mirror: exit %d, want 1 (stderr: %s)", got, stderr.String())
 	}
 	if !strings.Contains(stderr.String(), "unrepaired") {
@@ -376,7 +392,7 @@ func TestCLIScrubRoundTrip(t *testing.T) {
 	}
 
 	stderr.Reset()
-	if got := cliMain([]string{"-in", damaged, "-mirror", clean, "scrub"}, &stderr); got != 0 {
+	if got := cliMain([]string{"-archive", damaged, "-mirror", clean, "scrub"}, &stderr); got != 0 {
 		t.Fatalf("scrub with mirror: exit %d (stderr: %s)", got, stderr.String())
 	}
 	repaired, err := os.ReadFile(damaged)

@@ -21,15 +21,6 @@ func (o options) faultPolicy() videoapp.FaultPolicy {
 	return videoapp.FaultPolicy{MaxRetries: o.readRetries, BreakerThreshold: o.breakerThreshold}
 }
 
-// archivePath resolves the archive the read-path commands operate on:
-// -archive, falling back to -in.
-func (o options) archivePath() string {
-	if o.archive != "" {
-		return o.archive
-	}
-	return o.in
-}
-
 // openBackend opens path as the storage backend of the read path: a file
 // backend, wrapped in the -fault-profile injector when one is configured.
 // writable opens the file read-write so scrub can repair it in place. A
@@ -43,35 +34,34 @@ func (o options) openBackend(path string, writable bool) (videoapp.Backend, erro
 	return faultio.Wrap(b, *o.faults), nil
 }
 
-// archiveOptions returns the options every archive opens under: the flag
-// policy for retries, plus the -mirror copy for recovery when one is given.
-// The returned closer releases the mirror.
-func (o options) archiveOptions() ([]videoapp.ArchiveOption, func() error, error) {
-	opts := []videoapp.ArchiveOption{videoapp.WithArchivePolicy(o.faultPolicy())}
+// mirrorOption returns the -mirror copy as an archive option — none without
+// the flag — for recovery and scrub repair. The returned closer releases the
+// mirror.
+func (o options) mirrorOption() ([]videoapp.ArchiveOption, func() error, error) {
 	if o.mirror == "" {
-		return opts, func() error { return nil }, nil
+		return nil, func() error { return nil }, nil
 	}
 	m, err := os.Open(o.mirror)
 	if err != nil {
 		return nil, nil, err
 	}
-	return append(opts, videoapp.WithMirror(m)), m.Close, nil
+	return []videoapp.ArchiveOption{videoapp.WithMirror(m)}, m.Close, nil
 }
 
-// openArchive indexes the archive at path over openBackend under
-// archiveOptions. The returned closer releases the archive, its backend
-// and the mirror.
-func (o options) openArchive(path string, writable bool) (*videoapp.ChunkArchive, func() error, error) {
-	opts, closeMirror, err := o.archiveOptions()
+// openArchive is the direct open of the -archive file (chunk, scrub, the
+// serve pre-flight): over openBackend, under the flag policy and the mirror.
+// The returned closer releases the archive, its backend and the mirror.
+func (o options) openArchive(writable bool) (*videoapp.ChunkArchive, func() error, error) {
+	opts, closeMirror, err := o.mirrorOption()
 	if err != nil {
 		return nil, nil, err
 	}
-	b, err := o.openBackend(path, writable)
+	b, err := o.openBackend(o.archive, writable)
 	if err != nil {
 		closeMirror()
 		return nil, nil, err
 	}
-	a, err := videoapp.OpenArchiveBackend(b, opts...)
+	a, err := videoapp.OpenArchive(b, append(opts, videoapp.WithArchivePolicy(o.faultPolicy()))...)
 	if err != nil {
 		b.Close()
 		closeMirror()
@@ -86,7 +76,7 @@ func (o options) openArchive(path string, writable bool) (*videoapp.ChunkArchive
 }
 
 func runChunk(ctx context.Context, o options) error {
-	a, closeArchive, err := o.openArchive(o.in, false)
+	a, closeArchive, err := o.openArchive(false)
 	if err != nil {
 		return err
 	}
@@ -116,7 +106,7 @@ func runChunk(ctx context.Context, o options) error {
 func runScrub(ctx context.Context, o options) error {
 	// Open read-write so damaged regions can be repaired in place when a
 	// -mirror is attached.
-	a, closeArchive, err := o.openArchive(o.archivePath(), o.mirror != "")
+	a, closeArchive, err := o.openArchive(o.mirror != "")
 	if err != nil {
 		return err
 	}
@@ -140,7 +130,8 @@ func runScrub(ctx context.Context, o options) error {
 	return nil
 }
 
-// serveOptions maps the serve flags 1:1 onto the catalog options.
+// serveOptions maps the serve flags 1:1 onto the catalog options; the
+// catalog opens every archive under the flag policy.
 func (o options) serveOptions() []videoapp.ServeOption {
 	opts := []videoapp.ServeOption{
 		videoapp.WithCacheBytes(int64(o.cacheMB) << 20),
@@ -163,7 +154,7 @@ func (o options) serveOptions() []videoapp.ServeOption {
 func (o options) archiveSpecs(archOpts []videoapp.ArchiveOption) ([]videoapp.ArchiveSpec, error) {
 	var paths []string
 	if o.archiveDir == "" {
-		paths = []string{o.archivePath()}
+		paths = []string{o.archive}
 	} else {
 		entries, err := os.ReadDir(o.archiveDir)
 		if err != nil {
@@ -223,7 +214,7 @@ func (o options) rescanCatalog(cat *videoapp.Catalog, archOpts []videoapp.Archiv
 // serveCatalog is the serve command: a lazily-opened catalog over the
 // -archive file or every .vacs file of -archive-dir, rescanned on SIGHUP.
 func serveCatalog(ctx context.Context, o options) error {
-	archOpts, closeMirror, err := o.archiveOptions()
+	archOpts, closeMirror, err := o.mirrorOption()
 	if err != nil {
 		return err
 	}
@@ -239,11 +230,11 @@ func serveCatalog(ctx context.Context, o options) error {
 		// once now, so a missing or corrupt archive exits 1 instead of
 		// answering every request with an error. (A directory member that
 		// fails to open costs only its own requests.)
-		a, closeArchive, err := o.openArchive(o.archivePath(), false)
+		a, closeArchive, err := o.openArchive(false)
 		if err != nil {
 			return err
 		}
-		what = fmt.Sprintf("%s (%d chunks, %d frames)", o.archivePath(), a.NumChunks(), a.TotalFrames())
+		what = fmt.Sprintf("%s (%d chunks, %d frames)", o.archive, a.NumChunks(), a.TotalFrames())
 		closeArchive()
 	case len(specs) == 0:
 		return fmt.Errorf("no *.vacs archives in %s", o.archiveDir)
@@ -278,7 +269,7 @@ func serveCatalog(ctx context.Context, o options) error {
 	}
 	fmt.Printf("serving %s on http://%s\n", what, l.Addr())
 	err = cat.Serve(ctx, l)
-	if o.mtr != nil {
+	if o.metrics {
 		// Fold the server's aggregates into the -metrics report.
 		fmt.Println("-- serve metrics --")
 		cat.Metrics().Snapshot().WriteText(os.Stdout)

@@ -5,6 +5,7 @@ package videoapp
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
@@ -22,23 +23,26 @@ func TestPipelineFullyDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		container := Marshal(res.Video)
-		ar, err := BuildArchive(res.Video, res.Partitions)
-		if err != nil {
+		// The archive bytes hold the streamed form of both: per-chunk
+		// headers and pivot tables in the precise regions, payloads in the
+		// approximate streams.
+		var archive bytes.Buffer
+		if _, _, err := p.StreamToArchive(context.Background(), SequenceSource(seq), &archive); err != nil {
 			t.Fatal(err)
 		}
 		_, flips, err := res.StoreRoundTrip(12345)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return container, ar.PivotTables, flips
+		return container, archive.Bytes(), flips
 	}
-	c1, p1, f1 := build()
-	c2, p2, f2 := build()
+	c1, a1, f1 := build()
+	c2, a2, f2 := build()
 	if !bytes.Equal(c1, c2) {
 		t.Fatal("containers differ across identical builds")
 	}
-	if !bytes.Equal(p1, p2) {
-		t.Fatal("pivot tables differ across identical builds")
+	if !bytes.Equal(a1, a2) {
+		t.Fatal("archives (pivot tables included) differ across identical builds")
 	}
 	if f1 != f2 {
 		t.Fatalf("seeded store round trips differ: %d vs %d flips", f1, f2)

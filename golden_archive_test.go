@@ -39,7 +39,8 @@ func TestGoldenArchive(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				params := DefaultParams()
 				params.GOPSize = 4
-				p := NewPipeline(WithParams(params), WithEntropyCoder(coder), WithChunkGOPs(gops), WithWorkers(workers))
+				params.Entropy = coder
+				p := NewPipeline(WithParams(params), WithChunkGOPs(gops), WithWorkers(workers))
 				var buf bytes.Buffer
 				if _, _, err := p.StreamToArchive(context.Background(), SequenceSource(seq), &buf); err != nil {
 					t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -25,7 +26,7 @@ import (
 // ArchiveSpec declares one catalog tenant: a name routable under
 // /v1/archives/{name}/... and a way to open its storage. The backend is
 // opened lazily on the first request and may be closed again after
-// Options.IdleTimeout of disuse; Open must therefore be callable any
+// WithIdleTimeout of disuse; Open must therefore be callable any
 // number of times and return a fresh backend each time.
 type ArchiveSpec struct {
 	// Name routes the archive; it must be non-empty and contain no '/'.
@@ -36,10 +37,12 @@ type ArchiveSpec struct {
 	// Remove, or catalog shutdown.
 	Open func() (store.Backend, error)
 	// Options are applied when the archive is opened over the backend
-	// (WithMirror, WithFaultPolicy, ...).
+	// (store.WithMirror). The catalog owns the fault policy of the archives
+	// it opens: it applies the tenant's policy after these, so a
+	// store.WithFaultPolicy left here has no effect.
 	Options []store.ArchiveOption
-	// FaultPolicy, when non-nil, overrides the catalog-wide policy for
-	// this archive's reads and its circuit breaker.
+	// FaultPolicy, when non-nil, is this archive's policy — its read
+	// retries and its circuit breaker — in place of the catalog-wide one.
 	FaultPolicy *store.FaultPolicy
 }
 
@@ -50,14 +53,13 @@ type ArchiveSpec struct {
 // one metrics aggregator; each tenant has its own circuit breaker, fault
 // policy, and labeled counters.
 type Catalog struct {
-	opts      Options
-	policySet bool
-	cache     *cache.Cache[cache.Keyed[int], chunkPayload]
-	prefetch  *prefetcher // nil when readahead is disabled
-	metrics   *obs.Metrics
-	observer  obs.Observer
-	inFlight  atomic.Int64
-	mux       *http.ServeMux
+	cfg      config
+	cache    *cache.Cache[cache.Keyed[int], chunkPayload]
+	prefetch *prefetcher // nil when readahead is disabled
+	metrics  *obs.Metrics
+	observer obs.Observer
+	inFlight atomic.Int64
+	mux      *http.ServeMux
 
 	mu      sync.Mutex // lock-order: 0 — catalog membership (outer); never acquired while any tenant lock is held (the PR-7 ABBA deadlock)
 	tenants map[string]*tenant
@@ -101,10 +103,9 @@ func (p chunkPayload) claim() bool {
 
 // tenant is one archive slot of the catalog.
 type tenant struct {
-	name   string
-	spec   ArchiveSpec
-	polSet bool              // thread pol through read contexts
-	pol    store.FaultPolicy // effective policy (spec override or catalog-wide)
+	name string
+	spec ArchiveSpec
+	pol  store.FaultPolicy // the tenant's one policy: spec override, else catalog-wide
 
 	mu      sync.Mutex // lock-order: 1 — tenant state (inner); Catalog.mu (rank 0) must never be acquired while this is held
 	archive *store.ChunkArchive
@@ -134,21 +135,24 @@ func (t *tenant) space() string {
 // empty spec list is allowed; archives can be added (and removed) later,
 // which is how the CLI's SIGHUP rescan works.
 func NewCatalog(specs []ArchiveSpec, options ...Option) (*Catalog, error) {
-	var cfg config
+	cfg := config{
+		cacheBytes:     defaultCacheBytes,
+		cacheShards:    cache.DefaultShards(),
+		prefetchDepth:  defaultPrefetchDepth,
+		requestTimeout: defaultRequestTimeout,
+	}
 	for _, o := range options {
 		o(&cfg)
 	}
-	opts := cfg.opts.withDefaults()
 	c := &Catalog{
-		opts:      opts,
-		policySet: cfg.policySet,
-		cache: cache.NewShardedHash[cache.Keyed[int], chunkPayload](opts.CacheBytes, opts.CacheShards, func(p chunkPayload) int64 {
+		cfg: cfg,
+		cache: cache.NewShardedHash[cache.Keyed[int], chunkPayload](cfg.cacheBytes, cfg.cacheShards, func(p chunkPayload) int64 {
 			return int64(len(p.data))
 		}, cache.KeyedHash[int]()),
 		metrics: obs.NewMetrics(),
 		tenants: map[string]*tenant{},
 	}
-	c.observer = obs.Multi(c.metrics, opts.Observer)
+	c.observer = obs.Multi(c.metrics, cfg.observer)
 	c.observer.Gauge(obs.GaugeCatalogOpenArchives, "", 0)
 	// A readahead load that leaves the cache — evicted, or purged by Remove
 	// — before any client used it was wasted; the space is "name#gen".
@@ -165,8 +169,8 @@ func NewCatalog(specs []ArchiveSpec, options ...Option) (*Catalog, error) {
 	c.mux.HandleFunc("GET /v1/archives/{name}", c.route("archive", c.handleArchive))
 	c.mux.HandleFunc("GET /v1/archives/{name}/chunks/{index}", c.route("chunk", c.handleChunk))
 	c.mux.HandleFunc("GET /v1/archives/{name}/chunks/{index}/meta", c.route("chunk_meta", c.handleChunkMeta))
-	if opts.PrefetchDepth > 0 {
-		c.prefetch = newPrefetcher(c, opts.PrefetchDepth)
+	if cfg.prefetchDepth > 0 {
+		c.prefetch = newPrefetcher(c, cfg.prefetchDepth)
 	}
 	for _, spec := range specs {
 		if err := c.Add(spec); err != nil {
@@ -177,12 +181,12 @@ func NewCatalog(specs []ArchiveSpec, options ...Option) (*Catalog, error) {
 	return c, nil
 }
 
-// newTenant resolves a spec into a tenant with its effective policy and
-// breaker.
+// newTenant resolves a spec into a tenant with its one policy and the
+// breaker that policy configures; acquire opens the archive under the same.
 func (c *Catalog) newTenant(spec ArchiveSpec) *tenant {
-	t := &tenant{name: spec.Name, spec: spec, polSet: c.policySet, pol: c.opts.FaultPolicy}
+	t := &tenant{name: spec.Name, spec: spec, pol: c.cfg.policy}
 	if spec.FaultPolicy != nil {
-		t.polSet, t.pol = true, *spec.FaultPolicy
+		t.pol = *spec.FaultPolicy
 	}
 	resolved := t.pol.Resolved()
 	t.breaker = breaker{threshold: resolved.BreakerThreshold, cooldown: resolved.BreakerCooldown}
@@ -337,7 +341,8 @@ func (c *Catalog) acquire(name string) (*tenant, *store.ChunkArchive, string, fu
 		b, err := t.spec.Open()
 		if err == nil {
 			var a *store.ChunkArchive
-			a, err = store.OpenArchiveBackend(b, t.spec.Options...)
+			// The tenant's policy goes last, so it is the archive's.
+			a, err = store.OpenArchiveBackend(b, append(slices.Clip(t.spec.Options), store.WithFaultPolicy(t.pol))...)
 			if err != nil {
 				b.Close()
 			} else {
@@ -363,14 +368,14 @@ func (c *Catalog) acquire(name string) (*tenant, *store.ChunkArchive, string, fu
 }
 
 // CloseIdle closes every open archive that has no in-flight request and
-// has been unused for at least Options.IdleTimeout as of now, returning how
-// many it closed. Serve runs it periodically; tests may call
-// it directly. With IdleTimeout <= 0 it is a no-op.
+// has been unused for at least the idle timeout as of now, returning how
+// many it closed. Serve runs it periodically; tests may call it directly.
+// Without an idle timeout (WithIdleTimeout) it is a no-op.
 func (c *Catalog) CloseIdle(now time.Time) int {
-	if c.opts.IdleTimeout <= 0 {
+	if c.cfg.idleTimeout <= 0 {
 		return 0
 	}
-	cutoff := now.Add(-c.opts.IdleTimeout).UnixNano()
+	cutoff := now.Add(-c.cfg.idleTimeout).UnixNano()
 	closed := 0
 	for _, t := range c.members() {
 		if t.refs.Load() > 0 || t.lastUse.Load() > cutoff {
@@ -427,7 +432,7 @@ func (c *Catalog) route(name string, h func(http.ResponseWriter, *http.Request) 
 		}()
 		c.observer.Counter(obs.CtrServeRequests, name, 1)
 
-		ctx, cancel := context.WithTimeout(r.Context(), c.opts.RequestTimeout)
+		ctx, cancel := context.WithTimeout(r.Context(), c.cfg.requestTimeout)
 		defer cancel()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		if err := h(sw, r.WithContext(ctx)); err != nil {
@@ -603,14 +608,11 @@ func (c *Catalog) materialize(ctx context.Context, t *tenant, a *store.ChunkArch
 	defer sp.End()
 	c.observer.Counter(obs.CtrServeDecodes, t.name, 1)
 	ctx = obs.With(ctx, c.observer)
-	if t.polSet {
-		ctx = store.ContextWithFaultPolicy(ctx, t.pol)
-	}
 	cr, err := a.ReadChunkContext(ctx, i)
 	if err != nil {
 		return chunkPayload{}, err
 	}
-	seq, err := codec.DecodeContext(ctx, cr.Video, codec.DecodeOptions{}, c.opts.Workers)
+	seq, err := codec.DecodeContext(ctx, cr.Video, codec.DecodeOptions{}, c.cfg.workers)
 	if err != nil {
 		return chunkPayload{}, err
 	}
@@ -659,9 +661,9 @@ func (c *Catalog) maybePublishCacheGauges() {
 
 // Serve accepts connections on l until ctx is cancelled, then shuts down
 // gracefully: the listener closes, idle connections drop, and in-flight
-// requests get DrainTimeout to finish before the server gives up. While
-// serving, idle archives are closed every IdleTimeout/2 (when an idle
-// timeout is configured; never more often than once a millisecond). It
+// requests get 10 seconds to finish before the server gives up. While
+// serving, idle archives are closed every half idle timeout (when one
+// is configured; never more often than once a millisecond). It
 // returns nil on a clean drained shutdown.
 func (c *Catalog) Serve(ctx context.Context, l net.Listener) error {
 	srv := &http.Server{
@@ -669,13 +671,13 @@ func (c *Catalog) Serve(ctx context.Context, l net.Listener) error {
 		ReadHeaderTimeout: 10 * time.Second,
 		BaseContext:       func(net.Listener) context.Context { return context.WithoutCancel(ctx) },
 	}
-	if c.opts.IdleTimeout > 0 {
+	if c.cfg.idleTimeout > 0 {
 		stop := make(chan struct{})
 		defer close(stop)
 		go func() {
 			// The floor keeps a degenerate timeout (1 ns halves to 0, which
 			// NewTicker panics on) from killing the server.
-			tick := time.NewTicker(max(c.opts.IdleTimeout/2, time.Millisecond))
+			tick := time.NewTicker(max(c.cfg.idleTimeout/2, time.Millisecond))
 			defer tick.Stop()
 			for {
 				select {
@@ -697,7 +699,7 @@ func (c *Catalog) Serve(ctx context.Context, l net.Listener) error {
 	case <-ctx.Done():
 	}
 	//vetvideoapp:allow ctxfirst — deliberate detachment: the drain deadline must outlive the just-cancelled serve context
-	drain, cancel := context.WithTimeout(context.Background(), c.opts.DrainTimeout)
+	drain, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	err := srv.Shutdown(drain)
 	if serr := <-errc; serr != nil && serr != http.ErrServerClosed && err == nil {

@@ -89,7 +89,6 @@ func (cc *chaosCatalog) specs(t *testing.T, dir string) []ArchiveSpec {
 			Open: func() (store.Backend, error) {
 				return faultio.Wrap(store.NewSnapshotBackend(cc.data["flaky"]), chaosProfile(cc.seed)), nil
 			},
-			Options:     []store.ArchiveOption{store.WithFaultPolicy(pol)},
 			FaultPolicy: &pol,
 		},
 	}
@@ -108,7 +107,7 @@ type chunkResp struct {
 // archive, archives in catalog order — against a fresh catalog.
 func (cc *chaosCatalog) replay(t *testing.T, dir string) []chunkResp {
 	t.Helper()
-	cat, err := NewCatalog(cc.specs(t, dir), WithFaultPolicy(cc.pol))
+	cat, err := NewCatalog(cc.specs(t, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +191,7 @@ func TestCatalogChaos(t *testing.T) {
 	// observable. Readahead stays on — the chaos contract must hold with
 	// prefetch issuing background loads.
 	const budget = int64(96 << 10)
-	cat, err := NewCatalog(cc.specs(t, dir), WithFaultPolicy(cc.pol), WithCacheBytes(budget), WithCacheShards(1))
+	cat, err := NewCatalog(cc.specs(t, dir), WithCacheBytes(budget), WithCacheShards(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -672,7 +671,7 @@ func TestCacheShardsZeroMeansAuto(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer cat.Close()
-		return cat.opts.CacheShards
+		return cat.cfg.cacheShards
 	}
 	auto := shards()
 	if auto != cache.DefaultShards() {

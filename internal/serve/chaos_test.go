@@ -122,8 +122,7 @@ func TestChaosServe(t *testing.T) {
 	// The concurrent run: one shared faulty device under the server.
 	fr := faultio.Wrap(store.NewSnapshotBackend(data), chaosProfile(seed))
 	s := serveOne(t, ArchiveSpec{
-		Open:    func() (store.Backend, error) { return fr, nil },
-		Options: []store.ArchiveOption{store.WithFaultPolicy(chaosPolicy())},
+		Open: func() (store.Backend, error) { return fr, nil },
 	}, WithFaultPolicy(chaosPolicy()))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -337,5 +336,61 @@ func TestCircuitBreakerShedsAndRecovers(t *testing.T) {
 	}
 	if status, _ := get(1); status != http.StatusOK {
 		t.Fatalf("post-recovery read: status %d, want 200", status)
+	}
+}
+
+// TestTenantPolicyIsOnePolicy pins the one route a fault policy takes to a
+// tenant: whichever way it arrives — catalog-wide or through the spec — the
+// read retries and the breaker threshold are those of that one policy, and a
+// store.WithFaultPolicy left in ArchiveSpec.Options governs neither — the
+// retries of a read and the breaker judging it never come from two policies.
+func TestTenantPolicyIsOnePolicy(t *testing.T) {
+	data := buildArchiveBytes(t, 2)
+	// One retry per failed region read (default 2), open after two hard
+	// failures (default 8): with the device down, three chunk requests cost
+	// two failed reads of one retry each and then one shed request.
+	pol := store.FaultPolicy{
+		MaxRetries: 1, RetryBackoff: time.Microsecond, MaxBackoff: time.Microsecond,
+		BreakerThreshold: 2, BreakerCooldown: time.Minute,
+	}
+	stray := []store.ArchiveOption{store.WithFaultPolicy(store.FaultPolicy{MaxRetries: 5, RetryBackoff: time.Microsecond, MaxBackoff: time.Microsecond})}
+	fast := store.FaultPolicy{RetryBackoff: time.Microsecond, MaxBackoff: time.Microsecond}
+	for _, tc := range []struct {
+		name          string
+		spec          ArchiveSpec
+		options       []Option
+		retries, shed int64
+	}{
+		{"catalog-wide", ArchiveSpec{}, []Option{WithFaultPolicy(pol)}, 2, 1},
+		{"spec", ArchiveSpec{FaultPolicy: &pol}, nil, 2, 1},
+		{"spec over catalog-wide", ArchiveSpec{FaultPolicy: &pol}, []Option{WithFaultPolicy(fast)}, 2, 1},
+		{"catalog-wide with a stray archive option", ArchiveSpec{Options: stray}, []Option{WithFaultPolicy(pol)}, 2, 1},
+		// No tenant policy at all: the defaults, two retries per read and a
+		// breaker that three failures do not open — not the stray option's.
+		{"defaults with a stray archive option", ArchiveSpec{Options: stray}, nil, 6, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dev := &togglingAt{Backend: store.NewSnapshotBackend(data)}
+			tc.spec.Open = func() (store.Backend, error) { return dev, nil }
+			s := serveOne(t, tc.spec, append(tc.options, WithCacheBytes(1), WithPrefetch(0))...)
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			if status, _, _ := fetch(t, ts.Client(), ts.URL+"/v1/archives/"+testArchive); status != http.StatusOK {
+				t.Fatalf("healthy index read: status %d, want 200", status)
+			}
+			dev.broken.Store(true)
+			for i := 0; i < 3; i++ {
+				if status, _, _ := fetch(t, ts.Client(), ts.URL+chunkPath(0)); status != http.StatusServiceUnavailable {
+					t.Fatalf("request %d on a dead device: status %d, want 503", i, status)
+				}
+			}
+			snap := s.Metrics().Snapshot()
+			if got := snap.CounterTotal(obs.CtrReadRetries); got != tc.retries {
+				t.Errorf("%s = %d, want %d", obs.CtrReadRetries, got, tc.retries)
+			}
+			if got := snap.CounterTotal(obs.CtrServeShed); got != tc.shed {
+				t.Errorf("%s = %d, want %d", obs.CtrServeShed, got, tc.shed)
+			}
+		})
 	}
 }

@@ -8,7 +8,11 @@
 // Tenants are declared as ArchiveSpecs and opened lazily on first request;
 // an idle timeout closes archives nobody is reading. Each tenant gets its
 // own circuit breaker and fault policy, and its own labeled counters, while
-// the decoded-chunk cache is shared.
+// the decoded-chunk cache is shared. A tenant has exactly one policy — its
+// ArchiveSpec.FaultPolicy, else the catalog's WithFaultPolicy, else the
+// defaults — and the catalog opens the tenant's archive under it, so the
+// retries of a read and the breaker that judges its failures always come
+// from the same policy.
 //
 // The paper's premise is that approximately stored video is read far more
 // often than it is written, so the serving layer is built around four
@@ -102,83 +106,42 @@ import (
 // a 404 with code "archive_not_found".
 var ErrArchiveNotFound = errors.New("archive not found")
 
-// Options is the catalog's resolved configuration. Construct catalogs with
-// NewCatalog and the With* functional options; Options survives as a plain
-// struct so tests can state a whole configuration at once.
-type Options struct {
-	// CacheBytes bounds the decoded-chunk cache by rendered output size;
-	// <= 0 selects 64 MiB. The cache holds y4m-rendered chunks, so one
-	// entry costs roughly frames × 1.5 × W × H bytes. A catalog's cache is
-	// shared across all of its archives.
-	CacheBytes int64
-	// CacheShards is the decoded-chunk cache's lock-shard count, rounded up
-	// to a power of two. <= 0 selects cache.DefaultShards() (max(8,
-	// GOMAXPROCS) rounded up); 1 is a single shard — one global mutex and a
-	// strict global LRU order.
-	CacheShards int
-	// PrefetchDepth is how far the readahead prefetcher warms the shared
-	// cache: up to depth chunks ahead of a sequential reader. 0 selects the
-	// default of 2; negative disables prefetching.
-	PrefetchDepth int
-	// Workers bounds the decoder's frame parallelism per cold chunk;
-	// <= 0 selects GOMAXPROCS.
-	Workers int
-	// RequestTimeout bounds one request end to end, decode included;
-	// <= 0 selects 30 seconds. Expired requests answer 503.
-	RequestTimeout time.Duration
-	// DrainTimeout bounds connection draining during Shutdown; <= 0
-	// selects 10 seconds.
-	DrainTimeout time.Duration
-	// IdleTimeout closes a catalog archive after it has gone unused this
-	// long; <= 0 keeps archives open forever. The next request reopens the
-	// archive transparently.
-	IdleTimeout time.Duration
-	// Observer, when non-nil, receives the serve-layer events alongside
-	// the server's own metrics aggregator.
-	Observer obs.Observer
-	// FaultPolicy tunes the read path's retries and the circuit breaker
-	// for every archive that does not carry its own ArchiveSpec.FaultPolicy.
-	// It only takes effect through WithFaultPolicy, which also threads it
-	// under every archive read of this server, overriding the archive's
-	// own policy.
-	FaultPolicy store.FaultPolicy
-}
+// The documented defaults: what NewCatalog with no options runs under.
+const (
+	defaultCacheBytes     = 64 << 20
+	defaultPrefetchDepth  = 2
+	defaultRequestTimeout = 30 * time.Second
+	// drainTimeout bounds connection draining during Serve's shutdown.
+	drainTimeout = 10 * time.Second
+)
 
-// withDefaults resolves zero fields to their documented defaults.
-func (o Options) withDefaults() Options {
-	if o.CacheBytes <= 0 {
-		o.CacheBytes = 64 << 20
-	}
-	if o.CacheShards <= 0 {
-		o.CacheShards = cache.DefaultShards()
-	}
-	if o.PrefetchDepth == 0 {
-		o.PrefetchDepth = 2
-	} else if o.PrefetchDepth < 0 {
-		o.PrefetchDepth = 0 // resolved: 0 means off from here on
-	}
-	if o.RequestTimeout <= 0 {
-		o.RequestTimeout = 30 * time.Second
-	}
-	if o.DrainTimeout <= 0 {
-		o.DrainTimeout = 10 * time.Second
-	}
-	return o
-}
-
-// config is the mutable state the functional options assemble.
+// config is the catalog's one resolved configuration: NewCatalog seeds it
+// with the defaults and each option overwrites its field with a resolved
+// value, so nothing downstream interprets a sentinel.
 type config struct {
-	opts      Options
-	policySet bool
+	cacheBytes     int64
+	cacheShards    int
+	prefetchDepth  int // 0: readahead off
+	workers        int // <= 0: GOMAXPROCS, the decoder's own convention
+	requestTimeout time.Duration
+	idleTimeout    time.Duration // <= 0: archives stay open
+	observer       obs.Observer  // nil: the metrics aggregator alone
+	policy         store.FaultPolicy
 }
 
 // Option configures a Catalog at construction, applied in argument order.
 type Option func(*config)
 
-// WithCacheBytes bounds the decoded-chunk cache by rendered output size;
-// <= 0 selects the 64 MiB default.
+// WithCacheBytes bounds the decoded-chunk cache, shared by every archive of
+// the catalog, by rendered output size: one entry costs roughly frames ×
+// 1.5 × W × H bytes. <= 0 selects the 64 MiB default.
 func WithCacheBytes(n int64) Option {
-	return func(c *config) { c.opts.CacheBytes = n }
+	return func(c *config) {
+		if n <= 0 {
+			n = defaultCacheBytes
+		}
+		c.cacheBytes = n
+	}
 }
 
 // WithCacheShards sets the decoded-chunk cache's lock-shard count (rounded
@@ -186,62 +149,57 @@ func WithCacheBytes(n int64) Option {
 // rounded up to a power of two; 1 is a single shard — one global mutex and
 // a strict global LRU order at the cost of hot-path contention.
 func WithCacheShards(n int) Option {
-	return func(c *config) { c.opts.CacheShards = n }
+	return func(c *config) {
+		if n <= 0 {
+			n = cache.DefaultShards()
+		}
+		c.cacheShards = n
+	}
 }
 
 // WithPrefetch sets the sequential readahead depth: the server warms up to
 // depth chunks ahead of a sequential reader through the shared cache, and
 // nothing behind a random read. <= 0 disables prefetching; the default is 2.
 func WithPrefetch(depth int) Option {
-	return func(c *config) {
-		if depth <= 0 {
-			depth = -1 // resolved to "off" by withDefaults
-		}
-		c.opts.PrefetchDepth = depth
-	}
+	return func(c *config) { c.prefetchDepth = max(depth, 0) }
 }
 
 // WithWorkers bounds the decoder's frame parallelism per cold chunk;
 // <= 0 selects GOMAXPROCS.
 func WithWorkers(n int) Option {
-	return func(c *config) { c.opts.Workers = n }
+	return func(c *config) { c.workers = n }
 }
 
 // WithRequestTimeout bounds one request end to end, decode included;
-// <= 0 selects 30 seconds.
+// <= 0 selects 30 seconds. Expired requests answer 503.
 func WithRequestTimeout(d time.Duration) Option {
-	return func(c *config) { c.opts.RequestTimeout = d }
-}
-
-// WithDrainTimeout bounds connection draining during shutdown; <= 0
-// selects 10 seconds.
-func WithDrainTimeout(d time.Duration) Option {
-	return func(c *config) { c.opts.DrainTimeout = d }
+	return func(c *config) {
+		if d <= 0 {
+			d = defaultRequestTimeout
+		}
+		c.requestTimeout = d
+	}
 }
 
 // WithIdleTimeout closes catalog archives that have gone unused this long;
-// <= 0 (the default) keeps them open forever.
+// <= 0 (the default) keeps them open forever. The next request reopens the
+// archive transparently.
 func WithIdleTimeout(d time.Duration) Option {
-	return func(c *config) { c.opts.IdleTimeout = d }
+	return func(c *config) { c.idleTimeout = d }
 }
 
 // WithObserver attaches an observer that receives the serve-layer events
 // alongside the server's own metrics aggregator.
 func WithObserver(o obs.Observer) Option {
-	return func(c *config) { c.opts.Observer = o }
+	return func(c *config) { c.observer = o }
 }
 
-// WithFaultPolicy sets the fault policy the server reads under: retry
-// count and backoff for archive reads, checksum verification, and the
-// circuit breaker's threshold and cooldown. The policy is threaded through
-// the request context, so it overrides the archive's own policy for reads
-// this server issues. A per-archive ArchiveSpec.FaultPolicy overrides it
-// for that archive.
+// WithFaultPolicy sets the catalog-wide fault policy: retry count and
+// backoff for archive reads, and the circuit breaker's threshold and
+// cooldown, for every archive without an ArchiveSpec.FaultPolicy of its own.
+// The catalog opens each archive under its tenant's policy (see ArchiveSpec).
 func WithFaultPolicy(p store.FaultPolicy) Option {
-	return func(c *config) {
-		c.opts.FaultPolicy = p
-		c.policySet = true
-	}
+	return func(c *config) { c.policy = p }
 }
 
 // statusWriter records the status code written to a response.

@@ -85,24 +85,30 @@ func NewMemBackend(data []byte) *MemBackend {
 	return &MemBackend{data: append([]byte(nil), data...)}
 }
 
-// ReadAt implements io.ReaderAt with the standard contract: a read ending
-// exactly at the container's end returns io.EOF alongside the bytes.
-func (b *MemBackend) ReadAt(p []byte, off int64) (int, error) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
+// readAtBytes is the ReadAt of the two byte-slice backends: the io.ReaderAt
+// contract over data, reporting a read that runs past the end with io.EOF
+// alongside the bytes it could copy.
+func readAtBytes(data, p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("store: negative read offset %d", off)
 	}
-	if off >= int64(len(b.data)) {
+	if off >= int64(len(data)) {
 		//vetvideoapp:allow wrapeof — io.ReaderAt contract requires bare io.EOF at end-of-region; the archive layer above classifies it
 		return 0, io.EOF
 	}
-	n := copy(p, b.data[off:])
+	n := copy(p, data[off:])
 	if n < len(p) {
 		//vetvideoapp:allow wrapeof — io.ReaderAt contract requires bare io.EOF on short reads at the region's end
 		return n, io.EOF
 	}
 	return n, nil
+}
+
+// ReadAt implements io.ReaderAt.
+func (b *MemBackend) ReadAt(p []byte, off int64) (int, error) {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return readAtBytes(b.data, p, off)
 }
 
 // WriteAt implements io.WriterAt, growing the region as needed (the gap, if
@@ -145,19 +151,7 @@ func NewSnapshotBackend(data []byte) *SnapshotBackend { return &SnapshotBackend{
 
 // ReadAt implements io.ReaderAt.
 func (b *SnapshotBackend) ReadAt(p []byte, off int64) (int, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("store: negative read offset %d", off)
-	}
-	if off >= int64(len(b.data)) {
-		//vetvideoapp:allow wrapeof — io.ReaderAt contract requires bare io.EOF at end-of-region; the archive layer above classifies it
-		return 0, io.EOF
-	}
-	n := copy(p, b.data[off:])
-	if n < len(p) {
-		//vetvideoapp:allow wrapeof — io.ReaderAt contract requires bare io.EOF on short reads at the region's end
-		return n, io.EOF
-	}
-	return n, nil
+	return readAtBytes(b.data, p, off)
 }
 
 // WriteAt always reports ErrReadOnly: snapshots are sealed.

@@ -43,10 +43,14 @@ import (
 // included) is rejected with ErrCorruptRecord: a reader that cannot verify
 // a container must not serve it.
 //
-// Within a chunk the split mirrors the paper's reliability boundary exactly
-// as Archive does for a whole video: a precise region (headers with payload
-// placeholders, MarshalPrecise form, plus the §4.4 pivot tables) and one
-// approximate stream per ECC scheme (§5.3).
+// Within a chunk the split is the paper's reliability boundary, and this
+// record is its one at-rest implementation: a precise region — everything
+// that must never be wrong: headers with payload placeholders (MarshalPrecise
+// form) plus the §4.4 pivot tables, a minor share of the bytes — and one
+// approximate stream per ECC scheme (§5.3), each destined for cells protected
+// at that scheme's level. Reading is the exact inverse while the streams are
+// intact; damaged stream bits flow back into the corresponding payload bits,
+// which is the approximation model the experiments measure.
 
 var chunkedMagic = [4]byte{'V', 'A', 'C', 'S'}
 var chunkMarker = [4]byte{'C', 'H', 'N', 'K'}
@@ -241,9 +245,9 @@ type ChunkArchive struct {
 // ArchiveOption configures a ChunkArchive at open time.
 type ArchiveOption func(*ChunkArchive)
 
-// WithFaultPolicy sets the archive's fault policy: retry counts, backoff,
-// and checksum verification for every read that is not running under a
-// context carrying its own policy (ContextWithFaultPolicy).
+// WithFaultPolicy sets the archive's fault policy — retry counts and backoff
+// for the open-time index scan, every read and every scrub. It is the only
+// way a policy reaches an archive; without it the defaults apply.
 func WithFaultPolicy(p FaultPolicy) ArchiveOption {
 	return func(a *ChunkArchive) { a.policy = p }
 }
@@ -281,13 +285,14 @@ func OpenChunkArchiveAt(r io.ReaderAt, opts ...ArchiveOption) (*ChunkArchive, er
 	for _, o := range opts {
 		o(a)
 	}
+	a.policy = a.policy.Resolved()
 	// The index scan rides the same retry ladder as region reads, so a
 	// device that fails transiently at open time does not kill the open;
 	// EOF passes through untouched (it is the scan's end-of-container
 	// signal, and truncation detection depends on it).
-	scan := io.ReaderAt(&retryAt{r: r, pol: a.policy.withDefaults()})
+	scan := io.ReaderAt(&retryAt{r: r, pol: a.policy})
 	var hdr [archiveHeaderLen]byte
-	if n, err := scan.ReadAt(hdr[:], 0); err != nil {
+	if n, err := readFullAt(scan, hdr[:], 0); err != nil {
 		//vetvideoapp:allow wrapeof — this is the mapping site: raw EOF from the backend becomes ErrCorruptRecord here
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return nil, fmt.Errorf("store: %w: archive header truncated at %d of %d bytes", ErrCorruptRecord, n, len(hdr))
@@ -476,19 +481,21 @@ func (a *ChunkArchive) Close() error {
 	return nil
 }
 
-// resolvePolicy picks the effective fault policy for one call: a context
-// override wins, then the archive's configured policy, then the defaults.
-func (a *ChunkArchive) resolvePolicy(ctx context.Context) FaultPolicy {
-	if p, ok := FaultPolicyFromContext(ctx); ok {
-		return p.withDefaults()
-	}
-	return a.policy.withDefaults()
+// verified reports whether region bytes match their recorded checksum.
+func verified(data []byte, crc uint32) bool {
+	return crc32.Checksum(data, castagnoli) == crc
 }
 
-// verified reports whether region bytes match their recorded checksum
-// (always, when the policy skips verification).
-func verified(pol FaultPolicy, data []byte, crc uint32) bool {
-	return pol.SkipVerify || crc32.Checksum(data, castagnoli) == crc
+// readFullAt is r.ReadAt for a caller that wants all of buf. The io.ReaderAt
+// contract lets a read ending exactly at the end of the data report
+// (len(buf), io.EOF); every byte arrived, so that is a success here.
+func readFullAt(r io.ReaderAt, buf []byte, off int64) (int, error) {
+	n, err := r.ReadAt(buf, off)
+	//vetvideoapp:allow wrapeof — the EOF of a full read is consumed here, never propagated
+	if n == len(buf) && errors.Is(err, io.EOF) {
+		err = nil
+	}
+	return n, err
 }
 
 // readRegion reads one region of one record — the precise bytes, the pivot
@@ -500,12 +507,12 @@ func verified(pol FaultPolicy, data []byte, crc uint32) bool {
 // which no retry can fix: it reports ErrCorruptRecord immediately. An
 // exhausted ladder reports ErrCorruptRecord when the last failure was a
 // checksum mismatch and ErrReadFailed when the device kept erroring.
-func (a *ChunkArchive) readRegion(ctx context.Context, pol FaultPolicy, o obs.Observer, mirror io.ReaderAt, buf []byte, off int64, crc uint32, label string) error {
+func (a *ChunkArchive) readRegion(ctx context.Context, o obs.Observer, mirror io.ReaderAt, buf []byte, off int64, crc uint32, label string) error {
 	// read attempts one fetch+verify from r; truncated reports the
 	// non-retryable case (the container ends inside the region — no retry
 	// can grow the file).
 	read := func(r io.ReaderAt) (truncated bool, err error) {
-		m, err := r.ReadAt(buf, off)
+		m, err := readFullAt(r, buf, off)
 		if err != nil {
 			//vetvideoapp:allow wrapeof — this is the region-read mapping site: EOF inside a region becomes ErrCorruptRecord truncation right here
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
@@ -513,7 +520,7 @@ func (a *ChunkArchive) readRegion(ctx context.Context, pol FaultPolicy, o obs.Ob
 			}
 			return false, err
 		}
-		if !verified(pol, buf, crc) {
+		if !verified(buf, crc) {
 			o.Counter(obs.CtrCRCFailures, label, 1)
 			return false, fmt.Errorf("%w: %s checksum mismatch", ErrCorruptRecord, label)
 		}
@@ -521,10 +528,10 @@ func (a *ChunkArchive) readRegion(ctx context.Context, pol FaultPolicy, o obs.Ob
 	}
 
 	var lastErr error
-	for attempt := 0; attempt <= pol.MaxRetries; attempt++ {
+	for attempt := 0; attempt <= a.policy.MaxRetries; attempt++ {
 		if attempt > 0 {
 			o.Counter(obs.CtrReadRetries, "", 1)
-			if err := sleepBackoff(ctx, pol, off, attempt); err != nil {
+			if err := sleepBackoff(ctx, a.policy, off, attempt); err != nil {
 				return err
 			}
 		}
@@ -569,16 +576,15 @@ type ChunkRead struct {
 	Degraded []string
 }
 
-// ReadChunkContext reads and reassembles chunk i under the effective fault
-// policy (context override, then the archive's, then defaults): every
-// region read retries transient failures with backoff, verifies its CRC,
-// and falls back to the mirror. Damage that survives all of that is
-// classified by the reliability boundary: the
-// precise region and pivot tables are required — their loss is
-// ErrCorruptRecord (or ErrReadFailed when the device, not the data, kept
-// failing) — while a damaged approximate stream is zero-filled and
-// reported in ChunkRead.Degraded, so the caller still gets a decodable
-// video carrying every verified bit.
+// ReadChunkContext reads and reassembles chunk i under the archive's fault
+// policy: every region read retries transient failures with backoff,
+// verifies its CRC, and falls back to the mirror. Damage that survives all
+// of that is classified by the reliability boundary: the precise region and
+// pivot tables are required — their loss is ErrCorruptRecord (or
+// ErrReadFailed when the device, not the data, kept failing) — while a
+// damaged approximate stream is zero-filled and reported in
+// ChunkRead.Degraded, so the caller still gets a decodable video carrying
+// every verified bit.
 func (a *ChunkArchive) ReadChunkContext(ctx context.Context, i int) (ChunkRead, error) {
 	if a.closed.Load() {
 		return ChunkRead{}, fmt.Errorf("store: reading chunk %d: %w", i, ErrArchiveClosed)
@@ -586,7 +592,6 @@ func (a *ChunkArchive) ReadChunkContext(ctx context.Context, i int) (ChunkRead, 
 	if i < 0 || i >= len(a.recs) {
 		return ChunkRead{}, fmt.Errorf("store: %w: chunk %d outside 0..%d", ErrChunkNotFound, i, len(a.recs)-1)
 	}
-	pol := a.resolvePolicy(ctx)
 	o := obs.From(ctx)
 	rec := &a.recs[i]
 
@@ -598,10 +603,10 @@ func (a *ChunkArchive) ReadChunkContext(ctx context.Context, i int) (ChunkRead, 
 	}
 	off := rec.info.Offset
 	precise, pivots, streams := buf[:rec.preciseLen], buf[rec.preciseLen:][:rec.pivotLen], buf[rec.preciseLen+rec.pivotLen:]
-	if err := a.readRegion(ctx, pol, o, a.mirror, precise, off, rec.preciseCRC, "precise"); err != nil {
+	if err := a.readRegion(ctx, o, a.mirror, precise, off, rec.preciseCRC, "precise"); err != nil {
 		return ChunkRead{}, fmt.Errorf("store: chunk %d precise region: %w", i, err)
 	}
-	if err := a.readRegion(ctx, pol, o, a.mirror, pivots, off+rec.preciseLen, rec.pivotCRC, "pivots"); err != nil {
+	if err := a.readRegion(ctx, o, a.mirror, pivots, off+rec.preciseLen, rec.pivotCRC, "pivots"); err != nil {
 		return ChunkRead{}, fmt.Errorf("store: chunk %d pivot tables: %w", i, err)
 	}
 	// The frame headers declare their payload lengths; the bits can only
@@ -624,7 +629,7 @@ func (a *ChunkArchive) ReadChunkContext(ctx context.Context, i int) (ChunkRead, 
 	for _, rs := range rec.streams {
 		var data []byte
 		data, streams = streams[:rs.bytes], streams[rs.bytes:]
-		if err := a.readRegion(ctx, pol, o, a.mirror, data, soff, rs.crc, rs.name); err != nil {
+		if err := a.readRegion(ctx, o, a.mirror, data, soff, rs.crc, rs.name); err != nil {
 			if ctx.Err() != nil {
 				return ChunkRead{}, ctx.Err()
 			}

@@ -58,6 +58,27 @@ func writeChunks(t testing.TB, cw *ChunkWriter, chunks []*codec.Video, parts [][
 	return firstFrame
 }
 
+// TestArchiveRegionSizes checks the reliability split of a record: the
+// precisely kept region (headers + pivot tables) is a minor share of the
+// approximate streams (the paper: headers < 0.1% of storage; ours are
+// relatively bigger on tiny videos but still clearly minor).
+func TestArchiveRegionSizes(t *testing.T) {
+	data, _ := buildArchiveBytes(t, 3)
+	a, err := OpenChunkArchiveAt(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range a.recs {
+		var approx int64
+		for _, rs := range rec.streams {
+			approx += rs.bytes
+		}
+		if precise := rec.preciseLen + rec.pivotLen; precise <= 0 || approx <= 0 || precise > approx/2 {
+			t.Fatalf("chunk %d: precise region %d vs approximate %d bytes", i, precise, approx)
+		}
+	}
+}
+
 func TestChunkArchiveRoundTrip(t *testing.T) {
 	v, chunks, chunkParts := buildChunkedVideo(t, 3)
 	var buf bytes.Buffer

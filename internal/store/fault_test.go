@@ -85,7 +85,7 @@ func streamRegion(t *testing.T, a *ChunkArchive, ci int) (int64, int64, string) 
 // retries are visible in metrics.
 func TestReadRetryRecoversTransient(t *testing.T) {
 	data, _ := buildArchiveBytes(t, 2)
-	a, err := OpenChunkArchiveAt(bytes.NewReader(data))
+	a, err := OpenChunkArchiveAt(bytes.NewReader(data), WithFaultPolicy(fastPolicy()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,6 @@ func TestReadRetryRecoversTransient(t *testing.T) {
 
 	m := obs.NewMetrics()
 	ctx := obs.With(context.Background(), m)
-	ctx = ContextWithFaultPolicy(ctx, fastPolicy())
 	for i := 0; i < a.NumChunks(); i++ {
 		cr, err := a.ReadChunkContext(ctx, i)
 		if err != nil {
@@ -113,15 +112,14 @@ func TestReadRetryRecoversTransient(t *testing.T) {
 // first transient failure surfaces as ErrReadFailed.
 func TestRetriesDisabledFailsFast(t *testing.T) {
 	data, _ := buildArchiveBytes(t, 1)
-	a, err := OpenChunkArchiveAt(bytes.NewReader(data))
+	pol := fastPolicy()
+	pol.MaxRetries = -1
+	a, err := OpenChunkArchiveAt(bytes.NewReader(data), WithFaultPolicy(pol))
 	if err != nil {
 		t.Fatal(err)
 	}
 	a.r = &flakyAt{r: bytes.NewReader(data), failures: 1}
-	pol := fastPolicy()
-	pol.MaxRetries = -1
-	ctx := ContextWithFaultPolicy(context.Background(), pol)
-	_, err = a.ReadChunkContext(ctx, 0)
+	_, err = a.ReadChunkContext(context.Background(), 0)
 	if !errors.Is(err, ErrReadFailed) {
 		t.Fatalf("want ErrReadFailed, got %v", err)
 	}

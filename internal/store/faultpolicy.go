@@ -6,14 +6,12 @@ import (
 )
 
 // FaultPolicy is the single knob set of the fault-tolerant read path: how
-// archive reads retry, how they back off, whether record checksums are
-// verified, and when the serving layer's circuit breaker opens. The zero
-// value selects every documented default; resolve it with withDefaults.
+// archive reads retry, how they back off, and when the serving layer's
+// circuit breaker opens. The zero value selects every documented default.
 //
-// A policy reaches the read path two ways, in precedence order: attached
-// to a context with ContextWithFaultPolicy (per-call override, the form
-// the chunk server uses), or attached to the archive at open time with
-// the WithFaultPolicy archive option.
+// A policy is an open-time property of a ChunkArchive: the WithFaultPolicy
+// archive option is the one way to set it, it is resolved once at open, and
+// every read and scrub of that archive runs under it.
 type FaultPolicy struct {
 	// MaxRetries bounds the extra read attempts after the first failure
 	// of one region read (transient I/O error or checksum mismatch).
@@ -26,9 +24,6 @@ type FaultPolicy struct {
 	RetryBackoff time.Duration
 	// MaxBackoff caps the per-retry delay. <= 0 selects 50ms.
 	MaxBackoff time.Duration
-	// SkipVerify disables CRC verification of v2 archive records (v1
-	// records carry no checksums and are never verified).
-	SkipVerify bool
 	// BreakerThreshold is the number of consecutive hard read failures
 	// (retries exhausted, mirror exhausted) after which the serving
 	// layer's circuit breaker opens and sheds chunk requests with
@@ -44,10 +39,9 @@ type FaultPolicy struct {
 // documented defaults — the form the read path and the serving layer's
 // circuit breaker actually run under. Negative MaxRetries resolves to 0
 // (retries off); a negative BreakerThreshold is preserved (breaker off).
-func (p FaultPolicy) Resolved() FaultPolicy { return p.withDefaults() }
-
-// withDefaults resolves zero fields to their documented defaults.
-func (p FaultPolicy) withDefaults() FaultPolicy {
+// Resolve a policy once: a second pass would read the resolved "retries
+// off" as "unset".
+func (p FaultPolicy) Resolved() FaultPolicy {
 	if p.MaxRetries == 0 {
 		p.MaxRetries = 2
 	}
@@ -67,22 +61,6 @@ func (p FaultPolicy) withDefaults() FaultPolicy {
 		p.BreakerCooldown = time.Second
 	}
 	return p
-}
-
-// policyKey keys a FaultPolicy attached to a context.
-type policyKey struct{}
-
-// ContextWithFaultPolicy returns a context carrying p. Archive reads under
-// this context use p in place of the archive's own policy.
-func ContextWithFaultPolicy(ctx context.Context, p FaultPolicy) context.Context {
-	return context.WithValue(ctx, policyKey{}, p)
-}
-
-// FaultPolicyFromContext returns the policy attached to ctx, reporting
-// whether one was.
-func FaultPolicyFromContext(ctx context.Context) (FaultPolicy, bool) {
-	p, ok := ctx.Value(policyKey{}).(FaultPolicy)
-	return p, ok
 }
 
 // backoff returns the delay before retry attempt (1-based), exponential

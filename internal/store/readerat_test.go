@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -232,5 +233,45 @@ func TestReaderAtReadChunkLocality(t *testing.T) {
 		if rd[0] < lo || rd[1] > hi {
 			t.Fatalf("ReadChunk(1) read [%d,%d) outside its payload [%d,%d)", rd[0], rd[1], lo, hi)
 		}
+	}
+}
+
+// eofAtEndReader is a conforming io.ReaderAt of the kind the contract allows
+// and bytes.Reader is not: a read that ends exactly at the end of the data
+// returns every byte together with io.EOF.
+type eofAtEndReader struct{ data []byte }
+
+func (r eofAtEndReader) ReadAt(p []byte, off int64) (int, error) {
+	if off >= int64(len(r.data)) {
+		return 0, io.EOF
+	}
+	n := copy(p, r.data[off:])
+	if off+int64(n) == int64(len(r.data)) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+// TestFullReadWithEOFIsNotTruncation: the last stream of the last chunk ends
+// at the end of the container, so such a reader hands it over with io.EOF
+// attached. Every byte and CRC is intact; the strict read must succeed and
+// the context read must not degrade, exactly as over a bytes.Reader.
+func TestFullReadWithEOFIsNotTruncation(t *testing.T) {
+	data, _ := buildArchiveBytes(t, 2)
+	for name, r := range map[string]io.ReaderAt{"bytes.Reader": bytes.NewReader(data), "full read + EOF": eofAtEndReader{data}} {
+		t.Run(name, func(t *testing.T) {
+			a, err := OpenChunkArchiveAt(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := a.NumChunks() - 1
+			if _, _, err := a.ReadChunk(last); err != nil {
+				t.Fatalf("ReadChunk(%d): %v", last, err)
+			}
+			rep, err := a.Scrub(context.Background())
+			if err != nil || !rep.Healthy() {
+				t.Fatalf("scrub of an intact archive: %+v, %v", rep, err)
+			}
+		})
 	}
 }

@@ -2,7 +2,6 @@ package store
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 
@@ -58,7 +57,6 @@ func (a *ChunkArchive) Scrub(ctx context.Context) (ScrubReport, error) {
 	}
 	o := obs.From(ctx)
 	defer obs.StartSpan(o, obs.StageScrub).End()
-	pol := a.resolvePolicy(ctx)
 	w, canRepair := a.r.(io.WriterAt)
 	if a.mirror == nil {
 		canRepair = false
@@ -71,7 +69,7 @@ func (a *ChunkArchive) Scrub(ctx context.Context) (ScrubReport, error) {
 		}
 		h := ChunkHealth{Index: rec.info.Index, Regions: 2 + len(rec.streams)}
 		for _, reg := range a.regions(rec) {
-			err := a.readRegion(ctx, pol, o, nil, make([]byte, reg.n), reg.off, reg.crc, reg.label)
+			err := a.readRegion(ctx, o, nil, make([]byte, reg.n), reg.off, reg.crc, reg.label)
 			if err == nil {
 				continue
 			}
@@ -79,7 +77,7 @@ func (a *ChunkArchive) Scrub(ctx context.Context) (ScrubReport, error) {
 				return rep, ctx.Err()
 			}
 			h.Damaged = append(h.Damaged, reg.label)
-			if canRepair && a.repairRegion(ctx, pol, o, w, reg) {
+			if canRepair && a.repairRegion(ctx, o, w, reg) {
 				h.Repaired = append(h.Repaired, reg.label)
 				o.Counter(obs.CtrScrubRepairs, "", 1)
 			}
@@ -117,13 +115,9 @@ func (a *ChunkArchive) regions(rec chunkRec) []region {
 // repairRegion fetches reg from the mirror, verifies it, writes it back to
 // the primary and re-reads to confirm. It reports whether the primary now
 // holds a verified copy.
-func (a *ChunkArchive) repairRegion(ctx context.Context, pol FaultPolicy, o obs.Observer, w io.WriterAt, reg region) bool {
+func (a *ChunkArchive) repairRegion(ctx context.Context, o obs.Observer, w io.WriterAt, reg region) bool {
 	buf := make([]byte, reg.n)
-	//vetvideoapp:allow wrapeof — ReaderAt contract: a full read ending exactly at the mirror's end carries io.EOF and is still a success; anything else is handled as repair failure, not propagated
-	if n, err := a.mirror.ReadAt(buf, reg.off); err != nil && !(n == len(buf) && errors.Is(err, io.EOF)) {
-		return false
-	}
-	if !verified(pol, buf, reg.crc) {
+	if _, err := readFullAt(a.mirror, buf, reg.off); err != nil || !verified(buf, reg.crc) {
 		return false
 	}
 	o.Counter(obs.CtrMirrorReads, "", 1)
@@ -133,16 +127,13 @@ func (a *ChunkArchive) repairRegion(ctx context.Context, pol FaultPolicy, o obs.
 	// Re-read through the faulty primary path to confirm the repair took;
 	// one verified read is enough (persistent damage reproduces).
 	back := make([]byte, reg.n)
-	for attempt := 0; attempt <= pol.MaxRetries; attempt++ {
+	for attempt := 0; attempt <= a.policy.MaxRetries; attempt++ {
 		if attempt > 0 {
-			if err := sleepBackoff(ctx, pol, reg.off, attempt); err != nil {
+			if err := sleepBackoff(ctx, a.policy, reg.off, attempt); err != nil {
 				return false
 			}
 		}
-		if _, err := a.r.ReadAt(back, reg.off); err != nil {
-			continue
-		}
-		if verified(pol, back, reg.crc) {
+		if _, err := readFullAt(a.r, back, reg.off); err == nil && verified(back, reg.crc) {
 			return true
 		}
 	}

@@ -29,12 +29,12 @@ func obsTestVideo(t testing.TB) (*Sequence, Params) {
 func runInstrumented(t testing.TB, seq *Sequence, p Params, workers int) (MetricsSnapshot, int) {
 	t.Helper()
 	m := NewMetrics()
-	pl := NewPipeline(WithParams(p), WithWorkers(workers), WithSeed(11), WithMetrics(m))
+	pl := NewPipeline(WithParams(p), WithWorkers(workers), WithObserver(m))
 	res, err := pl.ProcessContext(context.Background(), seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, flips, err := res.RoundTrip(context.Background())
+	_, flips, err := res.StoreRoundTripContext(context.Background(), 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func runInstrumented(t testing.TB, seq *Sequence, p Params, workers int) (Metric
 func runStreamInstrumented(t testing.TB, seq *Sequence, p Params, workers int) MetricsSnapshot {
 	t.Helper()
 	m := NewMetrics()
-	pl := NewPipeline(WithParams(p), WithWorkers(workers), WithChunkGOPs(1), WithMetrics(m))
+	pl := NewPipeline(WithParams(p), WithWorkers(workers), WithChunkGOPs(1), WithObserver(m))
 	if _, _, err := pl.StreamToArchive(context.Background(), SequenceSource(seq), io.Discard); err != nil {
 		t.Fatal(err)
 	}
@@ -114,18 +114,18 @@ func requireSameMetrics(t testing.TB, s1, s8 MetricsSnapshot) {
 }
 
 // TestMetricsReconcileWithResult checks the reconciliation contract
-// documented on Result.Metrics: the footprint counters equal the Stats
+// documented on Metrics: the footprint counters equal the Stats
 // breakdown and the residual-flip total equals the sum of the flip counts
 // returned by the round trips.
 func TestMetricsReconcileWithResult(t *testing.T) {
 	seq, p := obsTestVideo(t)
 	m := NewMetrics()
-	pl := NewPipeline(WithParams(p), WithWorkers(4), WithSeed(3), WithMetrics(m))
+	pl := NewPipeline(WithParams(p), WithWorkers(4), WithObserver(m))
 	res, err := pl.ProcessContext(context.Background(), seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, flipsA, err := res.RoundTrip(context.Background())
+	_, flipsA, err := res.StoreRoundTripContext(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestMetricsReconcileWithResult(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap := res.Metrics()
+	snap := m.Snapshot()
 	for name, bits := range res.Stats.PerScheme {
 		if got := snap.Counter("footprint_payload_bits", name); got != bits {
 			t.Fatalf("payload bits %s: counter %d, Stats %d", name, got, bits)
@@ -163,6 +163,52 @@ func TestMetricsReconcileWithResult(t *testing.T) {
 	}
 	if got := snap.CounterTotal("decode_frames"); got != 2*n {
 		t.Fatalf("decode_frames %d, want %d", got, 2*n)
+	}
+}
+
+// TestContextObserverIsComplete pins the context as a complete route to a
+// pipeline without an observer of its own: under ContextWithObserver every
+// entry point reports what it reports through WithObserver — the same stage
+// set (the partition span included) and the same footprint counters and
+// gauges.
+func TestContextObserverIsComplete(t *testing.T) {
+	seq, p := obsTestVideo(t)
+	entries := map[string]func(context.Context, *Pipeline) error{
+		"ProcessContext": func(ctx context.Context, pl *Pipeline) error {
+			_, err := pl.ProcessContext(ctx, seq)
+			return err
+		},
+		"ProcessStream": func(ctx context.Context, pl *Pipeline) error {
+			_, err := pl.ProcessStream(ctx, SequenceSource(seq))
+			return err
+		},
+		"StreamToArchive": func(ctx context.Context, pl *Pipeline) error {
+			_, _, err := pl.StreamToArchive(ctx, SequenceSource(seq), io.Discard)
+			return err
+		},
+	}
+	for name, run := range entries {
+		t.Run(name, func(t *testing.T) {
+			viaOption, viaContext := NewMetrics(), NewMetrics()
+			if err := run(context.Background(), NewPipeline(WithParams(p), WithObserver(viaOption))); err != nil {
+				t.Fatal(err)
+			}
+			if err := run(ContextWithObserver(context.Background(), viaContext), NewPipeline(WithParams(p))); err != nil {
+				t.Fatal(err)
+			}
+			want, got := viaOption.Snapshot(), viaContext.Snapshot()
+			requireSameMetrics(t, want, got)
+			if got.Counter("footprint_header_bits", "") == 0 || got.Gauge("footprint_cells_per_pixel", "") == 0 {
+				t.Fatalf("footprint not published through the context: %+v", got.Counters)
+			}
+			partitioned := false
+			for _, st := range got.Stages {
+				partitioned = partitioned || st.Stage == "partition"
+			}
+			if !partitioned {
+				t.Fatalf("partition span not published through the context: %+v", got.Stages)
+			}
+		})
 	}
 }
 
@@ -204,7 +250,7 @@ func TestMetricsConsistentUnderCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	tripwire := &cancelOnFrame{Observer: m, stage: "encode", after: 3, cancel: cancel}
-	pl := NewPipeline(WithParams(p), WithWorkers(4), WithSeed(11), WithObserver(tripwire))
+	pl := NewPipeline(WithParams(p), WithWorkers(4), WithObserver(tripwire))
 
 	_, err := pl.ProcessContext(ctx, seq)
 	if !errors.Is(err, context.Canceled) {
@@ -227,12 +273,12 @@ func TestMetricsConsistentUnderCancellation(t *testing.T) {
 	// The aggregator is reusable after Reset: a clean run on the same
 	// Metrics reproduces the full-run counters exactly.
 	m.Reset()
-	pl2 := NewPipeline(WithParams(p), WithWorkers(4), WithSeed(11), WithMetrics(m))
+	pl2 := NewPipeline(WithParams(p), WithWorkers(4), WithObserver(m))
 	res, err := pl2.ProcessContext(context.Background(), seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := res.RoundTrip(context.Background()); err != nil {
+	if _, _, err := res.StoreRoundTripContext(context.Background(), 11); err != nil {
 		t.Fatal(err)
 	}
 	redo := m.Snapshot()
@@ -253,7 +299,7 @@ func TestMetricsConsistentUnderCancellation(t *testing.T) {
 func TestMetricsConcurrentReadDuringRun(t *testing.T) {
 	seq, p := obsTestVideo(t)
 	m := NewMetrics()
-	pl := NewPipeline(WithParams(p), WithWorkers(4), WithSeed(7), WithMetrics(m))
+	pl := NewPipeline(WithParams(p), WithWorkers(4), WithObserver(m))
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -278,7 +324,7 @@ func TestMetricsConcurrentReadDuringRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := res.RoundTrip(context.Background()); err != nil {
+	if _, _, err := res.StoreRoundTripContext(context.Background(), 7); err != nil {
 		t.Fatal(err)
 	}
 	close(done)
@@ -295,23 +341,23 @@ func TestMetricsConcurrentReadDuringRun(t *testing.T) {
 func TestObserverDoesNotPerturbOutput(t *testing.T) {
 	seq, p := obsTestVideo(t)
 
-	plain := NewPipeline(WithParams(p), WithWorkers(4), WithSeed(21))
+	plain := NewPipeline(WithParams(p), WithWorkers(4))
 	resPlain, err := plain.ProcessContext(context.Background(), seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	decPlain, flipsPlain, err := resPlain.RoundTrip(context.Background())
+	decPlain, flipsPlain, err := resPlain.StoreRoundTripContext(context.Background(), 21)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	m := NewMetrics()
-	observed := NewPipeline(WithParams(p), WithWorkers(4), WithSeed(21), WithMetrics(m))
+	observed := NewPipeline(WithParams(p), WithWorkers(4), WithObserver(m))
 	resObs, err := observed.ProcessContext(context.Background(), seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	decObs, flipsObs, err := resObs.RoundTrip(context.Background())
+	decObs, flipsObs, err := resObs.StoreRoundTripContext(context.Background(), 21)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,21 +51,24 @@ type (
 	// ArchiveOptions and FaultPolicy.
 	ArchiveSpec = serve.ArchiveSpec
 	// Backend is the pluggable storage seam archives live on: positionless
-	// reads and writes plus lifecycle. See OpenFileBackend,
-	// NewMemBackend, NewSnapshotBackend; internal/faultio decorates any
-	// Backend with deterministic fault injection.
+	// reads and writes plus lifecycle. See OpenFileBackend and
+	// NewSnapshotBackend; internal/faultio decorates any Backend with
+	// deterministic fault injection. A Backend is an io.ReaderAt: open an
+	// archive over one with OpenArchive.
 	Backend = store.Backend
 	// ServeOption configures a Catalog at construction; see
 	// WithCacheBytes, WithCacheShards, WithPrefetch, WithRequestTimeout,
-	// WithServeWorkers, WithDrainTimeout, WithIdleTimeout,
-	// WithServeObserver and WithFaultPolicy.
+	// WithServeWorkers, WithIdleTimeout, WithServeObserver and
+	// WithFaultPolicy.
 	ServeOption = serve.Option
 	// ArchiveOption configures a ChunkArchive at open time; see
 	// WithArchivePolicy and WithMirror.
 	ArchiveOption = store.ArchiveOption
 	// FaultPolicy is the knob set of the fault-tolerant read path: retry
-	// count, backoff, checksum verification and the serving layer's
-	// circuit breaker. The zero value selects every documented default.
+	// count, backoff and the serving layer's circuit breaker. The zero
+	// value selects every documented default. It reaches an archive one
+	// way per layer: WithArchivePolicy when you open it yourself,
+	// WithFaultPolicy or ArchiveSpec.FaultPolicy when a Catalog opens it.
 	FaultPolicy = store.FaultPolicy
 	// ChunkRead is the degradation-aware result of reading one chunk:
 	// the reconstructed video, its partitions, and the names of any
@@ -121,18 +124,12 @@ func Y4MSource(r io.Reader, name string) (ChunkSource, error) { return chunk.Fro
 //
 // Options attach a FaultPolicy (WithArchivePolicy) for retrying transient
 // read errors and a mirror reader (WithMirror) for recovering regions the
-// primary cannot serve; both also govern ChunkArchive.Scrub.
+// primary cannot serve; both also govern ChunkArchive.Scrub. When r is a
+// Backend (or any io.WriterAt) Scrub repairs go through its WriteAt —
+// read-only backends report the damage unrepaired — and the caller closes
+// it after the archive.
 func OpenArchive(r io.ReaderAt, opts ...ArchiveOption) (*ChunkArchive, error) {
 	return store.OpenChunkArchiveAt(r, opts...)
-}
-
-// OpenArchiveBackend indexes a chunked archive stored on any Backend — the
-// full storage seam: reads go through the backend's ReadAt, Scrub repairs
-// go through its WriteAt (read-only backends report damage unrepaired),
-// and the caller closes the backend after the archive. Backends compose:
-// a faultio decorator over a memory region serves exactly like a file.
-func OpenArchiveBackend(b Backend, opts ...ArchiveOption) (*ChunkArchive, error) {
-	return store.OpenArchiveBackend(b, opts...)
 }
 
 // OpenFileBackend opens a file as an archive Backend; writable selects the
@@ -141,17 +138,13 @@ func OpenFileBackend(path string, writable bool) (Backend, error) {
 	return store.OpenFileBackend(path, writable)
 }
 
-// NewMemBackend returns an in-memory Backend holding a copy of data — the
-// RAM-resident archive form.
-func NewMemBackend(data []byte) Backend { return store.NewMemBackend(data) }
-
 // NewSnapshotBackend wraps data as a sealed read-only Backend; the caller
 // must not mutate data afterwards.
 func NewSnapshotBackend(data []byte) Backend { return store.NewSnapshotBackend(data) }
 
-// WithArchivePolicy attaches a FaultPolicy to the archive: every read that
-// does not carry a per-call policy on its context retries and backs off as
-// the policy dictates.
+// WithArchivePolicy attaches a FaultPolicy to an archive you open yourself:
+// the index scan, every read and every scrub retry and back off as the
+// policy dictates. A Catalog sets the policy of the archives it opens.
 func WithArchivePolicy(p FaultPolicy) ArchiveOption { return store.WithFaultPolicy(p) }
 
 // WithMirror attaches a second reader holding an identical copy of the
@@ -208,10 +201,6 @@ func WithPrefetch(depth int) ServeOption { return serve.WithPrefetch(depth) }
 // included; d <= 0 selects the 30s default.
 func WithRequestTimeout(d time.Duration) ServeOption { return serve.WithRequestTimeout(d) }
 
-// WithDrainTimeout bounds connection draining during server shutdown;
-// d <= 0 selects the 10s default.
-func WithDrainTimeout(d time.Duration) ServeOption { return serve.WithDrainTimeout(d) }
-
 // WithServeWorkers bounds the server's frame-decode parallelism per cold
 // chunk; n <= 0 selects GOMAXPROCS.
 func WithServeWorkers(n int) ServeOption { return serve.WithWorkers(n) }
@@ -221,9 +210,9 @@ func WithServeWorkers(n int) ServeOption { return serve.WithWorkers(n) }
 // aggregator.
 func WithServeObserver(o Observer) ServeOption { return serve.WithObserver(o) }
 
-// WithFaultPolicy sets the fault policy the server reads chunks under:
-// retry count and backoff, checksum verification, and the circuit
-// breaker's threshold and cooldown.
+// WithFaultPolicy sets the catalog-wide fault policy — retry count and
+// backoff of chunk reads, the circuit breaker's threshold and cooldown —
+// for every archive without an ArchiveSpec.FaultPolicy of its own.
 func WithFaultPolicy(p FaultPolicy) ServeOption { return serve.WithFaultPolicy(p) }
 
 // AppendArchive reopens an existing chunked archive for appending more
@@ -257,8 +246,7 @@ func (p *Pipeline) chunkConfig(sys *store.System) chunk.Config {
 // a Result is); for end-to-end bounded memory use StreamToArchive, which
 // writes chunks out as they complete.
 func (p *Pipeline) ProcessStream(ctx context.Context, src ChunkSource) (*Result, error) {
-	o := p.observer()
-	ctx = obs.With(ctx, o)
+	ctx = obs.With(ctx, p.Observer)
 	sys, err := p.system()
 	if err != nil {
 		return nil, err
@@ -295,7 +283,7 @@ func (p *Pipeline) ProcessStream(ctx context.Context, src ChunkSource) (*Result,
 	// exp-Golomb coded, so global-index headers can be larger than the sum
 	// of chunk-local ones, and batch identity requires the global form.
 	stats := sys.StatsFromCosts(costs, v.HeaderBits()+core.PivotOverheadBits(parts), pixels)
-	store.PublishFootprint(o, stats)
+	store.PublishFootprint(obs.From(ctx), stats)
 	an := &core.Analysis{Video: v, Importance: imp, CompImportance: comp}
 	return &Result{
 		Video: v, Analysis: an, Partitions: parts, Stats: stats,
@@ -313,8 +301,7 @@ func (p *Pipeline) ProcessStream(ctx context.Context, src ChunkSource) (*Result,
 // archive layout and the aggregate storage footprint (header bits
 // accounted in the archive's chunk-local form).
 func (p *Pipeline) StreamToArchive(ctx context.Context, src ChunkSource, w io.Writer) (ArchiveMeta, StorageStats, error) {
-	o := p.observer()
-	ctx = obs.With(ctx, o)
+	ctx = obs.With(ctx, p.Observer)
 	sys, err := p.system()
 	if err != nil {
 		return ArchiveMeta{}, StorageStats{}, err
@@ -350,7 +337,7 @@ func (p *Pipeline) StreamToArchive(ctx context.Context, src ChunkSource, w io.Wr
 		return ArchiveMeta{}, StorageStats{}, err
 	}
 	stats := sys.StatsFromCosts(costs, headerBits, pixels)
-	store.PublishFootprint(o, stats)
+	store.PublishFootprint(obs.From(ctx), stats)
 	return meta, stats, nil
 }
 
@@ -368,7 +355,7 @@ func (p *Pipeline) RoundTripChunk(ctx context.Context, v *Video, parts []FramePa
 	if err != nil {
 		return nil, 0, err
 	}
-	ctx = obs.With(ctx, p.observer())
+	ctx = obs.With(ctx, p.Observer)
 	stored, flips, err := sys.StoreContext(ctx, v, parts, store.StoreOpts{
 		Seed: seed, FrameOffset: firstFrame, Workers: p.Workers,
 	})

@@ -106,25 +106,24 @@ type (
 	QualityReport = quality.Report
 	// CipherMode is an AES mode of operation.
 	CipherMode = cryptomode.Mode
-	// Archive is the at-rest form of an approximately stored video: a
-	// precise region (headers + pivot tables) and per-scheme approximate
-	// streams.
-	Archive = store.Archive
 	// EntropyCoder selects the entropy coder (CABAC or CAVLC).
 	EntropyCoder = codec.EntropyKind
 	// Observer receives pipeline instrumentation events (stage spans,
 	// per-frame progress, counters and gauges); see the internal/obs
 	// package documentation for the event vocabulary.
 	Observer = obs.Observer
-	// Metrics is the thread-safe aggregating Observer; attach one with
-	// WithMetrics and read it with Result.Metrics or Metrics.Snapshot.
+	// Metrics is the thread-safe aggregating Observer: attach one like any
+	// other observer (WithObserver, ContextWithObserver), keep the pointer
+	// and read it with Metrics.Snapshot. Its counters reconcile with the
+	// Result: footprint_payload_bits per scheme equals Stats.PerScheme,
+	// footprint_header_bits equals Stats.HeaderBits, and the
+	// store_residual_flips total since the last Metrics.Reset equals the sum
+	// of the flip counts returned by the round trips run in that window.
 	Metrics = obs.Metrics
 	// MetricsSnapshot is a consistent point-in-time copy of a Metrics.
 	MetricsSnapshot = obs.Snapshot
 	// Trace is the streaming JSON-lines trace Observer.
 	Trace = obs.Trace
-	// StoreOpts configures one store.System.StoreContext round trip.
-	StoreOpts = store.StoreOpts
 )
 
 // NewMetrics returns an empty metrics aggregator.
@@ -141,15 +140,11 @@ func MultiObserver(observers ...Observer) Observer { return obs.Multi(observers.
 // this package (EncodeContext, DecodeContext, AnalyzeContext,
 // MeasureContext, and the pipeline stages they back) reports its stage
 // span, per-frame progress and counters to the observer attached to the
-// context it runs under. Pipelines attach their own configured observer
-// (WithObserver/WithMetrics), which takes precedence for pipeline calls.
+// context it runs under, and so does every Pipeline call (spans, counters
+// and footprint gauges alike). A pipeline configured with WithObserver
+// reports to that observer instead.
 func ContextWithObserver(ctx context.Context, o Observer) context.Context {
 	return obs.With(ctx, o)
-}
-
-// BuildArchive splits an analyzed video into its at-rest archive form.
-func BuildArchive(v *Video, parts []FramePartition) (*Archive, error) {
-	return store.BuildArchive(v, parts)
 }
 
 // Entropy coder selections.
@@ -268,9 +263,9 @@ func PresetNames() []string {
 //
 // The preferred way to configure a pipeline is the functional options of
 // NewPipeline (WithParams, WithAssignment, WithSubstrate, WithWorkers,
-// WithBlockAccurate, WithSeed, WithEntropyCoder, WithObserver,
-// WithMetrics). The struct fields remain exported and writable for
-// compatibility; mutate them only before the first Process call.
+// WithBlockAccurate, WithChunkGOPs, WithObserver). The struct fields
+// remain exported and writable for compatibility; mutate them only before
+// the first Process call.
 type Pipeline struct {
 	// Params configures the encoder (default: DefaultParams).
 	Params Params
@@ -286,20 +281,15 @@ type Pipeline struct {
 	// per-scheme residual rates (Table 1) to explicit per-512-bit-block
 	// binomial error simulation with BCH correction accounting.
 	BlockAccurate bool
-	// Seed is the default storage round-trip seed used by Result.RoundTrip
-	// (Result.StoreRoundTrip takes an explicit seed and ignores it).
-	Seed int64
 	// Observer receives instrumentation from every pipeline stage. nil
-	// (the default) publishes nothing; observers never perturb results.
+	// (the default) leaves the observer of the call's context in charge
+	// (ContextWithObserver; none publishes nothing); observers never
+	// perturb results.
 	Observer Observer
 	// ChunkGOPs is the streaming chunk granularity in closed GOPs used by
 	// ProcessStream and StreamToArchive; <= 0 (the default) selects 1.
 	// Results are bit-identical at every granularity.
 	ChunkGOPs int
-
-	// metrics is the aggregator installed by WithMetrics, kept separate
-	// from Observer so Result.Metrics can snapshot it.
-	metrics *obs.Metrics
 }
 
 // Option configures a Pipeline at construction time.
@@ -324,42 +314,27 @@ func WithWorkers(n int) Option { return func(pl *Pipeline) { pl.Workers = n } }
 // round trips.
 func WithBlockAccurate(on bool) Option { return func(pl *Pipeline) { pl.BlockAccurate = on } }
 
-// WithSeed sets the default storage round-trip seed used by
-// Result.RoundTrip.
-func WithSeed(seed int64) Option { return func(pl *Pipeline) { pl.Seed = seed } }
-
-// WithEntropyCoder selects the entropy coder (CABAC or CAVLC), overriding
-// Params.Entropy of the configuration in effect when the option is applied;
-// order it after WithParams.
-func WithEntropyCoder(k EntropyCoder) Option { return func(pl *Pipeline) { pl.Params.Entropy = k } }
-
 // WithChunkGOPs sets the streaming chunk granularity in closed GOPs
 // (ProcessStream, StreamToArchive); n <= 0 selects 1. Larger chunks
 // amortize per-chunk overhead at the cost of higher peak memory and coarser
 // archive random-access units; results are identical at every granularity.
 func WithChunkGOPs(n int) Option { return func(pl *Pipeline) { pl.ChunkGOPs = n } }
 
-// WithObserver attaches an observer to every pipeline stage. Combine
-// several with MultiObserver; a Metrics attached via WithMetrics is fanned
-// in automatically.
+// WithObserver attaches an observer to every pipeline stage, in place of
+// the one the call's context carries. Combine several — a Metrics and a
+// Trace, say — with MultiObserver.
 func WithObserver(o Observer) Option { return func(pl *Pipeline) { pl.Observer = o } }
-
-// WithMetrics installs m as the pipeline's metrics aggregator: every stage
-// reports to it (alongside any WithObserver observer) and Result.Metrics
-// snapshots it.
-func WithMetrics(m *Metrics) Option { return func(pl *Pipeline) { pl.metrics = m } }
 
 // NewPipeline returns a pipeline with the paper's defaults, then applies
 // the options in order.
 //
-// Every videoapp CLI flag maps 1:1 onto the options surface:
+// Every videoapp CLI flag maps 1:1 onto the library surface:
 //
-//	-crf -gop -bframes -slices -halfpel -deblock   WithParams
-//	-entropy cabac|cavlc                           WithParams (WithEntropyCoder sets that one field)
-//	-seed                                          WithSeed
-//	-workers                                       WithWorkers
-//	-metrics                                       WithMetrics
-//	-trace-out                                     WithObserver(NewTrace(w))
+//	-crf -gop -bframes -slices -halfpel -deblock -entropy   WithParams
+//	-workers                                                WithWorkers
+//	-chunk-gops                                             WithChunkGOPs
+//	-seed                      the seed argument of StoreRoundTripContext / RoundTripChunk
+//	-metrics, -trace-out       ContextWithObserver(ctx, MultiObserver(NewMetrics(), NewTrace(w)))
 func NewPipeline(opts ...Option) *Pipeline {
 	p := &Pipeline{
 		Params:     codec.DefaultParams(),
@@ -370,16 +345,6 @@ func NewPipeline(opts ...Option) *Pipeline {
 		o(p)
 	}
 	return p
-}
-
-// observer returns the pipeline's effective observer: the configured
-// Observer fanned out with the WithMetrics aggregator, or the no-op default
-// when neither is set.
-func (p *Pipeline) observer() Observer {
-	if p.metrics != nil {
-		return obs.Multi(p.Observer, p.metrics)
-	}
-	return obs.Multi(p.Observer)
 }
 
 // system builds the configured approximate storage system.
@@ -415,8 +380,9 @@ func (p *Pipeline) Process(seq *Sequence) (*Result, error) {
 // cancelled. The result is identical to Process at every worker count, with
 // or without an observer attached.
 func (p *Pipeline) ProcessContext(ctx context.Context, seq *Sequence) (*Result, error) {
-	o := p.observer()
-	ctx = obs.With(ctx, o)
+	// The effective observer rides the context from here on: the pipeline's
+	// own when one is configured, else whatever the caller attached.
+	ctx = obs.With(ctx, p.Observer)
 	v, err := EncodeContext(ctx, seq, p.Params, p.Workers)
 	if err != nil {
 		return nil, err
@@ -428,7 +394,7 @@ func (p *Pipeline) ProcessContext(ctx context.Context, seq *Sequence) (*Result, 
 	if err := an.CheckMonotone(); err != nil {
 		return nil, err
 	}
-	sp := obs.StartSpan(o, obs.StagePartition)
+	sp := obs.StartSpan(obs.From(ctx), obs.StagePartition)
 	parts := an.Partition(p.Assignment)
 	sp.End()
 	// The storage system is validated and built once here; Result reuses it
@@ -471,7 +437,7 @@ func (r *Result) StoreRoundTripContext(ctx context.Context, seed int64) (*Sequen
 	}
 	// The observer rides the context: StoreContext and DecodeContext pick
 	// it up from there, so events publish exactly once.
-	ctx = obs.With(ctx, r.pipeline.observer())
+	ctx = obs.With(ctx, r.pipeline.Observer)
 	stored, flips, err := sys.StoreContext(ctx, r.Video, r.Partitions, store.StoreOpts{
 		Seed: seed, Workers: r.pipeline.Workers,
 	})
@@ -480,23 +446,4 @@ func (r *Result) StoreRoundTripContext(ctx context.Context, seed int64) (*Sequen
 	}
 	seq, err := codec.DecodeContext(ctx, stored, codec.DecodeOptions{}, r.pipeline.Workers)
 	return seq, flips, err
-}
-
-// RoundTrip is StoreRoundTripContext with the pipeline's configured default
-// seed (WithSeed).
-func (r *Result) RoundTrip(ctx context.Context) (*Sequence, int, error) {
-	return r.StoreRoundTripContext(ctx, r.pipeline.Seed)
-}
-
-// Metrics returns a snapshot of the aggregator installed with WithMetrics,
-// or a zero snapshot when none is. The counters reconcile with the Result:
-// footprint_payload_bits per scheme equals Stats.PerScheme,
-// footprint_header_bits equals Stats.HeaderBits, and the
-// store_residual_flips total since the last Metrics.Reset equals the sum of
-// the flip counts returned by the round trips run in that window.
-func (r *Result) Metrics() MetricsSnapshot {
-	if r.pipeline == nil || r.pipeline.metrics == nil {
-		return MetricsSnapshot{}
-	}
-	return r.pipeline.metrics.Snapshot()
 }

@@ -132,28 +132,3 @@ func TestFacadeParallelEncode(t *testing.T) {
 		}
 	}
 }
-
-func TestFacadeArchive(t *testing.T) {
-	seq, _ := GenerateTestVideo("news_like", 64, 48, 6)
-	p := NewPipeline()
-	p.Params.GOPSize = 6
-	p.Params.SearchRange = 8
-	res, err := p.Process(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ar, err := BuildArchive(res.Video, res.Partitions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, parts, err := ar.Restore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parts) != len(res.Partitions) {
-		t.Fatal("partitions lost")
-	}
-	if restored.TotalPayloadBits() != res.Video.TotalPayloadBits() {
-		t.Fatal("payload size changed")
-	}
-}
