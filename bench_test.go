@@ -199,3 +199,41 @@ func BenchmarkPipeline(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPipelineRoundTrip measures the §6.4 Monte-Carlo trip through the
+// public API on one already-processed video at the performance ledger's
+// geometry: inject, decode, PSNR against the source, serially. "paper" is
+// the Table 1 assignment, whose trips come back nearly flip-free (the case
+// the decoder's syntax replay serves); "none" stores every payload bit
+// uncorrected, so nearly every frame is damaged and parsed from its bits.
+func BenchmarkPipelineRoundTrip(b *testing.B) {
+	seq, err := GenerateTestVideo("crew_like", 320, 176, 30)
+	if err != nil {
+		b.Fatal(err)
+	}
+	params := DefaultParams()
+	params.GOPSize = 15
+	for _, bc := range []struct {
+		name   string
+		assign ClassAssignment
+	}{{"paper", PaperAssignment()}, {"none", allNoneAssignment()}} {
+		b.Run(bc.name, func(b *testing.B) {
+			res, err := NewPipeline(WithParams(params), WithAssignment(bc.assign), WithWorkers(1)).Process(seq)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dec, _, err := res.StoreRoundTrip(int64(i))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := PSNR(seq, dec); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N*len(seq.Frames))/b.Elapsed().Seconds(), "frames/s")
+		})
+	}
+}

@@ -272,7 +272,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 	}
 	if n != 12345 || g.Type != FrameB || g.CodedIdx != 17 || g.DisplayIdx != 15 ||
 		g.BaseQP != 26 || g.RefFwd != 12 || g.RefBwd != -1 {
-		t.Fatalf("header round trip: %+v payload %d", g, n)
+		t.Fatalf("header round trip: %+v payload %d", &g, n)
 	}
 }
 

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"bytes"
 	"fmt"
 
 	"videoapp/internal/entropy"
@@ -108,13 +109,19 @@ type frameDecoder struct {
 	record bool
 
 	// State of the frame being decoded.
-	ef       *EncodedFrame
-	rec      *frame.Frame
-	sr       entropy.SymbolReader
-	sliceTop int
-	recs     []MBRecord
-	curRec   *MBRecord
-	bitBase  int64
+	ef         *EncodedFrame
+	rec        *frame.Frame
+	refF, refB *frame.Frame // the header's references, nil when unresolved
+	sr         entropy.SymbolReader
+	sliceTop   int
+	recs       []MBRecord
+	curRec     *MBRecord
+	bitBase    int64
+	// A frame that shares its syntax (ShareSyntax) is either replaying —
+	// its macroblocks come from the record under replay, not from the
+	// payload — or recording what the parse stage reads into parsed.
+	replaying, recording bool
+	replay               syntaxReader
 
 	// Scratch reused across macroblocks and frames.
 	cabac   entropy.CABACReader
@@ -123,7 +130,8 @@ type frameDecoder struct {
 	mvRep   []predict.MV
 	mvAvail []bool
 	pred    mbPred
-	res     mbResidual
+	syn     mbSyntax
+	parsed  []byte
 }
 
 // newFrameDecoder returns a decoder of v's frames that resolves header
@@ -142,13 +150,35 @@ func newFrameDecoder(v *Video, recRefs []*frame.Frame, opts DecodeOptions) *fram
 func (fd *frameDecoder) decode(idx int) *frame.Frame {
 	fd.ef = fd.video.Frames[idx]
 	fd.rec = frame.MustNewPooled(fd.video.W, fd.video.H)
+	fd.refF, fd.refB = fd.refFrame(fd.ef.RefFwd), fd.refFrame(fd.ef.RefBwd)
 	fd.recs, fd.curRec = nil, nil
 	// Macroblocks a corrupt slice table never reaches must read as zero,
 	// exactly as in a freshly allocated map.
 	clear(fd.qps)
 	clear(fd.mvRep)
 	clear(fd.mvAvail)
+	// A frame that shares its syntax with another (ShareSyntax) replays the
+	// parse on record there when it was made of these bytes under these
+	// conditions, and otherwise leaves its own. Recording mode needs the bit
+	// positions only the entropy reader knows, so it always parses.
+	fd.replaying, fd.recording = false, false
+	home := fd.ef.sameAs
+	var key syntaxKey
+	if home != nil && !fd.record {
+		key = fd.syntaxKeyOf()
+		if m := home.syntax.Load(); m != nil && m.key == key {
+			fd.replaying, fd.replay = true, syntaxReader{data: m.data}
+		} else {
+			fd.recording, fd.parsed = true, fd.parsed[:0]
+		}
+	}
 	fd.run()
+	switch {
+	case fd.recording:
+		home.syntax.Store(&frameSyntax{key: key, data: bytes.Clone(fd.parsed)})
+	case fd.replaying && fd.opts.Observer != nil:
+		fd.opts.Observer.Counter(obs.CtrFramesReplayed, fd.ef.Type.String(), 1)
+	}
 	return fd.rec
 }
 
@@ -195,32 +225,41 @@ func (fd *frameDecoder) run() {
 			byteEnd = clampRange(byteStarts[s+1], byteStart, len(fd.ef.Payload))
 		}
 		// Fresh entropy context per slice over its own payload span.
-		fd.resetReader(fd.ef.Payload[byteStart:byteEnd])
+		if !fd.replaying {
+			fd.resetReader(fd.ef.Payload[byteStart:byteEnd])
+		}
 		fd.sliceTop = topMB / mbCols
 		fd.bitBase = int64(byteStart) * 8
 		sliceRecStart := len(fd.recs)
 		concealed := false
 		for m := topMB; m < endMB; m++ {
-			if fd.opts.ConcealOnDesync && (concealed || fd.sr.Desynced()) {
-				concealed = true
-				fd.concealMB(m%mbCols, m/mbCols)
-				if fd.record {
-					fd.recs = append(fd.recs, MBRecord{MB: frame.MB{X: m % mbCols, Y: m / mbCols}, BitStart: fd.bitBase + fd.sr.BitPos()})
-					fd.curRec = &fd.recs[len(fd.recs)-1]
-				}
+			mx, my := m%mbCols, m/mbCols
+			if fd.replaying {
+				fd.replay.readMB(&fd.syn)
+				fd.reconstruct(mx, my, &fd.syn)
 				continue
 			}
+			if fd.opts.ConcealOnDesync && (concealed || fd.sr.Desynced()) {
+				concealed = true
+			}
 			if fd.record {
-				fd.recs = append(fd.recs, MBRecord{MB: frame.MB{X: m % mbCols, Y: m / mbCols}})
+				fd.recs = append(fd.recs, MBRecord{MB: frame.MB{X: mx, Y: my}, BitStart: fd.bitBase + fd.sr.BitPos()})
 				fd.curRec = &fd.recs[len(fd.recs)-1]
-				fd.curRec.BitStart = fd.bitBase + fd.sr.BitPos()
-				if m == topMB {
+				if m == topMB && !concealed {
 					// The arithmetic decoder's prefetch belongs to the
 					// slice's first macroblock.
 					fd.curRec.BitStart = fd.bitBase
 				}
 			}
-			fd.decodeMB(m%mbCols, m/mbCols)
+			if concealed {
+				fd.syn.setType(mbConcealed)
+			} else {
+				fd.parseMB(mx, my, &fd.syn)
+			}
+			if fd.recording {
+				fd.parsed = appendMB(fd.parsed, &fd.syn)
+			}
+			fd.reconstruct(mx, my, &fd.syn)
 		}
 		if fd.record {
 			// Bit lengths from consecutive starts; the slice's last MB
@@ -237,7 +276,21 @@ func (fd *frameDecoder) run() {
 				fd.recs[i].BitLen = end - fd.recs[i].BitStart
 			}
 		}
-		if fd.opts.Observer != nil && fd.sr.Desynced() {
+		// Whether the slice's reader ended desynced closes its record.
+		var desynced bool
+		if fd.replaying {
+			desynced = fd.replay.u8() != 0
+		} else {
+			desynced = fd.sr.Desynced()
+		}
+		if fd.recording {
+			var b byte
+			if desynced {
+				b = 1
+			}
+			fd.parsed = append(fd.parsed, b)
+		}
+		if fd.opts.Observer != nil && desynced {
 			fd.opts.Observer.Counter(obs.CtrResync, fd.video.Params.Entropy.String(), 1)
 		}
 	}
@@ -277,13 +330,15 @@ func clampRange(v, lo, hi int) int {
 	return v
 }
 
-func (fd *frameDecoder) decodeMB(mx, my int) {
+// parseMB is the parse stage: it reads macroblock (mx, my) from the entropy
+// stream into s — every value range-checked and clamped, so s is well-formed
+// whatever the bits were — and advances the vector-prediction state the next
+// macroblock's parse reads (the quantizer map is the reconstruct stage's: the
+// deblocking filter needs it on replay too). It touches no sample.
+func (fd *frameDecoder) parseMB(mx, my int, s *mbSyntax) {
 	mbCols := fd.rec.MBCols()
 	mbIdx := my*mbCols + mx
-	refF := fd.refFrame(fd.ef.RefFwd)
-	refB := fd.refFrame(fd.ef.RefBwd)
 	predMV := mvPrediction(fd.mvRep, fd.mvAvail, mx, my, mbCols, fd.sliceTop)
-	halfPel := fd.video.Params.HalfPel
 
 	mbType := mbIntra
 	if fd.ef.Type != FrameI {
@@ -291,48 +346,30 @@ func (fd *frameDecoder) decodeMB(mx, my int) {
 	}
 	// A frame without a forward reference cannot code inter MBs; corrupt
 	// types collapse to intra, keeping decode well-defined.
-	if mbType != mbIntra && refF == nil {
+	if mbType != mbIntra && fd.refF == nil {
 		mbType = mbIntra
 	}
+	s.setType(mbType)
+	s.res.nz = 0
 
-	var qp int
 	switch mbType {
 	case mbSkip:
 		// A skipped MB is its prediction from the median vector: no coded
 		// vector, no delta-QP, no residual.
-		qp = qpPrediction(fd.qps, mx, my, mbCols, fd.ef.BaseQP, fd.sliceTop)
-		fd.qps[mbIdx] = qp
-		m := mbMotion{rects: predict.PartitionRects(predict.Part16x16)}
-		m.mvF[0] = predMV
-		interPredict(&fd.pred, refF, refB, mx, my, &m, halfPel)
-		fd.res.nz = 0
-		reconstructMB(fd.rec, mx, my, &fd.pred, &fd.res, qp)
-		fd.recordMotionDeps(mx, my, &m)
-		fd.mvRep[mbIdx] = predMV
-		fd.mvAvail[mbIdx] = true
+		s.qp = qpPrediction(fd.qps, mx, my, mbCols, fd.ef.BaseQP, fd.sliceTop)
+		s.motion.mvF[0] = predMV
 	case mbIntra:
-		mode := predict.IntraMode(int(fd.sr.GetUVal(entropy.ClassIntraMode)) % predict.NumIntraModes)
-		qp = fd.decodeQP(mx, my, mbIdx)
-		hasAbove, hasLeft := my > fd.sliceTop, mx > 0
-		predict.IntraPredict16Avail(&fd.pred.y, fd.rec, mx, my, mode, hasAbove, hasLeft)
-		chromaIntraPredict(fd.pred.cb[:], fd.pred.cr[:], fd.rec, mx, my, hasAbove, hasLeft)
-		fd.decodeResidualAndReconstruct(mx, my, qp)
-		if fd.record && fd.curRec != nil {
-			fd.curRec.Intra = true
-			var buf [2]predict.WeightedRef
-			for _, wr := range predict.IntraFootprintAvail(buf[:0], mx, my, mode, hasAbove, hasLeft) {
-				fd.curRec.Deps = append(fd.curRec.Deps, CompDep{SrcFrame: fd.ef.CodedIdx, SrcMB: wr.MB, Pixels: wr.Pixels})
-			}
-		}
-		fd.mvAvail[mbIdx] = false
+		s.mode = predict.IntraMode(int(fd.sr.GetUVal(entropy.ClassIntraMode)) % predict.NumIntraModes)
+		s.qp = fd.parseQP(mx, my)
+		fd.parseResidual(&s.res)
 	default:
-		m := mbMotion{rects: predict.PartitionRects(mbTypeToShape(mbType))}
+		m := &s.motion
 		prevMV := predMV
 		for i := range m.rects {
 			dir := dirFwd
 			if fd.ef.Type == FrameB {
 				dir = int(fd.sr.GetUVal(entropy.ClassRefIdx)) % 3
-				if refB == nil && dir != dirFwd {
+				if fd.refB == nil && dir != dirFwd {
 					dir = dirFwd
 				}
 			}
@@ -354,25 +391,46 @@ func (fd *frameDecoder) decodeMB(mx, my int) {
 				prevMV = m.mvF[i]
 			}
 		}
-		qp = fd.decodeQP(mx, my, mbIdx)
-		interPredict(&fd.pred, refF, refB, mx, my, &m, halfPel)
-		fd.recordMotionDeps(mx, my, &m)
-		fd.decodeResidualAndReconstruct(mx, my, qp)
-		fd.mvRep[mbIdx] = m.first()
-		fd.mvAvail[mbIdx] = true
+		s.qp = fd.parseQP(mx, my)
+		fd.parseResidual(&s.res)
 	}
-	if fd.record && fd.curRec != nil {
-		fd.curRec.QP = qp
+	fd.mvAvail[mbIdx] = mbType != mbIntra
+	if mbType != mbIntra {
+		fd.mvRep[mbIdx] = s.motion.first()
 	}
 }
 
-// recordMotionDeps records an inter macroblock's compensation dependencies
-// while in recording mode.
-func (fd *frameDecoder) recordMotionDeps(mx, my int, m *mbMotion) {
-	if !fd.record || fd.curRec == nil {
+// reconstruct is the reconstruct stage: it writes macroblock (mx, my) of the
+// frame from s — prediction, then prediction plus residual — whether s was
+// just parsed or read back from a record, and notes the quantizer for the
+// next macroblock's prediction and the deblocking filter.
+func (fd *frameDecoder) reconstruct(mx, my int, s *mbSyntax) {
+	switch s.mbType {
+	case mbConcealed:
+		fd.concealMB(mx, my)
 		return
+	case mbIntra:
+		hasAbove, hasLeft := my > fd.sliceTop, mx > 0
+		predict.IntraPredict16Avail(&fd.pred.y, fd.rec, mx, my, s.mode, hasAbove, hasLeft)
+		chromaIntraPredict(fd.pred.cb[:], fd.pred.cr[:], fd.rec, mx, my, hasAbove, hasLeft)
+		if fd.record && fd.curRec != nil {
+			fd.curRec.Intra = true
+			var buf [2]predict.WeightedRef
+			for _, wr := range predict.IntraFootprintAvail(buf[:0], mx, my, s.mode, hasAbove, hasLeft) {
+				fd.curRec.Deps = append(fd.curRec.Deps, CompDep{SrcFrame: fd.ef.CodedIdx, SrcMB: wr.MB, Pixels: wr.Pixels})
+			}
+		}
+	default:
+		interPredict(&fd.pred, fd.refF, fd.refB, mx, my, &s.motion, fd.video.Params.HalfPel)
+		if fd.record && fd.curRec != nil {
+			fd.curRec.Deps = appendMotionDeps(fd.curRec.Deps, fd.ef, fd.rec.W, fd.rec.H, mx, my, &s.motion, fd.video.Params.HalfPel)
+		}
 	}
-	fd.curRec.Deps = appendMotionDeps(fd.curRec.Deps, fd.ef, fd.rec.W, fd.rec.H, mx, my, m, fd.video.Params.HalfPel)
+	fd.qps[my*fd.rec.MBCols()+mx] = s.qp
+	reconstructMB(fd.rec, mx, my, &fd.pred, &s.res, s.qp)
+	if fd.record && fd.curRec != nil {
+		fd.curRec.QP = s.qp
+	}
 }
 
 func (fd *frameDecoder) readMVD() predict.MV {
@@ -391,7 +449,9 @@ func clamp16(v int32) int16 {
 	return int16(v)
 }
 
-func (fd *frameDecoder) decodeQP(mx, my, mbIdx int) int {
+// parseQP reads the macroblock's delta-QP and returns the quantizer it
+// selects against the median prediction.
+func (fd *frameDecoder) parseQP(mx, my int) int {
 	dqp := int(fd.sr.GetSVal(entropy.ClassDQP))
 	if dqp > transform.MaxQP {
 		dqp = transform.MaxQP
@@ -400,24 +460,19 @@ func (fd *frameDecoder) decodeQP(mx, my, mbIdx int) int {
 		dqp = -transform.MaxQP
 	}
 	pred := qpPrediction(fd.qps, mx, my, fd.rec.MBCols(), fd.ef.BaseQP, fd.sliceTop)
-	qp := transform.ClampQP(pred + dqp)
-	fd.qps[mbIdx] = qp
-	return qp
+	return transform.ClampQP(pred + dqp)
 }
 
-// decodeResidualAndReconstruct reads the macroblock's coded-block flag and,
-// when set, its 24 residual blocks, then reconstructs fd.pred plus that
-// residual into the frame.
-func (fd *frameDecoder) decodeResidualAndReconstruct(mx, my, qp int) {
-	fd.res.nz = 0
+// parseResidual reads the macroblock's coded-block flag and, when set, its
+// 24 residual blocks.
+func (fd *frameDecoder) parseResidual(res *mbResidual) {
 	if fd.sr.GetFlag(entropy.ClassCBP) {
-		for b := range fd.res.blocks {
-			if readResidualBlock(fd.sr, &fd.res.blocks[b]) {
-				fd.res.nz |= 1 << uint(b)
+		for b := range res.blocks {
+			if readResidualBlock(fd.sr, &res.blocks[b]) {
+				res.nz |= 1 << uint(b)
 			}
 		}
 	}
-	reconstructMB(fd.rec, mx, my, &fd.pred, &fd.res, qp)
 }
 
 // concealMB fills a macroblock by copying the co-located content from the
@@ -427,7 +482,7 @@ func (fd *frameDecoder) concealMB(mx, my int) {
 	w, cw := fd.rec.W, fd.rec.W/2
 	luma := fd.rec.Y[my*frame.MBSize*w+mx*frame.MBSize:]
 	co := my*8*cw + mx*8
-	refF := fd.refFrame(fd.ef.RefFwd)
+	refF := fd.refF
 	if refF == nil {
 		fillRows(luma, w, 16, 16, 128)
 		fillRows(fd.rec.Cb[co:], cw, 8, 8, 128)

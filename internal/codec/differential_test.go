@@ -156,6 +156,7 @@ func FuzzDecodeVsReference(f *testing.F) {
 			t.Fatal(err)
 		}
 		comparePlanes(t, "fuzzed stream", got, want)
+		checkReplayEqualsParse(t, "fuzzed stream", c, opts)
 	})
 }
 

@@ -16,15 +16,27 @@ import (
 // coded video together with the per-macroblock records consumed by the
 // VideoApp dependency analysis.
 func Encode(seq *frame.Sequence, p Params) (*Video, error) {
+	v, rec, err := encodeRecs(seq, p)
+	// Reconstructed frames never leave Encode; recycle their planes.
+	for _, r := range rec {
+		frame.Recycle(r)
+	}
+	return v, err
+}
+
+// encodeRecs is Encode that also returns the encoder's reconstructions in
+// coded order — what a decoder of the stream must reproduce sample for
+// sample. The caller owns them.
+func encodeRecs(seq *frame.Sequence, p Params) (*Video, []*frame.Frame, error) {
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(seq.Frames) == 0 {
-		return nil, fmt.Errorf("codec: empty sequence")
+		return nil, nil, fmt.Errorf("codec: empty sequence")
 	}
 	w, h := seq.W(), seq.H()
 	if w%frame.MBSize != 0 || h%frame.MBSize != 0 {
-		return nil, errFrameGeometry(w, h)
+		return nil, nil, errFrameGeometry(w, h)
 	}
 	v := &Video{Params: p, W: w, H: h, FPS: seq.FPS}
 	order := codedOrder(len(seq.Frames), p)
@@ -54,11 +66,7 @@ func Encode(seq *frame.Sequence, p Params) (*Video, error) {
 		displayToCoded[disp.display] = codedIdx
 		v.Frames = append(v.Frames, ef)
 	}
-	// Reconstructed frames never leave Encode; recycle their planes.
-	for _, r := range rec {
-		frame.Recycle(r)
-	}
-	return v, nil
+	return v, rec, nil
 }
 
 type codedEntry struct{ display int }
@@ -360,15 +368,21 @@ func (fe *frameEncoder) searchInter(mx, my int, predMV predict.MV, refF, refB *f
 				if costB < cost {
 					dir, mv0, mv1, cost = dirBwd, mvb, predict.MV{}, costB
 				}
-				// Bi-prediction: average of both best vectors. The SAD
-				// terminates early once it cannot beat cost-8; the strict
-				// comparison rejects partial sums exactly as it would the
-				// full SAD.
-				bi := fe.biBuf[:r.W*r.H]
-				compensateBi(bi, r.W, refF, refB, px+r.X, py+r.Y, r.W, r.H, mvf, mvb, fe.params.HalfPel)
-				biSAD := predict.SADAgainstLimit(fe.orig, px+r.X, py+r.Y, r.W, r.H, bi, cost-8)
-				if biCost := biSAD + 8; biCost < cost {
-					dir, mv0, mv1, cost = dirBi, mvf, mvb, biCost
+				// Bi-prediction: average of both best vectors — when the
+				// stream can say so. The backward vector is coded as its
+				// difference from the forward one and the decoder saturates
+				// coded differences to ±MaxMV; two searches of range above
+				// MaxMV/2 can end further apart, and such a pair is not a
+				// candidate. The SAD terminates early once it cannot beat
+				// cost-8; the strict comparison rejects partial sums
+				// exactly as it would the full SAD.
+				if d := mvb.Sub(mvf); predict.ClampMV(d) == d {
+					bi := fe.biBuf[:r.W*r.H]
+					compensateBi(bi, r.W, refF, refB, px+r.X, py+r.Y, r.W, r.H, mvf, mvb, fe.params.HalfPel)
+					biSAD := predict.SADAgainstLimit(fe.orig, px+r.X, py+r.Y, r.W, r.H, bi, cost-8)
+					if biCost := biSAD + 8; biCost < cost {
+						dir, mv0, mv1, cost = dirBi, mvf, mvb, biCost
+					}
 				}
 			}
 			cand.dirs[i] = dir

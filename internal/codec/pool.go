@@ -57,7 +57,14 @@ func (v *Video) cloneInto(a *cloneArena) *Video {
 	var pOff, mOff, iOff int
 	for i, f := range v.Frames {
 		g := &a.frames[i]
-		*g = *f
+		// Field by field: the copy must start without f's recorded syntax
+		// (its bytes are about to change), and a recycled slot must drop its
+		// own — atomically, since a frame that shared the slot's previous
+		// tenant may still look at it.
+		g.Type, g.CodedIdx, g.DisplayIdx, g.BaseQP = f.Type, f.CodedIdx, f.DisplayIdx, f.BaseQP
+		g.RefFwd, g.RefBwd = f.RefFwd, f.RefBwd
+		g.syntax.Store(nil)
+		g.sameAs = nil
 		g.Payload = a.payload[pOff : pOff+len(f.Payload) : pOff+len(f.Payload)]
 		copy(g.Payload, f.Payload)
 		pOff += len(f.Payload)

@@ -60,7 +60,7 @@ func TestSliceHeaderRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(g.SliceMBStart) != 3 || g.SliceMBStart[1] != 12 || g.SliceByteStart[2] != 70 {
-		t.Fatalf("slice tables: %+v", g)
+		t.Fatalf("slice tables: %+v", &g)
 	}
 }
 

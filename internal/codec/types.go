@@ -15,6 +15,7 @@ package codec
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"videoapp/internal/frame"
 	"videoapp/internal/predict"
@@ -186,6 +187,14 @@ type EncodedFrame struct {
 	SliceMBStart []int
 	// SliceByteStart lists each slice's byte offset within Payload.
 	SliceByteStart []int
+
+	// syntax is the parse on record for this frame's bytes (syntax.go),
+	// left by the first decode of a frame that shares them. sameAs is set by
+	// ShareSyntax on such a copy and names the frame holding the record.
+	// Neither is copied, serialized or compared: Clone, ClonePooled,
+	// Unmarshal and the archive reader all produce frames without them.
+	syntax atomic.Pointer[frameSyntax]
+	sameAs *EncodedFrame
 }
 
 // SliceOfMB returns the index of the slice containing macroblock m.

@@ -55,6 +55,11 @@ const (
 	CtrEncodeFrames = "encode_frames"
 	// CtrDecodeFrames counts decoded frames, labelled by frame type.
 	CtrDecodeFrames = "decode_frames"
+	// CtrFramesReplayed counts the decoded frames, labelled by frame type,
+	// that skipped the entropy decoder: bit-identical copies of a frame
+	// already parsed once (codec.EncodedFrame.ShareSyntax), reconstructed
+	// from the parse on record. decode_frames counts them too.
+	CtrFramesReplayed = "codec_frames_replayed"
 	// CtrResync counts entropy-stream desync events — slices whose CABAC or
 	// CAVLC reader lost sync and rode garbage until the next resync point —
 	// labelled by the entropy coder name.

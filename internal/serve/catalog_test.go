@@ -354,6 +354,13 @@ func TestCatalogIdleClose(t *testing.T) {
 	if got := cat.Metrics().Snapshot().Counter(obs.CtrServeDecodes, "m"); got != 2 {
 		t.Fatalf("decodes = %d, want 2 (reopen must not serve the stale generation's cache)", got)
 	}
+	// Both were cold misses of the same chunk, each read from the archive
+	// afresh: the serve path parses every frame it decodes and never leaves
+	// or replays a parse record.
+	snap := cat.Metrics().Snapshot()
+	if frames, replays := snap.CounterTotal(obs.CtrDecodeFrames), snap.CounterTotal(obs.CtrFramesReplayed); frames == 0 || replays != 0 {
+		t.Fatalf("%d frames decoded over two cold misses, %d replayed; want > 0 and 0", frames, replays)
+	}
 }
 
 // TestCatalogAddRemove exercises runtime membership: name validation,

@@ -363,5 +363,6 @@ func (p *Pipeline) RoundTripChunk(ctx context.Context, v *Video, parts []FramePa
 		return nil, 0, err
 	}
 	seq, err := codec.DecodeContext(ctx, stored, codec.DecodeOptions{}, p.Workers)
+	stored.Release()
 	return seq, flips, err
 }

@@ -445,5 +445,8 @@ func (r *Result) StoreRoundTripContext(ctx context.Context, seed int64) (*Sequen
 		return nil, 0, err
 	}
 	seq, err := codec.DecodeContext(ctx, stored, codec.DecodeOptions{}, r.pipeline.Workers)
+	// The decoded frames do not alias the stored copy: hand its buffers to
+	// the next trip.
+	stored.Release()
 	return seq, flips, err
 }
