@@ -121,11 +121,11 @@ serve-smoke:
 chaos-smoke:
 	./scripts/chaos_smoke.sh
 
-# bench-smoke compiles and runs the kernel, pipeline and streaming benchmarks
-# exactly once — a regression gate for the perf harness itself, cheap enough
-# for check/CI.
+# bench-smoke compiles and runs the kernel, pipeline, streaming and cold-chunk
+# (internal/serve: parse vs replay) benchmarks exactly once — a regression
+# gate for the perf harness itself, cheap enough for check/CI.
 bench-smoke:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/predict ./internal/transform ./internal/store ./internal/codec ./internal/entropy ./internal/sim ./internal/bitio ./internal/core
+	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/predict ./internal/transform ./internal/store ./internal/codec ./internal/entropy ./internal/sim ./internal/bitio ./internal/core ./internal/serve
 	$(GO) test -run='^$$' -bench='BenchmarkParallel|BenchmarkPipeline|BenchmarkStream' -benchtime=1x .
 
 # bench-selftest vets and tests the performance ledger (bench/, the module

@@ -1,5 +1,6 @@
 // Package cache is a sharded, sized LRU cache with singleflight loading,
-// the building block of the serve layer's decoded-chunk cache. It has no
+// the building block of the serve layer's decoded-chunk cache (both of its
+// tiers: rendered chunks and parse records). It has no
 // dependencies beyond the standard library.
 //
 // The cache is keyed, generic, and bounded by total cost rather than entry
@@ -9,6 +10,12 @@
 // key — under a stampede of N readers for a cold key, the loader runs
 // exactly once and all N share its result — which is what keeps a hot chunk
 // from being decoded N times when N clients request it at once.
+//
+// A value may also grow after it was loaded — the serve layer's parse records
+// are filled by the decode that follows the lookup — and Recharge takes its
+// cost again when its owner says it has its final size. Either way room is
+// made before it is taken: the resident cost never exceeds the budget, not
+// even transiently in the lock-free Stats.
 //
 // # Sharding
 //
@@ -211,10 +218,10 @@ func (c *Cache[K, V]) Contains(key K) bool {
 	return ok
 }
 
-// addLocked inserts a freshly loaded value and evicts LRU entries of the
-// shard until its cost fits its budget, returning the entries that left. A
-// value whose own cost exceeds the shard budget is not retained (it would
-// only evict everything else and then miss anyway) and is itself returned.
+// addLocked inserts a freshly loaded value, first evicting LRU entries of the
+// shard until it fits the budget, and returns the entries that left. A value
+// whose own cost exceeds the shard budget is not retained (it would only
+// evict everything else and then miss anyway) and is itself returned.
 // key is never resident here: a flight only starts on a miss and is the
 // sole writer of its key until it lands.
 func (s *shard[K, V]) addLocked(key K, val V, cost int64) (gone []*entry[K, V]) {
@@ -222,10 +229,18 @@ func (s *shard[K, V]) addLocked(key K, val V, cost int64) (gone []*entry[K, V]) 
 	if cost > s.maxCost {
 		return append(gone, e)
 	}
+	gone = s.makeRoomLocked(cost, gone)
 	s.entries[key] = s.order.PushFront(e)
 	s.total.Add(cost)
 	s.count.Add(1)
-	for s.total.Load() > s.maxCost {
+	return gone
+}
+
+// makeRoomLocked evicts LRU entries, appending them to gone, until extra more
+// cost fits the shard's budget. Room is made before it is taken, so the
+// lock-free Stats never read a cost above the budget.
+func (s *shard[K, V]) makeRoomLocked(extra int64, gone []*entry[K, V]) []*entry[K, V] {
+	for s.total.Load()+extra > s.maxCost {
 		back := s.order.Back()
 		if back == nil {
 			break
@@ -298,6 +313,33 @@ func (c *Cache[K, V]) GetOrLoad(ctx context.Context, key K, load func(context.Co
 	}()
 	v, err := wait(ctx, f)
 	return v, false, err
+}
+
+// Recharge takes the cost of the value resident under key again — for a
+// value that grew (or shrank) after it was loaded, whose owner calls this once
+// it has its final size — marks it most recently used, and evicts LRU entries
+// until the shard fits its budget; a value that has outgrown the whole shard
+// budget leaves. A key that is not resident (evicted or purged since the
+// load) is left alone: nothing a RemoveIf dropped comes back this way.
+func (c *Cache[K, V]) Recharge(key K) {
+	s := c.shard(key)
+	var gone []*entry[K, V]
+	s.mu.Lock()
+	if el, ok := s.entries[key]; ok {
+		e := el.Value.(*entry[K, V])
+		if cost := c.cost(e.val); cost > s.maxCost {
+			gone = append(gone, s.removeLocked(el))
+		} else {
+			// At the front the value is the last candidate for eviction, and
+			// alone in the shard it fits: making room never reaches it.
+			s.order.MoveToFront(el)
+			gone = s.makeRoomLocked(cost-e.cost, gone)
+			s.total.Add(cost - e.cost)
+			e.cost = cost
+		}
+	}
+	s.mu.Unlock()
+	c.removed(gone)
 }
 
 // ErrLoadPanicked is wrapped, with the panic value, by the error GetOrLoad

@@ -157,16 +157,19 @@ func (fd *frameDecoder) decode(idx int) *frame.Frame {
 	clear(fd.qps)
 	clear(fd.mvRep)
 	clear(fd.mvAvail)
-	// A frame that shares its syntax with another (ShareSyntax) replays the
-	// parse on record there when it was made of these bytes under these
-	// conditions, and otherwise leaves its own. Recording mode needs the bit
-	// positions only the entropy reader knows, so it always parses.
+	// A frame that shares a syntax slot (ShareSyntax) replays the parse on
+	// record there when it was made of these bytes under these conditions,
+	// and otherwise leaves its own. Recording mode needs the bit
+	// positions only the entropy reader knows, so it always parses. The
+	// previous frame's record is let go either way: a slot's owner may drop
+	// it (an evicted chunk's slots) long before this decoder is done.
 	fd.replaying, fd.recording = false, false
-	home := fd.ef.sameAs
+	fd.replay = syntaxReader{}
+	slot := fd.ef.shared
 	var key syntaxKey
-	if home != nil && !fd.record {
+	if slot != nil && !fd.record {
 		key = fd.syntaxKeyOf()
-		if m := home.syntax.Load(); m != nil && m.key == key {
+		if m := slot.rec.Load(); m != nil && m.key == key {
 			fd.replaying, fd.replay = true, syntaxReader{data: m.data}
 		} else {
 			fd.recording, fd.parsed = true, fd.parsed[:0]
@@ -175,7 +178,7 @@ func (fd *frameDecoder) decode(idx int) *frame.Frame {
 	fd.run()
 	switch {
 	case fd.recording:
-		home.syntax.Store(&frameSyntax{key: key, data: bytes.Clone(fd.parsed)})
+		slot.rec.Store(&frameSyntax{key: key, data: bytes.Clone(fd.parsed)})
 	case fd.replaying && fd.opts.Observer != nil:
 		fd.opts.Observer.Counter(obs.CtrFramesReplayed, fd.ef.Type.String(), 1)
 	}

@@ -63,8 +63,8 @@ func (v *Video) cloneInto(a *cloneArena) *Video {
 		// tenant may still look at it.
 		g.Type, g.CodedIdx, g.DisplayIdx, g.BaseQP = f.Type, f.CodedIdx, f.DisplayIdx, f.BaseQP
 		g.RefFwd, g.RefBwd = f.RefFwd, f.RefBwd
-		g.syntax.Store(nil)
-		g.sameAs = nil
+		g.syntax.rec.Store(nil)
+		g.shared = nil
 		g.Payload = a.payload[pOff : pOff+len(f.Payload) : pOff+len(f.Payload)]
 		copy(g.Payload, f.Payload)
 		pOff += len(f.Payload)

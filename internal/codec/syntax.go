@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math/bits"
+	"sync/atomic"
+	"unsafe"
 
 	"videoapp/internal/predict"
 )
@@ -12,10 +14,10 @@ import (
 // an mbSyntax — every read, clamp and desync decision lives there — and
 // reconstruct turns an mbSyntax into samples. The parsed syntax of a frame
 // depends only on its bytes and a few header facts (frameSyntax.key), so a
-// frame known to be a bit-identical copy of another (ShareSyntax) can skip
-// the arithmetic decoder: the first decode of such a copy leaves what it
-// parsed on the original, and later decodes fill the same mbSyntax from that
-// record and run the same reconstruct stage.
+// frame known to be a bit-identical copy of one decoded before (ShareSyntax)
+// can skip the arithmetic decoder: the first decode of such a copy leaves what
+// it parsed in the SyntaxSlot the copies share, and later decodes fill the
+// same mbSyntax from that record and run the same reconstruct stage.
 
 // mbConcealed marks a macroblock the stream never coded for the decoder:
 // under ConcealOnDesync, every macroblock after the slice's reader lost sync.
@@ -66,6 +68,25 @@ type frameSyntax struct {
 	data []byte
 }
 
+// SyntaxSlot is where the decodes of bit-identical copies of one frame meet:
+// it holds the latest parse on record for them. Every EncodedFrame has one of
+// its own (SyntaxSlot) for copies made of it; an owner that outlives the
+// frames it reads — the chunk server, across reads of one archive record —
+// keeps slots itself. The zero value is empty and ready; a slot is safe for
+// concurrent use and must not be copied.
+type SyntaxSlot struct {
+	rec atomic.Pointer[frameSyntax]
+}
+
+// Bytes returns the size of the record the slot holds, 0 when it is empty.
+func (s *SyntaxSlot) Bytes() int64 {
+	m := s.rec.Load()
+	if m == nil {
+		return 0
+	}
+	return int64(unsafe.Sizeof(*m)) + int64(len(m.data))
+}
+
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // syntaxKeyOf computes the key of the frame fd is about to decode.
@@ -91,18 +112,24 @@ func (fd *frameDecoder) syntaxKeyOf() syntaxKey {
 	}
 }
 
-// ShareSyntax declares f a bit-identical copy of src — same payload bytes,
-// same slice table — so decodes of f may replay the parse recorded on src and
-// record theirs there. Only a caller that knows the bytes are equal may say
-// so (store.StoreContext, for a cloned frame that kept zero flips); a wrong
-// claim costs one CRC per decode and changes no sample, because the record is
-// only replayed under a matching key.
-func (f *EncodedFrame) ShareSyntax(src *EncodedFrame) {
-	if src.sameAs != nil {
-		src = src.sameAs
+// SyntaxSlot returns the slot decodes of f's bytes meet in: the one f was
+// told to share, else f's own.
+func (f *EncodedFrame) SyntaxSlot() *SyntaxSlot {
+	if f.shared != nil {
+		return f.shared
 	}
-	f.sameAs = src
+	return &f.syntax
 }
+
+// ShareSyntax declares f a bit-identical copy — same payload bytes, same
+// slice table — of whatever else decodes through slot, so decodes of f may
+// replay the parse on record there and leave theirs. Only a caller with reason
+// to expect equal bytes should say so (store.StoreContext, for a cloned frame
+// that kept zero flips, with the source frame's slot; the chunk server, for
+// the same archive record read again); a wrong claim costs one CRC per decode
+// and changes no sample, because the record is only replayed under a matching
+// key.
+func (f *EncodedFrame) ShareSyntax(slot *SyntaxSlot) { f.shared = slot }
 
 func appendMV(dst []byte, mv predict.MV) []byte {
 	dst = binary.AppendVarint(dst, int64(mv.X))

@@ -22,7 +22,7 @@ func replayed(m *obs.Metrics) int { return int(m.Snapshot().CounterTotal(obs.Ctr
 // decode records and later ones replay.
 func shareWithSelf(v *Video) {
 	for _, f := range v.Frames {
-		f.ShareSyntax(f)
+		f.ShareSyntax(f.SyntaxSlot())
 	}
 }
 
@@ -115,7 +115,7 @@ func recorded(t *testing.T, v *Video) (*Video, []*frame.Frame) {
 		t.Fatal(err)
 	}
 	for i, f := range c.Frames {
-		if f.syntax.Load() == nil {
+		if f.syntax.Bytes() == 0 {
 			t.Fatalf("frame %d: no record after the first decode of a sharing frame", i)
 		}
 	}
@@ -138,7 +138,7 @@ func TestRecordNeverOutlivesAByteChange(t *testing.T) {
 	defer pooled.Release()
 	for name, c := range map[string]*Video{"Clone": src.Clone(), "ClonePooled": pooled, "Unmarshal(Marshal)": unmarshalled} {
 		for i, f := range c.Frames {
-			if f.syntax.Load() != nil || f.sameAs != nil {
+			if f.syntax.Bytes() != 0 || f.shared != nil {
 				t.Fatalf("%s: frame %d carries a record or a sharing claim", name, i)
 			}
 		}
@@ -157,7 +157,7 @@ func TestRecordNeverOutlivesAByteChange(t *testing.T) {
 	// parses, and decodes to what the flipped bytes say.
 	flipped := src.Clone()
 	for i, f := range flipped.Frames {
-		f.ShareSyntax(src.Frames[i])
+		f.ShareSyntax(src.Frames[i].SyntaxSlot())
 		f.Payload[len(f.Payload)/2] ^= 0x10
 	}
 	want, err := decodeRecsOpts(flipped.Clone(), DecodeOptions{})
@@ -216,7 +216,7 @@ func TestShareSyntaxAcrossVideos(t *testing.T) {
 	for trip := 0; trip < 3; trip++ {
 		c := v.ClonePooled()
 		for i, f := range c.Frames {
-			f.ShareSyntax(v.Frames[i])
+			f.ShareSyntax(v.Frames[i].SyntaxSlot())
 		}
 		got, err := decodeRecsOpts(c, DecodeOptions{Observer: m})
 		if err != nil {
@@ -229,8 +229,8 @@ func TestShareSyntaxAcrossVideos(t *testing.T) {
 		// A clone of a sharing clone shares with the original, not with the
 		// pooled slot that is about to be recycled.
 		cc := c.Clone()
-		cc.Frames[0].ShareSyntax(c.Frames[0])
-		if cc.Frames[0].sameAs != v.Frames[0] {
+		cc.Frames[0].ShareSyntax(c.Frames[0].SyntaxSlot())
+		if cc.Frames[0].shared != &v.Frames[0].syntax {
 			t.Fatal("sharing with a sharing frame must resolve to its holder")
 		}
 		c.Release()

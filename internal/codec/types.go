@@ -15,7 +15,6 @@ package codec
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"videoapp/internal/frame"
 	"videoapp/internal/predict"
@@ -188,13 +187,13 @@ type EncodedFrame struct {
 	// SliceByteStart lists each slice's byte offset within Payload.
 	SliceByteStart []int
 
-	// syntax is the parse on record for this frame's bytes (syntax.go),
-	// left by the first decode of a frame that shares them. sameAs is set by
-	// ShareSyntax on such a copy and names the frame holding the record.
-	// Neither is copied, serialized or compared: Clone, ClonePooled,
-	// Unmarshal and the archive reader all produce frames without them.
-	syntax atomic.Pointer[frameSyntax]
-	sameAs *EncodedFrame
+	// syntax is this frame's own record slot (syntax.go), filled by the
+	// first decode of a frame that shares it. shared is set by ShareSyntax
+	// and names the slot this frame's decodes use. Neither is copied,
+	// serialized or compared: Clone, ClonePooled, Unmarshal and the archive
+	// reader all produce frames with an empty slot that share nothing.
+	syntax SyntaxSlot
+	shared *SyntaxSlot
 }
 
 // SliceOfMB returns the index of the slice containing macroblock m.

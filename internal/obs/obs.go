@@ -57,8 +57,9 @@ const (
 	CtrDecodeFrames = "decode_frames"
 	// CtrFramesReplayed counts the decoded frames, labelled by frame type,
 	// that skipped the entropy decoder: bit-identical copies of a frame
-	// already parsed once (codec.EncodedFrame.ShareSyntax), reconstructed
-	// from the parse on record. decode_frames counts them too.
+	// already parsed once (codec.EncodedFrame.ShareSyntax) — a stored frame
+	// that kept zero flips, a served chunk read again — reconstructed from
+	// the parse on record. decode_frames counts them too.
 	CtrFramesReplayed = "codec_frames_replayed"
 	// CtrResync counts entropy-stream desync events — slices whose CABAC or
 	// CAVLC reader lost sync and rode garbage until the next resync point —
@@ -98,6 +99,10 @@ const (
 	// coalescing this stays at one per cold chunk however many clients
 	// stampede it.
 	CtrServeDecodes = "serve_chunk_decodes"
+	// CtrServeReplays counts, per archive, the chunk decode executions in
+	// which every frame was replayed from the parse-record tier: cold misses
+	// that read and verified the chunk but never ran the entropy decoder.
+	CtrServeReplays = "serve_chunk_replays"
 	// CtrServeDegraded counts chunk responses served in degraded form —
 	// one or more approximate streams failed verification after retries
 	// and were replaced by zeroes, so the client got the precise-class
@@ -144,6 +149,12 @@ const (
 	GaugeServeCacheHitRate = "serve_cache_hit_rate"
 	// GaugeServeCacheBytes is the resident cost of the decoded-chunk cache.
 	GaugeServeCacheBytes = "serve_cache_bytes"
+	// GaugeServeSyntaxCacheHitRate is the share, in [0,1], of cold misses
+	// that found their chunk's parse records resident.
+	GaugeServeSyntaxCacheHitRate = "serve_syntax_cache_hit_rate"
+	// GaugeServeSyntaxCacheBytes is the resident cost of the parse-record
+	// tier, charged against the same budget as serve_cache_bytes.
+	GaugeServeSyntaxCacheBytes = "serve_syntax_cache_bytes"
 	// GaugeServePrefetchInFlight is the number of readahead loads the
 	// prefetcher is executing right now.
 	GaugeServePrefetchInFlight = "serve_prefetch_in_flight"

@@ -53,8 +53,14 @@ type ArchiveSpec struct {
 // one metrics aggregator; each tenant has its own circuit breaker, fault
 // policy, and labeled counters.
 type Catalog struct {
-	cfg      config
-	cache    *cache.Cache[cache.Keyed[int], chunkPayload]
+	cfg   config
+	cache *cache.Cache[cache.Keyed[int], chunkPayload]
+	// syntax is the small second tier under the same keys and the same
+	// budget (syntaxShare): per chunk, one parse-record slot per frame. A
+	// cold miss whose rendering was evicted still reads and verifies the
+	// chunk, but frames whose bytes are the ones on record skip the entropy
+	// decoder (codec.EncodedFrame.ShareSyntax).
+	syntax   *cache.Cache[cache.Keyed[int], []codec.SyntaxSlot]
 	prefetch *prefetcher // nil when readahead is disabled
 	metrics  *obs.Metrics
 	observer obs.Observer
@@ -75,6 +81,16 @@ type Catalog struct {
 	// unconditionally before snapshotting, so /metrics is always exact.
 	cacheGaugeTick atomic.Uint64
 }
+
+// syntaxShare is the parse-record tier's part of the cache budget: a
+// quarter. A chunk's records are about 1/16 the size of its rendering and
+// save about half the work of producing it, so per byte a record is worth
+// roughly eight renderings; a quarter of the budget holds the records of a
+// working set four times what the whole budget holds rendered, and past that
+// the bytes do more good as renderings. The tiers do not share one LRU
+// because recency would then be the only currency: every 507 KB rendering
+// admitted would push out sixteen records that are cheaper to keep than it is.
+const syntaxShare = 4
 
 // cacheGaugeEvery is how many chunk responses pass between chunk-path
 // refreshes of the cache gauges (a power of two, tested with a mask).
@@ -144,11 +160,22 @@ func NewCatalog(specs []ArchiveSpec, options ...Option) (*Catalog, error) {
 	for _, o := range options {
 		o(&cfg)
 	}
+	syntaxBytes := cfg.cacheBytes / syntaxShare
 	c := &Catalog{
 		cfg: cfg,
-		cache: cache.NewShardedHash[cache.Keyed[int], chunkPayload](cfg.cacheBytes, cfg.cacheShards, func(p chunkPayload) int64 {
+		cache: cache.NewShardedHash[cache.Keyed[int], chunkPayload](cfg.cacheBytes-syntaxBytes, cfg.cacheShards, func(p chunkPayload) int64 {
 			return int64(len(p.data))
 		}, cache.KeyedHash[int]()),
+		// One shard: touched once per cold miss, beside a millisecond of
+		// decode, the tier has no lock contention to shard away, and a strict
+		// LRU over an unfragmented budget keeps the most records.
+		syntax: cache.NewShardedHash[cache.Keyed[int], []codec.SyntaxSlot](syntaxBytes, 1, func(slots []codec.SyntaxSlot) int64 {
+			var n int64
+			for j := range slots {
+				n += slots[j].Bytes()
+			}
+			return n
+		}, nil),
 		metrics: obs.NewMetrics(),
 		tenants: map[string]*tenant{},
 	}
@@ -224,8 +251,9 @@ func (c *Catalog) Add(spec ArchiveSpec) error {
 // immediately, its cached chunks are purged (unserved readahead among them
 // counts as wasted), and the archive — if open — closes once the last
 // in-flight request against it releases, so requests that already acquired
-// it finish on the archive they hold. Queued readahead jobs for it die at
-// execution time, when the re-acquire finds it retired.
+// it finish on the archive they hold; its parse records go with that close.
+// Queued readahead jobs for it die at execution time, when the re-acquire
+// finds it retired.
 func (c *Catalog) Remove(name string) error {
 	c.mu.Lock()
 	t, ok := c.tenants[name]
@@ -289,7 +317,10 @@ func (c *Catalog) OpenArchives() int { return int(c.open.Load()) }
 
 // closeTenantLocked closes the tenant's archive and backend, reporting
 // whether it closed anything (an already-closed tenant is a no-op). t.mu
-// must be held; c.mu must not be needed — see openDelta.
+// must be held; c.mu must not be needed — see openDelta. The parse records
+// of the open that ends here go with it: the next open is a new space that
+// could never look them up, and the record tier's strict LRU would otherwise
+// hold them until newer records needed the room.
 func (c *Catalog) closeTenantLocked(t *tenant) bool {
 	if t.archive == nil {
 		return false
@@ -297,6 +328,8 @@ func (c *Catalog) closeTenantLocked(t *tenant) bool {
 	t.archive.Close()
 	t.backend.Close()
 	t.archive, t.backend = nil, nil
+	space := t.space()
+	c.syntax.RemoveIf(func(k cache.Keyed[int]) bool { return k.Space == space })
 	c.openDelta(-1)
 	return true
 }
@@ -417,7 +450,8 @@ func (c *Catalog) Handler() http.Handler { return c.mux }
 func (c *Catalog) Metrics() *obs.Metrics { return c.metrics }
 
 // CacheStats returns the shared decoded-chunk cache counters across all
-// archives; Stats.Loads is the number of actual decode executions.
+// archives — the rendered tier only; Stats.Loads is the number of actual
+// decode executions.
 func (c *Catalog) CacheStats() cache.Stats { return c.cache.Stats() }
 
 // route wraps a handler with the per-request machinery: the in-flight
@@ -550,7 +584,7 @@ func (c *Catalog) handleChunk(w http.ResponseWriter, r *http.Request) error {
 	}
 	sp := cache.In(c.cache, space)
 	p, hit, err := sp.GetOrLoad(r.Context(), i, func(ctx context.Context) (chunkPayload, error) {
-		return c.materialize(ctx, t, a, i)
+		return c.materialize(ctx, t, a, space, i)
 	})
 	if hit {
 		c.observer.Counter(obs.CtrServeCacheHits, t.name, 1)
@@ -597,22 +631,59 @@ func (c *Catalog) handleChunk(w http.ResponseWriter, r *http.Request) error {
 	return err
 }
 
+// replayCount observes one cold chunk's decode beside the catalog's observer
+// and keeps the one figure materialize wants back: how many frames replayed.
+type replayCount struct {
+	obs.Noop
+	frames atomic.Int64
+}
+
+func (r *replayCount) Counter(name, _ string, delta int64) {
+	if name == obs.CtrFramesReplayed {
+		r.frames.Add(delta)
+	}
+}
+
 // materialize is the cold-chunk path: read the chunk's bytes from the
 // archive under the tenant's fault policy, decode them, and render the
 // frames as y4m. It runs at most once per (archive, chunk) under stampede
 // (cache singleflight) and publishes the decode span and the per-archive
 // decode counter. A degraded read is a success here — the verdict rides
 // the payload into the cache so every response built from it is flagged.
-func (c *Catalog) materialize(ctx context.Context, t *tenant, a *store.ChunkArchive, i int) (chunkPayload, error) {
+//
+// Every miss pays the read, with each of its checks; what a repeat miss can
+// skip is the entropy decoder. The frames just read share the chunk's slots
+// in the record tier, and the decoder decides frame by frame: bytes equal to
+// the ones on record replay, anything else — a degraded or repaired stream, a
+// first visit — parses and leaves its own record.
+func (c *Catalog) materialize(ctx context.Context, t *tenant, a *store.ChunkArchive, space string, i int) (chunkPayload, error) {
 	sp := obs.StartSpan(c.observer, obs.StageServeChunk)
 	defer sp.End()
 	c.observer.Counter(obs.CtrServeDecodes, t.name, 1)
-	ctx = obs.With(ctx, c.observer)
-	cr, err := a.ReadChunkContext(ctx, i)
+	cr, err := a.ReadChunkContext(obs.With(ctx, c.observer), i)
 	if err != nil {
 		return chunkPayload{}, err
 	}
-	seq, err := codec.DecodeContext(ctx, cr.Video, codec.DecodeOptions{}, c.cfg.workers)
+	frames := cr.Video.Frames
+	key := cache.Keyed[int]{Space: space, Key: i}
+	slots, _, err := c.syntax.GetOrLoad(ctx, key, func(context.Context) ([]codec.SyntaxSlot, error) {
+		return make([]codec.SyntaxSlot, len(frames)), nil
+	})
+	if err != nil {
+		return chunkPayload{}, err
+	}
+	for j := range min(len(frames), len(slots)) {
+		frames[j].ShareSyntax(&slots[j])
+	}
+	replayed := new(replayCount)
+	seq, err := codec.DecodeContext(obs.With(ctx, obs.Multi(c.observer, replayed)), cr.Video, codec.DecodeOptions{}, c.cfg.workers)
+	if int(replayed.frames.Load()) == len(frames) {
+		c.observer.Counter(obs.CtrServeReplays, t.name, 1)
+	} else {
+		// Some frame parsed and left a record: charge the slots what they
+		// hold now.
+		c.syntax.Recharge(key)
+	}
 	if err != nil {
 		return chunkPayload{}, err
 	}
@@ -640,18 +711,21 @@ func (c *Catalog) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 	return snap.WriteText(w)
 }
 
-// publishCacheGauges refreshes the cache-derived gauges from the shared
-// cache's own counters.
+// publishCacheGauges refreshes the cache-derived gauges from the two tiers'
+// own counters.
 func (c *Catalog) publishCacheGauges() {
 	cs := c.cache.Stats()
 	c.observer.Gauge(obs.GaugeServeCacheHitRate, "", cs.HitRate())
 	c.observer.Gauge(obs.GaugeServeCacheBytes, "", float64(cs.Cost))
+	ss := c.syntax.Stats()
+	c.observer.Gauge(obs.GaugeServeSyntaxCacheHitRate, "", ss.HitRate())
+	c.observer.Gauge(obs.GaugeServeSyntaxCacheBytes, "", float64(ss.Cost))
 }
 
 // maybePublishCacheGauges is the chunk-path variant: one refresh every
 // cacheGaugeEvery responses (the first response publishes, so a fresh
 // catalog's gauges exist immediately), costing the other responses a
-// single atomic increment instead of two metrics-mutex writes.
+// single atomic increment instead of four metrics-mutex writes.
 func (c *Catalog) maybePublishCacheGauges() {
 	if c.cacheGaugeTick.Add(1)&(cacheGaugeEvery-1) != 1 {
 		return

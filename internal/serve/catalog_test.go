@@ -280,8 +280,8 @@ func TestCatalogChaos(t *testing.T) {
 		}
 	}
 	cs := cat.CacheStats()
-	if cs.Cost > budget {
-		t.Fatalf("shared cache cost %d over budget %d", cs.Cost, budget)
+	if records := cat.syntax.Stats().Cost; cs.Cost+records > budget {
+		t.Fatalf("shared cache cost %d + parse records %d over budget %d", cs.Cost, records, budget)
 	}
 	if cs.Evictions == 0 {
 		t.Fatal("working set over budget evicted nothing")
@@ -354,12 +354,18 @@ func TestCatalogIdleClose(t *testing.T) {
 	if got := cat.Metrics().Snapshot().Counter(obs.CtrServeDecodes, "m"); got != 2 {
 		t.Fatalf("decodes = %d, want 2 (reopen must not serve the stale generation's cache)", got)
 	}
-	// Both were cold misses of the same chunk, each read from the archive
-	// afresh: the serve path parses every frame it decodes and never leaves
-	// or replays a parse record.
+	// Both were cold misses of the same chunk, but of two opens: parse records
+	// are kept per cache space and dropped with it, so the second miss parsed
+	// every frame again. (Within one open a repeat miss replays:
+	// TestReplayEqualsParseOnTheWire.)
 	snap := cat.Metrics().Snapshot()
 	if frames, replays := snap.CounterTotal(obs.CtrDecodeFrames), snap.CounterTotal(obs.CtrFramesReplayed); frames == 0 || replays != 0 {
 		t.Fatalf("%d frames decoded over two cold misses, %d replayed; want > 0 and 0", frames, replays)
+	}
+	for _, k := range recordKeys(cat) {
+		if k.Space != spaceOf(cat, "m") {
+			t.Fatalf("record tier still holds %v of the closed open", k)
+		}
 	}
 }
 

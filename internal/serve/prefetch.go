@@ -171,7 +171,7 @@ func (p *prefetcher) execute(job prefetchJob) {
 		}()
 		// Not the detached context the cache offers: readahead loads under
 		// the prefetcher's own, so close() aborts them.
-		if pl, err = c.materialize(p.ctx, t, a, job.index); err == nil {
+		if pl, err = c.materialize(p.ctx, t, a, job.space, job.index); err == nil {
 			pl.prefetched = new(atomic.Bool)
 			pl.prefetched.Store(true)
 		}

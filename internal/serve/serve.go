@@ -25,7 +25,11 @@
 //     same way;
 //   - decoded chunks are rendered once into a cost-bounded LRU cache
 //     (internal/cache), sized in bytes of rendered y4m output and shared
-//     across every archive of a catalog. The cache is lock-sharded
+//     across every archive of a catalog; a quarter of the same byte budget
+//     keeps, per chunk, the record of what the entropy decoder parsed, so a
+//     chunk whose rendering was evicted is read and verified again on its
+//     next miss but only frames whose bytes changed are parsed again. The
+//     rendered cache is lock-sharded
 //     (WithCacheShards): keys hash to independent shards, each with its
 //     own mutex, LRU order, and slice of the byte budget, so hot hits on
 //     different chunks never contend on one mutex;
@@ -132,9 +136,11 @@ type config struct {
 // Option configures a Catalog at construction, applied in argument order.
 type Option func(*config)
 
-// WithCacheBytes bounds the decoded-chunk cache, shared by every archive of
-// the catalog, by rendered output size: one entry costs roughly frames ×
-// 1.5 × W × H bytes. <= 0 selects the 64 MiB default.
+// WithCacheBytes bounds all decoded state the catalog keeps, shared by every
+// archive: renderings and parse records. Three quarters go to rendered chunks
+// (one entry costs roughly frames × 1.5 × W × H bytes), one quarter to the
+// parse records of chunks read before (about a sixteenth of that per chunk;
+// see syntaxShare). <= 0 selects the 64 MiB default.
 func WithCacheBytes(n int64) Option {
 	return func(c *config) {
 		if n <= 0 {

@@ -26,12 +26,23 @@ import (
 // bytes.
 func buildArchiveBytes(t testing.TB, gops int) []byte {
 	t.Helper()
+	return buildArchive(t, gops, nil)
+}
+
+// buildArchive is buildArchiveBytes with the encoder parameters adjusted by
+// tune, when one is given. B frames reference across GOP boundaries, so a
+// video coded with them goes into the archive whole, as its one chunk.
+func buildArchive(t testing.TB, gops int, tune func(*codec.Params)) []byte {
+	t.Helper()
 	const gopSize = 4
 	cfg, _ := synth.PresetByName("crew_like")
 	seq := synth.Generate(cfg.ScaleTo(96, 64, gops*gopSize))
 	p := codec.DefaultParams()
 	p.GOPSize = gopSize
 	p.SearchRange = 8
+	if tune != nil {
+		tune(&p)
+	}
 	v, err := codec.Encode(seq, p)
 	if err != nil {
 		t.Fatal(err)
@@ -39,13 +50,17 @@ func buildArchiveBytes(t testing.TB, gops int) []byte {
 	an := core.Analyze(v, core.DefaultOptions())
 	parts := an.Partition(core.PaperAssignment())
 
+	gopsPerChunk := 1
+	if p.BFrames > 0 {
+		gopsPerChunk = gops
+	}
 	var buf bytes.Buffer
-	cw, err := store.NewChunkWriter(&buf, store.ArchiveMeta{W: v.W, H: v.H, FPS: v.FPS, GOPSize: gopSize, GOPsPerChunk: 1})
+	cw, err := store.NewChunkWriter(&buf, store.ArchiveMeta{W: v.W, H: v.H, FPS: v.FPS, GOPSize: gopSize, GOPsPerChunk: gopsPerChunk})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for s := 0; s < len(v.Frames); s += gopSize {
-		e := min(s+gopSize, len(v.Frames))
+	for s := 0; s < len(v.Frames); s += gopsPerChunk * gopSize {
+		e := min(s+gopsPerChunk*gopSize, len(v.Frames))
 		sub := &codec.Video{Params: p, W: v.W, H: v.H, FPS: v.FPS, Frames: append([]*codec.EncodedFrame(nil), v.Frames[s:e]...)}
 		sub = sub.Clone()
 		sub.ShiftIndices(-s)
@@ -91,6 +106,11 @@ func serveBytes(t testing.TB, data []byte, options ...Option) *Catalog {
 		Open: func() (store.Backend, error) { return store.NewSnapshotBackend(data), nil },
 	}, options...)
 }
+
+// withRenderedBytes is WithCacheBytes for a test that sizes the cache in
+// rendered chunks: the budget whose rendered tier — what the parse-record
+// tier's quarter leaves — is n bytes, give or take two.
+func withRenderedBytes(n int64) Option { return WithCacheBytes(n + n/(syntaxShare-1) + 1) }
 
 // chunkPath is the route of chunk i of the test archive.
 func chunkPath(i int) string {
@@ -272,7 +292,7 @@ func TestServeConcurrentRandomChunks(t *testing.T) {
 	}
 	// Budget of ~1.5 chunks forces eviction churn under concurrency; a
 	// single shard keeps the whole budget in one LRU so a chunk still fits.
-	s := serveBytes(t, data, WithCacheBytes(int64(len(want[0]))*3/2), WithCacheShards(1))
+	s := serveBytes(t, data, withRenderedBytes(int64(len(want[0]))*3/2), WithCacheShards(1))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -302,7 +322,7 @@ func TestServeConcurrentRandomChunks(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if cost := s.CacheStats().Cost; cost > int64(len(want[0]))*3/2 {
+	if cost := s.CacheStats().Cost; cost > int64(len(want[0]))*3/2+2 {
 		t.Fatalf("cache cost %d exceeds budget", cost)
 	}
 }
@@ -315,7 +335,7 @@ func TestCacheEvictionRefetches(t *testing.T) {
 	want0 := wantChunkBody(t, openBytes(t, data), 0)
 	// One shard so the budget fits exactly one chunk in one LRU; readahead
 	// off so the load count is exactly the three foreground requests.
-	s := serveBytes(t, data, WithCacheBytes(int64(len(want0))+16), WithCacheShards(1), WithPrefetch(0))
+	s := serveBytes(t, data, withRenderedBytes(int64(len(want0))+16), WithCacheShards(1), WithPrefetch(0))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

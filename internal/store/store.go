@@ -333,7 +333,7 @@ func (s *System) StoreContext(ctx context.Context, v *codec.Video, parts []core.
 // checks a CRC before it believes it.
 func shareIfIntact(stored, src *codec.EncodedFrame, flips int) {
 	if flips == 0 {
-		stored.ShareSyntax(src)
+		stored.ShareSyntax(src.SyntaxSlot())
 	}
 }
 

@@ -183,8 +183,9 @@ func NewCatalog(specs []ArchiveSpec, opts ...ServeOption) (*Catalog, error) {
 // default) keeps them open forever.
 func WithIdleTimeout(d time.Duration) ServeOption { return serve.WithIdleTimeout(d) }
 
-// WithCacheBytes bounds the server's decoded-chunk cache by rendered
-// output size; n <= 0 selects the 64 MiB default.
+// WithCacheBytes bounds all decoded state the server keeps: renderings
+// and parse records (three quarters and one quarter of n); n <= 0 selects
+// the 64 MiB default.
 func WithCacheBytes(n int64) ServeOption { return serve.WithCacheBytes(n) }
 
 // WithCacheShards sets the decoded-chunk cache's lock-shard count,
