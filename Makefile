@@ -100,6 +100,7 @@ bench:
 	$(GO) test -run='^$$' -bench='BenchmarkInject|BenchmarkReadChunk|BenchmarkAppendChunk' -benchmem ./internal/store
 	$(GO) test -run='^$$' -bench='BenchmarkClone|BenchmarkEncodeChunk|BenchmarkDecodeChunk' -benchmem ./internal/codec
 	$(GO) test -run='^$$' -bench='BenchmarkForwardQuantize|BenchmarkReconstructAdd' -benchmem ./internal/transform
+	$(GO) test -run='^$$' -bench='BenchmarkCopyRows' -benchmem ./internal/frame
 	$(GO) test -run='^$$' -bench='BenchmarkCopyBits' -benchmem ./internal/bitio
 	$(GO) test -run='^$$' -bench='BenchmarkArith|BenchmarkResidualBlock' -benchmem ./internal/entropy
 	$(GO) test -run='^$$' -bench='BenchmarkFlipIID' -benchmem ./internal/sim
@@ -125,7 +126,7 @@ chaos-smoke:
 # (internal/serve: parse vs replay) benchmarks exactly once — a regression
 # gate for the perf harness itself, cheap enough for check/CI.
 bench-smoke:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/predict ./internal/transform ./internal/store ./internal/codec ./internal/entropy ./internal/sim ./internal/bitio ./internal/core ./internal/serve
+	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/predict ./internal/transform ./internal/frame ./internal/store ./internal/codec ./internal/entropy ./internal/sim ./internal/bitio ./internal/core ./internal/serve
 	$(GO) test -run='^$$' -bench='BenchmarkParallel|BenchmarkPipeline|BenchmarkStream' -benchtime=1x .
 
 # bench-selftest vets and tests the performance ledger (bench/, the module

@@ -137,7 +137,7 @@ func cliMain(args []string, stderr io.Writer) int {
 	fs.StringVar(&o.archiveDir, "archive-dir", "", "serve: directory of *.vacs archives to serve as a catalog (SIGHUP rescans)")
 	fs.StringVar(&o.addr, "addr", ":8080", "serve: listen address")
 	fs.IntVar(&o.cacheMB, "cache-mb", 64, "serve: cache budget in MiB; bounds all decoded state: renderings and parse records")
-	fs.IntVar(&o.cacheShard, "cache-shards", 0, "serve: cache lock shards, rounded up to a power of two (0 = auto: max(8, GOMAXPROCS))")
+	fs.IntVar(&o.cacheShard, "cache-shards", 0, "serve: rendered-cache lock shards, rounded up to a power of two, each with an equal slice of the budget (0 = one shard, a strict LRU)")
 	fs.IntVar(&o.prefetch, "prefetch", 2, "serve: readahead up to this many chunks ahead of a sequential reader (0 disables)")
 	fs.DurationVar(&o.reqTimeout, "req-timeout", 30*time.Second, "serve: per-request timeout, decode included")
 	fs.DurationVar(&o.idleTime, "idle-timeout", 0, "serve: close archives unused this long (0 = never)")

@@ -22,14 +22,16 @@
 // A cache is split into a power-of-two number of shards, each with its own
 // mutex, LRU list, and flight table, keyed by a seeded hash of the key.
 // Concurrent lookups of different keys therefore contend only 1/N of the
-// time, which is what makes the hot serve path scale across cores. The
-// cost budget is divided across the shards (so the global budget is always
-// respected: the per-shard budgets sum to exactly the configured maximum),
-// and eviction is per-shard LRU — an entry can only displace entries of
-// its own shard, which approximates global LRU closely at serving cache
-// sizes while never taking more than one lock. NewShardedHash selects the
-// shard count (one shard is the strict global LRU), with DefaultShards as
-// the serving default.
+// time. The cost budget is divided across the shards (so the global budget
+// is always respected: the per-shard budgets sum to exactly the configured
+// maximum), and eviction is per-shard LRU — an entry can only displace
+// entries of its own shard, which approximates global LRU only while an
+// entry is a small share of a shard: entries of 40 % of a shard's slice
+// evict one another as soon as three land in one shard, however much room
+// the other shards have.
+// NewShardedHash selects the shard count (one shard is the strict global
+// LRU, the serve layer's default for both tiers), with DefaultShards for a
+// caller that asks for none.
 //
 // # Removal hook
 //

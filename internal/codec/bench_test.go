@@ -93,16 +93,27 @@ func BenchmarkEncodeChunk(b *testing.B) {
 
 // BenchmarkDecodeChunk measures codec.Decode of one cold chunk, the layer
 // that dominates serve_cold and the Monte-Carlo loop, on clean and on
-// bit-flipped payloads (the damaged path must not be the slow one).
+// bit-flipped payloads (the damaged path must not be the slow one). The
+// replay leg decodes the clean bytes again through frames that share a
+// SyntaxSlot with a decode made before the timer starts, so every frame
+// replays its parse: what is left is reconstruction alone.
 func BenchmarkDecodeChunk(b *testing.B) {
 	for _, coder := range []EntropyKind{CABAC, CAVLC} {
 		clean := decodeChunkVideo(b, coder)
+		replay := clean.Clone()
+		for i, f := range replay.Frames {
+			f.ShareSyntax(clean.Frames[i].SyntaxSlot())
+		}
+		if _, err := Decode(replay); err != nil {
+			b.Fatal(err)
+		}
 		for _, c := range []struct {
 			name string
 			v    *Video
 		}{
 			{"clean", clean},
 			{"damaged", flipPayloadBits(clean, 7, goldenFlipsLo)},
+			{"replay", replay},
 		} {
 			b.Run(strings.ToLower(coder.String())+"/"+c.name, func(b *testing.B) {
 				b.ReportAllocs()

@@ -1,10 +1,13 @@
 package codec
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"videoapp/internal/bitio"
 	"videoapp/internal/frame"
+	"videoapp/internal/predict"
 	"videoapp/internal/quality"
 	"videoapp/internal/synth"
 )
@@ -59,27 +62,138 @@ func TestEncodeDecodeCleanQuality(t *testing.T) {
 	}
 }
 
-func TestDecodedMatchesEncoderReconstruction(t *testing.T) {
-	// The decoder must reproduce the encoder's reconstruction bit-exactly;
-	// otherwise references drift and damage experiments are meaningless.
-	// We verify indirectly but strictly: encode, decode, re-encode the
-	// decoded output at the same settings; if decode matched encoder
-	// reconstructions, the coded stream of pass 2 decodes to itself.
-	seq := testSeq(t, "crew_like", 96, 64, 8)
-	p := testParams()
-	v, dec := encodeDecode(t, seq, p)
-	_ = v
-	// Direct check: decoding twice gives identical output (determinism).
-	dec2, err := Decode(v)
-	if err != nil {
-		t.Fatal(err)
+// diagonalPan is a camera pan over blurred noise that moves (dx, dy) pixels
+// a frame for the first half of the clip and back for the second, chroma
+// included: content leaves and enters at all four borders, so the vectors of
+// the macroblocks along them reach past the reference's edges.
+func diagonalPan(w, h, frames, dx, dy int) *frame.Sequence {
+	rng := rand.New(rand.NewSource(9))
+	tw, th := w+frames*dx+2, h+frames*dy+2
+	noise := make([]int, tw*th)
+	for i := range noise {
+		noise[i] = rng.Intn(256)
 	}
-	for i := range dec.Frames {
-		for j := range dec.Frames[i].Y {
-			if dec.Frames[i].Y[j] != dec2.Frames[i].Y[j] {
-				t.Fatalf("decode nondeterministic at frame %d pixel %d", i, j)
+	tex := func(x, y int) uint8 { // 2×2 box blur: half-pel positions differ from full-pel ones
+		return uint8((noise[y*tw+x] + noise[y*tw+x+1] + noise[(y+1)*tw+x] + noise[(y+1)*tw+x+1]) / 4)
+	}
+	seq := &frame.Sequence{Name: "diagonal_pan", FPS: 30}
+	for i := 0; i < frames; i++ {
+		step := min(i, frames-1-i)
+		ox, oy := step*dx, step*dy
+		f := frame.MustNew(w, h)
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				f.Y[y*w+x] = tex(ox+x, oy+y)
 			}
 		}
+		for y := 0; y < h/2; y++ {
+			for x := 0; x < w/2; x++ {
+				f.Cb[y*w/2+x] = tex(ox/2+x+w/2, oy/2+y)
+				f.Cr[y*w/2+x] = tex(ox/2+x, oy/2+y+h/2)
+			}
+		}
+		seq.Frames = append(seq.Frames, f)
+	}
+	return seq
+}
+
+// borderClamps reports which borders of the frame — left, right, top,
+// bottom — the inter partitions of v read past, from the parse records the
+// decode of a video sharing syntax with itself left behind.
+func borderClamps(t *testing.T, v *Video) (reached [4]bool) {
+	t.Helper()
+	check := func(px, py int, r predict.Rect, mv predict.MV) {
+		x0, y0 := px+r.X+int(mv.X), py+r.Y+int(mv.Y)
+		if v.Params.HalfPel { // the integer sample left of / above the vector
+			x0, y0 = px+r.X+int(mv.X)>>1, py+r.Y+int(mv.Y)>>1
+		}
+		reached[0] = reached[0] || x0 < 0
+		reached[1] = reached[1] || x0+r.W > v.W
+		reached[2] = reached[2] || y0 < 0
+		reached[3] = reached[3] || y0+r.H > v.H
+	}
+	n := v.MBCols() * v.MBRows()
+	for i, ef := range v.Frames {
+		m := ef.SyntaxSlot().rec.Load()
+		if m == nil {
+			t.Fatalf("coded frame %d left no parse record", i)
+		}
+		rd := syntaxReader{data: m.data}
+		starts := append(append([]int(nil), ef.SliceMBStart...), n)
+		var s mbSyntax
+		for sl := 0; sl+1 < len(starts); sl++ {
+			for mb := starts[sl]; mb < starts[sl+1]; mb++ {
+				rd.readMB(&s)
+				if s.mbType == mbIntra {
+					continue
+				}
+				px, py := mb%v.MBCols()*frame.MBSize, mb/v.MBCols()*frame.MBSize
+				for p, r := range s.motion.rects {
+					if s.motion.dirs[p] != dirBwd {
+						check(px, py, r, s.motion.mvF[p])
+					}
+					if s.motion.dirs[p] != dirFwd {
+						check(px, py, r, s.motion.mvB[p])
+					}
+				}
+			}
+			rd.u8() // the slice's desync byte
+		}
+	}
+	return reached
+}
+
+// TestDecodedMatchesEncoderReconstruction: the decoder must reproduce the
+// encoder's reconstruction sample for sample, or references drift and damage
+// experiments are meaningless. Both predict into the frame and add the
+// residual in place through reconstruct.go; they must agree for every entropy
+// coder × vector precision × B frames × slices × deblocking, with adaptive
+// quantization on (per-macroblock quantizers), on a pan whose vectors reach
+// past all four borders, when the decoder parses, when it replays the parse
+// on record, and with concealment on (which a clean stream never triggers).
+func TestDecodedMatchesEncoderReconstruction(t *testing.T) {
+	seq := diagonalPan(80, 64, 9, 5, 3)
+	var reached [4]bool
+	for _, coder := range []EntropyKind{CABAC, CAVLC} {
+		for _, halfPel := range []bool{false, true} {
+			for _, bFrames := range []int{0, 2} {
+				for _, slices := range []int{1, 4} {
+					for _, deblock := range []bool{false, true} {
+						p := testParams()
+						p.Entropy, p.HalfPel, p.SlicesPerFrame, p.Deblock, p.ActivityAQ = coder, halfPel, slices, deblock, true
+						p.BFrames, p.BReference = bFrames, bFrames > 0
+						what := fmt.Sprintf("%s halfpel=%v bframes=%d slices=%d deblock=%v", coder, halfPel, bFrames, slices, deblock)
+						v, want, err := encodeRecs(seq, p)
+						if err != nil {
+							t.Fatal(err)
+						}
+						shared := v.Clone()
+						shareWithSelf(shared)
+						for _, run := range []struct {
+							name string
+							v    *Video
+							opts DecodeOptions
+						}{
+							{"parse", shared, DecodeOptions{}},
+							{"replay", shared, DecodeOptions{}},
+							{"conceal", v, DecodeOptions{ConcealOnDesync: true}},
+						} {
+							got, err := decodeRecsOpts(run.v, run.opts)
+							if err != nil {
+								t.Fatal(err)
+							}
+							comparePlanes(t, what+" "+run.name, got, want)
+						}
+						for i, b := range borderClamps(t, shared) {
+							reached[i] = reached[i] || b
+						}
+					}
+				}
+			}
+		}
+	}
+	if reached != [4]bool{true, true, true, true} {
+		t.Fatalf("vectors reached past the left, right, top, bottom border: %v; the clip must reach all four", reached)
 	}
 }
 

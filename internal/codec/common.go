@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -190,9 +191,11 @@ func unmarshalHeader(buf []byte, f *EncodedFrame) (payloadLen int, err error) {
 	return int(pl), nil
 }
 
-// chromaIntraPredict fills flat DC chroma predictions from the neighboring
-// reconstructed chroma samples, matching on encoder and decoder.
-func chromaIntraPredict(dstCb, dstCr []uint8, rec *frame.Frame, mbx, mby int, hasAbove, hasLeft bool) {
+// chromaIntraPredict writes flat DC 8×8 chroma predictions, from the
+// neighboring reconstructed chroma samples, into dstCb and dstCr, whose rows
+// are stride bytes apart — the macroblock's own place in rec's chroma planes
+// included: the neighbours are read before anything is written.
+func chromaIntraPredict(dstCb, dstCr []uint8, stride int, rec *frame.Frame, mbx, mby int, hasAbove, hasLeft bool) {
 	cx0, cy0 := mbx*8, mby*8
 	sumB, sumR, n := 0, 0, 0
 	if hasAbove {
@@ -211,14 +214,15 @@ func chromaIntraPredict(dstCb, dstCr []uint8, rec *frame.Frame, mbx, mby int, ha
 		}
 		n += 8
 	}
-	db, dr := uint8(128), uint8(128)
+	db, dr := uint64(128), uint64(128)
 	if n > 0 {
-		db = uint8((sumB + n/2) / n)
-		dr = uint8((sumR + n/2) / n)
+		db = uint64((sumB + n/2) / n)
+		dr = uint64((sumR + n/2) / n)
 	}
-	for i := range dstCb {
-		dstCb[i] = db
-		dstCr[i] = dr
+	const splat = 0x0101010101010101
+	for y := 0; y < 8; y++ {
+		binary.LittleEndian.PutUint64(dstCb[y*stride:], db*splat)
+		binary.LittleEndian.PutUint64(dstCr[y*stride:], dr*splat)
 	}
 }
 

@@ -95,8 +95,8 @@ func RecsToDisplay(v *Video, rec []*frame.Frame) (*frame.Sequence, error) {
 }
 
 // frameDecoder decodes the frames of one video, one at a time. It owns the
-// per-macroblock scratch (quantizer and motion-vector maps, prediction and
-// residual buffers) and the symbol readers, so decoding a run of frames —
+// per-macroblock scratch (quantizer and motion-vector maps, the macroblock
+// syntax) and the symbol readers, so decoding a run of frames —
 // a whole video, or one independent span of it — allocates per frame only
 // the output planes, and those come from frame.NewPooled. A frameDecoder is
 // not safe for concurrent use; parallel decode gives every span its own.
@@ -129,7 +129,6 @@ type frameDecoder struct {
 	qps     []int
 	mvRep   []predict.MV
 	mvAvail []bool
-	pred    mbPred
 	syn     mbSyntax
 	parsed  []byte
 }
@@ -404,9 +403,9 @@ func (fd *frameDecoder) parseMB(mx, my int, s *mbSyntax) {
 }
 
 // reconstruct is the reconstruct stage: it writes macroblock (mx, my) of the
-// frame from s — prediction, then prediction plus residual — whether s was
-// just parsed or read back from a record, and notes the quantizer for the
-// next macroblock's prediction and the deblocking filter.
+// frame from s — the prediction into the frame, then the residual added in
+// place — whether s was just parsed or read back from a record, and notes the
+// quantizer for the next macroblock's prediction and the deblocking filter.
 func (fd *frameDecoder) reconstruct(mx, my int, s *mbSyntax) {
 	switch s.mbType {
 	case mbConcealed:
@@ -414,8 +413,7 @@ func (fd *frameDecoder) reconstruct(mx, my int, s *mbSyntax) {
 		return
 	case mbIntra:
 		hasAbove, hasLeft := my > fd.sliceTop, mx > 0
-		predict.IntraPredict16Avail(&fd.pred.y, fd.rec, mx, my, s.mode, hasAbove, hasLeft)
-		chromaIntraPredict(fd.pred.cb[:], fd.pred.cr[:], fd.rec, mx, my, hasAbove, hasLeft)
+		intraPredict(fd.rec, mx, my, s.mode, hasAbove, hasLeft)
 		if fd.record && fd.curRec != nil {
 			fd.curRec.Intra = true
 			var buf [2]predict.WeightedRef
@@ -424,13 +422,13 @@ func (fd *frameDecoder) reconstruct(mx, my int, s *mbSyntax) {
 			}
 		}
 	default:
-		interPredict(&fd.pred, fd.refF, fd.refB, mx, my, &s.motion, fd.video.Params.HalfPel)
+		interPredict(fd.rec, fd.refF, fd.refB, mx, my, &s.motion, fd.video.Params.HalfPel)
 		if fd.record && fd.curRec != nil {
 			fd.curRec.Deps = appendMotionDeps(fd.curRec.Deps, fd.ef, fd.rec.W, fd.rec.H, mx, my, &s.motion, fd.video.Params.HalfPel)
 		}
 	}
 	fd.qps[my*fd.rec.MBCols()+mx] = s.qp
-	reconstructMB(fd.rec, mx, my, &fd.pred, &s.res, s.qp)
+	addResidual(fd.rec, mx, my, &s.res, s.qp)
 	if fd.record && fd.curRec != nil {
 		fd.curRec.QP = s.qp
 	}

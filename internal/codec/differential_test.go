@@ -186,11 +186,10 @@ func TestChromaInterPredictMatchesReference(t *testing.T) {
 							for i := range rects {
 								mvs[i] = predict.ClampMV(predict.MV{X: vx + int16(3*i), Y: vy - int16(5*i)})
 							}
-							var got mbPred
-							var wantCb, wantCr [64]uint8
-							chromaInterPredict(&got, ref, mbx, mby, rects, &mvs, mvDiv)
+							var gotCb, gotCr, wantCb, wantCr [64]uint8
+							chromaInterPredict(gotCb[:], gotCr[:], 8, ref, mbx, mby, rects, &mvs, mvDiv)
 							refChromaInterPredict(wantCb[:], wantCr[:], ref, mbx, mby, rects, mvs[:len(rects)], mvDiv)
-							if got.cb != wantCb || got.cr != wantCr {
+							if gotCb != wantCb || gotCr != wantCr {
 								t.Fatalf("shape %d mvDiv %d mb (%d,%d) mv (%d,%d): chroma prediction differs from the reference",
 									shape, mvDiv, mbx, mby, vx, vy)
 							}

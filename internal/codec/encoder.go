@@ -189,10 +189,9 @@ type frameEncoder struct {
 	// one 16×16 macroblock), hoisted out of the search loops so candidate
 	// evaluation never allocates.
 	biBuf [frame.MBSize * frame.MBSize]uint8
-	// pred and res are the prediction and quantized residual of the
-	// macroblock being coded, reconstructed by the shared reconstructMB.
-	pred mbPred
-	res  mbResidual
+	// res is the quantized residual of the macroblock being coded, quantized
+	// against and added onto the prediction in rec (addResidual).
+	res mbResidual
 }
 
 // maxDepsPerMB bounds the dependencies of one macroblock: sixteen 4×4
@@ -313,7 +312,7 @@ func (fe *frameEncoder) encodeMB(rec *MBRecord, mx, my int) {
 		fe.depSlab = make([]CompDep, 0, max(4*len(fe.qps), maxDepsPerMB))
 	}
 	mark := len(fe.depSlab)
-	if mode, _, ok := predict.BestIntraModeAvail(&fe.pred.y, fe.orig, fe.rec, mx, my, my > fe.sliceTop, mx > 0, intraLimit); ok {
+	if mode, _, ok := predict.BestIntraModeAvail(fe.orig, fe.rec, mx, my, my > fe.sliceTop, mx > 0, intraLimit); ok {
 		fe.codeIntraMB(rec, mx, my, mode, qp, mbIdx)
 	} else {
 		fe.codeInterMB(rec, mx, my, &inter, predMV, refF, refB, qp, mbIdx)
@@ -388,6 +387,12 @@ func (fe *frameEncoder) searchInter(mx, my int, predMV predict.MV, refF, refB *f
 			cand.dirs[i] = dir
 			cand.mvF[i] = mv0
 			cand.mvB[i] = mv1
+			if dir == dirBwd {
+				// A backward partition has no forward vector in the stream,
+				// and chroma reads this slot when the first partition is not
+				// backward: it must be the decoder's zero.
+				cand.mvF[i] = predict.MV{}
+			}
 			cand.cost += cost
 			seed = mv0
 		}
@@ -433,12 +438,10 @@ func (fe *frameEncoder) codeIntraMB(rec *MBRecord, mx, my int, mode predict.Intr
 		fe.depSlab = append(fe.depSlab, CompDep{SrcFrame: fe.ef.CodedIdx, SrcMB: wr.MB, Pixels: wr.Pixels})
 	}
 
-	// The luma prediction is already in fe.pred; add chroma.
-	chromaIntraPredict(fe.pred.cb[:], fe.pred.cr[:], fe.rec, mx, my, my > fe.sliceTop, mx > 0)
-
+	intraPredict(fe.rec, mx, my, mode, my > fe.sliceTop, mx > 0)
 	fe.quantizeResidual(mx, my, qp, true)
 	fe.codeResidual()
-	reconstructMB(fe.rec, mx, my, &fe.pred, &fe.res, qp)
+	addResidual(fe.rec, mx, my, &fe.res, qp)
 	fe.mvAvail[mbIdx] = false
 }
 
@@ -446,7 +449,7 @@ func (fe *frameEncoder) codeInterMB(rec *MBRecord, mx, my int, cand *interCandid
 	mbCols := fe.orig.MBCols()
 
 	// Build the prediction and the dependency footprints.
-	interPredict(&fe.pred, refF, refB, mx, my, &cand.mbMotion, fe.params.HalfPel)
+	interPredict(fe.rec, refF, refB, mx, my, &cand.mbMotion, fe.params.HalfPel)
 	fe.depSlab = appendMotionDeps(fe.depSlab, fe.ef, fe.orig.W, fe.orig.H, mx, my, &cand.mbMotion, fe.params.HalfPel)
 
 	// Quantize the residual to test for skip (P frames, 16x16, no MV delta).
@@ -459,11 +462,11 @@ func (fe *frameEncoder) codeInterMB(rec *MBRecord, mx, my int, cand *interCandid
 		fe.sw.PutUVal(entropy.ClassMBType, mbSkip)
 		// No delta-QP is coded for skip; encoder and decoder both fall back
 		// to the neighborhood prediction. The residual is zero, so the QP
-		// value itself does not affect reconstruction.
+		// value itself does not affect reconstruction: the prediction in rec
+		// is the macroblock.
 		skipQP := qpPrediction(fe.qps, mx, my, mbCols, fe.ef.BaseQP, fe.sliceTop)
 		fe.qps[mbIdx] = skipQP
 		rec.QP = skipQP
-		reconstructMB(fe.rec, mx, my, &fe.pred, &fe.res, skipQP)
 		fe.mvRep[mbIdx] = predMV
 		fe.mvAvail[mbIdx] = true
 		return
@@ -500,7 +503,7 @@ func (fe *frameEncoder) codeInterMB(rec *MBRecord, mx, my int, cand *interCandid
 	rec.QP = qp
 
 	fe.codeResidual()
-	reconstructMB(fe.rec, mx, my, &fe.pred, &fe.res, qp)
+	addResidual(fe.rec, mx, my, &fe.res, qp)
 	fe.mvRep[mbIdx] = cand.first()
 	fe.mvAvail[mbIdx] = true
 }
@@ -511,25 +514,25 @@ func (fe *frameEncoder) codeDQP(mx, my, qp int) {
 }
 
 // quantizeResidual transforms and quantizes the macroblock's residual —
-// source minus fe.pred, 16 luma then 4 Cb and 4 Cr blocks — into fe.res.
-// Every block is written, so none of fe.res is stale afterwards.
+// source minus the prediction in fe.rec, 16 luma then 4 Cb and 4 Cr blocks —
+// into fe.res. Every block is written, so none of fe.res is stale afterwards.
 func (fe *frameEncoder) quantizeResidual(mx, my, qp int, intra bool) {
 	var nz uint32
 	w, cw := fe.orig.W, fe.orig.W/2
-	luma := fe.orig.Y[my*frame.MBSize*w+mx*frame.MBSize:]
+	mo, co := my*frame.MBSize*w+mx*frame.MBSize, my*8*cw+mx*8
+	luma, pred := fe.orig.Y[mo:], fe.rec.Y[mo:]
 	for b := 0; b < lumaBlocks; b++ {
-		bx, by := b&3, b>>2
-		if transform.ForwardQuantize(&fe.res.blocks[b], luma[by*4*w+bx*4:], w, fe.pred.y[by*64+bx*4:], 16, qp, intra) {
+		o := (b>>2)*4*w + (b&3)*4
+		if transform.ForwardQuantize(&fe.res.blocks[b], luma[o:], w, pred[o:], w, qp, intra) {
 			nz |= 1 << uint(b)
 		}
 	}
-	co := my*8*cw + mx*8
 	for b := 0; b < 4; b++ {
-		bx, by := b&1, b>>1
-		if transform.ForwardQuantize(&fe.res.blocks[lumaBlocks+b], fe.orig.Cb[co+by*4*cw+bx*4:], cw, fe.pred.cb[by*32+bx*4:], 8, qp, intra) {
+		o := co + (b>>1)*4*cw + (b&1)*4
+		if transform.ForwardQuantize(&fe.res.blocks[lumaBlocks+b], fe.orig.Cb[o:], cw, fe.rec.Cb[o:], cw, qp, intra) {
 			nz |= 1 << uint(lumaBlocks+b)
 		}
-		if transform.ForwardQuantize(&fe.res.blocks[lumaBlocks+4+b], fe.orig.Cr[co+by*4*cw+bx*4:], cw, fe.pred.cr[by*32+bx*4:], 8, qp, intra) {
+		if transform.ForwardQuantize(&fe.res.blocks[lumaBlocks+4+b], fe.orig.Cr[o:], cw, fe.rec.Cr[o:], cw, qp, intra) {
 			nz |= 1 << uint(lumaBlocks+4+b)
 		}
 	}

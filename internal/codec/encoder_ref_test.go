@@ -13,8 +13,10 @@ import (
 // prediction into a Block, transform.QuantizeOnly returns the levels by
 // value, and a whole-block comparison sets the nonzero bit. Moved here
 // verbatim (the receiver's fields became parameters) as the oracle of
-// frameEncoder.quantizeResidual.
-func refQuantizeResidual(res *mbResidual, orig *frame.Frame, pred *mbPred, mx, my, qp int, intra bool) {
+// frameEncoder.quantizeResidual; the prediction it reads is the 16×16 luma
+// (stride 16) and 8×8 chroma blocks (stride 8) the encoder kept apart from
+// the frame at the time.
+func refQuantizeResidual(res *mbResidual, orig *frame.Frame, pred *refMBPred, mx, my, qp int, intra bool) {
 	res.nz = 0
 	quantize := func(b int, src []uint8, srcStride int, prd []uint8, predStride int) {
 		var r transform.Block
@@ -43,10 +45,19 @@ func refQuantizeResidual(res *mbResidual, orig *frame.Frame, pred *mbPred, mx, m
 	}
 }
 
+// refMBPred is the prediction of one macroblock as refQuantizeResidual reads
+// it.
+type refMBPred struct {
+	y      [256]uint8
+	cb, cr [64]uint8
+}
+
 // TestQuantizeResidualMatchesReference: levels and nonzero map of every
 // block equal the unfused path's, at every QP and both dead zones, for
 // predictions from exact (all-zero residual) through close to unrelated, at
-// corner, edge and interior macroblocks.
+// corner, edge and interior macroblocks. The encoder reads the prediction
+// where the macroblock goes in its reconstruction; the reference reads a copy
+// of it kept apart.
 func TestQuantizeResidualMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	orig := frame.MustNew(48, 48)
@@ -54,25 +65,28 @@ func TestQuantizeResidualMatchesReference(t *testing.T) {
 	rng.Read(orig.Cb)
 	rng.Read(orig.Cr)
 	fe := newFrameEncoder(DefaultParams(), 48, 48, nil)
-	fe.orig = orig
+	fe.orig, fe.rec = orig, frame.MustNew(48, 48)
 	for _, amp := range []int{0, 2, 12, 255} {
 		for _, mb := range [][2]int{{0, 0}, {1, 1}, {2, 0}, {2, 2}} {
 			mx, my := mb[0], mb[1]
 			// The prediction is the source plus noise of the given amplitude.
-			noisy := func(dst []uint8, stride int, src []uint8, srcStride, n int) {
+			var pred refMBPred
+			noisy := func(dst []uint8, stride int, kept []uint8, keptStride int, src []uint8, n int) {
 				for y := 0; y < n; y++ {
 					for x := 0; x < n; x++ {
-						dst[y*stride+x] = frame.ClampU8(int(src[y*srcStride+x]) + rng.Intn(2*amp+1) - amp)
+						v := frame.ClampU8(int(src[y*stride+x]) + rng.Intn(2*amp+1) - amp)
+						dst[y*stride+x], kept[y*keptStride+x] = v, v
 					}
 				}
 			}
-			noisy(fe.pred.y[:], 16, orig.Y[my*16*48+mx*16:], 48, 16)
-			noisy(fe.pred.cb[:], 8, orig.Cb[my*8*24+mx*8:], 24, 8)
-			noisy(fe.pred.cr[:], 8, orig.Cr[my*8*24+mx*8:], 24, 8)
+			lo, co := my*16*48+mx*16, my*8*24+mx*8
+			noisy(fe.rec.Y[lo:], 48, pred.y[:], 16, orig.Y[lo:], 16)
+			noisy(fe.rec.Cb[co:], 24, pred.cb[:], 8, orig.Cb[co:], 8)
+			noisy(fe.rec.Cr[co:], 24, pred.cr[:], 8, orig.Cr[co:], 8)
 			for qp := 0; qp <= transform.MaxQP; qp++ {
 				for _, intra := range []bool{false, true} {
 					var want mbResidual
-					refQuantizeResidual(&want, orig, &fe.pred, mx, my, qp, intra)
+					refQuantizeResidual(&want, orig, &pred, mx, my, qp, intra)
 					for b := range fe.res.blocks { // stale levels of an earlier macroblock
 						fe.res.blocks[b] = transform.Block{9, -9, 9, -9}
 					}

@@ -134,14 +134,13 @@ func applyEnhFrame(baseRec *frame.Frame, payload []byte, ef *EncodedFrame, p Par
 			}
 			qp := transform.ClampQP(mbQP - delta)
 			for b := 0; b < lumaBlocks; b++ {
-				z := &lv
-				if !readResidualBlock(sr, z) {
-					z = nil
+				if !readResidualBlock(sr, &lv) {
+					continue // no level: the base reconstruction stands
 				}
 				// The refinement adds onto the base reconstruction in place.
 				bx, by := b&3, b>>2
 				blk := rec.Y[(my*frame.MBSize+by*4)*rec.W+mx*frame.MBSize+bx*4:]
-				transform.ReconstructAdd(blk, rec.W, blk, rec.W, z, qp)
+				transform.ReconstructAdd(blk, rec.W, blk, rec.W, &lv, qp)
 			}
 		}
 	}

@@ -1,24 +1,25 @@
 package codec
 
 import (
+	"math/bits"
+
 	"videoapp/internal/frame"
 	"videoapp/internal/predict"
 	"videoapp/internal/transform"
 )
 
 // Macroblock reconstruction, shared by the encoder and the decoder so the
-// two cannot drift: prediction buffers, the quantized residual with its
-// nonzero map, inter prediction from partition vectors, and the one routine
-// that turns prediction plus residual into plane samples. Everything here
-// works on blocks and rows — a sample is touched individually only inside
-// the transform kernel and where compensation clamps at a frame border.
-
-// mbPred holds the prediction of one macroblock: 16×16 luma (stride 16) and
-// the two 8×8 chroma blocks (stride 8).
-type mbPred struct {
-	y      [256]uint8
-	cb, cr [64]uint8
-}
+// two cannot drift. It happens in the reconstructed frame itself, and every
+// sample is written once: the prediction — intra from the neighbours already
+// reconstructed, inter from partition vectors — goes straight into the
+// macroblock's place in the planes, and the residual of each 4×4 block that
+// carries a level is then added onto it in place (transform.ReconstructAdd
+// with dst == pred). A block with no level is its prediction, so it is not
+// touched again; the encoder quantizes against the same in-frame prediction
+// (transform.ForwardQuantize reads it with the plane's stride). Everything
+// here works on blocks and rows — a sample is touched individually only
+// inside the transform kernel and where compensation clamps at a frame
+// border.
 
 // Residual block indices: 16 luma blocks in raster order, then the 2×2 Cb
 // and the 2×2 Cr blocks — the order the bitstream codes them in.
@@ -36,45 +37,29 @@ type mbResidual struct {
 	nz     uint32
 }
 
-// block returns block b, or nil when it is all-zero.
-func (r *mbResidual) block(b int) *transform.Block {
-	if r.nz&(1<<uint(b)) == 0 {
-		return nil
-	}
-	return &r.blocks[b]
-}
-
-// reconstructMB writes macroblock (mx, my) of rec: prediction plus the
-// dequantized, inverse-transformed residual, saturated to 8 bits. A
-// macroblock without residual — nz == 0: a skip, a clear coded-block flag, or
-// levels that all quantized to zero — is its prediction, copied row by row;
-// otherwise each 4×4 block goes through transform.ReconstructAdd, which
-// again reduces to a row copy for the blocks whose nz bit is clear. An
-// all-zero block reconstructs to a zero residual at every QP, so skipping
-// the arithmetic cannot change a sample.
-func reconstructMB(rec *frame.Frame, mx, my int, pred *mbPred, res *mbResidual, qp int) {
+// addResidual completes macroblock (mx, my) of rec, whose samples hold its
+// prediction: each 4×4 block with its nz bit set gets the dequantized,
+// inverse-transformed residual added in place, saturated to 8 bits. A block
+// whose bit is clear — every block of a skip, of a clear coded-block flag, of
+// levels that all quantized to zero — reconstructs to a zero residual at
+// every QP, so leaving it alone cannot change a sample.
+func addResidual(rec *frame.Frame, mx, my int, res *mbResidual, qp int) {
 	w, cw := rec.W, rec.W/2
 	luma := rec.Y[my*frame.MBSize*w+mx*frame.MBSize:]
+	for nz := res.nz & (1<<lumaBlocks - 1); nz != 0; nz &= nz - 1 {
+		b := bits.TrailingZeros32(nz)
+		blk := luma[(b>>2)*4*w+(b&3)*4:]
+		transform.ReconstructAdd(blk, w, blk, w, &res.blocks[b], qp)
+	}
 	co := my*8*cw + mx*8
-	if res.nz == 0 {
-		frame.CopyRows(luma, w, pred.y[:], 16, 16, 16)
-		frame.CopyRows(rec.Cb[co:], cw, pred.cb[:], 8, 8, 8)
-		frame.CopyRows(rec.Cr[co:], cw, pred.cr[:], 8, 8, 8)
-		return
-	}
-	for b := 0; b < lumaBlocks; b++ {
-		bx, by := b&3, b>>2
-		transform.ReconstructAdd(luma[by*4*w+bx*4:], w, pred.y[by*64+bx*4:], 16, res.block(b), qp)
-	}
-	for plane := 0; plane < 2; plane++ {
-		dst, prd := rec.Cb[co:], pred.cb[:]
-		if plane == 1 {
-			dst, prd = rec.Cr[co:], pred.cr[:]
+	for nz := res.nz >> lumaBlocks; nz != 0; nz &= nz - 1 {
+		b := bits.TrailingZeros32(nz) // 0–3 Cb, 4–7 Cr
+		plane := rec.Cb
+		if b >= 4 {
+			plane = rec.Cr
 		}
-		for b := 0; b < 4; b++ {
-			bx, by := b&1, b>>1
-			transform.ReconstructAdd(dst[by*4*cw+bx*4:], cw, prd[by*32+bx*4:], 8, res.block(lumaBlocks+plane*4+b), qp)
-		}
+		blk := plane[co+(b>>1&1)*4*cw+(b&1)*4:]
+		transform.ReconstructAdd(blk, cw, blk, cw, &res.blocks[lumaBlocks+b], qp)
 	}
 }
 
@@ -100,32 +85,47 @@ func (m *mbMotion) first() predict.MV {
 	return m.mvF[0]
 }
 
-// interPredict builds the luma and chroma predictions of the inter
-// macroblock (mx, my) by compensating every partition straight into pred.
-// Chroma follows the first partition's direction for the whole macroblock —
-// a backward first partition reads refB with the backward vectors (zero for
-// partitions that have none), anything else refF with the forward ones.
-func interPredict(pred *mbPred, refF, refB *frame.Frame, mx, my int, m *mbMotion, halfPel bool) {
+// intraPredict writes the luma and chroma predictions of the intra
+// macroblock (mx, my) into its place in rec, from the neighbours the slice
+// lets it read.
+func intraPredict(rec *frame.Frame, mx, my int, mode predict.IntraMode, hasAbove, hasLeft bool) {
+	w, cw := rec.W, rec.W/2
+	predict.IntraPredict16Avail(rec.Y[my*frame.MBSize*w+mx*frame.MBSize:], w, rec, mx, my, mode, hasAbove, hasLeft)
+	co := my*8*cw + mx*8
+	chromaIntraPredict(rec.Cb[co:], rec.Cr[co:], cw, rec, mx, my, hasAbove, hasLeft)
+}
+
+// interPredict writes the luma and chroma predictions of the inter
+// macroblock (mx, my) into its place in rec by compensating every partition
+// straight into the planes; refF and refB are other frames. Chroma follows
+// the first partition's direction for the whole macroblock — a backward
+// first partition reads refB with the backward vectors (zero for partitions
+// that have none), anything else refF with the forward ones.
+func interPredict(rec, refF, refB *frame.Frame, mx, my int, m *mbMotion, halfPel bool) {
+	w := rec.W
 	px, py := mx*frame.MBSize, my*frame.MBSize
+	luma := rec.Y[py*w+px:]
 	for i, r := range m.rects {
-		dst := pred.y[r.Y*16+r.X:]
+		dst := luma[r.Y*w+r.X:]
 		switch m.dirs[i] {
 		case dirBi:
-			compensateBi(dst, 16, refF, refB, px+r.X, py+r.Y, r.W, r.H, m.mvF[i], m.mvB[i], halfPel)
+			compensateBi(dst, w, refF, refB, px+r.X, py+r.Y, r.W, r.H, m.mvF[i], m.mvB[i], halfPel)
 		case dirBwd:
-			compensate(dst, 16, refB, px+r.X, py+r.Y, r.W, r.H, m.mvB[i], halfPel)
+			compensate(dst, w, refB, px+r.X, py+r.Y, r.W, r.H, m.mvB[i], halfPel)
 		default:
-			compensate(dst, 16, refF, px+r.X, py+r.Y, r.W, r.H, m.mvF[i], halfPel)
+			compensate(dst, w, refF, px+r.X, py+r.Y, r.W, r.H, m.mvF[i], halfPel)
 		}
 	}
 	mvDiv := 2
 	if halfPel {
 		mvDiv = 4
 	}
+	cw := w / 2
+	co := my*8*cw + mx*8
 	if m.dirs[0] == dirBwd {
-		chromaInterPredict(pred, refB, mx, my, m.rects, &m.mvB, mvDiv)
+		chromaInterPredict(rec.Cb[co:], rec.Cr[co:], cw, refB, mx, my, m.rects, &m.mvB, mvDiv)
 	} else {
-		chromaInterPredict(pred, refF, mx, my, m.rects, &m.mvF, mvDiv)
+		chromaInterPredict(rec.Cb[co:], rec.Cr[co:], cw, refF, mx, my, m.rects, &m.mvF, mvDiv)
 	}
 }
 
@@ -148,17 +148,18 @@ func compensateBi(dst []uint8, stride int, ref0, ref1 *frame.Frame, cx, cy, w, h
 	}
 }
 
-// chromaInterPredict fills the 8×8 chroma predictions for a macroblock from
-// ref using the partition vectors scaled down by mvDiv: 2 for full-pel
-// vectors, 4 for half-pel vectors (4:2:0 chroma is half luma resolution).
-// The division truncates toward zero, as the bitstream always has.
-func chromaInterPredict(pred *mbPred, ref *frame.Frame, mbx, mby int, rects []predict.Rect, mvs *[maxPartitions]predict.MV, mvDiv int) {
+// chromaInterPredict writes the 8×8 chroma predictions of a macroblock into
+// dstCb and dstCr, whose rows are stride bytes apart, from ref using the
+// partition vectors scaled down by mvDiv: 2 for full-pel vectors, 4 for
+// half-pel vectors (4:2:0 chroma is half luma resolution). The division
+// truncates toward zero, as the bitstream always has.
+func chromaInterPredict(dstCb, dstCr []uint8, stride int, ref *frame.Frame, mbx, mby int, rects []predict.Rect, mvs *[maxPartitions]predict.MV, mvDiv int) {
 	for i, r := range rects {
 		x, y := r.X/2, r.Y/2
 		w, h := (r.X+r.W)/2-x, (r.Y+r.H)/2-y
 		x0 := mbx*8 + x + int(mvs[i].X)/mvDiv
 		y0 := mby*8 + y + int(mvs[i].Y)/mvDiv
-		compensateChroma(pred.cb[y*8+x:], pred.cr[y*8+x:], 8, ref, x0, y0, w, h)
+		compensateChroma(dstCb[y*stride+x:], dstCr[y*stride+x:], stride, ref, x0, y0, w, h)
 	}
 }
 

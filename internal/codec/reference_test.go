@@ -220,9 +220,9 @@ func (fd *refFrameDecoder) decodeMB(mx, my int) {
 		mode := predict.IntraMode(int(fd.sr.GetUVal(entropy.ClassIntraMode)) % predict.NumIntraModes)
 		qp := fd.decodeQP(mx, my, mbIdx)
 		var pred [256]uint8
-		predict.IntraPredict16Avail(&pred, fd.rec, mx, my, mode, my > fd.sliceTop, mx > 0)
+		predict.IntraPredict16Avail(pred[:], 16, fd.rec, mx, my, mode, my > fd.sliceTop, mx > 0)
 		var predCb, predCr [64]uint8
-		chromaIntraPredict(predCb[:], predCr[:], fd.rec, mx, my, my > fd.sliceTop, mx > 0)
+		chromaIntraPredict(predCb[:], predCr[:], 8, fd.rec, mx, my, my > fd.sliceTop, mx > 0)
 		fd.decodeResidualAndReconstruct(mx, my, pred[:], predCb[:], predCr[:], qp)
 		if fd.record && fd.curRec != nil {
 			fd.curRec.Intra = true

@@ -157,9 +157,22 @@ func (s *Sequence) PixelCount() int64 {
 // CopyRows copies an h-row, w-byte-wide rectangle between two strided byte
 // planes; dst and src start at the rectangle's top-left sample. It is the
 // whole-row primitive of motion compensation and macroblock reconstruction
-// wherever no sample needs clamping.
+// wherever no sample needs clamping. Rows of a macroblock (16) or chroma
+// block (8) are moved as fixed-size arrays, a register copy each, instead of
+// one memmove call per row.
 func CopyRows(dst []uint8, dstStride int, src []uint8, srcStride, w, h int) {
-	for y := 0; y < h; y++ {
-		copy(dst[y*dstStride:y*dstStride+w], src[y*srcStride:y*srcStride+w])
+	switch w {
+	case 16:
+		for y := 0; y < h; y++ {
+			*(*[16]uint8)(dst[y*dstStride:]) = *(*[16]uint8)(src[y*srcStride:])
+		}
+	case 8:
+		for y := 0; y < h; y++ {
+			*(*[8]uint8)(dst[y*dstStride:]) = *(*[8]uint8)(src[y*srcStride:])
+		}
+	default:
+		for y := 0; y < h; y++ {
+			copy(dst[y*dstStride:y*dstStride+w], src[y*srcStride:y*srcStride+w])
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package frame
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -128,22 +129,53 @@ func TestSequenceGeometry(t *testing.T) {
 	}
 }
 
+// TestCopyRows compares CopyRows with a byte loop at the widths it
+// specialises (16, 8) and at ones it does not (4, an odd 3, 7), copying a
+// rectangle from (1,1) of one strided plane to (1,1) of another: every byte
+// outside the rectangle must keep its sentinel. A source stride of 0 repeats
+// one row, as vertical intra prediction uses it.
 func TestCopyRows(t *testing.T) {
-	src := make([]uint8, 8*6)
-	for i := range src {
-		src[i] = uint8(i)
+	for _, w := range []int{16, 8, 4, 3, 7} {
+		for _, srcStride := range []int{w + 5, 0} {
+			const h, dstStride = 5, 21
+			src := make([]uint8, 1+(h+1)*(w+5))
+			for i := range src {
+				src[i] = uint8(i*7 + 1)
+			}
+			dst := make([]uint8, (h+2)*dstStride)
+			want := make([]uint8, len(dst))
+			for i := range dst {
+				dst[i], want[i] = 0xA5, 0xA5
+			}
+			so, do := srcStride+1, dstStride+1
+			if srcStride == 0 {
+				so = 1
+			}
+			for y := 0; y < h; y++ {
+				for x := 0; x < w; x++ {
+					want[do+y*dstStride+x] = src[so+y*srcStride+x]
+				}
+			}
+			CopyRows(dst[do:], dstStride, src[so:], srcStride, w, h)
+			for i := range dst {
+				if dst[i] != want[i] {
+					t.Fatalf("width %d source stride %d: dst(%d,%d) = %d, want %d", w, srcStride, i%dstStride, i/dstStride, dst[i], want[i])
+				}
+			}
+		}
 	}
-	dst := make([]uint8, 10*5)
-	CopyRows(dst[11:], 10, src[9:], 8, 3, 2) // 3×2 rectangle from (1,1) to (1,1)
-	for i, v := range dst {
-		x, y := i%10, i/10
-		want := uint8(0)
-		if x >= 1 && x < 4 && y >= 1 && y < 3 {
-			want = src[y*8+x]
-		}
-		if v != want {
-			t.Fatalf("dst(%d,%d) = %d, want %d", x, y, v, want)
-		}
+}
+
+// BenchmarkCopyRows copies one macroblock's luma rows (16) and one chroma
+// block's rows (8) between planes of a 320-sample stride.
+func BenchmarkCopyRows(b *testing.B) {
+	src, dst := make([]uint8, 320*16), make([]uint8, 320*16)
+	for _, w := range []int{16, 8} {
+		b.Run(fmt.Sprint(w), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				CopyRows(dst[i&7:], 320, src, 320, w, w)
+			}
+		})
 	}
 }
 

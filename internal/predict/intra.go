@@ -27,25 +27,28 @@ const (
 // NumIntraModes is the count of intra modes (for validation of decoded values).
 const NumIntraModes = int(numIntraModes)
 
-// IntraPredict16Avail writes into out the 16×16 luma prediction (row-major,
-// stride 16) of macroblock (mbx, mby) from the reconstructed frame rec.
-// hasAbove and hasLeft say which neighbors the mode may read — the scan
-// order makes them mby > 0 and mbx > 0, and a slice boundary cuts the one
-// above — and must not claim a neighbor outside the frame. Unavailable modes
-// fall back to DC with the available neighbors (or 128 with none), exactly as
-// the decoder will reproduce. The neighbor row and column lie inside the
-// frame, so every mode reads them without clamping.
-func IntraPredict16Avail(out *[256]uint8, rec *frame.Frame, mbx, mby int, mode IntraMode, hasAbove, hasLeft bool) {
+// IntraPredict16Avail writes the 16×16 luma prediction of macroblock
+// (mbx, mby) from the reconstructed frame rec into dst, whose rows are stride
+// bytes apart (dst starts at the block's top-left sample). dst may be the
+// macroblock's own place in rec.Y: the prediction reads only the row above
+// and the column to the left, and reads them before it writes. hasAbove and
+// hasLeft say which neighbors the mode may read — the scan order makes them
+// mby > 0 and mbx > 0, and a slice boundary cuts the one above — and must not
+// claim a neighbor outside the frame. Unavailable modes fall back to DC with
+// the available neighbors (or 128 with none), exactly as the decoder will
+// reproduce. The neighbor row and column lie inside the frame, so every mode
+// reads them without clamping.
+func IntraPredict16Avail(dst []uint8, stride int, rec *frame.Frame, mbx, mby int, mode IntraMode, hasAbove, hasLeft bool) {
 	w := rec.W
 	// o indexes the macroblock's top-left sample: the row above starts at
 	// o-w, the column to the left at o-1, the corner between them at o-w-1.
 	o := mby*frame.MBSize*w + mbx*frame.MBSize
 	switch {
 	case mode == IntraVertical && hasAbove:
-		frame.CopyRows(out[:], 16, rec.Y[o-w:], 0, 16, 16)
+		frame.CopyRows(dst, stride, rec.Y[o-w:], 0, 16, 16)
 	case mode == IntraHorizontal && hasLeft:
 		for y := 0; y < 16; y++ {
-			fill16(out[y*16:], rec.Y[o+y*w-1])
+			fill16(dst[y*stride:], rec.Y[o+y*w-1])
 		}
 	case mode == IntraPlane && hasAbove && hasLeft:
 		// Simplified plane fit through the neighbor row and column.
@@ -60,7 +63,7 @@ func IntraPredict16Avail(out *[256]uint8, rec *frame.Frame, mbx, mby int, mode I
 		b := (5*h + 32) >> 6
 		c := (5*v + 32) >> 6
 		for y := 0; y < 16; y++ {
-			row := out[y*16:][:16]
+			row := dst[y*stride:][:16]
 			acc := a + c*(y-7) - 7*b + 16
 			for x := range row {
 				row[x] = frame.ClampU8(acc >> 5)
@@ -87,7 +90,7 @@ func IntraPredict16Avail(out *[256]uint8, rec *frame.Frame, mbx, mby int, mode I
 			dc = uint8((sum + n/2) / n)
 		}
 		for y := 0; y < 16; y++ {
-			fill16(out[y*16:], dc)
+			fill16(dst[y*stride:], dc)
 		}
 	}
 }
@@ -102,9 +105,9 @@ func fill16(dst []uint8, v uint8) {
 // BestIntraModeAvail decides whether intra prediction of macroblock
 // (mbx, mby) can beat a competing cost: it looks for the mode with the lowest
 // SAD against the original pixels among those whose SAD is strictly below
-// limit (the first such mode on ties), writes its prediction into pred and
-// returns it with its SAD. ok is false, and pred untouched, when no mode gets
-// below limit.
+// limit (the first such mode on ties) and returns it with its SAD; ok is
+// false when no mode gets below limit. It writes no prediction: the caller
+// predicts the winning mode once, where the macroblock goes.
 //
 // The bound makes the decision cheap without changing it. A limit <= 0 can
 // admit no SAD, so nothing is predicted at all; otherwise each mode's
@@ -112,7 +115,7 @@ func fill16(dst []uint8, v uint8) {
 // sum is >= that bound, as the exact SAD would be — the strict comparison
 // rejects both alike. Whenever some mode's SAD is below limit, the mode and
 // SAD returned are those of an unbounded scan over all four modes.
-func BestIntraModeAvail(pred *[256]uint8, orig, rec *frame.Frame, mbx, mby int, hasAbove, hasLeft bool, limit int) (mode IntraMode, sad int, ok bool) {
+func BestIntraModeAvail(orig, rec *frame.Frame, mbx, mby int, hasAbove, hasLeft bool, limit int) (mode IntraMode, sad int, ok bool) {
 	if limit <= 0 {
 		return IntraDC, 0, false
 	}
@@ -120,10 +123,9 @@ func BestIntraModeAvail(pred *[256]uint8, orig, rec *frame.Frame, mbx, mby int, 
 	mode, sad = IntraDC, limit
 	var cand [256]uint8
 	for m := IntraMode(0); m < numIntraModes; m++ {
-		IntraPredict16Avail(&cand, rec, mbx, mby, m, hasAbove, hasLeft)
+		IntraPredict16Avail(cand[:], 16, rec, mbx, mby, m, hasAbove, hasLeft)
 		if s := sadRows(src, orig.W, cand[:], 16, 16, 16, sad); s < sad {
 			mode, sad, ok = m, s, true
-			*pred = cand
 		}
 	}
 	return mode, sad, ok

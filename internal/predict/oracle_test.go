@@ -379,28 +379,16 @@ func TestBoundedIntraDecisionMatchesUnbounded(t *testing.T) {
 			for mbx := 0; mbx < 3; mbx++ {
 				for avail := 0; avail < 4; avail++ {
 					hasAbove, hasLeft := avail&1 != 0 && mby > 0, avail&2 != 0 && mbx > 0
-					wantMode, wantPred, wantSAD := refBestIntraModeAvail(orig, rec, mbx, mby, hasAbove, hasLeft)
+					wantMode, _, wantSAD := refBestIntraModeAvail(orig, rec, mbx, mby, hasAbove, hasLeft)
 					limits := []int{math.MinInt, -1, 0, 1, wantSAD / 2, wantSAD - 1, wantSAD, wantSAD + 1, wantSAD + 1 + rng.Intn(4000), 1 << 30, math.MaxInt}
 					for _, limit := range limits {
-						var pred [256]uint8
-						for i := range pred {
-							pred[i] = 0xA5
-						}
-						sentinel := pred
-						mode, sad, ok := BestIntraModeAvail(&pred, orig, rec, mbx, mby, hasAbove, hasLeft, limit)
+						mode, sad, ok := BestIntraModeAvail(orig, rec, mbx, mby, hasAbove, hasLeft, limit)
 						what := fmt.Sprintf("%s mb (%d,%d) above=%v left=%v limit %d", name, mbx, mby, hasAbove, hasLeft, limit)
 						if ok != (wantSAD < limit) {
 							t.Fatalf("%s: ok = %v with best SAD %d", what, ok, wantSAD)
 						}
-						if !ok {
-							if pred != sentinel {
-								t.Fatalf("%s: prediction written without a winner", what)
-							}
-							continue
-						}
-						if mode != wantMode || sad != wantSAD || pred != wantPred {
-							t.Fatalf("%s: got mode %d SAD %d, want mode %d SAD %d (prediction equal: %v)",
-								what, mode, sad, wantMode, wantSAD, pred == wantPred)
+						if ok && (mode != wantMode || sad != wantSAD) {
+							t.Fatalf("%s: got mode %d SAD %d, want mode %d SAD %d", what, mode, sad, wantMode, wantSAD)
 						}
 					}
 				}
@@ -410,7 +398,9 @@ func TestBoundedIntraDecisionMatchesUnbounded(t *testing.T) {
 }
 
 // TestIntraPredict16MatchesReference: the row form equals the sample form
-// for every mode and availability the scan order can produce.
+// for every mode and availability the scan order can produce, written into a
+// block of its own and written in place — into the macroblock's samples of
+// the frame it reads its neighbors from, where only the macroblock may move.
 func TestIntraPredict16MatchesReference(t *testing.T) {
 	rec := noiseFrame(48, 48, 64)
 	for mby := 0; mby < 3; mby++ {
@@ -418,10 +408,25 @@ func TestIntraPredict16MatchesReference(t *testing.T) {
 			for avail := 0; avail < 4; avail++ {
 				hasAbove, hasLeft := avail&1 != 0 && mby > 0, avail&2 != 0 && mbx > 0
 				for m := IntraMode(0); m < numIntraModes; m++ {
+					want := refIntraPredict16Avail(rec, mbx, mby, m, hasAbove, hasLeft)
 					var got [256]uint8
-					IntraPredict16Avail(&got, rec, mbx, mby, m, hasAbove, hasLeft)
-					if want := refIntraPredict16Avail(rec, mbx, mby, m, hasAbove, hasLeft); got != want {
+					IntraPredict16Avail(got[:], 16, rec, mbx, mby, m, hasAbove, hasLeft)
+					if got != want {
 						t.Fatalf("mb (%d,%d) mode %d above=%v left=%v differs from the reference", mbx, mby, m, hasAbove, hasLeft)
+					}
+					inPlace := rec.Clone()
+					o := mby*16*48 + mbx*16
+					IntraPredict16Avail(inPlace.Y[o:], 48, inPlace, mbx, mby, m, hasAbove, hasLeft)
+					for i := range inPlace.Y {
+						x, y := i%48-mbx*16, i/48-mby*16
+						exp := rec.Y[i]
+						if x >= 0 && x < 16 && y >= 0 && y < 16 {
+							exp = want[y*16+x]
+						}
+						if inPlace.Y[i] != exp {
+							t.Fatalf("mb (%d,%d) mode %d above=%v left=%v in place: sample (%d,%d) is %d, want %d",
+								mbx, mby, m, hasAbove, hasLeft, i%48, i/48, inPlace.Y[i], exp)
+						}
 					}
 				}
 			}
@@ -580,10 +585,9 @@ func BenchmarkIntraDecision(b *testing.B) {
 		limit int
 	}{{"unbounded", math.MaxInt}, {"bounded", 6000}, {"skipped", 0}} {
 		b.Run(c.name, func(b *testing.B) {
-			var pred [256]uint8
 			for i := 0; i < b.N; i++ {
 				for mbx := 1; mbx < 20; mbx++ {
-					BestIntraModeAvail(&pred, orig, rec, mbx, 1, true, true, c.limit)
+					BestIntraModeAvail(orig, rec, mbx, 1, true, true, c.limit)
 				}
 			}
 		})

@@ -22,7 +22,7 @@ func gradientFrame(w, h int) *frame.Frame {
 // intraPred is the prediction of a macroblock whose neighbors are all the
 // scan order provides.
 func intraPred(rec *frame.Frame, mbx, mby int, mode IntraMode) (out [256]uint8) {
-	IntraPredict16Avail(&out, rec, mbx, mby, mode, mby > 0, mbx > 0)
+	IntraPredict16Avail(out[:], 16, rec, mbx, mby, mode, mby > 0, mbx > 0)
 	return out
 }
 
@@ -82,8 +82,7 @@ func TestBestIntraModePicksExactMatch(t *testing.T) {
 		}
 	}
 	orig := rec.Clone()
-	var pred [256]uint8
-	mode, sad, ok := BestIntraModeAvail(&pred, orig, rec, 1, 1, true, true, math.MaxInt)
+	mode, sad, ok := BestIntraModeAvail(orig, rec, 1, 1, true, true, math.MaxInt)
 	if !ok || sad != 0 {
 		t.Fatalf("perfect vertical pattern should give SAD 0, got %d (mode %d)", sad, mode)
 	}

@@ -153,7 +153,7 @@ func (t *tenant) space() string {
 func NewCatalog(specs []ArchiveSpec, options ...Option) (*Catalog, error) {
 	cfg := config{
 		cacheBytes:     defaultCacheBytes,
-		cacheShards:    cache.DefaultShards(),
+		cacheShards:    defaultCacheShards,
 		prefetchDepth:  defaultPrefetchDepth,
 		requestTimeout: defaultRequestTimeout,
 	}

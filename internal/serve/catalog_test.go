@@ -18,7 +18,6 @@ import (
 	"testing"
 	"time"
 
-	"videoapp/internal/cache"
 	"videoapp/internal/faultio"
 	"videoapp/internal/obs"
 	"videoapp/internal/store"
@@ -675,8 +674,9 @@ func TestIdleSweeperSurvivesTinyTimeout(t *testing.T) {
 }
 
 // TestCacheShardsZeroMeansAuto pins the documented meaning of the shard
-// option: zero (and anything below) is "auto", exactly what passing no
-// option selects, and 1 is the single shard.
+// option: zero (and anything below) selects the default, exactly what
+// passing no option selects — one shard, a strict LRU over the whole
+// rendered budget — and a count of its own is kept.
 func TestCacheShardsZeroMeansAuto(t *testing.T) {
 	shards := func(options ...Option) int {
 		cat, err := NewCatalog(nil, options...)
@@ -686,16 +686,47 @@ func TestCacheShardsZeroMeansAuto(t *testing.T) {
 		defer cat.Close()
 		return cat.cfg.cacheShards
 	}
-	auto := shards()
-	if auto != cache.DefaultShards() {
-		t.Fatalf("no option resolves to %d shards, want cache.DefaultShards() = %d", auto, cache.DefaultShards())
+	if auto := shards(); auto != 1 {
+		t.Fatalf("no option resolves to %d shards, want 1", auto)
 	}
 	for _, n := range []int{0, -1} {
-		if got := shards(WithCacheShards(n)); got != auto {
-			t.Fatalf("WithCacheShards(%d) resolves to %d shards, no option to %d", n, got, auto)
+		if got := shards(WithCacheShards(n)); got != 1 {
+			t.Fatalf("WithCacheShards(%d) resolves to %d shards, want the default 1", n, got)
 		}
 	}
-	if got := shards(WithCacheShards(1)); got != 1 {
-		t.Fatalf("WithCacheShards(1) resolves to %d shards, want 1", got)
+	if got := shards(WithCacheShards(8)); got != 8 {
+		t.Fatalf("WithCacheShards(8) resolves to %d shards, want 8", got)
+	}
+}
+
+// TestDefaultCacheKeepsEveryChunkThatFits: chunks that fit the rendered
+// budget together are all resident after one pass of a catalog with the
+// default shard count, whatever the hash seed each new catalog draws. Each
+// chunk costs 40 % of an eighth of the budget — what one of eight hash shards
+// held when the budget was split over them, and how the ledger's probe of six
+// 30-frame chunks sits in a default 64 MiB catalog. Split, about one catalog
+// in four hashed three of the six chunks into one shard and evicted one of
+// them during the first pass.
+func TestDefaultCacheKeepsEveryChunkThatFits(t *testing.T) {
+	const chunks, catalogs = 6, 200
+	data := buildArchiveBytes(t, chunks)
+	chunkBytes := int64(len(wantChunkBody(t, openBytes(t, data), 0)))
+	spec := ArchiveSpec{Name: testArchive, Open: func() (store.Backend, error) { return store.NewSnapshotBackend(data), nil }}
+	for n := 0; n < catalogs; n++ {
+		// Readahead off: every first request is a foreground miss.
+		cat, err := NewCatalog([]ArchiveSpec{spec}, withRenderedBytes(8*chunkBytes*5/2), WithPrefetch(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < chunks; i++ {
+			mustGet(t, cat, i, "miss")
+		}
+		for i := 0; i < chunks; i++ {
+			if status, xc := chunkGet(t, cat, testArchive, i); status != http.StatusOK || xc != "hit" {
+				t.Fatalf("catalog %d chunk %d: status %d X-Cache %q on the second pass, want 200 hit (%d evictions)",
+					n, i, status, xc, cat.CacheStats().Evictions)
+			}
+		}
+		cat.Close()
 	}
 }

@@ -29,10 +29,9 @@
 //     keeps, per chunk, the record of what the entropy decoder parsed, so a
 //     chunk whose rendering was evicted is read and verified again on its
 //     next miss but only frames whose bytes changed are parsed again. The
-//     rendered cache is lock-sharded
-//     (WithCacheShards): keys hash to independent shards, each with its
-//     own mutex, LRU order, and slice of the byte budget, so hot hits on
-//     different chunks never contend on one mutex;
+//     rendered cache is one strict LRU by default; WithCacheShards splits it
+//     into lock shards, each with its own mutex, LRU order and slice of the
+//     byte budget, for hot hits that must not contend on one mutex;
 //   - cold-chunk decodes are coalesced (singleflight): a stampede of N
 //     clients on one uncached chunk performs a single archive read + decode
 //     and every client shares the bytes;
@@ -100,7 +99,6 @@ import (
 	"strconv"
 	"time"
 
-	"videoapp/internal/cache"
 	"videoapp/internal/obs"
 	"videoapp/internal/store"
 )
@@ -112,7 +110,13 @@ var ErrArchiveNotFound = errors.New("archive not found")
 
 // The documented defaults: what NewCatalog with no options runs under.
 const (
-	defaultCacheBytes     = 64 << 20
+	defaultCacheBytes = 64 << 20
+	// defaultCacheShards keeps the rendered tier one strict LRU: a rendered
+	// chunk is a sizeable share of the budget (at the ledger's 320×176 a
+	// 30-frame chunk is 2.5 MB, 5 % of 48 MiB), and hash shards that each own
+	// an equal slice of it evict a chunk from a full shard while others
+	// have room.
+	defaultCacheShards    = 1
 	defaultPrefetchDepth  = 2
 	defaultRequestTimeout = 30 * time.Second
 	// drainTimeout bounds connection draining during Serve's shutdown.
@@ -150,14 +154,16 @@ func WithCacheBytes(n int64) Option {
 	}
 }
 
-// WithCacheShards sets the decoded-chunk cache's lock-shard count (rounded
-// up to a power of two). n <= 0 (the default) selects max(8, GOMAXPROCS)
-// rounded up to a power of two; 1 is a single shard — one global mutex and
-// a strict global LRU order at the cost of hot-path contention.
+// WithCacheShards sets the rendered-chunk cache's lock-shard count (rounded
+// up to a power of two). n <= 0 selects the default, a single shard — one
+// mutex and a strict LRU order over the whole rendered budget. More shards
+// let hot hits on different chunks take different mutexes, but each shard
+// owns an equal slice of the budget and evicts within it, so chunks that fit
+// the budget together can still evict one another.
 func WithCacheShards(n int) Option {
 	return func(c *config) {
 		if n <= 0 {
-			n = cache.DefaultShards()
+			n = defaultCacheShards
 		}
 		c.cacheShards = n
 	}

@@ -1,6 +1,7 @@
 package transform
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -49,11 +50,10 @@ func refQuantize(y *Block, qp int, intra bool) Block {
 	return z
 }
 
-// refReconstructAdd is the decoder's old inner loop: reconstruct the block,
+// refReconstructAdd is the decoder's old inner loop: Reconstruct the block,
 // then add and saturate one sample at a time.
 func refReconstructAdd(dst []uint8, dstStride int, pred []uint8, predStride int, z *Block, qp int) {
-	w := refDequantize(z, qp)
-	recon := Inverse(&w)
+	recon := Reconstruct(z, qp)
 	for y := 0; y < 4; y++ {
 		for x := 0; x < 4; x++ {
 			v := int(pred[y*predStride+x]) + int(recon[y*4+x])
@@ -115,9 +115,30 @@ func TestPositionTablesMatchPosClass(t *testing.T) {
 	}
 }
 
-func TestReconstructAddMatchesReference(t *testing.T) {
+// reconstructBlocks are the inputs of the ReconstructAdd differential tests:
+// testBlocks, then DC-only blocks — the kernel's shortcut — from the all-zero
+// block through small levels and the decoder's ±maxLevel clamp to hostile
+// magnitudes whose dequantization wraps int32, as the full path wraps them.
+func reconstructBlocks(rng *rand.Rand) []Block {
+	out := testBlocks(rng)
+	dcs := []int32{0, 1, -1, 2, -3, 31, -32, 300, -300, maxLevel, -maxLevel, 1 << 20, -(1 << 20), 1 << 26, math.MaxInt32, math.MinInt32}
+	for n := 0; n < 16; n++ {
+		dcs = append(dcs, int32(rng.Uint32()))
+	}
+	for _, dc := range dcs {
+		out = append(out, Block{dc})
+	}
+	return out
+}
+
+// checkReconstructAdd runs ReconstructAdd against Reconstruct + add + clamp
+// at every QP over reconstructBlocks, on predictions that are random or
+// saturate at both ends, with the prediction in another plane or — the
+// codec's use — in the destination itself. A sentinel around the block must
+// not move.
+func checkReconstructAdd(t *testing.T, inPlace bool) {
 	rng := rand.New(rand.NewSource(12))
-	blocks := testBlocks(rng)
+	blocks := reconstructBlocks(rng)
 	const dstStride, predStride = 24, 16
 	for qp := 0; qp <= MaxQP; qp++ {
 		for bi := range blocks {
@@ -133,21 +154,35 @@ func TestReconstructAddMatchesReference(t *testing.T) {
 			got := make([]uint8, 4*dstStride)
 			want := make([]uint8, 4*dstStride)
 			for i := range got {
-				got[i], want[i] = 0xA5, 0xA5 // sentinel: nothing outside the block may move
+				got[i], want[i] = 0xA5, 0xA5
 			}
-			ReconstructAdd(got[2:], dstStride, pred[1:], predStride, &blocks[bi], qp)
 			refReconstructAdd(want[2:], dstStride, pred[1:], predStride, &blocks[bi], qp)
+			if inPlace {
+				for y := 0; y < 4; y++ {
+					copy(got[2+y*dstStride:][:4], pred[1+y*predStride:])
+				}
+				ReconstructAdd(got[2:], dstStride, got[2:], dstStride, &blocks[bi], qp)
+			} else {
+				ReconstructAdd(got[2:], dstStride, pred[1:], predStride, &blocks[bi], qp)
+			}
 			if string(got) != string(want) {
-				t.Fatalf("qp %d block %d (%v):\n got %v\nwant %v", qp, bi, blocks[bi], got, want)
+				t.Fatalf("in place %v qp %d block %d (%v):\n got %v\nwant %v", inPlace, qp, bi, blocks[bi], got, want)
 			}
 		}
 	}
 }
 
-// TestZeroBlockReconstructsToZeroAtEveryQP pins the invariant the decoder's
+func TestReconstructAddMatchesReference(t *testing.T) { checkReconstructAdd(t, false) }
+
+// TestReconstructAddInPlace covers the codec's use (and the layered
+// decoder's): the residual is added onto the plane the prediction was
+// written into.
+func TestReconstructAddInPlace(t *testing.T) { checkReconstructAdd(t, true) }
+
+// TestZeroBlockReconstructsToZeroAtEveryQP pins the invariant the codec's
 // zero-block skip relies on: no QP turns all-zero levels into a nonzero
-// residual, so ReconstructAdd(nil) — a copy of the prediction — equals the
-// full kernel run on a zero block.
+// residual, so leaving a block with no levels at its prediction is what the
+// full kernel would have stored.
 func TestZeroBlockReconstructsToZeroAtEveryQP(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for qp := -3; qp <= MaxQP+3; qp++ {
@@ -159,32 +194,10 @@ func TestZeroBlockReconstructsToZeroAtEveryQP(t *testing.T) {
 		for i := range pred {
 			pred[i] = uint8(rng.Intn(256))
 		}
-		skip, full, ref := make([]uint8, 4*16), make([]uint8, 4*16), make([]uint8, 4*16)
-		ReconstructAdd(skip, 16, pred, 16, nil, qp)
-		ReconstructAdd(full, 16, pred, 16, &z, qp)
-		refReconstructAdd(ref, 16, pred, 16, &z, qp)
-		if string(skip) != string(full) || string(full) != string(ref) {
-			t.Fatalf("QP %d: skip %v, full %v, reference %v", qp, skip, full, ref)
-		}
-	}
-}
-
-// TestReconstructAddInPlace covers the layered decoder's use: the refinement
-// is added onto the plane it reads its prediction from.
-func TestReconstructAddInPlace(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	for _, z := range testBlocks(rng) {
-		z := z
-		plane := make([]uint8, 4*16)
-		for i := range plane {
-			plane[i] = uint8(rng.Intn(256))
-		}
-		want := make([]uint8, len(plane))
-		copy(want, plane)
-		refReconstructAdd(want, 16, append([]uint8(nil), plane...), 16, &z, 20)
-		ReconstructAdd(plane, 16, plane, 16, &z, 20)
-		if string(plane) != string(want) {
-			t.Fatalf("in-place result differs for %v", z)
+		full := append([]uint8(nil), pred...)
+		ReconstructAdd(full, 16, full, 16, &z, qp)
+		if string(full) != string(pred) {
+			t.Fatalf("QP %d: a zero block moved its prediction %v to %v", qp, pred, full)
 		}
 	}
 }
@@ -272,18 +285,37 @@ func BenchmarkForwardQuantize(b *testing.B) {
 	}
 }
 
+// BenchmarkReconstructAdd times one 4×4 block: coded (every level random)
+// from a separate prediction, DC-only, and coded in place — the codec's use,
+// the prediction already in the destination plane; there the block and its
+// negation alternate, so the samples do not drift into saturation.
 func BenchmarkReconstructAdd(b *testing.B) {
 	rng := rand.New(rand.NewSource(15))
-	z := randResidual(rng, 40)
-	pred, dst := make([]uint8, 4*16), make([]uint8, 4*320)
-	for _, c := range []struct {
-		name string
-		z    *Block
-	}{{"coded", &z}, {"zero", nil}} {
-		b.Run(c.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ReconstructAdd(dst, 320, pred, 16, c.z, 26)
-			}
-		})
+	z, dc := randResidual(rng, 40), Block{-7}
+	var zs [2]Block
+	for i := range z {
+		zs[0][i], zs[1][i] = z[i], -z[i]
 	}
+	pred, dst := make([]uint8, 4*16), make([]uint8, 4*320)
+	for i := range pred {
+		pred[i] = uint8(rng.Intn(256))
+	}
+	for y := 0; y < 4; y++ {
+		copy(dst[y*320:][:4], pred[y*16:])
+	}
+	b.Run("coded", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ReconstructAdd(dst, 320, pred, 16, &z, 26)
+		}
+	})
+	b.Run("dc", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ReconstructAdd(dst, 320, pred, 16, &dc, 26)
+		}
+	})
+	b.Run("inplace", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ReconstructAdd(dst, 320, dst, 320, &zs[i&1], 26)
+		}
+	})
 }

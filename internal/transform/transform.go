@@ -222,22 +222,30 @@ func Reconstruct(z *Block, qp int) Block {
 // ReconstructAdd is the reconstruction kernel of one 4×4 block, fused:
 // dequantize z, inverse-transform, add the prediction, saturate to 8 bits
 // and store — dst = clamp(pred + Reconstruct(z, qp)). dst and pred start at
-// the block's top-left sample of planes with the given row strides.
+// the block's top-left sample of planes with the given row strides; they may
+// be the same samples, which is how the codec uses it — the prediction is
+// written into the frame and the residual added in place. An all-zero block
+// needs no call: every QP reconstructs it to a zero residual
+// ((0+32)>>6 == 0), so its prediction already is its reconstruction.
 //
-// A nil z stands for an all-zero block. Every QP reconstructs that to an
-// all-zero residual ((0+32)>>6 == 0), so the kernel degenerates to copying
-// four 4-byte prediction rows; callers that know a block carries no levels
-// pass nil instead of having the block scanned again.
+// A block whose levels 1–15 are zero (DC only) reconstructs to one constant
+// residual, (z[0]·v[0]<<shift + 32) >> 6: the inverse transform's rows turn
+// [a 0 0 0] into [a a a a] and its columns each [a 0 0 0] into four
+// (a+32)>>6. Those are the int32 operations, wraparound included, the full
+// path performs on such a block, so the shortcut is exact.
 func ReconstructAdd(dst []uint8, dstStride int, pred []uint8, predStride int, z *Block, qp int) {
-	if z == nil {
-		for y := 0; y < 4; y++ {
-			copy(dst[y*dstStride:y*dstStride+4], pred[y*predStride:y*predStride+4])
-		}
-		return
-	}
 	qp = clampQP(qp)
 	v := &rescaleByPos[qp%6]
 	shift := uint(qp / 6)
+	d0, d1, d2, d3 := dst[:4], dst[dstStride:dstStride+4], dst[2*dstStride:2*dstStride+4], dst[3*dstStride:3*dstStride+4]
+	p0, p1, p2, p3 := pred[:4], pred[predStride:predStride+4], pred[2*predStride:2*predStride+4], pred[3*predStride:3*predStride+4]
+	if z[1]|z[2]|z[3]|z[4]|z[5]|z[6]|z[7]|z[8]|z[9]|z[10]|z[11]|z[12]|z[13]|z[14]|z[15] == 0 {
+		r := (z[0]*v[0]<<shift + 32) >> 6
+		for j := 0; j < 4; j++ {
+			d0[j], d1[j], d2[j], d3[j] = addClamp(p0[j], r), addClamp(p1[j], r), addClamp(p2[j], r), addClamp(p3[j], r)
+		}
+		return
+	}
 	// Rows of the inverse transform over the rescaled levels, then columns
 	// with the final rounding: the same int32 arithmetic, in the same
 	// order, as Inverse(Dequantize(z)).
@@ -248,8 +256,6 @@ func ReconstructAdd(dst []uint8, dstStride int, pred []uint8, predStride int, z 
 		e2, e3 := b>>1-d, b+d>>1
 		tmp[i], tmp[i+1], tmp[i+2], tmp[i+3] = e0+e3, e1+e2, e1-e2, e0-e3
 	}
-	d0, d1, d2, d3 := dst[:4], dst[dstStride:dstStride+4], dst[2*dstStride:2*dstStride+4], dst[3*dstStride:3*dstStride+4]
-	p0, p1, p2, p3 := pred[:4], pred[predStride:predStride+4], pred[2*predStride:2*predStride+4], pred[3*predStride:3*predStride+4]
 	for j := 0; j < 4; j++ {
 		a, b, c, d := tmp[j], tmp[4+j], tmp[8+j], tmp[12+j]
 		e0, e1 := a+c, a-c

@@ -14,8 +14,11 @@
 # and alternates which side goes first; the last pair runs the hold-out seed
 # 20260929, which no change was tuned on. Results land in
 # $LEDGER_OUT (default bench/out/pairs-WORKLOAD)/{parent,change}; every run
-# made is in the final table, and the exit status is the comparison's
-# (1 when any end-to-end metric regressed or a run was incorrect).
+# made is in the final table. Then the change runs every workload of
+# BENCHMARK.json once traced (--trace 1), as the ledger itself does: only a
+# traced run executes the layer probes, and the untraced pairs never reach
+# them. The exit status is 1 when any end-to-end metric regressed, a run
+# was incorrect, or a traced run failed (logs in $LEDGER_OUT/traced).
 set -euo pipefail
 
 if [ $# -lt 2 ] || [ $# -gt 3 ]; then
@@ -30,7 +33,7 @@ holdout=20260929
 root=$(cd "$(dirname "$0")/.." && pwd)
 out=${LEDGER_OUT:-$root/bench/out/pairs-$workload}
 rm -rf "$out"
-mkdir -p "$out/parent-src" "$out/parent" "$out/change"
+mkdir -p "$out/parent-src" "$out/parent" "$out/change" "$out/traced"
 git -C "$root" archive "$ref" | tar -x -C "$out/parent-src"
 
 run() { # side seed
@@ -53,4 +56,18 @@ for i in $(seq 1 "$pairs"); do
 	echo "pair $i/$pairs (seed $seed) done" >&2
 done
 
-bash "$root/bench/run.sh" compare "$out/parent" "$out/change"
+status=0
+bash "$root/bench/run.sh" compare "$out/parent" "$out/change" || status=1
+
+# The workload names of BENCHMARK.json: its "workloads" array, up to the
+# array's closing bracket.
+workloads=$(awk '/"workloads"/ { w = 1 } w && /"name"/ { gsub(/[",]/, "", $2); print $2 } w && /^  \]/ { w = 0 }' "$root/BENCHMARK.json")
+for w in $workloads; do
+	if bash "$root/bench/run.sh" --workload "$w" --seed 1 --trace 1 --out "$out/traced" >"$out/traced/log-$w.txt" 2>&1; then
+		echo "change $w --trace 1: ok" >&2
+	else
+		echo "change $w --trace 1: run failed, see $out/traced/log-$w.txt" >&2
+		status=1
+	fi
+done
+exit $status

@@ -188,9 +188,10 @@ func WithIdleTimeout(d time.Duration) ServeOption { return serve.WithIdleTimeout
 // the 64 MiB default.
 func WithCacheBytes(n int64) ServeOption { return serve.WithCacheBytes(n) }
 
-// WithCacheShards sets the decoded-chunk cache's lock-shard count,
-// rounded up to a power of two; n <= 0 (the default) picks max(8,
-// GOMAXPROCS) rounded up, and 1 is a single global LRU.
+// WithCacheShards sets the rendered-chunk cache's lock-shard count,
+// rounded up to a power of two, each shard owning an equal slice of the
+// budget; n <= 0 selects the default, one shard — a strict LRU over the
+// whole budget.
 func WithCacheShards(n int) ServeOption { return serve.WithCacheShards(n) }
 
 // WithPrefetch sets the server's sequential readahead depth: it warms up to
