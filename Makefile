@@ -12,11 +12,12 @@ GO ?= go
 # names the bit-exactness gate explicitly (the race pass runs it too): the
 # absolute decode and archive-bytes manifests and the seed corpora of the
 # fuzz targets of every layer that handles payload bits (bitio, entropy,
-# core, store, codec) — the differential targets that hold the word-wide bit
-# layer and the windowed arithmetic coder to their per-bit oracles among
-# them. purego re-runs the block-matching and codec tests, golden
-# manifest included, on the portable SAD kernel, which an amd64 machine
-# otherwise never builds.
+# core, store, codec) and of the sample kernels (quality, transform) — the
+# differential targets that hold the word-wide bit layer, the windowed
+# arithmetic coder and the SSE2 kernels to their oracles among them. purego
+# re-runs the suites of every package with an assembly kernel, and the codec
+# suite with its golden manifest, on the portable Go forms, which an amd64
+# machine otherwise never builds.
 check: fmt-check vet lint build golden-check purego race bench-smoke bench-selftest serve-smoke chaos-smoke
 
 build:
@@ -41,13 +42,15 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# purego builds internal/predict without its assembly (the one build-time
-# selection in the codec: sad_amd64.s or the SWAR rows of sad.go) and runs
-# the kernel-equivalence tests and the codec suite — golden decode manifest
-# included — on that path, so the form every other GOARCH uses cannot rot on
-# an amd64-only CI.
+# purego builds every package with an assembly kernel without it (the
+# build-time selections of DESIGN "Build-selected sample kernels":
+# predict's SAD rows, quality's squared error, transform's 4×4 kernels) and
+# runs their kernel-equivalence tests and the codec suite — golden decode
+# manifest included — on the portable Go forms, so the path every other
+# GOARCH uses cannot rot on an amd64-only CI. `scripts/lint.sh vetvideoapp`
+# fails when a package holding a *_amd64.s is missing from this line.
 purego:
-	$(GO) test -tags purego -count=1 ./internal/predict ./internal/codec
+	$(GO) test -tags purego -count=1 ./internal/predict ./internal/quality ./internal/transform ./internal/codec
 
 # golden-check verifies the golden decode manifest
 # (internal/codec/testdata/golden_decode.json: SHA-256 of bitstreams, decoded
@@ -59,13 +62,16 @@ purego:
 # and FuzzReadUEMatchesReference (bitio), FuzzArithDecoderMatchesReference,
 # FuzzArithEncoderMatchesReference and FuzzResidualBlockMatchesPerSymbol
 # (entropy), the pivot-table and archive parsers (core, store) — which hold
-# the word-wide forms to the per-bit oracles in the oracle_test.go files;
+# the word-wide forms to the per-bit oracles in the oracle_test.go files —
+# and FuzzSquaredErrorMatchesScalar (quality),
+# FuzzReconstructAddMatchesReference and FuzzForwardQuantizeMatchesUnfused
+# (transform), which hold the sample kernels to their scalar forms;
 # then the golden archive manifest (testdata/golden_archive.json: SHA-256 of
 # the VACS container bytes Pipeline.StreamToArchive writes, per entropy
 # coder, chunk granularity and worker count).
 golden-check:
 	$(GO) test -count=1 -run 'TestGoldenDecode|^Fuzz' ./internal/codec
-	$(GO) test -count=1 -run '^Fuzz' ./internal/bitio ./internal/entropy ./internal/core ./internal/store
+	$(GO) test -count=1 -run '^Fuzz' ./internal/bitio ./internal/entropy ./internal/core ./internal/store ./internal/quality ./internal/transform
 	$(GO) test -count=1 -run TestGoldenArchive .
 
 # golden regenerates both manifests from the current code. This is the one
@@ -87,7 +93,7 @@ fmt-check:
 
 # bench runs the measured hot-kernel benchmarks (SAD/motion search/intra
 # decision, error injection, archive chunk read and append, clone/pooling,
-# chunk encode and decode, the fused transform kernels, bit-range copy,
+# chunk encode and decode, the fused transform kernels, PSNR, bit-range copy,
 # arithmetic coder and residual-block routines) plus the pipeline-level
 # parallel benches, with allocation reporting. Compare two runs with
 # scripts/benchcmp.sh old.txt new.txt (results/kernel_bench.md holds the
@@ -100,6 +106,7 @@ bench:
 	$(GO) test -run='^$$' -bench='BenchmarkInject|BenchmarkReadChunk|BenchmarkAppendChunk' -benchmem ./internal/store
 	$(GO) test -run='^$$' -bench='BenchmarkClone|BenchmarkEncodeChunk|BenchmarkDecodeChunk' -benchmem ./internal/codec
 	$(GO) test -run='^$$' -bench='BenchmarkForwardQuantize|BenchmarkReconstructAdd' -benchmem ./internal/transform
+	$(GO) test -run='^$$' -bench='BenchmarkPSNR' -benchmem ./internal/quality
 	$(GO) test -run='^$$' -bench='BenchmarkCopyRows' -benchmem ./internal/frame
 	$(GO) test -run='^$$' -bench='BenchmarkCopyBits' -benchmem ./internal/bitio
 	$(GO) test -run='^$$' -bench='BenchmarkArith|BenchmarkResidualBlock' -benchmem ./internal/entropy
@@ -126,7 +133,7 @@ chaos-smoke:
 # (internal/serve: parse vs replay) benchmarks exactly once — a regression
 # gate for the perf harness itself, cheap enough for check/CI.
 bench-smoke:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/predict ./internal/transform ./internal/frame ./internal/store ./internal/codec ./internal/entropy ./internal/sim ./internal/bitio ./internal/core ./internal/serve
+	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/predict ./internal/transform ./internal/quality ./internal/frame ./internal/store ./internal/codec ./internal/entropy ./internal/sim ./internal/bitio ./internal/core ./internal/serve
 	$(GO) test -run='^$$' -bench='BenchmarkParallel|BenchmarkPipeline|BenchmarkStream' -benchtime=1x .
 
 # bench-selftest vets and tests the performance ledger (bench/, the module

@@ -1,6 +1,7 @@
 package quality
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -72,4 +73,52 @@ func TestSquaredErrorTails(t *testing.T) {
 			t.Errorf("n=%d: squared error %d, want %d", n, got, want)
 		}
 	}
+}
+
+// TestSquaredErrorMatchesScalar holds the build's squaredError (the SSE2
+// kernel on amd64) to the scalar form: every length 0–64 (the 16-byte steps
+// and every tail), the ledger's 320×176 plane, the lane-widening boundary
+// 8192·16 ± 1 and a 1920×1088 plane, each on random bytes and on maximal
+// differences in both directions, where every uint32 lane fills fastest.
+func TestSquaredErrorMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	lengths := []int{320 * 176, 8192*16 - 1, 8192 * 16, 8192*16 + 1, 1920 * 1088}
+	for n := 0; n <= 64; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		a, b := make([]uint8, n), make([]uint8, n)
+		for _, fill := range []string{"random", "0-255", "255-0"} {
+			for i := range a {
+				switch fill {
+				case "random":
+					a[i], b[i] = uint8(rng.Intn(256)), uint8(rng.Intn(256))
+				case "0-255":
+					a[i], b[i] = 0, 255
+				default:
+					a[i], b[i] = 255, 0
+				}
+			}
+			if got, want := squaredError(a, b), squaredErrorScalar(a, b); got != want {
+				t.Errorf("n=%d %s: squared error %d, scalar %d", n, fill, got, want)
+			}
+		}
+	}
+}
+
+// FuzzSquaredErrorMatchesScalar: squaredError equals the scalar form on
+// arbitrary byte strings, over the shorter length and from any offset.
+func FuzzSquaredErrorMatchesScalar(f *testing.F) {
+	f.Add([]byte{}, []byte{}, uint8(0))
+	f.Add([]byte{0, 255, 7}, []byte{255, 0, 9, 1}, uint8(1))
+	f.Add(bytes.Repeat([]byte{0}, 33), bytes.Repeat([]byte{255}, 40), uint8(3))
+	f.Add(bytes.Repeat([]byte{1, 250, 17, 128}, 70), bytes.Repeat([]byte{255, 3, 90}, 95), uint8(15))
+	f.Fuzz(func(t *testing.T, a, b []byte, off uint8) {
+		n := min(len(a), len(b))
+		o := min(int(off), n)
+		a, b = a[o:n], b[o:n]
+		if got, want := squaredError(a, b), squaredErrorScalar(a, b); got != want {
+			t.Fatalf("len %d: squared error %d, scalar %d", len(a), got, want)
+		}
+	})
 }

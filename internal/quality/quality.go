@@ -34,9 +34,10 @@ func PSNRFrame(a, b *frame.Frame) (float64, error) {
 	return p, nil
 }
 
-// squaredError sums (a[i]-b[i])² over a; b must be at least as long. Four
-// independent accumulators keep the adds off one dependency chain.
-func squaredError(a, b []uint8) uint64 {
+// squaredErrorScalar sums (a[i]-b[i])² over a; b must be at least as long.
+// It is squaredError's portable form and the oracle of its assembly twin.
+// Four independent accumulators keep the adds off one dependency chain.
+func squaredErrorScalar(a, b []uint8) uint64 {
 	b = b[:len(a)]
 	var s0, s1, s2, s3 uint64
 	i := 0

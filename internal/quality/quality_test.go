@@ -181,6 +181,17 @@ func TestMetricsAgreeOnRanking(t *testing.T) {
 	}
 }
 
+// BenchmarkPSNR times one frame at the performance ledger's geometry.
+func BenchmarkPSNR(b *testing.B) {
+	b.ReportAllocs()
+	f := textured(320, 176)
+	g := noisy(f, 5, 9)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		PSNRFrame(f, g)
+	}
+}
+
 func BenchmarkPSNR720p(b *testing.B) {
 	b.ReportAllocs()
 	f := textured(1280, 720)

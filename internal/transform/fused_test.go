@@ -1,6 +1,7 @@
 package transform
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -179,6 +180,64 @@ func TestReconstructAddMatchesReference(t *testing.T) { checkReconstructAdd(t, f
 // written into.
 func TestReconstructAddInPlace(t *testing.T) { checkReconstructAdd(t, true) }
 
+// fuzzStride maps a fuzzer byte to a row stride of 4 to 67 samples.
+func fuzzStride(b uint8) int { return 4 + int(b)%64 }
+
+// fuzzPlane is a plane of 4 rows at the given stride, filled cyclically from
+// samples (zero when samples is empty).
+func fuzzPlane(samples []byte, stride int) []uint8 {
+	p := make([]uint8, 4*stride)
+	for i := range p {
+		if len(samples) > 0 {
+			p[i] = samples[i%len(samples)]
+		}
+	}
+	return p
+}
+
+// FuzzReconstructAddMatchesReference: ReconstructAdd equals Reconstruct +
+// add + clamp for arbitrary levels (little-endian int32s, wraparound
+// included), QPs out of range on both sides, strides, and predictions in
+// another plane or in the destination itself; samples beside the block
+// must not move.
+func FuzzReconstructAddMatchesReference(f *testing.F) {
+	le := func(z Block) []byte {
+		b := make([]byte, 64)
+		for i, v := range z {
+			binary.LittleEndian.PutUint32(b[4*i:], uint32(v))
+		}
+		return b
+	}
+	f.Add(le(Block{}), []byte{7}, int8(26), uint8(0), uint8(12), false)
+	f.Add(le(Block{-7}), []byte{0, 255}, int8(51), uint8(16), uint8(0), true)
+	f.Add(le(Block{maxLevel, -maxLevel, 3, 0, 0, 9, 0, -1, 0, 0, 0, 0, 5, 0, 0, maxLevel}), []byte{128, 3, 250}, int8(40), uint8(3), uint8(60), false)
+	f.Add(le(Block{math.MinInt32, math.MaxInt32, math.MinInt32, math.MaxInt32}), []byte{255}, int8(-3), uint8(1), uint8(1), true)
+	f.Fuzz(func(t *testing.T, levels, samples []byte, qp int8, dstStrideB, predStrideB uint8, inPlace bool) {
+		var z Block
+		for i := range z {
+			var w [4]byte
+			copy(w[:], levels[min(4*i, len(levels)):])
+			z[i] = int32(binary.LittleEndian.Uint32(w[:]))
+		}
+		dstStride, predStride := fuzzStride(dstStrideB), fuzzStride(predStrideB)
+		pred := fuzzPlane(samples, predStride)
+		want := fuzzPlane([]byte{0xA5}, dstStride)
+		got := fuzzPlane([]byte{0xA5}, dstStride)
+		refReconstructAdd(want, dstStride, pred, predStride, &z, int(qp))
+		if inPlace {
+			for y := 0; y < 4; y++ {
+				copy(got[y*dstStride:][:4], pred[y*predStride:])
+			}
+			ReconstructAdd(got, dstStride, got, dstStride, &z, int(qp))
+		} else {
+			ReconstructAdd(got, dstStride, pred, predStride, &z, int(qp))
+		}
+		if string(got) != string(want) {
+			t.Fatalf("in place %v qp %d levels %v:\n got %v\nwant %v", inPlace, qp, z, got, want)
+		}
+	})
+}
+
 // TestZeroBlockReconstructsToZeroAtEveryQP pins the invariant the codec's
 // zero-block skip relies on: no QP turns all-zero levels into a nonzero
 // residual, so leaving a block with no levels at its prediction is what the
@@ -268,21 +327,74 @@ func TestForwardQuantizeMatchesUnfused(t *testing.T) {
 	}
 }
 
+// FuzzForwardQuantizeMatchesUnfused: ForwardQuantize equals
+// Quantize(Forward(src - pred)) — levels and nonzero report — for arbitrary
+// samples, strides, QPs out of range on both sides and both dead zones, with
+// the prediction in another plane, the source plane itself, or the source
+// plane one sample over.
+func FuzzForwardQuantizeMatchesUnfused(f *testing.F) {
+	f.Add([]byte{}, uint8(0), uint8(0), int8(26), false, uint8(0))
+	f.Add([]byte{0, 255, 255, 0, 17, 200}, uint8(12), uint8(3), int8(0), true, uint8(0))
+	f.Add([]byte{255, 0}, uint8(1), uint8(60), int8(54), false, uint8(0))
+	f.Add([]byte{9, 250, 33, 4, 128}, uint8(5), uint8(5), int8(-3), true, uint8(1))
+	f.Add([]byte{1, 2, 254, 90, 0, 255, 77}, uint8(20), uint8(20), int8(30), false, uint8(2))
+	f.Fuzz(func(t *testing.T, samples []byte, srcStrideB, predStrideB uint8, qp int8, intra bool, alias uint8) {
+		srcStride, predStride := fuzzStride(srcStrideB), fuzzStride(predStrideB)
+		src := fuzzPlane(samples, srcStride+1) // a spare sample per row: src[1:] still holds a block
+		var pred []uint8
+		switch alias % 3 {
+		case 0:
+			pred = fuzzPlane(samples[min(7, len(samples)):], predStride)
+		case 1:
+			pred, predStride = src, srcStride
+		case 2:
+			pred, predStride = src[1:], srcStride
+		}
+		var res Block
+		for y := 0; y < 4; y++ {
+			for x := 0; x < 4; x++ {
+				res[y*4+x] = int32(src[y*srcStride+x]) - int32(pred[y*predStride+x])
+			}
+		}
+		fwd := Forward(&res)
+		want := Quantize(&fwd, int(qp), intra)
+		got := Block{7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7}
+		nonzero := ForwardQuantize(&got, src, srcStride, pred, predStride, int(qp), intra)
+		if got != want || nonzero != (want != Block{}) {
+			t.Fatalf("qp %d intra %v residual %v:\n got %v nonzero %v\nwant %v", qp, intra, res, got, nonzero, want)
+		}
+	})
+}
+
+// BenchmarkForwardQuantize times the encoder's residual kernel on one 4×4
+// block ("block") and on the sixteen luma blocks of a 16×16 macroblock
+// ("mb16"), the source in a 320-sample-wide plane and the prediction in a
+// 16-wide one, the residual within ±6.
 func BenchmarkForwardQuantize(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
-	src, pred := make([]uint8, 4*320), make([]uint8, 4*16)
+	src, pred := make([]uint8, 16*320), make([]uint8, 16*16)
 	for i := range pred {
 		pred[i] = uint8(rng.Intn(256))
 	}
-	for y := 0; y < 4; y++ {
-		for x := 0; x < 4; x++ {
+	for y := 0; y < 16; y++ {
+		for x := 0; x < 16; x++ {
 			src[y*320+x] = uint8(min(max(int(pred[y*16+x])+rng.Intn(13)-6, 0), 255))
 		}
 	}
-	var z Block
-	for i := 0; i < b.N; i++ {
-		ForwardQuantize(&z, src, 320, pred, 16, 26, false)
-	}
+	var z [16]Block
+	b.Run("block", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ForwardQuantize(&z[0], src, 320, pred, 16, 26, false)
+		}
+	})
+	b.Run("mb16", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for k := range z {
+				x, y := 4*(k%4), 4*(k/4)
+				ForwardQuantize(&z[k], src[y*320+x:], 320, pred[y*16+x:], 16, 26, false)
+			}
+		}
+	})
 }
 
 // BenchmarkReconstructAdd times one 4×4 block: coded (every level random)

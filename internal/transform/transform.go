@@ -174,12 +174,17 @@ func QuantizeOnly(x *Block, qp int, intra bool) Block {
 // row strides. All sixteen levels of z are written.
 func ForwardQuantize(z *Block, src []uint8, srcStride int, pred []uint8, predStride int, qp int, intra bool) (nonzero bool) {
 	qp = clampQP(qp)
-	mf := &mfByPos[qp%6]
 	qbits := uint(15 + qp/6)
 	f := int64(1) << qbits / 6
 	if intra {
 		f = int64(1) << qbits / 3
 	}
+	return forwardQuantize(z, src, srcStride, pred, predStride, &mfByPos[qp%6], f, qbits)
+}
+
+// forwardQuantizeGo is ForwardQuantize past the QP decoding: the portable
+// kernel, and the oracle of its assembly twin.
+func forwardQuantizeGo(z *Block, src []uint8, srcStride int, pred []uint8, predStride int, mf *[16]int32, f int64, qbits uint) bool {
 	var tmp Block
 	for i := 0; i < 4; i++ {
 		s, p := src[i*srcStride:][:4], pred[i*predStride:][:4]
@@ -227,16 +232,20 @@ func Reconstruct(z *Block, qp int) Block {
 // written into the frame and the residual added in place. An all-zero block
 // needs no call: every QP reconstructs it to a zero residual
 // ((0+32)>>6 == 0), so its prediction already is its reconstruction.
+func ReconstructAdd(dst []uint8, dstStride int, pred []uint8, predStride int, z *Block, qp int) {
+	qp = clampQP(qp)
+	reconstructAdd(dst, dstStride, pred, predStride, z, &rescaleByPos[qp%6], uint(qp/6))
+}
+
+// reconstructAddGo is ReconstructAdd past the QP decoding: the portable
+// kernel, and the oracle of its assembly twin.
 //
 // A block whose levels 1–15 are zero (DC only) reconstructs to one constant
 // residual, (z[0]·v[0]<<shift + 32) >> 6: the inverse transform's rows turn
 // [a 0 0 0] into [a a a a] and its columns each [a 0 0 0] into four
 // (a+32)>>6. Those are the int32 operations, wraparound included, the full
 // path performs on such a block, so the shortcut is exact.
-func ReconstructAdd(dst []uint8, dstStride int, pred []uint8, predStride int, z *Block, qp int) {
-	qp = clampQP(qp)
-	v := &rescaleByPos[qp%6]
-	shift := uint(qp / 6)
+func reconstructAddGo(dst []uint8, dstStride int, pred []uint8, predStride int, z *Block, v *[16]int32, shift uint) {
 	d0, d1, d2, d3 := dst[:4], dst[dstStride:dstStride+4], dst[2*dstStride:2*dstStride+4], dst[3*dstStride:3*dstStride+4]
 	p0, p1, p2, p3 := pred[:4], pred[predStride:predStride+4], pred[2*predStride:2*predStride+4], pred[3*predStride:3*predStride+4]
 	if z[1]|z[2]|z[3]|z[4]|z[5]|z[6]|z[7]|z[8]|z[9]|z[10]|z[11]|z[12]|z[13]|z[14]|z[15] == 0 {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # lint.sh — the repo's lint gate: staticcheck (pinned) plus vetvideoapp, the
 # project-specific invariant suite in internal/analysis, and with it the
-# grep that keeps `// Deprecated:` markers out of the tree.
+# grep that keeps `// Deprecated:` markers out of the tree and the check that
+# every package holding a *_amd64.s is on the Makefile's purego line.
 #
 # Usage: lint.sh [staticcheck|vetvideoapp|all]   (default: all)
 #
@@ -57,6 +58,20 @@ run_vetvideoapp() {
         echo "== vetvideoapp (go run ./cmd/vetvideoapp)"
         $GO run ./cmd/vetvideoapp ./... || status=1
     fi
+    # Every assembly kernel has a tested portable twin: a package holding a
+    # *_amd64.s must be on the `make purego` line, which runs its suite
+    # without the assembly.
+    local purego asmdir
+    purego=" $(grep -E '^[[:space:]]+\$\(GO\) test -tags purego' Makefile | grep -oE '\./[^ ]+' | tr '\n' ' ')"
+    for asmdir in $(find . -name '*_amd64.s' -not -path './bench/*' -exec dirname {} \; | sort -u); do
+        case "$purego" in
+        *" $asmdir "*) ;;
+        *)
+            echo "error: $asmdir holds assembly but is missing from the Makefile's purego target" >&2
+            status=1
+            ;;
+        esac
+    done
     # Zero deprecated names: superseded API is deleted, never parked behind
     # a marker. A literal comment line, so a grep is the whole check.
     if grep -rnE --include='*.go' '^[[:space:]]*(//|/\*)[[:space:]]*Deprecated:' .; then
