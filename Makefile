@@ -2,8 +2,8 @@ GO ?= go
 
 .PHONY: check build test race purego golden golden-check bench bench-smoke bench-selftest serve-smoke chaos-smoke fmt fmt-check vet lint
 
-# check is the full verification gate: formatting, vet, lint (staticcheck +
-# the vetvideoapp invariant suite), build, race-enabled tests, a
+# check is the full verification gate: formatting, vet, lint (staticcheck
+# when installed, vetvideoapp and the lint greps), build, race-enabled tests, a
 # one-iteration compile-and-run pass over the benchmarks so the perf
 # harness cannot rot, end-to-end smokes of the chunk server (clean and
 # under injected faults), and the self-tests of the performance ledger in
@@ -26,12 +26,12 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint runs both gates via scripts/lint.sh: staticcheck at the pinned
-# version (a binary on PATH wins, otherwise the pinned module version via
-# the module proxy; offline machines warn and skip — CI has network and
-# enforces) and vetvideoapp, the project-specific invariant suite in
-# internal/analysis, which needs nothing beyond the go tool and always
-# runs. Run one gate alone with `./scripts/lint.sh staticcheck` or
+# lint runs both gates via scripts/lint.sh: staticcheck when a binary is on
+# PATH (skipped with a notice otherwise, so the gate needs no network; CI
+# installs the pinned version first) and vetvideoapp — the ctxfirst check in
+# internal/analysis — with the greps beside it (obs names, `Deprecated:`
+# markers, the purego line), which need nothing beyond the go tool and
+# always run. Run one gate alone with `./scripts/lint.sh staticcheck` or
 # `./scripts/lint.sh vetvideoapp`.
 lint:
 	./scripts/lint.sh

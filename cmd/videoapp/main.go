@@ -83,7 +83,7 @@ type options struct {
 	cpuprofile, traceOut string
 	archive, archiveDir  string
 	addr                 string
-	cacheMB, cacheShard  int
+	cacheMB              int
 	prefetch             int
 	reqTimeout, idleTime time.Duration
 
@@ -137,7 +137,6 @@ func cliMain(args []string, stderr io.Writer) int {
 	fs.StringVar(&o.archiveDir, "archive-dir", "", "serve: directory of *.vacs archives to serve as a catalog (SIGHUP rescans)")
 	fs.StringVar(&o.addr, "addr", ":8080", "serve: listen address")
 	fs.IntVar(&o.cacheMB, "cache-mb", 64, "serve: cache budget in MiB; bounds all decoded state: renderings and parse records")
-	fs.IntVar(&o.cacheShard, "cache-shards", 0, "serve: rendered-cache lock shards, rounded up to a power of two, each with an equal slice of the budget (0 = one shard, a strict LRU)")
 	fs.IntVar(&o.prefetch, "prefetch", 2, "serve: readahead up to this many chunks ahead of a sequential reader (0 disables)")
 	fs.DurationVar(&o.reqTimeout, "req-timeout", 30*time.Second, "serve: per-request timeout, decode included")
 	fs.DurationVar(&o.idleTime, "idle-timeout", 0, "serve: close archives unused this long (0 = never)")
@@ -278,9 +277,6 @@ func (o options) validate(cmd string) error {
 	}
 	if o.cacheMB < 1 {
 		return fmt.Errorf("-cache-mb %d must be >= 1", o.cacheMB)
-	}
-	if o.cacheShard < 0 {
-		return fmt.Errorf("-cache-shards %d must be >= 0", o.cacheShard)
 	}
 	if o.prefetch < 0 {
 		return fmt.Errorf("-prefetch %d must be >= 0", o.prefetch)

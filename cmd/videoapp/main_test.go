@@ -75,12 +75,6 @@ func TestCLIValidation(t *testing.T) {
 			stderr: "-cache-mb",
 		},
 		{
-			name:   "negative cache-shards",
-			args:   []string{"-cache-shards", "-1", "-archive", "x.vacs", "serve"},
-			exit:   2,
-			stderr: "-cache-shards",
-		},
-		{
 			name:   "negative prefetch",
 			args:   []string{"-prefetch", "-2", "-archive", "x.vacs", "serve"},
 			exit:   2,

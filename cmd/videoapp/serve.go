@@ -135,7 +135,6 @@ func runScrub(ctx context.Context, o options) error {
 func (o options) serveOptions() []videoapp.ServeOption {
 	opts := []videoapp.ServeOption{
 		videoapp.WithCacheBytes(int64(o.cacheMB) << 20),
-		videoapp.WithCacheShards(o.cacheShard),
 		videoapp.WithServeWorkers(o.workers),
 		videoapp.WithRequestTimeout(o.reqTimeout),
 		videoapp.WithIdleTimeout(o.idleTime),

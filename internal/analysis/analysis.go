@@ -1,227 +1,94 @@
-// Package analysis is the project-specific static-analysis suite: a small
-// go/analysis-style framework (zero dependencies — stdlib go/ast + go/types
-// only) plus the analyzers that machine-check this repo's standing
-// invariants. Each analyzer is mined from a real past incident or
-// convention; DESIGN.md "Enforced invariants" maps every analyzer to the
-// bug it guards against. The cmd/vetvideoapp driver runs the suite over
+// Package analysis is the project's one static check, ctxfirst, and the
+// zero-dependency loader it runs on (stdlib go/ast + go/types only). It
+// guards the one invariant nothing else catches: a context silently detached
+// from its caller compiles, passes every test and only shows when a deadline
+// or a cancellation is ignored. DESIGN.md "Enforced invariants" says where
+// every other rule of the tree lives — in its structure, its tests, or a
+// grep in scripts/lint.sh. The cmd/vetvideoapp driver runs the check over
 // ./... and is wired into `make lint` and CI.
 //
-// Findings can be suppressed per site with a justifying comment on the
+// A finding can be suppressed per site with a justifying comment on the
 // finding's line or the line above it:
 //
-//	err == io.EOF //vetvideoapp:allow wrapeof — io.ReaderAt contract requires bare EOF here
-//
-// The comment names one or more analyzers (comma-separated) and should
-// always carry a justification after the names. Grandfathered findings can
-// instead be recorded in a committed baseline file (see cmd/vetvideoapp).
+//	//vetvideoapp:allow ctxfirst — deliberate detachment: the drain deadline must outlive the serve context
 package analysis
 
 import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
+	"path/filepath"
 	"sort"
 	"strings"
 )
 
-// Analyzer is one invariant checker. Run inspects a single type-checked
-// package and reports findings through the pass.
-type Analyzer struct {
-	// Name identifies the analyzer on the command line, in findings, in
-	// baseline entries, and in allow comments.
-	Name string
-	// Doc is the analyzer's documentation; the first line is the one-line
-	// summary shown by `vetvideoapp -list`.
-	Doc string
-	// Run analyzes one package.
-	Run func(*Pass) error
-}
-
-// Pass carries one analyzer's view of one package.
-type Pass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Files    []*ast.File
-	Pkg      *types.Package
-	Info     *types.Info
-
-	diags *[]Diagnostic
-}
-
-// Reportf records a finding at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Pos:      p.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
 // Diagnostic is one finding.
 type Diagnostic struct {
-	Pos      token.Position
-	Analyzer string
-	Message  string
+	Pos     token.Position
+	Message string
 }
 
-// String formats the finding as path:line:col: analyzer: message.
+// String formats the finding as path:line:col: ctxfirst: message.
 func (d Diagnostic) String() string {
-	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
+	return fmt.Sprintf("%s:%d:%d: ctxfirst: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Message)
+}
+
+// Rel is String with the path made relative to root when the file lies
+// under it.
+func (d Diagnostic) Rel(root string) string {
+	if r, err := filepath.Rel(root, d.Pos.Filename); err == nil && !strings.HasPrefix(r, "..") {
+		d.Pos.Filename = filepath.ToSlash(r)
+	}
+	return d.String()
 }
 
 // allowMarker introduces a suppression comment.
-const allowMarker = "vetvideoapp:allow"
+const allowMarker = "vetvideoapp:allow ctxfirst"
 
-// allowSet indexes suppression comments: (file, line, analyzer) triples. An
-// allow comment suppresses findings of the named analyzers on its own line
-// and on the line directly below it, so both trailing and preceding
-// comment placements work.
-type allowSet map[string]map[int]map[string]bool
-
-// collectAllows scans the files' comments for vetvideoapp:allow markers.
-func collectAllows(fset *token.FileSet, files []*ast.File) allowSet {
-	allows := allowSet{}
+// allowedLines indexes suppression comments by file and line. A comment
+// covers its own line and the line directly below it, so both trailing and
+// preceding placements work.
+func allowedLines(fset *token.FileSet, files []*ast.File) map[string]map[int]bool {
+	allows := map[string]map[int]bool{}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimPrefix(strings.TrimPrefix(c.Text, "//"), "/*")
-				text = strings.TrimSpace(text)
-				if !strings.HasPrefix(text, allowMarker) {
+				if !strings.HasPrefix(strings.TrimSpace(strings.TrimPrefix(c.Text, "//")), allowMarker) {
 					continue
 				}
-				rest := strings.TrimSpace(strings.TrimPrefix(text, allowMarker))
-				// The analyzer list is the first whitespace-delimited
-				// field; everything after it is the justification.
-				names, _, _ := strings.Cut(rest, " ")
 				pos := fset.Position(c.Pos())
-				byLine := allows[pos.Filename]
-				if byLine == nil {
-					byLine = map[int]map[string]bool{}
-					allows[pos.Filename] = byLine
+				if allows[pos.Filename] == nil {
+					allows[pos.Filename] = map[int]bool{}
 				}
-				for _, name := range strings.Split(names, ",") {
-					name = strings.TrimSpace(name)
-					if name == "" {
-						continue
-					}
-					for _, line := range []int{pos.Line, pos.Line + 1} {
-						if byLine[line] == nil {
-							byLine[line] = map[string]bool{}
-						}
-						byLine[line][name] = true
-					}
-				}
+				allows[pos.Filename][pos.Line] = true
+				allows[pos.Filename][pos.Line+1] = true
 			}
 		}
 	}
 	return allows
 }
 
-// suppressed reports whether d is covered by an allow comment.
-func (a allowSet) suppressed(d Diagnostic) bool {
-	byLine := a[d.Pos.Filename]
-	if byLine == nil {
-		return false
-	}
-	names := byLine[d.Pos.Line]
-	return names != nil && (names[d.Analyzer] || names["all"])
-}
-
-// Run applies each analyzer to each package and returns the surviving
-// findings sorted by position. Allow comments are honored here, so callers
-// only ever see unsuppressed findings.
-func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
+// Run checks each package and returns the unsuppressed findings sorted by
+// position.
+func Run(pkgs []*Package) []Diagnostic {
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
-		allows := collectAllows(pkg.Fset, pkg.Files)
-		for _, a := range analyzers {
-			var raw []Diagnostic
-			pass := &Pass{
-				Analyzer: a,
-				Fset:     pkg.Fset,
-				Files:    pkg.Files,
-				Pkg:      pkg.Types,
-				Info:     pkg.Info,
-				diags:    &raw,
-			}
-			if err := a.Run(pass); err != nil {
-				return nil, fmt.Errorf("analysis: %s on %s: %w", a.Name, pkg.ImportPath, err)
-			}
-			for _, d := range raw {
-				if !allows.suppressed(d) {
-					diags = append(diags, d)
-				}
+		allows := allowedLines(pkg.Fset, pkg.Files)
+		for _, d := range ctxfirst(pkg) {
+			if !allows[d.Pos.Filename][d.Pos.Line] {
+				diags = append(diags, d)
 			}
 		}
 	}
 	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
+		a, b := diags[i].Pos, diags[j].Pos
+		if a.Filename != b.Filename {
+			return a.Filename < b.Filename
 		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
+		if a.Line != b.Line {
+			return a.Line < b.Line
 		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Analyzer < b.Analyzer
+		return a.Column < b.Column
 	})
-	return diags, nil
-}
-
-// objIsIOErr reports whether expr resolves to io.EOF or
-// io.ErrUnexpectedEOF, returning the sentinel's name.
-func objIsIOErr(info *types.Info, expr ast.Expr) (string, bool) {
-	var id *ast.Ident
-	switch e := ast.Unparen(expr).(type) {
-	case *ast.SelectorExpr:
-		id = e.Sel
-	case *ast.Ident:
-		id = e
-	default:
-		return "", false
-	}
-	obj := info.Uses[id]
-	if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != "io" {
-		return "", false
-	}
-	if obj.Name() == "EOF" || obj.Name() == "ErrUnexpectedEOF" {
-		return "io." + obj.Name(), true
-	}
-	return "", false
-}
-
-// staticCallee resolves a call expression to the concrete *types.Func it
-// invokes, or nil for dynamic calls (function values, interface methods)
-// and conversions.
-func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if f, ok := info.Uses[fun].(*types.Func); ok {
-			return f
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[fun]; ok {
-			if sel.Kind() != types.MethodVal {
-				return nil
-			}
-			f, ok := sel.Obj().(*types.Func)
-			if !ok {
-				return nil
-			}
-			if recv := f.Type().(*types.Signature).Recv(); recv != nil {
-				if types.IsInterface(recv.Type()) {
-					return nil // dynamic dispatch
-				}
-			}
-			return f
-		}
-		// Package-qualified call (pkg.Fn).
-		if f, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return f
-		}
-	}
-	return nil
+	return diags
 }

@@ -1,59 +1,49 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/types"
 	"strings"
 )
 
-// Ctxfirst enforces the repo's context conventions: a context.Context
+// ctxfirst enforces the repo's context conventions: a context.Context
 // parameter is always the first parameter (the *Context entry-point style
 // every subsystem uses), and fresh root contexts — context.Background() /
 // context.TODO() — are never minted inside library code, where they detach
-// work from the caller's cancellation. Package main, tests, and explicitly
-// annotated compatibility wrappers (the context-less convenience API) are
-// exempt.
-var Ctxfirst = &Analyzer{
-	Name: "ctxfirst",
-	Doc: "context.Context must be the first parameter; no context.Background()/TODO() in library code\n\n" +
-		"Library functions receive cancellation from their caller; minting a root\n" +
-		"context silently detaches retries, decodes and RPCs from request deadlines.\n" +
-		"Exempt: package main, _test.go files, and compatibility wrappers annotated\n" +
-		"with vetvideoapp:allow ctxfirst.",
-	Run: runCtxfirst,
-}
-
-func runCtxfirst(pass *Pass) error {
-	isMain := pass.Pkg.Name() == "main"
-	for _, f := range pass.Files {
-		filename := pass.Fset.Position(f.Pos()).Filename
-		isTest := strings.HasSuffix(filename, "_test.go")
+// retries, decodes and reads from the caller's cancellation. Package main,
+// tests, and compatibility wrappers annotated with vetvideoapp:allow
+// ctxfirst (the context-less convenience API) are exempt from the second
+// rule.
+func ctxfirst(pkg *Package) []Diagnostic {
+	var diags []Diagnostic
+	report := func(n ast.Node, format string, args ...any) {
+		diags = append(diags, Diagnostic{Pos: pkg.Fset.Position(n.Pos()), Message: fmt.Sprintf(format, args...)})
+	}
+	isMain := pkg.Types.Name() == "main"
+	for _, f := range pkg.Files {
+		isTest := strings.HasSuffix(pkg.Fset.Position(f.Pos()).Filename, "_test.go")
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch nn := n.(type) {
 			case *ast.FuncType:
-				checkCtxPosition(pass, nn)
+				checkCtxPosition(pkg.Info, nn, report)
 			case *ast.CallExpr:
 				if isMain || isTest {
 					return true
 				}
-				callee := staticCallee(pass.Info, nn)
-				if callee == nil || callee.Pkg() == nil || callee.Pkg().Path() != "context" {
-					return true
-				}
-				if callee.Name() == "Background" || callee.Name() == "TODO" {
-					pass.Reportf(nn.Pos(),
-						"calls context.%s() in library code; thread the caller's context through (or annotate a deliberate detachment with vetvideoapp:allow ctxfirst)", callee.Name())
+				if name := contextRoot(pkg.Info, nn); name != "" {
+					report(nn, "calls context.%s() in library code; thread the caller's context through (or annotate a deliberate detachment with vetvideoapp:allow ctxfirst)", name)
 				}
 			}
 			return true
 		})
 	}
-	return nil
+	return diags
 }
 
 // checkCtxPosition flags function signatures that take context.Context
 // anywhere but first.
-func checkCtxPosition(pass *Pass, ft *ast.FuncType) {
+func checkCtxPosition(info *types.Info, ft *ast.FuncType, report func(ast.Node, string, ...any)) {
 	if ft.Params == nil {
 		return
 	}
@@ -61,20 +51,15 @@ func checkCtxPosition(pass *Pass, ft *ast.FuncType) {
 	// has ctx at index 1.
 	idx := 0
 	for _, field := range ft.Params.List {
-		n := len(field.Names)
-		if n == 0 {
-			n = 1
+		if isContextType(info, field.Type) && idx != 0 {
+			report(field, "context.Context is parameter %d; it must be the first parameter", idx)
 		}
-		if isContextType(pass, field.Type) && idx != 0 {
-			pass.Reportf(field.Pos(),
-				"context.Context is parameter %d; it must be the first parameter", idx)
-		}
-		idx += n
+		idx += max(len(field.Names), 1)
 	}
 }
 
-func isContextType(pass *Pass, expr ast.Expr) bool {
-	tv, ok := pass.Info.Types[expr]
+func isContextType(info *types.Info, expr ast.Expr) bool {
+	tv, ok := info.Types[expr]
 	if !ok || tv.Type == nil {
 		return false
 	}
@@ -84,4 +69,26 @@ func isContextType(pass *Pass, expr ast.Expr) bool {
 	}
 	obj := named.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
+}
+
+// contextRoot returns "Background" or "TODO" when call mints a root context
+// through the context package, and "" otherwise.
+func contextRoot(info *types.Info, call *ast.CallExpr) string {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return ""
+	}
+	f, ok := info.Uses[id].(*types.Func)
+	if !ok || f.Pkg() == nil || f.Pkg().Path() != "context" {
+		return ""
+	}
+	if name := f.Name(); name == "Background" || name == "TODO" {
+		return name
+	}
+	return ""
 }

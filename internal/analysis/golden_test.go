@@ -2,7 +2,6 @@ package analysis_test
 
 import (
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,39 +12,29 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden.txt files under testdata/src")
 
-// runFixture loads and analyzes one fixture module under testdata/src with
-// the full analyzer suite, returning findings formatted relative to the
-// fixture root.
+// runFixture loads and checks one fixture module under testdata/src,
+// returning findings formatted relative to the fixture root.
 func runFixture(t *testing.T, dir string) []string {
 	t.Helper()
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		t.Fatalf("abs %s: %v", dir, err)
 	}
-	pkgs, err := analysis.Load(analysis.LoadConfig{Dir: abs}, "./...")
+	pkgs, err := analysis.Load(abs, "./...")
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
-	diags, err := analysis.Run(pkgs, analysis.All())
-	if err != nil {
-		t.Fatalf("analyzing fixture %s: %v", dir, err)
-	}
-	lines := make([]string, 0, len(diags))
-	for _, d := range diags {
-		rel, err := filepath.Rel(abs, d.Pos.Filename)
-		if err != nil {
-			rel = d.Pos.Filename
-		}
-		lines = append(lines, fmt.Sprintf("%s:%d:%d: %s: %s",
-			filepath.ToSlash(rel), d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message))
+	var lines []string
+	for _, d := range analysis.Run(pkgs) {
+		lines = append(lines, d.Rel(abs))
 	}
 	return lines
 }
 
-// TestGoldenFixtures runs the full suite over every fixture module and
-// compares the findings to the fixture's golden.txt. Every *_bad fixture
-// must produce findings; every *_ok fixture must be clean. Regenerate the
-// goldens with `go test ./internal/analysis -run TestGoldenFixtures -update`.
+// TestGoldenFixtures checks every fixture module and compares the findings
+// to the fixture's golden.txt. Every *_bad fixture must produce findings;
+// every *_ok fixture must be clean. Regenerate the goldens with
+// `go test ./internal/analysis -run TestGoldenFixtures -update`.
 func TestGoldenFixtures(t *testing.T) {
 	fixtures, err := filepath.Glob(filepath.Join("testdata", "src", "*"))
 	if err != nil {
@@ -85,57 +74,8 @@ func TestGoldenFixtures(t *testing.T) {
 	}
 }
 
-// TestLockorderFixtureCatchesInversion pins the PR-7 regression: the
-// lockorder fixture re-introduces the catalog ABBA deadlock both directly
-// and through a helper call, and the analyzer must flag both shapes.
-func TestLockorderFixtureCatchesInversion(t *testing.T) {
-	lines := runFixture(t, filepath.Join("testdata", "src", "lockorder_bad"))
-	var direct, transitive bool
-	for _, l := range lines {
-		if !strings.Contains(l, "lockorder:") || !strings.Contains(l, "lock-ordering inversion") {
-			continue
-		}
-		if strings.Contains(l, "calls ") {
-			transitive = true
-		} else {
-			direct = true
-		}
-	}
-	if !direct {
-		t.Errorf("lockorder missed the direct t.mu→c.mu inversion:\n%s", strings.Join(lines, "\n"))
-	}
-	if !transitive {
-		t.Errorf("lockorder missed the transitive inversion through closeTenantLocked:\n%s", strings.Join(lines, "\n"))
-	}
-}
-
-// TestWrapeofFixtureCatchesBareEOF pins the PR-6 regression: a bare io EOF
-// sentinel returned from internal/store must be flagged.
-func TestWrapeofFixtureCatchesBareEOF(t *testing.T) {
-	lines := runFixture(t, filepath.Join("testdata", "src", "wrapeof_bad"))
-	var returned, compared bool
-	for _, l := range lines {
-		if !strings.Contains(l, "wrapeof:") {
-			continue
-		}
-		if strings.Contains(l, "returns bare io.ErrUnexpectedEOF") {
-			returned = true
-		}
-		if strings.Contains(l, "compares io.EOF bare") {
-			compared = true
-		}
-	}
-	if !returned {
-		t.Errorf("wrapeof missed the bare io.ErrUnexpectedEOF return:\n%s", strings.Join(lines, "\n"))
-	}
-	if !compared {
-		t.Errorf("wrapeof missed the bare io.EOF comparison:\n%s", strings.Join(lines, "\n"))
-	}
-}
-
-// TestSuiteCleanOnRepo runs the full suite over this repository itself: the
-// committed tree must analyze clean, so the committed baseline can stay
-// empty.
+// TestSuiteCleanOnRepo checks this repository itself: the committed tree
+// must be clean.
 func TestSuiteCleanOnRepo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
@@ -144,15 +84,11 @@ func TestSuiteCleanOnRepo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := analysis.Load(analysis.LoadConfig{Dir: root}, "./...")
+	pkgs, err := analysis.Load(root, "./...")
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
 	}
-	diags, err := analysis.Run(pkgs, analysis.All())
-	if err != nil {
-		t.Fatalf("running suite: %v", err)
-	}
-	for _, d := range diags {
+	for _, d := range analysis.Run(pkgs) {
 		t.Errorf("unexpected finding: %s", d)
 	}
 }

@@ -21,20 +21,10 @@ import (
 // analysis.
 type Package struct {
 	ImportPath string
-	Dir        string
 	Fset       *token.FileSet
 	Files      []*ast.File
 	Types      *types.Package
 	Info       *types.Info
-}
-
-// LoadConfig configures Load.
-type LoadConfig struct {
-	// Dir is the module directory to load from; "" means the current
-	// directory.
-	Dir string
-	// Go is the go tool to shell out to; "" means "go".
-	Go string
 }
 
 // listPkg is the subset of `go list -json` output the loader consumes.
@@ -50,18 +40,14 @@ type listPkg struct {
 	Error *struct{ Err string }
 }
 
-// Load type-checks every main-module package matched by patterns and
-// returns them ready for analysis. It has no dependency beyond the go tool
-// itself: package structure and export data come from
-// `go list -json -export -deps`, sources are parsed with go/parser, and
-// imports are resolved through the compiler's export data with
-// importer.ForCompiler — so loading works offline and never touches the
-// network or the module proxy.
-func Load(cfg LoadConfig, patterns ...string) ([]*Package, error) {
-	goTool := cfg.Go
-	if goTool == "" {
-		goTool = "go"
-	}
+// Load type-checks every main-module package matched by patterns, resolved
+// in the module directory dir ("" is the current directory), and returns
+// them ready for analysis. It has no dependency beyond the go tool itself:
+// package structure and export data come from `go list -json -export
+// -deps`, sources are parsed with go/parser, and imports are resolved
+// through the compiler's export data with importer.ForCompiler — so loading
+// works offline and never touches the network or the module proxy.
+func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -69,8 +55,8 @@ func Load(cfg LoadConfig, patterns ...string) ([]*Package, error) {
 	// One walk of the import graph yields everything: which packages are
 	// ours (Module.Main) and the export-data file of every dependency.
 	args := append([]string{"list", "-json", "-export", "-deps"}, patterns...)
-	cmd := exec.Command(goTool, args...)
-	cmd.Dir = cfg.Dir
+	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
@@ -117,9 +103,8 @@ func Load(cfg LoadConfig, patterns ...string) ([]*Package, error) {
 	for _, t := range targets {
 		// Only the package's ordinary files are analyzed: test files would
 		// need the test-variant dependency closure for their export data,
-		// and every invariant the suite checks is a production-code rule
-		// (tests legitimately compare io.EOF, use context.Background, and
-		// name ad-hoc metrics).
+		// and the check is a production-code rule (tests legitimately use
+		// context.Background).
 		var parsed []*ast.File
 		for _, gf := range t.GoFiles {
 			f, err := parser.ParseFile(fset, filepath.Join(t.Dir, gf), nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -129,11 +114,8 @@ func Load(cfg LoadConfig, patterns ...string) ([]*Package, error) {
 			parsed = append(parsed, f)
 		}
 		info := &types.Info{
-			Types:      map[ast.Expr]types.TypeAndValue{},
-			Defs:       map[*ast.Ident]types.Object{},
-			Uses:       map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-			Implicits:  map[ast.Node]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Uses:  map[*ast.Ident]types.Object{},
 		}
 		var tcErrs []error
 		conf := types.Config{
@@ -149,7 +131,6 @@ func Load(cfg LoadConfig, patterns ...string) ([]*Package, error) {
 		}
 		pkgs = append(pkgs, &Package{
 			ImportPath: t.ImportPath,
-			Dir:        t.Dir,
 			Fset:       fset,
 			Files:      parsed,
 			Types:      tpkg,

@@ -178,7 +178,7 @@ func TestDecodedMatchesEncoderReconstruction(t *testing.T) {
 							{"replay", shared, DecodeOptions{}},
 							{"conceal", v, DecodeOptions{ConcealOnDesync: true}},
 						} {
-							got, err := decodeRecsOpts(run.v, run.opts)
+							got, err := decodeRecsOpts(run.v, run.opts, nil)
 							if err != nil {
 								t.Fatal(err)
 							}

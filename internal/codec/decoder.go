@@ -20,12 +20,6 @@ type DecodeOptions struct {
 	// the forward reference (or mid-gray for I frames), as production
 	// decoders such as ffmpeg do.
 	ConcealOnDesync bool
-	// Observer, when non-nil, receives decode instrumentation: the
-	// per-slice entropy resync counter (obs.CtrResync) fires once for
-	// every slice whose symbol reader ends desynced. DecodeContext fills
-	// it from the context when unset; the serial Decode paths leave it
-	// nil, which disables publication entirely.
-	Observer obs.Observer
 }
 
 // Decode reconstructs the display-order sequence from the coded video.
@@ -43,7 +37,7 @@ func Decode(v *Video) (*frame.Sequence, error) {
 
 // DecodeWithOptions is Decode with explicit error-handling options.
 func DecodeWithOptions(v *Video, opts DecodeOptions) (*frame.Sequence, error) {
-	rec, err := decodeRecsOpts(v, opts)
+	rec, err := decodeRecsOpts(v, opts, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -53,15 +47,17 @@ func DecodeWithOptions(v *Video, opts DecodeOptions) (*frame.Sequence, error) {
 // DecodeRecs decodes the video and returns the reconstructed frames in coded
 // order — the form experiments need to re-decode single frames cheaply.
 func DecodeRecs(v *Video) ([]*frame.Frame, error) {
-	return decodeRecsOpts(v, DecodeOptions{})
+	return decodeRecsOpts(v, DecodeOptions{}, nil)
 }
 
-func decodeRecsOpts(v *Video, opts DecodeOptions) ([]*frame.Frame, error) {
+// decodeRecsOpts is the serial decode in coded order; o receives the
+// decoder's counters, or nothing is published when it is nil.
+func decodeRecsOpts(v *Video, opts DecodeOptions, o obs.Observer) ([]*frame.Frame, error) {
 	if v.W%frame.MBSize != 0 || v.H%frame.MBSize != 0 || v.W <= 0 || v.H <= 0 {
 		return nil, errFrameGeometry(v.W, v.H)
 	}
 	rec := make([]*frame.Frame, len(v.Frames))
-	fd := newFrameDecoder(v, rec, opts)
+	fd := newFrameDecoder(v, rec, opts, o)
 	for i := range v.Frames {
 		rec[i] = fd.decode(i)
 	}
@@ -73,7 +69,7 @@ func decodeRecsOpts(v *Video, opts DecodeOptions) ([]*frame.Frame, error) {
 // substitute clean references to isolate one frame's coding errors from
 // compensation errors, as the Figure 3 experiment requires.
 func DecodeSingle(v *Video, idx int, recs []*frame.Frame) *frame.Frame {
-	return newFrameDecoder(v, recs, DecodeOptions{}).decode(idx)
+	return newFrameDecoder(v, recs, DecodeOptions{}, nil).decode(idx)
 }
 
 // RecsToDisplay reorders coded-order reconstructions into a display-order
@@ -104,6 +100,9 @@ type frameDecoder struct {
 	video   *Video
 	recRefs []*frame.Frame
 	opts    DecodeOptions
+	// o receives the per-frame replay and per-slice entropy resync counters
+	// (obs.CtrFramesReplayed, obs.CtrResync); nil publishes nothing.
+	o obs.Observer
 	// record selects recording mode (Reanalyze): rebuild per-MB records
 	// while decoding.
 	record bool
@@ -135,11 +134,12 @@ type frameDecoder struct {
 
 // newFrameDecoder returns a decoder of v's frames that resolves header
 // references in recRefs (coded order; entries at or beyond the frame being
-// decoded are never read as references of a well-formed stream).
-func newFrameDecoder(v *Video, recRefs []*frame.Frame, opts DecodeOptions) *frameDecoder {
+// decoded are never read as references of a well-formed stream) and
+// publishes its counters to o, when o is not nil.
+func newFrameDecoder(v *Video, recRefs []*frame.Frame, opts DecodeOptions, o obs.Observer) *frameDecoder {
 	n := v.MBCols() * v.MBRows()
 	return &frameDecoder{
-		video: v, recRefs: recRefs, opts: opts,
+		video: v, recRefs: recRefs, opts: opts, o: o,
 		qps: make([]int, n), mvRep: make([]predict.MV, n), mvAvail: make([]bool, n),
 	}
 }
@@ -178,8 +178,8 @@ func (fd *frameDecoder) decode(idx int) *frame.Frame {
 	switch {
 	case fd.recording:
 		slot.rec.Store(&frameSyntax{key: key, data: bytes.Clone(fd.parsed)})
-	case fd.replaying && fd.opts.Observer != nil:
-		fd.opts.Observer.Counter(obs.CtrFramesReplayed, fd.ef.Type.String(), 1)
+	case fd.replaying && fd.o != nil:
+		fd.o.Counter(obs.CtrFramesReplayed, fd.ef.Type.String(), 1)
 	}
 	return fd.rec
 }
@@ -292,8 +292,8 @@ func (fd *frameDecoder) run() {
 			}
 			fd.parsed = append(fd.parsed, b)
 		}
-		if fd.opts.Observer != nil && desynced {
-			fd.opts.Observer.Counter(obs.CtrResync, fd.video.Params.Entropy.String(), 1)
+		if fd.o != nil && desynced {
+			fd.o.Counter(obs.CtrResync, fd.video.Params.Entropy.String(), 1)
 		}
 	}
 }
@@ -309,7 +309,7 @@ func Reanalyze(v *Video) error {
 		return errFrameGeometry(v.W, v.H)
 	}
 	rec := make([]*frame.Frame, len(v.Frames))
-	fd := newFrameDecoder(v, rec, DecodeOptions{})
+	fd := newFrameDecoder(v, rec, DecodeOptions{}, nil)
 	fd.record = true
 	for i, ef := range v.Frames {
 		rec[i] = fd.decode(i)

@@ -51,7 +51,7 @@ func comparePlanes(t *testing.T, what string, got, want []*frame.Frame) {
 func checkAgainstReference(t *testing.T, what string, v *Video, opts DecodeOptions, records bool) {
 	t.Helper()
 	want, errW := refDecodeRecs(v, opts)
-	got, errG := decodeRecsOpts(v, opts)
+	got, errG := decodeRecsOpts(v, opts, nil)
 	if (errW == nil) != (errG == nil) {
 		t.Fatalf("%s: error %v, reference %v", what, errG, errW)
 	}
@@ -144,7 +144,7 @@ func FuzzDecodeVsReference(f *testing.F) {
 		fr.RefFwd, fr.RefBwd = refFwd, refBwd
 		opts := DecodeOptions{ConcealOnDesync: conceal}
 		start := time.Now()
-		got, err := decodeRecsOpts(c, opts)
+		got, err := decodeRecsOpts(c, opts, nil)
 		if took := time.Since(start); took > fuzzDecodeCeiling {
 			t.Fatalf("decode took %v, ceiling %v", took, fuzzDecodeCeiling)
 		}

@@ -126,18 +126,15 @@ func headerRefSpans(v *Video) [][2]int {
 // spans concurrently (workers <= 0 selects GOMAXPROCS) and is bit- and
 // pixel-identical to Decode for any input, including corrupted payloads,
 // with explicit options and cooperative cancellation checked at frame
-// boundaries. Unless opts already carries an Observer, the one attached to
-// ctx (obs.With) receives the decode stage span, per-frame progress and
-// counters, including the entropy-resync events of damaged slices; span
-// workers run under pprof labels (stage=decode, span=N).
+// boundaries. The observer attached to ctx (obs.With) receives the decode
+// stage span, per-frame progress and counters, including the entropy-resync
+// events of damaged slices; span workers run under pprof labels
+// (stage=decode, span=N).
 func DecodeContext(ctx context.Context, v *Video, opts DecodeOptions, workers int) (*frame.Sequence, error) {
 	if v.W%frame.MBSize != 0 || v.H%frame.MBSize != 0 || v.W <= 0 || v.H <= 0 {
 		return nil, errFrameGeometry(v.W, v.H)
 	}
-	if opts.Observer == nil {
-		opts.Observer = obs.From(ctx)
-	}
-	o := opts.Observer
+	o := obs.From(ctx)
 	defer obs.StartSpan(o, obs.StageDecode).End()
 	// Spans never share reference frames, so each goroutine touches only its
 	// own disjoint range of rec; within a span frames decode in coded order,
@@ -146,7 +143,7 @@ func DecodeContext(ctx context.Context, v *Video, opts DecodeOptions, workers in
 	spans := headerRefSpans(v)
 	err := par.ForEachLabeled(ctx, len(spans), workers, obs.StageDecode, "span", func(si int) error {
 		sp := spans[si]
-		fd := newFrameDecoder(v, rec, opts)
+		fd := newFrameDecoder(v, rec, opts, o)
 		for i := sp[0]; i < sp[1]; i++ {
 			if err := ctx.Err(); err != nil {
 				return err

@@ -4,7 +4,6 @@ import (
 	"videoapp/internal/bitio"
 	"videoapp/internal/entropy"
 	"videoapp/internal/frame"
-	"videoapp/internal/obs"
 	"videoapp/internal/predict"
 	"videoapp/internal/transform"
 )
@@ -152,9 +151,6 @@ func (fd *refFrameDecoder) run() {
 				}
 				fd.recs[i].BitLen = end - fd.recs[i].BitStart
 			}
-		}
-		if fd.opts.Observer != nil && fd.sr.Desynced() {
-			fd.opts.Observer.Counter(obs.CtrResync, fd.video.Params.Entropy.String(), 1)
 		}
 	}
 }

@@ -31,15 +31,14 @@ func shareWithSelf(v *Video) {
 // planes, with the replay counter saying which was which.
 func checkReplayEqualsParse(t *testing.T, what string, v *Video, opts DecodeOptions) {
 	t.Helper()
-	want, err := decodeRecsOpts(v.Clone(), opts)
+	want, err := decodeRecsOpts(v.Clone(), opts, nil)
 	if err != nil {
 		return
 	}
 	c := v.Clone()
 	shareWithSelf(c)
 	m := obs.NewMetrics()
-	opts.Observer = m
-	rec, err := decodeRecsOpts(c, opts)
+	rec, err := decodeRecsOpts(c, opts, m)
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
@@ -47,7 +46,7 @@ func checkReplayEqualsParse(t *testing.T, what string, v *Video, opts DecodeOpti
 	if n := replayed(m); n != 0 {
 		t.Fatalf("%s: %d frames replayed before any record existed", what, n)
 	}
-	rep, err := decodeRecsOpts(c, opts)
+	rep, err := decodeRecsOpts(c, opts, m)
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
@@ -93,7 +92,7 @@ func TestReplayPublishesResync(t *testing.T) {
 		var counts [2]int64
 		for pass := range counts {
 			m := obs.NewMetrics()
-			if _, err := decodeRecsOpts(c, DecodeOptions{Observer: m}); err != nil {
+			if _, err := decodeRecsOpts(c, DecodeOptions{}, m); err != nil {
 				t.Fatal(err)
 			}
 			counts[pass] = m.Snapshot().CounterTotal(obs.CtrResync)
@@ -110,7 +109,7 @@ func recorded(t *testing.T, v *Video) (*Video, []*frame.Frame) {
 	t.Helper()
 	c := v.Clone()
 	shareWithSelf(c)
-	clean, err := decodeRecsOpts(c, DecodeOptions{})
+	clean, err := decodeRecsOpts(c, DecodeOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +142,7 @@ func TestRecordNeverOutlivesAByteChange(t *testing.T) {
 			}
 		}
 		m := obs.NewMetrics()
-		got, err := decodeRecsOpts(c, DecodeOptions{Observer: m})
+		got, err := decodeRecsOpts(c, DecodeOptions{}, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,12 +159,12 @@ func TestRecordNeverOutlivesAByteChange(t *testing.T) {
 		f.ShareSyntax(src.Frames[i].SyntaxSlot())
 		f.Payload[len(f.Payload)/2] ^= 0x10
 	}
-	want, err := decodeRecsOpts(flipped.Clone(), DecodeOptions{})
+	want, err := decodeRecsOpts(flipped.Clone(), DecodeOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := obs.NewMetrics()
-	got, err := decodeRecsOpts(flipped, DecodeOptions{Observer: m})
+	got, err := decodeRecsOpts(flipped, DecodeOptions{}, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +174,7 @@ func TestRecordNeverOutlivesAByteChange(t *testing.T) {
 	}
 	// That decode recorded the flipped bytes' parse on src; src's own bytes
 	// no longer match it and must parse again, to the clean planes.
-	got, err = decodeRecsOpts(src, DecodeOptions{Observer: m})
+	got, err = decodeRecsOpts(src, DecodeOptions{}, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,12 +187,12 @@ func TestRecordNeverOutlivesAByteChange(t *testing.T) {
 	src2, _ := recorded(t, v)
 	src2.Frames[1].Payload[3] ^= 0x01
 	src2.Frames[4].SliceByteStart[0]++
-	want, err = decodeRecsOpts(src2.Clone(), DecodeOptions{})
+	want, err = decodeRecsOpts(src2.Clone(), DecodeOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m = obs.NewMetrics()
-	got, err = decodeRecsOpts(src2, DecodeOptions{Observer: m})
+	got, err = decodeRecsOpts(src2, DecodeOptions{}, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +217,7 @@ func TestShareSyntaxAcrossVideos(t *testing.T) {
 		for i, f := range c.Frames {
 			f.ShareSyntax(v.Frames[i].SyntaxSlot())
 		}
-		got, err := decodeRecsOpts(c, DecodeOptions{Observer: m})
+		got, err := decodeRecsOpts(c, DecodeOptions{}, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +235,7 @@ func TestShareSyntaxAcrossVideos(t *testing.T) {
 		c.Release()
 	}
 	before := replayed(m)
-	if _, err := decodeRecsOpts(v, DecodeOptions{Observer: m}); err != nil {
+	if _, err := decodeRecsOpts(v, DecodeOptions{}, m); err != nil {
 		t.Fatal(err)
 	}
 	if replayed(m) != before {
@@ -285,11 +284,11 @@ func TestReplayKeyedOnParseConditions(t *testing.T) {
 	damaged, _ := recorded(t, gc.conceal)
 	for _, conceal := range []bool{true, false, true} {
 		opts := DecodeOptions{ConcealOnDesync: conceal}
-		want, err := decodeRecsOpts(gc.conceal.Clone(), opts)
+		want, err := decodeRecsOpts(gc.conceal.Clone(), opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := decodeRecsOpts(damaged, opts)
+		got, err := decodeRecsOpts(damaged, opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

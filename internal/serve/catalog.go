@@ -67,11 +67,13 @@ type Catalog struct {
 	inFlight atomic.Int64
 	mux      *http.ServeMux
 
-	mu      sync.Mutex // lock-order: 0 — catalog membership (outer); never acquired while any tenant lock is held (the PR-7 ABBA deadlock)
-	tenants map[string]*tenant
+	// tenants maps name → *tenant. Membership takes no lock: the only
+	// mutexes the catalog declares are each tenant's t.mu and, beneath it,
+	// the leaf gaugeMu, so there is no pair of catalog locks to order.
+	tenants sync.Map
 
 	open    atomic.Int64  // archives currently open, mirrored to the gauge
-	gaugeMu sync.Mutex    // lock-order: 2 — leaf: keeps open-gauge publishes in delta order; safe to take under t.mu (openDelta from tenant close paths)
+	gaugeMu sync.Mutex    // leaf: keeps open-gauge publishes in delta order; taken under t.mu by the open and close paths
 	gens    atomic.Uint64 // catalog-global open generation; names cache spaces
 
 	// cacheGaugeTick counts chunk responses to rate-limit cache-gauge
@@ -123,7 +125,7 @@ type tenant struct {
 	spec ArchiveSpec
 	pol  store.FaultPolicy // the tenant's one policy: spec override, else catalog-wide
 
-	mu      sync.Mutex // lock-order: 1 — tenant state (inner); Catalog.mu (rank 0) must never be acquired while this is held
+	mu      sync.Mutex // tenant state; held across spec.Open on the lazy-open path
 	archive *store.ChunkArchive
 	backend store.Backend
 	gen     uint64 // catalog-global generation of the current open; names the cache space
@@ -153,7 +155,6 @@ func (t *tenant) space() string {
 func NewCatalog(specs []ArchiveSpec, options ...Option) (*Catalog, error) {
 	cfg := config{
 		cacheBytes:     defaultCacheBytes,
-		cacheShards:    defaultCacheShards,
 		prefetchDepth:  defaultPrefetchDepth,
 		requestTimeout: defaultRequestTimeout,
 	}
@@ -163,12 +164,15 @@ func NewCatalog(specs []ArchiveSpec, options ...Option) (*Catalog, error) {
 	syntaxBytes := cfg.cacheBytes / syntaxShare
 	c := &Catalog{
 		cfg: cfg,
-		cache: cache.NewShardedHash[cache.Keyed[int], chunkPayload](cfg.cacheBytes-syntaxBytes, cfg.cacheShards, func(p chunkPayload) int64 {
+		// One shard each, a strict LRU over an unfragmented budget. A rendered
+		// chunk is a sizeable share of the budget (at 320×176 a 30-frame chunk
+		// is 2.5 MB, 5 % of 48 MiB), and hash shards that each own an equal
+		// slice of it evict a chunk from a full shard while others have room;
+		// the record tier is touched once per cold miss, beside a millisecond
+		// of decode, so it has no lock contention to shard away.
+		cache: cache.NewShardedHash[cache.Keyed[int], chunkPayload](cfg.cacheBytes-syntaxBytes, 1, func(p chunkPayload) int64 {
 			return int64(len(p.data))
 		}, cache.KeyedHash[int]()),
-		// One shard: touched once per cold miss, beside a millisecond of
-		// decode, the tier has no lock contention to shard away, and a strict
-		// LRU over an unfragmented budget keeps the most records.
 		syntax: cache.NewShardedHash[cache.Keyed[int], []codec.SyntaxSlot](syntaxBytes, 1, func(slots []codec.SyntaxSlot) int64 {
 			var n int64
 			for j := range slots {
@@ -177,7 +181,6 @@ func NewCatalog(specs []ArchiveSpec, options ...Option) (*Catalog, error) {
 			return n
 		}, nil),
 		metrics: obs.NewMetrics(),
-		tenants: map[string]*tenant{},
 	}
 	c.observer = obs.Multi(c.metrics, cfg.observer)
 	c.observer.Gauge(obs.GaugeCatalogOpenArchives, "", 0)
@@ -237,13 +240,9 @@ func (c *Catalog) Add(spec ArchiveSpec) error {
 	if spec.Open == nil {
 		return fmt.Errorf("serve: archive %q has no Open function", spec.Name)
 	}
-	t := c.newTenant(spec)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, dup := c.tenants[spec.Name]; dup {
+	if _, dup := c.tenants.LoadOrStore(spec.Name, c.newTenant(spec)); dup {
 		return fmt.Errorf("serve: archive %q already in catalog", spec.Name)
 	}
-	c.tenants[spec.Name] = t
 	return nil
 }
 
@@ -255,13 +254,11 @@ func (c *Catalog) Add(spec ArchiveSpec) error {
 // Queued readahead jobs for it die at execution time, when the re-acquire
 // finds it retired.
 func (c *Catalog) Remove(name string) error {
-	c.mu.Lock()
-	t, ok := c.tenants[name]
-	delete(c.tenants, name)
-	c.mu.Unlock()
+	v, ok := c.tenants.LoadAndDelete(name)
 	if !ok {
 		return fmt.Errorf("serve: %w: %q", ErrArchiveNotFound, name)
 	}
+	t := v.(*tenant)
 	t.mu.Lock()
 	t.retired = true
 	if t.refs.Load() == 0 {
@@ -274,38 +271,30 @@ func (c *Catalog) Remove(name string) error {
 	return nil
 }
 
-// members snapshots the catalog's tenants under c.mu and releases it, so
-// callers take each tenant's lock only afterwards: tenant locks are held
-// across slow work (spec.Open on the lazy-open path), and nesting t.mu
-// inside c.mu would stall every catalog lookup behind it.
+// members snapshots the catalog's tenants; callers then take each tenant's
+// lock one at a time.
 func (c *Catalog) members() []*tenant {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	tenants := make([]*tenant, 0, len(c.tenants))
-	for _, t := range c.tenants {
-		tenants = append(tenants, t)
-	}
+	var tenants []*tenant
+	c.tenants.Range(func(_, v any) bool {
+		tenants = append(tenants, v.(*tenant))
+		return true
+	})
 	return tenants
 }
 
 // Names returns the catalog's archive names, sorted.
 func (c *Catalog) Names() []string {
-	c.mu.Lock()
-	names := make([]string, 0, len(c.tenants))
-	for name := range c.tenants {
-		names = append(names, name)
+	var names []string
+	for _, t := range c.members() {
+		names = append(names, t.name)
 	}
-	c.mu.Unlock()
 	sort.Strings(names)
 	return names
 }
 
-// openDelta adjusts the open-archive count and republishes the gauge. It
-// takes only the gauge's own lock, never c.mu, so tenant-lock holders can
-// call it without ordering against the catalog lock — the tenant paths
-// (acquire, Remove, CloseIdle, Close) all run open/close bookkeeping while
-// holding t.mu, and taking c.mu there would invert handleArchives' c.mu →
-// t.mu order and deadlock.
+// openDelta adjusts the open-archive count and republishes the gauge. The
+// tenant paths (acquire, Remove, CloseIdle, Close) call it holding t.mu;
+// gaugeMu is a leaf, so that nesting cannot deadlock.
 func (c *Catalog) openDelta(d int64) {
 	c.gaugeMu.Lock()
 	c.observer.Gauge(obs.GaugeCatalogOpenArchives, "", float64(c.open.Add(d)))
@@ -317,10 +306,10 @@ func (c *Catalog) OpenArchives() int { return int(c.open.Load()) }
 
 // closeTenantLocked closes the tenant's archive and backend, reporting
 // whether it closed anything (an already-closed tenant is a no-op). t.mu
-// must be held; c.mu must not be needed — see openDelta. The parse records
-// of the open that ends here go with it: the next open is a new space that
-// could never look them up, and the record tier's strict LRU would otherwise
-// hold them until newer records needed the room.
+// must be held. The parse records of the open that ends here go with it:
+// the next open is a new space that could never look them up, and the
+// record tier's strict LRU would otherwise hold them until newer records
+// needed the room.
 func (c *Catalog) closeTenantLocked(t *tenant) bool {
 	if t.archive == nil {
 		return false
@@ -355,12 +344,11 @@ func (c *Catalog) releaseRef(t *tenant) {
 // duration), and returns the archive, the tenant's current cache space,
 // and a release func the caller must run when done.
 func (c *Catalog) acquire(name string) (*tenant, *store.ChunkArchive, string, func(), error) {
-	c.mu.Lock()
-	t, ok := c.tenants[name]
-	c.mu.Unlock()
+	v, ok := c.tenants.Load(name)
 	if !ok {
 		return nil, nil, "", nil, fmt.Errorf("serve: %w: %q", ErrArchiveNotFound, name)
 	}
+	t := v.(*tenant)
 	t.refs.Add(1)
 	t.touch()
 	t.mu.Lock()

@@ -185,12 +185,10 @@ func TestCatalogChaos(t *testing.T) {
 	// The concurrent run: 32 clients × 24 requests, archives interleaved,
 	// under a cache budget far below the working set so archives contend
 	// for (and evict each other from) the shared cache.
-	// One shard: the tiny budget must act as one global LRU (a chunk is
-	// bigger than a 1/8th shard slice) so cross-archive eviction stays
-	// observable. Readahead stays on — the chaos contract must hold with
-	// prefetch issuing background loads.
+	// Readahead stays on — the chaos contract must hold with prefetch
+	// issuing background loads.
 	const budget = int64(96 << 10)
-	cat, err := NewCatalog(cc.specs(t, dir), WithCacheBytes(budget), WithCacheShards(1))
+	cat, err := NewCatalog(cc.specs(t, dir), WithCacheBytes(budget))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,9 +323,8 @@ func TestCatalogIdleClose(t *testing.T) {
 	}
 	// The client has the whole body a moment before the handler returns
 	// and drops its pin on the tenant; a pinned tenant is never idle.
-	cat.mu.Lock()
-	tn := cat.tenants["m"]
-	cat.mu.Unlock()
+	v, _ := cat.tenants.Load("m")
+	tn := v.(*tenant)
 	waitUntil(t, "the handler to release its pin", func() bool { return tn.refs.Load() == 0 })
 	// Past the timeout (simulated clock) the sweep closes it.
 	if n := cat.CloseIdle(time.Now().Add(time.Second)); n != 1 {
@@ -538,12 +535,12 @@ func TestCatalogRecreatedNameGetsFreshCacheSpace(t *testing.T) {
 	}
 }
 
-// TestCatalogListingRacesLifecycle is the lock-order regression canary:
+// TestCatalogListingRacesLifecycle is the deadlock regression canary:
 // GET /v1/archives reads tenant open-state while chunk requests lazily
 // open archives, the idle sweeper closes them, and membership churns via
-// Add/Remove. With the old ordering (handleArchives nesting t.mu inside
-// c.mu while open/close bookkeeping took c.mu under t.mu) this deadlocked;
-// now it must drain. Run with -race for the full effect.
+// Add/Remove. When membership had a mutex of its own, nesting it against
+// the tenant locks in opposite orders deadlocked this; it must drain. Run
+// with -race for the full effect.
 func TestCatalogListingRacesLifecycle(t *testing.T) {
 	data := buildArchiveBytes(t, 1)
 	open := func() (store.Backend, error) { return store.NewMemBackend(data), nil }
@@ -670,32 +667,6 @@ func TestIdleSweeperSurvivesTinyTimeout(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("server did not drain within 5s")
-	}
-}
-
-// TestCacheShardsZeroMeansAuto pins the documented meaning of the shard
-// option: zero (and anything below) selects the default, exactly what
-// passing no option selects — one shard, a strict LRU over the whole
-// rendered budget — and a count of its own is kept.
-func TestCacheShardsZeroMeansAuto(t *testing.T) {
-	shards := func(options ...Option) int {
-		cat, err := NewCatalog(nil, options...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cat.Close()
-		return cat.cfg.cacheShards
-	}
-	if auto := shards(); auto != 1 {
-		t.Fatalf("no option resolves to %d shards, want 1", auto)
-	}
-	for _, n := range []int{0, -1} {
-		if got := shards(WithCacheShards(n)); got != 1 {
-			t.Fatalf("WithCacheShards(%d) resolves to %d shards, want the default 1", n, got)
-		}
-	}
-	if got := shards(WithCacheShards(8)); got != 8 {
-		t.Fatalf("WithCacheShards(8) resolves to %d shards, want 8", got)
 	}
 }
 

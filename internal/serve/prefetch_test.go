@@ -351,8 +351,8 @@ func TestPrefetchOutcomeAccounting(t *testing.T) {
 	})
 
 	t.Run("evicted unserved is wasted once", func(t *testing.T) {
-		// Room for two chunks in one strict-LRU shard.
-		cat := serveBytes(t, data, WithPrefetch(1), WithCacheShards(1), withRenderedBytes(2*chunkBytes+chunkBytes/2))
+		// Room for two chunks.
+		cat := serveBytes(t, data, WithPrefetch(1), withRenderedBytes(2*chunkBytes+chunkBytes/2))
 		mustGet(t, cat, 0, "miss") // resident: 1* 0
 		warmed(t, cat, testArchive, 1)
 		mustGet(t, cat, 3, "miss") // evicts 0; a random read, no readahead
@@ -567,7 +567,7 @@ func TestPrefetchPolicy(t *testing.T) {
 		// loading.
 		chunkBytes := int64(len(wantChunkBody(t, openBytes(t, data), 0)))
 		dev := &hookBackend{Backend: store.NewSnapshotBackend(data)}
-		cat := serveOne(t, dev.spec(), WithCacheShards(1), withRenderedBytes(3*chunkBytes+chunkBytes/2))
+		cat := serveOne(t, dev.spec(), withRenderedBytes(3*chunkBytes+chunkBytes/2))
 		mustGet(t, cat, 7, "miss") // a seek; opens the archive
 		mustGet(t, cat, 8, "miss")
 		warmed(t, cat, testArchive, 1) // chunk 9; resident: 9* 8 7

@@ -28,10 +28,8 @@
 //     across every archive of a catalog; a quarter of the same byte budget
 //     keeps, per chunk, the record of what the entropy decoder parsed, so a
 //     chunk whose rendering was evicted is read and verified again on its
-//     next miss but only frames whose bytes changed are parsed again. The
-//     rendered cache is one strict LRU by default; WithCacheShards splits it
-//     into lock shards, each with its own mutex, LRU order and slice of the
-//     byte budget, for hot hits that must not contend on one mutex;
+//     next miss but only frames whose bytes changed are parsed again. Each
+//     tier is one strict LRU under one mutex;
 //   - cold-chunk decodes are coalesced (singleflight): a stampede of N
 //     clients on one uncached chunk performs a single archive read + decode
 //     and every client shares the bytes;
@@ -110,13 +108,7 @@ var ErrArchiveNotFound = errors.New("archive not found")
 
 // The documented defaults: what NewCatalog with no options runs under.
 const (
-	defaultCacheBytes = 64 << 20
-	// defaultCacheShards keeps the rendered tier one strict LRU: a rendered
-	// chunk is a sizeable share of the budget (at the ledger's 320×176 a
-	// 30-frame chunk is 2.5 MB, 5 % of 48 MiB), and hash shards that each own
-	// an equal slice of it evict a chunk from a full shard while others
-	// have room.
-	defaultCacheShards    = 1
+	defaultCacheBytes     = 64 << 20
 	defaultPrefetchDepth  = 2
 	defaultRequestTimeout = 30 * time.Second
 	// drainTimeout bounds connection draining during Serve's shutdown.
@@ -128,7 +120,6 @@ const (
 // value, so nothing downstream interprets a sentinel.
 type config struct {
 	cacheBytes     int64
-	cacheShards    int
 	prefetchDepth  int // 0: readahead off
 	workers        int // <= 0: GOMAXPROCS, the decoder's own convention
 	requestTimeout time.Duration
@@ -151,21 +142,6 @@ func WithCacheBytes(n int64) Option {
 			n = defaultCacheBytes
 		}
 		c.cacheBytes = n
-	}
-}
-
-// WithCacheShards sets the rendered-chunk cache's lock-shard count (rounded
-// up to a power of two). n <= 0 selects the default, a single shard — one
-// mutex and a strict LRU order over the whole rendered budget. More shards
-// let hot hits on different chunks take different mutexes, but each shard
-// owns an equal slice of the budget and evicts within it, so chunks that fit
-// the budget together can still evict one another.
-func WithCacheShards(n int) Option {
-	return func(c *config) {
-		if n <= 0 {
-			n = defaultCacheShards
-		}
-		c.cacheShards = n
 	}
 }
 

@@ -290,9 +290,8 @@ func TestServeConcurrentRandomChunks(t *testing.T) {
 	for i := range want {
 		want[i] = wantChunkBody(t, a, i)
 	}
-	// Budget of ~1.5 chunks forces eviction churn under concurrency; a
-	// single shard keeps the whole budget in one LRU so a chunk still fits.
-	s := serveBytes(t, data, withRenderedBytes(int64(len(want[0]))*3/2), WithCacheShards(1))
+	// Budget of ~1.5 chunks forces eviction churn under concurrency.
+	s := serveBytes(t, data, withRenderedBytes(int64(len(want[0]))*3/2))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -333,9 +332,9 @@ func TestServeConcurrentRandomChunks(t *testing.T) {
 func TestCacheEvictionRefetches(t *testing.T) {
 	data := buildArchiveBytes(t, 2)
 	want0 := wantChunkBody(t, openBytes(t, data), 0)
-	// One shard so the budget fits exactly one chunk in one LRU; readahead
-	// off so the load count is exactly the three foreground requests.
-	s := serveBytes(t, data, withRenderedBytes(int64(len(want0))+16), WithCacheShards(1), WithPrefetch(0))
+	// The budget fits exactly one chunk; readahead off so the load count is
+	// exactly the three foreground requests.
+	s := serveBytes(t, data, withRenderedBytes(int64(len(want0))+16), WithPrefetch(0))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -62,12 +62,17 @@ func counterTotal(c *Catalog, name string) int64 {
 
 // spaceOf returns the named tenant's current cache space.
 func spaceOf(c *Catalog, name string) string {
-	c.mu.Lock()
-	tn := c.tenants[name]
-	c.mu.Unlock()
+	v, _ := c.tenants.Load(name)
+	tn := v.(*tenant)
 	tn.mu.Lock()
 	defer tn.mu.Unlock()
 	return tn.space()
+}
+
+// dropRenderings empties the rendered tier, so the next request for any
+// chunk is a cold miss while the record tier keeps what it holds.
+func dropRenderings(c *Catalog) {
+	c.cache.RemoveIf(func(cache.Keyed[int]) bool { return true })
 }
 
 // recordKeys lists the record tier's resident keys.
@@ -140,10 +145,10 @@ func TestReplayEqualsParseOnTheWire(t *testing.T) {
 		}
 		return n
 	}
-	// Sixteen rendered shards of 12 KB: no rendering (37 KB and up) is ever
-	// retained, so every request is a cold miss; the record tier's 64 KB holds
-	// every chunk's records. Readahead off: each chunk is materialized once per pass.
-	cat, err := NewCatalog(specs, WithCacheBytes(256<<10), WithCacheShards(16), WithPrefetch(0))
+	// Every rendering is dropped once served, so every request is a cold
+	// miss; the record tier's 64 KB holds every chunk's records. Readahead
+	// off: each chunk is materialized once per pass.
+	cat, err := NewCatalog(specs, WithCacheBytes(256<<10), WithPrefetch(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,6 +167,7 @@ func TestReplayEqualsParseOnTheWire(t *testing.T) {
 		for _, ar := range archives {
 			for i := range want[ar.name] {
 				status, body, hdr := fetch(t, ts.Client(), fmt.Sprintf("%s/v1/archives/%s/chunks/%d", ts.URL, ar.name, i))
+				dropRenderings(cat)
 				if status != http.StatusOK || hdr.Get("X-Cache") != "miss" {
 					t.Fatalf("pass %d %s/%d: status %d X-Cache %q, want a 200 miss", pass, ar.name, i, status, hdr.Get("X-Cache"))
 				}
@@ -291,7 +297,7 @@ func TestFaultModelDecidesWhatIsDecoded(t *testing.T) {
 		{Name: "t", Open: func() (store.Backend, error) { return dev, nil }},
 		{Name: "mirrored", Open: func() (store.Backend, error) { return mirrored, nil },
 			Options: []store.ArchiveOption{store.WithMirror(bytes.NewReader(data))}},
-	}, WithFaultPolicy(pol), WithCacheBytes(256<<10), WithCacheShards(16), WithPrefetch(0)) // 12 KB rendered shards: every request is a cold miss
+	}, WithFaultPolicy(pol), WithCacheBytes(256<<10), WithPrefetch(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,6 +315,7 @@ func TestFaultModelDecidesWhatIsDecoded(t *testing.T) {
 		before := counterTotal(cat, obs.CtrFramesReplayed)
 		rec := httptest.NewRecorder()
 		cat.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/archives/t/chunks/0", nil))
+		dropRenderings(cat) // every request is a cold miss
 		if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != "miss" {
 			t.Fatalf("%s: status %d X-Cache %q, want a 200 miss", step, rec.Code, rec.Header().Get("X-Cache"))
 		}
@@ -366,6 +373,7 @@ func TestFaultModelDecidesWhatIsDecoded(t *testing.T) {
 		before := counterTotal(cat, obs.CtrFramesReplayed)
 		rec := httptest.NewRecorder()
 		cat.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/archives/mirrored/chunks/0", nil))
+		dropRenderings(cat)
 		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), variants[0].body) || rec.Header().Get("X-Videoapp-Degraded") != "" {
 			t.Fatalf("mirrored pass %d: status %d degraded %q, body clean %v", pass, rec.Code, rec.Header().Get("X-Videoapp-Degraded"), bytes.Equal(rec.Body.Bytes(), variants[0].body))
 		}
@@ -398,7 +406,7 @@ func TestRecordTierSharesOneBudget(t *testing.T) {
 	// Room for two renderings in one strict-LRU shard; the record tier's
 	// share then holds a few of the eighteen chunks' records.
 	budget := int64(len(want[0])) * 3
-	cat, err := NewCatalog(specs, WithCacheBytes(budget), WithCacheShards(1))
+	cat, err := NewCatalog(specs, WithCacheBytes(budget))
 	if err != nil {
 		t.Fatal(err)
 	}

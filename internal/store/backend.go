@@ -93,12 +93,10 @@ func readAtBytes(data, p []byte, off int64) (int, error) {
 		return 0, fmt.Errorf("store: negative read offset %d", off)
 	}
 	if off >= int64(len(data)) {
-		//vetvideoapp:allow wrapeof — io.ReaderAt contract requires bare io.EOF at end-of-region; the archive layer above classifies it
 		return 0, io.EOF
 	}
 	n := copy(p, data[off:])
 	if n < len(p) {
-		//vetvideoapp:allow wrapeof — io.ReaderAt contract requires bare io.EOF on short reads at the region's end
 		return n, io.EOF
 	}
 	return n, nil

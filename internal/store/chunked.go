@@ -293,7 +293,6 @@ func OpenChunkArchiveAt(r io.ReaderAt, opts ...ArchiveOption) (*ChunkArchive, er
 	scan := io.ReaderAt(&retryAt{r: r, pol: a.policy})
 	var hdr [archiveHeaderLen]byte
 	if n, err := readFullAt(scan, hdr[:], 0); err != nil {
-		//vetvideoapp:allow wrapeof — this is the mapping site: raw EOF from the backend becomes ErrCorruptRecord here
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return nil, fmt.Errorf("store: %w: archive header truncated at %d of %d bytes", ErrCorruptRecord, n, len(hdr))
 		}
@@ -319,7 +318,6 @@ func OpenChunkArchiveAt(r io.ReaderAt, opts ...ArchiveOption) (*ChunkArchive, er
 	frames := 0
 	for {
 		rec, next, err := readChunkHeader(scan, off)
-		//vetvideoapp:allow wrapeof — readChunkHeader's io.EOF is the internal clean-end-of-container signal, consumed (never propagated) here
 		if err == io.EOF {
 			break
 		}
@@ -357,7 +355,6 @@ func (ra *retryAt) ReadAt(p []byte, off int64) (int, error) {
 			}
 		}
 		n, err = ra.r.ReadAt(p, off)
-		//vetvideoapp:allow wrapeof — EOF-class results pass through unmapped by design: they are the scan's end/truncation signal, classified by the callers above
 		if err == nil || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return n, err
 		}
@@ -370,9 +367,7 @@ func (ra *retryAt) ReadAt(p []byte, off int64) (int, error) {
 // container, and callers probing errors.Is(err, io.EOF) for end-of-archive
 // must never match a corruption report.
 func noEOF(err error) error {
-	//vetvideoapp:allow wrapeof — noEOF is the designated EOF-normalization helper; its callers wrap the result under ErrCorruptRecord
 	if err == io.EOF {
-		//vetvideoapp:allow wrapeof — see above: normalized EOF is immediately wrapped by every caller
 		return io.ErrUnexpectedEOF
 	}
 	return err
@@ -390,9 +385,7 @@ func readChunkHeader(r io.ReaderAt, off int64) (chunkRec, int64, error) {
 	sr := io.NewSectionReader(r, off, chunkFixedLen+255*(1+255+streamEntryLen))
 	var fixed [chunkFixedLen]byte
 	if _, err := io.ReadFull(sr, fixed[:]); err != nil {
-		//vetvideoapp:allow wrapeof — a clean EOF before any header byte is the end-of-container protocol with OpenChunkArchiveAt, which consumes it; partial headers fall through to ErrCorruptRecord
 		if err == io.EOF {
-			//vetvideoapp:allow wrapeof — see above: protocol signal to the only caller, never escapes the parser
 			return chunkRec{}, 0, io.EOF
 		}
 		return chunkRec{}, 0, fmt.Errorf("store: %w: truncated chunk header at offset %d: %w", ErrCorruptRecord, off, err)
@@ -491,7 +484,6 @@ func verified(data []byte, crc uint32) bool {
 // (len(buf), io.EOF); every byte arrived, so that is a success here.
 func readFullAt(r io.ReaderAt, buf []byte, off int64) (int, error) {
 	n, err := r.ReadAt(buf, off)
-	//vetvideoapp:allow wrapeof — the EOF of a full read is consumed here, never propagated
 	if n == len(buf) && errors.Is(err, io.EOF) {
 		err = nil
 	}
@@ -514,7 +506,6 @@ func (a *ChunkArchive) readRegion(ctx context.Context, o obs.Observer, mirror io
 	read := func(r io.ReaderAt) (truncated bool, err error) {
 		m, err := readFullAt(r, buf, off)
 		if err != nil {
-			//vetvideoapp:allow wrapeof — this is the region-read mapping site: EOF inside a region becomes ErrCorruptRecord truncation right here
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 				return true, fmt.Errorf("%w: %s truncated at %d of %d bytes", ErrCorruptRecord, label, m, len(buf))
 			}
@@ -673,7 +664,6 @@ func (a *ChunkArchive) recordBuffer(rec *chunkRec) ([]byte, error) {
 			}
 			var last [1]byte
 			n, err := r.ReadAt(last[:], rec.info.Offset+rec.info.Length-1)
-			//vetvideoapp:allow wrapeof — mapping site: EOF at the record's last byte becomes ErrCorruptRecord truncation below
 			if n == 1 || !(errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)) {
 				held = true
 				break

@@ -121,6 +121,29 @@ func TestOpenArchiveTypedErrors(t *testing.T) {
 			t.Fatalf("raw io.EOF must not surface: %v", err)
 		}
 	})
+	// A cut at, or one byte into, the first stream entry: running out of
+	// bytes inside a record is truncation, never the clean end of the
+	// container that the index scan stops at.
+	if data[archiveHeaderLen+chunkFixedLen-1] == 0 {
+		t.Fatal("the first chunk has no stream entry to cut into")
+	}
+	for _, cut := range []int{archiveHeaderLen + chunkFixedLen, archiveHeaderLen + chunkFixedLen + 1} {
+		t.Run(fmt.Sprintf("truncated stream entry at %d", cut), func(t *testing.T) {
+			_, err := OpenChunkArchiveAt(bytes.NewReader(data[:cut]))
+			if !errors.Is(err, ErrCorruptRecord) || errors.Is(err, io.EOF) {
+				t.Fatalf("want ErrCorruptRecord without io.EOF, got %v", err)
+			}
+		})
+	}
+	t.Run("end of container is not retried", func(t *testing.T) {
+		r := &eofCounter{r: bytes.NewReader(data)}
+		if _, err := OpenChunkArchiveAt(r); err != nil {
+			t.Fatal(err)
+		}
+		if r.eofs != 1 {
+			t.Fatalf("%d EOF-class reads, want 1: the scan retried its end-of-container signal", r.eofs)
+		}
+	})
 	t.Run("bad magic", func(t *testing.T) {
 		bad := bytes.Clone(data)
 		bad[0] ^= 0xFF
@@ -176,6 +199,20 @@ func TestOpenArchiveTypedErrors(t *testing.T) {
 			t.Fatalf("want ErrArchiveClosed, got %v", err)
 		}
 	})
+}
+
+// eofCounter counts the reads of r that report an EOF-class error.
+type eofCounter struct {
+	r    io.ReaderAt
+	eofs int
+}
+
+func (c *eofCounter) ReadAt(p []byte, off int64) (int, error) {
+	n, err := c.r.ReadAt(p, off)
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		c.eofs++
+	}
+	return n, err
 }
 
 // trackingReaderAt records every byte range fetched through ReadAt.

@@ -255,10 +255,6 @@ type StoreOpts struct {
 	// Workers bounds the per-frame fan-out; <= 0 selects GOMAXPROCS.
 	// Forced to 1 when Rng is set.
 	Workers int
-	// Observer receives the inject stage span, per-frame progress and the
-	// per-scheme raw/residual flip counters. nil falls back to the
-	// observer attached to ctx (obs.With), then to the no-op default.
-	Observer obs.Observer
 	// Rng, when non-nil, selects the legacy serial error stream: one
 	// caller-owned source drawn frame by frame in order, matching the
 	// deprecated Store method. The outcome then depends on the source's
@@ -278,16 +274,15 @@ type StoreOpts struct {
 // next trip reuses its buffers. Skipping Release is always safe — the copy is
 // then collected like any other garbage.
 //
-// Cancellation is cooperative, checked at frame boundaries. See StoreOpts
-// for seeding, worker and observer selection.
+// Cancellation is cooperative, checked at frame boundaries. The observer
+// attached to ctx (obs.With) receives the inject stage span, per-frame
+// progress and the per-scheme raw/residual flip counters. See StoreOpts for
+// seeding and worker selection.
 func (s *System) StoreContext(ctx context.Context, v *codec.Video, parts []core.FramePartition, o StoreOpts) (*codec.Video, int, error) {
 	if len(parts) != len(v.Frames) {
 		return nil, 0, fmt.Errorf("store: %w: %d partitions for %d frames", ErrPartitionMismatch, len(parts), len(v.Frames))
 	}
-	ob := o.Observer
-	if ob == nil {
-		ob = obs.From(ctx)
-	}
+	ob := obs.From(ctx)
 	defer obs.StartSpan(ob, obs.StageInject).End()
 	out := v.ClonePooled()
 	if o.Rng != nil {

@@ -57,7 +57,7 @@ type (
 	// archive over one with OpenArchive.
 	Backend = store.Backend
 	// ServeOption configures a Catalog at construction; see
-	// WithCacheBytes, WithCacheShards, WithPrefetch, WithRequestTimeout,
+	// WithCacheBytes, WithPrefetch, WithRequestTimeout,
 	// WithServeWorkers, WithIdleTimeout, WithServeObserver and
 	// WithFaultPolicy.
 	ServeOption = serve.Option
@@ -187,12 +187,6 @@ func WithIdleTimeout(d time.Duration) ServeOption { return serve.WithIdleTimeout
 // and parse records (three quarters and one quarter of n); n <= 0 selects
 // the 64 MiB default.
 func WithCacheBytes(n int64) ServeOption { return serve.WithCacheBytes(n) }
-
-// WithCacheShards sets the rendered-chunk cache's lock-shard count,
-// rounded up to a power of two, each shard owning an equal slice of the
-// budget; n <= 0 selects the default, one shard — a strict LRU over the
-// whole budget.
-func WithCacheShards(n int) ServeOption { return serve.WithCacheShards(n) }
 
 // WithPrefetch sets the server's sequential readahead depth: it warms up to
 // depth chunks ahead of a sequential reader in the background through the
