@@ -120,8 +120,8 @@ func TestAppendBitsMatchesPerBit(t *testing.T) {
 	}
 }
 
-// TestWordFormsMatchPerBitOracles pins AlignByte, the bit length behind
-// WriteUE and ReadUE to their bit-loop forms, ReadUE on arbitrary (mostly
+// TestWordFormsMatchPerBitOracles pins AlignByte, WriteUE and the bit
+// length behind it, and ReadUE to their bit-loop forms, ReadUE on arbitrary (mostly
 // invalid) streams from every start position: value, error and the position
 // the reader is left at.
 func TestWordFormsMatchPerBitOracles(t *testing.T) {
@@ -141,6 +141,18 @@ func TestWordFormsMatchPerBitOracles(t *testing.T) {
 			w.WriteUE(uint32(x))
 			if n := bitLen64Ref(uint64(uint32(x)) + 1); w.BitPos() != int64(2*n-1) {
 				t.Fatalf("WriteUE(%d) wrote %d bits, want %d", uint32(x), w.BitPos(), 2*n-1)
+			}
+			// The code itself, after every partial-byte fill: one write of
+			// 2n-1 bits, two for the 65-bit code of 2³²-1.
+			for lead := uint(0); lead < 8; lead++ {
+				a, b := NewWriter(), NewWriter()
+				a.WriteBits(0x5A, lead)
+				b.WriteBits(0x5A, lead)
+				a.WriteUE(uint32(x))
+				writeUERef(b, uint32(x))
+				if a.BitPos() != b.BitPos() || !bytes.Equal(a.Bytes(), b.Bytes()) {
+					t.Fatalf("WriteUE(%d) after %d bits: %x/%d, per-bit %x/%d", uint32(x), lead, a.Bytes(), a.BitPos(), b.Bytes(), b.BitPos())
+				}
 			}
 		}
 	}

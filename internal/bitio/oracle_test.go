@@ -2,8 +2,8 @@ package bitio
 
 // The per-bit forms this package had before the word-wide rewrite, kept
 // verbatim as test oracles: the production CopyBits, Writer.AlignByte,
-// bitLen64 and Reader.ReadUE must agree with them bit for bit (see
-// differential_test.go).
+// bitLen64, Writer.WriteUE and Reader.ReadUE must agree with them bit for
+// bit (see differential_test.go).
 
 // copyBitsRef is the bit-at-a-time CopyBits.
 func copyBitsRef(dst []byte, dstPos int64, src []byte, srcPos, n int64) {
@@ -37,6 +37,19 @@ func bitLen64Ref(x uint64) uint {
 		x >>= 1
 	}
 	return n
+}
+
+// writeUERef is the bit-at-a-time Writer.WriteUE: the zeros, then v+1 from
+// its top bit down.
+func writeUERef(w *Writer, v uint32) {
+	x := uint64(v) + 1
+	n := bitLen64Ref(x)
+	for i := uint(1); i < n; i++ {
+		w.WriteBit(0)
+	}
+	for i := int(n) - 1; i >= 0; i-- {
+		w.WriteBit(int(x >> uint(i) & 1))
+	}
 }
 
 // readUERef is the bit-at-a-time Reader.ReadUE.

@@ -103,12 +103,19 @@ func (w *Writer) WriteBool(b bool) {
 	}
 }
 
-// WriteUE appends v using unsigned exponential-Golomb coding.
+// WriteUE appends v using unsigned exponential-Golomb coding: n-1 zeros
+// and the n bits of v+1. Those are the 2n-1 low bits of v+1 itself, one
+// write for every code but that of a v with v+1 = 2³², whose 65 bits take
+// two.
 func (w *Writer) WriteUE(v uint32) {
 	x := uint64(v) + 1
 	n := uint(bits.Len64(x))
-	w.WriteBits(0, n-1) // leading zeros
-	w.WriteBits(x, n)
+	if n > 32 {
+		w.WriteBits(0, n-1) // leading zeros
+		w.WriteBits(x, n)
+		return
+	}
+	w.WriteBits(x, 2*n-1)
 }
 
 // WriteSE appends v using signed exponential-Golomb coding, mapping

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -76,18 +77,23 @@ func decodeChunkVideo(tb testing.TB, coder EntropyKind) *Video {
 }
 
 // BenchmarkEncodeChunk measures codec.Encode of one chunk, the layer that
-// dominates ingest and every set-up that archives its inputs.
+// dominates ingest and every set-up that archives its inputs, at the
+// default CRF 24 and at CRF 16, where the ingest matrix spends most of its
+// entropy-coding time.
 func BenchmarkEncodeChunk(b *testing.B) {
 	for _, coder := range []EntropyKind{CABAC, CAVLC} {
-		seq, p := chunkInput(coder)
-		b.Run(strings.ToLower(coder.String()), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := Encode(seq, p); err != nil {
-					b.Fatal(err)
+		for _, crf := range []int{24, 16} {
+			seq, p := chunkInput(coder)
+			p.CRF = crf
+			b.Run(fmt.Sprintf("%s/crf%d", strings.ToLower(coder.String()), crf), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := Encode(seq, p); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

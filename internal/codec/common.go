@@ -73,10 +73,11 @@ const (
 )
 
 // writeResidualBlock codes one quantized 4×4 block as a nonzero count
-// followed by (zero-run, level) pairs in zig-zag order. The syntax lives in
-// the entropy backends, which code a block per call (entropy/residual.go).
-func writeResidualBlock(sw entropy.SymbolWriter, blk *transform.Block) {
-	sw.WriteResidualBlock((*[16]int32)(blk))
+// followed by (zero-run, level) pairs in zig-zag order; nnz is the count,
+// as transform.ForwardQuantize reports it. The syntax lives in the entropy
+// backends, which code a block per call (entropy/residual.go).
+func writeResidualBlock(sw entropy.SymbolWriter, blk *transform.Block, nnz int) {
+	sw.WriteResidualBlock((*[16]int32)(blk), nnz)
 }
 
 // readResidualBlock decodes one 4×4 block into blk, clamping every field so

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"sync"
 
 	"videoapp/internal/bitio"
 	"videoapp/internal/entropy"
@@ -66,6 +67,7 @@ func encodeRecs(seq *frame.Sequence, p Params) (*Video, []*frame.Frame, error) {
 		displayToCoded[disp.display] = codedIdx
 		v.Frames = append(v.Frames, ef)
 	}
+	fe.release()
 	return v, rec, nil
 }
 
@@ -190,9 +192,33 @@ type frameEncoder struct {
 	// evaluation never allocates.
 	biBuf [frame.MBSize * frame.MBSize]uint8
 	// res is the quantized residual of the macroblock being coded, quantized
-	// against and added onto the prediction in rec (addResidual).
+	// against and added onto the prediction in rec (addResidual), and nnz
+	// the nonzero count of each of its blocks, which the residual writers
+	// code as they are.
 	res mbResidual
+	nnz [mbBlocks]uint8
+	// pads holds edge-replicated copies of reference luma planes, the
+	// motion search's view of a reference (predict.Padded): padF and padB
+	// are those of the frame's forward and backward reference. A reference
+	// is padded once, when the first frame that refers to it starts; two
+	// slots hold both references of a B frame.
+	pads       [2]paddedRef
+	padF, padB *predict.Padded
 }
+
+// paddedRef is one slot of frameEncoder.pads: pad holds the luma of
+// reference idx (coded order) when used is set.
+type paddedRef struct {
+	used bool
+	idx  int
+	pad  predict.Padded
+}
+
+// encoderPool recycles the frameEncoders of finished Encode/EncodeABR calls:
+// their macroblock maps, payload writer, record slab and padded planes are
+// reused — resized when a geometry needs more — by the next call, so the
+// padded references cost no allocation once a process has encoded.
+var encoderPool sync.Pool
 
 // maxDepsPerMB bounds the dependencies of one macroblock: sixteen 4×4
 // partitions, each bi-predicted from two references, each reference
@@ -200,13 +226,32 @@ type frameEncoder struct {
 const maxDepsPerMB = maxPartitions * 2 * 4
 
 // newFrameEncoder returns an encoder of w×h frames that resolves reference
-// indices in recRefs (coded order).
+// indices in recRefs (coded order), from the pool when it holds one; the
+// caller hands it back with release after its last frame.
 func newFrameEncoder(p Params, w, h int, recRefs []*frame.Frame) *frameEncoder {
 	n := (w / frame.MBSize) * (h / frame.MBSize)
-	return &frameEncoder{
-		params: p, recRefs: recRefs,
-		qps: make([]int, n), mvRep: make([]predict.MV, n), mvAvail: make([]bool, n),
+	fe, _ := encoderPool.Get().(*frameEncoder)
+	if fe == nil {
+		fe = new(frameEncoder)
 	}
+	fe.params, fe.recRefs = p, recRefs
+	if cap(fe.qps) < n {
+		fe.qps, fe.mvRep, fe.mvAvail = make([]int, n), make([]predict.MV, n), make([]bool, n)
+	}
+	fe.qps, fe.mvRep, fe.mvAvail = fe.qps[:n], fe.mvRep[:n], fe.mvAvail[:n]
+	return fe
+}
+
+// release returns the encoder to the pool once its last frame is coded,
+// dropping what belongs to the call: the frames, records and padded
+// references (the planes themselves are kept).
+func (fe *frameEncoder) release() {
+	fe.recRefs, fe.ef, fe.orig, fe.rec, fe.sw = nil, nil, nil, nil, nil
+	for i := range fe.pads {
+		fe.pads[i].used = false
+	}
+	fe.padF, fe.padB = nil, nil
+	encoderPool.Put(fe)
 }
 
 // encode codes orig as the frame described by ef — filling its payload, slice
@@ -214,6 +259,8 @@ func newFrameEncoder(p Params, w, h int, recRefs []*frame.Frame) *frameEncoder {
 // frame the caller owns.
 func (fe *frameEncoder) encode(ef *EncodedFrame, orig *frame.Frame) *frame.Frame {
 	fe.ef, fe.orig = ef, orig
+	fe.padF = fe.padded(ef.RefFwd, ef.RefBwd)
+	fe.padB = fe.padded(ef.RefBwd, ef.RefFwd)
 	fe.rec = frame.MustNewPooled(orig.W, orig.H)
 	clear(fe.qps)
 	clear(fe.mvRep)
@@ -261,11 +308,34 @@ func (fe *frameEncoder) encode(ef *EncodedFrame, orig *frame.Frame) *frame.Frame
 	return fe.rec
 }
 
-func (fe *frameEncoder) motionSearch(cur, ref *frame.Frame, cx, cy, w, h int, seed predict.MV, sr int) (predict.MV, int) {
-	if fe.params.HalfPel {
-		return predict.MotionSearchHP(cur, ref, cx, cy, w, h, seed, sr)
+// padded returns the padded luma of reference codedIdx (nil when there is
+// none), padding it into a slot that does not hold keep, the frame's other
+// reference, unless a slot holds it already.
+func (fe *frameEncoder) padded(codedIdx, keep int) *predict.Padded {
+	ref := fe.refFrame(codedIdx)
+	if ref == nil {
+		return nil
 	}
-	return predict.MotionSearch(cur, ref, cx, cy, w, h, seed, sr)
+	slot := &fe.pads[0]
+	for i := range fe.pads {
+		s := &fe.pads[i]
+		if s.used && s.idx == codedIdx {
+			return &s.pad
+		}
+		if !s.used || s.idx != keep {
+			slot = s
+		}
+	}
+	slot.pad.Pad(ref)
+	slot.used, slot.idx = true, codedIdx
+	return &slot.pad
+}
+
+func (fe *frameEncoder) motionSearch(ref *predict.Padded, cx, cy, w, h int, seed predict.MV, sr int) (predict.MV, int) {
+	if fe.params.HalfPel {
+		return ref.MotionSearchHP(fe.orig, cx, cy, w, h, seed, sr)
+	}
+	return ref.MotionSearch(fe.orig, cx, cy, w, h, seed, sr)
 }
 
 func (fe *frameEncoder) refFrame(codedIdx int) *frame.Frame {
@@ -360,10 +430,10 @@ func (fe *frameEncoder) searchInter(mx, my int, predMV predict.MV, refF, refB *f
 		cand.cost = 24 * (len(rects) - 1)
 		seed := predMV
 		for i, r := range rects {
-			mvf, costF := fe.motionSearch(fe.orig, refF, px+r.X, py+r.Y, r.W, r.H, seed, sr)
+			mvf, costF := fe.motionSearch(fe.padF, px+r.X, py+r.Y, r.W, r.H, seed, sr)
 			dir, mv0, mv1, cost := dirFwd, mvf, predict.MV{}, costF
 			if fe.ef.Type == FrameB && refB != nil {
-				mvb, costB := fe.motionSearch(fe.orig, refB, px+r.X, py+r.Y, r.W, r.H, seed, sr)
+				mvb, costB := fe.motionSearch(fe.padB, px+r.X, py+r.Y, r.W, r.H, seed, sr)
 				if costB < cost {
 					dir, mv0, mv1, cost = dirBwd, mvb, predict.MV{}, costB
 				}
@@ -515,7 +585,8 @@ func (fe *frameEncoder) codeDQP(mx, my, qp int) {
 
 // quantizeResidual transforms and quantizes the macroblock's residual —
 // source minus the prediction in fe.rec, 16 luma then 4 Cb and 4 Cr blocks —
-// into fe.res. Every block is written, so none of fe.res is stale afterwards.
+// into fe.res, and their nonzero counts into fe.nnz. Every block is written,
+// so none of fe.res is stale afterwards.
 func (fe *frameEncoder) quantizeResidual(mx, my, qp int, intra bool) {
 	var nz uint32
 	w, cw := fe.orig.W, fe.orig.W/2
@@ -523,16 +594,22 @@ func (fe *frameEncoder) quantizeResidual(mx, my, qp int, intra bool) {
 	luma, pred := fe.orig.Y[mo:], fe.rec.Y[mo:]
 	for b := 0; b < lumaBlocks; b++ {
 		o := (b>>2)*4*w + (b&3)*4
-		if transform.ForwardQuantize(&fe.res.blocks[b], luma[o:], w, pred[o:], w, qp, intra) {
+		n := transform.ForwardQuantize(&fe.res.blocks[b], luma[o:], w, pred[o:], w, qp, intra)
+		fe.nnz[b] = uint8(n)
+		if n != 0 {
 			nz |= 1 << uint(b)
 		}
 	}
 	for b := 0; b < 4; b++ {
 		o := co + (b>>1)*4*cw + (b&1)*4
-		if transform.ForwardQuantize(&fe.res.blocks[lumaBlocks+b], fe.orig.Cb[o:], cw, fe.rec.Cb[o:], cw, qp, intra) {
+		n := transform.ForwardQuantize(&fe.res.blocks[lumaBlocks+b], fe.orig.Cb[o:], cw, fe.rec.Cb[o:], cw, qp, intra)
+		fe.nnz[lumaBlocks+b] = uint8(n)
+		if n != 0 {
 			nz |= 1 << uint(lumaBlocks+b)
 		}
-		if transform.ForwardQuantize(&fe.res.blocks[lumaBlocks+4+b], fe.orig.Cr[o:], cw, fe.rec.Cr[o:], cw, qp, intra) {
+		n = transform.ForwardQuantize(&fe.res.blocks[lumaBlocks+4+b], fe.orig.Cr[o:], cw, fe.rec.Cr[o:], cw, qp, intra)
+		fe.nnz[lumaBlocks+4+b] = uint8(n)
+		if n != 0 {
 			nz |= 1 << uint(lumaBlocks+4+b)
 		}
 	}
@@ -547,6 +624,6 @@ func (fe *frameEncoder) codeResidual() {
 		return
 	}
 	for b := range fe.res.blocks {
-		writeResidualBlock(fe.sw, &fe.res.blocks[b])
+		writeResidualBlock(fe.sw, &fe.res.blocks[b], int(fe.nnz[b]))
 	}
 }

@@ -10,9 +10,10 @@ import (
 
 // refQuantizeResidual is the encoder's residual path as it stood before
 // transform.ForwardQuantize: per block a closure gathers source minus
-// prediction into a Block, transform.QuantizeOnly returns the levels by
-// value, and a whole-block comparison sets the nonzero bit. Moved here
-// verbatim (the receiver's fields became parameters) as the oracle of
+// prediction into a Block, transform.Forward and transform.Quantize return
+// the levels by value, and a whole-block comparison sets the nonzero bit.
+// Moved here verbatim (the receiver's fields became parameters; the
+// transform's QuantizeOnly, since deleted, inlined) as the oracle of
 // frameEncoder.quantizeResidual; the prediction it reads is the 16×16 luma
 // (stride 16) and 8×8 chroma blocks (stride 8) the encoder kept apart from
 // the frame at the time.
@@ -26,7 +27,8 @@ func refQuantizeResidual(res *mbResidual, orig *frame.Frame, pred *refMBPred, mx
 				r[y*4+x] = int32(s[x]) - int32(p[x])
 			}
 		}
-		res.blocks[b] = transform.QuantizeOnly(&r, qp, intra)
+		y := transform.Forward(&r)
+		res.blocks[b] = transform.Quantize(&y, qp, intra)
 		if res.blocks[b] != (transform.Block{}) {
 			res.nz |= 1 << uint(b)
 		}
@@ -52,8 +54,8 @@ type refMBPred struct {
 	cb, cr [64]uint8
 }
 
-// TestQuantizeResidualMatchesReference: levels and nonzero map of every
-// block equal the unfused path's, at every QP and both dead zones, for
+// TestQuantizeResidualMatchesReference: levels, nonzero map and nonzero
+// counts of every block equal the unfused path's, at every QP and both dead zones, for
 // predictions from exact (all-zero residual) through close to unrelated, at
 // corner, edge and interior macroblocks. The encoder reads the prediction
 // where the macroblock goes in its reconstruction; the reference reads a copy
@@ -94,6 +96,12 @@ func TestQuantizeResidualMatchesReference(t *testing.T) {
 					if fe.res != want {
 						t.Fatalf("amplitude %d mb (%d,%d) qp %d intra %v: residual differs from the reference (nz %024b, want %024b)",
 							amp, mx, my, qp, intra, fe.res.nz, want.nz)
+					}
+					for b := range want.blocks {
+						if n := nonzeroLevels(&want.blocks[b]); int(fe.nnz[b]) != n {
+							t.Fatalf("amplitude %d mb (%d,%d) qp %d intra %v: block %d counted %d nonzero levels, has %d",
+								amp, mx, my, qp, intra, b, fe.nnz[b], n)
+						}
 					}
 				}
 			}

@@ -72,19 +72,12 @@ func encodeEnhFrame(orig, baseRec *frame.Frame, ef *EncodedFrame, p Params, delt
 				mbQP = ef.MBs[idx].QP
 			}
 			qp := transform.ClampQP(mbQP - delta)
-			px, py := mx*frame.MBSize, my*frame.MBSize
-			for by := 0; by < 4; by++ {
-				for bx := 0; bx < 4; bx++ {
-					var res transform.Block
-					for y := 0; y < 4; y++ {
-						for x := 0; x < 4; x++ {
-							ox, oy := px+bx*4+x, py+by*4+y
-							res[y*4+x] = int32(orig.LumaAt(ox, oy)) - int32(baseRec.LumaAt(ox, oy))
-						}
-					}
-					lv := transform.QuantizeOnly(&res, qp, false)
-					writeResidualBlock(sw, &lv)
-				}
+			mo := my*frame.MBSize*orig.W + mx*frame.MBSize
+			for b := 0; b < lumaBlocks; b++ {
+				o := mo + (b>>2)*4*orig.W + (b&3)*4
+				var lv transform.Block
+				nnz := transform.ForwardQuantize(&lv, orig.Y[o:], orig.W, baseRec.Y[o:], baseRec.W, qp, false)
+				writeResidualBlock(sw, &lv, nnz)
 			}
 			mbs = append(mbs, MBRecord{
 				MB:       frame.MB{X: mx, Y: my},

@@ -22,6 +22,18 @@ var zigzag4 = [16]int{0, 1, 4, 8, 5, 2, 3, 6, 9, 12, 13, 10, 7, 11, 14, 15}
 // produce values whose inverse transform overflows int32.
 const maxLevel = 1 << 15
 
+// nonzeroLevels counts the nonzero levels of blk, the count
+// writeResidualBlock is given.
+func nonzeroLevels(blk *transform.Block) int {
+	n := 0
+	for _, v := range blk {
+		if v != 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // writeResidualBlockRef codes one quantized 4×4 block as a nonzero count
 // followed by (zero-run, level) pairs in zig-zag order.
 func writeResidualBlockRef(sw entropy.SymbolWriter, blk *transform.Block) {
@@ -111,7 +123,7 @@ func TestResidualHelpersMatchPerSymbolOracle(t *testing.T) {
 		gw, ww := bitio.NewWriter(), bitio.NewWriter()
 		got, want := newSymbolWriter(kind, gw), newSymbolWriter(kind, ww)
 		for i := range blocks {
-			writeResidualBlock(got, &blocks[i])
+			writeResidualBlock(got, &blocks[i], nonzeroLevels(&blocks[i]))
 			writeResidualBlockRef(want, &blocks[i])
 			if got.BitPos() != want.BitPos() {
 				t.Fatalf("%s: BitPos %d after block %d, per-symbol form at %d", kind, got.BitPos(), i, want.BitPos())

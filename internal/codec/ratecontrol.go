@@ -88,6 +88,7 @@ func EncodeABR(seq *frame.Sequence, p Params, targetBitsPerSecond int64) (*Video
 			qpAdj = -rc.MaxQPDelta
 		}
 	}
+	fe.release()
 	// Reconstructed frames never leave EncodeABR; recycle their planes.
 	for _, r := range rec {
 		frame.Recycle(r)

@@ -163,35 +163,35 @@ func (e *Encoder) BitPos() int64 {
 // renormalisation doublings do. The caller takes a byte once eight are
 // queued; kept apart, shift is small enough to be inlined.
 func (e *Encoder) shift(k uint) {
-	e.track(e.low>>(9-k), k)
+	e.held = trackHeld(e.held, e.low>>(9-k), k)
 	e.low <<= k
 	e.queue += int(k)
 }
 
-// track follows the outstanding count through k doublings. x is low shifted
-// so that its low k bits are the bits leaving the register below bit 9 and
-// bit k is bit 9. A bit-serial coder looks at them a pair at a time, its own
-// bit 9 first: while that is clear, a one below it joins the outstanding run
-// and a zero resolves the run; once it is set, ones are resolved as they
-// come. Its bit 9 is low's bit 9, except above a held run, whose lowest one
-// sits there until a carry into the run clears it. After k steps the run is
-// therefore the trailing ones of the k bits, unless all k are ones: those
-// extend a held run, or leave none behind a set bit 9.
-func (e *Encoder) track(x uint32, k uint) {
+// trackHeld is the outstanding count after k doublings from held. x is low
+// shifted so that its low k bits are the bits leaving the register below
+// bit 9 and bit k is bit 9. A bit-serial coder looks at them a pair at a
+// time, its own bit 9 first: while that is clear, a one below it joins the
+// outstanding run and a zero resolves the run; once it is set, ones are
+// resolved as they come. Its bit 9 is low's bit 9, except above a held run,
+// whose lowest one sits there until a carry into the run clears it. After k
+// steps the run is therefore the trailing ones of the k bits, unless all k
+// are ones: those extend a held run, or leave none behind a set bit 9.
+func trackHeld(held uint, x uint32, k uint) uint {
 	// Written as selects rather than branches: the outcome follows the
 	// coded data and would mispredict about every other bypass bin.
 	top := x >> k & 1
-	if e.held > 0 {
+	if held > 0 {
 		top ^= 1
 	}
-	held := e.held + k
+	next := held + k
 	if top == 1 {
-		held = 0
+		next = 0
 	}
 	if ones := uint(bits.TrailingZeros32(^x)); ones < k {
-		held = ones
+		next = ones
 	}
-	e.held = held
+	return next
 }
 
 // takeByte moves the top eight queued bits, and the carry above them, out
@@ -247,18 +247,24 @@ func (e *Encoder) EncodeBypass(bit int) {
 	if bit == 1 {
 		e.low += e.rng
 	}
-	// The register was doubled before the addition, so the bit pair a
-	// bit-serial coder examines sits one position higher. One step of track:
-	// the run grows by a one under a clear top bit and ends otherwise.
-	grow := e.low >> 9 &^ (e.low >> 10) & 1
-	if e.held > 0 {
-		grow = e.low >> 9 & (e.low >> 10) & 1
-	}
-	e.held = (e.held + 1) & -uint(grow)
+	e.held = bypassHeld(e.held, e.low)
 	e.queue++
 	if e.queue >= 8 {
 		e.takeByte()
 	}
+}
+
+// bypassHeld is the outstanding count after a bypass bin from held, low the
+// register after the bin. The register was doubled before the addition, so
+// the bit pair a bit-serial coder examines sits one position higher. One
+// step of trackHeld: the run grows by a one under a clear top bit and ends
+// otherwise.
+func bypassHeld(held uint, low uint32) uint {
+	grow := low >> 9 &^ (low >> 10) & 1
+	if held > 0 {
+		grow = low >> 9 & (low >> 10) & 1
+	}
+	return (held + 1) & -uint(grow)
 }
 
 // Flush terminates the arithmetic codeword so the decoder can reconstruct

@@ -7,8 +7,8 @@ package entropy
 // (ClassCoeffRun, ClassCoeffLevel). Residuals are nine tenths of the symbols
 // of a stream, so each backend codes a whole block in one call — one dynamic
 // dispatch per block from the codec instead of one per symbol — and the
-// arithmetic decoder, the hottest of the four, does it with its registers
-// in locals.
+// arithmetic coder does it with its registers in locals, decoding and
+// encoding alike.
 
 // zigzag4 is the 4×4 zig-zag scan order.
 var zigzag4 = [16]uint8{0, 1, 4, 8, 5, 2, 3, 6, 9, 12, 13, 10, 7, 11, 14, 15}
@@ -20,47 +20,125 @@ const maxLevel = 1 << 15
 // clampLevel bounds a decoded level to ±maxLevel.
 func clampLevel(v int32) int32 { return max(-maxLevel, min(maxLevel, v)) }
 
-// countNonzero returns the number of nonzero coefficients of blk.
-func countNonzero(blk *[16]int32) uint32 {
-	var n uint32
-	for _, v := range blk {
-		if v != 0 {
-			n++
-		}
-	}
-	return n
-}
+// WriteResidualBlock implements SymbolWriter. It is PutUVal and PutSVal
+// unrolled over the block's symbols around a single copy of the bin encoder,
+// with the coder's register, range, queue and outstanding count in locals
+// for the whole block; only a completed byte (takeByte) and the rare
+// exp-Golomb escape go back through the Encoder's fields. The outstanding
+// count follows every renormalisation as EncodeBit and EncodeBypass keep
+// it, so BitPos after the block is theirs.
+func (cw *CABACWriter) WriteResidualBlock(blk *[16]int32, nnz int) {
+	e := &cw.enc
+	low, rng, queue, held := e.low, e.rng, e.queue, e.held
 
-// WriteResidualBlock implements SymbolWriter.
-func (cw *CABACWriter) WriteResidualBlock(blk *[16]int32) {
-	nnz := countNonzero(blk)
-	cw.PutUVal(ClassCoeffFlag, nnz)
-	if nnz == 0 {
-		return // the all-zero block is the one bin of a zero count
-	}
-	var run uint32
-	for _, pos := range zigzag4 {
-		v := blk[pos]
-		if v == 0 {
-			run++
+	// The block is a sequence of unsigned values written one after the
+	// other — the count, then run and level magnitude alternately — each
+	// level followed by its sign.
+	const (
+		writeCount = iota
+		writeRun
+		writeLevel
+	)
+	next := writeCount
+	row := &cw.ctxs[ClassCoeffFlag]
+	v := uint32(nnz)
+	left := nnz
+	scan := 0
+	var level int32
+	for {
+		// One UEG value: a context-coded unary prefix of v ones closed by a
+		// zero, or capped at prefixCap ones and followed by the escape.
+		for i := uint32(0); ; i++ {
+			c := &row[min(i, prefixContexts-1)]
+			bin := uint8(0)
+			if i < v {
+				bin = 1
+			}
+			p := c.p
+			rl := uint32(lpsRange[p][(rng>>6)&3])
+			r := rng - rl
+			if bin == p&1 {
+				c.p = transMPS[p]
+			} else {
+				low += r
+				r = rl
+				c.p = transLPS[p]
+			}
+			if r >= 256 {
+				rng = r
+			} else {
+				k := renormShift(r)
+				rng = r << k
+				held = trackHeld(held, low>>(9-k), k)
+				low <<= k
+				queue += int(k)
+				if queue >= 8 {
+					e.low, e.queue = low, queue
+					e.takeByte()
+					low, queue = e.low, e.queue
+				}
+			}
+			if bin == 0 {
+				break
+			}
+			if i+1 == prefixCap {
+				// Escape: the remainder is a bypass exp-Golomb suffix.
+				e.low, e.rng, e.queue, e.held = low, rng, queue, held
+				cw.putBypassEG(v - prefixCap)
+				low, rng, queue, held = e.low, e.rng, e.queue, e.held
+				break
+			}
+		}
+
+		switch next {
+		case writeCount:
+			if left == 0 {
+				e.low, e.rng, e.queue, e.held = low, rng, queue, held
+				return // the all-zero block is the one bin of a zero count
+			}
+		case writeRun:
+			next, row = writeLevel, &cw.ctxs[ClassCoeffLevel]
+			mag := level
+			if mag < 0 {
+				mag = -mag
+			}
+			v = uint32(mag)
 			continue
+		case writeLevel:
+			// The sign is one bypass bin.
+			low <<= 1
+			if level < 0 {
+				low += rng
+			}
+			held = bypassHeld(held, low)
+			queue++
+			if queue >= 8 {
+				e.low, e.queue = low, queue
+				e.takeByte()
+				low, queue = e.low, e.queue
+			}
+			if left--; left == 0 {
+				e.low, e.rng, e.queue, e.held = low, rng, queue, held
+				return
+			}
 		}
-		cw.PutUVal(ClassCoeffRun, run)
-		cw.PutSVal(ClassCoeffLevel, v)
-		run = 0
+		// The next value is the zero run before the next nonzero level.
+		run := uint32(0)
+		for level = blk[zigzag4[scan]]; level == 0; level = blk[zigzag4[scan]] {
+			run++
+			scan++
+		}
+		scan++
+		next, row, v = writeRun, &cw.ctxs[ClassCoeffRun], run
 	}
 }
 
 // WriteResidualBlock implements SymbolWriter.
-func (vw *CAVLCWriter) WriteResidualBlock(blk *[16]int32) {
-	nnz := countNonzero(blk)
-	vw.w.WriteUE(nnz)
-	if nnz == 0 {
-		return
-	}
+func (vw *CAVLCWriter) WriteResidualBlock(blk *[16]int32, nnz int) {
+	vw.w.WriteUE(uint32(nnz))
 	var run uint32
-	for _, pos := range zigzag4 {
-		v := blk[pos]
+	for scan := 0; nnz > 0; scan++ {
+		v := blk[zigzag4[scan]]
 		if v == 0 {
 			run++
 			continue
@@ -68,6 +146,7 @@ func (vw *CAVLCWriter) WriteResidualBlock(blk *[16]int32) {
 		vw.w.WriteUE(run)
 		vw.w.WriteSE(v)
 		run = 0
+		nnz--
 	}
 }
 

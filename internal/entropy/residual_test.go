@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+	"time"
 
 	"videoapp/internal/bitio"
 )
@@ -35,6 +36,18 @@ func randomBlock(rng *rand.Rand) [16]int32 {
 		}
 	}
 	return blk
+}
+
+// countNonzero returns the number of nonzero coefficients of blk, the count
+// WriteResidualBlock is given.
+func countNonzero(blk *[16]int32) int {
+	n := 0
+	for _, v := range blk {
+		if v != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // symbolWriter is what the per-symbol oracle writes through.
@@ -100,7 +113,7 @@ func writeMixed(t *testing.T, ci int, blocks [][16]int32) []byte {
 			got.PutUVal(ClassMBType, uint32(i%9))
 			want.PutUVal(ClassMBType, uint32(i%9))
 		}
-		got.WriteResidualBlock(&blocks[i])
+		got.WriteResidualBlock(&blocks[i], countNonzero(&blocks[i]))
 		refWriteResidualBlock(want, &blocks[i])
 		if got.BitPos() != want.BitPos() {
 			t.Fatalf("%s: BitPos %d after block %d %v, per-symbol writer at %d", c.name, got.BitPos(), i, blocks[i], want.BitPos())
@@ -245,7 +258,7 @@ func FuzzResidualBlockMatchesPerSymbol(f *testing.F) {
 		w := bitio.NewWriter()
 		sw := residualCoders[ci].writer(w)
 		for i := range blocks {
-			sw.WriteResidualBlock(&blocks[i])
+			sw.WriteResidualBlock(&blocks[i], countNonzero(&blocks[i]))
 		}
 		sw.Flush()
 		f.Add(w.Bytes())
@@ -262,24 +275,32 @@ func FuzzResidualBlockMatchesPerSymbol(f *testing.F) {
 }
 
 // BenchmarkResidualBlock measures the block routines on a macroblock-like
-// mix of blocks: writing them, and reading the stream back.
+// mix of blocks: coding them into a payload (enc: a fresh coder, the
+// blocks, the flush), the block writer alone (write: only the
+// WriteResidualBlock calls are timed, as the encoder makes them), and
+// reading the payload back (dec).
 func BenchmarkResidualBlock(b *testing.B) {
 	rng := rand.New(rand.NewSource(41))
 	blocks := make([][16]int32, 24*64)
+	counts := make([]int, len(blocks))
 	for i := range blocks {
 		blocks[i] = randomBlock(rng)
 		for j, v := range blocks[i] {
 			blocks[i][j] = max(-300, min(300, v))
 		}
+		counts[i] = countNonzero(&blocks[i])
 	}
 	for _, c := range residualCoders {
 		w := bitio.NewWriter()
+		writeBlocks := func(sw SymbolWriter) {
+			for j := range blocks {
+				sw.WriteResidualBlock(&blocks[j], counts[j])
+			}
+		}
 		encode := func() {
 			w.Reset()
 			sw := c.writer(w)
-			for j := range blocks {
-				sw.WriteResidualBlock(&blocks[j])
-			}
+			writeBlocks(sw)
 			sw.Flush()
 		}
 		b.Run(c.name+"/enc", func(b *testing.B) {
@@ -287,6 +308,18 @@ func BenchmarkResidualBlock(b *testing.B) {
 				encode()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(blocks)), "ns/block")
+		})
+		b.Run(c.name+"/write", func(b *testing.B) {
+			var timed time.Duration
+			for i := 0; i < b.N; i++ {
+				w.Reset()
+				sw := c.writer(w)
+				t0 := time.Now()
+				writeBlocks(sw)
+				timed += time.Since(t0)
+				sw.Flush()
+			}
+			b.ReportMetric(float64(timed.Nanoseconds())/float64(b.N*len(blocks)), "ns/block")
 		})
 		encode()
 		payload := bytes.Clone(w.Bytes())

@@ -46,8 +46,9 @@ type SymbolWriter interface {
 	PutFlag(c SyntaxClass, b bool)
 	// WriteResidualBlock codes one quantized 4×4 block: its nonzero count,
 	// then a (zero run, level) pair per nonzero coefficient in zig-zag
-	// order.
-	WriteResidualBlock(blk *[16]int32)
+	// order. nnz must be the number of nonzero levels in blk — the count
+	// the quantizer reports (transform.ForwardQuantize).
+	WriteResidualBlock(blk *[16]int32, nnz int)
 	// BitPos reports the number of bits emitted to the underlying writer.
 	BitPos() int64
 	// Flush terminates the payload and byte-aligns the writer.

@@ -123,7 +123,14 @@ func sadHPLimit(cur, ref *frame.Frame, cx, cy, w, h int, mv MV, limit int) int {
 // both zero and pred. A larger searchRange reaches no further.
 func MotionSearchHP(cur, ref *frame.Frame, cx, cy, w, h int, pred MV, searchRange int) (MV, int) {
 	intPred := MV{X: pred.X / 2, Y: pred.Y / 2}
-	intBest, _ := motionSearch(cur, ref, cx, cy, w, h, intPred, min(searchRange, MaxMV/2-1), MaxMV/2)
+	intBest, _ := motionSearch(cur, ref, nil, cx, cy, w, h, intPred, min(searchRange, MaxMV/2-1), MaxMV/2)
+	return refineHP(cur, ref, cx, cy, w, h, pred, intBest)
+}
+
+// refineHP is MotionSearchHP's second stage: the doubled integer vector
+// intBest and its eight half-pel neighbours, costed against the half-pel
+// prediction pred.
+func refineHP(cur, ref *frame.Frame, cx, cy, w, h int, pred, intBest MV) (MV, int) {
 	best := MV{X: intBest.X * 2, Y: intBest.Y * 2}
 	// As in MotionSearch, candidates terminate early against the running
 	// minimum; rejected candidates return >= limit, accepted ones are exact.

@@ -1,6 +1,10 @@
 package predict
 
-import "videoapp/internal/frame"
+import (
+	"unsafe"
+
+	"videoapp/internal/frame"
+)
 
 // MV is a motion vector in full luma pixels.
 type MV struct{ X, Y int16 }
@@ -129,7 +133,7 @@ func SAD(cur, ref *frame.Frame, cx, cy, w, h int, mv MV) int {
 // the vector difference so that near-prediction vectors win ties, as in a
 // rate-distortion-aware encoder.
 func MotionSearch(cur, ref *frame.Frame, cx, cy, w, h int, pred MV, searchRange int) (MV, int) {
-	return motionSearch(cur, ref, cx, cy, w, h, pred, searchRange, MaxMV)
+	return motionSearch(cur, ref, nil, cx, cy, w, h, pred, searchRange, MaxMV)
 }
 
 // searchDirs are the eight unit steps of the square search pattern, in
@@ -141,7 +145,15 @@ var searchDirs = [8]MV{{1, 0}, {-1, 0}, {0, 1}, {0, -1}, {1, 1}, {1, -1}, {-1, 1
 const visitedSpan = 64
 
 // motionSearch is MotionSearch with vector components confined to ±maxMV.
-func motionSearch(cur, ref *frame.Frame, cx, cy, w, h int, pred MV, searchRange int, maxMV int16) (MV, int) {
+// Candidate SADs are read from padded, a padded copy of ref, when it can
+// serve the rectangle (Padded.rect), and from ref itself otherwise; the
+// numbers are the same.
+func motionSearch(cur, ref *frame.Frame, padded *Padded, cx, cy, w, h int, pred MV, searchRange int, maxMV int16) (MV, int) {
+	var pr paddedRect
+	onPad := false
+	if padded != nil {
+		pr, onPad = padded.rect(cur, cx, cy, w, h, maxMV)
+	}
 	// cost evaluates a candidate with early termination against limit: once
 	// the rate penalty alone, or the partial SAD plus the penalty, reaches
 	// limit the candidate cannot beat the running minimum, and any returned
@@ -152,6 +164,10 @@ func motionSearch(cur, ref *frame.Frame, cx, cy, w, h int, pred MV, searchRange 
 		rate := 2 * (int(abs16(d.X)) + int(abs16(d.Y)))
 		if rate >= limit {
 			return limit
+		}
+		if onPad {
+			b := (*uint8)(unsafe.Add(pr.origin, int(mv.Y)*pr.stride+int(mv.X)))
+			return pr.kern(pr.a, pr.aStride, b, pr.stride, h, limit-rate) + rate
 		}
 		return SADLimit(cur, ref, cx, cy, w, h, mv, limit-rate) + rate
 	}

@@ -491,12 +491,6 @@ func TestSADRowsKernelsAgree(t *testing.T) {
 	}
 }
 
-func fillBytes(s []uint8, v uint8) {
-	for i := range s {
-		s[i] = v
-	}
-}
-
 // TestSADLimitMatchesReference drives SADLimit and SADAgainstLimit — interior
 // rows and gathered border rows alike — against the pre-change kernels: every
 // partition size at corners, edges and interior, vectors reaching across

@@ -7,15 +7,19 @@ import (
 	"videoapp/internal/frame"
 )
 
-// This file holds the block-matching kernel. The exhaustive motion search
-// evaluates thousands of candidate vectors per macroblock, and each
-// evaluation is a sum of absolute differences over the partition rectangle —
-// the single hottest loop in the encoder. Two mechanical optimizations keep
-// results bit-identical while removing most of the work:
+// This file holds the block-matching kernel. The motion search is
+// motionSearch's coarse-to-fine square pattern — the eight neighbours of the
+// running best at steps 8, 4, 2 and 1, re-centred on every improvement —
+// which evaluates about 33 candidate vectors per partition on the synthetic
+// suite; each evaluation is a sum of absolute differences over the
+// partition rectangle, the single hottest loop in the encoder. Two
+// mechanical optimizations keep results bit-identical while removing most
+// of the work:
 //
 //  1. Row-wide SAD: rows are contiguous byte runs (a rectangle touching a
-//     frame edge has its clamped rows gathered into a stack buffer first), so
-//     one kernel, sadRows, differences whole rows. On amd64 it is an SSE2
+//     frame edge has its clamped rows gathered into a stack buffer first;
+//     the encoder's searches read a reference padded once instead,
+//     padded.go), so one kernel, sadRows, differences whole rows. On amd64 it is an SSE2
 //     psadbw loop for the partition widths 16, 8 and 4 (sad_amd64.s); any
 //     other width, every other GOARCH and the purego build tag use the
 //     portable SWAR emulation of psadbw on uint64 loads below. The choice is made at

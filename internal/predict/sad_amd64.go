@@ -23,6 +23,21 @@ func sadRows(a []uint8, aStride int, b []uint8, bStride int, w, h, limit int) in
 	return sadRowsSWAR(a, aStride, b, bStride, w, h, limit)
 }
 
+// rowKernelFor returns the row kernel of w-byte rows: the psadbw kernels for
+// the partition widths, the portable form for any other width up to a
+// macroblock.
+func rowKernelFor(w int) rowKernel {
+	switch w {
+	case 16:
+		return sadRows16
+	case 8:
+		return sadRows8
+	case 4:
+		return sadRows4
+	}
+	return swarKernels[w]
+}
+
 // sadRows16, sadRows8 and sadRows4 are implemented in sad_amd64.s; h must be
 // positive.
 //

@@ -7,3 +7,6 @@ package predict
 func sadRows(a []uint8, aStride int, b []uint8, bStride int, w, h, limit int) int {
 	return sadRowsSWAR(a, aStride, b, bStride, w, h, limit)
 }
+
+// rowKernelFor returns the row kernel of w-byte rows, w up to a macroblock.
+func rowKernelFor(w int) rowKernel { return swarKernels[w] }

@@ -261,8 +261,19 @@ func TestZeroBlockReconstructsToZeroAtEveryQP(t *testing.T) {
 	}
 }
 
+// nonzeroLevels counts the nonzero levels of z, one at a time.
+func nonzeroLevels(z *Block) int {
+	n := 0
+	for _, v := range z {
+		if v != 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // TestForwardQuantizeMatchesUnfused: the encoder's fused residual kernel is
-// Quantize(Forward(src - pred)) — levels and nonzero report — at every QP
+// Quantize(Forward(src - pred)) — levels and nonzero count — at every QP
 // (out-of-range ones clamp alike) and both dead zones, on random samples at
 // several residual amplitudes and on the ±255 extremes in every sign
 // pattern a 4×4 block's rows and columns can carry.
@@ -318,9 +329,9 @@ func TestForwardQuantizeMatchesUnfused(t *testing.T) {
 				fwd := Forward(&res)
 				want := Quantize(&fwd, qp, intra)
 				got := Block{7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7} // stale levels must all be overwritten
-				nonzero := ForwardQuantize(&got, c.src[2:], srcStride, c.pred[1:], predStride, qp, intra)
-				if got != want || nonzero != (want != Block{}) {
-					t.Fatalf("qp %d intra %v case %d (residual %v):\n got %v nonzero %v\nwant %v", qp, intra, ci, res, got, nonzero, want)
+				nnz := ForwardQuantize(&got, c.src[2:], srcStride, c.pred[1:], predStride, qp, intra)
+				if got != want || nnz != nonzeroLevels(&want) {
+					t.Fatalf("qp %d intra %v case %d (residual %v):\n got %v nnz %d\nwant %v", qp, intra, ci, res, got, nnz, want)
 				}
 			}
 		}
@@ -328,7 +339,7 @@ func TestForwardQuantizeMatchesUnfused(t *testing.T) {
 }
 
 // FuzzForwardQuantizeMatchesUnfused: ForwardQuantize equals
-// Quantize(Forward(src - pred)) — levels and nonzero report — for arbitrary
+// Quantize(Forward(src - pred)) — levels and nonzero count — for arbitrary
 // samples, strides, QPs out of range on both sides and both dead zones, with
 // the prediction in another plane, the source plane itself, or the source
 // plane one sample over.
@@ -359,9 +370,9 @@ func FuzzForwardQuantizeMatchesUnfused(f *testing.F) {
 		fwd := Forward(&res)
 		want := Quantize(&fwd, int(qp), intra)
 		got := Block{7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7}
-		nonzero := ForwardQuantize(&got, src, srcStride, pred, predStride, int(qp), intra)
-		if got != want || nonzero != (want != Block{}) {
-			t.Fatalf("qp %d intra %v residual %v:\n got %v nonzero %v\nwant %v", qp, intra, res, got, nonzero, want)
+		nnz := ForwardQuantize(&got, src, srcStride, pred, predStride, int(qp), intra)
+		if got != want || nnz != nonzeroLevels(&want) {
+			t.Fatalf("qp %d intra %v residual %v:\n got %v nnz %d\nwant %v", qp, intra, res, got, nnz, want)
 		}
 	})
 }

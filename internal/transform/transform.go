@@ -159,20 +159,14 @@ func RoundTrip(x *Block, qp int, intra bool) Block {
 	return Inverse(&w)
 }
 
-// QuantizeOnly runs forward transform and quantization, returning the levels
-// the entropy coder will encode.
-func QuantizeOnly(x *Block, qp int, intra bool) Block {
-	y := Forward(x)
-	return Quantize(&y, qp, intra)
-}
-
 // ForwardQuantize is the residual kernel of one 4×4 block, fused: subtract
 // the prediction from the source, forward-transform and quantize —
 // *z = Quantize(Forward(src - pred), qp, intra), the same int32 and int64
-// arithmetic in the same order — and report whether any level is nonzero.
-// src and pred start at the block's top-left sample of planes with the given
-// row strides. All sixteen levels of z are written.
-func ForwardQuantize(z *Block, src []uint8, srcStride int, pred []uint8, predStride int, qp int, intra bool) (nonzero bool) {
+// arithmetic in the same order — and report how many levels are nonzero,
+// the count the entropy coders write first. src and pred start at the
+// block's top-left sample of planes with the given row strides. All sixteen
+// levels of z are written.
+func ForwardQuantize(z *Block, src []uint8, srcStride int, pred []uint8, predStride int, qp int, intra bool) (nnz int) {
 	qp = clampQP(qp)
 	qbits := uint(15 + qp/6)
 	f := int64(1) << qbits / 6
@@ -184,7 +178,7 @@ func ForwardQuantize(z *Block, src []uint8, srcStride int, pred []uint8, predStr
 
 // forwardQuantizeGo is ForwardQuantize past the QP decoding: the portable
 // kernel, and the oracle of its assembly twin.
-func forwardQuantizeGo(z *Block, src []uint8, srcStride int, pred []uint8, predStride int, mf *[16]int32, f int64, qbits uint) bool {
+func forwardQuantizeGo(z *Block, src []uint8, srcStride int, pred []uint8, predStride int, mf *[16]int32, f int64, qbits uint) int {
 	var tmp Block
 	for i := 0; i < 4; i++ {
 		s, p := src[i*srcStride:][:4], pred[i*predStride:][:4]
@@ -193,7 +187,7 @@ func forwardQuantizeGo(z *Block, src []uint8, srcStride int, pred []uint8, predS
 		s1, s2 := b+c, b-c
 		tmp[i*4], tmp[i*4+1], tmp[i*4+2], tmp[i*4+3] = s0+s1, 2*s3+s2, s0-s1, s3-2*s2
 	}
-	var nz int32
+	nnz := 0
 	for j := 0; j < 4; j++ {
 		a, b, c, d := tmp[j], tmp[4+j], tmp[8+j], tmp[12+j]
 		s0, s3 := a+d, a-d
@@ -203,10 +197,14 @@ func forwardQuantizeGo(z *Block, src []uint8, srcStride int, pred []uint8, predS
 		q2 := quantLevel(s0-s1, mf[8+j], f, qbits)
 		q3 := quantLevel(s3-2*s2, mf[12+j], f, qbits)
 		z[j], z[4+j], z[8+j], z[12+j] = q0, q1, q2, q3
-		nz |= q0 | q1 | q2 | q3
+		nnz += isNonzero(q0) + isNonzero(q1) + isNonzero(q2) + isNonzero(q3)
 	}
-	return nz != 0
+	return nnz
 }
+
+// isNonzero is 1 for a nonzero level and 0 for zero, without a branch: the
+// sign bit of v|-v is set exactly when v is not zero.
+func isNonzero(v int32) int { return int(uint32(v|-v) >> 31) }
 
 // quantLevel quantizes one coefficient, sign(v) * ((|v|*mf + f) >> qbits),
 // without a branch on the sign: with s = v>>31 (all ones for a negative v,

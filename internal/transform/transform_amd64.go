@@ -7,7 +7,7 @@ package transform
 // reconstructAddGo's contracts, value for value; they run the SSE2 kernels of
 // transform_amd64.s. The slice expressions bound the last byte the assembly
 // reads or writes.
-func forwardQuantize(z *Block, src []uint8, srcStride int, pred []uint8, predStride int, mf *[16]int32, f int64, qbits uint) bool {
+func forwardQuantize(z *Block, src []uint8, srcStride int, pred []uint8, predStride int, mf *[16]int32, f int64, qbits uint) int {
 	return forwardQuantize4x4(z, &src[:3*srcStride+4][0], srcStride, &pred[:3*predStride+4][0], predStride, mf, f, qbits)
 }
 
@@ -19,7 +19,7 @@ func reconstructAdd(dst []uint8, dstStride int, pred []uint8, predStride int, z 
 // transform_amd64.s.
 //
 //go:noescape
-func forwardQuantize4x4(z *Block, src *uint8, srcStride int, pred *uint8, predStride int, mf *[16]int32, f int64, qbits uint) bool
+func forwardQuantize4x4(z *Block, src *uint8, srcStride int, pred *uint8, predStride int, mf *[16]int32, f int64, qbits uint) int
 
 //go:noescape
 func reconstructAdd4x4(dst *uint8, dstStride int, pred *uint8, predStride int, z *Block, v *[16]int32, shift uint)

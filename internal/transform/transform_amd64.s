@@ -73,8 +73,9 @@
 // stores it at off(AX): sign(v)·((|v|·mf + f) >> qbits), f broadcast in X8,
 // qbits in X9. With s = v>>31, |v| = (v^s)-s and the sign returns the same
 // way. |v| ≤ 9180 and mf ≤ 13107 are both below 2¹⁵, so PMADDWL of the
-// zero-extended dwords is the exact product, and |v|·mf + f < 2³¹. The
-// level is ORed into X10. It clobbers X4 and X5.
+// zero-extended dwords is the exact product, and |v|·mf + f < 2³¹. Each
+// zero level adds one to its lane of X10 (X7 holds zero); R is left as the
+// zero mask. It clobbers X4 and X5.
 #define QUANT(R, off) \
 	MOVO    R, X4; \
 	PSRAL   $31, X4; \
@@ -87,14 +88,15 @@
 	PXOR    X4, R; \
 	PSUBL   X4, R; \
 	MOVOU   R, off(AX); \
-	POR     R, X10
+	PCMPEQL X7, R; \
+	PSUBL   R, X10
 
-// func forwardQuantize4x4(z *Block, src *uint8, srcStride int, pred *uint8, predStride int, mf *[16]int32, f int64, qbits uint) bool
+// func forwardQuantize4x4(z *Block, src *uint8, srcStride int, pred *uint8, predStride int, mf *[16]int32, f int64, qbits uint) int
 //
 // forwardQuantizeGo on SSE2. The residual src-pred is formed in int16 words
 // (|r| ≤ 255) and sign-extended to dwords; every forward-transform output
 // stays within ±9180.
-TEXT ·forwardQuantize4x4(SB), NOSPLIT, $0-65
+TEXT ·forwardQuantize4x4(SB), NOSPLIT, $0-72
 	MOVQ src+8(FP), SI
 	MOVQ srcStride+16(FP), R8
 	MOVQ pred+24(FP), DI
@@ -149,10 +151,14 @@ TEXT ·forwardQuantize4x4(SB), NOSPLIT, $0-65
 	QUANT(X2, 32)
 	QUANT(X3, 48)
 
-	PCMPEQL  X7, X10             // all ones where a level is zero
-	PMOVMSKB X10, CX
-	CMPL     CX, $0xffff
-	SETNE    ret+64(FP)
+	PSHUFL $0x4E, X10, X4        // the zero counts of the four lanes, summed
+	PADDL  X4, X10
+	PSHUFL $0xB1, X10, X4
+	PADDL  X4, X10
+	MOVL   X10, CX
+	MOVQ   $16, AX
+	SUBQ   CX, AX
+	MOVQ   AX, ret+64(FP)
 	RET
 
 // DEQUANT loads the row of levels at off(AX) into R and rescales it by the

@@ -5,7 +5,7 @@ package transform
 // forwardQuantize and reconstructAdd are the block kernels under
 // ForwardQuantize and ReconstructAdd; without an assembly kernel for the
 // target they are the portable Go forms.
-func forwardQuantize(z *Block, src []uint8, srcStride int, pred []uint8, predStride int, mf *[16]int32, f int64, qbits uint) bool {
+func forwardQuantize(z *Block, src []uint8, srcStride int, pred []uint8, predStride int, mf *[16]int32, f int64, qbits uint) int {
 	return forwardQuantizeGo(z, src, srcStride, pred, predStride, mf, f, qbits)
 }
 

@@ -52,7 +52,7 @@ func TestErrorGrowsWithQP(t *testing.T) {
 func TestZeroBlockStaysZero(t *testing.T) {
 	var x Block
 	for _, qp := range []int{0, 24, 51} {
-		if QuantizeOnly(&x, qp, true) != (Block{}) {
+		if quantizeOnly(&x, qp, true) != (Block{}) {
 			t.Fatalf("zero residual must quantize to zero at QP %d", qp)
 		}
 		z := Block{}
@@ -104,7 +104,7 @@ func TestLinearity(t *testing.T) {
 func TestHighQPZeroesSmallResiduals(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	x := randResidual(rng, 3)
-	z := QuantizeOnly(&x, 51, false)
+	z := quantizeOnly(&x, 51, false)
 	for i, v := range z {
 		if v != 0 {
 			t.Fatalf("QP 51 must kill tiny residuals; coeff %d = %d", i, v)
@@ -119,8 +119,8 @@ func TestQuantizeSignSymmetry(t *testing.T) {
 	for i := range x {
 		neg[i] = -x[i]
 	}
-	zp := QuantizeOnly(&x, 20, true)
-	zn := QuantizeOnly(&neg, 20, true)
+	zp := quantizeOnly(&x, 20, true)
+	zn := quantizeOnly(&neg, 20, true)
 	for i := range zp {
 		if zp[i] != -zn[i] {
 			t.Fatalf("coeff %d: %d vs %d", i, zp[i], zn[i])
@@ -169,4 +169,11 @@ func BenchmarkRoundTrip(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		RoundTrip(&x, 24, false)
 	}
+}
+
+// quantizeOnly runs the forward transform and quantization, returning the
+// levels the entropy coder will encode.
+func quantizeOnly(x *Block, qp int, intra bool) Block {
+	y := Forward(x)
+	return Quantize(&y, qp, intra)
 }
