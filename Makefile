@@ -68,20 +68,24 @@ purego:
 # (transform), which hold the sample kernels to their scalar forms;
 # then the golden archive manifest (testdata/golden_archive.json: SHA-256 of
 # the VACS container bytes Pipeline.StreamToArchive writes, per entropy
-# coder, chunk granularity and worker count).
+# coder, chunk granularity and worker count); last the golden reproduction
+# manifest (cmd/experiments/testdata/golden_fast.json: SHA-256 of the text
+# and every CSV `experiments all` produces at FastConfig).
 golden-check:
 	$(GO) test -count=1 -run 'TestGoldenDecode|^Fuzz' ./internal/codec
 	$(GO) test -count=1 -run '^Fuzz' ./internal/bitio ./internal/entropy ./internal/core ./internal/store ./internal/quality ./internal/transform
 	$(GO) test -count=1 -run TestGoldenArchive .
+	$(GO) test -count=1 -run TestGoldenFast ./cmd/experiments
 
-# golden regenerates both manifests from the current code. This is the one
-# procedure for a DELIBERATE bitstream, reconstruction or container-format
-# change: run it, review the diff of golden_decode.json and
-# golden_archive.json, commit it with the change. A refactor or an
-# optimisation must leave both files untouched.
+# golden regenerates the three manifests from the current code. This is the
+# one procedure for a DELIBERATE bitstream, reconstruction, container-format
+# or experiment change: run it, review the diff of golden_decode.json,
+# golden_archive.json and golden_fast.json, commit it with the change. A
+# refactor or an optimisation must leave all three files untouched.
 golden:
 	$(GO) test -count=1 -run TestGoldenDecode ./internal/codec -update
 	$(GO) test -count=1 -run TestGoldenArchive . -update
+	$(GO) test -count=1 -run TestGoldenFast ./cmd/experiments -update
 
 fmt:
 	gofmt -l -w .
