@@ -7,6 +7,7 @@ package videoapp
 // prints the complete tables.
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -29,7 +30,7 @@ func BenchmarkFigure3(b *testing.B) {
 	cfg := benchConfig()
 	cfg.Presets = []string{"crew_like"}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure3(cfg)
+		res, err := experiments.Figure3(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -53,7 +54,7 @@ func BenchmarkFigure9(b *testing.B) {
 	cfg := benchConfig()
 	cfg.Presets = []string{"crew_like"}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure9(cfg)
+		res, err := experiments.Figure9(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -67,7 +68,7 @@ func BenchmarkFigure10(b *testing.B) {
 	cfg := benchConfig()
 	cfg.Presets = []string{"crew_like"}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure10(cfg)
+		res, err := experiments.Figure10(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -82,7 +83,7 @@ func BenchmarkTable1(b *testing.B) {
 	cfg := benchConfig()
 	cfg.Presets = []string{"crew_like"}
 	for i := 0; i < b.N; i++ {
-		f10, err := experiments.Figure10(cfg)
+		f10, err := experiments.Figure10(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -98,7 +99,7 @@ func BenchmarkFigure11(b *testing.B) {
 	cfg := benchConfig()
 	cfg.Presets = []string{"crew_like"}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure11(cfg, []int{24}, core.PaperAssignment())
+		res, err := experiments.Figure11(context.Background(), cfg, []int{24}, core.PaperAssignment())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -131,7 +132,7 @@ func BenchmarkAblation(b *testing.B) {
 	cfg := benchConfig()
 	cfg.Presets = []string{"crew_like"}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblateEncoderOptions(cfg)
+		res, err := experiments.AblateEncoderOptions(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -145,7 +146,7 @@ func BenchmarkScrubSweep(b *testing.B) {
 	cfg := benchConfig()
 	cfg.Presets = []string{"crew_like"}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.ScrubSweep(cfg, []float64{3, 12})
+		res, err := experiments.ScrubSweep(context.Background(), cfg, []float64{3, 12})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -171,7 +172,9 @@ func BenchmarkAnalysisOverhead(b *testing.B) {
 		}
 		encodeNs += time.Since(t0).Nanoseconds()
 		t1 := time.Now()
-		core.Analyze(v, core.DefaultOptions())
+		if _, err := core.AnalyzeContext(context.Background(), v, core.DefaultOptions(), 1); err != nil {
+			b.Fatal(err)
+		}
 		analyzeNs += time.Since(t1).Nanoseconds()
 	}
 	if encodeNs > 0 {
@@ -229,7 +232,7 @@ func BenchmarkPipelineRoundTrip(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := PSNR(seq, dec); err != nil {
+				if _, err := PSNRContext(context.Background(), seq, dec, 1); err != nil {
 					b.Fatal(err)
 				}
 			}

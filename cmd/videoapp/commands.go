@@ -7,7 +7,6 @@ import (
 	"os"
 
 	"videoapp"
-	"videoapp/internal/quality"
 	"videoapp/internal/y4m"
 )
 
@@ -179,8 +178,8 @@ func runStore(ctx context.Context, o options) error {
 	if err != nil {
 		return err
 	}
-	p0, _ := quality.PSNR(seq, clean)
-	p1, _ := quality.PSNR(seq, dec)
+	p0, _ := videoapp.PSNRContext(ctx, seq, clean, o.workers)
+	p1, _ := videoapp.PSNRContext(ctx, seq, dec, o.workers)
 	fmt.Printf("round trip: %d residual bit errors, PSNR %.2f dB (clean %.2f, loss %.3f dB)\n",
 		flips, p1, p0, p0-p1)
 	return nil

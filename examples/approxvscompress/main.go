@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -45,7 +46,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			p, err := videoapp.PSNR(seq, dec)
+			p, err := videoapp.PSNRContext(context.Background(), seq, dec, 0)
 			if err != nil {
 				log.Fatal(err)
 			}

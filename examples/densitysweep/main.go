@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -37,7 +38,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			psnr, err := videoapp.PSNR(seq, dec)
+			psnr, err := videoapp.PSNRContext(context.Background(), seq, dec, 0)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -81,7 +81,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	psnr, err := videoapp.PSNR(seq, decoded)
+	psnr, err := videoapp.PSNRContext(context.Background(), seq, decoded, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

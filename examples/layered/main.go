@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -15,12 +16,12 @@ import (
 	"videoapp"
 	"videoapp/internal/bitio"
 	"videoapp/internal/codec"
-	"videoapp/internal/quality"
 )
 
 const flipsPerLayer = 24
 
 func main() {
+	ctx := context.Background()
 	seq, err := videoapp.GenerateTestVideo("stockholm_like", 320, 176, 48)
 	if err != nil {
 		log.Fatal(err)
@@ -32,16 +33,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	base, err := codec.Decode(lv.Base)
+	base, err := videoapp.DecodeContext(ctx, lv.Base, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	clean, err := codec.DecodeLayered(lv)
+	clean, err := codec.DecodeLayered(ctx, lv)
 	if err != nil {
 		log.Fatal(err)
 	}
-	pBase, _ := quality.PSNR(seq, base)
-	pClean, _ := quality.PSNR(seq, clean)
+	pBase, _ := videoapp.PSNRContext(ctx, seq, base, 0)
+	pClean, _ := videoapp.PSNRContext(ctx, seq, clean, 0)
 	fmt.Printf("base layer:       %7d bits, PSNR %.2f dB\n", lv.Base.TotalPayloadBits(), pBase)
 	fmt.Printf("with enhancement: %7d bits, PSNR %.2f dB\n",
 		lv.Base.TotalPayloadBits()+lv.EnhBits(), pClean)
@@ -52,12 +53,12 @@ func main() {
 	// (a) corrupt the enhancement only.
 	enhOrig := lv.Enh
 	lv.Enh = corruptStreams(rng, lv.Enh, flipsPerLayer)
-	enhDamaged, err := codec.DecodeLayered(lv)
+	enhDamaged, err := codec.DecodeLayered(ctx, lv)
 	if err != nil {
 		log.Fatal(err)
 	}
 	lv.Enh = enhOrig
-	pEnhDmg, _ := quality.PSNR(clean, enhDamaged)
+	pEnhDmg, _ := videoapp.PSNRContext(ctx, clean, enhDamaged, 0)
 
 	// (b) corrupt the base only (same flip count).
 	baseClone := lv.Base.Clone()
@@ -70,11 +71,11 @@ func main() {
 		f.Payload = payloads[i]
 	}
 	lvDamagedBase := &codec.LayeredVideo{Base: baseClone, EnhQPDelta: lv.EnhQPDelta, Enh: lv.Enh, EnhMBs: lv.EnhMBs}
-	baseDamaged, err := codec.DecodeLayered(lvDamagedBase)
+	baseDamaged, err := codec.DecodeLayered(ctx, lvDamagedBase)
 	if err != nil {
 		log.Fatal(err)
 	}
-	pBaseDmg, _ := quality.PSNR(clean, baseDamaged)
+	pBaseDmg, _ := videoapp.PSNRContext(ctx, clean, baseDamaged, 0)
 
 	fmt.Printf("\n%d bit flips in the enhancement layer: PSNR %.2f dB vs clean\n", flipsPerLayer, pEnhDmg)
 	fmt.Printf("%d bit flips in the base layer:        PSNR %.2f dB vs clean\n", flipsPerLayer, pBaseDmg)

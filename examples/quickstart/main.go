@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -35,7 +36,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	psnr, err := videoapp.PSNR(seq, decoded)
+	psnr, err := videoapp.PSNRContext(context.Background(), seq, decoded, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -75,7 +75,7 @@ func evaluate(seq *videoapp.Sequence, video *videoapp.Video, streams *videoapp.S
 		if err != nil {
 			log.Fatal(err)
 		}
-		psnr, err := videoapp.PSNR(seq, dec)
+		psnr, err := videoapp.PSNRContext(context.Background(), seq, dec, 0)
 		if err != nil {
 			log.Fatal(err)
 		}

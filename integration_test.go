@@ -5,6 +5,7 @@ package videoapp
 // approximate storage -> decrypt -> merge -> decode -> quality measurement.
 
 import (
+	"context"
 	"crypto/sha256"
 	"math/rand"
 	"testing"
@@ -77,7 +78,7 @@ func TestFullPipelineWithEncryptionAndStorage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	psnr, err := PSNR(seq, dec)
+	psnr, err := PSNRContext(context.Background(), seq, dec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestStorageRoundTripAcrossAllPresets(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		psnr, _ := PSNR(seq, dec)
+		psnr, _ := PSNRContext(context.Background(), seq, dec, 1)
 		if psnr < 20 {
 			t.Fatalf("%s: PSNR %.2f dB", name, psnr)
 		}
@@ -158,7 +159,7 @@ func TestSlicedPipelineThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	psnr, _ := PSNR(seq, dec)
+	psnr, _ := PSNRContext(context.Background(), seq, dec, 1)
 	if psnr < 20 {
 		t.Fatalf("sliced pipeline PSNR %.2f", psnr)
 	}

@@ -72,9 +72,6 @@ func (c *Code) T() int { return c.t }
 // ParityBits returns the number of parity bits appended per block.
 func (c *Code) ParityBits() int { return c.parity }
 
-// DataBits returns the payload bits per block.
-func (c *Code) DataBits() int { return c.dataLen }
-
 // BlockBits returns the total coded block size in bits.
 func (c *Code) BlockBits() int { return c.dataLen + c.parity }
 
@@ -84,8 +81,8 @@ func (c *Code) Overhead() float64 {
 }
 
 // Encode computes the systematic codeword for the given data bits
-// (data[i] in {0,1}, len(data) == DataBits) and returns data followed by
-// ParityBits parity bits.
+// (data[i] in {0,1}, as many as New's dataBits) and returns data followed
+// by ParityBits parity bits.
 func (c *Code) Encode(data []int) ([]int, error) {
 	if len(data) != c.dataLen {
 		return nil, fmt.Errorf("bch: payload is %d bits, want %d", len(data), c.dataLen)

@@ -87,7 +87,10 @@ func TestRunMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	an := core.Analyze(v, core.DefaultOptions())
+	an, err := core.AnalyzeContext(context.Background(), v, core.DefaultOptions(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	parts := an.Partition(core.PaperAssignment())
 	sys, err := store.New(store.Config{Substrate: mlc.Default(), Assignment: core.PaperAssignment()})
 	if err != nil {

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -97,7 +98,7 @@ func BenchmarkEncodeChunk(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeChunk measures codec.Decode of one cold chunk, the layer
+// BenchmarkDecodeChunk measures DecodeContext at one worker on one cold chunk, the layer
 // that dominates serve_cold and the Monte-Carlo loop, on clean and on
 // bit-flipped payloads (the damaged path must not be the slow one). The
 // replay leg decodes the clean bytes again through frames that share a
@@ -110,7 +111,7 @@ func BenchmarkDecodeChunk(b *testing.B) {
 		for i, f := range replay.Frames {
 			f.ShareSyntax(clean.Frames[i].SyntaxSlot())
 		}
-		if _, err := Decode(replay); err != nil {
+		if _, err := DecodeContext(context.Background(), replay, DecodeOptions{}, 1); err != nil {
 			b.Fatal(err)
 		}
 		for _, c := range []struct {
@@ -124,7 +125,7 @@ func BenchmarkDecodeChunk(b *testing.B) {
 			b.Run(strings.ToLower(coder.String())+"/"+c.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					seq, err := Decode(c.v)
+					seq, err := DecodeContext(context.Background(), c.v, DecodeOptions{}, 1)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -35,7 +36,7 @@ func encodeDecode(t testing.TB, seq *frame.Sequence, p Params) (*Video, *frame.S
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	dec, err := Decode(v)
+	dec, err := DecodeContext(context.Background(), v, DecodeOptions{}, 1)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -48,7 +49,7 @@ func TestEncodeDecodeCleanQuality(t *testing.T) {
 		p := testParams()
 		p.CRF = crf
 		_, dec := encodeDecode(t, seq, p)
-		psnr, err := quality.PSNR(seq, dec)
+		psnr, err := quality.PSNRContext(context.Background(), seq, dec, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +179,7 @@ func TestDecodedMatchesEncoderReconstruction(t *testing.T) {
 							{"replay", shared, DecodeOptions{}},
 							{"conceal", v, DecodeOptions{ConcealOnDesync: true}},
 						} {
-							got, err := decodeRecsOpts(run.v, run.opts, nil)
+							got, err := decodeCoded(run.v, run.opts, nil, 1)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -205,7 +206,7 @@ func TestQualityImprovesWithLowerCRF(t *testing.T) {
 		p := testParams()
 		p.CRF = crf
 		v, dec := encodeDecode(t, seq, p)
-		psnr, _ := quality.PSNR(seq, dec)
+		psnr, _ := quality.PSNRContext(context.Background(), seq, dec, 1)
 		bits := v.TotalPayloadBits()
 		if i > 0 {
 			if psnr <= prevPSNR {
@@ -263,7 +264,7 @@ func TestBFrameStructure(t *testing.T) {
 	if len(dec.Frames) != 13 {
 		t.Fatalf("decoded %d frames, want 13", len(dec.Frames))
 	}
-	psnr, _ := quality.PSNR(seq, dec)
+	psnr, _ := quality.PSNRContext(context.Background(), seq, dec, 1)
 	if psnr < 26 {
 		t.Fatalf("B-frame encode quality %.2f dB too low", psnr)
 	}
@@ -294,7 +295,7 @@ func TestCAVLCBackend(t *testing.T) {
 	p := testParams()
 	p.Entropy = CAVLC
 	_, dec := encodeDecode(t, seq, p)
-	psnr, _ := quality.PSNR(seq, dec)
+	psnr, _ := quality.PSNRContext(context.Background(), seq, dec, 1)
 	if psnr < 28 {
 		t.Fatalf("CAVLC decode PSNR %.2f dB", psnr)
 	}
@@ -473,7 +474,7 @@ func TestDecodeCorruptPayloadNeverPanics(t *testing.T) {
 					bitio.FlipBit(f.Payload, int64((trial*7+fi*13+b*29)*31)%f.PayloadBits())
 				}
 			}
-			if _, err := Decode(c); err != nil {
+			if _, err := DecodeContext(context.Background(), c, DecodeOptions{}, 1); err != nil {
 				t.Fatalf("%v: corrupt decode returned error: %v", kind, err)
 			}
 		}
@@ -492,7 +493,7 @@ func TestDecodeAllOnesPayload(t *testing.T) {
 			f.Payload[i] = 0xFF
 		}
 	}
-	if _, err := Decode(c); err != nil {
+	if _, err := DecodeContext(context.Background(), c, DecodeOptions{}, 1); err != nil {
 		t.Fatalf("all-ones payload: %v", err)
 	}
 }
@@ -509,7 +510,7 @@ func TestDecodeTruncatedPayload(t *testing.T) {
 			f.Payload = f.Payload[:2]
 		}
 	}
-	if _, err := Decode(c); err != nil {
+	if _, err := DecodeContext(context.Background(), c, DecodeOptions{}, 1); err != nil {
 		t.Fatalf("truncated payload: %v", err)
 	}
 }
@@ -517,17 +518,17 @@ func TestDecodeTruncatedPayload(t *testing.T) {
 func TestBitFlipDamagesQuality(t *testing.T) {
 	seq := testSeq(t, "crew_like", 96, 64, 10)
 	v, dec := encodeDecode(t, seq, testParams())
-	cleanPSNR, _ := quality.PSNR(seq, dec)
+	cleanPSNR, _ := quality.PSNRContext(context.Background(), seq, dec, 1)
 
 	c := v.Clone()
 	// Flip one bit early in the first P frame.
 	target := c.Frames[1]
 	bitio.FlipBit(target.Payload, 10)
-	corrupted, err := Decode(c)
+	corrupted, err := DecodeContext(context.Background(), c, DecodeOptions{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	corruptPSNR, _ := quality.PSNR(seq, corrupted)
+	corruptPSNR, _ := quality.PSNRContext(context.Background(), seq, corrupted, 1)
 	if corruptPSNR >= cleanPSNR-0.1 {
 		t.Fatalf("single bit flip: PSNR %.2f vs clean %.2f — no visible damage", corruptPSNR, cleanPSNR)
 	}
@@ -541,11 +542,11 @@ func TestErrorPropagationStopsAtIFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, _ := Decode(v)
+	clean, _ := DecodeContext(context.Background(), v, DecodeOptions{}, 1)
 
 	c := v.Clone()
 	bitio.FlipBit(c.Frames[1].Payload, 5) // damage in first GOP
-	corrupt, _ := Decode(c)
+	corrupt, _ := DecodeContext(context.Background(), c, DecodeOptions{}, 1)
 
 	// Frames of the second GOP (display 8..15) must be unaffected.
 	for d := 8; d < 16; d++ {
@@ -578,13 +579,13 @@ func TestLaterMBFlipDamagesLess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, _ := Decode(v)
+	clean, _ := DecodeContext(context.Background(), v, DecodeOptions{}, 1)
 
 	measure := func(bitPos int64) float64 {
 		c := v.Clone()
 		bitio.FlipBit(c.Frames[2].Payload, bitPos)
-		corrupt, _ := Decode(c)
-		psnr, _ := quality.PSNR(clean, corrupt)
+		corrupt, _ := DecodeContext(context.Background(), c, DecodeOptions{}, 1)
+		psnr, _ := quality.PSNRContext(context.Background(), clean, corrupt, 1)
 		return psnr
 	}
 	f := v.Frames[2]
@@ -622,7 +623,7 @@ func BenchmarkDecodeQCIF(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decode(v); err != nil {
+		if _, err := DecodeContext(context.Background(), v, DecodeOptions{}, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"context"
 	"testing"
 
 	"videoapp/internal/quality"
@@ -14,7 +15,7 @@ func TestConcealOnDesyncImprovesTruncatedDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := Decode(v)
+	clean, err := DecodeContext(context.Background(), v, DecodeOptions{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,16 +24,16 @@ func TestConcealOnDesyncImprovesTruncatedDecode(t *testing.T) {
 	if len(c.Frames[3].Payload) > 4 {
 		c.Frames[3].Payload = c.Frames[3].Payload[:4]
 	}
-	raw, err := DecodeWithOptions(c, DecodeOptions{})
+	raw, err := DecodeContext(context.Background(), c, DecodeOptions{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	concealed, err := DecodeWithOptions(c, DecodeOptions{ConcealOnDesync: true})
+	concealed, err := DecodeContext(context.Background(), c, DecodeOptions{ConcealOnDesync: true}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pRaw, _ := quality.PSNR(clean, raw)
-	pCon, _ := quality.PSNR(clean, concealed)
+	pRaw, _ := quality.PSNRContext(context.Background(), clean, raw, 1)
+	pCon, _ := quality.PSNRContext(context.Background(), clean, concealed, 1)
 	if pCon < pRaw-1 {
 		t.Fatalf("concealment made things notably worse: %.2f vs %.2f dB", pCon, pRaw)
 	}
@@ -45,8 +46,8 @@ func TestConcealOnCleanStreamIsIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := DecodeWithOptions(v, DecodeOptions{})
-	b, _ := DecodeWithOptions(v, DecodeOptions{ConcealOnDesync: true})
+	a, _ := DecodeContext(context.Background(), v, DecodeOptions{}, 1)
+	b, _ := DecodeContext(context.Background(), v, DecodeOptions{ConcealOnDesync: true}, 1)
 	for i := range a.Frames {
 		for j := range a.Frames[i].Y {
 			if a.Frames[i].Y[j] != b.Frames[i].Y[j] {
@@ -64,7 +65,7 @@ func TestConcealIFrameWithoutReference(t *testing.T) {
 	}
 	c := v.Clone()
 	c.Frames[0].Payload = c.Frames[0].Payload[:1] // destroy the I frame
-	dec, err := DecodeWithOptions(c, DecodeOptions{ConcealOnDesync: true})
+	dec, err := DecodeContext(context.Background(), c, DecodeOptions{ConcealOnDesync: true}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

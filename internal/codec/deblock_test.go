@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"context"
 	"testing"
 
 	"videoapp/internal/bitio"
@@ -37,8 +38,8 @@ func TestDeblockChangesOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1, _ := Decode(v1)
-	d2, _ := Decode(v2)
+	d1, _ := DecodeContext(context.Background(), v1, DecodeOptions{}, 1)
+	d2, _ := DecodeContext(context.Background(), v2, DecodeOptions{}, 1)
 	diff := 0
 	for i := range d1.Frames[0].Y {
 		if d1.Frames[0].Y[i] != d2.Frames[0].Y[i] {
@@ -57,7 +58,7 @@ func TestDeblockDoesNotHurtQualityMuch(t *testing.T) {
 		p.CRF = 32
 		p.Deblock = deblock
 		_, dec := encodeDecode(t, seq, p)
-		psnr, _ := quality.PSNR(seq, dec)
+		psnr, _ := quality.PSNRContext(context.Background(), seq, dec, 1)
 		return psnr
 	}
 	off, on := measure(false), measure(true)
@@ -79,7 +80,7 @@ func TestDeblockSurvivesCorruption(t *testing.T) {
 		for _, f := range c.Frames {
 			bitio.FlipBit(f.Payload, int64(trial*41)%f.PayloadBits())
 		}
-		if _, err := Decode(c); err != nil {
+		if _, err := DecodeContext(context.Background(), c, DecodeOptions{}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -101,8 +102,8 @@ func TestDeblockContainerFlag(t *testing.T) {
 		t.Fatal("deblock flag lost in container")
 	}
 	// Decodes identically through the container.
-	a, _ := Decode(v)
-	b, _ := Decode(got)
+	a, _ := DecodeContext(context.Background(), v, DecodeOptions{}, 1)
+	b, _ := DecodeContext(context.Background(), got, DecodeOptions{}, 1)
 	for i := range a.Frames {
 		for j := range a.Frames[i].Y {
 			if a.Frames[i].Y[j] != b.Frames[i].Y[j] {

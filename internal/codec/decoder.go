@@ -2,7 +2,6 @@ package codec
 
 import (
 	"bytes"
-	"fmt"
 
 	"videoapp/internal/entropy"
 	"videoapp/internal/frame"
@@ -22,72 +21,12 @@ type DecodeOptions struct {
 	ConcealOnDesync bool
 }
 
-// Decode reconstructs the display-order sequence from the coded video.
-//
-// The decoder is error-resilient: arbitrarily corrupted payloads produce
-// damaged pictures, never a panic or an abort. Every value read from the
-// entropy stream is range-checked and clamped; when the stream desyncs the
-// decoder keeps interpreting garbage within the frame (the paper's Figure
-// 2(c) behaviour) and resynchronizes at the next frame boundary, because
-// each frame's payload is independently delimited by its precisely-stored
-// header and the entropy context is reset per frame.
-func Decode(v *Video) (*frame.Sequence, error) {
-	return DecodeWithOptions(v, DecodeOptions{})
-}
-
-// DecodeWithOptions is Decode with explicit error-handling options.
-func DecodeWithOptions(v *Video, opts DecodeOptions) (*frame.Sequence, error) {
-	rec, err := decodeRecsOpts(v, opts, nil)
-	if err != nil {
-		return nil, err
-	}
-	return RecsToDisplay(v, rec)
-}
-
-// DecodeRecs decodes the video and returns the reconstructed frames in coded
-// order — the form experiments need to re-decode single frames cheaply.
-func DecodeRecs(v *Video) ([]*frame.Frame, error) {
-	return decodeRecsOpts(v, DecodeOptions{}, nil)
-}
-
-// decodeRecsOpts is the serial decode in coded order; o receives the
-// decoder's counters, or nothing is published when it is nil.
-func decodeRecsOpts(v *Video, opts DecodeOptions, o obs.Observer) ([]*frame.Frame, error) {
-	if v.W%frame.MBSize != 0 || v.H%frame.MBSize != 0 || v.W <= 0 || v.H <= 0 {
-		return nil, errFrameGeometry(v.W, v.H)
-	}
-	rec := make([]*frame.Frame, len(v.Frames))
-	fd := newFrameDecoder(v, rec, opts, o)
-	for i := range v.Frames {
-		rec[i] = fd.decode(i)
-	}
-	return rec, nil
-}
-
 // DecodeSingle decodes only coded frame idx against the given coded-order
 // reference reconstructions (entries beyond idx are not read). Callers can
 // substitute clean references to isolate one frame's coding errors from
 // compensation errors, as the Figure 3 experiment requires.
 func DecodeSingle(v *Video, idx int, recs []*frame.Frame) *frame.Frame {
 	return newFrameDecoder(v, recs, DecodeOptions{}, nil).decode(idx)
-}
-
-// RecsToDisplay reorders coded-order reconstructions into a display-order
-// sequence.
-func RecsToDisplay(v *Video, rec []*frame.Frame) (*frame.Sequence, error) {
-	seq := &frame.Sequence{Name: "decoded", FPS: v.FPS, Frames: make([]*frame.Frame, len(v.Frames))}
-	for i, ef := range v.Frames {
-		if ef.DisplayIdx < 0 || ef.DisplayIdx >= len(v.Frames) {
-			return nil, fmt.Errorf("codec: display index %d out of range", ef.DisplayIdx)
-		}
-		seq.Frames[ef.DisplayIdx] = rec[i]
-	}
-	for i, f := range seq.Frames {
-		if f == nil {
-			seq.Frames[i] = frame.MustNew(v.W, v.H)
-		}
-	}
-	return seq, nil
 }
 
 // frameDecoder decodes the frames of one video, one at a time. It owns the

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"videoapp/internal/frame"
+	"videoapp/internal/obs"
 	"videoapp/internal/predict"
 )
 
@@ -19,6 +21,36 @@ import (
 // in particular on the garbage only a damaged stream produces (fine
 // partitions, ±MaxMV vectors off every border, backward and bi-directional
 // partitions against missing references, saturating residuals).
+
+// decodeCoded runs the one decoder, DecodeContext, at the given worker
+// count with o attached (nil attaches none) and returns its pictures in
+// coded order — the order of the reference decoder, of DecodeSingle's
+// references and of the replay tests.
+func decodeCoded(v *Video, opts DecodeOptions, o obs.Observer, workers int) ([]*frame.Frame, error) {
+	seq, err := DecodeContext(obs.With(context.Background(), o), v, opts, workers)
+	if err != nil {
+		return nil, err
+	}
+	recs := make([]*frame.Frame, len(v.Frames))
+	for i, ef := range v.Frames {
+		recs[i] = seq.Frames[ef.DisplayIdx]
+	}
+	return recs, nil
+}
+
+// refDecode is the reference decoder's display-order sequence.
+func refDecode(t *testing.T, v *Video, opts DecodeOptions) *frame.Sequence {
+	t.Helper()
+	recs, err := refDecodeRecs(v, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := &frame.Sequence{Frames: make([]*frame.Frame, len(v.Frames))}
+	for i, ef := range v.Frames {
+		seq.Frames[ef.DisplayIdx] = recs[i]
+	}
+	return seq
+}
 
 func comparePlanes(t *testing.T, what string, got, want []*frame.Frame) {
 	t.Helper()
@@ -51,14 +83,16 @@ func comparePlanes(t *testing.T, what string, got, want []*frame.Frame) {
 func checkAgainstReference(t *testing.T, what string, v *Video, opts DecodeOptions, records bool) {
 	t.Helper()
 	want, errW := refDecodeRecs(v, opts)
-	got, errG := decodeRecsOpts(v, opts, nil)
-	if (errW == nil) != (errG == nil) {
-		t.Fatalf("%s: error %v, reference %v", what, errG, errW)
+	for _, workers := range []int{1, 4} {
+		got, errG := decodeCoded(v, opts, nil, workers)
+		if (errW == nil) != (errG == nil) {
+			t.Fatalf("%s workers=%d: error %v, reference %v", what, workers, errG, errW)
+		}
+		if errW != nil {
+			return
+		}
+		comparePlanes(t, fmt.Sprintf("%s workers=%d", what, workers), got, want)
 	}
-	if errW != nil {
-		return
-	}
-	comparePlanes(t, what, got, want)
 	if !records {
 		return
 	}
@@ -143,19 +177,21 @@ func FuzzDecodeVsReference(f *testing.F) {
 		}
 		fr.RefFwd, fr.RefBwd = refFwd, refBwd
 		opts := DecodeOptions{ConcealOnDesync: conceal}
-		start := time.Now()
-		got, err := decodeRecsOpts(c, opts, nil)
-		if took := time.Since(start); took > fuzzDecodeCeiling {
-			t.Fatalf("decode took %v, ceiling %v", took, fuzzDecodeCeiling)
-		}
-		if err != nil {
-			t.Fatalf("decode must tolerate arbitrary payloads, slice tables and references: %v", err)
-		}
 		want, err := refDecodeRecs(c, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		comparePlanes(t, "fuzzed stream", got, want)
+		for _, workers := range []int{1, 4} {
+			start := time.Now()
+			got, err := decodeCoded(c, opts, nil, workers)
+			if took := time.Since(start); took > fuzzDecodeCeiling {
+				t.Fatalf("decode took %v, ceiling %v", took, fuzzDecodeCeiling)
+			}
+			if err != nil {
+				t.Fatalf("decode must tolerate arbitrary payloads, slice tables and references: %v", err)
+			}
+			comparePlanes(t, fmt.Sprintf("fuzzed stream workers=%d", workers), got, want)
+		}
 		checkReplayEqualsParse(t, "fuzzed stream", c, opts)
 	})
 }
@@ -230,7 +266,7 @@ func TestDecodeAllocationBudget(t *testing.T) {
 	for _, coder := range []EntropyKind{CABAC, CAVLC} {
 		v := decodeChunkVideo(t, coder)
 		allocs := testing.AllocsPerRun(10, func() {
-			seq, err := Decode(v)
+			seq, err := DecodeContext(context.Background(), v, DecodeOptions{}, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

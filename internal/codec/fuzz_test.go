@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"context"
 	"runtime"
 	"testing"
 	"time"
@@ -41,7 +42,7 @@ func decodeWithinCeilings(t *testing.T, v *Video, what string) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	_, err := Decode(v)
+	_, err := DecodeContext(context.Background(), v, DecodeOptions{}, 1)
 	took := time.Since(start)
 	runtime.ReadMemStats(&after)
 	if err != nil {
@@ -79,7 +80,7 @@ func FuzzUnmarshal(f *testing.F) {
 			return // rejected is fine; panics are not
 		}
 		// Whatever parses must also decode safely.
-		if _, err := Decode(got); err != nil {
+		if _, err := DecodeContext(context.Background(), got, DecodeOptions{}, 1); err != nil {
 			// Geometry or index errors are acceptable outcomes.
 			return
 		}

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -186,7 +187,7 @@ func hashRecords(v *Video) string {
 func goldenDigests(t *testing.T, gc goldenCase) map[string]string {
 	t.Helper()
 	decode := func(v *Video, opts DecodeOptions) string {
-		seq, err := DecodeWithOptions(v, opts)
+		seq, err := DecodeContext(context.Background(), v, opts, 1)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", gc.key, err)
 		}
@@ -207,7 +208,7 @@ func goldenDigests(t *testing.T, gc goldenCase) map[string]string {
 		t.Fatalf("%s: layered encode: %v", gc.key, err)
 	}
 	layered := func() string {
-		seq, err := DecodeLayered(lv)
+		seq, err := DecodeLayered(context.Background(), lv)
 		if err != nil {
 			t.Fatalf("%s: layered decode: %v", gc.key, err)
 		}

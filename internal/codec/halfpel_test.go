@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -16,7 +17,7 @@ func TestHalfPelEncodeDecodeConsistency(t *testing.T) {
 	p := testParams()
 	p.HalfPel = true
 	_, dec := encodeDecode(t, seq, p)
-	psnr, _ := quality.PSNR(seq, dec)
+	psnr, _ := quality.PSNRContext(context.Background(), seq, dec, 1)
 	if psnr < 28 {
 		t.Fatalf("half-pel decode PSNR %.2f dB", psnr)
 	}
@@ -39,11 +40,11 @@ func TestHalfPelImprovesSubPixelMotion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := Decode(v)
+		dec, err := DecodeContext(context.Background(), v, DecodeOptions{}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		psnr, _ := quality.PSNR(seq, dec)
+		psnr, _ := quality.PSNRContext(context.Background(), seq, dec, 1)
 		return psnr, v.TotalPayloadBits()
 	}
 	p0, b0 := score(false)
@@ -70,8 +71,8 @@ func TestHalfPelContainerRoundTrip(t *testing.T) {
 	if !got.Params.HalfPel {
 		t.Fatal("half-pel flag lost")
 	}
-	a, _ := Decode(v)
-	b, _ := Decode(got)
+	a, _ := DecodeContext(context.Background(), v, DecodeOptions{}, 1)
+	b, _ := DecodeContext(context.Background(), got, DecodeOptions{}, 1)
 	for i := range a.Frames {
 		for j := range a.Frames[i].Y {
 			if a.Frames[i].Y[j] != b.Frames[i].Y[j] {
@@ -124,7 +125,7 @@ func TestHalfPelCorruptionSafety(t *testing.T) {
 		for _, f := range c.Frames {
 			bitio.FlipBit(f.Payload, int64(trial*53)%f.PayloadBits())
 		}
-		if _, err := Decode(c); err != nil {
+		if _, err := DecodeContext(context.Background(), c, DecodeOptions{}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -200,7 +201,7 @@ func TestHalfPelLargeMotionDoesNotDrift(t *testing.T) {
 		p.SearchRange = predict.MaxMV
 		p.HalfPel = halfPel
 		_, dec := encodeDecode(t, seq, p)
-		v, err := quality.PSNR(seq, dec)
+		v, err := quality.PSNRContext(context.Background(), seq, dec, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

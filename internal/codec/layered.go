@@ -1,7 +1,9 @@
 package codec
 
 import (
+	"context"
 	"fmt"
+	"slices"
 
 	"videoapp/internal/bitio"
 	"videoapp/internal/frame"
@@ -40,11 +42,14 @@ func EncodeLayered(seq *frame.Sequence, p Params, enhQPDelta int) (*LayeredVideo
 	if enhQPDelta < 1 || enhQPDelta > 20 {
 		return nil, fmt.Errorf("codec: enhancement QP delta %d outside 1..20", enhQPDelta)
 	}
-	base, err := Encode(seq, p)
-	if err != nil {
-		return nil, err
-	}
-	baseRecs, err := DecodeRecs(base)
+	// The encoder's reconstructions are what a decoder of the base layer
+	// reproduces sample for sample; the refinement codes against them.
+	base, baseRecs, err := encodeRecs(seq, p)
+	defer func() {
+		for _, r := range baseRecs {
+			frame.Recycle(r)
+		}
+	}()
 	if err != nil {
 		return nil, err
 	}
@@ -94,22 +99,28 @@ func encodeEnhFrame(orig, baseRec *frame.Frame, ef *EncodedFrame, p Params, delt
 	return w.Bytes(), mbs
 }
 
-// DecodeLayered decodes the base layer and applies the enhancement
-// refinements. Corrupt enhancement payloads damage only their own frame's
-// refinement; the base reconstruction is untouched.
-func DecodeLayered(lv *LayeredVideo) (*frame.Sequence, error) {
-	baseRecs, err := DecodeRecs(lv.Base)
-	if err != nil {
-		return nil, err
-	}
+// DecodeLayered decodes the base layer with DecodeContext (one worker)
+// and applies the enhancement refinements. Corrupt enhancement payloads
+// damage only their own frame's refinement; the base reconstruction is
+// untouched.
+func DecodeLayered(ctx context.Context, lv *LayeredVideo) (*frame.Sequence, error) {
 	if len(lv.Enh) != len(lv.Base.Frames) {
 		return nil, fmt.Errorf("codec: %d enhancement frames for %d base frames", len(lv.Enh), len(lv.Base.Frames))
 	}
-	out := make([]*frame.Frame, len(baseRecs))
-	for i, ef := range lv.Base.Frames {
-		out[i] = applyEnhFrame(baseRecs[i], lv.Enh[i], ef, lv.Base.Params, lv.EnhQPDelta)
+	seq, err := DecodeContext(ctx, lv.Base, DecodeOptions{}, 1)
+	if err != nil {
+		return nil, err
 	}
-	return RecsToDisplay(lv.Base, out)
+	// Refine into a copy of the frame list: a display slot no frame claims
+	// stays the blank base picture, and each refinement reads the base
+	// picture, never another frame's refinement.
+	enhanced := slices.Clone(seq.Frames)
+	for i, ef := range lv.Base.Frames {
+		d := ef.DisplayIdx
+		enhanced[d] = applyEnhFrame(seq.Frames[d], lv.Enh[i], ef, lv.Base.Params, lv.EnhQPDelta)
+	}
+	seq.Frames = enhanced
+	return seq, nil
 }
 
 func applyEnhFrame(baseRec *frame.Frame, payload []byte, ef *EncodedFrame, p Params, delta int) *frame.Frame {

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -16,16 +17,16 @@ func TestLayeredImprovesOnBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := Decode(lv.Base)
+	base, err := DecodeContext(context.Background(), lv.Base, DecodeOptions{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enhanced, err := DecodeLayered(lv)
+	enhanced, err := DecodeLayered(context.Background(), lv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pBase, _ := quality.PSNR(seq, base)
-	pEnh, _ := quality.PSNR(seq, enhanced)
+	pBase, _ := quality.PSNRContext(context.Background(), seq, base, 1)
+	pEnh, _ := quality.PSNRContext(context.Background(), seq, enhanced, 1)
 	if pEnh <= pBase+0.5 {
 		t.Fatalf("enhancement adds only %.2f dB (base %.2f)", pEnh-pBase, pBase)
 	}
@@ -51,7 +52,7 @@ func TestEnhancementErrorsStayInFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := DecodeLayered(lv)
+	clean, err := DecodeLayered(context.Background(), lv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestEnhancementErrorsStayInFrame(t *testing.T) {
 	}
 	orig3 := lv.Enh[3]
 	lv.Enh[3] = damagedEnh
-	corrupt, err := DecodeLayered(lv)
+	corrupt, err := DecodeLayered(context.Background(), lv)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"videoapp/internal/frame"
+	"videoapp/internal/obs"
 )
 
 func TestEncodeParallelBitExact(t *testing.T) {
@@ -48,21 +49,42 @@ func TestEncodeParallelBitExact(t *testing.T) {
 		}
 	}
 	// Decodes identically too.
-	da, _ := Decode(serial)
-	db, _ := Decode(parallel)
-	for i := range da.Frames {
-		if !bytes.Equal(da.Frames[i].Y, db.Frames[i].Y) {
-			t.Fatalf("decoded frame %d differs", i)
-		}
+	db, err := DecodeContext(context.Background(), parallel, DecodeOptions{}, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
+	sameSequences(t, "decoded", refDecode(t, serial, DecodeOptions{}), db)
 }
 
-func TestEncodeParallelRejectsBFrames(t *testing.T) {
-	seq := testSeq(t, "news_like", 64, 48, 6)
+// TestEncodeParallelOpenGOPBitExact: B frames reach across GOP boundaries,
+// so an open-GOP video is one unit of work, encoded whole at any worker
+// count, and its observer sees the same events a closed-GOP encode
+// publishes.
+func TestEncodeParallelOpenGOPBitExact(t *testing.T) {
+	seq := testSeq(t, "news_like", 64, 48, 14)
 	p := testParams()
 	p.BFrames = 2
-	if _, err := EncodeParallelContext(context.Background(), seq, p, 2); err == nil {
-		t.Fatal("open GOPs must be rejected")
+	p.GOPSize = 6
+	want, err := Encode(seq, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		m := obs.NewMetrics()
+		got, err := EncodeParallelContext(obs.With(context.Background(), m), seq, p, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(Marshal(got), Marshal(want)) {
+			t.Fatalf("workers=%d: open-GOP encode differs from Encode", workers)
+		}
+		snap := m.Snapshot()
+		if n := snap.CounterTotal(obs.CtrEncodeFrames); n != int64(len(seq.Frames)) {
+			t.Fatalf("workers=%d: %d frames counted, want %d", workers, n, len(seq.Frames))
+		}
+		if len(snap.Stages) != 1 || snap.Stages[0].Stage != obs.StageEncode || snap.Stages[0].Frames != int64(len(seq.Frames)) {
+			t.Fatalf("workers=%d: stages %+v, want one encode span over %d frames", workers, snap.Stages, len(seq.Frames))
+		}
 	}
 }
 
@@ -116,10 +138,7 @@ func TestDecodeParallelBitExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		serial, err := Decode(v)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
+		serial := refDecode(t, v, DecodeOptions{})
 		for _, workers := range []int{1, 2, 8} {
 			parallel, err := DecodeContext(context.Background(), v, DecodeOptions{}, workers)
 			if err != nil {
@@ -139,8 +158,8 @@ func TestDecodeParallelCorruptedPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flip a deterministic scatter of payload bits in every frame; the
-	// parallel decoder must interpret the garbage identically to the serial
-	// one (desync, propagation and all).
+	// decoder must interpret the garbage at every worker count exactly as
+	// the serial reference decoder does (desync, propagation and all).
 	for fi, ef := range v.Frames {
 		for _, bit := range []int{7, 101, 1031} {
 			if pos := bit + 13*fi; pos < len(ef.Payload)*8 {
@@ -148,10 +167,7 @@ func TestDecodeParallelCorruptedPayload(t *testing.T) {
 			}
 		}
 	}
-	serial, err := Decode(v)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := refDecode(t, v, DecodeOptions{})
 	for _, workers := range []int{1, 2, 8} {
 		parallel, err := DecodeContext(context.Background(), v, DecodeOptions{}, workers)
 		if err != nil {
@@ -161,10 +177,7 @@ func TestDecodeParallelCorruptedPayload(t *testing.T) {
 	}
 	// Concealment mode takes a different per-frame path; it must stay
 	// equivalent too.
-	serialC, err := DecodeWithOptions(v, DecodeOptions{ConcealOnDesync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	serialC := refDecode(t, v, DecodeOptions{ConcealOnDesync: true})
 	parallelC, err := DecodeContext(context.Background(), v, DecodeOptions{ConcealOnDesync: true}, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -206,10 +219,7 @@ func TestHeaderRefSpans(t *testing.T) {
 			t.Fatalf("forward ref not honoured: %v, want %v", spans, want)
 		}
 	}
-	serial, err := Decode(v)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := refDecode(t, v, DecodeOptions{})
 	parallel, err := DecodeContext(context.Background(), v, DecodeOptions{}, 8)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"context"
 	"testing"
 
 	"videoapp/internal/frame"
@@ -57,11 +58,11 @@ func TestABRDecodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := Decode(v)
+	dec, err := DecodeContext(context.Background(), v, DecodeOptions{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	psnr, _ := quality.PSNR(seq, dec)
+	psnr, _ := quality.PSNRContext(context.Background(), seq, dec, 1)
 	if psnr < 25 {
 		t.Fatalf("ABR decode PSNR %.2f dB", psnr)
 	}

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"context"
 	"testing"
 
 	"videoapp/internal/quality"
@@ -55,15 +56,15 @@ func TestContainerDecodesIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Decode(v)
+	a, err := DecodeContext(context.Background(), v, DecodeOptions{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Decode(got)
+	b, err := DecodeContext(context.Background(), got, DecodeOptions{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	psnr, err := quality.PSNR(a, b)
+	psnr, err := quality.PSNRContext(context.Background(), a, b, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

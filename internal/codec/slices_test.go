@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"context"
 	"testing"
 
 	"videoapp/internal/bitio"
@@ -17,7 +18,7 @@ func TestSlicedEncodeDecodeQuality(t *testing.T) {
 	seq := testSeq(t, "crew_like", 96, 64, 8)
 	for _, n := range []int{1, 2, 4} {
 		_, dec := encodeDecode(t, seq, sliceParams(n))
-		psnr, _ := quality.PSNR(seq, dec)
+		psnr, _ := quality.PSNRContext(context.Background(), seq, dec, 1)
 		if psnr < 28 {
 			t.Fatalf("%d slices: PSNR %.2f dB", n, psnr)
 		}
@@ -64,16 +65,6 @@ func TestSliceHeaderRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSliceOfMB(t *testing.T) {
-	f := &EncodedFrame{SliceMBStart: []int{0, 10, 20}}
-	cases := map[int]int{0: 0, 9: 0, 10: 1, 19: 1, 20: 2, 99: 2}
-	for m, want := range cases {
-		if got := f.SliceOfMB(m); got != want {
-			t.Fatalf("SliceOfMB(%d) = %d, want %d", m, got, want)
-		}
-	}
-}
-
 func TestSlicesCostExtraStorage(t *testing.T) {
 	// §8: each slice resets the entropy context and forfeits cross-slice
 	// prediction, so more slices must cost more bits.
@@ -99,7 +90,7 @@ func TestSliceContainsCodingErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := DecodeRecs(v)
+	clean, err := decodeCoded(v, DecodeOptions{}, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +137,7 @@ func TestSlicedCorruptDecodeNeverPanics(t *testing.T) {
 		for _, f := range c.Frames {
 			bitio.FlipBit(f.Payload, int64(trial*37)%f.PayloadBits())
 		}
-		if _, err := Decode(c); err != nil {
+		if _, err := DecodeContext(context.Background(), c, DecodeOptions{}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -162,7 +153,7 @@ func TestSliceCountClampedToRows(t *testing.T) {
 	if len(v.Frames[0].SliceMBStart) != 3 {
 		t.Fatalf("%d slices for 3 MB rows", len(v.Frames[0].SliceMBStart))
 	}
-	if _, err := Decode(v); err != nil {
+	if _, err := DecodeContext(context.Background(), v, DecodeOptions{}, 1); err != nil {
 		t.Fatal(err)
 	}
 }

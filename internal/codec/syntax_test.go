@@ -31,14 +31,14 @@ func shareWithSelf(v *Video) {
 // planes, with the replay counter saying which was which.
 func checkReplayEqualsParse(t *testing.T, what string, v *Video, opts DecodeOptions) {
 	t.Helper()
-	want, err := decodeRecsOpts(v.Clone(), opts, nil)
+	want, err := decodeCoded(v.Clone(), opts, nil, 1)
 	if err != nil {
 		return
 	}
 	c := v.Clone()
 	shareWithSelf(c)
 	m := obs.NewMetrics()
-	rec, err := decodeRecsOpts(c, opts, m)
+	rec, err := decodeCoded(c, opts, m, 1)
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
@@ -46,7 +46,7 @@ func checkReplayEqualsParse(t *testing.T, what string, v *Video, opts DecodeOpti
 	if n := replayed(m); n != 0 {
 		t.Fatalf("%s: %d frames replayed before any record existed", what, n)
 	}
-	rep, err := decodeRecsOpts(c, opts, m)
+	rep, err := decodeCoded(c, opts, m, 1)
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
@@ -92,7 +92,7 @@ func TestReplayPublishesResync(t *testing.T) {
 		var counts [2]int64
 		for pass := range counts {
 			m := obs.NewMetrics()
-			if _, err := decodeRecsOpts(c, DecodeOptions{}, m); err != nil {
+			if _, err := decodeCoded(c, DecodeOptions{}, m, 1); err != nil {
 				t.Fatal(err)
 			}
 			counts[pass] = m.Snapshot().CounterTotal(obs.CtrResync)
@@ -109,7 +109,7 @@ func recorded(t *testing.T, v *Video) (*Video, []*frame.Frame) {
 	t.Helper()
 	c := v.Clone()
 	shareWithSelf(c)
-	clean, err := decodeRecsOpts(c, DecodeOptions{}, nil)
+	clean, err := decodeCoded(c, DecodeOptions{}, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestRecordNeverOutlivesAByteChange(t *testing.T) {
 			}
 		}
 		m := obs.NewMetrics()
-		got, err := decodeRecsOpts(c, DecodeOptions{}, m)
+		got, err := decodeCoded(c, DecodeOptions{}, m, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,12 +159,12 @@ func TestRecordNeverOutlivesAByteChange(t *testing.T) {
 		f.ShareSyntax(src.Frames[i].SyntaxSlot())
 		f.Payload[len(f.Payload)/2] ^= 0x10
 	}
-	want, err := decodeRecsOpts(flipped.Clone(), DecodeOptions{}, nil)
+	want, err := decodeCoded(flipped.Clone(), DecodeOptions{}, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := obs.NewMetrics()
-	got, err := decodeRecsOpts(flipped, DecodeOptions{}, m)
+	got, err := decodeCoded(flipped, DecodeOptions{}, m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestRecordNeverOutlivesAByteChange(t *testing.T) {
 	}
 	// That decode recorded the flipped bytes' parse on src; src's own bytes
 	// no longer match it and must parse again, to the clean planes.
-	got, err = decodeRecsOpts(src, DecodeOptions{}, m)
+	got, err = decodeCoded(src, DecodeOptions{}, m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,12 +187,12 @@ func TestRecordNeverOutlivesAByteChange(t *testing.T) {
 	src2, _ := recorded(t, v)
 	src2.Frames[1].Payload[3] ^= 0x01
 	src2.Frames[4].SliceByteStart[0]++
-	want, err = decodeRecsOpts(src2.Clone(), DecodeOptions{}, nil)
+	want, err = decodeCoded(src2.Clone(), DecodeOptions{}, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m = obs.NewMetrics()
-	got, err = decodeRecsOpts(src2, DecodeOptions{}, m)
+	got, err = decodeCoded(src2, DecodeOptions{}, m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestRecordNeverOutlivesAByteChange(t *testing.T) {
 // clone replays, and the original itself never does.
 func TestShareSyntaxAcrossVideos(t *testing.T) {
 	v := testVideo(t)
-	clean, err := DecodeRecs(v)
+	clean, err := decodeCoded(v, DecodeOptions{}, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestShareSyntaxAcrossVideos(t *testing.T) {
 		for i, f := range c.Frames {
 			f.ShareSyntax(v.Frames[i].SyntaxSlot())
 		}
-		got, err := decodeRecsOpts(c, DecodeOptions{}, m)
+		got, err := decodeCoded(c, DecodeOptions{}, m, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +235,7 @@ func TestShareSyntaxAcrossVideos(t *testing.T) {
 		c.Release()
 	}
 	before := replayed(m)
-	if _, err := decodeRecsOpts(v, DecodeOptions{}, m); err != nil {
+	if _, err := decodeCoded(v, DecodeOptions{}, m, 1); err != nil {
 		t.Fatal(err)
 	}
 	if replayed(m) != before {
@@ -258,11 +258,11 @@ func TestReplayKeyedOnParseConditions(t *testing.T) {
 	shared, _ := recorded(t, plain) // records made with references present, no concealment
 
 	// DecodeSingle against missing and substituted references.
-	cleanRecs, err := DecodeRecs(plain)
+	cleanRecs, err := decodeCoded(plain, DecodeOptions{}, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, err := DecodeRecs(gc.flipsHi)
+	other, err := decodeCoded(gc.flipsHi, DecodeOptions{}, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,11 +284,11 @@ func TestReplayKeyedOnParseConditions(t *testing.T) {
 	damaged, _ := recorded(t, gc.conceal)
 	for _, conceal := range []bool{true, false, true} {
 		opts := DecodeOptions{ConcealOnDesync: conceal}
-		want, err := decodeRecsOpts(gc.conceal.Clone(), opts, nil)
+		want, err := decodeCoded(gc.conceal.Clone(), opts, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := decodeRecsOpts(damaged, opts, nil)
+		got, err := decodeCoded(damaged, opts, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

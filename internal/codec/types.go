@@ -196,17 +196,6 @@ type EncodedFrame struct {
 	shared *SyntaxSlot
 }
 
-// SliceOfMB returns the index of the slice containing macroblock m.
-func (f *EncodedFrame) SliceOfMB(m int) int {
-	s := 0
-	for i, start := range f.SliceMBStart {
-		if m >= start {
-			s = i
-		}
-	}
-	return s
-}
-
 // PayloadBits returns the payload length in bits.
 func (f *EncodedFrame) PayloadBits() int64 { return int64(len(f.Payload)) * 8 }
 

@@ -59,14 +59,6 @@ type Analysis struct {
 	opts           Options
 }
 
-// Analyze runs the VideoApp dependency analysis on an encoded video.
-func Analyze(v *codec.Video, opts Options) *Analysis {
-	// A background context and a single worker cannot fail.
-	//vetvideoapp:allow ctxfirst — Analyze is the documented context-less convenience form of AnalyzeContext
-	an, _ := AnalyzeContext(context.Background(), v, opts, 1)
-	return an
-}
-
 // depSpans partitions the coded order into maximal frame runs whose
 // compensation dependencies stay inside the run, in either direction. For a
 // closed-GOP video the runs are exactly the GOPs; arbitrary (re-analyzed or
@@ -113,12 +105,13 @@ func depSpans(v *codec.Video) [][2]int {
 	return append(spans, [2]int{start, n})
 }
 
-// AnalyzeContext is Analyze with GOP-level fan-out of the backward pass
-// (phase 1) and per-frame fan-out of the coding chain (phase 2), plus
-// cooperative cancellation checked at frame boundaries. Spans of the
-// dependency DAG are mutually independent, so every floating-point
-// accumulation happens in the same order as in the serial sweep and the
-// result is bit-identical at any worker count.
+// AnalyzeContext runs the VideoApp dependency analysis on an encoded video,
+// with GOP-level fan-out of the backward pass (phase 1) and per-frame
+// fan-out of the coding chain (phase 2), plus cooperative cancellation
+// checked at frame boundaries; workers <= 0 selects GOMAXPROCS and
+// workers = 1 is the serial sweep. Spans of the dependency DAG are mutually
+// independent, so every floating-point accumulation happens in the same
+// order at any worker count and the result is bit-identical.
 func AnalyzeContext(ctx context.Context, v *codec.Video, opts Options, workers int) (*Analysis, error) {
 	o := obs.From(ctx)
 	defer obs.StartSpan(o, obs.StageAnalyze).End()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -24,6 +25,16 @@ func encodeTestVideo(t testing.TB, preset string, w, h, frames int, p codec.Para
 	return v
 }
 
+// analyze runs AnalyzeContext at one worker, the serial sweep.
+func analyze(t testing.TB, v *codec.Video, opts Options) *Analysis {
+	t.Helper()
+	an, err := AnalyzeContext(context.Background(), v, opts, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return an
+}
+
 func smallParams() codec.Params {
 	p := codec.DefaultParams()
 	p.GOPSize = 12
@@ -33,7 +44,7 @@ func smallParams() codec.Params {
 
 func TestImportanceAtLeastOne(t *testing.T) {
 	v := encodeTestVideo(t, "crew_like", 64, 48, 8, smallParams())
-	an := Analyze(v, DefaultOptions())
+	an := analyze(t, v, DefaultOptions())
 	for f, row := range an.Importance {
 		for m, imp := range row {
 			if imp < 1 {
@@ -48,7 +59,7 @@ func TestImportanceMonotoneWithinFrames(t *testing.T) {
 	// scan order — the property that makes pivots exact.
 	for _, preset := range []string{"crew_like", "news_like", "sports_like"} {
 		v := encodeTestVideo(t, preset, 64, 48, 10, smallParams())
-		an := Analyze(v, DefaultOptions())
+		an := analyze(t, v, DefaultOptions())
 		if err := an.CheckMonotone(); err != nil {
 			t.Fatalf("%s: %v", preset, err)
 		}
@@ -61,7 +72,7 @@ func TestEarlyFramesMoreImportant(t *testing.T) {
 	p := smallParams()
 	p.GOPSize = 10
 	v := encodeTestVideo(t, "crew_like", 64, 48, 10, p)
-	an := Analyze(v, DefaultOptions())
+	an := analyze(t, v, DefaultOptions())
 	if an.Importance[0][0] <= an.Importance[9][0] {
 		t.Fatalf("first frame head importance %.1f <= last frame head %.1f",
 			an.Importance[0][0], an.Importance[9][0])
@@ -70,7 +81,7 @@ func TestEarlyFramesMoreImportant(t *testing.T) {
 
 func TestCompImportanceExcludesCodingChain(t *testing.T) {
 	v := encodeTestVideo(t, "crew_like", 64, 48, 6, smallParams())
-	an := Analyze(v, DefaultOptions())
+	an := analyze(t, v, DefaultOptions())
 	for f, row := range an.Importance {
 		for m := range row {
 			if an.CompImportance[f][m] > row[m]+1e-9 {
@@ -82,7 +93,7 @@ func TestCompImportanceExcludesCodingChain(t *testing.T) {
 
 func TestCodingWeightZeroDropsChain(t *testing.T) {
 	v := encodeTestVideo(t, "crew_like", 64, 48, 6, smallParams())
-	an := Analyze(v, Options{CodingWeight: 0})
+	an := analyze(t, v, Options{CodingWeight: 0})
 	for f, row := range an.Importance {
 		for m := range row {
 			if math.Abs(row[m]-an.CompImportance[f][m]) > 1e-9 {
@@ -99,7 +110,7 @@ func TestUnreferencedBFramesLowImportance(t *testing.T) {
 	p.BFrames = 2
 	p.BReference = false
 	v := encodeTestVideo(t, "crew_like", 64, 48, 12, p)
-	an := Analyze(v, DefaultOptions())
+	an := analyze(t, v, DefaultOptions())
 	checked := 0
 	for f, ef := range v.Frames {
 		if ef.Type != codec.FrameB {
@@ -156,7 +167,7 @@ func TestPaperAssignmentMatchesTable1(t *testing.T) {
 
 func TestPartitionPivotsMonotoneSchemes(t *testing.T) {
 	v := encodeTestVideo(t, "parkrun_like", 96, 64, 10, smallParams())
-	an := Analyze(v, DefaultOptions())
+	an := analyze(t, v, DefaultOptions())
 	parts := an.Partition(PaperAssignment())
 	if len(parts) != len(v.Frames) {
 		t.Fatal("one partition per frame")
@@ -182,7 +193,7 @@ func TestPartitionPivotsMonotoneSchemes(t *testing.T) {
 
 func TestSegmentsCoverPayload(t *testing.T) {
 	v := encodeTestVideo(t, "crew_like", 64, 48, 8, smallParams())
-	an := Analyze(v, DefaultOptions())
+	an := analyze(t, v, DefaultOptions())
 	parts := an.Partition(PaperAssignment())
 	for f, fp := range parts {
 		var covered int64
@@ -203,7 +214,7 @@ func TestSegmentsCoverPayload(t *testing.T) {
 
 func TestSplitMergeRoundTrip(t *testing.T) {
 	v := encodeTestVideo(t, "sports_like", 96, 64, 10, smallParams())
-	an := Analyze(v, DefaultOptions())
+	an := analyze(t, v, DefaultOptions())
 	parts := an.Partition(PaperAssignment())
 	ss, err := SplitStreams(v, parts)
 	if err != nil {
@@ -228,7 +239,7 @@ func TestSplitMergeRoundTrip(t *testing.T) {
 
 func TestSplitStreamsConserveBits(t *testing.T) {
 	v := encodeTestVideo(t, "crew_like", 64, 48, 8, smallParams())
-	an := Analyze(v, DefaultOptions())
+	an := analyze(t, v, DefaultOptions())
 	ss, err := SplitStreams(v, an.Partition(PaperAssignment()))
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +255,7 @@ func TestSplitStreamsConserveBits(t *testing.T) {
 
 func TestMergeDetectsMissingStream(t *testing.T) {
 	v := encodeTestVideo(t, "crew_like", 64, 48, 4, smallParams())
-	an := Analyze(v, DefaultOptions())
+	an := analyze(t, v, DefaultOptions())
 	ss, _ := SplitStreams(v, an.Partition(PaperAssignment()))
 	for name := range ss.Streams {
 		delete(ss.Streams, name)
@@ -259,7 +270,7 @@ func TestCorruptionInStreamStaysLocal(t *testing.T) {
 	// Flipping bits in one substream then merging must corrupt exactly
 	// those payload bit positions — the §5.3 composability invariant.
 	v := encodeTestVideo(t, "crew_like", 64, 48, 6, smallParams())
-	an := Analyze(v, DefaultOptions())
+	an := analyze(t, v, DefaultOptions())
 	parts := an.Partition(PaperAssignment())
 	ss, _ := SplitStreams(v, parts)
 	name := ss.SchemeNames()[0]
@@ -291,11 +302,12 @@ func TestImportanceCorrelatesWithMeasuredDamage(t *testing.T) {
 	// §7.1 validation in miniature: flips in the most-important decile must
 	// hurt more than flips in the least-important decile.
 	v := encodeTestVideo(t, "crew_like", 96, 64, 12, smallParams())
-	clean, err := codec.Decode(v)
+	ctx := context.Background()
+	clean, err := codec.DecodeContext(ctx, v, codec.DecodeOptions{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	an := Analyze(v, DefaultOptions())
+	an := analyze(t, v, DefaultOptions())
 	ranges := an.MBBitRanges()
 
 	flipAndMeasure := func(sel func(MBBits) bool) float64 {
@@ -306,11 +318,11 @@ func TestImportanceCorrelatesWithMeasuredDamage(t *testing.T) {
 			}
 			c := v.Clone()
 			bitio.FlipBit(c.Frames[r.Frame].Payload, r.BitStart+1)
-			dec, err := codec.Decode(c)
+			dec, err := codec.DecodeContext(ctx, c, codec.DecodeOptions{}, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, _ := quality.PSNR(clean, dec)
+			p, _ := quality.PSNRContext(ctx, clean, dec, 1)
 			sum += p
 			n++
 			if n >= 25 {
@@ -335,7 +347,7 @@ func TestPivotOverheadTiny(t *testing.T) {
 	// §4.4: bookkeeping must be a few bytes per frame, i.e. orders of
 	// magnitude below the payload.
 	v := encodeTestVideo(t, "parkrun_like", 96, 64, 10, smallParams())
-	an := Analyze(v, DefaultOptions())
+	an := analyze(t, v, DefaultOptions())
 	parts := an.Partition(PaperAssignment())
 	overhead := PivotOverheadBits(parts)
 	perFrame := overhead / int64(len(parts))
@@ -367,7 +379,7 @@ func TestAnalysisOverheadSmall(t *testing.T) {
 	}
 	encodeNs := nowNano() - t0
 	t1 := nowNano()
-	Analyze(v, DefaultOptions())
+	analyze(t, v, DefaultOptions())
 	analyzeNs := nowNano() - t1
 	if analyzeNs*2 > encodeNs {
 		t.Fatalf("analysis took %dns vs encode %dns", analyzeNs, encodeNs)
@@ -379,14 +391,14 @@ func BenchmarkAnalyze(b *testing.B) {
 	v := encodeTestVideo(b, "crew_like", 176, 144, 20, smallParams())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Analyze(v, DefaultOptions())
+		analyze(b, v, DefaultOptions())
 	}
 }
 
 func BenchmarkSplitStreams(b *testing.B) {
 	b.ReportAllocs()
 	v := encodeTestVideo(b, "crew_like", 176, 144, 10, smallParams())
-	an := Analyze(v, DefaultOptions())
+	an := analyze(b, v, DefaultOptions())
 	parts := an.Partition(PaperAssignment())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -23,7 +23,7 @@ func FuzzPartitionsRoundTrip(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	an := Analyze(v, DefaultOptions())
+	an := analyze(f, v, DefaultOptions())
 	seed, err := MarshalPartitions(an.Partition(PaperAssignment()))
 	if err != nil {
 		f.Fatal(err)

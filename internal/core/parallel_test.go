@@ -17,7 +17,7 @@ func TestAnalyzeContextBitIdentical(t *testing.T) {
 	p := smallParams()
 	p.GOPSize = 4 // 12 frames -> 3 independent spans
 	v := encodeTestVideo(t, "crew_like", 64, 48, 12, p)
-	ref := Analyze(v, DefaultOptions())
+	ref := analyze(t, v, DefaultOptions())
 	for _, workers := range []int{1, 2, 8} {
 		an, err := AnalyzeContext(context.Background(), v, DefaultOptions(), workers)
 		if err != nil {
@@ -59,7 +59,7 @@ func TestDepSpansClosedGOPs(t *testing.T) {
 		t.Fatalf("cross-GOP dep not honoured: %v", spans)
 	}
 	// And the fused analysis must still match serial exactly.
-	ref := Analyze(v, DefaultOptions())
+	ref := analyze(t, v, DefaultOptions())
 	an, err := AnalyzeContext(context.Background(), v, DefaultOptions(), 8)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestNonMonotoneSentinel(t *testing.T) {
 	// Hand-build an analysis whose importance rises in scan order; the
 	// checker must flag it with the ErrNonMonotone sentinel.
 	v := encodeTestVideo(t, "news_like", 64, 48, 2, smallParams())
-	an := Analyze(v, DefaultOptions())
+	an := analyze(t, v, DefaultOptions())
 	an.Importance[0][1] = an.Importance[0][0] + 5
 	err := an.CheckMonotone()
 	if !errors.Is(err, ErrNonMonotone) {

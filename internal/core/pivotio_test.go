@@ -9,7 +9,7 @@ import (
 
 func TestPartitionsRoundTrip(t *testing.T) {
 	v := encodeTestVideo(t, "parkrun_like", 96, 64, 8, smallParams())
-	an := Analyze(v, DefaultOptions())
+	an := analyze(t, v, DefaultOptions())
 	parts := an.Partition(PaperAssignment())
 	data, err := MarshalPartitions(parts)
 	if err != nil {
@@ -56,7 +56,7 @@ func TestPartitionsRoundTrip(t *testing.T) {
 func TestPartitionsCompact(t *testing.T) {
 	// §4.4: a few bytes per frame.
 	v := encodeTestVideo(t, "crew_like", 96, 64, 10, smallParams())
-	an := Analyze(v, DefaultOptions())
+	an := analyze(t, v, DefaultOptions())
 	data, err := MarshalPartitions(an.Partition(PaperAssignment()))
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func TestPartitionsCompact(t *testing.T) {
 
 func TestPartitionsIdealScheme(t *testing.T) {
 	v := encodeTestVideo(t, "news_like", 64, 48, 4, smallParams())
-	an := Analyze(v, DefaultOptions())
+	an := analyze(t, v, DefaultOptions())
 	parts := an.Partition(IdealAssignment())
 	data, err := MarshalPartitions(parts)
 	if err != nil {
@@ -105,7 +105,7 @@ func TestUnmarshalPartitionsRejectsGarbage(t *testing.T) {
 // panic) and a parsed prefix can never carry more frames than the original.
 func TestUnmarshalPartitionsTruncatedEverywhere(t *testing.T) {
 	v := encodeTestVideo(t, "crew_like", 96, 64, 6, smallParams())
-	an := Analyze(v, DefaultOptions())
+	an := analyze(t, v, DefaultOptions())
 	parts := an.Partition(PaperAssignment())
 	data, err := MarshalPartitions(parts)
 	if err != nil {

@@ -60,7 +60,7 @@ func TestImportanceConservationProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		v := syntheticVideo(rng, 2+rng.Intn(4), 2+rng.Intn(3), 2+rng.Intn(3))
-		an := Analyze(v, DefaultOptions())
+		an := analyze(t, v, DefaultOptions())
 		var total float64
 		n := 0
 		for _, row := range an.Importance {
@@ -85,7 +85,7 @@ func TestMonotonePropertyOnSyntheticGraphs(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		v := syntheticVideo(rng, 3, 3, 3)
-		an := Analyze(v, DefaultOptions())
+		an := analyze(t, v, DefaultOptions())
 		return an.CheckMonotone() == nil
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
@@ -100,7 +100,7 @@ func TestCompensationImportanceBoundedByArea(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		nf, c, r := 2+rng.Intn(3), 2+rng.Intn(3), 2+rng.Intn(3)
 		v := syntheticVideo(rng, nf, c, r)
-		an := Analyze(v, DefaultOptions())
+		an := analyze(t, v, DefaultOptions())
 		bound := float64(nf * c * r)
 		for _, row := range an.CompImportance {
 			for _, imp := range row {
@@ -121,7 +121,7 @@ func TestPartitionSegmentsConservationProperty(t *testing.T) {
 	prop := func(seed int64, t1, t2 uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		v := syntheticVideo(rng, 3, 3, 2)
-		an := Analyze(v, DefaultOptions())
+		an := analyze(t, v, DefaultOptions())
 		a, b := int(t1%20), int(t2%20)
 		if a > b {
 			a, b = b, a
@@ -160,7 +160,7 @@ func TestSplitMergeProperty(t *testing.T) {
 		for _, ef := range v.Frames {
 			rng.Read(ef.Payload)
 		}
-		an := Analyze(v, DefaultOptions())
+		an := analyze(t, v, DefaultOptions())
 		parts := an.Partition(PaperAssignment())
 		ss, err := SplitStreams(v, parts)
 		if err != nil {

@@ -15,7 +15,7 @@ func slicedVideo(t *testing.T, slices int) *codec.Video {
 
 func TestMonotonePerSlice(t *testing.T) {
 	v := slicedVideo(t, 2)
-	an := Analyze(v, DefaultOptions())
+	an := analyze(t, v, DefaultOptions())
 	if err := an.CheckMonotone(); err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestSliceResetsCodingChain(t *testing.T) {
 	// of slice 1's MBs: its total importance stays close to its
 	// compensation importance plus its own chain.
 	v := slicedVideo(t, 2)
-	an := Analyze(v, DefaultOptions())
+	an := analyze(t, v, DefaultOptions())
 	for f, ef := range v.Frames {
 		if len(ef.SliceMBStart) < 2 {
 			t.Fatal("expected 2 slices")
@@ -44,7 +44,7 @@ func TestSliceResetsCodingChain(t *testing.T) {
 
 func TestSlicedPartitionPivotsPerSlice(t *testing.T) {
 	v := slicedVideo(t, 2)
-	an := Analyze(v, DefaultOptions())
+	an := analyze(t, v, DefaultOptions())
 	parts := an.Partition(PaperAssignment())
 	for f, fp := range parts {
 		// Segments must still exactly cover the payload.
@@ -63,7 +63,7 @@ func TestSlicedPartitionPivotsPerSlice(t *testing.T) {
 
 func TestSlicedSplitMergeRoundTrip(t *testing.T) {
 	v := slicedVideo(t, 3)
-	an := Analyze(v, DefaultOptions())
+	an := analyze(t, v, DefaultOptions())
 	ss, err := SplitStreams(v, an.Partition(PaperAssignment()))
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func TestSlicesIncreaseApproximableShare(t *testing.T) {
 	v1 := slicedVideo(t, 1)
 	v4 := slicedVideo(t, 4)
 	share := func(v *codec.Video) float64 {
-		an := Analyze(v, DefaultOptions())
+		an := analyze(t, v, DefaultOptions())
 		var low, total int64
 		for _, m := range an.MBBitRanges() {
 			total += m.BitLen

@@ -89,7 +89,7 @@ func TestSplitMergeMatchesReference(t *testing.T) {
 		encodeTestVideo(t, "sports_like", 96, 64, 8, smallParams()),
 		encodeTestVideo(t, "crew_like", 64, 48, 6, p),
 	} {
-		an := Analyze(v, DefaultOptions())
+		an := analyze(t, v, DefaultOptions())
 		allNone := ClassAssignment{Header: bch.SchemeNone, Bounds: []ClassBound{{MaxClass: 1 << 30, Scheme: bch.SchemeNone}}}
 		splitMergeCase(t, "paper", v, an.Partition(PaperAssignment()), rng)
 		splitMergeCase(t, "all-none", v, an.Partition(allNone), rng)

@@ -2,6 +2,7 @@ package cryptomode
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -199,7 +200,10 @@ func buildStreams(t *testing.T) (*codec.Video, *core.StreamSet, []core.FramePart
 	if err != nil {
 		t.Fatal(err)
 	}
-	an := core.Analyze(v, core.DefaultOptions())
+	an, err := core.AnalyzeContext(context.Background(), v, core.DefaultOptions(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	parts := an.Partition(core.PaperAssignment())
 	ss, err := core.SplitStreams(v, parts)
 	if err != nil {

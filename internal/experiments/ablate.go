@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -32,7 +33,7 @@ type AblateResult struct {
 // more B frames (unreferenced when BReference is false) polarize bits into
 // important and unimportant, at some storage cost; shorter GOPs bound
 // propagation similarly.
-func AblateEncoderOptions(cfg Config) (*AblateResult, error) {
+func AblateEncoderOptions(ctx context.Context, cfg Config) (*AblateResult, error) {
 	type variant struct {
 		name string
 		mut  func(*codec.Params)
@@ -60,11 +61,14 @@ func AblateEncoderOptions(cfg Config) (*AblateResult, error) {
 		var lowBits, totalBits int64
 		for _, pc := range presets {
 			seq := synth.Generate(pc)
-			video, err := codec.Encode(seq, params)
+			video, err := codec.EncodeParallelContext(ctx, seq, params, workers)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: ablate %s: %w", v.name, err)
 			}
-			an := core.Analyze(video, core.DefaultOptions())
+			an, err := core.AnalyzeContext(ctx, video, core.DefaultOptions(), workers)
+			if err != nil {
+				return nil, err
+			}
 			for _, m := range an.MBBitRanges() {
 				totalBits += m.BitLen
 				if core.Class(m.Importance) <= 2 {

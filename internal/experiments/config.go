@@ -6,16 +6,23 @@
 // Two scales are provided: FastConfig runs in seconds for tests and CI;
 // PaperConfig approaches the paper's 720p/500-frame scale and is intended
 // for the cmd/experiments binary.
+//
+// Every experiment takes a context and stops with its error once the
+// context is cancelled; the pipeline stages run through their one
+// context-first entry point at one worker.
 package experiments
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
 	"strings"
 
 	"videoapp/internal/codec"
 	"videoapp/internal/core"
 	"videoapp/internal/frame"
 	"videoapp/internal/quality"
+	"videoapp/internal/store"
 	"videoapp/internal/synth"
 )
 
@@ -90,17 +97,24 @@ func (c Config) params() codec.Params {
 	return p
 }
 
+// workers is the worker count of every pipeline stage the experiments run:
+// each stage's output is identical at any worker count, and the suite
+// members are processed one at a time.
+const workers = 1
+
 // EncodedVideo bundles everything the experiments reuse per suite member.
 type EncodedVideo struct {
 	Name     string
 	Seq      *frame.Sequence
 	Video    *codec.Video
 	Analysis *core.Analysis
-	// CleanRecs are the coded-order reconstructions of the undamaged video.
+	// CleanRecs are the coded-order reconstructions of the undamaged video:
+	// the frames of Clean, indexed by coded position.
 	CleanRecs []*frame.Frame
 	// Clean is the display-order clean decode.
 	Clean *frame.Sequence
-	// CleanPSNR is PSNR(Seq, Clean), cached for quality-change math.
+	// CleanPSNR is PSNR(Seq, Clean), the mean of CleanFramePSNR, cached for
+	// quality-change math.
 	CleanPSNR float64
 	// CleanFramePSNR is the per-display-frame clean PSNR.
 	CleanFramePSNR []float64
@@ -108,43 +122,47 @@ type EncodedVideo struct {
 	Pixels int64
 }
 
-// EncodeSuite encodes and analyzes every suite member once.
-func EncodeSuite(cfg Config) ([]*EncodedVideo, error) {
+// EncodeSuite encodes, decodes and analyzes every suite member once.
+func EncodeSuite(ctx context.Context, cfg Config) ([]*EncodedVideo, error) {
 	var out []*EncodedVideo
 	params := cfg.params()
 	for _, pc := range cfg.presets() {
 		seq := synth.Generate(pc)
-		v, err := codec.Encode(seq, params)
+		v, err := codec.EncodeParallelContext(ctx, seq, params, workers)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: encode %s: %w", pc.Name, err)
 		}
-		recs, err := codec.DecodeRecs(v)
+		clean, err := codec.DecodeContext(ctx, v, codec.DecodeOptions{}, workers)
 		if err != nil {
 			return nil, err
 		}
-		clean, err := codec.RecsToDisplay(v, recs)
-		if err != nil {
-			return nil, err
+		recs := make([]*frame.Frame, len(v.Frames))
+		for i, ef := range v.Frames {
+			recs[i] = clean.Frames[ef.DisplayIdx]
 		}
-		cleanPSNR, err := quality.PSNR(seq, clean)
-		if err != nil {
-			return nil, err
-		}
+		// The sequence PSNR is the mean of the per-frame values, summed in
+		// display order.
 		framePSNR := make([]float64, len(clean.Frames))
+		var psnrSum float64
 		for d := range clean.Frames {
 			framePSNR[d], err = quality.PSNRFrame(seq.Frames[d], clean.Frames[d])
 			if err != nil {
 				return nil, err
 			}
+			psnrSum += framePSNR[d]
+		}
+		an, err := core.AnalyzeContext(ctx, v, core.DefaultOptions(), workers)
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, &EncodedVideo{
 			Name:           pc.Name,
 			Seq:            seq,
 			Video:          v,
-			Analysis:       core.Analyze(v, core.DefaultOptions()),
+			Analysis:       an,
 			CleanRecs:      recs,
 			Clean:          clean,
-			CleanPSNR:      cleanPSNR,
+			CleanPSNR:      psnrSum / float64(len(clean.Frames)),
 			CleanFramePSNR: framePSNR,
 			Pixels:         seq.PixelCount(),
 		})
@@ -152,19 +170,38 @@ func EncodeSuite(cfg Config) ([]*EncodedVideo, error) {
 	return out, nil
 }
 
-// qualityChangeDB is the evaluation's y-axis: the PSNR delta between the
-// corrupted decode and the clean decode, both measured against the original
-// raw video (negative = quality loss).
-func qualityChangeDB(orig, clean, corrupted *frame.Sequence) (float64, error) {
-	pc, err := quality.PSNR(orig, corrupted)
-	if err != nil {
-		return 0, err
+// worstStoredLoss runs the Monte-Carlo store round trips of Figure 11 and
+// the scrub sweep: runs trips of ev through sys, trip r seeded with
+// seed + r*stride, each damaged copy decoded and measured against the
+// original. It returns the largest PSNR loss against the clean decode (the
+// paper's conservative convention charges each video its worst trip) and
+// the residual flips of all trips.
+func worstStoredLoss(ctx context.Context, sys *store.System, ev *EncodedVideo, parts []core.FramePartition, runs int, seed, stride int64) (worst float64, flips int, err error) {
+	for run := 0; run < runs; run++ {
+		rng := rand.New(rand.NewSource(seed + int64(run)*stride))
+		stored, n, err := sys.StoreContext(ctx, ev.Video, parts, store.StoreOpts{Rng: rng})
+		if err != nil {
+			return 0, 0, err
+		}
+		flips += n
+		if n == 0 {
+			stored.Release()
+			continue
+		}
+		dec, err := codec.DecodeContext(ctx, stored, codec.DecodeOptions{}, workers)
+		stored.Release()
+		if err != nil {
+			return 0, 0, err
+		}
+		p, err := quality.PSNRContext(ctx, ev.Seq, dec, workers)
+		if err != nil {
+			return 0, 0, err
+		}
+		if loss := ev.CleanPSNR - p; loss > worst {
+			worst = loss
+		}
 	}
-	p0, err := quality.PSNR(orig, clean)
-	if err != nil {
-		return 0, err
-	}
-	return pc - p0, nil
+	return worst, flips, nil
 }
 
 // renderTable formats rows with aligned columns for terminal output.

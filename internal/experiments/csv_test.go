@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -58,7 +59,7 @@ func TestConservativeStrategy(t *testing.T) {
 	cfg := FastConfig()
 	cfg.Presets = []string{"crew_like"}
 	cfg.Runs = 2
-	f10, err := Figure10(cfg)
+	f10, err := Figure10(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

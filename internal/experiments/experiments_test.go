@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -8,7 +9,7 @@ import (
 )
 
 func TestEncodeSuiteFast(t *testing.T) {
-	suite, err := EncodeSuite(FastConfig())
+	suite, err := EncodeSuite(context.Background(), FastConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func TestFigure3Shape(t *testing.T) {
 	cfg := FastConfig()
 	cfg.Presets = []string{"crew_like"}
 	cfg.Runs = 2
-	res, err := Figure3(cfg)
+	res, err := Figure3(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestFigure9BinsOrderedByImportance(t *testing.T) {
 	cfg := FastConfig()
 	cfg.Presets = []string{"crew_like"}
 	cfg.Runs = 2
-	res, err := Figure9(cfg)
+	res, err := Figure9(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestFigure9LossGrowsWithRate(t *testing.T) {
 	cfg := FastConfig()
 	cfg.Presets = []string{"news_like"}
 	cfg.Runs = 2
-	res, err := Figure9(cfg)
+	res, err := Figure9(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestFigure10CumulativeStructure(t *testing.T) {
 	cfg := FastConfig()
 	cfg.Presets = []string{"crew_like"}
 	cfg.Runs = 2
-	res, err := Figure10(cfg)
+	res, err := Figure10(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestDeriveTable1Properties(t *testing.T) {
 	cfg := FastConfig()
 	cfg.Presets = []string{"crew_like"}
 	cfg.Runs = 2
-	f10, err := Figure10(cfg)
+	f10, err := Figure10(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestFigure11DesignOrdering(t *testing.T) {
 	cfg := FastConfig()
 	cfg.Presets = []string{"crew_like"}
 	cfg.Runs = 2
-	res, err := Figure11(cfg, []int{24}, core.PaperAssignment())
+	res, err := Figure11(context.Background(), cfg, []int{24}, core.PaperAssignment())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +259,7 @@ func TestEncryptionModesTable(t *testing.T) {
 func TestAblateEncoderOptions(t *testing.T) {
 	cfg := FastConfig()
 	cfg.Presets = []string{"crew_like"}
-	res, err := AblateEncoderOptions(cfg)
+	res, err := AblateEncoderOptions(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +297,7 @@ func TestScrubSweep(t *testing.T) {
 	cfg := FastConfig()
 	cfg.Presets = []string{"crew_like"}
 	cfg.Runs = 2
-	res, err := ScrubSweep(cfg, []float64{3, 24})
+	res, err := ScrubSweep(context.Background(), cfg, []float64{3, 24})
 	if err != nil {
 		t.Fatal(err)
 	}

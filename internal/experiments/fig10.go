@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -23,8 +24,8 @@ type Fig10Result struct {
 
 // Figure10 reproduces the cumulative importance-class experiment that drives
 // the §7.2 error correction assignment.
-func Figure10(cfg Config) (*Fig10Result, error) {
-	suite, err := EncodeSuite(cfg)
+func Figure10(ctx context.Context, cfg Config) (*Fig10Result, error) {
+	suite, err := EncodeSuite(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -70,7 +71,7 @@ func Figure10(cfg Config) (*Fig10Result, error) {
 			}
 			region := newBitRegion(members)
 			for ri, p := range rates {
-				mean, _, err := measureRegionLoss(ev, region, p, cfg.Runs, cfg.Seed+int64(ci*10007+ri))
+				mean, _, err := measureRegionLoss(ctx, ev, region, p, cfg.Runs, cfg.Seed+int64(ci*10007+ri))
 				if err != nil {
 					return nil, err
 				}

@@ -3,12 +3,9 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
-	"videoapp/internal/codec"
 	"videoapp/internal/core"
 	"videoapp/internal/mlc"
-	"videoapp/internal/quality"
 	"videoapp/internal/store"
 )
 
@@ -57,7 +54,7 @@ func designAssignment(name string, variable core.ClassAssignment) core.ClassAssi
 // Figure11 reproduces the overall storage benefit evaluation: for each CRF
 // quality target and each design, the density (cells per encoded pixel) and
 // the resulting quality after one storage round trip.
-func Figure11(cfg Config, crfs []int, variable core.ClassAssignment) (*Fig11Result, error) {
+func Figure11(ctx context.Context, cfg Config, crfs []int, variable core.ClassAssignment) (*Fig11Result, error) {
 	if len(crfs) == 0 {
 		crfs = []int{16, 20, 24}
 	}
@@ -66,7 +63,7 @@ func Figure11(cfg Config, crfs []int, variable core.ClassAssignment) (*Fig11Resu
 	for _, crf := range crfs {
 		c := cfg
 		c.CRF = crf
-		suite, err := EncodeSuite(c)
+		suite, err := EncodeSuite(ctx, c)
 		if err != nil {
 			return nil, err
 		}
@@ -79,45 +76,18 @@ func Figure11(cfg Config, crfs []int, variable core.ClassAssignment) (*Fig11Resu
 			var cellsPP, psnr, worstLoss, overhead float64
 			for _, ev := range suite {
 				parts := ev.Analysis.Partition(assignment)
-				st, err := sys.Footprint(ev.Video, parts, ev.Pixels)
+				st, err := sys.FootprintContext(ctx, ev.Video, parts, ev.Pixels, workers)
 				if err != nil {
 					return nil, err
 				}
 				cellsPP += st.CellsPerPixel
 				overhead += st.ECCOverhead
 
-				cleanPSNR, err := quality.PSNR(ev.Seq, ev.Clean)
+				worst, _, err := worstStoredLoss(ctx, sys, ev, parts, cfg.Runs, cfg.Seed, 104729)
 				if err != nil {
 					return nil, err
 				}
-				// Monte-Carlo store round trips; paper convention: report
-				// the maximum loss per video.
-				worst := 0.0
-				for run := 0; run < cfg.Runs; run++ {
-					rng := rand.New(rand.NewSource(cfg.Seed + int64(run)*104729))
-					//vetvideoapp:allow ctxfirst — the experiment harness is a batch driver with no caller cancellation to thread
-					stored, flips, err := sys.StoreContext(context.Background(), ev.Video, parts, store.StoreOpts{Rng: rng})
-					if err != nil {
-						return nil, err
-					}
-					if flips == 0 {
-						stored.Release()
-						continue
-					}
-					dec, err := codec.Decode(stored)
-					stored.Release()
-					if err != nil {
-						return nil, err
-					}
-					change, err := qualityChangeDB(ev.Seq, ev.Clean, dec)
-					if err != nil {
-						return nil, err
-					}
-					if loss := -change; loss > worst {
-						worst = loss
-					}
-				}
-				psnr += cleanPSNR - worst
+				psnr += ev.CleanPSNR - worst
 				if worst > worstLoss {
 					worstLoss = worst
 				}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -26,8 +27,8 @@ type Fig3Result struct {
 // Figure3 reproduces the single-flip position sweep. Flips are injected into
 // P frames and the damaged frame is decoded against clean references,
 // excluding compensation effects exactly as the paper does (§3.1).
-func Figure3(cfg Config) (*Fig3Result, error) {
-	suite, err := EncodeSuite(cfg)
+func Figure3(ctx context.Context, cfg Config) (*Fig3Result, error) {
+	suite, err := EncodeSuite(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -60,6 +61,9 @@ func Figure3(cfg Config) (*Fig3Result, error) {
 			samplesPerVideo = 1
 		}
 		for s := 0; s < samplesPerVideo; s++ {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			fi := pFrames[rng.Intn(len(pFrames))]
 			ef := ev.Video.Frames[fi]
 			for my := 0; my < mbRows; my++ {

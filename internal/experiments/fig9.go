@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 )
@@ -26,8 +27,8 @@ type Fig9Result struct {
 // Figure9 reproduces the bin-injection validation experiment: sort all MBs
 // by importance, divide into 16 equal-storage bins, inject errors into one
 // bin at a time at each rate, and measure the quality change.
-func Figure9(cfg Config) (*Fig9Result, error) {
-	suite, err := EncodeSuite(cfg)
+func Figure9(ctx context.Context, cfg Config) (*Fig9Result, error) {
+	suite, err := EncodeSuite(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -62,7 +63,7 @@ func Figure9(cfg Config) (*Fig9Result, error) {
 			}
 			region := newBitRegion(bin)
 			for ri, p := range rates {
-				mean, _, err := measureRegionLoss(ev, region, p, cfg.Runs, cfg.Seed+int64(b*1000+ri))
+				mean, _, err := measureRegionLoss(ctx, ev, region, p, cfg.Runs, cfg.Seed+int64(b*1000+ri))
 				if err != nil {
 					return nil, err
 				}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 
@@ -77,10 +78,13 @@ func (r *bitRegion) inject(v *codec.Video, rng *rand.Rand, p float64) (damaged *
 // change in dB (negative = loss), with forced-flip scaling at low rates.
 // Frames coded before the first corrupted one reuse their cached clean
 // per-frame PSNRs, so the cost scales with the damaged suffix only.
-func measureRegionLoss(ev *EncodedVideo, region *bitRegion, p float64, runs int, seed int64) (mean, worst float64, err error) {
+func measureRegionLoss(ctx context.Context, ev *EncodedVideo, region *bitRegion, p float64, runs int, seed int64) (mean, worst float64, err error) {
 	n := len(ev.Video.Frames)
 	worst = 0
 	for run := 0; run < runs; run++ {
+		if err := ctx.Err(); err != nil {
+			return 0, 0, err
+		}
 		rng := rand.New(rand.NewSource(seed + int64(run)*7919))
 		damaged, firstDirty, scale := region.inject(ev.Video, rng, p)
 		var change float64

@@ -3,12 +3,9 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
-	"videoapp/internal/codec"
 	"videoapp/internal/core"
 	"videoapp/internal/mlc"
-	"videoapp/internal/quality"
 	"videoapp/internal/store"
 )
 
@@ -32,11 +29,11 @@ type ScrubResult struct {
 
 // ScrubSweep evaluates the variable-correction design across scrubbing
 // intervals using the computed (not nominal) residual rates.
-func ScrubSweep(cfg Config, months []float64) (*ScrubResult, error) {
+func ScrubSweep(ctx context.Context, cfg Config, months []float64) (*ScrubResult, error) {
 	if len(months) == 0 {
 		months = []float64{1, 3, 6, 12, 24}
 	}
-	suite, err := EncodeSuite(cfg)
+	suite, err := EncodeSuite(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -54,32 +51,11 @@ func ScrubSweep(cfg Config, months []float64) (*ScrubResult, error) {
 		var psnrSum float64
 		for _, ev := range suite {
 			parts := ev.Analysis.Partition(core.PaperAssignment())
-			worst := 0.0
-			for run := 0; run < cfg.Runs; run++ {
-				rng := rand.New(rand.NewSource(cfg.Seed + int64(run)*31337))
-				//vetvideoapp:allow ctxfirst — the experiment harness is a batch driver with no caller cancellation to thread
-				stored, flips, err := sys.StoreContext(context.Background(), ev.Video, parts, store.StoreOpts{Rng: rng})
-				if err != nil {
-					return nil, err
-				}
-				row.Flips += flips
-				if flips == 0 {
-					stored.Release()
-					continue
-				}
-				dec, err := codec.Decode(stored)
-				stored.Release()
-				if err != nil {
-					return nil, err
-				}
-				p, err := quality.PSNR(ev.Seq, dec)
-				if err != nil {
-					return nil, err
-				}
-				if loss := ev.CleanPSNR - p; loss > worst {
-					worst = loss
-				}
+			worst, flips, err := worstStoredLoss(ctx, sys, ev, parts, cfg.Runs, cfg.Seed, 31337)
+			if err != nil {
+				return nil, err
 			}
+			row.Flips += flips
 			if worst > row.WorstLoss {
 				row.WorstLoss = worst
 			}

@@ -64,9 +64,6 @@ func (f *Frame) MBCols() int { return f.W / MBSize }
 // MBRows returns the number of macroblock rows.
 func (f *Frame) MBRows() int { return f.H / MBSize }
 
-// MBCount returns the total number of macroblocks.
-func (f *Frame) MBCount() int { return f.MBCols() * f.MBRows() }
-
 // LumaAt returns the luma sample at (x, y) with edge clamping, so motion
 // compensation may reference slightly out-of-frame pixels as H.264 does.
 func (f *Frame) LumaAt(x, y int) uint8 {
@@ -118,9 +115,6 @@ func (m MB) Index(mbCols int) int { return m.Y*mbCols + m.X }
 
 // MBFromIndex converts a raster-scan index back to an address.
 func MBFromIndex(idx, mbCols int) MB { return MB{X: idx % mbCols, Y: idx / mbCols} }
-
-// PixelOrigin returns the top-left luma pixel coordinate of the macroblock.
-func (m MB) PixelOrigin() (x, y int) { return m.X * MBSize, m.Y * MBSize }
 
 // Sequence is an ordered list of frames at a fixed rate.
 type Sequence struct {

@@ -1,6 +1,7 @@
 package quality
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -36,25 +37,17 @@ func TestVIFSizeMismatch(t *testing.T) {
 func TestSequenceMetricErrorsPropagate(t *testing.T) {
 	good := &frame.Sequence{Frames: []*frame.Frame{frame.MustNew(16, 16)}}
 	bad := &frame.Sequence{Frames: []*frame.Frame{frame.MustNew(32, 32)}}
-	if _, err := SSIM(good, bad); err == nil {
-		t.Fatal("SSIM must propagate frame errors")
+	ctx := context.Background()
+	if _, err := MeasureContext(ctx, good, bad, 1); err == nil {
+		t.Fatal("MeasureContext must propagate frame errors")
 	}
-	if _, err := MSSSIM(good, bad); err == nil {
-		t.Fatal("MSSSIM must propagate frame errors")
+	if _, err := PSNRContext(ctx, good, bad, 1); err == nil {
+		t.Fatal("PSNRContext must propagate frame errors")
 	}
-	if _, err := VIF(good, bad); err == nil {
-		t.Fatal("VIF must propagate frame errors")
-	}
-	if _, err := Measure(good, bad); err == nil {
-		t.Fatal("Measure must propagate frame errors")
-	}
-	if _, err := SSIM(good, &frame.Sequence{}); err == nil {
+	if _, err := MeasureContext(ctx, good, &frame.Sequence{}, 1); err == nil {
 		t.Fatal("length mismatch")
 	}
-	if _, err := MSSSIM(good, &frame.Sequence{}); err == nil {
-		t.Fatal("length mismatch")
-	}
-	if _, err := VIF(good, &frame.Sequence{}); err == nil {
+	if _, err := PSNRContext(ctx, good, &frame.Sequence{}, 1); err == nil {
 		t.Fatal("length mismatch")
 	}
 }

@@ -11,15 +11,16 @@ import (
 
 // frameReport is the full metric set of one frame pair, computed
 // independently per frame and reduced in frame order so the averages are
-// bit-identical to the serial metric loops at every worker count.
+// bit-identical at every worker count.
 type frameReport struct {
 	psnr, ssim, msssim, vif float64
 }
 
-// MeasureContext is Measure with per-frame fan-out across workers and
-// cooperative cancellation checked at frame boundaries. workers <= 0
-// selects GOMAXPROCS; the result is identical to Measure for every worker
-// count.
+// MeasureContext computes every supported metric between reference and
+// distorted, each averaged across frames, with per-frame fan-out across
+// workers and cooperative cancellation checked at frame boundaries.
+// workers <= 0 selects GOMAXPROCS; workers = 1 is the serial form, and the
+// result is identical at every worker count.
 func MeasureContext(ctx context.Context, ref, dist *frame.Sequence, workers int) (Report, error) {
 	if len(ref.Frames) != len(dist.Frames) {
 		return Report{}, fmt.Errorf("quality: sequence lengths %d vs %d differ", len(ref.Frames), len(dist.Frames))
@@ -54,8 +55,8 @@ func MeasureContext(ctx context.Context, ref, dist *frame.Sequence, workers int)
 	if err != nil {
 		return Report{}, err
 	}
-	// Reduce in frame order: the same addition order as the serial metric
-	// loops, hence bit-identical averages.
+	// Reduce in frame order: the same addition order at every worker count,
+	// hence bit-identical averages.
 	var r Report
 	for _, fr := range perFrame {
 		r.PSNR += fr.psnr
@@ -71,8 +72,11 @@ func MeasureContext(ctx context.Context, ref, dist *frame.Sequence, workers int)
 	return r, nil
 }
 
-// PSNRContext is PSNR with per-frame fan-out and cooperative cancellation;
-// identical to PSNR for every worker count.
+// PSNRContext computes the average per-frame luma PSNR across two
+// sequences, following the paper's methodology (average PSNR across
+// frames), with per-frame fan-out and cooperative cancellation. workers <= 0
+// selects GOMAXPROCS; workers = 1 is the serial form, and the result is
+// identical at every worker count.
 func PSNRContext(ctx context.Context, ref, dist *frame.Sequence, workers int) (float64, error) {
 	if len(ref.Frames) != len(dist.Frames) {
 		return 0, fmt.Errorf("quality: sequence lengths %d vs %d differ", len(ref.Frames), len(dist.Frames))

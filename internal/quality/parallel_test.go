@@ -33,12 +33,35 @@ func noisySequences(frames int) (*frame.Sequence, *frame.Sequence) {
 	return ref, dist
 }
 
+// serialReport averages the per-frame metrics in one frame-order loop, the
+// oracle of MeasureContext's reduction.
+func serialReport(t *testing.T, ref, dist *frame.Sequence) Report {
+	t.Helper()
+	var r Report
+	for i := range ref.Frames {
+		a, b := ref.Frames[i], dist.Frames[i]
+		for _, m := range []struct {
+			sum *float64
+			f   func(a, b *frame.Frame) (float64, error)
+		}{{&r.PSNR, PSNRFrame}, {&r.SSIM, SSIMFrame}, {&r.MSSSIM, MSSSIMFrame}, {&r.VIF, VIFFrame}} {
+			v, err := m.f(a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			*m.sum += v
+		}
+	}
+	n := float64(len(ref.Frames))
+	r.PSNR /= n
+	r.SSIM /= n
+	r.MSSSIM /= n
+	r.VIF /= n
+	return r
+}
+
 func TestMeasureContextBitIdentical(t *testing.T) {
 	ref, dist := noisySequences(13)
-	serial, err := Measure(ref, dist)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := serialReport(t, ref, dist)
 	for _, workers := range []int{1, 2, 8} {
 		got, err := MeasureContext(context.Background(), ref, dist, workers)
 		if err != nil {
@@ -48,10 +71,7 @@ func TestMeasureContextBitIdentical(t *testing.T) {
 			t.Fatalf("workers=%d: %+v != serial %+v", workers, got, serial)
 		}
 	}
-	p, err := PSNR(ref, dist)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := serial.PSNR
 	for _, workers := range []int{1, 2, 8} {
 		got, err := PSNRContext(context.Background(), ref, dist, workers)
 		if err != nil {

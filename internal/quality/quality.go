@@ -1,7 +1,9 @@
 // Package quality implements the objective video quality metrics used by the
 // evaluation: PSNR (the paper's reported metric), SSIM, MS-SSIM and a
 // pixel-domain VIF, each averaged across frames as is standard practice.
-// It stands in for the VQMT measurement tool used by the paper.
+// It stands in for the VQMT measurement tool used by the paper. The
+// per-frame metrics are the *Frame functions; a sequence is measured with
+// PSNRContext (PSNR alone) or MeasureContext (every metric).
 package quality
 
 import (
@@ -58,26 +60,6 @@ func squaredErrorScalar(a, b []uint8) uint64 {
 	return s0 + s1 + s2 + s3
 }
 
-// PSNR computes the average per-frame luma PSNR across two sequences,
-// following the paper's methodology (average PSNR across frames).
-func PSNR(a, b *frame.Sequence) (float64, error) {
-	if len(a.Frames) != len(b.Frames) {
-		return 0, fmt.Errorf("quality: sequence lengths %d vs %d differ", len(a.Frames), len(b.Frames))
-	}
-	if len(a.Frames) == 0 {
-		return 0, fmt.Errorf("quality: empty sequences")
-	}
-	var sum float64
-	for i := range a.Frames {
-		p, err := PSNRFrame(a.Frames[i], b.Frames[i])
-		if err != nil {
-			return 0, err
-		}
-		sum += p
-	}
-	return sum / float64(len(a.Frames)), nil
-}
-
 // SSIM constants per the original paper (k1=0.01, k2=0.03, L=255).
 const (
 	ssimC1 = (0.01 * 255) * (0.01 * 255)
@@ -128,22 +110,6 @@ func ssimPlane(ya, yb []uint8, w, h int) float64 {
 	return total / float64(n)
 }
 
-// SSIM averages SSIMFrame across the sequences.
-func SSIM(a, b *frame.Sequence) (float64, error) {
-	if len(a.Frames) != len(b.Frames) || len(a.Frames) == 0 {
-		return 0, fmt.Errorf("quality: sequence length mismatch")
-	}
-	var sum float64
-	for i := range a.Frames {
-		s, err := SSIMFrame(a.Frames[i], b.Frames[i])
-		if err != nil {
-			return 0, err
-		}
-		sum += s
-	}
-	return sum / float64(len(a.Frames)), nil
-}
-
 // msScaleWeights are the standard MS-SSIM scale weights (Wang et al.).
 var msScaleWeights = []float64{0.0448, 0.2856, 0.3001, 0.2363, 0.1333}
 
@@ -189,22 +155,6 @@ func downsample2(y []uint8, w, h int) []uint8 {
 		}
 	}
 	return out
-}
-
-// MSSSIM averages MSSSIMFrame across the sequences.
-func MSSSIM(a, b *frame.Sequence) (float64, error) {
-	if len(a.Frames) != len(b.Frames) || len(a.Frames) == 0 {
-		return 0, fmt.Errorf("quality: sequence length mismatch")
-	}
-	var sum float64
-	for i := range a.Frames {
-		s, err := MSSSIMFrame(a.Frames[i], b.Frames[i])
-		if err != nil {
-			return 0, err
-		}
-		sum += s
-	}
-	return sum / float64(len(a.Frames)), nil
 }
 
 // VIFFrame computes a pixel-domain Visual Information Fidelity score over
@@ -258,45 +208,10 @@ func VIFFrame(a, b *frame.Frame) (float64, error) {
 	return num / den, nil
 }
 
-// VIF averages VIFFrame across the sequences.
-func VIF(a, b *frame.Sequence) (float64, error) {
-	if len(a.Frames) != len(b.Frames) || len(a.Frames) == 0 {
-		return 0, fmt.Errorf("quality: sequence length mismatch")
-	}
-	var sum float64
-	for i := range a.Frames {
-		s, err := VIFFrame(a.Frames[i], b.Frames[i])
-		if err != nil {
-			return 0, err
-		}
-		sum += s
-	}
-	return sum / float64(len(a.Frames)), nil
-}
-
 // Report bundles all metrics for one comparison.
 type Report struct {
 	PSNR   float64
 	SSIM   float64
 	MSSSIM float64
 	VIF    float64
-}
-
-// Measure computes every supported metric between reference and distorted.
-func Measure(ref, dist *frame.Sequence) (Report, error) {
-	var r Report
-	var err error
-	if r.PSNR, err = PSNR(ref, dist); err != nil {
-		return r, err
-	}
-	if r.SSIM, err = SSIM(ref, dist); err != nil {
-		return r, err
-	}
-	if r.MSSSIM, err = MSSSIM(ref, dist); err != nil {
-		return r, err
-	}
-	if r.VIF, err = VIF(ref, dist); err != nil {
-		return r, err
-	}
-	return r, nil
 }

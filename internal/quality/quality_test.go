@@ -1,6 +1,7 @@
 package quality
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -132,7 +133,7 @@ func TestSequenceAverages(t *testing.T) {
 	f := textured(64, 64)
 	g := noisy(f, 10, 6)
 	pf, _ := PSNRFrame(f, g)
-	ps, err := PSNR(seqOf(f, f), seqOf(g, f))
+	ps, err := PSNRContext(context.Background(), seqOf(f, f), seqOf(g, f), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,10 +145,11 @@ func TestSequenceAverages(t *testing.T) {
 
 func TestSequenceLengthMismatch(t *testing.T) {
 	f := textured(64, 64)
-	if _, err := PSNR(seqOf(f), seqOf(f, f)); err == nil {
+	ctx := context.Background()
+	if _, err := PSNRContext(ctx, seqOf(f), seqOf(f, f), 1); err == nil {
 		t.Fatal("length mismatch must error")
 	}
-	if _, err := PSNR(seqOf(), seqOf()); err == nil {
+	if _, err := PSNRContext(ctx, seqOf(), seqOf(), 1); err == nil {
 		t.Fatal("empty must error")
 	}
 }
@@ -155,7 +157,7 @@ func TestSequenceLengthMismatch(t *testing.T) {
 func TestMeasureAllMetrics(t *testing.T) {
 	f := textured(64, 64)
 	g := noisy(f, 6, 7)
-	r, err := Measure(seqOf(f), seqOf(g))
+	r, err := MeasureContext(context.Background(), seqOf(f), seqOf(g), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,8 +176,8 @@ func TestMetricsAgreeOnRanking(t *testing.T) {
 	light := seqOf(noisy(f, 3, 8))
 	heavy := seqOf(noisy(f, 25, 8))
 	ref := seqOf(f)
-	rl, _ := Measure(ref, light)
-	rh, _ := Measure(ref, heavy)
+	rl, _ := MeasureContext(context.Background(), ref, light, 1)
+	rh, _ := MeasureContext(context.Background(), ref, heavy, 1)
 	if !(rl.PSNR > rh.PSNR && rl.SSIM > rh.SSIM && rl.MSSSIM > rh.MSSSIM && rl.VIF > rh.VIF) {
 		t.Fatalf("metric ranking disagreement: light %+v heavy %+v", rl, rh)
 	}

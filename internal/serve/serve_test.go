@@ -47,7 +47,10 @@ func buildArchive(t testing.TB, gops int, tune func(*codec.Params)) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	an := core.Analyze(v, core.DefaultOptions())
+	an, err := core.AnalyzeContext(context.Background(), v, core.DefaultOptions(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	parts := an.Partition(core.PaperAssignment())
 
 	gopsPerChunk := 1
@@ -125,7 +128,7 @@ func wantChunkBody(t testing.TB, a *store.ChunkArchive, i int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := codec.Decode(v)
+	seq, err := codec.DecodeContext(context.Background(), v, codec.DecodeOptions{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Package sim provides the Monte-Carlo machinery of §6.4: reproducible
 // random error placement with exact binomial statistics (via geometric
-// skipping), multi-run experiment execution, and the paper's scaling rule
+// skipping) and the paper's scaling rule
 // for very low error rates (guarantee at least one flip, then scale the
 // measured loss by the probability that any flip occurs).
 package sim
@@ -11,9 +11,6 @@ import (
 
 	"videoapp/internal/bitio"
 )
-
-// DefaultRuns is the paper's Monte-Carlo repetition count per video.
-const DefaultRuns = 30
 
 // MaxGeometric is the clamp on Geometric's return value: large enough that
 // no realistic trial count reaches it (2^62 trials), small enough that the
@@ -47,10 +44,8 @@ func Geometric(rng *rand.Rand, p float64) int64 {
 
 // VisitErrorPositions calls visit, in increasing order, with the position of
 // every iid Bernoulli(p) error among n Bernoulli trials, using geometric
-// jumps. It draws exactly the RNG sequence ErrorPositions draws (one
-// Geometric variate per visited position plus the terminating draw), so the
-// two forms are interchangeable under a shared seed; the callback form
-// performs no allocation. The number of visits is exactly Binomial(n, p)-
+// jumps: one Geometric variate per visited position plus the terminating
+// draw, and no allocation. The number of visits is exactly Binomial(n, p)-
 // distributed. The advance is overflow-safe for every n.
 func VisitErrorPositions(rng *rand.Rand, n int64, p float64, visit func(pos int64)) {
 	pos := Geometric(rng, p)
@@ -66,17 +61,6 @@ func VisitErrorPositions(rng *rand.Rand, n int64, p float64, visit func(pos int6
 		}
 		pos += 1 + adv
 	}
-}
-
-// ErrorPositions returns the positions of iid Bernoulli(p) errors among n
-// Bernoulli trials, using geometric jumps. The count of returned positions
-// is exactly Binomial(n, p)-distributed. Hot paths should prefer
-// VisitErrorPositions, which yields the identical sequence without
-// allocating.
-func ErrorPositions(rng *rand.Rand, n int64, p float64) []int64 {
-	var out []int64
-	VisitErrorPositions(rng, n, p, func(pos int64) { out = append(out, pos) })
-	return out
 }
 
 // FlipIID flips each of the first bits bits of buf independently with
@@ -133,42 +117,4 @@ func maxi64(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-// Runner executes repeated stochastic trials with derived, reproducible
-// seeds and aggregates a scalar result.
-type Runner struct {
-	Seed int64
-	Runs int
-}
-
-// NewRunner returns a Runner with the paper's 30-run default.
-func NewRunner(seed int64) Runner { return Runner{Seed: seed, Runs: DefaultRuns} }
-
-// Result summarizes the runs.
-type Result struct {
-	Mean, Min, Max float64
-	N              int
-}
-
-// Run executes trial once per run with a distinct deterministic RNG and
-// aggregates the returned scalars.
-func (r Runner) Run(trial func(rng *rand.Rand) float64) Result {
-	res := Result{Min: math.Inf(1), Max: math.Inf(-1)}
-	for i := 0; i < r.Runs; i++ {
-		rng := rand.New(rand.NewSource(r.Seed + int64(i)*1_000_003))
-		v := trial(rng)
-		res.Mean += v
-		if v < res.Min {
-			res.Min = v
-		}
-		if v > res.Max {
-			res.Max = v
-		}
-		res.N++
-	}
-	if res.N > 0 {
-		res.Mean /= float64(res.N)
-	}
-	return res
 }

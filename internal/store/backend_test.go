@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"os"
@@ -86,11 +87,11 @@ func TestBackendsServeIdenticalArchives(t *testing.T) {
 			if len(got.Frames) != len(ref.Frames) {
 				t.Fatalf("%s: chunk %d: %d frames, want %d", name, i, len(got.Frames), len(ref.Frames))
 			}
-			gd, err := codec.Decode(got)
+			gd, err := codec.DecodeContext(context.Background(), got, codec.DecodeOptions{}, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rd, err := codec.Decode(ref)
+			rd, err := codec.DecodeContext(context.Background(), ref, codec.DecodeOptions{}, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -121,7 +121,11 @@ func ledgerChunk(tb testing.TB) (*codec.Video, []core.FramePartition, []byte) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	parts := core.Analyze(v, core.DefaultOptions()).Partition(core.PaperAssignment())
+	an, err := core.AnalyzeContext(context.Background(), v, core.DefaultOptions(), 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	parts := an.Partition(core.PaperAssignment())
 	var buf bytes.Buffer
 	cw, err := NewChunkWriter(&buf, ArchiveMeta{W: v.W, H: v.H, FPS: v.FPS, GOPSize: 6, GOPsPerChunk: 1})
 	if err != nil {

@@ -23,7 +23,10 @@ func TestBlockAccurateMatchesAnalyticRates(t *testing.T) {
 		Bounds: []core.ClassBound{{MaxClass: 1 << 30, Scheme: bch.SchemeNone}},
 		Header: bch.SchemeBCH16,
 	}
-	an := core.Analyze(v, core.DefaultOptions())
+	an, err := core.AnalyzeContext(context.Background(), v, core.DefaultOptions(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	parts := an.Partition(uniformNone)
 	sys, err := New(Config{Substrate: mlc.Default(), Assignment: uniformNone, BlockAccurate: true})
 	if err != nil {
@@ -54,7 +57,10 @@ func TestBlockAccurateProtectedNearlySilent(t *testing.T) {
 		Bounds: []core.ClassBound{{MaxClass: 1 << 30, Scheme: bch.SchemeBCH6}},
 		Header: bch.SchemeBCH16,
 	}
-	an := core.Analyze(v, core.DefaultOptions())
+	an, err := core.AnalyzeContext(context.Background(), v, core.DefaultOptions(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	parts := an.Partition(allBCH6)
 	sys, err := New(Config{Substrate: mlc.Default(), Assignment: allBCH6, BlockAccurate: true})
 	if err != nil {
@@ -86,7 +92,7 @@ func TestBlockAccurateStillDecodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := codec.Decode(stored); err != nil {
+	if _, err := codec.DecodeContext(context.Background(), stored, codec.DecodeOptions{}, 1); err != nil {
 		t.Fatal(err)
 	}
 }

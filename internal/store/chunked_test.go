@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -29,7 +30,10 @@ func buildChunkedVideo(t testing.TB, gops int) (*codec.Video, []*codec.Video, []
 	if err != nil {
 		t.Fatal(err)
 	}
-	an := core.Analyze(v, core.DefaultOptions())
+	an, err := core.AnalyzeContext(context.Background(), v, core.DefaultOptions(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	parts := an.Partition(core.PaperAssignment())
 	var chunks []*codec.Video
 	var chunkParts [][]core.FramePartition
@@ -117,11 +121,11 @@ func TestChunkArchiveRoundTrip(t *testing.T) {
 		}
 		// The chunk must decode on its own, pixel-identical to the same
 		// frames decoded as part of the whole video.
-		whole, err := codec.Decode(v)
+		whole, err := codec.DecodeContext(context.Background(), v, codec.DecodeOptions{}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := codec.Decode(got)
+		dec, err := codec.DecodeContext(context.Background(), got, codec.DecodeOptions{}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

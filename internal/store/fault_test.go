@@ -162,7 +162,7 @@ func TestStreamCorruptionDegrades(t *testing.T) {
 	if cr.Video == nil || len(cr.Video.Frames) == 0 {
 		t.Fatal("degraded read returned no video")
 	}
-	if _, err := codec.Decode(cr.Video); err != nil {
+	if _, err := codec.DecodeContext(context.Background(), cr.Video, codec.DecodeOptions{}, 1); err != nil {
 		t.Fatalf("degraded video must still decode: %v", err)
 	}
 	s := m.Snapshot()

@@ -133,7 +133,7 @@ func TestStoreContextDoesNotMutateInput(t *testing.T) {
 func TestFootprintContextMatchesSerial(t *testing.T) {
 	v, _, parts, pixels := buildVideo(t)
 	s := variableSystem(t)
-	ref, err := s.Footprint(v, parts, pixels)
+	ref, err := s.FootprintContext(context.Background(), v, parts, pixels, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +162,8 @@ func TestFootprintContextMatchesSerial(t *testing.T) {
 func TestPartitionMismatchSentinel(t *testing.T) {
 	v, _, parts, pixels := buildVideo(t)
 	s := variableSystem(t)
-	if _, err := s.Footprint(v, parts[:1], pixels); !errors.Is(err, ErrPartitionMismatch) {
-		t.Fatalf("Footprint: got %v", err)
+	if _, err := s.FootprintContext(context.Background(), v, parts[:1], pixels, 1); !errors.Is(err, ErrPartitionMismatch) {
+		t.Fatalf("FootprintContext: got %v", err)
 	}
 	if _, _, err := s.StoreContext(context.Background(), v, parts[:1], StoreOpts{Seed: 1, Workers: 2}); !errors.Is(err, ErrPartitionMismatch) {
 		t.Fatalf("StoreContext: got %v", err)
@@ -195,7 +195,7 @@ func TestStoreContextRoundTripDecodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := codec.Decode(stored); err != nil {
+	if _, err := codec.DecodeContext(context.Background(), stored, codec.DecodeOptions{}, 1); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -136,13 +136,6 @@ type FrameCost struct {
 	PerScheme   map[string]int64
 }
 
-// Footprint computes the storage cost of a partitioned video, including the
-// precisely-stored frame headers and pivot tables.
-func (s *System) Footprint(v *codec.Video, parts []core.FramePartition, pixels int64) (Stats, error) {
-	//vetvideoapp:allow ctxfirst — Footprint is the documented context-less convenience form of FootprintContext
-	return s.FootprintContext(context.Background(), v, parts, pixels, 1)
-}
-
 // FrameCosts computes each frame's independent footprint contribution with
 // per-frame fan-out across workers and cooperative cancellation. An observer
 // attached to ctx (obs.With) receives the footprint stage span and per-frame
@@ -221,7 +214,9 @@ func PublishFootprint(o obs.Observer, st Stats) {
 	o.Gauge(obs.GaugeCellsPerPixel, "", st.CellsPerPixel)
 }
 
-// FootprintContext is Footprint with per-frame fan-out across workers and
+// FootprintContext computes the storage cost of a partitioned video,
+// including the precisely-stored frame headers and pivot tables, with
+// per-frame fan-out across workers (workers = 1 is the serial form) and
 // cooperative cancellation. Per-frame costs are accumulated independently
 // and reduced in frame order, so the result is identical for every worker
 // count. An observer attached to ctx (obs.With) receives the footprint

@@ -23,7 +23,10 @@ func buildVideo(t testing.TB) (*codec.Video, *core.Analysis, []core.FramePartiti
 	if err != nil {
 		t.Fatal(err)
 	}
-	an := core.Analyze(v, core.DefaultOptions())
+	an, err := core.AnalyzeContext(context.Background(), v, core.DefaultOptions(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	parts := an.Partition(core.PaperAssignment())
 	return v, an, parts, seq.PixelCount()
 }
@@ -47,7 +50,7 @@ func TestNewValidatesSubstrate(t *testing.T) {
 func TestFootprintAccounting(t *testing.T) {
 	v, _, parts, pixels := buildVideo(t)
 	s := variableSystem(t)
-	st, err := s.Footprint(v, parts, pixels)
+	st, err := s.FootprintContext(context.Background(), v, parts, pixels, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,13 +77,16 @@ func TestVariableBeatsUniformDensity(t *testing.T) {
 	uniform, _ := New(Config{Substrate: mlc.Default(), Assignment: core.UniformAssignment()})
 	ideal, _ := New(Config{Substrate: mlc.Default(), Assignment: core.IdealAssignment()})
 
-	an := core.Analyze(v, core.DefaultOptions())
+	an, err := core.AnalyzeContext(context.Background(), v, core.DefaultOptions(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	uniParts := an.Partition(core.UniformAssignment())
 	idealParts := an.Partition(core.IdealAssignment())
 
-	sv, _ := variable.Footprint(v, parts, pixels)
-	su, _ := uniform.Footprint(v, uniParts, pixels)
-	si, _ := ideal.Footprint(v, idealParts, pixels)
+	sv, _ := variable.FootprintContext(context.Background(), v, parts, pixels, 1)
+	su, _ := uniform.FootprintContext(context.Background(), v, uniParts, pixels, 1)
+	si, _ := ideal.FootprintContext(context.Background(), v, idealParts, pixels, 1)
 
 	if !(si.Cells < sv.Cells && sv.Cells < su.Cells) {
 		t.Fatalf("cells: ideal %.0f, variable %.0f, uniform %.0f — ordering violated",
@@ -98,10 +104,13 @@ func TestECCOverheadEliminationVsUniform(t *testing.T) {
 	v, _, parts, pixels := buildVideo(t)
 	variable := variableSystem(t)
 	uniform, _ := New(Config{Substrate: mlc.Default(), Assignment: core.UniformAssignment()})
-	an := core.Analyze(v, core.DefaultOptions())
+	an, err := core.AnalyzeContext(context.Background(), v, core.DefaultOptions(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	sv, _ := variable.Footprint(v, parts, pixels)
-	su, _ := uniform.Footprint(v, an.Partition(core.UniformAssignment()), pixels)
+	sv, _ := variable.FootprintContext(context.Background(), v, parts, pixels, 1)
+	su, _ := uniform.FootprintContext(context.Background(), v, an.Partition(core.UniformAssignment()), pixels, 1)
 	cut := 1 - sv.ParityBits/su.ParityBits
 	if cut < 0.2 {
 		t.Fatalf("variable correction cuts only %.1f%% of parity bits", cut*100)
@@ -176,7 +185,7 @@ func TestStoredVideoStillDecodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := codec.Decode(stored); err != nil {
+	if _, err := codec.DecodeContext(context.Background(), stored, codec.DecodeOptions{}, 1); err != nil {
 		t.Fatalf("stored video failed to decode: %v", err)
 	}
 }
@@ -185,7 +194,7 @@ func TestQualityLossBounded(t *testing.T) {
 	// End-to-end §7 sanity: the variable-correction store should cost well
 	// under a few dB versus the clean decode on this small suite member.
 	v, _, parts, _ := buildVideo(t)
-	clean, err := codec.Decode(v)
+	clean, err := codec.DecodeContext(context.Background(), v, codec.DecodeOptions{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,11 +205,11 @@ func TestQualityLossBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := codec.Decode(stored)
+		dec, err := codec.DecodeContext(context.Background(), stored, codec.DecodeOptions{}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, _ := quality.PSNR(clean, dec)
+		p, _ := quality.PSNRContext(context.Background(), clean, dec, 1)
 		if loss := quality.MaxPSNR - p; loss > worst {
 			worst = loss
 		}
@@ -227,7 +236,7 @@ func TestBlockAccurateMode(t *testing.T) {
 	if flips < 0 {
 		t.Fatal("impossible")
 	}
-	if _, err := codec.Decode(v); err != nil {
+	if _, err := codec.DecodeContext(context.Background(), v, codec.DecodeOptions{}, 1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -243,7 +252,7 @@ func TestLongerScrubIntervalRaisesRates(t *testing.T) {
 func TestPartitionCountMismatch(t *testing.T) {
 	v, _, parts, _ := buildVideo(t)
 	s := variableSystem(t)
-	if _, err := s.Footprint(v, parts[:1], 100); err == nil {
+	if _, err := s.FootprintContext(context.Background(), v, parts[:1], 100, 1); err == nil {
 		t.Fatal("partition mismatch must error")
 	}
 	if _, _, err := s.StoreContext(context.Background(), v, parts[:1], StoreOpts{Rng: rand.New(rand.NewSource(1))}); err == nil {

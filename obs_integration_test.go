@@ -115,54 +115,74 @@ func requireSameMetrics(t testing.TB, s1, s8 MetricsSnapshot) {
 
 // TestMetricsReconcileWithResult checks the reconciliation contract
 // documented on Metrics: the footprint counters equal the Stats
-// breakdown and the residual-flip total equals the sum of the flip counts
-// returned by the round trips.
+// breakdown, the residual-flip total equals the sum of the flip counts
+// returned by the round trips, and the encode and decode stages account
+// for every frame — for a closed-GOP video and for an open-GOP one, whose
+// B frames make the whole sequence one unit of encode work.
 func TestMetricsReconcileWithResult(t *testing.T) {
-	seq, p := obsTestVideo(t)
-	m := NewMetrics()
-	pl := NewPipeline(WithParams(p), WithWorkers(4), WithObserver(m))
-	res, err := pl.ProcessContext(context.Background(), seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, flipsA, err := res.StoreRoundTripContext(context.Background(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, flipsB, err := res.StoreRoundTripContext(context.Background(), 99)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq, closed := obsTestVideo(t)
+	open := closed
+	open.BFrames, open.GOPSize = 2, 6
+	for name, p := range map[string]Params{"closed_gop": closed, "bframes": open} {
+		t.Run(name, func(t *testing.T) {
+			m := NewMetrics()
+			pl := NewPipeline(WithParams(p), WithWorkers(4), WithObserver(m))
+			res, err := pl.ProcessContext(context.Background(), seq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, flipsA, err := res.StoreRoundTripContext(context.Background(), 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, flipsB, err := res.StoreRoundTripContext(context.Background(), 99)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	snap := m.Snapshot()
-	for name, bits := range res.Stats.PerScheme {
-		if got := snap.Counter("footprint_payload_bits", name); got != bits {
-			t.Fatalf("payload bits %s: counter %d, Stats %d", name, got, bits)
-		}
-	}
-	if got := snap.CounterTotal("footprint_payload_bits"); got != res.Stats.PayloadBits {
-		t.Fatalf("payload total: counter %d, Stats %d", got, res.Stats.PayloadBits)
-	}
-	if got := snap.Counter("footprint_header_bits", ""); got != res.Stats.HeaderBits {
-		t.Fatalf("header bits: counter %d, Stats %d", got, res.Stats.HeaderBits)
-	}
-	if got := snap.Gauge("footprint_cells_per_pixel", ""); got != res.Stats.CellsPerPixel {
-		t.Fatalf("cells/pixel: gauge %v, Stats %v", got, res.Stats.CellsPerPixel)
-	}
-	if got := snap.CounterTotal("store_residual_flips"); got != int64(flipsA+flipsB) {
-		t.Fatalf("residual flips: counter %d, round trips returned %d", got, flipsA+flipsB)
-	}
-	if raw := snap.CounterTotal("store_raw_flips"); raw < snap.CounterTotal("store_residual_flips") {
-		t.Fatalf("raw flips %d below residual flips", raw)
-	}
-	// Encoded and decoded frame counts cover the whole sequence: one encode
-	// pass and two round-trip decodes.
-	n := int64(len(seq.Frames))
-	if got := snap.CounterTotal("encode_frames"); got != n {
-		t.Fatalf("encode_frames %d, want %d", got, n)
-	}
-	if got := snap.CounterTotal("decode_frames"); got != 2*n {
-		t.Fatalf("decode_frames %d, want %d", got, 2*n)
+			snap := m.Snapshot()
+			for name, bits := range res.Stats.PerScheme {
+				if got := snap.Counter("footprint_payload_bits", name); got != bits {
+					t.Fatalf("payload bits %s: counter %d, Stats %d", name, got, bits)
+				}
+			}
+			if got := snap.CounterTotal("footprint_payload_bits"); got != res.Stats.PayloadBits {
+				t.Fatalf("payload total: counter %d, Stats %d", got, res.Stats.PayloadBits)
+			}
+			if got := snap.Counter("footprint_header_bits", ""); got != res.Stats.HeaderBits {
+				t.Fatalf("header bits: counter %d, Stats %d", got, res.Stats.HeaderBits)
+			}
+			if got := snap.Gauge("footprint_cells_per_pixel", ""); got != res.Stats.CellsPerPixel {
+				t.Fatalf("cells/pixel: gauge %v, Stats %v", got, res.Stats.CellsPerPixel)
+			}
+			if got := snap.CounterTotal("store_residual_flips"); got != int64(flipsA+flipsB) {
+				t.Fatalf("residual flips: counter %d, round trips returned %d", got, flipsA+flipsB)
+			}
+			if raw := snap.CounterTotal("store_raw_flips"); raw < snap.CounterTotal("store_residual_flips") {
+				t.Fatalf("raw flips %d below residual flips", raw)
+			}
+			// Encoded and decoded frame counts cover the whole sequence: one
+			// encode pass and two round-trip decodes, each under its span.
+			n := int64(len(seq.Frames))
+			if got := snap.CounterTotal("encode_frames"); got != n {
+				t.Fatalf("encode_frames %d, want %d", got, n)
+			}
+			if got := snap.CounterTotal("decode_frames"); got != 2*n {
+				t.Fatalf("decode_frames %d, want %d", got, 2*n)
+			}
+			want := map[string][2]int64{"encode": {1, n}, "decode": {2, 2 * n}}
+			for _, st := range snap.Stages {
+				if w, ok := want[st.Stage]; ok {
+					if got := [2]int64{st.Calls, st.Frames}; got != w {
+						t.Fatalf("%s stage {calls frames} %v, want %v", st.Stage, got, w)
+					}
+					delete(want, st.Stage)
+				}
+			}
+			if len(want) != 0 {
+				t.Fatalf("stages %v published no span", want)
+			}
+		})
 	}
 }
 

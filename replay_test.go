@@ -129,7 +129,7 @@ func TestConcurrentRoundTripsShareSyntax(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := codec.Decode(stored.Clone())
+		dec, err := codec.DecodeContext(context.Background(), stored.Clone(), codec.DecodeOptions{}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,13 +23,12 @@
 // footprint accounting and quality metrics fan out per frame, and the
 // dependency analysis fans out over independent spans of its DAG. The
 // worker count is configured once with WithWorkers and results are
-// guaranteed identical at every worker count: parallel decode/analyze/
-// footprint/measure are bit-identical to their serial counterparts, and the
-// seeded storage round trip is a pure function of (video, partitions,
-// seed). The canonical subsystem entry points are context-first
-// (EncodeContext, DecodeContext, AnalyzeContext, MeasureContext) with
-// cooperative cancellation checked at frame boundaries; pass a background
-// context and workers of 1 for the serial forms.
+// guaranteed identical at every worker count, and the seeded storage round
+// trip is a pure function of (video, partitions, seed). Each stage has one
+// entry point, context-first (EncodeContext, DecodeContext, AnalyzeContext,
+// MeasureContext, PSNRContext), with cooperative cancellation checked at
+// frame boundaries; workers = 1 is the serial form, and no serial twin
+// exists beside it.
 //
 // # Serving
 //
@@ -42,8 +41,9 @@
 // The underlying subsystems are exposed as type aliases so that advanced
 // users can drive them directly: the codec (EncodeContext/DecodeContext),
 // the analysis (AnalyzeContext), stream splitting for per-reliability
-// encryption (SplitStreams/EncryptStreams), quality metrics, and the
-// error-correction and substrate models.
+// encryption (SplitStreams/EncryptStreams), quality metrics
+// (MeasureContext/PSNRContext), and the error-correction and substrate
+// models.
 package videoapp
 
 import (
@@ -168,13 +168,10 @@ func DefaultParams() Params { return codec.DefaultParams() }
 // EncodeContext is the canonical encode entry point: it compresses a raw
 // sequence with GOP-level parallelism (workers <= 0 selects GOMAXPROCS) and
 // cooperative cancellation checked at GOP boundaries. Output is
-// bit-identical at every worker count. Open-GOP configurations
-// (BFrames > 0) fall back to the serial encoder, which is not cancellable
+// bit-identical at every worker count. An open-GOP configuration
+// (BFrames > 0) is one unit of work, encoded whole and not cancellable
 // mid-video.
 func EncodeContext(ctx context.Context, seq *Sequence, p Params, workers int) (*Video, error) {
-	if p.BFrames != 0 {
-		return codec.Encode(seq, p)
-	}
 	return codec.EncodeParallelContext(ctx, seq, p, workers)
 }
 
@@ -236,8 +233,13 @@ func MeasureContext(ctx context.Context, ref, dist *Sequence, workers int) (Qual
 	return quality.MeasureContext(ctx, ref, dist, workers)
 }
 
-// PSNR computes the average luma PSNR between two sequences.
-func PSNR(ref, dist *Sequence) (float64, error) { return quality.PSNR(ref, dist) }
+// PSNRContext computes the average per-frame luma PSNR between two
+// sequences — the paper's reported metric — with per-frame workers
+// (workers <= 0 selects GOMAXPROCS) and cooperative cancellation; the
+// result is identical at every worker count.
+func PSNRContext(ctx context.Context, ref, dist *Sequence, workers int) (float64, error) {
+	return quality.PSNRContext(ctx, ref, dist, workers)
+}
 
 // GenerateTestVideo renders one of the 14 synthetic suite sequences at the
 // given geometry. Unknown presets return an error wrapping ErrUnknownPreset;

@@ -1,6 +1,9 @@
 package videoapp
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestGenerateTestVideo(t *testing.T) {
 	seq, err := GenerateTestVideo("crew_like", 64, 48, 6)
@@ -45,7 +48,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = flips
-	psnr, err := PSNR(seq, dec)
+	psnr, err := PSNRContext(context.Background(), seq, dec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
