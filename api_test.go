@@ -47,7 +47,7 @@ func TestOptionsConfigurePipeline(t *testing.T) {
 	legacy := NewPipeline()
 	legacy.Params = p
 	legacy.Workers = 2
-	if _, err := legacy.Process(apiTestSequence(t)); err != nil {
+	if _, err := legacy.ProcessContext(context.Background(), apiTestSequence(t)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -62,11 +62,11 @@ func TestRoundTripWorkerInvariance(t *testing.T) {
 	var refStats StorageStats
 	for _, workers := range []int{1, 2, 8} {
 		p := NewPipeline(WithParams(apiTestParams()), WithWorkers(workers))
-		res, err := p.Process(seq)
+		res, err := p.ProcessContext(context.Background(), seq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, flips, err := res.StoreRoundTrip(7)
+		dec, flips, err := res.StoreRoundTripContext(context.Background(), 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,20 +94,20 @@ func TestRoundTripWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestStoreRoundTripReusesSystem checks the Process-time system is reused:
+// TestStoreRoundTripReusesSystem checks the ProcessContext-time system is reused:
 // two round trips on one Result must not rebuild state, and the same seed
 // must reproduce the same flip count.
 func TestStoreRoundTripReusesSystem(t *testing.T) {
 	p := NewPipeline(WithParams(apiTestParams()))
-	res, err := p.Process(apiTestSequence(t))
+	res, err := p.ProcessContext(context.Background(), apiTestSequence(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, flips1, err := res.StoreRoundTrip(42)
+	_, flips1, err := res.StoreRoundTripContext(context.Background(), 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, flips2, err := res.StoreRoundTrip(42)
+	_, flips2, err := res.StoreRoundTripContext(context.Background(), 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestProcessContextCancelled(t *testing.T) {
 	if _, err := p.ProcessContext(ctx, seq); !errors.Is(err, context.Canceled) {
 		t.Fatalf("ProcessContext: got %v", err)
 	}
-	res, err := p.Process(seq)
+	res, err := p.ProcessContext(context.Background(), seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,12 +150,12 @@ func TestSentinelErrors(t *testing.T) {
 		t.Fatalf("split: got %v", err)
 	}
 	p := NewPipeline(WithParams(apiTestParams()))
-	res, err := p.Process(seq)
+	res, err := p.ProcessContext(context.Background(), seq)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res.Partitions = res.Partitions[:1]
-	if _, _, err := res.StoreRoundTrip(1); !errors.Is(err, ErrPartitionMismatch) {
+	if _, _, err := res.StoreRoundTripContext(context.Background(), 1); !errors.Is(err, ErrPartitionMismatch) {
 		t.Fatalf("round trip: got %v", err)
 	}
 	an.Importance[0][1] = an.Importance[0][0] + 10
@@ -169,15 +169,15 @@ func TestSentinelErrors(t *testing.T) {
 func TestBlockAccurateOption(t *testing.T) {
 	seq := apiTestSequence(t)
 	p := NewPipeline(WithParams(apiTestParams()), WithBlockAccurate(true), WithWorkers(4))
-	res, err := p.Process(seq)
+	res, err := p.ProcessContext(context.Background(), seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, flips1, err := res.StoreRoundTrip(9)
+	_, flips1, err := res.StoreRoundTripContext(context.Background(), 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, flips2, err := res.StoreRoundTrip(9)
+	_, flips2, err := res.StoreRoundTripContext(context.Background(), 9)
 	if err != nil {
 		t.Fatal(err)
 	}

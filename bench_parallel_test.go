@@ -157,11 +157,11 @@ func BenchmarkParallelPipeline(b *testing.B) {
 			b.ReportAllocs()
 			p := NewPipeline(WithParams(benchParams()), WithWorkers(w))
 			for i := 0; i < b.N; i++ {
-				res, err := p.Process(seq)
+				res, err := p.ProcessContext(context.Background(), seq)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, _, err := res.StoreRoundTrip(int64(i)); err != nil {
+				if _, _, err := res.StoreRoundTripContext(context.Background(), int64(i)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -24,13 +24,25 @@ func benchConfig() experiments.Config {
 	return cfg
 }
 
+// benchSuite encodes the suite a figure measures, outside the timed loop.
+func benchSuite(b *testing.B, cfg experiments.Config) []*experiments.EncodedVideo {
+	b.Helper()
+	suite, err := experiments.EncodeSuite(context.Background(), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	return suite
+}
+
 // BenchmarkFigure3 regenerates the single-bit-flip MB-position PSNR surface.
 func BenchmarkFigure3(b *testing.B) {
 	b.ReportAllocs()
 	cfg := benchConfig()
 	cfg.Presets = []string{"crew_like"}
+	suite := benchSuite(b, cfg)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure3(context.Background(), cfg)
+		res, err := experiments.Figure3(context.Background(), cfg, suite)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -53,8 +65,9 @@ func BenchmarkFigure9(b *testing.B) {
 	b.ReportAllocs()
 	cfg := benchConfig()
 	cfg.Presets = []string{"crew_like"}
+	suite := benchSuite(b, cfg)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure9(context.Background(), cfg)
+		res, err := experiments.Figure9(context.Background(), cfg, suite)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -67,8 +80,9 @@ func BenchmarkFigure10(b *testing.B) {
 	b.ReportAllocs()
 	cfg := benchConfig()
 	cfg.Presets = []string{"crew_like"}
+	suite := benchSuite(b, cfg)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure10(context.Background(), cfg)
+		res, err := experiments.Figure10(context.Background(), cfg, suite)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -82,8 +96,9 @@ func BenchmarkTable1(b *testing.B) {
 	b.ReportAllocs()
 	cfg := benchConfig()
 	cfg.Presets = []string{"crew_like"}
+	suite := benchSuite(b, cfg)
 	for i := 0; i < b.N; i++ {
-		f10, err := experiments.Figure10(context.Background(), cfg)
+		f10, err := experiments.Figure10(context.Background(), cfg, suite)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -98,8 +113,9 @@ func BenchmarkFigure11(b *testing.B) {
 	b.ReportAllocs()
 	cfg := benchConfig()
 	cfg.Presets = []string{"crew_like"}
+	suite := benchSuite(b, cfg)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure11(context.Background(), cfg, []int{24}, core.PaperAssignment())
+		res, err := experiments.Figure11(context.Background(), cfg, suite, []int{24}, core.PaperAssignment())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -145,8 +161,9 @@ func BenchmarkScrubSweep(b *testing.B) {
 	b.ReportAllocs()
 	cfg := benchConfig()
 	cfg.Presets = []string{"crew_like"}
+	suite := benchSuite(b, cfg)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.ScrubSweep(context.Background(), cfg, []float64{3, 12})
+		res, err := experiments.ScrubSweep(context.Background(), cfg, suite, []float64{3, 12})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -193,11 +210,11 @@ func BenchmarkPipeline(b *testing.B) {
 	p.Params.GOPSize = 10
 	p.Params.SearchRange = 8
 	for i := 0; i < b.N; i++ {
-		res, err := p.Process(seq)
+		res, err := p.ProcessContext(context.Background(), seq)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := res.StoreRoundTrip(int64(i)); err != nil {
+		if _, _, err := res.StoreRoundTripContext(context.Background(), int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -221,14 +238,14 @@ func BenchmarkPipelineRoundTrip(b *testing.B) {
 		assign ClassAssignment
 	}{{"paper", PaperAssignment()}, {"none", allNoneAssignment()}} {
 		b.Run(bc.name, func(b *testing.B) {
-			res, err := NewPipeline(WithParams(params), WithAssignment(bc.assign), WithWorkers(1)).Process(seq)
+			res, err := NewPipeline(WithParams(params), WithAssignment(bc.assign), WithWorkers(1)).ProcessContext(context.Background(), seq)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dec, _, err := res.StoreRoundTrip(int64(i))
+				dec, _, err := res.StoreRoundTripContext(context.Background(), int64(i))
 				if err != nil {
 					b.Fatal(err)
 				}

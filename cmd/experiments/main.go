@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	experiments [flags] {fig3|fig8|fig9|fig10|table1|fig11|modes|ablate|all}
+//	experiments [flags] {fig8|modes|fig3|fig9|fig10|table1|fig11|ablate|scrub|all}
 //
 // The -scale flag selects fast (seconds), default (minutes) or paper
 // (hours, 720p/500 frames) configurations; individual dimensions can be
@@ -99,101 +99,105 @@ func configFor(scale string) experiments.Config {
 	}
 }
 
-// run executes one subcommand, printing its text rendering to out and, when
-// csvDir is set, writing the raw series behind each figure there.
-func run(ctx context.Context, out io.Writer, csvDir, cmd string, cfg experiments.Config) error {
-	switch cmd {
-	case "fig3":
-		res, err := experiments.Figure3(ctx, cfg)
+// session is one run of the command line. It holds what several commands
+// share, so `all` encodes the base suite and measures Figure 10 (which
+// Table 1 is derived from) once.
+type session struct {
+	ctx    context.Context
+	out    io.Writer
+	csvDir string
+	cfg    experiments.Config
+	suite  []*experiments.EncodedVideo // EncodeSuite(cfg), once a command needs it
+	fig10  *experiments.Fig10Result
+}
+
+func (s *session) figure10() (*experiments.Fig10Result, error) {
+	var err error
+	if s.fig10 == nil {
+		s.fig10, err = experiments.Figure10(s.ctx, s.cfg, s.suite)
+	}
+	return s.fig10, err
+}
+
+// table1 is Table 1 with the budget/conservative comparison printed under
+// it; its CSV is the table's.
+type table1 struct {
+	*experiments.Table1Result
+	comparison string
+}
+
+func (t table1) String() string { return t.Table1Result.String() + "\n" + t.comparison }
+
+// command is one subcommand: run returns the artifact it prints, and one
+// with a WriteCSV method is also saved as <name>.csv. A command that
+// measures the base suite finds it in session.suite.
+type command struct {
+	name       string
+	needsSuite bool
+	run        func(s *session) (fmt.Stringer, error)
+}
+
+// commands are the subcommands in the order `all` runs them.
+var commands = []command{
+	{"fig8", false, func(s *session) (fmt.Stringer, error) { return experiments.Figure8(), nil }},
+	{"modes", false, func(s *session) (fmt.Stringer, error) { return experiments.EncryptionModes(s.cfg.Seed) }},
+	{"fig3", true, func(s *session) (fmt.Stringer, error) { return experiments.Figure3(s.ctx, s.cfg, s.suite) }},
+	{"fig9", true, func(s *session) (fmt.Stringer, error) { return experiments.Figure9(s.ctx, s.cfg, s.suite) }},
+	{"fig10", true, func(s *session) (fmt.Stringer, error) { return s.figure10() }},
+	{"table1", true, func(s *session) (fmt.Stringer, error) {
+		f10, err := s.figure10()
+		if err != nil {
+			return nil, err
+		}
+		return table1{experiments.DeriveTable1(f10), experiments.CompareStrategies(f10)}, nil
+	}},
+	{"fig11", true, func(s *session) (fmt.Stringer, error) {
+		return experiments.Figure11(s.ctx, s.cfg, s.suite, []int{16, 20, 24}, core.PaperAssignment())
+	}},
+	{"ablate", false, func(s *session) (fmt.Stringer, error) { return experiments.AblateEncoderOptions(s.ctx, s.cfg) }},
+	{"scrub", true, func(s *session) (fmt.Stringer, error) { return experiments.ScrubSweep(s.ctx, s.cfg, s.suite, nil) }},
+}
+
+// emit runs c, prints its artifact and saves its CSV.
+func (s *session) emit(c command) error {
+	if c.needsSuite && s.suite == nil {
+		suite, err := experiments.EncodeSuite(s.ctx, s.cfg)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintln(out, res)
-		return saveCSV(csvDir, "fig3", res)
-	case "fig8":
-		res := experiments.Figure8()
-		fmt.Fprintln(out, res)
-		return saveCSV(csvDir, "fig8", res)
-	case "fig9":
-		res, err := experiments.Figure9(ctx, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, res)
-		return saveCSV(csvDir, "fig9", res)
-	case "fig10":
-		res, err := experiments.Figure10(ctx, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, res)
-		return saveCSV(csvDir, "fig10", res)
-	case "table1":
-		f10, err := experiments.Figure10(ctx, cfg)
-		if err != nil {
-			return err
-		}
-		tab := experiments.DeriveTable1(f10)
-		fmt.Fprintln(out, tab)
-		fmt.Fprintln(out, experiments.CompareStrategies(f10))
-		return saveCSV(csvDir, "table1", tab)
-	case "fig11":
-		res, err := experiments.Figure11(ctx, cfg, []int{16, 20, 24}, core.PaperAssignment())
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, res)
-		return saveCSV(csvDir, "fig11", res)
-	case "modes":
-		res, err := experiments.EncryptionModes(cfg.Seed)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, res)
-	case "ablate":
-		res, err := experiments.AblateEncoderOptions(ctx, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, res)
-	case "scrub":
-		res, err := experiments.ScrubSweep(ctx, cfg, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, res)
-	case "all":
-		for _, c := range []string{"fig8", "modes", "fig3", "fig9"} {
-			fmt.Fprintf(out, "==== %s ====\n", c)
-			if err := run(ctx, out, csvDir, c, cfg); err != nil {
-				return fmt.Errorf("%s: %w", c, err)
-			}
-		}
-		// Figure 10 feeds Table 1; measure it once and share.
-		fmt.Fprintln(out, "==== fig10 ====")
-		f10, err := experiments.Figure10(ctx, cfg)
-		if err != nil {
-			return fmt.Errorf("fig10: %w", err)
-		}
-		fmt.Fprintln(out, f10)
-		if err := saveCSV(csvDir, "fig10", f10); err != nil {
-			return err
-		}
-		fmt.Fprintln(out, "==== table1 ====")
-		tab := experiments.DeriveTable1(f10)
-		fmt.Fprintln(out, tab)
-		fmt.Fprintln(out, experiments.CompareStrategies(f10))
-		if err := saveCSV(csvDir, "table1", tab); err != nil {
-			return err
-		}
-		for _, c := range []string{"fig11", "ablate", "scrub"} {
-			fmt.Fprintf(out, "==== %s ====\n", c)
-			if err := run(ctx, out, csvDir, c, cfg); err != nil {
-				return fmt.Errorf("%s: %w", c, err)
-			}
-		}
-	default:
-		return fmt.Errorf("unknown command %q (want fig3|fig8|fig9|fig10|table1|fig11|modes|ablate|scrub|all)", cmd)
+		s.suite = suite
+	}
+	res, err := c.run(s)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(s.out, res)
+	if r, ok := res.(interface{ WriteCSV(io.Writer) error }); ok {
+		return saveCSV(s.csvDir, c.name, r)
 	}
 	return nil
+}
+
+// run executes one subcommand, or every one in order for "all", printing
+// each text rendering to out and, when csvDir is set, writing the raw
+// series behind each figure there.
+func run(ctx context.Context, out io.Writer, csvDir, cmd string, cfg experiments.Config) error {
+	s := &session{ctx: ctx, out: out, csvDir: csvDir, cfg: cfg}
+	if cmd == "all" {
+		for _, c := range commands {
+			fmt.Fprintf(out, "==== %s ====\n", c.name)
+			if err := s.emit(c); err != nil {
+				return fmt.Errorf("%s: %w", c.name, err)
+			}
+		}
+		return nil
+	}
+	var names []string
+	for _, c := range commands {
+		if c.name == cmd {
+			return s.emit(c)
+		}
+		names = append(names, c.name)
+	}
+	return fmt.Errorf("unknown command %q (want %s|all)", cmd, strings.Join(names, "|"))
 }

@@ -18,7 +18,7 @@ func TestPipelineFullyDeterministic(t *testing.T) {
 		p := NewPipeline()
 		p.Params.GOPSize = 10
 		p.Params.SearchRange = 8
-		res, err := p.Process(seq)
+		res, err := p.ProcessContext(context.Background(), seq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,7 +30,7 @@ func TestPipelineFullyDeterministic(t *testing.T) {
 		if _, _, err := p.StreamToArchive(context.Background(), SequenceSource(seq), &archive); err != nil {
 			t.Fatal(err)
 		}
-		_, flips, err := res.StoreRoundTrip(12345)
+		_, flips, err := res.StoreRoundTripContext(context.Background(), 12345)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,7 +21,7 @@ func ExamplePipeline() {
 	p := videoapp.NewPipeline()
 	p.Params.GOPSize = 6
 	p.Params.SearchRange = 8
-	res, _ := p.Process(seq)
+	res, _ := p.ProcessContext(context.Background(), seq)
 	fmt.Println("frames:", len(res.Video.Frames))
 	fmt.Println("partitions:", len(res.Partitions))
 	fmt.Println("density positive:", res.Stats.CellsPerPixel > 0)

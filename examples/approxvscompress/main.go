@@ -15,6 +15,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	seq, err := videoapp.GenerateTestVideo("mobcal_like", 320, 176, 48)
 	if err != nil {
 		log.Fatal(err)
@@ -34,7 +35,7 @@ func main() {
 		p := videoapp.NewPipeline()
 		p.Params.CRF = crf
 		p.Assignment = assignment
-		res, err := p.Process(seq)
+		res, err := p.ProcessContext(ctx, seq)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -42,11 +43,11 @@ func main() {
 		// convention.
 		worst := 200.0
 		for run := int64(0); run < 5; run++ {
-			dec, _, err := res.StoreRoundTrip(run)
+			dec, _, err := res.StoreRoundTripContext(ctx, run)
 			if err != nil {
 				log.Fatal(err)
 			}
-			p, err := videoapp.PSNRContext(context.Background(), seq, dec, 0)
+			p, err := videoapp.PSNRContext(ctx, seq, dec, 0)
 			if err != nil {
 				log.Fatal(err)
 			}

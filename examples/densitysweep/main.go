@@ -14,6 +14,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	fmt.Println("design    CRF  cells/px   PSNR(dB)  ECC-overhead")
 	for _, crf := range []int{16, 20, 24} {
 		seq, err := videoapp.GenerateTestVideo("parkrun_like", 320, 176, 48)
@@ -30,15 +31,15 @@ func main() {
 			p := videoapp.NewPipeline()
 			p.Params.CRF = crf
 			p.Assignment = design.assignment
-			res, err := p.Process(seq)
+			res, err := p.ProcessContext(ctx, seq)
 			if err != nil {
 				log.Fatal(err)
 			}
-			dec, _, err := res.StoreRoundTrip(7)
+			dec, _, err := res.StoreRoundTripContext(ctx, 7)
 			if err != nil {
 				log.Fatal(err)
 			}
-			psnr, err := videoapp.PSNRContext(context.Background(), seq, dec, 0)
+			psnr, err := videoapp.PSNRContext(ctx, seq, dec, 0)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -12,6 +12,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// 1. A raw test video (stand-in for a camera capture).
 	seq, err := videoapp.GenerateTestVideo("crew_like", 320, 176, 48)
 	if err != nil {
@@ -22,7 +23,7 @@ func main() {
 	//    CRF 24, CABAC entropy coding, Table 1 error correction,
 	//    8-level MLC PCM at raw bit error rate 1e-3.
 	pipeline := videoapp.NewPipeline()
-	res, err := pipeline.Process(seq)
+	res, err := pipeline.ProcessContext(ctx, seq)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -32,11 +33,11 @@ func main() {
 		res.Stats.CellsPerPixel, res.Stats.ECCOverhead*100)
 
 	// 3. Simulate an approximate storage round trip and measure quality.
-	decoded, flips, err := res.StoreRoundTrip(1)
+	decoded, flips, err := res.StoreRoundTripContext(ctx, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	psnr, err := videoapp.PSNRContext(context.Background(), seq, decoded, 0)
+	psnr, err := videoapp.PSNRContext(ctx, seq, decoded, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

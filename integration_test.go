@@ -131,11 +131,11 @@ func TestStorageRoundTripAcrossAllPresets(t *testing.T) {
 		p := NewPipeline()
 		p.Params.GOPSize = 8
 		p.Params.SearchRange = 8
-		res, err := p.Process(seq)
+		res, err := p.ProcessContext(context.Background(), seq)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		dec, _, err := res.StoreRoundTrip(1)
+		dec, _, err := res.StoreRoundTripContext(context.Background(), 1)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -151,11 +151,11 @@ func TestSlicedPipelineThroughFacade(t *testing.T) {
 	p := NewPipeline()
 	p.Params.GOPSize = 8
 	p.Params.SlicesPerFrame = 2
-	res, err := p.Process(seq)
+	res, err := p.ProcessContext(context.Background(), seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, _, err := res.StoreRoundTrip(3)
+	dec, _, err := res.StoreRoundTripContext(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,16 +40,6 @@ var Schemes = []Scheme{
 	SchemeBCH10, SchemeBCH11, SchemeBCH16,
 }
 
-// SchemeByName returns the named scheme, or SchemeNone if unknown.
-func SchemeByName(name string) Scheme {
-	for _, s := range Schemes {
-		if s.Name == name {
-			return s
-		}
-	}
-	return SchemeNone
-}
-
 // UncorrectableBlockProb returns the probability that a coded block of
 // n = 512 + 10·t bits suffers more than t raw errors at raw bit error rate p,
 // i.e. the probability the block cannot be corrected.

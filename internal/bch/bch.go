@@ -214,10 +214,3 @@ func (c *Code) berlekampMassey(synd []int) []int {
 	}
 	return sigma[:end]
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

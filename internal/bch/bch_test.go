@@ -211,15 +211,6 @@ func TestSchemeOverheads(t *testing.T) {
 	}
 }
 
-func TestSchemeByName(t *testing.T) {
-	if SchemeByName("BCH-9").T != 9 {
-		t.Fatal("lookup failed")
-	}
-	if SchemeByName("nope").T != 0 {
-		t.Fatal("unknown scheme must fall back to None")
-	}
-}
-
 func TestSchemesOrderedByStrength(t *testing.T) {
 	for i := 1; i < len(Schemes); i++ {
 		if Schemes[i].T <= Schemes[i-1].T {

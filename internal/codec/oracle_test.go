@@ -63,7 +63,9 @@ func writeResidualBlockRef(sw entropy.SymbolWriter, blk *transform.Block) {
 
 // readResidualBlockRef decodes one 4×4 block into blk, clamping every field
 // so corrupt streams yield garbage-but-bounded coefficients. It reports
-// whether any level was stored.
+// whether any level was stored. It is the per-symbol oracle of
+// readResidualBlock and the residual reader of the reference decoder
+// (reference_test.go).
 func readResidualBlockRef(sr entropy.SymbolReader, blk *transform.Block) (coded bool) {
 	*blk = transform.Block{}
 	nnz := int(sr.GetUVal(entropy.ClassCoeffFlag))

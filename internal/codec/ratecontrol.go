@@ -80,7 +80,7 @@ func EncodeABR(seq *frame.Sequence, p Params, targetBitsPerSecond int64) (*Video
 			budget *= 4
 		}
 		debt += ef.PayloadBits() - budget
-		qpAdj = int(debt / maxI64(rc.TargetBitsPerFrame/2, 1))
+		qpAdj = int(debt / max(rc.TargetBitsPerFrame/2, 1))
 		if qpAdj > rc.MaxQPDelta {
 			qpAdj = rc.MaxQPDelta
 		}
@@ -94,11 +94,4 @@ func EncodeABR(seq *frame.Sequence, p Params, targetBitsPerSecond int64) (*Video
 		frame.Recycle(r)
 	}
 	return v, nil
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

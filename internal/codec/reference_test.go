@@ -353,10 +353,10 @@ func (fd *refFrameDecoder) decodeResidualAndReconstruct(mx, my int, predY, predC
 	var chromaLevels [8]transform.Block
 	if hasResidual {
 		for b := 0; b < 16; b++ {
-			levels[b] = refReadResidualBlock(fd.sr)
+			readResidualBlockRef(fd.sr, &levels[b])
 		}
 		for b := 0; b < 8; b++ {
-			chromaLevels[b] = refReadResidualBlock(fd.sr)
+			readResidualBlockRef(fd.sr, &chromaLevels[b])
 		}
 	}
 	for by := 0; by < 4; by++ {
@@ -434,37 +434,6 @@ func (fd *refFrameDecoder) concealMB(mx, my int) {
 			}
 		}
 	}
-}
-
-// refReadResidualBlock decodes one 4×4 block, clamping every field so corrupt
-// streams yield garbage-but-bounded coefficients.
-func refReadResidualBlock(sr entropy.SymbolReader) transform.Block {
-	var blk transform.Block
-	nnz := int(sr.GetUVal(entropy.ClassCoeffFlag))
-	if nnz > 16 {
-		nnz = 16
-	}
-	scan := 0
-	for i := 0; i < nnz; i++ {
-		run := int(sr.GetUVal(entropy.ClassCoeffRun))
-		scan += run
-		if scan >= 16 {
-			break
-		}
-		level := sr.GetSVal(entropy.ClassCoeffLevel)
-		if level > maxLevel {
-			level = maxLevel
-		}
-		if level < -maxLevel {
-			level = -maxLevel
-		}
-		blk[zigzag4[scan]] = level
-		scan++
-		if scan >= 16 {
-			break
-		}
-	}
-	return blk
 }
 
 // refChromaInterPredict fills the 8×8 chroma predictions for a macroblock from

@@ -79,15 +79,6 @@ func TestBadIVRejected(t *testing.T) {
 	}
 }
 
-func TestPadTo16(t *testing.T) {
-	if len(PadTo16(make([]byte, 16))) != 16 {
-		t.Fatal("aligned input unchanged")
-	}
-	if len(PadTo16(make([]byte, 17))) != 32 {
-		t.Fatal("pad to next block")
-	}
-}
-
 func TestECBLeaksDuplicates(t *testing.T) {
 	// The textbook ECB failure: identical plaintext blocks yield identical
 	// ciphertext blocks.

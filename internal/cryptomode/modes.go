@@ -168,20 +168,3 @@ func checkIV(iv []byte) error {
 	}
 	return nil
 }
-
-// PadTo16 zero-pads p to a whole number of AES blocks (for ECB/CBC use with
-// bitstreams whose true length is kept in precise metadata).
-func PadTo16(p []byte) []byte {
-	r := len(p) % BlockSize
-	if r == 0 {
-		return p
-	}
-	return append(append([]byte(nil), p...), make([]byte, BlockSize-r)...)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

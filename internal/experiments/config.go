@@ -13,9 +13,11 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"videoapp/internal/codec"
@@ -108,75 +110,112 @@ type EncodedVideo struct {
 	Seq      *frame.Sequence
 	Video    *codec.Video
 	Analysis *core.Analysis
-	// CleanRecs are the coded-order reconstructions of the undamaged video:
-	// the frames of Clean, indexed by coded position.
+	// CleanRecs are the coded-order reconstructions of the undamaged video.
 	CleanRecs []*frame.Frame
-	// Clean is the display-order clean decode.
-	Clean *frame.Sequence
-	// CleanPSNR is PSNR(Seq, Clean), the mean of CleanFramePSNR, cached for
-	// quality-change math.
+	// CleanPSNR is the sequence PSNR of the clean decode against Seq, the
+	// mean of CleanFramePSNR, cached for quality-change math.
 	CleanPSNR float64
 	// CleanFramePSNR is the per-display-frame clean PSNR.
 	CleanFramePSNR []float64
-	// Pixels is the total luma pixel count.
-	Pixels int64
 }
 
-// EncodeSuite encodes, decodes and analyzes every suite member once.
+// EncodeSuite encodes, decodes and analyzes every suite member once. The
+// figures that measure the base configuration all take its result, so one
+// reproduction encodes the suite once per CRF.
 func EncodeSuite(ctx context.Context, cfg Config) ([]*EncodedVideo, error) {
 	var out []*EncodedVideo
 	params := cfg.params()
 	for _, pc := range cfg.presets() {
-		seq := synth.Generate(pc)
-		v, err := codec.EncodeParallelContext(ctx, seq, params, workers)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: encode %s: %w", pc.Name, err)
-		}
-		clean, err := codec.DecodeContext(ctx, v, codec.DecodeOptions{}, workers)
+		ev, err := encodeVideo(ctx, pc.Name, synth.Generate(pc), params)
 		if err != nil {
 			return nil, err
 		}
-		recs := make([]*frame.Frame, len(v.Frames))
-		for i, ef := range v.Frames {
-			recs[i] = clean.Frames[ef.DisplayIdx]
-		}
-		// The sequence PSNR is the mean of the per-frame values, summed in
-		// display order.
-		framePSNR := make([]float64, len(clean.Frames))
-		var psnrSum float64
-		for d := range clean.Frames {
-			framePSNR[d], err = quality.PSNRFrame(seq.Frames[d], clean.Frames[d])
-			if err != nil {
-				return nil, err
-			}
-			psnrSum += framePSNR[d]
-		}
-		an, err := core.AnalyzeContext(ctx, v, core.DefaultOptions(), workers)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, &EncodedVideo{
-			Name:           pc.Name,
-			Seq:            seq,
-			Video:          v,
-			Analysis:       an,
-			CleanRecs:      recs,
-			Clean:          clean,
-			CleanPSNR:      psnrSum / float64(len(clean.Frames)),
-			CleanFramePSNR: framePSNR,
-			Pixels:         seq.PixelCount(),
-		})
+		out = append(out, ev)
 	}
 	return out, nil
 }
 
+// encodeVideo encodes, decodes and analyzes one sequence.
+func encodeVideo(ctx context.Context, name string, seq *frame.Sequence, params codec.Params) (*EncodedVideo, error) {
+	v, err := codec.EncodeParallelContext(ctx, seq, params, workers)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: encode %s: %w", name, err)
+	}
+	clean, err := codec.DecodeContext(ctx, v, codec.DecodeOptions{}, workers)
+	if err != nil {
+		return nil, err
+	}
+	recs := make([]*frame.Frame, len(v.Frames))
+	for i, ef := range v.Frames {
+		recs[i] = clean.Frames[ef.DisplayIdx]
+	}
+	// The sequence PSNR is the mean of the per-frame values, summed in
+	// display order.
+	framePSNR := make([]float64, len(clean.Frames))
+	var psnrSum float64
+	for d := range clean.Frames {
+		framePSNR[d], err = quality.PSNRFrame(seq.Frames[d], clean.Frames[d])
+		if err != nil {
+			return nil, err
+		}
+		psnrSum += framePSNR[d]
+	}
+	an, err := core.AnalyzeContext(ctx, v, core.DefaultOptions(), workers)
+	if err != nil {
+		return nil, err
+	}
+	return &EncodedVideo{
+		Name:           name,
+		Seq:            seq,
+		Video:          v,
+		Analysis:       an,
+		CleanRecs:      recs,
+		CleanPSNR:      psnrSum / float64(len(clean.Frames)),
+		CleanFramePSNR: framePSNR,
+	}, nil
+}
+
+// damagedPSNR returns the sequence PSNR against ev.Seq of damaged, a copy
+// of ev.Video whose changed payloads dirty marks by coded index: the value
+// quality.PSNRContext gives for codec.DecodeContext of damaged. Walking
+// coded order, it decodes a frame again only when the frame is dirty or its
+// header's RefFwd or RefBwd names a frame decoded again; every other frame
+// keeps its clean reconstruction and cached clean PSNR. This needs the
+// headers of damaged to be ev.Video's, which holds for every damaged copy
+// here: the store keeps headers precise and the figures flip payload bits.
+// The sum runs in display order, as PSNRContext's does.
+func damagedPSNR(ev *EncodedVideo, damaged *codec.Video, dirty []bool) (float64, error) {
+	recs := slices.Clone(ev.CleanRecs)
+	framePSNR := slices.Clone(ev.CleanFramePSNR)
+	redone := make([]bool, len(recs))
+	reaches := func(ref int) bool { return ref >= 0 && redone[ref] }
+	for i, ef := range damaged.Frames {
+		if !dirty[i] && !reaches(ef.RefFwd) && !reaches(ef.RefBwd) {
+			continue
+		}
+		recs[i] = codec.DecodeSingle(damaged, i, recs)
+		redone[i] = true
+		p, err := quality.PSNRFrame(ev.Seq.Frames[ef.DisplayIdx], recs[i])
+		if err != nil {
+			return 0, err
+		}
+		framePSNR[ef.DisplayIdx] = p
+	}
+	var sum float64
+	for _, p := range framePSNR {
+		sum += p
+	}
+	return sum / float64(len(framePSNR)), nil
+}
+
 // worstStoredLoss runs the Monte-Carlo store round trips of Figure 11 and
 // the scrub sweep: runs trips of ev through sys, trip r seeded with
-// seed + r*stride, each damaged copy decoded and measured against the
-// original. It returns the largest PSNR loss against the clean decode (the
-// paper's conservative convention charges each video its worst trip) and
-// the residual flips of all trips.
+// seed + r*stride, each damaged copy measured against the original. It
+// returns the largest PSNR loss against the clean decode (the paper's
+// conservative convention charges each video its worst trip) and the
+// residual flips of all trips.
 func worstStoredLoss(ctx context.Context, sys *store.System, ev *EncodedVideo, parts []core.FramePartition, runs int, seed, stride int64) (worst float64, flips int, err error) {
+	dirty := make([]bool, len(ev.Video.Frames))
 	for run := 0; run < runs; run++ {
 		rng := rand.New(rand.NewSource(seed + int64(run)*stride))
 		stored, n, err := sys.StoreContext(ctx, ev.Video, parts, store.StoreOpts{Rng: rng})
@@ -184,16 +223,11 @@ func worstStoredLoss(ctx context.Context, sys *store.System, ev *EncodedVideo, p
 			return 0, 0, err
 		}
 		flips += n
-		if n == 0 {
-			stored.Release()
-			continue
+		for i, ef := range stored.Frames {
+			dirty[i] = !bytes.Equal(ef.Payload, ev.Video.Frames[i].Payload)
 		}
-		dec, err := codec.DecodeContext(ctx, stored, codec.DecodeOptions{}, workers)
+		p, err := damagedPSNR(ev, stored, dirty)
 		stored.Release()
-		if err != nil {
-			return 0, 0, err
-		}
-		p, err := quality.PSNRContext(ctx, ev.Seq, dec, workers)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -59,7 +59,7 @@ func TestConservativeStrategy(t *testing.T) {
 	cfg := FastConfig()
 	cfg.Presets = []string{"crew_like"}
 	cfg.Runs = 2
-	f10, err := Figure10(context.Background(), cfg)
+	f10, err := Figure10(context.Background(), cfg, testSuite(t, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,16 +8,23 @@ import (
 	"videoapp/internal/core"
 )
 
-func TestEncodeSuiteFast(t *testing.T) {
-	suite, err := EncodeSuite(context.Background(), FastConfig())
+// testSuite is EncodeSuite(cfg), failing t on error.
+func testSuite(t *testing.T, cfg Config) []*EncodedVideo {
+	t.Helper()
+	suite, err := EncodeSuite(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return suite
+}
+
+func TestEncodeSuiteFast(t *testing.T) {
+	suite := testSuite(t, FastConfig())
 	if len(suite) != 2 {
 		t.Fatalf("suite size %d", len(suite))
 	}
 	for _, ev := range suite {
-		if ev.Video == nil || ev.Analysis == nil || ev.Clean == nil {
+		if ev.Video == nil || ev.Analysis == nil {
 			t.Fatalf("%s: incomplete bundle", ev.Name)
 		}
 		if len(ev.CleanRecs) != len(ev.Video.Frames) {
@@ -30,7 +37,7 @@ func TestFigure3Shape(t *testing.T) {
 	cfg := FastConfig()
 	cfg.Presets = []string{"crew_like"}
 	cfg.Runs = 2
-	res, err := Figure3(context.Background(), cfg)
+	res, err := Figure3(context.Background(), cfg, testSuite(t, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +88,7 @@ func TestFigure9BinsOrderedByImportance(t *testing.T) {
 	cfg := FastConfig()
 	cfg.Presets = []string{"crew_like"}
 	cfg.Runs = 2
-	res, err := Figure9(context.Background(), cfg)
+	res, err := Figure9(context.Background(), cfg, testSuite(t, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +118,7 @@ func TestFigure9LossGrowsWithRate(t *testing.T) {
 	cfg := FastConfig()
 	cfg.Presets = []string{"news_like"}
 	cfg.Runs = 2
-	res, err := Figure9(context.Background(), cfg)
+	res, err := Figure9(context.Background(), cfg, testSuite(t, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +133,7 @@ func TestFigure10CumulativeStructure(t *testing.T) {
 	cfg := FastConfig()
 	cfg.Presets = []string{"crew_like"}
 	cfg.Runs = 2
-	res, err := Figure10(context.Background(), cfg)
+	res, err := Figure10(context.Background(), cfg, testSuite(t, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +177,7 @@ func TestDeriveTable1Properties(t *testing.T) {
 	cfg := FastConfig()
 	cfg.Presets = []string{"crew_like"}
 	cfg.Runs = 2
-	f10, err := Figure10(context.Background(), cfg)
+	f10, err := Figure10(context.Background(), cfg, testSuite(t, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +210,7 @@ func TestFigure11DesignOrdering(t *testing.T) {
 	cfg := FastConfig()
 	cfg.Presets = []string{"crew_like"}
 	cfg.Runs = 2
-	res, err := Figure11(context.Background(), cfg, []int{24}, core.PaperAssignment())
+	res, err := Figure11(context.Background(), cfg, testSuite(t, cfg), []int{24}, core.PaperAssignment())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +304,7 @@ func TestScrubSweep(t *testing.T) {
 	cfg := FastConfig()
 	cfg.Presets = []string{"crew_like"}
 	cfg.Runs = 2
-	res, err := ScrubSweep(context.Background(), cfg, []float64{3, 24})
+	res, err := ScrubSweep(context.Background(), cfg, testSuite(t, cfg), []float64{3, 24})
 	if err != nil {
 		t.Fatal(err)
 	}

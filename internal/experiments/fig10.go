@@ -23,12 +23,8 @@ type Fig10Result struct {
 }
 
 // Figure10 reproduces the cumulative importance-class experiment that drives
-// the §7.2 error correction assignment.
-func Figure10(ctx context.Context, cfg Config) (*Fig10Result, error) {
-	suite, err := EncodeSuite(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
+// the §7.2 error correction assignment. suite is EncodeSuite(ctx, cfg).
+func Figure10(ctx context.Context, cfg Config, suite []*EncodedVideo) (*Fig10Result, error) {
 	// Determine the classes present across the suite.
 	maxClass := 0
 	for _, ev := range suite {
@@ -71,7 +67,7 @@ func Figure10(ctx context.Context, cfg Config) (*Fig10Result, error) {
 			}
 			region := newBitRegion(members)
 			for ri, p := range rates {
-				mean, _, err := measureRegionLoss(ctx, ev, region, p, cfg.Runs, cfg.Seed+int64(ci*10007+ri))
+				mean, err := measureRegionLoss(ctx, ev, region, p, cfg.Runs, cfg.Seed+int64(ci*10007+ri))
 				if err != nil {
 					return nil, err
 				}

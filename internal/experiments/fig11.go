@@ -53,19 +53,24 @@ func designAssignment(name string, variable core.ClassAssignment) core.ClassAssi
 
 // Figure11 reproduces the overall storage benefit evaluation: for each CRF
 // quality target and each design, the density (cells per encoded pixel) and
-// the resulting quality after one storage round trip.
-func Figure11(ctx context.Context, cfg Config, crfs []int, variable core.ClassAssignment) (*Fig11Result, error) {
+// the resulting quality after one storage round trip. base is
+// EncodeSuite(ctx, cfg) and serves the CRF equal to cfg.CRF; every other
+// CRF's suite is encoded here, one at a time.
+func Figure11(ctx context.Context, cfg Config, base []*EncodedVideo, crfs []int, variable core.ClassAssignment) (*Fig11Result, error) {
 	if len(crfs) == 0 {
 		crfs = []int{16, 20, 24}
 	}
 	res := &Fig11Result{}
 	substrate := mlc.Default()
 	for _, crf := range crfs {
-		c := cfg
-		c.CRF = crf
-		suite, err := EncodeSuite(ctx, c)
-		if err != nil {
-			return nil, err
+		suite := base
+		if crf != cfg.CRF {
+			c := cfg
+			c.CRF = crf
+			var err error
+			if suite, err = EncodeSuite(ctx, c); err != nil {
+				return nil, err
+			}
 		}
 		for _, design := range Fig11Designs {
 			assignment := designAssignment(design, variable)
@@ -76,7 +81,7 @@ func Figure11(ctx context.Context, cfg Config, crfs []int, variable core.ClassAs
 			var cellsPP, psnr, worstLoss, overhead float64
 			for _, ev := range suite {
 				parts := ev.Analysis.Partition(assignment)
-				st, err := sys.FootprintContext(ctx, ev.Video, parts, ev.Pixels, workers)
+				st, err := sys.FootprintContext(ctx, ev.Video, parts, ev.Seq.PixelCount(), workers)
 				if err != nil {
 					return nil, err
 				}

@@ -26,12 +26,9 @@ type Fig3Result struct {
 
 // Figure3 reproduces the single-flip position sweep. Flips are injected into
 // P frames and the damaged frame is decoded against clean references,
-// excluding compensation effects exactly as the paper does (§3.1).
-func Figure3(ctx context.Context, cfg Config) (*Fig3Result, error) {
-	suite, err := EncodeSuite(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
+// excluding compensation effects exactly as the paper does (§3.1). suite is
+// EncodeSuite(ctx, cfg).
+func Figure3(ctx context.Context, cfg Config, suite []*EncodedVideo) (*Fig3Result, error) {
 	if len(suite) == 0 {
 		return nil, fmt.Errorf("experiments: empty suite")
 	}

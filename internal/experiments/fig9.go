@@ -26,12 +26,9 @@ type Fig9Result struct {
 
 // Figure9 reproduces the bin-injection validation experiment: sort all MBs
 // by importance, divide into 16 equal-storage bins, inject errors into one
-// bin at a time at each rate, and measure the quality change.
-func Figure9(ctx context.Context, cfg Config) (*Fig9Result, error) {
-	suite, err := EncodeSuite(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
+// bin at a time at each rate, and measure the quality change. suite is
+// EncodeSuite(ctx, cfg).
+func Figure9(ctx context.Context, cfg Config, suite []*EncodedVideo) (*Fig9Result, error) {
 	rates := DefaultErrorRates
 	res := &Fig9Result{
 		Rates:             rates,
@@ -63,7 +60,7 @@ func Figure9(ctx context.Context, cfg Config) (*Fig9Result, error) {
 			}
 			region := newBitRegion(bin)
 			for ri, p := range rates {
-				mean, _, err := measureRegionLoss(ctx, ev, region, p, cfg.Runs, cfg.Seed+int64(b*1000+ri))
+				mean, err := measureRegionLoss(ctx, ev, region, p, cfg.Runs, cfg.Seed+int64(b*1000+ri))
 				if err != nil {
 					return nil, err
 				}

@@ -8,8 +8,6 @@ import (
 	"videoapp/internal/bitio"
 	"videoapp/internal/codec"
 	"videoapp/internal/core"
-	"videoapp/internal/frame"
-	"videoapp/internal/quality"
 	"videoapp/internal/sim"
 )
 
@@ -47,21 +45,19 @@ func (r *bitRegion) locate(off int64) (frameIdx int, bitPos int64) {
 }
 
 // inject flips bits of the region at rate p in a clone of v, returning the
-// clone, the coded index of the first damaged frame (len(frames) if none)
-// and the §6.4 scale factor for the measured loss.
-func (r *bitRegion) inject(v *codec.Video, rng *rand.Rand, p float64) (damaged *codec.Video, firstDirty int, scale float64) {
+// clone, the damaged frames by coded index and the §6.4 scale factor for
+// the measured loss.
+func (r *bitRegion) inject(v *codec.Video, rng *rand.Rand, p float64) (damaged *codec.Video, dirty []bool, scale float64) {
 	c := v.ClonePooled()
-	firstDirty = len(v.Frames)
+	dirty = make([]bool, len(v.Frames))
 	scale = 1
 	if r.total == 0 || p <= 0 {
-		return c, firstDirty, scale
+		return c, dirty, scale
 	}
 	flip := func(off int64) {
 		fi, pos := r.locate(off)
 		bitio.FlipBit(c.Frames[fi].Payload, pos)
-		if fi < firstDirty {
-			firstDirty = fi
-		}
+		dirty[fi] = true
 	}
 	if sim.UseForcedFlip(r.total, p) {
 		ff := sim.ForceOneFlip(rng, r.total, p)
@@ -70,52 +66,28 @@ func (r *bitRegion) inject(v *codec.Video, rng *rand.Rand, p float64) (damaged *
 	} else {
 		sim.VisitErrorPositions(rng, r.total, p, flip)
 	}
-	return c, firstDirty, scale
+	return c, dirty, scale
 }
 
 // measureRegionLoss runs the Monte-Carlo §6.4 methodology: inject errors in
 // the region at rate p over the given runs and return the mean quality
 // change in dB (negative = loss), with forced-flip scaling at low rates.
-// Frames coded before the first corrupted one reuse their cached clean
-// per-frame PSNRs, so the cost scales with the damaged suffix only.
-func measureRegionLoss(ctx context.Context, ev *EncodedVideo, region *bitRegion, p float64, runs int, seed int64) (mean, worst float64, err error) {
-	n := len(ev.Video.Frames)
-	worst = 0
+func measureRegionLoss(ctx context.Context, ev *EncodedVideo, region *bitRegion, p float64, runs int, seed int64) (float64, error) {
+	var mean float64
 	for run := 0; run < runs; run++ {
 		if err := ctx.Err(); err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 		rng := rand.New(rand.NewSource(seed + int64(run)*7919))
-		damaged, firstDirty, scale := region.inject(ev.Video, rng, p)
-		var change float64
-		if firstDirty < n {
-			recs := make([]*frame.Frame, n)
-			copy(recs, ev.CleanRecs[:firstDirty])
-			var sum float64
-			for i := 0; i < n; i++ {
-				d := ev.Video.Frames[i].DisplayIdx
-				if i < firstDirty {
-					sum += ev.CleanFramePSNR[d]
-					continue
-				}
-				recs[i] = codec.DecodeSingle(damaged, i, recs)
-				pf, derr := quality.PSNRFrame(ev.Seq.Frames[d], recs[i])
-				if derr != nil {
-					damaged.Release()
-					return 0, 0, derr
-				}
-				sum += pf
-			}
-			change = (sum/float64(n) - ev.CleanPSNR) * scale
-		}
+		damaged, dirty, scale := region.inject(ev.Video, rng, p)
+		psnr, err := damagedPSNR(ev, damaged, dirty)
 		damaged.Release()
-		mean += change
-		if change < worst {
-			worst = change
+		if err != nil {
+			return 0, err
 		}
+		mean += (psnr - ev.CleanPSNR) * scale
 	}
-	mean /= float64(runs)
-	return mean, worst, nil
+	return mean / float64(runs), nil
 }
 
 // sortedByImportance returns the MB records of ev ascending by importance.

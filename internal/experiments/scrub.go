@@ -28,14 +28,11 @@ type ScrubResult struct {
 }
 
 // ScrubSweep evaluates the variable-correction design across scrubbing
-// intervals using the computed (not nominal) residual rates.
-func ScrubSweep(ctx context.Context, cfg Config, months []float64) (*ScrubResult, error) {
+// intervals using the computed (not nominal) residual rates. suite is
+// EncodeSuite(ctx, cfg).
+func ScrubSweep(ctx context.Context, cfg Config, suite []*EncodedVideo, months []float64) (*ScrubResult, error) {
 	if len(months) == 0 {
 		months = []float64{1, 3, 6, 12, 24}
-	}
-	suite, err := EncodeSuite(ctx, cfg)
-	if err != nil {
-		return nil, err
 	}
 	res := &ScrubResult{}
 	for _, m := range months {

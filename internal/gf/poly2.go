@@ -130,10 +130,3 @@ func (p Poly2) trim() Poly2 {
 	}
 	return p[:n]
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -250,10 +250,11 @@ type StoreOpts struct {
 	// Workers bounds the per-frame fan-out; <= 0 selects GOMAXPROCS.
 	// Forced to 1 when Rng is set.
 	Workers int
-	// Rng, when non-nil, selects the legacy serial error stream: one
-	// caller-owned source drawn frame by frame in order, matching the
-	// deprecated Store method. The outcome then depends on the source's
-	// prior state, and the round trip runs on a single worker.
+	// Rng, when non-nil, selects the serial error stream: one caller-owned
+	// source drawn frame by frame in order. The committed Figure 11 and
+	// scrub-sweep results of the reproduction draw from it. The outcome
+	// then depends on the source's prior state, and the round trip runs on
+	// a single worker.
 	Rng *rand.Rand
 }
 

@@ -33,7 +33,7 @@ func replayTestResult(t testing.TB, w, h int, assign ClassAssignment, workers in
 	if m != nil {
 		opts = append(opts, WithObserver(m))
 	}
-	res, err := NewPipeline(opts...).Process(seq)
+	res, err := NewPipeline(opts...).ProcessContext(context.Background(), seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,13 +85,13 @@ func TestRoundTripReplayHitRate(t *testing.T) {
 		res, _ := replayTestResult(t, 320, 176, tc.assign, 1, m)
 		frames := len(res.Video.Frames)
 		m.Reset()
-		if _, _, err := res.StoreRoundTrip(seed); err != nil {
+		if _, _, err := res.StoreRoundTripContext(context.Background(), seed); err != nil {
 			t.Fatal(err)
 		}
 		if n := m.Snapshot().CounterTotal(obs.CtrFramesReplayed); n != 0 {
 			t.Fatalf("%s: first trip replayed %d frames; nothing was on record yet", tc.name, n)
 		}
-		if _, _, err := res.StoreRoundTrip(seed); err != nil {
+		if _, _, err := res.StoreRoundTripContext(context.Background(), seed); err != nil {
 			t.Fatal(err)
 		}
 		snap := m.Snapshot()
@@ -143,7 +143,7 @@ func TestConcurrentRoundTripsShareSyntax(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for rep := 0; rep < 3; rep++ {
-					dec, flips, err := res.StoreRoundTrip(s)
+					dec, flips, err := res.StoreRoundTripContext(context.Background(), s)
 					if err != nil {
 						t.Error(err)
 						return

@@ -228,8 +228,8 @@ func (p *Pipeline) chunkConfig(sys *store.System) chunk.Config {
 	}
 }
 
-// ProcessStream is Process over an incrementally fed source: the stream is
-// segmented into closed-GOP chunks (WithChunkGOPs), up to
+// ProcessStream is ProcessContext over an incrementally fed source: the
+// stream is segmented into closed-GOP chunks (WithChunkGOPs), up to
 // ⌈Workers/ChunkGOPs⌉ chunks run encode → analyze → partition → footprint
 // concurrently, and the results are stitched in stream order with
 // backpressure to the source, so raw frames never accumulate beyond
@@ -342,7 +342,7 @@ func (p *Pipeline) StreamToArchive(ctx context.Context, src ChunkSource, w io.Wr
 // touching the rest of the archive. firstFrame is the chunk's position in
 // the whole video (ChunkInfo.FirstFrame): the injected error streams are
 // drawn per global frame, so the decoded frames are bit-identical to the
-// same frames of a whole-video StoreRoundTrip with the same seed.
+// same frames of a whole-video StoreRoundTripContext with the same seed.
 func (p *Pipeline) RoundTripChunk(ctx context.Context, v *Video, parts []FramePartition, firstFrame int, seed int64) (*Sequence, int, error) {
 	if firstFrame < 0 {
 		return nil, 0, fmt.Errorf("videoapp: negative first frame %d", firstFrame)

@@ -46,12 +46,12 @@ func TestProcessStreamBitIdenticalToBatch(t *testing.T) {
 	seq, params := streamTestSeq(t)
 	const seed = 7
 
-	batch, err := NewPipeline(WithParams(params), WithWorkers(1)).Process(seq)
+	batch, err := NewPipeline(WithParams(params), WithWorkers(1)).ProcessContext(context.Background(), seq)
 	if err != nil {
 		t.Fatal(err)
 	}
 	batchBytes := Marshal(batch.Video)
-	batchDec, batchFlips, err := batch.StoreRoundTrip(seed)
+	batchDec, batchFlips, err := batch.StoreRoundTripContext(context.Background(), seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestProcessStreamBitIdenticalToBatch(t *testing.T) {
 				if !reflect.DeepEqual(res.Analysis.Importance, batch.Analysis.Importance) {
 					t.Fatal("streamed importance differs from batch")
 				}
-				dec, flips, err := res.StoreRoundTrip(seed)
+				dec, flips, err := res.StoreRoundTripContext(context.Background(), seed)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -97,11 +97,11 @@ func TestStreamToArchiveRandomAccess(t *testing.T) {
 	seq, params := streamTestSeq(t)
 	const seed = 11
 
-	batch, err := NewPipeline(WithParams(params), WithWorkers(4)).Process(seq)
+	batch, err := NewPipeline(WithParams(params), WithWorkers(4)).ProcessContext(context.Background(), seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batchDec, batchFlips, err := batch.StoreRoundTrip(seed)
+	batchDec, batchFlips, err := batch.StoreRoundTripContext(context.Background(), seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestProcessStreamRejectsOpenGOPs(t *testing.T) {
 
 func TestRoundTripChunkRejectsNegativeOffset(t *testing.T) {
 	seq, params := streamTestSeq(t)
-	res, err := NewPipeline(WithParams(params)).Process(seq)
+	res, err := NewPipeline(WithParams(params)).ProcessContext(context.Background(), seq)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,14 +6,14 @@
 // The pipeline mirrors the paper:
 //
 //	seq, err := videoapp.GenerateTestVideo("crew_like", 320, 176, 60)
-//	p := videoapp.NewPipeline(videoapp.WithWorkers(0))  // 0 = GOMAXPROCS
-//	res, err := p.Process(seq)                          // encode + analyze + partition
-//	decoded, flips, err := res.StoreRoundTrip(42)       // approximate MLC round trip
+//	p := videoapp.NewPipeline(videoapp.WithWorkers(0))        // 0 = GOMAXPROCS
+//	res, err := p.ProcessContext(ctx, seq)                    // encode + analyze + partition
+//	decoded, flips, err := res.StoreRoundTripContext(ctx, 42) // approximate MLC round trip
 //
-// Process encodes the raw sequence with an H.264-class codec, runs the
+// ProcessContext encodes the raw sequence with an H.264-class codec, runs the
 // VideoApp dependency analysis to compute per-macroblock importance, derives
 // the per-frame pivot layout, and reports the physical storage footprint on
-// the MLC PCM substrate. StoreRoundTrip simulates a write-scrub-read cycle
+// the MLC PCM substrate. StoreRoundTripContext simulates a write-scrub-read cycle
 // with variable error correction and decodes the (possibly damaged) result.
 //
 // # Concurrency
@@ -267,7 +267,7 @@ func PresetNames() []string {
 // NewPipeline (WithParams, WithAssignment, WithSubstrate, WithWorkers,
 // WithBlockAccurate, WithChunkGOPs, WithObserver). The struct fields
 // remain exported and writable for compatibility; mutate them only before
-// the first Process call.
+// the first ProcessContext call.
 type Pipeline struct {
 	// Params configures the encoder (default: DefaultParams).
 	Params Params
@@ -369,18 +369,12 @@ type Result struct {
 	pixels     int64
 }
 
-// Process encodes, analyzes and partitions a raw sequence, and computes its
-// storage footprint under the pipeline's assignment.
-func (p *Pipeline) Process(seq *Sequence) (*Result, error) {
-	//vetvideoapp:allow ctxfirst — Process is the documented context-less convenience form of ProcessContext
-	return p.ProcessContext(context.Background(), seq)
-}
-
-// ProcessContext is Process with cooperative cancellation: every stage
-// (GOP-parallel encode, span-parallel analysis, per-frame footprint) checks
-// ctx at frame boundaries and returns ctx.Err() promptly once it is
-// cancelled. The result is identical to Process at every worker count, with
-// or without an observer attached.
+// ProcessContext encodes, analyzes and partitions a raw sequence, and
+// computes its storage footprint under the pipeline's assignment. Every
+// stage (GOP-parallel encode, span-parallel analysis, per-frame footprint)
+// checks ctx at frame boundaries and returns ctx.Err() promptly once it is
+// cancelled. The result is identical at every worker count, with or without
+// an observer attached.
 func (p *Pipeline) ProcessContext(ctx context.Context, seq *Sequence) (*Result, error) {
 	// The effective observer rides the context from here on: the pipeline's
 	// own when one is configured, else whatever the caller attached.
@@ -415,22 +409,16 @@ func (p *Pipeline) ProcessContext(ctx context.Context, seq *Sequence) (*Result, 
 	}, nil
 }
 
-// StoreRoundTrip simulates one approximate storage round trip (write, scrub
-// for the substrate's reference interval, read with residual errors) and
-// decodes the result. Error injection and decoding run frame-parallel under
-// the pipeline's worker budget; for a fixed seed the outcome is a pure
-// function of the processed video — independent of the worker count.
-func (r *Result) StoreRoundTrip(seed int64) (*Sequence, int, error) {
-	//vetvideoapp:allow ctxfirst — StoreRoundTrip is the documented context-less convenience form of StoreRoundTripContext
-	return r.StoreRoundTripContext(context.Background(), seed)
-}
-
-// StoreRoundTripContext is StoreRoundTrip with cooperative cancellation
-// checked at frame boundaries.
+// StoreRoundTripContext simulates one approximate storage round trip
+// (write, scrub for the substrate's reference interval, read with residual
+// errors) and decodes the result. Error injection and decoding run
+// frame-parallel under the pipeline's worker budget; for a fixed seed the
+// outcome is a pure function of the processed video — independent of the
+// worker count. Cancellation is checked at frame boundaries.
 func (r *Result) StoreRoundTripContext(ctx context.Context, seed int64) (*Sequence, int, error) {
 	sys := r.system
 	if sys == nil {
-		// Results built by hand (not via Process) still work.
+		// Results built by hand (not via ProcessContext) still work.
 		var err error
 		if sys, err = r.pipeline.system(); err != nil {
 			return nil, 0, err

@@ -33,7 +33,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 	p := NewPipeline()
 	p.Params.GOPSize = 10
 	p.Params.SearchRange = 8
-	res, err := p.Process(seq)
+	res, err := p.ProcessContext(context.Background(), seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 	if len(res.Partitions) != len(res.Video.Frames) {
 		t.Fatal("partitions")
 	}
-	dec, flips, err := res.StoreRoundTrip(7)
+	dec, flips, err := res.StoreRoundTripContext(context.Background(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
