@@ -27,7 +27,7 @@ func apiTestParams() Params {
 // paper defaults.
 func TestOptionsConfigurePipeline(t *testing.T) {
 	def := NewPipeline()
-	if def.Workers != 0 || def.BlockAccurate {
+	if def.workers != 0 || def.blockAccurate || def.chunkGOPs != 0 {
 		t.Fatalf("defaults changed: %+v", def)
 	}
 	p := apiTestParams()
@@ -36,19 +36,27 @@ func TestOptionsConfigurePipeline(t *testing.T) {
 		WithAssignment(UniformAssignment()),
 		WithWorkers(3),
 		WithBlockAccurate(true),
+		WithChunkGOPs(2),
 	)
-	if cfg.Params.GOPSize != 4 || cfg.Workers != 3 || !cfg.BlockAccurate {
+	if cfg.params.GOPSize != 4 || cfg.workers != 3 || !cfg.blockAccurate || cfg.chunkGOPs != 2 {
 		t.Fatalf("options not applied: %+v", cfg)
 	}
-	if len(cfg.Assignment.Bounds) != len(UniformAssignment().Bounds) {
+	if len(cfg.assignment.Bounds) != len(UniformAssignment().Bounds) {
 		t.Fatal("WithAssignment not applied")
 	}
-	// Field mutation (the compatibility path) must still work.
-	legacy := NewPipeline()
-	legacy.Params = p
-	legacy.Workers = 2
-	if _, err := legacy.ProcessContext(context.Background(), apiTestSequence(t)); err != nil {
+}
+
+// TestHandBuiltResultRoundTripErrors pins that a Result not built by
+// ProcessContext or ProcessStream — it has no storage system — reports an
+// error from StoreRoundTripContext instead of panicking.
+func TestHandBuiltResultRoundTripErrors(t *testing.T) {
+	res, err := NewPipeline(WithParams(apiTestParams())).ProcessContext(context.Background(), apiTestSequence(t))
+	if err != nil {
 		t.Fatal(err)
+	}
+	hand := &Result{Video: res.Video, Partitions: res.Partitions}
+	if _, _, err := hand.StoreRoundTripContext(context.Background(), 1); err == nil {
+		t.Fatal("round trip of a hand-built Result succeeded; want an error")
 	}
 }
 

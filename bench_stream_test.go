@@ -23,7 +23,7 @@ import (
 // criterion is sublinear growth batch→stream at 4x). The chunks in flight
 // scale with the worker count, so streaming runs at workers 1 and 2 and
 // the flatness is read at a fixed worker count. Peaks are reported as the
-// peak-MB metric; results are committed in results/stream_bench.md.
+// peak-MB metric; its before/after numbers are recorded in CHANGES.md.
 //
 //	go test -run '^$' -bench BenchmarkStreamMemory -benchtime 1x .
 func BenchmarkStreamMemory(b *testing.B) {

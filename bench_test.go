@@ -183,7 +183,7 @@ func BenchmarkAnalysisOverhead(b *testing.B) {
 	var encodeNs, analyzeNs int64
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		v, err := codec.Encode(seq, params)
+		v, err := codec.EncodeParallelContext(context.Background(), seq, params, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -206,9 +206,10 @@ func BenchmarkPipeline(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := NewPipeline()
-	p.Params.GOPSize = 10
-	p.Params.SearchRange = 8
+	params := DefaultParams()
+	params.GOPSize = 10
+	params.SearchRange = 8
+	p := NewPipeline(WithParams(params))
 	for i := 0; i < b.N; i++ {
 		res, err := p.ProcessContext(context.Background(), seq)
 		if err != nil {

@@ -85,10 +85,16 @@ func runChunk(ctx context.Context, o options) error {
 	if err != nil {
 		return err
 	}
-	v, parts, err := a.ReadChunk(o.chunkIdx)
+	cr, err := a.ReadChunkContext(ctx, o.chunkIdx)
 	if err != nil {
 		return err
 	}
+	if len(cr.Degraded) > 0 {
+		// A round trip of a zero-filled stream would report damage the
+		// archive already had; `scrub` is the command for a damaged chunk.
+		return fmt.Errorf("chunk %d: %w: streams %v failed verification", o.chunkIdx, videoapp.ErrCorruptRecord, cr.Degraded)
+	}
+	v, parts := cr.Video, cr.Parts
 	fmt.Printf("chunk %d/%d: frames %d..%d, %d payload bytes\n",
 		o.chunkIdx, a.NumChunks(), info.FirstFrame, info.FirstFrame+info.Frames-1, info.Length)
 	p := videoapp.NewPipeline(append(o.pipelineOptions(), videoapp.WithParams(v.Params))...)

@@ -18,9 +18,10 @@ import (
 // The shortest useful workflow: encode, analyze, partition, report density.
 func ExamplePipeline() {
 	seq, _ := videoapp.GenerateTestVideo("news_like", 64, 48, 6)
-	p := videoapp.NewPipeline()
-	p.Params.GOPSize = 6
-	p.Params.SearchRange = 8
+	params := videoapp.DefaultParams()
+	params.GOPSize = 6
+	params.SearchRange = 8
+	p := videoapp.NewPipeline(videoapp.WithParams(params))
 	res, _ := p.ProcessContext(context.Background(), seq)
 	fmt.Println("frames:", len(res.Video.Frames))
 	fmt.Println("partitions:", len(res.Partitions))

@@ -32,9 +32,9 @@ func main() {
 	var results []outcome
 
 	measure := func(name string, crf int, assignment videoapp.ClassAssignment) outcome {
-		p := videoapp.NewPipeline()
-		p.Params.CRF = crf
-		p.Assignment = assignment
+		params := videoapp.DefaultParams()
+		params.CRF = crf
+		p := videoapp.NewPipeline(videoapp.WithParams(params), videoapp.WithAssignment(assignment))
 		res, err := p.ProcessContext(ctx, seq)
 		if err != nil {
 			log.Fatal(err)

@@ -28,9 +28,9 @@ func main() {
 			{"uniform", videoapp.UniformAssignment()},
 			{"variable", videoapp.PaperAssignment()},
 		} {
-			p := videoapp.NewPipeline()
-			p.Params.CRF = crf
-			p.Assignment = design.assignment
+			params := videoapp.DefaultParams()
+			params.CRF = crf
+			p := videoapp.NewPipeline(videoapp.WithParams(params), videoapp.WithAssignment(design.assignment))
 			res, err := p.ProcessContext(ctx, seq)
 			if err != nil {
 				log.Fatal(err)

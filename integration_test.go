@@ -128,9 +128,10 @@ func TestStorageRoundTripAcrossAllPresets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := NewPipeline()
-		p.Params.GOPSize = 8
-		p.Params.SearchRange = 8
+		params := DefaultParams()
+		params.GOPSize = 8
+		params.SearchRange = 8
+		p := NewPipeline(WithParams(params))
 		res, err := p.ProcessContext(context.Background(), seq)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -148,9 +149,10 @@ func TestStorageRoundTripAcrossAllPresets(t *testing.T) {
 
 func TestSlicedPipelineThroughFacade(t *testing.T) {
 	seq, _ := GenerateTestVideo("sports_like", 96, 64, 8)
-	p := NewPipeline()
-	p.Params.GOPSize = 8
-	p.Params.SlicesPerFrame = 2
+	params := DefaultParams()
+	params.GOPSize = 8
+	params.SlicesPerFrame = 2
+	p := NewPipeline(WithParams(params))
 	res, err := p.ProcessContext(context.Background(), seq)
 	if err != nil {
 		t.Fatal(err)

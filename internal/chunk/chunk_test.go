@@ -83,7 +83,7 @@ func TestRunMatchesBatch(t *testing.T) {
 
 	// Batch reference.
 	p := testParams()
-	v, err := codec.Encode(seq, p)
+	v, err := codec.EncodeParallelContext(context.Background(), seq, p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

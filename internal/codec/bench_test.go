@@ -20,7 +20,7 @@ func benchVideo(b *testing.B) *Video {
 	p := DefaultParams()
 	p.GOPSize = 10
 	p.SearchRange = 8
-	v, err := Encode(seq, p)
+	v, err := encode(seq, p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -70,14 +70,14 @@ func chunkInput(coder EntropyKind) (*frame.Sequence, Params) {
 // decodeChunkVideo encodes chunkInput.
 func decodeChunkVideo(tb testing.TB, coder EntropyKind) *Video {
 	tb.Helper()
-	v, err := Encode(chunkInput(coder))
+	v, err := encode(chunkInput(coder))
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return v
 }
 
-// BenchmarkEncodeChunk measures codec.Encode of one chunk, the layer that
+// BenchmarkEncodeChunk measures encode of one chunk, the layer that
 // dominates ingest and every set-up that archives its inputs, at the
 // default CRF 24 and at CRF 16, where the ingest matrix spends most of its
 // entropy-coding time.
@@ -89,7 +89,7 @@ func BenchmarkEncodeChunk(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/crf%d", strings.ToLower(coder.String()), crf), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := Encode(seq, p); err != nil {
+					if _, err := encode(seq, p); err != nil {
 						b.Fatal(err)
 					}
 				}

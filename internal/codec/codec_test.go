@@ -32,7 +32,7 @@ func testParams() Params {
 
 func encodeDecode(t testing.TB, seq *frame.Sequence, p Params) (*Video, *frame.Sequence) {
 	t.Helper()
-	v, err := Encode(seq, p)
+	v, err := encode(seq, p)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -306,11 +306,11 @@ func TestCABACSmallerThanCAVLC(t *testing.T) {
 	seq := testSeq(t, "stockholm_like", 96, 64, 10)
 	pa, pv := testParams(), testParams()
 	pv.Entropy = CAVLC
-	va, err := Encode(seq, pa)
+	va, err := encode(seq, pa)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vv, err := Encode(seq, pv)
+	vv, err := encode(seq, pv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +418,7 @@ func TestParamValidation(t *testing.T) {
 }
 
 func TestEncodeRejectsBadInput(t *testing.T) {
-	if _, err := Encode(&frame.Sequence{}, DefaultParams()); err == nil {
+	if _, err := encode(&frame.Sequence{}, DefaultParams()); err == nil {
 		t.Fatal("empty sequence must be rejected")
 	}
 }
@@ -438,7 +438,7 @@ func TestSkipModeUsedInStaticContent(t *testing.T) {
 	cfg = cfg.ScaleTo(64, 48, 8)
 	cfg.Sprites, cfg.Noise, cfg.Shake, cfg.PanX, cfg.PanY = 0, 0, 0, 0, 0
 	seq := synth.Generate(cfg)
-	v, err := Encode(seq, testParams())
+	v, err := encode(seq, testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +463,7 @@ func TestDecodeCorruptPayloadNeverPanics(t *testing.T) {
 	for _, kind := range []EntropyKind{CABAC, CAVLC} {
 		p := testParams()
 		p.Entropy = kind
-		v, err := Encode(seq, p)
+		v, err := encode(seq, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -483,7 +483,7 @@ func TestDecodeCorruptPayloadNeverPanics(t *testing.T) {
 
 func TestDecodeAllOnesPayload(t *testing.T) {
 	seq := testSeq(t, "news_like", 64, 48, 4)
-	v, err := Encode(seq, testParams())
+	v, err := encode(seq, testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +500,7 @@ func TestDecodeAllOnesPayload(t *testing.T) {
 
 func TestDecodeTruncatedPayload(t *testing.T) {
 	seq := testSeq(t, "news_like", 64, 48, 4)
-	v, err := Encode(seq, testParams())
+	v, err := encode(seq, testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,7 +538,7 @@ func TestErrorPropagationStopsAtIFrame(t *testing.T) {
 	seq := testSeq(t, "crew_like", 64, 48, 16)
 	p := testParams()
 	p.GOPSize = 8
-	v, err := Encode(seq, p)
+	v, err := encode(seq, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -575,7 +575,7 @@ func TestLaterMBFlipDamagesLess(t *testing.T) {
 	// Coding error propagation (Figure 2c / Figure 3): a flip near the end
 	// of a frame's scan order damages fewer MBs than a flip near the start.
 	seq := testSeq(t, "parkrun_like", 96, 64, 8)
-	v, err := Encode(seq, testParams())
+	v, err := encode(seq, testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -607,7 +607,7 @@ func BenchmarkEncodeQCIF(b *testing.B) {
 	p := testParams()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Encode(seq, p); err != nil {
+		if _, err := encode(seq, p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -617,7 +617,7 @@ func BenchmarkDecodeQCIF(b *testing.B) {
 	b.ReportAllocs()
 	cfg, _ := synth.PresetByName("crew_like")
 	seq := synth.Generate(cfg.ScaleTo(176, 144, 10))
-	v, err := Encode(seq, testParams())
+	v, err := encode(seq, testParams())
 	if err != nil {
 		b.Fatal(err)
 	}

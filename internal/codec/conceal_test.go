@@ -11,7 +11,7 @@ func TestConcealOnDesyncImprovesTruncatedDecode(t *testing.T) {
 	// Truncating a payload desyncs the reader; concealment should produce
 	// a (usually) better picture than interpreting garbage.
 	seq := testSeq(t, "crew_like", 96, 64, 8)
-	v, err := Encode(seq, testParams())
+	v, err := encode(seq, testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestConcealOnDesyncImprovesTruncatedDecode(t *testing.T) {
 
 func TestConcealOnCleanStreamIsIdentity(t *testing.T) {
 	seq := testSeq(t, "news_like", 64, 48, 6)
-	v, err := Encode(seq, testParams())
+	v, err := encode(seq, testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestConcealOnCleanStreamIsIdentity(t *testing.T) {
 
 func TestConcealIFrameWithoutReference(t *testing.T) {
 	seq := testSeq(t, "news_like", 64, 48, 3)
-	v, err := Encode(seq, testParams())
+	v, err := encode(seq, testParams())
 	if err != nil {
 		t.Fatal(err)
 	}

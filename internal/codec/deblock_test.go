@@ -29,12 +29,12 @@ func TestDeblockChangesOutput(t *testing.T) {
 	seq := testSeq(t, "news_like", 96, 64, 6)
 	p := testParams()
 	p.CRF = 36 // strong quantization produces blocking to filter
-	v1, err := Encode(seq, p)
+	v1, err := encode(seq, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Deblock = true
-	v2, err := Encode(seq, p)
+	v2, err := encode(seq, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestDeblockSurvivesCorruption(t *testing.T) {
 	seq := testSeq(t, "sports_like", 64, 48, 5)
 	p := testParams()
 	p.Deblock = true
-	v, err := Encode(seq, p)
+	v, err := encode(seq, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestDeblockContainerFlag(t *testing.T) {
 	seq := testSeq(t, "news_like", 64, 48, 3)
 	p := testParams()
 	p.Deblock = true
-	v, err := Encode(seq, p)
+	v, err := encode(seq, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,19 +13,20 @@ import (
 	"videoapp/internal/transform"
 )
 
-// Encode compresses the sequence with the given parameters, producing the
+// encode compresses the sequence with the given parameters, producing the
 // coded video together with the per-macroblock records consumed by the
-// VideoApp dependency analysis.
-func Encode(seq *frame.Sequence, p Params) (*Video, error) {
+// VideoApp dependency analysis. It is the serial kernel
+// EncodeParallelContext runs once per unit of work.
+func encode(seq *frame.Sequence, p Params) (*Video, error) {
 	v, rec, err := encodeRecs(seq, p)
-	// Reconstructed frames never leave Encode; recycle their planes.
+	// Reconstructed frames never leave encode; recycle their planes.
 	for _, r := range rec {
 		frame.Recycle(r)
 	}
 	return v, err
 }
 
-// encodeRecs is Encode that also returns the encoder's reconstructions in
+// encodeRecs is encode that also returns the encoder's reconstructions in
 // coded order — what a decoder of the stream must reproduce sample for
 // sample. The caller owns them.
 func encodeRecs(seq *frame.Sequence, p Params) (*Video, []*frame.Frame, error) {
@@ -157,7 +158,7 @@ func nearestCodedAfter(d2c map[int]int, d int) int {
 	return best
 }
 
-// frameEncoder encodes the frames of one Encode call, one at a time. It owns
+// frameEncoder encodes the frames of one encode call, one at a time. It owns
 // the per-macroblock scratch (quantizer and motion-vector maps, prediction
 // and residual buffers), the payload writer and the slab dependency records
 // are carved from, so encoding a frame allocates only what the EncodedFrame
@@ -214,7 +215,7 @@ type paddedRef struct {
 	pad  predict.Padded
 }
 
-// encoderPool recycles the frameEncoders of finished Encode/EncodeABR calls:
+// encoderPool recycles the frameEncoders of finished encode/EncodeABR calls:
 // their macroblock maps, payload writer, record slab and padded planes are
 // reused — resized when a geometry needs more — by the next call, so the
 // padded references cost no allocation once a process has encoded.

@@ -121,7 +121,7 @@ func TestEncodeAllocationBudget(t *testing.T) {
 	for _, coder := range []EntropyKind{CABAC, CAVLC} {
 		seq, p := chunkInput(coder)
 		allocs := testing.AllocsPerRun(10, func() {
-			if _, err := Encode(seq, p); err != nil {
+			if _, err := encode(seq, p); err != nil {
 				t.Fatal(err)
 			}
 		})

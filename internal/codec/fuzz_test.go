@@ -20,7 +20,7 @@ func fuzzSeedVideo(f *testing.F) *Video {
 	p := DefaultParams()
 	p.GOPSize = 4
 	p.SearchRange = 8
-	v, err := Encode(seq, p)
+	v, err := encode(seq, p)
 	if err != nil {
 		f.Fatal(err)
 	}

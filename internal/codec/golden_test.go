@@ -123,7 +123,7 @@ func goldenCases(t testing.TB) []goldenCase {
 				p.GOPSize = goldenFrames
 				p.Entropy = coder
 				tool.set(&p)
-				v, err := Encode(seq, p)
+				v, err := encode(seq, p)
 				if err != nil {
 					t.Fatalf("%s/%s/%s: %v", preset, coder, tool.name, err)
 				}

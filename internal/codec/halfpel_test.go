@@ -36,7 +36,7 @@ func TestHalfPelImprovesSubPixelMotion(t *testing.T) {
 	score := func(halfpel bool) (float64, int64) {
 		p := testParams()
 		p.HalfPel = halfpel
-		v, err := Encode(seq, p)
+		v, err := encode(seq, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func TestHalfPelContainerRoundTrip(t *testing.T) {
 	seq := testSeq(t, "crew_like", 64, 48, 5)
 	p := testParams()
 	p.HalfPel = true
-	v, err := Encode(seq, p)
+	v, err := encode(seq, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestHalfPelReanalyzeRecoversDeps(t *testing.T) {
 	seq := testSeq(t, "crew_like", 64, 48, 6)
 	p := testParams()
 	p.HalfPel = true
-	v, err := Encode(seq, p)
+	v, err := encode(seq, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestHalfPelCorruptionSafety(t *testing.T) {
 	seq := testSeq(t, "sports_like", 64, 48, 5)
 	p := testParams()
 	p.HalfPel = true
-	v, err := Encode(seq, p)
+	v, err := encode(seq, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestHalfPelAnalysisMonotone(t *testing.T) {
 	seq := testSeq(t, "parkrun_like", 96, 64, 8)
 	p := testParams()
 	p.HalfPel = true
-	v, err := Encode(seq, p)
+	v, err := encode(seq, p)
 	if err != nil {
 		t.Fatal(err)
 	}

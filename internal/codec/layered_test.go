@@ -112,7 +112,7 @@ func TestLayeredBaseUnchanged(t *testing.T) {
 	// encode: the enhancement is strictly additive.
 	seq := testSeq(t, "news_like", 64, 48, 5)
 	p := testParams()
-	plain, err := Encode(seq, p)
+	plain, err := encode(seq, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // EncodeParallelContext is the encoder's entry point: it encodes GOPs
-// concurrently and produces a video bit-exactly identical to Encode.
+// concurrently and produces a video bit-exactly identical to encode.
 // A closed-GOP structure (BFrames == 0) makes every GOP an independent unit
 // of work — it starts with an I frame and references only frames within
 // itself. An open-GOP video (BFrames > 0) is one unit, encoded whole.
@@ -49,7 +49,7 @@ func EncodeParallelContext(ctx context.Context, seq *frame.Sequence, p Params, w
 		ch := chunks[ci]
 		sub := &frame.Sequence{Name: seq.Name, FPS: seq.FPS, Frames: seq.Frames[ch.start:ch.end]}
 		var err error
-		videos[ci], err = Encode(sub, p)
+		videos[ci], err = encode(sub, p)
 		if err == nil {
 			o.FrameDone(obs.StageEncode, ch.end-ch.start)
 		}

@@ -14,7 +14,7 @@ func TestEncodeParallelBitExact(t *testing.T) {
 	seq := testSeq(t, "crew_like", 96, 64, 25)
 	p := testParams()
 	p.GOPSize = 8
-	serial, err := Encode(seq, p)
+	serial, err := encode(seq, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestEncodeParallelOpenGOPBitExact(t *testing.T) {
 	p := testParams()
 	p.BFrames = 2
 	p.GOPSize = 6
-	want, err := Encode(seq, p)
+	want, err := encode(seq, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestEncodeParallelOpenGOPBitExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(Marshal(got), Marshal(want)) {
-			t.Fatalf("workers=%d: open-GOP encode differs from Encode", workers)
+			t.Fatalf("workers=%d: open-GOP encode differs from encode", workers)
 		}
 		snap := m.Snapshot()
 		if n := snap.CounterTotal(obs.CtrEncodeFrames); n != int64(len(seq.Frames)) {
@@ -134,7 +134,7 @@ func TestDecodeParallelBitExact(t *testing.T) {
 		p := testParams()
 		p.GOPSize = 8
 		tc.mut(&p)
-		v, err := Encode(seq, p)
+		v, err := encode(seq, p)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -153,7 +153,7 @@ func TestDecodeParallelCorruptedPayload(t *testing.T) {
 	seq := testSeq(t, "sports_like", 96, 64, 24)
 	p := testParams()
 	p.GOPSize = 8
-	v, err := Encode(seq, p)
+	v, err := encode(seq, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestHeaderRefSpans(t *testing.T) {
 	seq := testSeq(t, "news_like", 64, 48, 20)
 	p := testParams()
 	p.GOPSize = 8
-	v, err := Encode(seq, p)
+	v, err := encode(seq, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestDecodeContextCancelled(t *testing.T) {
 	seq := testSeq(t, "news_like", 64, 48, 8)
 	p := testParams()
 	p.GOPSize = 4
-	v, err := Encode(seq, p)
+	v, err := encode(seq, p)
 	if err != nil {
 		t.Fatal(err)
 	}

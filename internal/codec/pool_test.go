@@ -19,7 +19,7 @@ func testVideo(t testing.TB) *Video {
 	p.GOPSize = 8
 	p.SearchRange = 8
 	p.SlicesPerFrame = 2
-	v, err := Encode(seq, p)
+	v, err := encode(seq, p)
 	if err != nil {
 		t.Fatal(err)
 	}

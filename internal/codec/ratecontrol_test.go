@@ -14,7 +14,7 @@ func TestABRHitsTargetBitrate(t *testing.T) {
 	p.GOPSize = 30
 	// Pick a target near what CRF 24 produces so the controller has a
 	// reachable setpoint, then verify convergence within a factor.
-	ref, err := Encode(seq, p)
+	ref, err := encode(seq, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ func TestReanalyzeRecoversDependencies(t *testing.T) {
 	for _, kind := range []EntropyKind{CABAC, CAVLC} {
 		p := testParams()
 		p.Entropy = kind
-		v, err := Encode(seq, p)
+		v, err := encode(seq, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestReanalyzeBitRangesCoverPayload(t *testing.T) {
 	seq := testSeq(t, "parkrun_like", 96, 64, 8)
 	p := testParams()
 	p.SlicesPerFrame = 2
-	v, err := Encode(seq, p)
+	v, err := encode(seq, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestReanalyzeBitRangesCloseToEncoder(t *testing.T) {
 	// CABAC decode-side attribution is allowed to differ from the encoder's
 	// by the coder's lookahead, but only by a few bits.
 	seq := testSeq(t, "news_like", 96, 64, 6)
-	v, err := Encode(seq, testParams())
+	v, err := encode(seq, testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestReanalyzeBitRangesCloseToEncoder(t *testing.T) {
 
 func TestReanalyzeIdempotent(t *testing.T) {
 	seq := testSeq(t, "crew_like", 64, 48, 5)
-	v, err := Encode(seq, testParams())
+	v, err := encode(seq, testParams())
 	if err != nil {
 		t.Fatal(err)
 	}

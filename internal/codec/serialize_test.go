@@ -11,7 +11,7 @@ func TestContainerRoundTrip(t *testing.T) {
 	seq := testSeq(t, "crew_like", 96, 64, 8)
 	p := testParams()
 	p.SlicesPerFrame = 2
-	v, err := Encode(seq, p)
+	v, err := encode(seq, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestContainerRoundTrip(t *testing.T) {
 
 func TestContainerDecodesIdentically(t *testing.T) {
 	seq := testSeq(t, "parkrun_like", 96, 64, 6)
-	v, err := Encode(seq, testParams())
+	v, err := encode(seq, testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestContainerRejectsGarbage(t *testing.T) {
 
 func TestContainerRejectsTruncation(t *testing.T) {
 	seq := testSeq(t, "news_like", 64, 48, 4)
-	v, err := Encode(seq, testParams())
+	v, err := encode(seq, testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestContainerRejectsTruncation(t *testing.T) {
 
 func TestContainerRejectsTrailingBytes(t *testing.T) {
 	seq := testSeq(t, "news_like", 64, 48, 3)
-	v, err := Encode(seq, testParams())
+	v, err := encode(seq, testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestContainerRejectsTrailingBytes(t *testing.T) {
 func TestContainerCompactness(t *testing.T) {
 	// The container's framing overhead must be small relative to payload.
 	seq := testSeq(t, "crew_like", 96, 64, 10)
-	v, err := Encode(seq, testParams())
+	v, err := encode(seq, testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestContainerCompactness(t *testing.T) {
 func BenchmarkMarshal(b *testing.B) {
 	b.ReportAllocs()
 	seq := testSeq(b, "crew_like", 176, 144, 10)
-	v, err := Encode(seq, testParams())
+	v, err := encode(seq, testParams())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func BenchmarkMarshal(b *testing.B) {
 func BenchmarkUnmarshal(b *testing.B) {
 	b.ReportAllocs()
 	seq := testSeq(b, "crew_like", 176, 144, 10)
-	v, err := Encode(seq, testParams())
+	v, err := encode(seq, testParams())
 	if err != nil {
 		b.Fatal(err)
 	}

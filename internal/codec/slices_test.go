@@ -69,11 +69,11 @@ func TestSlicesCostExtraStorage(t *testing.T) {
 	// §8: each slice resets the entropy context and forfeits cross-slice
 	// prediction, so more slices must cost more bits.
 	seq := testSeq(t, "stockholm_like", 96, 64, 10)
-	v1, err := Encode(seq, sliceParams(1))
+	v1, err := encode(seq, sliceParams(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v4, err := Encode(seq, sliceParams(4))
+	v4, err := encode(seq, sliceParams(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestSliceContainsCodingErrors(t *testing.T) {
 	// The point of slices: a flip in the LAST slice must not damage the
 	// rows of earlier slices in the same frame.
 	seq := testSeq(t, "parkrun_like", 96, 64, 6)
-	v, err := Encode(seq, sliceParams(2))
+	v, err := encode(seq, sliceParams(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestSliceContainsCodingErrors(t *testing.T) {
 
 func TestSlicedCorruptDecodeNeverPanics(t *testing.T) {
 	seq := testSeq(t, "sports_like", 64, 48, 5)
-	v, err := Encode(seq, sliceParams(3))
+	v, err := encode(seq, sliceParams(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestSlicedCorruptDecodeNeverPanics(t *testing.T) {
 func TestSliceCountClampedToRows(t *testing.T) {
 	// 48 px = 3 MB rows; asking for 16 slices must degrade gracefully.
 	seq := testSeq(t, "news_like", 64, 48, 3)
-	v, err := Encode(seq, sliceParams(16))
+	v, err := encode(seq, sliceParams(16))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ func encodeTestVideo(t testing.TB, preset string, w, h, frames int, p codec.Para
 		t.Fatalf("unknown preset %s", preset)
 	}
 	seq := synth.Generate(cfg.ScaleTo(w, h, frames))
-	v, err := codec.Encode(seq, p)
+	v, err := codec.EncodeParallelContext(context.Background(), seq, p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestAnalysisOverheadSmall(t *testing.T) {
 	cfg, _ := synth.PresetByName("crew_like")
 	seq := synth.Generate(cfg.ScaleTo(96, 64, 12))
 	t0 := nowNano()
-	v, err := codec.Encode(seq, smallParams())
+	v, err := codec.EncodeParallelContext(context.Background(), seq, smallParams(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

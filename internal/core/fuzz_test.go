@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -19,7 +20,7 @@ func FuzzPartitionsRoundTrip(f *testing.F) {
 	p := codec.DefaultParams()
 	p.GOPSize = 4
 	p.SearchRange = 8
-	v, err := codec.Encode(seq, p)
+	v, err := codec.EncodeParallelContext(context.Background(), seq, p, 1)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -187,7 +187,7 @@ func buildStreams(t *testing.T) (*codec.Video, *core.StreamSet, []core.FramePart
 	p := codec.DefaultParams()
 	p.GOPSize = 6
 	p.SearchRange = 8
-	v, err := codec.Encode(seq, p)
+	v, err := codec.EncodeParallelContext(context.Background(), seq, p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -173,7 +173,7 @@ func TestCatalogChaos(t *testing.T) {
 	// Serial reference bodies for the clean backends.
 	ref := map[string][][]byte{}
 	for _, name := range []string{"disk", "mem"} {
-		a, err := store.OpenChunkArchiveAt(bytes.NewReader(cc.data[name]))
+		a, err := store.OpenArchiveBackend(bytes.NewReader(cc.data[name]))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -43,7 +43,7 @@ func chaosProfile(seed int64) faultio.Profile {
 func chaosReplay(t *testing.T, data []byte, seed int64) ([][]string, bool, []string) {
 	t.Helper()
 	fr := faultio.Wrap(store.NewSnapshotBackend(data), chaosProfile(seed))
-	a, err := store.OpenChunkArchiveAt(fr, store.WithFaultPolicy(chaosPolicy()))
+	a, err := store.OpenArchiveBackend(fr, store.WithFaultPolicy(chaosPolicy()))
 	if err != nil {
 		return nil, false, nil
 	}

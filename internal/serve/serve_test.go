@@ -43,7 +43,7 @@ func buildArchive(t testing.TB, gops int, tune func(*codec.Params)) []byte {
 	if tune != nil {
 		tune(&p)
 	}
-	v, err := codec.Encode(seq, p)
+	v, err := codec.EncodeParallelContext(context.Background(), seq, p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func buildArchive(t testing.TB, gops int, tune func(*codec.Params)) []byte {
 // served responses are compared against.
 func openBytes(t testing.TB, data []byte) *store.ChunkArchive {
 	t.Helper()
-	a, err := store.OpenChunkArchiveAt(bytes.NewReader(data))
+	a, err := store.OpenArchiveBackend(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,14 +121,17 @@ func chunkPath(i int) string {
 }
 
 // wantChunkBody renders the reference response body for chunk i: the
-// serial ReadChunk, decoded and written as y4m.
+// fully verified chunk read, decoded serially and written as y4m.
 func wantChunkBody(t testing.TB, a *store.ChunkArchive, i int) []byte {
 	t.Helper()
-	v, _, err := a.ReadChunk(i)
+	cr, err := a.ReadChunkContext(context.Background(), i)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := codec.DecodeContext(context.Background(), v, codec.DecodeOptions{}, 1)
+	if len(cr.Degraded) > 0 {
+		t.Fatalf("reference read of chunk %d degraded: %v", i, cr.Degraded)
+	}
+	seq, err := codec.DecodeContext(context.Background(), cr.Video, codec.DecodeOptions{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,7 +98,7 @@ func AnyErrorProb(bits int64, p float64) float64 {
 func ForceOneFlip(rng *rand.Rand, bits int64, p float64) ForcedFlip {
 	return ForcedFlip{
 		Scale:    AnyErrorProb(bits, p),
-		Position: rng.Int63n(maxi64(bits, 1)),
+		Position: rng.Int63n(max(bits, 1)),
 	}
 }
 
@@ -110,11 +110,4 @@ const LowRateThreshold = 0.5
 // stream of the given size at rate p.
 func UseForcedFlip(bits int64, p float64) bool {
 	return float64(bits)*p < LowRateThreshold
-}
-
-func maxi64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -159,13 +159,3 @@ func (b *SnapshotBackend) WriteAt(p []byte, off int64) (int, error) {
 
 // Close is an idempotent no-op.
 func (b *SnapshotBackend) Close() error { return nil }
-
-// OpenArchiveBackend indexes a container stored on any Backend. It is
-// OpenChunkArchiveAt with the full seam: reads go through the backend's
-// ReadAt, Scrub repairs go through its WriteAt (read-only backends report
-// the damage unrepaired instead), and the caller closes the backend after
-// the archive. Compose backends freely — a faultio decorator over a
-// MemBackend behaves exactly like one over a file.
-func OpenArchiveBackend(b Backend, opts ...ArchiveOption) (*ChunkArchive, error) {
-	return OpenChunkArchiveAt(b, opts...)
-}

@@ -63,7 +63,7 @@ func TestBackendsServeIdenticalArchives(t *testing.T) {
 		"mem":      NewMemBackend(data),
 		"snapshot": NewSnapshotBackend(data),
 	}
-	want, err := OpenChunkArchiveAt(bytes.NewReader(data))
+	want, err := OpenArchiveBackend(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +76,11 @@ func TestBackendsServeIdenticalArchives(t *testing.T) {
 			t.Fatalf("%s: %d chunks, want %d", name, a.NumChunks(), len(refs))
 		}
 		for i := 0; i < a.NumChunks(); i++ {
-			got, _, err := a.ReadChunk(i)
+			got, _, err := readStrict(a, i)
 			if err != nil {
 				t.Fatalf("%s: chunk %d: %v", name, i, err)
 			}
-			ref, _, err := want.ReadChunk(i)
+			ref, _, err := readStrict(want, i)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -117,7 +117,7 @@ func ledgerChunk(tb testing.TB) (*codec.Video, []core.FramePartition, []byte) {
 	cfg, _ := synth.PresetByName("crew_like")
 	p := codec.DefaultParams()
 	p.GOPSize = 6
-	v, err := codec.Encode(synth.Generate(cfg.ScaleTo(320, 176, 6)), p)
+	v, err := codec.EncodeParallelContext(context.Background(), synth.Generate(cfg.ScaleTo(320, 176, 6)), p, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func ledgerChunk(tb testing.TB) (*codec.Video, []core.FramePartition, []byte) {
 // the merge of the approximate streams into the payloads.
 func BenchmarkReadChunk(b *testing.B) {
 	_, _, data := ledgerChunk(b)
-	a, err := OpenChunkArchiveAt(bytes.NewReader(data))
+	a, err := OpenArchiveBackend(bytes.NewReader(data))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -221,17 +221,16 @@ type streamRec struct {
 
 // ChunkArchive is the random-access reader over a chunked container,
 // backed by an io.ReaderAt so that it is safe for unbounded concurrent use:
-// OpenChunkArchiveAt builds the index from the record headers alone —
-// payload bytes are hopped over, never read — and ReadChunk then touches
-// exactly one chunk's bytes, sharing no cursor with other readers. Every
-// method except Close may be called from any number of goroutines
+// OpenArchiveBackend builds the index from the record headers alone —
+// payload bytes are hopped over, never read — and ReadChunkContext then
+// touches exactly one chunk's bytes, sharing no cursor with other readers.
+// Every method except Close may be called from any number of goroutines
 // simultaneously.
 //
 // The archive is the unit of fault tolerance: reads retry transient
 // failures under the configured FaultPolicy, verify per-region checksums,
-// fall back to the mirror reader when one is configured (WithMirror), and —
-// through ReadChunkContext — degrade gracefully when only approximate
-// streams are damaged. Scrub walks every record proactively and repairs
+// fall back to the mirror reader when one is configured (WithMirror), and
+// degrade gracefully when only approximate streams are damaged. Scrub walks every record proactively and repairs
 // damage in place from the mirror.
 type ChunkArchive struct {
 	r      io.ReaderAt
@@ -274,13 +273,18 @@ const (
 	streamEntryLen = 16
 )
 
-// OpenChunkArchiveAt indexes a container produced by ChunkWriter. The
-// returned archive performs all reads through r's positionless ReadAt, so
-// concurrent ReadChunk calls never contend on a seek cursor. Structural
-// damage — a zero-length or truncated file, bad magic, a damaged chunk
-// header — is reported as an error wrapping ErrCorruptRecord; underlying
-// I/O failures are wrapped with %w and match with errors.Is.
-func OpenChunkArchiveAt(r io.ReaderAt, opts ...ArchiveOption) (*ChunkArchive, error) {
+// OpenArchiveBackend indexes a container produced by ChunkWriter, stored on
+// any io.ReaderAt — a Backend, an os.File, a bytes.Reader. The returned
+// archive performs all reads through r's positionless ReadAt, so concurrent
+// ReadChunkContext calls never contend on a seek cursor. When r is a
+// Backend (or any io.WriterAt) Scrub repairs go through its WriteAt —
+// read-only backends report the damage unrepaired instead — and the caller
+// closes it after the archive; compose backends freely, a faultio decorator
+// over a MemBackend behaves exactly like one over a file. Structural damage
+// — a zero-length or truncated file, bad magic, a damaged chunk header — is
+// reported as an error wrapping ErrCorruptRecord; underlying I/O failures
+// are wrapped with %w and match with errors.Is.
+func OpenArchiveBackend(r io.ReaderAt, opts ...ArchiveOption) (*ChunkArchive, error) {
 	a := &ChunkArchive{r: r}
 	for _, o := range opts {
 		o(a)
@@ -465,10 +469,10 @@ func (a *ChunkArchive) Info(i int) (ChunkInfo, error) {
 	return a.recs[i].info, nil
 }
 
-// Close marks the archive closed: subsequent Info and ReadChunk calls fail
-// with an error wrapping ErrArchiveClosed. The underlying reader belongs to
-// the caller and is not touched — close it separately once Close returns
-// and in-flight reads have drained. Close is idempotent.
+// Close marks the archive closed: subsequent Info and ReadChunkContext calls
+// fail with an error wrapping ErrArchiveClosed. The underlying reader
+// belongs to the caller and is not touched — close it separately once Close
+// returns and in-flight reads have drained. Close is idempotent.
 func (a *ChunkArchive) Close() error {
 	a.closed.Store(true)
 	return nil
@@ -676,27 +680,6 @@ func (a *ChunkArchive) recordBuffer(rec *chunkRec) ([]byte, error) {
 	return make([]byte, rec.info.Length), nil
 }
 
-// ReadChunk is the strict form of ReadChunkContext: it runs the same
-// fault-tolerance ladder (retries, verification, mirror) under the
-// archive's policy, but treats any unrecovered damage — including a
-// degradable approximate stream — as an error wrapping ErrCorruptRecord.
-// The returned video carries chunk-local frame indices (its first frame is
-// index 0) and decodes on its own, because chunk boundaries are closed-GOP
-// boundaries. ReadChunk is lock-free and safe to call from any number of
-// goroutines. Unknown indices report ErrChunkNotFound and reads after
-// Close report ErrArchiveClosed; all are matched with errors.Is.
-func (a *ChunkArchive) ReadChunk(i int) (*codec.Video, []core.FramePartition, error) {
-	//vetvideoapp:allow ctxfirst — ReadChunk is the documented context-less convenience form of ReadChunkContext
-	cr, err := a.ReadChunkContext(context.Background(), i)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(cr.Degraded) > 0 {
-		return nil, nil, fmt.Errorf("store: %w: chunk %d: streams %v failed verification", ErrCorruptRecord, i, cr.Degraded)
-	}
-	return cr.Video, cr.Parts, nil
-}
-
 // AppendChunkWriter reopens an existing container for appending: it indexes
 // the records already present, positions the stream at the end, and returns
 // a writer that continues where the last chunk stopped. rw must also
@@ -704,13 +687,13 @@ func (a *ChunkArchive) ReadChunk(i int) (*codec.Video, []core.FramePartition, er
 // lock-free read path; a seek-only stream cannot be appended to. A container
 // of any other format version is rejected like it is at open, and so is one
 // whose last record does not verify (ErrCorruptRecord): the tail a crashed
-// append leaves behind.
-func AppendChunkWriter(rw io.ReadWriteSeeker) (*ChunkWriter, error) {
+// append leaves behind. ctx governs that verifying read.
+func AppendChunkWriter(ctx context.Context, rw io.ReadWriteSeeker) (*ChunkWriter, error) {
 	ra, ok := rw.(io.ReaderAt)
 	if !ok {
 		return nil, fmt.Errorf("store: append target %T does not implement io.ReaderAt", rw)
 	}
-	a, err := OpenChunkArchiveAt(ra)
+	a, err := OpenArchiveBackend(ra)
 	if err != nil {
 		return nil, err
 	}
@@ -719,7 +702,11 @@ func AppendChunkWriter(rw io.ReadWriteSeeker) (*ChunkWriter, error) {
 		// The index scan hops payloads unread, so a writer that died inside
 		// its last record can leave a header whose payload is short or wrong.
 		// Appending behind it would seal the damage mid-container.
-		if _, _, err := a.ReadChunk(n - 1); err != nil {
+		cr, err := a.ReadChunkContext(ctx, n-1)
+		if err == nil && len(cr.Degraded) > 0 {
+			err = fmt.Errorf("store: %w: chunk %d: streams %v failed verification", ErrCorruptRecord, n-1, cr.Degraded)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("store: append target ends in a damaged record: %w", err)
 		}
 		last := a.recs[n-1].info

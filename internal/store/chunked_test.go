@@ -15,6 +15,21 @@ import (
 	"videoapp/internal/synth"
 )
 
+// readStrict reads chunk i through ReadChunkContext and treats a degraded
+// approximate stream as an error wrapping ErrCorruptRecord — the strict
+// read the archive tests assert against, and the check AppendChunkWriter
+// makes of a container's last record.
+func readStrict(a *ChunkArchive, i int) (*codec.Video, []core.FramePartition, error) {
+	cr, err := a.ReadChunkContext(context.Background(), i)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(cr.Degraded) > 0 {
+		return nil, nil, fmt.Errorf("%w: chunk %d: streams %v failed verification", ErrCorruptRecord, i, cr.Degraded)
+	}
+	return cr.Video, cr.Parts, nil
+}
+
 // buildChunkedVideo encodes a multi-GOP video and splits it at GOP
 // boundaries into chunk-local videos with their partitions, the form the
 // streaming pipeline hands to the archive writer.
@@ -26,7 +41,7 @@ func buildChunkedVideo(t testing.TB, gops int) (*codec.Video, []*codec.Video, []
 	p := codec.DefaultParams()
 	p.GOPSize = gopSize
 	p.SearchRange = 8
-	v, err := codec.Encode(seq, p)
+	v, err := codec.EncodeParallelContext(context.Background(), seq, p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +83,7 @@ func writeChunks(t testing.TB, cw *ChunkWriter, chunks []*codec.Video, parts [][
 // relatively bigger on tiny videos but still clearly minor).
 func TestArchiveRegionSizes(t *testing.T) {
 	data, _ := buildArchiveBytes(t, 3)
-	a, err := OpenChunkArchiveAt(bytes.NewReader(data))
+	a, err := OpenArchiveBackend(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +107,7 @@ func TestChunkArchiveRoundTrip(t *testing.T) {
 	}
 	writeChunks(t, cw, chunks, chunkParts, 0)
 
-	a, err := OpenChunkArchiveAt(bytes.NewReader(buf.Bytes()))
+	a, err := OpenArchiveBackend(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +122,7 @@ func TestChunkArchiveRoundTrip(t *testing.T) {
 	}
 	base := 0
 	for i, want := range chunks {
-		got, parts, err := a.ReadChunk(i)
+		got, parts, err := readStrict(a, i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +183,7 @@ func TestReadChunkTouchesOnlyItsPayload(t *testing.T) {
 	writeChunks(t, cw, chunks, chunkParts, 0)
 
 	tr := &trackingReader{r: bytes.NewReader(buf.Bytes())}
-	a, err := OpenChunkArchiveAt(tr)
+	a, err := OpenArchiveBackend(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,19 +203,19 @@ func TestReadChunkTouchesOnlyItsPayload(t *testing.T) {
 			}
 		}
 	}
-	// ReadChunk(1) must stay inside chunk 1's payload range.
+	// Reading chunk 1 must stay inside chunk 1's payload range.
 	tr.reads = nil
-	if _, _, err := a.ReadChunk(1); err != nil {
+	if _, _, err := readStrict(a, 1); err != nil {
 		t.Fatal(err)
 	}
 	lo, hi := payload(1)
 	for _, rd := range tr.reads {
 		if rd[0] < lo || rd[1] > hi {
-			t.Fatalf("ReadChunk(1) read [%d,%d) outside its payload [%d,%d)", rd[0], rd[1], lo, hi)
+			t.Fatalf("chunk 1 read [%d,%d) outside its payload [%d,%d)", rd[0], rd[1], lo, hi)
 		}
 	}
 	if len(tr.reads) == 0 {
-		t.Fatal("ReadChunk read nothing")
+		t.Fatal("the chunk read read nothing")
 	}
 }
 
@@ -227,7 +242,7 @@ func TestAppendChunkWriter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aw, err := AppendChunkWriter(rw)
+	aw, err := AppendChunkWriter(context.Background(), rw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +258,7 @@ func TestAppendChunkWriter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := OpenChunkArchiveAt(bytes.NewReader(data))
+	a, err := OpenArchiveBackend(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +266,7 @@ func TestAppendChunkWriter(t *testing.T) {
 		t.Fatalf("after append: %d chunks, %d frames", a.NumChunks(), a.TotalFrames())
 	}
 	for i, want := range chunks {
-		got, _, err := a.ReadChunk(i)
+		got, _, err := readStrict(a, i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +307,7 @@ func TestAppendTornTail(t *testing.T) {
 	// written from.
 	sameChunk := func(what string, a *ChunkArchive, i int) {
 		t.Helper()
-		got, _, err := a.ReadChunk(i)
+		got, _, err := readStrict(a, i)
 		if err != nil {
 			t.Fatalf("%s: chunk %d: %v", what, i, err)
 		}
@@ -309,7 +324,7 @@ func TestAppendTornTail(t *testing.T) {
 	once := WithFaultPolicy(FaultPolicy{MaxRetries: -1})
 	check := func(what string, torn []byte) {
 		t.Helper()
-		a, err := OpenChunkArchiveAt(bytes.NewReader(torn), once)
+		a, err := OpenArchiveBackend(bytes.NewReader(torn), once)
 		if err != nil {
 			typed(what+": open", err) // a torn header: the whole container is refused
 		} else {
@@ -319,7 +334,7 @@ func TestAppendTornTail(t *testing.T) {
 			sameChunk(what, a, 0)
 			sameChunk(what, a, 1)
 			if a.NumChunks() == 3 {
-				if _, _, err := a.ReadChunk(2); err != nil {
+				if _, _, err := readStrict(a, 2); err != nil {
 					typed(what+": chunk 2", err)
 				} else {
 					sameChunk(what, a, 2)
@@ -328,7 +343,7 @@ func TestAppendTornTail(t *testing.T) {
 		}
 
 		trw := &rwsBuffer{data: bytes.Clone(torn)}
-		aw, err := AppendChunkWriter(trw)
+		aw, err := AppendChunkWriter(context.Background(), trw)
 		if err != nil {
 			typed(what+": append", err)
 			return
@@ -337,7 +352,7 @@ func TestAppendTornTail(t *testing.T) {
 			t.Fatalf("%s: append accepted the torn record (resumes at frame %d, want %d)", what, aw.Frames(), next)
 		}
 		writeChunks(t, aw, chunks[2:], chunkParts[2:], next)
-		b, err := OpenChunkArchiveAt(bytes.NewReader(trw.data), once)
+		b, err := OpenArchiveBackend(bytes.NewReader(trw.data), once)
 		if err != nil {
 			t.Fatalf("%s: after append: %v", what, err)
 		}
@@ -383,7 +398,7 @@ func TestOpenChunkArchiveRejectsGarbage(t *testing.T) {
 		"truncated": []byte("VACS"),
 	}
 	for name, data := range cases {
-		if _, err := OpenChunkArchiveAt(bytes.NewReader(data)); err == nil {
+		if _, err := OpenArchiveBackend(bytes.NewReader(data)); err == nil {
 			t.Fatalf("%s: must be rejected", name)
 		}
 	}
@@ -396,7 +411,7 @@ func TestOpenChunkArchiveRejectsGarbage(t *testing.T) {
 	}
 	writeChunks(t, cw, chunks, chunkParts, 0)
 	data := buf.Bytes()
-	a, err := OpenChunkArchiveAt(bytes.NewReader(data))
+	a, err := OpenArchiveBackend(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +422,7 @@ func TestOpenChunkArchiveRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	data[first.Offset+first.Length] ^= 0xFF
-	if _, err := OpenChunkArchiveAt(bytes.NewReader(data)); err == nil {
+	if _, err := OpenArchiveBackend(bytes.NewReader(data)); err == nil {
 		t.Fatal("corrupt chunk marker must be rejected")
 	}
 }

@@ -3,9 +3,9 @@ package store
 import "errors"
 
 // Typed sentinel errors of the archive layer. Every error returned by
-// OpenChunkArchiveAt, ChunkArchive.Info and ChunkArchive.ReadChunk wraps one
-// of these (or the underlying I/O error) with %w, so callers can classify
-// failures with errors.Is: a missing chunk is a client error, a corrupt
+// OpenArchiveBackend, ChunkArchive.Info and ChunkArchive.ReadChunkContext
+// wraps one of these (or the underlying I/O error) with %w, so callers can
+// classify failures with errors.Is: a missing chunk is a client error, a corrupt
 // record is a data error, a closed archive is a lifecycle error.
 var (
 	// ErrChunkNotFound reports a chunk index outside the archive.

@@ -85,7 +85,7 @@ func streamRegion(t *testing.T, a *ChunkArchive, ci int) (int64, int64, string) 
 // retries are visible in metrics.
 func TestReadRetryRecoversTransient(t *testing.T) {
 	data, _ := buildArchiveBytes(t, 2)
-	a, err := OpenChunkArchiveAt(bytes.NewReader(data), WithFaultPolicy(fastPolicy()))
+	a, err := OpenArchiveBackend(bytes.NewReader(data), WithFaultPolicy(fastPolicy()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestRetriesDisabledFailsFast(t *testing.T) {
 	data, _ := buildArchiveBytes(t, 1)
 	pol := fastPolicy()
 	pol.MaxRetries = -1
-	a, err := OpenChunkArchiveAt(bytes.NewReader(data), WithFaultPolicy(pol))
+	a, err := OpenArchiveBackend(bytes.NewReader(data), WithFaultPolicy(pol))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,19 +134,19 @@ func TestRetriesDisabledFailsFast(t *testing.T) {
 // scheme listed in Degraded and counted in metrics.
 func TestStreamCorruptionDegrades(t *testing.T) {
 	data, _ := buildArchiveBytes(t, 2)
-	a, err := OpenChunkArchiveAt(bytes.NewReader(data))
+	a, err := OpenArchiveBackend(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
 	off, _, scheme := streamRegion(t, a, 0)
 	bad := bytes.Clone(data)
 	bad[off] ^= 0x40
-	a, err = OpenChunkArchiveAt(bytes.NewReader(bad), WithFaultPolicy(fastPolicy()))
+	a, err = OpenArchiveBackend(bytes.NewReader(bad), WithFaultPolicy(fastPolicy()))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if _, _, err := a.ReadChunk(0); !errors.Is(err, ErrCorruptRecord) {
+	if _, _, err := readStrict(a, 0); !errors.Is(err, ErrCorruptRecord) {
 		t.Fatalf("strict read of damaged stream: want ErrCorruptRecord, got %v", err)
 	}
 
@@ -184,21 +184,21 @@ func TestStreamCorruptionDegrades(t *testing.T) {
 // ErrCorruptRecord from both read forms.
 func TestPreciseCorruptionHardFails(t *testing.T) {
 	data, _ := buildArchiveBytes(t, 1)
-	a, err := OpenChunkArchiveAt(bytes.NewReader(data))
+	a, err := OpenArchiveBackend(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
 	info, _ := a.Info(0)
 	bad := bytes.Clone(data)
 	bad[info.Offset+1] ^= 0x01
-	a, err = OpenChunkArchiveAt(bytes.NewReader(bad), WithFaultPolicy(fastPolicy()))
+	a, err = OpenArchiveBackend(bytes.NewReader(bad), WithFaultPolicy(fastPolicy()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := a.ReadChunkContext(context.Background(), 0); !errors.Is(err, ErrCorruptRecord) {
 		t.Fatalf("context read: want ErrCorruptRecord, got %v", err)
 	}
-	if _, _, err := a.ReadChunk(0); !errors.Is(err, ErrCorruptRecord) {
+	if _, _, err := readStrict(a, 0); !errors.Is(err, ErrCorruptRecord) {
 		t.Fatalf("strict read: want ErrCorruptRecord, got %v", err)
 	}
 }
@@ -209,17 +209,17 @@ func TestPreciseCorruptionHardFails(t *testing.T) {
 // io.ErrUnexpectedEOF.
 func TestMidPayloadTruncationTyped(t *testing.T) {
 	data, _ := buildArchiveBytes(t, 2)
-	full, err := OpenChunkArchiveAt(bytes.NewReader(data))
+	full, err := OpenArchiveBackend(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
 	last, _ := full.Info(full.NumChunks() - 1)
 	cut := data[:last.Offset+last.Length/2]
-	a, err := OpenChunkArchiveAt(bytes.NewReader(cut), WithFaultPolicy(fastPolicy()))
+	a, err := OpenArchiveBackend(bytes.NewReader(cut), WithFaultPolicy(fastPolicy()))
 	if err != nil {
 		t.Fatalf("index over truncated payload must still open: %v", err)
 	}
-	_, _, err = a.ReadChunk(a.NumChunks() - 1)
+	_, _, err = readStrict(a, a.NumChunks()-1)
 	if !errors.Is(err, ErrCorruptRecord) {
 		t.Fatalf("want ErrCorruptRecord, got %v", err)
 	}
@@ -227,7 +227,7 @@ func TestMidPayloadTruncationTyped(t *testing.T) {
 		t.Fatalf("raw EOF class must not surface: %v", err)
 	}
 	// Earlier chunks are intact and keep reading.
-	if _, _, err := a.ReadChunk(0); err != nil {
+	if _, _, err := readStrict(a, 0); err != nil {
 		t.Fatalf("intact chunk after truncation: %v", err)
 	}
 }
@@ -237,14 +237,14 @@ func TestMidPayloadTruncationTyped(t *testing.T) {
 // refetched from the replica and verified.
 func TestMirrorRecoversCorruption(t *testing.T) {
 	data, _ := buildArchiveBytes(t, 1)
-	a, err := OpenChunkArchiveAt(bytes.NewReader(data))
+	a, err := OpenArchiveBackend(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
 	off, _, _ := streamRegion(t, a, 0)
 	bad := bytes.Clone(data)
 	bad[off] ^= 0x80
-	a, err = OpenChunkArchiveAt(bytes.NewReader(bad),
+	a, err = OpenArchiveBackend(bytes.NewReader(bad),
 		WithFaultPolicy(fastPolicy()), WithMirror(bytes.NewReader(data)))
 	if err != nil {
 		t.Fatal(err)
@@ -318,7 +318,7 @@ func (b *rwsBuffer) Seek(off int64, whence int) (int64, error) {
 func TestScrubRepairsFromMirror(t *testing.T) {
 	data, _ := buildArchiveBytes(t, 2)
 	clean := bytes.Clone(data)
-	probe, err := OpenChunkArchiveAt(bytes.NewReader(data))
+	probe, err := OpenArchiveBackend(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestScrubRepairsFromMirror(t *testing.T) {
 	primary := &memAt{data: bytes.Clone(data)}
 	primary.data[off] ^= 0x20
 
-	a, err := OpenChunkArchiveAt(primary,
+	a, err := OpenArchiveBackend(primary,
 		WithFaultPolicy(fastPolicy()), WithMirror(bytes.NewReader(clean)))
 	if err != nil {
 		t.Fatal(err)
@@ -362,14 +362,14 @@ func TestScrubRepairsFromMirror(t *testing.T) {
 // is reported and the report is unhealthy.
 func TestScrubWithoutMirrorReports(t *testing.T) {
 	data, _ := buildArchiveBytes(t, 1)
-	probe, err := OpenChunkArchiveAt(bytes.NewReader(data))
+	probe, err := OpenArchiveBackend(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
 	off, _, _ := streamRegion(t, probe, 0)
 	bad := bytes.Clone(data)
 	bad[off] ^= 0x10
-	a, err := OpenChunkArchiveAt(bytes.NewReader(bad), WithFaultPolicy(fastPolicy()))
+	a, err := OpenArchiveBackend(bytes.NewReader(bad), WithFaultPolicy(fastPolicy()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestFaultioIntegration(t *testing.T) {
 		})
 		pol := fastPolicy()
 		pol.MaxRetries = 8
-		a, err := OpenChunkArchiveAt(fr, WithFaultPolicy(pol))
+		a, err := OpenArchiveBackend(fr, WithFaultPolicy(pol))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -60,7 +60,7 @@ func FuzzOpenArchive(f *testing.F) {
 	f.Add(wrongVersion)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		a, err := OpenChunkArchiveAt(bytes.NewReader(data))
+		a, err := OpenArchiveBackend(bytes.NewReader(data))
 		if err != nil {
 			if !errors.Is(err, ErrCorruptRecord) && !errors.Is(err, ErrReadFailed) {
 				t.Fatalf("open: untyped error %v (input %d bytes)", err, len(data))
@@ -101,7 +101,7 @@ func FuzzOpenArchive(f *testing.F) {
 				}
 			case errors.Is(err, ErrCorruptRecord), errors.Is(err, ErrReadFailed):
 			default:
-				t.Fatalf("ReadChunk(%d): untyped error %v", i, err)
+				t.Fatalf("chunk %d: untyped error %v", i, err)
 			}
 		}
 		if a.TotalFrames() != frames {

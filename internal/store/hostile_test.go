@@ -116,16 +116,16 @@ func TestReadChunkBoundsDeclaredPayload(t *testing.T) {
 	const frames = 6
 	// The fabricated layout is the real one: honest lengths parse and read.
 	honest := fabricatedArchive(t, frames, fabricatedPrecise(frames, 1), frames, make([]byte, frames))
-	a, err := OpenChunkArchiveAt(bytes.NewReader(honest))
+	a, err := OpenArchiveBackend(bytes.NewReader(honest))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _, err := a.ReadChunk(0); err != nil || len(v.Frames) != frames {
+	if v, _, err := readStrict(a, 0); err != nil || len(v.Frames) != frames {
 		t.Fatalf("honest fabricated record: %v", err)
 	}
 
 	hostile := fabricatedArchive(t, frames, fabricatedPrecise(frames, 1<<30), 8, make([]byte, 8))
-	if a, err = OpenChunkArchiveAt(bytes.NewReader(hostile)); err != nil {
+	if a, err = OpenArchiveBackend(bytes.NewReader(hostile)); err != nil {
 		t.Fatal(err)
 	}
 	var rerr error
@@ -145,7 +145,7 @@ func TestReadChunkBoundsDeclaredPayload(t *testing.T) {
 func TestReadChunkProbesHugeRecord(t *testing.T) {
 	const frames = 2
 	hostile := fabricatedArchive(t, frames, fabricatedPrecise(frames, 1), 3<<30, make([]byte, 8))
-	a, err := OpenChunkArchiveAt(bytes.NewReader(hostile))
+	a, err := OpenArchiveBackend(bytes.NewReader(hostile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestReadChunkProbesHugeRecord(t *testing.T) {
 		t.Fatalf("refusing the record allocated %d bytes, want < 1 MiB", n)
 	}
 	// With a mirror that is just as short the verdict is the same.
-	if a, err = OpenChunkArchiveAt(bytes.NewReader(hostile), WithMirror(bytes.NewReader(hostile))); err != nil {
+	if a, err = OpenArchiveBackend(bytes.NewReader(hostile), WithMirror(bytes.NewReader(hostile))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := a.ReadChunkContext(context.Background(), 0); !errors.Is(err, ErrCorruptRecord) {
@@ -199,7 +199,7 @@ func TestAppendRefusesUncoveredPayload(t *testing.T) {
 // payloads) plus the frame table, pivot tables and slice tables.
 func TestReadChunkAllocationBudget(t *testing.T) {
 	_, _, data := ledgerChunk(t)
-	a, err := OpenChunkArchiveAt(bytes.NewReader(data))
+	a, err := OpenArchiveBackend(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func buildArchiveBytes(t testing.TB, gops int) ([]byte, [][]byte) {
 // -race) no data races.
 func TestConcurrentReadChunkBitIdentical(t *testing.T) {
 	data, _ := buildArchiveBytes(t, 4)
-	a, err := OpenChunkArchiveAt(bytes.NewReader(data))
+	a, err := OpenArchiveBackend(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestConcurrentReadChunkBitIdentical(t *testing.T) {
 	// Serial baseline: the reference payload bytes of every chunk.
 	want := make([][][]byte, a.NumChunks())
 	for i := range want {
-		v, _, err := a.ReadChunk(i)
+		v, _, err := readStrict(a, i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestConcurrentReadChunkBitIdentical(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			order := rng.Perm(a.NumChunks())
 			for _, i := range order {
-				v, parts, err := a.ReadChunk(i)
+				v, parts, err := readStrict(a, i)
 				if err != nil {
 					errs <- fmt.Errorf("reader %d chunk %d: %w", g, i, err)
 					return
@@ -96,7 +96,7 @@ func TestOpenArchiveTypedErrors(t *testing.T) {
 	data, _ := buildArchiveBytes(t, 2)
 
 	t.Run("zero-length file", func(t *testing.T) {
-		_, err := OpenChunkArchiveAt(bytes.NewReader(nil))
+		_, err := OpenArchiveBackend(bytes.NewReader(nil))
 		if !errors.Is(err, ErrCorruptRecord) {
 			t.Fatalf("want ErrCorruptRecord, got %v", err)
 		}
@@ -105,7 +105,7 @@ func TestOpenArchiveTypedErrors(t *testing.T) {
 		}
 	})
 	t.Run("truncated stream header", func(t *testing.T) {
-		_, err := OpenChunkArchiveAt(bytes.NewReader(data[:10]))
+		_, err := OpenArchiveBackend(bytes.NewReader(data[:10]))
 		if !errors.Is(err, ErrCorruptRecord) {
 			t.Fatalf("want ErrCorruptRecord, got %v", err)
 		}
@@ -113,7 +113,7 @@ func TestOpenArchiveTypedErrors(t *testing.T) {
 	t.Run("truncated chunk index", func(t *testing.T) {
 		// Cut inside the first chunk record's header (just past the
 		// stream header) so the index scan hits a partial record.
-		_, err := OpenChunkArchiveAt(bytes.NewReader(data[:archiveHeaderLen+10]))
+		_, err := OpenArchiveBackend(bytes.NewReader(data[:archiveHeaderLen+10]))
 		if !errors.Is(err, ErrCorruptRecord) {
 			t.Fatalf("want ErrCorruptRecord, got %v", err)
 		}
@@ -129,7 +129,7 @@ func TestOpenArchiveTypedErrors(t *testing.T) {
 	}
 	for _, cut := range []int{archiveHeaderLen + chunkFixedLen, archiveHeaderLen + chunkFixedLen + 1} {
 		t.Run(fmt.Sprintf("truncated stream entry at %d", cut), func(t *testing.T) {
-			_, err := OpenChunkArchiveAt(bytes.NewReader(data[:cut]))
+			_, err := OpenArchiveBackend(bytes.NewReader(data[:cut]))
 			if !errors.Is(err, ErrCorruptRecord) || errors.Is(err, io.EOF) {
 				t.Fatalf("want ErrCorruptRecord without io.EOF, got %v", err)
 			}
@@ -137,7 +137,7 @@ func TestOpenArchiveTypedErrors(t *testing.T) {
 	}
 	t.Run("end of container is not retried", func(t *testing.T) {
 		r := &eofCounter{r: bytes.NewReader(data)}
-		if _, err := OpenChunkArchiveAt(r); err != nil {
+		if _, err := OpenArchiveBackend(r); err != nil {
 			t.Fatal(err)
 		}
 		if r.eofs != 1 {
@@ -147,7 +147,7 @@ func TestOpenArchiveTypedErrors(t *testing.T) {
 	t.Run("bad magic", func(t *testing.T) {
 		bad := bytes.Clone(data)
 		bad[0] ^= 0xFF
-		_, err := OpenChunkArchiveAt(bytes.NewReader(bad))
+		_, err := OpenArchiveBackend(bytes.NewReader(bad))
 		if !errors.Is(err, ErrCorruptRecord) {
 			t.Fatalf("want ErrCorruptRecord, got %v", err)
 		}
@@ -159,33 +159,33 @@ func TestOpenArchiveTypedErrors(t *testing.T) {
 	wrongVersion[4] = 1
 	for name, v1 := range map[string][]byte{"version 1 header": v1Header(), "version 1 byte over records": wrongVersion} {
 		t.Run(name, func(t *testing.T) {
-			_, err := OpenChunkArchiveAt(bytes.NewReader(v1))
+			_, err := OpenArchiveBackend(bytes.NewReader(v1))
 			if !errors.Is(err, ErrCorruptRecord) || !strings.Contains(err.Error(), "unsupported archive version 1") {
 				t.Fatalf("open: want ErrCorruptRecord naming version 1, got %v", err)
 			}
-			_, err = AppendChunkWriter(&rwsBuffer{data: v1})
+			_, err = AppendChunkWriter(context.Background(), &rwsBuffer{data: v1})
 			if !errors.Is(err, ErrCorruptRecord) || !strings.Contains(err.Error(), "unsupported archive version 1") {
 				t.Fatalf("append: want ErrCorruptRecord naming version 1, got %v", err)
 			}
 		})
 	}
 	t.Run("chunk not found", func(t *testing.T) {
-		a, err := OpenChunkArchiveAt(bytes.NewReader(data))
+		a, err := OpenArchiveBackend(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := a.ReadChunk(99); !errors.Is(err, ErrChunkNotFound) {
-			t.Fatalf("ReadChunk(99): want ErrChunkNotFound, got %v", err)
+		if _, _, err := readStrict(a, 99); !errors.Is(err, ErrChunkNotFound) {
+			t.Fatalf("chunk 99): want ErrChunkNotFound, got %v", err)
 		}
-		if _, _, err := a.ReadChunk(-1); !errors.Is(err, ErrChunkNotFound) {
-			t.Fatalf("ReadChunk(-1): want ErrChunkNotFound, got %v", err)
+		if _, _, err := readStrict(a, -1); !errors.Is(err, ErrChunkNotFound) {
+			t.Fatalf("chunk -1): want ErrChunkNotFound, got %v", err)
 		}
 		if _, err := a.Info(99); !errors.Is(err, ErrChunkNotFound) {
 			t.Fatalf("Info(99): want ErrChunkNotFound, got %v", err)
 		}
 	})
 	t.Run("archive closed", func(t *testing.T) {
-		a, err := OpenChunkArchiveAt(bytes.NewReader(data))
+		a, err := OpenArchiveBackend(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +195,7 @@ func TestOpenArchiveTypedErrors(t *testing.T) {
 		if err := a.Close(); err != nil {
 			t.Fatalf("Close must be idempotent: %v", err)
 		}
-		if _, _, err := a.ReadChunk(0); !errors.Is(err, ErrArchiveClosed) {
+		if _, _, err := readStrict(a, 0); !errors.Is(err, ErrArchiveClosed) {
 			t.Fatalf("want ErrArchiveClosed, got %v", err)
 		}
 	})
@@ -234,12 +234,12 @@ func (tr *trackingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // TestReaderAtReadChunkLocality re-pins the random-access guarantee on the
-// native ReaderAt path: indexing reads no payload bytes, and ReadChunk(i)
+// native ReaderAt path: indexing reads no payload bytes, and reading chunk i
 // reads exclusively inside chunk i's payload range.
 func TestReaderAtReadChunkLocality(t *testing.T) {
 	data, _ := buildArchiveBytes(t, 3)
 	tr := &trackingReaderAt{r: bytes.NewReader(data)}
-	a, err := OpenChunkArchiveAt(tr)
+	a, err := OpenArchiveBackend(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,16 +259,16 @@ func TestReaderAtReadChunkLocality(t *testing.T) {
 		}
 	}
 	tr.reads = nil
-	if _, _, err := a.ReadChunk(1); err != nil {
+	if _, _, err := readStrict(a, 1); err != nil {
 		t.Fatal(err)
 	}
 	lo, hi := payload(1)
 	if len(tr.reads) == 0 {
-		t.Fatal("ReadChunk read nothing")
+		t.Fatal("the chunk read read nothing")
 	}
 	for _, rd := range tr.reads {
 		if rd[0] < lo || rd[1] > hi {
-			t.Fatalf("ReadChunk(1) read [%d,%d) outside its payload [%d,%d)", rd[0], rd[1], lo, hi)
+			t.Fatalf("chunk 1 read [%d,%d) outside its payload [%d,%d)", rd[0], rd[1], lo, hi)
 		}
 	}
 }
@@ -297,13 +297,13 @@ func TestFullReadWithEOFIsNotTruncation(t *testing.T) {
 	data, _ := buildArchiveBytes(t, 2)
 	for name, r := range map[string]io.ReaderAt{"bytes.Reader": bytes.NewReader(data), "full read + EOF": eofAtEndReader{data}} {
 		t.Run(name, func(t *testing.T) {
-			a, err := OpenChunkArchiveAt(r)
+			a, err := OpenArchiveBackend(r)
 			if err != nil {
 				t.Fatal(err)
 			}
 			last := a.NumChunks() - 1
-			if _, _, err := a.ReadChunk(last); err != nil {
-				t.Fatalf("ReadChunk(%d): %v", last, err)
+			if _, _, err := readStrict(a, last); err != nil {
+				t.Fatalf("chunk %d: %v", last, err)
 			}
 			rep, err := a.Scrub(context.Background())
 			if err != nil || !rep.Healthy() {

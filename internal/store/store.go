@@ -22,6 +22,7 @@ import (
 	"sync"
 
 	"videoapp/internal/bch"
+	"videoapp/internal/bitio"
 	"videoapp/internal/codec"
 	"videoapp/internal/core"
 	"videoapp/internal/mlc"
@@ -376,7 +377,7 @@ func (s *System) injectNominal(rng *rand.Rand, payload []byte, seg core.Segment)
 	}
 	n := 0
 	sim.VisitErrorPositions(rng, seg.Bits, rate, func(pos int64) {
-		flipBit(payload, seg.Start+pos)
+		bitio.FlipBit(payload, seg.Start+pos)
 		n++
 	})
 	return n
@@ -416,17 +417,10 @@ func (s *System) injectBlockAccurate(rng *rand.Rand, payload []byte, seg core.Se
 		}
 		for _, e := range errs {
 			if e < dataBits {
-				flipBit(payload, seg.Start+off+e)
+				bitio.FlipBit(payload, seg.Start+off+e)
 				flips++
 			}
 		}
 	}
 	return raw, flips
-}
-
-func flipBit(buf []byte, pos int64) {
-	if pos < 0 || pos >= int64(len(buf))*8 {
-		return
-	}
-	buf[pos>>3] ^= 1 << (7 - uint(pos&7))
 }

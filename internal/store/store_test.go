@@ -19,7 +19,7 @@ func buildVideo(t testing.TB) (*codec.Video, *core.Analysis, []core.FramePartiti
 	p := codec.DefaultParams()
 	p.GOPSize = 10
 	p.SearchRange = 8
-	v, err := codec.Encode(seq, p)
+	v, err := codec.EncodeParallelContext(context.Background(), seq, p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

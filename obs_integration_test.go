@@ -29,12 +29,12 @@ func obsTestVideo(t testing.TB) (*Sequence, Params) {
 func runInstrumented(t testing.TB, seq *Sequence, p Params, workers int) (MetricsSnapshot, int) {
 	t.Helper()
 	m := NewMetrics()
-	pl := NewPipeline(WithParams(p), WithWorkers(workers), WithObserver(m))
-	res, err := pl.ProcessContext(context.Background(), seq)
+	ctx := ContextWithObserver(context.Background(), m)
+	res, err := NewPipeline(WithParams(p), WithWorkers(workers)).ProcessContext(ctx, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, flips, err := res.StoreRoundTripContext(context.Background(), 11)
+	_, flips, err := res.StoreRoundTripContext(ctx, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,8 +46,8 @@ func runInstrumented(t testing.TB, seq *Sequence, p Params, workers int) (Metric
 func runStreamInstrumented(t testing.TB, seq *Sequence, p Params, workers int) MetricsSnapshot {
 	t.Helper()
 	m := NewMetrics()
-	pl := NewPipeline(WithParams(p), WithWorkers(workers), WithChunkGOPs(1), WithObserver(m))
-	if _, _, err := pl.StreamToArchive(context.Background(), SequenceSource(seq), io.Discard); err != nil {
+	pl := NewPipeline(WithParams(p), WithWorkers(workers), WithChunkGOPs(1))
+	if _, _, err := pl.StreamToArchive(ContextWithObserver(context.Background(), m), SequenceSource(seq), io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	return m.Snapshot()
@@ -126,16 +126,16 @@ func TestMetricsReconcileWithResult(t *testing.T) {
 	for name, p := range map[string]Params{"closed_gop": closed, "bframes": open} {
 		t.Run(name, func(t *testing.T) {
 			m := NewMetrics()
-			pl := NewPipeline(WithParams(p), WithWorkers(4), WithObserver(m))
-			res, err := pl.ProcessContext(context.Background(), seq)
+			ctx := ContextWithObserver(context.Background(), m)
+			res, err := NewPipeline(WithParams(p), WithWorkers(4)).ProcessContext(ctx, seq)
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, flipsA, err := res.StoreRoundTripContext(context.Background(), 3)
+			_, flipsA, err := res.StoreRoundTripContext(ctx, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, flipsB, err := res.StoreRoundTripContext(context.Background(), 99)
+			_, flipsB, err := res.StoreRoundTripContext(ctx, 99)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,11 +186,9 @@ func TestMetricsReconcileWithResult(t *testing.T) {
 	}
 }
 
-// TestContextObserverIsComplete pins the context as a complete route to a
-// pipeline without an observer of its own: under ContextWithObserver every
-// entry point reports what it reports through WithObserver — the same stage
-// set (the partition span included) and the same footprint counters and
-// gauges.
+// TestContextObserverIsComplete pins the context as a complete route: under
+// ContextWithObserver every pipeline entry point publishes its footprint
+// counters and gauges and the partition span.
 func TestContextObserverIsComplete(t *testing.T) {
 	seq, p := obsTestVideo(t)
 	entries := map[string]func(context.Context, *Pipeline) error{
@@ -209,15 +207,11 @@ func TestContextObserverIsComplete(t *testing.T) {
 	}
 	for name, run := range entries {
 		t.Run(name, func(t *testing.T) {
-			viaOption, viaContext := NewMetrics(), NewMetrics()
-			if err := run(context.Background(), NewPipeline(WithParams(p), WithObserver(viaOption))); err != nil {
+			m := NewMetrics()
+			if err := run(ContextWithObserver(context.Background(), m), NewPipeline(WithParams(p))); err != nil {
 				t.Fatal(err)
 			}
-			if err := run(ContextWithObserver(context.Background(), viaContext), NewPipeline(WithParams(p))); err != nil {
-				t.Fatal(err)
-			}
-			want, got := viaOption.Snapshot(), viaContext.Snapshot()
-			requireSameMetrics(t, want, got)
+			got := m.Snapshot()
 			if got.Counter("footprint_header_bits", "") == 0 || got.Gauge("footprint_cells_per_pixel", "") == 0 {
 				t.Fatalf("footprint not published through the context: %+v", got.Counters)
 			}
@@ -270,9 +264,9 @@ func TestMetricsConsistentUnderCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	tripwire := &cancelOnFrame{Observer: m, stage: "encode", after: 3, cancel: cancel}
-	pl := NewPipeline(WithParams(p), WithWorkers(4), WithObserver(tripwire))
+	pl := NewPipeline(WithParams(p), WithWorkers(4))
 
-	_, err := pl.ProcessContext(ctx, seq)
+	_, err := pl.ProcessContext(ContextWithObserver(ctx, tripwire), seq)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
 	}
@@ -293,12 +287,12 @@ func TestMetricsConsistentUnderCancellation(t *testing.T) {
 	// The aggregator is reusable after Reset: a clean run on the same
 	// Metrics reproduces the full-run counters exactly.
 	m.Reset()
-	pl2 := NewPipeline(WithParams(p), WithWorkers(4), WithObserver(m))
-	res, err := pl2.ProcessContext(context.Background(), seq)
+	observed := ContextWithObserver(context.Background(), m)
+	res, err := pl.ProcessContext(observed, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := res.StoreRoundTripContext(context.Background(), 11); err != nil {
+	if _, _, err := res.StoreRoundTripContext(observed, 11); err != nil {
 		t.Fatal(err)
 	}
 	redo := m.Snapshot()
@@ -319,7 +313,8 @@ func TestMetricsConsistentUnderCancellation(t *testing.T) {
 func TestMetricsConcurrentReadDuringRun(t *testing.T) {
 	seq, p := obsTestVideo(t)
 	m := NewMetrics()
-	pl := NewPipeline(WithParams(p), WithWorkers(4), WithObserver(m))
+	ctx := ContextWithObserver(context.Background(), m)
+	pl := NewPipeline(WithParams(p), WithWorkers(4))
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -340,11 +335,11 @@ func TestMetricsConcurrentReadDuringRun(t *testing.T) {
 		}
 	}()
 
-	res, err := pl.ProcessContext(context.Background(), seq)
+	res, err := pl.ProcessContext(ctx, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := res.StoreRoundTripContext(context.Background(), 7); err != nil {
+	if _, _, err := res.StoreRoundTripContext(ctx, 7); err != nil {
 		t.Fatal(err)
 	}
 	close(done)
@@ -371,13 +366,12 @@ func TestObserverDoesNotPerturbOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m := NewMetrics()
-	observed := NewPipeline(WithParams(p), WithWorkers(4), WithObserver(m))
-	resObs, err := observed.ProcessContext(context.Background(), seq)
+	ctx := ContextWithObserver(context.Background(), NewMetrics())
+	resObs, err := plain.ProcessContext(ctx, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	decObs, flipsObs, err := resObs.StoreRoundTripContext(context.Background(), 21)
+	decObs, flipsObs, err := resObs.StoreRoundTripContext(ctx, 21)
 	if err != nil {
 		t.Fatal(err)
 	}

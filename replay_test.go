@@ -20,7 +20,7 @@ import (
 // that came back without a flip is reconstructed from the parse on record
 // instead of being entropy-decoded again (DESIGN, "Parse once, flip many").
 
-func replayTestResult(t testing.TB, w, h int, assign ClassAssignment, workers int, m *Metrics) (*Result, *Sequence) {
+func replayTestResult(t testing.TB, w, h int, assign ClassAssignment, workers int) (*Result, *Sequence) {
 	t.Helper()
 	seq, err := GenerateTestVideo("parkrun_like", w, h, 12)
 	if err != nil {
@@ -29,11 +29,7 @@ func replayTestResult(t testing.TB, w, h int, assign ClassAssignment, workers in
 	p := DefaultParams()
 	p.GOPSize = 6
 	p.SearchRange = 8
-	opts := []Option{WithParams(p), WithAssignment(assign), WithWorkers(workers)}
-	if m != nil {
-		opts = append(opts, WithObserver(m))
-	}
-	res, err := NewPipeline(opts...).ProcessContext(context.Background(), seq)
+	res, err := NewPipeline(WithParams(p), WithAssignment(assign), WithWorkers(workers)).ProcessContext(context.Background(), seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,17 +77,17 @@ func TestRoundTripReplayHitRate(t *testing.T) {
 		{"paper", PaperAssignment(), 0.9, 1},
 		{"none", allNoneAssignment(), 0, 0},
 	} {
-		m := NewMetrics()
-		res, _ := replayTestResult(t, 320, 176, tc.assign, 1, m)
+		res, _ := replayTestResult(t, 320, 176, tc.assign, 1)
 		frames := len(res.Video.Frames)
-		m.Reset()
-		if _, _, err := res.StoreRoundTripContext(context.Background(), seed); err != nil {
+		m := NewMetrics()
+		ctx := ContextWithObserver(context.Background(), m)
+		if _, _, err := res.StoreRoundTripContext(ctx, seed); err != nil {
 			t.Fatal(err)
 		}
 		if n := m.Snapshot().CounterTotal(obs.CtrFramesReplayed); n != 0 {
 			t.Fatalf("%s: first trip replayed %d frames; nothing was on record yet", tc.name, n)
 		}
-		if _, _, err := res.StoreRoundTripContext(context.Background(), seed); err != nil {
+		if _, _, err := res.StoreRoundTripContext(ctx, seed); err != nil {
 			t.Fatal(err)
 		}
 		snap := m.Snapshot()
@@ -117,7 +113,7 @@ func TestRoundTripReplayHitRate(t *testing.T) {
 // the test of the record's publication.
 func TestConcurrentRoundTripsShareSyntax(t *testing.T) {
 	seeds := []int64{1, 2, 3, 1, 2, 3, 4, 4}
-	serial, _ := replayTestResult(t, 96, 64, PaperAssignment(), 1, nil)
+	serial, _ := replayTestResult(t, 96, 64, PaperAssignment(), 1)
 	want := make(map[int64]*Sequence)
 	wantFlips := make(map[int64]int)
 	for _, s := range seeds {
@@ -136,7 +132,7 @@ func TestConcurrentRoundTripsShareSyntax(t *testing.T) {
 		want[s], wantFlips[s] = dec, flips
 	}
 	for _, workers := range []int{1, 4} {
-		res, _ := replayTestResult(t, 96, 64, PaperAssignment(), workers, nil)
+		res, _ := replayTestResult(t, 96, 64, PaperAssignment(), workers)
 		var wg sync.WaitGroup
 		for g, s := range seeds {
 			wg.Add(1)
@@ -169,7 +165,7 @@ func TestConcurrentRoundTripsShareSyntax(t *testing.T) {
 // pool-backed and the trip hands it back, so a repeat trip allocates its
 // decoded frames and little else — not another macroblock-record arena.
 func TestRoundTripReleasesStoredCopy(t *testing.T) {
-	res, _ := replayTestResult(t, 320, 176, PaperAssignment(), 1, nil)
+	res, _ := replayTestResult(t, 320, 176, PaperAssignment(), 1)
 	nonePipe := NewPipeline(WithParams(res.Video.Params), WithAssignment(allNoneAssignment()), WithWorkers(1))
 	noneParts := res.Analysis.Partition(allNoneAssignment())
 	trips := map[string]func() error{

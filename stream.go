@@ -5,7 +5,7 @@ package videoapp
 // the dataflow and the bit-identity argument; the entry points here are
 // Pipeline.ProcessStream (batch-identical Result from a stream),
 // Pipeline.StreamToArchive (bounded-memory write of a chunked archive) and
-// OpenArchive/ReadChunk (random access to a single stored chunk).
+// OpenArchive/ReadChunkContext (random access to a single stored chunk).
 
 import (
 	"context"
@@ -25,8 +25,6 @@ type (
 	// ChunkSource yields raw frames incrementally to the streaming
 	// pipeline; see SequenceSource and Y4MSource.
 	ChunkSource = chunk.Source
-	// ProcessedChunk is one fully processed closed-GOP chunk.
-	ProcessedChunk = chunk.Processed
 	// ArchiveMeta is the stream-wide header of a chunked archive.
 	ArchiveMeta = store.ArchiveMeta
 	// ChunkInfo locates one chunk inside a chunked archive.
@@ -34,7 +32,8 @@ type (
 	// ChunkWriter appends processed chunks to a chunked archive.
 	ChunkWriter = store.ChunkWriter
 	// ChunkArchive is a lock-free random-access reader over a chunked
-	// archive; ReadChunk is safe for any number of concurrent readers.
+	// archive; ReadChunkContext is safe for any number of concurrent
+	// readers.
 	ChunkArchive = store.ChunkArchive
 	// Catalog is the HTTP read path over N named archives — the
 	// multi-tenant storage node; a single archive is a catalog of one spec.
@@ -118,8 +117,8 @@ func Y4MSource(r io.Reader, name string) (ChunkSource, error) { return chunk.Fro
 // stream header and the fixed-size per-chunk records are read — every
 // chunk's payload is hopped over, so opening a large archive is O(chunks),
 // not O(bytes). The archive reads exclusively through r's positionless
-// ReadAt, which makes ReadChunk lock-free and safe for any number of
-// concurrent readers (os.File and bytes.Reader both qualify). Zero-length
+// ReadAt, which makes ReadChunkContext lock-free and safe for any number
+// of concurrent readers (os.File and bytes.Reader both qualify). Zero-length
 // or truncated inputs return an error wrapping ErrCorruptRecord.
 //
 // Options attach a FaultPolicy (WithArchivePolicy) for retrying transient
@@ -129,7 +128,7 @@ func Y4MSource(r io.Reader, name string) (ChunkSource, error) { return chunk.Fro
 // read-only backends report the damage unrepaired — and the caller closes
 // it after the archive.
 func OpenArchive(r io.ReaderAt, opts ...ArchiveOption) (*ChunkArchive, error) {
-	return store.OpenChunkArchiveAt(r, opts...)
+	return store.OpenArchiveBackend(r, opts...)
 }
 
 // OpenFileBackend opens a file as an archive Backend; writable selects the
@@ -213,18 +212,21 @@ func WithFaultPolicy(p FaultPolicy) ServeOption { return serve.WithFaultPolicy(p
 
 // AppendArchive reopens an existing chunked archive for appending more
 // chunks (append-on-write: earlier bytes are never rewritten). rw must
-// also implement io.ReaderAt (os.File does) for the lock-free index scan.
-func AppendArchive(rw io.ReadWriteSeeker) (*ChunkWriter, error) { return store.AppendChunkWriter(rw) }
+// also implement io.ReaderAt (os.File does) for the lock-free index scan;
+// ctx governs the verifying read of the archive's last record.
+func AppendArchive(ctx context.Context, rw io.ReadWriteSeeker) (*ChunkWriter, error) {
+	return store.AppendChunkWriter(ctx, rw)
+}
 
 // chunkConfig assembles the streaming engine configuration from the
 // pipeline, attaching sys for per-chunk footprint costs.
 func (p *Pipeline) chunkConfig(sys *store.System) chunk.Config {
 	return chunk.Config{
-		Params:       p.Params,
-		Assignment:   p.Assignment,
+		Params:       p.params,
+		Assignment:   p.assignment,
 		System:       sys,
-		GOPsPerChunk: p.ChunkGOPs,
-		Workers:      p.Workers,
+		GOPsPerChunk: p.chunkGOPs,
+		Workers:      p.workers,
 	}
 }
 
@@ -242,7 +244,6 @@ func (p *Pipeline) chunkConfig(sys *store.System) chunk.Config {
 // a Result is); for end-to-end bounded memory use StreamToArchive, which
 // writes chunks out as they complete.
 func (p *Pipeline) ProcessStream(ctx context.Context, src ChunkSource) (*Result, error) {
-	ctx = obs.With(ctx, p.Observer)
 	sys, err := p.system()
 	if err != nil {
 		return nil, err
@@ -254,7 +255,7 @@ func (p *Pipeline) ProcessStream(ctx context.Context, src ChunkSource) (*Result,
 		costs     []store.FrameCost
 		pixels    int64
 	)
-	err = chunk.Run(ctx, p.chunkConfig(sys), src, func(c *ProcessedChunk) error {
+	err = chunk.Run(ctx, p.chunkConfig(sys), src, func(c *chunk.Processed) error {
 		if v == nil {
 			v = &codec.Video{Params: c.Video.Params, W: c.Video.W, H: c.Video.H, FPS: c.Video.FPS}
 		}
@@ -281,10 +282,7 @@ func (p *Pipeline) ProcessStream(ctx context.Context, src ChunkSource) (*Result,
 	stats := sys.StatsFromCosts(costs, v.HeaderBits()+core.PivotOverheadBits(parts), pixels)
 	store.PublishFootprint(obs.From(ctx), stats)
 	an := &core.Analysis{Video: v, Importance: imp, CompImportance: comp}
-	return &Result{
-		Video: v, Analysis: an, Partitions: parts, Stats: stats,
-		pipeline: p, system: sys, pixels: pixels,
-	}, nil
+	return &Result{Video: v, Analysis: an, Partitions: parts, Stats: stats, system: sys, workers: p.workers}, nil
 }
 
 // StreamToArchive processes src in closed-GOP chunks — several at once, up
@@ -297,7 +295,6 @@ func (p *Pipeline) ProcessStream(ctx context.Context, src ChunkSource) (*Result,
 // archive layout and the aggregate storage footprint (header bits
 // accounted in the archive's chunk-local form).
 func (p *Pipeline) StreamToArchive(ctx context.Context, src ChunkSource, w io.Writer) (ArchiveMeta, StorageStats, error) {
-	ctx = obs.With(ctx, p.Observer)
 	sys, err := p.system()
 	if err != nil {
 		return ArchiveMeta{}, StorageStats{}, err
@@ -309,13 +306,10 @@ func (p *Pipeline) StreamToArchive(ctx context.Context, src ChunkSource, w io.Wr
 		headerBits int64
 		pixels     int64
 	)
-	gops := p.ChunkGOPs
-	if gops < 1 {
-		gops = 1
-	}
-	err = chunk.Run(ctx, p.chunkConfig(sys), src, func(c *ProcessedChunk) error {
+	gops := max(p.chunkGOPs, 1)
+	err = chunk.Run(ctx, p.chunkConfig(sys), src, func(c *chunk.Processed) error {
 		if cw == nil {
-			meta = ArchiveMeta{W: c.Video.W, H: c.Video.H, FPS: c.Video.FPS, GOPSize: p.Params.GOPSize, GOPsPerChunk: gops}
+			meta = ArchiveMeta{W: c.Video.W, H: c.Video.H, FPS: c.Video.FPS, GOPSize: p.params.GOPSize, GOPsPerChunk: gops}
 			var err error
 			if cw, err = store.NewChunkWriter(w, meta); err != nil {
 				return err
@@ -338,11 +332,12 @@ func (p *Pipeline) StreamToArchive(ctx context.Context, src ChunkSource, w io.Wr
 }
 
 // RoundTripChunk simulates the approximate storage round trip of a single
-// archived chunk — typically one ReadChunk result — and decodes it without
-// touching the rest of the archive. firstFrame is the chunk's position in
-// the whole video (ChunkInfo.FirstFrame): the injected error streams are
-// drawn per global frame, so the decoded frames are bit-identical to the
-// same frames of a whole-video StoreRoundTripContext with the same seed.
+// archived chunk — typically one ReadChunkContext result — and decodes it
+// without touching the rest of the archive. firstFrame is the chunk's
+// position in the whole video (ChunkInfo.FirstFrame): the injected error
+// streams are drawn per global frame, so the decoded frames are
+// bit-identical to the same frames of a whole-video StoreRoundTripContext
+// with the same seed.
 func (p *Pipeline) RoundTripChunk(ctx context.Context, v *Video, parts []FramePartition, firstFrame int, seed int64) (*Sequence, int, error) {
 	if firstFrame < 0 {
 		return nil, 0, fmt.Errorf("videoapp: negative first frame %d", firstFrame)
@@ -351,14 +346,5 @@ func (p *Pipeline) RoundTripChunk(ctx context.Context, v *Video, parts []FramePa
 	if err != nil {
 		return nil, 0, err
 	}
-	ctx = obs.With(ctx, p.Observer)
-	stored, flips, err := sys.StoreContext(ctx, v, parts, store.StoreOpts{
-		Seed: seed, FrameOffset: firstFrame, Workers: p.Workers,
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	seq, err := codec.DecodeContext(ctx, stored, codec.DecodeOptions{}, p.Workers)
-	stored.Release()
-	return seq, flips, err
+	return roundTrip(ctx, sys, v, parts, firstFrame, seed, p.workers)
 }

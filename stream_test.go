@@ -132,11 +132,11 @@ func TestStreamToArchiveRandomAccess(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, parts, err := a.ReadChunk(i)
-		if err != nil {
-			t.Fatal(err)
+		cr, err := a.ReadChunkContext(context.Background(), i)
+		if err != nil || len(cr.Degraded) > 0 {
+			t.Fatalf("chunk %d: %v (degraded %v)", i, err, cr.Degraded)
 		}
-		dec, flips, err := p.RoundTripChunk(context.Background(), v, parts, info.FirstFrame, seed)
+		dec, flips, err := p.RoundTripChunk(context.Background(), cr.Video, cr.Parts, info.FirstFrame, seed)
 		if err != nil {
 			t.Fatal(err)
 		}

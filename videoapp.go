@@ -33,9 +33,9 @@
 // # Serving
 //
 // The read path of an archived video is OpenArchive (lock-free concurrent
-// ReadChunk over an io.ReaderAt) fronted by NewCatalog, an HTTP server over
-// one or many named archives with a sized LRU decoded-chunk cache and
-// request coalescing; see stream.go and the internal/serve package
+// ReadChunkContext over an io.ReaderAt) fronted by NewCatalog, an HTTP
+// server over one or many named archives with a sized LRU decoded-chunk
+// cache and request coalescing; see stream.go and the internal/serve package
 // documentation.
 //
 // The underlying subsystems are exposed as type aliases so that advanced
@@ -113,7 +113,7 @@ type (
 	// package documentation for the event vocabulary.
 	Observer = obs.Observer
 	// Metrics is the thread-safe aggregating Observer: attach one like any
-	// other observer (WithObserver, ContextWithObserver), keep the pointer
+	// other observer (ContextWithObserver), keep the pointer
 	// and read it with Metrics.Snapshot. Its counters reconcile with the
 	// Result: footprint_payload_bits per scheme equals Stats.PerScheme,
 	// footprint_header_bits equals Stats.HeaderBits, and the
@@ -141,8 +141,8 @@ func MultiObserver(observers ...Observer) Observer { return obs.Multi(observers.
 // MeasureContext, and the pipeline stages they back) reports its stage
 // span, per-frame progress and counters to the observer attached to the
 // context it runs under, and so does every Pipeline call (spans, counters
-// and footprint gauges alike). A pipeline configured with WithObserver
-// reports to that observer instead.
+// and footprint gauges alike). It is the one way to observe a pipeline
+// call; a Catalog, which has no caller context, takes WithServeObserver.
 func ContextWithObserver(ctx context.Context, o Observer) context.Context {
 	return obs.With(ctx, o)
 }
@@ -262,70 +262,49 @@ func PresetNames() []string {
 }
 
 // Pipeline bundles the full paper workflow with overridable components.
-//
-// The preferred way to configure a pipeline is the functional options of
-// NewPipeline (WithParams, WithAssignment, WithSubstrate, WithWorkers,
-// WithBlockAccurate, WithChunkGOPs, WithObserver). The struct fields
-// remain exported and writable for compatibility; mutate them only before
-// the first ProcessContext call.
+// NewPipeline and its functional options (WithParams, WithAssignment,
+// WithSubstrate, WithWorkers, WithBlockAccurate, WithChunkGOPs) are the one
+// way to configure it; a pipeline is immutable afterwards and safe for
+// concurrent use. Observers ride the call's context (ContextWithObserver).
 type Pipeline struct {
-	// Params configures the encoder (default: DefaultParams).
-	Params Params
-	// Assignment maps importance to ECC (default: PaperAssignment).
-	Assignment ClassAssignment
-	// Substrate is the storage cell model (default: 8-level MLC PCM).
-	Substrate Substrate
-	// Workers bounds the concurrency of every pipeline stage; <= 0 (the
-	// default) selects GOMAXPROCS. Results are identical at every worker
-	// count.
-	Workers int
-	// BlockAccurate switches storage round trips from the nominal
-	// per-scheme residual rates (Table 1) to explicit per-512-bit-block
-	// binomial error simulation with BCH correction accounting.
-	BlockAccurate bool
-	// Observer receives instrumentation from every pipeline stage. nil
-	// (the default) leaves the observer of the call's context in charge
-	// (ContextWithObserver; none publishes nothing); observers never
-	// perturb results.
-	Observer Observer
-	// ChunkGOPs is the streaming chunk granularity in closed GOPs used by
-	// ProcessStream and StreamToArchive; <= 0 (the default) selects 1.
-	// Results are bit-identical at every granularity.
-	ChunkGOPs int
+	params        Params
+	assignment    ClassAssignment
+	substrate     Substrate
+	workers       int
+	blockAccurate bool
+	chunkGOPs     int
 }
 
 // Option configures a Pipeline at construction time.
 type Option func(*Pipeline)
 
-// WithParams sets the encoder configuration.
-func WithParams(p Params) Option { return func(pl *Pipeline) { pl.Params = p } }
+// WithParams sets the encoder configuration (default: DefaultParams).
+func WithParams(p Params) Option { return func(pl *Pipeline) { pl.params = p } }
 
-// WithAssignment sets the importance-class → ECC-scheme mapping.
-func WithAssignment(a ClassAssignment) Option { return func(pl *Pipeline) { pl.Assignment = a } }
+// WithAssignment sets the importance-class → ECC-scheme mapping (default:
+// PaperAssignment).
+func WithAssignment(a ClassAssignment) Option { return func(pl *Pipeline) { pl.assignment = a } }
 
-// WithSubstrate sets the storage cell model.
-func WithSubstrate(s Substrate) Option { return func(pl *Pipeline) { pl.Substrate = s } }
+// WithSubstrate sets the storage cell model (default: 8-level MLC PCM).
+func WithSubstrate(s Substrate) Option { return func(pl *Pipeline) { pl.substrate = s } }
 
-// WithWorkers bounds the concurrency of every pipeline stage; n <= 0
-// selects GOMAXPROCS. The streaming paths split the same budget between
-// chunks in flight and the workers inside each chunk, so it also bounds
-// their peak memory (see StreamToArchive).
-func WithWorkers(n int) Option { return func(pl *Pipeline) { pl.Workers = n } }
+// WithWorkers bounds the concurrency of every pipeline stage; n <= 0 (the
+// default) selects GOMAXPROCS. Results are identical at every worker count.
+// The streaming paths split the same budget between chunks in flight and
+// the workers inside each chunk, so it also bounds their peak memory (see
+// StreamToArchive).
+func WithWorkers(n int) Option { return func(pl *Pipeline) { pl.workers = n } }
 
-// WithBlockAccurate selects explicit per-block error simulation for storage
-// round trips.
-func WithBlockAccurate(on bool) Option { return func(pl *Pipeline) { pl.BlockAccurate = on } }
+// WithBlockAccurate switches storage round trips from the nominal
+// per-scheme residual rates (Table 1) to explicit per-512-bit-block
+// binomial error simulation with BCH correction accounting.
+func WithBlockAccurate(on bool) Option { return func(pl *Pipeline) { pl.blockAccurate = on } }
 
 // WithChunkGOPs sets the streaming chunk granularity in closed GOPs
 // (ProcessStream, StreamToArchive); n <= 0 selects 1. Larger chunks
 // amortize per-chunk overhead at the cost of higher peak memory and coarser
 // archive random-access units; results are identical at every granularity.
-func WithChunkGOPs(n int) Option { return func(pl *Pipeline) { pl.ChunkGOPs = n } }
-
-// WithObserver attaches an observer to every pipeline stage, in place of
-// the one the call's context carries. Combine several — a Metrics and a
-// Trace, say — with MultiObserver.
-func WithObserver(o Observer) Option { return func(pl *Pipeline) { pl.Observer = o } }
+func WithChunkGOPs(n int) Option { return func(pl *Pipeline) { pl.chunkGOPs = n } }
 
 // NewPipeline returns a pipeline with the paper's defaults, then applies
 // the options in order.
@@ -339,9 +318,9 @@ func WithObserver(o Observer) Option { return func(pl *Pipeline) { pl.Observer =
 //	-metrics, -trace-out       ContextWithObserver(ctx, MultiObserver(NewMetrics(), NewTrace(w)))
 func NewPipeline(opts ...Option) *Pipeline {
 	p := &Pipeline{
-		Params:     codec.DefaultParams(),
-		Assignment: core.PaperAssignment(),
-		Substrate:  mlc.Default(),
+		params:     codec.DefaultParams(),
+		assignment: core.PaperAssignment(),
+		substrate:  mlc.Default(),
 	}
 	for _, o := range opts {
 		o(p)
@@ -352,9 +331,9 @@ func NewPipeline(opts ...Option) *Pipeline {
 // system builds the configured approximate storage system.
 func (p *Pipeline) system() (*store.System, error) {
 	return store.New(store.Config{
-		Substrate:     p.Substrate,
-		Assignment:    p.Assignment,
-		BlockAccurate: p.BlockAccurate,
+		Substrate:     p.substrate,
+		Assignment:    p.assignment,
+		BlockAccurate: p.blockAccurate,
 	})
 }
 
@@ -364,9 +343,11 @@ type Result struct {
 	Analysis   *Analysis
 	Partitions []FramePartition
 	Stats      StorageStats
-	pipeline   *Pipeline
-	system     *store.System
-	pixels     int64
+	// system is the storage system the footprint was computed under, built
+	// once by ProcessContext or ProcessStream and reused by every round
+	// trip; workers is the pipeline's worker budget.
+	system  *store.System
+	workers int
 }
 
 // ProcessContext encodes, analyzes and partitions a raw sequence, and
@@ -376,14 +357,11 @@ type Result struct {
 // cancelled. The result is identical at every worker count, with or without
 // an observer attached.
 func (p *Pipeline) ProcessContext(ctx context.Context, seq *Sequence) (*Result, error) {
-	// The effective observer rides the context from here on: the pipeline's
-	// own when one is configured, else whatever the caller attached.
-	ctx = obs.With(ctx, p.Observer)
-	v, err := EncodeContext(ctx, seq, p.Params, p.Workers)
+	v, err := EncodeContext(ctx, seq, p.params, p.workers)
 	if err != nil {
 		return nil, err
 	}
-	an, err := core.AnalyzeContext(ctx, v, core.DefaultOptions(), p.Workers)
+	an, err := core.AnalyzeContext(ctx, v, core.DefaultOptions(), p.workers)
 	if err != nil {
 		return nil, err
 	}
@@ -391,22 +369,17 @@ func (p *Pipeline) ProcessContext(ctx context.Context, seq *Sequence) (*Result, 
 		return nil, err
 	}
 	sp := obs.StartSpan(obs.From(ctx), obs.StagePartition)
-	parts := an.Partition(p.Assignment)
+	parts := an.Partition(p.assignment)
 	sp.End()
-	// The storage system is validated and built once here; Result reuses it
-	// for every round trip.
 	sys, err := p.system()
 	if err != nil {
 		return nil, err
 	}
-	stats, err := sys.FootprintContext(ctx, v, parts, seq.PixelCount(), p.Workers)
+	stats, err := sys.FootprintContext(ctx, v, parts, seq.PixelCount(), p.workers)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Video: v, Analysis: an, Partitions: parts, Stats: stats,
-		pipeline: p, system: sys, pixels: seq.PixelCount(),
-	}, nil
+	return &Result{Video: v, Analysis: an, Partitions: parts, Stats: stats, system: sys, workers: p.workers}, nil
 }
 
 // StoreRoundTripContext simulates one approximate storage round trip
@@ -414,27 +387,28 @@ func (p *Pipeline) ProcessContext(ctx context.Context, seq *Sequence) (*Result, 
 // errors) and decodes the result. Error injection and decoding run
 // frame-parallel under the pipeline's worker budget; for a fixed seed the
 // outcome is a pure function of the processed video — independent of the
-// worker count. Cancellation is checked at frame boundaries.
+// worker count. Cancellation is checked at frame boundaries. The Result
+// must come from ProcessContext or ProcessStream, which fix the storage
+// system it is stored on; one built by hand reports an error.
 func (r *Result) StoreRoundTripContext(ctx context.Context, seed int64) (*Sequence, int, error) {
-	sys := r.system
-	if sys == nil {
-		// Results built by hand (not via ProcessContext) still work.
-		var err error
-		if sys, err = r.pipeline.system(); err != nil {
-			return nil, 0, err
-		}
-		r.system = sys
+	if r.system == nil {
+		return nil, 0, errors.New("videoapp: round trip of a Result not built by ProcessContext or ProcessStream")
 	}
-	// The observer rides the context: StoreContext and DecodeContext pick
-	// it up from there, so events publish exactly once.
-	ctx = obs.With(ctx, r.pipeline.Observer)
-	stored, flips, err := sys.StoreContext(ctx, r.Video, r.Partitions, store.StoreOpts{
-		Seed: seed, Workers: r.pipeline.Workers,
+	return roundTrip(ctx, r.system, r.Video, r.Partitions, 0, seed, r.workers)
+}
+
+// roundTrip is the one storage round trip behind StoreRoundTripContext and
+// RoundTripChunk: store v on sys with the seeded residual errors (frame
+// indices offset by firstFrame), decode the damaged copy and release it.
+// Observers ride ctx, so every event publishes exactly once.
+func roundTrip(ctx context.Context, sys *store.System, v *Video, parts []FramePartition, firstFrame int, seed int64, workers int) (*Sequence, int, error) {
+	stored, flips, err := sys.StoreContext(ctx, v, parts, store.StoreOpts{
+		Seed: seed, FrameOffset: firstFrame, Workers: workers,
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	seq, err := codec.DecodeContext(ctx, stored, codec.DecodeOptions{}, r.pipeline.Workers)
+	seq, err := codec.DecodeContext(ctx, stored, codec.DecodeOptions{}, workers)
 	// The decoded frames do not alias the stored copy: hand its buffers to
 	// the next trip.
 	stored.Release()

@@ -30,9 +30,10 @@ func TestPipelineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPipeline()
-	p.Params.GOPSize = 10
-	p.Params.SearchRange = 8
+	params := DefaultParams()
+	params.GOPSize = 10
+	params.SearchRange = 8
+	p := NewPipeline(WithParams(params))
 	res, err := p.ProcessContext(context.Background(), seq)
 	if err != nil {
 		t.Fatal(err)
