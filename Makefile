@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test race purego golden golden-check bench bench-smoke bench-selftest serve-smoke chaos-smoke examples-smoke fmt fmt-check vet lint
+.PHONY: check build build-windows test race purego golden golden-check bench bench-smoke bench-selftest serve-smoke chaos-smoke examples-smoke fmt fmt-check vet lint
 
 # check is the full verification gate: formatting, vet, lint (staticcheck
 # when installed, vetvideoapp and the lint greps), build, race-enabled tests, a
@@ -17,11 +17,19 @@ GO ?= go
 # arithmetic coder and the SSE2 kernels to their oracles among them. purego
 # re-runs the suites of every package with an assembly kernel, and the codec
 # suite with its golden manifest, on the portable Go forms, which an amd64
-# machine otherwise never builds.
-check: fmt-check vet lint build golden-check purego race bench-smoke bench-selftest serve-smoke chaos-smoke examples-smoke
+# machine otherwise never builds; it also runs the chunk server's suite on
+# heap-allocated renderings, and build-windows compiles the module for a
+# non-unix system, so neither fallback can rot.
+check: fmt-check vet lint build build-windows golden-check purego race bench-smoke bench-selftest serve-smoke chaos-smoke examples-smoke
 
 build:
 	$(GO) build ./...
+
+# build-windows cross-compiles the module for windows/amd64 (no network, no
+# cgo): the build where internal/offheap hands out heap slices instead of
+# memory mappings, and any unix-only call would fail to link.
+build-windows:
+	GOOS=windows GOARCH=amd64 $(GO) build ./...
 
 vet:
 	$(GO) vet ./...
@@ -47,10 +55,13 @@ race:
 # predict's SAD rows, quality's squared error, transform's 4×4 kernels) and
 # runs their kernel-equivalence tests and the codec suite — golden decode
 # manifest included — on the portable Go forms, so the path every other
-# GOARCH uses cannot rot on an amd64-only CI. `scripts/lint.sh vetvideoapp`
+# GOARCH uses cannot rot on an amd64-only CI. The same tag selects
+# internal/offheap's heap buffers over memory mappings (DESIGN "Rendered
+# chunks live off the GC heap"), so it runs that package's and the chunk
+# server's suites on the fallback too. `scripts/lint.sh vetvideoapp`
 # fails when a package holding a *_amd64.s is missing from this line.
 purego:
-	$(GO) test -tags purego -count=1 ./internal/predict ./internal/quality ./internal/transform ./internal/codec
+	$(GO) test -tags purego -count=1 ./internal/predict ./internal/quality ./internal/transform ./internal/codec ./internal/offheap ./internal/serve
 
 # golden-check verifies the golden decode manifest
 # (internal/codec/testdata/golden_decode.json: SHA-256 of bitstreams, decoded

@@ -44,6 +44,20 @@
 // instead of mirroring the cache's tables in one of its own. For the same
 // reason Contains is true for a key whose load is still in flight: "is
 // anyone already producing this?" is the flight table's to answer.
+//
+// # Pin hook
+//
+// OnPin registers a function the cache calls once for every caller
+// GetOrLoad hands a value to, inside the critical section that knows the
+// value is alive: under the shard lock of a hit, where the value is still
+// resident, and under the shard lock where a load lands, for every caller
+// waiting on it. Beside OnRemove this is a reference count an owner can keep
+// on the value — the serve layer's off-heap renderings: the cache holds one
+// reference from the load until the removal hook, and every caller one
+// from the pin until it is done with the value. A resident value is pinned
+// before its removal can be reported, so a pin never meets a value whose
+// cache reference is gone; a caller whose context ends after its load has
+// landed is served the value like a hit, since its pin was taken.
 package cache
 
 import (
@@ -69,6 +83,9 @@ type Cache[K comparable, V any] struct {
 	shards []shard[K, V]
 	// onRemove, when set, receives every value that leaves the cache.
 	onRemove func(K, V)
+	// onPin, when set, receives every value GetOrLoad hands to a caller,
+	// under the shard lock.
+	onPin func(V)
 }
 
 // shard is one independently locked slice of the cache: its own mutex,
@@ -110,6 +127,12 @@ type flight[V any] struct {
 	done chan struct{}
 	val  V
 	err  error
+	// waiters counts the callers the landing pins the value for: the one
+	// that started the load and every one that joined it, less those that
+	// gave up before it landed. landed is set when the load's result is
+	// final. Both are guarded by the shard lock.
+	waiters int
+	landed  bool
 }
 
 // DefaultShards is the shard count NewShardedHash selects when asked for 0
@@ -195,6 +218,21 @@ func (c *Cache[K, V]) shard(key K) *shard[K, V] {
 // is called outside every cache lock. Set it once, before the cache is used.
 func (c *Cache[K, V]) OnRemove(fn func(K, V)) { c.onRemove = fn }
 
+// OnPin registers the pin hook (see the package documentation): fn is called
+// under a shard lock, so it must be fast and must not touch the cache. Set
+// it once, before the cache is used.
+func (c *Cache[K, V]) OnPin(fn func(V)) { c.onPin = fn }
+
+// pinLocked reports n callers of v to the pin hook; the shard lock is held.
+func (c *Cache[K, V]) pinLocked(v V, n int) {
+	if c.onPin == nil {
+		return
+	}
+	for range n {
+		c.onPin(v)
+	}
+}
+
 // removed reports entries that just left a shard to the removal hook, after
 // the caller has released the shard lock.
 func (c *Cache[K, V]) removed(gone []*entry[K, V]) {
@@ -275,8 +313,11 @@ func (s *shard[K, V]) removeLocked(el *list.Element) *entry[K, V] {
 // The load function receives a context detached from ctx's cancellation:
 // the result is shared by every waiter (and the cache), so one caller
 // hanging up must not poison it for the others. A caller whose own ctx
-// ends while waiting returns ctx.Err() immediately; the load keeps running
-// and its result is still cached for future readers.
+// ends while waiting returns ctx.Err() immediately, unless the load has
+// already landed (its value was pinned for the caller, which is then served
+// it); the load keeps running and its result is still cached for future
+// readers. Every value returned with a nil error was passed to the pin hook
+// for this call.
 func (c *Cache[K, V]) GetOrLoad(ctx context.Context, key K, load func(context.Context) (V, error)) (V, bool, error) {
 	s := c.shard(key)
 	s.mu.Lock()
@@ -284,28 +325,34 @@ func (c *Cache[K, V]) GetOrLoad(ctx context.Context, key K, load func(context.Co
 		s.order.MoveToFront(el)
 		s.hits.Add(1)
 		v := el.Value.(*entry[K, V]).val
+		c.pinLocked(v, 1)
 		s.mu.Unlock()
 		return v, true, nil
 	}
 	s.misses.Add(1)
 	if f, ok := s.flights[key]; ok {
 		// Someone is already loading this key; wait on their flight.
+		f.waiters++
 		s.mu.Unlock()
-		v, err := wait(ctx, f)
+		v, err := wait(ctx, s, f)
 		return v, false, err
 	}
-	f := &flight[V]{done: make(chan struct{})}
+	f := &flight[V]{done: make(chan struct{}), waiters: 1}
 	s.flights[key] = f
 	s.mu.Unlock()
 
 	s.loads.Add(1)
 	go func() {
-		f.val, f.err = runLoad(context.WithoutCancel(ctx), load)
+		val, err := runLoad(context.WithoutCancel(ctx), load)
 		var gone []*entry[K, V]
 		s.mu.Lock()
 		delete(s.flights, key)
-		if f.err == nil {
-			gone = s.addLocked(key, f.val, c.cost(f.val))
+		f.val, f.err, f.landed = val, err, true
+		if err == nil {
+			// Pinned before the value is added, so even one too costly to
+			// keep — reported removed below — reaches its waiters alive.
+			c.pinLocked(val, f.waiters)
+			gone = s.addLocked(key, val, c.cost(val))
 		}
 		s.mu.Unlock()
 		// Before the waiters wake: once GetOrLoad returns, the evictions its
@@ -313,7 +360,7 @@ func (c *Cache[K, V]) GetOrLoad(ctx context.Context, key K, load func(context.Co
 		c.removed(gone)
 		close(f.done)
 	}()
-	v, err := wait(ctx, f)
+	v, err := wait(ctx, s, f)
 	return v, false, err
 }
 
@@ -360,15 +407,27 @@ func runLoad[V any](ctx context.Context, load func(context.Context) (V, error)) 
 }
 
 // wait blocks on a flight until it completes or the caller's own context
-// ends, whichever comes first.
-func wait[V any](ctx context.Context, f *flight[V]) (V, error) {
+// ends, whichever comes first. A caller that gives up before the load lands
+// withdraws from its waiters; one whose context ends after the landing was
+// pinned and takes the value.
+func wait[K comparable, V any](ctx context.Context, s *shard[K, V], f *flight[V]) (V, error) {
 	select {
 	case <-f.done:
 		return f.val, f.err
 	case <-ctx.Done():
+	}
+	s.mu.Lock()
+	landed := f.landed
+	if !landed {
+		f.waiters--
+	}
+	s.mu.Unlock()
+	if !landed {
 		var zero V
 		return zero, ctx.Err()
 	}
+	<-f.done // closed right after the landing's removal reports
+	return f.val, f.err
 }
 
 // Stats is a point-in-time copy of the cache's counters, aggregated across

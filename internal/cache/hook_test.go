@@ -2,9 +2,11 @@ package cache
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // bothLayouts runs a test on the serving layout (default shard count) and on
@@ -116,6 +118,129 @@ func TestContainsSeesFlights(t *testing.T) {
 			if got := c.Contains(key); got == fail {
 				t.Fatalf("Contains(%d) = %v after the load (failed: %v)", key, got, fail)
 			}
+		}
+	})
+}
+
+// refValue is a value with a reference count kept through the hooks: the
+// load's reference (1 at birth) becomes the cache's, dropped by the removal
+// hook; every caller handed the value holds a pin from the pin hook.
+type refValue struct {
+	refs atomic.Int64
+	dead atomic.Bool // the count reached zero
+}
+
+// TestPinHookBalancesReferences churns a small cache from eight goroutines —
+// loads that evict, values too costly to keep, RemoveIf purges, and callers
+// whose context is already over or ends while they wait on a load — keeping
+// a reference count on every value through the two hooks. No pin may ever
+// meet a value whose count reached zero, no count may go below zero, and at
+// the end every resident value holds exactly the cache's reference and every
+// other value none.
+func TestPinHookBalancesReferences(t *testing.T) {
+	bothLayouts(t, func(t *testing.T, shards int) {
+		const budget = 32
+		var (
+			mu     sync.Mutex
+			all    []*refValue
+			faults atomic.Int64
+		)
+		drop := func(v *refValue) {
+			switch n := v.refs.Add(-1); {
+			case n < 0:
+				faults.Add(1)
+			case n == 0:
+				v.dead.Store(true)
+			}
+		}
+		c := NewShardedHash[int, *refValue](budget, shards, nil, nil)
+		c.OnPin(func(v *refValue) {
+			if v.dead.Load() || v.refs.Add(1) <= 1 {
+				faults.Add(1)
+			}
+		})
+		c.OnRemove(func(_ int, v *refValue) { drop(v) })
+		oversize := NewShardedHash[int, *refValue](0, shards, nil, nil)
+		oversize.OnPin(c.onPin)
+		oversize.OnRemove(c.onRemove)
+
+		load := func(context.Context) (*refValue, error) {
+			v := new(refValue)
+			v.refs.Store(1)
+			mu.Lock()
+			all = append(all, v)
+			mu.Unlock()
+			return v, nil
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 1500; i++ {
+					k := (g*17 + i) % 64
+					ctx, cancel := context.WithCancel(context.Background())
+					switch i % 5 {
+					case 0:
+						cancel() // gives up at once unless the value is resident or landed
+					case 1:
+						go cancel() // may give up while waiting on a flight
+					}
+					cc := c
+					if i%7 == 0 {
+						cc = oversize
+					}
+					if v, _, err := cc.GetOrLoad(ctx, k, load); err == nil {
+						if v.dead.Load() {
+							faults.Add(1)
+						}
+						drop(v)
+					}
+					cancel()
+					if i%11 == 0 {
+						c.RemoveIf(func(key int) bool { return key%8 == k%8 })
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		if n := faults.Load(); n != 0 {
+			t.Fatalf("%d reference faults", n)
+		}
+		// Loads detached from a caller that gave up may still be landing, and
+		// a landing reports its removals after it leaves the shard lock.
+		check := func() error {
+			resident := map[*refValue]bool{}
+			for i := range c.shards {
+				s := &c.shards[i]
+				s.mu.Lock()
+				for _, el := range s.entries {
+					resident[el.Value.(*entry[int, *refValue]).val] = true
+				}
+				s.mu.Unlock()
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(resident) == 0 || len(all) <= len(resident) {
+				return fmt.Errorf("vacuous run: %d resident of %d loaded", len(resident), len(all))
+			}
+			for _, v := range all {
+				want := int64(0)
+				if resident[v] {
+					want = 1
+				}
+				if got := v.refs.Load(); got != want {
+					return fmt.Errorf("a value holds %d references at the end, want %d (resident: %v)", got, want, resident[v])
+				}
+			}
+			return nil
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for err := check(); err != nil; err = check() {
+			if time.Now().After(deadline) {
+				t.Fatal(err)
+			}
+			time.Sleep(time.Millisecond)
 		}
 	})
 }

@@ -155,6 +155,19 @@ const (
 	// GaugeServeSyntaxCacheBytes is the resident cost of the parse-record
 	// tier, charged against the same budget as serve_cache_bytes.
 	GaugeServeSyntaxCacheBytes = "serve_syntax_cache_bytes"
+	// GaugeServeRenderMappedBytes is the bytes the rendered tier's buffer
+	// pool holds mapped off the Go heap: resident renderings, renderings
+	// still being written after they left the cache, and idle buffers.
+	GaugeServeRenderMappedBytes = "serve_render_mapped_bytes"
+	// GaugeServeRenderPinnedBytes is the bytes of rendered-tier buffers a
+	// response is writing right now.
+	GaugeServeRenderPinnedBytes = "serve_render_pinned_bytes"
+	// GaugeServeRenderIdleBytes is the bytes of rendered-tier buffers
+	// waiting in the pool for reuse.
+	GaugeServeRenderIdleBytes = "serve_render_idle_bytes"
+	// GaugeGoHeapInuseBytes is the Go heap's in-use bytes
+	// (runtime.MemStats.HeapInuse), sampled with the serve cache gauges.
+	GaugeGoHeapInuseBytes = "go_heap_inuse_bytes"
 	// GaugeServePrefetchInFlight is the number of readahead loads the
 	// prefetcher is executing right now.
 	GaugeServePrefetchInFlight = "serve_prefetch_in_flight"

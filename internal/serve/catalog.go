@@ -1,12 +1,13 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net"
 	"net/http"
+	"runtime"
+	"runtime/metrics"
 	"slices"
 	"sort"
 	"strconv"
@@ -19,6 +20,7 @@ import (
 	"videoapp/internal/codec"
 	"videoapp/internal/frame"
 	"videoapp/internal/obs"
+	"videoapp/internal/offheap"
 	"videoapp/internal/store"
 	"videoapp/internal/y4m"
 )
@@ -55,6 +57,9 @@ type ArchiveSpec struct {
 type Catalog struct {
 	cfg   config
 	cache *cache.Cache[cache.Keyed[int], chunkPayload]
+	// render supplies the rendered tier's buffers, off the Go heap (see
+	// chunkPayload); the cache's hooks keep their reference counts.
+	render *offheap.Pool
 	// syntax is the small second tier under the same keys and the same
 	// budget (syntaxShare): per chunk, one parse-record slot per frame. A
 	// cold miss whose rendering was evicted still reads and verifies the
@@ -69,7 +74,8 @@ type Catalog struct {
 
 	// tenants maps name → *tenant. Membership takes no lock: the only
 	// mutexes the catalog declares are each tenant's t.mu and, beneath it,
-	// the leaf gaugeMu, so there is no pair of catalog locks to order.
+	// the leaves gaugeMu and heapMu, so there is no pair of catalog locks to
+	// order.
 	tenants sync.Map
 
 	open    atomic.Int64  // archives currently open, mirrored to the gauge
@@ -82,6 +88,12 @@ type Catalog struct {
 	// writes to the hot path. The metrics endpoint still refreshes
 	// unconditionally before snapshotting, so /metrics is always exact.
 	cacheGaugeTick atomic.Uint64
+
+	// heapSamples are the runtime/metrics whose sum is runtime.MemStats'
+	// HeapInuse, reused under the leaf heapMu so a gauge refresh allocates
+	// nothing; reading them does not stop the world as ReadMemStats does.
+	heapMu      sync.Mutex
+	heapSamples [2]metrics.Sample
 }
 
 // syntaxShare is the parse-record tier's part of the cache budget: a
@@ -94,6 +106,12 @@ type Catalog struct {
 // admitted would push out sixteen records that are cheaper to keep than it is.
 const syntaxShare = 4
 
+// renderIdleShare is the part of the rendered tier's budget the buffer pool
+// may keep idle for reuse: a sixteenth. A cold miss usually evicts one
+// rendering as it lands and the next cold miss reuses that mapping, so a
+// few buffers of room serve the steady state; more would only sit mapped.
+const renderIdleShare = 16
+
 // cacheGaugeEvery is how many chunk responses pass between chunk-path
 // refreshes of the cache gauges (a power of two, tested with a mask).
 const cacheGaugeEvery = 64
@@ -101,8 +119,14 @@ const cacheGaugeEvery = 64
 // chunkPayload is one cached chunk response: the rendered y4m bytes plus
 // the degradation verdict of the read that produced them, so cache hits
 // replay the same X-Videoapp-Degraded header as the original response.
+//
+// The bytes live in an off-heap buffer of the catalog's pool (DESIGN
+// "Rendered chunks live off the GC heap"). The load's reference becomes the
+// cache's, which the removal hook releases; every caller GetOrLoad hands the
+// payload to holds a pin, taken by the pin hook inside the cache's critical
+// section, and unpins when done with the bytes.
 type chunkPayload struct {
-	data     []byte
+	buf      *offheap.Buf
 	degraded []string
 	// prefetched is all of readahead's bookkeeping: nil for a chunk a
 	// foreground request loaded, true from the readahead load until the
@@ -162,16 +186,19 @@ func NewCatalog(specs []ArchiveSpec, options ...Option) (*Catalog, error) {
 		o(&cfg)
 	}
 	syntaxBytes := cfg.cacheBytes / syntaxShare
+	renderedBytes := cfg.cacheBytes - syntaxBytes
 	c := &Catalog{
-		cfg: cfg,
+		cfg:         cfg,
+		render:      offheap.NewPool(renderedBytes / renderIdleShare),
+		heapSamples: [2]metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}, {Name: "/memory/classes/heap/unused:bytes"}},
 		// One shard each, a strict LRU over an unfragmented budget. A rendered
 		// chunk is a sizeable share of the budget (at 320×176 a 30-frame chunk
 		// is 2.5 MB, 5 % of 48 MiB), and hash shards that each own an equal
 		// slice of it evict a chunk from a full shard while others have room;
 		// the record tier is touched once per cold miss, beside a millisecond
 		// of decode, so it has no lock contention to shard away.
-		cache: cache.NewShardedHash[cache.Keyed[int], chunkPayload](cfg.cacheBytes-syntaxBytes, 1, func(p chunkPayload) int64 {
-			return int64(len(p.data))
+		cache: cache.NewShardedHash[cache.Keyed[int], chunkPayload](renderedBytes, 1, func(p chunkPayload) int64 {
+			return int64(p.buf.Len())
 		}, cache.KeyedHash[int]()),
 		syntax: cache.NewShardedHash[cache.Keyed[int], []codec.SyntaxSlot](syntaxBytes, 1, func(slots []codec.SyntaxSlot) int64 {
 			var n int64
@@ -191,7 +218,12 @@ func NewCatalog(specs []ArchiveSpec, options ...Option) (*Catalog, error) {
 			name, _, _ := strings.Cut(k.Space, "#")
 			c.observer.Counter(obs.CtrServePrefetchWasted, name, 1)
 		}
+		p.buf.Release()
 	})
+	c.cache.OnPin(func(p chunkPayload) { p.buf.Pin() })
+	// A catalog dropped without its buffers released gives its mappings
+	// back once unreachable; nothing can touch them then.
+	runtime.AddCleanup(c, (*offheap.Pool).Free, c.render)
 	c.mux = http.NewServeMux()
 	c.mux.HandleFunc("GET /healthz", c.route("healthz", c.handleHealthz))
 	c.mux.HandleFunc("GET /metrics", c.route("metrics", c.handleMetrics))
@@ -585,6 +617,9 @@ func (c *Catalog) handleChunk(w http.ResponseWriter, r *http.Request) error {
 		}
 		return retryAfterError{err: err, seconds: t.breaker.retryAfterSeconds()}
 	}
+	// The pin the cache took for this response; released once the body is
+	// written.
+	defer p.buf.Unpin()
 	if t.breaker.success() {
 		// A success (possibly a probe after the cooldown) closes the
 		// breaker; refresh the gauge only on the transition.
@@ -603,7 +638,7 @@ func (c *Catalog) handleChunk(w http.ResponseWriter, r *http.Request) error {
 	}
 	c.maybePublishCacheGauges()
 	w.Header().Set("Content-Type", "video/x-yuv4mpeg")
-	w.Header().Set("Content-Length", strconv.Itoa(len(p.data)))
+	w.Header().Set("Content-Length", strconv.Itoa(p.buf.Len()))
 	if hit {
 		w.Header().Set("X-Cache", "hit")
 	} else {
@@ -615,7 +650,7 @@ func (c *Catalog) handleChunk(w http.ResponseWriter, r *http.Request) error {
 		w.Header().Set("X-Videoapp-Degraded", strings.Join(p.degraded, ","))
 		c.observer.Counter(obs.CtrServeDegraded, t.name, 1)
 	}
-	_, err = w.Write(p.data)
+	_, err = w.Write(p.buf.Bytes())
 	return err
 }
 
@@ -638,6 +673,8 @@ func (r *replayCount) Counter(name, _ string, delta int64) {
 // (cache singleflight) and publishes the decode span and the per-archive
 // decode counter. A degraded read is a success here — the verdict rides
 // the payload into the cache so every response built from it is flagged.
+// The frames are rendered straight into a buffer of the catalog's pool,
+// which the payload returned owns (chunkPayload).
 //
 // Every miss pays the read, with each of its checks; what a repeat miss can
 // skip is the entropy decoder. The frames just read share the chunk's slots
@@ -675,9 +712,7 @@ func (c *Catalog) materialize(ctx context.Context, t *tenant, a *store.ChunkArch
 	if err != nil {
 		return chunkPayload{}, err
 	}
-	var buf bytes.Buffer
-	buf.Grow(seqSize(len(seq.Frames), cr.Video.W, cr.Video.H))
-	err = y4m.Write(&buf, seq)
+	buf, err := c.renderBuf(seq)
 	// The decoded frames were rendered into buf and are referenced by
 	// nothing else: hand their planes to the next cold decode.
 	for _, f := range seq.Frames {
@@ -686,7 +721,25 @@ func (c *Catalog) materialize(ctx context.Context, t *tenant, a *store.ChunkArch
 	if err != nil {
 		return chunkPayload{}, err
 	}
-	return chunkPayload{data: buf.Bytes(), degraded: cr.Degraded}, nil
+	return chunkPayload{buf: buf, degraded: cr.Degraded}, nil
+}
+
+// renderBuf renders seq as y4m into a buffer of the catalog's pool, which
+// the caller then owns.
+func (c *Catalog) renderBuf(seq *frame.Sequence) (*offheap.Buf, error) {
+	n, err := y4m.Size(seq)
+	if err != nil {
+		return nil, err
+	}
+	buf, err := c.render.Get(n)
+	if err != nil {
+		return nil, err
+	}
+	if err := y4m.Render(buf.Bytes(), seq); err != nil {
+		buf.Release()
+		return nil, err
+	}
+	return buf, nil
 }
 
 func (c *Catalog) handleMetrics(w http.ResponseWriter, r *http.Request) error {
@@ -700,7 +753,7 @@ func (c *Catalog) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 }
 
 // publishCacheGauges refreshes the cache-derived gauges from the two tiers'
-// own counters.
+// own counters, the rendered tier's buffer pool and the Go heap.
 func (c *Catalog) publishCacheGauges() {
 	cs := c.cache.Stats()
 	c.observer.Gauge(obs.GaugeServeCacheHitRate, "", cs.HitRate())
@@ -708,6 +761,19 @@ func (c *Catalog) publishCacheGauges() {
 	ss := c.syntax.Stats()
 	c.observer.Gauge(obs.GaugeServeSyntaxCacheHitRate, "", ss.HitRate())
 	c.observer.Gauge(obs.GaugeServeSyntaxCacheBytes, "", float64(ss.Cost))
+	rs := c.render.Stats()
+	c.observer.Gauge(obs.GaugeServeRenderMappedBytes, "", float64(rs.Mapped))
+	c.observer.Gauge(obs.GaugeServeRenderPinnedBytes, "", float64(rs.Pinned))
+	c.observer.Gauge(obs.GaugeServeRenderIdleBytes, "", float64(rs.Idle))
+	c.observer.Gauge(obs.GaugeGoHeapInuseBytes, "", float64(c.heapInuse()))
+}
+
+// heapInuse returns the bytes of the Go heap's in-use spans.
+func (c *Catalog) heapInuse() uint64 {
+	c.heapMu.Lock()
+	defer c.heapMu.Unlock()
+	metrics.Read(c.heapSamples[:])
+	return c.heapSamples[0].Value.Uint64() + c.heapSamples[1].Value.Uint64()
 }
 
 // maybePublishCacheGauges is the chunk-path variant: one refresh every

@@ -157,8 +157,9 @@ func (p *prefetcher) execute(job prefetchJob) {
 	}
 
 	c.observer.Gauge(obs.GaugeServePrefetchInFlight, "", float64(p.inFlight.Add(1)))
-	// The result is for the cache, not for us; an error was counted below.
-	_, _, _ = sp.GetOrLoad(p.ctx, job.index, func(context.Context) (pl chunkPayload, err error) {
+	// The result is for the cache, not for us: its pin is dropped at once,
+	// and an error was counted below.
+	landed, _, err := sp.GetOrLoad(p.ctx, job.index, func(context.Context) (pl chunkPayload, err error) {
 		// Deferred, so a load that panics (the cache turns that into the
 		// flight's error) is counted like one that fails: issued work that
 		// helped nobody. The breaker is deliberately not touched — only
@@ -177,5 +178,8 @@ func (p *prefetcher) execute(job prefetchJob) {
 		}
 		return pl, err
 	})
+	if err == nil {
+		landed.buf.Unpin()
+	}
 	c.observer.Gauge(obs.GaugeServePrefetchInFlight, "", float64(p.inFlight.Add(-1)))
 }

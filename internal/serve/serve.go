@@ -29,7 +29,10 @@
 //     keeps, per chunk, the record of what the entropy decoder parsed, so a
 //     chunk whose rendering was evicted is read and verified again on its
 //     next miss but only frames whose bytes changed are parsed again. Each
-//     tier is one strict LRU under one mutex;
+//     tier is one strict LRU under one mutex. The renderings live off the
+//     Go heap, in recycled memory mappings of internal/offheap that every
+//     response pins while it writes them, so the rendered tier costs its
+//     budget in memory and not twice that in garbage-collector headroom;
 //   - cold-chunk decodes are coalesced (singleflight): a stampede of N
 //     clients on one uncached chunk performs a single archive read + decode
 //     and every client shares the bytes;
@@ -282,10 +285,4 @@ func chunkIndex(r *http.Request) (int, error) {
 func writeJSON(w http.ResponseWriter, v any) error {
 	w.Header().Set("Content-Type", "application/json")
 	return json.NewEncoder(w).Encode(v)
-}
-
-// seqSize estimates the rendered y4m size of frames 4:2:0 pictures, for
-// pre-sizing the render buffer.
-func seqSize(frames, w, h int) int {
-	return frames*(w*h*3/2+8) + 128
 }

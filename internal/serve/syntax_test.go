@@ -545,9 +545,11 @@ func BenchmarkMaterialize(b *testing.B) {
 			}
 			defer release()
 			materialize := func() {
-				if _, err := cat.materialize(context.Background(), tn, a, space, 0); err != nil {
+				p, err := cat.materialize(context.Background(), tn, a, space, 0)
+				if err != nil {
 					b.Fatal(err)
 				}
+				p.buf.Release() // the load's reference, which a cache would own
 			}
 			materialize()
 			b.ReportAllocs()

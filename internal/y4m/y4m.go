@@ -119,24 +119,85 @@ func ReadAll(r io.Reader, name string) (*frame.Sequence, error) {
 	return seq, nil
 }
 
-// Write encodes the sequence as a Y4M stream.
-func Write(w io.Writer, seq *frame.Sequence) error {
+// frameMarker opens every frame of a stream.
+const frameMarker = "FRAME\n"
+
+// check reports a sequence Write and Render cannot encode: no frames, or
+// frames of differing sizes.
+func check(seq *frame.Sequence) error {
 	if len(seq.Frames) == 0 {
 		return fmt.Errorf("y4m: empty sequence")
-	}
-	bw := bufio.NewWriter(w)
-	fps := seq.FPS
-	if fps <= 0 {
-		fps = 25
-	}
-	if _, err := fmt.Fprintf(bw, "YUV4MPEG2 W%d H%d F%d:1 Ip A1:1 C420\n", seq.W(), seq.H(), fps); err != nil {
-		return err
 	}
 	for _, f := range seq.Frames {
 		if f.W != seq.W() || f.H != seq.H() {
 			return fmt.Errorf("y4m: inconsistent frame sizes")
 		}
-		if _, err := bw.WriteString("FRAME\n"); err != nil {
+	}
+	return nil
+}
+
+// appendHeader appends the stream header of seq.
+func appendHeader(dst []byte, seq *frame.Sequence) []byte {
+	fps := seq.FPS
+	if fps <= 0 {
+		fps = 25
+	}
+	dst = append(dst, "YUV4MPEG2 W"...)
+	dst = strconv.AppendInt(dst, int64(seq.W()), 10)
+	dst = append(dst, " H"...)
+	dst = strconv.AppendInt(dst, int64(seq.H()), 10)
+	dst = append(dst, " F"...)
+	dst = strconv.AppendInt(dst, int64(fps), 10)
+	return append(dst, ":1 Ip A1:1 C420\n"...)
+}
+
+// headerRoom holds any stream header: 31 bytes of text and three decimal
+// ints of at most 20 bytes each.
+const headerRoom = 128
+
+// Size returns the length of seq's Y4M stream, what Write writes and what
+// Render fills, or the error either would return.
+func Size(seq *frame.Sequence) (int, error) {
+	if err := check(seq); err != nil {
+		return 0, err
+	}
+	var hdr [headerRoom]byte
+	f := seq.Frames[0]
+	return len(appendHeader(hdr[:0], seq)) + len(seq.Frames)*(len(frameMarker)+len(f.Y)+len(f.Cb)+len(f.Cr)), nil
+}
+
+// Render writes seq's Y4M stream into dst, which must be exactly Size(seq)
+// bytes long: the bytes Write produces, with no writer between.
+func Render(dst []byte, seq *frame.Sequence) error {
+	n, err := Size(seq)
+	if err != nil {
+		return err
+	}
+	if len(dst) != n {
+		return fmt.Errorf("y4m: rendering a %d-byte stream into %d bytes", n, len(dst))
+	}
+	at := len(appendHeader(dst[:0], seq))
+	for _, f := range seq.Frames {
+		at += copy(dst[at:], frameMarker)
+		at += copy(dst[at:], f.Y)
+		at += copy(dst[at:], f.Cb)
+		at += copy(dst[at:], f.Cr)
+	}
+	return nil
+}
+
+// Write encodes the sequence as a Y4M stream.
+func Write(w io.Writer, seq *frame.Sequence) error {
+	if err := check(seq); err != nil {
+		return err
+	}
+	bw := bufio.NewWriter(w)
+	var hdr [headerRoom]byte
+	if _, err := bw.Write(appendHeader(hdr[:0], seq)); err != nil {
+		return err
+	}
+	for _, f := range seq.Frames {
+		if _, err := bw.WriteString(frameMarker); err != nil {
 			return err
 		}
 		for _, plane := range [][]uint8{f.Y, f.Cb, f.Cr} {

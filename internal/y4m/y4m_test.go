@@ -113,3 +113,41 @@ func TestWriteInconsistentSizesFails(t *testing.T) {
 		t.Fatal("inconsistent sizes must fail")
 	}
 }
+
+// TestRenderEqualsWrite: Render fills exactly Size(seq) bytes with the
+// stream Write produces — at the default and an explicit frame rate — and
+// refuses a destination of any other length and the sequences Write refuses.
+func TestRenderEqualsWrite(t *testing.T) {
+	for _, fps := range []int{0, 30} {
+		seq := testSequence()
+		seq.FPS = fps
+		var want bytes.Buffer
+		if err := Write(&want, seq); err != nil {
+			t.Fatal(err)
+		}
+		n, err := Size(seq)
+		if err != nil || n != want.Len() {
+			t.Fatalf("fps %d: Size = %d, %v; Write wrote %d bytes", fps, n, err, want.Len())
+		}
+		dst := bytes.Repeat([]byte{0xff}, n)
+		if err := Render(dst, seq); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(dst, want.Bytes()) {
+			t.Fatalf("fps %d: Render differs from Write", fps)
+		}
+		for _, m := range []int{n - 1, n + 1} {
+			if err := Render(make([]byte, m), seq); err == nil {
+				t.Fatalf("fps %d: Render into %d bytes of a %d-byte stream succeeded", fps, m, n)
+			}
+		}
+	}
+	for _, bad := range []*frame.Sequence{{}, {FPS: 30, Frames: []*frame.Frame{frame.MustNew(32, 32), frame.MustNew(64, 48)}}} {
+		if _, err := Size(bad); err == nil {
+			t.Fatal("Size of an empty or inconsistent sequence succeeded")
+		}
+		if err := Render(make([]byte, 64), bad); err == nil {
+			t.Fatal("Render of an empty or inconsistent sequence succeeded")
+		}
+	}
+}
