@@ -65,7 +65,7 @@ purego:
 
 # golden-check verifies the golden decode manifest
 # (internal/codec/testdata/golden_decode.json: SHA-256 of bitstreams, decoded
-# planes — clean, bit-flipped, concealed, layered — and Reanalyze records)
+# planes — clean, bit-flipped, truncated, layered — and Reanalyze records)
 # and replays the seed corpora of the codec fuzz targets, among them the
 # differential FuzzDecodeVsReference (production decoder vs the
 # sample-at-a-time reference decoder kept in reference_test.go); then the

@@ -27,7 +27,7 @@ func apiTestParams() Params {
 // paper defaults.
 func TestOptionsConfigurePipeline(t *testing.T) {
 	def := NewPipeline()
-	if def.workers != 0 || def.blockAccurate || def.chunkGOPs != 0 {
+	if def.workers != 0 || def.chunkGOPs != 0 {
 		t.Fatalf("defaults changed: %+v", def)
 	}
 	p := apiTestParams()
@@ -35,10 +35,9 @@ func TestOptionsConfigurePipeline(t *testing.T) {
 		WithParams(p),
 		WithAssignment(UniformAssignment()),
 		WithWorkers(3),
-		WithBlockAccurate(true),
 		WithChunkGOPs(2),
 	)
-	if cfg.params.GOPSize != 4 || cfg.workers != 3 || !cfg.blockAccurate || cfg.chunkGOPs != 2 {
+	if cfg.params.GOPSize != 4 || cfg.workers != 3 || cfg.chunkGOPs != 2 {
 		t.Fatalf("options not applied: %+v", cfg)
 	}
 	if len(cfg.assignment.Bounds) != len(UniformAssignment().Bounds) {
@@ -169,27 +168,5 @@ func TestSentinelErrors(t *testing.T) {
 	an.Importance[0][1] = an.Importance[0][0] + 10
 	if err := an.CheckMonotone(); !errors.Is(err, ErrNonMonotone) {
 		t.Fatalf("monotone: got %v", err)
-	}
-}
-
-// TestBlockAccurateOption checks the option reaches the storage layer: the
-// block-accurate simulator is deterministic per seed and still decodes.
-func TestBlockAccurateOption(t *testing.T) {
-	seq := apiTestSequence(t)
-	p := NewPipeline(WithParams(apiTestParams()), WithBlockAccurate(true), WithWorkers(4))
-	res, err := p.ProcessContext(context.Background(), seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, flips1, err := res.StoreRoundTripContext(context.Background(), 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, flips2, err := res.StoreRoundTripContext(context.Background(), 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flips1 != flips2 {
-		t.Fatalf("block-accurate not deterministic: %d vs %d", flips1, flips2)
 	}
 }

@@ -178,8 +178,14 @@ func runStore(ctx context.Context, o options) error {
 	if err != nil {
 		return err
 	}
-	p0, _ := videoapp.PSNRContext(ctx, seq, clean, o.workers)
-	p1, _ := videoapp.PSNRContext(ctx, seq, dec, o.workers)
+	p0, err := videoapp.PSNRContext(ctx, seq, clean, o.workers)
+	if err != nil {
+		return err
+	}
+	p1, err := videoapp.PSNRContext(ctx, seq, dec, o.workers)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("round trip: %d residual bit errors, PSNR %.2f dB (clean %.2f, loss %.3f dB)\n",
 		flips, p1, p0, p0-p1)
 	return nil

@@ -2,15 +2,20 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"videoapp"
+	"videoapp/internal/obs"
 )
 
 // TestCLIValidation drives cliMain the way main does and checks the exit
@@ -395,5 +400,39 @@ func TestCLIScrubRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(repaired, data) {
 		t.Fatal("scrub with mirror did not restore the damaged archive byte-for-byte")
+	}
+}
+
+// cancelAfterRoundTrip cancels its context when the first decode span after
+// an injection ends: the storage round trip's decode, just before runStore
+// measures PSNR.
+type cancelAfterRoundTrip struct {
+	obs.Noop
+	cancel   context.CancelFunc
+	injected atomic.Bool
+}
+
+func (c *cancelAfterRoundTrip) StageStart(stage string) {
+	if stage == obs.StageInject {
+		c.injected.Store(true)
+	}
+}
+
+func (c *cancelAfterRoundTrip) StageEnd(stage string, _ time.Duration) {
+	if stage == obs.StageDecode && c.injected.Load() {
+		c.cancel()
+	}
+}
+
+// TestStoreCancelledDuringPSNR: a cancellation that lands after the round
+// trip's decode fails the PSNR pass, and runStore reports it instead of
+// printing a zero PSNR and a bogus loss.
+func TestStoreCancelledDuringPSNR(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctx = videoapp.ContextWithObserver(ctx, &cancelAfterRoundTrip{cancel: cancel})
+	o := options{preset: "news_like", w: 64, h: 48, frames: 8, crf: 24, gop: 4, slices: 1, entropy: "cabac", seed: 1, workers: 1, chunkGops: 1}
+	if err := runStore(ctx, o); !errors.Is(err, context.Canceled) {
+		t.Fatalf("runStore cancelled after the round trip's decode: err %v, want context.Canceled", err)
 	}
 }

@@ -15,12 +15,6 @@ import (
 	"videoapp/internal/y4m"
 )
 
-// faultPolicy maps the read-path flags onto a FaultPolicy; zero fields
-// resolve to the library defaults.
-func (o options) faultPolicy() videoapp.FaultPolicy {
-	return videoapp.FaultPolicy{MaxRetries: o.readRetries, BreakerThreshold: o.breakerThreshold}
-}
-
 // openBackend opens path as the storage backend of the read path: a file
 // backend, wrapped in the -fault-profile injector when one is configured.
 // writable opens the file read-write so scrub can repair it in place. A
@@ -34,25 +28,30 @@ func (o options) openBackend(path string, writable bool) (videoapp.Backend, erro
 	return faultio.Wrap(b, *o.faults), nil
 }
 
-// mirrorOption returns the -mirror copy as an archive option — none without
-// the flag — for recovery and scrub repair. The returned closer releases the
-// mirror.
-func (o options) mirrorOption() ([]videoapp.ArchiveOption, func() error, error) {
+// archiveOptions returns the one archive-option list of the read path,
+// used by direct opens and catalog specs alike: the fault policy of the
+// -read-retries and -breaker-threshold flags (zero fields resolve to the
+// library defaults) and, with -mirror, the mirror copy for recovery and
+// scrub repair. The returned closer releases the mirror.
+func (o options) archiveOptions() ([]videoapp.ArchiveOption, func() error, error) {
+	opts := []videoapp.ArchiveOption{videoapp.WithArchivePolicy(videoapp.FaultPolicy{
+		MaxRetries: o.readRetries, BreakerThreshold: o.breakerThreshold,
+	})}
 	if o.mirror == "" {
-		return nil, func() error { return nil }, nil
+		return opts, func() error { return nil }, nil
 	}
 	m, err := os.Open(o.mirror)
 	if err != nil {
 		return nil, nil, err
 	}
-	return []videoapp.ArchiveOption{videoapp.WithMirror(m)}, m.Close, nil
+	return append(opts, videoapp.WithMirror(m)), m.Close, nil
 }
 
 // openArchive is the direct open of the -archive file (chunk, scrub, the
 // serve pre-flight): over openBackend, under the flag policy and the mirror.
 // The returned closer releases the archive, its backend and the mirror.
 func (o options) openArchive(writable bool) (*videoapp.ChunkArchive, func() error, error) {
-	opts, closeMirror, err := o.mirrorOption()
+	opts, closeMirror, err := o.archiveOptions()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -61,7 +60,7 @@ func (o options) openArchive(writable bool) (*videoapp.ChunkArchive, func() erro
 		closeMirror()
 		return nil, nil, err
 	}
-	a, err := videoapp.OpenArchive(b, append(opts, videoapp.WithArchivePolicy(o.faultPolicy()))...)
+	a, err := videoapp.OpenArchive(b, opts...)
 	if err != nil {
 		b.Close()
 		closeMirror()
@@ -136,15 +135,14 @@ func runScrub(ctx context.Context, o options) error {
 	return nil
 }
 
-// serveOptions maps the serve flags 1:1 onto the catalog options; the
-// catalog opens every archive under the flag policy.
+// serveOptions maps the serve flags 1:1 onto the catalog options; the flag
+// policy rides every spec's archive options (archiveOptions).
 func (o options) serveOptions() []videoapp.ServeOption {
 	opts := []videoapp.ServeOption{
 		videoapp.WithCacheBytes(int64(o.cacheMB) << 20),
 		videoapp.WithServeWorkers(o.workers),
 		videoapp.WithRequestTimeout(o.reqTimeout),
 		videoapp.WithIdleTimeout(o.idleTime),
-		videoapp.WithFaultPolicy(o.faultPolicy()),
 		videoapp.WithPrefetch(o.prefetch),
 	}
 	if o.trace != nil {
@@ -219,7 +217,7 @@ func (o options) rescanCatalog(cat *videoapp.Catalog, archOpts []videoapp.Archiv
 // serveCatalog is the serve command: a lazily-opened catalog over the
 // -archive file or every .vacs file of -archive-dir, rescanned on SIGHUP.
 func serveCatalog(ctx context.Context, o options) error {
-	archOpts, closeMirror, err := o.mirrorOption()
+	archOpts, closeMirror, err := o.archiveOptions()
 	if err != nil {
 		return err
 	}

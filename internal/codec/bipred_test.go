@@ -56,7 +56,7 @@ func TestBiPredLargeRangeMatchesEncoderReconstruction(t *testing.T) {
 	if bi == 0 {
 		t.Fatal("no B frame coded: the test exercises nothing")
 	}
-	decRecs, err := decodeCoded(v, DecodeOptions{}, nil, 1)
+	decRecs, err := decodeCoded(v, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

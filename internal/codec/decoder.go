@@ -10,23 +10,18 @@ import (
 	"videoapp/internal/transform"
 )
 
-// DecodeOptions tunes error handling during decoding.
-type DecodeOptions struct {
-	// ConcealOnDesync switches the handling of entropy-stream desync from
-	// "keep interpreting garbage" (the conservative behaviour the paper
-	// measures) to macroblock concealment: once the reader reports desync,
-	// the rest of the slice is filled by copying co-located content from
-	// the forward reference (or mid-gray for I frames), as production
-	// decoders such as ffmpeg do.
-	ConcealOnDesync bool
-}
+// DecodeOptions is DecodeContext's options parameter. It has no fields: the
+// decoder has one desync behaviour, the paper's (it keeps interpreting
+// garbage until the next slice resets the entropy context). The parameter
+// stays only because the benchmark module (bench/) names it.
+type DecodeOptions struct{}
 
 // DecodeSingle decodes only coded frame idx against the given coded-order
 // reference reconstructions (entries beyond idx are not read). Callers can
 // substitute clean references to isolate one frame's coding errors from
 // compensation errors, as the Figure 3 experiment requires.
 func DecodeSingle(v *Video, idx int, recs []*frame.Frame) *frame.Frame {
-	return newFrameDecoder(v, recs, DecodeOptions{}, nil).decode(idx)
+	return newFrameDecoder(v, recs, nil).decode(idx)
 }
 
 // frameDecoder decodes the frames of one video, one at a time. It owns the
@@ -38,7 +33,6 @@ func DecodeSingle(v *Video, idx int, recs []*frame.Frame) *frame.Frame {
 type frameDecoder struct {
 	video   *Video
 	recRefs []*frame.Frame
-	opts    DecodeOptions
 	// o receives the per-frame replay and per-slice entropy resync counters
 	// (obs.CtrFramesReplayed, obs.CtrResync); nil publishes nothing.
 	o obs.Observer
@@ -75,10 +69,10 @@ type frameDecoder struct {
 // references in recRefs (coded order; entries at or beyond the frame being
 // decoded are never read as references of a well-formed stream) and
 // publishes its counters to o, when o is not nil.
-func newFrameDecoder(v *Video, recRefs []*frame.Frame, opts DecodeOptions, o obs.Observer) *frameDecoder {
+func newFrameDecoder(v *Video, recRefs []*frame.Frame, o obs.Observer) *frameDecoder {
 	n := v.MBCols() * v.MBRows()
 	return &frameDecoder{
-		video: v, recRefs: recRefs, opts: opts, o: o,
+		video: v, recRefs: recRefs, o: o,
 		qps: make([]int, n), mvRep: make([]predict.MV, n), mvAvail: make([]bool, n),
 	}
 }
@@ -172,7 +166,6 @@ func (fd *frameDecoder) run() {
 		fd.sliceTop = topMB / mbCols
 		fd.bitBase = int64(byteStart) * 8
 		sliceRecStart := len(fd.recs)
-		concealed := false
 		for m := topMB; m < endMB; m++ {
 			mx, my := m%mbCols, m/mbCols
 			if fd.replaying {
@@ -180,23 +173,16 @@ func (fd *frameDecoder) run() {
 				fd.reconstruct(mx, my, &fd.syn)
 				continue
 			}
-			if fd.opts.ConcealOnDesync && (concealed || fd.sr.Desynced()) {
-				concealed = true
-			}
 			if fd.record {
 				fd.recs = append(fd.recs, MBRecord{MB: frame.MB{X: mx, Y: my}, BitStart: fd.bitBase + fd.sr.BitPos()})
 				fd.curRec = &fd.recs[len(fd.recs)-1]
-				if m == topMB && !concealed {
+				if m == topMB {
 					// The arithmetic decoder's prefetch belongs to the
 					// slice's first macroblock.
 					fd.curRec.BitStart = fd.bitBase
 				}
 			}
-			if concealed {
-				fd.syn.setType(mbConcealed)
-			} else {
-				fd.parseMB(mx, my, &fd.syn)
-			}
+			fd.parseMB(mx, my, &fd.syn)
 			if fd.recording {
 				fd.parsed = appendMB(fd.parsed, &fd.syn)
 			}
@@ -248,7 +234,7 @@ func Reanalyze(v *Video) error {
 		return errFrameGeometry(v.W, v.H)
 	}
 	rec := make([]*frame.Frame, len(v.Frames))
-	fd := newFrameDecoder(v, rec, DecodeOptions{}, nil)
+	fd := newFrameDecoder(v, rec, nil)
 	fd.record = true
 	for i, ef := range v.Frames {
 		rec[i] = fd.decode(i)
@@ -347,9 +333,6 @@ func (fd *frameDecoder) parseMB(mx, my int, s *mbSyntax) {
 // quantizer for the next macroblock's prediction and the deblocking filter.
 func (fd *frameDecoder) reconstruct(mx, my int, s *mbSyntax) {
 	switch s.mbType {
-	case mbConcealed:
-		fd.concealMB(mx, my)
-		return
 	case mbIntra:
 		hasAbove, hasLeft := my > fd.sliceTop, mx > 0
 		intraPredict(fd.rec, mx, my, s.mode, hasAbove, hasLeft)
@@ -411,34 +394,6 @@ func (fd *frameDecoder) parseResidual(res *mbResidual) {
 			if readResidualBlock(fd.sr, &res.blocks[b]) {
 				res.nz |= 1 << uint(b)
 			}
-		}
-	}
-}
-
-// concealMB fills a macroblock by copying the co-located content from the
-// forward reference frame, or mid-gray when none exists — standard temporal
-// error concealment.
-func (fd *frameDecoder) concealMB(mx, my int) {
-	w, cw := fd.rec.W, fd.rec.W/2
-	luma := fd.rec.Y[my*frame.MBSize*w+mx*frame.MBSize:]
-	co := my*8*cw + mx*8
-	refF := fd.refF
-	if refF == nil {
-		fillRows(luma, w, 16, 16, 128)
-		fillRows(fd.rec.Cb[co:], cw, 8, 8, 128)
-		fillRows(fd.rec.Cr[co:], cw, 8, 8, 128)
-		return
-	}
-	predict.Compensate(luma, w, refF, mx*frame.MBSize, my*frame.MBSize, 16, 16, predict.MV{})
-	compensateChroma(fd.rec.Cb[co:], fd.rec.Cr[co:], cw, refF, mx*8, my*8, 8, 8)
-}
-
-// fillRows sets an h-row, w-byte-wide rectangle of a strided plane to v.
-func fillRows(dst []uint8, stride, w, h int, v uint8) {
-	for y := 0; y < h; y++ {
-		row := dst[y*stride : y*stride+w]
-		for x := range row {
-			row[x] = v
 		}
 	}
 }

@@ -26,8 +26,8 @@ import (
 // count with o attached (nil attaches none) and returns its pictures in
 // coded order — the order of the reference decoder, of DecodeSingle's
 // references and of the replay tests.
-func decodeCoded(v *Video, opts DecodeOptions, o obs.Observer, workers int) ([]*frame.Frame, error) {
-	seq, err := DecodeContext(obs.With(context.Background(), o), v, opts, workers)
+func decodeCoded(v *Video, o obs.Observer, workers int) ([]*frame.Frame, error) {
+	seq, err := DecodeContext(obs.With(context.Background(), o), v, DecodeOptions{}, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -39,9 +39,9 @@ func decodeCoded(v *Video, opts DecodeOptions, o obs.Observer, workers int) ([]*
 }
 
 // refDecode is the reference decoder's display-order sequence.
-func refDecode(t *testing.T, v *Video, opts DecodeOptions) *frame.Sequence {
+func refDecode(t *testing.T, v *Video) *frame.Sequence {
 	t.Helper()
-	recs, err := refDecodeRecs(v, opts)
+	recs, err := refDecodeRecs(v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +80,11 @@ func comparePlanes(t *testing.T, what string, got, want []*frame.Frame) {
 
 // checkAgainstReference decodes v through both decoders (and both Reanalyze
 // forms when records is set) and requires identical results.
-func checkAgainstReference(t *testing.T, what string, v *Video, opts DecodeOptions, records bool) {
+func checkAgainstReference(t *testing.T, what string, v *Video, records bool) {
 	t.Helper()
-	want, errW := refDecodeRecs(v, opts)
+	want, errW := refDecodeRecs(v)
 	for _, workers := range []int{1, 4} {
-		got, errG := decodeCoded(v, opts, nil, workers)
+		got, errG := decodeCoded(v, nil, workers)
 		if (errW == nil) != (errG == nil) {
 			t.Fatalf("%s workers=%d: error %v, reference %v", what, workers, errG, errW)
 		}
@@ -112,10 +112,10 @@ func checkAgainstReference(t *testing.T, what string, v *Video, opts DecodeOptio
 
 func TestDecodeMatchesReference(t *testing.T) {
 	for _, gc := range goldenCases(t) {
-		checkAgainstReference(t, gc.key+" clean", gc.clean, DecodeOptions{}, true)
-		checkAgainstReference(t, gc.key+" flips_lo", gc.flipsLo, DecodeOptions{}, true)
-		checkAgainstReference(t, gc.key+" flips_hi", gc.flipsHi, DecodeOptions{}, true)
-		checkAgainstReference(t, gc.key+" conceal", gc.conceal, DecodeOptions{ConcealOnDesync: true}, false)
+		checkAgainstReference(t, gc.key+" clean", gc.clean, true)
+		checkAgainstReference(t, gc.key+" flips_lo", gc.flipsLo, true)
+		checkAgainstReference(t, gc.key+" flips_hi", gc.flipsHi, true)
+		checkAgainstReference(t, gc.key+" truncated", gc.truncated, false)
 	}
 }
 
@@ -134,8 +134,7 @@ func TestDecodeGarbageMatchesReference(t *testing.T) {
 			for _, f := range c.Frames[1:] {
 				rng.Read(f.Payload)
 			}
-			opts := DecodeOptions{ConcealOnDesync: seed%3 == 2}
-			checkAgainstReference(t, fmt.Sprintf("%s garbage seed %d", gc.key, seed), c, opts, seed == 0)
+			checkAgainstReference(t, fmt.Sprintf("%s garbage seed %d", gc.key, seed), c, seed == 0)
 		}
 	}
 }
@@ -161,13 +160,13 @@ func FuzzDecodeVsReference(f *testing.F) {
 		// Seed with the golden set's damaged streams.
 		for fi := 1; fi < len(gc.clean.Frames); fi += 2 {
 			pick := sel | uint8(fi)<<4
-			f.Add(gc.flipsHi.Frames[fi].Payload, pick, 0, 0, gc.clean.Frames[fi].RefFwd, gc.clean.Frames[fi].RefBwd, false)
-			f.Add(gc.conceal.Frames[fi].Payload, pick, 0, 0, gc.clean.Frames[fi].RefFwd, gc.clean.Frames[fi].RefBwd, true)
+			f.Add(gc.flipsHi.Frames[fi].Payload, pick, 0, 0, gc.clean.Frames[fi].RefFwd, gc.clean.Frames[fi].RefBwd)
+			f.Add(gc.truncated.Frames[fi].Payload, pick, 0, 0, gc.clean.Frames[fi].RefFwd, gc.clean.Frames[fi].RefBwd)
 		}
 	}
-	f.Add([]byte{}, uint8(0x10), 1000, -5, 7, 0, false)
-	f.Add([]byte{0xFF, 0xFF, 0xFF}, uint8(0x23), 3, 1, -1, 1, true)
-	f.Fuzz(func(t *testing.T, payload []byte, pick uint8, mbStart, byteStart, refFwd, refBwd int, conceal bool) {
+	f.Add([]byte{}, uint8(0x10), 1000, -5, 7, 0)
+	f.Add([]byte{0xFF, 0xFF, 0xFF}, uint8(0x23), 3, 1, -1, 1)
+	f.Fuzz(func(t *testing.T, payload []byte, pick uint8, mbStart, byteStart, refFwd, refBwd int) {
 		c := bases[int(pick&0x0F)%len(bases)].Clone()
 		fr := c.Frames[int(pick>>4)%len(c.Frames)]
 		fr.Payload = payload
@@ -176,14 +175,13 @@ func FuzzDecodeVsReference(f *testing.F) {
 			fr.SliceByteStart = []int{0, byteStart}
 		}
 		fr.RefFwd, fr.RefBwd = refFwd, refBwd
-		opts := DecodeOptions{ConcealOnDesync: conceal}
-		want, err := refDecodeRecs(c, opts)
+		want, err := refDecodeRecs(c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 4} {
 			start := time.Now()
-			got, err := decodeCoded(c, opts, nil, workers)
+			got, err := decodeCoded(c, nil, workers)
 			if took := time.Since(start); took > fuzzDecodeCeiling {
 				t.Fatalf("decode took %v, ceiling %v", took, fuzzDecodeCeiling)
 			}
@@ -192,7 +190,7 @@ func FuzzDecodeVsReference(f *testing.F) {
 			}
 			comparePlanes(t, fmt.Sprintf("fuzzed stream workers=%d", workers), got, want)
 		}
-		checkReplayEqualsParse(t, "fuzzed stream", c, opts)
+		checkReplayEqualsParse(t, "fuzzed stream", c)
 	})
 }
 

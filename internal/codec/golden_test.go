@@ -18,7 +18,7 @@ import (
 
 // Golden decode manifest: absolute SHA-256 pins of the encoder's bitstreams
 // and of every plane the decoder produces from them — clean, bit-flipped at
-// two densities, and concealed — plus the records Reanalyze rebuilds. The
+// two densities, and truncated — plus the records Reanalyze rebuilds. The
 // relative determinism tests (serial vs parallel, batch vs streaming) cannot
 // see a kernel change that moves both sides together; this can. A deliberate
 // bitstream or reconstruction change regenerates the manifest with
@@ -69,9 +69,9 @@ type goldenCase struct {
 	clean   *Video
 	flipsLo *Video
 	flipsHi *Video
-	// conceal is flipsHi with the middle frame's payload cut in half, so
+	// truncated is flipsHi with the middle frame's payload cut in half, so
 	// the symbol reader is guaranteed to run dry and raise Desynced.
-	conceal *Video
+	truncated *Video
 }
 
 func goldenSource(t testing.TB, preset string) *frame.Sequence {
@@ -135,8 +135,8 @@ func goldenCases(t testing.TB) []goldenCase {
 					flipsLo: flipPayloadBits(v, seed+1, goldenFlipsLo),
 					flipsHi: flipPayloadBits(v, seed+2, goldenFlipsHi),
 				}
-				gc.conceal = gc.flipsHi.Clone()
-				mid := gc.conceal.Frames[len(gc.conceal.Frames)/2]
+				gc.truncated = gc.flipsHi.Clone()
+				mid := gc.truncated.Frames[len(gc.truncated.Frames)/2]
 				mid.Payload = mid.Payload[:len(mid.Payload)/2]
 				out = append(out, gc)
 			}
@@ -186,8 +186,8 @@ func hashRecords(v *Video) string {
 
 func goldenDigests(t *testing.T, gc goldenCase) map[string]string {
 	t.Helper()
-	decode := func(v *Video, opts DecodeOptions) string {
-		seq, err := DecodeContext(context.Background(), v, opts, 1)
+	decode := func(v *Video) string {
+		seq, err := DecodeContext(context.Background(), v, DecodeOptions{}, 1)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", gc.key, err)
 		}
@@ -224,10 +224,10 @@ func goldenDigests(t *testing.T, gc goldenCase) map[string]string {
 	return map[string]string{
 		"bitstream":          hex.EncodeToString(sum[:]),
 		"encoder_records":    hashRecords(gc.clean),
-		"clean":              decode(gc.clean, DecodeOptions{}),
-		"flips_lo":           decode(gc.flipsLo, DecodeOptions{}),
-		"flips_hi":           decode(gc.flipsHi, DecodeOptions{}),
-		"conceal":            decode(gc.conceal, DecodeOptions{ConcealOnDesync: true}),
+		"clean":              decode(gc.clean),
+		"flips_lo":           decode(gc.flipsLo),
+		"flips_hi":           decode(gc.flipsHi),
+		"truncated":          decode(gc.truncated),
 		"reanalyze_clean":    reanalyze(gc.clean),
 		"reanalyze_flips_lo": reanalyze(gc.flipsLo),
 		"layered":            layeredClean,

@@ -132,16 +132,16 @@ func headerRefSpans(v *Video) [][2]int {
 // damaged pictures, never a panic or an abort. Every value read from the
 // entropy stream is range-checked and clamped; when the stream desyncs the
 // decoder keeps interpreting garbage within the frame (the paper's Figure
-// 2(c) behaviour, or concealment under opts.ConcealOnDesync) and
-// resynchronizes at the next frame boundary, because each frame's payload
-// is independently delimited by its precisely-stored header and the entropy
-// context is reset per frame.
+// 2(c) behaviour) and resynchronizes at the next frame boundary, because
+// each frame's payload is independently delimited by its precisely-stored
+// header and the entropy context is reset per frame. DecodeOptions has no
+// fields; it is accepted and ignored.
 //
 // The observer attached to ctx (obs.With) receives the decode stage span,
 // per-frame progress and counters, including the entropy-resync events of
 // damaged slices; span workers run under pprof labels (stage=decode,
 // span=N).
-func DecodeContext(ctx context.Context, v *Video, opts DecodeOptions, workers int) (*frame.Sequence, error) {
+func DecodeContext(ctx context.Context, v *Video, _ DecodeOptions, workers int) (*frame.Sequence, error) {
 	if v.W%frame.MBSize != 0 || v.H%frame.MBSize != 0 || v.W <= 0 || v.H <= 0 {
 		return nil, errFrameGeometry(v.W, v.H)
 	}
@@ -153,7 +153,7 @@ func DecodeContext(ctx context.Context, v *Video, opts DecodeOptions, workers in
 	spans := headerRefSpans(v)
 	err := par.ForEachLabeled(ctx, len(spans), workers, obs.StageDecode, "span", func(si int) error {
 		sp := spans[si]
-		fd := newFrameDecoder(v, rec, opts, o)
+		fd := newFrameDecoder(v, rec, o)
 		for i := sp[0]; i < sp[1]; i++ {
 			if err := ctx.Err(); err != nil {
 				return err

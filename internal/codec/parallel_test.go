@@ -53,7 +53,7 @@ func TestEncodeParallelBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameSequences(t, "decoded", refDecode(t, serial, DecodeOptions{}), db)
+	sameSequences(t, "decoded", refDecode(t, serial), db)
 }
 
 // TestEncodeParallelOpenGOPBitExact: B frames reach across GOP boundaries,
@@ -138,7 +138,7 @@ func TestDecodeParallelBitExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		serial := refDecode(t, v, DecodeOptions{})
+		serial := refDecode(t, v)
 		for _, workers := range []int{1, 2, 8} {
 			parallel, err := DecodeContext(context.Background(), v, DecodeOptions{}, workers)
 			if err != nil {
@@ -167,7 +167,7 @@ func TestDecodeParallelCorruptedPayload(t *testing.T) {
 			}
 		}
 	}
-	serial := refDecode(t, v, DecodeOptions{})
+	serial := refDecode(t, v)
 	for _, workers := range []int{1, 2, 8} {
 		parallel, err := DecodeContext(context.Background(), v, DecodeOptions{}, workers)
 		if err != nil {
@@ -175,14 +175,6 @@ func TestDecodeParallelCorruptedPayload(t *testing.T) {
 		}
 		sameSequences(t, "corrupted", serial, parallel)
 	}
-	// Concealment mode takes a different per-frame path; it must stay
-	// equivalent too.
-	serialC := refDecode(t, v, DecodeOptions{ConcealOnDesync: true})
-	parallelC, err := DecodeContext(context.Background(), v, DecodeOptions{ConcealOnDesync: true}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSequences(t, "concealed", serialC, parallelC)
 }
 
 func TestHeaderRefSpans(t *testing.T) {
@@ -219,7 +211,7 @@ func TestHeaderRefSpans(t *testing.T) {
 			t.Fatalf("forward ref not honoured: %v, want %v", spans, want)
 		}
 	}
-	serial := refDecode(t, v, DecodeOptions{})
+	serial := refDecode(t, v)
 	parallel, err := DecodeContext(context.Background(), v, DecodeOptions{}, 8)
 	if err != nil {
 		t.Fatal(err)

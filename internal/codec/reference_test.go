@@ -19,13 +19,13 @@ import (
 // planes and the same Reanalyze records from any input, damaged or not.
 
 // refDecodeRecs is the pre-change decodeRecsOpts.
-func refDecodeRecs(v *Video, opts DecodeOptions) ([]*frame.Frame, error) {
+func refDecodeRecs(v *Video) ([]*frame.Frame, error) {
 	if v.W%frame.MBSize != 0 || v.H%frame.MBSize != 0 || v.W <= 0 || v.H <= 0 {
 		return nil, errFrameGeometry(v.W, v.H)
 	}
 	rec := make([]*frame.Frame, len(v.Frames))
 	for i := range v.Frames {
-		fd := &refFrameDecoder{video: v, ef: v.Frames[i], recRefs: rec, rec: frame.MustNew(v.W, v.H), opts: opts}
+		fd := &refFrameDecoder{video: v, ef: v.Frames[i], recRefs: rec, rec: frame.MustNew(v.W, v.H)}
 		fd.run()
 		rec[i] = fd.rec
 	}
@@ -43,7 +43,6 @@ type refFrameDecoder struct {
 	mvRep    []predict.MV
 	mvAvail  []bool
 	sliceTop int
-	opts     DecodeOptions
 
 	// Recording mode (Reanalyze): rebuild per-MB records while decoding.
 	record  bool
@@ -114,17 +113,7 @@ func (fd *refFrameDecoder) run() {
 		fd.sliceTop = topMB / mbCols
 		fd.bitBase = int64(byteStart) * 8
 		sliceRecStart := len(fd.recs)
-		concealed := false
 		for m := topMB; m < endMB; m++ {
-			if fd.opts.ConcealOnDesync && (concealed || fd.sr.Desynced()) {
-				concealed = true
-				fd.concealMB(m%mbCols, m/mbCols)
-				if fd.record {
-					fd.recs = append(fd.recs, MBRecord{MB: frame.MB{X: m % mbCols, Y: m / mbCols}, BitStart: fd.bitBase + fd.sr.BitPos()})
-					fd.curRec = &fd.recs[len(fd.recs)-1]
-				}
-				continue
-			}
 			if fd.record {
 				fd.recs = append(fd.recs, MBRecord{MB: frame.MB{X: m % mbCols, Y: m / mbCols}})
 				fd.curRec = &fd.recs[len(fd.recs)-1]
@@ -389,48 +378,6 @@ func (fd *refFrameDecoder) decodeResidualAndReconstruct(mx, my int, predY, predC
 						}
 					}
 				}
-			}
-		}
-	}
-}
-
-// concealMB fills a macroblock by copying the co-located content from the
-// forward reference frame, or mid-gray when none exists — standard temporal
-// error concealment.
-func (fd *refFrameDecoder) concealMB(mx, my int) {
-	px, py := mx*frame.MBSize, my*frame.MBSize
-	refF := fd.refFrame(fd.ef.RefFwd)
-	if refF == nil {
-		for y := 0; y < 16; y++ {
-			for x := 0; x < 16; x++ {
-				fd.rec.SetLuma(px+x, py+y, 128)
-			}
-		}
-		cw, ch := fd.rec.W/2, fd.rec.H/2
-		for y := 0; y < 8; y++ {
-			for x := 0; x < 8; x++ {
-				cx, cy := mx*8+x, my*8+y
-				if cx < cw && cy < ch {
-					fd.rec.Cb[cy*cw+cx] = 128
-					fd.rec.Cr[cy*cw+cx] = 128
-				}
-			}
-		}
-		return
-	}
-	for y := 0; y < 16; y++ {
-		for x := 0; x < 16; x++ {
-			fd.rec.SetLuma(px+x, py+y, refF.LumaAt(px+x, py+y))
-		}
-	}
-	cw, ch := fd.rec.W/2, fd.rec.H/2
-	for y := 0; y < 8; y++ {
-		for x := 0; x < 8; x++ {
-			cx, cy := mx*8+x, my*8+y
-			if cx < cw && cy < ch {
-				cb, cr := refF.ChromaAt(cx, cy)
-				fd.rec.Cb[cy*cw+cx] = cb
-				fd.rec.Cr[cy*cw+cx] = cr
 			}
 		}
 	}

@@ -90,7 +90,7 @@ func TestSliceContainsCodingErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := decodeCoded(v, DecodeOptions{}, nil, 1)
+	clean, err := decodeCoded(v, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

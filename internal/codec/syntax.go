@@ -19,15 +19,11 @@ import (
 // it parsed in the SyntaxSlot the copies share, and later decodes fill the
 // same mbSyntax from that record and run the same reconstruct stage.
 
-// mbConcealed marks a macroblock the stream never coded for the decoder:
-// under ConcealOnDesync, every macroblock after the slice's reader lost sync.
-const mbConcealed = numMBTypes
-
 // mbSyntax is what the entropy stream says about one macroblock, after every
 // range check: reconstruct needs nothing else from the payload.
 type mbSyntax struct {
 	// mbType is mbSkip … mbInter4x4 after the no-reference collapse to
-	// intra, or mbConcealed.
+	// intra.
 	mbType int
 	mode   predict.IntraMode // mbIntra only
 	qp     int               // the quantizer in effect, not the coded delta
@@ -41,7 +37,7 @@ type mbSyntax struct {
 // description over the type's partition table.
 func (s *mbSyntax) setType(t int) {
 	s.mbType = t
-	if t != mbIntra && t != mbConcealed {
+	if t != mbIntra {
 		s.motion = mbMotion{rects: predict.PartitionRects(mbTypeToShape(t))}
 	}
 }
@@ -56,7 +52,6 @@ type syntaxKey struct {
 	baseQP         int
 	entropy        EntropyKind
 	refFwd, refBwd bool // reference present: inter types and directions collapse without one
-	conceal        bool
 }
 
 // frameSyntax is the recorded parse of one frame: the mbSyntax of every
@@ -108,7 +103,6 @@ func (fd *frameDecoder) syntaxKeyOf() syntaxKey {
 		crc: crc, w: fd.video.W, h: fd.video.H,
 		frameType: ef.Type, baseQP: ef.BaseQP, entropy: fd.video.Params.Entropy,
 		refFwd: fd.refF != nil, refBwd: fd.refB != nil,
-		conceal: fd.opts.ConcealOnDesync,
 	}
 }
 
@@ -142,9 +136,6 @@ func appendMV(dst []byte, mv predict.MV) []byte {
 // in it, a 16-bit position mask followed by the nonzero levels.
 func appendMB(dst []byte, s *mbSyntax) []byte {
 	dst = append(dst, byte(s.mbType))
-	if s.mbType == mbConcealed {
-		return dst
-	}
 	dst = append(dst, byte(s.qp))
 	if s.mbType == mbIntra {
 		dst = append(dst, byte(s.mode))
@@ -223,9 +214,6 @@ func (r *syntaxReader) mv() predict.MV {
 // levels of a block outside nz are never read, so they are not restored).
 func (r *syntaxReader) readMB(s *mbSyntax) {
 	s.setType(int(r.u8()))
-	if s.mbType == mbConcealed {
-		return
-	}
 	s.qp = int(r.u8())
 	if s.mbType == mbIntra {
 		s.mode = predict.IntraMode(r.u8())

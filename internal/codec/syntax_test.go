@@ -29,16 +29,16 @@ func shareWithSelf(v *Video) {
 // checkReplayEqualsParse decodes v three ways — parsing (a Clone carries no
 // syntax), recording, and replaying the record — and requires the same
 // planes, with the replay counter saying which was which.
-func checkReplayEqualsParse(t *testing.T, what string, v *Video, opts DecodeOptions) {
+func checkReplayEqualsParse(t *testing.T, what string, v *Video) {
 	t.Helper()
-	want, err := decodeCoded(v.Clone(), opts, nil, 1)
+	want, err := decodeCoded(v.Clone(), nil, 1)
 	if err != nil {
 		return
 	}
 	c := v.Clone()
 	shareWithSelf(c)
 	m := obs.NewMetrics()
-	rec, err := decodeCoded(c, opts, m, 1)
+	rec, err := decodeCoded(c, m, 1)
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
@@ -46,7 +46,7 @@ func checkReplayEqualsParse(t *testing.T, what string, v *Video, opts DecodeOpti
 	if n := replayed(m); n != 0 {
 		t.Fatalf("%s: %d frames replayed before any record existed", what, n)
 	}
-	rep, err := decodeCoded(c, opts, m, 1)
+	rep, err := decodeCoded(c, m, 1)
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
@@ -57,15 +57,15 @@ func checkReplayEqualsParse(t *testing.T, what string, v *Video, opts DecodeOpti
 }
 
 // TestReplayEqualsParseGolden: every stream of the golden decode manifest —
-// clean, both flip densities, concealed; both coders; slices, B frames,
+// clean, both flip densities, truncated; both coders; slices, B frames,
 // half-pel, deblocking — and uniformly random payloads. A record of garbage
 // must replay to the same garbage.
 func TestReplayEqualsParseGolden(t *testing.T) {
 	for _, gc := range goldenCases(t) {
-		checkReplayEqualsParse(t, gc.key+" clean", gc.clean, DecodeOptions{})
-		checkReplayEqualsParse(t, gc.key+" flips_lo", gc.flipsLo, DecodeOptions{})
-		checkReplayEqualsParse(t, gc.key+" flips_hi", gc.flipsHi, DecodeOptions{})
-		checkReplayEqualsParse(t, gc.key+" conceal", gc.conceal, DecodeOptions{ConcealOnDesync: true})
+		checkReplayEqualsParse(t, gc.key+" clean", gc.clean)
+		checkReplayEqualsParse(t, gc.key+" flips_lo", gc.flipsLo)
+		checkReplayEqualsParse(t, gc.key+" flips_hi", gc.flipsHi)
+		checkReplayEqualsParse(t, gc.key+" truncated", gc.truncated)
 		if !strings.HasPrefix(gc.key, "crew_like/") {
 			continue
 		}
@@ -75,7 +75,7 @@ func TestReplayEqualsParseGolden(t *testing.T) {
 			for _, f := range c.Frames[1:] {
 				rng.Read(f.Payload)
 			}
-			checkReplayEqualsParse(t, fmt.Sprintf("%s garbage seed %d", gc.key, seed), c, DecodeOptions{ConcealOnDesync: seed == 2})
+			checkReplayEqualsParse(t, fmt.Sprintf("%s garbage seed %d", gc.key, seed), c)
 		}
 	}
 }
@@ -87,12 +87,12 @@ func TestReplayPublishesResync(t *testing.T) {
 		if !strings.HasSuffix(gc.key, "/slices4") {
 			continue
 		}
-		c := gc.conceal.Clone()
+		c := gc.truncated.Clone()
 		shareWithSelf(c)
 		var counts [2]int64
 		for pass := range counts {
 			m := obs.NewMetrics()
-			if _, err := decodeCoded(c, DecodeOptions{}, m, 1); err != nil {
+			if _, err := decodeCoded(c, m, 1); err != nil {
 				t.Fatal(err)
 			}
 			counts[pass] = m.Snapshot().CounterTotal(obs.CtrResync)
@@ -109,7 +109,7 @@ func recorded(t *testing.T, v *Video) (*Video, []*frame.Frame) {
 	t.Helper()
 	c := v.Clone()
 	shareWithSelf(c)
-	clean, err := decodeCoded(c, DecodeOptions{}, nil, 1)
+	clean, err := decodeCoded(c, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestRecordNeverOutlivesAByteChange(t *testing.T) {
 			}
 		}
 		m := obs.NewMetrics()
-		got, err := decodeCoded(c, DecodeOptions{}, m, 1)
+		got, err := decodeCoded(c, m, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,12 +159,12 @@ func TestRecordNeverOutlivesAByteChange(t *testing.T) {
 		f.ShareSyntax(src.Frames[i].SyntaxSlot())
 		f.Payload[len(f.Payload)/2] ^= 0x10
 	}
-	want, err := decodeCoded(flipped.Clone(), DecodeOptions{}, nil, 1)
+	want, err := decodeCoded(flipped.Clone(), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := obs.NewMetrics()
-	got, err := decodeCoded(flipped, DecodeOptions{}, m, 1)
+	got, err := decodeCoded(flipped, m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestRecordNeverOutlivesAByteChange(t *testing.T) {
 	}
 	// That decode recorded the flipped bytes' parse on src; src's own bytes
 	// no longer match it and must parse again, to the clean planes.
-	got, err = decodeCoded(src, DecodeOptions{}, m, 1)
+	got, err = decodeCoded(src, m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,12 +187,12 @@ func TestRecordNeverOutlivesAByteChange(t *testing.T) {
 	src2, _ := recorded(t, v)
 	src2.Frames[1].Payload[3] ^= 0x01
 	src2.Frames[4].SliceByteStart[0]++
-	want, err = decodeCoded(src2.Clone(), DecodeOptions{}, nil, 1)
+	want, err = decodeCoded(src2.Clone(), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m = obs.NewMetrics()
-	got, err = decodeCoded(src2, DecodeOptions{}, m, 1)
+	got, err = decodeCoded(src2, m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestRecordNeverOutlivesAByteChange(t *testing.T) {
 // clone replays, and the original itself never does.
 func TestShareSyntaxAcrossVideos(t *testing.T) {
 	v := testVideo(t)
-	clean, err := decodeCoded(v, DecodeOptions{}, nil, 1)
+	clean, err := decodeCoded(v, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestShareSyntaxAcrossVideos(t *testing.T) {
 		for i, f := range c.Frames {
 			f.ShareSyntax(v.Frames[i].SyntaxSlot())
 		}
-		got, err := decodeCoded(c, DecodeOptions{}, m, 1)
+		got, err := decodeCoded(c, m, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +235,7 @@ func TestShareSyntaxAcrossVideos(t *testing.T) {
 		c.Release()
 	}
 	before := replayed(m)
-	if _, err := decodeCoded(v, DecodeOptions{}, m, 1); err != nil {
+	if _, err := decodeCoded(v, m, 1); err != nil {
 		t.Fatal(err)
 	}
 	if replayed(m) != before {
@@ -244,8 +244,7 @@ func TestShareSyntaxAcrossVideos(t *testing.T) {
 }
 
 // TestReplayKeyedOnParseConditions: the same bytes parse differently without
-// a reference (inter types collapse to intra) or under ConcealOnDesync, and
-// recording mode needs bit positions no record holds. Each must agree with
+// a reference (inter types collapse to intra), and recording mode needs bit positions no record holds. Each must agree with
 // its record-free result whatever record is lying around.
 func TestReplayKeyedOnParseConditions(t *testing.T) {
 	var gc goldenCase
@@ -255,14 +254,14 @@ func TestReplayKeyedOnParseConditions(t *testing.T) {
 		}
 	}
 	plain := gc.flipsLo
-	shared, _ := recorded(t, plain) // records made with references present, no concealment
+	shared, _ := recorded(t, plain) // records made with references present
 
 	// DecodeSingle against missing and substituted references.
-	cleanRecs, err := decodeCoded(plain, DecodeOptions{}, nil, 1)
+	cleanRecs, err := decodeCoded(plain, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, err := decodeCoded(gc.flipsHi, DecodeOptions{}, nil, 1)
+	other, err := decodeCoded(gc.flipsHi, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,21 +277,6 @@ func TestReplayKeyedOnParseConditions(t *testing.T) {
 				comparePlanes(t, fmt.Sprintf("DecodeSingle frame %d, %s, pass %d", idx, name, pass), []*frame.Frame{got}, []*frame.Frame{want})
 			}
 		}
-	}
-
-	// ConcealOnDesync over records made without it, and back.
-	damaged, _ := recorded(t, gc.conceal)
-	for _, conceal := range []bool{true, false, true} {
-		opts := DecodeOptions{ConcealOnDesync: conceal}
-		want, err := decodeCoded(gc.conceal.Clone(), opts, nil, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := decodeCoded(damaged, opts, nil, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		comparePlanes(t, fmt.Sprintf("conceal=%v over existing records", conceal), got, want)
 	}
 
 	// Reanalyze of a video whose every frame has a record.
@@ -317,38 +301,36 @@ func TestSyntaxStreamRoundTrip(t *testing.T) {
 	var mbs []mbSyntax
 	for i := 0; i < 400; i++ {
 		var s mbSyntax
-		s.setType(rng.Intn(numMBTypes + 1))
-		if s.mbType != mbConcealed {
-			s.qp = rng.Intn(64)
-			s.mode = 0
-			if s.mbType == mbIntra {
-				s.mode = 3
-			} else {
-				for j := range s.motion.rects {
-					s.motion.dirs[j] = rng.Intn(3)
-					mv := func() (v [2]int16) {
-						for k := range v {
-							v[k] = [...]int16{-64, -1, 0, 1, 63, 64}[rng.Intn(6)]
-						}
-						return
+		s.setType(rng.Intn(numMBTypes))
+		s.qp = rng.Intn(64)
+		s.mode = 0
+		if s.mbType == mbIntra {
+			s.mode = 3
+		} else {
+			for j := range s.motion.rects {
+				s.motion.dirs[j] = rng.Intn(3)
+				mv := func() (v [2]int16) {
+					for k := range v {
+						v[k] = [...]int16{-64, -1, 0, 1, 63, 64}[rng.Intn(6)]
 					}
-					if f := mv(); s.motion.dirs[j] != dirBwd {
-						s.motion.mvF[j].X, s.motion.mvF[j].Y = f[0], f[1]
-					}
-					if b := mv(); s.motion.dirs[j] != dirFwd {
-						s.motion.mvB[j].X, s.motion.mvB[j].Y = b[0], b[1]
-					}
+					return
+				}
+				if f := mv(); s.motion.dirs[j] != dirBwd {
+					s.motion.mvF[j].X, s.motion.mvF[j].Y = f[0], f[1]
+				}
+				if b := mv(); s.motion.dirs[j] != dirFwd {
+					s.motion.mvB[j].X, s.motion.mvB[j].Y = b[0], b[1]
 				}
 			}
-			if s.mbType != mbSkip {
-				s.res.nz = uint32(rng.Intn(1 << mbBlocks))
-				for b := range s.res.blocks {
-					if s.res.nz&(1<<uint(b)) == 0 {
-						continue
-					}
-					for k := 0; k < rng.Intn(17); k++ {
-						s.res.blocks[b][rng.Intn(16)] = [...]int32{-1 << 15, -300, -1, 0, 1, 63, 64, 1 << 15}[rng.Intn(8)]
-					}
+		}
+		if s.mbType != mbSkip {
+			s.res.nz = uint32(rng.Intn(1 << mbBlocks))
+			for b := range s.res.blocks {
+				if s.res.nz&(1<<uint(b)) == 0 {
+					continue
+				}
+				for k := 0; k < rng.Intn(17); k++ {
+					s.res.blocks[b][rng.Intn(16)] = [...]int32{-1 << 15, -300, -1, 0, 1, 63, 64, 1 << 15}[rng.Intn(8)]
 				}
 			}
 		}
@@ -369,9 +351,6 @@ func TestSyntaxStreamRoundTrip(t *testing.T) {
 		want := &mbs[i]
 		if got.mbType != want.mbType {
 			t.Fatalf("mb %d: type %d, want %d", i, got.mbType, want.mbType)
-		}
-		if want.mbType == mbConcealed {
-			continue
 		}
 		if got.qp != want.qp || got.res.nz != want.res.nz {
 			t.Fatalf("mb %d: qp %d nz %x, want %d %x", i, got.qp, got.res.nz, want.qp, want.res.nz)

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/metrics"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -39,13 +38,10 @@ type ArchiveSpec struct {
 	// Remove, or catalog shutdown.
 	Open func() (store.Backend, error)
 	// Options are applied when the archive is opened over the backend
-	// (store.WithMirror). The catalog owns the fault policy of the archives
-	// it opens: it applies the tenant's policy after these, so a
-	// store.WithFaultPolicy left here has no effect.
+	// (store.WithMirror, store.WithFaultPolicy). The fault policy the archive
+	// opens under — the defaults without a store.WithFaultPolicy — governs
+	// its read retries and the tenant's circuit breaker both.
 	Options []store.ArchiveOption
-	// FaultPolicy, when non-nil, is this archive's policy — its read
-	// retries and its circuit breaker — in place of the catalog-wide one.
-	FaultPolicy *store.FaultPolicy
 }
 
 // Catalog serves N named archives to many concurrent clients: the
@@ -147,7 +143,6 @@ func (p chunkPayload) claim() bool {
 type tenant struct {
 	name string
 	spec ArchiveSpec
-	pol  store.FaultPolicy // the tenant's one policy: spec override, else catalog-wide
 
 	mu      sync.Mutex // tenant state; held across spec.Open on the lazy-open path
 	archive *store.ChunkArchive
@@ -243,15 +238,10 @@ func NewCatalog(specs []ArchiveSpec, options ...Option) (*Catalog, error) {
 	return c, nil
 }
 
-// newTenant resolves a spec into a tenant with its one policy and the
-// breaker that policy configures; acquire opens the archive under the same.
+// newTenant returns the unopened tenant of a spec; acquire opens its
+// archive and configures its breaker.
 func (c *Catalog) newTenant(spec ArchiveSpec) *tenant {
-	t := &tenant{name: spec.Name, spec: spec, pol: c.cfg.policy}
-	if spec.FaultPolicy != nil {
-		t.pol = *spec.FaultPolicy
-	}
-	resolved := t.pol.Resolved()
-	t.breaker = breaker{threshold: resolved.BreakerThreshold, cooldown: resolved.BreakerCooldown}
+	t := &tenant{name: spec.Name, spec: spec}
 	t.touch()
 	return t
 }
@@ -394,12 +384,16 @@ func (c *Catalog) acquire(name string) (*tenant, *store.ChunkArchive, string, fu
 		b, err := t.spec.Open()
 		if err == nil {
 			var a *store.ChunkArchive
-			// The tenant's policy goes last, so it is the archive's.
-			a, err = store.OpenArchiveBackend(b, append(slices.Clip(t.spec.Options), store.WithFaultPolicy(t.pol))...)
+			a, err = store.OpenArchiveBackend(b, t.spec.Options...)
 			if err != nil {
 				b.Close()
 			} else {
 				t.archive, t.backend = a, b
+				// The breaker judges reads under the policy the archive
+				// opened with. Every request that reads it acquires the
+				// tenant after this write, under t.mu.
+				pol := a.Policy()
+				t.breaker.threshold, t.breaker.cooldown = pol.BreakerThreshold, pol.BreakerCooldown
 				t.gen = c.gens.Add(1)
 				c.openDelta(1)
 			}

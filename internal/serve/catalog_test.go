@@ -79,7 +79,6 @@ func (cc *chaosCatalog) specs(t *testing.T, dir string) []ArchiveSpec {
 			t.Fatal(err)
 		}
 	}
-	pol := cc.pol
 	return []ArchiveSpec{
 		{Name: "disk", Open: func() (store.Backend, error) { return store.OpenFileBackend(path, false) }},
 		{Name: "mem", Open: func() (store.Backend, error) { return store.NewMemBackend(cc.data["mem"]), nil }},
@@ -88,7 +87,7 @@ func (cc *chaosCatalog) specs(t *testing.T, dir string) []ArchiveSpec {
 			Open: func() (store.Backend, error) {
 				return faultio.Wrap(store.NewSnapshotBackend(cc.data["flaky"]), chaosProfile(cc.seed)), nil
 			},
-			FaultPolicy: &pol,
+			Options: []store.ArchiveOption{store.WithFaultPolicy(cc.pol)},
 		},
 	}
 }

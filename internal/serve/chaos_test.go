@@ -122,8 +122,9 @@ func TestChaosServe(t *testing.T) {
 	// The concurrent run: one shared faulty device under the server.
 	fr := faultio.Wrap(store.NewSnapshotBackend(data), chaosProfile(seed))
 	s := serveOne(t, ArchiveSpec{
-		Open: func() (store.Backend, error) { return fr, nil },
-	}, WithFaultPolicy(chaosPolicy()))
+		Open:    func() (store.Backend, error) { return fr, nil },
+		Options: []store.ArchiveOption{store.WithFaultPolicy(chaosPolicy())},
+	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	chunks := len(deg1)
@@ -216,7 +217,10 @@ func TestServeDegradedHeader(t *testing.T) {
 	bad[info.Offset+info.Length-1] ^= 0x55
 	// Readahead off: the test pins the exact decode count of the two
 	// foreground requests.
-	s := serveBytes(t, bad, WithFaultPolicy(chaosPolicy()), WithPrefetch(0))
+	s := serveOne(t, ArchiveSpec{
+		Open:    func() (store.Backend, error) { return store.NewSnapshotBackend(bad), nil },
+		Options: []store.ArchiveOption{store.WithFaultPolicy(chaosPolicy())},
+	}, WithPrefetch(0))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -284,7 +288,10 @@ func TestCircuitBreakerShedsAndRecovers(t *testing.T) {
 		BreakerCooldown:  150 * time.Millisecond,
 	}
 	// Degenerate cache: every request hits the device.
-	s := serveOne(t, ArchiveSpec{Open: func() (store.Backend, error) { return dev, nil }}, WithFaultPolicy(pol), WithCacheBytes(1))
+	s := serveOne(t, ArchiveSpec{
+		Open:    func() (store.Backend, error) { return dev, nil },
+		Options: []store.ArchiveOption{store.WithFaultPolicy(pol)},
+	}, WithCacheBytes(1))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -340,10 +347,10 @@ func TestCircuitBreakerShedsAndRecovers(t *testing.T) {
 }
 
 // TestTenantPolicyIsOnePolicy pins the one route a fault policy takes to a
-// tenant: whichever way it arrives — catalog-wide or through the spec — the
-// read retries and the breaker threshold are those of that one policy, and a
-// store.WithFaultPolicy left in ArchiveSpec.Options governs neither — the
-// retries of a read and the breaker judging it never come from two policies.
+// tenant: the store.WithFaultPolicy in its ArchiveSpec.Options is the policy
+// the archive opens under, and the tenant's breaker takes its threshold from
+// that opened archive, so the retries of a read and the breaker judging it
+// never come from two policies. Without the option both run on the defaults.
 func TestTenantPolicyIsOnePolicy(t *testing.T) {
 	data := buildArchiveBytes(t, 2)
 	// One retry per failed region read (default 2), open after two hard
@@ -353,26 +360,22 @@ func TestTenantPolicyIsOnePolicy(t *testing.T) {
 		MaxRetries: 1, RetryBackoff: time.Microsecond, MaxBackoff: time.Microsecond,
 		BreakerThreshold: 2, BreakerCooldown: time.Minute,
 	}
-	stray := []store.ArchiveOption{store.WithFaultPolicy(store.FaultPolicy{MaxRetries: 5, RetryBackoff: time.Microsecond, MaxBackoff: time.Microsecond})}
-	fast := store.FaultPolicy{RetryBackoff: time.Microsecond, MaxBackoff: time.Microsecond}
 	for _, tc := range []struct {
 		name          string
-		spec          ArchiveSpec
-		options       []Option
+		options       []store.ArchiveOption
 		retries, shed int64
 	}{
-		{"catalog-wide", ArchiveSpec{}, []Option{WithFaultPolicy(pol)}, 2, 1},
-		{"spec", ArchiveSpec{FaultPolicy: &pol}, nil, 2, 1},
-		{"spec over catalog-wide", ArchiveSpec{FaultPolicy: &pol}, []Option{WithFaultPolicy(fast)}, 2, 1},
-		{"catalog-wide with a stray archive option", ArchiveSpec{Options: stray}, []Option{WithFaultPolicy(pol)}, 2, 1},
-		// No tenant policy at all: the defaults, two retries per read and a
-		// breaker that three failures do not open — not the stray option's.
-		{"defaults with a stray archive option", ArchiveSpec{Options: stray}, nil, 6, 0},
+		{"spec", []store.ArchiveOption{store.WithFaultPolicy(pol)}, 2, 1},
+		// The defaults: two retries per read and a breaker that three
+		// failures do not open.
+		{"defaults", nil, 6, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dev := &togglingAt{Backend: store.NewSnapshotBackend(data)}
-			tc.spec.Open = func() (store.Backend, error) { return dev, nil }
-			s := serveOne(t, tc.spec, append(tc.options, WithCacheBytes(1), WithPrefetch(0))...)
+			s := serveOne(t, ArchiveSpec{
+				Open:    func() (store.Backend, error) { return dev, nil },
+				Options: tc.options,
+			}, WithCacheBytes(1), WithPrefetch(0))
 			ts := httptest.NewServer(s.Handler())
 			defer ts.Close()
 			if status, _, _ := fetch(t, ts.Client(), ts.URL+"/v1/archives/"+testArchive); status != http.StatusOK {

@@ -251,8 +251,8 @@ func TestPrefetchNeverFiresThroughOpenBreaker(t *testing.T) {
 	dev := &togglingAt{Backend: store.NewSnapshotBackend(buildArchiveBytes(t, 6))}
 	pol := store.FaultPolicy{MaxRetries: -1, BreakerThreshold: 1, BreakerCooldown: time.Minute}
 	cat, release := queuedFixture(t, ArchiveSpec{
-		Open:        func() (store.Backend, error) { return dev, nil },
-		FaultPolicy: &pol,
+		Open:    func() (store.Backend, error) { return dev, nil },
+		Options: []store.ArchiveOption{store.WithFaultPolicy(pol)},
 	})
 	// One hard foreground failure (chunk 5 is outside the queued window)
 	// opens the breaker; the device then recovers, so readahead that did
@@ -389,9 +389,8 @@ func TestPrefetchOutcomeAccounting(t *testing.T) {
 
 	t.Run("failed load is issued and wasted", func(t *testing.T) {
 		dev := &hookBackend{Backend: store.NewSnapshotBackend(data)}
-		pol := store.FaultPolicy{MaxRetries: -1}
 		spec := dev.spec()
-		spec.FaultPolicy = &pol
+		spec.Options = []store.ArchiveOption{store.WithFaultPolicy(store.FaultPolicy{MaxRetries: -1})}
 		cat := serveOne(t, spec, WithPrefetch(1))
 		mustGet(t, cat, 5, "miss")
 		info, err := openBytes(t, data).Info(1)

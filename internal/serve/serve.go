@@ -8,11 +8,11 @@
 // Tenants are declared as ArchiveSpecs and opened lazily on first request;
 // an idle timeout closes archives nobody is reading. Each tenant gets its
 // own circuit breaker and fault policy, and its own labeled counters, while
-// the decoded-chunk cache is shared. A tenant has exactly one policy — its
-// ArchiveSpec.FaultPolicy, else the catalog's WithFaultPolicy, else the
-// defaults — and the catalog opens the tenant's archive under it, so the
-// retries of a read and the breaker that judges its failures always come
-// from the same policy.
+// the decoded-chunk cache is shared. A tenant's policy is the one its
+// archive opens under — a store.WithFaultPolicy in ArchiveSpec.Options, else
+// the defaults — and its breaker takes its threshold and cooldown from that
+// opened archive, so the retries of a read and the breaker that judges its
+// failures always come from the same policy.
 //
 // The paper's premise is that approximately stored video is read far more
 // often than it is written, so the serving layer is built around four
@@ -128,7 +128,6 @@ type config struct {
 	requestTimeout time.Duration
 	idleTimeout    time.Duration // <= 0: archives stay open
 	observer       obs.Observer  // nil: the metrics aggregator alone
-	policy         store.FaultPolicy
 }
 
 // Option configures a Catalog at construction, applied in argument order.
@@ -183,14 +182,6 @@ func WithIdleTimeout(d time.Duration) Option {
 // alongside the server's own metrics aggregator.
 func WithObserver(o obs.Observer) Option {
 	return func(c *config) { c.observer = o }
-}
-
-// WithFaultPolicy sets the catalog-wide fault policy: retry count and
-// backoff for archive reads, and the circuit breaker's threshold and
-// cooldown, for every archive without an ArchiveSpec.FaultPolicy of its own.
-// The catalog opens each archive under its tenant's policy (see ArchiveSpec).
-func WithFaultPolicy(p store.FaultPolicy) Option {
-	return func(c *config) { c.policy = p }
 }
 
 // statusWriter records the status code written to a response.

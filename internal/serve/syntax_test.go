@@ -294,10 +294,11 @@ func TestFaultModelDecidesWhatIsDecoded(t *testing.T) {
 	dev := &switchedBackend{Backend: containers[0], containers: containers}
 	mirrored := &switchedBackend{Backend: containers[0], containers: containers}
 	cat, err := NewCatalog([]ArchiveSpec{
-		{Name: "t", Open: func() (store.Backend, error) { return dev, nil }},
+		{Name: "t", Open: func() (store.Backend, error) { return dev, nil },
+			Options: []store.ArchiveOption{store.WithFaultPolicy(pol)}},
 		{Name: "mirrored", Open: func() (store.Backend, error) { return mirrored, nil },
-			Options: []store.ArchiveOption{store.WithMirror(bytes.NewReader(data))}},
-	}, WithFaultPolicy(pol), WithCacheBytes(256<<10), WithPrefetch(0))
+			Options: []store.ArchiveOption{store.WithFaultPolicy(pol), store.WithMirror(bytes.NewReader(data))}},
+	}, WithCacheBytes(256<<10), WithPrefetch(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -246,10 +246,17 @@ type ArchiveOption func(*ChunkArchive)
 
 // WithFaultPolicy sets the archive's fault policy — retry counts and backoff
 // for the open-time index scan, every read and every scrub. It is the only
-// way a policy reaches an archive; without it the defaults apply.
+// way a policy reaches an archive, a served one included (in
+// serve.ArchiveSpec.Options, where Policy also sets the tenant's circuit
+// breaker); without it the defaults apply.
 func WithFaultPolicy(p FaultPolicy) ArchiveOption {
 	return func(a *ChunkArchive) { a.policy = p }
 }
+
+// Policy returns the fault policy the archive runs under, resolved once at
+// open. Do not Resolve it again: a second pass reads a resolved "retries
+// off" (MaxRetries 0) as "unset" and turns the default retries back on.
+func (a *ChunkArchive) Policy() FaultPolicy { return a.policy }
 
 // WithMirror attaches a mirror reader holding a replica of the same
 // container bytes. When a region read from the primary exhausts its

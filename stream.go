@@ -47,7 +47,7 @@ type (
 	Catalog = serve.Catalog
 	// ArchiveSpec declares one Catalog tenant: a routable name and a
 	// function producing its storage Backend, plus optional per-archive
-	// ArchiveOptions and FaultPolicy.
+	// ArchiveOptions (WithArchivePolicy, WithMirror).
 	ArchiveSpec = serve.ArchiveSpec
 	// Backend is the pluggable storage seam archives live on: positionless
 	// reads and writes plus lifecycle. See OpenFileBackend and
@@ -57,8 +57,7 @@ type (
 	Backend = store.Backend
 	// ServeOption configures a Catalog at construction; see
 	// WithCacheBytes, WithPrefetch, WithRequestTimeout,
-	// WithServeWorkers, WithIdleTimeout, WithServeObserver and
-	// WithFaultPolicy.
+	// WithServeWorkers, WithIdleTimeout and WithServeObserver.
 	ServeOption = serve.Option
 	// ArchiveOption configures a ChunkArchive at open time; see
 	// WithArchivePolicy and WithMirror.
@@ -66,8 +65,8 @@ type (
 	// FaultPolicy is the knob set of the fault-tolerant read path: retry
 	// count, backoff and the serving layer's circuit breaker. The zero
 	// value selects every documented default. It reaches an archive one
-	// way per layer: WithArchivePolicy when you open it yourself,
-	// WithFaultPolicy or ArchiveSpec.FaultPolicy when a Catalog opens it.
+	// way, WithArchivePolicy: in OpenArchive's options when you open it
+	// yourself, in ArchiveSpec.Options when a Catalog opens it.
 	FaultPolicy = store.FaultPolicy
 	// ChunkRead is the degradation-aware result of reading one chunk:
 	// the reconstructed video, its partitions, and the names of any
@@ -141,9 +140,10 @@ func OpenFileBackend(path string, writable bool) (Backend, error) {
 // must not mutate data afterwards.
 func NewSnapshotBackend(data []byte) Backend { return store.NewSnapshotBackend(data) }
 
-// WithArchivePolicy attaches a FaultPolicy to an archive you open yourself:
-// the index scan, every read and every scrub retry and back off as the
-// policy dictates. A Catalog sets the policy of the archives it opens.
+// WithArchivePolicy attaches a FaultPolicy to an archive: the index scan,
+// every read and every scrub retry and back off as the policy dictates.
+// In ArchiveSpec.Options it is also the policy of the tenant's circuit
+// breaker; without it the defaults apply.
 func WithArchivePolicy(p FaultPolicy) ArchiveOption { return store.WithFaultPolicy(p) }
 
 // WithMirror attaches a second reader holding an identical copy of the
@@ -173,7 +173,7 @@ func WithMirror(r io.ReaderAt) ArchiveOption { return store.WithMirror(r) }
 // X-Videoapp-Degraded header naming the lost streams; persistent device
 // failures trip a circuit breaker that sheds requests with
 // 503 + Retry-After instead of queueing more work on a failing device.
-// Configure both through WithFaultPolicy.
+// Configure both through WithArchivePolicy in each ArchiveSpec.Options.
 func NewCatalog(specs []ArchiveSpec, opts ...ServeOption) (*Catalog, error) {
 	return serve.NewCatalog(specs, opts...)
 }
@@ -204,11 +204,6 @@ func WithServeWorkers(n int) ServeOption { return serve.WithWorkers(n) }
 // it receives the serve-layer events alongside the built-in /metrics
 // aggregator.
 func WithServeObserver(o Observer) ServeOption { return serve.WithObserver(o) }
-
-// WithFaultPolicy sets the catalog-wide fault policy — retry count and
-// backoff of chunk reads, the circuit breaker's threshold and cooldown —
-// for every archive without an ArchiveSpec.FaultPolicy of its own.
-func WithFaultPolicy(p FaultPolicy) ServeOption { return serve.WithFaultPolicy(p) }
 
 // AppendArchive reopens an existing chunked archive for appending more
 // chunks (append-on-write: earlier bytes are never rewritten). rw must

@@ -98,8 +98,6 @@ type (
 	StreamSet = core.StreamSet
 	// Scheme is one error-correction configuration.
 	Scheme = bch.Scheme
-	// Substrate is the MLC storage cell model.
-	Substrate = mlc.Substrate
 	// StorageStats is the physical footprint of a stored video.
 	StorageStats = store.Stats
 	// QualityReport bundles PSNR/SSIM/MS-SSIM/VIF.
@@ -263,16 +261,14 @@ func PresetNames() []string {
 
 // Pipeline bundles the full paper workflow with overridable components.
 // NewPipeline and its functional options (WithParams, WithAssignment,
-// WithSubstrate, WithWorkers, WithBlockAccurate, WithChunkGOPs) are the one
-// way to configure it; a pipeline is immutable afterwards and safe for
-// concurrent use. Observers ride the call's context (ContextWithObserver).
+// WithWorkers, WithChunkGOPs) are the one way to configure it; a pipeline
+// is immutable afterwards and safe for concurrent use. Observers ride the
+// call's context (ContextWithObserver).
 type Pipeline struct {
-	params        Params
-	assignment    ClassAssignment
-	substrate     Substrate
-	workers       int
-	blockAccurate bool
-	chunkGOPs     int
+	params     Params
+	assignment ClassAssignment
+	workers    int
+	chunkGOPs  int
 }
 
 // Option configures a Pipeline at construction time.
@@ -285,20 +281,12 @@ func WithParams(p Params) Option { return func(pl *Pipeline) { pl.params = p } }
 // PaperAssignment).
 func WithAssignment(a ClassAssignment) Option { return func(pl *Pipeline) { pl.assignment = a } }
 
-// WithSubstrate sets the storage cell model (default: 8-level MLC PCM).
-func WithSubstrate(s Substrate) Option { return func(pl *Pipeline) { pl.substrate = s } }
-
 // WithWorkers bounds the concurrency of every pipeline stage; n <= 0 (the
 // default) selects GOMAXPROCS. Results are identical at every worker count.
 // The streaming paths split the same budget between chunks in flight and
 // the workers inside each chunk, so it also bounds their peak memory (see
 // StreamToArchive).
 func WithWorkers(n int) Option { return func(pl *Pipeline) { pl.workers = n } }
-
-// WithBlockAccurate switches storage round trips from the nominal
-// per-scheme residual rates (Table 1) to explicit per-512-bit-block
-// binomial error simulation with BCH correction accounting.
-func WithBlockAccurate(on bool) Option { return func(pl *Pipeline) { pl.blockAccurate = on } }
 
 // WithChunkGOPs sets the streaming chunk granularity in closed GOPs
 // (ProcessStream, StreamToArchive); n <= 0 selects 1. Larger chunks
@@ -320,7 +308,6 @@ func NewPipeline(opts ...Option) *Pipeline {
 	p := &Pipeline{
 		params:     codec.DefaultParams(),
 		assignment: core.PaperAssignment(),
-		substrate:  mlc.Default(),
 	}
 	for _, o := range opts {
 		o(p)
@@ -328,13 +315,10 @@ func NewPipeline(opts ...Option) *Pipeline {
 	return p
 }
 
-// system builds the configured approximate storage system.
+// system builds the configured approximate storage system on the paper's
+// 8-level MLC PCM substrate, with the nominal per-scheme residual rates.
 func (p *Pipeline) system() (*store.System, error) {
-	return store.New(store.Config{
-		Substrate:     p.substrate,
-		Assignment:    p.assignment,
-		BlockAccurate: p.blockAccurate,
-	})
+	return store.New(store.Config{Substrate: mlc.Default(), Assignment: p.assignment})
 }
 
 // Result is a processed video ready for approximate storage.
