@@ -18,7 +18,7 @@ GO ?= go
 # re-runs the suites of every package with an assembly kernel, and the codec
 # suite with its golden manifest, on the portable Go forms, which an amd64
 # machine otherwise never builds; it also runs the chunk server's suite on
-# heap-allocated renderings, and build-windows compiles the module for a
+# heap-allocated cache buffers, and build-windows compiles the module for a
 # non-unix system, so neither fallback can rot.
 check: fmt-check vet lint build build-windows golden-check purego race bench-smoke bench-selftest serve-smoke chaos-smoke examples-smoke
 
@@ -56,12 +56,13 @@ race:
 # runs their kernel-equivalence tests and the codec suite — golden decode
 # manifest included — on the portable Go forms, so the path every other
 # GOARCH uses cannot rot on an amd64-only CI. The same tag selects
-# internal/offheap's heap buffers over memory mappings (DESIGN "Rendered
-# chunks live off the GC heap"), so it runs that package's and the chunk
-# server's suites on the fallback too. `scripts/lint.sh vetvideoapp`
+# internal/offheap's heap buffers over memory mappings (DESIGN "The serve
+# cache lives off the GC heap"), so it runs that package's, y4m's (the views
+# the chunk server decodes into) and the chunk server's suites on the
+# fallback too. `scripts/lint.sh vetvideoapp`
 # fails when a package holding a *_amd64.s is missing from this line.
 purego:
-	$(GO) test -tags purego -count=1 ./internal/predict ./internal/quality ./internal/transform ./internal/codec ./internal/offheap ./internal/serve
+	$(GO) test -tags purego -count=1 ./internal/predict ./internal/quality ./internal/transform ./internal/codec ./internal/y4m ./internal/offheap ./internal/serve
 
 # golden-check verifies the golden decode manifest
 # (internal/codec/testdata/golden_decode.json: SHA-256 of bitstreams, decoded

@@ -11,11 +11,11 @@
 // exactly once and all N share its result — which is what keeps a hot chunk
 // from being decoded N times when N clients request it at once.
 //
-// A value may also grow after it was loaded — the serve layer's parse records
-// are filled by the decode that follows the lookup — and Recharge takes its
-// cost again when its owner says it has its final size. Either way room is
-// made before it is taken: the resident cost never exceeds the budget, not
-// even transiently in the lock-free Stats.
+// A value may also be rebuilt after it was loaded — the serve layer's parse
+// records are packed anew by the decode that follows the lookup — and Replace
+// swaps it in under the same key, taking its cost. Either way room is made
+// before it is taken: the resident cost never exceeds the budget, not even
+// transiently in the lock-free Stats.
 //
 // # Sharding
 //
@@ -364,28 +364,32 @@ func (c *Cache[K, V]) GetOrLoad(ctx context.Context, key K, load func(context.Co
 	return v, false, err
 }
 
-// Recharge takes the cost of the value resident under key again — for a
-// value that grew (or shrank) after it was loaded, whose owner calls this once
-// it has its final size — marks it most recently used, and evicts LRU entries
-// until the shard fits its budget; a value that has outgrown the whole shard
-// budget leaves. A key that is not resident (evicted or purged since the
-// load) is left alone: nothing a RemoveIf dropped comes back this way.
-func (c *Cache[K, V]) Recharge(key K) {
+// Replace puts val in the place of the value resident under key — for an
+// owner that rebuilt the value after its lookup, the record tier's packed
+// records say — charging val's cost, marking it most recently used and
+// evicting LRU entries until the shard fits its budget. The value replaced
+// goes to the removal hook, and so does val when it cannot stay: when it
+// alone outgrows the shard budget, or when key is no longer resident
+// (evicted or purged since the lookup: nothing a RemoveIf dropped comes back
+// this way).
+func (c *Cache[K, V]) Replace(key K, val V) {
 	s := c.shard(key)
+	rejected := &entry[K, V]{key: key, val: val}
 	var gone []*entry[K, V]
 	s.mu.Lock()
-	if el, ok := s.entries[key]; ok {
+	if el, ok := s.entries[key]; !ok {
+		gone = append(gone, rejected)
+	} else if cost := c.cost(val); cost > s.maxCost {
+		gone = append(gone, s.removeLocked(el), rejected)
+	} else {
+		// At the front the entry is the last candidate for eviction, and
+		// alone in the shard it fits: making room never reaches it.
 		e := el.Value.(*entry[K, V])
-		if cost := c.cost(e.val); cost > s.maxCost {
-			gone = append(gone, s.removeLocked(el))
-		} else {
-			// At the front the value is the last candidate for eviction, and
-			// alone in the shard it fits: making room never reaches it.
-			s.order.MoveToFront(el)
-			gone = s.makeRoomLocked(cost-e.cost, gone)
-			s.total.Add(cost - e.cost)
-			e.cost = cost
-		}
+		s.order.MoveToFront(el)
+		gone = s.makeRoomLocked(cost-e.cost, gone)
+		gone = append(gone, &entry[K, V]{key: key, val: e.val})
+		s.total.Add(cost - e.cost)
+		e.val, e.cost = val, cost
 	}
 	s.mu.Unlock()
 	c.removed(gone)

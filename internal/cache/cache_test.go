@@ -279,52 +279,50 @@ func TestHitRate(t *testing.T) {
 	}
 }
 
-// TestRechargeTakesTheCostAgain: a value that grows after it was loaded is
-// charged its load-time cost until its owner says it has its final size;
-// Recharge takes the cost again, makes the value most recently used, evicts
-// LRU entries to fit, drops a value that has outgrown the budget, reports
-// exactly what left, and never brings back a key that is gone.
-func TestRechargeTakesTheCostAgain(t *testing.T) {
-	c := newLRU[int, *[]byte](10, func(v *[]byte) int64 { return int64(len(*v)) })
-	var gone []int
-	c.OnRemove(func(k int, _ *[]byte) { gone = append(gone, k) })
-	vals := map[int]*[]byte{}
+// TestReplaceTakesTheNewCost: a value rebuilt after it was loaded is swapped
+// in under its key. Replace charges the new value's cost, makes it most
+// recently used, evicts LRU entries until the budget holds (never the value
+// itself), hands the value it replaced to the removal hook, and hands over
+// the new value instead when its key has gone or it outgrew the budget.
+func TestReplaceTakesTheNewCost(t *testing.T) {
+	c := newLRU[int, []byte](10, func(v []byte) int64 { return int64(len(v)) })
+	var gone []string
+	c.OnRemove(func(k int, v []byte) { gone = append(gone, fmt.Sprintf("%d:%d", k, len(v))) })
 	for k := 1; k <= 3; k++ {
-		vals[k] = new([]byte)
-		put(c, k, vals[k]) // loaded empty: cost 0
+		put(c, k, []byte{}) // loaded empty: cost 0
 	}
 	if s := c.Stats(); s.Cost != 0 || s.Len != 3 {
 		t.Fatalf("after three empty loads: %+v", s)
 	}
 	for k := 1; k <= 3; k++ {
-		*vals[k] = make([]byte, 4)
-		c.Recharge(k)
+		c.Replace(k, make([]byte, 4))
 	}
-	// 4+4+4 > 10: recharging 3 evicted 1, the least recently used.
+	// 4+4+4 > 10: replacing 3 evicted 1, the least recently used.
 	if s := c.Stats(); s.Cost != 8 || s.Len != 2 || s.Evictions != 1 || c.Contains(1) {
-		t.Fatalf("after re-charging: %+v, 1 resident %v", s, c.Contains(1))
+		t.Fatalf("after replacing: %+v, 1 resident %v", s, c.Contains(1))
 	}
-	*vals[2] = make([]byte, 1) // a value that shrank is re-charged too
-	c.Recharge(2)
+	c.Replace(2, make([]byte, 1)) // a smaller value is charged less
 	if cost := c.Stats().Cost; cost != 5 {
-		t.Fatalf("cost %d after shrinking 2 to one byte, want 5", cost)
+		t.Fatalf("cost %d after replacing 2 by one byte, want 5", cost)
 	}
-	c.Recharge(1) // evicted above: stays gone
+	c.Replace(1, make([]byte, 2)) // evicted above: stays gone
 	if s := c.Stats(); s.Cost != 5 || s.Len != 2 || c.Contains(1) {
-		t.Fatalf("recharging an absent key changed the cache: %+v", s)
+		t.Fatalf("replacing an absent key changed the cache: %+v", s)
 	}
-	put(c, 4, &[]byte{1, 2, 3, 4, 5}) // 10 in all; LRU order now 3, 2, 4
-	*vals[2] = make([]byte, 3)        // 12 in all: 3 goes, 2 itself is safe at the front
-	c.Recharge(2)
+	put(c, 4, []byte{1, 2, 3, 4, 5}) // 10 in all; LRU order now 3, 2, 4
+	c.Replace(2, make([]byte, 3))    // 12 in all: 3 goes, 2 itself is safe at the front
 	if s := c.Stats(); s.Cost != 8 || s.Len != 2 || c.Contains(3) || !c.Contains(2) {
 		t.Fatalf("after growing 2 past the budget's room: %+v", s)
 	}
-	*vals[2] = make([]byte, 11) // outgrew the whole budget: not retained
-	c.Recharge(2)
-	if s := c.Stats(); s.Cost != 5 || s.Len != 1 || c.Contains(2) {
-		t.Fatalf("after an over-budget recharge: %+v, 2 resident %v", s, c.Contains(2))
+	if v, _ := lookup(c, 2); len(v) != 3 {
+		t.Fatalf("2 holds %d bytes, want the replacement's 3", len(v))
 	}
-	if want := []int{1, 3, 2}; fmt.Sprint(gone) != fmt.Sprint(want) {
+	c.Replace(2, make([]byte, 11)) // outgrew the whole budget: not retained
+	if s := c.Stats(); s.Cost != 5 || s.Len != 1 || c.Contains(2) {
+		t.Fatalf("after an over-budget replacement: %+v, 2 resident %v", s, c.Contains(2))
+	}
+	want := []string{"1:0", "2:0", "1:4", "3:0", "2:4", "1:2", "3:4", "2:1", "2:3", "2:11"}
+	if fmt.Sprint(gone) != fmt.Sprint(want) {
 		t.Fatalf("removal hook saw %v, want %v", gone, want)
 	}
 }

@@ -129,7 +129,7 @@ func BenchmarkDecodeChunk(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					// As serve.materialize does once the frames are rendered.
+					// Nothing else holds them: back to the pool for the next iteration.
 					for _, f := range seq.Frames {
 						frame.Recycle(f)
 					}

@@ -21,15 +21,17 @@ type DecodeOptions struct{}
 // substitute clean references to isolate one frame's coding errors from
 // compensation errors, as the Figure 3 experiment requires.
 func DecodeSingle(v *Video, idx int, recs []*frame.Frame) *frame.Frame {
-	return newFrameDecoder(v, recs, nil).decode(idx)
+	out := frame.Scratch(v.W, v.H)
+	newFrameDecoder(v, recs, nil).decode(idx, out)
+	return out
 }
 
 // frameDecoder decodes the frames of one video, one at a time. It owns the
 // per-macroblock scratch (quantizer and motion-vector maps, the macroblock
 // syntax) and the symbol readers, so decoding a run of frames —
-// a whole video, or one independent span of it — allocates per frame only
-// the output planes, and those come from frame.NewPooled. A frameDecoder is
-// not safe for concurrent use; parallel decode gives every span its own.
+// a whole video, or one independent span of it — allocates nothing per
+// frame: the output frames are the caller's. A frameDecoder is not safe for
+// concurrent use; parallel decode gives every span its own.
 type frameDecoder struct {
 	video   *Video
 	recRefs []*frame.Frame
@@ -77,11 +79,19 @@ func newFrameDecoder(v *Video, recRefs []*frame.Frame, o obs.Observer) *frameDec
 	}
 }
 
-// decode reconstructs coded frame idx into a fresh pooled frame, which the
-// caller owns (see frame.Recycle for who may give it back).
-func (fd *frameDecoder) decode(idx int) *frame.Frame {
+// decode reconstructs coded frame idx into out, a frame of the video's
+// geometry whose samples it overwrites, whatever they were: a frame whose
+// slice table reaches every macroblock in raster order writes each sample
+// before anything reads it, and any other is cleared first, so the
+// macroblocks it never reaches read as zero.
+func (fd *frameDecoder) decode(idx int, out *frame.Frame) {
 	fd.ef = fd.video.Frames[idx]
-	fd.rec = frame.MustNewPooled(fd.video.W, fd.video.H)
+	fd.rec = out
+	if !rasterSlices(fd.ef.SliceMBStart) {
+		clear(out.Y)
+		clear(out.Cb)
+		clear(out.Cr)
+	}
 	fd.refF, fd.refB = fd.refFrame(fd.ef.RefFwd), fd.refFrame(fd.ef.RefBwd)
 	fd.recs, fd.curRec = nil, nil
 	// Macroblocks a corrupt slice table never reaches must read as zero,
@@ -114,7 +124,22 @@ func (fd *frameDecoder) decode(idx int) *frame.Frame {
 	case fd.replaying && fd.o != nil:
 		fd.o.Counter(obs.CtrFramesReplayed, fd.ef.Type.String(), 1)
 	}
-	return fd.rec
+}
+
+// rasterSlices reports whether a slice table has its slices cover every
+// macroblock once, in raster order: the first starts at macroblock 0 (or
+// before, which clamps to it) and none starts before the one ahead of it.
+// Every macroblock then predicts only from macroblocks decoded before it.
+func rasterSlices(starts []int) bool {
+	if len(starts) > 0 && starts[0] > 0 {
+		return false
+	}
+	for s := 1; s < len(starts); s++ {
+		if starts[s] < starts[s-1] {
+			return false
+		}
+	}
+	return true
 }
 
 // resetReader points the configured entropy backend at one slice's payload
@@ -237,7 +262,9 @@ func Reanalyze(v *Video) error {
 	fd := newFrameDecoder(v, rec, nil)
 	fd.record = true
 	for i, ef := range v.Frames {
-		rec[i] = fd.decode(i)
+		out := frame.Scratch(v.W, v.H)
+		fd.decode(i, out)
+		rec[i] = out
 		ef.MBs = fd.recs
 	}
 	// The reconstructions never leave Reanalyze; recycle their planes.

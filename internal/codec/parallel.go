@@ -122,11 +122,12 @@ func headerRefSpans(v *Video) [][2]int {
 }
 
 // DecodeContext reconstructs the display-order sequence from the coded
-// video. It is the one decoder: independent closed-GOP spans decode
-// concurrently (workers <= 0 selects GOMAXPROCS; workers = 1 is the serial
-// decode), and the output is bit- and pixel-identical at every worker count
-// for any input, corrupted payloads included. Cancellation is cooperative
-// and checked at frame boundaries.
+// video. Independent closed-GOP spans decode concurrently (workers <= 0
+// selects GOMAXPROCS; workers = 1 is the serial decode), and the output is
+// bit- and pixel-identical at every worker count for any input, corrupted
+// payloads included. Cancellation is cooperative and checked at frame
+// boundaries. The frames come from frame.Scratch's pool and are the
+// caller's; DecodeInto is the same decode into frames the caller supplies.
 //
 // The decoder is error-resilient: arbitrarily corrupted payloads produce
 // damaged pictures, never a panic or an abort. Every value read from the
@@ -145,26 +146,11 @@ func DecodeContext(ctx context.Context, v *Video, _ DecodeOptions, workers int) 
 	if v.W%frame.MBSize != 0 || v.H%frame.MBSize != 0 || v.W <= 0 || v.H <= 0 {
 		return nil, errFrameGeometry(v.W, v.H)
 	}
-	o := obs.From(ctx)
-	defer obs.StartSpan(o, obs.StageDecode).End()
-	// Spans never share reference frames, so each goroutine touches only its
-	// own disjoint range of rec; within a span frames decode in coded order.
 	rec := make([]*frame.Frame, len(v.Frames))
-	spans := headerRefSpans(v)
-	err := par.ForEachLabeled(ctx, len(spans), workers, obs.StageDecode, "span", func(si int) error {
-		sp := spans[si]
-		fd := newFrameDecoder(v, rec, o)
-		for i := sp[0]; i < sp[1]; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			rec[i] = fd.decode(i)
-			o.Counter(obs.CtrDecodeFrames, v.Frames[i].Type.String(), 1)
-			o.FrameDone(obs.StageDecode, 1)
+	if err := decodeFrames(ctx, v, rec, workers); err != nil {
+		for _, f := range rec {
+			frame.Recycle(f)
 		}
-		return nil
-	})
-	if err != nil {
 		return nil, err
 	}
 	// Reorder into display order; a display slot no frame claims (a
@@ -172,7 +158,7 @@ func DecodeContext(ctx context.Context, v *Video, _ DecodeOptions, workers int) 
 	seq := &frame.Sequence{Name: "decoded", FPS: v.FPS, Frames: make([]*frame.Frame, len(v.Frames))}
 	for i, ef := range v.Frames {
 		if ef.DisplayIdx < 0 || ef.DisplayIdx >= len(v.Frames) {
-			return nil, fmt.Errorf("codec: display index %d out of range", ef.DisplayIdx)
+			return nil, errDisplayIndex(ef.DisplayIdx)
 		}
 		seq.Frames[ef.DisplayIdx] = rec[i]
 	}
@@ -182,4 +168,92 @@ func DecodeContext(ctx context.Context, v *Video, _ DecodeOptions, workers int) 
 		}
 	}
 	return seq, nil
+}
+
+// DecodeInto is DecodeContext into frames the caller owns: out[d] receives
+// display frame d, every sample of it overwritten, and out must hold one
+// frame of the video's geometry per coded frame. When the display indices
+// are a permutation — every well-formed stream's are — each coded frame is
+// reconstructed in its own output frame, and later frames predict from it
+// there: nothing is copied. Otherwise (two frames claim one display slot, so
+// some slot is left blank) it decodes through DecodeContext and copies, and
+// out holds exactly what DecodeContext returns. On an error the contents of
+// out are unspecified.
+func DecodeInto(ctx context.Context, v *Video, out []*frame.Frame, workers int) error {
+	if v.W%frame.MBSize != 0 || v.H%frame.MBSize != 0 || v.W <= 0 || v.H <= 0 {
+		return errFrameGeometry(v.W, v.H)
+	}
+	if len(out) != len(v.Frames) {
+		return fmt.Errorf("codec: decoding %d frames into %d", len(v.Frames), len(out))
+	}
+	for _, f := range out {
+		if f == nil || f.W != v.W || f.H != v.H {
+			return fmt.Errorf("codec: output frames must be %dx%d", v.W, v.H)
+		}
+	}
+	coded := make([]*frame.Frame, len(v.Frames))
+	claimed := make([]bool, len(out))
+	permutation := true
+	for i, ef := range v.Frames {
+		d := ef.DisplayIdx
+		if d < 0 || d >= len(out) {
+			return errDisplayIndex(d)
+		}
+		permutation = permutation && !claimed[d]
+		claimed[d] = true
+		coded[i] = out[d]
+	}
+	if permutation {
+		return decodeFrames(ctx, v, coded, workers)
+	}
+	// A frame decoded into the slot another claims too would be overwritten
+	// while later frames still predict from it.
+	seq, err := DecodeContext(ctx, v, DecodeOptions{}, workers)
+	if err != nil {
+		return err
+	}
+	for d, f := range seq.Frames {
+		copy(out[d].Y, f.Y)
+		copy(out[d].Cb, f.Cb)
+		copy(out[d].Cr, f.Cr)
+		frame.Recycle(f)
+	}
+	return nil
+}
+
+// decodeFrames is the one decoder body: it reconstructs coded frame i into
+// out[i] — into a frame of frame.Scratch's pool, taken when its turn comes,
+// where out[i] is nil — in coded order within each independent span of
+// headerRefSpans and the spans concurrently, publishing to the observer
+// attached to ctx. A header reference resolves to a frame already
+// reconstructed, never to one still waiting for its turn, so an output frame
+// is read only once written.
+func decodeFrames(ctx context.Context, v *Video, out []*frame.Frame, workers int) error {
+	o := obs.From(ctx)
+	defer obs.StartSpan(o, obs.StageDecode).End()
+	// Spans never share reference frames, so each goroutine touches only its
+	// own disjoint range of rec; within a span frames decode in coded order.
+	rec := make([]*frame.Frame, len(v.Frames))
+	spans := headerRefSpans(v)
+	return par.ForEachLabeled(ctx, len(spans), workers, obs.StageDecode, "span", func(si int) error {
+		sp := spans[si]
+		fd := newFrameDecoder(v, rec, o)
+		for i := sp[0]; i < sp[1]; i++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if out[i] == nil {
+				out[i] = frame.Scratch(v.W, v.H)
+			}
+			fd.decode(i, out[i])
+			rec[i] = out[i]
+			o.Counter(obs.CtrDecodeFrames, v.Frames[i].Type.String(), 1)
+			o.FrameDone(obs.StageDecode, 1)
+		}
+		return nil
+	})
+}
+
+func errDisplayIndex(d int) error {
+	return fmt.Errorf("codec: display index %d out of range", d)
 }

@@ -5,7 +5,6 @@ import (
 	"hash/crc32"
 	"math/bits"
 	"sync/atomic"
-	"unsafe"
 
 	"videoapp/internal/predict"
 )
@@ -67,19 +66,64 @@ type frameSyntax struct {
 // it holds the latest parse on record for them. Every EncodedFrame has one of
 // its own (SyntaxSlot) for copies made of it; an owner that outlives the
 // frames it reads — the chunk server, across reads of one archive record —
-// keeps slots itself. The zero value is empty and ready; a slot is safe for
-// concurrent use and must not be copied.
+// keeps the records itself, packed (PackSyntax), and hands each decode fresh
+// slots that hold them (PackedSyntax.Slots). The zero value is empty and
+// ready; a slot is safe for concurrent use and must not be copied.
 type SyntaxSlot struct {
 	rec atomic.Pointer[frameSyntax]
 }
 
-// Bytes returns the size of the record the slot holds, 0 when it is empty.
-func (s *SyntaxSlot) Bytes() int64 {
-	m := s.rec.Load()
-	if m == nil {
-		return 0
+// PackedSyntax is the parse records of a run of frames with their bytes
+// packed back to back in one arena its owner keeps (PackSyntax): only the
+// small per-frame keys are Go heap objects. It is immutable; the zero value
+// holds no record.
+type PackedSyntax struct {
+	// recs[j] is frame j's record; data is nil for a frame without one.
+	recs []frameSyntax
+}
+
+// SyntaxLen returns the length of the arena PackSyntax packs the records
+// held in slots into: the sum of their byte streams.
+func SyntaxLen(slots []SyntaxSlot) int {
+	n := 0
+	for j := range slots {
+		if m := slots[j].rec.Load(); m != nil {
+			n += len(m.data)
+		}
 	}
-	return int64(unsafe.Sizeof(*m)) + int64(len(m.data))
+	return n
+}
+
+// PackSyntax copies the records held in slots into arena, which must be
+// SyntaxLen(slots) bytes long, and returns them packed: record j is the one
+// slot j held. The result reads its bytes from arena, which the caller keeps
+// alive and unchanged for as long as anything decodes from it.
+func PackSyntax(arena []byte, slots []SyntaxSlot) PackedSyntax {
+	p := PackedSyntax{recs: make([]frameSyntax, len(slots))}
+	at := 0
+	for j := range slots {
+		if m := slots[j].rec.Load(); m != nil {
+			end := at + len(m.data)
+			p.recs[j] = frameSyntax{key: m.key, data: arena[at:end:end]}
+			copy(p.recs[j].data, m.data)
+			at = end
+		}
+	}
+	return p
+}
+
+// Slots returns n fresh slots for one decode of a run of frames to share
+// (EncodedFrame.ShareSyntax), slot j holding frame j's packed record when p
+// has one. The decode records what it parses into these slots, never into
+// p, so one PackedSyntax serves any number of decodes at once.
+func (p PackedSyntax) Slots(n int) []SyntaxSlot {
+	slots := make([]SyntaxSlot, n)
+	for j := range min(n, len(p.recs)) {
+		if p.recs[j].data != nil {
+			slots[j].rec.Store(&p.recs[j])
+		}
+	}
+	return slots
 }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -133,7 +177,9 @@ func appendMV(dst []byte, mv predict.MV) []byte {
 // appendMB appends one macroblock's syntax: the type byte; for every coded
 // type the quantizer; the intra mode or, per partition, the direction and
 // the vectors that direction uses (varints); then the nonzero-block map and, per block
-// in it, a 16-bit position mask followed by the nonzero levels.
+// in it, the mask of its nonzero positions followed by their levels. The mask
+// is a uvarint, one byte for most blocks: nonzero levels gather at the low
+// frequencies, the first positions of the raster.
 func appendMB(dst []byte, s *mbSyntax) []byte {
 	dst = append(dst, byte(s.mbType))
 	dst = append(dst, byte(s.qp))
@@ -163,7 +209,7 @@ func appendMB(dst []byte, s *mbSyntax) []byte {
 				mask |= 1 << uint(i)
 			}
 		}
-		dst = binary.LittleEndian.AppendUint16(dst, mask)
+		dst = binary.AppendUvarint(dst, uint64(mask))
 		for _, v := range blk {
 			if v != 0 {
 				dst = binary.AppendVarint(dst, int64(v))
@@ -196,6 +242,24 @@ func (r *syntaxReader) uvarint() uint32 {
 	v, n := binary.Uvarint(r.data[r.pos:])
 	r.pos += n
 	return uint32(v)
+}
+
+// mask reads a block's position mask: a uvarint of 16 bits, so one to three
+// bytes, unrolled because it runs once per coded block of a replay.
+func (r *syntaxReader) mask() uint32 {
+	b0 := uint32(r.data[r.pos])
+	if b0 < 0x80 {
+		r.pos++
+		return b0
+	}
+	b1 := uint32(r.data[r.pos+1])
+	if b1 < 0x80 {
+		r.pos += 2
+		return b0&0x7f | b1<<7
+	}
+	b2 := uint32(r.data[r.pos+2])
+	r.pos += 3
+	return b0&0x7f | (b1&0x7f)<<7 | b2<<14
 }
 
 // varint reads what binary.AppendVarint wrote (zig-zag over uvarint).
@@ -236,10 +300,8 @@ func (r *syntaxReader) readMB(s *mbSyntax) {
 		}
 		blk := &s.res.blocks[b]
 		*blk = [16]int32{}
-		mask := binary.LittleEndian.Uint16(r.data[r.pos:])
-		r.pos += 2
-		for ; mask != 0; mask &= mask - 1 {
-			blk[bits.TrailingZeros16(mask)] = r.varint()
+		for mask := r.mask(); mask != 0; mask &= mask - 1 {
+			blk[bits.TrailingZeros32(mask)] = r.varint()
 		}
 	}
 }

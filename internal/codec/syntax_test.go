@@ -114,7 +114,7 @@ func recorded(t *testing.T, v *Video) (*Video, []*frame.Frame) {
 		t.Fatal(err)
 	}
 	for i, f := range c.Frames {
-		if f.syntax.Bytes() == 0 {
+		if f.syntax.rec.Load() == nil {
 			t.Fatalf("frame %d: no record after the first decode of a sharing frame", i)
 		}
 	}
@@ -137,7 +137,7 @@ func TestRecordNeverOutlivesAByteChange(t *testing.T) {
 	defer pooled.Release()
 	for name, c := range map[string]*Video{"Clone": src.Clone(), "ClonePooled": pooled, "Unmarshal(Marshal)": unmarshalled} {
 		for i, f := range c.Frames {
-			if f.syntax.Bytes() != 0 || f.shared != nil {
+			if f.syntax.rec.Load() != nil || f.shared != nil {
 				t.Fatalf("%s: frame %d carries a record or a sharing claim", name, i)
 			}
 		}

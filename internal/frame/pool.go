@@ -3,11 +3,12 @@ package frame
 import "sync"
 
 // Encoding allocates one full reconstructed frame per coded frame — three
-// plane buffers that live exactly as long as the Encode call — and the serve
-// path one per decoded frame, garbage as soon as it is rendered. Pooling
-// them takes the per-frame plane churn out of the GC's hands; pools are
-// keyed by frame geometry so mixed-size workloads never hand a frame the
-// wrong buffers.
+// plane buffers that live exactly as long as the Encode call — and a decode
+// one per decoded frame, which a damaged round trip measures and drops.
+// Pooling them takes the per-frame plane churn out of the GC's hands; pools
+// are keyed by frame geometry so mixed-size workloads never hand a frame the
+// wrong buffers. The chunk server allocates no planes at all: it decodes into
+// frames whose planes are its response buffer.
 
 var (
 	framePoolsMu sync.RWMutex
@@ -15,7 +16,7 @@ var (
 )
 
 // poolFor returns the pool of w×h frames, creating it on first use. The
-// lookup allocates nothing: it runs once per decoded frame on the serve path.
+// lookup allocates nothing: it runs once per decoded frame.
 func poolFor(w, h int) *sync.Pool {
 	key := [2]int{w, h}
 	framePoolsMu.RLock()
@@ -44,6 +45,16 @@ func NewPooled(w, h int) (*Frame, error) {
 		return f, nil
 	}
 	return New(w, h)
+}
+
+// Scratch is MustNewPooled without the clear: the samples of the frame it
+// returns are unspecified — a recycled frame's old ones — for a caller that
+// overwrites every one of them (the decoder does).
+func Scratch(w, h int) *Frame {
+	if f, ok := poolFor(w, h).Get().(*Frame); ok {
+		return f
+	}
+	return MustNew(w, h)
 }
 
 // MustNewPooled is NewPooled panicking on invalid dimensions.

@@ -165,6 +165,13 @@ const (
 	// GaugeServeRenderIdleBytes is the bytes of rendered-tier buffers
 	// waiting in the pool for reuse.
 	GaugeServeRenderIdleBytes = "serve_render_idle_bytes"
+	// GaugeServeSyntaxMappedBytes is the bytes the parse-record tier's
+	// buffer pool holds mapped off the Go heap: resident records, records
+	// still being replayed after they left the cache, and idle buffers.
+	GaugeServeSyntaxMappedBytes = "serve_syntax_mapped_bytes"
+	// GaugeServeSyntaxPinnedBytes is the bytes of parse-record buffers a
+	// decode is replaying from right now.
+	GaugeServeSyntaxPinnedBytes = "serve_syntax_pinned_bytes"
 	// GaugeGoHeapInuseBytes is the Go heap's in-use bytes
 	// (runtime.MemStats.HeapInuse), sampled with the serve cache gauges.
 	GaugeGoHeapInuseBytes = "go_heap_inuse_bytes"

@@ -203,6 +203,10 @@ func (b *Buf) Bytes() []byte { return b.mem[:b.n:b.n] }
 // Len returns the length Get was asked for.
 func (b *Buf) Len() int { return b.n }
 
+// Size returns the bytes the buffer's mapping takes: Len rounded up to
+// whole pages.
+func (b *Buf) Size() int { return len(b.mem) }
+
 // Pin adds a reader's reference. It panics on a handle whose references are
 // all gone: a pin must be taken while some other reference is known to be
 // held (the cache takes it under the lock that keeps its own).

@@ -43,8 +43,8 @@ func TestReferencesDecideTheMapping(t *testing.T) {
 	n := pageSize + 100
 	size := int64(2 * pageSize)
 	b := mustGet(t, p, n)
-	if got := b.Bytes(); len(got) != n || cap(got) != n || b.Len() != n {
-		t.Fatalf("Bytes: len %d cap %d, Len %d, want %d", len(got), cap(got), b.Len(), n)
+	if got := b.Bytes(); len(got) != n || cap(got) != n || b.Len() != n || b.Size() != int(size) {
+		t.Fatalf("Bytes: len %d cap %d, Len %d, Size %d, want %d in %d", len(got), cap(got), b.Len(), b.Size(), n, size)
 	}
 	wantStats(t, p, Stats{Mapped: size, Held: size})
 	b.Pin()

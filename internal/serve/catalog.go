@@ -57,11 +57,13 @@ type Catalog struct {
 	// chunkPayload); the cache's hooks keep their reference counts.
 	render *offheap.Pool
 	// syntax is the small second tier under the same keys and the same
-	// budget (syntaxShare): per chunk, one parse-record slot per frame. A
+	// budget (syntaxShare): per chunk, the parse records of its frames. A
 	// cold miss whose rendering was evicted still reads and verifies the
 	// chunk, but frames whose bytes are the ones on record skip the entropy
-	// decoder (codec.EncodedFrame.ShareSyntax).
-	syntax   *cache.Cache[cache.Keyed[int], []codec.SyntaxSlot]
+	// decoder (codec.EncodedFrame.ShareSyntax). The records' bytes live off
+	// the Go heap too, in buffers of records (see chunkRecords).
+	syntax   *cache.Cache[cache.Keyed[int], chunkRecords]
+	records  *offheap.Pool
 	prefetch *prefetcher // nil when readahead is disabled
 	metrics  *obs.Metrics
 	observer obs.Observer
@@ -102,11 +104,11 @@ type Catalog struct {
 // admitted would push out sixteen records that are cheaper to keep than it is.
 const syntaxShare = 4
 
-// renderIdleShare is the part of the rendered tier's budget the buffer pool
-// may keep idle for reuse: a sixteenth. A cold miss usually evicts one
-// rendering as it lands and the next cold miss reuses that mapping, so a
-// few buffers of room serve the steady state; more would only sit mapped.
-const renderIdleShare = 16
+// idleShare is the part of a tier's budget its buffer pool may keep idle for
+// reuse: a sixteenth. A cold miss usually evicts one entry as it lands and
+// the next cold miss reuses that mapping, so a few buffers of room serve the
+// steady state; more would only sit mapped.
+const idleShare = 16
 
 // cacheGaugeEvery is how many chunk responses pass between chunk-path
 // refreshes of the cache gauges (a power of two, tested with a mask).
@@ -117,7 +119,7 @@ const cacheGaugeEvery = 64
 // replay the same X-Videoapp-Degraded header as the original response.
 //
 // The bytes live in an off-heap buffer of the catalog's pool (DESIGN
-// "Rendered chunks live off the GC heap"). The load's reference becomes the
+// "The serve cache lives off the GC heap"). The load's reference becomes the
 // cache's, which the removal hook releases; every caller GetOrLoad hands the
 // payload to holds a pin, taken by the pin hook inside the cache's critical
 // section, and unpins when done with the bytes.
@@ -129,6 +131,21 @@ type chunkPayload struct {
 	// chunk's first use, false after. A pointer, because the cache hands out
 	// copies of the payload that must share the one bit.
 	prefetched *atomic.Bool
+}
+
+// chunkRecords is one chunk's entry in the record tier: the parse records of
+// its frames, their bytes packed into one buffer of the catalog's records
+// pool — one per chunk, not per frame, since a frame's record is about 5 KB
+// and page rounding would waste up to 4 KB of each. The zero value is the
+// placeholder a chunk's first lookup leaves, holding nothing.
+//
+// The buffer follows the rendered tier's pin/release invariant: the cache
+// owns it from Replace to the removal hook's release, and every decode the
+// tier hands the entry to holds a pin, taken by the pin hook, until it has
+// done replaying from the records and packing its own.
+type chunkRecords struct {
+	buf  *offheap.Buf
+	recs codec.PackedSyntax
 }
 
 // claim clears the prefetched mark and reports whether this call did so:
@@ -184,7 +201,8 @@ func NewCatalog(specs []ArchiveSpec, options ...Option) (*Catalog, error) {
 	renderedBytes := cfg.cacheBytes - syntaxBytes
 	c := &Catalog{
 		cfg:         cfg,
-		render:      offheap.NewPool(renderedBytes / renderIdleShare),
+		render:      offheap.NewPool(renderedBytes / idleShare),
+		records:     offheap.NewPool(syntaxBytes / idleShare),
 		heapSamples: [2]metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}, {Name: "/memory/classes/heap/unused:bytes"}},
 		// One shard each, a strict LRU over an unfragmented budget. A rendered
 		// chunk is a sizeable share of the budget (at 320×176 a 30-frame chunk
@@ -195,12 +213,11 @@ func NewCatalog(specs []ArchiveSpec, options ...Option) (*Catalog, error) {
 		cache: cache.NewShardedHash[cache.Keyed[int], chunkPayload](renderedBytes, 1, func(p chunkPayload) int64 {
 			return int64(p.buf.Len())
 		}, cache.KeyedHash[int]()),
-		syntax: cache.NewShardedHash[cache.Keyed[int], []codec.SyntaxSlot](syntaxBytes, 1, func(slots []codec.SyntaxSlot) int64 {
-			var n int64
-			for j := range slots {
-				n += slots[j].Bytes()
+		syntax: cache.NewShardedHash[cache.Keyed[int], chunkRecords](syntaxBytes, 1, func(r chunkRecords) int64 {
+			if r.buf == nil {
+				return 0
 			}
-			return n
+			return int64(r.buf.Size())
 		}, nil),
 		metrics: obs.NewMetrics(),
 	}
@@ -216,9 +233,20 @@ func NewCatalog(specs []ArchiveSpec, options ...Option) (*Catalog, error) {
 		p.buf.Release()
 	})
 	c.cache.OnPin(func(p chunkPayload) { p.buf.Pin() })
+	c.syntax.OnRemove(func(_ cache.Keyed[int], r chunkRecords) {
+		if r.buf != nil {
+			r.buf.Release()
+		}
+	})
+	c.syntax.OnPin(func(r chunkRecords) {
+		if r.buf != nil {
+			r.buf.Pin()
+		}
+	})
 	// A catalog dropped without its buffers released gives its mappings
 	// back once unreachable; nothing can touch them then.
 	runtime.AddCleanup(c, (*offheap.Pool).Free, c.render)
+	runtime.AddCleanup(c, (*offheap.Pool).Free, c.records)
 	c.mux = http.NewServeMux()
 	c.mux.HandleFunc("GET /healthz", c.route("healthz", c.handleHealthz))
 	c.mux.HandleFunc("GET /metrics", c.route("metrics", c.handleMetrics))
@@ -469,9 +497,9 @@ func (c *Catalog) Metrics() *obs.Metrics { return c.metrics }
 func (c *Catalog) CacheStats() cache.Stats { return c.cache.Stats() }
 
 // route wraps a handler with the per-request machinery: the in-flight
-// gauge, request/error counters, and the request timeout. The request
-// context is also cancelled by the client hanging up, which the decode
-// path observes at frame boundaries.
+// gauge, request/error counters, and the request timeout, which is also the
+// write deadline of the response. The request context is also cancelled by
+// the client hanging up, which the decode path observes at frame boundaries.
 func (c *Catalog) route(name string, h func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		c.observer.Gauge(obs.GaugeServeInFlight, "", float64(c.inFlight.Add(1)))
@@ -483,6 +511,7 @@ func (c *Catalog) route(name string, h func(http.ResponseWriter, *http.Request) 
 		ctx, cancel := context.WithTimeout(r.Context(), c.cfg.requestTimeout)
 		defer cancel()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+		setWriteDeadline(ctx, sw)
 		if err := h(sw, r.WithContext(ctx)); err != nil {
 			writeError(sw, err)
 		}
@@ -490,6 +519,15 @@ func (c *Catalog) route(name string, h func(http.ResponseWriter, *http.Request) 
 			c.observer.Counter(obs.CtrServeErrors, name, 1)
 		}
 	}
+}
+
+// setWriteDeadline makes ctx's deadline the deadline of w's writes: a client
+// that stops reading would otherwise block the handler, and keep the chunk it
+// is being sent pinned, for as long as it keeps the connection open. A writer
+// without deadlines (a test recorder) is left as it is.
+func setWriteDeadline(ctx context.Context, w http.ResponseWriter) {
+	deadline, _ := ctx.Deadline()
+	_ = http.NewResponseController(w).SetWriteDeadline(deadline)
 }
 
 func (c *Catalog) handleHealthz(w http.ResponseWriter, r *http.Request) error {
@@ -644,8 +682,10 @@ func (c *Catalog) handleChunk(w http.ResponseWriter, r *http.Request) error {
 		w.Header().Set("X-Videoapp-Degraded", strings.Join(p.degraded, ","))
 		c.observer.Counter(obs.CtrServeDegraded, t.name, 1)
 	}
-	_, err = w.Write(p.buf.Bytes())
-	return err
+	// A body that fails to go out — the client hung up, or stopped reading
+	// past the write deadline — leaves nothing to answer: the status is sent.
+	_, _ = w.Write(p.buf.Bytes())
+	return nil
 }
 
 // replayCount observes one cold chunk's decode beside the catalog's observer
@@ -667,14 +707,9 @@ func (r *replayCount) Counter(name, _ string, delta int64) {
 // (cache singleflight) and publishes the decode span and the per-archive
 // decode counter. A degraded read is a success here — the verdict rides
 // the payload into the cache so every response built from it is flagged.
-// The frames are rendered straight into a buffer of the catalog's pool,
-// which the payload returned owns (chunkPayload).
-//
-// Every miss pays the read, with each of its checks; what a repeat miss can
-// skip is the entropy decoder. The frames just read share the chunk's slots
-// in the record tier, and the decoder decides frame by frame: bytes equal to
-// the ones on record replay, anything else — a degraded or repaired stream, a
-// first visit — parses and leaves its own record.
+// The response buffer, one of the catalog's pool which the payload returned
+// owns (chunkPayload), is taken first, sized from the chunk's geometry, and
+// the frames are decoded straight into it (y4m.Layout.Views).
 func (c *Catalog) materialize(ctx context.Context, t *tenant, a *store.ChunkArchive, space string, i int) (chunkPayload, error) {
 	sp := obs.StartSpan(c.observer, obs.StageServeChunk)
 	defer sp.End()
@@ -683,57 +718,63 @@ func (c *Catalog) materialize(ctx context.Context, t *tenant, a *store.ChunkArch
 	if err != nil {
 		return chunkPayload{}, err
 	}
-	frames := cr.Video.Frames
-	key := cache.Keyed[int]{Space: space, Key: i}
-	slots, _, err := c.syntax.GetOrLoad(ctx, key, func(context.Context) ([]codec.SyntaxSlot, error) {
-		return make([]codec.SyntaxSlot, len(frames)), nil
-	})
+	v := cr.Video
+	layout := y4m.Layout{W: v.W, H: v.H, FPS: v.FPS, Frames: len(v.Frames)}
+	n, err := layout.Size()
 	if err != nil {
 		return chunkPayload{}, err
 	}
-	for j := range min(len(frames), len(slots)) {
-		frames[j].ShareSyntax(&slots[j])
-	}
-	replayed := new(replayCount)
-	seq, err := codec.DecodeContext(obs.With(ctx, obs.Multi(c.observer, replayed)), cr.Video, codec.DecodeOptions{}, c.cfg.workers)
-	if int(replayed.frames.Load()) == len(frames) {
-		c.observer.Counter(obs.CtrServeReplays, t.name, 1)
-	} else {
-		// Some frame parsed and left a record: charge the slots what they
-		// hold now.
-		c.syntax.Recharge(key)
-	}
+	buf, err := c.render.Get(n)
 	if err != nil {
 		return chunkPayload{}, err
 	}
-	buf, err := c.renderBuf(seq)
-	// The decoded frames were rendered into buf and are referenced by
-	// nothing else: hand their planes to the next cold decode.
-	for _, f := range seq.Frames {
-		frame.Recycle(f)
+	frames, err := layout.Views(buf.Bytes())
+	if err == nil {
+		err = c.decode(ctx, t, cache.Keyed[int]{Space: space, Key: i}, v, frames)
 	}
 	if err != nil {
+		buf.Release()
 		return chunkPayload{}, err
 	}
 	return chunkPayload{buf: buf, degraded: cr.Degraded}, nil
 }
 
-// renderBuf renders seq as y4m into a buffer of the catalog's pool, which
-// the caller then owns.
-func (c *Catalog) renderBuf(seq *frame.Sequence) (*offheap.Buf, error) {
-	n, err := y4m.Size(seq)
+// decode decodes a chunk just read into out, through the record tier.
+//
+// Every miss pays the read, with each of its checks; what a repeat miss can
+// skip is the entropy decoder. The frames just read share slots that hold the
+// chunk's records, and the decoder decides frame by frame: bytes equal to the
+// ones on record replay, anything else — a degraded or repaired stream, a
+// first visit — parses and leaves its own record in its slot. When any frame
+// parsed, the slots are packed into a new buffer that takes the place of the
+// chunk's entry.
+func (c *Catalog) decode(ctx context.Context, t *tenant, key cache.Keyed[int], v *codec.Video, out []*frame.Frame) error {
+	held, _, err := c.syntax.GetOrLoad(ctx, key, func(context.Context) (chunkRecords, error) {
+		return chunkRecords{}, nil
+	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	buf, err := c.render.Get(n)
-	if err != nil {
-		return nil, err
+	// The pin the tier took for this decode, held until the records are
+	// packed anew: the replaced buffer is read until then.
+	if held.buf != nil {
+		defer held.buf.Unpin()
 	}
-	if err := y4m.Render(buf.Bytes(), seq); err != nil {
-		buf.Release()
-		return nil, err
+	slots := held.recs.Slots(len(v.Frames))
+	for j, f := range v.Frames {
+		f.ShareSyntax(&slots[j])
 	}
-	return buf, nil
+	replayed := new(replayCount)
+	err = codec.DecodeInto(obs.With(ctx, obs.Multi(c.observer, replayed)), v, out, c.cfg.workers)
+	if int(replayed.frames.Load()) == len(v.Frames) {
+		c.observer.Counter(obs.CtrServeReplays, t.name, 1)
+	} else if n := codec.SyntaxLen(slots); n > 0 {
+		// Without a buffer the records are not kept: the next miss parses.
+		if buf, berr := c.records.Get(n); berr == nil {
+			c.syntax.Replace(key, chunkRecords{buf: buf, recs: codec.PackSyntax(buf.Bytes(), slots)})
+		}
+	}
+	return err
 }
 
 func (c *Catalog) handleMetrics(w http.ResponseWriter, r *http.Request) error {
@@ -747,7 +788,7 @@ func (c *Catalog) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 }
 
 // publishCacheGauges refreshes the cache-derived gauges from the two tiers'
-// own counters, the rendered tier's buffer pool and the Go heap.
+// own counters, their buffer pools and the Go heap.
 func (c *Catalog) publishCacheGauges() {
 	cs := c.cache.Stats()
 	c.observer.Gauge(obs.GaugeServeCacheHitRate, "", cs.HitRate())
@@ -759,6 +800,9 @@ func (c *Catalog) publishCacheGauges() {
 	c.observer.Gauge(obs.GaugeServeRenderMappedBytes, "", float64(rs.Mapped))
 	c.observer.Gauge(obs.GaugeServeRenderPinnedBytes, "", float64(rs.Pinned))
 	c.observer.Gauge(obs.GaugeServeRenderIdleBytes, "", float64(rs.Idle))
+	rec := c.records.Stats()
+	c.observer.Gauge(obs.GaugeServeSyntaxMappedBytes, "", float64(rec.Mapped))
+	c.observer.Gauge(obs.GaugeServeSyntaxPinnedBytes, "", float64(rec.Pinned))
 	c.observer.Gauge(obs.GaugeGoHeapInuseBytes, "", float64(c.heapInuse()))
 }
 

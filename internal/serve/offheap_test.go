@@ -2,8 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,8 +15,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"videoapp/internal/cache"
+	"videoapp/internal/codec"
 	"videoapp/internal/obs"
 	"videoapp/internal/offheap"
 	"videoapp/internal/store"
@@ -219,20 +224,24 @@ func TestShortRenderIntoRecycledBuffer(t *testing.T) {
 	}
 }
 
-// TestRenderGaugesPublished: /metrics carries the rendered tier's pool
-// gauges, equal to the pool's own counts on a quiet catalog, and the Go
-// heap in use.
+// TestRenderGaugesPublished: /metrics carries both tiers' pool gauges,
+// equal to the pools' own counts on a quiet catalog, and the Go heap in use.
 func TestRenderGaugesPublished(t *testing.T) {
 	cat := serveBytes(t, buildArchiveBytes(t, 2), WithPrefetch(0))
 	for i := 0; i < 2; i++ {
 		serveDirect(cat, chunkPath(i))
 	}
 	body := serveDirect(cat, "/metrics").Body.String()
-	snap, s := cat.Metrics().Snapshot(), cat.render.Stats()
+	snap, s, rec := cat.Metrics().Snapshot(), cat.render.Stats(), cat.records.Stats()
+	if rec.Mapped == 0 || rec.Mapped != rec.Held+rec.Idle {
+		t.Fatalf("record pool %+v after two first visits, want their records mapped and held", rec)
+	}
 	for name, want := range map[string]int64{
 		obs.GaugeServeRenderMappedBytes: s.Mapped,
 		obs.GaugeServeRenderPinnedBytes: 0,
 		obs.GaugeServeRenderIdleBytes:   s.Idle,
+		obs.GaugeServeSyntaxMappedBytes: rec.Mapped,
+		obs.GaugeServeSyntaxPinnedBytes: 0,
 		obs.GaugeGoHeapInuseBytes:       -1, // any positive value
 	} {
 		got := snap.Gauge(name, "")
@@ -243,4 +252,193 @@ func TestRenderGaugesPublished(t *testing.T) {
 	if s.Mapped == 0 {
 		t.Fatal("nothing mapped after two renderings")
 	}
+}
+
+// smallSendBuffers accepts connections whose send buffer is a few KB, so a
+// response outgrows what the kernel can take without the client reading.
+type smallSendBuffers struct{ net.Listener }
+
+func (l smallSendBuffers) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if tc, ok := c.(*net.TCPConn); ok {
+		tc.SetWriteBuffer(4 << 10)
+	}
+	return c, err
+}
+
+// TestStalledReaderReleasesItsChunk: a client that sends a request over raw
+// TCP, with a small receive buffer, and never reads the response must not
+// hold the chunk it is being sent pinned past the request timeout. The
+// write blocks, the write deadline (the request's) fails it, the handler
+// returns and unpins, and the server closes the connection.
+func TestStalledReaderReleasesItsChunk(t *testing.T) {
+	// B frames put the whole video in one chunk: 32 frames, a 295 KB body.
+	data := buildArchive(t, 8, func(p *codec.Params) { p.BFrames = 1 })
+	const timeout = 300 * time.Millisecond
+	cat := serveBytes(t, data, WithPrefetch(0), WithRequestTimeout(timeout))
+	body := serveDirect(cat, chunkPath(0)) // resident: the stalled request is a hit
+	if body.Code != http.StatusOK || body.Body.Len() < 256<<10 {
+		t.Fatalf("warming chunk 0: status %d, %d bytes", body.Code, body.Body.Len())
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- cat.Serve(ctx, smallSendBuffers{l}) }()
+	defer func() {
+		cancel()
+		<-done
+	}()
+
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.(*net.TCPConn).SetReadBuffer(4 << 10)
+	if _, err := fmt.Fprintf(conn, "GET %s HTTP/1.1\r\nHost: stalled\r\n\r\n", chunkPath(0)); err != nil {
+		t.Fatal(err)
+	}
+	pinned := func() float64 {
+		serveDirect(cat, "/metrics")
+		return cat.Metrics().Snapshot().Gauge(obs.GaugeServeRenderPinnedBytes, "")
+	}
+	waitUntil(t, "the stalled response to pin its chunk", func() bool { return pinned() > 0 })
+	start := time.Now()
+	deadline := start.Add(timeout + 5*time.Second)
+	for pinned() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("serve_render_pinned_bytes still %v %v after the request timed out", pinned(), time.Since(start))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// The connection is closed under the client: what it reads now ends.
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	n, err := io.Copy(io.Discard, conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("the server kept the connection open after the write deadline (%d bytes read)", n)
+	}
+	if n >= int64(body.Body.Len()) {
+		t.Fatalf("the stalled client got %d bytes, the whole %d-byte body", n, body.Body.Len())
+	}
+}
+
+// recordMapping is the size of the mapping that holds the parse records of
+// chunk i of the container, as a catalog of its own packs them.
+func recordMapping(t *testing.T, data []byte, i int) int64 {
+	t.Helper()
+	cat := serveBytes(t, data, WithPrefetch(0))
+	if rec := serveDirect(cat, chunkPath(i)); rec.Code != http.StatusOK {
+		t.Fatalf("chunk %d: status %d", i, rec.Code)
+	}
+	return int64(residentRecords(t, cat, testArchive, i).buf.Size())
+}
+
+// TestRecordEvictionWhileServing is TestEvictionWhileServing for the record
+// tier: eight clients over a real socket, readahead on, under a budget whose
+// record tier holds three chunks' records and whose rendered tier a couple of
+// renderings, so nearly every request is a cold miss that replays records
+// while other misses replace and evict them. Every body must equal a fresh
+// decode; once everything is quiet no record buffer may be pinned and every
+// mapping is either resident or idle in the pool.
+func TestRecordEvictionWhileServing(t *testing.T) {
+	const chunks, clients, requests = 8, 8, 40
+	data := buildArchiveBytes(t, chunks)
+	a := openBytes(t, data)
+	want := make([][]byte, chunks)
+	for i := range want {
+		want[i] = wantChunkBody(t, a, i)
+	}
+	cat := serveBytes(t, data, WithCacheBytes(3*syntaxShare*recordMapping(t, data, 0)), WithPrefetch(2))
+	srv := httptest.NewServer(cat.Handler())
+	defer srv.Close()
+
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(100 + c)))
+			for r := 0; r < requests; r++ {
+				i := (c + r) % chunks
+				if c%2 == 1 {
+					i = rng.Intn(chunks)
+				}
+				status, body := get(t, srv.Client(), srv.URL+chunkPath(i))
+				if status != http.StatusOK || !bytes.Equal(body, want[i]) {
+					errs <- fmt.Errorf("client %d chunk %d: status %d, %d-byte body equal to the %d-byte fresh decode %v", c, i, status, len(body), len(want[i]), bytes.Equal(body, want[i]))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	waitUntil(t, "readahead and decodes to finish", func() bool {
+		s := cat.records.Stats()
+		return len(cat.prefetch.jobs) == 0 && cat.prefetch.inFlight.Load() == 0 && s.Pinned == 0 && s.Mapped == s.Held+s.Idle
+	})
+	ss, rs := cat.syntax.Stats(), cat.records.Stats()
+	if ss.Evictions == 0 || ss.Hits == 0 || counterTotal(cat, obs.CtrFramesReplayed) == 0 {
+		t.Fatalf("vacuous run: record tier %+v, %d frames replayed", ss, counterTotal(cat, obs.CtrFramesReplayed))
+	}
+	if rs.Pinned != 0 || rs.Mapped != rs.Held+rs.Idle || rs.Held != ss.Cost {
+		t.Fatalf("quiet record pool %+v with %d B of records resident, want nothing pinned and every mapping resident or idle", rs, ss.Cost)
+	}
+}
+
+// TestRecordTierStaysOffTheHeap fills a catalog's record tier — 96 tenants
+// over one archive whose one chunk is a 32-frame B-frame video, offered more
+// chunks than the tier holds — and requires the Go heap in use to grow by
+// less than a quarter of the filled tier: the records' bytes are mapped, only
+// their per-frame keys and the tiers' bookkeeping are heap objects.
+func TestRecordTierStaysOffTheHeap(t *testing.T) {
+	if !offheap.OffHeap {
+		t.Skip("records live on the heap in this build")
+	}
+	const tenants = 96
+	data := buildArchive(t, 8, func(p *codec.Params) { p.BFrames = 1 })
+	records := (tenants - 6) * recordMapping(t, data, 0)
+	specs := make([]ArchiveSpec, tenants)
+	for i := range specs {
+		specs[i] = ArchiveSpec{Name: "a" + strconv.Itoa(i), Open: func() (store.Backend, error) { return store.NewSnapshotBackend(data), nil }}
+	}
+	cat, err := NewCatalog(specs, WithCacheBytes(records*syntaxShare), WithPrefetch(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cat.Close()
+	for _, s := range specs { // the archives' indexes are not the tier's
+		if rec := serveDirect(cat, "/v1/archives/"+s.Name); rec.Code != http.StatusOK {
+			t.Fatalf("opening %s: status %d", s.Name, rec.Code)
+		}
+	}
+	heapInuse := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapInuse)
+	}
+	before := heapInuse()
+	for _, s := range specs {
+		if rec := serveDirect(cat, "/v1/archives/"+s.Name+"/chunks/0"); rec.Code != http.StatusOK {
+			t.Fatalf("%s chunk 0: status %d", s.Name, rec.Code)
+		}
+	}
+	grew := heapInuse() - before
+	if cost := cat.syntax.Stats().Cost; cost < records-records/16 {
+		t.Fatalf("record tier holds %d bytes, not filled to its %d", cost, records)
+	}
+	t.Logf("filling a %d-byte record tier grew the heap in use by %d bytes", records, grew)
+	if grew >= records/4 {
+		t.Fatalf("filling a %d-byte record tier grew the heap in use by %d bytes, want < %d", records, grew, records/4)
+	}
+	runtime.KeepAlive(cat)
 }

@@ -29,10 +29,12 @@
 //     keeps, per chunk, the record of what the entropy decoder parsed, so a
 //     chunk whose rendering was evicted is read and verified again on its
 //     next miss but only frames whose bytes changed are parsed again. Each
-//     tier is one strict LRU under one mutex. The renderings live off the
-//     Go heap, in recycled memory mappings of internal/offheap that every
-//     response pins while it writes them, so the rendered tier costs its
-//     budget in memory and not twice that in garbage-collector headroom;
+//     tier is one strict LRU under one mutex. Both live off the Go heap, in
+//     recycled memory mappings of internal/offheap that every response pins
+//     while it writes a rendering and every decode while it replays a
+//     chunk's records, so the cache costs its budget in memory and not
+//     twice that in garbage-collector headroom; a cold chunk is decoded
+//     straight into its response buffer;
 //   - cold-chunk decodes are coalesced (singleflight): a stampede of N
 //     clients on one uncached chunk performs a single archive read + decode
 //     and every client shares the bytes;
@@ -52,9 +54,9 @@
 //     unserved, neither when a request coalesced onto the load. The
 //     accounting is exact; Catalog.Close ends readahead for good.
 //
-// Every request runs under a context with the configured timeout and is
-// cancelled when the client hangs up; the decode path checks the context
-// at frame boundaries. The server publishes its own observability through
+// Every request runs under a context with the configured timeout, which
+// is also the deadline of the response's writes, and is cancelled when the
+// client hangs up; the decode path checks the context at frame boundaries. The server publishes its own observability through
 // internal/obs (request counts, cache hit rate, decode latency, in-flight
 // gauge, open-archive gauge, per-archive chunk counters) and renders a
 // snapshot on /metrics. Shutdown drains in-flight connections before
@@ -160,8 +162,10 @@ func WithWorkers(n int) Option {
 	return func(c *config) { c.workers = n }
 }
 
-// WithRequestTimeout bounds one request end to end, decode included;
-// <= 0 selects 30 seconds. Expired requests answer 503.
+// WithRequestTimeout bounds one request end to end, decode and the writing
+// of the response included; <= 0 selects 30 seconds. Requests that expire
+// before their response starts answer 503; a response still being written
+// then is cut off.
 func WithRequestTimeout(d time.Duration) Option {
 	return func(c *config) {
 		if d <= 0 {
@@ -194,6 +198,10 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.status = code
 	w.ResponseWriter.WriteHeader(code)
 }
+
+// Unwrap returns the wrapped writer, through which http.ResponseController
+// reaches the connection (its write deadline).
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // errorBody is the JSON shape of every error response.
 type errorBody struct {

@@ -85,24 +85,23 @@ func recordKeys(c *Catalog) []cache.Keyed[int] {
 	return keys
 }
 
-// heldBytes sums what the slots resident in the record tier really hold,
-// whatever the tier charged for them.
-func heldBytes(t testing.TB, c *Catalog) int64 {
+// residentRecords returns the record-tier entry of chunk i of the named
+// tenant, failing the test when there is none with a buffer.
+func residentRecords(t testing.TB, c *Catalog, name string, i int) chunkRecords {
 	t.Helper()
-	var n int64
-	for _, k := range recordKeys(c) {
-		slots, hit, _ := c.syntax.GetOrLoad(context.Background(), k, func(context.Context) ([]codec.SyntaxSlot, error) {
-			return nil, fmt.Errorf("gone")
-		})
-		if !hit {
-			t.Fatalf("record key %v vanished from a quiet catalog", k)
-		}
-		for j := range slots {
-			n += slots[j].Bytes()
-		}
+	r, hit, _ := c.syntax.GetOrLoad(context.Background(), cache.Keyed[int]{Space: spaceOf(c, name), Key: i}, func(context.Context) (chunkRecords, error) {
+		return chunkRecords{}, fmt.Errorf("gone")
+	})
+	if !hit || r.buf == nil {
+		t.Fatalf("no records resident for %s/%d", name, i)
 	}
-	return n
+	r.buf.Unpin() // the lookup's pin; the test reads only the handle's counts
+	return r
 }
+
+// heldBytes is what the record tier's buffers hold mapped for their owner,
+// the tier, whatever the tier charged for them.
+func heldBytes(c *Catalog) int64 { return c.records.Stats().Held }
 
 // TestReplayEqualsParseOnTheWire: a catalog whose rendered tier retains
 // nothing serves every chunk of three archives — both entropy coders, and
@@ -210,7 +209,7 @@ func TestReplayEqualsParseOnTheWire(t *testing.T) {
 	if got := snap.Gauge(obs.GaugeServeSyntaxCacheHitRate, ""); got != 0.5 {
 		t.Fatalf("%s = %v, want 0.5 (one miss and one hit per chunk)", obs.GaugeServeSyntaxCacheHitRate, got)
 	}
-	if got := heldBytes(t, cat); got != ss.Cost {
+	if got := heldBytes(cat); got != ss.Cost {
 		t.Fatalf("tier charged %d B for records of %d B", ss.Cost, got)
 	}
 }
@@ -309,7 +308,7 @@ func TestFaultModelDecidesWhatIsDecoded(t *testing.T) {
 	for j := range onRecord {
 		onRecord[j] = -1
 	}
-	costs := map[int64]bool{}
+	packed := map[int]bool{} // the lengths the chunk's records were packed at
 	read := func(step string, v int) (parsed int) {
 		t.Helper()
 		dev.cur.Store(int32(v))
@@ -337,12 +336,13 @@ func TestFaultModelDecidesWhatIsDecoded(t *testing.T) {
 		if got := counterTotal(cat, obs.CtrFramesReplayed) - before; got != int64(wantReplayed) {
 			t.Fatalf("%s: %d frames replayed, want %d (those whose bytes are on record)", step, got, wantReplayed)
 		}
-		// A re-record is re-charged: the tier's cost is what the slots hold.
+		// A re-record is re-packed and re-charged: the tier's cost is the
+		// mapping that holds the records.
 		cost := cat.syntax.Stats().Cost
-		if held := heldBytes(t, cat); cost != held || cost == 0 {
+		if held := heldBytes(cat); cost != held || cost == 0 {
 			t.Fatalf("%s: tier charged %d B for records of %d B", step, cost, held)
 		}
-		costs[cost] = true
+		packed[residentRecords(t, cat, "t", 0).buf.Len()] = true
 		return nframes - wantReplayed
 	}
 	if parsed := read("first clean read", 0); parsed != nframes {
@@ -362,8 +362,8 @@ func TestFaultModelDecidesWhatIsDecoded(t *testing.T) {
 		v := rng.Intn(len(variants))
 		read(fmt.Sprintf("random step %d (variant %d)", step, v), v)
 	}
-	if len(costs) < 2 {
-		t.Fatal("every record had the same size: re-charging was never exercised")
+	if len(packed) < 2 {
+		t.Fatal("every record had the same size: re-packing was never exercised")
 	}
 
 	// Mirror-repaired: the primary is damaged, the mirror supplies the clean
@@ -499,7 +499,7 @@ func TestRecordTierPurgedWithItsSpace(t *testing.T) {
 	if got := spaces(); got[spaceB] != 2 || len(got) != 1 {
 		t.Fatalf("record spaces after Remove(a): %v, want only %s", got, spaceB)
 	}
-	if cost, held := cat.syntax.Stats().Cost, heldBytes(t, cat); cost != held || cost == 0 {
+	if cost, held := cat.syntax.Stats().Cost, heldBytes(cat); cost != held || cost == 0 {
 		t.Fatalf("after Remove(a): tier charged %d B for records of %d B", cost, held)
 	}
 

@@ -122,8 +122,8 @@ func ReadAll(r io.Reader, name string) (*frame.Sequence, error) {
 // frameMarker opens every frame of a stream.
 const frameMarker = "FRAME\n"
 
-// check reports a sequence Write and Render cannot encode: no frames, or
-// frames of differing sizes.
+// check reports a sequence Write cannot encode: no frames, or frames of
+// differing sizes.
 func check(seq *frame.Sequence) error {
 	if len(seq.Frames) == 0 {
 		return fmt.Errorf("y4m: empty sequence")
@@ -136,16 +136,16 @@ func check(seq *frame.Sequence) error {
 	return nil
 }
 
-// appendHeader appends the stream header of seq.
-func appendHeader(dst []byte, seq *frame.Sequence) []byte {
-	fps := seq.FPS
+// appendHeader appends the stream header of w×h frames at fps frames per
+// second (25 when fps <= 0).
+func appendHeader(dst []byte, w, h, fps int) []byte {
 	if fps <= 0 {
 		fps = 25
 	}
 	dst = append(dst, "YUV4MPEG2 W"...)
-	dst = strconv.AppendInt(dst, int64(seq.W()), 10)
+	dst = strconv.AppendInt(dst, int64(w), 10)
 	dst = append(dst, " H"...)
-	dst = strconv.AppendInt(dst, int64(seq.H()), 10)
+	dst = strconv.AppendInt(dst, int64(h), 10)
 	dst = append(dst, " F"...)
 	dst = strconv.AppendInt(dst, int64(fps), 10)
 	return append(dst, ":1 Ip A1:1 C420\n"...)
@@ -155,35 +155,58 @@ func appendHeader(dst []byte, seq *frame.Sequence) []byte {
 // ints of at most 20 bytes each.
 const headerRoom = 128
 
-// Size returns the length of seq's Y4M stream, what Write writes and what
-// Render fills, or the error either would return.
-func Size(seq *frame.Sequence) (int, error) {
-	if err := check(seq); err != nil {
-		return 0, err
-	}
-	var hdr [headerRoom]byte
-	f := seq.Frames[0]
-	return len(appendHeader(hdr[:0], seq)) + len(seq.Frames)*(len(frameMarker)+len(f.Y)+len(f.Cb)+len(f.Cr)), nil
+// Layout is the shape of a stream: its frames' geometry, its frame rate
+// and its frame count. It lets a caller hold a stream's bytes before its
+// samples exist and have them produced in place (Views): the chunk server
+// decodes straight into its response buffer that way.
+type Layout struct {
+	W, H, FPS, Frames int
 }
 
-// Render writes seq's Y4M stream into dst, which must be exactly Size(seq)
-// bytes long: the bytes Write produces, with no writer between.
-func Render(dst []byte, seq *frame.Sequence) error {
-	n, err := Size(seq)
+// Size returns the length of the stream, what Write writes for a sequence
+// of this shape, or an error for a shape no frame can have.
+func (l Layout) Size() (int, error) {
+	if l.Frames <= 0 {
+		return 0, fmt.Errorf("y4m: empty sequence")
+	}
+	if l.W <= 0 || l.H <= 0 || l.W%frame.MBSize != 0 || l.H%frame.MBSize != 0 {
+		return 0, fmt.Errorf("y4m: %dx%d frames are not positive multiples of %d", l.W, l.H, frame.MBSize)
+	}
+	var hdr [headerRoom]byte
+	return len(appendHeader(hdr[:0], l.W, l.H, l.FPS)) + l.Frames*(len(frameMarker)+l.W*l.H*3/2), nil
+}
+
+// Views writes the stream header and every FRAME marker into dst, which
+// must be exactly Size bytes long, and returns the stream's frames as views
+// of dst: the planes of frame i are the sample bytes after its marker, each
+// capped at its length so that nothing written through one reaches the
+// next. Once the caller has filled them, dst holds the bytes Write would
+// produce for those frames.
+func (l Layout) Views(dst []byte) ([]*frame.Frame, error) {
+	n, err := l.Size()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if len(dst) != n {
-		return fmt.Errorf("y4m: rendering a %d-byte stream into %d bytes", n, len(dst))
+		return nil, fmt.Errorf("y4m: laying a %d-byte stream out in %d bytes", n, len(dst))
 	}
-	at := len(appendHeader(dst[:0], seq))
-	for _, f := range seq.Frames {
+	luma, chroma := l.W*l.H, l.W*l.H/4
+	at := len(appendHeader(dst[:0], l.W, l.H, l.FPS))
+	views := make([]frame.Frame, l.Frames)
+	frames := make([]*frame.Frame, l.Frames)
+	for i := range views {
 		at += copy(dst[at:], frameMarker)
-		at += copy(dst[at:], f.Y)
-		at += copy(dst[at:], f.Cb)
-		at += copy(dst[at:], f.Cr)
+		f := &views[i]
+		f.W, f.H = l.W, l.H
+		f.Y = dst[at : at+luma : at+luma]
+		at += luma
+		f.Cb = dst[at : at+chroma : at+chroma]
+		at += chroma
+		f.Cr = dst[at : at+chroma : at+chroma]
+		at += chroma
+		frames[i] = f
 	}
-	return nil
+	return frames, nil
 }
 
 // Write encodes the sequence as a Y4M stream.
@@ -193,7 +216,7 @@ func Write(w io.Writer, seq *frame.Sequence) error {
 	}
 	bw := bufio.NewWriter(w)
 	var hdr [headerRoom]byte
-	if _, err := bw.Write(appendHeader(hdr[:0], seq)); err != nil {
+	if _, err := bw.Write(appendHeader(hdr[:0], seq.W(), seq.H(), seq.FPS)); err != nil {
 		return err
 	}
 	for _, f := range seq.Frames {

@@ -114,10 +114,13 @@ func TestWriteInconsistentSizesFails(t *testing.T) {
 	}
 }
 
-// TestRenderEqualsWrite: Render fills exactly Size(seq) bytes with the
-// stream Write produces — at the default and an explicit frame rate — and
-// refuses a destination of any other length and the sequences Write refuses.
-func TestRenderEqualsWrite(t *testing.T) {
+// TestViewsEqualWrite: a layout's Size is the length of the stream Write
+// produces — at the default and an explicit frame rate — and filling the
+// frames Views lays out in a buffer of that length, pre-filled with garbage,
+// leaves exactly Write's bytes; each plane is capped at its length. Views
+// refuses a buffer of any other length, and both refuse a shape no frame can
+// have.
+func TestViewsEqualWrite(t *testing.T) {
 	for _, fps := range []int{0, 30} {
 		seq := testSequence()
 		seq.FPS = fps
@@ -125,29 +128,38 @@ func TestRenderEqualsWrite(t *testing.T) {
 		if err := Write(&want, seq); err != nil {
 			t.Fatal(err)
 		}
-		n, err := Size(seq)
+		l := Layout{W: seq.W(), H: seq.H(), FPS: fps, Frames: len(seq.Frames)}
+		n, err := l.Size()
 		if err != nil || n != want.Len() {
 			t.Fatalf("fps %d: Size = %d, %v; Write wrote %d bytes", fps, n, err, want.Len())
 		}
 		dst := bytes.Repeat([]byte{0xff}, n)
-		if err := Render(dst, seq); err != nil {
+		views, err := l.Views(dst)
+		if err != nil {
 			t.Fatal(err)
 		}
+		for i, f := range views {
+			for _, p := range [][2][]uint8{{f.Y, seq.Frames[i].Y}, {f.Cb, seq.Frames[i].Cb}, {f.Cr, seq.Frames[i].Cr}} {
+				if cap(p[0]) != len(p[1]) || copy(p[0], p[1]) != len(p[1]) {
+					t.Fatalf("fps %d frame %d: a %d-sample plane viewed at len %d cap %d", fps, i, len(p[1]), len(p[0]), cap(p[0]))
+				}
+			}
+		}
 		if !bytes.Equal(dst, want.Bytes()) {
-			t.Fatalf("fps %d: Render differs from Write", fps)
+			t.Fatalf("fps %d: the filled views differ from Write", fps)
 		}
 		for _, m := range []int{n - 1, n + 1} {
-			if err := Render(make([]byte, m), seq); err == nil {
-				t.Fatalf("fps %d: Render into %d bytes of a %d-byte stream succeeded", fps, m, n)
+			if _, err := l.Views(make([]byte, m)); err == nil {
+				t.Fatalf("fps %d: Views in %d bytes of a %d-byte stream succeeded", fps, m, n)
 			}
 		}
 	}
-	for _, bad := range []*frame.Sequence{{}, {FPS: 30, Frames: []*frame.Frame{frame.MustNew(32, 32), frame.MustNew(64, 48)}}} {
-		if _, err := Size(bad); err == nil {
-			t.Fatal("Size of an empty or inconsistent sequence succeeded")
+	for _, bad := range []Layout{{W: 64, H: 48}, {W: 60, H: 48, Frames: 1}, {W: 64, H: -16, Frames: 1}} {
+		if _, err := bad.Size(); err == nil {
+			t.Fatalf("Size of %+v succeeded", bad)
 		}
-		if err := Render(make([]byte, 64), bad); err == nil {
-			t.Fatal("Render of an empty or inconsistent sequence succeeded")
+		if _, err := bad.Views(make([]byte, 64)); err == nil {
+			t.Fatalf("Views of %+v succeeded", bad)
 		}
 	}
 }
