@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: check build build-windows test race purego golden golden-check bench bench-smoke bench-selftest serve-smoke chaos-smoke examples-smoke fmt fmt-check vet lint
+.PHONY: check build build-windows test race purego golden golden-check bench bench-smoke bench-selftest serve-smoke chaos-smoke fmt fmt-check vet lint
 
 # check is the full verification gate: formatting, vet, lint (staticcheck
 # when installed, vetvideoapp and the lint greps), build, race-enabled tests, a
 # one-iteration compile-and-run pass over the benchmarks so the perf
 # harness cannot rot, end-to-end smokes of the chunk server (clean and
-# under injected faults) and of the example programs, and the self-tests of the performance ledger in
+# under injected faults), and the self-tests of the performance ledger in
 # bench/ (its own module, so `go test ./...` here does not reach it). Tests
 # run shuffled so inter-test ordering dependencies cannot hide. golden-check
 # names the bit-exactness gate explicitly (the race pass runs it too): the
@@ -20,7 +20,7 @@ GO ?= go
 # machine otherwise never builds; it also runs the chunk server's suite on
 # heap-allocated cache buffers, and build-windows compiles the module for a
 # non-unix system, so neither fallback can rot.
-check: fmt-check vet lint build build-windows golden-check purego race bench-smoke bench-selftest serve-smoke chaos-smoke examples-smoke
+check: fmt-check vet lint build build-windows golden-check purego race bench-smoke bench-selftest serve-smoke chaos-smoke
 
 build:
 	$(GO) build ./...
@@ -144,16 +144,6 @@ serve-smoke:
 # degraded (X-Videoapp-Degraded + serve_chunk_degraded) instead of errors.
 chaos-smoke:
 	./scripts/chaos_smoke.sh
-
-# examples-smoke runs every program under examples/ to completion and fails
-# on the first non-zero exit, so the library surface they show cannot rot
-# unnoticed (`go build` only compiles them). serving listens on
-# 127.0.0.1:0 and writes only under a temporary directory.
-examples-smoke:
-	@for d in examples/*/; do \
-		echo "go run ./$${d%/}"; \
-		$(GO) run ./$${d%/} > /dev/null || { echo "examples-smoke: $${d%/} failed"; exit 1; }; \
-	done
 
 # bench-smoke compiles and runs the kernel, pipeline, streaming and cold-chunk
 # (internal/serve: parse vs replay) benchmarks exactly once — a regression

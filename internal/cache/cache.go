@@ -165,11 +165,13 @@ func ceilPow2(n int) int {
 // maxCost an entry count. A maxCost <= 0 disables residency entirely —
 // GetOrLoad still coalesces concurrent loads, but nothing is retained.
 //
-// hash picks the shard. A nil hash selects maphash.Comparable, which is
-// correct for every comparable key but heap-escapes keys whose type
-// contains pointers (strings, say) on each call; hot paths with such keys
-// should pass a hash built from the per-field maphash primitives instead
-// (see KeyedHash). It need not be collision-free, just well distributed.
+// hash picks the shard, so it matters only above one shard: a one-shard
+// cache never calls it, and nil is the argument to pass there. A nil hash
+// selects maphash.Comparable, which is correct for every comparable key but
+// heap-escapes keys whose type contains pointers (strings, say) on each
+// call; hot multi-shard paths with such keys should pass a hash built from
+// the per-field maphash primitives instead (see KeyedHash). It need not be
+// collision-free, just well distributed.
 func NewShardedHash[K comparable, V any](maxCost int64, nshards int, cost func(V) int64, hash func(maphash.Seed, K) uint64) *Cache[K, V] {
 	if cost == nil {
 		cost = func(V) int64 { return 1 }

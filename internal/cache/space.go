@@ -22,7 +22,7 @@ type Keyed[K comparable] struct {
 // string with maphash.String and folds in the inner key separately.
 // Unlike maphash.Comparable over the whole struct — whose string field
 // makes every call copy the key to the heap — it allocates nothing, which
-// is what the serve path's per-request lookups want. The inner key's own
+// is what per-request lookups in a multi-shard cache want. The inner key's own
 // type must still be pointer-free (int chunk indexes are) for the
 // Comparable call on it to stay allocation-free.
 func KeyedHash[K comparable]() func(maphash.Seed, Keyed[K]) uint64 {

@@ -285,6 +285,11 @@ func mvPrediction(mvs []predict.MV, avail []bool, mbx, mby, mbCols, sliceTop int
 
 func validFrameRef(n, count int) bool { return n >= 0 && n < count }
 
-func errFrameGeometry(w, h int) error {
-	return fmt.Errorf("codec: frame size %dx%d not macroblock aligned", w, h)
+// checkGeometry reports a frame size that is not a positive multiple of the
+// macroblock size.
+func checkGeometry(w, h int) error {
+	if w <= 0 || h <= 0 || w%frame.MBSize != 0 || h%frame.MBSize != 0 {
+		return fmt.Errorf("codec: frame size %dx%d not macroblock aligned", w, h)
+	}
+	return nil
 }

@@ -255,8 +255,8 @@ func (fd *frameDecoder) run() {
 // exact for clean streams; CABAC bit ranges are attribution estimates
 // accurate to the arithmetic decoder's few-bit lookahead.
 func Reanalyze(v *Video) error {
-	if v.W%frame.MBSize != 0 || v.H%frame.MBSize != 0 || v.W <= 0 || v.H <= 0 {
-		return errFrameGeometry(v.W, v.H)
+	if err := checkGeometry(v.W, v.H); err != nil {
+		return err
 	}
 	rec := make([]*frame.Frame, len(v.Frames))
 	fd := newFrameDecoder(v, rec, nil)

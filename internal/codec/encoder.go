@@ -37,8 +37,8 @@ func encodeRecs(seq *frame.Sequence, p Params) (*Video, []*frame.Frame, error) {
 		return nil, nil, fmt.Errorf("codec: empty sequence")
 	}
 	w, h := seq.W(), seq.H()
-	if w%frame.MBSize != 0 || h%frame.MBSize != 0 {
-		return nil, nil, errFrameGeometry(w, h)
+	if err := checkGeometry(w, h); err != nil {
+		return nil, nil, err
 	}
 	v := &Video{Params: p, W: w, H: h, FPS: seq.FPS}
 	order := codedOrder(len(seq.Frames), p)
@@ -163,7 +163,7 @@ func nearestCodedAfter(d2c map[int]int, d int) int {
 // and residual buffers), the payload writer and the slab dependency records
 // are carved from, so encoding a frame allocates only what the EncodedFrame
 // keeps — its records, its payload — and the reconstruction, which comes
-// from frame.NewPooled.
+// from frame.Scratch: every sample of it is written before any is read.
 type frameEncoder struct {
 	params  Params
 	recRefs []*frame.Frame
@@ -262,7 +262,7 @@ func (fe *frameEncoder) encode(ef *EncodedFrame, orig *frame.Frame) *frame.Frame
 	fe.ef, fe.orig = ef, orig
 	fe.padF = fe.padded(ef.RefFwd, ef.RefBwd)
 	fe.padB = fe.padded(ef.RefBwd, ef.RefFwd)
-	fe.rec = frame.MustNewPooled(orig.W, orig.H)
+	fe.rec = frame.Scratch(orig.W, orig.H)
 	clear(fe.qps)
 	clear(fe.mvRep)
 	clear(fe.mvAvail)

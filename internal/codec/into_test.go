@@ -6,12 +6,14 @@ import (
 	"testing"
 
 	"videoapp/internal/frame"
+	"videoapp/internal/obs"
 	"videoapp/internal/y4m"
 )
 
-// Tests of DecodeInto, the decode into caller-owned frames: laid out as the
-// views of a y4m stream, over a buffer holding anything, it must leave the
-// bytes DecodeContext followed by y4m.Write produces, whatever the stream.
+// Tests of the decode route, DecodeInto and DecodeContext over it: laid out
+// as the views of a y4m stream, over a buffer holding anything, DecodeInto
+// must leave the bytes of the reference decoder's pictures in display order,
+// whatever the stream; DecodeContext followed by y4m.Write must too.
 
 // intoVariants are the streams of one encoded design point DecodeInto is held
 // to: the golden manifest's clean, bit-flipped and truncated ones, and header
@@ -36,13 +38,29 @@ func intoVariants(gc goldenCase) map[string]*Video {
 	return out
 }
 
-// wantStream is the reference: DecodeContext, then y4m.Write.
+// wantStream is the reference: refDecodeRecs's pictures written as a y4m
+// stream in display order, a slot two coded frames claim holding the later
+// one's and a slot none claims blank.
 func wantStream(t *testing.T, v *Video) []byte {
 	t.Helper()
-	seq, err := DecodeContext(context.Background(), v, DecodeOptions{}, 1)
+	recs, err := refDecodeRecs(v)
 	if err != nil {
 		t.Fatal(err)
 	}
+	seq := &frame.Sequence{FPS: v.FPS, Frames: make([]*frame.Frame, len(v.Frames))}
+	for i, ef := range v.Frames {
+		seq.Frames[ef.DisplayIdx] = recs[i]
+	}
+	for d, f := range seq.Frames {
+		if f == nil {
+			seq.Frames[d] = frame.MustNew(v.W, v.H)
+		}
+	}
+	return writeY4M(t, seq)
+}
+
+func writeY4M(t *testing.T, seq *frame.Sequence) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := y4m.Write(&buf, seq); err != nil {
 		t.Fatal(err)
@@ -70,19 +88,25 @@ func decodeIntoStream(t *testing.T, v *Video, workers int, garbage byte) ([]byte
 	return buf, views
 }
 
-// TestDecodeIntoMatchesDecodeContext: over every design point of the golden
-// manifest and each of its variants, at one worker and four, DecodeInto into
-// a recycled buffer full of garbage leaves DecodeContext + y4m.Write's bytes.
-func TestDecodeIntoMatchesDecodeContext(t *testing.T) {
+// TestDecodeIntoMatchesReference: over every design point of the golden
+// manifest and each of its variants, DecodeInto into a buffer full of garbage
+// (0xa5, never a blank picture's sample) at one, two and four workers, and
+// DecodeContext + y4m.Write, leave the reference decoder's stream.
+func TestDecodeIntoMatchesReference(t *testing.T) {
 	for _, gc := range goldenCases(t) {
 		for name, v := range intoVariants(gc) {
 			want := wantStream(t, v)
-			for _, workers := range []int{1, 4} {
-				for _, garbage := range []byte{0x00, 0xa5} {
-					if got, _ := decodeIntoStream(t, v, workers, garbage); !bytes.Equal(got, want) {
-						t.Fatalf("%s %s, %d workers, buffer of %#x: DecodeInto differs from DecodeContext + y4m.Write", gc.key, name, workers, garbage)
-					}
+			for _, workers := range []int{1, 2, 4} {
+				if got, _ := decodeIntoStream(t, v, workers, 0xa5); !bytes.Equal(got, want) {
+					t.Fatalf("%s %s, %d workers: DecodeInto differs from the reference decoder", gc.key, name, workers)
 				}
+			}
+			seq, err := DecodeContext(context.Background(), v, DecodeOptions{}, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(writeY4M(t, seq), want) {
+				t.Fatalf("%s %s: DecodeContext differs from the reference decoder", gc.key, name)
 			}
 		}
 	}
@@ -115,7 +139,8 @@ func TestDecodeIntoUnclaimedSlotIsZero(t *testing.T) {
 }
 
 // TestDecodeIntoRejects: output frames that do not fit the video, and a
-// display index outside the video, are errors before anything is decoded.
+// display index outside the video, are errors before anything is decoded —
+// on DecodeContext's route too.
 func TestDecodeIntoRejects(t *testing.T) {
 	v := goldenCases(t)[0].clean
 	fits := func() []*frame.Frame {
@@ -137,7 +162,15 @@ func TestDecodeIntoRejects(t *testing.T) {
 	}
 	bad := v.Clone()
 	bad.Frames[3].DisplayIdx = len(bad.Frames)
-	if err := DecodeInto(context.Background(), bad, fits(), 1); err == nil {
+	m := obs.NewMetrics()
+	ctx := obs.With(context.Background(), m)
+	if err := DecodeInto(ctx, bad, fits(), 1); err == nil {
 		t.Fatal("a display index past the video: DecodeInto succeeded")
+	}
+	if _, err := DecodeContext(ctx, bad, DecodeOptions{}, 1); err == nil {
+		t.Fatal("a display index past the video: DecodeContext succeeded")
+	}
+	if n := m.Snapshot().CounterTotal(obs.CtrDecodeFrames); n != 0 {
+		t.Fatalf("a display index past the video: %d frames decoded before the error", n)
 	}
 }

@@ -142,30 +142,40 @@ func TestClonePooledConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestFramePoolZeroed checks frame.NewPooled's contract the encoder relies
-// on: recycled frames come back zeroed, per geometry.
-func TestFramePoolZeroed(t *testing.T) {
-	f := frame.MustNewPooled(32, 32)
-	for i := range f.Y {
-		f.Y[i] = 0x55
-	}
-	for i := range f.Cb {
-		f.Cb[i], f.Cr[i] = 0x66, 0x77
-	}
-	frame.Recycle(f)
-	g := frame.MustNewPooled(32, 32)
-	for i := range g.Y {
-		if g.Y[i] != 0 {
-			t.Fatal("recycled luma plane not zeroed")
+// TestFramePoolPoisoned: the encoder's reconstructions come from
+// frame.Scratch, whose samples are a recycled frame's, so no coding tool may
+// read a reconstruction sample before writing it. Over every golden design
+// point, an encode after the pool was stocked with 0xa5-filled frames of its
+// geometry leaves the bits and reconstructions of one after it was stocked
+// with blank frames, which is what a fresh pool hands out.
+func TestFramePoolPoisoned(t *testing.T) {
+	encodeAfter := func(seq *frame.Sequence, p Params, fill uint8) (*Video, []*frame.Frame) {
+		for range 2 * len(seq.Frames) {
+			f := frame.MustNew(seq.W(), seq.H())
+			f.Fill(fill, fill, fill)
+			frame.Recycle(f)
 		}
-	}
-	for i := range g.Cb {
-		if g.Cb[i] != 0 || g.Cr[i] != 0 {
-			t.Fatal("recycled chroma planes not zeroed")
+		v, recs, err := encodeRecs(seq, p)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return v, recs
 	}
-	frame.Recycle(g)
-	if h := frame.MustNewPooled(64, 32); h.W != 64 || len(h.Y) != 64*32 {
-		t.Fatal("geometry-keyed pool returned wrong dimensions")
+	for _, preset := range goldenPresets {
+		seq := goldenSource(t, preset)
+		for _, coder := range goldenCoders {
+			for _, tool := range goldenTools {
+				p := DefaultParams()
+				p.GOPSize = goldenFrames
+				p.Entropy = coder
+				tool.set(&p)
+				fresh, freshRecs := encodeAfter(seq, p, 0)
+				poisoned, poisonedRecs := encodeAfter(seq, p, 0xa5)
+				assertVideoEqual(t, fresh, poisoned)
+				if hashPlanes(freshRecs) != hashPlanes(poisonedRecs) {
+					t.Fatalf("%s/%s/%s: reconstructions depend on the pool's old samples", preset, coder, tool.name)
+				}
+			}
+		}
 	}
 }

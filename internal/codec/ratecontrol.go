@@ -47,8 +47,8 @@ func EncodeABR(seq *frame.Sequence, p Params, targetBitsPerSecond int64) (*Video
 	}
 
 	w, h := seq.W(), seq.H()
-	if w%frame.MBSize != 0 || h%frame.MBSize != 0 {
-		return nil, errFrameGeometry(w, h)
+	if err := checkGeometry(w, h); err != nil {
+		return nil, err
 	}
 	v := &Video{Params: p, W: w, H: h, FPS: seq.FPS}
 	rec := make([]*frame.Frame, len(seq.Frames))

@@ -20,8 +20,8 @@ import (
 
 // refDecodeRecs is the pre-change decodeRecsOpts.
 func refDecodeRecs(v *Video) ([]*frame.Frame, error) {
-	if v.W%frame.MBSize != 0 || v.H%frame.MBSize != 0 || v.W <= 0 || v.H <= 0 {
-		return nil, errFrameGeometry(v.W, v.H)
+	if err := checkGeometry(v.W, v.H); err != nil {
+		return nil, err
 	}
 	rec := make([]*frame.Frame, len(v.Frames))
 	for i := range v.Frames {
@@ -146,8 +146,8 @@ func (fd *refFrameDecoder) run() {
 
 // refReanalyze is the pre-change Reanalyze over the reference decoder.
 func refReanalyze(v *Video) error {
-	if v.W%frame.MBSize != 0 || v.H%frame.MBSize != 0 || v.W <= 0 || v.H <= 0 {
-		return errFrameGeometry(v.W, v.H)
+	if err := checkGeometry(v.W, v.H); err != nil {
+		return err
 	}
 	rec := make([]*frame.Frame, len(v.Frames))
 	for i, ef := range v.Frames {

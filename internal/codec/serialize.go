@@ -158,8 +158,8 @@ func unmarshal(data []byte, withPayload bool, maxPayload int64) (*Video, error) 
 	if err := v.Params.Validate(); err != nil {
 		return nil, fmt.Errorf("codec: container params invalid: %w", err)
 	}
-	if v.W <= 0 || v.H <= 0 || v.W%16 != 0 || v.H%16 != 0 {
-		return nil, errFrameGeometry(v.W, v.H)
+	if err := checkGeometry(v.W, v.H); err != nil {
+		return nil, err
 	}
 	if nFrames > 1<<20 {
 		return nil, fmt.Errorf("codec: implausible frame count %d", nFrames)

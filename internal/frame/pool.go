@@ -34,22 +34,10 @@ func poolFor(w, h int) *sync.Pool {
 	return p
 }
 
-// NewPooled is New drawing from a per-geometry pool when a recycled frame is
-// available. The returned frame is zeroed either way, so callers observe
-// exactly New's contract.
-func NewPooled(w, h int) (*Frame, error) {
-	if f, ok := poolFor(w, h).Get().(*Frame); ok {
-		clear(f.Y)
-		clear(f.Cb)
-		clear(f.Cr)
-		return f, nil
-	}
-	return New(w, h)
-}
-
-// Scratch is MustNewPooled without the clear: the samples of the frame it
-// returns are unspecified — a recycled frame's old ones — for a caller that
-// overwrites every one of them (the decoder does).
+// Scratch returns a w×h frame, a recycled one when its geometry's pool has
+// one. Its samples are unspecified — the recycled frame's old ones — so it
+// is for a caller that writes every sample before reading it (the encoder's
+// reconstruction, the decoder's output). It panics on invalid dimensions.
 func Scratch(w, h int) *Frame {
 	if f, ok := poolFor(w, h).Get().(*Frame); ok {
 		return f
@@ -57,16 +45,7 @@ func Scratch(w, h int) *Frame {
 	return MustNew(w, h)
 }
 
-// MustNewPooled is NewPooled panicking on invalid dimensions.
-func MustNewPooled(w, h int) *Frame {
-	f, err := NewPooled(w, h)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
-// Recycle returns a frame to its geometry's pool for reuse by NewPooled. The
+// Recycle returns a frame to its geometry's pool for reuse by Scratch. The
 // caller must not touch the frame afterwards. nil is ignored.
 func Recycle(f *Frame) {
 	if f == nil {

@@ -65,10 +65,6 @@ const (
 	// CAVLC reader lost sync and rode garbage until the next resync point —
 	// labelled by the entropy coder name.
 	CtrResync = "codec_resync"
-	// CtrRawFlips counts injected substrate bit errors before correction,
-	// labelled by ECC scheme. On the nominal error model raw errors equal
-	// residual errors; the block-accurate model also counts corrected ones.
-	CtrRawFlips = "store_raw_flips"
 	// CtrResidualFlips counts post-correction bit errors that survive to
 	// the reader, labelled by ECC scheme.
 	CtrResidualFlips = "store_residual_flips"

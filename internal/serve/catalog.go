@@ -212,7 +212,7 @@ func NewCatalog(specs []ArchiveSpec, options ...Option) (*Catalog, error) {
 		// of decode, so it has no lock contention to shard away.
 		cache: cache.NewShardedHash[cache.Keyed[int], chunkPayload](renderedBytes, 1, func(p chunkPayload) int64 {
 			return int64(p.buf.Len())
-		}, cache.KeyedHash[int]()),
+		}, nil),
 		syntax: cache.NewShardedHash[cache.Keyed[int], chunkRecords](syntaxBytes, 1, func(r chunkRecords) int64 {
 			if r.buf == nil {
 				return 0

@@ -58,32 +58,21 @@ func BenchmarkStoreScrubOverride(b *testing.B) {
 }
 
 // BenchmarkInject measures the error-injection kernel alone: one frame's
-// payload per iteration, with the deep clone factored out, in both the
-// nominal (Table 1 residual rates) and block-accurate (per-512-bit-block
-// binomial) models.
+// payload per iteration at the Table 1 residual rates, with the deep clone
+// factored out.
 func BenchmarkInject(b *testing.B) {
 	v, _, parts, _ := buildVideo(b)
-	for _, name := range []string{"nominal", "blockaccurate"} {
-		b.Run(name, func(b *testing.B) {
-			cfg := Config{Substrate: mlc.Default(), Assignment: core.PaperAssignment(), BlockAccurate: name == "blockaccurate"}
-			s, err := New(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Inject into a scratch copy so the source video stays clean; the
-			// payload bytes are restored each iteration outside the timer-free
-			// fast path (flips are sparse, so re-copying dominates less than
-			// recloning the whole video would).
-			work := v.Clone()
-			rng := rand.New(rand.NewSource(1))
-			b.ResetTimer()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				f := i % len(work.Frames)
-				rng.Seed(int64(i))
-				s.injectFrame(rng, work.Frames[f], parts[f], obs.Noop{})
-			}
-		})
+	s := variableSystem(b)
+	// Inject into a scratch copy so the source video stays clean; flips are
+	// sparse, so the accumulating damage does not change the work per frame.
+	work := v.Clone()
+	rng := rand.New(rand.NewSource(1))
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		f := i % len(work.Frames)
+		rng.Seed(int64(i))
+		s.injectFrame(rng, work.Frames[f], parts[f], obs.Noop{})
 	}
 }
 

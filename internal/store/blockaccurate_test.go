@@ -2,37 +2,75 @@ package store
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"testing"
 
 	"videoapp/internal/bch"
-	"videoapp/internal/codec"
 	"videoapp/internal/core"
 	"videoapp/internal/mlc"
+	"videoapp/internal/sim"
 )
 
-// TestBlockAccurateMatchesAnalyticRates cross-validates the two error
-// models: over many runs, the block-accurate simulator's flip counts on an
-// unprotected segment must track the raw substrate rate, and on protected
-// segments the analytic uncorrectable-block probability.
-func TestBlockAccurateMatchesAnalyticRates(t *testing.T) {
-	v, _, _, _ := buildVideo(t)
-	// Force everything into one class so one scheme covers all payload.
-	uniformNone := core.ClassAssignment{
-		Bounds: []core.ClassBound{{MaxClass: 1 << 30, Scheme: bch.SchemeNone}},
-		Header: bch.SchemeBCH16,
+// blockFlips is the test oracle of the store's error model, an independent
+// per-block BCH simulation: raw substrate errors at rate rber land on bits
+// payload bits laid out in 512-bit blocks, each carrying the 10·t parity
+// bits of a BCH-t code. A block with at most t errors is corrected; beyond t
+// (and always when t is 0) the errors that landed in its payload survive.
+// It returns the surviving payload errors.
+func blockFlips(rng *rand.Rand, bits int64, t int, rber float64) int {
+	flips := 0
+	for off := int64(0); off < bits; off += bch.BlockDataBits {
+		data := min(bits-off, bch.BlockDataBits)
+		errs, inData := 0, 0
+		sim.VisitErrorPositions(rng, data+int64(10*t), rber, func(pos int64) {
+			errs++
+			if pos < data {
+				inData++
+			}
+		})
+		if errs > t {
+			flips += inData
+		}
 	}
+	return flips
+}
+
+// TestBlockAccurateMatchesAnalyticRates holds the residual rates the store
+// injects to blockFlips: the raw substrate rate on an unprotected scheme,
+// and the §6.4 BCH residual on protected ones at a scrub interval long
+// enough (48 months, RBER 2.5e-3) for blocks to fail. It also checks that
+// the injector realises its rate: StoreContext's flips on a video stored
+// unprotected track the analytic rate.
+func TestBlockAccurateMatchesAnalyticRates(t *testing.T) {
+	uniform := func(sc bch.Scheme) core.ClassAssignment {
+		return core.ClassAssignment{Bounds: []core.ClassBound{{MaxClass: 1 << 30, Scheme: sc}}, Header: bch.SchemeBCH16}
+	}
+	for _, tc := range []struct {
+		scheme bch.Scheme
+		months float64
+	}{{bch.SchemeNone, 0}, {bch.SchemeBCH6, 48}, {bch.SchemeBCH7, 48}} {
+		sys, err := New(Config{Substrate: mlc.Default(), Assignment: uniform(tc.scheme), ScrubMonths: tc.months})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const bits = 1 << 28
+		want := sys.residualRate(tc.scheme)
+		got := float64(blockFlips(rand.New(rand.NewSource(1)), bits, tc.scheme.T, sys.RBER())) / bits
+		if got < want/2 || got > want*2 {
+			t.Fatalf("%s at %v months: per-block simulation %.2e, analytic residual rate %.2e", tc.scheme.Name, tc.months, got, want)
+		}
+	}
+
+	v, _, _, _ := buildVideo(t)
 	an, err := core.AnalyzeContext(context.Background(), v, core.DefaultOptions(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts := an.Partition(uniformNone)
-	sys, err := New(Config{Substrate: mlc.Default(), Assignment: uniformNone, BlockAccurate: true})
+	sys, err := New(Config{Substrate: mlc.Default(), Assignment: uniform(bch.SchemeNone)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	totalBits := float64(v.TotalPayloadBits())
+	parts := an.Partition(uniform(bch.SchemeNone))
 	const runs = 40
 	var flips float64
 	for run := 0; run < runs; run++ {
@@ -42,57 +80,8 @@ func TestBlockAccurateMatchesAnalyticRates(t *testing.T) {
 		}
 		flips += float64(n)
 	}
-	got := flips / runs / totalBits
-	want := 1e-3
+	got, want := flips/runs/float64(v.TotalPayloadBits()), sys.residualRate(bch.SchemeNone)
 	if got < want/2 || got > want*2 {
-		t.Fatalf("unprotected block-accurate flip rate %.2e, want ~%.0e", got, want)
-	}
-}
-
-func TestBlockAccurateProtectedNearlySilent(t *testing.T) {
-	// With BCH-6 on everything at RBER 1e-3, block failures are ~2e-6 per
-	// block: tens of runs over a small video should see at most a couple.
-	v, _, _, _ := buildVideo(t)
-	allBCH6 := core.ClassAssignment{
-		Bounds: []core.ClassBound{{MaxClass: 1 << 30, Scheme: bch.SchemeBCH6}},
-		Header: bch.SchemeBCH16,
-	}
-	an, err := core.AnalyzeContext(context.Background(), v, core.DefaultOptions(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts := an.Partition(allBCH6)
-	sys, err := New(Config{Substrate: mlc.Default(), Assignment: allBCH6, BlockAccurate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	totalFlips := 0
-	for run := 0; run < 30; run++ {
-		_, n, err := sys.StoreContext(context.Background(), v, parts, StoreOpts{Rng: rand.New(rand.NewSource(int64(1000 + run)))})
-		if err != nil {
-			t.Fatal(err)
-		}
-		totalFlips += n
-	}
-	// Expected failed blocks: blocks × runs × P(fail) << 1.
-	blocks := float64(v.TotalPayloadBits()) / 512
-	expect := blocks * 30 * bch.UncorrectableBlockProb(6, 1e-3)
-	if float64(totalFlips) > math.Max(expect*50, 20) {
-		t.Fatalf("protected store flipped %d bits; expected ~%.3f failures", totalFlips, expect)
-	}
-}
-
-func TestBlockAccurateStillDecodes(t *testing.T) {
-	v, _, parts, _ := buildVideo(t)
-	sys, err := New(Config{Substrate: mlc.Default(), Assignment: core.PaperAssignment(), BlockAccurate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stored, _, err := sys.StoreContext(context.Background(), v, parts, StoreOpts{Rng: rand.New(rand.NewSource(2))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := codec.DecodeContext(context.Background(), stored, codec.DecodeOptions{}, 1); err != nil {
-		t.Fatal(err)
+		t.Fatalf("unprotected store flip rate %.2e, want ~%.0e", got, want)
 	}
 }

@@ -9,8 +9,6 @@ import (
 	"testing"
 
 	"videoapp/internal/codec"
-	"videoapp/internal/core"
-	"videoapp/internal/mlc"
 )
 
 // TestStoreContextDeterministicAcrossWorkers is the core reproducibility
@@ -19,50 +17,42 @@ import (
 func TestStoreContextDeterministicAcrossWorkers(t *testing.T) {
 	v, _, parts, _ := buildVideo(t)
 	ctx := context.Background()
-	for _, cfg := range []Config{
-		{Substrate: mlc.Default(), Assignment: core.PaperAssignment()},
-		{Substrate: mlc.Default(), Assignment: core.PaperAssignment(), BlockAccurate: true},
-	} {
-		s, err := New(cfg)
+	s := variableSystem(t)
+	ref, refFlips, err := s.StoreContext(ctx, v, parts, StoreOpts{Seed: 42, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if refFlips <= 0 {
+		t.Fatalf("expected some residual flips, got %d", refFlips)
+	}
+	for _, workers := range []int{2, 8} {
+		got, flips, err := s.StoreContext(ctx, v, parts, StoreOpts{Seed: 42, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, refFlips, err := s.StoreContext(ctx, v, parts, StoreOpts{Seed: 42, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
+		if flips != refFlips {
+			t.Fatalf("workers=%d: %d flips, want %d", workers, flips, refFlips)
 		}
-		if refFlips <= 0 {
-			t.Fatalf("block-accurate=%v: expected some residual flips, got %d", cfg.BlockAccurate, refFlips)
-		}
-		for _, workers := range []int{2, 8} {
-			got, flips, err := s.StoreContext(ctx, v, parts, StoreOpts{Seed: 42, Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if flips != refFlips {
-				t.Fatalf("block-accurate=%v workers=%d: %d flips, want %d", cfg.BlockAccurate, workers, flips, refFlips)
-			}
-			for f := range ref.Frames {
-				if !bytes.Equal(ref.Frames[f].Payload, got.Frames[f].Payload) {
-					t.Fatalf("block-accurate=%v workers=%d: frame %d payload differs", cfg.BlockAccurate, workers, f)
-				}
-			}
-		}
-		// A different seed must give a different error pattern.
-		other, _, err := s.StoreContext(ctx, v, parts, StoreOpts{Seed: 43, Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		same := true
 		for f := range ref.Frames {
-			if !bytes.Equal(ref.Frames[f].Payload, other.Frames[f].Payload) {
-				same = false
-				break
+			if !bytes.Equal(ref.Frames[f].Payload, got.Frames[f].Payload) {
+				t.Fatalf("workers=%d: frame %d payload differs", workers, f)
 			}
 		}
-		if same {
-			t.Fatal("independent seeds produced identical error patterns")
+	}
+	// A different seed must give a different error pattern.
+	other, _, err := s.StoreContext(ctx, v, parts, StoreOpts{Seed: 43, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := true
+	for f := range ref.Frames {
+		if !bytes.Equal(ref.Frames[f].Payload, other.Frames[f].Payload) {
+			same = false
+			break
 		}
+	}
+	if same {
+		t.Fatal("independent seeds produced identical error patterns")
 	}
 }
 

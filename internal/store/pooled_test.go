@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"videoapp/internal/core"
-	"videoapp/internal/mlc"
 	"videoapp/internal/obs"
 )
 
@@ -47,31 +45,19 @@ func TestStoreContextPooledReuseBitIdentical(t *testing.T) {
 }
 
 // TestInjectFrameNoAlloc verifies the zero-allocation claim of the injection
-// hot path for both error models.
+// hot path.
 func TestInjectFrameNoAlloc(t *testing.T) {
 	v, _, parts, _ := buildVideo(t)
-	for _, tc := range []struct {
-		name          string
-		blockAccurate bool
-	}{{"nominal", false}, {"blockaccurate", true}} {
-		s, err := New(Config{
-			Substrate:     mlc.Default(),
-			Assignment:    core.PaperAssignment(),
-			BlockAccurate: tc.blockAccurate,
-		})
-		if err != nil {
-			t.Fatal(err)
+	s := variableSystem(t)
+	work := v.Clone()
+	rng := rand.New(rand.NewSource(1))
+	allocs := testing.AllocsPerRun(20, func() {
+		for f := range work.Frames {
+			rng.Seed(int64(f))
+			s.injectFrame(rng, work.Frames[f], parts[f], obs.Noop{})
 		}
-		work := v.Clone()
-		rng := rand.New(rand.NewSource(1))
-		allocs := testing.AllocsPerRun(20, func() {
-			for f := range work.Frames {
-				rng.Seed(int64(f))
-				s.injectFrame(rng, work.Frames[f], parts[f], obs.Noop{})
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("%s: injectFrame allocates %.1f per sweep, want 0", tc.name, allocs)
-		}
+	})
+	if allocs != 0 {
+		t.Errorf("injectFrame allocates %.1f per sweep, want 0", allocs)
 	}
 }

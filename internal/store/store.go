@@ -44,10 +44,6 @@ type Config struct {
 	Assignment core.ClassAssignment
 	// ScrubMonths overrides the scrubbing interval (0 = substrate default).
 	ScrubMonths float64
-	// BlockAccurate switches from the nominal per-scheme residual rates
-	// (Table 1) to explicit per-512-bit-block binomial error simulation
-	// with BCH correction capability accounting.
-	BlockAccurate bool
 }
 
 // System is a configured approximate storage system.
@@ -273,7 +269,7 @@ type StoreOpts struct {
 //
 // Cancellation is cooperative, checked at frame boundaries. The observer
 // attached to ctx (obs.With) receives the inject stage span, per-frame
-// progress and the per-scheme raw/residual flip counters. See StoreOpts for
+// progress and the per-scheme residual flip counters. See StoreOpts for
 // seeding and worker selection.
 func (s *System) StoreContext(ctx context.Context, v *codec.Video, parts []core.FramePartition, o StoreOpts) (*codec.Video, int, error) {
 	if len(parts) != len(v.Frames) {
@@ -334,27 +330,26 @@ func shareIfIntact(stored, src *codec.EncodedFrame, flips int) {
 // pooled source draws exactly the stream a fresh one would.
 var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 
-// injectFrame applies the configured error model to one frame's payload,
-// publishes per-scheme raw/residual counters to ob, and returns the number
-// of surviving flips. The whole path — segment iteration, error placement,
-// bit flipping — runs without allocating.
+// injectFrame flips each segment's payload bits at its scheme's residual
+// rate, publishes per-scheme residual counters to ob, and returns the number
+// of flips. The whole path — segment iteration, error placement, bit
+// flipping — runs without allocating.
 func (s *System) injectFrame(rng *rand.Rand, ef *codec.EncodedFrame, part core.FramePartition, ob obs.Observer) int {
 	flips := 0
 	part.VisitSegments(ef.PayloadBits(), func(seg core.Segment) {
-		var raw, kept int
-		if s.cfg.BlockAccurate {
-			raw, kept = s.injectBlockAccurate(rng, ef.Payload, seg)
-		} else {
-			kept = s.injectNominal(rng, ef.Payload, seg)
-			raw = kept
+		rate := s.residualRate(seg.Scheme)
+		if rate <= 0 {
+			return
 		}
-		if raw != 0 {
-			ob.Counter(obs.CtrRawFlips, seg.Scheme.Name, int64(raw))
+		n := 0
+		sim.VisitErrorPositions(rng, seg.Bits, rate, func(pos int64) {
+			bitio.FlipBit(ef.Payload, seg.Start+pos)
+			n++
+		})
+		if n != 0 {
+			ob.Counter(obs.CtrResidualFlips, seg.Scheme.Name, int64(n))
 		}
-		if kept != 0 {
-			ob.Counter(obs.CtrResidualFlips, seg.Scheme.Name, int64(kept))
-		}
-		flips += kept
+		flips += n
 	})
 	return flips
 }
@@ -368,59 +363,4 @@ func frameSeed(seed int64, f int) int64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return int64(z ^ (z >> 31))
-}
-
-func (s *System) injectNominal(rng *rand.Rand, payload []byte, seg core.Segment) int {
-	rate := s.residualRate(seg.Scheme)
-	if rate <= 0 {
-		return 0
-	}
-	n := 0
-	sim.VisitErrorPositions(rng, seg.Bits, rate, func(pos int64) {
-		bitio.FlipBit(payload, seg.Start+pos)
-		n++
-	})
-	return n
-}
-
-// injectBlockAccurate simulates raw substrate errors per BCH block: a block
-// with at most T errors is fully corrected; beyond T the raw errors that
-// landed in the payload portion of the block survive to the reader. It
-// returns the raw error count alongside the surviving flips.
-func (s *System) injectBlockAccurate(rng *rand.Rand, payload []byte, seg core.Segment) (raw, flips int) {
-	sc := seg.Scheme
-	if sc.NominalRate == 0 {
-		return 0, 0
-	}
-	// The correction decision needs the block's error count before any flip,
-	// so positions are gathered per block. The scratch array covers any
-	// remotely plausible per-block count (64 errors in a ~600-bit block at
-	// substrate rates); the slice stays on the stack because the collecting
-	// closure never escapes VisitErrorPositions.
-	var errbuf [64]int64
-	errs := errbuf[:0]
-	collect := func(pos int64) { errs = append(errs, pos) }
-	blockPayload := int64(bch.BlockDataBits)
-	blockTotal := blockPayload + int64(10*sc.T)
-	for off := int64(0); off < seg.Bits; off += blockPayload {
-		remaining := seg.Bits - off
-		dataBits := blockPayload
-		if remaining < dataBits {
-			dataBits = remaining
-		}
-		totalBits := dataBits + (blockTotal - blockPayload)
-		errs = errs[:0]
-		sim.VisitErrorPositions(rng, totalBits, s.rber, collect)
-		raw += len(errs)
-		if sc.T > 0 && len(errs) <= sc.T {
-			continue // corrected
-		}
-		for _, e := range errs {
-			if e < dataBits {
-				bitio.FlipBit(payload, seg.Start+off+e)
-				flips++
-			}
-		}
-	}
-	return raw, flips
 }

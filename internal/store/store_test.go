@@ -221,26 +221,6 @@ func TestQualityLossBounded(t *testing.T) {
 	}
 }
 
-func TestBlockAccurateMode(t *testing.T) {
-	v, _, parts, _ := buildVideo(t)
-	s, err := New(Config{Substrate: mlc.Default(), Assignment: core.PaperAssignment(), BlockAccurate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, flips, err := s.StoreContext(context.Background(), v, parts, StoreOpts{Rng: rand.New(rand.NewSource(4))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Block-accurate BCH-6+ segments almost never fail at 1e-3; class-None
-	// segments still flip freely.
-	if flips < 0 {
-		t.Fatal("impossible")
-	}
-	if _, err := codec.DecodeContext(context.Background(), v, codec.DecodeOptions{}, 1); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestLongerScrubIntervalRaisesRates(t *testing.T) {
 	short, _ := New(Config{Substrate: mlc.Default(), Assignment: core.PaperAssignment(), ScrubMonths: 3})
 	long, _ := New(Config{Substrate: mlc.Default(), Assignment: core.PaperAssignment(), ScrubMonths: 12})

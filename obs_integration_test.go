@@ -158,9 +158,6 @@ func TestMetricsReconcileWithResult(t *testing.T) {
 			if got := snap.CounterTotal("store_residual_flips"); got != int64(flipsA+flipsB) {
 				t.Fatalf("residual flips: counter %d, round trips returned %d", got, flipsA+flipsB)
 			}
-			if raw := snap.CounterTotal("store_raw_flips"); raw < snap.CounterTotal("store_residual_flips") {
-				t.Fatalf("raw flips %d below residual flips", raw)
-			}
 			// Encoded and decoded frame counts cover the whole sequence: one
 			// encode pass and two round-trip decodes, each under its span.
 			n := int64(len(seq.Frames))
