@@ -10,7 +10,8 @@ GO ?= go
 # bench/ (its own module, so `go test ./...` here does not reach it). Tests
 # run shuffled so inter-test ordering dependencies cannot hide. golden-check
 # names the bit-exactness gate explicitly (the race pass runs it too): the
-# absolute decode and archive-bytes manifests and the seed corpora of the
+# absolute decode, archive-bytes, reproduction and synthesis manifests and
+# the seed corpora of the
 # fuzz targets of every layer that handles payload bits (bitio, entropy,
 # core, store, codec) and of the sample kernels (quality, transform) — the
 # differential targets that hold the word-wide bit layer, the windowed
@@ -80,24 +81,31 @@ purego:
 # (transform), which hold the sample kernels to their scalar forms;
 # then the golden archive manifest (testdata/golden_archive.json: SHA-256 of
 # the VACS container bytes Pipeline.StreamToArchive writes, per entropy
-# coder, chunk granularity and worker count); last the golden reproduction
+# coder, chunk granularity and worker count); then the golden reproduction
 # manifest (cmd/experiments/testdata/golden_fast.json: SHA-256 of the text
-# and every CSV `experiments all` produces at FastConfig).
+# and every CSV `experiments all` produces at FastConfig); last the golden
+# synthesis manifest (internal/synth/testdata/golden_synth.json: SHA-256 of
+# the Y, Cb and Cr planes synth.Generate renders for all 14 presets at
+# 96x64x12, 320x176x30 and one 1280x720 frame), the input every other
+# manifest starts from.
 golden-check:
 	$(GO) test -count=1 -run 'TestGoldenDecode|^Fuzz' ./internal/codec
 	$(GO) test -count=1 -run '^Fuzz' ./internal/bitio ./internal/entropy ./internal/core ./internal/store ./internal/quality ./internal/transform
 	$(GO) test -count=1 -run TestGoldenArchive .
 	$(GO) test -count=1 -run TestGoldenFast ./cmd/experiments
+	$(GO) test -count=1 -run TestGenerateGolden ./internal/synth
 
-# golden regenerates the three manifests from the current code. This is the
-# one procedure for a DELIBERATE bitstream, reconstruction, container-format
-# or experiment change: run it, review the diff of golden_decode.json,
-# golden_archive.json and golden_fast.json, commit it with the change. A
-# refactor or an optimisation must leave all three files untouched.
+# golden regenerates the four manifests from the current code. This is the
+# one procedure for a DELIBERATE bitstream, reconstruction, container-format,
+# experiment or synthetic-content change: run it, review the diff of
+# golden_decode.json, golden_archive.json, golden_fast.json and
+# golden_synth.json, commit it with the change. A refactor or an
+# optimisation must leave all four files untouched.
 golden:
 	$(GO) test -count=1 -run TestGoldenDecode ./internal/codec -update
 	$(GO) test -count=1 -run TestGoldenArchive . -update
 	$(GO) test -count=1 -run TestGoldenFast ./cmd/experiments -update
+	$(GO) test -count=1 -run TestGenerateGolden ./internal/synth -update
 
 fmt:
 	gofmt -l -w .
@@ -110,7 +118,7 @@ fmt-check:
 # bench runs the measured hot-kernel benchmarks (SAD/motion search on the
 # frame and on a padded reference/intra decision, error injection, archive chunk read and append, clone/pooling,
 # chunk encode and decode, the fused transform kernels, PSNR, bit-range copy,
-# arithmetic coder and residual-block routines) plus the pipeline-level
+# arithmetic coder and residual-block routines, synthetic frame rendering) plus the pipeline-level
 # parallel benches, with allocation reporting. Compare two runs with
 # scripts/benchcmp.sh old.txt new.txt (CHANGES.md holds the committed
 # before/after of every optimization pass). These are the numbers a
@@ -127,6 +135,7 @@ bench:
 	$(GO) test -run='^$$' -bench='BenchmarkCopyBits' -benchmem ./internal/bitio
 	$(GO) test -run='^$$' -bench='BenchmarkArith|BenchmarkResidualBlock' -benchmem ./internal/entropy
 	$(GO) test -run='^$$' -bench='BenchmarkFlipIID' -benchmem ./internal/sim
+	$(GO) test -run='^$$' -bench='BenchmarkGenerateQCIFFrame' -benchmem ./internal/synth
 	$(GO) test -run='^$$' -bench='BenchmarkParallelStore|BenchmarkParallelPipeline' -benchmem .
 
 # serve-smoke is the end-to-end gate of the serving path: build the CLI,
@@ -149,7 +158,7 @@ chaos-smoke:
 # (internal/serve: parse vs replay) benchmarks exactly once — a regression
 # gate for the perf harness itself, cheap enough for check/CI.
 bench-smoke:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/predict ./internal/transform ./internal/quality ./internal/frame ./internal/store ./internal/codec ./internal/entropy ./internal/sim ./internal/bitio ./internal/core ./internal/serve
+	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/predict ./internal/transform ./internal/quality ./internal/frame ./internal/store ./internal/codec ./internal/entropy ./internal/sim ./internal/bitio ./internal/core ./internal/serve ./internal/synth
 	$(GO) test -run='^$$' -bench='BenchmarkParallel|BenchmarkPipeline|BenchmarkStream' -benchtime=1x .
 
 # bench-selftest vets and tests the performance ledger (bench/, the module

@@ -263,8 +263,8 @@ func (o options) validate(cmd string) error {
 	if o.in == "" && o.frames <= 0 {
 		return fmt.Errorf("-frames %d must be positive for synthetic input", o.frames)
 	}
-	if o.in == "" && (o.w <= 0 || o.h <= 0) {
-		return fmt.Errorf("-w %d -h %d must be positive for synthetic input", o.w, o.h)
+	if o.in == "" && (o.w <= 0 || o.h <= 0 || o.w%16 != 0 || o.h%16 != 0) {
+		return fmt.Errorf("-w %d -h %d must be positive multiples of 16 for synthetic input", o.w, o.h)
 	}
 	if o.entropy != "cabac" && o.entropy != "cavlc" {
 		return fmt.Errorf("-entropy %q is not a known coder (want cabac or cavlc)", o.entropy)

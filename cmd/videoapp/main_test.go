@@ -194,6 +194,18 @@ func TestCLIValidation(t *testing.T) {
 			stderr: "must be positive",
 		},
 		{
+			name:   "width not a multiple of 16",
+			args:   []string{"-w", "100", "-h", "64", "gen"},
+			exit:   2,
+			stderr: "multiples of 16",
+		},
+		{
+			name:   "height not a multiple of 16",
+			args:   []string{"-w", "96", "-h", "50", "-frames", "2", "store"},
+			exit:   2,
+			stderr: "multiples of 16",
+		},
+		{
 			name:   "chunk-gops below one",
 			args:   []string{"-chunk-gops", "0", "presets"},
 			exit:   2,

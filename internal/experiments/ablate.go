@@ -48,20 +48,24 @@ func AblateEncoderOptions(ctx context.Context, cfg Config) (*AblateResult, error
 		{"halfpel", func(p *codec.Params) { p.HalfPel = true }},
 		{"deblock", func(p *codec.Params) { p.Deblock = true }},
 	}
-	res := &AblateResult{}
-	presets := cfg.presets()
-	for _, v := range variants {
-		params := cfg.params()
+	// Each preset is rendered once and encoded under every variant; each
+	// row still sums its presets in suite order.
+	params := make([]codec.Params, len(variants))
+	rows := make([]AblateRow, len(variants))
+	lowBits := make([]int64, len(variants))
+	for vi, v := range variants {
+		params[vi] = cfg.params()
 		// B-frame GOPs must align.
-		if params.GOPSize%3 != 0 {
-			params.GOPSize = (params.GOPSize/3 + 1) * 3
+		if params[vi].GOPSize%3 != 0 {
+			params[vi].GOPSize = (params[vi].GOPSize/3 + 1) * 3
 		}
-		v.mut(&params)
-		row := AblateRow{Name: v.name}
-		var lowBits, totalBits int64
-		for _, pc := range presets {
-			seq := synth.Generate(pc)
-			video, err := codec.EncodeParallelContext(ctx, seq, params, workers)
+		v.mut(&params[vi])
+		rows[vi].Name = v.name
+	}
+	for _, pc := range cfg.presets() {
+		seq := synth.Generate(pc)
+		for vi, v := range variants {
+			video, err := codec.EncodeParallelContext(ctx, seq, params[vi], workers)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: ablate %s: %w", v.name, err)
 			}
@@ -69,23 +73,24 @@ func AblateEncoderOptions(ctx context.Context, cfg Config) (*AblateResult, error
 			if err != nil {
 				return nil, err
 			}
+			row := &rows[vi]
 			for _, m := range an.MBBitRanges() {
-				totalBits += m.BitLen
+				row.PayloadBits += m.BitLen
 				if core.Class(m.Importance) <= 2 {
-					lowBits += m.BitLen
+					lowBits[vi] += m.BitLen
 				}
 			}
 			if l2 := log2(an.MaxImportance()); l2 > row.MaxImportanceLog2 {
 				row.MaxImportanceLog2 = l2
 			}
 		}
-		row.PayloadBits = totalBits
-		if totalBits > 0 {
-			row.LowImportanceFrac = float64(lowBits) / float64(totalBits)
-		}
-		res.Rows = append(res.Rows, row)
 	}
-	return res, nil
+	for vi := range rows {
+		if rows[vi].PayloadBits > 0 {
+			rows[vi].LowImportanceFrac = float64(lowBits[vi]) / float64(rows[vi].PayloadBits)
+		}
+	}
+	return &AblateResult{Rows: rows}, nil
 }
 
 func log2(x float64) float64 {

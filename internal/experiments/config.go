@@ -135,6 +135,20 @@ func EncodeSuite(ctx context.Context, cfg Config) ([]*EncodedVideo, error) {
 	return out, nil
 }
 
+// reencodeSuite is EncodeSuite at cfg for the sequences suite already
+// holds, so another quality target costs no second rendering.
+func reencodeSuite(ctx context.Context, cfg Config, suite []*EncodedVideo) ([]*EncodedVideo, error) {
+	out := make([]*EncodedVideo, len(suite))
+	params := cfg.params()
+	for i, ev := range suite {
+		var err error
+		if out[i], err = encodeVideo(ctx, ev.Name, ev.Seq, params); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
 // encodeVideo encodes, decodes and analyzes one sequence.
 func encodeVideo(ctx context.Context, name string, seq *frame.Sequence, params codec.Params) (*EncodedVideo, error) {
 	v, err := codec.EncodeParallelContext(ctx, seq, params, workers)

@@ -55,7 +55,7 @@ func designAssignment(name string, variable core.ClassAssignment) core.ClassAssi
 // quality target and each design, the density (cells per encoded pixel) and
 // the resulting quality after one storage round trip. base is
 // EncodeSuite(ctx, cfg) and serves the CRF equal to cfg.CRF; every other
-// CRF's suite is encoded here, one at a time.
+// CRF's suite is encoded here, one at a time, from base's sequences.
 func Figure11(ctx context.Context, cfg Config, base []*EncodedVideo, crfs []int, variable core.ClassAssignment) (*Fig11Result, error) {
 	if len(crfs) == 0 {
 		crfs = []int{16, 20, 24}
@@ -68,7 +68,7 @@ func Figure11(ctx context.Context, cfg Config, base []*EncodedVideo, crfs []int,
 			c := cfg
 			c.CRF = crf
 			var err error
-			if suite, err = EncodeSuite(ctx, c); err != nil {
+			if suite, err = reencodeSuite(ctx, c, base); err != nil {
 				return nil, err
 			}
 		}

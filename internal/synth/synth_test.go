@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"bytes"
 	"testing"
 
 	"videoapp/internal/frame"
@@ -135,5 +136,52 @@ func BenchmarkGenerateQCIFFrame(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Generate(cfg)
+	}
+}
+
+// Frames are rendered concurrently and emitted in order; the samples must
+// not depend on how many renderers run, including more renderers than
+// frames. 24 frames give the scene-cut presets one cut.
+func TestGenerateWorkersAgree(t *testing.T) {
+	for _, p := range Presets {
+		cfg := p.ScaleTo(64, 48, 24)
+		want := generate(cfg, 1)
+		for _, workers := range []int{2, 4, cfg.Frames + 5} {
+			got := generate(cfg, workers)
+			if len(got.Frames) != len(want.Frames) {
+				t.Fatalf("%s workers=%d: %d frames, want %d", p.Name, workers, len(got.Frames), len(want.Frames))
+			}
+			for i, f := range got.Frames {
+				w := want.Frames[i]
+				if !bytes.Equal(f.Y, w.Y) || !bytes.Equal(f.Cb, w.Cb) || !bytes.Equal(f.Cr, w.Cr) {
+					t.Fatalf("%s workers=%d: frame %d differs from the one-worker rendering", p.Name, workers, i)
+				}
+			}
+		}
+	}
+}
+
+// A geometry the frame type cannot hold panics on the caller's goroutine,
+// where it can be recovered, not inside a renderer.
+func TestGenerateRejectsBadGeometry(t *testing.T) {
+	for _, wh := range [][2]int{{100, 64}, {64, 50}, {0, 48}} {
+		cfg := small("crew_like")
+		cfg.W, cfg.H = wh[0], wh[1]
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Generate(%dx%d) did not panic", cfg.W, cfg.H)
+				}
+			}()
+			Generate(cfg)
+		}()
+	}
+}
+
+func TestGenerateNoFrames(t *testing.T) {
+	cfg := small("crew_like")
+	cfg.Frames = 0
+	if seq := Generate(cfg); len(seq.Frames) != 0 || seq.Name != "crew_like" {
+		t.Fatalf("zero-frame config rendered %d frames named %q", len(seq.Frames), seq.Name)
 	}
 }

@@ -240,12 +240,20 @@ func PSNRContext(ctx context.Context, ref, dist *Sequence, workers int) (float64
 }
 
 // GenerateTestVideo renders one of the 14 synthetic suite sequences at the
-// given geometry. Unknown presets return an error wrapping ErrUnknownPreset;
-// see PresetNames.
+// given geometry: w and h positive multiples of 16, at least one frame. The
+// frames are rendered on GOMAXPROCS goroutines and are identical at any
+// GOMAXPROCS. Unknown presets return an error wrapping ErrUnknownPreset (see
+// PresetNames); a bad geometry returns an error as well.
 func GenerateTestVideo(preset string, w, h, frames int) (*Sequence, error) {
 	cfg, ok := synth.PresetByName(preset)
 	if !ok {
 		return nil, fmt.Errorf("%w %q", ErrUnknownPreset, preset)
+	}
+	if w <= 0 || h <= 0 || w%frame.MBSize != 0 || h%frame.MBSize != 0 {
+		return nil, fmt.Errorf("videoapp: test video dimensions %dx%d must be positive multiples of %d", w, h, frame.MBSize)
+	}
+	if frames <= 0 {
+		return nil, fmt.Errorf("videoapp: test video of %d frames (want at least 1)", frames)
 	}
 	return synth.Generate(cfg.ScaleTo(w, h, frames)), nil
 }

@@ -18,6 +18,18 @@ func TestGenerateTestVideo(t *testing.T) {
 	}
 }
 
+// A geometry the codec cannot hold, or no frames, is the caller's error,
+// not a panic inside the generator.
+func TestGenerateTestVideoRejectsBadGeometry(t *testing.T) {
+	for _, g := range []struct{ w, h, frames int }{
+		{100, 64, 2}, {64, 50, 2}, {0, 48, 2}, {-16, 48, 2}, {64, 48, 0}, {64, 48, -1},
+	} {
+		if seq, err := GenerateTestVideo("crew_like", g.w, g.h, g.frames); err == nil {
+			t.Errorf("GenerateTestVideo(%dx%d, %d frames) = %d frames, want an error", g.w, g.h, g.frames, len(seq.Frames))
+		}
+	}
+}
+
 func TestPresetNames(t *testing.T) {
 	names := PresetNames()
 	if len(names) != 14 {
