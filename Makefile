@@ -119,7 +119,7 @@ fmt-check:
 # frame and on a padded reference/intra decision, error injection, archive chunk read and append, clone/pooling,
 # chunk encode and decode, the fused transform kernels, PSNR, bit-range copy,
 # arithmetic coder and residual-block routines, synthetic frame rendering) plus the pipeline-level
-# parallel benches, with allocation reporting. Compare two runs with
+# parallel benches and the heap a processed video retains, with allocation reporting. Compare two runs with
 # scripts/benchcmp.sh old.txt new.txt (CHANGES.md holds the committed
 # before/after of every optimization pass). These are the numbers a
 # kernel change iterates on; whole-system claims — ingest, Monte-Carlo and
@@ -136,7 +136,7 @@ bench:
 	$(GO) test -run='^$$' -bench='BenchmarkArith|BenchmarkResidualBlock' -benchmem ./internal/entropy
 	$(GO) test -run='^$$' -bench='BenchmarkFlipIID' -benchmem ./internal/sim
 	$(GO) test -run='^$$' -bench='BenchmarkGenerateQCIFFrame' -benchmem ./internal/synth
-	$(GO) test -run='^$$' -bench='BenchmarkParallelStore|BenchmarkParallelPipeline' -benchmem .
+	$(GO) test -run='^$$' -bench='BenchmarkParallelStore|BenchmarkParallelPipeline|BenchmarkPipelineRetained' -benchmem .
 
 # serve-smoke is the end-to-end gate of the serving path: build the CLI,
 # archive a synthetic video, start `videoapp serve`, fetch the index, one

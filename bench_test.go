@@ -8,6 +8,7 @@ package videoapp
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -219,6 +220,42 @@ func BenchmarkPipeline(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkPipelineRetained measures the heap a processed video keeps alive:
+// what a ProcessContext Result of 320×176 × 30 frames holds — payload,
+// per-macroblock records and dependencies, importance maps, partitions —
+// per frame. Each reading is the live heap after a collection, with the
+// Result held, less the live heap before it.
+func BenchmarkPipelineRetained(b *testing.B) {
+	seq, err := GenerateTestVideo("crew_like", 320, 176, 30)
+	if err != nil {
+		b.Fatal(err)
+	}
+	params := DefaultParams()
+	params.GOPSize = 15
+	p := NewPipeline(WithParams(params), WithWorkers(1))
+	// Two collections: the first moves what sync.Pools hold to their
+	// victim caches, the second frees it.
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	var retained uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		before := liveHeap()
+		res, err := p.ProcessContext(context.Background(), seq)
+		if err != nil {
+			b.Fatal(err)
+		}
+		retained += liveHeap() - before
+		runtime.KeepAlive(res)
+	}
+	b.ReportMetric(float64(retained)/float64(b.N*len(seq.Frames)), "retained_B/frame")
 }
 
 // BenchmarkPipelineRoundTrip measures the §6.4 Monte-Carlo trip through the

@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"videoapp/internal/bitio"
 	"videoapp/internal/frame"
@@ -326,10 +328,37 @@ func TestMBRecordsCoverPayload(t *testing.T) {
 			if mb.BitLen < 0 {
 				t.Fatalf("frame %d MB %d: negative length", fi, i)
 			}
-			pos += mb.BitLen
+			pos += int64(mb.BitLen)
 		}
 		if pos != f.PayloadBits() {
 			t.Fatalf("frame %d: records cover %d bits, payload %d", fi, pos, f.PayloadBits())
+		}
+	}
+}
+
+// TestRecordLayout pins the layout of the per-macroblock records: scalar
+// fields only, so the garbage collector never scans a frame's records or
+// dependencies and a clone copies them with a plain memmove, in at most 24
+// and 12 bytes.
+func TestRecordLayout(t *testing.T) {
+	for _, c := range []struct {
+		typ  reflect.Type
+		size uintptr
+		max  uintptr
+	}{
+		{reflect.TypeOf(MBRecord{}), unsafe.Sizeof(MBRecord{}), 24},
+		{reflect.TypeOf(CompDep{}), unsafe.Sizeof(CompDep{}), 12},
+	} {
+		for i := 0; i < c.typ.NumField(); i++ {
+			switch f := c.typ.Field(i); f.Type.Kind() {
+			case reflect.Bool, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+				reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			default:
+				t.Errorf("%s.%s is a %s: the record must hold no pointer, slice, map or interface", c.typ.Name(), f.Name, f.Type.Kind())
+			}
+		}
+		if c.size > c.max {
+			t.Errorf("%s is %d bytes, budget %d", c.typ.Name(), c.size, c.max)
 		}
 	}
 }
@@ -339,20 +368,20 @@ func TestMBDependenciesRecorded(t *testing.T) {
 	v, _ := encodeDecode(t, seq, testParams())
 	interDeps, intraDeps := 0, 0
 	for _, f := range v.Frames {
-		for _, mb := range f.MBs {
-			for _, d := range mb.Deps {
+		for m, mb := range f.MBs {
+			for _, d := range f.MBDeps(m) {
 				if d.Pixels <= 0 || d.Pixels > 256 {
 					t.Fatalf("dep pixels %d out of range", d.Pixels)
 				}
-				if d.SrcFrame == f.CodedIdx {
+				if int(d.SrcFrame) == f.CodedIdx {
 					intraDeps++
 					// Same-frame references must respect scan order.
-					if d.SrcMB.Index(v.MBCols()) >= mb.MB.Index(v.MBCols()) {
+					if d.SrcMB >= mb.MB {
 						t.Fatal("intra dep must reference an earlier MB")
 					}
 				} else {
 					interDeps++
-					if d.SrcFrame > f.CodedIdx {
+					if int(d.SrcFrame) > f.CodedIdx {
 						t.Fatal("compensation dep must reference an earlier coded frame")
 					}
 				}

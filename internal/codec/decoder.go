@@ -2,6 +2,9 @@ package codec
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"slices"
 
 	"videoapp/internal/entropy"
 	"videoapp/internal/frame"
@@ -39,7 +42,7 @@ type frameDecoder struct {
 	// (obs.CtrFramesReplayed, obs.CtrResync); nil publishes nothing.
 	o obs.Observer
 	// record selects recording mode (Reanalyze): rebuild per-MB records
-	// while decoding.
+	// while decoding, into recs and deps.
 	record bool
 
 	// State of the frame being decoded.
@@ -49,7 +52,7 @@ type frameDecoder struct {
 	sr         entropy.SymbolReader
 	sliceTop   int
 	recs       []MBRecord
-	curRec     *MBRecord
+	deps       []CompDep
 	bitBase    int64
 	// A frame that shares its syntax (ShareSyntax) is either replaying —
 	// its macroblocks come from the record under replay, not from the
@@ -93,7 +96,9 @@ func (fd *frameDecoder) decode(idx int, out *frame.Frame) {
 		clear(out.Cr)
 	}
 	fd.refF, fd.refB = fd.refFrame(fd.ef.RefFwd), fd.refFrame(fd.ef.RefBwd)
-	fd.recs, fd.curRec = nil, nil
+	if fd.record {
+		fd.recs, fd.deps = make([]MBRecord, 0, len(fd.qps)), fd.deps[:0]
+	}
 	// Macroblocks a corrupt slice table never reaches must read as zero,
 	// exactly as in a freshly allocated map.
 	clear(fd.qps)
@@ -198,20 +203,23 @@ func (fd *frameDecoder) run() {
 				fd.reconstruct(mx, my, &fd.syn)
 				continue
 			}
-			if fd.record {
-				fd.recs = append(fd.recs, MBRecord{MB: frame.MB{X: mx, Y: my}, BitStart: fd.bitBase + fd.sr.BitPos()})
-				fd.curRec = &fd.recs[len(fd.recs)-1]
-				if m == topMB {
-					// The arithmetic decoder's prefetch belongs to the
-					// slice's first macroblock.
-					fd.curRec.BitStart = fd.bitBase
-				}
+			// The arithmetic decoder's prefetch belongs to the slice's first
+			// macroblock.
+			bitStart, depOff := fd.bitBase, len(fd.deps)
+			if m != topMB {
+				bitStart += fd.sr.BitPos()
 			}
 			fd.parseMB(mx, my, &fd.syn)
 			if fd.recording {
 				fd.parsed = appendMB(fd.parsed, &fd.syn)
 			}
 			fd.reconstruct(mx, my, &fd.syn)
+			if fd.record {
+				fd.recs = append(fd.recs, MBRecord{
+					MB: int32(m), BitStart: bitStart, QP: int8(fd.syn.qp), Intra: fd.syn.mbType == mbIntra,
+					DepOff: int32(depOff), DepN: uint16(len(fd.deps) - depOff),
+				})
+			}
 		}
 		if fd.record {
 			// Bit lengths from consecutive starts; the slice's last MB
@@ -225,7 +233,7 @@ func (fd *frameDecoder) run() {
 				if end < fd.recs[i].BitStart {
 					end = fd.recs[i].BitStart
 				}
-				fd.recs[i].BitLen = end - fd.recs[i].BitStart
+				fd.recs[i].BitLen = int32(end - fd.recs[i].BitStart)
 			}
 		}
 		// Whether the slice's reader ended desynced closes its record.
@@ -250,13 +258,18 @@ func (fd *frameDecoder) run() {
 
 // Reanalyze rebuilds the per-macroblock analysis records (bit ranges and
 // dependency footprints) of every frame by decoding the video, replacing
-// v.Frames[i].MBs in place. This is how VideoApp operates on videos it did
-// not encode itself — e.g. ones loaded with Unmarshal. Dependencies are
-// exact for clean streams; CABAC bit ranges are attribution estimates
+// v.Frames[i].MBs and Deps in place. This is how VideoApp operates on videos
+// it did not encode itself — e.g. ones loaded with Unmarshal. Dependencies
+// are exact for clean streams; CABAC bit ranges are attribution estimates
 // accurate to the arithmetic decoder's few-bit lookahead.
 func Reanalyze(v *Video) error {
 	if err := checkGeometry(v.W, v.H); err != nil {
 		return err
+	}
+	for i, ef := range v.Frames {
+		if ef.PayloadBits() > math.MaxInt32 {
+			return fmt.Errorf("codec: frame %d: %d payload bytes exceed a macroblock record's bit range", i, len(ef.Payload))
+		}
 	}
 	rec := make([]*frame.Frame, len(v.Frames))
 	fd := newFrameDecoder(v, rec, nil)
@@ -265,7 +278,7 @@ func Reanalyze(v *Video) error {
 		out := frame.Scratch(v.W, v.H)
 		fd.decode(i, out)
 		rec[i] = out
-		ef.MBs = fd.recs
+		ef.MBs, ef.Deps = fd.recs, slices.Clone(fd.deps)
 	}
 	// The reconstructions never leave Reanalyze; recycle their planes.
 	for _, r := range rec {
@@ -363,24 +376,20 @@ func (fd *frameDecoder) reconstruct(mx, my int, s *mbSyntax) {
 	case mbIntra:
 		hasAbove, hasLeft := my > fd.sliceTop, mx > 0
 		intraPredict(fd.rec, mx, my, s.mode, hasAbove, hasLeft)
-		if fd.record && fd.curRec != nil {
-			fd.curRec.Intra = true
+		if fd.record {
 			var buf [2]predict.WeightedRef
 			for _, wr := range predict.IntraFootprintAvail(buf[:0], mx, my, s.mode, hasAbove, hasLeft) {
-				fd.curRec.Deps = append(fd.curRec.Deps, CompDep{SrcFrame: fd.ef.CodedIdx, SrcMB: wr.MB, Pixels: wr.Pixels})
+				fd.deps = appendDep(fd.deps, fd.ef.CodedIdx, wr, fd.rec.MBCols(), 1)
 			}
 		}
 	default:
 		interPredict(fd.rec, fd.refF, fd.refB, mx, my, &s.motion, fd.video.Params.HalfPel)
-		if fd.record && fd.curRec != nil {
-			fd.curRec.Deps = appendMotionDeps(fd.curRec.Deps, fd.ef, fd.rec.W, fd.rec.H, mx, my, &s.motion, fd.video.Params.HalfPel)
+		if fd.record {
+			fd.deps = appendMotionDeps(fd.deps, fd.ef, fd.rec.W, fd.rec.H, mx, my, &s.motion, fd.video.Params.HalfPel)
 		}
 	}
 	fd.qps[my*fd.rec.MBCols()+mx] = s.qp
 	addResidual(fd.rec, mx, my, &s.res, s.qp)
-	if fd.record && fd.curRec != nil {
-		fd.curRec.QP = s.qp
-	}
 }
 
 func (fd *frameDecoder) readMVD() predict.MV {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"videoapp/internal/bitio"
@@ -182,12 +183,9 @@ type frameEncoder struct {
 	qps     []int
 	mvRep   []predict.MV
 	mvAvail []bool
-	// depSlab is the backing store of MBRecord.Deps: each macroblock's
-	// dependencies are appended to it and the record keeps a cap-limited
-	// window, so a frame's records cost one allocation instead of one per
-	// macroblock. A slab without room for one more macroblock is left to
-	// the records that point into it and a fresh one started.
-	depSlab []CompDep
+	// deps collects the frame's macroblock dependencies in scan order; the
+	// frame keeps an exact-size copy as its Deps.
+	deps []CompDep
 	// biBuf is scratch for bi-predicted candidates (a partition is at most
 	// one 16×16 macroblock), hoisted out of the search loops so candidate
 	// evaluation never allocates.
@@ -216,15 +214,10 @@ type paddedRef struct {
 }
 
 // encoderPool recycles the frameEncoders of finished encode/EncodeABR calls:
-// their macroblock maps, payload writer, record slab and padded planes are
-// reused — resized when a geometry needs more — by the next call, so the
-// padded references cost no allocation once a process has encoded.
+// their macroblock maps, payload writer, dependency scratch and padded
+// planes are reused — resized when a geometry needs more — by the next call,
+// so the padded references cost no allocation once a process has encoded.
 var encoderPool sync.Pool
-
-// maxDepsPerMB bounds the dependencies of one macroblock: sixteen 4×4
-// partitions, each bi-predicted from two references, each reference
-// rectangle straddling four macroblocks.
-const maxDepsPerMB = maxPartitions * 2 * 4
 
 // newFrameEncoder returns an encoder of w×h frames that resolves reference
 // indices in recRefs (coded order), from the pool when it holds one; the
@@ -270,6 +263,7 @@ func (fe *frameEncoder) encode(ef *EncodedFrame, orig *frame.Frame) *frame.Frame
 	w.Reset()
 	mbCols, mbRows := fe.orig.MBCols(), fe.orig.MBRows()
 	fe.ef.MBs = make([]MBRecord, 0, mbCols*mbRows)
+	fe.deps = fe.deps[:0]
 	nSlices := fe.params.slices()
 	if nSlices > mbRows {
 		nSlices = mbRows
@@ -286,10 +280,11 @@ func (fe *frameEncoder) encode(ef *EncodedFrame, orig *frame.Frame) *frame.Frame
 		for my := topRow; my < botRow; my++ {
 			for mx := 0; mx < mbCols; mx++ {
 				start := fe.sw.BitPos()
-				fe.ef.MBs = append(fe.ef.MBs, MBRecord{MB: frame.MB{X: mx, Y: my}, BitStart: start})
+				fe.ef.MBs = append(fe.ef.MBs, MBRecord{MB: int32(my*mbCols + mx), BitStart: start, DepOff: int32(len(fe.deps))})
 				rec := &fe.ef.MBs[len(fe.ef.MBs)-1]
 				fe.encodeMB(rec, mx, my)
-				rec.BitLen = fe.sw.BitPos() - start
+				rec.BitLen = int32(fe.sw.BitPos() - start)
+				rec.DepN = uint16(len(fe.deps) - int(rec.DepOff))
 			}
 		}
 		fe.sw.Flush()
@@ -297,12 +292,13 @@ func (fe *frameEncoder) encode(ef *EncodedFrame, orig *frame.Frame) *frame.Frame
 		// so every payload bit belongs to exactly one importance region.
 		if n := len(fe.ef.MBs); n > 0 {
 			last := &fe.ef.MBs[n-1]
-			last.BitLen = w.BitPos() - last.BitStart
+			last.BitLen = int32(w.BitPos() - last.BitStart)
 		}
 	}
-	// The writer's buffer is reused by the next frame; the frame keeps an
-	// exact-size copy.
+	// The writer's buffer and the dependency scratch are reused by the next
+	// frame; the frame keeps exact-size copies.
 	fe.ef.Payload = bytes.Clone(w.Bytes())
+	fe.ef.Deps = slices.Clone(fe.deps)
 	if fe.params.Deblock {
 		deblockFrame(fe.rec, fe.qps, mbCols)
 	}
@@ -377,19 +373,10 @@ func (fe *frameEncoder) encodeMB(rec *MBRecord, mx, my int) {
 		inter = fe.searchInter(mx, my, predMV, refF, refB)
 		intraLimit = inter.cost - intraPenalty
 	}
-	// Either coder appends the macroblock's dependencies to the slab; the
-	// record keeps them as a window that cannot grow into the next one's.
-	if cap(fe.depSlab)-len(fe.depSlab) < maxDepsPerMB {
-		fe.depSlab = make([]CompDep, 0, max(4*len(fe.qps), maxDepsPerMB))
-	}
-	mark := len(fe.depSlab)
 	if mode, _, ok := predict.BestIntraModeAvail(fe.orig, fe.rec, mx, my, my > fe.sliceTop, mx > 0, intraLimit); ok {
 		fe.codeIntraMB(rec, mx, my, mode, qp, mbIdx)
 	} else {
 		fe.codeInterMB(rec, mx, my, &inter, predMV, refF, refB, qp, mbIdx)
-	}
-	if n := len(fe.depSlab); n > mark {
-		rec.Deps = fe.depSlab[mark:n:n]
 	}
 }
 
@@ -496,7 +483,7 @@ func (fe *frameEncoder) searchInter(mx, my int, predMV predict.MV, refF, refB *f
 
 func (fe *frameEncoder) codeIntraMB(rec *MBRecord, mx, my int, mode predict.IntraMode, qp, mbIdx int) {
 	rec.Intra = true
-	rec.QP = qp
+	rec.QP = int8(qp)
 	if fe.ef.Type != FrameI {
 		fe.sw.PutUVal(entropy.ClassMBType, mbIntra)
 	}
@@ -506,7 +493,7 @@ func (fe *frameEncoder) codeIntraMB(rec *MBRecord, mx, my int, mode predict.Intr
 	// Intra reference footprint: spatial dependency on neighbor MBs.
 	var buf [2]predict.WeightedRef
 	for _, wr := range predict.IntraFootprintAvail(buf[:0], mx, my, mode, my > fe.sliceTop, mx > 0) {
-		fe.depSlab = append(fe.depSlab, CompDep{SrcFrame: fe.ef.CodedIdx, SrcMB: wr.MB, Pixels: wr.Pixels})
+		fe.deps = appendDep(fe.deps, fe.ef.CodedIdx, wr, fe.orig.MBCols(), 1)
 	}
 
 	intraPredict(fe.rec, mx, my, mode, my > fe.sliceTop, mx > 0)
@@ -521,7 +508,7 @@ func (fe *frameEncoder) codeInterMB(rec *MBRecord, mx, my int, cand *interCandid
 
 	// Build the prediction and the dependency footprints.
 	interPredict(fe.rec, refF, refB, mx, my, &cand.mbMotion, fe.params.HalfPel)
-	fe.depSlab = appendMotionDeps(fe.depSlab, fe.ef, fe.orig.W, fe.orig.H, mx, my, &cand.mbMotion, fe.params.HalfPel)
+	fe.deps = appendMotionDeps(fe.deps, fe.ef, fe.orig.W, fe.orig.H, mx, my, &cand.mbMotion, fe.params.HalfPel)
 
 	// Quantize the residual to test for skip (P frames, 16x16, no MV delta).
 	fe.quantizeResidual(mx, my, qp, false)
@@ -537,7 +524,7 @@ func (fe *frameEncoder) codeInterMB(rec *MBRecord, mx, my int, cand *interCandid
 		// is the macroblock.
 		skipQP := qpPrediction(fe.qps, mx, my, mbCols, fe.ef.BaseQP, fe.sliceTop)
 		fe.qps[mbIdx] = skipQP
-		rec.QP = skipQP
+		rec.QP = int8(skipQP)
 		fe.mvRep[mbIdx] = predMV
 		fe.mvAvail[mbIdx] = true
 		return
@@ -571,7 +558,7 @@ func (fe *frameEncoder) codeInterMB(rec *MBRecord, mx, my int, cand *interCandid
 		}
 	}
 	fe.codeDQP(mx, my, qp)
-	rec.QP = qp
+	rec.QP = int8(qp)
 
 	fe.codeResidual()
 	addResidual(fe.rec, mx, my, &fe.res, qp)

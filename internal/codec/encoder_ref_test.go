@@ -2,6 +2,7 @@ package codec
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"videoapp/internal/frame"
@@ -112,11 +113,12 @@ func TestQuantizeResidualMatchesReference(t *testing.T) {
 // TestEncodeAllocationBudget pins the allocation-free macroblock loop of the
 // encoder: encoding a 6-frame 320×176 chunk may allocate, beyond the
 // reconstruction (a Frame and its three planes, none when the pool has
-// them), at most fourteen objects per frame — the EncodedFrame, its records
-// and payload, slice tables and entropy coder, now and then a slab of
-// dependency records — plus a fixed handful per call. Before the rebuild it
-// was about 1 140 per frame, one footprint slice, histogram and Deps slice
-// per partition.
+// them), at most fourteen objects per frame — the EncodedFrame, its records,
+// dependencies and payload, slice tables and entropy coder — plus a fixed
+// handful per call. Before the rebuild it was about 1 140 per frame, one
+// footprint slice, histogram and Deps slice per partition. The same encode
+// may allocate at most 16 KiB per frame; records holding a Deps slice into
+// over-allocated slabs took about 34 KiB.
 func TestEncodeAllocationBudget(t *testing.T) {
 	for _, coder := range []EntropyKind{CABAC, CAVLC} {
 		seq, p := chunkInput(coder)
@@ -130,6 +132,28 @@ func TestEncodeAllocationBudget(t *testing.T) {
 		if budget := 16 + n*(4+14); allocs > budget {
 			t.Fatalf("%s: %.0f allocations per encode, budget %.0f (16 per call + %d frames × (4 for the reconstruction + 14))",
 				coder, allocs, budget, len(seq.Frames))
+		}
+		// Bytes: the least of a few encodes, the pool warm. The race
+		// detector makes sync.Pool drop a quarter of what it is handed — a
+		// reconstruction or the padded references each time — so the bound
+		// holds only without it.
+		if raceEnabled {
+			continue
+		}
+		least := ^uint64(0)
+		for i := 0; i < 4; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := encode(seq, p); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		perFrame := float64(least) / n
+		t.Logf("%s: %.0f bytes per frame", coder, perFrame)
+		if perFrame > 16<<10 {
+			t.Fatalf("%s: %.0f bytes allocated per frame, budget 16 KiB (payload, records and dependencies)", coder, perFrame)
 		}
 	}
 }

@@ -168,16 +168,20 @@ func hashRecords(v *Video) string {
 			h.Write(b[:])
 		}
 	}
+	// Macroblocks hash as (X, Y) addresses, whatever form the records keep
+	// them in.
+	mbCols := int32(v.MBCols())
 	for _, f := range v.Frames {
 		put(int64(len(f.MBs)))
-		for _, r := range f.MBs {
+		for m, r := range f.MBs {
 			intra := int64(0)
 			if r.Intra {
 				intra = 1
 			}
-			put(int64(r.MB.X), int64(r.MB.Y), r.BitStart, r.BitLen, intra, int64(r.QP), int64(len(r.Deps)))
-			for _, d := range r.Deps {
-				put(int64(d.SrcFrame), int64(d.SrcMB.X), int64(d.SrcMB.Y), int64(d.Pixels))
+			deps := f.MBDeps(m)
+			put(int64(r.MB%mbCols), int64(r.MB/mbCols), r.BitStart, int64(r.BitLen), intra, int64(r.QP), int64(len(deps)))
+			for _, d := range deps {
+				put(int64(d.SrcFrame), int64(d.SrcMB%mbCols), int64(d.SrcMB/mbCols), int64(d.Pixels))
 			}
 		}
 	}

@@ -98,14 +98,14 @@ func TestHalfPelReanalyzeRecoversDeps(t *testing.T) {
 		t.Fatal(err)
 	}
 	for fi, ef := range v.Frames {
-		for mi, want := range ef.MBs {
-			got := stripped.Frames[fi].MBs[mi]
-			if len(got.Deps) != len(want.Deps) {
-				t.Fatalf("frame %d MB %d: %d deps vs %d", fi, mi, len(got.Deps), len(want.Deps))
+		for mi := range ef.MBs {
+			got, want := stripped.Frames[fi].MBDeps(mi), ef.MBDeps(mi)
+			if len(got) != len(want) {
+				t.Fatalf("frame %d MB %d: %d deps vs %d", fi, mi, len(got), len(want))
 			}
-			for d := range want.Deps {
-				if got.Deps[d] != want.Deps[d] {
-					t.Fatalf("frame %d MB %d dep %d: %+v vs %+v", fi, mi, d, got.Deps[d], want.Deps[d])
+			for d := range want {
+				if got[d] != want[d] {
+					t.Fatalf("frame %d MB %d dep %d: %+v vs %+v", fi, mi, d, got[d], want[d])
 				}
 			}
 		}
@@ -141,12 +141,12 @@ func TestHalfPelAnalysisMonotone(t *testing.T) {
 	}
 	// Dependencies must stay in-range and pixel counts conserved per MB.
 	for _, f := range v.Frames {
-		for _, mb := range f.MBs {
-			for _, d := range mb.Deps {
+		for m := range f.MBs {
+			for _, d := range f.MBDeps(m) {
 				if d.Pixels <= 0 || d.Pixels > 256 {
 					t.Fatalf("dep pixels %d", d.Pixels)
 				}
-				if d.SrcMB.X < 0 || d.SrcMB.X >= v.MBCols() || d.SrcMB.Y < 0 || d.SrcMB.Y >= v.MBRows() {
+				if d.SrcMB < 0 || int(d.SrcMB) >= v.MBCols()*v.MBRows() {
 					t.Fatalf("dep MB out of range: %+v", d)
 				}
 			}

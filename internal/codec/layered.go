@@ -68,13 +68,13 @@ func encodeEnhFrame(orig, baseRec *frame.Frame, ef *EncodedFrame, p Params, delt
 	w := bitio.NewWriter()
 	sw := newSymbolWriter(p.Entropy, w)
 	mbCols, mbRows := orig.MBCols(), orig.MBRows()
-	var mbs []MBRecord
+	mbs := make([]MBRecord, 0, mbCols*mbRows)
 	for my := 0; my < mbRows; my++ {
 		for mx := 0; mx < mbCols; mx++ {
 			start := sw.BitPos()
 			mbQP := ef.BaseQP
 			if idx := my*mbCols + mx; idx < len(ef.MBs) {
-				mbQP = ef.MBs[idx].QP
+				mbQP = int(ef.MBs[idx].QP)
 			}
 			qp := transform.ClampQP(mbQP - delta)
 			mo := my*frame.MBSize*orig.W + mx*frame.MBSize
@@ -85,16 +85,16 @@ func encodeEnhFrame(orig, baseRec *frame.Frame, ef *EncodedFrame, p Params, delt
 				writeResidualBlock(sw, &lv, nnz)
 			}
 			mbs = append(mbs, MBRecord{
-				MB:       frame.MB{X: mx, Y: my},
+				MB:       int32(my*mbCols + mx),
 				BitStart: start,
-				BitLen:   sw.BitPos() - start,
-				QP:       qp,
+				BitLen:   int32(sw.BitPos() - start),
+				QP:       int8(qp),
 			})
 		}
 	}
 	sw.Flush()
 	if n := len(mbs); n > 0 {
-		mbs[n-1].BitLen = int64(w.Len())*8 - mbs[n-1].BitStart
+		mbs[n-1].BitLen = int32(int64(w.Len())*8 - mbs[n-1].BitStart)
 	}
 	return w.Bytes(), mbs
 }
@@ -134,7 +134,7 @@ func applyEnhFrame(baseRec *frame.Frame, payload []byte, ef *EncodedFrame, p Par
 			// base QP (Reanalyze restores the exact per-MB values).
 			mbQP := ef.BaseQP
 			if idx := my*mbCols + mx; idx < len(ef.MBs) {
-				mbQP = ef.MBs[idx].QP
+				mbQP = int(ef.MBs[idx].QP)
 			}
 			qp := transform.ClampQP(mbQP - delta)
 			for b := 0; b < lumaBlocks; b++ {

@@ -99,7 +99,7 @@ func TestEnhancementMBRecordsCoverPayload(t *testing.T) {
 			if mb.BitLen < 0 {
 				t.Fatal("negative length")
 			}
-			total += mb.BitLen
+			total += int64(mb.BitLen)
 		}
 		if total != int64(len(lv.Enh[i]))*8 {
 			t.Fatalf("frame %d: records cover %d of %d bits", i, total, len(lv.Enh[i])*8)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"videoapp/internal/frame"
@@ -34,18 +35,11 @@ func TestEncodeParallelBitExact(t *testing.T) {
 		if !bytes.Equal(a.Payload, b.Payload) {
 			t.Fatalf("frame %d payload differs", i)
 		}
-		if len(a.MBs) != len(b.MBs) {
-			t.Fatalf("frame %d MB records", i)
+		if !slices.Equal(a.MBs, b.MBs) {
+			t.Fatalf("frame %d MB records differ", i)
 		}
-		for m := range a.MBs {
-			if a.MBs[m].BitStart != b.MBs[m].BitStart || len(a.MBs[m].Deps) != len(b.MBs[m].Deps) {
-				t.Fatalf("frame %d MB %d records differ", i, m)
-			}
-			for d := range a.MBs[m].Deps {
-				if a.MBs[m].Deps[d] != b.MBs[m].Deps[d] {
-					t.Fatalf("frame %d MB %d dep %d differs", i, m, d)
-				}
-			}
+		if !slices.Equal(a.Deps, b.Deps) {
+			t.Fatalf("frame %d dependencies differ", i)
 		}
 	}
 	// Decodes identically too.

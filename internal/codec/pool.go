@@ -8,7 +8,9 @@ import "sync"
 //
 //   - Clone lays every copied frame out in one flat arena (one payload
 //     buffer, one frame array, one macroblock-record array, one int array)
-//     instead of four-plus allocations per frame.
+//     instead of four-plus allocations per frame. The records hold no
+//     pointer, so their copy is a plain memmove; the dependency arrays they
+//     index are shared with the original.
 //
 //   - ClonePooled draws that arena from a sync.Pool; Release returns it.
 //     A released video's buffers are reused by later clones, so steady-state
@@ -71,6 +73,9 @@ func (v *Video) cloneInto(a *cloneArena) *Video {
 		g.MBs = a.mbs[mOff : mOff+len(f.MBs) : mOff+len(f.MBs)]
 		copy(g.MBs, f.MBs)
 		mOff += len(f.MBs)
+		// The copy shares the dependencies: their one writer, ShiftIndices,
+		// runs on a freshly coded video before any copy of it is made.
+		g.Deps = f.Deps
 		g.SliceMBStart = a.ints[iOff : iOff+len(f.SliceMBStart) : iOff+len(f.SliceMBStart)]
 		copy(g.SliceMBStart, f.SliceMBStart)
 		iOff += len(f.SliceMBStart)

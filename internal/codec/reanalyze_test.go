@@ -4,10 +4,6 @@ import (
 	"testing"
 )
 
-func depKey(d CompDep) [4]int {
-	return [4]int{d.SrcFrame, d.SrcMB.X, d.SrcMB.Y, d.Pixels}
-}
-
 func TestReanalyzeRecoversDependencies(t *testing.T) {
 	// Decoding a clean stream must recover exactly the dependency records
 	// the encoder produced: same MVs, same modes, same footprints.
@@ -37,13 +33,13 @@ func TestReanalyzeRecoversDependencies(t *testing.T) {
 				if g.MB != want.MB || g.Intra != want.Intra || g.QP != want.QP {
 					t.Fatalf("%v frame %d MB %d: header mismatch (%+v vs %+v)", kind, fi, mi, g, want)
 				}
-				wd := map[[4]int]int{}
-				for _, d := range want.Deps {
-					wd[depKey(d)]++
+				wd := map[CompDep]int{}
+				for _, d := range ef.MBDeps(mi) {
+					wd[d]++
 				}
-				gd := map[[4]int]int{}
-				for _, d := range g.Deps {
-					gd[depKey(d)]++
+				gd := map[CompDep]int{}
+				for _, d := range stripped.Frames[fi].MBDeps(mi) {
+					gd[d]++
 				}
 				if len(wd) != len(gd) {
 					t.Fatalf("%v frame %d MB %d: dep sets differ (%d vs %d)", kind, fi, mi, len(gd), len(wd))
@@ -79,7 +75,7 @@ func TestReanalyzeBitRangesCoverPayload(t *testing.T) {
 			if mb.BitLen < 0 {
 				t.Fatalf("frame %d MB %d: negative length", fi, i)
 			}
-			total += mb.BitLen
+			total += int64(mb.BitLen)
 		}
 		if total != ef.PayloadBits() {
 			t.Fatalf("frame %d: ranges cover %d of %d bits", fi, total, ef.PayloadBits())
@@ -129,6 +125,29 @@ func TestReanalyzeIdempotent(t *testing.T) {
 	for i, mb := range v.Frames[1].MBs {
 		if mb.BitStart != first[i].BitStart || mb.BitLen != first[i].BitLen {
 			t.Fatal("reanalysis must be deterministic")
+		}
+	}
+}
+
+// TestReanalyzeAllocationBudget pins Reanalyze's record mode to a constant
+// number of allocations per frame: each frame's records and its dependency
+// array are allocated once, exact-size, the dependency scratch is reused
+// across frames, and a reconstruction (a Frame and its three planes) comes
+// from the pool when it holds one. Growing every macroblock's own
+// dependency slice cost about 380 allocations per frame of this chunk.
+func TestReanalyzeAllocationBudget(t *testing.T) {
+	for _, coder := range []EntropyKind{CABAC, CAVLC} {
+		v := decodeChunkVideo(t, coder)
+		allocs := testing.AllocsPerRun(10, func() {
+			if err := Reanalyze(v); err != nil {
+				t.Fatal(err)
+			}
+		})
+		n := float64(len(v.Frames))
+		t.Logf("%s: %.0f allocations per %d-frame Reanalyze", coder, allocs, len(v.Frames))
+		if budget := 16 + n*(4+3); allocs > budget {
+			t.Fatalf("%s: %.0f allocations per Reanalyze, budget %.0f (16 per call + %d frames × (4 for the reconstruction + 3))",
+				coder, allocs, budget, len(v.Frames))
 		}
 	}
 }

@@ -215,8 +215,15 @@ func appendDeps(deps []CompDep, refCoded, w, h, cx, cy, rw, rh int, mv predict.M
 	} else {
 		fp = predict.Footprint(buf[:0], w, h, cx, cy, rw, rh, mv)
 	}
+	mbCols := w / frame.MBSize
 	for _, wr := range fp {
-		deps = append(deps, CompDep{SrcFrame: refCoded, SrcMB: wr.MB, Pixels: wr.Pixels / share})
+		deps = appendDep(deps, refCoded, wr, mbCols, share)
 	}
 	return deps
+}
+
+// appendDep appends the dependency on wr in the frame at coded index
+// srcFrame, its pixel weight divided by share.
+func appendDep(deps []CompDep, srcFrame int, wr predict.WeightedRef, mbCols, share int) []CompDep {
+	return append(deps, CompDep{SrcFrame: int32(srcFrame), SrcMB: int32(wr.MB.Index(mbCols)), Pixels: uint16(wr.Pixels / share)})
 }

@@ -47,6 +47,7 @@ type refFrameDecoder struct {
 	// Recording mode (Reanalyze): rebuild per-MB records while decoding.
 	record  bool
 	recs    []MBRecord
+	deps    []CompDep
 	curRec  *MBRecord
 	bitBase int64
 }
@@ -115,7 +116,7 @@ func (fd *refFrameDecoder) run() {
 		sliceRecStart := len(fd.recs)
 		for m := topMB; m < endMB; m++ {
 			if fd.record {
-				fd.recs = append(fd.recs, MBRecord{MB: frame.MB{X: m % mbCols, Y: m / mbCols}})
+				fd.recs = append(fd.recs, MBRecord{MB: int32(m), DepOff: int32(len(fd.deps))})
 				fd.curRec = &fd.recs[len(fd.recs)-1]
 				fd.curRec.BitStart = fd.bitBase + fd.sr.BitPos()
 				if m == topMB {
@@ -125,6 +126,9 @@ func (fd *refFrameDecoder) run() {
 				}
 			}
 			fd.decodeMB(m%mbCols, m/mbCols)
+			if fd.record {
+				fd.curRec.DepN = uint16(len(fd.deps) - int(fd.curRec.DepOff))
+			}
 		}
 		if fd.record {
 			// Bit lengths from consecutive starts; the slice's last MB
@@ -138,7 +142,7 @@ func (fd *refFrameDecoder) run() {
 				if end < fd.recs[i].BitStart {
 					end = fd.recs[i].BitStart
 				}
-				fd.recs[i].BitLen = end - fd.recs[i].BitStart
+				fd.recs[i].BitLen = int32(end - fd.recs[i].BitStart)
 			}
 		}
 	}
@@ -154,7 +158,7 @@ func refReanalyze(v *Video) error {
 		fd := &refFrameDecoder{video: v, ef: ef, recRefs: rec, rec: frame.MustNew(v.W, v.H), record: true}
 		fd.run()
 		rec[i] = fd.rec
-		ef.MBs = fd.recs
+		ef.MBs, ef.Deps = fd.recs, fd.deps
 	}
 	return nil
 }
@@ -169,7 +173,7 @@ func (fd *refFrameDecoder) addDep(refCoded, cx, cy, w, h int, mv predict.MV, sha
 		fp = predict.FootprintHP(nil, fd.rec.W, fd.rec.H, cx, cy, w, h, mv)
 	}
 	for _, wr := range fp {
-		fd.curRec.Deps = append(fd.curRec.Deps, CompDep{SrcFrame: refCoded, SrcMB: wr.MB, Pixels: wr.Pixels / share})
+		fd.deps = append(fd.deps, CompDep{SrcFrame: int32(refCoded), SrcMB: int32(wr.MB.Index(fd.rec.MBCols())), Pixels: uint16(wr.Pixels / share)})
 	}
 }
 
@@ -197,7 +201,7 @@ func (fd *refFrameDecoder) decodeMB(mx, my int) {
 		fd.reconstructSkip(mx, my, refF, predMV)
 		fd.addDep(fd.ef.RefFwd, mx*frame.MBSize, my*frame.MBSize, 16, 16, predMV, 1)
 		if fd.record && fd.curRec != nil {
-			fd.curRec.QP = skipQP
+			fd.curRec.QP = int8(skipQP)
 		}
 		fd.mvRep[mbIdx] = predMV
 		fd.mvAvail[mbIdx] = true
@@ -211,9 +215,9 @@ func (fd *refFrameDecoder) decodeMB(mx, my int) {
 		fd.decodeResidualAndReconstruct(mx, my, pred[:], predCb[:], predCr[:], qp)
 		if fd.record && fd.curRec != nil {
 			fd.curRec.Intra = true
-			fd.curRec.QP = qp
+			fd.curRec.QP = int8(qp)
 			for _, wr := range predict.IntraFootprintAvail(nil, mx, my, mode, my > fd.sliceTop, mx > 0) {
-				fd.curRec.Deps = append(fd.curRec.Deps, CompDep{SrcFrame: fd.ef.CodedIdx, SrcMB: wr.MB, Pixels: wr.Pixels})
+				fd.deps = append(fd.deps, CompDep{SrcFrame: int32(fd.ef.CodedIdx), SrcMB: int32(wr.MB.Index(mbCols)), Pixels: uint16(wr.Pixels)})
 			}
 		}
 		fd.mvAvail[mbIdx] = false
@@ -280,7 +284,7 @@ func (fd *refFrameDecoder) decodeMB(mx, my int) {
 		}
 		fd.decodeResidualAndReconstruct(mx, my, predY[:], predCb[:], predCr[:], qp)
 		if fd.record && fd.curRec != nil {
-			fd.curRec.QP = qp
+			fd.curRec.QP = int8(qp)
 		}
 		if dirs[0] == dirBwd {
 			fd.mvRep[mbIdx] = mvB[0]

@@ -138,30 +138,36 @@ func (p Params) slices() int {
 }
 
 // CompDep is one compensation dependency: the coded macroblock references
-// Pixels pixels of SrcMB in the frame at coded index SrcFrame. Weight on the
-// dependency edge is Pixels divided by the macroblock area contributed by
-// all deps of the destination MB.
+// Pixels pixels of the macroblock at raster index SrcMB in the frame at coded
+// index SrcFrame. Weight on the dependency edge is Pixels divided by the
+// macroblock area contributed by all deps of the destination MB.
 type CompDep struct {
-	SrcFrame int
-	SrcMB    frame.MB
-	Pixels   int
+	SrcFrame int32
+	SrcMB    int32
+	Pixels   uint16
 }
 
 // MBRecord is the per-macroblock metadata captured during encoding that the
-// VideoApp analysis consumes.
+// VideoApp analysis consumes. It holds no pointer: a frame's records are one
+// flat array the garbage collector never scans, and its dependencies a
+// window of the frame's Deps (EncodedFrame.MBDeps).
 type MBRecord struct {
-	MB frame.MB
 	// BitStart and BitLen delimit this macroblock's bits within the frame
 	// payload. With CABAC, symbol boundaries are attributed at the precision
 	// of the arithmetic coder's output (carry-delayed bits are charged to
 	// the symbol that flushes them).
-	BitStart, BitLen int64
+	BitStart int64
+	BitLen   int32
+	// DepOff and DepN locate this macroblock's compensation (and intra
+	// reference) dependencies in the frame's Deps.
+	DepOff int32
+	// MB is the macroblock's raster-scan index.
+	MB   int32
+	DepN uint16
+	// QP is the quantizer actually used (for diagnostics).
+	QP int8
 	// Intra reports whether the MB was spatially predicted.
 	Intra bool
-	// Deps lists compensation (and intra reference) dependencies.
-	Deps []CompDep
-	// QP is the quantizer actually used (for diagnostics).
-	QP int
 }
 
 // EncodedFrame is one coded frame: a small precisely-stored header plus an
@@ -181,6 +187,9 @@ type EncodedFrame struct {
 	Payload []byte
 	// MBs are the per-macroblock records in scan order.
 	MBs []MBRecord
+	// Deps holds every macroblock's dependencies, in scan order; a record
+	// names its window.
+	Deps []CompDep
 	// SliceMBStart lists the first macroblock index of each slice; its
 	// length is the slice count. A single-slice frame holds {0}.
 	SliceMBStart []int
@@ -194,6 +203,13 @@ type EncodedFrame struct {
 	// reader all produce frames with an empty slot that share nothing.
 	syntax SyntaxSlot
 	shared *SyntaxSlot
+}
+
+// MBDeps returns the dependencies of macroblock record m, a window of Deps.
+func (f *EncodedFrame) MBDeps(m int) []CompDep {
+	r := &f.MBs[m]
+	end := int(r.DepOff) + int(r.DepN)
+	return f.Deps[r.DepOff:end:end]
 }
 
 // PayloadBits returns the payload length in bits.
@@ -253,10 +269,8 @@ func (v *Video) ShiftIndices(base int) {
 		if f.RefBwd >= 0 {
 			f.RefBwd += base
 		}
-		for i := range f.MBs {
-			for d := range f.MBs[i].Deps {
-				f.MBs[i].Deps[d].SrcFrame += base
-			}
+		for d := range f.Deps {
+			f.Deps[d].SrcFrame += int32(base)
 		}
 	}
 }

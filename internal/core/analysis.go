@@ -74,18 +74,13 @@ func depSpans(v *codec.Video) [][2]int {
 	hi := make([]int, n) // highest in-range dep source of frame i
 	for i, ef := range v.Frames {
 		lo[i], hi[i] = n, -1
-		for _, mb := range ef.MBs {
-			for _, d := range mb.Deps {
-				if d.SrcFrame < 0 || d.SrcFrame >= n {
-					continue
-				}
-				if d.SrcFrame < lo[i] {
-					lo[i] = d.SrcFrame
-				}
-				if d.SrcFrame > hi[i] {
-					hi[i] = d.SrcFrame
-				}
+		for _, d := range ef.Deps {
+			src := int(d.SrcFrame)
+			if src < 0 || src >= n {
+				continue
 			}
+			lo[i] = min(lo[i], src)
+			hi[i] = max(hi[i], src)
 		}
 	}
 	sufMin := make([]int, n+1)
@@ -130,7 +125,6 @@ func AnalyzeContext(ctx context.Context, v *codec.Video, opts Options, workers i
 	// spatial references). Sweeping frames and MBs in reverse order
 	// therefore visits every destination after all of its children, so its
 	// importance is final when we push contributions to its sources.
-	mbCols := v.MBCols()
 	spans := depSpans(v)
 	err := par.ForEachLabeled(ctx, len(spans), workers, obs.StageAnalyze, "span", func(si int) error {
 		sp := spans[si]
@@ -140,24 +134,24 @@ func AnalyzeContext(ctx context.Context, v *codec.Video, opts Options, workers i
 			}
 			ef := v.Frames[f]
 			for m := len(ef.MBs) - 1; m >= 0; m-- {
-				mb := &ef.MBs[m]
+				deps := ef.MBDeps(m)
 				total := 0
-				for _, d := range mb.Deps {
-					total += d.Pixels
+				for _, d := range deps {
+					total += int(d.Pixels)
 				}
 				if total == 0 {
 					continue
 				}
-				for _, d := range mb.Deps {
+				for _, d := range deps {
 					w := float64(d.Pixels) / float64(total)
-					srcIdx := d.SrcMB.Index(mbCols)
-					if d.SrcFrame < 0 || d.SrcFrame >= nF {
+					src, srcIdx := int(d.SrcFrame), int(d.SrcMB)
+					if src < 0 || src >= nF {
 						continue
 					}
-					if srcIdx < 0 || srcIdx >= len(imp[d.SrcFrame]) {
+					if srcIdx < 0 || srcIdx >= len(imp[src]) {
 						continue
 					}
-					imp[d.SrcFrame][srcIdx] += w * imp[f][m]
+					imp[src][srcIdx] += w * imp[f][m]
 				}
 			}
 		}
@@ -244,7 +238,7 @@ func (a *Analysis) MBBitRanges() []MBBits {
 				Frame:      f,
 				MBIndex:    m,
 				BitStart:   mb.BitStart,
-				BitLen:     mb.BitLen,
+				BitLen:     int64(mb.BitLen),
 				Importance: a.Importance[f][m],
 			})
 		}

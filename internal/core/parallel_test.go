@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"videoapp/internal/codec"
-	"videoapp/internal/frame"
 )
 
 // TestAnalyzeContextBitIdentical verifies the headline guarantee of the
@@ -51,9 +50,11 @@ func TestDepSpansClosedGOPs(t *testing.T) {
 			t.Fatalf("spans %v, want %v", spans, want)
 		}
 	}
-	// A dependency crossing a GOP boundary must fuse the spans.
-	v.Frames[5].MBs[0].Deps = append(v.Frames[5].MBs[0].Deps,
-		codec.CompDep{SrcFrame: 3, SrcMB: frame.MB{X: 0, Y: 0}, Pixels: 16})
+	// A dependency crossing a GOP boundary must fuse the spans. The last
+	// macroblock's window ends the frame's dependency array.
+	f5 := v.Frames[5]
+	f5.Deps = append(f5.Deps, codec.CompDep{SrcFrame: 3, SrcMB: 0, Pixels: 16})
+	f5.MBs[len(f5.MBs)-1].DepN++
 	spans = depSpans(v)
 	if spans[0] != [2]int{0, 8} {
 		t.Fatalf("cross-GOP dep not honoured: %v", spans)

@@ -7,7 +7,6 @@ import (
 
 	"videoapp/internal/bch"
 	"videoapp/internal/codec"
-	"videoapp/internal/frame"
 )
 
 // syntheticVideo fabricates a Video with arbitrary (but structurally valid)
@@ -27,22 +26,24 @@ func syntheticVideo(rng *rand.Rand, nFrames, mbCols, mbRows int) *codec.Video {
 		var bit int64
 		for m := 0; m < mbCols*mbRows; m++ {
 			mb := codec.MBRecord{
-				MB:       frame.MBFromIndex(m, mbCols),
+				MB:       int32(m),
 				BitStart: bit,
-				BitLen:   int64(8 + rng.Intn(64)),
+				BitLen:   int32(8 + rng.Intn(64)),
+				DepOff:   int32(len(ef.Deps)),
 			}
-			bit += mb.BitLen
+			bit += int64(mb.BitLen)
 			// Random compensation deps on the previous frame; pixel counts
 			// sum to at most 256.
 			if f > 0 {
 				left := 256
 				for left > 0 && rng.Intn(3) > 0 {
 					px := 1 + rng.Intn(left)
-					mb.Deps = append(mb.Deps, codec.CompDep{
-						SrcFrame: f - 1,
-						SrcMB:    frame.MBFromIndex(rng.Intn(mbCols*mbRows), mbCols),
-						Pixels:   px,
+					ef.Deps = append(ef.Deps, codec.CompDep{
+						SrcFrame: int32(f - 1),
+						SrcMB:    int32(rng.Intn(mbCols * mbRows)),
+						Pixels:   uint16(px),
 					})
+					mb.DepN++
 					left -= px
 				}
 			}

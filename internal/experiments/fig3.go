@@ -70,7 +70,7 @@ func Figure3(ctx context.Context, cfg Config, suite []*EncodedVideo) (*Fig3Resul
 						continue
 					}
 					c := ev.Video.ClonePooled()
-					pos := mb.BitStart + rng.Int63n(mb.BitLen)
+					pos := mb.BitStart + rng.Int63n(int64(mb.BitLen))
 					bitio.FlipBit(c.Frames[fi].Payload, pos)
 					// Decode only the damaged frame against clean refs:
 					// isolates coding errors from compensation errors.

@@ -37,6 +37,8 @@ func PresetByName(name string) (Config, bool) {
 // ScaleTo returns a copy of cfg with dimensions and length reduced for fast
 // experimentation while preserving the motion character: sprite and pan
 // speeds are scaled with the resolution so relative motion stays the same.
+// Scene cuts are capped at one per 20 frames (frames/20, rounded down), so a
+// corpus shorter than 20 frames has no scene cut whatever the preset says.
 func (c Config) ScaleTo(w, h, frames int) Config {
 	s := c
 	scale := float64(w) / float64(c.W)

@@ -111,6 +111,20 @@ func TestScaleToPreservesRelativeMotion(t *testing.T) {
 	}
 }
 
+// TestScaleToSceneCuts pins ScaleTo's cap of one scene cut per 20 frames:
+// a preset with cuts keeps none below 20 frames and one at 20.
+func TestScaleToSceneCuts(t *testing.T) {
+	cfg, _ := PresetByName("animation_like")
+	if cfg.SceneCuts == 0 {
+		t.Fatal("animation_like has no scene cuts")
+	}
+	for _, c := range []struct{ frames, cuts int }{{19, 0}, {20, 1}} {
+		if got := cfg.ScaleTo(96, 64, c.frames).SceneCuts; got != c.cuts {
+			t.Errorf("%d frames: %d scene cuts, want %d", c.frames, got, c.cuts)
+		}
+	}
+}
+
 func TestSceneCutChangesContent(t *testing.T) {
 	cfg := small("animation_like")
 	cfg.SceneCuts = 1

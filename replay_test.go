@@ -202,8 +202,8 @@ func TestRoundTripReleasesStoredCopy(t *testing.T) {
 			got = min(got, after.TotalAlloc-before.TotalAlloc)
 		}
 		t.Logf("%s: a repeat trip allocated %d bytes (decoded planes %d, record arena %d)", name, got, planes, arena)
-		if got > planes+arena/2 {
-			t.Fatalf("%s: a repeat trip allocated %d bytes: more than its decoded planes (%d) plus half a record arena (%d) — the stored copy was not released", name, got, planes, arena)
+		if got > planes+arena {
+			t.Fatalf("%s: a repeat trip allocated %d bytes: more than its decoded planes (%d) plus a record arena (%d) — the stored copy was not released", name, got, planes, arena)
 		}
 	}
 }
