@@ -65,12 +65,14 @@ race:
 purego:
 	$(GO) test -tags purego -count=1 ./internal/predict ./internal/quality ./internal/transform ./internal/codec ./internal/y4m ./internal/offheap ./internal/serve
 
-# golden-check verifies the golden decode manifest
-# (internal/codec/testdata/golden_decode.json: SHA-256 of bitstreams, decoded
-# planes — clean, bit-flipped, truncated, layered — and Reanalyze records)
-# and replays the seed corpora of the codec fuzz targets, among them the
-# differential FuzzDecodeVsReference (production decoder vs the
-# sample-at-a-time reference decoder kept in reference_test.go); then the
+# golden-check runs the codec's decode differential over its golden corpus
+# (TestDecode*MatchesReference and TestReplayEqualsParseGolden: every
+# production decode route vs the sample-at-a-time reference decoder kept in
+# reference_test.go) and verifies the golden decode manifest
+# (TestGoldenDecode, internal/codec/testdata/golden_decode.json:
+# SHA-256 of bitstreams, decoded planes — clean, bit-flipped, truncated,
+# layered — and Reanalyze records), and replays the seed corpora of the
+# codec fuzz targets, among them the differential FuzzDecodeVsReference; then the
 # seed corpora of the fuzz targets below the codec — FuzzCopyBitsMatchesReference
 # and FuzzReadUEMatchesReference (bitio), FuzzArithDecoderMatchesReference,
 # FuzzArithEncoderMatchesReference and FuzzResidualBlockMatchesPerSymbol
@@ -89,7 +91,7 @@ purego:
 # 96x64x12, 320x176x30 and one 1280x720 frame), the input every other
 # manifest starts from.
 golden-check:
-	$(GO) test -count=1 -run 'TestGoldenDecode|^Fuzz' ./internal/codec
+	$(GO) test -count=1 -run 'TestGoldenDecode|TestDecode.*MatchesReference|TestReplayEqualsParseGolden|^Fuzz' ./internal/codec
 	$(GO) test -count=1 -run '^Fuzz' ./internal/bitio ./internal/entropy ./internal/core ./internal/store ./internal/quality ./internal/transform
 	$(GO) test -count=1 -run TestGoldenArchive .
 	$(GO) test -count=1 -run TestGoldenFast ./cmd/experiments

@@ -22,6 +22,8 @@ import (
 
 	"videoapp/internal/core"
 	"videoapp/internal/experiments"
+	"videoapp/internal/frame"
+	"videoapp/internal/synth"
 )
 
 // saveCSV writes the raw series behind one figure to csvDir/name.csv; an
@@ -55,7 +57,12 @@ func main() {
 	csv := flag.String("csv", "", "directory to write per-experiment CSV files")
 	flag.Parse()
 
-	cfg := configFor(*scale)
+	newConfig, ok := scales[*scale]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "experiments: -scale %q is not fast, default or paper\n", *scale)
+		os.Exit(2)
+	}
+	cfg := newConfig()
 	if *w > 0 {
 		cfg.W = *w
 	}
@@ -75,6 +82,10 @@ func main() {
 		cfg.Presets = strings.Split(*presets, ",")
 	}
 
+	if err := checkConfig(cfg); err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(2)
+	}
 	cmd := flag.Arg(0)
 	if cmd == "" {
 		cmd = "all"
@@ -88,15 +99,24 @@ func main() {
 	}
 }
 
-func configFor(scale string) experiments.Config {
-	switch scale {
-	case "fast":
-		return experiments.FastConfig()
-	case "paper":
-		return experiments.PaperConfig()
-	default:
-		return experiments.DefaultConfig()
+// scales are the configurations -scale selects.
+var scales = map[string]func() experiments.Config{
+	"fast": experiments.FastConfig, "default": experiments.DefaultConfig, "paper": experiments.PaperConfig,
+}
+
+// checkConfig rejects what the experiments cannot run: a frame size that is
+// not a positive multiple of the macroblock, and a preset name the
+// synthetic suite does not have (the suite would silently shrink without it).
+func checkConfig(cfg experiments.Config) error {
+	if cfg.W <= 0 || cfg.H <= 0 || cfg.W%frame.MBSize != 0 || cfg.H%frame.MBSize != 0 {
+		return fmt.Errorf("-w %d -h %d must be positive multiples of %d", cfg.W, cfg.H, frame.MBSize)
 	}
+	for _, name := range cfg.Presets {
+		if _, ok := synth.PresetByName(name); !ok {
+			return fmt.Errorf("-presets: unknown preset %q", name)
+		}
+	}
+	return nil
 }
 
 // session is one run of the command line. It holds what several commands

@@ -103,3 +103,22 @@ func TestRunRejectsUnknownCommand(t *testing.T) {
 		t.Fatal("unknown command accepted")
 	}
 }
+
+// TestCheckConfig: a frame size the codec cannot code and a preset name the
+// suite does not have are rejected before anything runs (the command exits
+// 2 on them); every scale's own configuration passes.
+func TestCheckConfig(t *testing.T) {
+	for name, newConfig := range scales {
+		if err := checkConfig(newConfig()); err != nil {
+			t.Errorf("-scale %s: %v", name, err)
+		}
+	}
+	unknown, unaligned := experiments.FastConfig(), experiments.FastConfig()
+	unknown.Presets = []string{"crew_lik"}
+	unaligned.W = 100
+	for name, cfg := range map[string]experiments.Config{"unknown preset": unknown, "unaligned width": unaligned} {
+		if err := checkConfig(cfg); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}

@@ -3,10 +3,8 @@ package codec
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"math/rand"
 	"slices"
-	"strings"
 	"testing"
 	"time"
 
@@ -15,17 +13,20 @@ import (
 	"videoapp/internal/predict"
 )
 
-// Differential tests: the production decoder against the sample-at-a-time
-// reference in reference_test.go. The golden manifest pins what a fixed set
-// of streams decodes to; these pin that the two decoders agree on anything —
-// in particular on the garbage only a damaged stream produces (fine
-// partitions, ±MaxMV vectors off every border, backward and bi-directional
-// partitions against missing references, saturating residuals).
+// The decode differential: the production decoder against the
+// sample-at-a-time reference in reference_test.go. The golden manifest pins
+// what a fixed set of streams decodes to; this pins that the two decoders
+// agree on anything — in particular on the garbage only a damaged stream
+// produces (fine partitions, ±MaxMV vectors off every border, backward and
+// bi-directional partitions against missing references, saturating
+// residuals). Over the golden corpus it is four tests, one production route
+// each, that share each stream's reference decode; the fuzz targets run every
+// route over what they mutate (checkDecodeRoutes).
 
 // decodeCoded runs the one decoder, DecodeContext, at the given worker
 // count with o attached (nil attaches none) and returns its pictures in
-// coded order — the order of the reference decoder, of DecodeSingle's
-// references and of the replay tests.
+// coded order — the order of DecodeSingle's references and of the replay
+// tests.
 func decodeCoded(v *Video, o obs.Observer, workers int) ([]*frame.Frame, error) {
 	seq, err := DecodeContext(obs.With(context.Background(), o), v, DecodeOptions{}, workers)
 	if err != nil {
@@ -38,16 +39,31 @@ func decodeCoded(v *Video, o obs.Observer, workers int) ([]*frame.Frame, error) 
 	return recs, nil
 }
 
-// refDecode is the reference decoder's display-order sequence.
-func refDecode(t *testing.T, v *Video) *frame.Sequence {
-	t.Helper()
+// refDecodeSeq is the reference decoder's display-order sequence: a slot
+// two coded frames claim holds the later one's picture, a slot none claims
+// is blank.
+func refDecodeSeq(v *Video) (*frame.Sequence, error) {
 	recs, err := refDecodeRecs(v)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	seq := &frame.Sequence{Frames: make([]*frame.Frame, len(v.Frames))}
+	seq := &frame.Sequence{FPS: v.FPS, Frames: make([]*frame.Frame, len(v.Frames))}
 	for i, ef := range v.Frames {
 		seq.Frames[ef.DisplayIdx] = recs[i]
+	}
+	for d, f := range seq.Frames {
+		if f == nil {
+			seq.Frames[d] = frame.MustNew(v.W, v.H)
+		}
+	}
+	return seq, nil
+}
+
+func refDecode(t *testing.T, v *Video) *frame.Sequence {
+	t.Helper()
+	seq, err := refDecodeSeq(v)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return seq
 }
@@ -69,7 +85,7 @@ func comparePlanes(t *testing.T, what string, got, want []*frame.Frame) {
 				}
 				for j := range p.g {
 					if p.g[j] != p.w[j] {
-						t.Fatalf("%s: coded frame %d plane %s differs first at (%d,%d): %d, reference %d",
+						t.Fatalf("%s: frame %d plane %s differs first at (%d,%d): %d, reference %d",
 							what, i, p.name, j%stride, j/stride, p.g[j], p.w[j])
 					}
 				}
@@ -78,24 +94,67 @@ func comparePlanes(t *testing.T, what string, got, want []*frame.Frame) {
 	}
 }
 
-// checkAgainstReference decodes v through both decoders (and both Reanalyze
-// forms when records is set) and requires identical results.
-func checkAgainstReference(t *testing.T, what string, v *Video, records bool) {
+// The production routes of the decode differential. Each requires its
+// route to leave want, the reference decoder's pictures of v, in display
+// order.
+
+// checkParse: DecodeContext at one worker.
+func checkParse(t *testing.T, what string, v *Video, want *frame.Sequence) {
 	t.Helper()
-	want, errW := refDecodeRecs(v)
-	for _, workers := range []int{1, 4} {
-		got, errG := decodeCoded(v, nil, workers)
-		if (errW == nil) != (errG == nil) {
-			t.Fatalf("%s workers=%d: error %v, reference %v", what, workers, errG, errW)
-		}
-		if errW != nil {
-			return
-		}
-		comparePlanes(t, fmt.Sprintf("%s workers=%d", what, workers), got, want)
+	seq, err := DecodeContext(context.Background(), v, DecodeOptions{}, 1)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
 	}
-	if !records {
-		return
+	comparePlanes(t, what+" DecodeContext", seq.Frames, want.Frames)
+}
+
+// checkDecodeInto: DecodeInto at four workers over a y4m stream's views of
+// a buffer full of garbage (0xa5, never a blank picture's sample), which
+// must write nothing outside its views.
+func checkDecodeInto(t *testing.T, what string, v *Video, want *frame.Sequence) {
+	t.Helper()
+	buf, views := decodeIntoStream(t, v, 4, 0xa5)
+	comparePlanes(t, what+" DecodeInto", views, want.Frames)
+	if !bytes.Equal(buf, writeY4M(t, want)) {
+		t.Fatalf("%s: DecodeInto wrote outside its frames' views", what)
 	}
+}
+
+// checkReplay: a decode of a clone whose frames share their own syntax
+// slots, which records at one worker, and its replay at four; the replay
+// counter must say which decode parsed and which replayed.
+func checkReplay(t *testing.T, what string, v *Video, want *frame.Sequence) {
+	t.Helper()
+	c := v.Clone()
+	shareWithSelf(c)
+	m := obs.NewMetrics()
+	for pass, workers := range []int{1, 4} {
+		got, err := DecodeContext(obs.With(context.Background(), m), c, DecodeOptions{}, workers)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		route := [...]string{"recording", "replay"}[pass]
+		comparePlanes(t, what+" "+route, got.Frames, want.Frames)
+		if n, wantN := replayed(m), pass*len(c.Frames); n != wantN {
+			t.Fatalf("%s %s: %d frames replayed, want %d", what, route, n, wantN)
+		}
+	}
+}
+
+// checkDecodeRoutes is the decode differential of one stream: the reference
+// decoder once, then every production route.
+func checkDecodeRoutes(t *testing.T, what string, v *Video) {
+	t.Helper()
+	want := refDecode(t, v)
+	checkParse(t, what, v, want)
+	checkDecodeInto(t, what, v, want)
+	checkReplay(t, what, v, want)
+}
+
+// checkReanalyze requires Reanalyze to rebuild from v the records the
+// reference decoder's recording mode does.
+func checkReanalyze(t *testing.T, what string, v *Video) {
+	t.Helper()
 	a, b := v.Clone(), v.Clone()
 	if err := refReanalyze(a); err != nil {
 		t.Fatal(err)
@@ -110,49 +169,40 @@ func checkAgainstReference(t *testing.T, what string, v *Video, records bool) {
 	}
 }
 
+// TestDecodeMatchesReference: DecodeContext, and Reanalyze where the
+// variant has records, over every golden stream but the random payloads.
 func TestDecodeMatchesReference(t *testing.T) {
-	for _, gc := range goldenCases(t) {
-		checkAgainstReference(t, gc.key+" clean", gc.clean, true)
-		checkAgainstReference(t, gc.key+" flips_lo", gc.flipsLo, true)
-		checkAgainstReference(t, gc.key+" flips_hi", gc.flipsHi, true)
-		checkAgainstReference(t, gc.key+" truncated", gc.truncated, false)
-	}
+	eachVariant(t, func(dv *decodeVariant) bool { return !dv.isGarbage() }, checkParseAndRecords)
 }
 
-// TestDecodeGarbageMatchesReference replaces every inter frame's payload
-// with random bytes: the decoder then interprets uniformly random macroblock
-// types, directions, vectors and levels, which reaches every partition shape
-// and every border case no encoder output does.
+// TestDecodeGarbageMatchesReference: the same over every inter frame's
+// payload replaced with random bytes, six seeds per crew_like design point.
 func TestDecodeGarbageMatchesReference(t *testing.T) {
-	for _, gc := range goldenCases(t) {
-		if !strings.HasPrefix(gc.key, "crew_like/") {
-			continue
-		}
-		for seed := int64(0); seed < 6; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			c := gc.clean.Clone()
-			for _, f := range c.Frames[1:] {
-				rng.Read(f.Payload)
-			}
-			checkAgainstReference(t, fmt.Sprintf("%s garbage seed %d", gc.key, seed), c, seed == 0)
-		}
+	eachVariant(t, (*decodeVariant).isGarbage, checkParseAndRecords)
+}
+
+func checkParseAndRecords(t *testing.T, what string, dv *decodeVariant) {
+	checkParse(t, what, dv.v, dv.reference(t))
+	if dv.records {
+		checkReanalyze(t, what, dv.v)
 	}
 }
 
-// fuzzDecodeCeiling bounds one decode of a fuzz input. A 96×64 six-frame
+// fuzzDecodeCeiling bounds the decodes of one fuzz input. A 96×64 six-frame
 // video decodes in about a millisecond; the ceiling only has to separate that
 // from a decode whose time grows with a corrupt field instead of with the
 // picture size.
 const fuzzDecodeCeiling = 5 * time.Second
 
 // FuzzDecodeVsReference mutates one frame of a golden design point —
-// payload bytes, slice table, header references — and requires the
-// production decoder to agree with the reference decoder plane for plane,
-// without panicking and within the time ceiling.
+// payload bytes, slice table, header references — and runs the decode
+// differential over it: every production route must agree with the
+// reference decoder plane for plane, without panicking and within the time
+// ceiling.
 func FuzzDecodeVsReference(f *testing.F) {
 	var bases []*Video
 	for _, gc := range goldenCases(f) {
-		if !strings.HasPrefix(gc.key, "crew_like/") {
+		if gc.preset != "crew_like" {
 			continue
 		}
 		sel := uint8(len(bases))
@@ -175,22 +225,11 @@ func FuzzDecodeVsReference(f *testing.F) {
 			fr.SliceByteStart = []int{0, byteStart}
 		}
 		fr.RefFwd, fr.RefBwd = refFwd, refBwd
-		want, err := refDecodeRecs(c)
-		if err != nil {
-			t.Fatal(err)
+		start := time.Now()
+		checkDecodeRoutes(t, "fuzzed stream", c)
+		if took := time.Since(start); took > fuzzDecodeCeiling {
+			t.Fatalf("decodes took %v, ceiling %v", took, fuzzDecodeCeiling)
 		}
-		for _, workers := range []int{1, 4} {
-			start := time.Now()
-			got, err := decodeCoded(c, nil, workers)
-			if took := time.Since(start); took > fuzzDecodeCeiling {
-				t.Fatalf("decode took %v, ceiling %v", took, fuzzDecodeCeiling)
-			}
-			if err != nil {
-				t.Fatalf("decode must tolerate arbitrary payloads, slice tables and references: %v", err)
-			}
-			comparePlanes(t, fmt.Sprintf("fuzzed stream workers=%d", workers), got, want)
-		}
-		checkReplayEqualsParse(t, "fuzzed stream", c)
 	})
 }
 

@@ -213,10 +213,10 @@ type paddedRef struct {
 	pad  predict.Padded
 }
 
-// encoderPool recycles the frameEncoders of finished encode/EncodeABR calls:
-// their macroblock maps, payload writer, dependency scratch and padded
-// planes are reused — resized when a geometry needs more — by the next call,
-// so the padded references cost no allocation once a process has encoded.
+// encoderPool recycles the frameEncoders of finished encodes: their
+// macroblock maps, payload writer, dependency scratch and padded planes are
+// reused — resized when a geometry needs more — by the next encode, so the
+// padded references cost no allocation once a process has encoded.
 var encoderPool sync.Pool
 
 // newFrameEncoder returns an encoder of w×h frames that resolves reference

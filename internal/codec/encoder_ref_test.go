@@ -9,6 +9,18 @@ import (
 	"videoapp/internal/transform"
 )
 
+// nonzeroLevels counts the nonzero levels of blk, the count
+// writeResidualBlock is given.
+func nonzeroLevels(blk *transform.Block) int {
+	n := 0
+	for _, v := range blk {
+		if v != 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // refQuantizeResidual is the encoder's residual path as it stood before
 // transform.ForwardQuantize: per block a closure gathers source minus
 // prediction into a Block, transform.Forward and transform.Quantize return

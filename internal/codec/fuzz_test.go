@@ -65,7 +65,7 @@ func FuzzDecodePayload(f *testing.F) {
 		c := v.Clone()
 		c.Frames[1].Payload = payload
 		decodeWithinCeilings(t, c, "arbitrary payloads")
-		checkReplayEqualsParse(t, "arbitrary payload", c)
+		checkDecodeRoutes(t, "arbitrary payload", c)
 	})
 }
 
@@ -96,6 +96,6 @@ func FuzzCorruptSliceTables(f *testing.F) {
 		c.Frames[1].SliceMBStart = []int{0, mbStart}
 		c.Frames[1].SliceByteStart = []int{0, byteStart}
 		decodeWithinCeilings(t, c, "corrupt slice tables")
-		checkReplayEqualsParse(t, "corrupt slice table", c)
+		checkDecodeRoutes(t, "corrupt slice table", c)
 	})
 }

@@ -6,22 +6,30 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"flag"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"videoapp/internal/frame"
-	"videoapp/internal/synth"
 )
 
-// Golden decode manifest: absolute SHA-256 pins of the encoder's bitstreams
-// and of every plane the decoder produces from them — clean, bit-flipped at
-// two densities, and truncated — plus the records Reanalyze rebuilds. The
-// relative determinism tests (serial vs parallel, batch vs streaming) cannot
-// see a kernel change that moves both sides together; this can. A deliberate
-// bitstream or reconstruction change regenerates the manifest with
+// The golden corpus and its decode manifest. The corpus is every design
+// point of the manifest — four presets, both coders, six tool sets — with
+// its damaged variants, encoded once per test binary and shared read-only by
+// every test that decodes it. The decode differential (differential_test.go)
+// runs over it; TestGoldenDecode pins absolute SHA-256 digests of the
+// encoder's bitstreams and of every plane the decoder produces — clean,
+// bit-flipped at two densities, and truncated — plus the records Reanalyze
+// rebuilds. The relative determinism tests (serial vs parallel, batch vs
+// streaming) cannot see a kernel change that moves both sides together;
+// this can. A deliberate bitstream or reconstruction change regenerates the
+// manifest with
 //
 //	go test ./internal/codec -run TestGoldenDecode -update   (make golden)
 //
@@ -62,9 +70,11 @@ type goldenManifest struct {
 	Cases  map[string]map[string]string `json:"cases"`
 }
 
-// goldenCase is one encoded design point with its damaged variants.
+// goldenCase is one encoded design point with its damaged variants. Cases
+// are shared between tests: a test clones what it changes.
 type goldenCase struct {
 	key     string
+	preset  string
 	source  *frame.Sequence
 	clean   *Video
 	flipsLo *Video
@@ -72,15 +82,8 @@ type goldenCase struct {
 	// truncated is flipsHi with the middle frame's payload cut in half, so
 	// the symbol reader is guaranteed to run dry and raise Desynced.
 	truncated *Video
-}
-
-func goldenSource(t testing.TB, preset string) *frame.Sequence {
-	t.Helper()
-	cfg, ok := synth.PresetByName(preset)
-	if !ok {
-		t.Fatalf("unknown preset %q", preset)
-	}
-	return synth.Generate(cfg.ScaleTo(goldenW, goldenH, goldenFrames))
+	// variants are the streams the decode differential runs (decodeVariants).
+	variants []*decodeVariant
 }
 
 // flipBits flips round(bits·density) (at least one) random bits of buf.
@@ -110,26 +113,60 @@ func flipPayloadBits(v *Video, seed int64, density float64) *Video {
 	return c
 }
 
-// goldenCases encodes every design point of the manifest. The damaged
-// variants also seed the differential fuzz corpus.
+// corpus is the golden corpus of this test binary, built by the first
+// goldenCases call; digest is corpusDigest of it as built.
+var corpus struct {
+	once   sync.Once
+	cases  []goldenCase
+	digest string
+	err    error
+}
+
+// goldenCases returns the shared corpus, encoding it on the first call, and
+// fails t at its end if t left any case changed.
 func goldenCases(t testing.TB) []goldenCase {
 	t.Helper()
+	corpus.once.Do(func() {
+		corpus.cases, corpus.err = encodeGoldenCases(t)
+		if corpus.err == nil {
+			corpus.digest, corpus.err = corpusDigest(corpus.cases)
+		}
+	})
+	if corpus.err != nil {
+		t.Fatal(corpus.err)
+	}
+	t.Cleanup(func() {
+		d, err := corpusDigest(corpus.cases)
+		if err == nil && d != corpus.digest {
+			err = errors.New("its bytes, headers or records differ")
+		}
+		if err != nil {
+			t.Errorf("the shared golden corpus was left changed: %v; clone a case before changing it", err)
+		}
+	})
+	return corpus.cases
+}
+
+// encodeGoldenCases encodes every design point of the manifest.
+func encodeGoldenCases(t testing.TB) ([]goldenCase, error) {
 	var out []goldenCase
 	for pi, preset := range goldenPresets {
-		seq := goldenSource(t, preset)
+		seq := testSeq(t, preset, goldenW, goldenH, goldenFrames)
 		for _, coder := range goldenCoders {
 			for ti, tool := range goldenTools {
 				p := DefaultParams()
 				p.GOPSize = goldenFrames
 				p.Entropy = coder
 				tool.set(&p)
+				key := preset + "/" + coder.String() + "/" + tool.name
 				v, err := encode(seq, p)
 				if err != nil {
-					t.Fatalf("%s/%s/%s: %v", preset, coder, tool.name, err)
+					return nil, fmt.Errorf("%s: %v", key, err)
 				}
 				seed := int64(1000*pi + 100*int(coder) + ti)
 				gc := goldenCase{
-					key:     preset + "/" + coder.String() + "/" + tool.name,
+					key:     key,
+					preset:  preset,
 					source:  seq,
 					clean:   v,
 					flipsLo: flipPayloadBits(v, seed+1, goldenFlipsLo),
@@ -138,11 +175,34 @@ func goldenCases(t testing.TB) []goldenCase {
 				gc.truncated = gc.flipsHi.Clone()
 				mid := gc.truncated.Frames[len(gc.truncated.Frames)/2]
 				mid.Payload = mid.Payload[:len(mid.Payload)/2]
+				gc.variants = decodeVariants(gc)
 				out = append(out, gc)
 			}
 		}
 	}
-	return out
+	return out, nil
+}
+
+// corpusDigest hashes every video of the corpus (every decode variant) —
+// its Marshal bytes (payloads and headers) and its records — and the source
+// planes, and fails if a frame has a syntax slot attached: a sharing claim
+// or a parse record would let a later decode replay instead of parse.
+func corpusDigest(cases []goldenCase) (string, error) {
+	h := sha256.New()
+	for _, gc := range cases {
+		h.Write([]byte(hashPlanes(gc.source.Frames)))
+		for _, dv := range gc.variants {
+			v := dv.v
+			h.Write(Marshal(v))
+			h.Write([]byte(hashRecords(v)))
+			for i, f := range v.Frames {
+				if f.shared != nil || f.syntax.rec.Load() != nil {
+					return "", fmt.Errorf("%s frame %d has a syntax slot attached", gc.key, i)
+				}
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 func hashPlanes(frames []*frame.Frame) string {
@@ -188,21 +248,132 @@ func hashRecords(v *Video) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func goldenDigests(t *testing.T, gc goldenCase) map[string]string {
-	t.Helper()
-	decode := func(v *Video) string {
-		seq, err := DecodeContext(context.Background(), v, DecodeOptions{}, 1)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", gc.key, err)
-		}
-		return hashPlanes(seq.Frames)
+// decodeVariant is one stream of a design point the decode differential
+// runs; records also holds Reanalyze to the reference's records. The
+// reference decoder's pictures of it are decoded by the first test that asks
+// for them and shared read-only by every route after it.
+type decodeVariant struct {
+	name    string
+	v       *Video
+	records bool
+	ref     struct {
+		once sync.Once
+		seq  *frame.Sequence
+		err  error
 	}
-	reanalyze := func(v *Video) string {
-		c := v.Clone()
-		if err := Reanalyze(c); err != nil {
-			t.Fatalf("%s: reanalyze: %v", gc.key, err)
+}
+
+// reference returns the reference decoder's display-order sequence of dv.
+func (dv *decodeVariant) reference(t *testing.T) *frame.Sequence {
+	t.Helper()
+	dv.ref.once.Do(func() { dv.ref.seq, dv.ref.err = refDecodeSeq(dv.v) })
+	if dv.ref.err != nil {
+		t.Fatalf("%s: reference decode: %v", dv.name, dv.ref.err)
+	}
+	return dv.ref.seq
+}
+
+// isGarbage reports whether dv is one of the random-payload streams.
+func (dv *decodeVariant) isGarbage() bool { return strings.HasPrefix(dv.name, "garbage_") }
+
+// decodeVariants are the streams of one design point: the corpus's clean,
+// bit-flipped and truncated ones; header tables no encoder writes — slices
+// out of raster order (the decoder must clear what it never reaches), a
+// frame moved onto another's display slot (the slot it left is unclaimed,
+// and a later frame still predicts from the one it covers); and, for
+// crew_like, every inter frame's payload replaced with random bytes, which
+// the decoder interprets as uniformly random macroblock types, directions,
+// vectors and levels, reaching every partition shape and every border case
+// no encoder output does.
+func decodeVariants(gc goldenCase) []*decodeVariant {
+	out := []*decodeVariant{
+		{name: "clean", v: gc.clean, records: true},
+		{name: "flips_lo", v: gc.flipsLo, records: true},
+		{name: "flips_hi", v: gc.flipsHi, records: true},
+		{name: "truncated", v: gc.truncated},
+	}
+	unraster := gc.flipsLo.Clone()
+	for _, f := range unraster.Frames[1:] {
+		n := unraster.MBCols() * unraster.MBRows()
+		f.SliceMBStart = []int{n / 3, n / 2, n / 4}
+		f.SliceByteStart = []int{0, len(f.Payload) / 3, len(f.Payload) / 2}
+	}
+	out = append(out, &decodeVariant{name: "slices_out_of_raster", v: unraster})
+	// Coded frame 1 (the first P or B) takes the display slot of coded frame
+	// 0, the I frame everything after predicts from.
+	moved := gc.clean.Clone()
+	moved.Frames[1].DisplayIdx = moved.Frames[0].DisplayIdx
+	out = append(out, &decodeVariant{name: "display_slot_claimed_twice", v: moved})
+	if gc.preset == "crew_like" {
+		for seed := int64(0); seed < 6; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			c := gc.clean.Clone()
+			for _, f := range c.Frames[1:] {
+				rng.Read(f.Payload)
+			}
+			out = append(out, &decodeVariant{name: fmt.Sprintf("garbage_seed_%d", seed), v: c, records: seed == 0})
 		}
-		return hashRecords(c)
+	}
+	return out
+}
+
+// eachVariant runs check on every decode variant that keep accepts, one
+// parallel subtest per design point. The tests that call it are the decode
+// differential, one production route each; they share each variant's
+// reference decode, so the reference decoder runs once per variant in the
+// test binary.
+func eachVariant(t *testing.T, keep func(*decodeVariant) bool, check func(t *testing.T, what string, dv *decodeVariant)) {
+	for _, gc := range goldenCases(t) {
+		var dvs []*decodeVariant
+		for _, dv := range gc.variants {
+			if keep(dv) {
+				dvs = append(dvs, dv)
+			}
+		}
+		if len(dvs) == 0 {
+			continue
+		}
+		t.Run(gc.key, func(t *testing.T) {
+			t.Parallel()
+			for _, dv := range dvs {
+				check(t, gc.key+" "+dv.name, dv)
+			}
+		})
+	}
+}
+
+// goldenPinned names the digests of the manifest: the decodes of the
+// corpus's own streams and the records Reanalyze rebuilds from two of them.
+var goldenPinned = map[string]bool{
+	"clean": true, "flips_lo": true, "flips_hi": true, "truncated": true,
+	"reanalyze_clean": true, "reanalyze_flips_lo": true,
+}
+
+// goldenDigests returns the manifest digests of gc: its bitstream and
+// records, what DecodeContext and Reanalyze make of its pinned variants, and
+// its layered refinement. That each of those agrees with the reference is
+// the decode differential's.
+func goldenDigests(t *testing.T, gc goldenCase) map[string]string {
+	sum := sha256.Sum256(Marshal(gc.clean))
+	digests := map[string]string{
+		"bitstream":       hex.EncodeToString(sum[:]),
+		"encoder_records": hashRecords(gc.clean),
+	}
+	for _, dv := range gc.variants {
+		if goldenPinned[dv.name] {
+			seq, err := DecodeContext(context.Background(), dv.v, DecodeOptions{}, 1)
+			if err != nil {
+				t.Fatalf("%s %s: %v", gc.key, dv.name, err)
+			}
+			digests[dv.name] = hashPlanes(seq.Frames)
+		}
+		if goldenPinned["reanalyze_"+dv.name] {
+			c := dv.v.Clone()
+			if err := Reanalyze(c); err != nil {
+				t.Fatalf("%s %s: %v", gc.key, dv.name, err)
+			}
+			digests["reanalyze_"+dv.name] = hashRecords(c)
+		}
 	}
 	// The SNR-scalable layer shares the residual reader and the
 	// reconstruction kernel: pin its refinement too, clean and with the
@@ -218,34 +389,36 @@ func goldenDigests(t *testing.T, gc goldenCase) map[string]string {
 		}
 		return hashPlanes(seq.Frames)
 	}
-	layeredClean := layered()
+	digests["layered"] = layered()
 	rng := rand.New(rand.NewSource(77))
 	for i := range lv.Enh {
 		lv.Enh[i] = append([]byte(nil), lv.Enh[i]...)
 		flipBits(rng, lv.Enh[i], goldenFlipsHi)
 	}
-	sum := sha256.Sum256(Marshal(gc.clean))
-	return map[string]string{
-		"bitstream":          hex.EncodeToString(sum[:]),
-		"encoder_records":    hashRecords(gc.clean),
-		"clean":              decode(gc.clean),
-		"flips_lo":           decode(gc.flipsLo),
-		"flips_hi":           decode(gc.flipsHi),
-		"truncated":          decode(gc.truncated),
-		"reanalyze_clean":    reanalyze(gc.clean),
-		"reanalyze_flips_lo": reanalyze(gc.flipsLo),
-		"layered":            layeredClean,
-		"layered_flips_hi":   layered(),
-	}
+	digests["layered_flips_hi"] = layered()
+	return digests
 }
 
+// TestGoldenDecode checks the golden corpus against its manifest,
+// testdata/golden_decode.json. The design points run in parallel; each
+// touches only its own case.
 func TestGoldenDecode(t *testing.T) {
 	got := goldenManifest{Source: map[string]string{}, Cases: map[string]map[string]string{}}
-	for _, preset := range goldenPresets {
-		got.Source[preset] = hashPlanes(goldenSource(t, preset).Frames)
-	}
-	for _, gc := range goldenCases(t) {
-		got.Cases[gc.key] = goldenDigests(t, gc)
+	var mu sync.Mutex
+	t.Run("digests", func(t *testing.T) {
+		for _, gc := range goldenCases(t) {
+			got.Source[gc.preset] = hashPlanes(gc.source.Frames)
+			t.Run(gc.key, func(t *testing.T) {
+				t.Parallel()
+				digests := goldenDigests(t, gc)
+				mu.Lock()
+				defer mu.Unlock()
+				got.Cases[gc.key] = digests
+			})
+		}
+	})
+	if t.Failed() {
+		return
 	}
 	if *updateGolden {
 		buf, err := json.MarshalIndent(got, "", "  ")
@@ -278,6 +451,9 @@ func TestGoldenDecode(t *testing.T) {
 		t.Errorf("manifest has %d cases, code produces %d", len(want.Cases), len(got.Cases))
 	}
 	for key, digests := range got.Cases {
+		if len(digests) != len(want.Cases[key]) {
+			t.Errorf("%s: manifest has %d digests, code produces %d", key, len(want.Cases[key]), len(digests))
+		}
 		for name, h := range digests {
 			if w := want.Cases[key][name]; w != h {
 				t.Errorf("%s %s: got %s, manifest %s", key, name, h, w)

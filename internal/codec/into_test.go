@@ -10,54 +10,10 @@ import (
 	"videoapp/internal/y4m"
 )
 
-// Tests of the decode route, DecodeInto and DecodeContext over it: laid out
-// as the views of a y4m stream, over a buffer holding anything, DecodeInto
-// must leave the bytes of the reference decoder's pictures in display order,
-// whatever the stream; DecodeContext followed by y4m.Write must too.
-
-// intoVariants are the streams of one encoded design point DecodeInto is held
-// to: the golden manifest's clean, bit-flipped and truncated ones, and header
-// tables no encoder writes — slices out of raster order (the decoder must
-// clear what it never reaches), a frame moved onto another's display slot
-// (the slot it left is unclaimed, and a later frame still predicts from the
-// one it covers).
-func intoVariants(gc goldenCase) map[string]*Video {
-	out := map[string]*Video{"clean": gc.clean, "flips_hi": gc.flipsHi, "truncated": gc.truncated}
-	unraster := gc.flipsLo.Clone()
-	for _, f := range unraster.Frames[1:] {
-		n := unraster.MBCols() * unraster.MBRows()
-		f.SliceMBStart = []int{n / 3, n / 2, n / 4}
-		f.SliceByteStart = []int{0, len(f.Payload) / 3, len(f.Payload) / 2}
-	}
-	out["slices_out_of_raster"] = unraster
-	// Coded frame 1 (the first P or B) takes the display slot of coded frame
-	// 0, the I frame everything after predicts from.
-	moved := gc.clean.Clone()
-	moved.Frames[1].DisplayIdx = moved.Frames[0].DisplayIdx
-	out["display_slot_claimed_twice"] = moved
-	return out
-}
-
-// wantStream is the reference: refDecodeRecs's pictures written as a y4m
-// stream in display order, a slot two coded frames claim holding the later
-// one's and a slot none claims blank.
-func wantStream(t *testing.T, v *Video) []byte {
-	t.Helper()
-	recs, err := refDecodeRecs(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := &frame.Sequence{FPS: v.FPS, Frames: make([]*frame.Frame, len(v.Frames))}
-	for i, ef := range v.Frames {
-		seq.Frames[ef.DisplayIdx] = recs[i]
-	}
-	for d, f := range seq.Frames {
-		if f == nil {
-			seq.Frames[d] = frame.MustNew(v.W, v.H)
-		}
-	}
-	return writeY4M(t, seq)
-}
+// Tests of DecodeInto: the decode differential's route (checkDecodeInto,
+// which holds it to the reference decoder over a buffer of garbage); a slot
+// no frame claims is blank, and output frames or display indices that do
+// not fit the video are errors before anything is decoded.
 
 func writeY4M(t *testing.T, seq *frame.Sequence) []byte {
 	t.Helper()
@@ -88,34 +44,23 @@ func decodeIntoStream(t *testing.T, v *Video, workers int, garbage byte) ([]byte
 	return buf, views
 }
 
-// TestDecodeIntoMatchesReference: over every design point of the golden
-// manifest and each of its variants, DecodeInto into a buffer full of garbage
-// (0xa5, never a blank picture's sample) at one, two and four workers, and
-// DecodeContext + y4m.Write, leave the reference decoder's stream.
+// TestDecodeIntoMatchesReference: DecodeInto over a garbage-filled buffer,
+// every golden stream.
 func TestDecodeIntoMatchesReference(t *testing.T) {
-	for _, gc := range goldenCases(t) {
-		for name, v := range intoVariants(gc) {
-			want := wantStream(t, v)
-			for _, workers := range []int{1, 2, 4} {
-				if got, _ := decodeIntoStream(t, v, workers, 0xa5); !bytes.Equal(got, want) {
-					t.Fatalf("%s %s, %d workers: DecodeInto differs from the reference decoder", gc.key, name, workers)
-				}
-			}
-			seq, err := DecodeContext(context.Background(), v, DecodeOptions{}, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(writeY4M(t, seq), want) {
-				t.Fatalf("%s %s: DecodeContext differs from the reference decoder", gc.key, name)
-			}
-		}
-	}
+	eachVariant(t, func(*decodeVariant) bool { return true }, func(t *testing.T, what string, dv *decodeVariant) {
+		checkDecodeInto(t, what, dv.v, dv.reference(t))
+	})
 }
 
 // TestDecodeIntoUnclaimedSlotIsZero: the display slot no frame claims comes
 // out as a blank picture, however dirty its buffer was.
 func TestDecodeIntoUnclaimedSlotIsZero(t *testing.T) {
-	v := intoVariants(goldenCases(t)[0])["display_slot_claimed_twice"]
+	var v *Video
+	for _, dv := range goldenCases(t)[0].variants {
+		if dv.name == "display_slot_claimed_twice" {
+			v = dv.v
+		}
+	}
 	claimed := make([]bool, len(v.Frames))
 	for _, f := range v.Frames {
 		claimed[f.DisplayIdx] = true

@@ -161,21 +161,12 @@ func TestFramePoolPoisoned(t *testing.T) {
 		}
 		return v, recs
 	}
-	for _, preset := range goldenPresets {
-		seq := goldenSource(t, preset)
-		for _, coder := range goldenCoders {
-			for _, tool := range goldenTools {
-				p := DefaultParams()
-				p.GOPSize = goldenFrames
-				p.Entropy = coder
-				tool.set(&p)
-				fresh, freshRecs := encodeAfter(seq, p, 0)
-				poisoned, poisonedRecs := encodeAfter(seq, p, 0xa5)
-				assertVideoEqual(t, fresh, poisoned)
-				if hashPlanes(freshRecs) != hashPlanes(poisonedRecs) {
-					t.Fatalf("%s/%s/%s: reconstructions depend on the pool's old samples", preset, coder, tool.name)
-				}
-			}
+	for _, gc := range goldenCases(t) {
+		fresh, freshRecs := encodeAfter(gc.source, gc.clean.Params, 0)
+		poisoned, poisonedRecs := encodeAfter(gc.source, gc.clean.Params, 0xa5)
+		assertVideoEqual(t, fresh, poisoned)
+		if hashPlanes(freshRecs) != hashPlanes(poisonedRecs) {
+			t.Fatalf("%s: reconstructions depend on the pool's old samples", gc.key)
 		}
 	}
 }

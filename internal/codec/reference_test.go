@@ -11,12 +11,15 @@ import (
 // The reference decoder: the sample-at-a-time macroblock decoder as it stood
 // before reconstruction was rebuilt around blocks and rows, moved here
 // verbatim (identifiers prefixed ref) together with the kernels it called —
-// per-sample clamped compensation, per-coefficient dequantization through
-// transform.Reconstruct, per-macroblock partition slices, the slice-building
-// qpPrediction, the per-sample deblocking thresholds. It exists only as the
-// oracle of the differential tests (FuzzDecodeVsReference,
-// TestDecodeMatchesReference): the production decoder must produce the same
-// planes and the same Reanalyze records from any input, damaged or not.
+// per-coefficient dequantization through transform.Reconstruct, the
+// slice-building qpPrediction, the per-sample chroma prediction and
+// deblocking thresholds. It calls the kernels other packages hold to their
+// own oracles directly: predict.Compensate*, predict.PartitionRects
+// (internal/predict's exhaustive sweeps) and the entropy backends' residual
+// block reader (internal/entropy's per-symbol differential). It exists only
+// as the oracle of the decode differential (checkDecodeRoutes): the
+// production decoder must produce the same planes and the same Reanalyze
+// records from any input, damaged or not.
 
 // refDecodeRecs is the pre-change decodeRecsOpts.
 func refDecodeRecs(v *Video) ([]*frame.Frame, error) {
@@ -60,19 +63,19 @@ func (fd *refFrameDecoder) mvDiv() int {
 	return 2
 }
 
-func (fd *refFrameDecoder) compensate(buf []uint8, ref *frame.Frame, cx, cy, w, h int, mv predict.MV) {
+func (fd *refFrameDecoder) compensate(dst []uint8, stride int, ref *frame.Frame, cx, cy, w, h int, mv predict.MV) {
 	if fd.video.Params.HalfPel {
-		refCompensateHP(buf, ref, cx, cy, w, h, mv)
+		predict.CompensateHP(dst, stride, ref, cx, cy, w, h, mv)
 	} else {
-		refCompensate(buf, ref, cx, cy, w, h, mv)
+		predict.Compensate(dst, stride, ref, cx, cy, w, h, mv)
 	}
 }
 
-func (fd *refFrameDecoder) compensateBi(buf []uint8, ref0, ref1 *frame.Frame, cx, cy, w, h int, mv0, mv1 predict.MV) {
+func (fd *refFrameDecoder) compensateBi(dst []uint8, stride int, ref0, ref1 *frame.Frame, cx, cy, w, h int, mv0, mv1 predict.MV) {
 	if fd.video.Params.HalfPel {
-		refCompensateBiHP(buf, ref0, ref1, cx, cy, w, h, mv0, mv1)
+		predict.CompensateBiHP(dst, stride, ref0, ref1, cx, cy, w, h, mv0, mv1)
 	} else {
-		refCompensateBi(buf, ref0, ref1, cx, cy, w, h, mv0, mv1)
+		predict.CompensateBi(dst, stride, ref0, ref1, cx, cy, w, h, mv0, mv1)
 	}
 }
 
@@ -223,7 +226,7 @@ func (fd *refFrameDecoder) decodeMB(mx, my int) {
 		fd.mvAvail[mbIdx] = false
 	default:
 		shape := mbTypeToShape(mbType)
-		rects := refPartitionRects(shape)
+		rects := predict.PartitionRects(shape)
 		dirs := make([]int, len(rects))
 		mvF := make([]predict.MV, len(rects))
 		mvB := make([]predict.MV, len(rects))
@@ -259,21 +262,18 @@ func (fd *refFrameDecoder) decodeMB(mx, my int) {
 		px, py := mx*frame.MBSize, my*frame.MBSize
 		var predY [256]uint8
 		for i, r := range rects {
-			buf := make([]uint8, r.W*r.H)
+			dst := predY[r.Y*16+r.X:]
 			switch dirs[i] {
 			case dirBwd:
-				fd.compensate(buf, refB, px+r.X, py+r.Y, r.W, r.H, mvB[i])
+				fd.compensate(dst, 16, refB, px+r.X, py+r.Y, r.W, r.H, mvB[i])
 				fd.addDep(fd.ef.RefBwd, px+r.X, py+r.Y, r.W, r.H, mvB[i], 1)
 			case dirBi:
-				fd.compensateBi(buf, refF, refB, px+r.X, py+r.Y, r.W, r.H, mvF[i], mvB[i])
+				fd.compensateBi(dst, 16, refF, refB, px+r.X, py+r.Y, r.W, r.H, mvF[i], mvB[i])
 				fd.addDep(fd.ef.RefFwd, px+r.X, py+r.Y, r.W, r.H, mvF[i], 2)
 				fd.addDep(fd.ef.RefBwd, px+r.X, py+r.Y, r.W, r.H, mvB[i], 2)
 			default:
-				fd.compensate(buf, refF, px+r.X, py+r.Y, r.W, r.H, mvF[i])
+				fd.compensate(dst, 16, refF, px+r.X, py+r.Y, r.W, r.H, mvF[i])
 				fd.addDep(fd.ef.RefFwd, px+r.X, py+r.Y, r.W, r.H, mvF[i], 1)
-			}
-			for y := 0; y < r.H; y++ {
-				copy(predY[(r.Y+y)*16+r.X:(r.Y+y)*16+r.X+r.W], buf[y*r.W:(y+1)*r.W])
 			}
 		}
 		var predCb, predCr [64]uint8
@@ -318,7 +318,7 @@ func (fd *refFrameDecoder) decodeQP(mx, my, mbIdx int) int {
 func (fd *refFrameDecoder) reconstructSkip(mx, my int, refF *frame.Frame, mv predict.MV) {
 	px, py := mx*frame.MBSize, my*frame.MBSize
 	var buf [256]uint8
-	fd.compensate(buf[:], refF, px, py, 16, 16, mv)
+	fd.compensate(buf[:], 16, refF, px, py, 16, 16, mv)
 	for y := 0; y < 16; y++ {
 		for x := 0; x < 16; x++ {
 			fd.rec.SetLuma(px+x, py+y, buf[y*16+x])
@@ -346,10 +346,10 @@ func (fd *refFrameDecoder) decodeResidualAndReconstruct(mx, my int, predY, predC
 	var chromaLevels [8]transform.Block
 	if hasResidual {
 		for b := 0; b < 16; b++ {
-			readResidualBlockRef(fd.sr, &levels[b])
+			readResidualBlock(fd.sr, &levels[b])
 		}
 		for b := 0; b < 8; b++ {
-			readResidualBlockRef(fd.sr, &chromaLevels[b])
+			readResidualBlock(fd.sr, &chromaLevels[b])
 		}
 	}
 	for by := 0; by < 4; by++ {
@@ -479,78 +479,4 @@ func refFilterEdge(rec *frame.Frame, x, y, dx, dy, qp int) {
 	delta := clamp(((q0-p0)*3+(p1-q1)+4)>>3, -beta, beta)
 	rec.SetLuma(x-dx, y-dy, frame.ClampU8(p0+delta))
 	rec.SetLuma(x, y, frame.ClampU8(q0-delta))
-}
-
-// refPartitionRects is the pre-change predict.PartitionRects: a fresh slice
-// per call, built by the original loops (fields keyed for vet).
-func refPartitionRects(s predict.PartitionShape) []predict.Rect {
-	tile := func(n, xStep, yStep, w, h int) []predict.Rect {
-		rects := make([]predict.Rect, 0, n)
-		for y := 0; y < 16; y += yStep {
-			for x := 0; x < 16; x += xStep {
-				rects = append(rects, predict.Rect{X: x, Y: y, W: w, H: h})
-			}
-		}
-		return rects
-	}
-	switch s {
-	case predict.Part16x8:
-		return []predict.Rect{{X: 0, Y: 0, W: 16, H: 8}, {X: 0, Y: 8, W: 16, H: 8}}
-	case predict.Part8x16:
-		return []predict.Rect{{X: 0, Y: 0, W: 8, H: 16}, {X: 8, Y: 0, W: 8, H: 16}}
-	case predict.Part8x8:
-		return []predict.Rect{{X: 0, Y: 0, W: 8, H: 8}, {X: 8, Y: 0, W: 8, H: 8}, {X: 0, Y: 8, W: 8, H: 8}, {X: 8, Y: 8, W: 8, H: 8}}
-	case predict.Part8x4:
-		return tile(8, 8, 4, 8, 4)
-	case predict.Part4x8:
-		return tile(8, 4, 8, 4, 8)
-	case predict.Part4x4:
-		return tile(16, 4, 4, 4, 4)
-	default:
-		return []predict.Rect{{X: 0, Y: 0, W: 16, H: 16}}
-	}
-}
-
-// refCompensate writes the motion-compensated luma prediction for the rectangle
-// at absolute position (cx, cy) of size w×h into dst (row-major w×h),
-// reading ref displaced by mv with edge clamping.
-func refCompensate(dst []uint8, ref *frame.Frame, cx, cy, w, h int, mv predict.MV) {
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			dst[y*w+x] = ref.LumaAt(cx+x+int(mv.X), cy+y+int(mv.Y))
-		}
-	}
-}
-
-// refCompensateBi writes the average of two motion-compensated predictions,
-// used by bi-predicted B-frame partitions.
-func refCompensateBi(dst []uint8, ref0, ref1 *frame.Frame, cx, cy, w, h int, mv0, mv1 predict.MV) {
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			a := int(ref0.LumaAt(cx+x+int(mv0.X), cy+y+int(mv0.Y)))
-			b := int(ref1.LumaAt(cx+x+int(mv1.X), cy+y+int(mv1.Y)))
-			dst[y*w+x] = uint8((a + b + 1) / 2)
-		}
-	}
-}
-
-// refCompensateHP writes the motion-compensated prediction for the rectangle at
-// (cx, cy) with the half-pel vector mv.
-func refCompensateHP(dst []uint8, ref *frame.Frame, cx, cy, w, h int, mv predict.MV) {
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			dst[y*w+x] = predict.SampleHP(ref, 2*(cx+x)+int(mv.X), 2*(cy+y)+int(mv.Y))
-		}
-	}
-}
-
-// refCompensateBiHP averages two half-pel compensations (bi-prediction).
-func refCompensateBiHP(dst []uint8, ref0, ref1 *frame.Frame, cx, cy, w, h int, mv0, mv1 predict.MV) {
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			a := int(predict.SampleHP(ref0, 2*(cx+x)+int(mv0.X), 2*(cy+y)+int(mv0.Y)))
-			b := int(predict.SampleHP(ref1, 2*(cx+x)+int(mv1.X), 2*(cy+y)+int(mv1.Y)))
-			dst[y*w+x] = uint8((a + b + 1) / 2)
-		}
-	}
 }

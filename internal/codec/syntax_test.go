@@ -11,9 +11,9 @@ import (
 	"videoapp/internal/obs"
 )
 
-// Tests of the parse record (syntax.go): replaying a record must be
-// indistinguishable from parsing, a record must never be believed for bytes
-// it was not made of, and nothing but ShareSyntax may connect two frames.
+// Tests of the parse record (syntax.go): a record must never be believed for
+// bytes it was not made of, and nothing but ShareSyntax may connect two
+// frames; and a replay is indistinguishable from a parse.
 
 // replayed counts codec_frames_replayed events.
 func replayed(m *obs.Metrics) int { return int(m.Snapshot().CounterTotal(obs.CtrFramesReplayed)) }
@@ -26,58 +26,12 @@ func shareWithSelf(v *Video) {
 	}
 }
 
-// checkReplayEqualsParse decodes v three ways — parsing (a Clone carries no
-// syntax), recording, and replaying the record — and requires the same
-// planes, with the replay counter saying which was which.
-func checkReplayEqualsParse(t *testing.T, what string, v *Video) {
-	t.Helper()
-	want, err := decodeCoded(v.Clone(), nil, 1)
-	if err != nil {
-		return
-	}
-	c := v.Clone()
-	shareWithSelf(c)
-	m := obs.NewMetrics()
-	rec, err := decodeCoded(c, m, 1)
-	if err != nil {
-		t.Fatalf("%s: %v", what, err)
-	}
-	comparePlanes(t, what+" (recording)", rec, want)
-	if n := replayed(m); n != 0 {
-		t.Fatalf("%s: %d frames replayed before any record existed", what, n)
-	}
-	rep, err := decodeCoded(c, m, 1)
-	if err != nil {
-		t.Fatalf("%s: %v", what, err)
-	}
-	comparePlanes(t, what+" (replay)", rep, want)
-	if n := replayed(m); n != len(c.Frames) {
-		t.Fatalf("%s: %d of %d frames replayed on the second decode", what, n, len(c.Frames))
-	}
-}
-
-// TestReplayEqualsParseGolden: every stream of the golden decode manifest —
-// clean, both flip densities, truncated; both coders; slices, B frames,
-// half-pel, deblocking — and uniformly random payloads. A record of garbage
-// must replay to the same garbage.
+// TestReplayEqualsParseGolden: every golden stream, recorded and then
+// replayed, decodes to the reference decoder's pictures.
 func TestReplayEqualsParseGolden(t *testing.T) {
-	for _, gc := range goldenCases(t) {
-		checkReplayEqualsParse(t, gc.key+" clean", gc.clean)
-		checkReplayEqualsParse(t, gc.key+" flips_lo", gc.flipsLo)
-		checkReplayEqualsParse(t, gc.key+" flips_hi", gc.flipsHi)
-		checkReplayEqualsParse(t, gc.key+" truncated", gc.truncated)
-		if !strings.HasPrefix(gc.key, "crew_like/") {
-			continue
-		}
-		for seed := int64(0); seed < 3; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			c := gc.clean.Clone()
-			for _, f := range c.Frames[1:] {
-				rng.Read(f.Payload)
-			}
-			checkReplayEqualsParse(t, fmt.Sprintf("%s garbage seed %d", gc.key, seed), c)
-		}
-	}
+	eachVariant(t, func(*decodeVariant) bool { return true }, func(t *testing.T, what string, dv *decodeVariant) {
+		checkReplay(t, what, dv.v, dv.reference(t))
+	})
 }
 
 // TestReplayPublishesResync: the per-slice desync events of a damaged stream

@@ -214,9 +214,11 @@ func TestFigure11DesignOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uni := res.Point("Uniform", 24)
-	vr := res.Point("Variable", 24)
-	id := res.Point("Ideal", 24)
+	points := map[string]*Fig11Point{} // one CRF: a point per design
+	for i := range res.Points {
+		points[res.Points[i].Design] = &res.Points[i]
+	}
+	uni, vr, id := points["Uniform"], points["Variable"], points["Ideal"]
 	if uni == nil || vr == nil || id == nil {
 		t.Fatal("missing points")
 	}

@@ -138,16 +138,6 @@ func (r *Fig11Result) computeHeadlines(baseCRF int) {
 	}
 }
 
-// Point returns the entry for a design at a CRF, or nil.
-func (r *Fig11Result) Point(design string, crf int) *Fig11Point {
-	for i := range r.Points {
-		if r.Points[i].Design == design && r.Points[i].CRF == crf {
-			return &r.Points[i]
-		}
-	}
-	return nil
-}
-
 // String renders the sweep.
 func (r *Fig11Result) String() string {
 	var rows [][]string

@@ -83,13 +83,9 @@ func CompensateBiHP(dst []uint8, stride int, ref0, ref1 *frame.Frame, cx, cy, w,
 	}
 }
 
-// SADHP computes the sum of absolute differences for a half-pel vector.
-func SADHP(cur, ref *frame.Frame, cx, cy, w, h int, mv MV) int {
-	return sadHPLimit(cur, ref, cx, cy, w, h, mv, maxSADLimit)
-}
-
-// sadHPLimit is SADHP with early termination at limit (checked per row),
-// under the same exactness contract as SADLimit. Vectors with both
+// sadHPLimit is the sum of absolute differences for a half-pel vector, with
+// early termination at limit (checked per row) under the same exactness
+// contract as SADLimit. Vectors with both
 // components at full-pel positions delegate to the word-wide integer kernel.
 func sadHPLimit(cur, ref *frame.Frame, cx, cy, w, h int, mv MV, limit int) int {
 	if fullPel(mv) {

@@ -89,7 +89,7 @@ func TestMotionSearchHPFindsHalfPelShift(t *testing.T) {
 		t.Fatalf("mv = %v, want (1,0) half-pel", mv)
 	}
 	intSAD := SAD(cur, ref, 16, 16, 16, 16, MV{})
-	hpSAD := SADHP(cur, ref, 16, 16, 16, 16, mv)
+	hpSAD := sadHPLimit(cur, ref, 16, 16, 16, 16, mv, maxSADLimit)
 	if hpSAD >= intSAD {
 		t.Fatalf("half-pel SAD %d not better than integer %d", hpSAD, intSAD)
 	}

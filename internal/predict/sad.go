@@ -152,14 +152,9 @@ func SADLimit(cur, ref *frame.Frame, cx, cy, w, h int, mv MV, limit int) int {
 	return sad
 }
 
-// SADAgainst computes the exact SAD between the orig rectangle at (cx, cy)
-// and a flat row-major prediction buffer.
-func SADAgainst(orig *frame.Frame, cx, cy, w, h int, pred []uint8) int {
-	return SADAgainstLimit(orig, cx, cy, w, h, pred, maxSADLimit)
-}
-
-// SADAgainstLimit is SADAgainst with early termination at limit, under the
-// same exactness contract as SADLimit.
+// SADAgainstLimit computes the SAD between the orig rectangle at (cx, cy)
+// and a flat row-major prediction buffer, with early termination at limit
+// under the same exactness contract as SADLimit.
 func SADAgainstLimit(orig *frame.Frame, cx, cy, w, h int, pred []uint8, limit int) int {
 	if interior(orig, cx, cy, w, h) {
 		return sadRows(orig.Y[cy*orig.W+cx:], orig.W, pred, w, w, h, limit)

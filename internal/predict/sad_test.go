@@ -155,8 +155,8 @@ func TestSADAgainstMatchesScalar(t *testing.T) {
 						want += d
 					}
 				}
-				if got := SADAgainst(orig, cx, cy, w, h, pred); got != want {
-					t.Fatalf("SADAgainst(%d,%d,%dx%d) = %d, want %d", cx, cy, w, h, got, want)
+				if got := SADAgainstLimit(orig, cx, cy, w, h, pred, maxSADLimit); got != want {
+					t.Fatalf("SADAgainstLimit(%d,%d,%dx%d) = %d, want %d", cx, cy, w, h, got, want)
 				}
 			}
 		}
