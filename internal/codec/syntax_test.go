@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -198,8 +199,10 @@ func TestShareSyntaxAcrossVideos(t *testing.T) {
 }
 
 // TestReplayKeyedOnParseConditions: the same bytes parse differently without
-// a reference (inter types collapse to intra), and recording mode needs bit positions no record holds. Each must agree with
-// its record-free result whatever record is lying around.
+// a reference, forward or backward (inter types and directions collapse),
+// under another base QP or frame type, and in recording mode, which needs bit
+// positions no record holds. Each must agree with its record-free result
+// whatever record is lying around.
 func TestReplayKeyedOnParseConditions(t *testing.T) {
 	var gc goldenCase
 	for _, c := range goldenCases(t) {
@@ -219,17 +222,45 @@ func TestReplayKeyedOnParseConditions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for idx := range plain.Frames {
-		for name, refs := range map[string][]*frame.Frame{
+	for idx, f := range plain.Frames {
+		refSets := map[string][]*frame.Frame{
 			"nil references":         make([]*frame.Frame, len(plain.Frames)),
 			"substituted references": other,
 			"own references":         cleanRecs,
-		} {
+		}
+		if f.RefBwd >= 0 {
+			noBwd := slices.Clone(cleanRecs)
+			noBwd[f.RefBwd] = nil
+			refSets["no backward reference"] = noBwd
+		}
+		for name, refs := range refSets {
 			want := DecodeSingle(plain.Clone(), idx, refs)
 			for pass := 0; pass < 2; pass++ { // the first may record under this key, the second replays it
 				got := DecodeSingle(shared, idx, refs)
 				comparePlanes(t, fmt.Sprintf("DecodeSingle frame %d, %s, pass %d", idx, name, pass), []*frame.Frame{got}, []*frame.Frame{want})
 			}
+		}
+	}
+
+	// The same bytes under another header, against the references the
+	// records were made with: a base QP or a frame type the record was not
+	// made under.
+	for name, change := range map[string]func(*EncodedFrame){
+		"base QP":    func(f *EncodedFrame) { f.BaseQP += 6 },
+		"frame type": func(f *EncodedFrame) { f.Type = (f.Type + 1) % 3 }, // I→P→B→I
+	} {
+		holder, _ := recorded(t, plain)
+		for idx := range plain.Frames {
+			fresh := plain.Clone()
+			change(fresh.Frames[idx])
+			want := DecodeSingle(fresh, idx, cleanRecs)
+			c := plain.Clone()
+			for i, f := range c.Frames {
+				f.ShareSyntax(holder.Frames[i].SyntaxSlot())
+			}
+			change(c.Frames[idx])
+			got := DecodeSingle(c, idx, cleanRecs)
+			comparePlanes(t, fmt.Sprintf("DecodeSingle frame %d, other %s", idx, name), []*frame.Frame{got}, []*frame.Frame{want})
 		}
 	}
 

@@ -61,18 +61,3 @@ func BenchmarkSADEdge(b *testing.B) {
 		b.Fatal("impossible")
 	}
 }
-
-// BenchmarkMotionSearch measures the full search loop the encoder runs per
-// partition: the kernel optimizations (word-wide SAD plus early termination
-// against the running minimum) show up here end to end.
-func BenchmarkMotionSearch(b *testing.B) {
-	cur, ref := benchFrames(128, 128)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for my := 1; my < 7; my++ {
-			for mx := 1; mx < 7; mx++ {
-				MotionSearch(cur, ref, mx*16, my*16, 16, 16, MV{}, 16)
-			}
-		}
-	}
-}

@@ -3,6 +3,7 @@ package predict
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"videoapp/internal/frame"
@@ -10,46 +11,21 @@ import (
 
 // Fast path ≡ border path. Compensation copies whole rows when the displaced
 // rectangle lies inside the reference plane and falls back to the clamped
-// per-sample accessor when it touches a border; the references below are the
-// sample-at-a-time kernels as they stood before the split. Every partition
-// shape is driven over every vector in ±MaxMV at the four corners, the four
-// edges and the interior of a small frame, so each rectangle crosses from
-// fully inside, over every border and corner, to fully outside.
+// per-sample accessor when it touches a border; the reference below is the
+// sample-at-a-time form all four kernels had before the split. Every
+// partition shape is driven at the four corners, the four edges and the
+// interior of a small frame over the vectors where that choice can change
+// (boundaryCases), so each rectangle crosses from fully inside, over every
+// border and corner, to fully outside: the sweeps named Exhaustive exhaust
+// these classes, not the vectors.
 
-func refCompensate(dst []uint8, ref *frame.Frame, cx, cy, w, h int, mv MV) {
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			dst[y*w+x] = ref.LumaAt(cx+x+int(mv.X), cy+y+int(mv.Y))
-		}
+// refSample is the sample a compensation predicts at (x, y) from ref
+// displaced by mv, a half-pel vector when hp is set.
+func refSample(ref *frame.Frame, x, y int, mv MV, hp bool) int {
+	if hp {
+		return int(SampleHP(ref, 2*x+int(mv.X), 2*y+int(mv.Y)))
 	}
-}
-
-func refCompensateBi(dst []uint8, ref0, ref1 *frame.Frame, cx, cy, w, h int, mv0, mv1 MV) {
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			a := int(ref0.LumaAt(cx+x+int(mv0.X), cy+y+int(mv0.Y)))
-			b := int(ref1.LumaAt(cx+x+int(mv1.X), cy+y+int(mv1.Y)))
-			dst[y*w+x] = uint8((a + b + 1) / 2)
-		}
-	}
-}
-
-func refCompensateHP(dst []uint8, ref *frame.Frame, cx, cy, w, h int, mv MV) {
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			dst[y*w+x] = SampleHP(ref, 2*(cx+x)+int(mv.X), 2*(cy+y)+int(mv.Y))
-		}
-	}
-}
-
-func refCompensateBiHP(dst []uint8, ref0, ref1 *frame.Frame, cx, cy, w, h int, mv0, mv1 MV) {
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			a := int(SampleHP(ref0, 2*(cx+x)+int(mv0.X), 2*(cy+y)+int(mv0.Y)))
-			b := int(SampleHP(ref1, 2*(cx+x)+int(mv1.X), 2*(cy+y)+int(mv1.Y)))
-			dst[y*w+x] = uint8((a + b + 1) / 2)
-		}
-	}
+	return int(ref.LumaAt(x+int(mv.X), y+int(mv.Y)))
 }
 
 func noiseFrame(w, h int, seed int64) *frame.Frame {
@@ -88,164 +64,149 @@ func rectOrigins(fw, fh, w, h int) [][2]int {
 	return out
 }
 
-// sparseMVs is a vector grid for the costlier kernels: every small
-// displacement, the neighbourhoods of the macroblock multiples where
-// rectangles start and stop touching a border, and the extremes.
-func sparseMVs() []int16 {
-	vals := []int16{-MaxMV, -MaxMV + 1, -49, -33, -32, -31, -17, -16, -15, 15, 16, 17, 31, 32, 33, 49, MaxMV - 1, MaxMV}
-	for v := int16(-9); v <= 9; v++ {
-		vals = append(vals, v)
+// crossings returns the displacements v, |v| <= lim, at which a run of n
+// samples starting at c, on an axis of size samples, starts or stops crossing
+// either end of the axis — each with its neighbours ±1 — together with 0,
+// ±1 and ±lim, and k seeded draws from the rest of the range. Between two
+// consecutive crossings every sample of the run stays on its side of the
+// ends, so a kernel that switches between an interior path and a clamped
+// one cannot change behaviour there.
+func crossings(c, n, size, lim int, rng *rand.Rand, k int) []int16 {
+	vs := []int{0, 1, -1, lim, -lim}
+	for _, start := range [4]int{-n, 0, size - n, size} {
+		vs = append(vs, start-c-1, start-c, start-c+1)
 	}
-	return vals
+	for i := 0; i < k; i++ {
+		vs = append(vs, rng.Intn(2*lim+1)-lim)
+	}
+	var out []int16
+	for _, v := range vs {
+		if v >= -lim && v <= lim {
+			out = append(out, int16(v))
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
-// stridedChecker runs a kernel into a 16-stride buffer at an offset and
-// compares the whole buffer with the expected rectangle laid into an equal
-// buffer: samples inside must match, everything outside must keep its
-// sentinel.
-type stridedChecker struct {
-	w, h      int
-	got, want []uint8
-}
-
-const checkStride, checkOff = 16, 16 + 3
-
-func newStridedChecker(w, h int) *stridedChecker {
-	c := &stridedChecker{w: w, h: h, got: make([]uint8, checkOff+16*checkStride), want: make([]uint8, checkOff+16*checkStride)}
-	for i := range c.got {
-		c.got[i], c.want[i] = 0xA5, 0xA5
+// boundaryCases calls fn for every partition size, every origin of
+// rectOrigins on a fw×fh frame, and every vector whose components are in
+// the crossings of their axis, with three seeded draws per axis. With hp
+// the vectors are half-pel ones and the crossings are those of the half-pel
+// sample positions.
+func boundaryCases(fw, fh int, hp bool, seed int64, fn func(w, h int, o [2]int, mv MV)) {
+	rng := rand.New(rand.NewSource(seed))
+	unit := 1
+	if hp {
+		unit = 2
 	}
-	return c
-}
-
-// check compares kernel's output with want (row-major w×h).
-func (c *stridedChecker) check(t *testing.T, what string, want []uint8, kernel func(dst []uint8, stride int)) {
-	t.Helper()
-	for y := 0; y < c.h; y++ {
-		copy(c.want[checkOff+y*checkStride:], want[y*c.w:(y+1)*c.w])
-	}
-	kernel(c.got[checkOff:], checkStride)
-	if !bytes.Equal(c.got, c.want) {
-		for i := range c.got {
-			if c.got[i] != c.want[i] {
-				t.Fatalf("%s: buffer index %d (sample (%d,%d) of the %dx%d rectangle) = %d, want %d",
-					what, i, (i-checkOff)%checkStride, (i-checkOff)/checkStride, c.w, c.h, c.got[i], c.want[i])
+	for _, sz := range rectSizes() {
+		w, h := sz[0], sz[1]
+		for _, o := range rectOrigins(fw, fh, w, h) {
+			xs := crossings(unit*o[0], unit*w, unit*fw, MaxMV, rng, 3)
+			ys := crossings(unit*o[1], unit*h, unit*fh, MaxMV, rng, 3)
+			for _, my := range ys {
+				for _, mx := range xs {
+					fn(w, h, o, MV{mx, my})
+				}
 			}
 		}
 	}
+}
+
+// compensator is one of the four compensation kernels: the w×h rectangle at
+// (cx, cy) predicted from refs[0] displaced by mvs[0] — averaged, for
+// bi-prediction, with refs[1] displaced by mvs[1] — into the strided dst.
+type compensator func(dst []uint8, stride int, refs [2]*frame.Frame, cx, cy, w, h int, mvs [2]MV)
+
+// checkCompensation runs kernel into a 16-stride buffer at an offset and
+// compares the whole buffer with the refSample prediction laid into an equal
+// buffer: samples inside the rectangle must match, everything outside must
+// keep its sentinel.
+func checkCompensation(t *testing.T, kernel compensator, hp, bi bool, refs [2]*frame.Frame, cx, cy, w, h int, mvs [2]MV) {
+	const stride, off = 16, 16 + 3
+	got, want := make([]uint8, off+16*stride), make([]uint8, off+16*stride)
+	fillBytes(got, 0xA5)
+	fillBytes(want, 0xA5)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			v := refSample(refs[0], cx+x, cy+y, mvs[0], hp)
+			if bi {
+				v = (v + refSample(refs[1], cx+x, cy+y, mvs[1], hp) + 1) / 2
+			}
+			want[off+y*stride+x] = uint8(v)
+		}
+	}
+	kernel(got[off:], stride, refs, cx, cy, w, h, mvs)
+	if bytes.Equal(got, want) {
+		return
+	}
+	i := 0
+	for got[i] == want[i] {
+		i++
+	}
+	t.Fatalf("%dx%d at (%d,%d) vectors %v: buffer index %d (sample (%d,%d) of the rectangle) = %d, want %d",
+		w, h, cx, cy, mvs, i, (i-off)%stride, (i-off)/stride, got[i], want[i])
+}
+
+// compensationSweep checks kernel over boundaryCases on two 48×48 noise
+// references. A bi-prediction kernel (others set) gets every vector of the
+// grid as either of its two, beside each of others.
+func compensationSweep(t *testing.T, seed int64, hp bool, others []MV, kernel compensator) {
+	t.Parallel()
+	refs := [2]*frame.Frame{noiseFrame(48, 48, seed), noiseFrame(48, 48, seed+1)}
+	bi := len(others) > 0
+	boundaryCases(48, 48, hp, seed, func(w, h int, o [2]int, mv MV) {
+		if !bi {
+			checkCompensation(t, kernel, hp, false, refs, o[0], o[1], w, h, [2]MV{mv})
+		}
+		for _, other := range others {
+			checkCompensation(t, kernel, hp, true, refs, o[0], o[1], w, h, [2]MV{mv, other})
+			checkCompensation(t, kernel, hp, true, refs, o[0], o[1], w, h, [2]MV{other, mv})
+		}
+	})
+}
+
+func compensate(dst []uint8, stride int, refs [2]*frame.Frame, cx, cy, w, h int, mvs [2]MV) {
+	Compensate(dst, stride, refs[0], cx, cy, w, h, mvs[0])
 }
 
 func TestCompensateMatchesReferenceExhaustive(t *testing.T) {
-	t.Parallel()
-	ref := noiseFrame(48, 48, 21)
-	want := make([]uint8, 256)
-	for _, sz := range rectSizes() {
-		w, h := sz[0], sz[1]
-		chk := newStridedChecker(w, h)
-		for _, o := range rectOrigins(ref.W, ref.H, w, h) {
-			for my := int16(-MaxMV); my <= MaxMV; my++ {
-				for mx := int16(-MaxMV); mx <= MaxMV; mx++ {
-					mv := MV{mx, my}
-					refCompensate(want, ref, o[0], o[1], w, h, mv)
-					chk.check(t, "Compensate", want, func(dst []uint8, stride int) {
-						Compensate(dst, stride, ref, o[0], o[1], w, h, mv)
-					})
-				}
-			}
-		}
-	}
+	compensationSweep(t, 21, false, nil, compensate)
 }
 
 func TestCompensateHPMatchesReferenceExhaustive(t *testing.T) {
-	t.Parallel()
-	ref := noiseFrame(48, 48, 22)
-	want := make([]uint8, 256)
-	mvs := sparseMVs()
-	for _, sz := range rectSizes() {
-		w, h := sz[0], sz[1]
-		chk := newStridedChecker(w, h)
-		for _, o := range rectOrigins(ref.W, ref.H, w, h) {
-			for _, my := range mvs {
-				for _, mx := range mvs {
-					mv := MV{mx, my}
-					refCompensateHP(want, ref, o[0], o[1], w, h, mv)
-					chk.check(t, "CompensateHP", want, func(dst []uint8, stride int) {
-						CompensateHP(dst, stride, ref, o[0], o[1], w, h, mv)
-					})
-				}
-			}
-		}
-	}
+	compensationSweep(t, 23, true, nil, func(dst []uint8, stride int, refs [2]*frame.Frame, cx, cy, w, h int, mvs [2]MV) {
+		CompensateHP(dst, stride, refs[0], cx, cy, w, h, mvs[0])
+	})
 }
 
-// TestCompensateBiMatchesReferenceExhaustive pairs every first vector of the
-// grid with second vectors chosen so that all four interior/border
-// combinations of the two references occur.
+// TestCompensateBiMatchesReferenceExhaustive pairs the grid with a second
+// vector that keeps the other rectangle inside its reference and one that
+// takes it outside, so all four interior/border combinations occur.
 func TestCompensateBiMatchesReferenceExhaustive(t *testing.T) {
-	t.Parallel()
-	ref0, ref1 := noiseFrame(48, 48, 23), noiseFrame(48, 48, 24)
-	want := make([]uint8, 256)
-	mvs := sparseMVs()
-	seconds := []MV{{0, 0}, {-5, 7}, {-MaxMV, 1}, {33, -33}}
-	for _, sz := range rectSizes() {
-		w, h := sz[0], sz[1]
-		chk := newStridedChecker(w, h)
-		for _, o := range rectOrigins(ref0.W, ref0.H, w, h) {
-			for _, my := range mvs {
-				for _, mx := range mvs {
-					mv0 := MV{mx, my}
-					for _, mv1 := range seconds {
-						refCompensateBi(want, ref0, ref1, o[0], o[1], w, h, mv0, mv1)
-						chk.check(t, "CompensateBi", want, func(dst []uint8, stride int) {
-							CompensateBi(dst, stride, ref0, ref1, o[0], o[1], w, h, mv0, mv1)
-						})
-					}
-				}
-			}
-		}
-	}
+	compensationSweep(t, 25, false, []MV{{0, 0}, {-MaxMV, 1}}, func(dst []uint8, stride int, refs [2]*frame.Frame, cx, cy, w, h int, mvs [2]MV) {
+		CompensateBi(dst, stride, refs[0], refs[1], cx, cy, w, h, mvs[0], mvs[1])
+	})
 }
 
 // TestCompensateBiHPMatchesReference covers the half-pel bi-prediction
-// dispatch: both vectors full-pel (integer kernel, halved vectors, negative
-// ones included), one of them, neither.
+// dispatch: the grid beside a full-pel and a half-pel vector, so both vectors
+// full-pel (integer kernel, halved vectors, negative ones included), one of
+// them, and neither.
 func TestCompensateBiHPMatchesReference(t *testing.T) {
-	t.Parallel()
-	ref0, ref1 := noiseFrame(48, 48, 27), noiseFrame(48, 48, 28)
-	want := make([]uint8, 256)
-	mvs := []int16{-MaxMV, -33, -32, -3, -2, -1, 0, 1, 2, 3, 32, 33, MaxMV}
-	seconds := []MV{{0, 0}, {-6, 8}, {-5, 8}, {-MaxMV, 2}, {34, -33}}
-	for _, sz := range rectSizes() {
-		w, h := sz[0], sz[1]
-		chk := newStridedChecker(w, h)
-		for _, o := range rectOrigins(ref0.W, ref0.H, w, h) {
-			for _, my := range mvs {
-				for _, mx := range mvs {
-					mv0 := MV{mx, my}
-					for _, mv1 := range seconds {
-						refCompensateBiHP(want, ref0, ref1, o[0], o[1], w, h, mv0, mv1)
-						chk.check(t, "CompensateBiHP", want, func(dst []uint8, stride int) {
-							CompensateBiHP(dst, stride, ref0, ref1, o[0], o[1], w, h, mv0, mv1)
-						})
-					}
-				}
-			}
-		}
-	}
+	compensationSweep(t, 27, true, []MV{{0, 0}, {-5, 8}}, func(dst []uint8, stride int, refs [2]*frame.Frame, cx, cy, w, h int, mvs [2]MV) {
+		CompensateBiHP(dst, stride, refs[0], refs[1], cx, cy, w, h, mvs[0], mvs[1])
+	})
 }
 
 // TestCompensateMismatchedReference: a reference of another geometry than
 // the picture being predicted (DecodeSingle accepts any) must still clamp by
 // its own dimensions.
 func TestCompensateMismatchedReference(t *testing.T) {
-	ref := noiseFrame(32, 16, 25)
-	want := make([]uint8, 256)
-	chk := newStridedChecker(16, 16)
+	refs := [2]*frame.Frame{noiseFrame(32, 16, 29)}
 	for _, mv := range []MV{{0, 0}, {-20, 3}, {17, -9}, {40, 40}} {
-		refCompensate(want, ref, 16, 16, 16, 16, mv)
-		chk.check(t, "Compensate", want, func(dst []uint8, stride int) {
-			Compensate(dst, stride, ref, 16, 16, 16, 16, mv)
-		})
+		checkCompensation(t, compensate, false, false, refs, 16, 16, 16, 16, [2]MV{mv})
 	}
 }
 

@@ -107,25 +107,9 @@ func sadHPLimit(cur, ref *frame.Frame, cx, cy, w, h int, mv MV, limit int) int {
 	return sad
 }
 
-// MotionSearchHP finds the best half-pel vector: an integer-pel search
-// seeded at the prediction, followed by a one-step half-pel refinement of
-// the eight fractional neighbors. pred and the result are in half-pel units.
-//
-// The stream codes half-pel vectors and their differences from pred in the
-// same ±MaxMV units as full-pel ones, and the decoder saturates both. The
-// search therefore stays where the decoder follows: the integer stage within
-// ±MaxMV/2 pixels and within MaxMV/2-1 pixels of the prediction (doubling
-// then leaves room for the half step), the refinement within ±MaxMV units of
-// both zero and pred. A larger searchRange reaches no further.
-func MotionSearchHP(cur, ref *frame.Frame, cx, cy, w, h int, pred MV, searchRange int) (MV, int) {
-	intPred := MV{X: pred.X / 2, Y: pred.Y / 2}
-	intBest, _ := motionSearch(cur, ref, nil, cx, cy, w, h, intPred, min(searchRange, MaxMV/2-1), MaxMV/2)
-	return refineHP(cur, ref, cx, cy, w, h, pred, intBest)
-}
-
-// refineHP is MotionSearchHP's second stage: the doubled integer vector
-// intBest and its eight half-pel neighbours, costed against the half-pel
-// prediction pred.
+// refineHP is Padded.MotionSearchHP's second stage: the doubled integer
+// vector intBest and its eight half-pel neighbours, costed against the
+// half-pel prediction pred.
 func refineHP(cur, ref *frame.Frame, cx, cy, w, h int, pred, intBest MV) (MV, int) {
 	best := MV{X: intBest.X * 2, Y: intBest.Y * 2}
 	// As in MotionSearch, candidates terminate early against the running

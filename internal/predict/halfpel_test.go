@@ -84,7 +84,9 @@ func TestMotionSearchHPFindsHalfPelShift(t *testing.T) {
 			cur.Y[y*64+x] = uint8((a + b + 1) / 2)
 		}
 	}
-	mv, _ := MotionSearchHP(cur, ref, 16, 16, 16, 16, MV{}, 8)
+	var p Padded
+	p.Pad(ref)
+	mv, _ := p.MotionSearchHP(cur, 16, 16, 16, 16, MV{}, 8)
 	if mv.X != 1 || mv.Y != 0 {
 		t.Fatalf("mv = %v, want (1,0) half-pel", mv)
 	}

@@ -9,37 +9,29 @@ import (
 	"videoapp/internal/frame"
 )
 
-// The encoder-side oracles: the motion search, the intra decision, the SAD
-// kernels and the footprint histogram as they stood before the encoder was
-// rebuilt around rows, bounds and caller buffers, moved here verbatim
-// (identifiers prefixed ref). The production forms must return the same
-// values — the encoder's bit-identity rests on it — and these exist only to
-// say so.
+// The encoder-side oracles, one per kernel (identifiers prefixed ref): the
+// motion search, the intra decision, the SAD kernels and the footprint
+// histogram as they stood before the encoder was rebuilt around rows, bounds
+// and caller buffers, in their plainest forms — a sample at a time through
+// the clamped accessors, every search candidate costed exactly. The
+// production forms must return the same values — the encoder's bit-identity
+// rests on it — and these exist only to say so.
 
-// refSADLimit is the pre-change SADLimit: SWAR rows when neither rectangle
-// touches an edge, the clamped accessor per sample otherwise.
-func refSADLimit(cur, ref *frame.Frame, cx, cy, w, h int, mv MV, limit int) int {
-	rx, ry := cx+int(mv.X), cy+int(mv.Y)
-	if interior(cur, cx, cy, w, h) && interior(ref, rx, ry, w, h) {
-		sad := 0
-		for y := 0; y < h; y++ {
-			co := (cy+y)*cur.W + cx
-			ro := (ry+y)*ref.W + rx
-			sad += sadRow(cur.Y[co:co+w], ref.Y[ro:ro+w])
-			if sad >= limit {
-				return sad
-			}
-		}
-		return sad
+// absDiff is |a - b|.
+func absDiff(a, b int) int {
+	if a < b {
+		return b - a
 	}
+	return a - b
+}
+
+// refSADLimit is SADLimit a sample at a time through the clamped accessor,
+// checked against limit after every row.
+func refSADLimit(cur, ref *frame.Frame, cx, cy, w, h int, mv MV, limit int) int {
 	sad := 0
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
-			d := int(cur.LumaAt(cx+x, cy+y)) - int(ref.LumaAt(rx+x, ry+y))
-			if d < 0 {
-				d = -d
-			}
-			sad += d
+			sad += absDiff(int(cur.LumaAt(cx+x, cy+y)), int(ref.LumaAt(cx+x+int(mv.X), cy+y+int(mv.Y))))
 		}
 		if sad >= limit {
 			return sad
@@ -48,26 +40,12 @@ func refSADLimit(cur, ref *frame.Frame, cx, cy, w, h int, mv MV, limit int) int 
 	return sad
 }
 
-// refSADAgainstLimit is the pre-change sadAgainstLimit.
+// refSADAgainstLimit is SADAgainstLimit a sample at a time.
 func refSADAgainstLimit(orig *frame.Frame, cx, cy, w, h int, pred []uint8, limit int) int {
 	sad := 0
-	if interior(orig, cx, cy, w, h) {
-		for y := 0; y < h; y++ {
-			co := (cy+y)*orig.W + cx
-			sad += sadRow(orig.Y[co:co+w], pred[y*w:y*w+w])
-			if sad >= limit {
-				return sad
-			}
-		}
-		return sad
-	}
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
-			d := int(orig.LumaAt(cx+x, cy+y)) - int(pred[y*w+x])
-			if d < 0 {
-				d = -d
-			}
-			sad += d
+			sad += absDiff(int(orig.LumaAt(cx+x, cy+y)), int(pred[y*w+x]))
 		}
 		if sad >= limit {
 			return sad
@@ -76,20 +54,19 @@ func refSADAgainstLimit(orig *frame.Frame, cx, cy, w, h int, pred []uint8, limit
 	return sad
 }
 
-// refMotionSearch is the pre-change MotionSearch: no visited bitmap, every
-// candidate through refSADLimit.
+// refMotionSearch is the pre-change MotionSearch with every candidate costed
+// exactly: no visited bitmap, no early termination. The production searches
+// skip vectors already visited and stop a candidate's SAD once it reaches
+// the running minimum; neither may change an accept/reject decision, so both
+// must return this vector and this cost.
 func refMotionSearch(cur, ref *frame.Frame, cx, cy, w, h int, pred MV, searchRange int) (MV, int) {
-	cost := func(mv MV, limit int) int {
+	cost := func(mv MV) int {
 		d := mv.Sub(pred)
-		rate := 2 * (int(abs16(d.X)) + int(abs16(d.Y)))
-		if rate >= limit {
-			return limit
-		}
-		return refSADLimit(cur, ref, cx, cy, w, h, mv, limit-rate) + rate
+		return refSADLimit(cur, ref, cx, cy, w, h, mv, maxSADLimit) + 2*(int(abs16(d.X))+int(abs16(d.Y)))
 	}
 	best := ClampMV(pred)
-	bestCost := cost(best, maxSADLimit)
-	if zc := cost(MV{}, bestCost); zc < bestCost {
+	bestCost := cost(best)
+	if zc := cost(MV{}); zc < bestCost {
 		best, bestCost = MV{}, zc
 	}
 	for _, step := range []int16{8, 4, 2, 1} {
@@ -107,7 +84,7 @@ func refMotionSearch(cur, ref *frame.Frame, cx, cy, w, h int, pred MV, searchRan
 				if abs16(cand.X-pred.X) > int16(searchRange) || abs16(cand.Y-pred.Y) > int16(searchRange) {
 					continue
 				}
-				if c := cost(cand, bestCost); c < bestCost {
+				if c := cost(cand); c < bestCost {
 					best, bestCost = cand, c
 					improved = true
 				}
@@ -117,28 +94,35 @@ func refMotionSearch(cur, ref *frame.Frame, cx, cy, w, h int, pred MV, searchRan
 	return best, bestCost
 }
 
-// refMotionSearchHP is the pre-change MotionSearchHP. It knows nothing of the
-// decoder's vector range, so it is an oracle only where that range cannot
-// bind: small predictions and search ranges.
-func refMotionSearchHP(cur, ref *frame.Frame, cx, cy, w, h int, pred MV, searchRange int) (MV, int) {
-	intPred := MV{X: pred.X / 2, Y: pred.Y / 2}
-	intBest, _ := refMotionSearch(cur, ref, cx, cy, w, h, intPred, searchRange)
-	best := MV{X: intBest.X * 2, Y: intBest.Y * 2}
-	cost := func(mv MV, limit int) int {
-		d := mv.Sub(pred)
-		rate := int(abs16(d.X)) + int(abs16(d.Y))
-		if rate >= limit {
-			return limit
+// refSADHP is the half-pel SAD a sample at a time.
+func refSADHP(cur, ref *frame.Frame, cx, cy, w, h int, mv MV) int {
+	sad := 0
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			sad += absDiff(int(cur.LumaAt(cx+x, cy+y)), refSample(ref, cx+x, cy+y, mv, true))
 		}
-		return sadHPLimit(cur, ref, cx, cy, w, h, mv, limit-rate) + rate
 	}
-	bestCost := cost(best, maxSADLimit)
+	return sad
+}
+
+// refRefineHP is the pre-change half-pel refinement with exact costs: the
+// doubled integer vector intBest and its eight half-pel neighbours, against
+// the half-pel prediction pred. It knows nothing of the decoder's vector
+// range, so it is an oracle only where that range cannot bind: small
+// predictions and search ranges.
+func refRefineHP(cur, ref *frame.Frame, cx, cy, w, h int, pred, intBest MV) (MV, int) {
+	cost := func(mv MV) int {
+		d := mv.Sub(pred)
+		return refSADHP(cur, ref, cx, cy, w, h, mv) + int(abs16(d.X)) + int(abs16(d.Y))
+	}
+	best := MV{X: intBest.X * 2, Y: intBest.Y * 2}
+	bestCost := cost(best)
 	for _, d := range [8]MV{
 		{1, 0}, {-1, 0}, {0, 1}, {0, -1},
 		{1, 1}, {1, -1}, {-1, 1}, {-1, -1},
 	} {
 		cand := ClampMV(best.Add(d))
-		if c := cost(cand, bestCost); c < bestCost {
+		if c := cost(cand); c < bestCost {
 			best, bestCost = cand, c
 		}
 	}
@@ -215,11 +199,7 @@ func refBestIntraModeAvail(orig, rec *frame.Frame, mbx, mby int, hasAbove, hasLe
 		sad := 0
 		for y := 0; y < 16; y++ {
 			for x := 0; x < 16; x++ {
-				d := int(orig.LumaAt(px+x, py+y)) - int(pred[y*16+x])
-				if d < 0 {
-					d = -d
-				}
-				sad += d
+				sad += absDiff(int(orig.LumaAt(px+x, py+y)), int(pred[y*16+x]))
 			}
 		}
 		if sad < bestSAD {
@@ -268,94 +248,144 @@ func smoothFrame(w, h int, phase float64) *frame.Frame {
 }
 
 // searchPairs are current/reference pairs for the search tests: unrelated
-// noise (searches wander), shifted noise (they converge on a vector), and
-// smooth content (they meet ties).
+// noise (searches wander), shifted noise (they converge on a vector and run
+// into the borders), and smooth content (they meet ties).
 func searchPairs() map[string][2]*frame.Frame {
-	ref := noiseFrame(64, 48, 51)
-	shifted := frame.MustNew(64, 48)
+	const w, h = 96, 64
+	ref := noiseFrame(w, h, 51)
+	shifted := frame.MustNew(w, h)
 	rng := rand.New(rand.NewSource(52))
-	for y := 0; y < 48; y++ {
-		for x := 0; x < 64; x++ {
-			shifted.Y[y*64+x] = frame.ClampU8(int(ref.LumaAt(x+5, y-3)) + rng.Intn(7) - 3)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			shifted.Y[y*w+x] = frame.ClampU8(int(ref.LumaAt(x+5, y-3)) + rng.Intn(7) - 3)
 		}
 	}
 	return map[string][2]*frame.Frame{
-		"noise":   {noiseFrame(64, 48, 53), ref},
+		"noise":   {noiseFrame(w, h, 53), ref},
 		"shifted": {shifted, ref},
-		"smooth":  {smoothFrame(64, 48, 0.4), smoothFrame(64, 48, 0.9)},
+		"smooth":  {smoothFrame(w, h, 0.4), smoothFrame(w, h, 0.9)},
 	}
 }
 
-// TestMotionSearchMatchesReference: the visited bitmap, the row kernels and
-// the gathered border rows change no search result — same vector, same cost
-// — for every partition size at corners, edges and the interior, seeded with
-// predictions near and far, at ranges below and beyond the bitmap's span.
-func TestMotionSearchMatchesReference(t *testing.T) {
-	t.Parallel()
-	preds := []MV{{}, {4, -2}, {-6, 6}, {-17, 9}, {31, -33}, {MaxMV, -MaxMV}}
-	for name, pair := range searchPairs() {
-		cur, ref := pair[0], pair[1]
-		for _, sz := range rectSizes() {
-			w, h := sz[0], sz[1]
-			for _, o := range rectOrigins(cur.W, cur.H, w, h) {
-				for _, pred := range preds {
-					for _, sr := range []int{1, 4, 16, 40, MaxMV} {
-						wantMV, wantCost := refMotionSearch(cur, ref, o[0], o[1], w, h, pred, sr)
-						gotMV, gotCost := MotionSearch(cur, ref, o[0], o[1], w, h, pred, sr)
-						if gotMV != wantMV || gotCost != wantCost {
-							t.Fatalf("%s %dx%d at %v pred %v range %d: got (%v, %d), want (%v, %d)",
-								name, w, h, o, pred, sr, gotMV, gotCost, wantMV, wantCost)
-						}
-					}
-				}
+// searchRects calls fn with the partition rectangles the search tests drive
+// on a fw×fh frame: one of every size in every macroblock on the frame's
+// border — in a border macroblock, the partition touching the border — and
+// in a seeded sample of a quarter of the interior macroblocks.
+func searchRects(fw, fh int, seed int64, fn func(cx, cy, w, h int)) {
+	rng := rand.New(rand.NewSource(seed))
+	cols, rows := fw/frame.MBSize, fh/frame.MBSize
+	place := func(m, n, size int) int {
+		switch m {
+		case 0:
+			return 0
+		case n - 1:
+			return frame.MBSize - size
+		}
+		return rng.Intn(frame.MBSize/size) * size
+	}
+	for my := 0; my < rows; my++ {
+		for mx := 0; mx < cols; mx++ {
+			border := mx == 0 || my == 0 || mx == cols-1 || my == rows-1
+			if !border && rng.Intn(4) != 0 {
+				continue
+			}
+			for _, sz := range rectSizes() {
+				w, h := sz[0], sz[1]
+				fn(mx*frame.MBSize+place(mx, cols, w), my*frame.MBSize+place(my, rows, h), w, h)
 			}
 		}
 	}
 }
 
+// TestMotionSearchMatchesReference is the one check of both integer
+// searches: the visited bitmap, early termination, the row kernels, the
+// gathered border rows and the padded plane change no result. On the
+// rectangles of searchRects, for predictions near, far and at the four
+// ±MaxMV corners and at ranges below and beyond the bitmap's span, the
+// frame-based MotionSearch and Padded.MotionSearch return refMotionSearch's
+// vector and cost.
+func TestMotionSearchMatchesReference(t *testing.T) {
+	t.Parallel()
+	preds := []MV{{}, {4, -2}, {-6, 6}, {-17, 9}, {31, -33}, {MaxMV, MaxMV}, {-MaxMV, -MaxMV}, {MaxMV, -MaxMV}, {-MaxMV, MaxMV}}
+	ranges := []int{1, 4, 16, 32, 40, MaxMV}
+	for name, pair := range searchPairs() {
+		cur, ref := pair[0], pair[1]
+		var p Padded
+		p.Pad(ref)
+		searchRects(cur.W, cur.H, 55, func(cx, cy, w, h int) {
+			for _, pred := range preds {
+				for _, sr := range ranges {
+					wantMV, wantCost := refMotionSearch(cur, ref, cx, cy, w, h, pred, sr)
+					frameMV, frameCost := MotionSearch(cur, ref, cx, cy, w, h, pred, sr)
+					padMV, padCost := p.MotionSearch(cur, cx, cy, w, h, pred, sr)
+					if frameMV != wantMV || frameCost != wantCost || padMV != wantMV || padCost != wantCost {
+						t.Fatalf("%s %dx%d at (%d, %d) pred %v range %d: frame (%v, %d), padded (%v, %d), reference (%v, %d)",
+							name, w, h, cx, cy, pred, sr, frameMV, frameCost, padMV, padCost, wantMV, wantCost)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestMotionSearchHPMatchesReference covers the half-pel search wherever the
-// decoder's vector range cannot bind (see refMotionSearchHP).
+// decoder's vector range cannot bind (see refRefineHP), on the rectangles of
+// searchRects: its integer stage — motionSearch confined to ±MaxMV/2, on the
+// padded plane and on the frame — returns refMotionSearch's vector and
+// cost, and Padded.MotionSearchHP the refinement of that vector.
 func TestMotionSearchHPMatchesReference(t *testing.T) {
 	t.Parallel()
 	preds := []MV{{}, {5, -3}, {-12, 12}, {-20, 7}}
 	for name, pair := range searchPairs() {
 		cur, ref := pair[0], pair[1]
-		for _, sz := range rectSizes() {
-			w, h := sz[0], sz[1]
-			for _, o := range rectOrigins(cur.W, cur.H, w, h) {
-				for _, pred := range preds {
-					for _, sr := range []int{1, 4, 16} {
-						wantMV, wantCost := refMotionSearchHP(cur, ref, o[0], o[1], w, h, pred, sr)
-						gotMV, gotCost := MotionSearchHP(cur, ref, o[0], o[1], w, h, pred, sr)
-						if gotMV != wantMV || gotCost != wantCost {
-							t.Fatalf("%s %dx%d at %v pred %v range %d: got (%v, %d), want (%v, %d)",
-								name, w, h, o, pred, sr, gotMV, gotCost, wantMV, wantCost)
+		var p Padded
+		p.Pad(ref)
+		planes := [2]*Padded{nil, &p}
+		searchRects(cur.W, cur.H, 56, func(cx, cy, w, h int) {
+			for _, pred := range preds {
+				intPred := MV{X: pred.X / 2, Y: pred.Y / 2}
+				for _, sr := range []int{1, 4, 16} {
+					intMV, intCost := refMotionSearch(cur, ref, cx, cy, w, h, intPred, sr)
+					for _, pad := range planes {
+						if mv, c := motionSearch(cur, ref, pad, cx, cy, w, h, intPred, sr, MaxMV/2); mv != intMV || c != intCost {
+							t.Fatalf("%s %dx%d at (%d, %d) pred %v range %d, integer stage (padded %v): (%v, %d), reference (%v, %d)",
+								name, w, h, cx, cy, pred, sr, pad != nil, mv, c, intMV, intCost)
 						}
+					}
+					wantMV, wantCost := refRefineHP(cur, ref, cx, cy, w, h, pred, intMV)
+					if mv, c := p.MotionSearchHP(cur, cx, cy, w, h, pred, sr); mv != wantMV || c != wantCost {
+						t.Fatalf("%s %dx%d at (%d, %d) pred %v range %d: (%v, %d), reference (%v, %d)",
+							name, w, h, cx, cy, pred, sr, mv, c, wantMV, wantCost)
 					}
 				}
 			}
-		}
+		})
 	}
 }
 
 // TestMotionSearchHPStaysInDecoderRange: whatever the prediction and the
 // search range, the half-pel vector and its difference from the prediction —
 // the two things the stream carries — stay within the ±MaxMV the decoder
-// saturates them to.
+// saturates them to. The motion, (44, -37) pixels, lies beyond the integer
+// stage's reach: on noise the search wanders, on smooth content it runs
+// into the stage's bounds.
 func TestMotionSearchHPStaysInDecoderRange(t *testing.T) {
-	ref := noiseFrame(160, 96, 54)
-	cur := frame.MustNew(160, 96)
-	for y := 0; y < 96; y++ {
-		for x := 0; x < 160; x++ {
-			cur.Y[y*160+x] = ref.LumaAt(x+44, y-37)
+	for name, ref := range map[string]*frame.Frame{"noise": noiseFrame(160, 96, 54), "smooth": smoothFrame(160, 96, 0.3)} {
+		cur := frame.MustNew(160, 96)
+		for y := 0; y < 96; y++ {
+			for x := 0; x < 160; x++ {
+				cur.Y[y*160+x] = ref.LumaAt(x+44, y-37)
+			}
 		}
-	}
-	for _, pred := range []MV{{}, {MaxMV, MaxMV}, {-MaxMV, MaxMV}, {63, -64}, {-1, 1}} {
-		for _, sr := range []int{16, 31, 32, MaxMV} {
-			mv, _ := MotionSearchHP(cur, ref, 64, 48, 16, 16, pred, sr)
-			d := mv.Sub(pred)
-			if mv != ClampMV(mv) || d != ClampMV(d) {
-				t.Fatalf("pred %v range %d: vector %v (difference %v) leaves ±%d", pred, sr, mv, d, MaxMV)
+		var p Padded
+		p.Pad(ref)
+		for _, pred := range []MV{{}, {MaxMV, MaxMV}, {-MaxMV, MaxMV}, {63, -64}, {-1, 1}} {
+			for _, sr := range []int{16, 31, 32, MaxMV} {
+				mv, _ := p.MotionSearchHP(cur, 64, 48, 16, 16, pred, sr)
+				d := mv.Sub(pred)
+				if mv != ClampMV(mv) || d != ClampMV(d) {
+					t.Fatalf("%s, pred %v range %d: vector %v (difference %v) leaves ±%d", name, pred, sr, mv, d, MaxMV)
+				}
 			}
 		}
 	}
@@ -439,11 +469,7 @@ func sadRowsScalar(a []uint8, aStride int, b []uint8, bStride int, w, h, limit i
 	sad := 0
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
-			d := int(a[y*aStride+x]) - int(b[y*bStride+x])
-			if d < 0 {
-				d = -d
-			}
-			sad += d
+			sad += absDiff(int(a[y*aStride+x]), int(b[y*bStride+x]))
 		}
 		if sad >= limit {
 			return sad
@@ -492,21 +518,26 @@ func TestSADRowsKernelsAgree(t *testing.T) {
 }
 
 // TestSADLimitMatchesReference drives SADLimit and SADAgainstLimit — interior
-// rows and gathered border rows alike — against the pre-change kernels: every
-// partition size at corners, edges and interior, vectors reaching across
-// every border, limits of every class. Early-terminated values must match
-// too: both forms check the limit after each row.
+// rows and gathered border rows alike — against their sample-at-a-time
+// forms: every partition size, and widths that end in each of the row kernel's
+// tails (a 4-byte half word, single bytes), at corners, edges and interior
+// and hanging over every border; the vectors where the displaced rectangle
+// crosses a border (crossings); limits of every class. Early-terminated
+// values must match too: both forms check the limit after each row.
 func TestSADLimitMatchesReference(t *testing.T) {
 	t.Parallel()
 	cur, ref := noiseFrame(48, 48, 72), noiseFrame(48, 48, 73)
-	mvs := sparseMVs()
+	rng := rand.New(rand.NewSource(74))
 	pred := make([]uint8, 256)
-	rand.New(rand.NewSource(74)).Read(pred)
-	for _, sz := range rectSizes() {
+	rng.Read(pred)
+	sizes := append(rectSizes(), [2]int{5, 4}, [2]int{7, 8}, [2]int{9, 16}, [2]int{12, 4}, [2]int{13, 8})
+	for _, sz := range sizes {
 		w, h := sz[0], sz[1]
-		for _, o := range rectOrigins(cur.W, cur.H, w, h) {
-			for _, my := range mvs {
-				for _, mx := range mvs {
+		origins := append(rectOrigins(cur.W, cur.H, w, h), [2]int{-5, -6}, [2]int{cur.W - w + 4, cur.H - h + 7}, [2]int{-20, 30})
+		for _, o := range origins {
+			xs := crossings(o[0], w, cur.W, MaxMV, rng, 3)
+			for _, my := range crossings(o[1], h, cur.H, MaxMV, rng, 3) {
+				for _, mx := range xs {
 					mv := MV{mx, my}
 					exact := refSADLimit(cur, ref, o[0], o[1], w, h, mv, maxSADLimit)
 					for _, limit := range []int{0, 1, exact / 2, exact, maxSADLimit} {
@@ -517,49 +548,69 @@ func TestSADLimitMatchesReference(t *testing.T) {
 					}
 				}
 			}
-			// The prediction-buffer form, with the source rectangle hanging
-			// over each border as well.
-			for _, d := range [][2]int{{0, 0}, {-5, 0}, {0, -5}, {7, 7}, {-20, 30}} {
-				cx, cy := o[0]+d[0], o[1]+d[1]
-				exact := refSADAgainstLimit(cur, cx, cy, w, h, pred, maxSADLimit)
-				for _, limit := range []int{0, 1, exact / 2, exact, maxSADLimit} {
-					want := refSADAgainstLimit(cur, cx, cy, w, h, pred, limit)
-					if got := SADAgainstLimit(cur, cx, cy, w, h, pred, limit); got != want {
-						t.Fatalf("SADAgainstLimit %dx%d at (%d,%d) limit %d = %d, want %d", w, h, cx, cy, limit, got, want)
-					}
+			exact := refSADAgainstLimit(cur, o[0], o[1], w, h, pred, maxSADLimit)
+			for _, limit := range []int{0, 1, exact / 2, exact, maxSADLimit} {
+				want := refSADAgainstLimit(cur, o[0], o[1], w, h, pred, limit)
+				if got := SADAgainstLimit(cur, o[0], o[1], w, h, pred, limit); got != want {
+					t.Fatalf("SADAgainstLimit %dx%d at %v limit %d = %d, want %d", w, h, o, limit, got, want)
 				}
 			}
 		}
 	}
 }
 
+// footprintAxis returns the (origin, vector) pairs of one axis of
+// TestFootprintMatchesReference: the origins at which a run of n samples on
+// an axis of size samples starts or stops crossing a macroblock boundary
+// (±1), each with the vectors where the displaced run crosses an end of the
+// axis (crossings), one pair per displaced start.
+func footprintAxis(size, n int, rng *rand.Rand) [][2]int {
+	near := func(v int) bool {
+		r := v % frame.MBSize
+		return r <= 1 || r == frame.MBSize-1
+	}
+	seen := map[int]bool{}
+	var out [][2]int
+	for o := 0; o+n <= size; o++ {
+		if !near(o) && !near(o+n) {
+			continue
+		}
+		for _, v := range crossings(o, n, size, MaxMV, rng, 2) {
+			if s := o + int(v); !seen[s] {
+				seen[s] = true
+				out = append(out, [2]int{o, int(v)})
+			}
+		}
+	}
+	return out
+}
+
 // TestFootprintMatchesReference: the closed-form two-macroblock histogram
-// equals the per-sample one for every partition size, position and vector,
-// clamped runs included, and appends after what dst already holds.
+// equals the per-sample one for every partition size, wherever the
+// displaced rectangle starts or stops crossing a macroblock boundary or the
+// frame's edge (footprintAxis), clamped runs included, and appends after
+// what dst already holds.
 func TestFootprintMatchesReference(t *testing.T) {
 	t.Parallel()
 	const fw, fh = 64, 48
-	mvs := sparseMVs()
+	rng := rand.New(rand.NewSource(75))
 	keep := WeightedRef{MB: frame.MB{X: 9, Y: 9}, Pixels: 9}
 	for _, sz := range rectSizes() {
 		w, h := sz[0], sz[1]
-		for cy := 0; cy+h <= fh; cy += 4 {
-			for cx := 0; cx+w <= fw; cx += 4 {
-				for _, my := range mvs {
-					for _, mx := range mvs {
-						mv := MV{mx, my}
-						want := refFootprint(fw, fh, cx, cy, w, h, mv)
-						var buf [5]WeightedRef
-						buf[0] = keep
-						got := Footprint(buf[:1], fw, fh, cx, cy, w, h, mv)
-						if got[0] != keep || len(got)-1 != len(want) {
-							t.Fatalf("%dx%d at (%d,%d) mv %v: got %v, want %v appended", w, h, cx, cy, mv, got, want)
-						}
-						for i := range want {
-							if got[1+i] != want[i] {
-								t.Fatalf("%dx%d at (%d,%d) mv %v: got %v, want %v appended", w, h, cx, cy, mv, got, want)
-							}
-						}
+		xs := footprintAxis(fw, w, rng)
+		for _, y := range footprintAxis(fh, h, rng) {
+			for _, x := range xs {
+				cx, cy, mv := x[0], y[0], MV{int16(x[1]), int16(y[1])}
+				want := refFootprint(fw, fh, cx, cy, w, h, mv)
+				var buf [5]WeightedRef
+				buf[0] = keep
+				got := Footprint(buf[:1], fw, fh, cx, cy, w, h, mv)
+				if got[0] != keep || len(got)-1 != len(want) {
+					t.Fatalf("%dx%d at (%d,%d) mv %v: got %v, want %v appended", w, h, cx, cy, mv, got, want)
+				}
+				for i := range want {
+					if got[1+i] != want[i] {
+						t.Fatalf("%dx%d at (%d,%d) mv %v: got %v, want %v appended", w, h, cx, cy, mv, got, want)
 					}
 				}
 			}

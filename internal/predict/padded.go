@@ -71,9 +71,18 @@ func (p *Padded) MotionSearch(cur *frame.Frame, cx, cy, w, h int, pred MV, searc
 	return motionSearch(cur, p.src, p, cx, cy, w, h, pred, searchRange, MaxMV)
 }
 
-// MotionSearchHP is MotionSearchHP(cur, ref, …) for the ref p was padded
-// from, with its integer stage on the padded plane; the half-pel refinement
-// reads ref.
+// MotionSearchHP finds the best half-pel vector for the rectangle against
+// the ref p was padded from: an integer-pel search seeded at the prediction,
+// on the padded plane, followed by a one-step half-pel refinement of the
+// eight fractional neighbours, which reads ref. pred and the result are in
+// half-pel units.
+//
+// The stream codes half-pel vectors and their differences from pred in the
+// same ±MaxMV units as full-pel ones, and the decoder saturates both. The
+// search therefore stays where the decoder follows: the integer stage within
+// ±MaxMV/2 pixels and within MaxMV/2-1 pixels of the prediction (doubling
+// then leaves room for the half step), the refinement within ±MaxMV units of
+// both zero and pred. A larger searchRange reaches no further.
 func (p *Padded) MotionSearchHP(cur *frame.Frame, cx, cy, w, h int, pred MV, searchRange int) (MV, int) {
 	intPred := MV{X: pred.X / 2, Y: pred.Y / 2}
 	intBest, _ := motionSearch(cur, p.src, p, cx, cy, w, h, intPred, min(searchRange, MaxMV/2-1), MaxMV/2)

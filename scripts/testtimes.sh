@@ -4,7 +4,14 @@
 # wall time and the 15 slowest top-level tests. Uses only the go tool, sort
 # and awk. Exits with go test's status.
 #
-# Usage: scripts/testtimes.sh [packages...]
+# Usage: scripts/testtimes.sh [go test flags...] [packages...]
+#
+# Arguments go to go test unchanged, so flags may precede the packages; name
+# the packages whenever a flag is given (./... is only the default of an
+# empty argument list). The race suite of make check and CI (which also
+# shuffles the test order):
+#
+#   scripts/testtimes.sh -race ./...
 set -euo pipefail
 cd "$(dirname "$0")/.."
 [ $# -gt 0 ] || set -- ./...
