@@ -71,10 +71,14 @@ purego:
 # reference_test.go) and verifies the golden decode manifest
 # (TestGoldenDecode, internal/codec/testdata/golden_decode.json:
 # SHA-256 of bitstreams, decoded planes — clean, bit-flipped, truncated,
-# layered — and Reanalyze records), and replays the seed corpora of the
-# codec fuzz targets, among them the differential FuzzDecodeVsReference; then the
-# seed corpora of the fuzz targets below the codec — FuzzCopyBitsMatchesReference
-# and FuzzReadUEMatchesReference (bitio), FuzzArithDecoderMatchesReference,
+# layered — and Reanalyze records), checks that the decoder reproduces the
+# encoder's reconstructions of the corpus, encoded on a frame pool stocked
+# with poisoned frames, sample for sample
+# (TestDecodedMatchesEncoderReconstruction, TestFramePoolPoisoned: well
+# under a second), and replays the seed corpora of the codec fuzz targets,
+# among them the differential FuzzDecodeVsReference; then the seed corpora
+# of the fuzz targets below the codec — FuzzCopyBitsMatchesReference and
+# FuzzReadUEMatchesReference (bitio), FuzzArithDecoderMatchesReference,
 # FuzzArithEncoderMatchesReference and FuzzResidualBlockMatchesPerSymbol
 # (entropy), the pivot-table and archive parsers (core, store) — which hold
 # the word-wide forms to the per-bit oracles in the oracle_test.go files —
@@ -91,7 +95,7 @@ purego:
 # 96x64x12, 320x176x30 and one 1280x720 frame), the input every other
 # manifest starts from.
 golden-check:
-	$(GO) test -count=1 -run 'TestGoldenDecode|TestDecode.*MatchesReference|TestReplayEqualsParseGolden|^Fuzz' ./internal/codec
+	$(GO) test -count=1 -run 'TestGoldenDecode|TestDecode.*MatchesReference|TestReplayEqualsParseGolden|TestDecodedMatchesEncoderReconstruction|TestFramePoolPoisoned|^Fuzz' ./internal/codec
 	$(GO) test -count=1 -run '^Fuzz' ./internal/bitio ./internal/entropy ./internal/core ./internal/store ./internal/quality ./internal/transform
 	$(GO) test -count=1 -run TestGoldenArchive .
 	$(GO) test -count=1 -run TestGoldenFast ./cmd/experiments

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -146,45 +147,73 @@ func borderClamps(t *testing.T, v *Video) (reached [4]bool) {
 	return reached
 }
 
+// encoderRecsDiff is the encoder ≡ decoder check: it returns where the
+// decoder's pictures of v first differ from recs, the encoder's
+// reconstructions of v in coded order, nil when they agree sample for
+// sample. A clone of v that shares syntax with itself is decoded twice,
+// parsing and then replaying the parse on record; the clone, whose records
+// hold what was parsed, is returned too.
+func encoderRecsDiff(v *Video, recs []*frame.Frame) (*Video, error) {
+	shared := v.Clone()
+	shareWithSelf(shared)
+	for _, run := range []string{"parse", "replay"} {
+		got, err := decodeCoded(shared, nil, 1)
+		if err == nil {
+			err = diffPlanes(got, recs)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", run, err)
+		}
+	}
+	return shared, nil
+}
+
+// checkCorpusRecs requires encoderRecsDiff's verdict, reached as the corpus
+// was built, on every golden design point whose parameters uses accepts.
+func checkCorpusRecs(t *testing.T, uses func(Params) bool) {
+	for _, gc := range goldenCases(t) {
+		if uses(gc.clean.Params) && gc.recsErr != nil {
+			t.Fatalf("%s: %v", gc.key, gc.recsErr)
+		}
+	}
+}
+
 // TestDecodedMatchesEncoderReconstruction: the decoder must reproduce the
-// encoder's reconstruction sample for sample, or references drift and damage
-// experiments are meaningless. Both predict into the frame and add the
-// residual in place through reconstruct.go; they must agree for every entropy
-// coder × vector precision × B frames × slices × deblocking, with adaptive
-// quantization on (per-macroblock quantizers), on a pan whose vectors reach
-// past all four borders, when the decoder parses, when it replays the parse
-// on record.
+// encoder's reconstruction sample for sample, parsing and replaying, or
+// references drift and damage experiments are meaningless: at every golden
+// design point, and on a pan past all four borders with adaptive
+// quantization under a pairwise covering set of coder × vector precision ×
+// B frames × slices × deblocking (any two take all four value pairs).
 func TestDecodedMatchesEncoderReconstruction(t *testing.T) {
+	checkCorpusRecs(t, func(Params) bool { return true })
 	seq := diagonalPan(80, 64, 9, 5, 3)
 	var reached [4]bool
-	for _, coder := range []EntropyKind{CABAC, CAVLC} {
-		for _, halfPel := range []bool{false, true} {
-			for _, bFrames := range []int{0, 2} {
-				for _, slices := range []int{1, 4} {
-					for _, deblock := range []bool{false, true} {
-						p := testParams()
-						p.Entropy, p.HalfPel, p.SlicesPerFrame, p.Deblock, p.ActivityAQ = coder, halfPel, slices, deblock, true
-						p.BFrames, p.BReference = bFrames, bFrames > 0
-						what := fmt.Sprintf("%s halfpel=%v bframes=%d slices=%d deblock=%v", coder, halfPel, bFrames, slices, deblock)
-						v, want, err := encodeRecs(seq, p)
-						if err != nil {
-							t.Fatal(err)
-						}
-						shared := v.Clone()
-						shareWithSelf(shared)
-						for _, run := range []string{"parse", "replay"} {
-							got, err := decodeCoded(shared, nil, 1)
-							if err != nil {
-								t.Fatal(err)
-							}
-							comparePlanes(t, what+" "+run, got, want)
-						}
-						for i, b := range borderClamps(t, shared) {
-							reached[i] = reached[i] || b
-						}
-					}
-				}
-			}
+	for _, c := range []struct {
+		coder           EntropyKind
+		halfPel         bool
+		bFrames, slices int
+		deblock         bool
+	}{
+		{CABAC, false, 0, 1, false},
+		{CAVLC, true, 0, 1, false},
+		{CAVLC, false, 2, 1, true},
+		{CAVLC, false, 0, 4, true},
+		{CABAC, true, 2, 4, false},
+		{CABAC, true, 2, 4, true},
+	} {
+		p := testParams()
+		p.Entropy, p.HalfPel, p.SlicesPerFrame, p.Deblock, p.ActivityAQ = c.coder, c.halfPel, c.slices, c.deblock, true
+		p.BFrames, p.BReference = c.bFrames, c.bFrames > 0
+		v, recs, err := encodeRecs(seq, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared, err := encoderRecsDiff(v, recs)
+		if err != nil {
+			t.Fatalf("diagonal pan %+v: %v", c, err)
+		}
+		for i, b := range borderClamps(t, shared) {
+			reached[i] = reached[i] || b
 		}
 	}
 	if reached != [4]bool{true, true, true, true} {
@@ -314,8 +343,7 @@ func TestCABACSmallerThanCAVLC(t *testing.T) {
 }
 
 func TestMBRecordsCoverPayload(t *testing.T) {
-	seq := testSeq(t, "parkrun_like", 64, 48, 6)
-	v, _ := encodeDecode(t, seq, testParams())
+	v := testVideo(t)
 	for fi, f := range v.Frames {
 		if len(f.MBs) != v.MBCols()*v.MBRows() {
 			t.Fatalf("frame %d: %d MB records", fi, len(f.MBs))
@@ -445,8 +473,7 @@ func TestEncodeRejectsBadInput(t *testing.T) {
 }
 
 func TestVideoClone(t *testing.T) {
-	seq := testSeq(t, "news_like", 64, 48, 4)
-	v, _ := encodeDecode(t, seq, testParams())
+	v := testVideo(t)
 	c := v.Clone()
 	c.Frames[0].Payload[0] ^= 0xFF
 	if v.Frames[0].Payload[0] == c.Frames[0].Payload[0] {
@@ -479,61 +506,21 @@ func TestSkipModeUsedInStaticContent(t *testing.T) {
 
 // --- Error resilience: the core requirement for the paper's experiments ---
 
+// TestDecodeCorruptPayloadNeverPanics: every golden stream with bits
+// flipped at either density decodes to the reference decoder's pictures.
 func TestDecodeCorruptPayloadNeverPanics(t *testing.T) {
-	seq := testSeq(t, "sports_like", 64, 48, 6)
-	for _, kind := range []EntropyKind{CABAC, CAVLC} {
-		p := testParams()
-		p.Entropy = kind
-		v, err := encode(seq, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for trial := 0; trial < 30; trial++ {
-			c := v.Clone()
-			for fi, f := range c.Frames {
-				for b := 0; b < 3; b++ {
-					bitio.FlipBit(f.Payload, int64((trial*7+fi*13+b*29)*31)%f.PayloadBits())
-				}
-			}
-			if _, err := DecodeContext(context.Background(), c, DecodeOptions{}, 1); err != nil {
-				t.Fatalf("%v: corrupt decode returned error: %v", kind, err)
-			}
-		}
-	}
+	parseVariants(t, func(dv *decodeVariant) bool { return strings.HasPrefix(dv.name, "flips_") })
 }
 
+// TestDecodeAllOnesPayload: so does every all-ones stream.
 func TestDecodeAllOnesPayload(t *testing.T) {
-	seq := testSeq(t, "news_like", 64, 48, 4)
-	v, err := encode(seq, testParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := v.Clone()
-	for _, f := range c.Frames {
-		for i := range f.Payload {
-			f.Payload[i] = 0xFF
-		}
-	}
-	if _, err := DecodeContext(context.Background(), c, DecodeOptions{}, 1); err != nil {
-		t.Fatalf("all-ones payload: %v", err)
-	}
+	parseVariants(t, func(dv *decodeVariant) bool { return dv.name == "all_ones" })
 }
 
+// TestDecodeTruncatedPayload: and every stream whose middle frame lost half
+// its payload.
 func TestDecodeTruncatedPayload(t *testing.T) {
-	seq := testSeq(t, "news_like", 64, 48, 4)
-	v, err := encode(seq, testParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := v.Clone()
-	for _, f := range c.Frames {
-		if len(f.Payload) > 2 {
-			f.Payload = f.Payload[:2]
-		}
-	}
-	if _, err := DecodeContext(context.Background(), c, DecodeOptions{}, 1); err != nil {
-		t.Fatalf("truncated payload: %v", err)
-	}
+	parseVariants(t, func(dv *decodeVariant) bool { return dv.name == "truncated" })
 }
 
 func TestBitFlipDamagesQuality(t *testing.T) {

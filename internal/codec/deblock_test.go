@@ -4,25 +4,14 @@ import (
 	"context"
 	"testing"
 
-	"videoapp/internal/bitio"
 	"videoapp/internal/quality"
 )
 
+// TestDeblockEncodeDecodeConsistency: the filter runs in the reconstruction
+// loop; the decoder reproduces the encoder's reconstruction of every golden
+// deblocked design point.
 func TestDeblockEncodeDecodeConsistency(t *testing.T) {
-	// The filter runs in the reconstruction loop: any encoder/decoder
-	// mismatch would drift across the P-frame chain and collapse quality by
-	// the end of the GOP.
-	seq := testSeq(t, "crew_like", 96, 64, 12)
-	p := testParams()
-	p.Deblock = true
-	_, dec := encodeDecode(t, seq, p)
-	last, err := quality.PSNRFrame(seq.Frames[11], dec.Frames[11])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if last < 28 {
-		t.Fatalf("deblocked chain drifted: final frame PSNR %.2f dB", last)
-	}
+	checkCorpusRecs(t, func(p Params) bool { return p.Deblock })
 }
 
 func TestDeblockChangesOutput(t *testing.T) {
@@ -67,50 +56,14 @@ func TestDeblockDoesNotHurtQualityMuch(t *testing.T) {
 	}
 }
 
+// TestDeblockSurvivesCorruption: every damaged golden deblocked stream
+// decodes to the reference decoder's pictures.
 func TestDeblockSurvivesCorruption(t *testing.T) {
-	seq := testSeq(t, "sports_like", 64, 48, 5)
-	p := testParams()
-	p.Deblock = true
-	v, err := encode(seq, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 10; trial++ {
-		c := v.Clone()
-		for _, f := range c.Frames {
-			bitio.FlipBit(f.Payload, int64(trial*41)%f.PayloadBits())
-		}
-		if _, err := DecodeContext(context.Background(), c, DecodeOptions{}, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
+	parseVariants(t, func(dv *decodeVariant) bool { return dv.name != "clean" && dv.v.Params.Deblock })
 }
 
 func TestDeblockContainerFlag(t *testing.T) {
-	seq := testSeq(t, "news_like", 64, 48, 3)
-	p := testParams()
-	p.Deblock = true
-	v, err := encode(seq, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Unmarshal(Marshal(v))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Params.Deblock {
-		t.Fatal("deblock flag lost in container")
-	}
-	// Decodes identically through the container.
-	a, _ := DecodeContext(context.Background(), v, DecodeOptions{}, 1)
-	b, _ := DecodeContext(context.Background(), got, DecodeOptions{}, 1)
-	for i := range a.Frames {
-		for j := range a.Frames[i].Y {
-			if a.Frames[i].Y[j] != b.Frames[i].Y[j] {
-				t.Fatal("container decode differs with deblocking")
-			}
-		}
-	}
+	checkContainerRoundTrip(t, func(p Params) bool { return p.Deblock })
 }
 
 func TestDeblockThresholdsMonotone(t *testing.T) {

@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -70,8 +71,15 @@ func refDecode(t *testing.T, v *Video) *frame.Sequence {
 
 func comparePlanes(t *testing.T, what string, got, want []*frame.Frame) {
 	t.Helper()
+	if err := diffPlanes(got, want); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+}
+
+// diffPlanes reports where got first differs from want.
+func diffPlanes(got, want []*frame.Frame) error {
 	if len(got) != len(want) {
-		t.Fatalf("%s: %d frames, reference %d", what, len(got), len(want))
+		return fmt.Errorf("%d frames, reference %d", len(got), len(want))
 	}
 	for i := range got {
 		for _, p := range []struct {
@@ -85,13 +93,14 @@ func comparePlanes(t *testing.T, what string, got, want []*frame.Frame) {
 				}
 				for j := range p.g {
 					if p.g[j] != p.w[j] {
-						t.Fatalf("%s: frame %d plane %s differs first at (%d,%d): %d, reference %d",
-							what, i, p.name, j%stride, j/stride, p.g[j], p.w[j])
+						return fmt.Errorf("frame %d plane %s differs first at (%d,%d): %d, reference %d",
+							i, p.name, j%stride, j/stride, p.g[j], p.w[j])
 					}
 				}
 			}
 		}
 	}
+	return nil
 }
 
 // The production routes of the decode differential. Each requires its
@@ -106,6 +115,22 @@ func checkParse(t *testing.T, what string, v *Video, want *frame.Sequence) {
 		t.Fatalf("%s: %v", what, err)
 	}
 	comparePlanes(t, what+" DecodeContext", seq.Frames, want.Frames)
+}
+
+// checkParsed requires checkParse's verdict on the golden stream dv.
+func checkParsed(t *testing.T, what string, dv *decodeVariant) {
+	t.Helper()
+	if dv.reference(t); dv.ref.parseErr != nil {
+		t.Fatalf("%s DecodeContext: %v", what, dv.ref.parseErr)
+	}
+}
+
+// parseVariants runs checkParsed on every golden decode variant keep
+// accepts: the totality check of a damaged stream is that the decoder
+// returns the reference decoder's pictures of it, without an error or a
+// panic.
+func parseVariants(t *testing.T, keep func(*decodeVariant) bool) {
+	eachVariant(t, keep, checkParsed)
 }
 
 // checkDecodeInto: DecodeInto at four workers over a y4m stream's views of
@@ -182,7 +207,7 @@ func TestDecodeGarbageMatchesReference(t *testing.T) {
 }
 
 func checkParseAndRecords(t *testing.T, what string, dv *decodeVariant) {
-	checkParse(t, what, dv.v, dv.reference(t))
+	checkParsed(t, what, dv)
 	if dv.records {
 		checkReanalyze(t, what, dv.v)
 	}

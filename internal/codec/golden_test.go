@@ -9,9 +9,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"hash/maphash"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -21,15 +23,16 @@ import (
 
 // The golden corpus and its decode manifest. The corpus is every design
 // point of the manifest — four presets, both coders, six tool sets — with
-// its damaged variants, encoded once per test binary and shared read-only by
-// every test that decodes it. The decode differential (differential_test.go)
-// runs over it; TestGoldenDecode pins absolute SHA-256 digests of the
-// encoder's bitstreams and of every plane the decoder produces — clean,
-// bit-flipped at two densities, and truncated — plus the records Reanalyze
-// rebuilds. The relative determinism tests (serial vs parallel, batch vs
-// streaming) cannot see a kernel change that moves both sides together;
-// this can. A deliberate bitstream or reconstruction change regenerates the
-// manifest with
+// the encoder's reconstructions and its damaged variants, encoded once per
+// test binary on a poisoned frame pool and shared read-only. The decode
+// differential and the encoder ≡ decoder check decode each stream once;
+// tests that filter the corpus share their verdicts. TestGoldenDecode pins
+// absolute SHA-256 digests of the encoder's bitstreams and of every plane
+// the decoder produces — clean, bit-flipped at two densities, and truncated
+// — plus the records Reanalyze rebuilds. The relative determinism tests
+// (serial vs parallel, batch vs streaming) cannot see a kernel change that
+// moves both sides together; this can. A deliberate bitstream or
+// reconstruction change regenerates the manifest with
 //
 //	go test ./internal/codec -run TestGoldenDecode -update   (make golden)
 //
@@ -73,10 +76,14 @@ type goldenManifest struct {
 // goldenCase is one encoded design point with its damaged variants. Cases
 // are shared between tests: a test clones what it changes.
 type goldenCase struct {
-	key     string
-	preset  string
-	source  *frame.Sequence
-	clean   *Video
+	key    string
+	preset string
+	source *frame.Sequence
+	clean  *Video
+	// recs are the encoder's reconstructions of clean in coded order, and
+	// recsErr encoderRecsDiff's verdict on them.
+	recs    []*frame.Frame
+	recsErr error
 	flipsLo *Video
 	flipsHi *Video
 	// truncated is flipsHi with the middle frame's payload cut in half, so
@@ -118,7 +125,7 @@ func flipPayloadBits(v *Video, seed int64, density float64) *Video {
 var corpus struct {
 	once   sync.Once
 	cases  []goldenCase
-	digest string
+	digest uint64
 	err    error
 }
 
@@ -138,7 +145,7 @@ func goldenCases(t testing.TB) []goldenCase {
 	t.Cleanup(func() {
 		d, err := corpusDigest(corpus.cases)
 		if err == nil && d != corpus.digest {
-			err = errors.New("its bytes, headers or records differ")
+			err = errors.New("its bytes, headers, records or pictures differ")
 		}
 		if err != nil {
 			t.Errorf("the shared golden corpus was left changed: %v; clone a case before changing it", err)
@@ -147,7 +154,9 @@ func goldenCases(t testing.TB) []goldenCase {
 	return corpus.cases
 }
 
-// encodeGoldenCases encodes every design point of the manifest.
+// encodeGoldenCases encodes every design point of the manifest, each after
+// stocking the frame pool with 0xa5-filled frames: a coding tool that read a
+// reconstruction sample before writing it would code them into the bits.
 func encodeGoldenCases(t testing.TB) ([]goldenCase, error) {
 	var out []goldenCase
 	for pi, preset := range goldenPresets {
@@ -159,7 +168,12 @@ func encodeGoldenCases(t testing.TB) ([]goldenCase, error) {
 				p.Entropy = coder
 				tool.set(&p)
 				key := preset + "/" + coder.String() + "/" + tool.name
-				v, err := encode(seq, p)
+				for range 2 * len(seq.Frames) {
+					f := frame.MustNew(seq.W(), seq.H())
+					f.Fill(0xa5, 0xa5, 0xa5)
+					frame.Recycle(f)
+				}
+				v, recs, err := encodeRecs(seq, p)
 				if err != nil {
 					return nil, fmt.Errorf("%s: %v", key, err)
 				}
@@ -169,9 +183,11 @@ func encodeGoldenCases(t testing.TB) ([]goldenCase, error) {
 					preset:  preset,
 					source:  seq,
 					clean:   v,
+					recs:    recs,
 					flipsLo: flipPayloadBits(v, seed+1, goldenFlipsLo),
 					flipsHi: flipPayloadBits(v, seed+2, goldenFlipsHi),
 				}
+				_, gc.recsErr = encoderRecsDiff(v, recs)
 				gc.truncated = gc.flipsHi.Clone()
 				mid := gc.truncated.Frames[len(gc.truncated.Frames)/2]
 				mid.Payload = mid.Payload[:len(mid.Payload)/2]
@@ -183,26 +199,45 @@ func encodeGoldenCases(t testing.TB) ([]goldenCase, error) {
 	return out, nil
 }
 
+// corpusSeed keys corpusDigest, a fast hash: it runs after every test that
+// reads the corpus, and its digests never leave the test binary.
+var corpusSeed = maphash.MakeSeed()
+
 // corpusDigest hashes every video of the corpus (every decode variant) —
-// its Marshal bytes (payloads and headers) and its records — and the source
-// planes, and fails if a frame has a syntax slot attached: a sharing claim
-// or a parse record would let a later decode replay instead of parse.
-func corpusDigest(cases []goldenCase) (string, error) {
-	h := sha256.New()
+// its Marshal bytes (payloads and headers) and its records — the source
+// planes and the encoder's reconstructions, and fails if a frame has a
+// syntax slot attached: a sharing claim or a parse record would let a later
+// decode replay instead of parse.
+func corpusDigest(cases []goldenCase) (uint64, error) {
+	var h maphash.Hash
+	h.SetSeed(corpusSeed)
 	for _, gc := range cases {
-		h.Write([]byte(hashPlanes(gc.source.Frames)))
+		for _, f := range append(slices.Clip(gc.source.Frames), gc.recs...) {
+			h.Write(f.Y)
+			h.Write(f.Cb)
+			h.Write(f.Cr)
+		}
 		for _, dv := range gc.variants {
-			v := dv.v
-			h.Write(Marshal(v))
-			h.Write([]byte(hashRecords(v)))
-			for i, f := range v.Frames {
+			h.Write(Marshal(dv.v))
+			for i, f := range dv.v.Frames {
+				for _, r := range f.MBs {
+					maphash.WriteComparable(&h, r)
+				}
+				for _, d := range f.Deps {
+					maphash.WriteComparable(&h, d)
+				}
 				if f.shared != nil || f.syntax.rec.Load() != nil {
-					return "", fmt.Errorf("%s frame %d has a syntax slot attached", gc.key, i)
+					return 0, fmt.Errorf("%s frame %d has a syntax slot attached", gc.key, i)
 				}
 			}
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return h.Sum64(), nil
+}
+
+func hashBitstream(v *Video) string {
+	sum := sha256.Sum256(Marshal(v))
+	return hex.EncodeToString(sum[:])
 }
 
 func hashPlanes(frames []*frame.Frame) string {
@@ -250,23 +285,32 @@ func hashRecords(v *Video) string {
 
 // decodeVariant is one stream of a design point the decode differential
 // runs; records also holds Reanalyze to the reference's records. The
-// reference decoder's pictures of it are decoded by the first test that asks
-// for them and shared read-only by every route after it.
+// reference decoder's pictures of it, and checkParse's verdict on it
+// (parseErr: how DecodeContext's pictures differ), are decoded by the first
+// test that asks for them and shared read-only by every test after it.
 type decodeVariant struct {
 	name    string
 	v       *Video
 	records bool
 	ref     struct {
-		once sync.Once
-		seq  *frame.Sequence
-		err  error
+		once          sync.Once
+		seq           *frame.Sequence
+		err, parseErr error
 	}
 }
 
 // reference returns the reference decoder's display-order sequence of dv.
 func (dv *decodeVariant) reference(t *testing.T) *frame.Sequence {
 	t.Helper()
-	dv.ref.once.Do(func() { dv.ref.seq, dv.ref.err = refDecodeSeq(dv.v) })
+	dv.ref.once.Do(func() {
+		if dv.ref.seq, dv.ref.err = refDecodeSeq(dv.v); dv.ref.err == nil {
+			seq, err := DecodeContext(context.Background(), dv.v, DecodeOptions{}, 1)
+			if err == nil {
+				err = diffPlanes(seq.Frames, dv.ref.seq.Frames)
+			}
+			dv.ref.parseErr = err
+		}
+	})
 	if dv.ref.err != nil {
 		t.Fatalf("%s: reference decode: %v", dv.name, dv.ref.err)
 	}
@@ -281,10 +325,10 @@ func (dv *decodeVariant) isGarbage() bool { return strings.HasPrefix(dv.name, "g
 // out of raster order (the decoder must clear what it never reaches), a
 // frame moved onto another's display slot (the slot it left is unclaimed,
 // and a later frame still predicts from the one it covers); and, for
-// crew_like, every inter frame's payload replaced with random bytes, which
-// the decoder interprets as uniformly random macroblock types, directions,
-// vectors and levels, reaching every partition shape and every border case
-// no encoder output does.
+// crew_like, every payload set to all ones, and every inter frame's payload
+// replaced with random bytes, which the decoder interprets as uniformly
+// random macroblock types, directions, vectors and levels, reaching every
+// partition shape and every border case no encoder output does.
 func decodeVariants(gc goldenCase) []*decodeVariant {
 	out := []*decodeVariant{
 		{name: "clean", v: gc.clean, records: true},
@@ -305,6 +349,13 @@ func decodeVariants(gc goldenCase) []*decodeVariant {
 	moved.Frames[1].DisplayIdx = moved.Frames[0].DisplayIdx
 	out = append(out, &decodeVariant{name: "display_slot_claimed_twice", v: moved})
 	if gc.preset == "crew_like" {
+		ones := gc.clean.Clone()
+		for _, f := range ones.Frames {
+			for i := range f.Payload {
+				f.Payload[i] = 0xff
+			}
+		}
+		out = append(out, &decodeVariant{name: "all_ones", v: ones})
 		for seed := int64(0); seed < 6; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			c := gc.clean.Clone()
@@ -354,9 +405,8 @@ var goldenPinned = map[string]bool{
 // its layered refinement. That each of those agrees with the reference is
 // the decode differential's.
 func goldenDigests(t *testing.T, gc goldenCase) map[string]string {
-	sum := sha256.Sum256(Marshal(gc.clean))
 	digests := map[string]string{
-		"bitstream":       hex.EncodeToString(sum[:]),
+		"bitstream":       hashBitstream(gc.clean),
 		"encoder_records": hashRecords(gc.clean),
 	}
 	for _, dv := range gc.variants {
@@ -399,6 +449,27 @@ func goldenDigests(t *testing.T, gc goldenCase) map[string]string {
 	return digests
 }
 
+// readGoldenManifest reads the manifest, and skips t when a source of cases
+// is not the one it was made from (floating-point generator on another
+// platform?): the codec pins would be meaningless.
+func readGoldenManifest(t *testing.T, cases []goldenCase) goldenManifest {
+	t.Helper()
+	buf, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("%v (generate with: go test ./internal/codec -run TestGoldenDecode -update)", err)
+	}
+	var m goldenManifest
+	if err := json.Unmarshal(buf, &m); err != nil {
+		t.Fatalf("%s: %v", goldenPath, err)
+	}
+	for _, gc := range cases {
+		if m.Source[gc.preset] != hashPlanes(gc.source.Frames) {
+			t.Skipf("synthetic source %s differs from the one the manifest was made from", gc.preset)
+		}
+	}
+	return m
+}
+
 // TestGoldenDecode checks the golden corpus against its manifest,
 // testdata/golden_decode.json. The design points run in parallel; each
 // touches only its own case.
@@ -434,19 +505,7 @@ func TestGoldenDecode(t *testing.T) {
 		t.Logf("wrote %s (%d cases)", goldenPath, len(got.Cases))
 		return
 	}
-	buf, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("%v (generate with: go test ./internal/codec -run TestGoldenDecode -update)", err)
-	}
-	var want goldenManifest
-	if err := json.Unmarshal(buf, &want); err != nil {
-		t.Fatalf("%s: %v", goldenPath, err)
-	}
-	for preset, h := range got.Source {
-		if want.Source[preset] != h {
-			t.Skipf("synthetic source %s differs from the one the manifest was made from (floating-point generator on another platform?); the codec pins below would be meaningless", preset)
-		}
-	}
+	want := readGoldenManifest(t, goldenCases(t))
 	if len(want.Cases) != len(got.Cases) {
 		t.Errorf("manifest has %d cases, code produces %d", len(want.Cases), len(got.Cases))
 	}

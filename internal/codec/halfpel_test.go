@@ -2,30 +2,17 @@ package codec
 
 import (
 	"context"
-	"math"
-	"math/rand"
 	"testing"
 
-	"videoapp/internal/bitio"
-	"videoapp/internal/frame"
 	"videoapp/internal/predict"
 	"videoapp/internal/quality"
 )
 
+// TestHalfPelEncodeDecodeConsistency: the decoder reproduces the encoder's
+// reconstruction of every golden half-pel design point, so no 6-tap
+// interpolation mismatch can drift along a P chain.
 func TestHalfPelEncodeDecodeConsistency(t *testing.T) {
-	seq := testSeq(t, "parkrun_like", 96, 64, 12)
-	p := testParams()
-	p.HalfPel = true
-	_, dec := encodeDecode(t, seq, p)
-	psnr, _ := quality.PSNRContext(context.Background(), seq, dec, 1)
-	if psnr < 28 {
-		t.Fatalf("half-pel decode PSNR %.2f dB", psnr)
-	}
-	// The real drift check: the last frame of the P chain.
-	last, _ := quality.PSNRFrame(seq.Frames[11], dec.Frames[11])
-	if last < 26 {
-		t.Fatalf("half-pel chain drifted: final frame %.2f dB", last)
-	}
+	checkCorpusRecs(t, func(p Params) bool { return p.HalfPel })
 }
 
 func TestHalfPelImprovesSubPixelMotion(t *testing.T) {
@@ -57,78 +44,17 @@ func TestHalfPelImprovesSubPixelMotion(t *testing.T) {
 }
 
 func TestHalfPelContainerRoundTrip(t *testing.T) {
-	seq := testSeq(t, "crew_like", 64, 48, 5)
-	p := testParams()
-	p.HalfPel = true
-	v, err := encode(seq, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Unmarshal(Marshal(v))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Params.HalfPel {
-		t.Fatal("half-pel flag lost")
-	}
-	a, _ := DecodeContext(context.Background(), v, DecodeOptions{}, 1)
-	b, _ := DecodeContext(context.Background(), got, DecodeOptions{}, 1)
-	for i := range a.Frames {
-		for j := range a.Frames[i].Y {
-			if a.Frames[i].Y[j] != b.Frames[i].Y[j] {
-				t.Fatal("container decode differs")
-			}
-		}
-	}
+	checkContainerRoundTrip(t, func(p Params) bool { return p.HalfPel })
 }
 
 func TestHalfPelReanalyzeRecoversDeps(t *testing.T) {
-	seq := testSeq(t, "crew_like", 64, 48, 6)
-	p := testParams()
-	p.HalfPel = true
-	v, err := encode(seq, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stripped, err := Unmarshal(Marshal(v))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Reanalyze(stripped); err != nil {
-		t.Fatal(err)
-	}
-	for fi, ef := range v.Frames {
-		for mi := range ef.MBs {
-			got, want := stripped.Frames[fi].MBDeps(mi), ef.MBDeps(mi)
-			if len(got) != len(want) {
-				t.Fatalf("frame %d MB %d: %d deps vs %d", fi, mi, len(got), len(want))
-			}
-			for d := range want {
-				if got[d] != want[d] {
-					t.Fatalf("frame %d MB %d dep %d: %+v vs %+v", fi, mi, d, got[d], want[d])
-				}
-			}
-		}
-	}
+	checkReanalyzeRecovers(t, func(p Params) bool { return p.HalfPel })
 }
 
+// TestHalfPelCorruptionSafety: every damaged golden half-pel stream decodes
+// to the reference decoder's pictures.
 func TestHalfPelCorruptionSafety(t *testing.T) {
-	seq := testSeq(t, "sports_like", 64, 48, 5)
-	p := testParams()
-	p.HalfPel = true
-	v, err := encode(seq, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 15; trial++ {
-		c := v.Clone()
-		for _, f := range c.Frames {
-			bitio.FlipBit(f.Payload, int64(trial*53)%f.PayloadBits())
-		}
-		if _, err := DecodeContext(context.Background(), c, DecodeOptions{}, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
+	parseVariants(t, func(dv *decodeVariant) bool { return dv.name != "clean" && dv.v.Params.HalfPel })
 }
 
 func TestHalfPelAnalysisMonotone(t *testing.T) {
@@ -154,64 +80,22 @@ func TestHalfPelAnalysisMonotone(t *testing.T) {
 	}
 }
 
-// texturedPan is a textured picture panning by (dx, dy) pixels per frame:
-// every frame is a window onto one large noise-plus-structure canvas, so
-// whole-pixel motion compensation is exact wherever the window overlaps.
-func texturedPan(w, h, frames, dx, dy int) *frame.Sequence {
-	cw, ch := w+frames*abs(dx), h+frames*abs(dy)
-	canvas := make([]uint8, cw*ch)
-	rng := rand.New(rand.NewSource(91))
-	for y := 0; y < ch; y++ {
-		for x := 0; x < cw; x++ {
-			v := 128 + 60*math.Sin(float64(x)*0.21)*math.Cos(float64(y)*0.17) + float64(rng.Intn(41)-20)
-			canvas[y*cw+x] = frame.ClampU8(int(v))
-		}
-	}
-	seq := &frame.Sequence{Name: "textured_pan", FPS: 30}
-	for i := 0; i < frames; i++ {
-		f := frame.MustNew(w, h)
-		f.Fill(0, 128, 128)
-		ox, oy := i*abs(dx), i*abs(dy)
-		if dx < 0 {
-			ox = (frames - 1 - i) * abs(dx)
-		}
-		if dy < 0 {
-			oy = (frames - 1 - i) * abs(dy)
-		}
-		for y := 0; y < h; y++ {
-			copy(f.Y[y*w:(y+1)*w], canvas[(oy+y)*cw+ox:])
-		}
-		seq.Frames = append(seq.Frames, f)
-	}
-	return seq
-}
-
-// TestHalfPelLargeMotionDoesNotDrift: half-pel vectors travel in the same
-// ±MaxMV units as full-pel ones, so they reach half as far. A pan faster than
-// that reach, searched with a range that would cover it, used to make the
-// encoder code vectors the decoder saturates: the two reconstructions parted
-// and the clean decode collapsed (19 dB against 39 dB without HalfPel).
-// Inside the decoder's range the encoder predicts worse but decodes to what
-// it reconstructed, which the quantizer alone determines.
+// TestHalfPelLargeMotionDoesNotDrift: half-pel vectors and their
+// differences from the prediction travel in the same ±MaxMV units as
+// full-pel ones, so they reach half as far. A pan faster than that reach,
+// searched with a range that would cover it, or a prediction from the
+// opposite motion, must not make the encoder code vectors the decoder
+// saturates: the decode must be what the encoder reconstructed.
 func TestHalfPelLargeMotionDoesNotDrift(t *testing.T) {
-	seq := texturedPan(320, 176, 4, 44, 0)
-	psnr := func(halfPel bool) float64 {
-		p := testParams()
-		p.GOPSize = 4
-		p.SearchRange = predict.MaxMV
-		p.HalfPel = halfPel
-		_, dec := encodeDecode(t, seq, p)
-		v, err := quality.PSNRContext(context.Background(), seq, dec, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v
+	p := testParams()
+	p.GOPSize = 4
+	p.SearchRange = predict.MaxMV
+	p.HalfPel = true
+	v, recs, err := encodeRecs(opposedPan(96, 32, 3, 44), p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	full, half := psnr(false), psnr(true)
-	t.Logf("44 px/frame pan, range %d: full-pel %.2f dB, half-pel %.2f dB", predict.MaxMV, full, half)
-	// Drift costs several dB within a few frames; the two predictions alone
-	// move the result by hundredths.
-	if half < full-0.5 {
-		t.Fatalf("half-pel clean decode %.2f dB against full-pel %.2f dB: encoder and decoder disagree on large vectors", half, full)
+	if _, err := encoderRecsDiff(v, recs); err != nil {
+		t.Fatalf("44 px/frame opposed pan: %v", err)
 	}
 }

@@ -1,57 +1,50 @@
 package codec
 
 import (
+	"slices"
 	"testing"
 )
 
-func TestReanalyzeRecoversDependencies(t *testing.T) {
-	// Decoding a clean stream must recover exactly the dependency records
-	// the encoder produced: same MVs, same modes, same footprints.
-	seq := testSeq(t, "crew_like", 96, 64, 10)
-	for _, kind := range []EntropyKind{CABAC, CAVLC} {
-		p := testParams()
-		p.Entropy = kind
-		v, err := encode(seq, p)
-		if err != nil {
-			t.Fatal(err)
+// reanalyzed returns v stripped of its records by the container and given
+// new ones by Reanalyze.
+func reanalyzed(t *testing.T, v *Video) *Video {
+	t.Helper()
+	c, err := Unmarshal(Marshal(v))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Reanalyze(c); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// checkReanalyzeRecovers requires Reanalyze to rebuild, from every golden
+// design point whose parameters uses accepts, the macroblock headers (modes,
+// quantizers) and dependencies (footprints) the encoder recorded.
+func checkReanalyzeRecovers(t *testing.T, uses func(Params) bool) {
+	for _, gc := range goldenCases(t) {
+		if !uses(gc.clean.Params) {
+			continue
 		}
-		// Strip the records via the container and rebuild them by decoding.
-		stripped, err := Unmarshal(Marshal(v))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := Reanalyze(stripped); err != nil {
-			t.Fatal(err)
-		}
-		for fi, ef := range v.Frames {
-			got := stripped.Frames[fi].MBs
-			if len(got) != len(ef.MBs) {
-				t.Fatalf("%v frame %d: %d records, want %d", kind, fi, len(got), len(ef.MBs))
+		got := reanalyzed(t, gc.clean)
+		for fi, ef := range gc.clean.Frames {
+			g := got.Frames[fi]
+			if len(g.MBs) != len(ef.MBs) {
+				t.Fatalf("%s frame %d: %d records, encoder %d", gc.key, fi, len(g.MBs), len(ef.MBs))
 			}
 			for mi, want := range ef.MBs {
-				g := got[mi]
-				if g.MB != want.MB || g.Intra != want.Intra || g.QP != want.QP {
-					t.Fatalf("%v frame %d MB %d: header mismatch (%+v vs %+v)", kind, fi, mi, g, want)
-				}
-				wd := map[CompDep]int{}
-				for _, d := range ef.MBDeps(mi) {
-					wd[d]++
-				}
-				gd := map[CompDep]int{}
-				for _, d := range stripped.Frames[fi].MBDeps(mi) {
-					gd[d]++
-				}
-				if len(wd) != len(gd) {
-					t.Fatalf("%v frame %d MB %d: dep sets differ (%d vs %d)", kind, fi, mi, len(gd), len(wd))
-				}
-				for k, n := range wd {
-					if gd[k] != n {
-						t.Fatalf("%v frame %d MB %d: dep %v count %d vs %d", kind, fi, mi, k, gd[k], n)
-					}
+				r := g.MBs[mi]
+				if r.MB != want.MB || r.Intra != want.Intra || r.QP != want.QP || !slices.Equal(g.MBDeps(mi), ef.MBDeps(mi)) {
+					t.Fatalf("%s frame %d MB %d: %+v with deps %+v, encoder %+v with %+v", gc.key, fi, mi, r, g.MBDeps(mi), want, ef.MBDeps(mi))
 				}
 			}
 		}
 	}
+}
+
+func TestReanalyzeRecoversDependencies(t *testing.T) {
+	checkReanalyzeRecovers(t, func(Params) bool { return true })
 }
 
 func TestReanalyzeBitRangesCoverPayload(t *testing.T) {
@@ -62,14 +55,7 @@ func TestReanalyzeBitRangesCoverPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stripped, err := Unmarshal(Marshal(v))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Reanalyze(stripped); err != nil {
-		t.Fatal(err)
-	}
-	for fi, ef := range stripped.Frames {
+	for fi, ef := range reanalyzed(t, v).Frames {
 		var total int64
 		for i, mb := range ef.MBs {
 			if mb.BitLen < 0 {
@@ -91,13 +77,7 @@ func TestReanalyzeBitRangesCloseToEncoder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stripped, err := Unmarshal(Marshal(v))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Reanalyze(stripped); err != nil {
-		t.Fatal(err)
-	}
+	stripped := reanalyzed(t, v)
 	for fi, ef := range v.Frames {
 		for mi, want := range ef.MBs {
 			got := stripped.Frames[fi].MBs[mi]

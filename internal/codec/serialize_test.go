@@ -1,10 +1,7 @@
 package codec
 
 import (
-	"context"
 	"testing"
-
-	"videoapp/internal/quality"
 )
 
 func TestContainerRoundTrip(t *testing.T) {
@@ -46,30 +43,32 @@ func TestContainerRoundTrip(t *testing.T) {
 	}
 }
 
+// TestContainerDecodesIdentically: every golden design point decodes from
+// the container to the encoder's reconstructions.
 func TestContainerDecodesIdentically(t *testing.T) {
-	seq := testSeq(t, "parkrun_like", 96, 64, 6)
-	v, err := encode(seq, testParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Unmarshal(Marshal(v))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := DecodeContext(context.Background(), v, DecodeOptions{}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := DecodeContext(context.Background(), got, DecodeOptions{}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	psnr, err := quality.PSNRContext(context.Background(), a, b, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if psnr != quality.MaxPSNR {
-		t.Fatalf("container round trip must decode identically, PSNR %.2f", psnr)
+	checkContainerRoundTrip(t, func(Params) bool { return true })
+}
+
+// checkContainerRoundTrip requires every golden design point whose
+// parameters uses accepts to keep them through Marshal and Unmarshal, and to
+// decode from the container to the encoder's reconstructions.
+func checkContainerRoundTrip(t *testing.T, uses func(Params) bool) {
+	for _, gc := range goldenCases(t) {
+		if !uses(gc.clean.Params) {
+			continue
+		}
+		got, err := Unmarshal(Marshal(gc.clean))
+		if err != nil {
+			t.Fatalf("%s: %v", gc.key, err)
+		}
+		if got.Params != gc.clean.Params {
+			t.Fatalf("%s: parameters %+v through the container, %+v before", gc.key, got.Params, gc.clean.Params)
+		}
+		dec, err := decodeCoded(got, nil, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", gc.key, err)
+		}
+		comparePlanes(t, gc.key+" through the container", dec, gc.recs)
 	}
 }
 

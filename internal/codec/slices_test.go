@@ -126,21 +126,10 @@ func TestSliceContainsCodingErrors(t *testing.T) {
 	}
 }
 
+// TestSlicedCorruptDecodeNeverPanics: every damaged golden sliced stream
+// decodes to the reference decoder's pictures.
 func TestSlicedCorruptDecodeNeverPanics(t *testing.T) {
-	seq := testSeq(t, "sports_like", 64, 48, 5)
-	v, err := encode(seq, sliceParams(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 20; trial++ {
-		c := v.Clone()
-		for _, f := range c.Frames {
-			bitio.FlipBit(f.Payload, int64(trial*37)%f.PayloadBits())
-		}
-		if _, err := DecodeContext(context.Background(), c, DecodeOptions{}, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
+	parseVariants(t, func(dv *decodeVariant) bool { return dv.name != "clean" && dv.v.Params.SlicesPerFrame > 1 })
 }
 
 func TestSliceCountClampedToRows(t *testing.T) {

@@ -127,11 +127,11 @@ func SAD(cur, ref *frame.Frame, cx, cy, w, h int, mv MV) int {
 	return SADLimit(cur, ref, cx, cy, w, h, mv, maxSADLimit)
 }
 
-// MotionSearch finds the best integer-pel motion vector for the rectangle at
-// (cx, cy) of size w×h, searching a diamond pattern seeded at the predicted
-// vector pred within ±searchRange. The cost includes a small rate penalty on
-// the vector difference so that near-prediction vectors win ties, as in a
-// rate-distortion-aware encoder.
+// MotionSearch finds the best integer-pel motion vector for the w×h
+// rectangle at (cx, cy), 1 ≤ w, h ≤ frame.MBSize as for SADLimit, searching
+// a diamond pattern seeded at the predicted vector pred within ±searchRange.
+// The cost includes a small rate penalty on the vector difference so that
+// near-prediction vectors win ties, as in a rate-distortion-aware encoder.
 func MotionSearch(cur, ref *frame.Frame, cx, cy, w, h int, pred MV, searchRange int) (MV, int) {
 	return motionSearch(cur, ref, nil, cx, cy, w, h, pred, searchRange, MaxMV)
 }

@@ -66,16 +66,16 @@ func fillBytes(dst []uint8, v uint8) {
 // MotionSearch is MotionSearch(cur, ref, …) for the ref p was padded from:
 // the same candidates in the same order, hence the same vector and the same
 // cost, with each candidate's SAD one call of the row kernel on the padded
-// plane.
+// plane, and the same precondition: 1 ≤ w, h ≤ frame.MBSize.
 func (p *Padded) MotionSearch(cur *frame.Frame, cx, cy, w, h int, pred MV, searchRange int) (MV, int) {
 	return motionSearch(cur, p.src, p, cx, cy, w, h, pred, searchRange, MaxMV)
 }
 
-// MotionSearchHP finds the best half-pel vector for the rectangle against
-// the ref p was padded from: an integer-pel search seeded at the prediction,
-// on the padded plane, followed by a one-step half-pel refinement of the
-// eight fractional neighbours, which reads ref. pred and the result are in
-// half-pel units.
+// MotionSearchHP finds the best half-pel vector for the w×h rectangle
+// (1 ≤ w, h ≤ frame.MBSize) against the ref p was padded from: an integer-pel
+// search seeded at the prediction, on the padded plane, followed by a
+// one-step half-pel refinement of the eight fractional neighbours, which
+// reads ref. pred and the result are in half-pel units.
 //
 // The stream codes half-pel vectors and their differences from pred in the
 // same ±MaxMV units as full-pel ones, and the decoder saturates both. The
@@ -106,11 +106,11 @@ type paddedRect struct {
 // rect returns the view of the w×h rectangle of cur at (cx, cy) for vectors
 // within ±maxMV (at most ±MaxMV, the margin), and false when the padded
 // plane cannot serve them all: the rectangle must lie inside both cur and
-// the reference and be at most a macroblock wide, as every partition is.
-// Bounds are checked here once, over the span every such vector reaches.
+// the reference. The searches' precondition bounds its size to a
+// partition's. Bounds are checked here once, over the span every such
+// vector reaches.
 func (p *Padded) rect(cur *frame.Frame, cx, cy, w, h int, maxMV int16) (paddedRect, bool) {
-	if w <= 0 || w > frame.MBSize || h <= 0 ||
-		!interior(cur, cx, cy, w, h) || !interior(p.src, cx, cy, w, h) {
+	if w <= 0 || h <= 0 || !interior(cur, cx, cy, w, h) || !interior(p.src, cx, cy, w, h) {
 		return paddedRect{}, false
 	}
 	at := (cy+padMargin)*p.stride + cx + padMargin

@@ -132,8 +132,8 @@ func clampedRow(f *frame.Frame, x, y, w int, buf *[frame.MBSize]uint8) []uint8 {
 // clamping, stopping early once the running sum reaches limit (checked at
 // row boundaries). The result is exact whenever it is below limit; an
 // early-terminated result is a lower bound on the exact SAD that is already
-// >= limit, which strict-minimum searches reject identically. Rectangles are
-// partition-sized: w is at most a macroblock wide.
+// >= limit, which strict-minimum searches reject identically. The rectangle
+// must be partition-sized, 1 ≤ w, h ≤ frame.MBSize.
 func SADLimit(cur, ref *frame.Frame, cx, cy, w, h int, mv MV, limit int) int {
 	rx, ry := cx+int(mv.X), cy+int(mv.Y)
 	if interior(cur, cx, cy, w, h) && interior(ref, rx, ry, w, h) {
