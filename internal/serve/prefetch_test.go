@@ -47,11 +47,8 @@ func (b *hookBackend) ReadAt(p []byte, off int64) (int, error) {
 // holdFrom parks every read at or past chunk i's payload — chunk i and all
 // later chunks — until the returned release runs (the test's end at the
 // latest), leaving reads of earlier chunks alone.
-func (b *hookBackend) holdFrom(t testing.TB, data []byte, i int) (release func()) {
-	info, err := openBytes(t, data).Info(i)
-	if err != nil {
-		t.Fatal(err)
-	}
+func (b *hookBackend) holdFrom(t testing.TB, c *container, i int) (release func()) {
+	info := c.info(t, i)
 	gate := make(chan struct{})
 	hook := func(off int64) error {
 		if off >= info.Offset {
@@ -69,37 +66,6 @@ func (b *hookBackend) holdFrom(t testing.TB, data []byte, i int) (release func()
 // spec serves b under the catalog's lazy open.
 func (b *hookBackend) spec() ArchiveSpec {
 	return ArchiveSpec{Open: func() (store.Backend, error) { return b, nil }}
-}
-
-// statusOf is one GET of path through the handler, for routes whose status
-// is all the test wants.
-func statusOf(c *Catalog, path string) int {
-	rec := httptest.NewRecorder()
-	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
-	return rec.Code
-}
-
-// chunkGet fetches chunk i of the named archive through the handler and
-// returns the status and the X-Cache verdict. Every call also samples the
-// accounting invariant: no readahead load is settled twice, or before it is
-// counted issued.
-func chunkGet(t testing.TB, c *Catalog, name string, i int) (int, string) {
-	t.Helper()
-	rec := httptest.NewRecorder()
-	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/archives/%s/chunks/%d", name, i), nil))
-	if issued, useful, wasted := prefetchCounts(c, name); useful+wasted > issued {
-		t.Errorf("after %s chunk %d: useful %d + wasted %d > issued %d", name, i, useful, wasted, issued)
-	}
-	return rec.Code, rec.Header().Get("X-Cache")
-}
-
-// mustGet is chunkGet of the test archive that insists on 200 and on the
-// given X-Cache verdict.
-func mustGet(t testing.TB, c *Catalog, i int, want string) {
-	t.Helper()
-	if status, xc := chunkGet(t, c, testArchive, i); status != http.StatusOK || xc != want {
-		t.Fatalf("chunk %d: status %d X-Cache %q, want 200 %s", i, status, xc, want)
-	}
 }
 
 // prefetchCounts reads the readahead counters of one archive.
@@ -149,23 +115,16 @@ func settle(t testing.TB, c *Catalog) {
 // from one chunk to the configured two once the reader consumes what was
 // warmed, and the useful counter records each.
 func TestPrefetchWarmsSequentialReads(t *testing.T) {
-	s := serveBytes(t, buildArchiveBytes(t, 6)) // defaults: readahead depth 2
+	s := serveBytes(t, containerOf(t, 6, nil).data) // defaults: readahead depth 2
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	read := func(i int, want string) {
-		t.Helper()
-		status, _, hdr := fetch(t, ts.Client(), ts.URL+chunkPath(i))
-		if got := hdr.Get("X-Cache"); status != http.StatusOK || got != want {
-			t.Fatalf("chunk %d: status %d X-Cache %q, want 200 %s", i, status, got, want)
-		}
-	}
 
-	read(0, "miss")
+	fetch(t, ts.Client(), ts.URL+chunkPath(0)).wantCache(t, "miss")
 	warmed(t, s, testArchive, 1) // chunk 1, without any further request
-	read(1, "hit")
+	fetch(t, ts.Client(), ts.URL+chunkPath(1)).wantCache(t, "hit")
 	warmed(t, s, testArchive, 3) // chunks 2 and 3
-	read(2, "hit")
-	read(3, "hit")
+	fetch(t, ts.Client(), ts.URL+chunkPath(2)).wantCache(t, "hit")
+	fetch(t, ts.Client(), ts.URL+chunkPath(3)).wantCache(t, "hit")
 	snap := s.Metrics().Snapshot()
 	if got := snap.Counter(obs.CtrServePrefetchUseful, testArchive); got != 3 {
 		t.Fatalf("serve_prefetch_useful = %d, want 3", got)
@@ -184,9 +143,9 @@ func TestPrefetchWarmsSequentialReads(t *testing.T) {
 // TestPrefetchDisabled: with WithPrefetch(0) sequential reads all decode on
 // demand and no prefetch counters move.
 func TestPrefetchDisabled(t *testing.T) {
-	s := serveBytes(t, buildArchiveBytes(t, 3), WithPrefetch(0))
+	s := serveBytes(t, containerOf(t, 3, nil).data, WithPrefetch(0))
 	for i := 0; i < 3; i++ {
-		mustGet(t, s, i, "miss")
+		serveDirect(t, s, chunkPath(i)).wantCache(t, "miss")
 	}
 	snap := s.Metrics().Snapshot()
 	if got := snap.Counter(obs.CtrServeDecodes, testArchive); got != 3 {
@@ -208,8 +167,8 @@ func TestPrefetchDisabled(t *testing.T) {
 // the workers.
 func queuedFixture(t *testing.T, spec ArchiveSpec, options ...Option) (cat *Catalog, release func()) {
 	t.Helper()
-	data := buildArchiveBytes(t, 6)
-	parked := &hookBackend{Backend: store.NewSnapshotBackend(data)}
+	c := containerOf(t, 6, nil)
+	parked := &hookBackend{Backend: store.NewSnapshotBackend(c.data)}
 	pspec := parked.spec()
 	pspec.Name = "parked"
 	cat = serveOne(t, spec, append([]Option{WithPrefetch(4)}, options...)...)
@@ -217,18 +176,14 @@ func queuedFixture(t *testing.T, spec ArchiveSpec, options ...Option) (cat *Cata
 		t.Fatal(err)
 	}
 	// Opens the archive without caching a chunk of it.
-	if status := statusOf(cat, "/v1/archives/parked/chunks/0/meta"); status != http.StatusOK {
-		t.Fatalf("parked chunk 0 meta: status %d", status)
+	if r := serveDirect(t, cat, pathOf("parked", 0)+"/meta"); r.status != http.StatusOK {
+		t.Fatalf("parked chunk 0 meta: status %d", r.status)
 	}
-	release = parked.holdFrom(t, data, 2)
-	if status, _ := chunkGet(t, cat, "parked", 0); status != http.StatusOK {
-		t.Fatalf("parked chunk 0: status %d", status)
-	}
+	release = parked.holdFrom(t, c, 2)
+	serveDirect(t, cat, pathOf("parked", 0)).wantCache(t, "miss")
 	warmed(t, cat, "parked", 1)
-	if status, xc := chunkGet(t, cat, "parked", 1); status != http.StatusOK || xc != "hit" {
-		t.Fatalf("parked chunk 1: status %d X-Cache %q, want 200 hit", status, xc)
-	}
-	mustGet(t, cat, 0, "miss")
+	serveDirect(t, cat, pathOf("parked", 1)).wantCache(t, "hit")
+	serveDirect(t, cat, chunkPath(0)).wantCache(t, "miss")
 	return cat, release
 }
 
@@ -248,7 +203,7 @@ func wantNoReadahead(t *testing.T, cat *Catalog, decodes int64) {
 // their tenant's breaker is open are dropped before any archive or cache
 // work, and leave the breaker as they found it.
 func TestPrefetchNeverFiresThroughOpenBreaker(t *testing.T) {
-	dev := &togglingAt{Backend: store.NewSnapshotBackend(buildArchiveBytes(t, 6))}
+	dev := &togglingAt{Backend: store.NewSnapshotBackend(containerOf(t, 6, nil).data)}
 	pol := store.FaultPolicy{MaxRetries: -1, BreakerThreshold: 1, BreakerCooldown: time.Minute}
 	cat, release := queuedFixture(t, ArchiveSpec{
 		Open:    func() (store.Backend, error) { return dev, nil },
@@ -258,8 +213,8 @@ func TestPrefetchNeverFiresThroughOpenBreaker(t *testing.T) {
 	// opens the breaker; the device then recovers, so readahead that did
 	// fire would succeed and show.
 	dev.broken.Store(true)
-	if status, _ := chunkGet(t, cat, testArchive, 5); status != http.StatusServiceUnavailable {
-		t.Fatalf("failing device: status %d, want 503", status)
+	if r := serveDirect(t, cat, chunkPath(5)); r.status != http.StatusServiceUnavailable {
+		t.Fatalf("failing device: status %d, want 503", r.status)
 	}
 	dev.broken.Store(false)
 	release()
@@ -274,9 +229,7 @@ func TestPrefetchNeverFiresThroughOpenBreaker(t *testing.T) {
 // at execution time — the re-acquire finds the tenant gone — and the Remove
 // leaves nothing of the tenant behind.
 func TestPrefetchNeverFiresOnRetiredTenant(t *testing.T) {
-	cat, release := queuedFixture(t, ArchiveSpec{
-		Open: func() (store.Backend, error) { return store.NewSnapshotBackend(buildArchiveBytes(t, 6)), nil },
-	})
+	cat, release := queuedFixture(t, snapshotSpec(testArchive, containerOf(t, 6, nil).data))
 	if err := cat.Remove(testArchive); err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +250,7 @@ func TestPrefetchNeverFiresOnRetiredTenant(t *testing.T) {
 // generation is dropped when the archive was since reopened under a new
 // cache space.
 func TestPrefetchStaleGenerationDropped(t *testing.T) {
-	data := buildArchiveBytes(t, 6)
+	data := containerOf(t, 6, nil).data
 	cat, release := queuedFixture(t, ArchiveSpec{
 		Open: func() (store.Backend, error) { return store.NewSnapshotBackend(data), nil },
 	}, WithIdleTimeout(time.Millisecond))
@@ -308,8 +261,8 @@ func TestPrefetchStaleGenerationDropped(t *testing.T) {
 		t.Fatalf("CloseIdle closed %d, want 1", n)
 	}
 	// Reopen under a fresh generation without touching the chunk path.
-	if status := statusOf(cat, chunkPath(5)+"/meta"); status != http.StatusOK {
-		t.Fatalf("reopening meta request: status %d", status)
+	if r := serveDirect(t, cat, chunkPath(5)+"/meta"); r.status != http.StatusOK {
+		t.Fatalf("reopening meta request: status %d", r.status)
 	}
 	release()
 	settle(t, cat)
@@ -321,11 +274,11 @@ func TestPrefetchStaleGenerationDropped(t *testing.T) {
 // whose window is already resident queues nothing, and no load dies on a
 // missing chunk.
 func TestPrefetchPastEndOfArchive(t *testing.T) {
-	cat := serveBytes(t, buildArchiveBytes(t, 2))
-	mustGet(t, cat, 0, "miss")
+	cat := serveBytes(t, containerOf(t, 2, nil).data)
+	serveDirect(t, cat, chunkPath(0)).wantCache(t, "miss")
 	warmed(t, cat, testArchive, 1)
-	mustGet(t, cat, 1, "hit") // claimed: the window would be chunks 2 and 3
-	mustGet(t, cat, 0, "hit") // its window, chunk 1, is resident
+	serveDirect(t, cat, chunkPath(1)).wantCache(t, "hit") // claimed: the window would be chunks 2 and 3
+	serveDirect(t, cat, chunkPath(0)).wantCache(t, "hit") // its window, chunk 1, is resident
 	settle(t, cat)
 	wantCounts(t, cat, testArchive, 1, 1, 0)
 	if got := cat.Metrics().Snapshot().Counter(obs.CtrServeDecodes, testArchive); got != 2 {
@@ -336,15 +289,15 @@ func TestPrefetchPastEndOfArchive(t *testing.T) {
 // TestPrefetchOutcomeAccounting pins what each readahead load is counted
 // as, exactly once, from the requests that decide it.
 func TestPrefetchOutcomeAccounting(t *testing.T) {
-	data := buildArchiveBytes(t, 6)
-	chunkBytes := int64(len(wantChunkBody(t, openBytes(t, data), 0)))
+	c := containerOf(t, 6, nil)
+	data, chunkBytes := c.data, c.chunkBytes()
 
 	t.Run("hit is useful once", func(t *testing.T) {
 		cat := serveBytes(t, data, WithPrefetch(1))
-		mustGet(t, cat, 0, "miss")
+		serveDirect(t, cat, chunkPath(0)).wantCache(t, "miss")
 		warmed(t, cat, testArchive, 1)
-		mustGet(t, cat, 1, "hit")
-		mustGet(t, cat, 1, "hit")
+		serveDirect(t, cat, chunkPath(1)).wantCache(t, "hit")
+		serveDirect(t, cat, chunkPath(1)).wantCache(t, "hit")
 		warmed(t, cat, testArchive, 2) // chunk 2, warmed by the requests for 1 and unserved
 		settle(t, cat)
 		wantCounts(t, cat, testArchive, 2, 1, 0)
@@ -353,10 +306,10 @@ func TestPrefetchOutcomeAccounting(t *testing.T) {
 	t.Run("evicted unserved is wasted once", func(t *testing.T) {
 		// Room for two chunks.
 		cat := serveBytes(t, data, WithPrefetch(1), withRenderedBytes(2*chunkBytes+chunkBytes/2))
-		mustGet(t, cat, 0, "miss") // resident: 1* 0
+		serveDirect(t, cat, chunkPath(0)).wantCache(t, "miss") // resident: 1* 0
 		warmed(t, cat, testArchive, 1)
-		mustGet(t, cat, 3, "miss") // evicts 0; a random read, no readahead
-		mustGet(t, cat, 5, "miss") // evicts the unserved 1*
+		serveDirect(t, cat, chunkPath(3)).wantCache(t, "miss") // evicts 0; a random read, no readahead
+		serveDirect(t, cat, chunkPath(5)).wantCache(t, "miss") // evicts the unserved 1*
 		settle(t, cat)
 		wantCounts(t, cat, testArchive, 1, 0, 1)
 	})
@@ -364,21 +317,20 @@ func TestPrefetchOutcomeAccounting(t *testing.T) {
 	t.Run("coalesced is neither", func(t *testing.T) {
 		dev := &hookBackend{Backend: store.NewSnapshotBackend(data)}
 		cat := serveOne(t, dev.spec(), WithPrefetch(1))
-		mustGet(t, cat, 5, "miss") // opens the archive; a random read, no readahead
-		release := dev.holdFrom(t, data, 1)
-		mustGet(t, cat, 0, "miss")
+		serveDirect(t, cat, chunkPath(5)).wantCache(t, "miss") // opens the archive; a random read, no readahead
+		release := dev.holdFrom(t, c, 1)
+		serveDirect(t, cat, chunkPath(0)).wantCache(t, "miss")
 		waitUntil(t, "readahead of chunk 1 to take off", func() bool { return cat.CacheStats().Loads == 3 })
 		done := make(chan string, 1)
 		go func() {
-			_, xc := chunkGet(t, cat, testArchive, 1)
-			done <- xc
+			done <- serveDirect(t, cat, chunkPath(1)).header.Get("X-Cache")
 		}()
 		waitUntil(t, "the request to join the flight", func() bool { return cat.CacheStats().Misses == 4 })
 		release()
 		if xc := <-done; xc != "miss" {
 			t.Fatalf("coalesced request: X-Cache %q, want miss", xc)
 		}
-		mustGet(t, cat, 1, "hit")
+		serveDirect(t, cat, chunkPath(1)).wantCache(t, "hit")
 		warmed(t, cat, testArchive, 2)
 		settle(t, cat)
 		if got := cat.CacheStats().Loads; got != 4 { // 5, 0, 1*, and 2* warmed by the requests for 1
@@ -392,11 +344,8 @@ func TestPrefetchOutcomeAccounting(t *testing.T) {
 		spec := dev.spec()
 		spec.Options = []store.ArchiveOption{store.WithFaultPolicy(store.FaultPolicy{MaxRetries: -1})}
 		cat := serveOne(t, spec, WithPrefetch(1))
-		mustGet(t, cat, 5, "miss")
-		info, err := openBytes(t, data).Info(1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		serveDirect(t, cat, chunkPath(5)).wantCache(t, "miss")
+		info := c.info(t, 1)
 		fail := func(off int64) error {
 			if off >= info.Offset {
 				return errDeviceDown
@@ -404,7 +353,7 @@ func TestPrefetchOutcomeAccounting(t *testing.T) {
 			return nil
 		}
 		dev.hook.Store(&fail)
-		mustGet(t, cat, 0, "miss")
+		serveDirect(t, cat, chunkPath(0)).wantCache(t, "miss")
 		warmed(t, cat, testArchive, 1)
 		settle(t, cat)
 		wantCounts(t, cat, testArchive, 1, 0, 1)
@@ -415,9 +364,9 @@ func TestPrefetchOutcomeAccounting(t *testing.T) {
 
 	t.Run("Remove wastes the unserved and leaves nothing", func(t *testing.T) {
 		cat := serveBytes(t, data)
-		mustGet(t, cat, 0, "miss")
+		serveDirect(t, cat, chunkPath(0)).wantCache(t, "miss")
 		warmed(t, cat, testArchive, 1)
-		mustGet(t, cat, 1, "hit")
+		serveDirect(t, cat, chunkPath(1)).wantCache(t, "hit")
 		warmed(t, cat, testArchive, 3) // chunks 2 and 3, unserved
 		if err := cat.Remove(testArchive); err != nil {
 			t.Fatal(err)
@@ -432,21 +381,21 @@ func TestPrefetchOutcomeAccounting(t *testing.T) {
 // TestPrefetchSchedulesOncePerTarget: however often a window is scheduled
 // while its targets are queued or loading, each target is loaded once.
 func TestPrefetchSchedulesOncePerTarget(t *testing.T) {
-	data := buildArchiveBytes(t, 6)
-	dev := &hookBackend{Backend: store.NewSnapshotBackend(data)}
+	c := containerOf(t, 6, nil)
+	dev := &hookBackend{Backend: store.NewSnapshotBackend(c.data)}
 	cat := serveOne(t, dev.spec(), WithPrefetch(4))
-	mustGet(t, cat, 5, "miss") // opens the archive; a random read, no readahead
-	release := dev.holdFrom(t, data, 1)
-	mustGet(t, cat, 0, "miss")
+	serveDirect(t, cat, chunkPath(5)).wantCache(t, "miss") // opens the archive; a random read, no readahead
+	release := dev.holdFrom(t, c, 1)
+	serveDirect(t, cat, chunkPath(0)).wantCache(t, "miss")
 	for r := 0; r < 4; r++ {
-		mustGet(t, cat, 0, "hit") // re-schedules 1: loading, or queued again
+		serveDirect(t, cat, chunkPath(0)).wantCache(t, "hit") // re-schedules 1: loading, or queued again
 	}
 	release()
 	warmed(t, cat, testArchive, 1)
-	release = dev.holdFrom(t, data, 2)
-	mustGet(t, cat, 1, "hit") // claims 1: the full window, 2..4 (5 is resident)
+	release = dev.holdFrom(t, c, 2)
+	serveDirect(t, cat, chunkPath(1)).wantCache(t, "hit") // claims 1: the full window, 2..4 (5 is resident)
 	for r := 0; r < 4; r++ {
-		mustGet(t, cat, 1, "hit") // re-schedules 2: loading, or queued again
+		serveDirect(t, cat, chunkPath(1)).wantCache(t, "hit") // re-schedules 2: loading, or queued again
 	}
 	release()
 	warmed(t, cat, testArchive, 4)
@@ -462,7 +411,8 @@ func TestPrefetchSchedulesOncePerTarget(t *testing.T) {
 // whether the reader's next request found it.
 func TestPrefetchPolicy(t *testing.T) {
 	const chunks = 14
-	data := buildArchiveBytes(t, chunks)
+	c := containerOf(t, chunks, nil)
+	data := c.data
 	decodes := func(cat *Catalog, name string) int64 {
 		return cat.Metrics().Snapshot().Counter(obs.CtrServeDecodes, name)
 	}
@@ -470,7 +420,7 @@ func TestPrefetchPolicy(t *testing.T) {
 	t.Run("random reads issue nothing", func(t *testing.T) {
 		cat := serveBytes(t, data)
 		for _, i := range []int{9, 5, 12, 2, 7} {
-			mustGet(t, cat, i, "miss")
+			serveDirect(t, cat, chunkPath(i)).wantCache(t, "miss")
 		}
 		settle(t, cat)
 		wantNoReadahead(t, cat, 5)
@@ -479,7 +429,7 @@ func TestPrefetchPolicy(t *testing.T) {
 	t.Run("backward scan issues nothing", func(t *testing.T) {
 		cat := serveBytes(t, data)
 		for i := 5; i >= 0; i-- {
-			mustGet(t, cat, i, "miss")
+			serveDirect(t, cat, chunkPath(i)).wantCache(t, "miss")
 		}
 		settle(t, cat)
 		wantNoReadahead(t, cat, 6)
@@ -487,13 +437,13 @@ func TestPrefetchPolicy(t *testing.T) {
 
 	t.Run("sequential read opens the window", func(t *testing.T) {
 		cat := serveBytes(t, data, WithPrefetch(3))
-		mustGet(t, cat, 0, "miss")
+		serveDirect(t, cat, chunkPath(0)).wantCache(t, "miss")
 		warmed(t, cat, testArchive, 1) // start of a stream: one chunk
-		mustGet(t, cat, 1, "hit")
+		serveDirect(t, cat, chunkPath(1)).wantCache(t, "hit")
 		warmed(t, cat, testArchive, 4) // claimed: the full depth, 2..4
-		mustGet(t, cat, 2, "hit")
+		serveDirect(t, cat, chunkPath(2)).wantCache(t, "hit")
 		warmed(t, cat, testArchive, 5)
-		mustGet(t, cat, 3, "hit")
+		serveDirect(t, cat, chunkPath(3)).wantCache(t, "hit")
 		warmed(t, cat, testArchive, 6)
 		settle(t, cat)
 		wantCounts(t, cat, testArchive, 6, 3, 0)
@@ -509,8 +459,8 @@ func TestPrefetchPolicy(t *testing.T) {
 		// readahead never runs further than depth past the last chunk read.
 		cat := serveBytes(t, data, WithPrefetch(3))
 		for i := 0; i < 6; i++ {
-			if status, _ := chunkGet(t, cat, testArchive, i); status != http.StatusOK {
-				t.Fatalf("chunk %d: status %d", i, status)
+			if r := serveDirect(t, cat, chunkPath(i)); r.status != http.StatusOK {
+				t.Fatalf("chunk %d: status %d", i, r.status)
 			}
 		}
 		settle(t, cat)
@@ -521,10 +471,10 @@ func TestPrefetchPolicy(t *testing.T) {
 
 	t.Run("a seek ramps over two requests", func(t *testing.T) {
 		cat := serveBytes(t, data)
-		mustGet(t, cat, 6, "miss") // no evidence: nothing
-		mustGet(t, cat, 7, "miss") // 6 is resident: one chunk
+		serveDirect(t, cat, chunkPath(6)).wantCache(t, "miss") // no evidence: nothing
+		serveDirect(t, cat, chunkPath(7)).wantCache(t, "miss") // 6 is resident: one chunk
 		warmed(t, cat, testArchive, 1)
-		mustGet(t, cat, 8, "hit") // claimed: the full depth, 9 and 10
+		serveDirect(t, cat, chunkPath(8)).wantCache(t, "hit") // claimed: the full depth, 9 and 10
 		warmed(t, cat, testArchive, 3)
 		settle(t, cat)
 		wantCounts(t, cat, testArchive, 3, 1, 0)
@@ -546,9 +496,7 @@ func TestPrefetchPolicy(t *testing.T) {
 				want = "miss"
 			}
 			for _, name := range names {
-				if status, xc := chunkGet(t, cat, name, i); status != http.StatusOK || xc != want {
-					t.Fatalf("%s chunk %d: status %d X-Cache %q, want 200 %s", name, i, status, xc, want)
-				}
+				serveDirect(t, cat, pathOf(name, i)).wantCache(t, want)
 			}
 			for _, name := range names {
 				warmed(t, cat, name, issued)
@@ -564,28 +512,28 @@ func TestPrefetchPolicy(t *testing.T) {
 		// Room for three chunks in one strict-LRU shard, so three random reads
 		// flush everything the reader left behind while its window is still
 		// loading.
-		chunkBytes := int64(len(wantChunkBody(t, openBytes(t, data), 0)))
+		chunkBytes := c.chunkBytes()
 		dev := &hookBackend{Backend: store.NewSnapshotBackend(data)}
 		cat := serveOne(t, dev.spec(), withRenderedBytes(3*chunkBytes+chunkBytes/2))
-		mustGet(t, cat, 7, "miss") // a seek; opens the archive
-		mustGet(t, cat, 8, "miss")
+		serveDirect(t, cat, chunkPath(7)).wantCache(t, "miss") // a seek; opens the archive
+		serveDirect(t, cat, chunkPath(8)).wantCache(t, "miss")
 		warmed(t, cat, testArchive, 1) // chunk 9; resident: 9* 8 7
-		release := dev.holdFrom(t, data, 10)
-		mustGet(t, cat, 9, "hit") // claimed: 10 and 11 take off and park
+		release := dev.holdFrom(t, c, 10)
+		serveDirect(t, cat, chunkPath(9)).wantCache(t, "hit") // claimed: 10 and 11 take off and park
 		waitUntil(t, "the window to take off", func() bool { return cat.CacheStats().Loads == 5 })
 		for _, i := range []int{1, 3, 5} {
-			mustGet(t, cat, i, "miss") // evicts 7, 8, 9 in turn
+			serveDirect(t, cat, chunkPath(i)).wantCache(t, "miss") // evicts 7, 8, 9 in turn
 		}
 		release()
 		warmed(t, cat, testArchive, 3) // resident: 11* 10* 5
 		if got := cat.CacheStats().Evictions; got != 5 {
 			t.Fatalf("%d evictions, want 5 (7, 8, 9, then 1 and 3)", got)
 		}
-		mustGet(t, cat, 10, "hit")     // 9 is gone: only the claim says "sequential"
-		warmed(t, cat, testArchive, 4) // chunk 12, two ahead: the full depth
-		mustGet(t, cat, 11, "hit")
+		serveDirect(t, cat, chunkPath(10)).wantCache(t, "hit") // 9 is gone: only the claim says "sequential"
+		warmed(t, cat, testArchive, 4)                         // chunk 12, two ahead: the full depth
+		serveDirect(t, cat, chunkPath(11)).wantCache(t, "hit")
 		warmed(t, cat, testArchive, 5)
-		mustGet(t, cat, 12, "hit")
+		serveDirect(t, cat, chunkPath(12)).wantCache(t, "hit")
 		settle(t, cat)
 		wantCounts(t, cat, testArchive, 5, 4, 0)
 	})
@@ -597,19 +545,11 @@ func TestPrefetchPolicy(t *testing.T) {
 // recovery. It must cost the one request a 500, and a readahead load one
 // issued-and-wasted, not the process.
 func TestPanickingLoadFailsOneRequest(t *testing.T) {
-	data := buildArchiveBytes(t, 4)
-	a := openBytes(t, data)
-	lo, err := a.Info(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hi, err := a.Info(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := containerOf(t, 4, nil)
+	data, lo, hi := c.data, c.info(t, 1), c.info(t, 2)
 	dev := &hookBackend{Backend: store.NewSnapshotBackend(data)}
 	cat := serveOne(t, dev.spec())
-	mustGet(t, cat, 3, "miss") // opens the archive; a random read, no readahead
+	serveDirect(t, cat, chunkPath(3)).wantCache(t, "miss") // opens the archive; a random read, no readahead
 	boom := func(off int64) error {
 		if off >= lo.Offset && off < hi.Offset {
 			panic("backend bug")
@@ -618,17 +558,17 @@ func TestPanickingLoadFailsOneRequest(t *testing.T) {
 	}
 	dev.hook.Store(&boom)
 
-	if status, _ := chunkGet(t, cat, testArchive, 1); status != http.StatusInternalServerError {
-		t.Fatalf("foreground load that panics: status %d, want 500", status)
+	if r := serveDirect(t, cat, chunkPath(1)); r.status != http.StatusInternalServerError {
+		t.Fatalf("foreground load that panics: status %d, want 500", r.status)
 	}
 	if got := cat.Metrics().Snapshot().Counter(obs.CtrServeErrors, "chunk"); got != 1 {
 		t.Fatalf("serve_errors = %d, want 1", got)
 	}
-	if status := statusOf(cat, "/healthz"); status != http.StatusOK {
-		t.Fatalf("/healthz after a panic: status %d", status)
+	if r := serveDirect(t, cat, "/healthz"); r.status != http.StatusOK {
+		t.Fatalf("/healthz after a panic: status %d", r.status)
 	}
 
-	mustGet(t, cat, 0, "miss") // its readahead of chunk 1 panics
+	serveDirect(t, cat, chunkPath(0)).wantCache(t, "miss") // its readahead of chunk 1 panics
 	warmed(t, cat, testArchive, 1)
 	wantCounts(t, cat, testArchive, 1, 0, 1)
 	if cat.CacheStats().Len != 2 {
@@ -638,9 +578,9 @@ func TestPanickingLoadFailsOneRequest(t *testing.T) {
 	// The worker pool is alive: the device recovers and a sequential reader
 	// is warmed again.
 	dev.hook.Store(nil)
-	mustGet(t, cat, 1, "miss")
+	serveDirect(t, cat, chunkPath(1)).wantCache(t, "miss")
 	warmed(t, cat, testArchive, 2)
-	mustGet(t, cat, 2, "hit")
+	serveDirect(t, cat, chunkPath(2)).wantCache(t, "hit")
 	if cat.Metrics().Snapshot().Gauge(obs.GaugeServeBreakerOpen, testArchive) != 0 {
 		t.Fatal("a panicked load fed the breaker")
 	}
@@ -650,10 +590,10 @@ func TestPanickingLoadFailsOneRequest(t *testing.T) {
 // requests, and those requests neither queue readahead nobody would run nor
 // grow any other prefetcher state.
 func TestPrefetchIdleAfterClose(t *testing.T) {
-	cat := serveBytes(t, buildArchiveBytes(t, 4))
+	cat := serveBytes(t, containerOf(t, 4, nil).data)
 	cat.Close()
 	for i := 0; i < 3; i++ {
-		mustGet(t, cat, i, "miss")
+		serveDirect(t, cat, chunkPath(i)).wantCache(t, "miss")
 	}
 	if n := len(cat.prefetch.jobs); n != 0 {
 		t.Fatalf("%d readahead jobs queued after Close", n)
@@ -671,7 +611,7 @@ const hotHitAllocs = 17
 // resident chunk — once-prefetched or not, with its readahead window
 // resident too — allocates no more than it did before.
 func TestHotChunkHitAllocs(t *testing.T) {
-	cat := serveBytes(t, buildArchiveBytes(t, 4))
+	cat := serveBytes(t, containerOf(t, 4, nil).data)
 	reqs := make([]*http.Request, 4)
 	for i := range reqs {
 		reqs[i] = httptest.NewRequest(http.MethodGet, chunkPath(i), nil)

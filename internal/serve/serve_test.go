@@ -6,174 +6,36 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"sync"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
-	"videoapp/internal/codec"
-	"videoapp/internal/core"
+	"videoapp/internal/obs"
 	"videoapp/internal/store"
-	"videoapp/internal/synth"
-	"videoapp/internal/y4m"
 )
 
-// buildArchiveBytes encodes a small synthetic video and writes it into an
-// in-memory VACS archive of single-GOP chunks, returning the container
-// bytes.
-func buildArchiveBytes(t testing.TB, gops int) []byte {
-	t.Helper()
-	return buildArchive(t, gops, nil)
-}
-
-// buildArchive is buildArchiveBytes with the encoder parameters adjusted by
-// tune, when one is given. B frames reference across GOP boundaries, so a
-// video coded with them goes into the archive whole, as its one chunk.
-func buildArchive(t testing.TB, gops int, tune func(*codec.Params)) []byte {
-	t.Helper()
-	const gopSize = 4
-	cfg, _ := synth.PresetByName("crew_like")
-	seq := synth.Generate(cfg.ScaleTo(96, 64, gops*gopSize))
-	p := codec.DefaultParams()
-	p.GOPSize = gopSize
-	p.SearchRange = 8
-	if tune != nil {
-		tune(&p)
-	}
-	v, err := codec.EncodeParallelContext(context.Background(), seq, p, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	an, err := core.AnalyzeContext(context.Background(), v, core.DefaultOptions(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts := an.Partition(core.PaperAssignment())
-
-	gopsPerChunk := 1
-	if p.BFrames > 0 {
-		gopsPerChunk = gops
-	}
-	var buf bytes.Buffer
-	cw, err := store.NewChunkWriter(&buf, store.ArchiveMeta{W: v.W, H: v.H, FPS: v.FPS, GOPSize: gopSize, GOPsPerChunk: gopsPerChunk})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < len(v.Frames); s += gopsPerChunk * gopSize {
-		e := min(s+gopsPerChunk*gopSize, len(v.Frames))
-		sub := &codec.Video{Params: p, W: v.W, H: v.H, FPS: v.FPS, Frames: append([]*codec.EncodedFrame(nil), v.Frames[s:e]...)}
-		sub = sub.Clone()
-		sub.ShiftIndices(-s)
-		if err := cw.Append(sub, parts[s:e], s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return buf.Bytes()
-}
-
-// openBytes opens container bytes directly — the serial reference the
-// served responses are compared against.
-func openBytes(t testing.TB, data []byte) *store.ChunkArchive {
-	t.Helper()
-	a, err := store.OpenArchiveBackend(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a
-}
-
-// testArchive is the name the one-archive test catalogs serve under.
-const testArchive = "t"
-
-// serveOne is the single-archive server every test here runs against: a
-// catalog of the one spec, served under testArchive and closed with the
-// test.
-func serveOne(t testing.TB, spec ArchiveSpec, options ...Option) *Catalog {
-	t.Helper()
-	spec.Name = testArchive
-	cat, err := NewCatalog([]ArchiveSpec{spec}, options...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cat.Close() })
-	return cat
-}
-
-// serveBytes is serveOne over container bytes held in memory.
-func serveBytes(t testing.TB, data []byte, options ...Option) *Catalog {
-	t.Helper()
-	return serveOne(t, ArchiveSpec{
-		Open: func() (store.Backend, error) { return store.NewSnapshotBackend(data), nil },
-	}, options...)
-}
-
-// withRenderedBytes is WithCacheBytes for a test that sizes the cache in
-// rendered chunks: the budget whose rendered tier — what the parse-record
-// tier's quarter leaves — is n bytes, give or take two.
-func withRenderedBytes(n int64) Option { return WithCacheBytes(n + n/(syntaxShare-1) + 1) }
-
-// chunkPath is the route of chunk i of the test archive.
-func chunkPath(i int) string {
-	return fmt.Sprintf("/v1/archives/%s/chunks/%d", testArchive, i)
-}
-
-// wantChunkBody renders the reference response body for chunk i: the
-// fully verified chunk read, decoded serially and written as y4m.
-func wantChunkBody(t testing.TB, a *store.ChunkArchive, i int) []byte {
-	t.Helper()
-	cr, err := a.ReadChunkContext(context.Background(), i)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cr.Degraded) > 0 {
-		t.Fatalf("reference read of chunk %d degraded: %v", i, cr.Degraded)
-	}
-	seq, err := codec.DecodeContext(context.Background(), cr.Video, codec.DecodeOptions{}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := y4m.Write(&buf, seq); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-func get(t testing.TB, client *http.Client, url string) (int, []byte) {
-	t.Helper()
-	resp, err := client.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, body
-}
-
 func TestServeEndpoints(t *testing.T) {
-	data := buildArchiveBytes(t, 3)
-	a := openBytes(t, data)
-	s := serveBytes(t, data)
+	c := containerOf(t, 3, nil)
+	a := openBytes(t, c.data)
+	s := serveBytes(t, c.data)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	status, body := get(t, ts.Client(), ts.URL+"/healthz")
-	if status != http.StatusOK || string(body) != "ok\n" {
-		t.Fatalf("healthz: %d %q", status, body)
+	r := fetch(t, ts.Client(), ts.URL+"/healthz")
+	if r.status != http.StatusOK || string(r.body) != "ok\n" {
+		t.Fatalf("healthz: %d %q", r.status, r.body)
 	}
 
-	status, body = get(t, ts.Client(), ts.URL+"/v1/archives/"+testArchive)
-	if status != http.StatusOK {
-		t.Fatalf("archive: status %d", status)
+	r = fetch(t, ts.Client(), ts.URL+"/v1/archives/"+testArchive)
+	if r.status != http.StatusOK {
+		t.Fatalf("archive: status %d", r.status)
 	}
 	var idx archiveIndex
-	if err := json.Unmarshal(body, &idx); err != nil {
+	if err := json.Unmarshal(r.body, &idx); err != nil {
 		t.Fatal(err)
 	}
 	if idx.Chunks != a.NumChunks() || idx.TotalFrames != a.TotalFrames() || len(idx.Index) != a.NumChunks() {
@@ -185,24 +47,20 @@ func TestServeEndpoints(t *testing.T) {
 
 	// Every chunk's body is bit-identical to the serial read path.
 	for i := 0; i < a.NumChunks(); i++ {
-		status, body := get(t, ts.Client(), ts.URL+chunkPath(i))
-		if status != http.StatusOK {
-			t.Fatalf("chunk %d: status %d", i, status)
-		}
-		if want := wantChunkBody(t, a, i); !bytes.Equal(body, want) {
-			t.Fatalf("chunk %d: %d bytes differ from serial decode (%d bytes)", i, len(body), len(want))
+		if err := wantBody(c.want)(fetch(t, ts.Client(), ts.URL+chunkPath(i))); err != nil {
+			t.Fatal(err)
 		}
 	}
 
-	status, body = get(t, ts.Client(), ts.URL+chunkPath(1)+"/meta")
-	if status != http.StatusOK {
-		t.Fatalf("chunk meta: status %d", status)
+	r = fetch(t, ts.Client(), ts.URL+chunkPath(1)+"/meta")
+	if r.status != http.StatusOK {
+		t.Fatalf("chunk meta: status %d", r.status)
 	}
 	var info store.ChunkInfo
-	if err := json.Unmarshal(body, &info); err != nil {
+	if err := json.Unmarshal(r.body, &info); err != nil {
 		t.Fatal(err)
 	}
-	if want, _ := a.Info(1); info != want {
+	if want := c.info(t, 1); info != want {
 		t.Fatalf("chunk 1 meta %+v, want %+v", info, want)
 	}
 
@@ -214,34 +72,29 @@ func TestServeEndpoints(t *testing.T) {
 		{"/v1/archives/absent", "archive_not_found"},
 		{"/v1/archives/absent/chunks/0", "archive_not_found"},
 	} {
-		resp, err := ts.Client().Get(ts.URL + tc.path)
-		if err != nil {
-			t.Fatal(err)
+		r := fetch(t, ts.Client(), ts.URL+tc.path)
+		if r.status != http.StatusNotFound {
+			t.Fatalf("%s: status %d, want 404", tc.path, r.status)
 		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("%s: status %d, want 404", tc.path, resp.StatusCode)
-		}
-		if got := resp.Header.Get("Content-Type"); got != "application/json" {
+		if got := r.header.Get("Content-Type"); got != "application/json" {
 			t.Fatalf("%s: Content-Type %q, want application/json", tc.path, got)
 		}
 		var eb errorBody
-		if err := json.Unmarshal(body, &eb); err != nil {
-			t.Fatalf("%s: body %q is not a JSON error object: %v", tc.path, body, err)
+		if err := json.Unmarshal(r.body, &eb); err != nil {
+			t.Fatalf("%s: body %q is not a JSON error object: %v", tc.path, r.body, err)
 		}
 		if eb.Code != tc.code || eb.Error == "" {
 			t.Fatalf("%s: error body %+v, want code %q and a message", tc.path, eb, tc.code)
 		}
 	}
 
-	status, body = get(t, ts.Client(), ts.URL+"/metrics")
-	if status != http.StatusOK || !bytes.Contains(body, []byte("serve_requests")) {
-		t.Fatalf("metrics: %d %q", status, body[:min(len(body), 200)])
+	r = fetch(t, ts.Client(), ts.URL+"/metrics")
+	if r.status != http.StatusOK || !bytes.Contains(r.body, []byte("serve_requests")) {
+		t.Fatalf("metrics: %d %q", r.status, r.body[:min(len(r.body), 200)])
 	}
-	status, body = get(t, ts.Client(), ts.URL+"/metrics?format=json")
-	if status != http.StatusOK || !json.Valid(body) {
-		t.Fatalf("metrics json: %d, valid=%v", status, json.Valid(body))
+	r = fetch(t, ts.Client(), ts.URL+"/metrics?format=json")
+	if r.status != http.StatusOK || !json.Valid(r.body) {
+		t.Fatalf("metrics json: %d, valid=%v", r.status, json.Valid(r.body))
 	}
 }
 
@@ -250,38 +103,17 @@ func TestServeEndpoints(t *testing.T) {
 // (singleflight), and every client receives bytes identical to the serial
 // read path.
 func TestServeStampedeDecodesOnce(t *testing.T) {
-	data := buildArchiveBytes(t, 2)
-	s := serveBytes(t, data)
+	c := containerOf(t, 2, nil)
+	s := serveBytes(t, c.data)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	want := wantChunkBody(t, openBytes(t, data), 1)
 
 	const clients = 32
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			status, body := get(t, ts.Client(), ts.URL+chunkPath(1))
-			if status != http.StatusOK {
-				errs <- fmt.Errorf("client %d: status %d", c, status)
-				return
-			}
-			if !bytes.Equal(body, want) {
-				errs <- fmt.Errorf("client %d: body differs from serial decode", c)
-			}
-		}(c)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
+	runClients(t, clients, 1, overSocket(t, ts), func(int, int) string { return chunkPath(1) }, wantBody(c.want))
 	if cs := s.CacheStats(); cs.Loads != 1 {
 		t.Fatalf("stampede of %d clients ran %d decodes, want exactly 1 (singleflight)", clients, cs.Loads)
 	}
-	if got := s.Metrics().Snapshot().Counter("serve_chunk_decodes", testArchive); got != 1 {
+	if got := s.Metrics().Snapshot().Counter(obs.CtrServeDecodes, testArchive); got != 1 {
 		t.Fatalf("serve_chunk_decodes = %d, want 1", got)
 	}
 }
@@ -290,44 +122,15 @@ func TestServeStampedeDecodesOnce(t *testing.T) {
 // checks every response against the serial baseline, while the cache stays
 // within its budget.
 func TestServeConcurrentRandomChunks(t *testing.T) {
-	data := buildArchiveBytes(t, 3)
-	a := openBytes(t, data)
-	want := make([][]byte, a.NumChunks())
-	for i := range want {
-		want[i] = wantChunkBody(t, a, i)
-	}
+	c := containerOf(t, 3, nil)
 	// Budget of ~1.5 chunks forces eviction churn under concurrency.
-	s := serveBytes(t, data, withRenderedBytes(int64(len(want[0]))*3/2))
+	budget := c.chunkBytes() * 3 / 2
+	s := serveBytes(t, c.data, withRenderedBytes(budget))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	const clients = 32
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for j := 0; j < 6; j++ {
-				i := (c + j) % a.NumChunks()
-				status, body := get(t, ts.Client(), ts.URL+chunkPath(i))
-				if status != http.StatusOK {
-					errs <- fmt.Errorf("client %d chunk %d: status %d", c, i, status)
-					return
-				}
-				if !bytes.Equal(body, want[i]) {
-					errs <- fmt.Errorf("client %d chunk %d: body differs", c, i)
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if cost := s.CacheStats().Cost; cost > int64(len(want[0]))*3/2+2 {
+	runClients(t, 32, 6, overSocket(t, ts), func(c, r int) string { return chunkPath((c + r) % 3) }, wantBody(c.want))
+	if cost := s.CacheStats().Cost; cost > budget+2 {
 		t.Fatalf("cache cost %d exceeds budget", cost)
 	}
 }
@@ -336,21 +139,13 @@ func TestServeConcurrentRandomChunks(t *testing.T) {
 // A, B, A decodes A twice — eviction is observable through the decode
 // counter — yet responses stay correct.
 func TestCacheEvictionRefetches(t *testing.T) {
-	data := buildArchiveBytes(t, 2)
-	want0 := wantChunkBody(t, openBytes(t, data), 0)
+	c := containerOf(t, 2, nil)
 	// The budget fits exactly one chunk; readahead off so the load count is
 	// exactly the three foreground requests.
-	s := serveBytes(t, data, withRenderedBytes(int64(len(want0))+16), WithPrefetch(0))
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
+	s := serveBytes(t, c.data, withRenderedBytes(c.chunkBytes()+16), WithPrefetch(0))
 	for _, i := range []int{0, 1, 0} {
-		status, body := get(t, ts.Client(), ts.URL+chunkPath(i))
-		if status != http.StatusOK {
-			t.Fatalf("chunk %d: status %d", i, status)
-		}
-		if i == 0 && !bytes.Equal(body, want0) {
-			t.Fatalf("chunk 0 body differs after eviction round trip")
+		if err := wantBody(c.want)(serveDirect(t, s, chunkPath(i))); err != nil {
+			t.Fatal(err)
 		}
 	}
 	cs := s.CacheStats()
@@ -363,7 +158,7 @@ func TestCacheEvictionRefetches(t *testing.T) {
 }
 
 func TestServeGracefulShutdown(t *testing.T) {
-	s := serveBytes(t, buildArchiveBytes(t, 2))
+	s := serveBytes(t, containerOf(t, 2, nil).data)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -373,9 +168,8 @@ func TestServeGracefulShutdown(t *testing.T) {
 	go func() { done <- s.Serve(ctx, l) }()
 
 	url := "http://" + l.Addr().String()
-	status, _ := get(t, http.DefaultClient, url+chunkPath(0))
-	if status != http.StatusOK {
-		t.Fatalf("chunk 0: status %d", status)
+	if r := fetch(t, http.DefaultClient, url+chunkPath(0)); r.status != http.StatusOK {
+		t.Fatalf("chunk 0: status %d", r.status)
 	}
 	cancel()
 	select {
@@ -442,12 +236,10 @@ func TestErrorMapping(t *testing.T) {
 
 	// The removed single-archive routes are not mounted: they answer the
 	// mux's 404 even with an archive that would have served them.
-	h := serveBytes(t, buildArchiveBytes(t, 1)).Handler()
+	cat := serveBytes(t, containerOf(t, 1, nil).data)
 	for _, path := range []string{"/v1/archive", "/v1/chunks/0", "/v1/chunks/0/meta"} {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
-		if rec.Code != http.StatusNotFound {
-			t.Fatalf("GET %s -> %d, want 404", path, rec.Code)
+		if r := serveDirect(t, cat, path); r.status != http.StatusNotFound {
+			t.Fatalf("GET %s -> %d, want 404", path, r.status)
 		}
 	}
 }
@@ -456,9 +248,7 @@ func TestErrorMapping(t *testing.T) {
 // holds it (Remove's deferred close racing a slow reader, say) turns the
 // chunk read into a 503 rather than a panic or a hang.
 func TestClosedArchive503(t *testing.T) {
-	s := serveBytes(t, buildArchiveBytes(t, 2))
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	s := serveBytes(t, containerOf(t, 2, nil).data)
 	_, a, _, release, err := s.acquire(testArchive)
 	if err != nil {
 		t.Fatal(err)
@@ -467,8 +257,36 @@ func TestClosedArchive503(t *testing.T) {
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
-	status, body := get(t, ts.Client(), ts.URL+chunkPath(0))
-	if status != http.StatusServiceUnavailable || !bytes.Contains(body, []byte("archive_closed")) {
-		t.Fatalf("closed archive served status %d %s, want 503 archive_closed", status, body)
+	if r := serveDirect(t, s, chunkPath(0)); r.status != http.StatusServiceUnavailable || !bytes.Contains(r.body, []byte("archive_closed")) {
+		t.Fatalf("closed archive served status %d %s, want 503 archive_closed", r.status, r.body)
+	}
+}
+
+// TestWithObserverSeesServeEvents: an observer attached with WithObserver
+// receives every serve-layer counter the catalog's own aggregator does — here
+// after a miss, a hit and a 404.
+func TestWithObserverSeesServeEvents(t *testing.T) {
+	attached := obs.NewMetrics()
+	cat := serveBytes(t, containerOf(t, 1, nil).data, WithObserver(attached), WithPrefetch(0))
+	serveDirect(t, cat, chunkPath(0)).wantCache(t, "miss")
+	serveDirect(t, cat, chunkPath(0)).wantCache(t, "hit")
+	if r := serveDirect(t, cat, chunkPath(1)); r.status != http.StatusNotFound {
+		t.Fatalf("chunk 1 of a one-chunk archive: status %d, want 404", r.status)
+	}
+	serveCounters := func(m *obs.Metrics) (out []obs.CounterStat) {
+		for _, c := range m.Snapshot().Counters {
+			if strings.HasPrefix(c.Name, "serve_") {
+				out = append(out, c)
+			}
+		}
+		return out
+	}
+	own, got := serveCounters(cat.Metrics()), serveCounters(attached)
+	if snap := cat.Metrics().Snapshot(); snap.CounterTotal(obs.CtrServeCacheMisses) != 1 ||
+		snap.CounterTotal(obs.CtrServeCacheHits) != 1 || snap.Counter(obs.CtrServeErrors, "chunk") != 1 {
+		t.Fatalf("the catalog's own counters %+v, want one miss, one hit and one chunk error", own)
+	}
+	if !reflect.DeepEqual(got, own) {
+		t.Fatalf("the attached observer saw serve counters\n%+v\nthe catalog's own are\n%+v", got, own)
 	}
 }

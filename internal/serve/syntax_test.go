@@ -7,8 +7,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,33 +15,12 @@ import (
 	"videoapp/internal/codec"
 	"videoapp/internal/obs"
 	"videoapp/internal/store"
-	"videoapp/internal/y4m"
 )
 
 // Tests of the parse-record tier (Catalog.syntax): a repeat cold miss must be
 // indistinguishable on the wire from a first one, the read path with its
 // fault model must still decide which bytes are decoded, and the tier must
 // live inside the one cache budget and go when its space goes.
-
-// directRender reads chunk i of a and renders exactly those frames the way
-// materialize does, with no record anywhere near them: the body and degraded
-// verdict a response built from that read must carry.
-func directRender(t testing.TB, a *store.ChunkArchive, i int) (body []byte, degraded string, v *codec.Video) {
-	t.Helper()
-	cr, err := a.ReadChunkContext(context.Background(), i)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := codec.DecodeContext(context.Background(), cr.Video, codec.DecodeOptions{}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := y4m.Write(&buf, seq); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes(), strings.Join(cr.Degraded, ","), cr.Video
-}
 
 // countingBackend counts the reads that reach the device.
 type countingBackend struct {
@@ -126,15 +103,11 @@ func TestReplayEqualsParseOnTheWire(t *testing.T) {
 		frames int64
 	)
 	for _, ar := range archives {
-		data := buildArchive(t, gops, ar.tune)
-		a := openBytes(t, data)
-		for i := 0; i < a.NumChunks(); i++ {
-			body, _, _ := directRender(t, a, i)
-			want[ar.name] = append(want[ar.name], body)
-		}
-		chunks += int64(a.NumChunks())
-		frames += int64(a.TotalFrames())
-		dev := &countingBackend{Backend: store.NewSnapshotBackend(data)}
+		c := containerOf(t, gops, ar.tune)
+		want[ar.name] = c.want
+		chunks += int64(len(c.want))
+		frames += int64(openBytes(t, c.data).TotalFrames())
+		dev := &countingBackend{Backend: store.NewSnapshotBackend(c.data)}
 		devs = append(devs, dev)
 		specs = append(specs, ArchiveSpec{Name: ar.name, Open: func() (store.Backend, error) { return dev, nil }})
 	}
@@ -155,8 +128,8 @@ func TestReplayEqualsParseOnTheWire(t *testing.T) {
 	ts := httptest.NewServer(cat.Handler())
 	defer ts.Close()
 	for _, ar := range archives { // open every archive: the open scan reads too
-		if status, _, _ := fetch(t, ts.Client(), ts.URL+"/v1/archives/"+ar.name); status != http.StatusOK {
-			t.Fatalf("index of %s: status %d", ar.name, status)
+		if r := fetch(t, ts.Client(), ts.URL+"/v1/archives/"+ar.name); r.status != http.StatusOK {
+			t.Fatalf("index of %s: status %d", ar.name, r.status)
 		}
 	}
 
@@ -165,12 +138,10 @@ func TestReplayEqualsParseOnTheWire(t *testing.T) {
 		before := deviceReads()
 		for _, ar := range archives {
 			for i := range want[ar.name] {
-				status, body, hdr := fetch(t, ts.Client(), fmt.Sprintf("%s/v1/archives/%s/chunks/%d", ts.URL, ar.name, i))
+				r := fetch(t, ts.Client(), ts.URL+pathOf(ar.name, i))
 				dropRenderings(cat)
-				if status != http.StatusOK || hdr.Get("X-Cache") != "miss" {
-					t.Fatalf("pass %d %s/%d: status %d X-Cache %q, want a 200 miss", pass, ar.name, i, status, hdr.Get("X-Cache"))
-				}
-				if !bytes.Equal(body, want[ar.name][i]) {
+				r.wantCache(t, "miss")
+				if !bytes.Equal(r.body, want[ar.name][i]) {
 					t.Fatalf("pass %d %s/%d: body differs from a direct decode of the same read", pass, ar.name, i)
 				}
 			}
@@ -198,8 +169,8 @@ func TestReplayEqualsParseOnTheWire(t *testing.T) {
 	}
 
 	// The gauges: /metrics refreshes them from the tier's own counters.
-	if status, _, _ := fetch(t, ts.Client(), ts.URL+"/metrics"); status != http.StatusOK {
-		t.Fatalf("/metrics: status %d", status)
+	if r := fetch(t, ts.Client(), ts.URL+"/metrics"); r.status != http.StatusOK {
+		t.Fatalf("/metrics: status %d", r.status)
 	}
 	snap = cat.Metrics().Snapshot()
 	ss := cat.syntax.Stats()
@@ -242,11 +213,8 @@ func frameBytes(f *codec.EncodedFrame) string {
 // after it never decodes from the damaged record. A mirror-repaired read
 // returns the clean bytes and shares the clean record.
 func TestFaultModelDecidesWhatIsDecoded(t *testing.T) {
-	data := buildArchiveBytes(t, 2)
-	info, err := openBytes(t, data).Info(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := containerOf(t, 2, nil)
+	data, info := c.data, c.info(t, 0)
 	pol := chaosPolicy()
 	type variant struct {
 		body     []byte
@@ -313,16 +281,13 @@ func TestFaultModelDecidesWhatIsDecoded(t *testing.T) {
 		t.Helper()
 		dev.cur.Store(int32(v))
 		before := counterTotal(cat, obs.CtrFramesReplayed)
-		rec := httptest.NewRecorder()
-		cat.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/archives/t/chunks/0", nil))
+		r := serveDirect(t, cat, pathOf("t", 0))
 		dropRenderings(cat) // every request is a cold miss
-		if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != "miss" {
-			t.Fatalf("%s: status %d X-Cache %q, want a 200 miss", step, rec.Code, rec.Header().Get("X-Cache"))
-		}
-		if !bytes.Equal(rec.Body.Bytes(), variants[v].body) {
+		r.wantCache(t, "miss")
+		if !bytes.Equal(r.body, variants[v].body) {
 			t.Fatalf("%s: body is not a decode of the bytes variant %d returns", step, v)
 		}
-		if got := rec.Header().Get("X-Videoapp-Degraded"); got != variants[v].degraded {
+		if got := r.header.Get("X-Videoapp-Degraded"); got != variants[v].degraded {
 			t.Fatalf("%s: X-Videoapp-Degraded %q, want %q", step, got, variants[v].degraded)
 		}
 		wantReplayed := 0
@@ -372,11 +337,10 @@ func TestFaultModelDecidesWhatIsDecoded(t *testing.T) {
 	for pass, v := range []int{1, 0} {
 		mirrored.cur.Store(int32(v))
 		before := counterTotal(cat, obs.CtrFramesReplayed)
-		rec := httptest.NewRecorder()
-		cat.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/archives/mirrored/chunks/0", nil))
+		r := serveDirect(t, cat, pathOf("mirrored", 0))
 		dropRenderings(cat)
-		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), variants[0].body) || rec.Header().Get("X-Videoapp-Degraded") != "" {
-			t.Fatalf("mirrored pass %d: status %d degraded %q, body clean %v", pass, rec.Code, rec.Header().Get("X-Videoapp-Degraded"), bytes.Equal(rec.Body.Bytes(), variants[0].body))
+		if r.status != http.StatusOK || !bytes.Equal(r.body, variants[0].body) || r.header.Get("X-Videoapp-Degraded") != "" {
+			t.Fatalf("mirrored pass %d: status %d degraded %q, body clean %v", pass, r.status, r.header.Get("X-Videoapp-Degraded"), bytes.Equal(r.body, variants[0].body))
 		}
 		if got, want := counterTotal(cat, obs.CtrFramesReplayed)-before, int64(pass*nframes); got != want {
 			t.Fatalf("mirrored pass %d: %d frames replayed, want %d", pass, got, want)
@@ -392,59 +356,45 @@ func TestFaultModelDecidesWhatIsDecoded(t *testing.T) {
 // archives and a budget far below the working set, every body is right and
 // rendered cost + record cost never exceeds the one budget; both tiers evict.
 func TestRecordTierSharesOneBudget(t *testing.T) {
-	const gops = 6
-	data := buildArchiveBytes(t, gops)
-	a := openBytes(t, data)
-	want := make([][]byte, gops)
-	for i := range want {
-		want[i] = wantChunkBody(t, a, i)
-	}
+	const gops, clients = 6, 4
+	c := containerOf(t, gops, nil)
 	names := []string{"a", "b", "c"}
 	specs := make([]ArchiveSpec, len(names))
 	for n, name := range names {
-		specs[n] = ArchiveSpec{Name: name, Open: func() (store.Backend, error) { return store.NewSnapshotBackend(data), nil }}
+		specs[n] = snapshotSpec(name, c.data)
 	}
 	// Room for two renderings in one strict-LRU shard; the record tier's
 	// share then holds a few of the eighteen chunks' records.
-	budget := int64(len(want[0])) * 3
+	budget := c.chunkBytes() * 3
 	cat, err := NewCatalog(specs, WithCacheBytes(budget))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cat.Close()
 
-	const clients = 4
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(1000 + c)))
-			for r := 0; r < 60; r++ {
-				name, i := names[rng.Intn(len(names))], rng.Intn(gops)
-				switch {
-				case r%10 == 0:
-					name, i = names[0], (r/10)%gops // everyone at once on one chunk
-				case c == 0:
-					name, i = names[1], r%gops // a sequential reader: readahead runs
-				}
-				rec := httptest.NewRecorder()
-				cat.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/archives/%s/chunks/%d", name, i), nil))
-				if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want[i]) {
-					t.Errorf("client %d request %d (%s/%d): status %d, body right %v", c, r, name, i, rec.Code, bytes.Equal(rec.Body.Bytes(), want[i]))
-					return
-				}
-				if rendered, records := cat.CacheStats().Cost, cat.syntax.Stats().Cost; rendered+records > budget {
-					t.Errorf("client %d request %d: rendered %d + records %d over the budget %d", c, r, rendered, records, budget)
-					return
-				}
-			}
-		}(c)
+	rngs := make([]*rand.Rand, clients)
+	for i := range rngs {
+		rngs[i] = rand.New(rand.NewSource(int64(1000 + i)))
 	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
+	body := wantBody(c.want)
+	runClients(t, clients, 60, func(path string) response { return serveDirect(t, cat, path) }, func(c, r int) string {
+		name, i := names[rngs[c].Intn(len(names))], rngs[c].Intn(gops)
+		switch {
+		case r%10 == 0:
+			name, i = names[0], (r/10)%gops // everyone at once on one chunk
+		case c == 0:
+			name, i = names[1], r%gops // a sequential reader: readahead runs
+		}
+		return pathOf(name, i)
+	}, func(r response) error {
+		if err := body(r); err != nil {
+			return err
+		}
+		if rendered, records := cat.CacheStats().Cost, cat.syntax.Stats().Cost; rendered+records > budget {
+			return fmt.Errorf("rendered %d + records %d over the budget %d", rendered, records, budget)
+		}
+		return nil
+	})
 	settle(t, cat)
 	rs, ss := cat.CacheStats(), cat.syntax.Stats()
 	if rs.Evictions == 0 || ss.Evictions == 0 {
@@ -463,9 +413,8 @@ func TestRecordTierSharesOneBudget(t *testing.T) {
 // tier never holds bytes no request can reach, and a reopened archive (a new
 // space) replays nothing of the previous open.
 func TestRecordTierPurgedWithItsSpace(t *testing.T) {
-	data := buildArchiveBytes(t, 2)
-	open := func() (store.Backend, error) { return store.NewSnapshotBackend(data), nil }
-	cat, err := NewCatalog([]ArchiveSpec{{Name: "a", Open: open}, {Name: "b", Open: open}},
+	data := containerOf(t, 2, nil).data
+	cat, err := NewCatalog([]ArchiveSpec{snapshotSpec("a", data), snapshotSpec("b", data)},
 		WithIdleTimeout(time.Minute), WithPrefetch(0))
 	if err != nil {
 		t.Fatal(err)
@@ -474,9 +423,7 @@ func TestRecordTierPurgedWithItsSpace(t *testing.T) {
 	read := func(name string) {
 		t.Helper()
 		for i := 0; i < 2; i++ {
-			if status, _ := chunkGet(t, cat, name, i); status != http.StatusOK {
-				t.Fatalf("%s/%d: status %d", name, i, status)
-			}
+			serveDirect(t, cat, pathOf(name, i)).wantCache(t, "miss")
 		}
 	}
 	spaces := func() map[string]int {
@@ -532,7 +479,7 @@ func TestRecordTierPurgedWithItsSpace(t *testing.T) {
 // retains nothing, so every iteration entropy-decodes (and records, as a
 // first miss does); replay finds the chunk's records resident.
 func BenchmarkMaterialize(b *testing.B) {
-	data := buildArchiveBytes(b, 1)
+	data := containerOf(b, 1, nil).data
 	for _, bc := range []struct {
 		name   string
 		budget int64
