@@ -34,10 +34,7 @@ func BenchmarkStreamMemory(b *testing.B) {
 	params.SearchRange = 8
 
 	writeY4M := func(frames int) string {
-		seq, err := GenerateTestVideo("crew_like", 160, 96, frames)
-		if err != nil {
-			b.Fatal(err)
-		}
+		seq := seqOf(b, "crew_like", 160, 96, frames)
 		path := filepath.Join(b.TempDir(), "in.y4m")
 		f, err := os.Create(path)
 		if err != nil {
@@ -108,10 +105,7 @@ func BenchmarkStreamIngest(b *testing.B) {
 	params := DefaultParams()
 	params.GOPSize = 6
 	for _, frames := range []int{12, 48} {
-		seq, err := GenerateTestVideo("crew_like", 320, 176, frames)
-		if err != nil {
-			b.Fatal(err)
-		}
+		seq := seqOf(b, "crew_like", 320, 176, frames)
 		for _, workers := range []int{1, 2, 4} {
 			b.Run(fmt.Sprintf("frames=%d/workers=%d", frames, workers), func(b *testing.B) {
 				b.ReportAllocs()

@@ -203,10 +203,7 @@ func BenchmarkAnalysisOverhead(b *testing.B) {
 // BenchmarkPipeline measures the end-to-end public API workflow.
 func BenchmarkPipeline(b *testing.B) {
 	b.ReportAllocs()
-	seq, err := GenerateTestVideo("crew_like", 96, 64, 10)
-	if err != nil {
-		b.Fatal(err)
-	}
+	seq := seqOf(b, "crew_like", 96, 64, 10)
 	params := DefaultParams()
 	params.GOPSize = 10
 	params.SearchRange = 8
@@ -228,10 +225,7 @@ func BenchmarkPipeline(b *testing.B) {
 // per frame. Each reading is the live heap after a collection, with the
 // Result held, less the live heap before it.
 func BenchmarkPipelineRetained(b *testing.B) {
-	seq, err := GenerateTestVideo("crew_like", 320, 176, 30)
-	if err != nil {
-		b.Fatal(err)
-	}
+	seq := seqOf(b, "crew_like", 320, 176, 30)
 	params := DefaultParams()
 	params.GOPSize = 15
 	p := NewPipeline(WithParams(params), WithWorkers(1))
@@ -265,10 +259,7 @@ func BenchmarkPipelineRetained(b *testing.B) {
 // the decoder's syntax replay serves); "none" stores every payload bit
 // uncorrected, so nearly every frame is damaged and parsed from its bits.
 func BenchmarkPipelineRoundTrip(b *testing.B) {
-	seq, err := GenerateTestVideo("crew_like", 320, 176, 30)
-	if err != nil {
-		b.Fatal(err)
-	}
+	seq := seqOf(b, "crew_like", 320, 176, 30)
 	params := DefaultParams()
 	params.GOPSize = 15
 	for _, bc := range []struct {

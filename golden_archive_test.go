@@ -29,10 +29,7 @@ var updateGoldenArchive = flag.Bool("update", false, "rewrite testdata/golden_ar
 const goldenArchivePath = "testdata/golden_archive.json"
 
 func TestGoldenArchive(t *testing.T) {
-	seq, err := GenerateTestVideo("crew_like", 96, 64, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := seqOf(t, "crew_like", 96, 64, 16)
 	got := map[string]string{}
 	for _, coder := range []EntropyCoder{CABAC, CAVLC} {
 		for _, gops := range []int{1, 2} {

@@ -3,6 +3,7 @@ package codec
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -444,6 +445,27 @@ func TestHeaderRejectsGarbage(t *testing.T) {
 	var g EncodedFrame
 	if _, err := unmarshalHeader(nil, &g); err == nil {
 		t.Fatal("empty header must error")
+	}
+	// Past math.MaxInt32 a header field would be a negative int on a 32-bit
+	// platform and a positive one on a 64-bit one: both refuse it. The
+	// display index, a reference and a slice start, in frame headers...
+	for _, f := range []*EncodedFrame{
+		{DisplayIdx: math.MinInt32, RefFwd: -1, RefBwd: -1},
+		{RefFwd: math.MaxInt32, RefBwd: -1},
+		{RefFwd: -1, RefBwd: -1, SliceMBStart: []int{math.MinInt32}, SliceByteStart: []int{0}},
+	} {
+		if _, err := unmarshalHeader(marshalHeader(f), &g); err == nil {
+			t.Fatalf("header %+v: a field past 2^31-1 parsed", f)
+		}
+	}
+	// ...and the frame rate and the GOP size in the sequence header.
+	for _, v := range []*Video{
+		{Params: DefaultParams(), W: 16, H: 16, FPS: math.MinInt32},
+		{Params: Params{CRF: 24, GOPSize: math.MinInt32, SearchRange: 8}, W: 16, H: 16, FPS: 30},
+	} {
+		if _, err := Unmarshal(Marshal(v)); err == nil {
+			t.Fatalf("FPS %d, GOP size %d: a field past 2^31-1 parsed", v.FPS, v.Params.GOPSize)
+		}
 	}
 }
 

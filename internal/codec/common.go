@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"videoapp/internal/bitio"
 	"videoapp/internal/entropy"
@@ -162,6 +163,11 @@ func unmarshalHeader(buf []byte, f *EncodedFrame) (payloadLen int, err error) {
 	if err != nil {
 		return 0, errBadHeader
 	}
+	// Every field below becomes an int: past math.MaxInt32 it would be
+	// negative on a 32-bit platform and not on a 64-bit one.
+	if max(ci, di, rf, rb, pl) > math.MaxInt32 {
+		return 0, errBadHeader
+	}
 	nSlices, err := r.ReadUE()
 	if err != nil || nSlices > 16 {
 		return 0, errBadHeader
@@ -178,7 +184,7 @@ func unmarshalHeader(buf []byte, f *EncodedFrame) (payloadLen int, err error) {
 			return 0, errBadHeader
 		}
 		bs, err := r.ReadUE()
-		if err != nil {
+		if err != nil || max(ms, bs) > math.MaxInt32 {
 			return 0, errBadHeader
 		}
 		f.SliceMBStart = append(f.SliceMBStart, int(ms))

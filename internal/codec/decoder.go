@@ -309,7 +309,7 @@ func (fd *frameDecoder) parseMB(mx, my int, s *mbSyntax) {
 
 	mbType := mbIntra
 	if fd.ef.Type != FrameI {
-		mbType = int(fd.sr.GetUVal(entropy.ClassMBType)) % numMBTypes
+		mbType = int(fd.sr.GetUVal(entropy.ClassMBType) % numMBTypes)
 	}
 	// A frame without a forward reference cannot code inter MBs; corrupt
 	// types collapse to intra, keeping decode well-defined.
@@ -326,7 +326,7 @@ func (fd *frameDecoder) parseMB(mx, my int, s *mbSyntax) {
 		s.qp = qpPrediction(fd.qps, mx, my, mbCols, fd.ef.BaseQP, fd.sliceTop)
 		s.motion.mvF[0] = predMV
 	case mbIntra:
-		s.mode = predict.IntraMode(int(fd.sr.GetUVal(entropy.ClassIntraMode)) % predict.NumIntraModes)
+		s.mode = predict.IntraMode(fd.sr.GetUVal(entropy.ClassIntraMode) % uint32(predict.NumIntraModes))
 		s.qp = fd.parseQP(mx, my)
 		fd.parseResidual(&s.res)
 	default:
@@ -335,7 +335,7 @@ func (fd *frameDecoder) parseMB(mx, my int, s *mbSyntax) {
 		for i := range m.rects {
 			dir := dirFwd
 			if fd.ef.Type == FrameB {
-				dir = int(fd.sr.GetUVal(entropy.ClassRefIdx)) % 3
+				dir = int(fd.sr.GetUVal(entropy.ClassRefIdx) % 3)
 				if fd.refB == nil && dir != dirFwd {
 					dir = dirFwd
 				}

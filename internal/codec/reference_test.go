@@ -189,7 +189,7 @@ func (fd *refFrameDecoder) decodeMB(mx, my int) {
 
 	mbType := mbIntra
 	if fd.ef.Type != FrameI {
-		mbType = int(fd.sr.GetUVal(entropy.ClassMBType)) % numMBTypes
+		mbType = int(fd.sr.GetUVal(entropy.ClassMBType) % numMBTypes)
 	}
 	// A frame without a forward reference cannot code inter MBs; corrupt
 	// types collapse to intra, keeping decode well-defined.
@@ -209,7 +209,7 @@ func (fd *refFrameDecoder) decodeMB(mx, my int) {
 		fd.mvRep[mbIdx] = predMV
 		fd.mvAvail[mbIdx] = true
 	case mbIntra:
-		mode := predict.IntraMode(int(fd.sr.GetUVal(entropy.ClassIntraMode)) % predict.NumIntraModes)
+		mode := predict.IntraMode(fd.sr.GetUVal(entropy.ClassIntraMode) % uint32(predict.NumIntraModes))
 		qp := fd.decodeQP(mx, my, mbIdx)
 		var pred [256]uint8
 		predict.IntraPredict16Avail(pred[:], 16, fd.rec, mx, my, mode, my > fd.sliceTop, mx > 0)
@@ -234,7 +234,7 @@ func (fd *refFrameDecoder) decodeMB(mx, my int) {
 		for i := range rects {
 			dir := dirFwd
 			if fd.ef.Type == FrameB {
-				dir = int(fd.sr.GetUVal(entropy.ClassRefIdx)) % 3
+				dir = int(fd.sr.GetUVal(entropy.ClassRefIdx) % 3)
 				if refB == nil && dir != dirFwd {
 					dir = dirFwd
 				}

@@ -3,6 +3,7 @@ package codec
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"videoapp/internal/bitio"
 )
@@ -103,6 +104,9 @@ func unmarshal(data []byte, withPayload bool, maxPayload int64) (*Video, error) 
 		if err != nil {
 			return nil, fmt.Errorf("codec: truncated sequence header")
 		}
+		if u > math.MaxInt32 { // an int of either width holds the rest
+			return nil, fmt.Errorf("codec: sequence header value %d out of range", u)
+		}
 		fields[i] = u
 	}
 	v.W, v.H, v.FPS = int(fields[0]), int(fields[1]), int(fields[2])
@@ -150,6 +154,9 @@ func unmarshal(data []byte, withPayload bool, maxPayload int64) (*Video, error) 
 	if err != nil {
 		return nil, errTruncated(err)
 	}
+	if max(crf, gop, bf, sr, slices) > math.MaxInt32 {
+		return nil, fmt.Errorf("codec: container params out of range")
+	}
 	v.Params = Params{
 		CRF: int(crf), GOPSize: int(gop), BFrames: int(bf), BReference: bref,
 		Entropy: EntropyKind(ent), SearchRange: int(sr), ActivityAQ: aq,
@@ -184,7 +191,7 @@ func unmarshal(data []byte, withPayload bool, maxPayload int64) (*Video, error) 
 		}
 		hdrLen := int(binary.BigEndian.Uint32(data[pos : pos+4]))
 		pos += 4
-		if hdrLen <= 0 || pos+hdrLen > len(data) {
+		if hdrLen <= 0 || hdrLen > len(data)-pos {
 			return nil, fmt.Errorf("codec: bad header length at frame %d", i)
 		}
 		f := &frames[i]
@@ -194,7 +201,7 @@ func unmarshal(data []byte, withPayload bool, maxPayload int64) (*Video, error) 
 		}
 		pos += hdrLen
 		if withPayload {
-			if payloadLen < 0 || pos+payloadLen > len(data) {
+			if payloadLen < 0 || payloadLen > len(data)-pos {
 				return nil, fmt.Errorf("codec: truncated payload at frame %d", i)
 			}
 			f.Payload = append([]byte(nil), data[pos:pos+payloadLen]...)

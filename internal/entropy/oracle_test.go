@@ -309,9 +309,9 @@ func newRefCABACWriter(w *bitio.Writer) *refCABACWriter {
 // truncated-unary prefix followed by a bypass exp-Golomb suffix.
 func (cw *refCABACWriter) PutUVal(c SyntaxClass, v uint32) {
 	ctxs := &cw.ctxs[c]
-	n := int(v)
-	if n > prefixCap {
-		n = prefixCap
+	n := prefixCap
+	if v < prefixCap {
+		n = int(v)
 	}
 	for i := 0; i < n; i++ {
 		cw.enc.EncodeBit(&ctxs[ctxIdx(i)], 1)
@@ -504,14 +504,10 @@ func refReadResidualBlock(sr interface {
 	GetSVal(c SyntaxClass) int32
 }, blk *[16]int32) (coded bool) {
 	*blk = [16]int32{}
-	nnz := int(sr.GetUVal(ClassCoeffFlag))
-	if nnz > 16 {
-		nnz = 16
-	}
+	nnz := int(min(sr.GetUVal(ClassCoeffFlag), 16))
 	scan := 0
 	for i := 0; i < nnz; i++ {
-		run := int(sr.GetUVal(ClassCoeffRun))
-		scan += run
+		scan += int(min(sr.GetUVal(ClassCoeffRun), 16))
 		if scan >= 16 {
 			break
 		}

@@ -154,11 +154,12 @@ func (vw *CAVLCWriter) WriteResidualBlock(blk *[16]int32, nnz int) {
 func (vr *CAVLCReader) ReadResidualBlock(blk *[16]int32) (coded bool) {
 	*blk = [16]int32{}
 	// A corrupt count needs no clamp: every coefficient advances the scan,
-	// which ends the block at 16. The scan is an int because a corrupt run
-	// can be any uint32.
+	// which ends the block at 16. A corrupt run can be any uint32, so it is
+	// capped at 16 before it becomes an int, which has 32 bits on some
+	// platforms.
 	scan := 0
 	for nnz := vr.GetUVal(ClassCoeffFlag); nnz > 0; nnz-- {
-		scan += int(vr.GetUVal(ClassCoeffRun))
+		scan += int(min(vr.GetUVal(ClassCoeffRun), 16))
 		if scan >= 16 {
 			break
 		}
@@ -244,7 +245,7 @@ func (cr *CABACReader) ReadResidualBlock(blk *[16]int32) (coded bool) {
 			left = v // however large: the scan ends the block at 16
 			next, row = readRun, &cr.ctxs[ClassCoeffRun]
 		case readRun:
-			scan += int(v)
+			scan += int(min(v, 16)) // as in CAVLCReader.ReadResidualBlock
 			next, row = readLevel, &cr.ctxs[ClassCoeffLevel]
 		case readLevel:
 			level := int32(v)

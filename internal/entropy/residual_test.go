@@ -219,18 +219,22 @@ func TestResidualBlockClampCases(t *testing.T) {
 			t.Fatalf("%s: nnz 40: coded=%v block %v", c.name, coded, blk)
 		}
 		readBlocks(t, ci, p, 3, false)
-		// A run that carries the scan to 16: the block ends without a level.
-		p = build(func(sw SymbolWriter) {
-			sw.PutUVal(ClassCoeffFlag, 2)
-			sw.PutUVal(ClassCoeffRun, 3)
-			sw.PutSVal(ClassCoeffLevel, 7)
-			sw.PutUVal(ClassCoeffRun, 12)
-			sw.PutSVal(ClassCoeffLevel, 9) // never read as part of this block
-		})
-		if c.reader(p).ReadResidualBlock(&blk); blk[zigzag4[3]] != 7 || countNonzero(&blk) != 1 {
-			t.Fatalf("%s: scan overflow: block %v", c.name, blk)
+		// A run that carries the scan to 16, or past it by any uint32 (one
+		// that is negative as a 32-bit int among them): the block ends
+		// without a level.
+		for _, run := range []uint32{12, 1 << 31} {
+			p = build(func(sw SymbolWriter) {
+				sw.PutUVal(ClassCoeffFlag, 2)
+				sw.PutUVal(ClassCoeffRun, 3)
+				sw.PutSVal(ClassCoeffLevel, 7)
+				sw.PutUVal(ClassCoeffRun, run)
+				sw.PutSVal(ClassCoeffLevel, 9) // never read as part of this block
+			})
+			if c.reader(p).ReadResidualBlock(&blk); blk[zigzag4[3]] != 7 || countNonzero(&blk) != 1 {
+				t.Fatalf("%s: scan overflow by %d: block %v", c.name, run, blk)
+			}
+			readBlocks(t, ci, p, 3, false)
 		}
-		readBlocks(t, ci, p, 3, false)
 		// Levels beyond ±maxLevel are clamped.
 		p = build(func(sw SymbolWriter) {
 			sw.PutUVal(ClassCoeffFlag, 2)

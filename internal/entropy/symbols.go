@@ -99,9 +99,11 @@ func NewCABACWriter(w *bitio.Writer) *CABACWriter {
 // truncated-unary prefix followed by a bypass exp-Golomb suffix.
 func (cw *CABACWriter) PutUVal(c SyntaxClass, v uint32) {
 	ctxs := &cw.ctxs[c]
-	n := int(v)
-	if n > prefixCap {
-		n = prefixCap
+	// Cap while v is still a uint32: int(v) is negative past 1<<31 on a
+	// 32-bit int.
+	n := prefixCap
+	if v < prefixCap {
+		n = int(v)
 	}
 	for i := 0; i < n; i++ {
 		cw.enc.EncodeBit(&ctxs[ctxIdx(i)], 1)

@@ -713,11 +713,11 @@ func (r *replayCount) Counter(name, _ string, delta int64) {
 func (c *Catalog) materialize(ctx context.Context, t *tenant, a *store.ChunkArchive, space string, i int) (chunkPayload, error) {
 	sp := obs.StartSpan(c.observer, obs.StageServeChunk)
 	defer sp.End()
-	c.observer.Counter(obs.CtrServeDecodes, t.name, 1)
 	cr, err := a.ReadChunkContext(obs.With(ctx, c.observer), i)
 	if err != nil {
 		return chunkPayload{}, err
 	}
+	c.observer.Counter(obs.CtrServeDecodes, t.name, 1)
 	v := cr.Video
 	layout := y4m.Layout{W: v.W, H: v.H, FPS: v.FPS, Frames: len(v.Frames)}
 	n, err := layout.Size()

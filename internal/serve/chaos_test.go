@@ -322,6 +322,19 @@ func TestCatalogChaos(t *testing.T) {
 	if got := cat.Names(); !reflect.DeepEqual(got, names) {
 		t.Fatalf("Names() = %v, want %v", got, names)
 	}
+	// A read that fails is no decode: with readahead shut down, three 503s
+	// for the broken archive's damaged chunk leave its decode counter as it
+	// was.
+	cat.Close()
+	decodes := cat.Metrics().Snapshot().Counter(obs.CtrServeDecodes, "broken")
+	for range 3 {
+		if r := serveDirect(t, cat, pathOf("broken", 1)); r.status != http.StatusServiceUnavailable {
+			t.Fatalf("damaged chunk: status %d, want 503", r.status)
+		}
+	}
+	if got := cat.Metrics().Snapshot().Counter(obs.CtrServeDecodes, "broken"); got != decodes {
+		t.Fatalf("%s of %q went from %d to %d over three failed reads", obs.CtrServeDecodes, "broken", decodes, got)
+	}
 }
 
 // TestServeDegradedHeader pins the single-fault degradation contract

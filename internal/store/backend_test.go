@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"io"
 	"os"
@@ -10,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"videoapp/internal/codec"
 	"videoapp/internal/faultio"
 )
 
@@ -18,38 +16,13 @@ import (
 // either package importing the other.
 var _ Backend = (*faultio.Reader)(nil)
 
-// buildArchiveBuf writes a small multi-chunk archive and returns its bytes
-// plus the source chunks for comparison.
-func buildArchiveBuf(t *testing.T, gops int) ([]byte, []*codecVideoRef) {
-	t.Helper()
-	_, chunks, chunkParts := buildChunkedVideo(t, gops)
-	var buf bytes.Buffer
-	cw, err := NewChunkWriter(&buf, ArchiveMeta{
-		W: chunks[0].W, H: chunks[0].H, FPS: chunks[0].FPS,
-		GOPSize: chunks[0].Params.GOPSize, GOPsPerChunk: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeChunks(t, cw, chunks, chunkParts, 0)
-	refs := make([]*codecVideoRef, len(chunks))
-	for i, c := range chunks {
-		refs[i] = &codecVideoRef{frames: len(c.Frames)}
-	}
-	return buf.Bytes(), refs
-}
-
-// codecVideoRef keeps just what backend tests compare against.
-type codecVideoRef struct{ frames int }
-
 // TestBackendsServeIdenticalArchives pins the seam contract: the same
 // container opened through a file, a memory region, and a sealed snapshot
-// yields the same index and the same chunk bytes.
+// yields the same index and every chunk as it was written.
 func TestBackendsServeIdenticalArchives(t *testing.T) {
-	data, refs := buildArchiveBuf(t, 3)
-
+	e := archiveOf(t, 3)
 	path := filepath.Join(t.TempDir(), "a.vacs")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := os.WriteFile(path, e.archive, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	fb, err := OpenFileBackend(path, false)
@@ -58,47 +31,17 @@ func TestBackendsServeIdenticalArchives(t *testing.T) {
 	}
 	defer fb.Close()
 
-	backends := map[string]Backend{
-		"file":     fb,
-		"mem":      NewMemBackend(data),
-		"snapshot": NewSnapshotBackend(data),
-	}
-	want, err := OpenArchiveBackend(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, b := range backends {
+	for name, b := range map[string]Backend{"file": fb, "mem": NewMemBackend(e.archive), "snapshot": NewSnapshotBackend(e.archive)} {
 		a, err := OpenArchiveBackend(b)
 		if err != nil {
 			t.Fatalf("%s: open: %v", name, err)
 		}
-		if a.NumChunks() != len(refs) {
-			t.Fatalf("%s: %d chunks, want %d", name, a.NumChunks(), len(refs))
+		if a.NumChunks() != len(e.chunks) {
+			t.Fatalf("%s: %d chunks, want %d", name, a.NumChunks(), len(e.chunks))
 		}
-		for i := 0; i < a.NumChunks(); i++ {
-			got, _, err := readStrict(a, i)
-			if err != nil {
-				t.Fatalf("%s: chunk %d: %v", name, i, err)
-			}
-			ref, _, err := readStrict(want, i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got.Frames) != len(ref.Frames) {
-				t.Fatalf("%s: chunk %d: %d frames, want %d", name, i, len(got.Frames), len(ref.Frames))
-			}
-			gd, err := codec.DecodeContext(context.Background(), got, codec.DecodeOptions{}, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rd, err := codec.DecodeContext(context.Background(), ref, codec.DecodeOptions{}, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for f := range gd.Frames {
-				if !bytes.Equal(gd.Frames[f].Y, rd.Frames[f].Y) {
-					t.Fatalf("%s: chunk %d frame %d differs", name, i, f)
-				}
+		for i := range e.chunks {
+			if err := e.sameChunk(a, i); err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
 		}
 		if err := a.Close(); err != nil {
@@ -198,14 +141,10 @@ func TestMemBackendConcurrent(t *testing.T) {
 // media is reported damaged but never repaired — the WriteAt refusal must
 // not fail the pass.
 func TestScrubReadOnlyBackendReportsUnrepaired(t *testing.T) {
-	data, _ := buildArchiveBuf(t, 2)
-	clean := bytes.Clone(data)
-
+	e := archiveOf(t, 2)
 	// Corrupt the last payload byte (inside the final stream region).
-	bad := bytes.Clone(data)
-	bad[len(bad)-1] ^= 0xFF
-
-	a, err := OpenArchiveBackend(NewSnapshotBackend(bad), WithMirror(bytes.NewReader(clean)))
+	bad := flipped(e.archive, int64(len(e.archive)-1), 0xFF)
+	a, err := OpenArchiveBackend(NewSnapshotBackend(bad), WithMirror(bytes.NewReader(e.archive)))
 	if err != nil {
 		t.Fatal(err)
 	}

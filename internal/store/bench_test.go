@@ -1,18 +1,15 @@
 package store
 
 import (
-	"bytes"
 	"context"
 	"io"
 	"math/rand"
 	"testing"
 
 	"videoapp/internal/bch"
-	"videoapp/internal/codec"
 	"videoapp/internal/core"
 	"videoapp/internal/mlc"
 	"videoapp/internal/obs"
-	"videoapp/internal/synth"
 )
 
 // scrubSystem builds a system with a non-default scrub interval, the
@@ -46,12 +43,12 @@ func BenchmarkResidualRate(b *testing.B) {
 // recomputed-rate configuration, where every segment consults residualRate.
 func BenchmarkStoreScrubOverride(b *testing.B) {
 	b.ReportAllocs()
-	v, _, parts, _ := buildVideo(b)
+	e := videoOf(b)
 	s := scrubSystem(b)
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := s.StoreContext(ctx, v, parts, StoreOpts{Seed: int64(i), Workers: 1}); err != nil {
+		if _, _, err := s.StoreContext(ctx, e.v, e.parts, StoreOpts{Seed: int64(i), Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -61,18 +58,18 @@ func BenchmarkStoreScrubOverride(b *testing.B) {
 // payload per iteration at the Table 1 residual rates, with the deep clone
 // factored out.
 func BenchmarkInject(b *testing.B) {
-	v, _, parts, _ := buildVideo(b)
+	e := videoOf(b)
 	s := variableSystem(b)
 	// Inject into a scratch copy so the source video stays clean; flips are
 	// sparse, so the accumulating damage does not change the work per frame.
-	work := v.Clone()
+	work := e.v.Clone()
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		f := i % len(work.Frames)
 		rng.Seed(int64(i))
-		s.injectFrame(rng, work.Frames[f], parts[f], obs.Noop{})
+		s.injectFrame(rng, work.Frames[f], e.parts[f], obs.Noop{})
 	}
 }
 
@@ -98,43 +95,12 @@ func TestResidualRateMemoMatchesCompute(t *testing.T) {
 	}
 }
 
-// ledgerChunk builds the unit of work of the performance ledger's serving
-// and ingest workloads — one 6-frame closed GOP of 320×176 video under the
-// paper's assignment — and the one-chunk container holding it.
-func ledgerChunk(tb testing.TB) (*codec.Video, []core.FramePartition, []byte) {
-	tb.Helper()
-	cfg, _ := synth.PresetByName("crew_like")
-	p := codec.DefaultParams()
-	p.GOPSize = 6
-	v, err := codec.EncodeParallelContext(context.Background(), synth.Generate(cfg.ScaleTo(320, 176, 6)), p, 1)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	an, err := core.AnalyzeContext(context.Background(), v, core.DefaultOptions(), 1)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	parts := an.Partition(core.PaperAssignment())
-	var buf bytes.Buffer
-	cw, err := NewChunkWriter(&buf, ArchiveMeta{W: v.W, H: v.H, FPS: v.FPS, GOPSize: 6, GOPsPerChunk: 1})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if err := cw.Append(v, parts, 0); err != nil {
-		tb.Fatal(err)
-	}
-	return v, parts, buf.Bytes()
-}
-
 // BenchmarkReadChunk measures ChunkArchive.ReadChunkContext of the ledger's
 // chunk from memory: region reads, CRC-32C, header and pivot parsing, and
 // the merge of the approximate streams into the payloads.
 func BenchmarkReadChunk(b *testing.B) {
-	_, _, data := ledgerChunk(b)
-	a, err := OpenArchiveBackend(bytes.NewReader(data))
-	if err != nil {
-		b.Fatal(err)
-	}
+	data := ledgerOf(b).archive
+	a := open(b, data)
 	ctx := context.Background()
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
@@ -149,7 +115,8 @@ func BenchmarkReadChunk(b *testing.B) {
 // BenchmarkAppendChunk measures ChunkWriter.Append of the same chunk: the
 // stream split, the two marshals, the checksums and the writes.
 func BenchmarkAppendChunk(b *testing.B) {
-	v, parts, _ := ledgerChunk(b)
+	e := ledgerOf(b)
+	v, parts := e.v, e.parts
 	cw, err := NewChunkWriter(io.Discard, ArchiveMeta{W: v.W, H: v.H, FPS: v.FPS, GOPSize: 6, GOPsPerChunk: 1})
 	if err != nil {
 		b.Fatal(err)

@@ -61,16 +61,10 @@ func TestBlockAccurateMatchesAnalyticRates(t *testing.T) {
 		}
 	}
 
-	v, _, _, _ := buildVideo(t)
-	an, err := core.AnalyzeContext(context.Background(), v, core.DefaultOptions(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := New(Config{Substrate: mlc.Default(), Assignment: uniform(bch.SchemeNone)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts := an.Partition(uniform(bch.SchemeNone))
+	e := videoOf(t)
+	v := e.v
+	sys := systemOf(t, uniform(bch.SchemeNone))
+	parts := e.an.Partition(uniform(bch.SchemeNone))
 	const runs = 40
 	var flips float64
 	for run := 0; run < runs; run++ {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"sync/atomic"
 
 	"videoapp/internal/codec"
@@ -315,13 +316,13 @@ func OpenArchiveBackend(r io.ReaderAt, opts ...ArchiveOption) (*ChunkArchive, er
 	if hdr[4] != chunkedVersion {
 		return nil, fmt.Errorf("store: %w: unsupported archive version %d", ErrCorruptRecord, hdr[4])
 	}
-	a.meta = ArchiveMeta{
-		W:            int(binary.BigEndian.Uint32(hdr[5:9])),
-		H:            int(binary.BigEndian.Uint32(hdr[9:13])),
-		FPS:          int(binary.BigEndian.Uint32(hdr[13:17])),
-		GOPSize:      int(binary.BigEndian.Uint32(hdr[17:21])),
-		GOPsPerChunk: int(binary.BigEndian.Uint32(hdr[21:25])),
+	field := func(at int) uint32 { return binary.BigEndian.Uint32(hdr[at : at+4]) }
+	// Past math.MaxInt32 a field would be a negative int on a 32-bit
+	// platform and a positive one on a 64-bit one: refuse it on both.
+	if max(field(5), field(9), field(13), field(17), field(21)) > math.MaxInt32 {
+		return nil, fmt.Errorf("store: %w: archive meta field above %d", ErrCorruptRecord, math.MaxInt32)
 	}
+	a.meta = ArchiveMeta{W: int(field(5)), H: int(field(9)), FPS: int(field(13)), GOPSize: int(field(17)), GOPsPerChunk: int(field(21))}
 	if a.meta.W <= 0 || a.meta.H <= 0 || a.meta.GOPSize < 1 || a.meta.GOPsPerChunk < 1 {
 		return nil, fmt.Errorf("store: %w: invalid archive meta %+v", ErrCorruptRecord, a.meta)
 	}
@@ -338,6 +339,9 @@ func OpenArchiveBackend(r io.ReaderAt, opts ...ArchiveOption) (*ChunkArchive, er
 		rec.info.Index = len(a.recs)
 		if rec.info.FirstFrame != frames {
 			return nil, fmt.Errorf("store: %w: chunk %d starts at frame %d, want %d", ErrCorruptRecord, rec.info.Index, rec.info.FirstFrame, frames)
+		}
+		if rec.info.Frames > math.MaxInt32-frames { // the frame total is an int of either width
+			return nil, fmt.Errorf("store: %w: chunk %d ends past frame %d", ErrCorruptRecord, rec.info.Index, math.MaxInt32)
 		}
 		frames += rec.info.Frames
 		a.recs = append(a.recs, rec)

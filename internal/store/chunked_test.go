@@ -3,90 +3,22 @@ package store
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"videoapp/internal/codec"
-	"videoapp/internal/core"
-	"videoapp/internal/synth"
 )
-
-// readStrict reads chunk i through ReadChunkContext and treats a degraded
-// approximate stream as an error wrapping ErrCorruptRecord — the strict
-// read the archive tests assert against, and the check AppendChunkWriter
-// makes of a container's last record.
-func readStrict(a *ChunkArchive, i int) (*codec.Video, []core.FramePartition, error) {
-	cr, err := a.ReadChunkContext(context.Background(), i)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(cr.Degraded) > 0 {
-		return nil, nil, fmt.Errorf("%w: chunk %d: streams %v failed verification", ErrCorruptRecord, i, cr.Degraded)
-	}
-	return cr.Video, cr.Parts, nil
-}
-
-// buildChunkedVideo encodes a multi-GOP video and splits it at GOP
-// boundaries into chunk-local videos with their partitions, the form the
-// streaming pipeline hands to the archive writer.
-func buildChunkedVideo(t testing.TB, gops int) (*codec.Video, []*codec.Video, [][]core.FramePartition) {
-	t.Helper()
-	const gopSize = 4
-	cfg, _ := synth.PresetByName("crew_like")
-	seq := synth.Generate(cfg.ScaleTo(96, 64, gops*gopSize))
-	p := codec.DefaultParams()
-	p.GOPSize = gopSize
-	p.SearchRange = 8
-	v, err := codec.EncodeParallelContext(context.Background(), seq, p, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	an, err := core.AnalyzeContext(context.Background(), v, core.DefaultOptions(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts := an.Partition(core.PaperAssignment())
-	var chunks []*codec.Video
-	var chunkParts [][]core.FramePartition
-	for s := 0; s < len(v.Frames); s += gopSize {
-		e := min(s+gopSize, len(v.Frames))
-		sub := &codec.Video{Params: p, W: v.W, H: v.H, FPS: v.FPS}
-		for _, f := range v.Frames[s:e] {
-			sub.Frames = append(sub.Frames, f)
-		}
-		sub = sub.Clone()
-		sub.ShiftIndices(-s)
-		chunks = append(chunks, sub)
-		chunkParts = append(chunkParts, parts[s:e])
-	}
-	return v, chunks, chunkParts
-}
-
-func writeChunks(t testing.TB, cw *ChunkWriter, chunks []*codec.Video, parts [][]core.FramePartition, firstFrame int) int {
-	t.Helper()
-	for i, c := range chunks {
-		if err := cw.Append(c, parts[i], firstFrame); err != nil {
-			t.Fatal(err)
-		}
-		firstFrame += len(c.Frames)
-	}
-	return firstFrame
-}
 
 // TestArchiveRegionSizes checks the reliability split of a record: the
 // precisely kept region (headers + pivot tables) is a minor share of the
 // approximate streams (the paper: headers < 0.1% of storage; ours are
 // relatively bigger on tiny videos but still clearly minor).
 func TestArchiveRegionSizes(t *testing.T) {
-	data, _ := buildArchiveBytes(t, 3)
-	a, err := OpenArchiveBackend(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := open(t, archiveOf(t, 3).archive)
 	for i, rec := range a.recs {
 		var approx int64
 		for _, rs := range rec.streams {
@@ -99,47 +31,26 @@ func TestArchiveRegionSizes(t *testing.T) {
 }
 
 func TestChunkArchiveRoundTrip(t *testing.T) {
-	v, chunks, chunkParts := buildChunkedVideo(t, 3)
-	var buf bytes.Buffer
-	cw, err := NewChunkWriter(&buf, ArchiveMeta{W: v.W, H: v.H, FPS: v.FPS, GOPSize: v.Params.GOPSize, GOPsPerChunk: 1})
+	e := archiveOf(t, 3)
+	a := open(t, e.archive)
+	if a.NumChunks() != len(e.chunks) || a.TotalFrames() != len(e.v.Frames) {
+		t.Fatalf("%d chunks of %d frames, want %d of %d", a.NumChunks(), a.TotalFrames(), len(e.chunks), len(e.v.Frames))
+	}
+	if want := (ArchiveMeta{W: e.v.W, H: e.v.H, FPS: e.v.FPS, GOPSize: 4, GOPsPerChunk: 1}); a.Meta() != want {
+		t.Fatalf("meta mismatch: %+v vs %+v", a.Meta(), want)
+	}
+	// Each chunk decodes on its own, pixel-identical to the same frames
+	// decoded as part of the whole video.
+	whole, err := codec.DecodeContext(context.Background(), e.v, codec.DecodeOptions{}, 1)
 	if err != nil {
 		t.Fatal(err)
-	}
-	writeChunks(t, cw, chunks, chunkParts, 0)
-
-	a, err := OpenArchiveBackend(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.NumChunks() != len(chunks) {
-		t.Fatalf("%d chunks, want %d", a.NumChunks(), len(chunks))
-	}
-	if a.TotalFrames() != len(v.Frames) {
-		t.Fatalf("%d frames, want %d", a.TotalFrames(), len(v.Frames))
-	}
-	if a.Meta() != cw.Meta() {
-		t.Fatalf("meta mismatch: %+v vs %+v", a.Meta(), cw.Meta())
 	}
 	base := 0
-	for i, want := range chunks {
-		got, parts, err := readStrict(a, i)
-		if err != nil {
+	for i := range e.chunks {
+		if err := e.sameChunk(a, i); err != nil {
 			t.Fatal(err)
 		}
-		if len(got.Frames) != len(want.Frames) || len(parts) != len(want.Frames) {
-			t.Fatalf("chunk %d: %d frames, %d parts, want %d", i, len(got.Frames), len(parts), len(want.Frames))
-		}
-		for f := range want.Frames {
-			if !bytes.Equal(got.Frames[f].Payload, want.Frames[f].Payload) {
-				t.Fatalf("chunk %d frame %d: payload differs", i, f)
-			}
-		}
-		// The chunk must decode on its own, pixel-identical to the same
-		// frames decoded as part of the whole video.
-		whole, err := codec.DecodeContext(context.Background(), v, codec.DecodeOptions{}, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, _, _ := readStrict(a, i)
 		dec, err := codec.DecodeContext(context.Background(), got, codec.DecodeOptions{}, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -149,41 +60,16 @@ func TestChunkArchiveRoundTrip(t *testing.T) {
 				t.Fatalf("chunk %d frame %d: decode differs from whole video", i, f)
 			}
 		}
-		base += len(want.Frames)
+		base += len(dec.Frames)
 	}
 }
 
-// trackingReader records every byte range read from the underlying reader.
-type trackingReader struct {
-	r     *bytes.Reader
-	mu    sync.Mutex
-	reads [][2]int64
-}
-
-func (tr *trackingReader) ReadAt(p []byte, off int64) (int, error) {
-	n, err := tr.r.ReadAt(p, off)
-	if n > 0 {
-		tr.mu.Lock()
-		tr.reads = append(tr.reads, [2]int64{off, off + int64(n)})
-		tr.mu.Unlock()
-	}
-	return n, err
-}
-
-// TestReadChunkTouchesOnlyItsPayload pins the random-access guarantee:
+// chunkLocality pins the random-access guarantee over a spying ReaderAt:
 // indexing the archive reads headers only, and reading chunk i reads bytes
-// exclusively inside chunk i's payload range.
-func TestReadChunkTouchesOnlyItsPayload(t *testing.T) {
-	v, chunks, chunkParts := buildChunkedVideo(t, 3)
-	var buf bytes.Buffer
-	cw, err := NewChunkWriter(&buf, ArchiveMeta{W: v.W, H: v.H, FPS: v.FPS, GOPSize: v.Params.GOPSize, GOPsPerChunk: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeChunks(t, cw, chunks, chunkParts, 0)
-
-	tr := &trackingReader{r: bytes.NewReader(buf.Bytes())}
-	a, err := OpenArchiveBackend(tr)
+// exclusively inside chunk i's payload range, for each i of chunks in turn.
+func chunkLocality(t *testing.T, chunks ...int) {
+	spy := &spyAt{r: bytes.NewReader(archiveOf(t, 3).archive)}
+	a, err := OpenArchiveBackend(spy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,28 +80,47 @@ func TestReadChunkTouchesOnlyItsPayload(t *testing.T) {
 		}
 		return info.Offset, info.Offset + info.Length
 	}
-	// Open must not have read inside any chunk's payload.
 	for i := 0; i < a.NumChunks(); i++ {
 		lo, hi := payload(i)
-		for _, rd := range tr.reads {
+		for _, rd := range spy.reads {
 			if rd[0] < hi && rd[1] > lo {
 				t.Fatalf("Open read [%d,%d) inside chunk %d payload [%d,%d)", rd[0], rd[1], i, lo, hi)
 			}
 		}
 	}
-	// Reading chunk 1 must stay inside chunk 1's payload range.
-	tr.reads = nil
-	if _, _, err := readStrict(a, 1); err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := payload(1)
-	for _, rd := range tr.reads {
-		if rd[0] < lo || rd[1] > hi {
-			t.Fatalf("chunk 1 read [%d,%d) outside its payload [%d,%d)", rd[0], rd[1], lo, hi)
+	for _, i := range chunks {
+		spy.reads = nil
+		if _, _, err := readStrict(a, i); err != nil {
+			t.Fatal(err)
+		}
+		lo, hi := payload(i)
+		if len(spy.reads) == 0 {
+			t.Fatalf("the read of chunk %d read nothing", i)
+		}
+		for _, rd := range spy.reads {
+			if rd[0] < lo || rd[1] > hi {
+				t.Fatalf("chunk %d read [%d,%d) outside its payload [%d,%d)", i, rd[0], rd[1], lo, hi)
+			}
 		}
 	}
-	if len(tr.reads) == 0 {
-		t.Fatal("the chunk read read nothing")
+}
+
+// TestReadChunkTouchesOnlyItsPayload: the middle chunk's read stays inside
+// its payload.
+func TestReadChunkTouchesOnlyItsPayload(t *testing.T) { chunkLocality(t, 1) }
+
+// TestReaderAtReadChunkLocality: so does every chunk's, read in reverse
+// order, the first and the last among them.
+func TestReaderAtReadChunkLocality(t *testing.T) { chunkLocality(t, 2, 1, 0) }
+
+// appendChunks appends chunks [from, to) of e to cw at their global first
+// frames.
+func appendChunks(t *testing.T, cw *ChunkWriter, e *entry, from, to int) {
+	t.Helper()
+	for i := from; i < to; i++ {
+		if err := cw.Append(e.chunks[i], e.chunkParts[i], e.chunkParts[i][0].Frame); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -223,21 +128,13 @@ func TestReadChunkTouchesOnlyItsPayload(t *testing.T) {
 // and appending more chunks must leave earlier chunks untouched and index
 // the new ones.
 func TestAppendChunkWriter(t *testing.T) {
-	v, chunks, chunkParts := buildChunkedVideo(t, 3)
+	e := archiveOf(t, 3)
 	path := filepath.Join(t.TempDir(), "archive.vacs")
-	f, err := os.Create(path)
-	if err != nil {
+	// The container of the first two chunks is the corpus container cut
+	// after its second record.
+	if err := os.WriteFile(path, e.archive[:recordStart(t, e, 2)], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cw, err := NewChunkWriter(f, ArchiveMeta{W: v.W, H: v.H, FPS: v.FPS, GOPSize: v.Params.GOPSize, GOPsPerChunk: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	next := writeChunks(t, cw, chunks[:2], chunkParts[:2], 0)
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
 	rw, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -246,36 +143,31 @@ func TestAppendChunkWriter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if aw.Frames() != next {
-		t.Fatalf("append writer resumes at frame %d, want %d", aw.Frames(), next)
+	if aw.Frames() != 8 {
+		t.Fatalf("append writer resumes at frame %d, want 8", aw.Frames())
 	}
-	writeChunks(t, aw, chunks[2:], chunkParts[2:], next)
+	appendChunks(t, aw, e, 2, 3)
 	if err := rw.Close(); err != nil {
 		t.Fatal(err)
 	}
-
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := OpenArchiveBackend(bytes.NewReader(data))
+	if !bytes.Equal(data, e.archive) {
+		t.Fatal("two chunks written and one appended differ from the three written at once")
+	}
+}
+
+// recordStart is the offset of chunk i's record — its header's first byte —
+// in e's container.
+func recordStart(t *testing.T, e *entry, i int) int {
+	t.Helper()
+	prev, err := open(t, e.archive).Info(i - 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.NumChunks() != 3 || a.TotalFrames() != len(v.Frames) {
-		t.Fatalf("after append: %d chunks, %d frames", a.NumChunks(), a.TotalFrames())
-	}
-	for i, want := range chunks {
-		got, _, err := readStrict(a, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for f := range want.Frames {
-			if !bytes.Equal(got.Frames[f].Payload, want.Frames[f].Payload) {
-				t.Fatalf("chunk %d frame %d differs after append", i, f)
-			}
-		}
-	}
+	return int(prev.Offset + prev.Length)
 }
 
 // TestAppendTornTail is the crash-consistency contract of append-on-write: a
@@ -286,16 +178,9 @@ func TestAppendChunkWriter(t *testing.T) {
 // either refuses or extends into an archive that verifies end to end. Never
 // a panic, never wrong bytes served as a chunk.
 func TestAppendTornTail(t *testing.T) {
-	v, chunks, chunkParts := buildChunkedVideo(t, 3)
-	rw := &rwsBuffer{}
-	cw, err := NewChunkWriter(rw, ArchiveMeta{W: v.W, H: v.H, FPS: v.FPS, GOPSize: v.Params.GOPSize, GOPsPerChunk: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	next := writeChunks(t, cw, chunks[:2], chunkParts[:2], 0)
-	oldEnd := len(rw.data)
-	writeChunks(t, cw, chunks[2:], chunkParts[2:], next)
-	whole := rw.data
+	e := archiveOf(t, 3)
+	whole := e.archive
+	oldEnd := recordStart(t, e, 2)
 
 	typed := func(what string, err error) {
 		t.Helper()
@@ -303,21 +188,10 @@ func TestAppendTornTail(t *testing.T) {
 			t.Fatalf("%s: want an error wrapping ErrCorruptRecord, got %v", what, err)
 		}
 	}
-	// sameChunk requires chunk i of a to read back as the video it was
-	// written from.
-	sameChunk := func(what string, a *ChunkArchive, i int) {
+	same := func(what string, a *ChunkArchive, i int) {
 		t.Helper()
-		got, _, err := readStrict(a, i)
-		if err != nil {
-			t.Fatalf("%s: chunk %d: %v", what, i, err)
-		}
-		if len(got.Frames) != len(chunks[i].Frames) {
-			t.Fatalf("%s: chunk %d: %d frames, want %d", what, i, len(got.Frames), len(chunks[i].Frames))
-		}
-		for f, want := range chunks[i].Frames {
-			if !bytes.Equal(got.Frames[f].Payload, want.Payload) {
-				t.Fatalf("%s: chunk %d frame %d differs", what, i, f)
-			}
+		if err := e.sameChunk(a, i); err != nil {
+			t.Fatalf("%s: %v", what, err)
 		}
 	}
 	// One checksum attempt per region: a scrambled tail is not transient.
@@ -331,13 +205,13 @@ func TestAppendTornTail(t *testing.T) {
 			if n := a.NumChunks(); n != 2 && n != 3 {
 				t.Fatalf("%s: %d chunks indexed, want 2 or 3", what, n)
 			}
-			sameChunk(what, a, 0)
-			sameChunk(what, a, 1)
+			same(what, a, 0)
+			same(what, a, 1)
 			if a.NumChunks() == 3 {
 				if _, _, err := readStrict(a, 2); err != nil {
 					typed(what+": chunk 2", err)
 				} else {
-					sameChunk(what, a, 2)
+					same(what, a, 2)
 				}
 			}
 		}
@@ -348,19 +222,16 @@ func TestAppendTornTail(t *testing.T) {
 			typed(what+": append", err)
 			return
 		}
-		if aw.Frames() != next {
-			t.Fatalf("%s: append accepted the torn record (resumes at frame %d, want %d)", what, aw.Frames(), next)
+		if aw.Frames() != 8 {
+			t.Fatalf("%s: append accepted the torn record (resumes at frame %d, want 8)", what, aw.Frames())
 		}
-		writeChunks(t, aw, chunks[2:], chunkParts[2:], next)
-		b, err := OpenArchiveBackend(bytes.NewReader(trw.data), once)
-		if err != nil {
-			t.Fatalf("%s: after append: %v", what, err)
-		}
+		appendChunks(t, aw, e, 2, 3)
+		b := open(t, trw.data, once)
 		if b.NumChunks() != 3 {
 			t.Fatalf("%s: after append: %d chunks, want 3", what, b.NumChunks())
 		}
-		for i := range chunks {
-			sameChunk(what+": after append", b, i)
+		for i := range e.chunks {
+			same(what+": after append", b, i)
 		}
 	}
 
@@ -369,7 +240,11 @@ func TestAppendTornTail(t *testing.T) {
 	}
 	// Same length, wrong bytes: the whole record, its header past the marker,
 	// its payload, the second half of its payload, the last stream byte.
-	payload := int(cw.Chunks()[2].Offset)
+	third, err := open(t, whole).Info(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := int(third.Offset)
 	for _, from := range []int{oldEnd, oldEnd + 4, payload, (payload + len(whole)) / 2, len(whole) - 1} {
 		torn := bytes.Clone(whole)
 		for i := from; i < len(torn); i++ {
@@ -380,49 +255,36 @@ func TestAppendTornTail(t *testing.T) {
 }
 
 func TestChunkWriterRejectsOutOfOrder(t *testing.T) {
-	v, chunks, chunkParts := buildChunkedVideo(t, 2)
-	var buf bytes.Buffer
-	cw, err := NewChunkWriter(&buf, ArchiveMeta{W: v.W, H: v.H, FPS: v.FPS, GOPSize: v.Params.GOPSize, GOPsPerChunk: 1})
+	e := archiveOf(t, 2)
+	cw, err := NewChunkWriter(&bytes.Buffer{}, ArchiveMeta{W: e.v.W, H: e.v.H, FPS: e.v.FPS, GOPSize: 4, GOPsPerChunk: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cw.Append(chunks[1], chunkParts[1], 7); err == nil {
+	if err := cw.Append(e.chunks[1], e.chunkParts[1], 7); err == nil {
 		t.Fatal("out-of-order chunk must be rejected")
 	}
 }
 
 func TestOpenChunkArchiveRejectsGarbage(t *testing.T) {
+	e := archiveOf(t, 2)
 	cases := map[string][]byte{
 		"empty":     {},
 		"bad magic": []byte("NOPE\x01aaaaaaaaaaaaaaaaaaaa"),
 		"truncated": []byte("VACS"),
+		// The second record's marker starts right after the first chunk's
+		// payload; corrupting it must fail indexing cleanly.
+		"corrupt chunk marker": flipped(e.archive, int64(recordStart(t, e, 1)), 0xFF),
 	}
+	// The first record's first stream entry declares one bit more than its
+	// bytes hold.
+	overfull := bytes.Clone(e.archive)
+	entry := archiveHeaderLen + chunkFixedLen
+	at := entry + 1 + int(overfull[entry])
+	binary.BigEndian.PutUint64(overfull[at:], 8*uint64(binary.BigEndian.Uint32(overfull[at+8:]))+1)
+	cases["stream bits past its bytes"] = overfull
 	for name, data := range cases {
-		if _, err := OpenArchiveBackend(bytes.NewReader(data)); err == nil {
-			t.Fatalf("%s: must be rejected", name)
+		if _, err := OpenArchiveBackend(bytes.NewReader(data)); !errors.Is(err, ErrCorruptRecord) {
+			t.Fatalf("%s: want ErrCorruptRecord, got %v", name, err)
 		}
-	}
-	// A valid header followed by a corrupt chunk marker must fail cleanly.
-	v, chunks, chunkParts := buildChunkedVideo(t, 2)
-	var buf bytes.Buffer
-	cw, err := NewChunkWriter(&buf, ArchiveMeta{W: v.W, H: v.H, FPS: v.FPS, GOPSize: v.Params.GOPSize, GOPsPerChunk: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeChunks(t, cw, chunks, chunkParts, 0)
-	data := buf.Bytes()
-	a, err := OpenArchiveBackend(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The second record's marker starts right after the first chunk's
-	// payload; corrupting it must fail indexing cleanly.
-	first, err := a.Info(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[first.Offset+first.Length] ^= 0xFF
-	if _, err := OpenArchiveBackend(bytes.NewReader(data)); err == nil {
-		t.Fatal("corrupt chunk marker must be rejected")
 	}
 }

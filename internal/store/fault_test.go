@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"io"
-	"sync"
 	"testing"
 	"time"
 
@@ -19,78 +18,25 @@ func fastPolicy() FaultPolicy {
 	return FaultPolicy{RetryBackoff: time.Nanosecond, MaxBackoff: time.Microsecond}
 }
 
-// memAt is an in-memory ReaderAt+WriterAt, the writable primary used by
-// the scrub-repair tests.
-type memAt struct {
-	data []byte
-}
-
-func (m *memAt) ReadAt(p []byte, off int64) (int, error) {
-	if off >= int64(len(m.data)) {
-		return 0, io.EOF
-	}
-	n := copy(p, m.data[off:])
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
-}
-
-func (m *memAt) WriteAt(p []byte, off int64) (int, error) {
-	if off+int64(len(p)) > int64(len(m.data)) {
-		return 0, io.ErrShortWrite
-	}
-	return copy(m.data[off:], p), nil
-}
-
-// flakyAt fails the first failures attempts at every distinct offset with a
-// transient non-EOF error, then serves cleanly.
-type flakyAt struct {
-	r        io.ReaderAt
-	failures int
-	mu       sync.Mutex
-	seen     map[int64]int
-}
-
-var errFlaky = errors.New("transient device error")
-
-func (f *flakyAt) ReadAt(p []byte, off int64) (int, error) {
-	f.mu.Lock()
-	if f.seen == nil {
-		f.seen = map[int64]int{}
-	}
-	f.seen[off]++
-	attempt := f.seen[off]
-	f.mu.Unlock()
-	if attempt <= f.failures {
-		return 0, errFlaky
-	}
-	return f.r.ReadAt(p, off)
-}
-
-// streamRegion returns the archive offset and length of chunk ci's first
-// approximate stream, plus its scheme name — the degradable target for
+// streamRegion returns the offset of the first approximate stream of chunk
+// ci in e's container, plus its scheme name — the degradable target for
 // corruption tests.
-func streamRegion(t *testing.T, a *ChunkArchive, ci int) (int64, int64, string) {
+func streamRegion(t *testing.T, e *entry, ci int) (int64, string) {
 	t.Helper()
-	rec := a.recs[ci]
+	rec := open(t, e.archive).recs[ci]
 	if len(rec.streams) == 0 {
 		t.Fatal("chunk has no approximate streams")
 	}
-	return rec.info.Offset + rec.preciseLen + rec.pivotLen, rec.streams[0].bytes, rec.streams[0].name
+	return rec.info.Offset + rec.preciseLen + rec.pivotLen, rec.streams[0].name
 }
 
 // TestReadRetryRecoversTransient: a device failing the first attempt at
 // every offset is fully absorbed by the default retry ladder, and the
 // retries are visible in metrics.
 func TestReadRetryRecoversTransient(t *testing.T) {
-	data, _ := buildArchiveBytes(t, 2)
-	a, err := OpenArchiveBackend(bytes.NewReader(data), WithFaultPolicy(fastPolicy()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	flaky := &flakyAt{r: bytes.NewReader(data), failures: 1}
-	a.r = flaky
+	data := archiveOf(t, 2).archive
+	a := open(t, data, WithFaultPolicy(fastPolicy()))
+	a.r = &flakyAt{r: bytes.NewReader(data), failures: 1}
 
 	m := obs.NewMetrics()
 	ctx := obs.With(context.Background(), m)
@@ -111,15 +57,12 @@ func TestReadRetryRecoversTransient(t *testing.T) {
 // TestRetriesDisabledFailsFast: MaxRetries < 0 turns the ladder off — the
 // first transient failure surfaces as ErrReadFailed.
 func TestRetriesDisabledFailsFast(t *testing.T) {
-	data, _ := buildArchiveBytes(t, 1)
+	data := archiveOf(t, 2).archive
 	pol := fastPolicy()
 	pol.MaxRetries = -1
-	a, err := OpenArchiveBackend(bytes.NewReader(data), WithFaultPolicy(pol))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := open(t, data, WithFaultPolicy(pol))
 	a.r = &flakyAt{r: bytes.NewReader(data), failures: 1}
-	_, err = a.ReadChunkContext(context.Background(), 0)
+	_, err := a.ReadChunkContext(context.Background(), 0)
 	if !errors.Is(err, ErrReadFailed) {
 		t.Fatalf("want ErrReadFailed, got %v", err)
 	}
@@ -133,18 +76,9 @@ func TestRetriesDisabledFailsFast(t *testing.T) {
 // the context read degrades — zero-filled stream, decodable video, the
 // scheme listed in Degraded and counted in metrics.
 func TestStreamCorruptionDegrades(t *testing.T) {
-	data, _ := buildArchiveBytes(t, 2)
-	a, err := OpenArchiveBackend(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, _, scheme := streamRegion(t, a, 0)
-	bad := bytes.Clone(data)
-	bad[off] ^= 0x40
-	a, err = OpenArchiveBackend(bytes.NewReader(bad), WithFaultPolicy(fastPolicy()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := archiveOf(t, 2)
+	off, scheme := streamRegion(t, e, 0)
+	a := open(t, flipped(e.archive, off, 0x40), WithFaultPolicy(fastPolicy()))
 
 	if _, _, err := readStrict(a, 0); !errors.Is(err, ErrCorruptRecord) {
 		t.Fatalf("strict read of damaged stream: want ErrCorruptRecord, got %v", err)
@@ -174,8 +108,8 @@ func TestStreamCorruptionDegrades(t *testing.T) {
 	}
 
 	// The other chunk is untouched and must read cleanly.
-	if cr, err := a.ReadChunkContext(context.Background(), 1); err != nil || len(cr.Degraded) != 0 {
-		t.Fatalf("clean chunk read: degraded=%v err=%v", cr.Degraded, err)
+	if err := e.sameChunk(a, 1); err != nil {
+		t.Fatalf("clean chunk read: %v", err)
 	}
 }
 
@@ -183,18 +117,9 @@ func TestStreamCorruptionDegrades(t *testing.T) {
 // the wrong side of the reliability boundary — no degradation, hard
 // ErrCorruptRecord from both read forms.
 func TestPreciseCorruptionHardFails(t *testing.T) {
-	data, _ := buildArchiveBytes(t, 1)
-	a, err := OpenArchiveBackend(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, _ := a.Info(0)
-	bad := bytes.Clone(data)
-	bad[info.Offset+1] ^= 0x01
-	a, err = OpenArchiveBackend(bytes.NewReader(bad), WithFaultPolicy(fastPolicy()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := archiveOf(t, 2)
+	info, _ := open(t, e.archive).Info(0)
+	a := open(t, flipped(e.archive, info.Offset+1, 0x01), WithFaultPolicy(fastPolicy()))
 	if _, err := a.ReadChunkContext(context.Background(), 0); !errors.Is(err, ErrCorruptRecord) {
 		t.Fatalf("context read: want ErrCorruptRecord, got %v", err)
 	}
@@ -208,18 +133,10 @@ func TestPreciseCorruptionHardFails(t *testing.T) {
 // intact) but the chunk read reports ErrCorruptRecord — never a raw
 // io.ErrUnexpectedEOF.
 func TestMidPayloadTruncationTyped(t *testing.T) {
-	data, _ := buildArchiveBytes(t, 2)
-	full, err := OpenArchiveBackend(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	last, _ := full.Info(full.NumChunks() - 1)
-	cut := data[:last.Offset+last.Length/2]
-	a, err := OpenArchiveBackend(bytes.NewReader(cut), WithFaultPolicy(fastPolicy()))
-	if err != nil {
-		t.Fatalf("index over truncated payload must still open: %v", err)
-	}
-	_, _, err = readStrict(a, a.NumChunks()-1)
+	e := archiveOf(t, 2)
+	last, _ := open(t, e.archive).Info(1)
+	a := open(t, e.archive[:last.Offset+last.Length/2], WithFaultPolicy(fastPolicy()))
+	_, _, err := readStrict(a, a.NumChunks()-1)
 	if !errors.Is(err, ErrCorruptRecord) {
 		t.Fatalf("want ErrCorruptRecord, got %v", err)
 	}
@@ -227,7 +144,7 @@ func TestMidPayloadTruncationTyped(t *testing.T) {
 		t.Fatalf("raw EOF class must not surface: %v", err)
 	}
 	// Earlier chunks are intact and keep reading.
-	if _, _, err := readStrict(a, 0); err != nil {
+	if err := e.sameChunk(a, 0); err != nil {
 		t.Fatalf("intact chunk after truncation: %v", err)
 	}
 }
@@ -236,22 +153,11 @@ func TestMidPayloadTruncationTyped(t *testing.T) {
 // strict read survives primary-side corruption — the damaged region is
 // refetched from the replica and verified.
 func TestMirrorRecoversCorruption(t *testing.T) {
-	data, _ := buildArchiveBytes(t, 1)
-	a, err := OpenArchiveBackend(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, _, _ := streamRegion(t, a, 0)
-	bad := bytes.Clone(data)
-	bad[off] ^= 0x80
-	a, err = OpenArchiveBackend(bytes.NewReader(bad),
-		WithFaultPolicy(fastPolicy()), WithMirror(bytes.NewReader(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := archiveOf(t, 2)
+	off, _ := streamRegion(t, e, 0)
+	a := open(t, flipped(e.archive, off, 0x80), WithFaultPolicy(fastPolicy()), WithMirror(bytes.NewReader(e.archive)))
 	m := obs.NewMetrics()
-	ctx := obs.With(context.Background(), m)
-	cr, err := a.ReadChunkContext(ctx, 0)
+	cr, err := a.ReadChunkContext(obs.With(context.Background(), m), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,71 +169,14 @@ func TestMirrorRecoversCorruption(t *testing.T) {
 	}
 }
 
-// rwsBuffer is a minimal in-memory io.ReadWriteSeeker + io.ReaderAt for
-// append tests.
-type rwsBuffer struct {
-	data []byte
-	pos  int64
-}
-
-func (b *rwsBuffer) ReadAt(p []byte, off int64) (int, error) {
-	if off >= int64(len(b.data)) {
-		return 0, io.EOF
-	}
-	n := copy(p, b.data[off:])
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
-}
-
-func (b *rwsBuffer) Read(p []byte) (int, error) {
-	if b.pos >= int64(len(b.data)) {
-		return 0, io.EOF
-	}
-	n := copy(p, b.data[b.pos:])
-	b.pos += int64(n)
-	return n, nil
-}
-
-func (b *rwsBuffer) Write(p []byte) (int, error) {
-	need := b.pos + int64(len(p))
-	if need > int64(len(b.data)) {
-		b.data = append(b.data, make([]byte, need-int64(len(b.data)))...)
-	}
-	n := copy(b.data[b.pos:], p)
-	b.pos += int64(n)
-	return n, nil
-}
-
-func (b *rwsBuffer) Seek(off int64, whence int) (int64, error) {
-	switch whence {
-	case io.SeekStart:
-		b.pos = off
-	case io.SeekCurrent:
-		b.pos += off
-	case io.SeekEnd:
-		b.pos = int64(len(b.data)) + off
-	}
-	return b.pos, nil
-}
-
 // TestScrubRepairsFromMirror: scrub finds the damaged region, rewrites it
 // from the mirror, re-verifies, and leaves the primary byte-identical to
 // the clean container; a second pass is clean.
 func TestScrubRepairsFromMirror(t *testing.T) {
-	data, _ := buildArchiveBytes(t, 2)
-	clean := bytes.Clone(data)
-	probe, err := OpenArchiveBackend(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, _, scheme := streamRegion(t, probe, 1)
-	primary := &memAt{data: bytes.Clone(data)}
-	primary.data[off] ^= 0x20
-
-	a, err := OpenArchiveBackend(primary,
-		WithFaultPolicy(fastPolicy()), WithMirror(bytes.NewReader(clean)))
+	e := archiveOf(t, 2)
+	off, scheme := streamRegion(t, e, 1)
+	primary := NewMemBackend(flipped(e.archive, off, 0x20))
+	a, err := OpenArchiveBackend(primary, WithFaultPolicy(fastPolicy()), WithMirror(bytes.NewReader(e.archive)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +191,7 @@ func TestScrubRepairsFromMirror(t *testing.T) {
 	if h := rep.Chunks[1]; len(h.Damaged) != 1 || h.Damaged[0] != scheme || !h.Healthy() {
 		t.Fatalf("chunk 1 health %+v, want damaged=[%s] repaired", h, scheme)
 	}
-	if !bytes.Equal(primary.data, clean) {
+	if !bytes.Equal(primary.Bytes(), e.archive) {
 		t.Fatal("scrub did not restore the primary to the clean bytes")
 	}
 	if m.Snapshot().CounterTotal(obs.CtrScrubRepairs) != 1 {
@@ -361,18 +210,9 @@ func TestScrubRepairsFromMirror(t *testing.T) {
 // TestScrubWithoutMirrorReports: no mirror means no repairs — the damage
 // is reported and the report is unhealthy.
 func TestScrubWithoutMirrorReports(t *testing.T) {
-	data, _ := buildArchiveBytes(t, 1)
-	probe, err := OpenArchiveBackend(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, _, _ := streamRegion(t, probe, 0)
-	bad := bytes.Clone(data)
-	bad[off] ^= 0x10
-	a, err := OpenArchiveBackend(bytes.NewReader(bad), WithFaultPolicy(fastPolicy()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := archiveOf(t, 2)
+	off, _ := streamRegion(t, e, 0)
+	a := open(t, flipped(e.archive, off, 0x10), WithFaultPolicy(fastPolicy()))
 	rep, err := a.Scrub(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -387,7 +227,7 @@ func TestScrubWithoutMirrorReports(t *testing.T) {
 // retries, persistent corruption caught by CRC and degraded — and two runs
 // over the same seed behave identically.
 func TestFaultioIntegration(t *testing.T) {
-	data, _ := buildArchiveBytes(t, 3)
+	data := archiveOf(t, 3).archive
 
 	run := func() ([]int, int64) {
 		fr := faultio.Wrap(NewSnapshotBackend(data), faultio.Profile{

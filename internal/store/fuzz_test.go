@@ -8,22 +8,6 @@ import (
 	"testing"
 )
 
-// fuzzSeedArchive builds a small real archive for the fuzz corpus.
-func fuzzSeedArchive(t testing.TB, gops int) []byte {
-	t.Helper()
-	_, chunks, chunkParts := buildChunkedVideo(t, gops)
-	var buf bytes.Buffer
-	cw, err := NewChunkWriter(&buf, ArchiveMeta{
-		W: chunks[0].W, H: chunks[0].H, FPS: chunks[0].FPS,
-		GOPSize: chunks[0].Params.GOPSize, GOPsPerChunk: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeChunks(t, cw, chunks, chunkParts, 0)
-	return buf.Bytes()
-}
-
 // v1Header hand-crafts a chunkless VACS v1 container: the checksum-less
 // layout no reader supports anymore, which open must reject by its version
 // byte.
@@ -46,7 +30,7 @@ func v1Header() []byte {
 // usable, and reading a chunk must likewise end in frames or a typed error. This is the guarantee the serving layer's error mapping is
 // built on: every storage-level failure has an errors.Is identity.
 func FuzzOpenArchive(f *testing.F) {
-	valid := fuzzSeedArchive(f, 2)
+	valid := archiveOf(f, 2).archive
 	f.Add([]byte{})
 	f.Add([]byte("VACS"))
 	f.Add(v1Header())

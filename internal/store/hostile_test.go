@@ -170,8 +170,7 @@ func TestReadChunkProbesHugeRecord(t *testing.T) {
 // layout that leaves payload bits outside every stream would produce a
 // record ReadChunkContext refuses, so Append refuses it first.
 func TestAppendRefusesUncoveredPayload(t *testing.T) {
-	_, chunks, _ := buildChunkedVideo(t, 1)
-	v := chunks[0]
+	v := archiveOf(t, 2).chunks[0]
 	parts := make([]core.FramePartition, len(v.Frames))
 	for f := range parts {
 		// The only pivot sits far inside the payload: the bits before it
@@ -198,11 +197,8 @@ func TestAppendRefusesUncoveredPayload(t *testing.T) {
 // 24 KB, down from 33 KB — the record's own ≈ 10 KB twice (read buffer and
 // payloads) plus the frame table, pivot tables and slice tables.
 func TestReadChunkAllocationBudget(t *testing.T) {
-	_, _, data := ledgerChunk(t)
-	a, err := OpenArchiveBackend(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := ledgerOf(t).archive
+	a := open(t, data)
 	ctx := context.Background()
 	read := func() {
 		if _, err := a.ReadChunkContext(ctx, 0); err != nil {
@@ -222,5 +218,36 @@ func TestReadChunkAllocationBudget(t *testing.T) {
 	}
 	if limit := uint64(2*len(data) + 4096); size > limit {
 		t.Fatalf("%d bytes allocated per read, budget %d (twice the container + 4 KB)", size, limit)
+	}
+}
+
+// TestOpenRejectsFieldsPastInt32 holds every 32-bit field of the container
+// headers to one verdict at both int widths: past math.MaxInt32 a field
+// would be a negative int on a 32-bit platform and a positive one on a
+// 64-bit one, so open refuses it on both. So it does a frame total past
+// math.MaxInt32, which 2049 records of 1<<20 frames reach in 59 KB.
+func TestOpenRejectsFieldsPastInt32(t *testing.T) {
+	valid := fabricatedArchive(t, 2, fabricatedPrecise(2, 1), 2, make([]byte, 2))
+	if _, err := OpenArchiveBackend(bytes.NewReader(valid)); err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string][]byte{}
+	for name, at := range map[string]int{"W": 5, "H": 9, "FPS": 13, "GOPSize": 17, "GOPsPerChunk": 21,
+		"FirstFrame": archiveHeaderLen + 4, "Frames": archiveHeaderLen + 8} {
+		bad := bytes.Clone(valid)
+		binary.BigEndian.PutUint32(bad[at:], 1<<31)
+		cases[name] = bad
+	}
+	total := bytes.Clone(valid[:archiveHeaderLen])
+	for i := range uint32(2049) {
+		total = append(total, chunkMarker[:]...)
+		total = appendU32(appendU32(total, i<<20), 1<<20)
+		total = append(total, make([]byte, chunkFixedLen-12)...) // empty regions, no streams
+	}
+	cases["frame total"] = total
+	for name, data := range cases {
+		if _, err := OpenArchiveBackend(bytes.NewReader(data)); !errors.Is(err, ErrCorruptRecord) {
+			t.Errorf("%s past 2^31-1: got %v, want ErrCorruptRecord", name, err)
+		}
 	}
 }

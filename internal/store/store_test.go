@@ -1,44 +1,18 @@
 package store
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"videoapp/internal/codec"
 	"videoapp/internal/core"
 	"videoapp/internal/mlc"
 	"videoapp/internal/quality"
-	"videoapp/internal/synth"
 )
-
-func buildVideo(t testing.TB) (*codec.Video, *core.Analysis, []core.FramePartition, int64) {
-	t.Helper()
-	cfg, _ := synth.PresetByName("crew_like")
-	seq := synth.Generate(cfg.ScaleTo(96, 64, 10))
-	p := codec.DefaultParams()
-	p.GOPSize = 10
-	p.SearchRange = 8
-	v, err := codec.EncodeParallelContext(context.Background(), seq, p, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	an, err := core.AnalyzeContext(context.Background(), v, core.DefaultOptions(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts := an.Partition(core.PaperAssignment())
-	return v, an, parts, seq.PixelCount()
-}
-
-func variableSystem(t testing.TB) *System {
-	t.Helper()
-	s, err := New(Config{Substrate: mlc.Default(), Assignment: core.PaperAssignment()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
 
 func TestNewValidatesSubstrate(t *testing.T) {
 	_, err := New(Config{Substrate: mlc.Substrate{LevelsPerCell: 3, RawBER: 1e-3, ScrubIntervalMonths: 3}})
@@ -47,15 +21,27 @@ func TestNewValidatesSubstrate(t *testing.T) {
 	}
 }
 
-func TestFootprintAccounting(t *testing.T) {
-	v, _, parts, pixels := buildVideo(t)
-	s := variableSystem(t)
-	st, err := s.FootprintContext(context.Background(), v, parts, pixels, 1)
+// footprintUnder is the footprint of the corpus video partitioned under a.
+func footprintUnder(t *testing.T, e *entry, a core.ClassAssignment) Stats {
+	t.Helper()
+	st, err := systemOf(t, a).FootprintContext(context.Background(), e.v, e.an.Partition(a), e.pixels, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.PayloadBits != v.TotalPayloadBits() {
-		t.Fatalf("payload %d, want %d", st.PayloadBits, v.TotalPayloadBits())
+	return st
+}
+
+// footprintAccounting: the stats account for every payload bit, per scheme
+// and in total, and are identical at every worker count.
+func footprintAccounting(t *testing.T, r route) {
+	e := videoOf(t)
+	s := variableSystem(t)
+	st, err := s.FootprintContext(context.Background(), e.v, e.parts, e.pixels, max(r.workers, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.PayloadBits != e.v.TotalPayloadBits() {
+		t.Fatalf("payload %d, want %d", st.PayloadBits, e.v.TotalPayloadBits())
 	}
 	if st.HeaderBits <= 0 || st.Cells <= 0 || st.CellsPerPixel <= 0 {
 		t.Fatalf("degenerate stats: %+v", st)
@@ -67,27 +53,24 @@ func TestFootprintAccounting(t *testing.T) {
 	if schemeSum != st.PayloadBits {
 		t.Fatal("per-scheme sizes must sum to the payload")
 	}
+	if serial := footprintUnder(t, e, core.PaperAssignment()); !reflect.DeepEqual(st, serial) {
+		t.Fatalf("stats differ from the serial ones: %+v vs %+v", st, serial)
+	}
+}
+
+func TestFootprintAccounting(t *testing.T) { forRoutes(t, rngRoute, footprintAccounting) }
+
+func TestFootprintContextMatchesSerial(t *testing.T) {
+	forRoutes(t, seedRoutes[1:], footprintAccounting)
 }
 
 func TestVariableBeatsUniformDensity(t *testing.T) {
 	// The headline result: variable correction needs fewer cells than
 	// uniform BCH-16 on everything, and more than ideal.
-	v, _, parts, pixels := buildVideo(t)
-	variable := variableSystem(t)
-	uniform, _ := New(Config{Substrate: mlc.Default(), Assignment: core.UniformAssignment()})
-	ideal, _ := New(Config{Substrate: mlc.Default(), Assignment: core.IdealAssignment()})
-
-	an, err := core.AnalyzeContext(context.Background(), v, core.DefaultOptions(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uniParts := an.Partition(core.UniformAssignment())
-	idealParts := an.Partition(core.IdealAssignment())
-
-	sv, _ := variable.FootprintContext(context.Background(), v, parts, pixels, 1)
-	su, _ := uniform.FootprintContext(context.Background(), v, uniParts, pixels, 1)
-	si, _ := ideal.FootprintContext(context.Background(), v, idealParts, pixels, 1)
-
+	e := videoOf(t)
+	sv := footprintUnder(t, e, core.PaperAssignment())
+	su := footprintUnder(t, e, core.UniformAssignment())
+	si := footprintUnder(t, e, core.IdealAssignment())
 	if !(si.Cells < sv.Cells && sv.Cells < su.Cells) {
 		t.Fatalf("cells: ideal %.0f, variable %.0f, uniform %.0f — ordering violated",
 			si.Cells, sv.Cells, su.Cells)
@@ -101,87 +84,72 @@ func TestVariableBeatsUniformDensity(t *testing.T) {
 func TestECCOverheadEliminationVsUniform(t *testing.T) {
 	// Paper: ~47% of the error correction overhead eliminated. Exact value
 	// depends on the video; require a substantial cut.
-	v, _, parts, pixels := buildVideo(t)
-	variable := variableSystem(t)
-	uniform, _ := New(Config{Substrate: mlc.Default(), Assignment: core.UniformAssignment()})
-	an, err := core.AnalyzeContext(context.Background(), v, core.DefaultOptions(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sv, _ := variable.FootprintContext(context.Background(), v, parts, pixels, 1)
-	su, _ := uniform.FootprintContext(context.Background(), v, an.Partition(core.UniformAssignment()), pixels, 1)
+	e := videoOf(t)
+	sv := footprintUnder(t, e, core.PaperAssignment())
+	su := footprintUnder(t, e, core.UniformAssignment())
 	cut := 1 - sv.ParityBits/su.ParityBits
 	if cut < 0.2 {
 		t.Fatalf("variable correction cuts only %.1f%% of parity bits", cut*100)
 	}
 }
 
-func TestStorePreservesOriginal(t *testing.T) {
-	v, _, parts, _ := buildVideo(t)
-	s := variableSystem(t)
-	before := append([]byte(nil), v.Frames[1].Payload...)
-	if _, _, err := s.StoreContext(context.Background(), v, parts, StoreOpts{Rng: rand.New(rand.NewSource(1))}); err != nil {
+// storeLeavesInput: a round trip hands back a copy and leaves every payload
+// of the input video as it was.
+func storeLeavesInput(t *testing.T, r route) {
+	e := videoOf(t)
+	if _, _, err := variableSystem(t).StoreContext(context.Background(), e.v, e.parts, r.opts(7)); err != nil {
 		t.Fatal(err)
 	}
-	for i := range before {
-		if v.Frames[1].Payload[i] != before[i] {
-			t.Fatal("Store must not mutate the input video")
+	// The corpus guard compares every payload bit with the entry as built.
+}
+
+func TestStorePreservesOriginal(t *testing.T) { forRoutes(t, rngRoute, storeLeavesInput) }
+
+func TestStoreContextDoesNotMutateInput(t *testing.T) { forRoutes(t, seedRoutes, storeLeavesInput) }
+
+// flipsUnder stores the corpus video partitioned under a once per seed and
+// returns the flips of each trip.
+func flipsUnder(t *testing.T, a core.ClassAssignment, seeds ...int64) []int {
+	t.Helper()
+	e := videoOf(t)
+	s, parts := systemOf(t, a), e.an.Partition(a)
+	var flips []int
+	for _, seed := range seeds {
+		_, n, err := s.StoreContext(context.Background(), e.v, parts, StoreOpts{Rng: rand.New(rand.NewSource(seed))})
+		if err != nil {
+			t.Fatal(err)
 		}
+		flips = append(flips, n)
 	}
+	return flips
 }
 
 func TestStoreInjectsAtNoneRate(t *testing.T) {
 	// With the raw substrate rate of 1e-3 on unprotected segments, a video
 	// with tens of kilobits in class None should see some flips.
-	v, _, parts, _ := buildVideo(t)
-	s := variableSystem(t)
-	totalFlips := 0
-	for run := 0; run < 10; run++ {
-		_, flips, err := s.StoreContext(context.Background(), v, parts, StoreOpts{Rng: rand.New(rand.NewSource(int64(run)))})
-		if err != nil {
-			t.Fatal(err)
-		}
-		totalFlips += flips
-	}
-	if totalFlips == 0 {
+	if flips := flipsUnder(t, core.PaperAssignment(), 0, 1, 2, 3, 4, 5, 6, 7, 8, 9); reflect.DeepEqual(flips, make([]int, 10)) {
 		t.Fatal("no errors injected across 10 runs at RBER 1e-3")
 	}
 }
 
 func TestIdealStoreInjectsNothing(t *testing.T) {
-	v, an, _, _ := buildVideo(t)
-	parts := an.Partition(core.IdealAssignment())
-	s, _ := New(Config{Substrate: mlc.Default(), Assignment: core.IdealAssignment()})
-	for run := 0; run < 5; run++ {
-		_, flips, err := s.StoreContext(context.Background(), v, parts, StoreOpts{Rng: rand.New(rand.NewSource(int64(run)))})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if flips != 0 {
-			t.Fatal("ideal correction must be error-free")
-		}
+	if flips := flipsUnder(t, core.IdealAssignment(), 0, 1, 2, 3, 4); !reflect.DeepEqual(flips, make([]int, 5)) {
+		t.Fatalf("ideal correction must be error-free: flips %v", flips)
 	}
 }
 
 func TestUniformStoreEffectivelyClean(t *testing.T) {
 	// 1e-16 on a ~100kbit video: no flips in any reasonable number of runs.
-	v, an, _, _ := buildVideo(t)
-	parts := an.Partition(core.UniformAssignment())
-	s, _ := New(Config{Substrate: mlc.Default(), Assignment: core.UniformAssignment()})
-	_, flips, err := s.StoreContext(context.Background(), v, parts, StoreOpts{Rng: rand.New(rand.NewSource(9))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flips != 0 {
-		t.Fatalf("uniform BCH-16 store flipped %d bits", flips)
+	if flips := flipsUnder(t, core.UniformAssignment(), 9); flips[0] != 0 {
+		t.Fatalf("uniform BCH-16 store flipped %d bits", flips[0])
 	}
 }
 
-func TestStoredVideoStillDecodes(t *testing.T) {
-	v, _, parts, _ := buildVideo(t)
-	s := variableSystem(t)
-	stored, _, err := s.StoreContext(context.Background(), v, parts, StoreOpts{Rng: rand.New(rand.NewSource(3))})
+// storedDecodes: the damaged copy a round trip returns decodes, on either
+// route.
+func storedDecodes(t *testing.T, r route) {
+	e := videoOf(t)
+	stored, _, err := variableSystem(t).StoreContext(context.Background(), e.v, e.parts, r.opts(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,18 +158,24 @@ func TestStoredVideoStillDecodes(t *testing.T) {
 	}
 }
 
+func TestStoredVideoStillDecodes(t *testing.T) { forRoutes(t, rngRoute, storedDecodes) }
+
+// TestStoreContextRoundTripDecodes makes sure the seeded path composes with
+// the decoder exactly like the rng path does.
+func TestStoreContextRoundTripDecodes(t *testing.T) { forRoutes(t, seedRoutes, storedDecodes) }
+
 func TestQualityLossBounded(t *testing.T) {
 	// End-to-end §7 sanity: the variable-correction store should cost well
 	// under a few dB versus the clean decode on this small suite member.
-	v, _, parts, _ := buildVideo(t)
-	clean, err := codec.DecodeContext(context.Background(), v, codec.DecodeOptions{}, 1)
+	e := videoOf(t)
+	clean, err := codec.DecodeContext(context.Background(), e.v, codec.DecodeOptions{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := variableSystem(t)
 	worst := 0.0
 	for run := 0; run < 5; run++ {
-		stored, _, err := s.StoreContext(context.Background(), v, parts, StoreOpts{Rng: rand.New(rand.NewSource(int64(100 + run)))})
+		stored, _, err := s.StoreContext(context.Background(), e.v, e.parts, StoreOpts{Rng: rand.New(rand.NewSource(int64(100 + run)))})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,25 +203,48 @@ func TestLongerScrubIntervalRaisesRates(t *testing.T) {
 	}
 }
 
-func TestPartitionCountMismatch(t *testing.T) {
-	v, _, parts, _ := buildVideo(t)
+// partitionMismatch: a partition list shorter than the video is refused
+// with ErrPartitionMismatch by the footprint and by the round trip.
+func partitionMismatch(t *testing.T, r route) {
+	e := videoOf(t)
 	s := variableSystem(t)
-	if _, err := s.FootprintContext(context.Background(), v, parts[:1], 100, 1); err == nil {
-		t.Fatal("partition mismatch must error")
+	if _, err := s.FootprintContext(context.Background(), e.v, e.parts[:1], e.pixels, max(r.workers, 1)); !errors.Is(err, ErrPartitionMismatch) {
+		t.Fatalf("FootprintContext: got %v", err)
 	}
-	if _, _, err := s.StoreContext(context.Background(), v, parts[:1], StoreOpts{Rng: rand.New(rand.NewSource(1))}); err == nil {
-		t.Fatal("partition mismatch must error")
+	if _, _, err := s.StoreContext(context.Background(), e.v, e.parts[:1], r.opts(1)); !errors.Is(err, ErrPartitionMismatch) {
+		t.Fatalf("StoreContext: got %v", err)
 	}
+}
+
+func TestPartitionCountMismatch(t *testing.T) { forRoutes(t, rngRoute, partitionMismatch) }
+
+func TestPartitionMismatchSentinel(t *testing.T) { forRoutes(t, seedRoutes, partitionMismatch) }
+
+// storedPayloads stores the corpus video with opts and returns a copy of
+// every stored payload and the flip count, releasing the stored copy.
+func storedPayloads(t *testing.T, s *System, opts StoreOpts) ([][]byte, int) {
+	t.Helper()
+	e := videoOf(t)
+	stored, flips, err := s.StoreContext(context.Background(), e.v, e.parts, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads := make([][]byte, len(stored.Frames))
+	for i, f := range stored.Frames {
+		payloads[i] = bytes.Clone(f.Payload)
+	}
+	stored.Release()
+	return payloads, flips
 }
 
 func BenchmarkStore(b *testing.B) {
 	b.ReportAllocs()
-	v, _, parts, _ := buildVideo(b)
+	e := videoOf(b)
 	s := variableSystem(b)
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := s.StoreContext(context.Background(), v, parts, StoreOpts{Rng: rng}); err != nil {
+		if _, _, err := s.StoreContext(context.Background(), e.v, e.parts, StoreOpts{Rng: rng}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -205,14 +205,6 @@ func WithServeWorkers(n int) ServeOption { return serve.WithWorkers(n) }
 // aggregator.
 func WithServeObserver(o Observer) ServeOption { return serve.WithObserver(o) }
 
-// AppendArchive reopens an existing chunked archive for appending more
-// chunks (append-on-write: earlier bytes are never rewritten). rw must
-// also implement io.ReaderAt (os.File does) for the lock-free index scan;
-// ctx governs the verifying read of the archive's last record.
-func AppendArchive(ctx context.Context, rw io.ReadWriteSeeker) (*ChunkWriter, error) {
-	return store.AppendChunkWriter(ctx, rw)
-}
-
 // chunkConfig assembles the streaming engine configuration from the
 // pipeline, attaching sys for per-chunk footprint costs.
 func (p *Pipeline) chunkConfig(sys *store.System) chunk.Config {
