@@ -5,11 +5,11 @@ import (
 	"context"
 	"fmt"
 	"hash/maphash"
-	"sync"
 	"testing"
 
 	"videoapp/internal/bch"
 	"videoapp/internal/core"
+	"videoapp/internal/testcorpus"
 )
 
 // The corpus: every sequence the tests feed the pipeline is rendered once
@@ -45,18 +45,7 @@ type entry struct {
 	seq *Sequence
 	res *Result  // ProcessContext at one worker; nil for a render-only clip
 	ref *outcome // produce at one worker under a Metrics; nil unless a reference clip
-
-	digest uint64 // hash of the entry as built
 }
-
-var corpus = struct {
-	mu      sync.Mutex
-	entries map[clip]*entry
-}{entries: map[clip]*entry{}}
-
-// corpusSeed keys the read-only guard's hash, whose digests never leave the
-// test binary.
-var corpusSeed = maphash.MakeSeed()
 
 // mainClip is the clip most tests process: 18 crew_like frames at 96×64 in
 // GOPs of four, so that the last GOP is ragged and a stream of one GOP per
@@ -87,28 +76,17 @@ func seqOf(t testing.TB, preset string, w, h, frames int) *Sequence {
 // its end if t left it changed.
 func corpusOf(t testing.TB, k clip) *entry {
 	t.Helper()
-	corpus.mu.Lock()
-	defer corpus.mu.Unlock()
-	e := entryLocked(t, k)
-	t.Cleanup(func() {
-		if e.hash() != e.digest {
-			t.Errorf("the %s %dx%dx%d corpus entry was left changed; clone what you change", k.preset, k.w, k.h, k.frames)
-		}
-	})
-	return e
+	return testcorpus.Of(t, k, buildEntry, (*entry).hash)
 }
 
-func entryLocked(t testing.TB, k clip) *entry {
+func buildEntry(t testing.TB, k clip) *entry {
 	t.Helper()
-	if e := corpus.entries[k]; e != nil {
-		return e
-	}
 	e := &entry{clip: k}
 	switch {
 	case k.reference:
 		base := k
 		base.reference = false
-		b := entryLocked(t, base)
+		b := corpusOf(t, base)
 		o := produce(t, b, 1, NewMetrics())
 		e.seq, e.ref = b.seq, &o
 	case k.assign == "":
@@ -118,32 +96,27 @@ func entryLocked(t testing.TB, k clip) *entry {
 		}
 		e.seq = seq
 	default:
-		e.seq = entryLocked(t, clip{preset: k.preset, w: k.w, h: k.h, frames: k.frames}).seq
+		e.seq = seqOf(t, k.preset, k.w, k.h, k.frames)
 		res, err := e.pipeline(1).ProcessContext(context.Background(), e.seq)
 		if err != nil {
 			t.Fatal(err)
 		}
 		e.res = res
 	}
-	e.digest = e.hash()
-	corpus.entries[k] = e
 	return e
 }
 
-// hash is the read-only guard's digest of the entry: the samples of its
-// sequences; of its Results the container bytes, the macroblock records and
-// dependencies the container leaves out, the partitions, both importance
-// maps and the footprint; and of a reference outcome also the archive, the
-// flips and the metrics.
-func (e *entry) hash() uint64 {
-	var h maphash.Hash
-	h.SetSeed(corpusSeed)
+// hash writes the samples of the entry's sequences; of its Results the
+// container bytes, the macroblock records and dependencies the container
+// leaves out, the partitions, both importance maps and the footprint; and of
+// a reference outcome also the archive, the flips and the metrics.
+func (e *entry) hash(h *maphash.Hash) {
 	seqs, results := []*Sequence{e.seq}, []*Result{e.res}
 	if o := e.ref; o != nil {
 		seqs, results = append(seqs, o.dec), append(results, o.res)
 		h.Write(o.container)
 		h.Write(o.archive)
-		fmt.Fprint(&h, o.flips, o.processed, o.snap)
+		fmt.Fprint(h, o.flips, o.processed, o.snap)
 	}
 	for _, seq := range seqs {
 		for _, f := range seq.Frames {
@@ -156,12 +129,11 @@ func (e *entry) hash() uint64 {
 		if r != nil {
 			h.Write(Marshal(r.Video))
 			for _, f := range r.Video.Frames {
-				fmt.Fprint(&h, f.MBs, f.Deps)
+				fmt.Fprint(h, f.MBs, f.Deps)
 			}
-			fmt.Fprint(&h, r.Partitions, r.Analysis.Importance, r.Analysis.CompImportance, r.Stats)
+			fmt.Fprint(h, r.Partitions, r.Analysis.Importance, r.Analysis.CompImportance, r.Stats)
 		}
 	}
-	return h.Sum64()
 }
 
 // result is a Result of the test's own: the processed clip over a clone of

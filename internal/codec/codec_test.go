@@ -203,7 +203,7 @@ func TestDecodedMatchesEncoderReconstruction(t *testing.T) {
 		{CABAC, true, 2, 4, true},
 	} {
 		p := testParams()
-		p.Entropy, p.HalfPel, p.SlicesPerFrame, p.Deblock, p.ActivityAQ = c.coder, c.halfPel, c.slices, c.deblock, true
+		p.Entropy, p.HalfPel, p.SlicesPerFrame, p.Deblock = c.coder, c.halfPel, c.slices, c.deblock
 		p.BFrames, p.BReference = c.bFrames, c.bFrames > 0
 		v, recs, err := encodeRecs(seq, p)
 		if err != nil {

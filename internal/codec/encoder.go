@@ -381,12 +381,9 @@ func (fe *frameEncoder) encodeMB(rec *MBRecord, mx, my int) {
 }
 
 // mbQP selects this macroblock's quantizer: the frame base QP plus an
-// activity-driven offset when adaptive quantization is enabled.
+// activity-driven offset (adaptive quantization).
 func (fe *frameEncoder) mbQP(mx, my int) int {
 	qp := fe.ef.BaseQP
-	if !fe.params.ActivityAQ {
-		return qp
-	}
 	w := fe.orig.W
 	luma := fe.orig.Y[my*frame.MBSize*w+mx*frame.MBSize:]
 	var sum, sum2 int

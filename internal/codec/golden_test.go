@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"hash/maphash"
@@ -19,6 +18,7 @@ import (
 	"testing"
 
 	"videoapp/internal/frame"
+	"videoapp/internal/testcorpus"
 )
 
 // The golden corpus and its decode manifest. The corpus is every design
@@ -120,39 +120,32 @@ func flipPayloadBits(v *Video, seed int64, density float64) *Video {
 	return c
 }
 
-// corpus is the golden corpus of this test binary, built by the first
-// goldenCases call; digest is corpusDigest of it as built.
-var corpus struct {
-	once   sync.Once
-	cases  []goldenCase
-	digest uint64
-	err    error
-}
-
 // goldenCases returns the shared corpus, encoding it on the first call, and
 // fails t at its end if t left any case changed.
 func goldenCases(t testing.TB) []goldenCase {
 	t.Helper()
-	corpus.once.Do(func() {
-		corpus.cases, corpus.err = encodeGoldenCases(t)
-		if corpus.err == nil {
-			corpus.digest, corpus.err = corpusDigest(corpus.cases)
-		}
-	})
-	if corpus.err != nil {
-		t.Fatal(corpus.err)
-	}
-	t.Cleanup(func() {
-		d, err := corpusDigest(corpus.cases)
-		if err == nil && d != corpus.digest {
-			err = errors.New("its bytes, headers, records or pictures differ")
-		}
+	return testcorpus.Of(t, goldenKey{}, func(t testing.TB, _ goldenKey) []goldenCase {
+		cases, err := encodeGoldenCases(t)
 		if err != nil {
-			t.Errorf("the shared golden corpus was left changed: %v; clone a case before changing it", err)
+			t.Fatal(err)
 		}
-	})
-	return corpus.cases
+		for _, gc := range cases {
+			for _, dv := range gc.variants {
+				for i, f := range dv.v.Frames {
+					if f.shared != nil || f.syntax.rec.Load() != nil {
+						t.Fatalf("%s %s frame %d left the build with a syntax slot attached", gc.key, dv.name, i)
+					}
+				}
+			}
+		}
+		return cases
+	}, hashCorpus)
 }
+
+// goldenKey names the golden corpus, this test binary's one entry.
+type goldenKey struct{}
+
+func (goldenKey) String() string { return "golden corpus" }
 
 // encodeGoldenCases encodes every design point of the manifest, each after
 // stocking the frame pool with 0xa5-filled frames: a coding tool that read a
@@ -199,18 +192,12 @@ func encodeGoldenCases(t testing.TB) ([]goldenCase, error) {
 	return out, nil
 }
 
-// corpusSeed keys corpusDigest, a fast hash: it runs after every test that
-// reads the corpus, and its digests never leave the test binary.
-var corpusSeed = maphash.MakeSeed()
-
-// corpusDigest hashes every video of the corpus (every decode variant) —
-// its Marshal bytes (payloads and headers) and its records — the source
-// planes and the encoder's reconstructions, and fails if a frame has a
-// syntax slot attached: a sharing claim or a parse record would let a later
-// decode replay instead of parse.
-func corpusDigest(cases []goldenCase) (uint64, error) {
-	var h maphash.Hash
-	h.SetSeed(corpusSeed)
+// hashCorpus hashes every video of the corpus (every decode variant) — its
+// Marshal bytes (payloads and headers), its records and whether a frame has
+// a syntax slot attached (a sharing claim or a parse record would let a
+// later decode replay instead of parse) — the source planes and the
+// encoder's reconstructions.
+func hashCorpus(cases []goldenCase, h *maphash.Hash) {
 	for _, gc := range cases {
 		for _, f := range append(slices.Clip(gc.source.Frames), gc.recs...) {
 			h.Write(f.Y)
@@ -219,20 +206,17 @@ func corpusDigest(cases []goldenCase) (uint64, error) {
 		}
 		for _, dv := range gc.variants {
 			h.Write(Marshal(dv.v))
-			for i, f := range dv.v.Frames {
+			for _, f := range dv.v.Frames {
 				for _, r := range f.MBs {
-					maphash.WriteComparable(&h, r)
+					maphash.WriteComparable(h, r)
 				}
 				for _, d := range f.Deps {
-					maphash.WriteComparable(&h, d)
+					maphash.WriteComparable(h, d)
 				}
-				if f.shared != nil || f.syntax.rec.Load() != nil {
-					return 0, fmt.Errorf("%s frame %d has a syntax slot attached", gc.key, i)
-				}
+				maphash.WriteComparable(h, f.shared != nil || f.syntax.rec.Load() != nil)
 			}
 		}
 	}
-	return h.Sum64(), nil
 }
 
 func hashBitstream(v *Video) string {

@@ -49,7 +49,7 @@ func marshal(v *Video, withPayload bool) []byte {
 	w.WriteBool(p.BReference)
 	w.WriteBits(uint64(p.Entropy), 2)
 	w.WriteUE(uint32(p.SearchRange))
-	w.WriteBool(p.ActivityAQ)
+	w.WriteBool(true) // adaptive quantization, always on
 	w.WriteUE(uint32(p.SlicesPerFrame))
 	w.WriteBool(p.Deblock)
 	w.WriteBool(p.HalfPel)
@@ -134,8 +134,9 @@ func unmarshal(data []byte, withPayload bool, maxPayload int64) (*Video, error) 
 	if err != nil {
 		return nil, errTruncated(err)
 	}
-	aq, err := r.ReadBool()
-	if err != nil {
+	// The adaptive-quantization bit: the decoder reads each macroblock's QP
+	// from the stream, whatever chose it.
+	if _, err := r.ReadBool(); err != nil {
 		return nil, errTruncated(err)
 	}
 	slices, err := r.ReadUE()
@@ -159,7 +160,7 @@ func unmarshal(data []byte, withPayload bool, maxPayload int64) (*Video, error) 
 	}
 	v.Params = Params{
 		CRF: int(crf), GOPSize: int(gop), BFrames: int(bf), BReference: bref,
-		Entropy: EntropyKind(ent), SearchRange: int(sr), ActivityAQ: aq,
+		Entropy: EntropyKind(ent), SearchRange: int(sr),
 		SlicesPerFrame: int(slices), Deblock: deblock, HalfPel: halfpel,
 	}
 	if err := v.Params.Validate(); err != nil {

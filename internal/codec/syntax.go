@@ -294,11 +294,8 @@ func (r *syntaxReader) readMB(s *mbSyntax) {
 		}
 	}
 	s.res.nz = r.uvarint()
-	for b := range s.res.blocks {
-		if s.res.nz&(1<<uint(b)) == 0 {
-			continue
-		}
-		blk := &s.res.blocks[b]
+	for nz := s.res.nz & (1<<mbBlocks - 1); nz != 0; nz &= nz - 1 {
+		blk := &s.res.blocks[bits.TrailingZeros32(nz)]
 		*blk = [16]int32{}
 		for mask := r.mask(); mask != 0; mask &= mask - 1 {
 			blk[bits.TrailingZeros32(mask)] = r.varint()

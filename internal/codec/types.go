@@ -78,9 +78,6 @@ type Params struct {
 	Entropy EntropyKind
 	// SearchRange bounds motion estimation, in pixels.
 	SearchRange int
-	// ActivityAQ enables per-macroblock adaptive quantization from local
-	// activity, exercising delta-QP predictive coding.
-	ActivityAQ bool
 	// SlicesPerFrame divides each frame into horizontal slice bands, each
 	// with its own entropy context and no cross-slice prediction, limiting
 	// coding error propagation to the slice at the cost of extra storage
@@ -102,7 +99,6 @@ func DefaultParams() Params {
 		BFrames:     0,
 		Entropy:     CABAC,
 		SearchRange: 16,
-		ActivityAQ:  true,
 	}
 }
 

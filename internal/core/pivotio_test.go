@@ -1,76 +1,56 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"videoapp/internal/bch"
 	"videoapp/internal/bitio"
 )
 
+// TestPartitionsRoundTrip: a marshalled pivot table parses back to the same
+// pivots, which drive Merge as the originals do.
 func TestPartitionsRoundTrip(t *testing.T) {
-	v := encodeTestVideo(t, "parkrun_like", 96, 64, 8, smallParams())
-	an := analyze(t, v, DefaultOptions())
-	parts := an.Partition(PaperAssignment())
-	data, err := MarshalPartitions(parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnmarshalPartitions(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(parts) {
-		t.Fatalf("%d frames, want %d", len(got), len(parts))
-	}
-	for f := range parts {
-		if len(got[f].Pivots) != len(parts[f].Pivots) {
-			t.Fatalf("frame %d: pivot count", f)
+	holds(t, allClips, func(e *entry) error {
+		data, err := MarshalPartitions(e.parts)
+		if err != nil {
+			return err
 		}
-		for i := range parts[f].Pivots {
-			a, b := parts[f].Pivots[i], got[f].Pivots[i]
-			if a.Bit != b.Bit || a.Scheme.Name != b.Scheme.Name {
-				t.Fatalf("frame %d pivot %d: %+v vs %+v", f, i, a, b)
+		got, err := UnmarshalPartitions(data)
+		if err != nil {
+			return err
+		}
+		if len(got) != len(e.parts) {
+			return fmt.Errorf("%d frames, want %d", len(got), len(e.parts))
+		}
+		for f := range e.parts {
+			if len(got[f].Pivots) != len(e.parts[f].Pivots) {
+				return fmt.Errorf("frame %d: %d pivots, want %d", f, len(got[f].Pivots), len(e.parts[f].Pivots))
+			}
+			for i, a := range e.parts[f].Pivots {
+				if b := got[f].Pivots[i]; a.Bit != b.Bit || a.Scheme.Name != b.Scheme.Name {
+					return fmt.Errorf("frame %d pivot %d: %+v vs %+v", f, i, a, b)
+				}
 			}
 		}
-	}
-	// Round-tripped tables must drive Merge identically.
-	ss, err := SplitStreams(v, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss.Parts = got
-	merged, err := ss.Merge(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for f := range v.Frames {
-		a, b := v.Frames[f].Payload, merged.Frames[f].Payload
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("frame %d differs with round-tripped pivots", f)
-			}
-		}
-	}
+		return splitMerge(e.v, e.parts, got)
+	})
 }
 
+// TestPartitionsCompact: §4.4, a few bytes per frame and slice.
 func TestPartitionsCompact(t *testing.T) {
-	// §4.4: a few bytes per frame.
-	v := encodeTestVideo(t, "crew_like", 96, 64, 10, smallParams())
-	an := analyze(t, v, DefaultOptions())
-	data, err := MarshalPartitions(an.Partition(PaperAssignment()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if perFrame := len(data) / 10; perFrame > 8 {
-		t.Fatalf("%d bytes per frame", perFrame)
-	}
+	holds(t, allClips, func(e *entry) error {
+		data, err := MarshalPartitions(e.parts)
+		if perFrame := len(data) / e.frames; err == nil && perFrame > 8*e.slices {
+			err = fmt.Errorf("%d bytes per frame", perFrame)
+		}
+		return err
+	})
 }
 
 func TestPartitionsIdealScheme(t *testing.T) {
-	v := encodeTestVideo(t, "news_like", 64, 48, 4, smallParams())
-	an := analyze(t, v, DefaultOptions())
-	parts := an.Partition(IdealAssignment())
-	data, err := MarshalPartitions(parts)
+	data, err := MarshalPartitions(corpusOf(t, newsClip).an.Partition(IdealAssignment()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,19 +64,17 @@ func TestPartitionsIdealScheme(t *testing.T) {
 }
 
 func TestUnmarshalPartitionsRejectsGarbage(t *testing.T) {
-	if _, err := UnmarshalPartitions(nil); err == nil {
-		t.Fatal("empty must fail")
-	}
-	parts := []FramePartition{
+	data, err := MarshalPartitions([]FramePartition{
 		{Pivots: []Pivot{{Bit: 1000, Scheme: PaperAssignment().Header}}},
 		{Pivots: []Pivot{{Bit: 2000, Scheme: PaperAssignment().Header}}},
-	}
-	data, err := MarshalPartitions(parts)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := UnmarshalPartitions(data[:1]); err == nil {
-		t.Fatal("truncation must fail")
+	for name, data := range map[string][]byte{"empty": nil, "truncated": data[:1]} {
+		if _, err := UnmarshalPartitions(data); err == nil {
+			t.Errorf("%s: must be rejected", name)
+		}
 	}
 }
 
@@ -104,25 +82,19 @@ func TestUnmarshalPartitionsRejectsGarbage(t *testing.T) {
 // every byte boundary: the parser must be total (error or parse, never a
 // panic) and a parsed prefix can never carry more frames than the original.
 func TestUnmarshalPartitionsTruncatedEverywhere(t *testing.T) {
-	v := encodeTestVideo(t, "crew_like", 96, 64, 6, smallParams())
-	an := analyze(t, v, DefaultOptions())
-	parts := an.Partition(PaperAssignment())
-	data, err := MarshalPartitions(parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for n := 0; n < len(data); n++ {
-		got, err := UnmarshalPartitions(data[:n])
+	holds(t, allClips, func(e *entry) error {
+		data, err := MarshalPartitions(e.parts)
 		if err != nil {
-			continue
+			return err
 		}
-		if len(got) > len(parts) {
-			t.Fatalf("prefix of %d bytes parsed %d frames, original has %d", n, len(got), len(parts))
+		for n := 0; n < len(data); n++ {
+			if got, err := UnmarshalPartitions(data[:n]); err == nil && len(got) > len(e.parts) {
+				return fmt.Errorf("prefix of %d bytes parsed %d frames, original has %d", n, len(got), len(e.parts))
+			}
 		}
-	}
-	if _, err := UnmarshalPartitions(data); err != nil {
-		t.Fatalf("full stream must parse: %v", err)
-	}
+		_, err = UnmarshalPartitions(data)
+		return err
+	})
 }
 
 // TestUnmarshalPartitionsCorruptHeader exercises the header limits: an
@@ -157,20 +129,50 @@ func TestUnmarshalPartitionsCorruptHeader(t *testing.T) {
 }
 
 func TestMarshalPartitionsRejectsUnknownScheme(t *testing.T) {
-	parts := []FramePartition{{Pivots: []Pivot{
-		{Bit: 0, Scheme: bch.Scheme{Name: "BCH-99", T: 99}},
-	}}}
-	if _, err := MarshalPartitions(parts); err == nil {
+	if _, err := MarshalPartitions([]FramePartition{{Pivots: []Pivot{{Scheme: bch.Scheme{Name: "BCH-99", T: 99}}}}}); err == nil {
 		t.Fatal("unknown scheme must be rejected")
 	}
 }
 
 func TestMarshalPartitionsRejectsUnsorted(t *testing.T) {
-	parts := []FramePartition{{Pivots: []Pivot{
-		{Bit: 100, Scheme: PaperAssignment().Header},
-		{Bit: 50, Scheme: PaperAssignment().Header},
-	}}}
-	if _, err := MarshalPartitions(parts); err == nil {
+	h := PaperAssignment().Header
+	if _, err := MarshalPartitions([]FramePartition{{Pivots: []Pivot{{Bit: 100, Scheme: h}, {Bit: 50, Scheme: h}}}}); err == nil {
 		t.Fatal("unsorted pivots must be rejected")
 	}
+}
+
+// Fuzz target: the pivot-table parser must be total — any byte sequence
+// either parses or returns an error, never panics — and whatever parses
+// must survive a canonical re-marshal round trip. Without -fuzz this runs
+// the seed corpus as a regular test.
+
+func FuzzPartitionsRoundTrip(f *testing.F) {
+	seed, err := MarshalPartitions(corpusOf(f, gopsClip).parts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte{})
+	f.Add([]byte{0x01})
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		parts, err := UnmarshalPartitions(data)
+		if err != nil {
+			return // rejected is fine; panics are not
+		}
+		// Parsed tables are canonical: deltas are non-negative and schemes
+		// come from the registry, so they must re-marshal and round-trip to
+		// an identical table.
+		out, err := MarshalPartitions(parts)
+		if err != nil {
+			t.Fatalf("parsed table failed to re-marshal: %v", err)
+		}
+		again, err := UnmarshalPartitions(out)
+		if err != nil {
+			t.Fatalf("re-marshalled table failed to parse: %v", err)
+		}
+		if !reflect.DeepEqual(parts, again) {
+			t.Fatal("pivot table not stable under re-marshal")
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -55,133 +56,80 @@ func syntheticVideo(rng *rand.Rand, nFrames, mbCols, mbRows int) *codec.Video {
 	return v
 }
 
+// quickCheck checks prop over count synthetic videos, each drawn from its
+// own seed.
+func quickCheck(t *testing.T, count int, prop func(rng *rand.Rand) error) {
+	t.Helper()
+	var failure error
+	check := func(seed int64) bool {
+		failure = prop(rand.New(rand.NewSource(seed)))
+		return failure == nil
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: count}); err != nil {
+		t.Fatal(err, failure)
+	}
+}
+
+// TestImportanceConservationProperty: for any dependency structure every
+// importance is at least 1 — each node contributes at least itself.
 func TestImportanceConservationProperty(t *testing.T) {
-	// For any dependency structure: total importance >= number of MBs (each
-	// node contributes at least itself), and every value >= 1.
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		v := syntheticVideo(rng, 2+rng.Intn(4), 2+rng.Intn(3), 2+rng.Intn(3))
-		an := analyze(t, v, DefaultOptions())
-		var total float64
-		n := 0
-		for _, row := range an.Importance {
-			for _, imp := range row {
-				if imp < 1 {
-					return false
-				}
-				total += imp
-				n++
-			}
-		}
-		return total >= float64(n)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
+	quickCheck(t, 50, func(rng *rand.Rand) error {
+		return atLeastOne(analyze(t, syntheticVideo(rng, 2+rng.Intn(4), 2+rng.Intn(3), 2+rng.Intn(3)), DefaultOptions()))
+	})
 }
 
+// TestMonotonePropertyOnSyntheticGraphs: monotone scan-order importance holds
+// for any compensation structure, because the coding chain dominates within
+// a frame.
 func TestMonotonePropertyOnSyntheticGraphs(t *testing.T) {
-	// Monotone scan-order importance must hold for ANY compensation
-	// structure, because the coding chain dominates within a frame.
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		v := syntheticVideo(rng, 3, 3, 3)
-		an := analyze(t, v, DefaultOptions())
-		return an.CheckMonotone() == nil
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
+	quickCheck(t, 100, func(rng *rand.Rand) error {
+		return analyze(t, syntheticVideo(rng, 3, 3, 3), DefaultOptions()).CheckMonotone()
+	})
 }
 
+// TestCompensationImportanceBoundedByArea: with incoming-edge weights
+// normalized to 1, a node's compensation importance cannot exceed the
+// video's macroblock count.
 func TestCompensationImportanceBoundedByArea(t *testing.T) {
-	// With incoming-edge weights normalized to 1, a node's compensation
-	// importance cannot exceed the total macroblock count of the video.
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
+	quickCheck(t, 50, func(rng *rand.Rand) error {
 		nf, c, r := 2+rng.Intn(3), 2+rng.Intn(3), 2+rng.Intn(3)
-		v := syntheticVideo(rng, nf, c, r)
-		an := analyze(t, v, DefaultOptions())
-		bound := float64(nf * c * r)
-		for _, row := range an.CompImportance {
-			for _, imp := range row {
-				if imp > bound+1e-6 {
-					return false
+		an := analyze(t, syntheticVideo(rng, nf, c, r), DefaultOptions())
+		for f, row := range an.CompImportance {
+			for m, imp := range row {
+				if imp > float64(nf*c*r)+1e-6 {
+					return fmt.Errorf("frame %d MB %d: compensation importance %f > %d macroblocks", f, m, imp, nf*c*r)
 				}
 			}
 		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
+		return nil
+	})
 }
 
+// TestPartitionSegmentsConservationProperty: for any assignment thresholds,
+// segments exactly tile every payload.
 func TestPartitionSegmentsConservationProperty(t *testing.T) {
-	// For any assignment thresholds, segments exactly tile every payload.
-	prop := func(seed int64, t1, t2 uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
+	quickCheck(t, 50, func(rng *rand.Rand) error {
 		v := syntheticVideo(rng, 3, 3, 2)
-		an := analyze(t, v, DefaultOptions())
-		a, b := int(t1%20), int(t2%20)
-		if a > b {
-			a, b = b, a
-		}
+		a, b := rng.Intn(20), rng.Intn(20)
 		ca := ClassAssignment{
 			Bounds: []ClassBound{
-				{MaxClass: a, Scheme: bch.SchemeNone},
-				{MaxClass: b, Scheme: bch.SchemeBCH6},
+				{MaxClass: min(a, b), Scheme: bch.SchemeNone},
+				{MaxClass: max(a, b), Scheme: bch.SchemeBCH6},
 			},
 			Header: bch.SchemeBCH16,
 		}
-		for f, fp := range an.Partition(ca) {
-			var pos int64
-			for _, s := range fp.Segments(v.Frames[f].PayloadBits()) {
-				if s.Start != pos || s.Bits <= 0 {
-					return false
-				}
-				pos += s.Bits
-			}
-			if pos != v.Frames[f].PayloadBits() {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
+		return tiles(v, analyze(t, v, DefaultOptions()).Partition(ca))
+	})
 }
 
+// TestSplitMergeProperty: split and merge are the identity for any partition
+// Partition produces.
 func TestSplitMergeProperty(t *testing.T) {
-	// Split+merge is the identity for any partition produced by Partition.
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
+	quickCheck(t, 30, func(rng *rand.Rand) error {
 		v := syntheticVideo(rng, 3, 2, 2)
 		for _, ef := range v.Frames {
 			rng.Read(ef.Payload)
 		}
-		an := analyze(t, v, DefaultOptions())
-		parts := an.Partition(PaperAssignment())
-		ss, err := SplitStreams(v, parts)
-		if err != nil {
-			return false
-		}
-		merged, err := ss.Merge(v)
-		if err != nil {
-			return false
-		}
-		for f := range v.Frames {
-			a, b := v.Frames[f].Payload, merged.Frames[f].Payload
-			for i := range a {
-				if a[i] != b[i] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
+		return splitMerge(v, analyze(t, v, DefaultOptions()).Partition(PaperAssignment()), nil)
+	})
 }

@@ -83,13 +83,10 @@ func splitMergeCase(t *testing.T, label string, v *codec.Video, parts []FramePar
 // forms handled by reading zeros and skipping bits.
 func TestSplitMergeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	p := smallParams()
-	p.SlicesPerFrame = 2
-	for _, v := range []*codec.Video{
-		encodeTestVideo(t, "sports_like", 96, 64, 8, smallParams()),
-		encodeTestVideo(t, "crew_like", 64, 48, 6, p),
-	} {
-		an := analyze(t, v, DefaultOptions())
+	for _, c := range []clip{sportsClip, slicedClip(2)} {
+		e := corpusOf(t, c)
+		v := e.v
+		an := e.an
 		allNone := ClassAssignment{Header: bch.SchemeNone, Bounds: []ClassBound{{MaxClass: 1 << 30, Scheme: bch.SchemeNone}}}
 		splitMergeCase(t, "paper", v, an.Partition(PaperAssignment()), rng)
 		splitMergeCase(t, "all-none", v, an.Partition(allNone), rng)

@@ -1,172 +1,113 @@
 package entropy
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
 	"videoapp/internal/bitio"
 )
 
-func TestArithRoundTripSingleContext(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	bits := make([]int, 5000)
-	for i := range bits {
-		// Biased source: mostly zeros, which the context should learn.
-		if rng.Float64() < 0.85 {
-			bits[i] = 0
-		} else {
-			bits[i] = 1
+// binScript draws n bins in the script form decodeOps and encodeOps take:
+// each a context bin of one of ctxs contexts, or with probability pBypass a
+// bypass bin, whose value (bit 6) is one with probability pOne.
+func binScript(rng *rand.Rand, n, ctxs int, pOne, pBypass float64) []byte {
+	script := make([]byte, n)
+	for i := range script {
+		script[i] = byte(rng.Intn(ctxs))
+		if rng.Float64() < pOne {
+			script[i] |= 0x40
+		}
+		if rng.Float64() < pBypass {
+			script[i] |= 0x80
 		}
 	}
+	return script
+}
+
+// encodeScript codes script's bins with the encoder into a flushed payload.
+func encodeScript(script []byte) []byte {
 	w := bitio.NewWriter()
 	enc := NewEncoder(w)
-	var ectx Context
-	for _, b := range bits {
-		enc.EncodeBit(&ectx, b)
+	var ctxs [16]Context
+	for _, op := range script {
+		if op&0x80 != 0 {
+			enc.EncodeBypass(int(op >> 6 & 1))
+		} else {
+			enc.EncodeBit(&ctxs[op&15], int(op>>6&1))
+		}
 	}
 	enc.Flush()
+	return bytes.Clone(w.Bytes())
+}
 
-	dec := NewDecoder(bitio.NewReader(w.Bytes()))
-	var dctx Context
-	for i, want := range bits {
-		if got := dec.DecodeBit(&dctx); got != want {
-			t.Fatalf("bit %d: got %d, want %d", i, got, want)
+// decodeScript decodes script's bins from data and returns how many differ
+// from script's and the decoder's overruns. Decoding never fails, whatever
+// data holds.
+func decodeScript(data, script []byte) (wrong, overruns int) {
+	dec := NewDecoder(bitio.NewReader(data))
+	var ctxs [16]Context
+	for _, op := range script {
+		bin := 0
+		if op&0x80 != 0 {
+			bin = dec.DecodeBypass()
+		} else {
+			bin = dec.DecodeBit(&ctxs[op&15])
 		}
+		if bin != int(op>>6&1) {
+			wrong++
+		}
+	}
+	return wrong, dec.Overruns()
+}
+
+// arithRoundTrip: script's bins decode back from their payload, reading at
+// most the padding past its end.
+func arithRoundTrip(t *testing.T, script []byte) {
+	t.Helper()
+	if wrong, overruns := decodeScript(encodeScript(script), script); wrong != 0 || overruns > 16 {
+		t.Fatalf("%d of %d bins decode wrong, %d overruns on a clean stream", wrong, len(script), overruns)
 	}
 }
 
+// TestArithRoundTripSingleContext: a biased source, mostly zeros, which the
+// context learns.
+func TestArithRoundTripSingleContext(t *testing.T) {
+	arithRoundTrip(t, binScript(rand.New(rand.NewSource(1)), 5000, 1, 0.15, 0))
+}
+
 func TestArithCompressesBiasedSource(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	const n = 20000
-	w := bitio.NewWriter()
-	enc := NewEncoder(w)
-	var ctx Context
-	for i := 0; i < n; i++ {
-		b := 0
-		if rng.Float64() < 0.05 {
-			b = 1
-		}
-		enc.EncodeBit(&ctx, b)
-	}
-	enc.Flush()
 	// Entropy of p=0.05 is ~0.286 bits/symbol; the adaptive coder should
 	// get well below 0.5 bits/symbol.
-	if got := w.BitPos(); got > n/2 {
+	const n = 20000
+	if got := 8 * len(encodeScript(binScript(rand.New(rand.NewSource(2)), n, 1, 0.05, 0))); got > n/2 {
 		t.Fatalf("coded %d bits for %d symbols; no compression achieved", got, n)
 	}
 }
 
 func TestArithBypassRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	bits := make([]int, 3000)
-	w := bitio.NewWriter()
-	enc := NewEncoder(w)
-	for i := range bits {
-		bits[i] = rng.Intn(2)
-		enc.EncodeBypass(bits[i])
-	}
-	enc.Flush()
-	dec := NewDecoder(bitio.NewReader(w.Bytes()))
-	for i, want := range bits {
-		if got := dec.DecodeBypass(); got != want {
-			t.Fatalf("bypass bit %d: got %d, want %d", i, got, want)
-		}
-	}
+	arithRoundTrip(t, binScript(rand.New(rand.NewSource(3)), 3000, 1, 0.5, 1))
 }
 
 func TestArithMixedContextAndBypass(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	type sym struct {
-		bit    int
-		bypass bool
-		ctx    int
-	}
-	syms := make([]sym, 8000)
-	for i := range syms {
-		syms[i] = sym{bit: rng.Intn(2), bypass: rng.Intn(3) == 0, ctx: rng.Intn(5)}
-		if !syms[i].bypass && rng.Float64() < 0.7 {
-			syms[i].bit = 0
-		}
-	}
-	w := bitio.NewWriter()
-	enc := NewEncoder(w)
-	ectx := make([]Context, 5)
-	for _, s := range syms {
-		if s.bypass {
-			enc.EncodeBypass(s.bit)
-		} else {
-			enc.EncodeBit(&ectx[s.ctx], s.bit)
-		}
-	}
-	enc.Flush()
-	dec := NewDecoder(bitio.NewReader(w.Bytes()))
-	dctx := make([]Context, 5)
-	for i, s := range syms {
-		var got int
-		if s.bypass {
-			got = dec.DecodeBypass()
-		} else {
-			got = dec.DecodeBit(&dctx[s.ctx])
-		}
-		if got != s.bit {
-			t.Fatalf("symbol %d: got %d, want %d", i, got, s.bit)
-		}
-	}
-	if dec.Overruns() > 16 {
-		t.Fatalf("%d overruns on a clean stream", dec.Overruns())
-	}
+	arithRoundTrip(t, binScript(rand.New(rand.NewSource(4)), 8000, 5, 0.3, 1.0/3))
 }
 
+// TestBitFlipDesynchronizesDecoder is the motivating failure mode: one
+// flipped bit early in the stream corrupts a large fraction of the bins
+// decoded after it.
 func TestBitFlipDesynchronizesDecoder(t *testing.T) {
-	// The motivating failure mode: one flipped bit early in the stream
-	// should corrupt a large fraction of subsequently decoded symbols.
-	rng := rand.New(rand.NewSource(5))
-	bits := make([]int, 4000)
-	for i := range bits {
-		if rng.Float64() < 0.8 {
-			bits[i] = 0
-		} else {
-			bits[i] = 1
-		}
-	}
-	w := bitio.NewWriter()
-	enc := NewEncoder(w)
-	var ectx Context
-	for _, b := range bits {
-		enc.EncodeBit(&ectx, b)
-	}
-	enc.Flush()
-	buf := append([]byte(nil), w.Bytes()...)
-	bitio.FlipBit(buf, 20)
-
-	dec := NewDecoder(bitio.NewReader(buf))
-	var dctx Context
-	wrong := 0
-	for _, want := range bits {
-		if dec.DecodeBit(&dctx) != want {
-			wrong++
-		}
-	}
-	if wrong < len(bits)/20 {
-		t.Fatalf("only %d/%d symbols wrong after an early bit flip; decoder did not desync", wrong, len(bits))
+	script := binScript(rand.New(rand.NewSource(5)), 4000, 1, 0.2, 0)
+	payload := encodeScript(script)
+	bitio.FlipBit(payload, 20)
+	if wrong, _ := decodeScript(payload, script); wrong < len(script)/20 {
+		t.Fatalf("only %d/%d symbols wrong after an early bit flip; decoder did not desync", wrong, len(script))
 	}
 }
 
 func TestDecoderToleratesTruncation(t *testing.T) {
-	w := bitio.NewWriter()
-	enc := NewEncoder(w)
-	var ctx Context
-	for i := 0; i < 1000; i++ {
-		enc.EncodeBit(&ctx, i%3%2)
-	}
-	enc.Flush()
-	buf := w.Bytes()[:4] // drastic truncation
-	dec := NewDecoder(bitio.NewReader(buf))
-	var dctx Context
-	for i := 0; i < 1000; i++ {
-		dec.DecodeBit(&dctx) // must not panic
-	}
-	if dec.Overruns() == 0 {
+	script := binScript(rand.New(rand.NewSource(6)), 1000, 1, 1.0/3, 0)
+	if _, overruns := decodeScript(encodeScript(script)[:4], script); overruns == 0 {
 		t.Fatal("truncation must be observable via Overruns")
 	}
 }
@@ -193,44 +134,91 @@ func TestStateTablesSane(t *testing.T) {
 	}
 }
 
-func BenchmarkEncodeBit(b *testing.B) {
-	b.ReportAllocs()
-	w := bitio.NewWriter()
-	enc := NewEncoder(w)
-	var ctx Context
-	for i := 0; i < b.N; i++ {
-		if i%100000 == 0 {
-			w.Reset()
-			enc = NewEncoder(w)
+// arithBenchBits builds a biased bit source resembling residual syntax:
+// mostly-zero significance bits that the adaptive contexts learn quickly,
+// which keeps the coder in its renormalization-heavy regime.
+func arithBenchBits(n int) []int {
+	rng := rand.New(rand.NewSource(3))
+	bits := make([]int, n)
+	for i := range bits {
+		if rng.Float64() < 0.12 {
+			bits[i] = 1
 		}
-		enc.EncodeBit(&ctx, i&1)
+	}
+	return bits
+}
+
+// arithLegs are the arithmetic coder's loops over arithBenchBits(1 << 15):
+// each codes or decodes every bin once per iteration, renormalization
+// included, over 16 adaptive contexts (the bypass leg: none).
+var arithLegs = []struct {
+	name string
+	run  func(b *testing.B, bits []int)
+}{
+	{"encode", func(b *testing.B, bits []int) {
+		w := bitio.NewWriter()
+		for i := 0; i < b.N; i++ {
+			w.Reset()
+			enc := NewEncoder(w)
+			var ctxs [16]Context
+			for j, bit := range bits {
+				enc.EncodeBit(&ctxs[j&15], bit)
+			}
+			enc.Flush()
+		}
+	}},
+	{"decode", func(b *testing.B, bits []int) {
+		w := bitio.NewWriter()
+		enc := NewEncoder(w)
+		var ctxs [16]Context
+		for j, bit := range bits {
+			enc.EncodeBit(&ctxs[j&15], bit)
+		}
+		enc.Flush()
+		payload := w.Bytes()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dec := NewDecoder(bitio.NewReader(payload))
+			var dctxs [16]Context
+			for j, bit := range bits {
+				if dec.DecodeBit(&dctxs[j&15]) != bit {
+					b.Fatalf("decode mismatch at bit %d", j)
+				}
+			}
+		}
+	}},
+	{"bypass", func(b *testing.B, bits []int) {
+		w := bitio.NewWriter()
+		for i := 0; i < b.N; i++ {
+			w.Reset()
+			enc := NewEncoder(w)
+			for j := range bits {
+				enc.EncodeBypass(j & 1)
+			}
+			enc.Flush()
+		}
+	}},
+}
+
+// benchArith runs leg i, reporting allocations, bytes coded and the time
+// per bin.
+func benchArith(b *testing.B, i int) {
+	bits := arithBenchBits(1 << 15)
+	b.ReportAllocs()
+	arithLegs[i].run(b, bits)
+	b.SetBytes(int64(len(bits) / 8))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(bits)), "ns/bin")
+}
+
+// BenchmarkArith measures every leg.
+func BenchmarkArith(b *testing.B) {
+	for i, leg := range arithLegs {
+		b.Run(leg.name, func(b *testing.B) { benchArith(b, i) })
 	}
 }
 
-func BenchmarkDecodeBit(b *testing.B) {
-	b.ReportAllocs()
-	w := bitio.NewWriter()
-	enc := NewEncoder(w)
-	var ctx Context
-	rng := rand.New(rand.NewSource(7))
-	const n = 100000
-	for i := 0; i < n; i++ {
-		bit := 0
-		if rng.Float64() < 0.3 {
-			bit = 1
-		}
-		enc.EncodeBit(&ctx, bit)
-	}
-	enc.Flush()
-	buf := w.Bytes()
-	b.ResetTimer()
-	var dec *Decoder
-	var dctx Context
-	for i := 0; i < b.N; i++ {
-		if i%n == 0 {
-			dec = NewDecoder(bitio.NewReader(buf))
-			dctx = Context{}
-		}
-		dec.DecodeBit(&dctx)
-	}
-}
+// BenchmarkEncodeBit is the encode leg alone, BenchmarkDecodeBit the decode
+// leg.
+func BenchmarkEncodeBit(b *testing.B) { benchArith(b, 0) }
+
+func BenchmarkDecodeBit(b *testing.B) { benchArith(b, 1) }

@@ -2,6 +2,8 @@ package entropy
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -68,86 +70,83 @@ type symbolReader interface {
 	BitPos() int64
 }
 
-// residualCoders pairs each production backend with its per-symbol oracle:
-// for CABAC the verbatim pre-rewrite reader and writer over the bit-serial
-// coder, for CAVLC the backend's own per-symbol methods (their exp-Golomb
-// primitives are pinned in internal/bitio).
-var residualCoders = []struct {
-	name      string
-	writer    func(w *bitio.Writer) SymbolWriter
-	refWriter func(w *bitio.Writer) symbolWriter
-	reader    func(buf []byte) SymbolReader
-	refReader func(buf []byte) symbolReader
-}{
-	{
-		"cabac",
-		func(w *bitio.Writer) SymbolWriter { return NewCABACWriter(w) },
-		func(w *bitio.Writer) symbolWriter { return newRefCABACWriter(w) },
-		func(buf []byte) SymbolReader { r := new(CABACReader); r.Reset(buf); return r },
-		func(buf []byte) symbolReader { return newRefCABACReader(bitio.NewReader(buf)) },
-	},
-	{
-		"cavlc",
-		func(w *bitio.Writer) SymbolWriter { return NewCAVLCWriter(w) },
-		func(w *bitio.Writer) symbolWriter { return NewCAVLCWriter(w) },
-		func(buf []byte) SymbolReader { r := new(CAVLCReader); r.Reset(buf); return r },
-		func(buf []byte) symbolReader { return NewCAVLCReader(bitio.NewReader(buf)) },
-	},
-}
-
-// writeMixed codes blocks the way a macroblock does — a coded-block flag, a
-// delta-QP and a motion vector between groups of blocks — through the block
-// routine on one side and the per-symbol oracle on the other, and requires
-// equal positions after every block and equal bytes at the end.
-func writeMixed(t *testing.T, ci int, blocks [][16]int32) []byte {
+// codeBlocks codes blocks into slices codewords of one stream through be,
+// both by the block routine (got) and by the per-symbol sequence it unrolls
+// (same), and the first codeword also through the per-symbol oracle (ref:
+// got and same carry their contexts on past a flush, the oracle does not).
+// The syntax a macroblock puts between its residual blocks goes before
+// every every-th block, so the blocks meet the coder in every phase and the
+// other classes' contexts keep moving. After every block all writers must
+// be at the same position, and got and same must hold the same bytes and,
+// for CABAC, the same coder state; the first codeword must flush to the
+// oracle's bytes. It returns the stream.
+func codeBlocks(t *testing.T, be backend, blocks [][16]int32, every, slices int) []byte {
 	t.Helper()
-	c := residualCoders[ci]
-	gw, ww := bitio.NewWriter(), bitio.NewWriter()
-	got, want := c.writer(gw), c.refWriter(ww)
-	for i := range blocks {
-		if i%5 == 0 {
-			got.PutFlag(ClassCBP, i%10 == 0)
-			want.PutFlag(ClassCBP, i%10 == 0)
-			got.PutSVal(ClassMVX, int32(i%37-18))
-			want.PutSVal(ClassMVX, int32(i%37-18))
-			got.PutUVal(ClassMBType, uint32(i%9))
-			want.PutUVal(ClassMBType, uint32(i%9))
+	gw, sw, rw := bitio.NewWriter(), bitio.NewWriter(), bitio.NewWriter()
+	got, same := be.writer(gw), be.writer(sw)
+	writers := []symbolWriter{got, same, be.refWriter(rw)}
+	for slice := 0; slice < slices; slice++ {
+		check := func(what string, i int) {
+			t.Helper()
+			for _, w := range writers[1:] {
+				if w.BitPos() != got.BitPos() {
+					t.Fatalf("%s: slice %d, after %s %d: BitPos %d, per-symbol %d", be.name, slice, what, i, got.BitPos(), w.BitPos())
+				}
+			}
+			if !bytes.Equal(gw.Bytes(), sw.Bytes()) || gw.BitPos() != sw.BitPos() {
+				t.Fatalf("%s: slice %d, after %s %d: bytes %x (%d bits), per-symbol %x (%d bits)",
+					be.name, slice, what, i, gw.Bytes(), gw.BitPos(), sw.Bytes(), sw.BitPos())
+			}
+			if g, ok := got.(*CABACWriter); ok {
+				s := same.(*CABACWriter)
+				ge, se := g.enc, s.enc
+				ge.w, se.w = nil, nil
+				if ge != se || g.ctxs != s.ctxs {
+					t.Fatalf("%s: slice %d, after %s %d: coder state %+v, per-symbol %+v", be.name, slice, what, i, ge, se)
+				}
+			}
 		}
-		got.WriteResidualBlock(&blocks[i], countNonzero(&blocks[i]))
-		refWriteResidualBlock(want, &blocks[i])
-		if got.BitPos() != want.BitPos() {
-			t.Fatalf("%s: BitPos %d after block %d %v, per-symbol writer at %d", c.name, got.BitPos(), i, blocks[i], want.BitPos())
+		for i := range blocks {
+			if every > 0 && i%every == 0 {
+				for _, w := range writers {
+					w.PutFlag(ClassCBP, i%3 == 0)
+					w.PutSVal(ClassMVX, int32(i%41-20))
+					w.PutUVal(ClassMBType, uint32(i%7))
+				}
+			}
+			got.WriteResidualBlock(&blocks[i], countNonzero(&blocks[i]))
+			for _, w := range writers[1:] {
+				refWriteResidualBlock(w, &blocks[i])
+			}
+			check("block", i)
 		}
+		for _, w := range writers {
+			w.Flush()
+		}
+		check("flush", len(blocks))
+		if len(writers) == 3 && !bytes.Equal(gw.Bytes(), rw.Bytes()) {
+			t.Fatalf("%s: %d blocks flushed to %x, oracle %x", be.name, len(blocks), gw.Bytes(), rw.Bytes())
+		}
+		writers = writers[:2]
 	}
-	got.Flush()
-	want.Flush()
-	if !bytes.Equal(gw.Bytes(), ww.Bytes()) {
-		t.Fatalf("%s: block writer and per-symbol writer disagree on %d blocks", c.name, len(blocks))
-	}
-	return gw.Bytes()
+	return bytes.Clone(gw.Bytes())
 }
 
-// readMixed decodes nBlocks from payload in the same mixed pattern through
-// the block routine and the per-symbol oracle and requires the same block,
-// coded flag, desync flag and position after every call. The payload may be
+// readBlocks decodes nBlocks from payload through the block routine and the
+// per-symbol oracle, with the symbols codeBlocks puts before every every-th
+// block (none when every is 0), and requires the same symbols, block, coded
+// flag, desync flag and position after every call. The payload may be
 // anything: the comparison, not the content, is the test.
-func readMixed(t *testing.T, ci int, payload []byte, nBlocks int) {
+func readBlocks(t *testing.T, be backend, payload []byte, nBlocks, every int) {
 	t.Helper()
-	readBlocks(t, ci, payload, nBlocks, true)
-}
-
-// readBlocks is readMixed, with the interleaved symbols optional.
-func readBlocks(t *testing.T, ci int, payload []byte, nBlocks int, mixed bool) {
-	t.Helper()
-	c := residualCoders[ci]
-	got, want := c.reader(payload), c.refReader(payload)
+	got, want := be.reader(payload), be.refReader(bitio.NewReader(payload))
 	for i := 0; i < nBlocks; i++ {
-		if mixed && i%5 == 0 {
+		if every > 0 && i%every == 0 {
 			gf, wf := got.GetFlag(ClassCBP), want.GetFlag(ClassCBP)
 			gs, ws := got.GetSVal(ClassMVX), want.GetSVal(ClassMVX)
 			gu, wu := got.GetUVal(ClassMBType), want.GetUVal(ClassMBType)
 			if gf != wf || gs != ws || gu != wu {
-				t.Fatalf("%s: symbols before block %d: (%v %d %d), oracle (%v %d %d)", c.name, i, gf, gs, gu, wf, ws, wu)
+				t.Fatalf("%s: symbols before block %d: (%v %d %d), oracle (%v %d %d)", be.name, i, gf, gs, gu, wf, ws, wu)
 			}
 		}
 		var gb, wb [16]int32
@@ -155,7 +154,7 @@ func readBlocks(t *testing.T, ci int, payload []byte, nBlocks int, mixed bool) {
 		wc := refReadResidualBlock(want, &wb)
 		if gb != wb || gc != wc || got.Desynced() != want.Desynced() || got.BitPos() != want.BitPos() {
 			t.Fatalf("%s: block %d: %v coded=%v desync=%v at %d, oracle %v coded=%v desync=%v at %d",
-				c.name, i, gb, gc, got.Desynced(), got.BitPos(), wb, wc, want.Desynced(), want.BitPos())
+				be.name, i, gb, gc, got.Desynced(), got.BitPos(), wb, wc, want.Desynced(), want.BitPos())
 		}
 	}
 }
@@ -166,31 +165,31 @@ func readBlocks(t *testing.T, ci int, payload []byte, nBlocks int, mixed bool) {
 // decoder's clamps — nnz > 16, a run that carries the scan to 16 or beyond,
 // levels past ±maxLevel, the escape's suffix cap, reads past the end.
 func TestResidualBlockMatchesPerSymbol(t *testing.T) {
-	for ci := range residualCoders {
-		rng := rand.New(rand.NewSource(int64(21 + ci)))
+	for bi, be := range backends {
+		rng := rand.New(rand.NewSource(int64(21 + bi)))
 		for trial := 0; trial < 40; trial++ {
 			blocks := make([][16]int32, 1+rng.Intn(120))
 			for i := range blocks {
 				blocks[i] = randomBlock(rng)
 			}
-			clean := writeMixed(t, ci, blocks)
-			readMixed(t, ci, clean, len(blocks)+8) // reads on past the last block
+			clean := codeBlocks(t, be, blocks, 5, 1)
+			readBlocks(t, be, clean, len(blocks)+8, 5) // reads on past the last block
 			for flips := 0; flips < 12; flips++ {
 				damaged := bytes.Clone(clean)
 				for n := 1 + rng.Intn(4); n > 0; n-- {
 					bitio.FlipBit(damaged, rng.Int63n(int64(len(damaged))*8))
 				}
-				readMixed(t, ci, damaged, len(blocks)+8)
+				readBlocks(t, be, damaged, len(blocks)+8, 5)
 			}
-			readMixed(t, ci, clean[:rng.Intn(len(clean)+1)], len(blocks))
+			readBlocks(t, be, clean[:rng.Intn(len(clean)+1)], len(blocks), 5)
 			noise := make([]byte, 1+rng.Intn(200))
 			rng.Read(noise)
-			readMixed(t, ci, noise, 60)
+			readBlocks(t, be, noise, 60, 5)
 		}
 		for _, fill := range []byte{0x00, 0xFF, 0x55} {
-			readMixed(t, ci, bytes.Repeat([]byte{fill}, 64), 80)
+			readBlocks(t, be, bytes.Repeat([]byte{fill}, 64), 80, 5)
 		}
-		readMixed(t, ci, nil, 5)
+		readBlocks(t, be, nil, 5, 5)
 	}
 }
 
@@ -198,55 +197,52 @@ func TestResidualBlockMatchesPerSymbol(t *testing.T) {
 // bounded fields one by one so that the differential above cannot pass by
 // never reaching them.
 func TestResidualBlockClampCases(t *testing.T) {
-	for ci, c := range residualCoders {
-		build := func(write func(sw SymbolWriter)) []byte {
+	for _, be := range backends {
+		// read builds a stream with write and reads its first block, after
+		// holding the stream's first three blocks to the oracle.
+		read := func(write func(sw SymbolWriter)) (blk [16]int32, coded bool) {
 			w := bitio.NewWriter()
-			sw := c.writer(w)
+			sw := be.writer(w)
 			write(sw)
 			sw.Flush()
-			return w.Bytes()
+			readBlocks(t, be, w.Bytes(), 3, 0)
+			coded = be.reader(w.Bytes()).ReadResidualBlock(&blk)
+			return blk, coded
 		}
-		var blk [16]int32
 		// nnz > 16: sixteen coefficients are read, not forty.
-		p := build(func(sw SymbolWriter) {
+		if blk, coded := read(func(sw SymbolWriter) {
 			sw.PutUVal(ClassCoeffFlag, 40)
 			for i := 0; i < 40; i++ {
 				sw.PutUVal(ClassCoeffRun, 0)
 				sw.PutSVal(ClassCoeffLevel, int32(i+1))
 			}
-		})
-		if coded := c.reader(p).ReadResidualBlock(&blk); !coded || blk[zigzag4[15]] != 16 {
-			t.Fatalf("%s: nnz 40: coded=%v block %v", c.name, coded, blk)
+		}); !coded || blk[zigzag4[15]] != 16 {
+			t.Fatalf("%s: nnz 40: coded=%v block %v", be.name, coded, blk)
 		}
-		readBlocks(t, ci, p, 3, false)
 		// A run that carries the scan to 16, or past it by any uint32 (one
 		// that is negative as a 32-bit int among them): the block ends
 		// without a level.
 		for _, run := range []uint32{12, 1 << 31} {
-			p = build(func(sw SymbolWriter) {
+			if blk, _ := read(func(sw SymbolWriter) {
 				sw.PutUVal(ClassCoeffFlag, 2)
 				sw.PutUVal(ClassCoeffRun, 3)
 				sw.PutSVal(ClassCoeffLevel, 7)
 				sw.PutUVal(ClassCoeffRun, run)
 				sw.PutSVal(ClassCoeffLevel, 9) // never read as part of this block
-			})
-			if c.reader(p).ReadResidualBlock(&blk); blk[zigzag4[3]] != 7 || countNonzero(&blk) != 1 {
-				t.Fatalf("%s: scan overflow by %d: block %v", c.name, run, blk)
+			}); blk[zigzag4[3]] != 7 || countNonzero(&blk) != 1 {
+				t.Fatalf("%s: scan overflow by %d: block %v", be.name, run, blk)
 			}
-			readBlocks(t, ci, p, 3, false)
 		}
 		// Levels beyond ±maxLevel are clamped.
-		p = build(func(sw SymbolWriter) {
+		if blk, _ := read(func(sw SymbolWriter) {
 			sw.PutUVal(ClassCoeffFlag, 2)
 			sw.PutUVal(ClassCoeffRun, 0)
 			sw.PutSVal(ClassCoeffLevel, 1<<20)
 			sw.PutUVal(ClassCoeffRun, 0)
 			sw.PutSVal(ClassCoeffLevel, -(1 << 20))
-		})
-		if c.reader(p).ReadResidualBlock(&blk); blk[0] != maxLevel || blk[1] != -maxLevel {
-			t.Fatalf("%s: clamp: block %v", c.name, blk)
+		}); blk[0] != maxLevel || blk[1] != -maxLevel {
+			t.Fatalf("%s: clamp: block %v", be.name, blk)
 		}
-		readBlocks(t, ci, p, 3, false)
 	}
 }
 
@@ -254,13 +250,13 @@ func TestResidualBlockClampCases(t *testing.T) {
 // blocks with both coders.
 func FuzzResidualBlockMatchesPerSymbol(f *testing.F) {
 	rng := rand.New(rand.NewSource(31))
-	for ci := range residualCoders {
+	for _, be := range backends {
 		blocks := make([][16]int32, 30)
 		for i := range blocks {
 			blocks[i] = randomBlock(rng)
 		}
 		w := bitio.NewWriter()
-		sw := residualCoders[ci].writer(w)
+		sw := be.writer(w)
 		for i := range blocks {
 			sw.WriteResidualBlock(&blocks[i], countNonzero(&blocks[i]))
 		}
@@ -271,9 +267,114 @@ func FuzzResidualBlockMatchesPerSymbol(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xFF}, 40))
 	f.Add(bytes.Repeat([]byte{0x00}, 40))
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		for ci := range residualCoders {
-			readMixed(t, ci, payload, 40)
-			readBlocks(t, ci, payload, 40, false)
+		for _, be := range backends {
+			readBlocks(t, be, payload, 40, 5)
+			readBlocks(t, be, payload, 40, 0)
+		}
+	})
+}
+
+// edgeBlocks are the blocks whose syntax takes every branch of the writers:
+// the all-zero block; a lone level at each scan position, so runs reach 15
+// and cross prefixCap; counts at and past prefixCap; levels just below, at
+// and past the prefix cap, at ±maxLevel and at the ends of int32.
+func edgeBlocks() [][16]int32 {
+	var out [][16]int32
+	out = append(out, [16]int32{})
+	for pos := range zigzag4 {
+		var b [16]int32
+		b[zigzag4[pos]] = int32(1 + pos%3)
+		if pos%2 == 1 {
+			b[zigzag4[pos]] = -b[zigzag4[pos]]
+		}
+		out = append(out, b)
+	}
+	for _, n := range []int{prefixCap - 1, prefixCap, prefixCap + 1, 16} {
+		var b [16]int32
+		for i := 0; i < n; i++ {
+			b[zigzag4[15-i]] = int32(i%5 - 2)
+			if b[zigzag4[15-i]] == 0 {
+				b[zigzag4[15-i]] = 3
+			}
+		}
+		out = append(out, b)
+	}
+	for _, v := range []int32{prefixCap - 1, prefixCap, prefixCap + 1, 2*prefixCap + 7,
+		maxLevel - 1, maxLevel, maxLevel + 1, 1 << 24, math.MaxInt32, math.MinInt32} {
+		for _, s := range []int32{1, -1} {
+			var b [16]int32
+			b[0] = v * s
+			b[zigzag4[13]] = -v * s / 2
+			out = append(out, b, [16]int32{15: v * s})
+		}
+	}
+	return out
+}
+
+// TestResidualBlockWriterMatchesPerSymbol runs the edge blocks, then random
+// ones, through the three writers of each backend, in two codewords of one
+// stream.
+func TestResidualBlockWriterMatchesPerSymbol(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	blocks := edgeBlocks()
+	for i := 0; i < 2000; i++ {
+		blocks = append(blocks, randomBlock(rng))
+	}
+	for _, be := range backends {
+		codeBlocks(t, be, blocks, 4, 2)
+	}
+}
+
+// fuzzBlocks decodes data into blocks: per coefficient one byte, whose top
+// bits choose a zero (half of them), a small level, or a 24-bit level read
+// from the next three bytes — counts, runs and escapes of every size.
+func fuzzBlocks(data []byte) [][16]int32 {
+	var out [][16]int32
+	for len(data) > 0 {
+		var b [16]int32
+		for i := 0; i < 16 && len(data) > 0; i++ {
+			c := data[0]
+			data = data[1:]
+			switch c >> 6 {
+			case 2:
+				b[i] = int32(int8(c<<2)) >> 2
+			case 3:
+				var w [4]byte
+				copy(w[1:], data)
+				data = data[min(3, len(data)):]
+				b[i] = int32(binary.BigEndian.Uint32(w[:])<<8) >> (8 - c&7)
+			}
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// FuzzResidualBlockWriterMatchesPerSymbol: arbitrary blocks, coded between
+// macroblock symbols, leave the three writers of each backend with the same
+// bytes, position and state.
+func FuzzResidualBlockWriterMatchesPerSymbol(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0xFF, 0x7F, 0xFF, 0xFF})
+	f.Add(bytes.Repeat([]byte{0x80}, 16))
+	f.Add(bytes.Repeat([]byte{0xC7, 0x80, 0x00, 0x00}, 16))
+	f.Add(append(bytes.Repeat([]byte{0}, 15), 0xBF))
+	var seed []byte
+	for _, b := range edgeBlocks() {
+		for _, v := range b {
+			if v == 0 {
+				seed = append(seed, 0)
+				continue
+			}
+			var w [4]byte
+			binary.BigEndian.PutUint32(w[:], uint32(v))
+			seed = append(seed, 0xC0, w[1], w[2], w[3])
+		}
+	}
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, be := range backends {
+			codeBlocks(t, be, fuzzBlocks(data), 3, 1)
 		}
 	})
 }
@@ -294,7 +395,7 @@ func BenchmarkResidualBlock(b *testing.B) {
 		}
 		counts[i] = countNonzero(&blocks[i])
 	}
-	for _, c := range residualCoders {
+	for _, c := range backends {
 		w := bitio.NewWriter()
 		writeBlocks := func(sw SymbolWriter) {
 			for j := range blocks {

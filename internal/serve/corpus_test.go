@@ -19,6 +19,7 @@ import (
 	"videoapp/internal/obs"
 	"videoapp/internal/store"
 	"videoapp/internal/synth"
+	"videoapp/internal/testcorpus"
 	"videoapp/internal/y4m"
 )
 
@@ -45,23 +46,13 @@ type container struct {
 	data []byte   // the VACS bytes
 	want [][]byte // want[i]: chunk i read directly, decoded serially, written as y4m
 
-	digest   uint64 // hash of data and want as built
 	seedOnce sync.Once
 	seed     int64 // vetted by findChaosSeed; 0 when no seed qualifies
 }
 
-var corpus = struct {
-	mu         sync.Mutex
-	containers map[shape]*container
-}{containers: map[shape]*container{}}
-
-// corpusSeed keys the read-only guard's hash, whose digests never leave the
-// test binary.
-var corpusSeed = maphash.MakeSeed()
-
 // containerOf returns the corpus container of gops GOPs under the default
 // parameters as tune adjusts them (nil: unadjusted), building it on first
-// use, and fails t at its end if t left it changed.
+// use, and fails t at its end if t left it or its renders changed.
 func containerOf(t testing.TB, gops int, tune func(*codec.Params)) *container {
 	t.Helper()
 	p := codec.DefaultParams()
@@ -70,24 +61,12 @@ func containerOf(t testing.TB, gops int, tune func(*codec.Params)) *container {
 	if tune != nil {
 		tune(&p)
 	}
-	key := shape{gops, p}
-	corpus.mu.Lock()
-	defer corpus.mu.Unlock()
-	c := corpus.containers[key]
-	if c == nil {
-		c = buildContainer(t, gops, p)
-		corpus.containers[key] = c
-	}
-	t.Cleanup(func() {
-		if c.hash() != c.digest {
-			t.Errorf("the %d-GOP corpus container or its renders were left changed; clone the bytes before changing them", gops)
-		}
-	})
-	return c
+	return testcorpus.Of(t, shape{gops, p}, buildContainer, (*container).hash)
 }
 
-func buildContainer(t testing.TB, gops int, p codec.Params) *container {
+func buildContainer(t testing.TB, k shape) *container {
 	t.Helper()
+	gops, p := k.gops, k.p
 	cfg, _ := synth.PresetByName("crew_like")
 	seq := synth.Generate(cfg.ScaleTo(96, 64, gops*corpusGOP))
 	v, err := codec.EncodeParallelContext(context.Background(), seq, p, 1)
@@ -126,19 +105,15 @@ func buildContainer(t testing.TB, gops int, p codec.Params) *container {
 		}
 		c.want = append(c.want, body)
 	}
-	c.digest = c.hash()
 	return c
 }
 
-// hash is the read-only guard's digest of the container and its renders.
-func (c *container) hash() uint64 {
-	var h maphash.Hash
-	h.SetSeed(corpusSeed)
+// hash writes the container and its renders.
+func (c *container) hash(h *maphash.Hash) {
 	h.Write(c.data)
 	for _, b := range c.want {
 		h.Write(b)
 	}
-	return h.Sum64()
 }
 
 // chunkBytes is the size of one rendered chunk (all chunks of a container

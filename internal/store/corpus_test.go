@@ -15,6 +15,7 @@ import (
 	"videoapp/internal/core"
 	"videoapp/internal/mlc"
 	"videoapp/internal/synth"
+	"videoapp/internal/testcorpus"
 )
 
 // The encoded corpus: every video the tests store and every container they
@@ -40,18 +41,7 @@ type entry struct {
 	chunks     []*codec.Video
 	chunkParts [][]core.FramePartition
 	archive    []byte // the VACS container of the chunks, one per record
-
-	digest uint64 // hash of the entry as built
 }
-
-var corpus = struct {
-	mu      sync.Mutex
-	entries map[clip]*entry
-}{entries: map[clip]*entry{}}
-
-// corpusSeed keys the read-only guard's hash, whose digests never leave the
-// test binary.
-var corpusSeed = maphash.MakeSeed()
 
 // videoOf is the one-GOP video the round-trip tests store: ten 96×64
 // frames.
@@ -82,19 +72,7 @@ func ledgerOf(t testing.TB) *entry {
 // its end if t left it changed.
 func corpusOf(t testing.TB, k clip) *entry {
 	t.Helper()
-	corpus.mu.Lock()
-	defer corpus.mu.Unlock()
-	e := corpus.entries[k]
-	if e == nil {
-		e = buildEntry(t, k)
-		corpus.entries[k] = e
-	}
-	t.Cleanup(func() {
-		if e.hash() != e.digest {
-			t.Errorf("the %d-frame corpus entry was left changed; clone what you change", k.frames)
-		}
-	})
-	return e
+	return testcorpus.Of(t, k, buildEntry, (*entry).hash)
 }
 
 func buildEntry(t testing.TB, k clip) *entry {
@@ -126,30 +104,26 @@ func buildEntry(t testing.TB, k clip) *entry {
 		}
 	}
 	e.archive = buf.Bytes()
-	e.digest = e.hash()
 	return e
 }
 
-// hash is the read-only guard's digest of the entry: every frame, whole and
-// chunked, with the macroblock records and dependencies its container bytes
-// do not hold, the analysis, the partitions and the container.
-func (e *entry) hash() uint64 {
-	var h maphash.Hash
-	h.SetSeed(corpusSeed)
+// hash writes every frame of the entry, whole and chunked, with the
+// macroblock records and dependencies its container bytes do not hold, the
+// analysis, the partitions and the container.
+func (e *entry) hash(h *maphash.Hash) {
 	for _, v := range append([]*codec.Video{e.v}, e.chunks...) {
 		h.Write(codec.Marshal(v))
 		for _, f := range v.Frames {
-			fmt.Fprint(&h, f.MBs, f.Deps)
+			fmt.Fprint(h, f.MBs, f.Deps)
 		}
 	}
-	fmt.Fprint(&h, e.an.Importance, e.an.CompImportance)
+	fmt.Fprint(h, e.an.Importance, e.an.CompImportance)
 	pivots, err := core.MarshalPartitions(e.parts)
 	if err != nil {
 		panic(err)
 	}
 	h.Write(pivots)
 	h.Write(e.archive)
-	return h.Sum64()
 }
 
 // open opens container bytes held in memory, failing t if they do not open.

@@ -35,7 +35,7 @@ func fabricatedPrecise(n int, payloadLen uint32) []byte {
 	w.WriteBool(p.BReference)
 	w.WriteBits(uint64(p.Entropy), 2)
 	w.WriteUE(uint32(p.SearchRange))
-	w.WriteBool(p.ActivityAQ)
+	w.WriteBool(true) // adaptive quantization
 	w.WriteUE(uint32(p.SlicesPerFrame))
 	w.WriteBool(p.Deblock)
 	w.WriteBool(p.HalfPel)

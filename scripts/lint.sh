@@ -2,8 +2,9 @@
 # lint.sh — the repo's lint gate: staticcheck plus vetvideoapp (the ctxfirst
 # check in internal/analysis) and the greps beside it: every obs call site
 # names a registered Stage*/Ctr*/Gauge* constant, no `// Deprecated:`
-# markers, and every package holding a *_amd64.s is on the Makefile's purego
-# line.
+# markers, every package holding a *_amd64.s is on the Makefile's purego
+# line, every test name the documents cite exists, and every exported facade
+# name has a non-test caller or an entry in scripts/facade_allow.txt.
 #
 # Usage: lint.sh [staticcheck|vetvideoapp|all]   (default: all)
 #
@@ -60,6 +61,22 @@ run_vetvideoapp() {
         echo "error: obs call(s) above name a stage/counter/gauge by something other than an obs.Stage*/Ctr*/Gauge* constant; declare the constant in internal/obs and use it" >&2
         status=1
     fi
+    # Every test the documents cite exists: a Test…, Benchmark…, Fuzz… or
+    # Example… name in README.md, DESIGN.md or EXPERIMENTS.md is declared by
+    # a _test.go file (not one under the ledger's build and output trees,
+    # which may hold a copy of another commit). A trailing `*` names a family
+    # and is not checked.
+    local declared cited
+    declared=$(grep -rhoE --include='*_test.go' --exclude-dir=.bench_build --exclude-dir=out '^func (Test|Benchmark|Fuzz|Example)[A-Za-z0-9_]*' . | sed 's/^func //' | sort -u)
+    cited=$(grep -noE '\b(Test|Benchmark|Fuzz|Example)[A-Z_][A-Za-z0-9_]*\*?' README.md DESIGN.md EXPERIMENTS.md | grep -v '\*$' || true)
+    while IFS=: read -r file line name; do
+        if [ -n "$name" ] && ! grep -qx "$name" <<<"$declared"; then
+            echo "error: $file:$line cites $name, which no _test.go file declares" >&2
+            status=1
+        fi
+    done <<<"$cited"
+    # Every exported facade name has a non-test caller or a written reason.
+    ./scripts/facade_callers.sh --check || status=1
     # Zero deprecated names: superseded API is deleted, never parked behind
     # a marker. A literal comment line, so a grep is the whole check.
     if grep -rnE --include='*.go' '^[[:space:]]*(//|/\*)[[:space:]]*Deprecated:' .; then
