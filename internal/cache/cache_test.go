@@ -17,12 +17,6 @@ type getOrLoader[K comparable, V any] interface {
 	GetOrLoad(ctx context.Context, key K, load func(context.Context) (V, error)) (V, bool, error)
 }
 
-// newLRU is the single-shard cache — one mutex, strict global LRU order —
-// the order-sensitive tests run on.
-func newLRU[K comparable, V any](maxCost int64, cost func(V) int64) *Cache[K, V] {
-	return NewShardedHash[K, V](maxCost, 1, cost, nil)
-}
-
 // put makes val resident under key the one way the cache admits values: as
 // the result of a load (a miss and a load in the counters).
 func put[K comparable, V any](c getOrLoader[K, V], key K, val V) {
@@ -43,7 +37,7 @@ func lookup[K comparable, V any](c getOrLoader[K, V], key K) (V, bool) {
 }
 
 func TestGetAddEvictLRU(t *testing.T) {
-	c := newLRU[int, string](3, nil) // nil cost: capacity of 3 entries
+	c := New[int, string](3, nil) // nil cost: capacity of 3 entries
 	put(c, 1, "a")
 	put(c, 2, "b")
 	put(c, 3, "c")
@@ -65,7 +59,7 @@ func TestGetAddEvictLRU(t *testing.T) {
 }
 
 func TestCostBasedEviction(t *testing.T) {
-	c := newLRU[int, string](10, func(v string) int64 { return int64(len(v)) })
+	c := New[int, string](10, func(v string) int64 { return int64(len(v)) })
 	put(c, 1, "aaaa") // cost 4
 	put(c, 2, "bbbb") // cost 4
 	put(c, 3, "cc")   // cost 2, total 10: all fit
@@ -91,7 +85,7 @@ func TestCostBasedEviction(t *testing.T) {
 }
 
 func TestGetOrLoadCachesSuccess(t *testing.T) {
-	c := newLRU[string, int](8, nil)
+	c := New[string, int](8, nil)
 	calls := 0
 	load := func(context.Context) (int, error) { calls++; return 42, nil }
 	for i := 0; i < 3; i++ {
@@ -106,7 +100,7 @@ func TestGetOrLoadCachesSuccess(t *testing.T) {
 }
 
 func TestGetOrLoadDoesNotCacheErrors(t *testing.T) {
-	c := newLRU[string, int](8, nil)
+	c := New[string, int](8, nil)
 	boom := errors.New("boom")
 	calls := 0
 	load := func(context.Context) (int, error) { calls++; return 0, boom }
@@ -120,12 +114,50 @@ func TestGetOrLoadDoesNotCacheErrors(t *testing.T) {
 	}
 }
 
+// TestGetOrLoadReportsResidency pins the hit flag: miss on the load, hit
+// once resident, miss again for a coalesced waiter.
+func TestGetOrLoadReportsResidency(t *testing.T) {
+	c := New[string, int](8, nil)
+	if _, hit, _ := c.GetOrLoad(context.Background(), "k", func(context.Context) (int, error) { return 1, nil }); hit {
+		t.Fatal("first GetOrLoad reported hit")
+	}
+	if _, hit, _ := c.GetOrLoad(context.Background(), "k", func(context.Context) (int, error) { return 2, nil }); !hit {
+		t.Fatal("resident GetOrLoad reported miss")
+	}
+	s := c.Stats()
+	if s.Hits != 1 || s.Misses != 1 {
+		t.Fatalf("stats %+v, want exactly 1 hit / 1 miss (no double counting)", s)
+	}
+
+	// A waiter coalesced onto someone else's flight reports a miss. The
+	// waiter's context is pre-cancelled so it returns while the flight is
+	// still pending — the value provably was not resident at its lookup.
+	release := make(chan struct{})
+	started := make(chan struct{})
+	go c.GetOrLoad(context.Background(), "slow", func(context.Context) (int, error) {
+		close(started)
+		<-release
+		return 3, nil
+	})
+	<-started
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, hit, err := c.GetOrLoad(cancelled, "slow", func(context.Context) (int, error) { return 4, nil })
+	close(release)
+	if hit {
+		t.Fatal("coalesced waiter reported hit; the value was not resident at lookup")
+	}
+	if err == nil {
+		t.Fatal("cancelled waiter returned no error")
+	}
+}
+
 // TestLoadPanicIsTheFlightsError: the loader runs on a goroutine of the
 // cache's own, so a panic there would take the process down; it must reach
 // the caller and every coalesced waiter as an error wrapping ErrLoadPanicked,
 // leave nothing behind, and let the next call load afresh.
 func TestLoadPanicIsTheFlightsError(t *testing.T) {
-	c := newLRU[string, int](8, nil)
+	c := New[string, int](8, nil)
 	release := make(chan struct{})
 	load := func(context.Context) (int, error) {
 		<-release
@@ -160,55 +192,68 @@ func TestLoadPanicIsTheFlightsError(t *testing.T) {
 	}
 }
 
-// TestSingleflightStampede pins the coalescing guarantee: N concurrent
-// readers of one cold key trigger exactly one loader execution and all
-// observe its value.
-func TestSingleflightStampede(t *testing.T) {
-	c := newLRU[string, int](8, nil)
-	const n = 64
-	var calls atomic.Int64
+// stampede starts perKey concurrent readers of each of keys cold keys and
+// holds every key's load until all readers have piled into its flight:
+// each key's loader must run exactly once and every reader observe its
+// value.
+func stampede(t *testing.T, keys, perKey int) {
+	c := New[int, int](1<<20, nil)
+	loads := make([]atomic.Int64, keys)
 	release := make(chan struct{})
-	load := func(context.Context) (int, error) {
-		calls.Add(1)
-		<-release // hold every reader in the same flight
-		return 7, nil
-	}
 	var wg sync.WaitGroup
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v, _, err := c.GetOrLoad(context.Background(), "hot", load)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if v != 7 {
-				errs <- fmt.Errorf("got %d, want 7", v)
-			}
-		}()
+	errs := make(chan error, keys*perKey)
+	for k := 0; k < keys; k++ {
+		for g := 0; g < perKey; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				v, _, err := c.GetOrLoad(context.Background(), k, func(context.Context) (int, error) {
+					loads[k].Add(1)
+					<-release // hold every reader of this key in one flight
+					return k * 10, nil
+				})
+				if err != nil {
+					errs <- err
+				} else if v != k*10 {
+					errs <- fmt.Errorf("key %d: got %d, want %d", k, v, k*10)
+				}
+			}()
+		}
 	}
-	// Let the goroutines pile into the flight, then release the one loader.
-	time.Sleep(10 * time.Millisecond)
+	// Every lookup misses while the loads are held: wait until all readers
+	// are in a flight, then release the loaders.
+	for c.Stats().Misses < int64(keys*perKey) {
+		time.Sleep(time.Millisecond)
+	}
 	close(release)
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("loader ran %d times under stampede, want exactly 1", got)
+	for k := range loads {
+		if got := loads[k].Load(); got != 1 {
+			t.Fatalf("key %d loaded %d times under a %d-reader stampede, want exactly 1", k, got, perKey)
+		}
 	}
-	if s := c.Stats(); s.Loads != 1 {
-		t.Fatalf("Stats.Loads = %d, want 1", s.Loads)
+	if s := c.Stats(); s.Loads != int64(keys) {
+		t.Fatalf("Stats.Loads = %d, want %d", s.Loads, keys)
 	}
 }
+
+// TestSingleflightStampede pins the coalescing guarantee: N concurrent
+// readers of one cold key trigger exactly one loader execution and all
+// observe its value.
+func TestSingleflightStampede(t *testing.T) { stampede(t, 1, 64) }
+
+// TestShardedSingleflightStampede pins it per key: 32 readers on each of
+// 32 keys at once.
+func TestShardedSingleflightStampede(t *testing.T) { stampede(t, 32, 32) }
 
 // TestWaiterCancellation: a waiter whose context ends returns promptly with
 // ctx.Err while the load completes and is cached for later readers.
 func TestWaiterCancellation(t *testing.T) {
-	c := newLRU[string, int](8, nil)
+	c := New[string, int](8, nil)
 	release := make(chan struct{})
 	load := func(context.Context) (int, error) {
 		<-release
@@ -240,34 +285,45 @@ func TestWaiterCancellation(t *testing.T) {
 	}
 }
 
-func TestConcurrentMixedAccess(t *testing.T) {
-	c := newLRU[int, int](16, nil)
+// churn hammers a cache of budget unit-cost entries from eight goroutines
+// under -race, each making rounds requests over a key space larger than the
+// budget: loads, lookups, coalescing GetOrLoads and, with ops = 4, RemoveIf
+// purges. The cost must still fit the budget at the end.
+func churn(t *testing.T, budget int64, keys, rounds, ops int) {
+	c := New[int, int](budget, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				k := (g + i) % 32
-				switch i % 3 {
+			for i := 0; i < rounds; i++ {
+				k := (g*31 + i) % keys
+				switch i % ops {
 				case 0:
 					put(c, k, k)
 				case 1:
 					lookup(c, k)
-				default:
+				case 2:
 					c.GetOrLoad(context.Background(), k, func(context.Context) (int, error) { return k, nil })
+				default:
+					c.RemoveIf(func(key int) bool { return key == k })
 				}
 			}
-		}(g)
+		}()
 	}
 	wg.Wait()
-	if n := c.Stats().Len; n > 16 {
-		t.Fatalf("%d entries exceed capacity", n)
+	if s := c.Stats(); s.Cost > budget || int64(s.Len) > budget {
+		t.Fatalf("%d entries of cost %d exceed the budget %d after churn", s.Len, s.Cost, budget)
 	}
 }
 
+func TestConcurrentMixedAccess(t *testing.T) { churn(t, 16, 32, 200, 3) }
+
+// TestShardedConcurrentChurn adds RemoveIf purges to the mix.
+func TestShardedConcurrentChurn(t *testing.T) { churn(t, 64, 256, 500, 4) }
+
 func TestHitRate(t *testing.T) {
-	c := newLRU[int, int](4, nil)
+	c := New[int, int](4, nil)
 	put(c, 1, 1) // miss
 	lookup(c, 1) // hit
 	s := c.Stats()
@@ -285,7 +341,7 @@ func TestHitRate(t *testing.T) {
 // itself), hands the value it replaced to the removal hook, and hands over
 // the new value instead when its key has gone or it outgrew the budget.
 func TestReplaceTakesTheNewCost(t *testing.T) {
-	c := newLRU[int, []byte](10, func(v []byte) int64 { return int64(len(v)) })
+	c := New[int, []byte](10, func(v []byte) int64 { return int64(len(v)) })
 	var gone []string
 	c.OnRemove(func(k int, v []byte) { gone = append(gone, fmt.Sprintf("%d:%d", k, len(v))) })
 	for k := 1; k <= 3; k++ {

@@ -18,24 +18,10 @@ type Keyed[K comparable] struct {
 	Key K
 }
 
-// KeyedHash returns a shard hash for Keyed[K] keys that hashes the space
-// string with maphash.String and folds in the inner key separately.
-// Unlike maphash.Comparable over the whole struct — whose string field
-// makes every call copy the key to the heap — it allocates nothing, which
-// is what per-request lookups in a multi-shard cache want. The inner key's own
-// type must still be pointer-free (int chunk indexes are) for the
-// Comparable call on it to stay allocation-free.
-func KeyedHash[K comparable]() func(maphash.Seed, Keyed[K]) uint64 {
-	return func(seed maphash.Seed, k Keyed[K]) uint64 {
-		h := maphash.String(seed, k.Space) ^ maphash.Comparable(seed, k.Key)
-		// Finalizing mix: shard selection uses the low bits, so spread the
-		// xor-combined entropy through them (splitmix64 finalizer).
-		h ^= h >> 30
-		h *= 0xbf58476d1ce4e5b9
-		h ^= h >> 27
-		return h
-	}
-}
+// KeyedHash returns nil: the cache has no shards to route keys to, and
+// NewShardedHash ignores its hash. It stays only because the benchmark
+// module (bench/) names it.
+func KeyedHash[K comparable]() func(maphash.Seed, Keyed[K]) uint64 { return nil }
 
 // Space is a view of a shared cache scoped to one namespace. All views over
 // the same Cache share its budget, LRU order, and singleflight table;
@@ -67,27 +53,21 @@ func (s Space[K, V]) GetOrLoad(ctx context.Context, key K, load func(context.Con
 
 // RemoveIf drops every resident entry whose key matches pred, returning the
 // number removed — how a whole namespace is purged; each one is reported to
-// the removal hook. It scans shard by shard, holding each shard's lock for
-// its slice of the scan: pred must be fast and must not touch the cache
-// (the hook runs after the shard is unlocked). In-flight loads are not
-// interrupted; their results land after the scan and age out through the
-// LRU, so callers that must keep stale results unreachable retire the space
-// name itself (a fresh generation suffix) rather than rely on RemoveIf
-// racing the loads.
+// the removal hook. The scan holds the cache lock: pred must be fast and
+// must not touch the cache (the hook runs after the lock is released).
+// In-flight loads are not interrupted; their results land after the scan
+// and age out through the LRU, so callers that must keep stale results
+// unreachable retire the space name itself (a fresh generation suffix)
+// rather than rely on RemoveIf racing the loads.
 func (c *Cache[K, V]) RemoveIf(pred func(K) bool) int {
-	removed := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		var gone []*entry[K, V]
-		s.mu.Lock()
-		for key, el := range s.entries {
-			if pred(key) {
-				gone = append(gone, s.removeLocked(el))
-			}
+	var gone []*entry[K, V]
+	c.mu.Lock()
+	for key, el := range c.entries {
+		if pred(key) {
+			gone = append(gone, c.removeLocked(el))
 		}
-		s.mu.Unlock()
-		c.removed(gone)
-		removed += len(gone)
 	}
-	return removed
+	c.mu.Unlock()
+	c.removed(gone)
+	return len(gone)
 }

@@ -12,7 +12,7 @@ import (
 // cost budget and a single recency order — filling one space evicts the
 // globally least-recent entries regardless of which space owns them.
 func TestSpacesShareOneBudget(t *testing.T) {
-	c := newLRU[Keyed[int], string](4, nil) // cost 1 each: 4 entries total
+	c := New[Keyed[int], string](4, nil) // cost 1 each: 4 entries total
 	a, b := In[int, string](c, "a"), In[int, string](c, "b")
 
 	put(a, 1, "a1")
@@ -44,7 +44,7 @@ func TestSpacesShareOneBudget(t *testing.T) {
 // TestSpaceKeysAreDistinct: the same inner key in two spaces is two
 // entries; removing one leaves the other.
 func TestSpaceKeysAreDistinct(t *testing.T) {
-	c := newLRU[Keyed[int], string](10, nil)
+	c := New[Keyed[int], string](10, nil)
 	a, b := In[int, string](c, "a"), In[int, string](c, "b")
 	put(a, 7, "from-a")
 	put(b, 7, "from-b")
@@ -74,7 +74,7 @@ func TestConcurrentGetOrLoadAcrossSpaces(t *testing.T) {
 	const keys = 8
 	// Budget holds all entries of both spaces, so every key loads exactly
 	// once; eviction pressure is exercised separately below.
-	c := newLRU[Keyed[int], string](2*keys, nil)
+	c := New[Keyed[int], string](2*keys, nil)
 	spaces := []Space[int, string]{In[int, string](c, "a"), In[int, string](c, "b")}
 
 	var loadsPer [2 * keys]atomic.Int64
@@ -123,7 +123,7 @@ func TestConcurrentGetOrLoadAcrossSpaces(t *testing.T) {
 // cache and every read must still return its own space's value.
 func TestConcurrentSpacesUnderEviction(t *testing.T) {
 	const budget = 4
-	c := newLRU[Keyed[int], string](budget, nil)
+	c := New[Keyed[int], string](budget, nil)
 	spaces := []Space[int, string]{In[int, string](c, "a"), In[int, string](c, "b")}
 
 	var wg sync.WaitGroup
@@ -155,7 +155,7 @@ func TestConcurrentSpacesUnderEviction(t *testing.T) {
 // removed archive — empties exactly that namespace and reports the count;
 // the shared budget is released for the survivors.
 func TestSpacePurge(t *testing.T) {
-	c := newLRU[Keyed[int], string](8, nil)
+	c := New[Keyed[int], string](8, nil)
 	a, b := In[int, string](c, "a"), In[int, string](c, "b")
 	for i := 0; i < 4; i++ {
 		put(a, i, "a")

@@ -83,42 +83,20 @@ func EncodeParallelContext(ctx context.Context, seq *frame.Sequence, p Params, w
 // move a span boundary, so parallel decode of a damaged video stays exactly
 // as resilient as one coded-order pass over the whole video.
 func headerRefSpans(v *Video) [][2]int {
+	// The cut honours both directions for malformed inputs: a forward
+	// reference must observe the same "not yet decoded" nil a coded-order
+	// pass sees, never a speculatively decoded frame from a later span.
+	// Out-of-range refs never resolve to a frame, so they are ignored.
 	n := len(v.Frames)
-	if n == 0 {
-		return nil
-	}
-	// A cut before frame c is sound iff no frame at or after c references a
-	// frame before c (suffix min) AND no frame before c references a frame
-	// at or after c (prefix max). The second direction matters for
-	// malformed inputs: a forward reference must observe the same
-	// "not yet decoded" nil a coded-order pass sees, never a speculatively
-	// decoded frame from a later span. Out-of-range refs never resolve to a
-	// frame, so they are ignored.
-	sufMin := make([]int, n+1)
-	sufMin[n] = n
-	for i := n - 1; i >= 0; i-- {
-		m := sufMin[i+1]
+	return par.ClosedSpans(n, func(i int) (lo, hi int) {
+		lo, hi = n, -1
 		for _, r := range [2]int{v.Frames[i].RefFwd, v.Frames[i].RefBwd} {
-			if validFrameRef(r, n) && r < m {
-				m = r
+			if validFrameRef(r, n) {
+				lo, hi = min(lo, r), max(hi, r)
 			}
 		}
-		sufMin[i] = m
-	}
-	var spans [][2]int
-	start, preMax := 0, -1
-	for c := 1; c < n; c++ {
-		for _, r := range [2]int{v.Frames[c-1].RefFwd, v.Frames[c-1].RefBwd} {
-			if validFrameRef(r, n) && r > preMax {
-				preMax = r
-			}
-		}
-		if sufMin[c] >= c && preMax < c {
-			spans = append(spans, [2]int{start, c})
-			start = c
-		}
-	}
-	return append(spans, [2]int{start, n})
+		return lo, hi
+	})
 }
 
 // DecodeContext reconstructs the display-order sequence from the coded

@@ -35,17 +35,14 @@ var (
 	ErrNonMonotone = errors.New("importance is not monotone non-increasing in scan order")
 )
 
-// Options tunes the analysis.
-type Options struct {
-	// CodingWeight is the weight of coding (scan-order) dependency edges.
-	// The paper uses 1.0 — importance counts damaged macroblocks — and
-	// notes the weight can be tweaked to re-balance coding vs compensation
-	// damage (§4.2).
-	CodingWeight float64
-}
+// Options is AnalyzeContext's options parameter. It has no fields: the
+// coding chain's weight is the paper's 1 (§4.3: importance counts damaged
+// macroblocks). The parameter stays only because the benchmark module
+// (bench/) names it, through DefaultOptions.
+type Options struct{}
 
-// DefaultOptions returns the paper's configuration.
-func DefaultOptions() Options { return Options{CodingWeight: 1.0} }
+// DefaultOptions returns the paper's configuration, the only one.
+func DefaultOptions() Options { return Options{} }
 
 // Analysis is the per-macroblock importance map for a coded video.
 type Analysis struct {
@@ -56,7 +53,6 @@ type Analysis struct {
 	// CompImportance[f][m] is the compensation-only importance after step 4
 	// of the algorithm, kept for diagnostics and ablations.
 	CompImportance [][]float64
-	opts           Options
 }
 
 // depSpans partitions the coded order into maximal frame runs whose
@@ -67,37 +63,15 @@ type Analysis struct {
 // therefore ignored here too.
 func depSpans(v *codec.Video) [][2]int {
 	n := len(v.Frames)
-	if n == 0 {
-		return nil
-	}
-	lo := make([]int, n) // lowest in-range dep source of frame i
-	hi := make([]int, n) // highest in-range dep source of frame i
-	for i, ef := range v.Frames {
-		lo[i], hi[i] = n, -1
-		for _, d := range ef.Deps {
-			src := int(d.SrcFrame)
-			if src < 0 || src >= n {
-				continue
+	return par.ClosedSpans(n, func(i int) (lo, hi int) {
+		lo, hi = n, -1
+		for _, d := range v.Frames[i].Deps {
+			if src := int(d.SrcFrame); src >= 0 && src < n {
+				lo, hi = min(lo, src), max(hi, src)
 			}
-			lo[i] = min(lo[i], src)
-			hi[i] = max(hi[i], src)
 		}
-	}
-	sufMin := make([]int, n+1)
-	sufMin[n] = n
-	for i := n - 1; i >= 0; i-- {
-		sufMin[i] = min(lo[i], sufMin[i+1])
-	}
-	var spans [][2]int
-	start, preMax := 0, -1
-	for c := 1; c < n; c++ {
-		preMax = max(preMax, hi[c-1])
-		if sufMin[c] >= c && preMax < c {
-			spans = append(spans, [2]int{start, c})
-			start = c
-		}
-	}
-	return append(spans, [2]int{start, n})
+		return lo, hi
+	})
 }
 
 // AnalyzeContext runs the VideoApp dependency analysis on an encoded video,
@@ -107,7 +81,7 @@ func depSpans(v *codec.Video) [][2]int {
 // workers = 1 is the serial sweep. Spans of the dependency DAG are mutually
 // independent, so every floating-point accumulation happens in the same
 // order at any worker count and the result is bit-identical.
-func AnalyzeContext(ctx context.Context, v *codec.Video, opts Options, workers int) (*Analysis, error) {
+func AnalyzeContext(ctx context.Context, v *codec.Video, _ Options, workers int) (*Analysis, error) {
 	o := obs.From(ctx)
 	defer obs.StartSpan(o, obs.StageAnalyze).End()
 	nF := len(v.Frames)
@@ -168,7 +142,6 @@ func AnalyzeContext(ctx context.Context, v *codec.Video, opts Options, workers i
 	// slices enabled (§8) it resets at every slice boundary. Frames are
 	// independent here, so the fan-out is per frame.
 	comp := make([][]float64, nF)
-	cw := opts.CodingWeight
 	err = par.ForEachLabeled(ctx, nF, workers, obs.StageAnalyze, "", func(f int) error {
 		comp[f] = append([]float64(nil), imp[f]...)
 		row := imp[f]
@@ -177,7 +150,7 @@ func AnalyzeContext(ctx context.Context, v *codec.Video, opts Options, workers i
 			if starts[m+1] {
 				continue // the chain does not cross into the next slice
 			}
-			row[m] += cw * row[m+1]
+			row[m] += row[m+1]
 		}
 		o.FrameDone(obs.StageAnalyze, 1)
 		return nil
@@ -185,7 +158,7 @@ func AnalyzeContext(ctx context.Context, v *codec.Video, opts Options, workers i
 	if err != nil {
 		return nil, err
 	}
-	return &Analysis{Video: v, Importance: imp, CompImportance: comp, opts: opts}, nil
+	return &Analysis{Video: v, Importance: imp, CompImportance: comp}, nil
 }
 
 // sliceStartSet returns the set of macroblock indices that begin a slice.

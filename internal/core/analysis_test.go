@@ -5,8 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/bits"
+	"slices"
 	"testing"
 	"time"
 
@@ -39,15 +39,25 @@ func TestEarlyFramesMoreImportant(t *testing.T) {
 	})
 }
 
+// TestCompImportanceExcludesCodingChain: the coding chain adds each
+// macroblock's successor within its slice at weight 1 (§4.3), and nothing
+// else: Importance[f][m] = CompImportance[f][m] + Importance[f][m+1],
+// exactly, except where m+1 starts a slice or m is last, where the two
+// importances agree.
 func TestCompImportanceExcludesCodingChain(t *testing.T) {
 	holds(t, allClips, func(e *entry) error {
-		return compared(e.an, func(total, comp float64) bool { return comp <= total+1e-9 })
-	})
-}
-
-func TestCodingWeightZeroDropsChain(t *testing.T) {
-	holds(t, allClips, func(e *entry) error {
-		return compared(analyze(t, e.v, Options{CodingWeight: 0}), func(total, comp float64) bool { return math.Abs(total-comp) <= 1e-9 })
+		for f, row := range e.an.Importance {
+			for m, imp := range row {
+				want := e.an.CompImportance[f][m]
+				if m+1 < len(row) && !slices.Contains(e.v.Frames[f].SliceMBStart, m+1) {
+					want += row[m+1]
+				}
+				if imp != want {
+					return fmt.Errorf("frame %d MB %d: importance %v, compensation importance %v + chain = %v", f, m, imp, e.an.CompImportance[f][m], want)
+				}
+			}
+		}
+		return nil
 	})
 }
 
@@ -280,7 +290,7 @@ func TestAnalysisOverheadSmall(t *testing.T) {
 	}
 	encode := time.Since(t0)
 	t1 := time.Now()
-	analyze(t, v, DefaultOptions())
+	analyze(t, v)
 	if analysis := time.Since(t1); analysis*2 > encode {
 		t.Fatalf("analysis took %v vs encode %v", analysis, encode)
 	}
@@ -291,7 +301,7 @@ func BenchmarkAnalyze(b *testing.B) {
 	v := corpusOf(b, benchClip(20)).v
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		analyze(b, v, DefaultOptions())
+		analyze(b, v)
 	}
 }
 
@@ -359,7 +369,7 @@ func TestDepSpansClosedGOPs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sameImportance(an, analyze(t, v, DefaultOptions())); err != nil {
+	if err := sameImportance(an, analyze(t, v)); err != nil {
 		t.Fatalf("after the fuse: %v", err)
 	}
 }
@@ -375,7 +385,7 @@ func TestAnalyzeContextCancelled(t *testing.T) {
 // TestNonMonotoneSentinel: an analysis whose importance rises in scan order
 // fails CheckMonotone with the ErrNonMonotone sentinel.
 func TestNonMonotoneSentinel(t *testing.T) {
-	an := analyze(t, corpusOf(t, newsClip).v, DefaultOptions())
+	an := analyze(t, corpusOf(t, newsClip).v)
 	an.Importance[0][1] = an.Importance[0][0] + 5
 	if err := an.CheckMonotone(); !errors.Is(err, ErrNonMonotone) {
 		t.Fatalf("got %v", err)

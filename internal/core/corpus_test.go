@@ -84,7 +84,7 @@ func buildEntry(t testing.TB, c clip) *entry {
 	if err != nil {
 		t.Fatal(err)
 	}
-	an := analyze(t, v, DefaultOptions())
+	an := analyze(t, v)
 	return &entry{clip: c, v: v, an: an, parts: an.Partition(PaperAssignment())}
 }
 
@@ -99,9 +99,9 @@ func (e *entry) hash(h *maphash.Hash) {
 }
 
 // analyze runs AnalyzeContext at one worker, the serial sweep.
-func analyze(t testing.TB, v *codec.Video, opts Options) *Analysis {
+func analyze(t testing.TB, v *codec.Video) *Analysis {
 	t.Helper()
-	an, err := AnalyzeContext(context.Background(), v, opts, 1)
+	an, err := AnalyzeContext(context.Background(), v, DefaultOptions(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,19 +121,6 @@ func holds(t *testing.T, cs []clip, prop func(e *entry) error) {
 
 // The bodies of the properties that hold of any video, real or synthetic:
 // each returns nil when the property holds.
-
-// compared: ok holds of every macroblock's total and compensation
-// importance.
-func compared(an *Analysis, ok func(total, comp float64) bool) error {
-	for f, row := range an.Importance {
-		for m, imp := range row {
-			if !ok(imp, an.CompImportance[f][m]) {
-				return fmt.Errorf("frame %d MB %d: importance %v, compensation importance %v", f, m, imp, an.CompImportance[f][m])
-			}
-		}
-	}
-	return nil
-}
 
 // atLeastOne: every macroblock's importance is at least 1, itself.
 func atLeastOne(an *Analysis) error {

@@ -74,7 +74,7 @@ func quickCheck(t *testing.T, count int, prop func(rng *rand.Rand) error) {
 // importance is at least 1 — each node contributes at least itself.
 func TestImportanceConservationProperty(t *testing.T) {
 	quickCheck(t, 50, func(rng *rand.Rand) error {
-		return atLeastOne(analyze(t, syntheticVideo(rng, 2+rng.Intn(4), 2+rng.Intn(3), 2+rng.Intn(3)), DefaultOptions()))
+		return atLeastOne(analyze(t, syntheticVideo(rng, 2+rng.Intn(4), 2+rng.Intn(3), 2+rng.Intn(3))))
 	})
 }
 
@@ -83,7 +83,7 @@ func TestImportanceConservationProperty(t *testing.T) {
 // a frame.
 func TestMonotonePropertyOnSyntheticGraphs(t *testing.T) {
 	quickCheck(t, 100, func(rng *rand.Rand) error {
-		return analyze(t, syntheticVideo(rng, 3, 3, 3), DefaultOptions()).CheckMonotone()
+		return analyze(t, syntheticVideo(rng, 3, 3, 3)).CheckMonotone()
 	})
 }
 
@@ -93,7 +93,7 @@ func TestMonotonePropertyOnSyntheticGraphs(t *testing.T) {
 func TestCompensationImportanceBoundedByArea(t *testing.T) {
 	quickCheck(t, 50, func(rng *rand.Rand) error {
 		nf, c, r := 2+rng.Intn(3), 2+rng.Intn(3), 2+rng.Intn(3)
-		an := analyze(t, syntheticVideo(rng, nf, c, r), DefaultOptions())
+		an := analyze(t, syntheticVideo(rng, nf, c, r))
 		for f, row := range an.CompImportance {
 			for m, imp := range row {
 				if imp > float64(nf*c*r)+1e-6 {
@@ -118,7 +118,7 @@ func TestPartitionSegmentsConservationProperty(t *testing.T) {
 			},
 			Header: bch.SchemeBCH16,
 		}
-		return tiles(v, analyze(t, v, DefaultOptions()).Partition(ca))
+		return tiles(v, analyze(t, v).Partition(ca))
 	})
 }
 
@@ -130,6 +130,6 @@ func TestSplitMergeProperty(t *testing.T) {
 		for _, ef := range v.Frames {
 			rng.Read(ef.Payload)
 		}
-		return splitMerge(v, analyze(t, v, DefaultOptions()).Partition(PaperAssignment()), nil)
+		return splitMerge(v, analyze(t, v).Partition(PaperAssignment()), nil)
 	})
 }

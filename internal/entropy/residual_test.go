@@ -72,14 +72,14 @@ type symbolReader interface {
 
 // codeBlocks codes blocks into slices codewords of one stream through be,
 // both by the block routine (got) and by the per-symbol sequence it unrolls
-// (same), and the first codeword also through the per-symbol oracle (ref:
-// got and same carry their contexts on past a flush, the oracle does not).
-// The syntax a macroblock puts between its residual blocks goes before
-// every every-th block, so the blocks meet the coder in every phase and the
-// other classes' contexts keep moving. After every block all writers must
-// be at the same position, and got and same must hold the same bytes and,
-// for CABAC, the same coder state; the first codeword must flush to the
-// oracle's bytes. It returns the stream.
+// (same), and every codeword also through the per-symbol oracle, a fresh one
+// per codeword: got and same continue past each flush, which must restart
+// them as fresh writers. The syntax a macroblock puts between its residual
+// blocks goes before every every-th block, so the blocks meet the coder in
+// every phase and the other classes' contexts keep moving. After every
+// block all writers must be at the same position, and got and same must
+// hold the same bytes and, for CABAC, the same coder state; every codeword
+// must flush to the oracle's bytes. It returns the stream.
 func codeBlocks(t *testing.T, be backend, blocks [][16]int32, every, slices int) []byte {
 	t.Helper()
 	gw, sw, rw := bitio.NewWriter(), bitio.NewWriter(), bitio.NewWriter()
@@ -124,10 +124,10 @@ func codeBlocks(t *testing.T, be backend, blocks [][16]int32, every, slices int)
 			w.Flush()
 		}
 		check("flush", len(blocks))
-		if len(writers) == 3 && !bytes.Equal(gw.Bytes(), rw.Bytes()) {
-			t.Fatalf("%s: %d blocks flushed to %x, oracle %x", be.name, len(blocks), gw.Bytes(), rw.Bytes())
+		if !bytes.Equal(gw.Bytes(), rw.Bytes()) {
+			t.Fatalf("%s: slice %d: %d blocks flushed to %x, oracle %x", be.name, slice, len(blocks), gw.Bytes(), rw.Bytes())
 		}
-		writers = writers[:2]
+		writers[2] = be.refWriter(rw)
 	}
 	return bytes.Clone(gw.Bytes())
 }

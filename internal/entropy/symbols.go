@@ -145,8 +145,13 @@ func (cw *CABACWriter) PutFlag(c SyntaxClass, b bool) {
 // longer change (Encoder.BitPos).
 func (cw *CABACWriter) BitPos() int64 { return cw.enc.BitPos() }
 
-// Flush implements SymbolWriter.
-func (cw *CABACWriter) Flush() { cw.enc.Flush() }
+// Flush implements SymbolWriter. The coder restarts with freshly
+// initialized contexts, so a writer continued past a flush codes exactly as
+// a fresh one at that byte — the state CABACReader.Reset starts in.
+func (cw *CABACWriter) Flush() {
+	cw.enc.Flush()
+	cw.ctxs = [numClasses][prefixContexts]Context{}
+}
 
 func (cw *CABACWriter) putBypassEG(v uint32) {
 	x := uint64(v) + 1

@@ -6,6 +6,9 @@
 // runtime/pprof labelling so CPU profiles attribute samples to pipeline
 // stages.
 //
+// ClosedSpans cuts a coded order into the independent units those fan-outs
+// run over.
+//
 // Determinism contract: ForEach itself imposes no ordering between items, so
 // callers must make items independent (write to disjoint slice elements,
 // derive per-item RNGs from the item index) and perform any floating-point
@@ -136,4 +139,36 @@ func ForEachLabeled(ctx context.Context, n, workers int, stage, itemKey string, 
 		}
 	}
 	return nil
+}
+
+// ClosedSpans partitions [0, n) into maximal runs of consecutive items
+// that reference no item outside the run, in either direction: the closed
+// spans of a coded order, each decodable or analysable on its own. refs(i)
+// returns the lowest and highest in-range item that item i references (n
+// and -1 when it references none). It is called twice per item, so that the
+// cut keeps no table but the suffix minima.
+func ClosedSpans(n int, refs func(i int) (lo, hi int)) [][2]int {
+	if n == 0 {
+		return nil
+	}
+	// A cut before item c is sound iff no item at or after c references an
+	// item before c (suffix min) and no item before c references one at or
+	// after c (prefix max).
+	sufMin := make([]int, n+1)
+	sufMin[n] = n
+	for i := n - 1; i >= 0; i-- {
+		lo, _ := refs(i)
+		sufMin[i] = min(lo, sufMin[i+1])
+	}
+	var spans [][2]int
+	start, preMax := 0, -1
+	for c := 1; c < n; c++ {
+		_, hi := refs(c - 1)
+		preMax = max(preMax, hi)
+		if sufMin[c] >= c && preMax < c {
+			spans = append(spans, [2]int{start, c})
+			start = c
+		}
+	}
+	return append(spans, [2]int{start, n})
 }

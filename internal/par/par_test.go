@@ -99,3 +99,24 @@ func TestForEachPreCancelled(t *testing.T) {
 		t.Fatalf("got %v", err)
 	}
 }
+
+// TestClosedSpans: items with no references stand alone, a backward
+// reference fuses a run from its target on, and a forward one fuses it up
+// to its target: no cut separates an item from anything it references.
+func TestClosedSpans(t *testing.T) {
+	for _, tc := range []struct {
+		refs [][2]int // each item's lowest and highest reference
+		want string
+	}{
+		{nil, "[]"},
+		{[][2]int{{3, -1}, {3, -1}, {3, -1}}, "[[0 1] [1 2] [2 3]]"},
+		{[][2]int{{4, -1}, {0, 0}, {1, 1}, {4, -1}}, "[[0 3] [3 4]]"},
+		{[][2]int{{4, -1}, {2, 2}, {4, -1}, {4, -1}}, "[[0 1] [1 3] [3 4]]"},
+		{[][2]int{{4, -1}, {4, -1}, {4, -1}, {0, 0}}, "[[0 4]]"},
+	} {
+		got := ClosedSpans(len(tc.refs), func(i int) (int, int) { return tc.refs[i][0], tc.refs[i][1] })
+		if fmt.Sprint(got) != tc.want {
+			t.Fatalf("ClosedSpans(%v) = %v, want %s", tc.refs, got, tc.want)
+		}
+	}
+}

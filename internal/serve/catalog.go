@@ -204,21 +204,19 @@ func NewCatalog(specs []ArchiveSpec, options ...Option) (*Catalog, error) {
 		render:      offheap.NewPool(renderedBytes / idleShare),
 		records:     offheap.NewPool(syntaxBytes / idleShare),
 		heapSamples: [2]metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}, {Name: "/memory/classes/heap/unused:bytes"}},
-		// One shard each, a strict LRU over an unfragmented budget. A rendered
-		// chunk is a sizeable share of the budget (at 320×176 a 30-frame chunk
-		// is 2.5 MB, 5 % of 48 MiB), and hash shards that each own an equal
-		// slice of it evict a chunk from a full shard while others have room;
-		// the record tier is touched once per cold miss, beside a millisecond
-		// of decode, so it has no lock contention to shard away.
-		cache: cache.NewShardedHash[cache.Keyed[int], chunkPayload](renderedBytes, 1, func(p chunkPayload) int64 {
+		// Each tier is one strict LRU over its whole budget: a rendered chunk
+		// is a sizeable share of it (at 320×176 a 30-frame chunk is 2.5 MB,
+		// 5 % of 48 MiB), and any chunk that fits beside the resident ones
+		// stays until the budget is full.
+		cache: cache.New[cache.Keyed[int], chunkPayload](renderedBytes, func(p chunkPayload) int64 {
 			return int64(p.buf.Len())
-		}, nil),
-		syntax: cache.NewShardedHash[cache.Keyed[int], chunkRecords](syntaxBytes, 1, func(r chunkRecords) int64 {
+		}),
+		syntax: cache.New[cache.Keyed[int], chunkRecords](syntaxBytes, func(r chunkRecords) int64 {
 			if r.buf == nil {
 				return 0
 			}
 			return int64(r.buf.Size())
-		}, nil),
+		}),
 		metrics: obs.NewMetrics(),
 	}
 	c.observer = obs.Multi(c.metrics, cfg.observer)

@@ -365,13 +365,12 @@ func TestIdleSweeperSurvivesTinyTimeout(t *testing.T) {
 
 // TestDefaultCacheKeepsEveryChunkThatFits: chunks that fit the rendered
 // budget together are all resident after one pass of a fresh catalog. Each
-// chunk costs 40 % of an eighth of the budget — what one of eight hash shards
-// held when the budget was split over them, and how the ledger's probe of six
-// 30-frame chunks sits in a default 64 MiB catalog. The tiers are one strict
-// LRU each, so no hash seed decides the outcome; the catalogs are repeated to
-// catch a return to hash shards, under which about one fresh catalog in five
-// hashes three of the six chunks into one shard and evicts one of them
-// during the first pass (48 catalogs all miss that with p ≈ 5·10⁻⁵).
+// chunk costs 5 % of the budget (40 % of an eighth of it), as six 30-frame
+// chunks sit in a default 64 MiB catalog. The tiers are one strict LRU each,
+// so nothing is evicted while the budget has room; the catalogs are
+// repeated so that any per-process randomness in placement — a budget split
+// over hash shards would evict one of the six in about one fresh catalog in
+// five — shows (48 catalogs all miss that with p ≈ 5·10⁻⁵).
 func TestDefaultCacheKeepsEveryChunkThatFits(t *testing.T) {
 	const chunks, catalogs = 6, 48
 	c := containerOf(t, chunks, nil)

@@ -509,7 +509,7 @@ func TestPrefetchPolicy(t *testing.T) {
 	})
 
 	t.Run("claimed alone carries a reader whose trail was evicted", func(t *testing.T) {
-		// Room for three chunks in one strict-LRU shard, so three random reads
+		// Room for three chunks in the strict LRU, so three random reads
 		// flush everything the reader left behind while its window is still
 		// loading.
 		chunkBytes := c.chunkBytes()

@@ -363,7 +363,7 @@ func TestRecordTierSharesOneBudget(t *testing.T) {
 	for n, name := range names {
 		specs[n] = snapshotSpec(name, c.data)
 	}
-	// Room for two renderings in one strict-LRU shard; the record tier's
+	// Room for two renderings in the strict LRU; the record tier's
 	// share then holds a few of the eighteen chunks' records.
 	budget := c.chunkBytes() * 3
 	cat, err := NewCatalog(specs, WithCacheBytes(budget))

@@ -3,8 +3,9 @@
 # check in internal/analysis) and the greps beside it: every obs call site
 # names a registered Stage*/Ctr*/Gauge* constant, no `// Deprecated:`
 # markers, every package holding a *_amd64.s is on the Makefile's purego
-# line, every test name the documents cite exists, and every exported facade
-# name has a non-test caller or an entry in scripts/facade_allow.txt.
+# line, every test name the documents cite exists, no code outside bench/
+# names the cache's shims, and every exported facade name has a non-test
+# caller or an entry in scripts/facade_allow.txt.
 #
 # Usage: lint.sh [staticcheck|vetvideoapp|all]   (default: all)
 #
@@ -75,6 +76,14 @@ run_vetvideoapp() {
             status=1
         fi
     done <<<"$cited"
+    # The cache's shims keep their one caller: NewShardedHash, DefaultShards
+    # and KeyedHash stay only for the ledger module (bench/), and no other
+    # code may start naming them before ROADMAP 1(f) deletes them.
+    if grep -rnwE --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build 'NewShardedHash|DefaultShards|KeyedHash' . |
+        grep -vE '^\./internal/cache/(cache|space)\.go:'; then
+        echo "error: the line(s) above name a cache shim (NewShardedHash, DefaultShards, KeyedHash) outside bench/; build caches with cache.New — the shims go with ROADMAP 1(f)" >&2
+        status=1
+    fi
     # Every exported facade name has a non-test caller or a written reason.
     ./scripts/facade_callers.sh --check || status=1
     # Zero deprecated names: superseded API is deleted, never parked behind
