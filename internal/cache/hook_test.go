@@ -14,7 +14,12 @@ import (
 // retained — with every loaded value carrying a unique serial, and requires
 // that each value is either still resident and was never reported, or is
 // gone and was reported exactly once.
-func TestRemovalHookExactlyOnce(t *testing.T) {
+//
+// The hook tests run as the subtest "one shard", the name their runs have
+// carried since the cache also had a sharded layout.
+func TestRemovalHookExactlyOnce(t *testing.T) { t.Run("one shard", removalHookExactlyOnce) }
+
+func removalHookExactlyOnce(t *testing.T) {
 	const budget = 64
 	// A value's cost is 1, except every 97th serial: too big for the cache.
 	c := New[int, int64](budget, func(v int64) int64 {
@@ -75,7 +80,9 @@ func TestRemovalHookExactlyOnce(t *testing.T) {
 // TestContainsSeesFlights: Contains answers true from the moment a load
 // takes off, stays true when it lands, and is false again after a failed
 // load — the prefetcher's "already warm or warming?" probe.
-func TestContainsSeesFlights(t *testing.T) {
+func TestContainsSeesFlights(t *testing.T) { t.Run("one shard", containsSeesFlights) }
+
+func containsSeesFlights(t *testing.T) {
 	c := New[int, int](8, nil)
 	for _, fail := range []bool{false, true} {
 		key := 7
@@ -124,7 +131,9 @@ type refValue struct {
 // meet a value whose count reached zero, no count may go below zero, and at
 // the end every resident value holds exactly the cache's reference and every
 // other value none.
-func TestPinHookBalancesReferences(t *testing.T) {
+func TestPinHookBalancesReferences(t *testing.T) { t.Run("one shard", pinHookBalancesReferences) }
+
+func pinHookBalancesReferences(t *testing.T) {
 	const budget = 32
 	var (
 		mu     sync.Mutex
